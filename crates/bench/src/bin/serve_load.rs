@@ -16,7 +16,7 @@
 //!   registered for whole-graph execution, a warmup request each, then
 //!   8 concurrent steady-state requests submitted before any is
 //!   collected (so cross-request coalescing actually happens). Prints
-//!   the `serve.net_*` / `exec.*` counters plus self-checked `ok`
+//!   the same `serve.*` / `exec.*` counters plus self-checked `ok`
 //!   lines: warm filter transforms fired once per Winograd conv, the
 //!   arena planner's peak sits under the naive sum of activations, and
 //!   steady-state serving did zero graph-level allocations. CI runs it
@@ -24,9 +24,7 @@
 //!   request still served, demotions > 0).
 //! - closed loop (default): N submitter threads, each submitting and
 //!   waiting in lock-step — measures service latency under a fixed
-//!   concurrency level. With `--net` the same loop submits
-//!   whole-network requests through the graph executor instead of
-//!   per-layer convolutions.
+//!   concurrency level.
 //! - `--open-loop <rate>`: one submitter at a fixed request rate with
 //!   a collector draining responses — measures latency and shedding
 //!   when arrival rate, not concurrency, is the control variable.
@@ -35,7 +33,9 @@
 //!   response drop, scheduler stall, or none) — measures latency *and*
 //!   shed/internal-error rates while the server self-heals.
 //!
-//! All load modes print latency percentiles, throughput, and
+//! The load modes serve the layers of `--network`, or with `--net` the
+//! whole network — the same loops either way, since the server has one
+//! request path. All print latency percentiles, throughput, and
 //! shed/internal-error rates, and append the report to
 //! `results/serve_load.txt`.
 
@@ -47,10 +47,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wino_graph::EngineChoice;
 use wino_probe::{self as probe, fault, HistogramSnapshot, Mode};
-use wino_serve::{ConvRequest, NetworkRequest, PlanRegistry, ServeError, Server, ServerConfig};
+use wino_serve::{
+    ConvRequest, NetworkRequest, PlanRegistry, ResponseHandle, ServeError, Server, ServerConfig,
+};
 use wino_tensor::{ConvDesc, Tensor4};
 
-/// Counters the CI smoke asserts on; printed even when zero so
+/// Counters the CI smokes assert on; printed even when zero so
 /// `grep -x` can distinguish "zero" from "not printed".
 const SMOKE_COUNTERS: &[&str] = &[
     "serve.enqueued",
@@ -59,29 +61,6 @@ const SMOKE_COUNTERS: &[&str] = &[
     "serve.batched",
     "serve.executed",
     "serve.deadline_demotions",
-    "conv.filter_transforms",
-    "conv.compiled_fallback",
-    "guard.demote.guardrail",
-    "guard.demote.panic",
-    "guard.served_by_fallback",
-];
-
-/// Histograms the CI smoke asserts on; interned even when untouched
-/// so a zero-count line still prints.
-const SMOKE_HISTS: &[&str] = &["serve.queue_wait", "serve.execute", "serve.e2e"];
-
-/// Counters the CI network smoke asserts on (same print-even-when-zero
-/// contract as [`SMOKE_COUNTERS`]).
-const NET_SMOKE_COUNTERS: &[&str] = &[
-    "serve.enqueued",
-    "serve.shed",
-    "serve.executed",
-    "serve.deadline_demotions",
-    "serve.net_enqueued",
-    "serve.net_batches",
-    "serve.net_batched",
-    "serve.net_executed",
-    "serve.net_degraded",
     "serve.networks_registered",
     "exec.networks_executed",
     "exec.waves_executed",
@@ -91,12 +70,50 @@ const NET_SMOKE_COUNTERS: &[&str] = &[
     "exec.arena_allocs",
     "exec.allocs_steady",
     "conv.filter_transforms",
+    "conv.compiled_fallback",
     "guard.demote.guardrail",
+    "guard.demote.panic",
     "guard.served_by_fallback",
 ];
 
-/// Histograms the network smoke interns so zero-count lines print.
-const NET_SMOKE_HISTS: &[&str] = &["serve.net_execute", "serve.net_e2e", "exec.network"];
+/// Histograms the CI smokes assert on; interned even when untouched
+/// so a zero-count line still prints.
+const SMOKE_HISTS: &[&str] = &[
+    "serve.queue_wait",
+    "serve.execute",
+    "serve.e2e",
+    "exec.network",
+];
+
+/// Dumps the probe counters, gauges, and histograms as the
+/// grep-friendly lines both smokes end with. Gauges print current
+/// *and* peak: CI asserts `serve.queue_depth` drained to exactly zero
+/// after shutdown while the peak shows the queue was exercised.
+fn dump_probe() {
+    for name in SMOKE_COUNTERS {
+        probe::counter(name);
+    }
+    for (name, value) in probe::counter_values() {
+        println!("counter {name}={value}");
+    }
+    for (name, current, peak) in probe::gauge_values() {
+        println!("gauge {name}={current} peak={peak}");
+    }
+    for name in SMOKE_HISTS {
+        probe::histogram(name);
+    }
+    for h in probe::hist_values() {
+        println!(
+            "hist {} count={} p50_ns={} p90_ns={} p99_ns={} max_ns={}",
+            h.name,
+            h.count,
+            h.quantile(0.5),
+            h.quantile(0.9),
+            h.quantile(0.99),
+            h.max
+        );
+    }
+}
 
 struct Args {
     smoke: bool,
@@ -188,6 +205,9 @@ fn run_smoke() {
             ..ServerConfig::default()
         },
     );
+    // The arena reserved at start covers every request of this drill:
+    // `exec.allocs_steady` must stay zero without any warmup.
+    wino_exec::set_steady_phase(true);
     let mut rng = StdRng::seed_from_u64(0xf00d);
     for i in 0..REQUESTS {
         let input = Tensor4::random(1, 8, 16, 16, -1.0, 1.0, &mut rng);
@@ -196,36 +216,12 @@ fn run_smoke() {
             Err(e) => println!("smoke: request {i} failed: {e}"),
         }
     }
+    wino_exec::set_steady_phase(false);
     server.shutdown();
-    for name in SMOKE_COUNTERS {
-        probe::counter(name);
-    }
-    for (name, value) in probe::counter_values() {
-        println!("counter {name}={value}");
-    }
-    // Gauges print current *and* peak: CI asserts serve.queue_depth
-    // drained to exactly zero after shutdown while the peak shows the
-    // queue was actually exercised.
-    for (name, current, peak) in probe::gauge_values() {
-        println!("gauge {name}={current} peak={peak}");
-    }
     // Histogram counts are exact under the no-coalescing smoke config
     // (one serve.queue_wait/execute/e2e record per request), so CI can
     // assert `hist serve.queue_wait count=8 ...` by prefix.
-    for name in SMOKE_HISTS {
-        probe::histogram(name);
-    }
-    for h in probe::hist_values() {
-        println!(
-            "hist {} count={} p50_ns={} p90_ns={} p99_ns={} max_ns={}",
-            h.name,
-            h.count,
-            h.quantile(0.5),
-            h.quantile(0.9),
-            h.quantile(0.99),
-            h.max
-        );
-    }
+    dump_probe();
 }
 
 /// The network-serving drill: two zoo networks registered for graph
@@ -358,41 +354,54 @@ fn run_net_smoke() {
         fail("filter transforms re-ran during serving");
     }
 
-    for name in NET_SMOKE_COUNTERS {
-        probe::counter(name);
-    }
-    for (name, value) in probe::counter_values() {
-        println!("counter {name}={value}");
-    }
-    for (name, current, peak) in probe::gauge_values() {
-        println!("gauge {name}={current} peak={peak}");
-    }
-    for name in NET_SMOKE_HISTS {
-        probe::histogram(name);
-    }
-    for h in probe::hist_values() {
-        println!(
-            "hist {} count={} p50_ns={} p90_ns={} p99_ns={} max_ns={}",
-            h.name,
-            h.count,
-            h.quantile(0.5),
-            h.quantile(0.9),
-            h.quantile(0.99),
-            h.max
-        );
+    dump_probe();
+}
+
+/// One pre-generated request of the load mix: a registered layer or a
+/// registered whole network, and its input. Pre-generating keeps the
+/// measured latency pure service time.
+struct Case {
+    network: bool,
+    name: String,
+    input: Tensor4<f32>,
+}
+
+impl Case {
+    fn submit(&self, server: &Server) -> Result<ResponseHandle, ServeError> {
+        let (name, input) = (self.name.clone(), self.input.clone());
+        if self.network {
+            server.submit_network(NetworkRequest::new(name, input))
+        } else {
+            server.submit(ConvRequest::new(name, input))
+        }
     }
 }
 
-/// Per-layer request inputs, pre-generated so the measured latency is
-/// pure service time.
-fn layer_inputs(registry: &PlanRegistry, names: &[String]) -> Vec<(String, Tensor4<f32>)> {
+/// One input per registered layer of `names`.
+fn layer_cases(registry: &PlanRegistry, names: &[String]) -> Vec<Case> {
     let mut rng = StdRng::seed_from_u64(0x10ad2);
     names
         .iter()
         .map(|name| {
             let d = registry.get(name).expect("registered").desc;
-            let input = Tensor4::random(1, d.in_ch, d.in_h, d.in_w, -1.0, 1.0, &mut rng);
-            (name.clone(), input)
+            Case {
+                network: false,
+                name: name.clone(),
+                input: Tensor4::random(1, d.in_ch, d.in_h, d.in_w, -1.0, 1.0, &mut rng),
+            }
+        })
+        .collect()
+}
+
+/// Four inputs for the registered network `name`.
+fn network_cases(registry: &PlanRegistry, name: &str) -> Vec<Case> {
+    let (c, h, w) = registry.network(name).expect("registered").input_dims();
+    let mut rng = StdRng::seed_from_u64(0x10ad3);
+    (0..4)
+        .map(|_| Case {
+            network: true,
+            name: name.to_string(),
+            input: Tensor4::random(1, c, h, w, -1.0, 1.0, &mut rng),
         })
         .collect()
 }
@@ -443,8 +452,8 @@ impl LoadReport {
 }
 
 /// Closed loop: `concurrency` threads, each submitting and waiting in
-/// lock-step over the layer mix.
-fn run_closed_loop(server: &Server, cases: &[(String, Tensor4<f32>)], args: &Args) -> LoadReport {
+/// lock-step over the case mix.
+fn run_closed_loop(server: &Server, cases: &[Case], args: &Args) -> LoadReport {
     let latencies = Mutex::new(Vec::with_capacity(args.requests));
     let start = Instant::now();
     std::thread::scope(|scope| {
@@ -453,10 +462,9 @@ fn run_closed_loop(server: &Server, cases: &[(String, Tensor4<f32>)], args: &Arg
             scope.spawn(move || {
                 let per_worker = args.requests / args.concurrency.max(1);
                 for i in 0..per_worker {
-                    let (name, input) = &cases[(worker + i) % cases.len()];
+                    let case = &cases[(worker + i) % cases.len()];
                     let t0 = Instant::now();
-                    let req = ConvRequest::new(name.clone(), input.clone());
-                    if server.infer(req).is_ok() {
+                    if case.submit(server).and_then(ResponseHandle::wait).is_ok() {
                         latencies.lock().unwrap().push(t0.elapsed());
                     }
                 }
@@ -475,56 +483,12 @@ fn run_closed_loop(server: &Server, cases: &[(String, Tensor4<f32>)], args: &Arg
     }
 }
 
-/// Closed loop over whole-network requests: `concurrency` threads in
-/// lock-step, each pushing the registered network through the graph
-/// executor (arena-planned, wave-scheduled) instead of a single layer.
-fn run_net_closed_loop(
-    server: &Server,
-    network: &str,
-    inputs: &[Tensor4<f32>],
-    args: &Args,
-) -> LoadReport {
-    let latencies = Mutex::new(Vec::with_capacity(args.requests));
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for worker in 0..args.concurrency.max(1) {
-            let latencies = &latencies;
-            scope.spawn(move || {
-                let per_worker = args.requests / args.concurrency.max(1);
-                for i in 0..per_worker {
-                    let input = &inputs[(worker + i) % inputs.len()];
-                    let t0 = Instant::now();
-                    let req = NetworkRequest::new(network, input.clone());
-                    if server.infer_network(req).is_ok() {
-                        latencies.lock().unwrap().push(t0.elapsed());
-                    }
-                }
-            });
-        }
-    });
-    let wall = start.elapsed();
-    let latencies = latencies.into_inner().unwrap();
-    LoadReport {
-        mode: format!("net-closed-loop(c={})", args.concurrency),
-        served: latencies.len(),
-        shed: 0,
-        internal: 0,
-        wall,
-        latencies,
-    }
-}
-
 /// Chaos mode: the closed loop split into waves, each wave running
 /// under a serve-site fault drawn from the seeded schedule (or none).
 /// Every submission must still resolve to exactly one terminal result
 /// (enforced with a watchdog); the report adds the internal-error rate
 /// the latency percentiles were paid at.
-fn run_chaos_loop(
-    server: &Server,
-    cases: &[(String, Tensor4<f32>)],
-    args: &Args,
-    seed: u64,
-) -> LoadReport {
+fn run_chaos_loop(server: &Server, cases: &[Case], args: &Args, seed: u64) -> LoadReport {
     const WATCHDOG: Duration = Duration::from_secs(120);
     let mut rng = StdRng::seed_from_u64(seed);
     let concurrency = args.concurrency.max(1);
@@ -552,11 +516,10 @@ fn run_chaos_loop(
             let handles: Vec<_> = (0..concurrency)
                 .map(|worker| {
                     let latencies = &latencies;
-                    let (name, input) = &cases[(wave + worker) % cases.len()];
+                    let case = &cases[(wave + worker) % cases.len()];
                     scope.spawn(move || {
                         let t0 = Instant::now();
-                        let req = ConvRequest::new(name.clone(), input.clone());
-                        match server.submit(req) {
+                        match case.submit(server) {
                             Ok(handle) => match handle
                                 .wait_timeout(WATCHDOG)
                                 .expect("chaos invariant violated: request hung past the watchdog")
@@ -598,12 +561,7 @@ fn run_chaos_loop(
 /// Open loop: submit at a fixed rate regardless of completion; a
 /// collector thread drains responses. Overload sheds are counted, not
 /// retried.
-fn run_open_loop(
-    server: &Server,
-    cases: &[(String, Tensor4<f32>)],
-    args: &Args,
-    rate: f64,
-) -> LoadReport {
+fn run_open_loop(server: &Server, cases: &[Case], args: &Args, rate: f64) -> LoadReport {
     let interval = Duration::from_secs_f64(1.0 / rate.max(1e-3));
     let mut shed = 0usize;
     let mut latencies = Vec::with_capacity(args.requests);
@@ -614,9 +572,8 @@ fn run_open_loop(
         if let Some(sleep) = target.checked_duration_since(Instant::now()) {
             std::thread::sleep(sleep);
         }
-        let (name, input) = &cases[i % cases.len()];
         let t0 = Instant::now();
-        match server.submit(ConvRequest::new(name.clone(), input.clone())) {
+        match cases[i % cases.len()].submit(server) {
             Ok(handle) => in_flight.push((t0, handle)),
             Err(ServeError::Overloaded { .. }) => shed += 1,
             Err(e) => panic!("unexpected submit failure: {e}"),
@@ -654,33 +611,41 @@ fn main() {
         run_net_smoke();
         return;
     }
-    if args.net {
-        assert!(
-            args.chaos_seed.is_none() && args.open_loop_rate.is_none(),
-            "--net supports the closed loop only"
-        );
-        run_net_load(&args);
-        return;
-    }
-
     // Register the network *before* arming `WINO_FAULT`: registration
     // precomputes warm filter transforms through the hooked transform
     // path, and a fault poisoning those cached filters would outlive
     // its own disarm. Real faults strike at runtime, not at model load.
     let registry = Arc::new(PlanRegistry::new());
-    let names = registry
-        .register_network(&args.network)
-        .unwrap_or_else(|e| panic!("cannot register {:?}: {e}", args.network));
+    let cases = if args.net {
+        let plan = registry
+            .register_zoo_network(&args.network)
+            .unwrap_or_else(|e| panic!("cannot register network {:?}: {e}", args.network));
+        println!(
+            "serve-load: registered network {} ({} nodes, {} waves, {} slabs, \
+             arena peak {}B vs naive {}B per image)",
+            args.network,
+            plan.net.step_count(),
+            plan.net.wave_count(),
+            plan.net.slab_count(),
+            plan.net.peak_arena_bytes(1),
+            plan.net.naive_activation_bytes(1)
+        );
+        network_cases(&registry, &args.network)
+    } else {
+        let names = registry
+            .register_network(&args.network)
+            .unwrap_or_else(|e| panic!("cannot register {:?}: {e}", args.network));
+        println!(
+            "serve-load: registered {} layers of {}",
+            names.len(),
+            args.network
+        );
+        layer_cases(&registry, &names)
+    };
     match fault::init_from_env() {
         Some(spec) => println!("serve-load: fault armed: {spec}"),
         None => println!("serve-load: no fault armed"),
     }
-    println!(
-        "serve-load: registered {} layers of {}",
-        names.len(),
-        args.network
-    );
-    let cases = layer_inputs(&registry, &names);
     let server = Server::start(
         Arc::clone(&registry),
         ServerConfig {
@@ -697,6 +662,11 @@ fn main() {
             ..ServerConfig::default()
         },
     );
+    // One untimed request first: lazy set-up (recipes, scatter layouts,
+    // first-touch arenas) is not service time.
+    if let Err(e) = cases[0].submit(&server).and_then(ResponseHandle::wait) {
+        println!("serve-load: warmup request failed: {e}");
+    }
     let report = match (args.chaos_seed, args.open_loop_rate) {
         (Some(seed), _) => run_chaos_loop(&server, &cases, &args, seed),
         (None, Some(rate)) => run_open_loop(&server, &cases, &args, rate),
@@ -712,53 +682,8 @@ fn main() {
     server.shutdown();
     let line = report.render();
     println!("serve-load: {line}");
-    append_result(&args.network, &line);
-}
-
-/// The `--net` load path: one zoo network registered for whole-graph
-/// execution, one warmup request (fills the arena pools), then the
-/// closed loop over [`NetworkRequest`]s.
-fn run_net_load(args: &Args) {
-    let registry = Arc::new(PlanRegistry::new());
-    let plan = registry
-        .register_zoo_network(&args.network)
-        .unwrap_or_else(|e| panic!("cannot register network {:?}: {e}", args.network));
-    match fault::init_from_env() {
-        Some(spec) => println!("serve-load: fault armed: {spec}"),
-        None => println!("serve-load: no fault armed"),
-    }
-    println!(
-        "serve-load: registered network {} ({} nodes, {} waves, {} slabs, \
-         arena peak {}B vs naive {}B per image)",
-        args.network,
-        plan.net.step_count(),
-        plan.net.wave_count(),
-        plan.net.slab_count(),
-        plan.net.peak_arena_bytes(1),
-        plan.net.naive_activation_bytes(1)
-    );
-    let (c, h, w) = plan.input_dims();
-    let mut rng = StdRng::seed_from_u64(0x10ad3);
-    let inputs: Vec<Tensor4<f32>> = (0..4)
-        .map(|_| Tensor4::random(1, c, h, w, -1.0, 1.0, &mut rng))
-        .collect();
-    let server = Server::start(
-        Arc::clone(&registry),
-        ServerConfig {
-            max_batch: args.max_batch,
-            max_wait: Duration::from_millis(args.max_wait_ms),
-            executors: 2,
-            ..ServerConfig::default()
-        },
-    );
-    server
-        .infer_network(NetworkRequest::new(&args.network, inputs[0].clone()))
-        .expect("warmup request must serve");
-    let report = run_net_closed_loop(&server, &args.network, &inputs, args);
-    server.shutdown();
-    let line = report.render();
-    println!("serve-load: {line}");
-    append_result(&format!("net:{}", args.network), &line);
+    let tag = if args.net { "net:" } else { "" };
+    append_result(&format!("{tag}{}", args.network), &line);
 }
 
 fn append_result(tag: &str, line: &str) {

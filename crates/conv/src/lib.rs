@@ -24,7 +24,6 @@ pub mod accuracy;
 pub mod compiled;
 mod direct;
 mod error;
-pub mod fft;
 pub mod flops;
 mod im2col;
 mod tiles;
@@ -34,13 +33,11 @@ mod winograd1d;
 pub use accuracy::{accuracy_probe_desc, conv_error_trial, measure_conv_error};
 pub use direct::{conv_direct_f32, conv_direct_f64};
 pub use error::ConvError;
-pub use fft::conv_fft;
 pub use flops::{winograd_flops, winograd_flops_baseline, winograd_tile_total, WinogradFlops};
 pub use im2col::{conv_im2col, im2col_image};
 pub use tiles::TileTransformer;
 pub use winograd::{
-    conv_winograd, conv_winograd_precomputed, conv_winograd_precomputed_level,
-    conv_winograd_precomputed_rt, conv_winograd_rt, conv_winograd_with_recipes,
-    conv_winograd_with_recipes_rt, PrecomputedFilters, WinogradConfig, WinogradVariant,
+    conv_winograd, conv_winograd_precomputed, conv_winograd_precomputed_level, conv_winograd_rt,
+    conv_winograd_with_recipes, PrecomputedFilters, WinogradConfig, WinogradVariant,
 };
 pub use winograd1d::{conv1d_direct, conv1d_winograd};

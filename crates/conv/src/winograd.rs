@@ -133,7 +133,15 @@ pub fn conv_winograd_rt(
     let spec = winograd_checks(desc, cfg.m)?;
     let recipes: Arc<TransformRecipes> = recipe_db().get(spec, cfg.options)?;
     let pre = PrecomputedFilters::new(filters, desc, recipes)?;
-    conv_winograd_precomputed_rt(input, &pre, desc, cfg.variant, &cfg.gemm, rt)
+    conv_winograd_precomputed_level(
+        input,
+        &pre,
+        desc,
+        cfg.variant,
+        &cfg.gemm,
+        rt,
+        wino_gemm::simd_level(),
+    )
 }
 
 /// Winograd convolution with explicitly supplied recipes (used by the
@@ -150,35 +158,9 @@ pub fn conv_winograd_with_recipes(
     recipes: &TransformRecipes,
     variant: WinogradVariant,
 ) -> Result<Tensor4<f32>, ConvError> {
-    conv_winograd_with_recipes_rt(
-        input,
-        filters,
-        desc,
-        recipes,
-        variant,
-        &GemmConfig::default(),
-        Runtime::global(),
-    )
-}
-
-/// [`conv_winograd_with_recipes`] with explicit GEMM blocking and
-/// execution runtime.
-///
-/// # Errors
-/// Shape mismatches, non-unit stride, or a recipe/descriptor spec
-/// mismatch.
-pub fn conv_winograd_with_recipes_rt(
-    input: &Tensor4<f32>,
-    filters: &Tensor4<f32>,
-    desc: &ConvDesc,
-    recipes: &TransformRecipes,
-    variant: WinogradVariant,
-    gemm: &GemmConfig,
-    rt: &Runtime,
-) -> Result<Tensor4<f32>, ConvError> {
     check_shapes(input, filters, desc)?;
     let pre = PrecomputedFilters::new(filters, desc, Arc::new(recipes.clone()))?;
-    conv_winograd_precomputed_rt(input, &pre, desc, variant, gemm, rt)
+    conv_winograd_precomputed(input, &pre, desc, variant, &GemmConfig::default())
 }
 
 /// Transformed filters `U = G·g·Gᵀ` for one filter bank, computed once
@@ -339,7 +321,9 @@ impl PrecomputedFilters {
 }
 
 /// Winograd convolution reusing an already-transformed filter bank
-/// (skips the filter-transform phase entirely).
+/// (skips the filter-transform phase entirely). Output is bit-identical
+/// to the cold-path [`conv_winograd_with_recipes`] with the same
+/// recipes: the warm `U` is the same values, only computed earlier.
 ///
 /// # Errors
 /// Shape mismatches, non-unit stride, or a transform/descriptor
@@ -351,27 +335,15 @@ pub fn conv_winograd_precomputed(
     variant: WinogradVariant,
     gemm: &GemmConfig,
 ) -> Result<Tensor4<f32>, ConvError> {
-    conv_winograd_precomputed_rt(input, pre, desc, variant, gemm, Runtime::global())
-}
-
-/// [`conv_winograd_precomputed`] on an explicit execution runtime.
-///
-/// Output is bit-identical to the cold-path
-/// [`conv_winograd_with_recipes_rt`] with the same recipes: the warm
-/// `U` is the same values, only computed earlier.
-///
-/// # Errors
-/// Shape mismatches, non-unit stride, or a transform/descriptor
-/// mismatch.
-pub fn conv_winograd_precomputed_rt(
-    input: &Tensor4<f32>,
-    pre: &PrecomputedFilters,
-    desc: &ConvDesc,
-    variant: WinogradVariant,
-    gemm: &GemmConfig,
-    rt: &Runtime,
-) -> Result<Tensor4<f32>, ConvError> {
-    conv_winograd_precomputed_level(input, pre, desc, variant, gemm, rt, wino_gemm::simd_level())
+    conv_winograd_precomputed_level(
+        input,
+        pre,
+        desc,
+        variant,
+        gemm,
+        Runtime::global(),
+        wino_gemm::simd_level(),
+    )
 }
 
 /// The engines with the transform dispatch level pinned (the public
@@ -389,7 +361,7 @@ pub fn conv_winograd_precomputed_rt(
 /// the GEMM stage's micro-kernel differs per level.
 ///
 /// # Errors
-/// As [`conv_winograd_precomputed_rt`].
+/// As [`conv_winograd_precomputed`].
 #[allow(clippy::too_many_arguments)]
 pub fn conv_winograd_precomputed_level(
     input: &Tensor4<f32>,

@@ -318,17 +318,17 @@ fn run_step(
             let mut desc = *desc;
             desc.batch = src.n();
             let chain = if degraded {
-                vec![*plan.chain().last().expect("chains are never empty")]
+                vec![plan.tail_engine()]
             } else {
-                plan.chain().to_vec()
+                plan.chain.clone()
             };
-            let conv = GuardedConv::new(plan.winograd_m())
+            let m = plan.warm.as_ref().map_or(4, |pre| pre.spec().m);
+            let run = GuardedConv::new(m)
                 .with_chain(chain)
                 .with_policy(policy)
-                .with_gemm_config(plan.gemm_config());
-            let run = conv
-                .run_warm(src, plan.weights(), &desc, plan.warm())
-                .map_err(|e| ExecError::Guard(format!("{}: {e}", plan.plan_name())))?;
+                .with_gemm_config(plan.gemm)
+                .run_warm(src, &plan.weights, &desc, plan.warm.as_ref())
+                .map_err(|e| ExecError::Guard(format!("{}: {e}", plan.name)))?;
             let engine_out = run.output.data();
             let dst = out.data_mut();
             if *fused_relu {

@@ -49,7 +49,7 @@ use wino_tensor::{ConvDesc, Tensor4};
 
 pub use arena::{set_steady_phase, steady_phase, Arena, ArenaPool};
 pub use executor::{NetworkExecutor, NetworkOutput};
-pub use schedule::{compile, CompiledNetwork};
+pub use schedule::{compile, CompiledNetwork, PlanResolver};
 
 /// Errors from network compilation and execution.
 #[derive(Clone, Debug, PartialEq)]
@@ -83,29 +83,6 @@ impl From<GraphError> for ExecError {
     }
 }
 
-/// A pinned per-conv serving plan: the degradation chain, GEMM
-/// blocking, raw weights, and the warm filter transform. Implemented
-/// by `wino-serve`'s `LayerPlan` (the registry pins tuned engines) and
-/// by [`SimpleConvPlan`] for registry-free use.
-pub trait ConvPlan: Send + Sync {
-    /// Plan name (diagnostics and probe args).
-    fn plan_name(&self) -> &str;
-    /// Degradation chain, head engine first.
-    fn chain(&self) -> &[Engine];
-    /// GEMM blocking for the Winograd multiplication stage.
-    fn gemm_config(&self) -> GemmConfig;
-    /// Raw filter bank `(K, C, r, r)` for fallback engines and
-    /// guardrails.
-    fn weights(&self) -> &Tensor4<f32>;
-    /// Warm `U = G·g·Gᵀ`, present for Winograd plans.
-    fn warm(&self) -> Option<&PrecomputedFilters>;
-    /// Output tile size `m` for the guarded runner (the warm bank's
-    /// spec when present).
-    fn winograd_m(&self) -> usize {
-        self.warm().map_or(4, |pre| pre.spec().m)
-    }
-}
-
 /// Maps an engine choice onto its degradation chain (head first,
 /// terminal direct fallback last) — the same chain the serving
 /// registry pins per layer.
@@ -126,18 +103,30 @@ pub fn chain_for(engine: &EngineChoice) -> Vec<Engine> {
     }
 }
 
-/// A self-contained [`ConvPlan`] built from an explicit engine choice
-/// — the registry-free path used by tests and benches. The filter
-/// transform runs once, at construction.
-pub struct SimpleConvPlan {
-    name: String,
-    chain: Vec<Engine>,
-    gemm: GemmConfig,
-    weights: Tensor4<f32>,
-    warm: Option<PrecomputedFilters>,
+/// The pinned serving plan of one convolution — the single conv-plan
+/// type: the serving registry stores one per registered layer, the plan
+/// compiler pins one per graph conv node, and the executor runs it.
+/// The filter transform runs once, at construction.
+pub struct LayerPlan {
+    /// Plan name (registry key, diagnostics, probe args).
+    pub name: String,
+    /// Canonical descriptor at batch 1 (requests may carry any batch).
+    pub desc: ConvDesc,
+    /// The selected engine (tuned plan or static heuristic).
+    pub engine: EngineChoice,
+    /// Raw filter bank `(K, C, r, r)`, for fallback engines and
+    /// guardrails.
+    pub weights: Tensor4<f32>,
+    /// Warm `U = G·g·Gᵀ`, present for Winograd plans; shared by every
+    /// request so the per-request filter-transform phase disappears.
+    pub warm: Option<PrecomputedFilters>,
+    /// Degradation chain headed by the selected engine.
+    pub chain: Vec<Engine>,
+    /// GEMM blocking for the Winograd multiplication stage.
+    pub gemm: GemmConfig,
 }
 
-impl SimpleConvPlan {
+impl LayerPlan {
     /// Builds the plan for `engine`, precomputing warm filters for
     /// Winograd choices. `desc` is the conv at any batch (canonicalized
     /// to batch 1 internally).
@@ -149,7 +138,7 @@ impl SimpleConvPlan {
         name: impl Into<String>,
         weights: Tensor4<f32>,
         desc: &ConvDesc,
-        engine: &EngineChoice,
+        engine: EngineChoice,
     ) -> Result<Self, ExecError> {
         let mut canonical = *desc;
         canonical.batch = 1;
@@ -159,7 +148,7 @@ impl SimpleConvPlan {
                 weights.dims()
             )));
         }
-        let (warm, gemm) = match engine {
+        let (warm, gemm) = match &engine {
             EngineChoice::Winograd(cfg) => {
                 let pre = PrecomputedFilters::for_config(&weights, &canonical, cfg)
                     .map_err(|e| ExecError::Shape(e.to_string()))?;
@@ -167,41 +156,32 @@ impl SimpleConvPlan {
             }
             _ => (None, GemmConfig::default()),
         };
-        Ok(SimpleConvPlan {
+        Ok(LayerPlan {
             name: name.into(),
-            chain: chain_for(engine),
-            gemm,
+            desc: canonical,
+            chain: chain_for(&engine),
+            engine,
             weights,
             warm,
+            gemm,
         })
     }
-}
 
-impl ConvPlan for SimpleConvPlan {
-    fn plan_name(&self) -> &str {
-        &self.name
+    /// The engine serving requests when nothing demotes.
+    pub fn head_engine(&self) -> Engine {
+        self.chain[0]
     }
 
-    fn chain(&self) -> &[Engine] {
-        &self.chain
-    }
-
-    fn gemm_config(&self) -> GemmConfig {
-        self.gemm
-    }
-
-    fn weights(&self) -> &Tensor4<f32> {
-        &self.weights
-    }
-
-    fn warm(&self) -> Option<&PrecomputedFilters> {
-        self.warm.as_ref()
+    /// The cheapest engine (the chain's terminal fallback) — what a
+    /// near-deadline request demotes to.
+    pub fn tail_engine(&self) -> Engine {
+        *self.chain.last().expect("chains are never empty")
     }
 }
 
 /// Compiles a graph whose conv engines are taken from the graph's own
 /// `set_engine` choices (default [`EngineChoice::Direct`]), building a
-/// [`SimpleConvPlan`] per conv node from its attached weights — the
+/// [`LayerPlan`] per conv node from its attached weights — the
 /// registry-free convenience used by tests and benches.
 ///
 /// # Errors
@@ -218,9 +198,12 @@ pub fn compile_with_graph_engines(
             .weights(id)
             .ok_or(ExecError::MissingPlan(id.0))?
             .clone();
-        let engine = graph.engine(id);
-        let plan =
-            SimpleConvPlan::from_engine(format!("{name}/node{}", id.0), weights, desc, &engine)?;
-        Ok(Arc::new(plan) as Arc<dyn ConvPlan>)
+        let plan = LayerPlan::from_engine(
+            format!("{name}/node{}", id.0),
+            weights,
+            desc,
+            graph.engine(id),
+        )?;
+        Ok(Arc::new(plan))
     })
 }

@@ -27,15 +27,14 @@ use std::sync::Arc;
 use wino_graph::{ComputeGraph, NodeId, Op};
 use wino_tensor::ConvDesc;
 
-use crate::{ConvPlan, ExecError};
+use crate::{ExecError, LayerPlan};
 
 static COMPILED: wino_probe::Counter = wino_probe::Counter::new("exec.networks_compiled");
 
 /// Resolver mapping each conv node to its pinned execution plan (the
 /// serving registry's pinned-plan lookup, or ad-hoc plan construction
 /// in tests and benches).
-pub type PlanResolver<'a> =
-    dyn FnMut(NodeId, &ConvDesc) -> Result<Arc<dyn ConvPlan>, ExecError> + 'a;
+pub type PlanResolver<'a> = dyn FnMut(NodeId, &ConvDesc) -> Result<Arc<LayerPlan>, ExecError> + 'a;
 
 /// Where a step reads one input from.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -56,7 +55,7 @@ pub(crate) enum StepOp {
         /// Fused ReLU from the graph-level optimizer.
         fused_relu: bool,
         /// Pinned chain + warm filters.
-        plan: Arc<dyn ConvPlan>,
+        plan: Arc<LayerPlan>,
     },
     /// Standalone elementwise `max(x, 0)`.
     Relu,
@@ -178,7 +177,7 @@ impl CompiledNetwork {
 
 /// Compiles `graph` for per-image input `(c, h, w)`, resolving each
 /// conv node's pinned plan through `resolve` (the serving registry, or
-/// [`crate::SimpleConvPlan`] construction).
+/// [`LayerPlan::from_engine`] construction).
 ///
 /// # Errors
 /// [`ExecError::Graph`] on shape-inference failures,

@@ -54,44 +54,8 @@ const PARALLEL_FLOP_THRESHOLD: u64 = 1 << 19;
 /// Panics if any slice is shorter than its shape requires — shapes are
 /// part of the caller's contract, not runtime input.
 pub fn sgemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    sgemm_acc(a, b, c, m, k, n, false);
-}
-
-/// [`sgemm`] with explicit blocking parameters (the autotuner's
-/// `MNt`/`MNb`-derived cache blocks end up here).
-pub fn sgemm_with_config(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    cfg: &GemmConfig,
-) {
-    sgemm_acc_rt(a, b, c, m, k, n, false, cfg, Runtime::global());
-}
-
-/// `C += A·B` (when `accumulate`) or `C = A·B`.
-pub fn sgemm_acc(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    accumulate: bool,
-) {
-    sgemm_acc_rt(
-        a,
-        b,
-        c,
-        m,
-        k,
-        n,
-        accumulate,
-        &GemmConfig::default(),
-        Runtime::global(),
-    );
+    let cfg = GemmConfig::default();
+    sgemm_acc_rt(a, b, c, m, k, n, false, &cfg, Runtime::global());
 }
 
 /// Fully-parameterized entry point: explicit blocking config and
@@ -485,9 +449,10 @@ mod tests {
         let a = vec![1.0f32, 0.0, 0.0, 1.0];
         let b = vec![2.0f32, 3.0, 4.0, 5.0];
         let mut c = vec![10.0f32; 4];
-        sgemm_acc(&a, &b, &mut c, 2, 2, 2, true);
+        let cfg = GemmConfig::default();
+        sgemm_acc_rt(&a, &b, &mut c, 2, 2, 2, true, &cfg, Runtime::global());
         assert_eq!(c, vec![12.0, 13.0, 14.0, 15.0]);
-        sgemm_acc(&a, &b, &mut c, 2, 2, 2, false);
+        sgemm_acc_rt(&a, &b, &mut c, 2, 2, 2, false, &cfg, Runtime::global());
         assert_eq!(c, vec![2.0, 3.0, 4.0, 5.0]);
     }
 

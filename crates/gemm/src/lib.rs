@@ -12,12 +12,10 @@ mod batched;
 mod blocked;
 pub mod schedule;
 pub mod simd;
-mod strassen;
 
 pub use batched::{batched_sgemm, batched_sgemm_rt, batched_sgemm_rt_level, BatchedGemmShape};
 pub use blocked::{
-    gemm_flops, pack_a, pack_b, sgemm, sgemm_acc, sgemm_acc_rt, sgemm_acc_rt_level, sgemm_naive,
-    sgemm_with_config, GemmConfig,
+    gemm_flops, pack_a, pack_b, sgemm, sgemm_acc_rt, sgemm_acc_rt_level, sgemm_naive, GemmConfig,
 };
 pub use schedule::{
     col_panel, dim_blocks, micro_tiles, pack_a_model, pack_b_model, pack_capacities, packed_a_len,
@@ -25,4 +23,3 @@ pub use schedule::{
     NR_SCALAR,
 };
 pub use simd::{detect_simd, resolve_simd, simd_level, SimdLevel};
-pub use strassen::{sgemm_strassen, strassen_multiplies};

@@ -362,10 +362,13 @@ impl ComputeGraph {
         fused
     }
 
-    /// Executes the graph on `input`, returning the value of the last
-    /// node. Every node opens a `graph.node.<op>` probe span so the
-    /// naive reference trace lines up against `wino-exec`'s `exec.*`
-    /// spans.
+    /// Executes the graph on `input` node by node, returning the value
+    /// of the last node. This is the bit-identity *reference* the
+    /// `wino-exec` executor is tested against (one fresh tensor per
+    /// node, no scheduling, no arenas) — not a serving path: requests
+    /// run through `wino_exec::NetworkExecutor`. Every node opens a
+    /// `graph.node.<op>` probe span so the reference trace lines up
+    /// against the executor's `exec.*` spans.
     ///
     /// # Errors
     /// Missing weights, shape mismatches, or engine failures.

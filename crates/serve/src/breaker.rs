@@ -24,10 +24,12 @@
 //! only the counters and the per-layer state gauge are gated.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
+
+use crate::registry::NetworkPlan;
 
 static OPEN: wino_probe::Counter = wino_probe::Counter::new("serve.breaker.open");
 static HALF_OPEN: wino_probe::Counter = wino_probe::Counter::new("serve.breaker.half_open");
@@ -240,13 +242,22 @@ impl Breaker {
     }
 }
 
-/// All breakers of one server, keyed by layer. Layers registered after
+/// All breakers of one server, keyed by plan identity (the address of
+/// the `Arc<NetworkPlan>` a request was admitted against), so a layer
+/// and a network that share a name — or a layer re-registered under
+/// its old name — never share a breaker. Each entry holds a `Weak` to
+/// its plan: that pins the address against reuse while the entry
+/// lives, and marks the entry dead once the registry and every queued
+/// request have let the plan go. Plans registered after
 /// [`crate::Server::start`] get their breaker lazily on first batch.
 pub(crate) struct BreakerMap {
     threshold: u32,
     cooldown: Duration,
-    map: RwLock<BTreeMap<String, Arc<Breaker>>>,
+    map: RwLock<BTreeMap<usize, PlanBreaker>>,
 }
+
+/// A breaker and the plan whose address keys it.
+type PlanBreaker = (Weak<NetworkPlan>, Arc<Breaker>);
 
 impl BreakerMap {
     pub(crate) fn new(threshold: u32, cooldown: Duration) -> BreakerMap {
@@ -257,37 +268,48 @@ impl BreakerMap {
         }
     }
 
-    /// Interns the breaker for `layer` (pre-seeded at server start so
-    /// the state gauges exist from the first metrics render).
-    pub(crate) fn intern(&self, layer: &str) -> Arc<Breaker> {
-        if let Some(b) = self.map.read().get(layer) {
+    /// Interns the breaker for `plan` (pre-seeded at server start so
+    /// the state gauges exist from the first metrics render). Adding
+    /// an entry also drops the entries of plans that no longer exist.
+    pub(crate) fn intern(&self, plan: &Arc<NetworkPlan>) -> Arc<Breaker> {
+        let key = Arc::as_ptr(plan) as usize;
+        if let Some((_, b)) = self.map.read().get(&key) {
             return Arc::clone(b);
         }
         let mut map = self.map.write();
-        Arc::clone(
-            map.entry(layer.to_string())
-                .or_insert_with(|| Arc::new(Breaker::new(layer, self.threshold, self.cooldown))),
-        )
+        map.retain(|_, (plan, _)| plan.strong_count() > 0);
+        let (_, breaker) = map.entry(key).or_insert_with(|| {
+            let breaker = Breaker::new(&plan.name, self.threshold, self.cooldown);
+            (Arc::downgrade(plan), Arc::new(breaker))
+        });
+        Arc::clone(breaker)
     }
 
-    /// Breaker + execution decision for the next batch of `layer`.
-    pub(crate) fn decide(&self, layer: &str) -> (Arc<Breaker>, BreakerDecision) {
-        let breaker = self.intern(layer);
+    /// Breaker + execution decision for the next batch of `plan`.
+    pub(crate) fn decide(&self, plan: &Arc<NetworkPlan>) -> (Arc<Breaker>, BreakerDecision) {
+        let breaker = self.intern(plan);
         let decision = breaker.decide();
         (breaker, decision)
     }
 
-    /// Snapshot of every breaker, sorted by layer name.
+    /// Snapshot of every breaker, sorted by plan name.
     pub(crate) fn snapshot(&self) -> Vec<BreakerSnapshot> {
-        self.map.read().values().map(|b| b.snapshot()).collect()
+        let mut all: Vec<BreakerSnapshot> = self
+            .map
+            .read()
+            .values()
+            .map(|(_, b)| b.snapshot())
+            .collect();
+        all.sort_by(|a, b| a.layer.cmp(&b.layer));
+        all
     }
 
-    /// `true` when any layer's breaker is not closed.
+    /// `true` when any plan's breaker is not closed.
     pub(crate) fn any_open(&self) -> bool {
         self.map
             .read()
             .values()
-            .any(|b| b.inner.lock().state != BreakerState::Closed)
+            .any(|(_, b)| b.inner.lock().state != BreakerState::Closed)
     }
 }
 
@@ -367,18 +389,39 @@ mod tests {
         assert_eq!(b.snapshot().state, BreakerState::Closed);
     }
 
+    /// A registered toy layer's serving plan (the registry is the only
+    /// way to build a [`NetworkPlan`]).
+    fn toy_plan(name: &str) -> Arc<NetworkPlan> {
+        let reg = crate::PlanRegistry::new();
+        let desc = wino_tensor::ConvDesc::new(3, 1, 1, 2, 1, 6, 6, 1);
+        let weights = wino_tensor::Tensor4::zeros(2, 1, 3, 3);
+        reg.register_layer(name, desc, weights).unwrap();
+        reg.layer_network(name).unwrap()
+    }
+
     #[test]
-    fn map_interns_per_layer() {
+    fn map_interns_per_plan_identity() {
         let m = BreakerMap::new(2, Duration::from_millis(5));
-        let (a1, _) = m.decide("a");
-        let (a2, _) = m.decide("a");
+        let (a, b) = (toy_plan("a"), toy_plan("b"));
+        let (a1, _) = m.decide(&a);
+        let (a2, _) = m.decide(&a);
         assert!(Arc::ptr_eq(&a1, &a2));
-        m.decide("b");
-        let snap = m.snapshot();
-        assert_eq!(snap.len(), 2);
+        m.decide(&b);
+        // Same name, different plan: its own breaker.
+        let a_again = toy_plan("a");
+        let (a3, _) = m.decide(&a_again);
+        assert!(!Arc::ptr_eq(&a1, &a3));
+        assert_eq!(m.snapshot().len(), 3);
         assert!(!m.any_open());
         a1.resolve(BreakerDecision::Full, Some(false));
         a1.resolve(BreakerDecision::Full, Some(false));
         assert!(m.any_open());
+        // A plan nothing holds any more loses its entry at the next
+        // insertion.
+        drop(a);
+        m.decide(&toy_plan("c"));
+        let names: Vec<String> = m.snapshot().into_iter().map(|s| s.layer).collect();
+        assert_eq!(names, ["a", "b", "c"]);
+        assert!(!m.any_open(), "the tripped breaker went with its plan");
     }
 }

@@ -8,6 +8,11 @@
 //! requests skip the filter-transform phase entirely. Whole reference
 //! networks are registrable by name from the zoo, and arbitrary
 //! [`ComputeGraph`]s by walking their conv nodes.
+//!
+//! Everything the server executes is a [`NetworkPlan`]: registering a
+//! layer also compiles a one-conv network around the same
+//! [`LayerPlan`], so a layer request and a network request take the
+//! same path through the scheduler and the `wino-exec` executor.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -16,94 +21,24 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wino_conv::PrecomputedFilters;
-use wino_gemm::GemmConfig;
+use wino_exec::{ArenaPool, CompiledNetwork};
 use wino_graph::{
-    alexnet_convs, inception_v1_convs, nin_convs, select_engine_cached, ComputeGraph, EngineChoice,
-    NamedConv,
+    alexnet_convs, build_alexnet_graph, build_inception_3a_3b, build_inception_v1_graph,
+    build_nin_graph, inception_v1_convs, nin_convs, select_engine_cached, ComputeGraph,
+    EngineChoice, NamedConv, NodeId,
 };
-use wino_guard::Engine;
 use wino_tensor::{ConvDesc, Tensor4};
 use wino_tuner::TuningCache;
 
-use wino_exec::{ArenaPool, CompiledNetwork, ConvPlan};
-use wino_graph::{
-    build_alexnet_graph, build_inception_3a_3b, build_inception_v1_graph, build_nin_graph, NodeId,
-};
+pub use wino_exec::LayerPlan;
 
 use crate::error::ServeError;
 
 static REGISTERED: wino_probe::Counter = wino_probe::Counter::new("serve.layers_registered");
 static NET_REGISTERED: wino_probe::Counter = wino_probe::Counter::new("serve.networks_registered");
 
-/// One registered layer: its pinned engine plan, raw weights (for
-/// fallback engines and guardrails), and the warm filter transform.
-pub struct LayerPlan {
-    /// Registry key.
-    pub name: String,
-    /// Canonical descriptor at batch 1 (requests may carry any batch).
-    pub desc: ConvDesc,
-    /// The selected engine (tuned plan or static heuristic).
-    pub engine: EngineChoice,
-    /// Raw filter bank `(K, C, r, r)`.
-    pub weights: Tensor4<f32>,
-    /// Warm `U = G·g·Gᵀ`, present for Winograd plans; shared by every
-    /// request so the per-request filter-transform phase disappears.
-    pub warm: Option<PrecomputedFilters>,
-    /// Degradation chain headed by the selected engine.
-    pub chain: Vec<Engine>,
-    /// GEMM blocking for the Winograd multiplication stage.
-    pub gemm: GemmConfig,
-}
-
-impl LayerPlan {
-    /// The engine serving requests when nothing demotes.
-    pub fn head_engine(&self) -> Engine {
-        self.chain[0]
-    }
-
-    /// The cheapest engine (the chain's terminal fallback) — what a
-    /// near-deadline request demotes to.
-    pub fn tail_engine(&self) -> Engine {
-        *self.chain.last().expect("chains are never empty")
-    }
-}
-
-/// Maps an engine choice onto its degradation chain (head first,
-/// terminal direct fallback last). Delegates to `wino-exec`'s shared
-/// definition so the serving registry and the network executor pin the
-/// exact same chains.
-fn chain_for(engine: &EngineChoice) -> Vec<Engine> {
-    wino_exec::chain_for(engine)
-}
-
-/// A registered [`LayerPlan`] *is* a network-executor conv plan: the
-/// plan compiler pins each graph conv node to its registry entry, so
-/// whole-network execution reuses the same chain, GEMM blocking, and
-/// warm filter bank that single-layer serving does.
-impl ConvPlan for LayerPlan {
-    fn plan_name(&self) -> &str {
-        &self.name
-    }
-
-    fn chain(&self) -> &[Engine] {
-        &self.chain
-    }
-
-    fn gemm_config(&self) -> GemmConfig {
-        self.gemm
-    }
-
-    fn weights(&self) -> &Tensor4<f32> {
-        &self.weights
-    }
-
-    fn warm(&self) -> Option<&PrecomputedFilters> {
-        self.warm.as_ref()
-    }
-}
-
-/// One registered whole-network serving plan: the compiled wave
+/// One serving plan — a registered whole network, or the one-conv
+/// network compiled around a registered layer: the compiled wave
 /// schedule + arena plan, the pool of recycled per-request arenas, and
 /// the engine-annotated graph kept as the bit-identity oracle.
 pub struct NetworkPlan {
@@ -127,11 +62,54 @@ impl NetworkPlan {
     pub fn input_dims(&self) -> (usize, usize, usize) {
         self.net.input_dims()
     }
+
+    /// Compiles `graph` against `resolve`'s pinned conv plans and
+    /// pairs the schedule with an empty arena pool.
+    fn compile(
+        name: String,
+        graph: ComputeGraph,
+        input: (usize, usize, usize),
+        resolve: &mut wino_exec::PlanResolver<'_>,
+    ) -> Result<NetworkPlan, ServeError> {
+        let net = wino_exec::compile(name.clone(), &graph, input, resolve)
+            .map_err(|e| ServeError::Shape(e.to_string()))?;
+        Ok(NetworkPlan {
+            name,
+            pool: Arc::new(ArenaPool::new(&net)),
+            net: Arc::new(net),
+            graph,
+        })
+    }
+
+    /// The one-conv network a layer request is served as: input →
+    /// conv, pinned to `plan` itself (no second filter transform).
+    fn around_layer(plan: &Arc<LayerPlan>) -> Result<NetworkPlan, ServeError> {
+        let mut graph = ComputeGraph::new();
+        let input = graph.add_input();
+        let conv = graph
+            .add_conv(input, plan.desc)
+            .map_err(|e| ServeError::Shape(e.to_string()))?;
+        graph.set_engine(conv, plan.engine);
+        let d = &plan.desc;
+        NetworkPlan::compile(
+            plan.name.clone(),
+            graph,
+            (d.in_ch, d.in_h, d.in_w),
+            &mut |_, _| Ok(Arc::clone(plan)),
+        )
+    }
+}
+
+/// What one registered layer resolves to: its conv plan, and the
+/// one-conv network around it that requests are served through.
+struct LayerEntry {
+    plan: Arc<LayerPlan>,
+    network: Arc<NetworkPlan>,
 }
 
 /// Thread-safe registry of serving plans.
 pub struct PlanRegistry {
-    layers: RwLock<BTreeMap<String, Arc<LayerPlan>>>,
+    layers: RwLock<BTreeMap<String, LayerEntry>>,
     networks: RwLock<BTreeMap<String, Arc<NetworkPlan>>>,
     cache: TuningCache,
     device: String,
@@ -204,32 +182,13 @@ impl PlanRegistry {
         let name = name.into();
         let mut span = wino_probe::span("serve.register");
         span.arg("layer", || name.clone());
-        let mut canonical = desc;
-        canonical.batch = 1;
-        if weights.dims() != (desc.out_ch, desc.in_ch, desc.ksz, desc.ksz) {
-            return Err(ServeError::Shape(format!(
-                "weights {:?} do not match {desc}",
-                weights.dims()
-            )));
-        }
-        let (warm, gemm) = match &engine {
-            EngineChoice::Winograd(cfg) => {
-                let pre = PrecomputedFilters::for_config(&weights, &canonical, cfg)
-                    .map_err(|e| ServeError::Shape(e.to_string()))?;
-                (Some(pre), cfg.gemm)
-            }
-            _ => (None, GemmConfig::default()),
-        };
-        let plan = LayerPlan {
-            chain: chain_for(&engine),
-            name: name.clone(),
-            desc: canonical,
-            engine,
-            weights,
-            warm,
-            gemm,
-        };
-        self.layers.write().insert(name, Arc::new(plan));
+        let plan = LayerPlan::from_engine(name.clone(), weights, &desc, engine)
+            .map_err(|e| ServeError::Shape(e.to_string()))?;
+        let plan = Arc::new(plan);
+        let network = Arc::new(NetworkPlan::around_layer(&plan)?);
+        self.layers
+            .write()
+            .insert(name, LayerEntry { plan, network });
         REGISTERED.add(1);
         Ok(())
     }
@@ -327,20 +286,11 @@ impl PlanRegistry {
                 .clone();
             self.register_with_engine(format!("{name}/node{}", id.0), desc, weights, engine)?;
         }
-        let net = wino_exec::compile(name.clone(), &graph, input, &mut |id: NodeId, _desc| {
-            let layer = format!("{name}/node{}", id.0);
-            self.get(&layer)
-                .map(|plan| plan as Arc<dyn ConvPlan>)
+        let plan = NetworkPlan::compile(name.clone(), graph, input, &mut |id: NodeId, _desc| {
+            self.get(&format!("{name}/node{}", id.0))
                 .ok_or(wino_exec::ExecError::MissingPlan(id.0))
-        })
-        .map_err(|e| ServeError::Shape(e.to_string()))?;
-        let net = Arc::new(net);
-        let plan = Arc::new(NetworkPlan {
-            name: name.clone(),
-            pool: Arc::new(ArenaPool::new(&net)),
-            net,
-            graph,
-        });
+        })?;
+        let plan = Arc::new(plan);
         self.networks.write().insert(name, Arc::clone(&plan));
         NET_REGISTERED.add(1);
         Ok(plan)
@@ -389,12 +339,6 @@ impl PlanRegistry {
         self.networks.read().get(name).cloned()
     }
 
-    /// Every registered network plan, in name order (the server seeds
-    /// breakers and reserves arenas per network at start).
-    pub fn network_plans(&self) -> Vec<Arc<NetworkPlan>> {
-        self.networks.read().values().cloned().collect()
-    }
-
     /// Registered network names, sorted.
     pub fn network_names(&self) -> Vec<String> {
         self.networks.read().keys().cloned().collect()
@@ -402,7 +346,12 @@ impl PlanRegistry {
 
     /// Looks up a registered plan.
     pub fn get(&self, name: &str) -> Option<Arc<LayerPlan>> {
-        self.layers.read().get(name).cloned()
+        self.layers.read().get(name).map(|e| Arc::clone(&e.plan))
+    }
+
+    /// The one-conv network requests for layer `name` are served as.
+    pub(crate) fn layer_network(&self, name: &str) -> Option<Arc<NetworkPlan>> {
+        self.layers.read().get(name).map(|e| Arc::clone(&e.network))
     }
 
     /// Registered layer names, sorted.
@@ -410,10 +359,19 @@ impl PlanRegistry {
         self.layers.read().keys().cloned().collect()
     }
 
-    /// Every registered plan, in name order (the server seeds one
-    /// circuit breaker per plan at start).
-    pub fn plans(&self) -> Vec<Arc<LayerPlan>> {
-        self.layers.read().values().cloned().collect()
+    /// Everything the server can be asked to run — each layer's
+    /// one-conv network, then each registered network, in name order
+    /// (the server seeds one circuit breaker and reserves arenas per
+    /// plan at start).
+    pub(crate) fn serving_plans(&self) -> Vec<Arc<NetworkPlan>> {
+        let layers = self.layers.read();
+        let networks = self.networks.read();
+        layers
+            .values()
+            .map(|e| &e.network)
+            .chain(networks.values())
+            .cloned()
+            .collect()
     }
 
     /// Number of registered layers.
@@ -440,6 +398,7 @@ fn fnv1a(s: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wino_guard::Engine;
     use wino_tuner::{Evaluation, TuningPoint};
 
     fn small_desc() -> ConvDesc {

@@ -2,26 +2,30 @@
 //! and crash containment.
 //!
 //! Threads and channels only (no async): callers [`submit`] requests
-//! onto a bounded queue; a scheduler thread coalesces same-layer
+//! onto a bounded queue; a scheduler thread coalesces same-plan
 //! requests into dynamic batches under `max_batch`/`max_wait`; a pool
-//! of executor threads runs each batch through [`GuardedConv`] with
-//! the layer's warm filter transform. Admission control sheds work at
-//! capacity ([`ServeError::Overloaded`]), per-request deadlines demote
-//! near-late members to the layer's terminal fallback engine, and
-//! [`Server::shutdown`] drains: in-flight requests complete, late
-//! submissions get [`ServeError::ShuttingDown`].
+//! of executor threads runs each batch through the `wino-exec`
+//! [`NetworkExecutor`]. There is one path: a layer request is served
+//! as the one-conv network the registry compiled around the layer's
+//! plan, a network request as the registered network, and both carry
+//! an `Arc<NetworkPlan>` from admission to response. Admission control
+//! sheds work at capacity ([`ServeError::Overloaded`]), per-request
+//! deadlines demote near-late members to every conv's terminal
+//! fallback engine, and [`Server::shutdown`] drains: in-flight requests
+//! complete, late submissions get [`ServeError::ShuttingDown`].
 //!
 //! Failure domains, inside out (see DESIGN.md §5.12):
 //!
-//! - an *engine* failure is absorbed by [`GuardedConv`]'s chain;
+//! - an *engine* failure is absorbed by each conv's guard chain
+//!   inside the executor;
 //! - a *batch* panic is contained by `catch_unwind` here — members
 //!   get [`ServeError::Internal`], the flight recorder dumps, and
 //!   `serve.batch_panics` counts it;
 //! - an *executor* death is detected by the supervisor and respawned
 //!   under a restart budget (batch members are failed by a drop
 //!   guard, never stranded);
-//! - a repeatedly-failing *layer* is tripped by its circuit breaker
-//!   to the terminal fallback engine;
+//! - a repeatedly-failing *plan* is tripped by its circuit breaker
+//!   to the terminal fallback engines;
 //! - an unrecoverable *server* (scheduler death, exhausted restarts)
 //!   fails all pending requests and closes admission.
 //!
@@ -33,7 +37,7 @@
 //! propagating the panic.
 //!
 //! Bit-identity: coalescing stacks inputs along the batch dimension,
-//! and every engine treats images independently (tiles never cross
+//! and every graph op treats images independently (tiles never cross
 //! images), so a batched response is bit-identical to a one-at-a-time
 //! run of the same plan.
 //!
@@ -46,13 +50,14 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel;
-use wino_guard::{payload_to_string, Engine, GuardedConv, GuardrailPolicy};
+use wino_exec::NetworkExecutor;
+use wino_guard::{payload_to_string, Engine, GuardrailPolicy};
 use wino_probe::fault;
 use wino_tensor::Tensor4;
 
 use crate::breaker::{BreakerDecision, BreakerMap};
 use crate::error::ServeError;
-use crate::registry::{LayerPlan, NetworkPlan, PlanRegistry};
+use crate::registry::{NetworkPlan, PlanRegistry};
 use crate::stats::{RequestTrace, ServerStats, StatsInner};
 use crate::supervisor::{HealthState, HealthStatus, Liveness, ServerHealth, Supervisor};
 
@@ -73,13 +78,6 @@ pub(crate) static QUEUE_DEPTH: wino_probe::Gauge = wino_probe::Gauge::new("serve
 static H_QUEUE_WAIT: wino_probe::Histogram = wino_probe::Histogram::new("serve.queue_wait");
 static H_EXECUTE: wino_probe::Histogram = wino_probe::Histogram::new("serve.execute");
 static H_E2E: wino_probe::Histogram = wino_probe::Histogram::new("serve.e2e");
-static NET_ENQUEUED: wino_probe::Counter = wino_probe::Counter::new("serve.net_enqueued");
-static NET_BATCHES: wino_probe::Counter = wino_probe::Counter::new("serve.net_batches");
-static NET_BATCHED: wino_probe::Counter = wino_probe::Counter::new("serve.net_batched");
-static NET_EXECUTED: wino_probe::Counter = wino_probe::Counter::new("serve.net_executed");
-static NET_DEGRADED: wino_probe::Counter = wino_probe::Counter::new("serve.net_degraded");
-static H_NET_EXECUTE: wino_probe::Histogram = wino_probe::Histogram::new("serve.net_execute");
-static H_NET_E2E: wino_probe::Histogram = wino_probe::Histogram::new("serve.net_e2e");
 
 /// How long an injected `serve_sched:stall` delays one scheduler pass.
 const SCHED_STALL: Duration = Duration::from_millis(10);
@@ -339,34 +337,12 @@ impl ResponseHandle {
     }
 }
 
-/// What an admitted request asks the executors to run: one registered
-/// layer, or a whole registered network through the `wino-exec` wave
-/// scheduler. The scheduler coalesces by [`Work::key`], so layer and
-/// network requests never share a batch (their keys live in disjoint
-/// namespaces: network keys carry a `"net!"` prefix no layer name
-/// gets).
-pub(crate) enum Work {
-    /// Single-layer convolution against a pinned [`LayerPlan`].
-    Layer(Arc<LayerPlan>),
-    /// Whole-network inference against a pinned [`NetworkPlan`].
-    Network(Arc<NetworkPlan>),
-}
-
-impl Work {
-    /// Coalescing key — also the circuit-breaker key, so a repeatedly
-    /// failing network trips independently of its constituent layers.
-    pub(crate) fn key(&self) -> String {
-        match self {
-            Work::Layer(plan) => plan.name.clone(),
-            Work::Network(plan) => format!("net!{}", plan.name),
-        }
-    }
-}
-
 /// A request admitted to the queue.
 pub(crate) struct Pending {
     id: u64,
-    work: Work,
+    /// The plan the request was admitted against; the scheduler
+    /// coalesces, and the breaker map keys, by this `Arc`'s identity.
+    plan: Arc<NetworkPlan>,
     input: Tensor4<f32>,
     enqueued_at: Instant,
     deadline: Option<Duration>,
@@ -443,18 +419,14 @@ impl Server {
             config.breaker_threshold,
             config.breaker_cooldown,
         ));
-        // Pre-seed a breaker per registered layer (and network) so the
-        // per-plan state gauges exist from the first metrics render.
-        for plan in registry.plans() {
-            breakers.intern(&plan.name);
-        }
-        for plan in registry.network_plans() {
-            breakers.intern(&Work::Network(Arc::clone(&plan)).key());
+        for plan in registry.serving_plans() {
+            // Pre-seeded so the state gauges exist from the first render.
+            breakers.intern(&plan);
             // Reserve one arena per executor at the worst-case
-            // coalesced batch, so steady-state network serving does
-            // zero graph-level allocation (requests larger than
-            // max_batch images still work; their arenas grow, counted
-            // by `exec.arena_allocs`).
+            // coalesced batch, so steady-state serving does zero
+            // graph-level allocation (requests larger than max_batch
+            // images still work; their arenas grow, counted by
+            // `exec.arena_allocs`).
             plan.pool.reserve(config.max_batch, config.executors);
         }
         let shutting_down = Arc::new(AtomicBool::new(false));
@@ -533,19 +505,61 @@ impl Server {
     pub fn submit(&self, req: ConvRequest) -> Result<ResponseHandle, ServeError> {
         let plan = self
             .registry
-            .get(&req.layer)
+            .layer_network(&req.layer)
             .ok_or_else(|| ServeError::UnknownLayer(req.layer.clone()))?;
-        let (n, c, h, w) = req.input.dims();
-        let d = &plan.desc;
-        if n == 0 || c != d.in_ch || h != d.in_h || w != d.in_w {
+        self.admit(plan, req.input, req.deadline)
+    }
+
+    /// Convenience: submit and block for the response.
+    ///
+    /// # Errors
+    /// As [`Server::submit`] and [`ResponseHandle::wait`].
+    pub fn infer(&self, req: ConvRequest) -> Result<ConvResponse, ServeError> {
+        self.submit(req)?.wait()
+    }
+
+    /// Admits a whole-network request. Concurrent requests for the
+    /// same network coalesce into one cross-request batch exactly like
+    /// same-layer requests do.
+    ///
+    /// # Errors
+    /// [`ServeError::UnknownModel`] for unregistered networks,
+    /// otherwise as [`Server::submit`].
+    pub fn submit_network(&self, req: NetworkRequest) -> Result<ResponseHandle, ServeError> {
+        let plan = self
+            .registry
+            .network(&req.network)
+            .ok_or_else(|| ServeError::UnknownModel(req.network.clone()))?;
+        self.admit(plan, req.input, req.deadline)
+    }
+
+    /// Convenience: submit a network request and block for the
+    /// response.
+    ///
+    /// # Errors
+    /// As [`Server::submit_network`] and [`ResponseHandle::wait`].
+    pub fn infer_network(&self, req: NetworkRequest) -> Result<ConvResponse, ServeError> {
+        self.submit_network(req)?.wait()
+    }
+
+    /// The one admission path: shape check against the plan, then a
+    /// bounded push onto the submission queue.
+    fn admit(
+        &self,
+        plan: Arc<NetworkPlan>,
+        input: Tensor4<f32>,
+        deadline: Option<Duration>,
+    ) -> Result<ResponseHandle, ServeError> {
+        let (n, c, h, w) = input.dims();
+        let (ic, ih, iw) = plan.input_dims();
+        if n == 0 || (c, h, w) != (ic, ih, iw) {
             return Err(ServeError::Shape(format!(
-                "input ({n}, {c}, {h}, {w}) does not match layer {:?} expecting \
-                 (N, {}, {}, {})",
-                plan.name, d.in_ch, d.in_h, d.in_w
+                "input ({n}, {c}, {h}, {w}) does not match {:?} expecting (N, {ic}, {ih}, {iw})",
+                plan.name
             )));
         }
         let (tx, rx) = channel::bounded(1);
-        let deadline = req.deadline.or(self.config.default_deadline);
+        let deadline = deadline.or(self.config.default_deadline);
         let id = self.stats.assign_id();
         {
             // Every early return before the push leaves the counters
@@ -564,8 +578,8 @@ impl Server {
             }
             st.pending.push_back(Pending {
                 id,
-                work: Work::Layer(plan),
-                input: req.input,
+                plan,
+                input,
                 enqueued_at: Instant::now(),
                 deadline,
                 slot: ResponseSlot::new(tx),
@@ -575,76 +589,6 @@ impl Server {
         }
         self.queue.cv.notify_all();
         Ok(ResponseHandle { id, rx })
-    }
-
-    /// Convenience: submit and block for the response.
-    ///
-    /// # Errors
-    /// As [`Server::submit`] and [`ResponseHandle::wait`].
-    pub fn infer(&self, req: ConvRequest) -> Result<ConvResponse, ServeError> {
-        self.submit(req)?.wait()
-    }
-
-    /// Admits a whole-network request. Concurrent requests for the
-    /// same network coalesce into one cross-request batch exactly like
-    /// same-layer requests do; the batch runs through the `wino-exec`
-    /// wave scheduler against the network's reserved arena pool.
-    ///
-    /// # Errors
-    /// [`ServeError::UnknownModel`] for unregistered networks,
-    /// otherwise as [`Server::submit`].
-    pub fn submit_network(&self, req: NetworkRequest) -> Result<ResponseHandle, ServeError> {
-        let plan = self
-            .registry
-            .network(&req.network)
-            .ok_or_else(|| ServeError::UnknownModel(req.network.clone()))?;
-        let (n, c, h, w) = req.input.dims();
-        let (ic, ih, iw) = plan.input_dims();
-        if n == 0 || (c, h, w) != (ic, ih, iw) {
-            return Err(ServeError::Shape(format!(
-                "input ({n}, {c}, {h}, {w}) does not match network {:?} expecting \
-                 (N, {ic}, {ih}, {iw})",
-                plan.name
-            )));
-        }
-        let (tx, rx) = channel::bounded(1);
-        let deadline = req.deadline.or(self.config.default_deadline);
-        let id = self.stats.assign_id();
-        {
-            let mut st = lock_queue(&self.queue);
-            if !st.open {
-                return Err(ServeError::ShuttingDown);
-            }
-            if st.pending.len() >= self.config.queue_capacity {
-                SHED.add(1);
-                return Err(ServeError::Overloaded {
-                    depth: st.pending.len(),
-                    capacity: self.config.queue_capacity,
-                });
-            }
-            st.pending.push_back(Pending {
-                id,
-                work: Work::Network(plan),
-                input: req.input,
-                enqueued_at: Instant::now(),
-                deadline,
-                slot: ResponseSlot::new(tx),
-            });
-            ENQUEUED.add(1);
-            NET_ENQUEUED.add(1);
-            QUEUE_DEPTH.set(st.pending.len() as i64);
-        }
-        self.queue.cv.notify_all();
-        Ok(ResponseHandle { id, rx })
-    }
-
-    /// Convenience: submit a network request and block for the
-    /// response.
-    ///
-    /// # Errors
-    /// As [`Server::submit_network`] and [`ResponseHandle::wait`].
-    pub fn infer_network(&self, req: NetworkRequest) -> Result<ConvResponse, ServeError> {
-        self.submit_network(req)?.wait()
     }
 
     /// Current submission-queue depth.
@@ -765,9 +709,12 @@ fn serve_sched_hook() {
     }
 }
 
-/// Scheduler: coalesce same-layer requests into batches. Dispatches a
-/// batch when `max_batch` same-layer requests are waiting, when the
+/// Scheduler: coalesce same-plan requests into batches. Dispatches a
+/// batch when `max_batch` same-plan requests are waiting, when the
 /// head request has waited `max_wait`, or immediately during drain.
+/// "Same plan" is `Arc` identity, so a layer re-registered while
+/// requests are queued never lends its new plan to the old requests
+/// (or the other way round).
 fn scheduler_loop(
     queue: &SubmissionQueue,
     max_batch: usize,
@@ -784,11 +731,11 @@ fn scheduler_loop(
             continue;
         }
         serve_sched_hook();
-        let head_key = st.pending[0].work.key();
+        let head = Arc::clone(&st.pending[0].plan);
         let same = st
             .pending
             .iter()
-            .filter(|p| p.work.key() == head_key)
+            .filter(|p| Arc::ptr_eq(&p.plan, &head))
             .count();
         let age = st.pending[0].enqueued_at.elapsed();
         if same < max_batch && age < max_wait && st.open {
@@ -799,11 +746,11 @@ fn scheduler_loop(
             st = guard;
             continue;
         }
-        // Extract up to max_batch same-key requests, FIFO order.
+        // Extract up to max_batch same-plan requests, FIFO order.
         let mut batch = Vec::with_capacity(same.min(max_batch));
         let mut i = 0;
         while i < st.pending.len() && batch.len() < max_batch {
-            if st.pending[i].work.key() == head_key {
+            if Arc::ptr_eq(&st.pending[i].plan, &head) {
                 batch.push(st.pending.remove(i).expect("index in bounds"));
             } else {
                 i += 1;
@@ -898,7 +845,7 @@ fn executor_loop(slot: usize, shared: &ExecShared) {
     }
 }
 
-/// Crash-contained batch execution: consults the layer's breaker,
+/// Crash-contained batch execution: consults the plan's breaker,
 /// runs the batch under `catch_unwind`, feeds the outcome back to the
 /// breaker, and on a contained panic fails every unanswered member
 /// with [`ServeError::Internal`], dumps a flight-recorder snapshot,
@@ -907,11 +854,11 @@ pub(crate) fn execute_batch_contained(batch: Vec<Pending>, shared: &ExecShared) 
     if batch.is_empty() {
         return;
     }
-    let layer = batch[0].work.key();
+    let plan = Arc::clone(&batch[0].plan);
     let slots: Vec<Arc<ResponseSlot>> = batch.iter().map(|p| Arc::clone(&p.slot)).collect();
-    let (breaker, decision) = shared.breakers.decide(&layer);
+    let (breaker, decision) = shared.breakers.decide(&plan);
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        execute_batch(batch, decision, shared)
+        execute_batch(&plan, batch, decision, shared)
     }));
     match outcome {
         Ok(clean) => breaker.resolve(decision, clean),
@@ -924,7 +871,10 @@ pub(crate) fn execute_batch_contained(batch: Vec<Pending>, shared: &ExecShared) 
             BATCH_PANICS.add(1);
             shared.health.note_batch_panic();
             let cause = payload_to_string(payload);
-            wino_probe::diag(format!("serve: batch for {layer:?} panicked: {cause}"));
+            wino_probe::diag(format!(
+                "serve: batch for {:?} panicked: {cause}",
+                plan.name
+            ));
             wino_probe::flight::dump_incident("serve.batch_panic");
             for slot in &slots {
                 slot.send(Err(ServeError::Internal {
@@ -935,194 +885,25 @@ pub(crate) fn execute_batch_contained(batch: Vec<Pending>, shared: &ExecShared) 
     }
 }
 
-/// Executes one coalesced batch: near-deadline members demote to the
-/// terminal fallback engine, everyone else runs the chain the breaker
-/// decided (full chain, half-open probe, or fallback-only while
-/// open). Queue wait is recorded here, at execution start, for every
-/// member — so `serve.queue_wait`'s count always equals the number of
-/// requests that reached an executor. Returns the full-chain group's
-/// outcome for the breaker: `Some(clean)`, or `None` when every
-/// member was deadline-demoted.
+/// Executes one coalesced batch: near-deadline members run degraded
+/// (every conv on its terminal fallback engine), everyone else rides
+/// the full chains unless the plan's breaker is open. Queue wait is
+/// recorded here, at execution start, for every member — so
+/// `serve.queue_wait`'s count always equals the number of requests
+/// that reached an executor. Returns the full-chain group's outcome
+/// for the breaker: `Some(clean)`, or `None` when every member was
+/// deadline-demoted.
 fn execute_batch(
+    plan: &NetworkPlan,
     batch: Vec<Pending>,
     decision: BreakerDecision,
     shared: &ExecShared,
 ) -> Option<bool> {
-    if batch.is_empty() {
-        return None;
-    }
     BATCHES.add(1);
     if batch.len() > 1 {
         BATCHED.add(batch.len() as u64);
     }
     let batch_ids: Vec<u64> = batch.iter().map(|p| p.id).collect();
-    let plan = match &batch[0].work {
-        Work::Layer(plan) => Arc::clone(plan),
-        Work::Network(plan) => {
-            let plan = Arc::clone(plan);
-            return execute_network_batch(&plan, batch, decision, &batch_ids, shared);
-        }
-    };
-    let mut on_time = Vec::new();
-    let mut late = Vec::new();
-    for p in batch {
-        H_QUEUE_WAIT.record_duration(p.enqueued_at.elapsed());
-        let is_late = p
-            .deadline
-            .is_some_and(|d| p.enqueued_at.elapsed() + shared.slack >= d);
-        if is_late {
-            DEADLINE_DEMOTIONS.add(1);
-            late.push(p);
-        } else {
-            on_time.push(p);
-        }
-    }
-    let chain = if decision.full_chain() {
-        plan.chain.clone()
-    } else {
-        vec![plan.tail_engine()]
-    };
-    let verdict = run_group(
-        &plan,
-        on_time,
-        chain,
-        shared.policy,
-        &batch_ids,
-        false,
-        &shared.stats,
-    );
-    run_group(
-        &plan,
-        late,
-        vec![plan.tail_engine()],
-        shared.policy,
-        &batch_ids,
-        true,
-        &shared.stats,
-    );
-    verdict
-}
-
-/// Runs one group of requests as a single stacked convolution and
-/// scatters the output back per request, attaching a [`RequestTrace`]
-/// to every response. Returns `Some(clean)` — clean meaning the group
-/// served without demotion or error — or `None` for an empty group.
-fn run_group(
-    plan: &LayerPlan,
-    group: Vec<Pending>,
-    chain: Vec<Engine>,
-    policy: GuardrailPolicy,
-    batch_ids: &[u64],
-    deadline_demoted: bool,
-    stats: &StatsInner,
-) -> Option<bool> {
-    if group.is_empty() {
-        return None;
-    }
-    let batched_with = group.len();
-    let (_, c, h, w) = group[0].input.dims();
-    let total: usize = group.iter().map(|p| p.input.dims().0).sum();
-    // NCHW is n-major and contiguous: stacking along N is a straight
-    // copy, which is what keeps batched outputs bit-identical to
-    // one-at-a-time runs.
-    let mut input = Tensor4::<f32>::zeros(total, c, h, w);
-    let image = c * h * w;
-    let mut offset = 0;
-    for p in &group {
-        let n = p.input.dims().0;
-        input.data_mut()[offset..offset + n * image].copy_from_slice(p.input.data());
-        offset += n * image;
-    }
-    let mut desc = plan.desc;
-    desc.batch = total;
-    let m = plan.warm.as_ref().map_or(4, |pre| pre.spec().m);
-    let conv = GuardedConv::new(m)
-        .with_chain(chain)
-        .with_policy(policy)
-        .with_gemm_config(plan.gemm);
-    // Phase attribution reads only this executor thread's spans
-    // recorded during the conv call (the phase spans open on the
-    // calling thread), so concurrent executors never cross-pollute.
-    let mark = wino_probe::local_event_mark();
-    let execute_start = Instant::now();
-    let result = {
-        let mut span = wino_probe::span("serve.execute");
-        span.arg("layer", || plan.name.clone());
-        span.arg("requests", || batched_with.to_string());
-        span.arg("images", || total.to_string());
-        conv.run_warm(&input, &plan.weights, &desc, plan.warm.as_ref())
-    };
-    let execute = execute_start.elapsed();
-    let phases: Vec<(&'static str, u64)> = wino_probe::local_spans_since(mark)
-        .into_iter()
-        .filter(|(name, _)| name.starts_with("conv."))
-        .collect();
-    match result {
-        Ok(out) => {
-            EXECUTED.add(batched_with as u64);
-            H_EXECUTE.record_duration(execute);
-            let clean = out.demotions.is_empty();
-            let (_, k, oh, ow) = out.output.dims();
-            let out_image = k * oh * ow;
-            let mut offset = 0;
-            for p in group {
-                let n = p.input.dims().0;
-                let mut piece = Tensor4::<f32>::zeros(n, k, oh, ow);
-                piece
-                    .data_mut()
-                    .copy_from_slice(&out.output.data()[offset..offset + n * out_image]);
-                offset += n * out_image;
-                let e2e = p.enqueued_at.elapsed();
-                H_E2E.record_duration(e2e);
-                let trace = RequestTrace {
-                    id: p.id,
-                    layer: plan.name.clone(),
-                    queue_wait: execute_start.saturating_duration_since(p.enqueued_at),
-                    execute,
-                    e2e,
-                    batch_size: batch_ids.len(),
-                    batch_peers: batch_ids.iter().copied().filter(|&i| i != p.id).collect(),
-                    served_by: out.served_by,
-                    demotions: out.demotions.len(),
-                    deadline_demoted,
-                    phases: phases.clone(),
-                };
-                stats.push(trace.clone());
-                p.slot.send(Ok(ConvResponse {
-                    output: piece,
-                    served_by: out.served_by,
-                    batched_with,
-                    trace,
-                }));
-            }
-            Some(clean)
-        }
-        Err(err) => {
-            let msg = err.to_string();
-            for p in group {
-                p.slot.send(Err(ServeError::Engine(msg.clone())));
-            }
-            Some(false)
-        }
-    }
-}
-
-/// Executes one coalesced whole-network batch: near-deadline members
-/// run the entire network in degraded mode (every conv on its terminal
-/// fallback engine); everyone else rides the full chains unless this
-/// network's circuit breaker is open. Returns the full-chain group's
-/// outcome for the breaker, mirroring [`execute_batch`].
-fn execute_network_batch(
-    plan: &Arc<NetworkPlan>,
-    batch: Vec<Pending>,
-    decision: BreakerDecision,
-    batch_ids: &[u64],
-    shared: &ExecShared,
-) -> Option<bool> {
-    NET_BATCHES.add(1);
-    if batch.len() > 1 {
-        NET_BATCHED.add(batch.len() as u64);
-    }
     let mut on_time = Vec::new();
     let mut late = Vec::new();
     for p in batch {
@@ -1138,81 +919,84 @@ fn execute_network_batch(
         }
     }
     let degraded = !decision.full_chain();
-    let verdict = run_network_group(plan, on_time, degraded, shared, batch_ids, false);
-    run_network_group(plan, late, true, shared, batch_ids, true);
+    let verdict = run_group(plan, on_time, degraded, &batch_ids, false, shared);
+    run_group(plan, late, true, &batch_ids, true, shared);
     verdict
 }
 
-/// Runs one group of network requests as a single stacked inference
-/// through the wave executor and scatters the output back per request.
-/// Returns `Some(clean)` — clean meaning no conv demoted — or `None`
-/// for an empty group.
-fn run_network_group(
-    plan: &Arc<NetworkPlan>,
+/// Runs one group of requests as a single stacked inference through
+/// the wave executor and scatters the output back per request,
+/// attaching a [`RequestTrace`] to every response. Returns
+/// `Some(clean)` — clean meaning the group served without a conv
+/// demoting or an error — or `None` for an empty group.
+fn run_group(
+    plan: &NetworkPlan,
     group: Vec<Pending>,
     degraded: bool,
-    shared: &ExecShared,
     batch_ids: &[u64],
     deadline_demoted: bool,
+    shared: &ExecShared,
 ) -> Option<bool> {
     if group.is_empty() {
         return None;
     }
-    if degraded {
-        NET_DEGRADED.add(group.len() as u64);
-    }
     let batched_with = group.len();
     let (_, c, h, w) = group[0].input.dims();
     let total: usize = group.iter().map(|p| p.input.dims().0).sum();
-    // Stacking along N is a straight copy (NCHW, n-major), and every
-    // graph op treats images independently, so batched network outputs
-    // are bit-identical to one-at-a-time runs.
-    let mut input = Tensor4::<f32>::zeros(total, c, h, w);
-    let image = c * h * w;
-    let mut offset = 0;
-    for p in &group {
-        let n = p.input.dims().0;
-        input.data_mut()[offset..offset + n * image].copy_from_slice(p.input.data());
-        offset += n * image;
-    }
-    let exec = wino_exec::NetworkExecutor::new(Arc::clone(&plan.net), Arc::clone(&plan.pool))
+    // NCHW is n-major and contiguous: stacking along N is a straight
+    // copy, and every graph op treats images independently, which is
+    // what keeps batched outputs bit-identical to one-at-a-time runs.
+    // A request served alone is its own stack.
+    let stacked;
+    let input = if batched_with == 1 {
+        &group[0].input
+    } else {
+        let images: Vec<&[f32]> = group.iter().map(|p| p.input.data()).collect();
+        stacked = Tensor4::from_raw(total, c, h, w, images.concat());
+        &stacked
+    };
+    let exec = NetworkExecutor::new(Arc::clone(&plan.net), Arc::clone(&plan.pool))
         .with_policy(shared.policy);
+    // Phase attribution reads only this executor thread's spans
+    // recorded during the run: single-step waves run inline (visible,
+    // conv phases included), fanned-out waves land on pool workers
+    // (not visible) — the executor's own `exec.network` span always is.
     let mark = wino_probe::local_event_mark();
     let execute_start = Instant::now();
     let result = {
-        let mut span = wino_probe::span("serve.net_execute");
-        span.arg("network", || plan.name.clone());
+        let mut span = wino_probe::span("serve.execute");
+        span.arg("layer", || plan.name.clone());
         span.arg("requests", || batched_with.to_string());
         span.arg("images", || total.to_string());
-        exec.run_on(wino_runtime::Runtime::global(), &input, degraded)
+        exec.run_on(wino_runtime::Runtime::global(), input, degraded)
     };
     let execute = execute_start.elapsed();
-    // Only spans recorded on this executor thread attribute here:
-    // single-step waves run inline (visible), fanned-out waves land on
-    // pool workers (not visible) — the executor's own `exec.network`
-    // span always is.
     let phases: Vec<(&'static str, u64)> = wino_probe::local_spans_since(mark)
         .into_iter()
         .filter(|(name, _)| name.starts_with("exec.") || name.starts_with("conv."))
         .collect();
     match result {
         Ok(out) => {
-            NET_EXECUTED.add(batched_with as u64);
             EXECUTED.add(batched_with as u64);
-            H_NET_EXECUTE.record_duration(execute);
+            H_EXECUTE.record_duration(execute);
             let clean = out.demotions == 0;
             let (_, k, oh, ow) = out.output.dims();
             let out_image = k * oh * ow;
+            // A request served alone owns the whole output: hand it
+            // over rather than allocating and filling a second copy.
+            let mut whole = Some(out.output);
             let mut offset = 0;
             for p in group {
                 let n = p.input.dims().0;
-                let mut piece = Tensor4::<f32>::zeros(n, k, oh, ow);
-                piece
-                    .data_mut()
-                    .copy_from_slice(&out.output.data()[offset..offset + n * out_image]);
+                let piece = if batched_with == 1 {
+                    whole.take().expect("a lone request takes the output once")
+                } else {
+                    let stacked = whole.as_ref().expect("kept while scattering").data();
+                    let images = stacked[offset..offset + n * out_image].to_vec();
+                    Tensor4::from_raw(n, k, oh, ow, images)
+                };
                 offset += n * out_image;
                 let e2e = p.enqueued_at.elapsed();
-                H_NET_E2E.record_duration(e2e);
                 H_E2E.record_duration(e2e);
                 let trace = RequestTrace {
                     id: p.id,
@@ -1275,15 +1059,9 @@ mod tests {
         let server = Server::start(Arc::clone(&reg), ServerConfig::default());
         let resp = server.infer(ConvRequest::new("toy/c1", input(1))).unwrap();
         assert_eq!(resp.output.dims(), (1, 4, 8, 8));
-        // Direct comparison against an unbatched GuardedConv run.
-        let plan = reg.get("toy/c1").unwrap();
-        let cold = GuardedConv::new(plan.warm.as_ref().unwrap().spec().m)
-            .with_chain(plan.chain.clone())
-            .with_gemm_config(plan.gemm)
-            .run(&input(1), &plan.weights, &plan.desc)
-            .unwrap();
-        assert_eq!(resp.output.data(), cold.output.data());
-        assert_eq!(resp.served_by, cold.served_by);
+        // Bit-identity against an unbatched direct run of the plan is
+        // the integration suite's job (tests/batching.rs).
+        assert_eq!(resp.served_by, reg.get("toy/c1").unwrap().head_engine());
         server.shutdown();
     }
 
@@ -1319,6 +1097,7 @@ mod tests {
             .infer(ConvRequest::new("toy/c1", input(2)).with_deadline(Duration::ZERO))
             .unwrap();
         assert_eq!(resp.served_by, reg.get("toy/c1").unwrap().tail_engine());
+        assert!(resp.trace.deadline_demoted, "and the trace says why");
     }
 
     #[test]
@@ -1415,16 +1194,6 @@ mod tests {
             "recent ring holds completed traces"
         );
         assert_eq!(stats.queue_depth, 0);
-        server.shutdown();
-    }
-
-    #[test]
-    fn deadline_demotion_is_visible_in_the_trace() {
-        let server = Server::start(small_registry(), ServerConfig::default());
-        let resp = server
-            .infer(ConvRequest::new("toy/c1", input(33)).with_deadline(Duration::ZERO))
-            .unwrap();
-        assert!(resp.trace.deadline_demoted);
         server.shutdown();
     }
 

@@ -23,11 +23,11 @@ pub const RECENT_CAP: usize = 64;
 pub struct RequestTrace {
     /// Process-unique request id, assigned at submission.
     pub id: u64,
-    /// Layer the request ran against.
+    /// Layer (or network) the request ran against.
     pub layer: String,
     /// Submission to execution start.
     pub queue_wait: Duration,
-    /// Time inside the guarded convolution (shared by the whole
+    /// Time inside the network executor (shared by the whole
     /// coalesced group).
     pub execute: Duration,
     /// Submission to response send.
@@ -44,8 +44,9 @@ pub struct RequestTrace {
     /// Whether the deadline policy demoted this request to the
     /// terminal fallback engine before execution.
     pub deadline_demoted: bool,
-    /// Per-phase conv durations (ns) summed from the executor
-    /// thread's spans for this group; empty when tracing is off.
+    /// Per-phase `exec.*`/`conv.*` durations (ns) summed from the
+    /// executor thread's spans for this group; empty when tracing is
+    /// off.
     pub phases: Vec<(&'static str, u64)>,
 }
 

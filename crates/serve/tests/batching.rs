@@ -1,6 +1,7 @@
 //! Batch coalescing is invisible to callers: a coalesced batch's
 //! per-request outputs are bit-identical to one-at-a-time direct runs,
-//! for arbitrary layer shapes and request splits.
+//! for arbitrary layer shapes and request splits — and a batch only
+//! ever holds requests admitted against the plan it runs.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -8,7 +9,9 @@ use std::time::Duration;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wino_guard::GuardedConv;
+use wino_conv::conv_direct_f32;
+use wino_graph::EngineChoice;
+use wino_guard::{GuardedConv, GuardedOutput};
 use wino_serve::{ConvRequest, PlanRegistry, Server, ServerConfig};
 use wino_tensor::{ConvDesc, Tensor4};
 
@@ -35,7 +38,7 @@ fn assert_coalesced_bit_identity(
         .iter()
         .map(|&n| Tensor4::random(n, in_ch, hw, hw, -1.0, 1.0, &mut rng))
         .collect();
-    let references: Vec<Tensor4<f32>> = inputs
+    let references: Vec<GuardedOutput> = inputs
         .iter()
         .map(|input| {
             let mut d = plan.desc;
@@ -46,7 +49,6 @@ fn assert_coalesced_bit_identity(
                 .with_gemm_config(plan.gemm)
                 .run(input, &plan.weights, &d)
                 .unwrap()
-                .output
         })
         .collect();
 
@@ -76,12 +78,13 @@ fn assert_coalesced_bit_identity(
             splits.len(),
             "all requests must ride one coalesced batch"
         );
-        assert_eq!(resp.output.dims(), references[i].dims());
+        assert_eq!(resp.served_by, references[i].served_by);
+        assert_eq!(resp.output.dims(), references[i].output.dims());
         let exact = resp
             .output
             .data()
             .iter()
-            .zip(references[i].data())
+            .zip(references[i].output.data())
             .all(|(a, b)| a.to_bits() == b.to_bits());
         assert!(exact, "request {i} diverged from its unbatched reference");
     }
@@ -106,4 +109,53 @@ proptest! {
 #[test]
 fn four_requests_coalesce_into_one_batch() {
     assert_coalesced_bit_identity(4, 2, 10, &[1, 2, 1, 3], 0xba7c4);
+}
+
+#[test]
+fn a_lone_request_matches_its_direct_run() {
+    assert_coalesced_bit_identity(4, 2, 8, &[1], 11);
+}
+
+/// Regression: the scheduler used to coalesce by layer *name* and run
+/// the whole batch on its first member's plan, so a request admitted
+/// after a re-registration was silently computed with the old weights.
+#[test]
+fn a_layer_re_registered_while_requests_queue_serves_each_on_its_own_plan() {
+    let desc = ConvDesc::new(3, 1, 1, 4, 1, 8, 8, 2);
+    let mut rng = StdRng::seed_from_u64(0x5eed);
+    let old_weights = Tensor4::random(4, 2, 3, 3, -0.5, 0.5, &mut rng);
+    let new_weights = Tensor4::random(4, 2, 3, 3, -0.5, 0.5, &mut rng);
+    let input = Tensor4::random(1, 2, 8, 8, -1.0, 1.0, &mut rng);
+    let registry = Arc::new(PlanRegistry::new());
+    // The direct engine makes `conv_direct_f32` the bit-exact oracle.
+    let register = |weights: &Tensor4<f32>| {
+        registry
+            .register_with_engine("x", desc, weights.clone(), EngineChoice::Direct)
+            .unwrap()
+    };
+    register(&old_weights);
+    // Room for both requests in one batch and a wait long enough that
+    // the first is still queued when the second arrives.
+    let server = Server::start(
+        Arc::clone(&registry),
+        ServerConfig {
+            max_batch: 2,
+            max_wait: Duration::from_millis(500),
+            ..ServerConfig::default()
+        },
+    );
+    let first = server.submit(ConvRequest::new("x", input.clone())).unwrap();
+    register(&new_weights);
+    let second = server.submit(ConvRequest::new("x", input.clone())).unwrap();
+    for (handle, weights) in [(first, &old_weights), (second, &new_weights)] {
+        let resp = handle.wait().unwrap();
+        let want = conv_direct_f32(&input, weights, &desc).unwrap();
+        assert_eq!(
+            resp.output.data(),
+            want.data(),
+            "a response must be computed with the plan it was admitted against"
+        );
+        assert_eq!(resp.batched_with, 1, "different plans never share a batch");
+    }
+    server.shutdown();
 }

@@ -1,7 +1,10 @@
-//! Exact-counter regression under injected faults: the serve counters
-//! and the queue-depth gauge stay consistent across shed, injected
+//! Exact-counter regression, clean and under injected faults: the
+//! serve counters and the queue-depth gauge stay consistent across
+//! batching, deadline demotion, breaker trips, shed, injected
 //! executor/scheduler/response faults, and shutdown — no leaked
-//! response handles, no counter drift, no hangs.
+//! response handles, no counter drift, no hangs. There is one serve
+//! path and one counter family, so the cases that do not care what is
+//! being served run over both kinds of target ([`TARGETS`]).
 //!
 //! The probe counters are process-global, so every test here holds a
 //! serialization lock and asserts *deltas* against its own baseline.
@@ -11,8 +14,13 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use wino_graph::{ComputeGraph, EngineChoice};
+use wino_guard::Engine;
 use wino_probe::fault;
-use wino_serve::{ConvRequest, HealthStatus, PlanRegistry, ServeError, Server, ServerConfig};
+use wino_serve::{
+    BreakerState, ConvRequest, ConvResponse, HealthStatus, NetworkRequest, PlanRegistry,
+    ResponseHandle, ServeError, Server, ServerConfig,
+};
 use wino_tensor::{ConvDesc, Tensor4};
 
 const WATCHDOG: Duration = Duration::from_secs(60);
@@ -46,13 +54,60 @@ fn quiet_injected_panics() {
     });
 }
 
+/// A layer and a network registered under the *same* name, on the same
+/// conv: the network is that conv followed by a (fused) ReLU.
 fn registry() -> Arc<PlanRegistry> {
     let reg = PlanRegistry::new();
     let desc = ConvDesc::new(3, 1, 1, 4, 1, 8, 8, 2);
     let mut rng = StdRng::seed_from_u64(17);
     let weights = Tensor4::random(4, 2, 3, 3, -0.5, 0.5, &mut rng);
-    reg.register_layer("cnt/l", desc, weights).unwrap();
+    reg.register_layer("cnt/l", desc, weights.clone()).unwrap();
+    let mut graph = ComputeGraph::new();
+    let input = graph.add_input();
+    let conv = graph.add_conv(input, desc).unwrap();
+    graph.set_weights(conv, weights).unwrap();
+    graph.add_relu(conv).unwrap();
+    reg.register_network_graph("cnt/l", graph, (2, 8, 8))
+        .unwrap();
     Arc::new(reg)
+}
+
+/// What a request asks for. Both kinds go through the same admission,
+/// scheduler, executor, breaker, and counters.
+#[derive(Clone, Copy, Debug)]
+enum Target {
+    Layer,
+    Network,
+}
+
+const TARGETS: [Target; 2] = [Target::Layer, Target::Network];
+
+impl Target {
+    fn submit(
+        self,
+        server: &Server,
+        input: Tensor4<f32>,
+        deadline: Option<Duration>,
+    ) -> Result<ResponseHandle, ServeError> {
+        match self {
+            Target::Layer => {
+                let mut req = ConvRequest::new("cnt/l", input);
+                req.deadline = deadline;
+                server.submit(req)
+            }
+            Target::Network => {
+                let mut req = NetworkRequest::new("cnt/l", input);
+                req.deadline = deadline;
+                server.submit_network(req)
+            }
+        }
+    }
+
+    fn infer(self, server: &Server, seed: u64) -> Result<ConvResponse, ServeError> {
+        self.submit(server, input(seed), None)?
+            .wait_timeout(WATCHDOG)
+            .expect("watchdog: every request must resolve")
+    }
 }
 
 fn input(seed: u64) -> Tensor4<f32> {
@@ -189,31 +244,194 @@ fn contained_response_panic_fails_the_batch_and_counts() {
     let _serial = serial();
     quiet_injected_panics();
     wino_probe::set_mode(wino_probe::Mode::Summary);
-    let (p0, x0) = (c("serve.batch_panics"), c("serve.executed"));
-    let _fault = fault::scoped("serve_resp:panic:1");
-    let server = Server::start(registry(), ServerConfig::default());
-    let handle = server.submit(ConvRequest::new("cnt/l", input(11))).unwrap();
-    // The injected panic fires after the response slot was consumed,
-    // so containment's explicit Internal cannot be delivered there —
-    // the waiter observes the closed channel instead, which maps to
-    // Internal. Either way: a terminal error, never a hang.
-    match handle.wait_timeout(WATCHDOG).expect("watchdog") {
-        Err(ServeError::Internal { .. }) => {}
-        other => panic!("expected contained Internal, got {other:?}"),
+    for target in TARGETS {
+        let (p0, x0) = (c("serve.batch_panics"), c("serve.executed"));
+        let _fault = fault::scoped("serve_resp:panic:1");
+        let server = Server::start(registry(), ServerConfig::default());
+        // The injected panic fires after the response slot was
+        // consumed, so containment's explicit Internal cannot be
+        // delivered there — the waiter observes the closed channel
+        // instead, which maps to Internal. Either way: a terminal
+        // error, never a hang.
+        match target.infer(&server, 11) {
+            Err(ServeError::Internal { .. }) => {}
+            other => panic!("{target:?}: expected contained Internal, got {other:?}"),
+        }
+        // The same (sole) executor thread serves the next request —
+        // and only after containment finished its bookkeeping, which
+        // the waiter above can otherwise outrun.
+        target.infer(&server, 12).unwrap();
+        let health = server.health();
+        assert_eq!(health.status, HealthStatus::Degraded);
+        assert_eq!(health.batch_panics, 1);
+        assert_eq!(
+            health.executor_restarts, 0,
+            "containment keeps the executor alive — no respawn needed"
+        );
+        server.shutdown();
+        assert_eq!(c("serve.batch_panics"), p0 + 1, "{target:?}");
+        assert_eq!(c("serve.executed"), x0 + 2, "both batches executed");
+        assert_eq!(depth_gauge(), 0);
     }
-    let health = server.health();
-    assert_eq!(health.status, HealthStatus::Degraded);
-    assert_eq!(health.batch_panics, 1);
-    assert_eq!(
-        health.executor_restarts, 0,
-        "containment keeps the executor alive — no respawn needed"
+}
+
+#[test]
+fn queued_requests_coalesce_into_one_counted_batch() {
+    let _serial = serial();
+    wino_probe::set_mode(wino_probe::Mode::Summary);
+    const REQUESTS: u64 = 3;
+    for target in TARGETS {
+        let (e0, b0, n0, x0) = (
+            c("serve.enqueued"),
+            c("serve.batches"),
+            c("serve.batched"),
+            c("serve.executed"),
+        );
+        // max_batch = request count under a generous max_wait: the
+        // scheduler dispatches the moment the last one is queued.
+        let server = Server::start(
+            registry(),
+            ServerConfig {
+                max_batch: REQUESTS as usize,
+                max_wait: Duration::from_secs(5),
+                ..ServerConfig::default()
+            },
+        );
+        let handles: Vec<_> = (0..REQUESTS)
+            .map(|i| target.submit(&server, input(40 + i), None).unwrap())
+            .collect();
+        for handle in handles {
+            let resp = handle.wait_timeout(WATCHDOG).expect("watchdog").unwrap();
+            assert_eq!(resp.batched_with, REQUESTS as usize, "{target:?}");
+            assert_eq!(resp.trace.batch_peers.len(), REQUESTS as usize - 1);
+        }
+        server.shutdown();
+        assert_eq!(c("serve.enqueued"), e0 + REQUESTS, "{target:?}");
+        assert_eq!(c("serve.batches"), b0 + 1, "{target:?}");
+        assert_eq!(c("serve.batched"), n0 + REQUESTS, "{target:?}");
+        assert_eq!(c("serve.executed"), x0 + REQUESTS, "{target:?}");
+        assert_eq!(depth_gauge(), 0);
+    }
+}
+
+#[test]
+fn zero_deadline_runs_degraded_and_counts_one_demotion() {
+    let _serial = serial();
+    wino_probe::set_mode(wino_probe::Mode::Summary);
+    for target in TARGETS {
+        let (d0, g0, x0) = (
+            c("serve.deadline_demotions"),
+            c("exec.degraded_runs"),
+            c("serve.executed"),
+        );
+        let server = Server::start(registry(), ServerConfig::default());
+        let resp = target
+            .submit(&server, input(50), Some(Duration::ZERO))
+            .unwrap()
+            .wait_timeout(WATCHDOG)
+            .expect("watchdog")
+            .unwrap();
+        assert!(resp.trace.deadline_demoted, "{target:?}");
+        // Degraded mode runs every conv on its terminal fallback.
+        assert_eq!(resp.served_by, Engine::Direct, "{target:?}");
+        assert_eq!(resp.trace.demotions, 0, "the head engine never ran");
+        server.shutdown();
+        assert_eq!(c("serve.deadline_demotions"), d0 + 1, "{target:?}");
+        assert_eq!(c("exec.degraded_runs"), g0 + 1, "{target:?}");
+        assert_eq!(c("serve.executed"), x0 + 1, "{target:?}");
+    }
+}
+
+/// Breaker positions of the plans registered under `"cnt/l"` (the
+/// layer and the network), open ones first.
+fn shared_name_breakers(server: &Server) -> Vec<BreakerState> {
+    let mut states: Vec<BreakerState> = server
+        .health()
+        .breakers
+        .into_iter()
+        .filter(|b| b.layer == "cnt/l")
+        .map(|b| b.state)
+        .collect();
+    states.sort_by_key(|s| *s != BreakerState::Open);
+    states
+}
+
+#[test]
+fn poisoned_batches_trip_only_the_breaker_of_the_plan_they_ran() {
+    let _serial = serial();
+    wino_probe::set_mode(wino_probe::Mode::Summary);
+    for target in TARGETS {
+        let (o0, g0, x0) = (
+            c("serve.breaker.open"),
+            c("guard.demote.guardrail"),
+            c("serve.executed"),
+        );
+        // Register before arming, so the fault poisons runtime
+        // transforms but never the cached warm filters.
+        let reg = registry();
+        let _fault = fault::scoped("transform:nan");
+        let server = Server::start(
+            reg,
+            ServerConfig {
+                max_batch: 1,
+                max_wait: Duration::ZERO,
+                breaker_threshold: 3,
+                breaker_cooldown: Duration::from_secs(600),
+                ..ServerConfig::default()
+            },
+        );
+        for i in 0..3 {
+            let resp = target.infer(&server, 60 + i).unwrap();
+            assert_eq!(resp.trace.demotions, 1, "{target:?}: guardrail demotes");
+        }
+        // Open: the fourth request rides the terminal fallback only.
+        let resp = target.infer(&server, 63).unwrap();
+        assert_eq!(resp.served_by, Engine::Direct, "{target:?}");
+        assert_eq!(resp.trace.demotions, 0, "{target:?}");
+        // The layer and the network share a name, not a breaker.
+        assert_eq!(
+            shared_name_breakers(&server),
+            [BreakerState::Open, BreakerState::Closed],
+            "{target:?}"
+        );
+        server.shutdown();
+        assert_eq!(c("serve.breaker.open"), o0 + 1, "{target:?}");
+        assert_eq!(c("guard.demote.guardrail"), g0 + 3, "{target:?}");
+        assert_eq!(c("serve.executed"), x0 + 4, "{target:?}");
+    }
+}
+
+#[test]
+fn a_layer_and_a_network_of_one_name_never_share_a_batch() {
+    let _serial = serial();
+    wino_probe::set_mode(wino_probe::Mode::Summary);
+    let (b0, n0) = (c("serve.batches"), c("serve.batched"));
+    // Room for both in one batch and time to wait for it: only the
+    // plan-identity key keeps them apart.
+    let server = Server::start(
+        registry(),
+        ServerConfig {
+            max_batch: 2,
+            max_wait: Duration::from_millis(200),
+            ..ServerConfig::default()
+        },
     );
-    // Same executor thread serves the next request.
-    server.infer(ConvRequest::new("cnt/l", input(12))).unwrap();
+    let layer = Target::Layer.submit(&server, input(70), None).unwrap();
+    let network = Target::Network.submit(&server, input(70), None).unwrap();
+    let layer = layer.wait_timeout(WATCHDOG).expect("watchdog").unwrap();
+    let network = network.wait_timeout(WATCHDOG).expect("watchdog").unwrap();
+    for resp in [&layer, &network] {
+        assert_eq!(resp.batched_with, 1);
+        assert!(resp.trace.batch_peers.is_empty());
+    }
+    // Same conv, same input: the network's answer is the layer's
+    // through the fused ReLU — each ran its own plan.
+    let relu: Vec<f32> = layer.output.data().iter().map(|v| v.max(0.0)).collect();
+    assert_eq!(network.output.data(), &relu[..]);
+    assert!(layer.output.data().iter().any(|v| *v < 0.0));
     server.shutdown();
-    assert_eq!(c("serve.batch_panics"), p0 + 1);
-    assert_eq!(c("serve.executed"), x0 + 2, "both batches executed");
-    assert_eq!(depth_gauge(), 0);
+    assert_eq!(c("serve.batches"), b0 + 2);
+    assert_eq!(c("serve.batched"), n0, "nothing coalesced");
 }
 
 #[test]
@@ -256,4 +474,123 @@ fn scheduler_stall_delays_but_serves_everything() {
     server.shutdown();
     assert_eq!(c("fault.injected.serve_sched"), f0 + 1, "stall fired once");
     assert_eq!(depth_gauge(), 0);
+}
+
+#[test]
+fn zoo_serving_accounts_exactly_with_zero_steady_allocations() {
+    const NETWORKS: [&str; 2] = ["alexnet", "inception-3a-3b"];
+    const LOAD_PER_TARGET: usize = 8;
+
+    let _serial = serial();
+    wino_probe::reset();
+    wino_probe::set_mode(wino_probe::Mode::Summary);
+    wino_exec::set_steady_phase(false);
+
+    // Registration: exactly one filter transform per Winograd conv per
+    // registered network, all at registration time.
+    let registry = Arc::new(PlanRegistry::new());
+    let mut winograd_convs = 0u64;
+    for name in NETWORKS {
+        let plan = registry.register_zoo_network(name).unwrap();
+        winograd_convs += plan
+            .graph
+            .conv_nodes()
+            .iter()
+            .filter(|(id, _)| matches!(plan.graph.engine(*id), EngineChoice::Winograd(_)))
+            .count() as u64;
+    }
+    assert!(winograd_convs > 0);
+    let transforms = wino_probe::counter("conv.filter_transforms");
+    assert_eq!(
+        transforms.get(),
+        winograd_convs,
+        "registration transforms each Winograd conv exactly once per network"
+    );
+    // Network registration pinned every conv node as a layer too; one
+    // of them is the layer-request target.
+    let layer = registry
+        .layer_names()
+        .into_iter()
+        .find(|n| n.starts_with("inception-3a-3b/node"))
+        .unwrap();
+
+    // Server start reserves arenas (per executor, at max_batch images).
+    let server = Server::start(
+        Arc::clone(&registry),
+        ServerConfig {
+            max_batch: 4,
+            max_wait: Duration::from_millis(5),
+            queue_capacity: 256,
+            executors: 2,
+            ..ServerConfig::default()
+        },
+    );
+
+    let random = |(c, h, w): (usize, usize, usize), seed: u64| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        Tensor4::<f32>::random(1, c, h, w, -1.0, 1.0, &mut rng)
+    };
+    let submit = |target: &str, seed: u64| {
+        if target == layer {
+            let d = registry.get(target).unwrap().desc;
+            server.submit(ConvRequest::new(
+                target,
+                random((d.in_ch, d.in_h, d.in_w), seed),
+            ))
+        } else {
+            let dims = registry.network(target).unwrap().input_dims();
+            server.submit_network(NetworkRequest::new(target, random(dims, seed)))
+        }
+    };
+    let targets = [layer.as_str(), NETWORKS[0], NETWORKS[1]];
+
+    // Warmup: one request per target, then flip steady accounting.
+    for target in targets {
+        submit(target, 0).unwrap().wait().unwrap();
+    }
+    wino_exec::set_steady_phase(true);
+
+    // Steady load: submit everything first so the scheduler can
+    // coalesce, then collect.
+    let mut handles = Vec::new();
+    for i in 0..LOAD_PER_TARGET {
+        for target in targets {
+            handles.push(submit(target, i as u64).unwrap());
+        }
+    }
+    let mut batched_with_seen = 0usize;
+    for h in handles {
+        let resp = h.wait().unwrap();
+        batched_with_seen = batched_with_seen.max(resp.batched_with);
+    }
+    wino_exec::set_steady_phase(false);
+    server.shutdown();
+
+    let total = (targets.len() * (LOAD_PER_TARGET + 1)) as u64;
+    assert_eq!(c("serve.enqueued"), total);
+    assert_eq!(c("serve.executed"), total);
+    assert_eq!(c("serve.shed"), 0);
+    assert_eq!(c("serve.networks_registered"), NETWORKS.len() as u64);
+    // Cross-request coalescing actually happened (everything was
+    // queued before collection began, max_batch 4, 2 executors).
+    assert!(
+        batched_with_seen > 1,
+        "no batch coalesced (max batched_with {batched_with_seen})"
+    );
+    assert!(c("serve.batched") >= 2);
+    // Steady state: zero graph-level allocations after warmup, for
+    // layer and network requests alike...
+    assert_eq!(
+        c("exec.allocs_steady"),
+        0,
+        "steady-state serving must not allocate at graph level"
+    );
+    // ...and no filter transform ever ran again.
+    assert_eq!(
+        transforms.get(),
+        winograd_convs,
+        "serving must never re-run a filter transform"
+    );
+    wino_probe::set_mode(wino_probe::Mode::Off);
+    wino_probe::reset();
 }

@@ -118,112 +118,92 @@ drill "transform:nan"   guard.demote.guardrail=3 guard.served_by_fallback=2
 drill "gemm:nan"        guard.demote.guardrail=2 guard.served_by_fallback=1
 unset drill_simd
 
-echo "== wino-serve: load smoke (admission/batch accounting, fault fallback)"
-# The smoke drill serves 8 sequential requests with coalescing off, so
+echo "== wino-serve: load smokes (admission/batch accounting, arena accounting, fault fallback)"
+# Two drills through the one serve path, one checker. Both register
+# before the fault arms (cached warm filters are never poisoned), both
+# must drain serve.queue_depth to 0, and both must keep
+# exec.allocs_steady at 0: the arenas reserved at Server::start cover
+# every steady request, whatever kind it is.
+#
+# --smoke serves 8 sequential layer requests with coalescing off, so
 # every serve.* counter is exact: nothing sheds at low load, each
 # request is its own batch, and the filter transform runs once at
-# registration (before the fault arms, so cached warm filters are
-# never poisoned). Under an armed transform fault every full-chain
-# batch demotes in the guard — and all 8 requests are still served.
+# registration.
+#
+# --net-smoke registers two zoo networks for whole-graph execution,
+# warms each, then serves 8 steady-state requests submitted
+# concurrently. The schedule-controlled counters are exact (10 requests
+# enqueued and executed, nothing shed); the binary itself asserts the
+# host-dependent ones (filter transforms once per Winograd conv,
+# planner peak under the naive activation layout) and prints `ok`
+# lines matched verbatim here.
 serve_smoke() {
-  local fault="$1"; shift
-  local out
-  out=$(WINO_FAULT="$fault" ./target/release/wino-serve-load --smoke)
+  local mode="$1" fault="$2"; shift 2
+  smoke_out=$(WINO_FAULT="$fault" ./target/release/wino-serve-load "$mode")
   for expect in "$@"; do
-    # Bare expects are counters; "gauge ..." expects match verbatim.
+    # Bare expects are counters; "gauge ..." and "net-smoke: ..."
+    # expects match verbatim.
     local want="counter $expect"
-    case "$expect" in gauge\ *) want="$expect";; esac
-    if ! grep -qx "$want" <<<"$out"; then
-      echo "FAIL: serve smoke WINO_FAULT='$fault' expected '$want', got:" >&2
-      grep -E "^(counter|gauge) " <<<"$out" >&2
+    case "$expect" in gauge\ *|net-smoke:*) want="$expect";; esac
+    if ! grep -qx "$want" <<<"$smoke_out"; then
+      echo "FAIL: serve $mode WINO_FAULT='$fault' expected '$want', got:" >&2
+      grep -E "^(counter|gauge|net-smoke:) " <<<"$smoke_out" >&2
       exit 1
     fi
   done
-  # Sequential requests never stack, so the depth gauge peaks at
-  # exactly 1 and must drain to exactly 0 once the server shuts down.
-  if ! grep -qx "gauge serve.queue_depth=0 peak=1" <<<"$out"; then
-    echo "FAIL: serve smoke WINO_FAULT='$fault': serve.queue_depth did not drain to 0 (peak 1), got:" >&2
-    grep "^gauge " <<<"$out" >&2
+  if ! grep -q "^gauge serve.queue_depth=0 peak=" <<<"$smoke_out"; then
+    echo "FAIL: serve $mode WINO_FAULT='$fault': serve.queue_depth did not drain to 0, got:" >&2
+    grep "^gauge " <<<"$smoke_out" >&2
     exit 1
   fi
-  echo "   ok: WINO_FAULT='${fault:-<unset>}' -> $* + queue_depth drained"
+  echo "   ok: $mode WINO_FAULT='${fault:-<unset>}' -> $* + queue_depth drained"
 }
-# conv.compiled_fallback=0 in both runs: the build-embedded SoA
+# conv.compiled_fallback=0 in both layer runs: the build-embedded SoA
 # kernels' fingerprints match their recipes, so the compiled path
 # never silently degrades to the interpreter (satellite of the
 # compiled-kernel proof gate — drift is observable, and absent).
-serve_smoke "" \
+# Sequential requests never stack, so the depth gauge peaks at exactly 1.
+serve_smoke --smoke "" \
   serve.enqueued=8 serve.shed=0 serve.batches=8 serve.batched=0 \
   serve.executed=8 serve.deadline_demotions=0 conv.filter_transforms=1 \
   conv.compiled_fallback=0 guard.demote.guardrail=0 guard.served_by_fallback=0 \
-  "gauge serve.breaker_state.smoke/conv=0 peak=0"
+  exec.allocs_steady=0 exec.degraded_runs=0 serve.networks_registered=0 \
+  "gauge serve.breaker_state.smoke/conv=0 peak=0" \
+  "gauge serve.queue_depth=0 peak=1"
 # Under a persistent transform fault the first three batches demote in
 # the guard (unclean), the layer breaker trips on the third, and the
 # remaining five requests ride the terminal fallback directly — still
 # all served, but the poisoned Winograd head runs only 3 times, not 8.
-serve_smoke "transform:nan" \
+serve_smoke --smoke "transform:nan" \
   serve.enqueued=8 serve.shed=0 serve.batches=8 serve.executed=8 \
   conv.filter_transforms=1 conv.compiled_fallback=0 \
   guard.demote.guardrail=3 guard.served_by_fallback=3 \
-  serve.breaker.open=1 \
-  "gauge serve.breaker_state.smoke/conv=2 peak=2"
-
-echo "== wino-exec: network serving smoke (graph execution, arena accounting)"
-# The network drill registers two zoo networks for whole-graph
-# execution, warms each arena pool, then serves 8 steady-state requests
-# submitted concurrently. The schedule-controlled counters are exact
-# (10 network requests enqueued and executed, nothing shed); the binary
-# itself asserts the host-dependent ones (filter transforms once per
-# Winograd conv, planner peak under the naive activation layout) and
-# prints `ok` lines CI matches verbatim. Under a persistent transform
-# fault every request must still serve via the per-conv guard fallback,
-# with demotions observed and still zero graph-level steady allocations.
-net_smoke() {
-  local fault="$1"; shift
-  local out
-  out=$(WINO_FAULT="$fault" ./target/release/wino-serve-load --net-smoke)
-  for expect in "$@"; do
-    # Bare expects are counters; "net-smoke: ..." expects match verbatim.
-    local want="counter $expect"
-    case "$expect" in net-smoke:*) want="$expect";; esac
-    if ! grep -qx "$want" <<<"$out"; then
-      echo "FAIL: net smoke WINO_FAULT='$fault' expected '$want', got:" >&2
-      grep -E "^(counter|gauge|net-smoke:) " <<<"$out" >&2
-      exit 1
-    fi
-  done
-  # The submission queue must always drain once the server shuts down.
-  if ! grep -q "^gauge serve.queue_depth=0 peak=" <<<"$out"; then
-    echo "FAIL: net smoke WINO_FAULT='$fault': serve.queue_depth did not drain to 0, got:" >&2
-    grep "^gauge " <<<"$out" >&2
-    exit 1
-  fi
-  echo "$out"
-}
-# Clean run: full accounting, zero demotions, zero steady allocations.
-net_smoke "" \
-  serve.net_enqueued=10 serve.net_executed=10 serve.enqueued=10 \
-  serve.executed=10 serve.shed=0 serve.deadline_demotions=0 \
-  serve.networks_registered=2 serve.net_degraded=0 \
+  serve.breaker.open=1 exec.allocs_steady=0 exec.degraded_runs=5 \
+  "gauge serve.breaker_state.smoke/conv=2 peak=2" \
+  "gauge serve.queue_depth=0 peak=1"
+# Clean network run: full accounting, zero demotions, zero steady
+# allocations.
+serve_smoke --net-smoke "" \
+  serve.enqueued=10 serve.executed=10 serve.shed=0 \
+  serve.deadline_demotions=0 serve.networks_registered=2 \
   exec.allocs_steady=0 exec.degraded_runs=0 \
   guard.demote.guardrail=0 guard.served_by_fallback=0 \
   "net-smoke: steady served=8/8" \
   "net-smoke: demotions=0" \
   "net-smoke: planner peak under naive activations: ok" \
-  "net-smoke: warm transforms once per winograd conv: ok" >/dev/null
-echo "   ok: clean network serving — exact accounting, zero steady allocations"
+  "net-smoke: warm transforms once per winograd conv: ok"
 # Poisoned transforms: all 10 requests still serve (guard demotes each
 # Winograd conv to its fallback), and the steady phase still allocates
 # nothing at graph level.
-net_fault_out=$(net_smoke "transform:nan" \
-  serve.net_enqueued=10 serve.net_executed=10 serve.shed=0 \
+serve_smoke --net-smoke "transform:nan" \
+  serve.enqueued=10 serve.executed=10 serve.shed=0 \
   exec.allocs_steady=0 \
   "net-smoke: steady served=8/8" \
   "net-smoke: planner peak under naive activations: ok" \
-  "net-smoke: warm transforms once per winograd conv: ok")
-if ! grep -qE "^net-smoke: demotions=[1-9][0-9]*$" <<<"$net_fault_out"; then
+  "net-smoke: warm transforms once per winograd conv: ok"
+if ! grep -qE "^net-smoke: demotions=[1-9][0-9]*$" <<<"$smoke_out"; then
   echo "FAIL: net smoke under transform:nan demoted nothing:" >&2
-  grep "^net-smoke: " <<<"$net_fault_out" >&2
+  grep "^net-smoke: " <<<"$smoke_out" >&2
   exit 1
 fi
 echo "   ok: poisoned transforms -> all requests served via guard fallback"
@@ -353,16 +333,16 @@ grep -qF "mode=chaos(seed=11,c=4)" results/serve_load.txt
 echo "   ok: chaos load run reported shed/internal rates into results/"
 
 echo "== wino-serve: load harness network mode"
-# The --net closed loop pushes whole-network requests through the graph
-# executor; the report must land in results/ tagged with the network.
+# With --net the same closed loop submits whole-network requests; the
+# report must land in results/ tagged with the network.
 net_load=$(./target/release/wino-serve-load --net --network inception-3a-3b \
   --requests 8 --concurrency 2)
-if ! grep -qF "mode=net-closed-loop(c=2) served=8" <<<"$net_load"; then
+if ! grep -qF "mode=closed-loop(c=2) served=8" <<<"$net_load"; then
   echo "FAIL: network load run did not serve all 8 requests, got:" >&2
   echo "$net_load" >&2
   exit 1
 fi
-grep -qF "net:inception-3a-3b mode=net-closed-loop(c=2)" results/serve_load.txt
+grep -qF "net:inception-3a-3b mode=closed-loop(c=2)" results/serve_load.txt
 echo "   ok: network closed loop served and reported into results/"
 
 echo "== wino-telemetry: metrics smoke (histograms + Prometheus snapshot)"
