@@ -91,9 +91,11 @@ impl SoaKernel {
     }
 }
 
-/// The compiled kernel pair serving one Winograd configuration.
+/// The compiled kernels serving one Winograd configuration.
 #[derive(Clone, Copy)]
 pub struct CompiledTransforms {
+    /// Filter transform `G·g·Gᵀ` (r² SoA positions in, α² out).
+    pub filter: SoaKernel,
     /// Input transform `Bᵀ·d·B` (α² SoA positions in and out).
     pub input: SoaKernel,
     /// Output transform `Aᵀ·M·A` (α² positions in, m² out).
@@ -115,23 +117,27 @@ pub fn compiled_for(recipes: &TransformRecipes) -> Option<CompiledTransforms> {
         return None;
     }
     let spec = recipes.spec;
-    let (input, output) = gen::lookup(spec.m, spec.r)?;
-    if input.fingerprint != recipes.input.fingerprint()
-        || output.fingerprint != recipes.output.fingerprint()
-    {
+    let [filter, input, output] = gen::lookup(spec.m, spec.r)?;
+    let built = [filter.fingerprint, input.fingerprint, output.fingerprint];
+    let runtime = [
+        recipes.filter.fingerprint(),
+        recipes.input.fingerprint(),
+        recipes.output.fingerprint(),
+    ];
+    if built != runtime {
         COMPILED_FALLBACK.add(1);
         wino_probe::diag(format!(
             "compiled transform kernels for {spec} do not match the runtime \
-             recipes (build-time fingerprint {:016x}/{:016x}, runtime \
-             {:016x}/{:016x}); using the interpreted path",
-            input.fingerprint,
-            output.fingerprint,
-            recipes.input.fingerprint(),
-            recipes.output.fingerprint(),
+             recipes (filter/input/output build-time fingerprints {built:016x?}, \
+             runtime {runtime:016x?}); using the interpreted path",
         ));
         return None;
     }
-    Some(CompiledTransforms { input, output })
+    Some(CompiledTransforms {
+        filter,
+        input,
+        output,
+    })
 }
 
 /// The generated kernels. The lane loops in the emitted bodies are
@@ -175,10 +181,14 @@ mod tests {
 
     #[test]
     fn zoo_specs_have_compiled_kernels() {
-        for (m, r) in [(2, 3), (4, 3), (6, 3)] {
+        assert_eq!(compiled_specs(), [(2, 3), (4, 3), (6, 3), (4, 5)]);
+        for &(m, r) in compiled_specs() {
             let recipes = optimized(m, r);
             let ct = compiled_for(&recipes)
                 .unwrap_or_else(|| panic!("no compiled kernels for F({m},{r})"));
+            assert_eq!(ct.filter.n_in(), r);
+            assert_eq!(ct.filter.n_out(), recipes.spec.alpha());
+            assert_eq!(ct.filter.fingerprint(), recipes.filter.fingerprint());
             assert_eq!(ct.input.n_in(), recipes.spec.alpha());
             assert_eq!(ct.input.n_out(), recipes.spec.alpha());
             assert_eq!(ct.output.n_in(), recipes.spec.alpha());
@@ -191,7 +201,7 @@ mod tests {
     #[test]
     fn uncompiled_configs_fall_back() {
         // Not in the build table at all.
-        let recipes = optimized(4, 5);
+        let recipes = optimized(2, 5);
         assert!(compiled_for(&recipes).is_none());
         // In the table, but the recipes were generated under different
         // pipeline options than the compiled kernels.
@@ -253,7 +263,7 @@ mod tests {
 
     #[test]
     fn compiled_kernels_bit_identical_to_interpreter() {
-        for (m, r) in [(2, 3), (4, 3), (6, 3)] {
+        for &(m, r) in compiled_specs() {
             let recipes = optimized(m, r);
             let ct = compiled_for(&recipes).unwrap();
             let mut levels = vec![SimdLevel::Scalar];
@@ -264,6 +274,8 @@ mod tests {
                 let seed = (m * 100 + r) as u64;
                 assert_kernel_matches_interpreter(&ct.input, &recipes.input, level, seed);
                 assert_kernel_matches_interpreter(&ct.output, &recipes.output, level, seed + 1);
+                // r² positions in, α² out.
+                assert_kernel_matches_interpreter(&ct.filter, &recipes.filter, level, seed + 2);
             }
         }
     }

@@ -4,14 +4,16 @@
 //! variants the paper generates (§3.2.2). The **non-fused** engine
 //! materializes the transformed filters `U'` and inputs `V'` in the
 //! scatter layouts of Lavin & Gray and runs the multiplication stage
-//! as α² batched SGEMMs. The **fused** engine processes one input tile
-//! end-to-end — transform, channel-summed element-wise multiply,
-//! output transform — without materializing intermediates, mirroring
-//! the single-kernel variant's dataflow.
+//! as α² batched SGEMMs — `U'` packed once, at construction, into the
+//! GEMM micro-kernel's own A order. The **fused** engine processes one
+//! input tile end-to-end — transform, channel-summed element-wise
+//! multiply, output transform — without materializing intermediates,
+//! mirroring the single-kernel variant's dataflow.
 
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use wino_gemm::{BatchedGemmShape, GemmConfig, SimdLevel};
+use wino_gemm::{BatchedGemmShape, GemmConfig, PackedA, SimdLevel};
 use wino_runtime::{DisjointSlice, Runtime};
 use wino_symbolic::RecipeOptions;
 use wino_tensor::{extract_input_tile, tile_counts, ConvDesc, Tensor4};
@@ -26,6 +28,29 @@ use crate::tiles::TileTransformer;
 static TILES_GATHERED: wino_probe::Counter = wino_probe::Counter::new("conv.tiles_gathered");
 /// Output tiles scattered back into NCHW planes (both engines).
 static TILES_SCATTERED: wino_probe::Counter = wino_probe::Counter::new("conv.tiles_scattered");
+/// Tiles that went through the interpreted [`TileTransformer`] while
+/// the transform dispatch level was AVX2 — ragged tails of the
+/// [`LANES`]-wide groups, and every tile of a spec with no compiled
+/// kernel — each in its phase's own unit (`tiles_gathered`'s,
+/// `tiles_scattered`'s, `(k, c)` filter planes). A value near
+/// `tiles_gathered + tiles_scattered` means a layer lost its compiled
+/// fast path.
+static TILES_INTERPRETED: wino_probe::Counter = wino_probe::Counter::new("conv.tiles_interpreted");
+/// Non-fused calls whose GEMM level differs from the one the bank was
+/// packed for and so re-packed it for that call (an A/B hook's slow
+/// path; serving keeps this at zero).
+static FILTER_REPACKS: wino_probe::Counter = wino_probe::Counter::new("conv.filter_repacks");
+/// Bytes held by live [`PrecomputedFilters`] (Σ `resident_bytes()`).
+static FILTER_BANK_BYTES: wino_probe::Gauge = wino_probe::Gauge::new("conv.filter_bank_bytes");
+static LIVE_BANK_BYTES: AtomicI64 = AtomicI64::new(0);
+
+/// Moves the live-bank total behind [`FILTER_BANK_BYTES`].
+fn track_bank_bytes(delta: i64) {
+    // Relaxed: a statistic, publishes no other data.
+    let live = LIVE_BANK_BYTES.fetch_add(delta, Ordering::Relaxed) + delta;
+    FILTER_BANK_BYTES.set(live);
+}
+
 /// Whole-filter-bank transforms `U = G·g·Gᵀ` performed. A serving
 /// layer that warms its filters sees exactly one bump per registered
 /// layer, never per request.
@@ -166,14 +191,17 @@ pub fn conv_winograd_with_recipes(
 /// Transformed filters `U = G·g·Gᵀ` for one filter bank, computed once
 /// and reusable across convolution calls.
 ///
-/// Both engines consume this type: the fused engine reads the
-/// `(k, c, ξ)` layout directly, and the non-fused engine reads the
-/// `(ξ, k, c)` scatter layout (derived lazily — a pure element
-/// reorder, so a warm run stays bit-identical to a cold one). The
-/// serving layer's plan registry builds one per registered layer so
-/// steady-state requests skip the filter-transform phase entirely;
-/// transforms are visible as the `conv.filter_transforms` counter and
-/// the `conv.filter_transform` span.
+/// One layout is resident: `U'` as the non-fused engine's batched-GEMM
+/// A operand — α² matrices of `K × C` — already packed into the
+/// micro-kernel's row slivers ([`PackedA`]) for the process's SIMD
+/// level, so steady-state requests neither transform nor pack filters.
+/// The fused engine's `(k, c, ξ)` order is a pure element reorder of
+/// it, built the first time [`PrecomputedFilters::u_kc`] is asked (so a
+/// warm run stays bit-identical to a cold one). The serving layer's
+/// plan registry builds one per registered layer; transforms are
+/// visible as the `conv.filter_transforms` counter and the
+/// `conv.filter_transform` span, resident bytes as the
+/// `conv.filter_bank_bytes` gauge.
 ///
 /// The transform depends only on the filter bank, the recipes, and
 /// the channel counts — batch size and spatial extent of later inputs
@@ -182,16 +210,16 @@ pub struct PrecomputedFilters {
     recipes: Arc<TransformRecipes>,
     out_ch: usize,
     in_ch: usize,
-    /// `(k, c, ξ)` layout (`ξ = α²` positions), the fused engine's
-    /// access pattern.
-    u_kc: Vec<f32>,
-    /// `(ξ, k, c)` scatter layout, the non-fused engine's batched-GEMM
-    /// A-side; built on first non-fused use.
-    u_scatter: OnceLock<Vec<f32>>,
+    /// `U'(ξ)`, `ξ = α²` matrices of `K × C`, packed at construction.
+    bank: PackedA,
+    /// `(k, c, ξ)` layout, the fused engine's access pattern; unpacked
+    /// from `bank` on first use.
+    u_kc: OnceLock<Vec<f32>>,
 }
 
 impl PrecomputedFilters {
-    /// Transforms `filters` (K,C,r,r) once under `recipes`.
+    /// Transforms `filters` (K,C,r,r) once under `recipes` and packs
+    /// the result for [`wino_gemm::simd_level`].
     ///
     /// # Errors
     /// Filter dims inconsistent with `desc`, non-unit stride, or a
@@ -200,6 +228,18 @@ impl PrecomputedFilters {
         filters: &Tensor4<f32>,
         desc: &ConvDesc,
         recipes: Arc<TransformRecipes>,
+    ) -> Result<Self, ConvError> {
+        Self::new_level(filters, desc, recipes, wino_gemm::simd_level())
+    }
+
+    /// [`PrecomputedFilters::new`] with the dispatch level pinned: it
+    /// selects compiled vs interpreted filter transform (same bits)
+    /// and the micro-kernel the bank is packed for.
+    fn new_level(
+        filters: &Tensor4<f32>,
+        desc: &ConvDesc,
+        recipes: Arc<TransformRecipes>,
+        level: SimdLevel,
     ) -> Result<Self, ConvError> {
         let spec = winograd_checks(desc, recipes.spec.m)?;
         if recipes.spec != spec {
@@ -216,27 +256,65 @@ impl PrecomputedFilters {
         }
         let filter_span = wino_probe::span("conv.filter_transform");
         let filter_hist = H_FILTER.start();
-        let alpha = spec.alpha();
-        let a2 = alpha * alpha;
-        let mut ft = TileTransformer::new(&recipes.filter);
-        let mut u_kc = vec![0.0f32; desc.out_ch * desc.in_ch * a2];
-        let mut tile = vec![0.0f32; a2];
-        for k in 0..desc.out_ch {
-            for c in 0..desc.in_ch {
-                ft.transform(filters.plane(k, c), &mut tile);
-                let base = (k * desc.in_ch + c) * a2;
-                u_kc[base..base + a2].copy_from_slice(&tile);
-            }
+        let a2 = spec.alpha() * spec.alpha();
+        let (kc, cc) = (desc.out_ch, desc.in_ch);
+        let compiled = match level {
+            SimdLevel::Scalar => None,
+            SimdLevel::Avx2 => compiled_for(&recipes),
+        };
+        // Compiled SoA path: LANES consecutive channels of one filter
+        // are the lanes, so `dst[ξ]` is a contiguous run of row k of
+        // U'(ξ); the `C mod LANES` remainder (or, without kernels,
+        // every channel) is interpreted.
+        let c_full = if compiled.is_some() {
+            cc - cc % LANES
+        } else {
+            0
+        };
+        if level == SimdLevel::Avx2 {
+            TILES_INTERPRETED.add((kc * (cc - c_full)) as u64);
         }
+        let mut ft = TileTransformer::new(&recipes.filter);
+        let mut tile = vec![0.0f32; a2];
+        let mut src = vec![[0.0f32; LANES]; desc.ksz * desc.ksz];
+        let mut dst = vec![[0.0f32; LANES]; a2];
+        // Filter k is row k of every U'(ξ): packed a row sliver at a
+        // time, no (ξ, k, c) copy of the bank is ever resident.
+        let bank = PackedA::from_rows(a2, kc, cc, level, |k, u_row| {
+            if let Some(ct) = compiled {
+                for c0 in (0..c_full).step_by(LANES) {
+                    for (pos, lanes) in src.iter_mut().enumerate() {
+                        for (l, lane) in lanes.iter_mut().enumerate() {
+                            *lane = filters.plane(k, c0 + l)[pos];
+                        }
+                    }
+                    ct.filter.run(level, &src, &mut dst);
+                    wino_probe::fault::inject_f32(
+                        wino_probe::fault::Site::Transform,
+                        dst.as_flattened_mut(),
+                    );
+                    for (xi, lanes) in dst.iter().enumerate() {
+                        u_row[xi * cc + c0..][..LANES].copy_from_slice(lanes);
+                    }
+                }
+            }
+            for c in c_full..cc {
+                ft.transform(filters.plane(k, c), &mut tile);
+                for (xi, &val) in tile.iter().enumerate() {
+                    u_row[xi * cc + c] = val;
+                }
+            }
+        });
         drop(filter_span);
         drop(filter_hist);
         FILTER_TRANSFORMS.add(1);
+        track_bank_bytes(bank.bytes() as i64);
         Ok(PrecomputedFilters {
             recipes,
-            out_ch: desc.out_ch,
-            in_ch: desc.in_ch,
-            u_kc,
-            u_scatter: OnceLock::new(),
+            out_ch: kc,
+            in_ch: cc,
+            bank,
+            u_kc: OnceLock::new(),
         })
     }
 
@@ -275,29 +353,32 @@ impl PrecomputedFilters {
         self.in_ch
     }
 
-    /// `U` in `(k, c, ξ)` order.
+    /// `U` in `(k, c, ξ)` order, unpacking it from the resident bank
+    /// on first use (only the fused engine asks).
     pub fn u_kc(&self) -> &[f32] {
-        &self.u_kc
-    }
-
-    /// `U'` in `(ξ, k, c)` scatter order, building it on first use.
-    fn u_scatter(&self) -> &[f32] {
-        self.u_scatter.get_or_init(|| {
-            let _span = wino_probe::span("conv.filter_transform");
-            let _hist = H_FILTER.start();
-            let a2 = self.spec().alpha() * self.spec().alpha();
-            let (kc, cc) = (self.out_ch, self.in_ch);
-            let mut u_scatter = vec![0.0f32; a2 * kc * cc];
-            for k in 0..kc {
-                for c in 0..cc {
-                    let base = (k * cc + c) * a2;
-                    for xi in 0..a2 {
-                        u_scatter[(xi * kc + k) * cc + c] = self.u_kc[base + xi];
+        self.u_kc.get_or_init(|| {
+            let a2 = self.bank.batches();
+            let cc = self.in_ch;
+            let mut u_kc = vec![0.0f32; self.out_ch * cc * a2];
+            let mut row = vec![0.0f32; cc];
+            for xi in 0..a2 {
+                for k in 0..self.out_ch {
+                    self.bank.copy_row(xi, k, &mut row);
+                    for (c, &val) in row.iter().enumerate() {
+                        u_kc[(k * cc + c) * a2 + xi] = val;
                     }
                 }
             }
-            u_scatter
+            track_bank_bytes(std::mem::size_of_val(&u_kc[..]) as i64);
+            u_kc
         })
+    }
+
+    /// Bytes this bank keeps resident: the packed `U'` (last row
+    /// sliver's padding included), plus the `(k, c, ξ)` copy once
+    /// [`PrecomputedFilters::u_kc`] has been asked for.
+    pub fn resident_bytes(&self) -> usize {
+        self.bank.bytes() + self.u_kc.get().map_or(0, |u| std::mem::size_of_val(&u[..]))
     }
 
     /// Validates that `desc` is servable by this transform: same
@@ -317,6 +398,12 @@ impl PrecomputedFilters {
             )));
         }
         Ok(())
+    }
+}
+
+impl Drop for PrecomputedFilters {
+    fn drop(&mut self) {
+        track_bank_bytes(-(self.resident_bytes() as i64));
     }
 }
 
@@ -448,9 +535,17 @@ fn nonfused(
     let p_total = desc.batch * th * tw;
     let (kc, cc) = (desc.out_ch, desc.in_ch);
 
-    // Stage 1a: U' scatter layout (ξ, k, c) for batched GEMM A-side
-    // (already resident on a warm run).
-    let u_scatter = pre.u_scatter();
+    // Stage 1a: U'(ξ) is resident, packed for the level it was built
+    // at. A call pinned to another GEMM level (the A/B hooks) re-packs
+    // for this call only — never a layout built for another `mr`.
+    let repacked;
+    let bank = if pre.bank.fits(gemm_level) {
+        &pre.bank
+    } else {
+        FILTER_REPACKS.add(1);
+        repacked = pre.bank.repacked(gemm_level);
+        &repacked
+    };
 
     // Stage 1b: V' scatter layout (ξ, c, p), parallel over tiles `p`.
     // A tile owns column `p` of every (ξ, c) matrix — strided but
@@ -489,17 +584,17 @@ fn nonfused(
                             wino_probe::fault::Site::Transform,
                             dst.as_flattened_mut(),
                         );
-                        for l in 0..LANES {
-                            let p = p0 + l;
-                            for (xi, lanes) in dst[..a2].iter().enumerate() {
-                                // SAFETY: only tile `p` writes column `p`.
-                                unsafe {
-                                    v_win.write((xi * cc + c) * p_total + p, lanes[l]);
-                                }
-                            }
+                        // Lane l is tile p0 + l, and a (ξ, c) row is
+                        // contiguous in p: one LANES-wide store each.
+                        for (xi, lanes) in dst[..a2].iter().enumerate() {
+                            let base = (xi * cc + c) * p_total + p0;
+                            // SAFETY: only this group writes columns
+                            // p0..p0 + LANES of any (ξ, c) row.
+                            unsafe { v_win.slice_mut(base..base + LANES) }.copy_from_slice(lanes);
                         }
                     }
                 } else {
+                    TILES_INTERPRETED.add(count as u64);
                     for p in p0..p_total {
                         let (n, ty, tx) = tile_coords(p, th, tw);
                         for c in 0..cc {
@@ -521,6 +616,9 @@ fn nonfused(
         rt.parallel_for_chunks(0..p_total, 1, |tiles| {
             let _chunk_span = wino_probe::span("conv.tile_gather");
             TILES_GATHERED.add(tiles.len() as u64);
+            if level == SimdLevel::Avx2 {
+                TILES_INTERPRETED.add(tiles.len() as u64);
+            }
             let mut it = TileTransformer::new(&recipes.input);
             let mut in_tile = vec![0.0f32; a2];
             let mut v_tile = vec![0.0f32; a2];
@@ -555,9 +653,9 @@ fn nonfused(
         n: p_total,
     };
     let mut m_scatter = vec![0.0f32; shape.c_len()];
-    wino_gemm::batched_sgemm_rt_level(
+    wino_gemm::batched_sgemm_packed(
         &shape,
-        u_scatter,
+        bank,
         &v_scatter,
         &mut m_scatter,
         gemm,
@@ -588,11 +686,11 @@ fn nonfused(
                 let count = LANES.min(total - q0);
                 TILES_SCATTERED.add(count as u64);
                 if count == LANES {
-                    for l in 0..LANES {
-                        let (k, p) = ((q0 + l) / p_total, (q0 + l) % p_total);
-                        for (xi, lanes) in src[..a2].iter_mut().enumerate() {
-                            lanes[l] = m_scatter[(xi * kc + k) * p_total + p];
-                        }
+                    // Lane l is pair q0 + l, and M(ξ) is contiguous in
+                    // q = k·P + p (across a k boundary too): one
+                    // LANES-wide load per position.
+                    for (xi, lanes) in src[..a2].iter_mut().enumerate() {
+                        lanes.copy_from_slice(&m_scatter[xi * kc * p_total + q0..][..LANES]);
                     }
                     ct.output.run(level, &src, &mut dst);
                     wino_probe::fault::inject_f32(
@@ -608,6 +706,7 @@ fn nonfused(
                         place_tile_rows(&out_win, n, k, kc, oh, ow, ty, tx, m, &y_tile);
                     }
                 } else {
+                    TILES_INTERPRETED.add(count as u64);
                     for q in q0..total {
                         let (k, p) = (q / p_total, q % p_total);
                         let (n, ty, tx) = tile_coords(p, th, tw);
@@ -625,6 +724,9 @@ fn nonfused(
         rt.parallel_for_chunks(0..kc * p_total, 1, |pairs| {
             let _chunk_span = wino_probe::span("conv.tile_scatter");
             TILES_SCATTERED.add(pairs.len() as u64);
+            if level == SimdLevel::Avx2 {
+                TILES_INTERPRETED.add(pairs.len() as u64);
+            }
             let mut ot = TileTransformer::new(&recipes.output);
             let mut m_tile = vec![0.0f32; a2];
             let mut y_tile = vec![0.0f32; m * m];
@@ -772,6 +874,7 @@ fn fused(
                         }
                     }
                 } else {
+                    TILES_INTERPRETED.add(count as u64);
                     for t in t0..total {
                         let (n, ty, tx) = tile_coords(t, th, tw);
                         let gather_span = wino_probe::span("conv.tile_gather");
@@ -802,6 +905,9 @@ fn fused(
     rt.parallel_for_chunks(0..desc.batch * th * tw, 1, |tiles| {
         TILES_GATHERED.add(tiles.len() as u64);
         TILES_SCATTERED.add(tiles.len() as u64);
+        if level == SimdLevel::Avx2 {
+            TILES_INTERPRETED.add(tiles.len() as u64);
+        }
         let mut it = TileTransformer::new(&recipes.input);
         let mut ot = TileTransformer::new(&recipes.output);
         let mut in_tile = vec![0.0f32; a2];
@@ -977,42 +1083,119 @@ mod tests {
     #[test]
     fn compiled_engines_bit_identical_to_interpreted() {
         // Forcing the *transform* dispatch level must not change
-        // output bits: the compiled SoA kernels retire the
-        // interpreter's per-lane ops in the interpreter's order. The
-        // GEMM level is pinned to Scalar on both sides — the
-        // micro-kernel's FMA rounding is the one legitimate
-        // cross-level difference, and holding it fixed isolates the
-        // transform wiring. Gated on actual AVX2 support because
-        // Avx2-level kernels require it.
+        // output bits: the compiled SoA kernels (filter, input,
+        // output) retire the interpreter's per-lane ops in the
+        // interpreter's order, and the lane-wide loads/stores around
+        // them only move data. The GEMM level is pinned to Scalar on
+        // both sides — the micro-kernel's FMA rounding is the one
+        // legitimate cross-level difference, and holding it fixed
+        // isolates the transform wiring. Gated on actual AVX2 support
+        // because Avx2-level kernels require it.
         if wino_gemm::detect_simd() != SimdLevel::Avx2 {
             return;
         }
-        let desc = ConvDesc::new(3, 1, 1, 4, 3, 12, 12, 3);
-        let (input, filt) = random_case(&desc, 55);
-        for m in [2usize, 4, 6] {
-            let cfg = WinogradConfig::new(m);
-            let pre = PrecomputedFilters::for_config(&filt, &desc, &cfg).unwrap();
-            assert!(
-                compiled_for(pre.recipes()).is_some(),
-                "expected compiled kernels for F({m},3)"
-            );
-            for variant in [WinogradVariant::NonFused, WinogradVariant::Fused] {
-                let rt = Runtime::global();
-                let run = |transform_level| {
-                    conv_winograd_precomputed_levels(
-                        &input,
-                        &pre,
-                        &desc,
-                        variant,
-                        &cfg.gemm,
-                        rt,
-                        transform_level,
-                        SimdLevel::Scalar,
-                    )
-                    .unwrap()
-                };
-                assert_bits_equal(&run(SimdLevel::Avx2), &run(SimdLevel::Scalar));
+        let cases = [
+            // 3×3 zoo tile sizes on a small even layer.
+            (ConvDesc::new(3, 1, 1, 4, 3, 12, 12, 3), vec![2usize, 4, 6]),
+            // 5×5 through F(4,5).
+            (ConvDesc::new(5, 1, 2, 9, 2, 11, 11, 10), vec![4]),
+            // C = 20 leaves a 4-channel filter remainder, K = 13 and
+            // P = 2·3·3 = 18 leave ragged input and output groups, and
+            // K·P crosses k boundaries inside a lane group.
+            (ConvDesc::new(3, 1, 1, 13, 2, 11, 11, 20), vec![4]),
+        ];
+        for (desc, ms) in cases {
+            let (input, filt) = random_case(&desc, 55);
+            for m in ms {
+                let cfg = WinogradConfig::new(m);
+                let spec = winograd_checks(&desc, m).unwrap();
+                let recipes = recipe_db().get(spec, cfg.options).unwrap();
+                assert!(
+                    compiled_for(&recipes).is_some(),
+                    "expected compiled kernels for {spec}"
+                );
+                for variant in [WinogradVariant::NonFused, WinogradVariant::Fused] {
+                    let run = |transform_level| {
+                        let pre = PrecomputedFilters::new_level(
+                            &filt,
+                            &desc,
+                            Arc::clone(&recipes),
+                            transform_level,
+                        )
+                        .unwrap();
+                        conv_winograd_precomputed_levels(
+                            &input,
+                            &pre,
+                            &desc,
+                            variant,
+                            &cfg.gemm,
+                            Runtime::global(),
+                            transform_level,
+                            SimdLevel::Scalar,
+                        )
+                        .unwrap()
+                    };
+                    assert_bits_equal(&run(SimdLevel::Avx2), &run(SimdLevel::Scalar));
+                }
             }
+        }
+    }
+
+    #[test]
+    fn nonfused_bank_holds_one_layout() {
+        // K = 13 is not a multiple of either sliver height, so the
+        // padded last sliver is part of the count.
+        let desc = ConvDesc::new(3, 1, 1, 13, 1, 8, 8, 20);
+        let (input, filt) = random_case(&desc, 47);
+        let cfg = WinogradConfig::new(4);
+        let pre = PrecomputedFilters::for_config(&filt, &desc, &cfg).unwrap();
+        let (mr, _) = wino_gemm::tile_extents(wino_gemm::simd_level());
+        let a2 = pre.spec().alpha() * pre.spec().alpha();
+        let packed = a2 * 13usize.div_ceil(mr) * mr * 20 * 4;
+        assert_eq!(pre.resident_bytes(), packed);
+        // Serving non-fused requests adds nothing.
+        conv_winograd_precomputed(&input, &pre, &desc, WinogradVariant::NonFused, &cfg.gemm)
+            .unwrap();
+        assert_eq!(pre.resident_bytes(), packed);
+        // The fused engine's (k, c, ξ) order appears only when asked.
+        assert_eq!(pre.u_kc().len(), 13 * 20 * a2);
+        assert_eq!(pre.resident_bytes(), packed + 13 * 20 * a2 * 4);
+    }
+
+    #[test]
+    fn mismatched_gemm_level_repacks_for_the_call() {
+        // A bank packed for one level serves a call pinned to the
+        // other by re-packing, and answers with that level's bits.
+        if wino_gemm::detect_simd() != SimdLevel::Avx2 {
+            return;
+        }
+        let desc = ConvDesc::new(3, 1, 1, 5, 1, 9, 9, 7);
+        let (input, filt) = random_case(&desc, 48);
+        let recipes = recipe_db()
+            .get(
+                winograd_checks(&desc, 4).unwrap(),
+                RecipeOptions::optimized(),
+            )
+            .unwrap();
+        let run = |pack_level, gemm_level| {
+            let pre = PrecomputedFilters::new_level(&filt, &desc, Arc::clone(&recipes), pack_level)
+                .unwrap();
+            conv_winograd_precomputed_level(
+                &input,
+                &pre,
+                &desc,
+                WinogradVariant::NonFused,
+                &GemmConfig::default(),
+                Runtime::global(),
+                gemm_level,
+            )
+            .unwrap()
+        };
+        for gemm_level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+            assert_bits_equal(
+                &run(SimdLevel::Avx2, gemm_level),
+                &run(SimdLevel::Scalar, gemm_level),
+            );
         }
     }
 

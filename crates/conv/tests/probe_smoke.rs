@@ -57,6 +57,15 @@ fn run_traced_vs_untraced(variant: WinogradVariant, expected_spans: &[&str]) {
         .all(|(a, b)| a.to_bits() == b.to_bits());
     assert!(exact, "tracing changed the numerical output");
 
+    // One cold call transforms one bank: the filter phase shows once,
+    // not again as a re-layout inside the first inference.
+    assert_eq!(
+        events
+            .iter()
+            .filter(|e| e.name == "conv.filter_transform")
+            .count(),
+        1
+    );
     for span in expected_spans {
         assert!(
             events.iter().any(|e| e.name == *span),

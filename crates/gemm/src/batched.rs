@@ -7,7 +7,8 @@
 //! the per-batch matrices live at a fixed stride inside three flat
 //! buffers.
 
-use crate::blocked::{gemm_flops, sgemm_acc_rt_level, GemmConfig};
+use crate::blocked::{gemm_flops, gemm_into, ASource, GemmConfig};
+use crate::packed::PackedA;
 use crate::simd::{simd_level, SimdLevel};
 use wino_runtime::{DisjointSlice, Runtime};
 
@@ -88,9 +89,57 @@ pub fn batched_sgemm_rt_level(
     level: SimdLevel,
 ) {
     assert!(a.len() >= shape.a_len(), "batched A too short");
+    let am = shape.m * shape.k;
+    let a_of = |batch: usize| ASource::RowMajor(&a[batch * am..(batch + 1) * am]);
+    batched(shape, a_of, b, c, cfg, rt, level);
+}
+
+/// [`batched_sgemm_rt_level`] over an A operand packed ahead of time:
+/// the same loop nest, minus the per-call `pack_a`, so `C` is
+/// bit-identical to the row-major entry on the matrices `a` was packed
+/// from.
+///
+/// Panics if `a`'s shape differs from `shape`'s or it was packed for
+/// another sliver height than `level`'s (see [`PackedA::fits`]) — a
+/// layout built for one `mr` never answers for another.
+pub fn batched_sgemm_packed(
+    shape: &BatchedGemmShape,
+    a: &PackedA,
+    b: &[f32],
+    c: &mut [f32],
+    cfg: &GemmConfig,
+    rt: &Runtime,
+    level: SimdLevel,
+) {
+    assert!(
+        (a.batches(), a.m(), a.k()) == (shape.batches, shape.m, shape.k),
+        "packed A shape differs from the batched shape"
+    );
+    assert!(a.fits(level), "A was packed for another micro-kernel");
+    batched(
+        shape,
+        |batch| ASource::Packed(a.batch(batch)),
+        b,
+        c,
+        cfg,
+        rt,
+        level,
+    );
+}
+
+/// The batch loop both entries share; `a_of` names batch `b`'s A.
+fn batched<'a>(
+    shape: &BatchedGemmShape,
+    a_of: impl Fn(usize) -> ASource<'a> + Sync,
+    b: &[f32],
+    c: &mut [f32],
+    cfg: &GemmConfig,
+    rt: &Runtime,
+    level: SimdLevel,
+) {
     assert!(b.len() >= shape.b_len(), "batched B too short");
     assert!(c.len() >= shape.c_len(), "batched C too short");
-    let (am, bm, cm) = (shape.m * shape.k, shape.k * shape.n, shape.m * shape.n);
+    let (bm, cm) = (shape.k * shape.n, shape.m * shape.n);
     GEMM_BATCHES.add(shape.batches as u64);
     let serial = Runtime::serial();
     let c_win = DisjointSlice::new(&mut c[..shape.c_len()]);
@@ -100,8 +149,8 @@ pub fn batched_sgemm_rt_level(
         for batch in batches {
             // SAFETY: batch-major C windows are disjoint across batches.
             let c_batch = unsafe { c_win.slice_mut(batch * cm..(batch + 1) * cm) };
-            sgemm_acc_rt_level(
-                &a[batch * am..(batch + 1) * am],
+            gemm_into(
+                a_of(batch),
                 &b[batch * bm..(batch + 1) * bm],
                 c_batch,
                 shape.m,

@@ -9,8 +9,8 @@
 //! thread blocking, Table 1).
 
 use crate::schedule::{
-    col_panel, dim_blocks, micro_tiles, pack_capacities, tile_extents, MR_AVX2, MR_SCALAR, NR_AVX2,
-    NR_SCALAR,
+    col_panel, dim_blocks, micro_tiles, pack_capacities, packed_a_block_off, packed_mc,
+    tile_extents, MR_AVX2, MR_SCALAR, NR_AVX2, NR_SCALAR,
 };
 use crate::simd::{simd_level, SimdLevel};
 use wino_runtime::{DisjointSlice, Runtime};
@@ -94,6 +94,52 @@ pub fn sgemm_acc_rt_level(
     level: SimdLevel,
 ) {
     assert!(a.len() >= m * k, "A too short: {} < {}", a.len(), m * k);
+    gemm_into(
+        ASource::RowMajor(a),
+        b,
+        c,
+        m,
+        k,
+        n,
+        accumulate,
+        cfg,
+        rt,
+        level,
+    );
+}
+
+/// Where the blocked loop nest finds a macro-block's `mr`-row A
+/// slivers. The two sources feed the micro-kernel the same floats in
+/// the same depth order, so a `C` element's bits do not depend on
+/// which one served it.
+#[derive(Clone, Copy)]
+pub(crate) enum ASource<'a> {
+    /// Row-major `m × k`: each `(m-block, k-block)` is packed into the
+    /// task's scratch buffer on the way in.
+    RowMajor(&'a [f32]),
+    /// One matrix of a [`crate::PackedA`]: full-depth slivers already
+    /// in micro-kernel order for this call's `mr`; a k-block is a
+    /// sub-range of each sliver.
+    Packed(&'a [f32]),
+}
+
+/// The one GEMM body every entry point funnels through (the caller has
+/// checked `A` against the shape): shape checks on `B`/`C`, the FLOP
+/// counter, the serial-below-threshold rule, the
+/// blocked loop nest, and the GEMM fault site.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_into(
+    a: ASource<'_>,
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    accumulate: bool,
+    cfg: &GemmConfig,
+    rt: &Runtime,
+    level: SimdLevel,
+) {
     assert!(b.len() >= k * n, "B too short: {} < {}", b.len(), k * n);
     assert!(c.len() >= m * n, "C too short: {} < {}", c.len(), m * n);
     assert!(
@@ -116,7 +162,7 @@ pub fn sgemm_acc_rt_level(
     sgemm_blocked(a, b, &mut c[..m * n], m, k, n, cfg, rt, level);
     // WINO_FAULT hook (GEMM-kernel site): one relaxed load when
     // disarmed. Sits on the one entry point every GEMM path (plain,
-    // blocked-config, batched, im2col) funnels through.
+    // blocked-config, batched, packed, im2col) funnels through.
     wino_probe::fault::inject_f32(wino_probe::fault::Site::Gemm, &mut c[..m * n]);
 }
 
@@ -130,9 +176,14 @@ pub fn sgemm_acc_rt_level(
 /// (`col_panel` → `dim_blocks` → `micro_tiles` inside `macro_kernel`),
 /// so the blocking structure wino-verify's index analysis proves
 /// coverage/disjointness/bounds over is the structure running here.
+///
+/// The A source changes only where a block's slivers are read from: a
+/// row-major `A` is packed per `(m-block, k-block)` into `a_pack`; a
+/// packed `A` is windowed in place, with row blocks stepped in whole
+/// slivers ([`packed_mc`]).
 #[allow(clippy::too_many_arguments)]
 fn sgemm_blocked(
-    a: &[f32],
+    a: ASource<'_>,
     b: &[f32],
     c: &mut [f32],
     m: usize,
@@ -145,6 +196,10 @@ fn sgemm_blocked(
     let (mr, nr) = tile_extents(level);
     let panels = n.div_ceil(cfg.nc);
     let (a_cap, b_cap) = pack_capacities(cfg, mr, nr);
+    let (mc, a_cap) = match a {
+        ASource::RowMajor(_) => (cfg.mc, a_cap),
+        ASource::Packed(_) => (packed_mc(cfg.mc, mr), 0),
+    };
     let c_win = DisjointSlice::new(c);
     rt.parallel_for_chunks(0..panels, 1, |panel_range| {
         let mut panel_span = wino_probe::span("gemm.panel");
@@ -158,10 +213,18 @@ fn sgemm_blocked(
             for kp in dim_blocks(k, cfg.kc) {
                 let (kk, kb) = (kp.start, kp.len);
                 pack_b(&mut b_pack, b, kk, jj, kb, nb, n, nr);
-                for ip in dim_blocks(m, cfg.mc) {
+                for ip in dim_blocks(m, mc) {
                     let (ii, mb) = (ip.start, ip.len);
-                    pack_a(&mut a_pack, a, ii, kk, mb, kb, k, mr);
-                    macro_kernel(&a_pack, &b_pack, &c_win, ii, jj, mb, kb, nb, n, level);
+                    let (a_block, a_stride) = match a {
+                        ASource::RowMajor(a) => {
+                            pack_a(&mut a_pack, a, ii, kk, mb, kb, k, mr);
+                            (&a_pack[..], kb * mr)
+                        }
+                        ASource::Packed(pa) => (&pa[packed_a_block_off(ii, kk, k, mr)..], k * mr),
+                    };
+                    macro_kernel(
+                        a_block, a_stride, &b_pack, &c_win, ii, jj, mb, kb, nb, n, level,
+                    );
                 }
             }
         }
@@ -169,7 +232,9 @@ fn sgemm_blocked(
 }
 
 /// Packs `A[ii.., kk..]` (mb×kb) into `mr`-row slivers so the
-/// micro-kernel reads it with unit stride. Writes exactly
+/// micro-kernel reads it with unit stride (with `ii = kk = 0`,
+/// `mb = m`, `kb = k` this is the full-depth layout of
+/// [`crate::PackedA`]). Writes exactly
 /// [`crate::schedule::packed_a_len`]`(mb, kb, mr)` slots, laid out as
 /// [`crate::schedule::pack_a_model`] describes (property-tested
 /// equal); public so the static index analysis can cross-check the
@@ -242,10 +307,13 @@ pub fn pack_b(
 /// Runs the mr×nr micro-kernel over one packed macro-block,
 /// accumulating into `C` through the disjoint-write window (this
 /// task's column panel never overlaps another task's). The tile walk
-/// is the exported [`micro_tiles`] schedule, in its order.
+/// is the exported [`micro_tiles`] schedule, in its order; `a_block`
+/// starts at the block's first sliver and `a_stride` separates
+/// consecutive slivers.
 #[allow(clippy::too_many_arguments)]
 fn macro_kernel(
-    a_pack: &[f32],
+    a_block: &[f32],
+    a_stride: usize,
     b_pack: &[f32],
     c: &DisjointSlice<'_, f32>,
     ii: usize,
@@ -257,8 +325,8 @@ fn macro_kernel(
     level: SimdLevel,
 ) {
     let (mr, nr) = tile_extents(level);
-    for t in micro_tiles(mb, nb, kb, mr, nr) {
-        let a_sliver = &a_pack[t.a_off..t.a_off + kb * mr];
+    for t in micro_tiles(mb, nb, kb, a_stride, mr, nr) {
+        let a_sliver = &a_block[t.a_off..t.a_off + kb * mr];
         let b_sliver = &b_pack[t.b_off..t.b_off + kb * nr];
         let c_off = (ii + t.i) * ldc + jj + t.j;
         // Invariant (proven by wino-verify's index analysis over this

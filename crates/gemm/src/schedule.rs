@@ -99,7 +99,8 @@ pub struct MicroTile {
     pub rows: usize,
     /// Columns this tile actually updates (`min(nr, nb - j)`).
     pub cols: usize,
-    /// Offset of the A sliver (`kb * mr` floats) in the A pack buffer.
+    /// Offset of the A sliver (`kb * mr` floats) from the macro-block's
+    /// first sliver: `(i / mr) · a_stride`.
     pub a_off: usize,
     /// Offset of the B sliver (`kb * nr` floats) in the B pack buffer.
     pub b_off: usize,
@@ -109,10 +110,17 @@ pub struct MicroTile {
 /// in execution order: column slivers outer, row slivers inner — the
 /// exact sequence `macro_kernel` runs, so accumulation order is part
 /// of the exported contract.
+///
+/// `a_stride` is the distance between consecutive row slivers in the
+/// block's A source: `kb · mr` for a block `pack_a` just wrote,
+/// `k · mr` for a window into a full-depth [`packed_a_block_off`]
+/// operand. It moves `a_off` only — which rows share a sliver, and the
+/// order tiles run in, do not depend on it.
 pub fn micro_tiles(
     mb: usize,
     nb: usize,
     kb: usize,
+    a_stride: usize,
     mr: usize,
     nr: usize,
 ) -> impl Iterator<Item = MicroTile> {
@@ -122,7 +130,7 @@ pub fn micro_tiles(
             j: jb.start,
             rows: ib.len,
             cols: jb.len,
-            a_off: (ib.start / mr) * kb * mr,
+            a_off: (ib.start / mr) * a_stride,
             b_off: (jb.start / nr) * kb * nr,
         })
     })
@@ -148,6 +156,28 @@ pub enum PackSlot {
 /// slivers: `ceil(mb / mr)` slivers of `kb · mr` floats each.
 pub fn packed_a_len(mb: usize, kb: usize, mr: usize) -> usize {
     mb.next_multiple_of(mr) * kb
+}
+
+/// Row-block step of the macro loop over an already-packed A: `mc`
+/// rounded down to whole `mr`-row slivers (at least one), so every
+/// block starts on a sliver boundary of the full-depth layout. Which
+/// rows share a block never enters a `C` element's accumulation order,
+/// so this step and the on-the-fly `mc` produce the same bits.
+pub fn packed_mc(mc: usize, mr: usize) -> usize {
+    (mc / mr).max(1) * mr
+}
+
+/// Offset, inside a full-depth packed `m × k` operand (the layout
+/// [`pack_a_model`]`(m, k, mr)` describes), of the sliver holding row
+/// `ii` (a multiple of `mr`) at depth `kk`. Depth runs contiguously
+/// within a sliver, so the `kb` steps of a k-block are the `kb · mr`
+/// floats from here, and the next row sliver is `k · mr` further on.
+pub fn packed_a_block_off(ii: usize, kk: usize, k: usize, mr: usize) -> usize {
+    debug_assert!(
+        ii.is_multiple_of(mr),
+        "packed-A block must start on a sliver"
+    );
+    (ii / mr) * k * mr + kk * mr
 }
 
 /// Length of the packed B buffer for a `kb × nb` block under
@@ -243,7 +273,7 @@ mod tests {
     fn micro_tiles_cover_macro_block_once() {
         for (mb, nb, kb, mr, nr) in [(13, 17, 5, 4, 4), (6, 8, 1, 6, 8), (1, 1, 3, 6, 8)] {
             let mut seen = vec![0u32; mb * nb];
-            for t in micro_tiles(mb, nb, kb, mr, nr) {
+            for t in micro_tiles(mb, nb, kb, kb * mr, mr, nr) {
                 assert!(t.rows >= 1 && t.rows <= mr);
                 assert!(t.cols >= 1 && t.cols <= nr);
                 for r in 0..t.rows {
@@ -254,6 +284,16 @@ mod tests {
             }
             assert!(seen.iter().all(|&c| c == 1), "coverage hole or overlap");
         }
+    }
+
+    #[test]
+    fn packed_blocks_start_on_slivers() {
+        assert_eq!(packed_mc(64, 6), 60);
+        assert_eq!(packed_mc(64, 4), 64);
+        assert_eq!(packed_mc(5, 6), 6);
+        // Row 12 at depth 3 of a depth-10 operand under 6-row slivers:
+        // two whole slivers, then three depth steps into the third.
+        assert_eq!(packed_a_block_off(12, 3, 10, 6), 2 * 60 + 18);
     }
 
     #[test]

@@ -207,11 +207,7 @@ proptest! {
             if accumulate { *e += t } else { *e = *t }
         }
 
-        let mut levels = vec![SimdLevel::Scalar];
-        if wino_gemm::detect_simd() == SimdLevel::Avx2 {
-            levels.push(SimdLevel::Avx2);
-        }
-        for level in levels {
+        for level in test_levels() {
             let mut c = init.clone();
             sgemm_acc_rt_level(&a, &b, &mut c, m, k, n, accumulate, &cfg, rt, level);
             prop_assert!(
@@ -221,4 +217,154 @@ proptest! {
             );
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Packed-A operand (PR 14): the layout is the whole-matrix pack model,
+// it unpacks and re-levels losslessly, and the packed batched entry is
+// the row-major one bit for bit — over shapes that leave every block
+// (mr sliver, mc, kc, nr, nc) ragged, at both levels and thread counts.
+// ---------------------------------------------------------------------
+
+use wino_gemm::{
+    batched_sgemm_packed, batched_sgemm_rt_level, packed_a_block_off, packed_mc, tile_extents,
+    PackedA,
+};
+
+fn test_levels() -> Vec<SimdLevel> {
+    let mut levels = vec![SimdLevel::Scalar];
+    if wino_gemm::detect_simd() == SimdLevel::Avx2 {
+        levels.push(SimdLevel::Avx2);
+    }
+    levels
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn packed_entry_is_bit_identical_to_row_major(
+        batches in 1usize..4,
+        m in adversarial_dim(),
+        k in adversarial_dim(),
+        n in prop_oneof![Just(1usize), Just(5), Just(9), Just(45), Just(257)],
+        // mc below, at and above mr; kc that divides nothing.
+        mc in prop_oneof![Just(5usize), Just(8), Just(13), Just(64)],
+        kc in prop_oneof![Just(3usize), Just(7), Just(128)],
+        threads in 1usize..3,
+        seed in any::<u64>(),
+    ) {
+        use rand::{Rng, SeedableRng};
+        let shape = BatchedGemmShape { batches, m, k, n };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let a: Vec<f32> = (0..shape.a_len()).map(|_| rng.gen_range(-2.0..2.0)).collect();
+        let b: Vec<f32> = (0..shape.b_len()).map(|_| rng.gen_range(-2.0..2.0)).collect();
+        let cfg = GemmConfig { mc, kc, nc: 16 };
+        let rt = wino_runtime::Runtime::with_threads(threads);
+        for level in test_levels() {
+            let mut want = vec![f32::NAN; shape.c_len()];
+            batched_sgemm_rt_level(&shape, &a, &b, &mut want, &cfg, &rt, level);
+            let packed = PackedA::pack(&a, batches, m, k, level);
+            let mut got = vec![f32::NAN; shape.c_len()];
+            batched_sgemm_packed(&shape, &packed, &b, &mut got, &cfg, &rt, level);
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                prop_assert_eq!(
+                    g.to_bits(), w.to_bits(),
+                    "{:?} m={} k={} n={} mc={} kc={} element {}", level, m, k, n, mc, kc, i
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn packed_layout_is_the_whole_matrix_model(
+        batches in 1usize..3,
+        m in adversarial_dim(),
+        k in adversarial_dim(),
+        mc in 1usize..20,
+        kc in 1usize..9,
+    ) {
+        // Distinct values pin the exact source element per slot.
+        let a: Vec<f32> = (0..batches * m * k).map(|i| i as f32 + 1.0).collect();
+        for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+            let mr = tile_extents(level).0;
+            let packed = PackedA::pack(&a, batches, m, k, level);
+            prop_assert!(packed.fits(level));
+            prop_assert_eq!(packed.bytes(), batches * packed_a_len(m, k, mr) * 4);
+            let model = pack_a_model(m, k, mr);
+            for batch in 0..batches {
+                let got = packed.batch(batch);
+                prop_assert_eq!(got.len(), model.len());
+                for (idx, slot) in model.iter().enumerate() {
+                    let want = match *slot {
+                        PackSlot::Src { row, col } => a[(batch * m + row) * k + col],
+                        PackSlot::Zero => 0.0,
+                    };
+                    prop_assert_eq!(got[idx].to_bits(), want.to_bits());
+                }
+                let mut back = vec![f32::NAN; k];
+                for i in 0..m {
+                    packed.copy_row(batch, i, &mut back);
+                    prop_assert_eq!(&back[..], &a[(batch * m + i) * k..][..k]);
+                }
+            }
+            // The window a (row block, k block) reads: sliver `s` of
+            // the block sits `s · k · mr` past `packed_a_block_off`,
+            // and holds rows ii + s·mr.. at depths kk..kk+kb — the last
+            // sliver zero-padded past row m.
+            let step = packed_mc(mc, mr);
+            prop_assert!(step.is_multiple_of(mr) && step >= mr);
+            for ii in (0..m).step_by(step) {
+                for kk in (0..k).step_by(kc) {
+                    let kb = kc.min(k - kk);
+                    let base = packed_a_block_off(ii, kk, k, mr);
+                    for s in 0..step.min(m - ii).div_ceil(mr) {
+                        for p in 0..kb {
+                            for r in 0..mr {
+                                let slot = model[base + s * k * mr + p * mr + r];
+                                let row = ii + s * mr + r;
+                                let want = if row < m {
+                                    PackSlot::Src { row, col: kk + p }
+                                } else {
+                                    PackSlot::Zero
+                                };
+                                prop_assert_eq!(slot, want);
+                            }
+                        }
+                    }
+                }
+            }
+            // Re-levelling is a pure re-layout.
+            for other in [SimdLevel::Scalar, SimdLevel::Avx2] {
+                let again = packed.repacked(other);
+                prop_assert!(again.fits(other));
+                let direct = PackedA::pack(&a, batches, m, k, other);
+                for batch in 0..batches {
+                    prop_assert_eq!(again.batch(batch), direct.batch(batch));
+                }
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "packed for another micro-kernel")]
+fn packed_entry_rejects_a_layout_for_another_mr() {
+    let shape = BatchedGemmShape {
+        batches: 1,
+        m: 7,
+        k: 3,
+        n: 2,
+    };
+    let packed = PackedA::pack(&[1.0; 21], 1, 7, 3, SimdLevel::Avx2);
+    let mut c = vec![0.0f32; shape.c_len()];
+    batched_sgemm_packed(
+        &shape,
+        &packed,
+        &[1.0; 6],
+        &mut c,
+        &GemmConfig::default(),
+        &wino_runtime::Runtime::serial(),
+        SimdLevel::Scalar,
+    );
 }

@@ -1158,7 +1158,22 @@ pub fn eval_parsed_pass(k: &ParsedKernel, input: &[f32]) -> Result<Vec<f32>, Ker
 // Sweeps
 // ---------------------------------------------------------------------
 
-fn check_spec_pair(parsed: &[ParsedKernel], m: usize, r: usize, origin: &str) -> Vec<KernelCheck> {
+/// The three transforms of one spec, each with the exact matrix its
+/// kernel must equal: `(stage, recipe, T)`.
+pub(crate) fn stage_recipes(recipes: &TransformRecipes) -> [(&'static str, &Recipe, &RatMat); 3] {
+    [
+        ("filter", &recipes.filter, &recipes.matrices.g),
+        ("input", &recipes.input, &recipes.matrices.b_t),
+        ("output", &recipes.output, &recipes.matrices.a_t),
+    ]
+}
+
+fn check_spec_kernels(
+    parsed: &[ParsedKernel],
+    m: usize,
+    r: usize,
+    origin: &str,
+) -> Vec<KernelCheck> {
     let mut out = Vec::new();
     let gen = WinogradSpec::new(m, r)
         .map_err(|e| e.to_string())
@@ -1178,10 +1193,7 @@ fn check_spec_pair(parsed: &[ParsedKernel], m: usize, r: usize, origin: &str) ->
             return out;
         }
     };
-    for (kind, recipe, t) in [
-        ("input", &recipes.input, &recipes.matrices.b_t),
-        ("output", &recipes.output, &recipes.matrices.a_t),
-    ] {
+    for (kind, recipe, t) in stage_recipes(&recipes) {
         let kname = format!("f{m}x{r}_{kind}");
         let result = match parsed.iter().find(|k| k.name == kname) {
             Some(k) => verify_kernel(k, recipe, t),
@@ -1219,7 +1231,7 @@ pub fn verify_embedded_kernels() -> Vec<KernelCheck> {
     let mut out = Vec::new();
     // Every kernel in the source must belong to the spec table — an
     // extra kernel would be unproven dead code riding in the binary.
-    if parsed.len() != 2 * specs.len() {
+    if parsed.len() != 3 * specs.len() {
         out.push(KernelCheck {
             label: "embedded kernel table".to_string(),
             result: Err(serr(
@@ -1227,20 +1239,20 @@ pub fn verify_embedded_kernels() -> Vec<KernelCheck> {
                 format!(
                     "generated source holds {} kernels, spec table implies {}",
                     parsed.len(),
-                    2 * specs.len()
+                    3 * specs.len()
                 ),
             )),
         });
     }
     for &(m, r) in specs {
-        out.extend(check_spec_pair(&parsed, m, r, "embedded"));
+        out.extend(check_spec_kernels(&parsed, m, r, "embedded"));
     }
     out
 }
 
 /// Verifies fresh `emit_soa_transform` output for a spread of
 /// configurations, including ones the build table does not ship — a
-/// proof about the *emitter*, not just the three checked-in tables.
+/// proof about the *emitter*, not just the checked-in tables.
 pub fn verify_emitter_kernels() -> Vec<KernelCheck> {
     let mut out = Vec::new();
     for &(m, r) in &[(2usize, 3usize), (4, 3), (6, 3), (4, 5), (2, 5)] {
@@ -1250,10 +1262,7 @@ pub fn verify_emitter_kernels() -> Vec<KernelCheck> {
         let Ok(recipes) = TransformRecipes::generate(spec, RecipeOptions::optimized()) else {
             continue;
         };
-        for (kind, recipe, t) in [
-            ("input", &recipes.input, &recipes.matrices.b_t),
-            ("output", &recipes.output, &recipes.matrices.a_t),
-        ] {
+        for (kind, recipe, t) in stage_recipes(&recipes) {
             let kname = format!("f{m}x{r}_{kind}");
             let source = emit_soa_transform(&kname, recipe, "emitter-sweep kernel");
             let result = parse_kernels(&source).and_then(|parsed| match parsed.as_slice() {
@@ -1287,6 +1296,7 @@ mod tests {
     fn emitted(m: usize, r: usize, kind: &str) -> (String, Recipe, RatMat) {
         let rs = recipes(m, r);
         let (recipe, t) = match kind {
+            "filter" => (rs.filter.clone(), rs.matrices.g.clone()),
             "input" => (rs.input.clone(), rs.matrices.b_t.clone()),
             _ => (rs.output.clone(), rs.matrices.a_t.clone()),
         };
@@ -1304,7 +1314,8 @@ mod tests {
     #[test]
     fn embedded_kernels_all_prove() {
         let checks = verify_embedded_kernels();
-        assert_eq!(checks.len(), 6, "three specs × input/output");
+        assert_eq!(checks.len(), 12, "four specs × filter/input/output");
+        assert!(checks.iter().any(|c| c.label == "F(4,5) filter (embedded)"));
         for c in &checks {
             assert!(
                 c.passed(),
@@ -1318,7 +1329,8 @@ mod tests {
     #[test]
     fn emitter_sweep_proves_unshipped_configs() {
         let checks = verify_emitter_kernels();
-        assert!(checks.len() >= 8, "sweep should cover at least 4 specs");
+        assert!(checks.len() >= 12, "sweep should cover at least 4 specs");
+        assert!(checks.iter().any(|c| c.label == "F(2,5) filter (emitter)"));
         for c in &checks {
             assert!(
                 c.passed(),
@@ -1433,8 +1445,8 @@ mod tests {
     fn parsed_pass_is_bit_identical_to_recipe_interpreter() {
         // The parser cross-check: interpreting the parsed IR in f32
         // must retire exactly the interpreter's ops.
-        for (m, r) in [(2usize, 3usize), (4, 3), (6, 3)] {
-            for kind in ["input", "output"] {
+        for (m, r) in [(2usize, 3usize), (4, 3), (6, 3), (4, 5)] {
+            for kind in ["filter", "input", "output"] {
                 let (src, recipe, _) = emitted(m, r, kind);
                 let parsed = parse_kernels(&src).unwrap();
                 let compiled = recipe.compile::<f32>();

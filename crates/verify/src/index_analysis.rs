@@ -20,6 +20,14 @@
 //!   and its task's column panel — including every ragged remainder
 //!   combination (`m % mr`, `n % nr`, tail blocks of `mc`/`kc`/`nc`).
 //!
+//! - **Packed A:** when the A operand was packed ahead of time
+//!   ([`wino_gemm::PackedA`]), the same nest windows it in place;
+//!   [`check_packed_schedule`] proves every sliver window — row blocks
+//!   stepped by [`wino_gemm::packed_mc`], based at
+//!   [`wino_gemm::packed_a_block_off`] — stays inside the operand and
+//!   holds exactly the rows and depths the tile multiplies, the zero
+//!   padding of the last ragged sliver included.
+//!
 //! The reasoning is interval/affine arithmetic over loop bounds: all
 //! quantities are affine in the block descriptors, so checking every
 //! descriptor (there are finitely many per shape) *is* the proof for
@@ -34,8 +42,8 @@ use std::fmt;
 
 use wino_gemm::{
     col_panel, dim_blocks, micro_tiles, pack_a, pack_a_model, pack_b, pack_b_model,
-    pack_capacities, packed_a_len, packed_b_len, tile_extents, GemmConfig, MicroTile, PackSlot,
-    SimdLevel,
+    pack_capacities, packed_a_block_off, packed_a_len, packed_b_len, packed_mc, tile_extents,
+    GemmConfig, MicroTile, PackSlot, PackedA, SimdLevel,
 };
 
 /// One defect found by the index analysis.
@@ -314,7 +322,8 @@ pub fn check_schedule(
                         ),
                     ));
                 }
-                let tiles: Vec<_> = micro_tiles(ip.len, jp.len, kp.len, mr, nr).collect();
+                let tiles: Vec<_> =
+                    micro_tiles(ip.len, jp.len, kp.len, kp.len * mr, mr, nr).collect();
                 let mctx = format!("{ctx} macro({},{})", ip.start, jp.start);
                 check_micro_tiles(&mctx, &tiles, ip.len, jp.len, kp.len, mr, nr, &mut issues);
                 for t in &tiles {
@@ -364,7 +373,7 @@ pub fn check_schedule(
             // one count proves all of them.
             if Some(kp) == kblocks.first() {
                 for ip in &mblocks {
-                    for t in micro_tiles(ip.len, jp.len, kp.len, mr, nr) {
+                    for t in micro_tiles(ip.len, jp.len, kp.len, kp.len * mr, mr, nr) {
                         for r in 0..t.rows {
                             for c in 0..t.cols {
                                 cover[(ip.start + t.i + r) * n + jp.start + t.j + c] += 1;
@@ -391,6 +400,103 @@ pub fn check_schedule(
         }
     }
     IndexCheck { label, issues }
+}
+
+/// Proves the packed-A windows of one `(m, k)` operand × config ×
+/// level: the macro loop over an already-packed `A` steps row blocks by
+/// [`packed_mc`] and reads tile slivers at
+/// `packed_a_block_off(ii, kk) + t.a_off`. Against the full-depth
+/// layout model `pack_a_model(m, k, mr)` — which
+/// [`cross_check_packing`] ties to what [`PackedA::pack`] writes —
+/// every window must lie inside the operand and hold, slot for slot,
+/// rows `ii + t.i ..` at depths `kk ..`, zero past row `m`; and the
+/// row blocks must partition `[0, m)` so `C` coverage is the row-major
+/// schedule's. `n` plays no part in A offsets, so one column sliver
+/// stands for all.
+pub fn check_packed_schedule(m: usize, k: usize, cfg: &GemmConfig, level: SimdLevel) -> IndexCheck {
+    let (mr, nr) = tile_extents(level);
+    let label = format!(
+        "packed-A {m}x{k} cfg({},{}) {}",
+        cfg.mc,
+        cfg.kc,
+        level.name()
+    );
+    let mut issues = Vec::new();
+    let step = packed_mc(cfg.mc, mr);
+    check_packed_windows(&label, m, k, step, cfg.kc, mr, nr, &mut issues);
+    IndexCheck { label, issues }
+}
+
+/// The body of [`check_packed_schedule`] with the row-block step as a
+/// parameter, so a negative fixture can feed the step a refactor would
+/// most likely get wrong (`cfg.mc` itself).
+#[allow(clippy::too_many_arguments)]
+fn check_packed_windows(
+    ctx: &str,
+    m: usize,
+    k: usize,
+    step: usize,
+    kc: usize,
+    mr: usize,
+    nr: usize,
+    issues: &mut Vec<IndexIssue>,
+) {
+    if step == 0 || !step.is_multiple_of(mr) {
+        issues.push(issue(
+            ctx,
+            format!("row-block step {step} is not whole {mr}-row slivers"),
+        ));
+        return;
+    }
+    let mblocks: Vec<_> = dim_blocks(m, step).collect();
+    check_partition(ctx, "packed m", &mblocks, m, step, issues);
+    let model = pack_a_model(m, k, mr);
+    let a_len = packed_a_len(m, k, mr);
+    for kp in dim_blocks(k, kc) {
+        for ip in &mblocks {
+            let base = packed_a_block_off(ip.start, kp.start, k, mr);
+            for t in micro_tiles(ip.len, nr, kp.len, k * mr, mr, nr) {
+                let off = base + t.a_off;
+                if off + kp.len * mr > a_len {
+                    issues.push(issue(
+                        ctx,
+                        format!(
+                            "block ({},{}) tile row {}: sliver [{off}, {}) escapes packed A of {a_len}",
+                            ip.start,
+                            kp.start,
+                            t.i,
+                            off + kp.len * mr
+                        ),
+                    ));
+                    return;
+                }
+                for p in 0..kp.len {
+                    for r in 0..mr {
+                        let want = if r < t.rows {
+                            PackSlot::Src {
+                                row: ip.start + t.i + r,
+                                col: kp.start + p,
+                            }
+                        } else {
+                            PackSlot::Zero
+                        };
+                        let got = model[off + p * mr + r];
+                        if got != want {
+                            issues.push(issue(
+                                ctx,
+                                format!(
+                                    "block ({},{}) tile row {} slot ({p},{r}) holds {got:?}, \
+                                     micro-kernel expects {want:?}",
+                                    ip.start, kp.start, t.i
+                                ),
+                            ));
+                            return;
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Checks one pack model: declared length, every source reference
@@ -460,6 +566,14 @@ pub fn analyze_gemm_indexing() -> Vec<IndexCheck> {
         for &(m, k, n) in SHAPES {
             for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
                 out.push(check_schedule(m, k, n, &cfg, level));
+            }
+        }
+    }
+    // The same grid's A operands, packed ahead of time.
+    for cfg in sweep_configs() {
+        for &(m, k, _) in SHAPES {
+            for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+                out.push(check_packed_schedule(m, k, &cfg, level));
             }
         }
     }
@@ -552,6 +666,49 @@ pub fn cross_check_packing() -> Vec<IndexCheck> {
         }
         out.push(IndexCheck { label, issues });
     }
+    // The ahead-of-time operand: `PackedA::pack` must write, per
+    // matrix, the whole-matrix model `check_packed_schedule` walks.
+    for &(batches, m, k) in &[(2usize, 13usize, 5usize), (1, 6, 8), (3, 1, 1), (1, 65, 9)] {
+        for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+            let mr = tile_extents(level).0;
+            let label = format!("PackedA impl {batches}x{m}x{k}/mr{mr}");
+            let mut issues = Vec::new();
+            let a: Vec<f32> = (0..batches * m * k).map(|v| v as f32 + 2.0).collect();
+            let packed = PackedA::pack(&a, batches, m, k, level);
+            let model = pack_a_model(m, k, mr);
+            for batch in 0..batches {
+                let got = packed.batch(batch);
+                if got.len() != model.len() {
+                    issues.push(issue(
+                        &label,
+                        format!(
+                            "matrix {batch} holds {} slots, model {}",
+                            got.len(),
+                            model.len()
+                        ),
+                    ));
+                    break;
+                }
+                let bad = model.iter().zip(got).position(|(slot, &v)| {
+                    v != match slot {
+                        PackSlot::Src { row, col } => a[(batch * m + row) * k + col],
+                        PackSlot::Zero => 0.0,
+                    }
+                });
+                if let Some(slot) = bad {
+                    issues.push(issue(
+                        &label,
+                        format!(
+                            "matrix {batch} slot {slot}: impl wrote {}, model disagrees",
+                            got[slot]
+                        ),
+                    ));
+                    break;
+                }
+            }
+            out.push(IndexCheck { label, issues });
+        }
+    }
     for &(kb, nb, nr, kk, jj) in &[
         (5usize, 13usize, 8usize, 2usize, 3usize),
         (8, 8, 8, 0, 0),
@@ -624,7 +781,7 @@ mod tests {
         // a j=16 remainder column; a schedule without it leaves a
         // coverage hole the analysis must name.
         let (mb, nb, kb, mr, nr) = (13usize, 17usize, 5usize, 4usize, 4usize);
-        let tiles: Vec<MicroTile> = micro_tiles(mb, nb, kb, mr, nr)
+        let tiles: Vec<MicroTile> = micro_tiles(mb, nb, kb, kb * mr, mr, nr)
             .filter(|t| t.cols == nr)
             .collect();
         let mut issues = Vec::new();
@@ -641,7 +798,7 @@ mod tests {
         // Shift one tile's sliver offset past the pack buffer — the
         // panel-index arithmetic a refactor is most likely to break.
         let (mb, nb, kb, mr, nr) = (8usize, 8usize, 3usize, 4usize, 4usize);
-        let mut tiles: Vec<MicroTile> = micro_tiles(mb, nb, kb, mr, nr).collect();
+        let mut tiles: Vec<MicroTile> = micro_tiles(mb, nb, kb, kb * mr, mr, nr).collect();
         tiles[0].b_off = packed_b_len(kb, nb, nr);
         let mut issues = Vec::new();
         check_micro_tiles("fixture", &tiles, mb, nb, kb, mr, nr, &mut issues);
@@ -652,12 +809,29 @@ mod tests {
     #[test]
     fn overlapping_tiles_rejected() {
         let (mb, nb, kb, mr, nr) = (4usize, 4usize, 2usize, 4usize, 4usize);
-        let mut tiles: Vec<MicroTile> = micro_tiles(mb, nb, kb, mr, nr).collect();
+        let mut tiles: Vec<MicroTile> = micro_tiles(mb, nb, kb, kb * mr, mr, nr).collect();
         let dup = tiles[0];
         tiles.push(dup);
         let mut issues = Vec::new();
         check_micro_tiles("fixture", &tiles, mb, nb, kb, mr, nr, &mut issues);
         assert!(issues.first().unwrap().detail.contains("written 2 times"));
+    }
+
+    #[test]
+    fn packed_row_step_off_the_sliver_grid_rejected() {
+        // Stepping packed row blocks by the raw `mc` (64 under 6-row
+        // slivers) would start a block mid-sliver.
+        let mut issues = Vec::new();
+        check_packed_windows("fixture", 130, 9, 64, 128, 6, 8, &mut issues);
+        let detail = &issues
+            .first()
+            .expect("misaligned step must be found")
+            .detail;
+        assert!(detail.contains("not whole 6-row slivers"), "{detail}");
+        // The step the engine uses is clean on the same operand.
+        let mut issues = Vec::new();
+        check_packed_windows("fixture", 130, 9, packed_mc(64, 6), 128, 6, 8, &mut issues);
+        assert!(issues.is_empty(), "{}", issues[0]);
     }
 
     #[test]

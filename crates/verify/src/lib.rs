@@ -28,7 +28,8 @@
 //! 5. **Index analysis** ([`index_analysis`]) — proves coverage,
 //!    panel disjointness, and in-bounds access for the blocked-GEMM
 //!    packing and micro-tiling over the loop schedule wino-gemm
-//!    exports (and executes).
+//!    exports (and executes), for an A packed on the fly and for one
+//!    packed ahead of time.
 //! 6. **Safety lint** ([`safety_lint`]) — a tokenizer-based fallback
 //!    behind clippy's `undocumented_unsafe_blocks` demanding a
 //!    rationale at every workspace `unsafe` site, plus the AVX2
@@ -47,7 +48,8 @@ pub use compiled_kernel::{
     verify_kernel, KernelCheck, KernelError, KernelProof, ParsedKernel,
 };
 pub use index_analysis::{
-    analyze_gemm_indexing, check_schedule, cross_check_packing, IndexCheck, IndexIssue,
+    analyze_gemm_indexing, check_packed_schedule, check_schedule, cross_check_packing, IndexCheck,
+    IndexIssue,
 };
 pub use safety_lint::{audit_avx2_pointer_paths, scan_workspace_unsafe, SafetyIssue, SafetyReport};
 pub use template_lint::{lint_generated_plans, lint_static_templates};
@@ -89,19 +91,15 @@ impl RecipeSummary {
 /// Verifies the three recipes of one [`TransformRecipes`] bundle
 /// against the exact matrices it was derived from.
 pub fn verify_transform_recipes(tr: &TransformRecipes, pipeline: &str) -> Vec<RecipeSummary> {
-    [
-        ("filter", &tr.filter, &tr.matrices.g),
-        ("input", &tr.input, &tr.matrices.b_t),
-        ("output", &tr.output, &tr.matrices.a_t),
-    ]
-    .into_iter()
-    .map(|(stage, recipe, matrix)| RecipeSummary {
-        spec: tr.spec,
-        stage,
-        pipeline: pipeline.to_string(),
-        result: verify_recipe(recipe, matrix),
-    })
-    .collect()
+    compiled_kernel::stage_recipes(tr)
+        .into_iter()
+        .map(|(stage, recipe, matrix)| RecipeSummary {
+            spec: tr.spec,
+            stage,
+            pipeline: pipeline.to_string(),
+            result: verify_recipe(recipe, matrix),
+        })
+        .collect()
 }
 
 /// The full `F(m,r)` grid the recipe DB ships: the Figure-5 sweep

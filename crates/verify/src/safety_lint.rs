@@ -308,8 +308,10 @@ const AUDITED_KB: &[usize] = &[1, 2, 3, 5, 8, 16, 64, 127, 128, 129, 1024];
 /// The kernel advances `ap` by [`MR_AVX2`] and `bp` by [`NR_AVX2`] per
 /// k step and reads `*ap.add(r)` (r < MR) plus one 8-lane load at
 /// `bp`. The slivers are `kb·MR` and `kb·NR` floats (proven in-bounds
-/// inside the pack buffers by the index analysis), so the obligations
-/// are: `(kb-1)·MR + MR ≤ kb·MR`, `(kb-1)·NR + 8 ≤ kb·NR`, and the
+/// inside the pack buffers — or, for an A packed ahead of time, inside
+/// the full-depth operand — by the index analysis; either way the
+/// kernel is handed a bounds-checked `kb·MR` sub-slice, anchored
+/// below), so the obligations are: `(kb-1)·MR + MR ≤ kb·MR`, `(kb-1)·NR + 8 ≤ kb·NR`, and the
 /// vector width actually equals `NR_AVX2`.
 pub fn audit_avx2_pointer_paths() -> Vec<SafetyIssue> {
     let mut issues = Vec::new();
@@ -371,6 +373,12 @@ pub fn audit_avx2_pointer_paths() -> Vec<SafetyIssue> {
                 "audited invariant lost its runtime cross-check: `{anchor}` not found"
             ));
         }
+    }
+    // Both A sources reach the kernel through this one bounds-checked
+    // slice, so the walk above is over exactly `kb·MR` floats whether
+    // the sliver sits in the task's pack buffer or in a `PackedA`.
+    if !source.contains("let a_sliver = &a_block[t.a_off..t.a_off + kb * mr];") {
+        fail("macro_kernel no longer bounds the A sliver to kb*mr floats".to_string());
     }
     // The C-side bound is asserted where the offsets are computed.
     if !source.contains("debug_assert!(c_off + (t.rows - 1) * ldc + t.cols <= c.len());") {

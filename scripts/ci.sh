@@ -39,10 +39,12 @@ assert_verify_line() {
     exit 1
   fi
 }
-# All six shipped compiled kernels (3 specs x input/output) plus the
-# ten-kernel fresh-emitter sweep, proven — not just fingerprinted.
-assert_verify_line '^compiled kernels: 16/16 proven' "16/16 compiled-kernel proofs"
-# Shape x config x SIMD-level grid plus pack-model cross-checks, all clean.
+# All twelve shipped compiled kernels (4 specs x filter/input/output)
+# plus the fifteen-kernel fresh-emitter sweep (5 specs x 3), proven —
+# not just fingerprinted.
+assert_verify_line '^compiled kernels: 27/27 proven' "27/27 compiled-kernel proofs"
+# Shape x config x SIMD-level grid — A packed on the fly and ahead of
+# time — plus pack-model cross-checks, all clean.
 assert_verify_line '^index analysis: ([1-9][0-9]*)/([1-9][0-9]*) schedule points proven' \
   "a nonempty index-analysis sweep"
 if ! grep -E '^index analysis: ' <<<"$verify_out" | grep -qE ' ([0-9]+)/\1 '; then
@@ -56,8 +58,8 @@ assert_verify_line '^safety lint: [1-9][0-9]* unsafe site\(s\) across [1-9][0-9]
 # The compiled-kernel table (wino-conv's build script) generates its
 # recipes from exactly these specs with the optimized pipeline; assert
 # the sweep proved each one, so only proven recipes are ever compiled.
-for spec in "F(2,3)" "F(4,3)" "F(6,3)"; do
-  for stage in input output; do
+for spec in "F(2,3)" "F(4,3)" "F(6,3)" "F(4,5)"; do
+  for stage in filter input output; do
     if ! grep -q "$spec/$stage/optimized" <<<"$verify_out"; then
       echo "FAIL: wino-verify sweep did not cover $spec/$stage/optimized" >&2
       exit 1
@@ -166,7 +168,7 @@ serve_smoke() {
 serve_smoke --smoke "" \
   serve.enqueued=8 serve.shed=0 serve.batches=8 serve.batched=0 \
   serve.executed=8 serve.deadline_demotions=0 conv.filter_transforms=1 \
-  conv.compiled_fallback=0 guard.demote.guardrail=0 guard.served_by_fallback=0 \
+  conv.compiled_fallback=0 conv.filter_repacks=0 guard.demote.guardrail=0 guard.served_by_fallback=0 \
   exec.allocs_steady=0 exec.degraded_runs=0 serve.networks_registered=0 \
   "gauge serve.breaker_state.smoke/conv=0 peak=0" \
   "gauge serve.queue_depth=0 peak=1"
@@ -182,16 +184,22 @@ serve_smoke --smoke "transform:nan" \
   "gauge serve.breaker_state.smoke/conv=2 peak=2" \
   "gauge serve.queue_depth=0 peak=1"
 # Clean network run: full accounting, zero demotions, zero steady
-# allocations.
+# allocations. The transform interpreter must not hide again: no bank
+# was re-packed for a foreign SIMD level, no compiled kernel drifted
+# from its recipe, and alexnet's warmup pass (served alone, so its
+# tile counts are exact) interpreted only the ragged tails of its
+# 8-lane groups — conv2's 5x5 tiles run the compiled F(4,5) kernels.
 serve_smoke --net-smoke "" \
   serve.enqueued=10 serve.executed=10 serve.shed=0 \
   serve.deadline_demotions=0 serve.networks_registered=2 \
   exec.allocs_steady=0 exec.degraded_runs=0 \
   guard.demote.guardrail=0 guard.served_by_fallback=0 \
+  conv.filter_repacks=0 conv.compiled_fallback=0 \
   "net-smoke: steady served=8/8" \
   "net-smoke: demotions=0" \
   "net-smoke: planner peak under naive activations: ok" \
-  "net-smoke: warm transforms once per winograd conv: ok"
+  "net-smoke: warm transforms once per winograd conv: ok" \
+  "net-smoke: alexnet interpreter on ragged tails only: ok"
 # Poisoned transforms: all 10 requests still serve (guard demotes each
 # Winograd conv to its fallback), and the steady phase still allocates
 # nothing at graph level.
