@@ -12,7 +12,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 use std::time::Duration;
-use wino_conv::{conv_winograd_rt, WinogradConfig, WinogradVariant};
+use wino_conv::{
+    conv_winograd_precomputed_rt, PrecomputedFilters, WinogradConfig, WinogradVariant,
+};
 use wino_runtime::Runtime;
 use wino_tensor::{ConvDesc, Tensor4};
 use wino_tuner::{untuned_point, THREADS_VALUES};
@@ -32,8 +34,13 @@ fn bench_thread_scaling(c: &mut Criterion) {
         let cfg = WinogradConfig::new(4)
             .with_variant(variant)
             .with_gemm_config(gemm);
-        let reference = conv_winograd_rt(&input, &filters, &desc, &cfg, &Runtime::serial())
-            .expect("serial reference");
+        // The bank is transformed once (serially, whatever the runtime):
+        // what scales with threads is the steady-state call on it.
+        let pre = PrecomputedFilters::for_config(&filters, &desc, &cfg).expect("filter bank");
+        let run = |input: &Tensor4<f32>, rt: &Runtime| {
+            conv_winograd_precomputed_rt(input, &pre, &desc, variant, &cfg.gemm, rt)
+        };
+        let reference = run(&input, &Runtime::serial()).expect("serial reference");
 
         let mut group = c.benchmark_group(&format!("thread_scaling/{label}"));
         group.warm_up_time(Duration::from_millis(400));
@@ -44,7 +51,7 @@ fn bench_thread_scaling(c: &mut Criterion) {
             let rt = Runtime::with_threads(threads);
             // The runtime contract: thread count is unobservable in
             // the output bits.
-            let probe = conv_winograd_rt(&input, &filters, &desc, &cfg, &rt).expect("parallel run");
+            let probe = run(&input, &rt).expect("parallel run");
             assert!(
                 reference
                     .data()
@@ -54,10 +61,7 @@ fn bench_thread_scaling(c: &mut Criterion) {
                 "{label}: {threads}-lane output diverged from serial bits"
             );
             group.bench_function(BenchmarkId::from_parameter(threads), |b| {
-                b.iter(|| {
-                    conv_winograd_rt(black_box(&input), black_box(&filters), &desc, &cfg, &rt)
-                        .unwrap()
-                })
+                b.iter(|| run(black_box(&input), &rt).unwrap())
             });
         }
         group.finish();

@@ -37,14 +37,12 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wino_conv::{
-    conv_winograd_precomputed_level, winograd_flops, PrecomputedFilters, WinogradConfig,
-};
+use wino_conv::{conv_winograd_precomputed, winograd_flops, PrecomputedFilters, WinogradConfig};
 use wino_gemm::{detect_simd, SimdLevel};
 use wino_probe::{self as probe, hist, HistogramSnapshot, Mode};
-use wino_runtime::Runtime;
 use wino_serve::{ConvRequest, NetworkRequest, PlanRegistry, Server, ServerConfig};
 use wino_tensor::{ConvDesc, Tensor4};
+use wino_transform::{recipe_db, WinogradSpec};
 
 /// Timed zoo layer: AlexNet conv5 (3×3, 13×13 spatial, 384→256) at
 /// batch 1 — the classic Winograd-friendly late layer, small enough
@@ -70,20 +68,19 @@ fn zoo_desc() -> ConvDesc {
         .desc
 }
 
-/// Best-of-`n` wall time of the layer under a pinned dispatch level.
+/// Best-of-`n` wall time of the layer at the dispatch level `pre` was
+/// built for.
 fn time_level(
     input: &Tensor4<f32>,
     pre: &PrecomputedFilters,
     desc: &ConvDesc,
     cfg: &WinogradConfig,
-    level: SimdLevel,
     n: usize,
 ) -> Duration {
-    let rt = Runtime::global();
     let mut best = Duration::MAX;
     for _ in 0..n {
         let t0 = Instant::now();
-        conv_winograd_precomputed_level(input, pre, desc, cfg.variant, &cfg.gemm, rt, level)
+        conv_winograd_precomputed(input, pre, desc, cfg.variant, &cfg.gemm)
             .expect("zoo layer conv");
         best = best.min(t0.elapsed());
     }
@@ -97,29 +94,20 @@ fn measure_phases(
     pre: &PrecomputedFilters,
     desc: &ConvDesc,
     cfg: &WinogradConfig,
-    level: SimdLevel,
 ) -> Vec<(String, f64, f64)> {
     probe::set_mode(Mode::Summary);
     let _ = probe::take_events();
     // Re-transform the filters inside the instrumented window so the
     // conv.filter_transform phase is captured too.
-    let pre_fresh = PrecomputedFilters::new(
+    let pre_fresh = PrecomputedFilters::new_at(
         &Tensor4::zeros(desc.out_ch, desc.in_ch, desc.ksz, desc.ksz),
         desc,
         Arc::clone(pre.recipes()),
+        pre.level(),
     )
     .expect("filter transform");
     drop(pre_fresh);
-    conv_winograd_precomputed_level(
-        input,
-        pre,
-        desc,
-        cfg.variant,
-        &cfg.gemm,
-        Runtime::global(),
-        level,
-    )
-    .expect("instrumented run");
+    conv_winograd_precomputed(input, pre, desc, cfg.variant, &cfg.gemm).expect("instrumented run");
     let events = probe::take_events();
     probe::set_mode(Mode::Off);
 
@@ -371,18 +359,23 @@ fn main() {
         0.5,
         &mut rng,
     );
-    let pre = PrecomputedFilters::for_config(&filters, &desc, &cfg).expect("precompute");
+    // One bank per dispatch level: a bank runs at the level it was
+    // packed for, so neither timed loop re-lays-out filters.
+    let spec = WinogradSpec::new(m, desc.ksz).expect("zoo spec");
+    let recipes = recipe_db().get(spec, cfg.options).expect("zoo recipes");
+    let bank = |level| {
+        PrecomputedFilters::new_at(&filters, &desc, Arc::clone(&recipes), level)
+            .expect("precompute")
+    };
 
     // Warm both paths once, then best-of-3 each.
-    time_level(&input, &pre, &desc, &cfg, SimdLevel::Scalar, 1);
-    let scalar = time_level(&input, &pre, &desc, &cfg, SimdLevel::Scalar, 3);
-    let simd_level = if detected == SimdLevel::Avx2 {
-        SimdLevel::Avx2
-    } else {
-        SimdLevel::Scalar
-    };
-    time_level(&input, &pre, &desc, &cfg, simd_level, 1);
-    let simd = time_level(&input, &pre, &desc, &cfg, simd_level, 3);
+    let pre_scalar = bank(SimdLevel::Scalar);
+    time_level(&input, &pre_scalar, &desc, &cfg, 1);
+    let scalar = time_level(&input, &pre_scalar, &desc, &cfg, 3);
+    drop(pre_scalar);
+    let pre = bank(detected);
+    time_level(&input, &pre, &desc, &cfg, 1);
+    let simd = time_level(&input, &pre, &desc, &cfg, 3);
 
     let direct_flops = desc.flops() as f64;
     let scalar_ms = scalar.as_secs_f64() * 1e3;
@@ -395,7 +388,7 @@ fn main() {
         active.name()
     );
 
-    let phases = measure_phases(&input, &pre, &desc, &cfg, simd_level);
+    let phases = measure_phases(&input, &pre, &desc, &cfg);
     let (cold, steady): (Vec<_>, Vec<_>) = phases
         .into_iter()
         .partition(|(name, _, _)| COLD_PHASES.contains(&name.as_str()));

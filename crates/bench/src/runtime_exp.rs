@@ -6,7 +6,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
 use wino_codegen::{generate_plan, CodegenOptions, PlanVariant, Unroll};
-use wino_conv::{conv_winograd_rt, WinogradConfig, WinogradVariant};
+use wino_conv::{
+    conv_winograd_precomputed_rt, PrecomputedFilters, WinogradConfig, WinogradVariant,
+};
 use wino_gpu::{estimate_plan_ms, gtx_1080_ti, mali_g71, rx_580, DeviceProfile};
 use wino_runtime::{default_threads, Runtime};
 use wino_tensor::{ConvDesc, Tensor4};
@@ -104,7 +106,9 @@ pub fn figure6_phase_capture(m: usize) -> (f64, f64) {
     let run = |variant: WinogradVariant| -> f64 {
         let cfg = WinogradConfig::new(m).with_variant(variant);
         let start = Instant::now();
-        conv_winograd_rt(&input, &filters, &desc, &cfg, &rt).expect("figure6 phase capture");
+        let pre = PrecomputedFilters::for_config(&filters, &desc, &cfg).expect("figure6 filters");
+        conv_winograd_precomputed_rt(&input, &pre, &desc, variant, &cfg.gemm, &rt)
+            .expect("figure6 phase capture");
         start.elapsed().as_secs_f64() * 1e3
     };
     (run(WinogradVariant::NonFused), run(WinogradVariant::Fused))

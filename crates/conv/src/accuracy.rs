@@ -5,15 +5,18 @@
 //! norm, median over many trials — the paper's exact protocol, at the
 //! level of whole convolutions (channel accumulation included).
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use wino_gemm::GemmConfig;
 use wino_symbolic::RecipeOptions;
 use wino_tensor::{relative_error_l1, ConvDesc, Tensor4};
 use wino_transform::{ErrorStats, TransformRecipes, WinogradSpec};
 
 use crate::direct::conv_direct_f64;
 use crate::error::ConvError;
-use crate::winograd::{conv_winograd_with_recipes, WinogradVariant};
+use crate::winograd::{conv_winograd_precomputed, PrecomputedFilters, WinogradVariant};
 
 /// The default convolution used by the accuracy protocol: small enough
 /// for 10k-trial sweeps, multi-channel so accumulation error is
@@ -28,14 +31,16 @@ pub fn accuracy_probe_desc(r: usize) -> ConvDesc {
 /// # Errors
 /// Propagates engine failures (spec/descriptor mismatches).
 pub fn conv_error_trial(
-    recipes: &TransformRecipes,
+    recipes: &Arc<TransformRecipes>,
     desc: &ConvDesc,
     rng: &mut StdRng,
 ) -> Result<f64, ConvError> {
     let input =
         Tensor4::<f32>::random(desc.batch, desc.in_ch, desc.in_h, desc.in_w, -1.0, 1.0, rng);
     let filt = Tensor4::<f32>::random(desc.out_ch, desc.in_ch, desc.ksz, desc.ksz, -1.0, 1.0, rng);
-    let wino = conv_winograd_with_recipes(&input, &filt, desc, recipes, WinogradVariant::NonFused)?;
+    let pre = PrecomputedFilters::new(&filt, desc, Arc::clone(recipes))?;
+    let gemm = GemmConfig::default();
+    let wino = conv_winograd_precomputed(&input, &pre, desc, WinogradVariant::NonFused, &gemm)?;
     let direct = conv_direct_f64(&input.to_f64(), &filt.to_f64(), desc)?;
     Ok(relative_error_l1(&wino.to_f64(), &direct))
 }
@@ -51,7 +56,11 @@ pub fn measure_conv_error(
     trials: usize,
     seed: u64,
 ) -> Result<ErrorStats, ConvError> {
-    let recipes = TransformRecipes::generate_with_points(spec, points, RecipeOptions::optimized())?;
+    let recipes = Arc::new(TransformRecipes::generate_with_points(
+        spec,
+        points,
+        RecipeOptions::optimized(),
+    )?);
     let desc = accuracy_probe_desc(spec.r);
     let mut rng = StdRng::seed_from_u64(seed);
     let samples: Result<Vec<f64>, ConvError> = (0..trials.max(1))

@@ -9,9 +9,10 @@
 //! The gate is a fingerprint equality check: a kernel runs only for
 //! the exact recipe it was generated (and verified) from. Any drift —
 //! different pipeline options, a changed recipe generator — falls back
-//! to the interpreted [`crate::TileTransformer`] path, which is the
-//! behavior the compiled path is bit-identical to anyway (per lane the
-//! emitted ops are the interpreter's ops in the interpreter's order).
+//! to [`crate::TileTransformer`] interpreting the recipe over the same
+//! [`LANES`]-wide SoA group, which is the behavior the compiled path is
+//! bit-identical to anyway (per lane the emitted ops are the
+//! interpreter's ops in the interpreter's order).
 
 use wino_gemm::SimdLevel;
 use wino_symbolic::RecipeOptions;

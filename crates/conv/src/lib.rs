@@ -37,7 +37,7 @@ pub use flops::{winograd_flops, winograd_flops_baseline, winograd_tile_total, Wi
 pub use im2col::{conv_im2col, im2col_image};
 pub use tiles::TileTransformer;
 pub use winograd::{
-    conv_winograd, conv_winograd_precomputed, conv_winograd_precomputed_level, conv_winograd_rt,
-    conv_winograd_with_recipes, PrecomputedFilters, WinogradConfig, WinogradVariant,
+    conv_winograd, conv_winograd_precomputed, conv_winograd_precomputed_rt, PrecomputedFilters,
+    WinogradConfig, WinogradVariant,
 };
 pub use winograd1d::{conv1d_direct, conv1d_winograd};

@@ -5,35 +5,40 @@
 //! intermediate (the paper's column-/row-wise index representation,
 //! §3.1.2 step 2).
 
-use wino_symbolic::{CompiledRecipe, Recipe};
+use wino_symbolic::{CompiledRecipe, Recipe, RecipeScalar};
 
 /// Applies a compiled 1-D recipe along both axes of a square tile.
 /// Owns all scratch buffers so tile loops allocate nothing.
-pub struct TileTransformer {
-    recipe: CompiledRecipe<f32>,
+///
+/// The scalar `T` is what one tile position holds: `f32` transforms
+/// one tile; `[f32; 8]` transforms eight at once in the position-major
+/// SoA layout the compiled kernels take ([`crate::compiled::LANES`]),
+/// each lane bitwise equal to the `f32` transform of that lane's tile.
+pub struct TileTransformer<T = f32> {
+    recipe: CompiledRecipe<T>,
     /// Input extent per 1-D application.
     q: usize,
     /// Output extent per 1-D application.
     p: usize,
-    mid: Vec<f32>,
-    vec_in: Vec<f32>,
-    vec_out: Vec<f32>,
-    scratch: Vec<f32>,
+    mid: Vec<T>,
+    vec_in: Vec<T>,
+    vec_out: Vec<T>,
+    scratch: Vec<T>,
 }
 
-impl TileTransformer {
-    /// Compiles `recipe` (a `q → p` linear map) for f32 execution.
+impl<T: RecipeScalar> TileTransformer<T> {
+    /// Compiles `recipe` (a `q → p` linear map) for execution over `T`.
     pub fn new(recipe: &Recipe) -> Self {
-        let compiled = recipe.compile::<f32>();
+        let compiled = recipe.compile::<T>();
         let (q, p) = (recipe.n_in, recipe.n_out);
         TileTransformer {
-            scratch: vec![0.0; compiled.scratch_len()],
+            scratch: vec![T::default(); compiled.scratch_len()],
             recipe: compiled,
             q,
             p,
-            mid: vec![0.0; p * q],
-            vec_in: vec![0.0; q],
-            vec_out: vec![0.0; p],
+            mid: vec![T::default(); p * q],
+            vec_in: vec![T::default(); q],
+            vec_out: vec![T::default(); p],
         }
     }
 
@@ -49,7 +54,7 @@ impl TileTransformer {
 
     /// Transforms the `q×q` tile `input` into the `p×p` tile `out`
     /// (both row-major).
-    pub fn transform(&mut self, input: &[f32], out: &mut [f32]) {
+    pub fn transform(&mut self, input: &[T], out: &mut [T]) {
         let (q, p) = (self.q, self.p);
         debug_assert!(input.len() >= q * q);
         debug_assert!(out.len() >= p * p);
@@ -71,9 +76,6 @@ impl TileTransformer {
                 .run(&self.vec_in, &mut self.vec_out, &mut self.scratch);
             out[i * p..i * p + p].copy_from_slice(&self.vec_out[..p]);
         }
-        // WINO_FAULT hook (transform-output site): one relaxed load
-        // when disarmed.
-        wino_probe::fault::inject_f32(wino_probe::fault::Site::Transform, &mut out[..p * p]);
     }
 }
 
@@ -142,6 +144,51 @@ mod tests {
             for j in 0..6 {
                 let e = exact[(i, j)].to_f64();
                 assert!((u[i * 6 + j] as f64 - e).abs() < 1e-5);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        // The lane interpreter is the per-tile interpreter eight times
+        // over: `[f32; 8]` ops are the `f32` ops lane by lane, in the
+        // recipe's order, so the match is bitwise for arbitrary finite
+        // tiles — for specs with and without compiled kernels, under
+        // both pipeline options, for all three transforms.
+        #[test]
+        fn lane_interpreter_matches_per_tile_interpreter_bitwise(
+            m in 2usize..7,
+            r in proptest::prop_oneof![
+                proptest::prelude::Just(2usize),
+                proptest::prelude::Just(3),
+                proptest::prelude::Just(5),
+            ],
+            minimal in proptest::prelude::any::<bool>(),
+            values in proptest::collection::vec(-1.0e3f32..1.0e3, 64 * 8),
+        ) {
+            // Table 3 has points for α ≥ 4.
+            proptest::prop_assume!((4..=8).contains(&(m + r - 1)));
+            let options = if minimal { RecipeOptions::minimal() } else { RecipeOptions::optimized() };
+            let spec = WinogradSpec::new(m, r).unwrap();
+            let recipes = wino_transform::recipe_db().get(spec, options).unwrap();
+            for recipe in [&recipes.filter, &recipes.input, &recipes.output] {
+                let (ni, no) = (recipe.n_in * recipe.n_in, recipe.n_out * recipe.n_out);
+                let src: Vec<[f32; 8]> =
+                    values.chunks_exact(8).take(ni).map(|c| c.try_into().unwrap()).collect();
+                let mut dst = vec![[0.0f32; 8]; no];
+                TileTransformer::<[f32; 8]>::new(recipe).transform(&src, &mut dst);
+                let mut tt = TileTransformer::<f32>::new(recipe);
+                let mut tile_out = vec![0.0f32; no];
+                for l in 0..8 {
+                    let tile_in: Vec<f32> = src.iter().map(|pos| pos[l]).collect();
+                    tt.transform(&tile_in, &mut tile_out);
+                    for (pos, v) in tile_out.iter().enumerate() {
+                        proptest::prop_assert_eq!(
+                            v.to_bits(), dst[pos][l].to_bits(),
+                            "{} lane {} position {}", spec, l, pos
+                        );
+                    }
+                }
             }
         }
     }

@@ -5,21 +5,30 @@
 //! materializes the transformed filters `U'` and inputs `V'` in the
 //! scatter layouts of Lavin & Gray and runs the multiplication stage
 //! as α² batched SGEMMs — `U'` packed once, at construction, into the
-//! GEMM micro-kernel's own A order. The **fused** engine processes one
-//! input tile end-to-end — transform, channel-summed element-wise
-//! multiply, output transform — without materializing intermediates,
-//! mirroring the single-kernel variant's dataflow.
+//! GEMM micro-kernel's own A order. The **fused** engine processes a
+//! group of input tiles end-to-end — transform, channel-summed
+//! element-wise multiply, output transform — without materializing
+//! intermediates, mirroring the single-kernel variant's dataflow.
+//!
+//! Every transform stage (filter, non-fused input, non-fused output,
+//! fused) is one loop over **lane groups**: [`LANES`] tiles side by
+//! side in position-major SoA (`[pos][lane]`), a last group that uses
+//! fewer lanes, and one [`Kernel::run`] call per group. Only the
+//! kernel varies — a build-time-compiled proven kernel, or the recipe
+//! interpreted over `LANES`-wide registers — and both retire the same
+//! per-lane IEEE ops in the same order, so each stage has exactly one
+//! floating-point operation order.
 
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use wino_gemm::{BatchedGemmShape, GemmConfig, PackedA, SimdLevel};
 use wino_runtime::{DisjointSlice, Runtime};
-use wino_symbolic::RecipeOptions;
+use wino_symbolic::{Recipe, RecipeOptions};
 use wino_tensor::{extract_input_tile, tile_counts, ConvDesc, Tensor4};
 use wino_transform::{recipe_db, TransformRecipes, WinogradSpec};
 
-use crate::compiled::{compiled_for, CompiledTransforms, LANES};
+use crate::compiled::{compiled_for, CompiledTransforms, SoaKernel, LANES};
 use crate::direct::check_shapes;
 use crate::error::ConvError;
 use crate::tiles::TileTransformer;
@@ -28,18 +37,12 @@ use crate::tiles::TileTransformer;
 static TILES_GATHERED: wino_probe::Counter = wino_probe::Counter::new("conv.tiles_gathered");
 /// Output tiles scattered back into NCHW planes (both engines).
 static TILES_SCATTERED: wino_probe::Counter = wino_probe::Counter::new("conv.tiles_scattered");
-/// Tiles that went through the interpreted [`TileTransformer`] while
-/// the transform dispatch level was AVX2 — ragged tails of the
-/// [`LANES`]-wide groups, and every tile of a spec with no compiled
-/// kernel — each in its phase's own unit (`tiles_gathered`'s,
-/// `tiles_scattered`'s, `(k, c)` filter planes). A value near
-/// `tiles_gathered + tiles_scattered` means a layer lost its compiled
-/// fast path.
+/// Tiles a stage handed the lane interpreter while dispatching AVX2 —
+/// every tile of a spec with no compiled kernel, each in its stage's
+/// own unit (`tiles_gathered`'s, `tiles_scattered`'s, `(k, c)` filter
+/// planes). Zero for every zoo layer; anything else means a layer has
+/// no compiled fast path (or lost it: `conv.compiled_fallback`).
 static TILES_INTERPRETED: wino_probe::Counter = wino_probe::Counter::new("conv.tiles_interpreted");
-/// Non-fused calls whose GEMM level differs from the one the bank was
-/// packed for and so re-packed it for that call (an A/B hook's slow
-/// path; serving keeps this at zero).
-static FILTER_REPACKS: wino_probe::Counter = wino_probe::Counter::new("conv.filter_repacks");
 /// Bytes held by live [`PrecomputedFilters`] (Σ `resident_bytes()`).
 static FILTER_BANK_BYTES: wino_probe::Gauge = wino_probe::Gauge::new("conv.filter_bank_bytes");
 static LIVE_BANK_BYTES: AtomicI64 = AtomicI64::new(0);
@@ -57,9 +60,10 @@ fn track_bank_bytes(delta: i64) {
 static FILTER_TRANSFORMS: wino_probe::Counter = wino_probe::Counter::new("conv.filter_transforms");
 
 /// Per-phase duration histograms for the non-fused pipeline (the
-/// fused engine interleaves phases per tile, so it records nothing
-/// here). These record whenever tracing *or* telemetry is armed, so
-/// a serving process sees phase distributions without span buffers.
+/// fused engine interleaves phases per tile group, so it records
+/// nothing here). These record whenever tracing *or* telemetry is
+/// armed, so a serving process sees phase distributions without span
+/// buffers.
 static H_FILTER: wino_probe::Histogram = wino_probe::Histogram::new("conv.filter_transform");
 static H_INPUT: wino_probe::Histogram = wino_probe::Histogram::new("conv.input_transform");
 static H_SGEMM: wino_probe::Histogram = wino_probe::Histogram::new("conv.batched_sgemm");
@@ -128,7 +132,61 @@ fn winograd_checks(desc: &ConvDesc, m: usize) -> Result<WinogradSpec, ConvError>
     Ok(WinogradSpec::new(m, desc.ksz)?)
 }
 
-/// Winograd convolution using recipes from the process-wide database.
+/// How one stage transforms a lane group — the only part of the tile
+/// pipeline that varies with the spec and the dispatch level. `src`
+/// and `dst` are position-major SoA (`[pos][lane]`, one tile per
+/// lane). Neither variant has a cross-lane operation and both retire
+/// the recipe's per-lane IEEE ops in the recipe's order, so a stage's
+/// output bits do not depend on which one ran, nor on what unused
+/// lanes hold.
+enum Kernel {
+    /// The build-time-compiled, proven kernel, at the bank's level.
+    Compiled(SoaKernel, SimdLevel),
+    /// The recipe interpreted over `LANES`-wide registers.
+    Interpreted(TileTransformer<[f32; LANES]>),
+}
+
+impl Kernel {
+    fn new(compiled: Option<SoaKernel>, recipe: &Recipe, level: SimdLevel) -> Self {
+        match compiled {
+            Some(kernel) => Kernel::Compiled(kernel, level),
+            None => Kernel::Interpreted(TileTransformer::new(recipe)),
+        }
+    }
+
+    /// Transforms one lane group; `src` and `dst` hold exactly the
+    /// transform's input and output positions.
+    fn run(&mut self, src: &[[f32; LANES]], dst: &mut [[f32; LANES]]) {
+        match self {
+            Kernel::Compiled(kernel, level) => kernel.run(*level, src, dst),
+            Kernel::Interpreted(tt) => tt.transform(src, dst),
+        }
+        // WINO_FAULT hook (transform-output site), the only one in the
+        // engines: one relaxed load when disarmed.
+        wino_probe::fault::inject_f32(wino_probe::fault::Site::Transform, dst.as_flattened_mut());
+    }
+}
+
+/// The compiled kernels `level` dispatches to for `recipes`: none
+/// under [`SimdLevel::Scalar`] (the interpreted reference path), the
+/// fingerprint-gated build table under [`SimdLevel::Avx2`].
+fn compiled_at(recipes: &TransformRecipes, level: SimdLevel) -> Option<CompiledTransforms> {
+    match level {
+        SimdLevel::Scalar => None,
+        SimdLevel::Avx2 => compiled_for(recipes),
+    }
+}
+
+/// Accounts `tiles` a stage is about to hand the interpreter.
+fn count_interpreted(compiled: Option<CompiledTransforms>, level: SimdLevel, tiles: usize) {
+    if compiled.is_none() && level == SimdLevel::Avx2 {
+        TILES_INTERPRETED.add(tiles as u64);
+    }
+}
+
+/// Winograd convolution using recipes from the process-wide database:
+/// the cold convenience entry — it transforms the filter bank, serves
+/// one call from it, and drops it.
 ///
 /// # Errors
 /// Shape mismatches, non-unit stride, or unsupported `F(m, r)`.
@@ -138,54 +196,9 @@ pub fn conv_winograd(
     desc: &ConvDesc,
     cfg: &WinogradConfig,
 ) -> Result<Tensor4<f32>, ConvError> {
-    conv_winograd_rt(input, filters, desc, cfg, Runtime::global())
-}
-
-/// [`conv_winograd`] on an explicit execution runtime. Outputs are
-/// bit-identical for every thread count: parallel tasks own disjoint
-/// tiles/panels and preserve the serial per-element operation order.
-///
-/// # Errors
-/// Shape mismatches, non-unit stride, or unsupported `F(m, r)`.
-pub fn conv_winograd_rt(
-    input: &Tensor4<f32>,
-    filters: &Tensor4<f32>,
-    desc: &ConvDesc,
-    cfg: &WinogradConfig,
-    rt: &Runtime,
-) -> Result<Tensor4<f32>, ConvError> {
     check_shapes(input, filters, desc)?;
-    let spec = winograd_checks(desc, cfg.m)?;
-    let recipes: Arc<TransformRecipes> = recipe_db().get(spec, cfg.options)?;
-    let pre = PrecomputedFilters::new(filters, desc, recipes)?;
-    conv_winograd_precomputed_level(
-        input,
-        &pre,
-        desc,
-        cfg.variant,
-        &cfg.gemm,
-        rt,
-        wino_gemm::simd_level(),
-    )
-}
-
-/// Winograd convolution with explicitly supplied recipes (used by the
-/// point-search accuracy protocol, which works with non-Table-3
-/// points).
-///
-/// # Errors
-/// Shape mismatches, non-unit stride, or a recipe/descriptor spec
-/// mismatch.
-pub fn conv_winograd_with_recipes(
-    input: &Tensor4<f32>,
-    filters: &Tensor4<f32>,
-    desc: &ConvDesc,
-    recipes: &TransformRecipes,
-    variant: WinogradVariant,
-) -> Result<Tensor4<f32>, ConvError> {
-    check_shapes(input, filters, desc)?;
-    let pre = PrecomputedFilters::new(filters, desc, Arc::new(recipes.clone()))?;
-    conv_winograd_precomputed(input, &pre, desc, variant, &GemmConfig::default())
+    let pre = PrecomputedFilters::for_config(filters, desc, cfg)?;
+    conv_winograd_precomputed(input, &pre, desc, cfg.variant, &cfg.gemm)
 }
 
 /// Transformed filters `U = G·g·Gᵀ` for one filter bank, computed once
@@ -193,13 +206,16 @@ pub fn conv_winograd_with_recipes(
 ///
 /// One layout is resident: `U'` as the non-fused engine's batched-GEMM
 /// A operand — α² matrices of `K × C` — already packed into the
-/// micro-kernel's row slivers ([`PackedA`]) for the process's SIMD
+/// micro-kernel's row slivers ([`PackedA`]) for one SIMD dispatch
 /// level, so steady-state requests neither transform nor pack filters.
+/// That level is a property of the bank ([`PrecomputedFilters::level`]):
+/// the engines run their transforms and the GEMM at it, so a bank
+/// never meets a micro-kernel it was not packed for.
 /// The fused engine's `(k, c, ξ)` order is a pure element reorder of
-/// it, built the first time [`PrecomputedFilters::u_kc`] is asked (so a
-/// warm run stays bit-identical to a cold one). The serving layer's
-/// plan registry builds one per registered layer; transforms are
-/// visible as the `conv.filter_transforms` counter and the
+/// the bank, built the first time [`PrecomputedFilters::u_kc`] is asked
+/// (so a warm run stays bit-identical to a cold one). The serving
+/// layer's plan registry builds one per registered layer; transforms
+/// are visible as the `conv.filter_transforms` counter and the
 /// `conv.filter_transform` span, resident bytes as the
 /// `conv.filter_bank_bytes` gauge.
 ///
@@ -229,13 +245,19 @@ impl PrecomputedFilters {
         desc: &ConvDesc,
         recipes: Arc<TransformRecipes>,
     ) -> Result<Self, ConvError> {
-        Self::new_level(filters, desc, recipes, wino_gemm::simd_level())
+        Self::new_at(filters, desc, recipes, wino_gemm::simd_level())
     }
 
-    /// [`PrecomputedFilters::new`] with the dispatch level pinned: it
-    /// selects compiled vs interpreted filter transform (same bits)
-    /// and the micro-kernel the bank is packed for.
-    fn new_level(
+    /// [`PrecomputedFilters::new`] at an explicit dispatch level — the
+    /// one A/B hook: `level` selects the filter-transform kernel (same
+    /// bits either way) and the micro-kernel the bank is packed for,
+    /// and every later call on this bank runs at it. `level` must be
+    /// one the host supports ([`SimdLevel::Scalar`], or what
+    /// [`wino_gemm::detect_simd`] reports).
+    ///
+    /// # Errors
+    /// As [`PrecomputedFilters::new`].
+    pub fn new_at(
         filters: &Tensor4<f32>,
         desc: &ConvDesc,
         recipes: Arc<TransformRecipes>,
@@ -258,50 +280,26 @@ impl PrecomputedFilters {
         let filter_hist = H_FILTER.start();
         let a2 = spec.alpha() * spec.alpha();
         let (kc, cc) = (desc.out_ch, desc.in_ch);
-        let compiled = match level {
-            SimdLevel::Scalar => None,
-            SimdLevel::Avx2 => compiled_for(&recipes),
-        };
-        // Compiled SoA path: LANES consecutive channels of one filter
-        // are the lanes, so `dst[ξ]` is a contiguous run of row k of
-        // U'(ξ); the `C mod LANES` remainder (or, without kernels,
-        // every channel) is interpreted.
-        let c_full = if compiled.is_some() {
-            cc - cc % LANES
-        } else {
-            0
-        };
-        if level == SimdLevel::Avx2 {
-            TILES_INTERPRETED.add((kc * (cc - c_full)) as u64);
-        }
-        let mut ft = TileTransformer::new(&recipes.filter);
-        let mut tile = vec![0.0f32; a2];
+        let compiled = compiled_at(&recipes, level);
+        count_interpreted(compiled, level, kc * cc);
+        let mut kernel = Kernel::new(compiled.map(|ct| ct.filter), &recipes.filter, level);
         let mut src = vec![[0.0f32; LANES]; desc.ksz * desc.ksz];
         let mut dst = vec![[0.0f32; LANES]; a2];
         // Filter k is row k of every U'(ξ): packed a row sliver at a
-        // time, no (ξ, k, c) copy of the bank is ever resident.
+        // time, no (ξ, k, c) copy of the bank is ever resident. The
+        // lanes of a group are consecutive channels of filter k, so
+        // `dst[ξ]` is a contiguous run of row k of U'(ξ).
         let bank = PackedA::from_rows(a2, kc, cc, level, |k, u_row| {
-            if let Some(ct) = compiled {
-                for c0 in (0..c_full).step_by(LANES) {
-                    for (pos, lanes) in src.iter_mut().enumerate() {
-                        for (l, lane) in lanes.iter_mut().enumerate() {
-                            *lane = filters.plane(k, c0 + l)[pos];
-                        }
-                    }
-                    ct.filter.run(level, &src, &mut dst);
-                    wino_probe::fault::inject_f32(
-                        wino_probe::fault::Site::Transform,
-                        dst.as_flattened_mut(),
-                    );
-                    for (xi, lanes) in dst.iter().enumerate() {
-                        u_row[xi * cc + c0..][..LANES].copy_from_slice(lanes);
+            for c0 in (0..cc).step_by(LANES) {
+                let count = LANES.min(cc - c0);
+                for l in 0..count {
+                    for (lanes, &val) in src.iter_mut().zip(filters.plane(k, c0 + l)) {
+                        lanes[l] = val;
                     }
                 }
-            }
-            for c in c_full..cc {
-                ft.transform(filters.plane(k, c), &mut tile);
-                for (xi, &val) in tile.iter().enumerate() {
-                    u_row[xi * cc + c] = val;
+                kernel.run(&src, &mut dst);
+                for (xi, lanes) in dst.iter().enumerate() {
+                    u_row[xi * cc + c0..][..count].copy_from_slice(&lanes[..count]);
                 }
             }
         });
@@ -341,6 +339,12 @@ impl PrecomputedFilters {
     /// The `F(m, r)` specification.
     pub fn spec(&self) -> WinogradSpec {
         self.recipes.spec
+    }
+
+    /// The dispatch level the bank was transformed and packed at, and
+    /// that every call on it runs at.
+    pub fn level(&self) -> SimdLevel {
+        self.bank.level()
     }
 
     /// Output-channel count `K` of the transformed bank.
@@ -408,9 +412,10 @@ impl Drop for PrecomputedFilters {
 }
 
 /// Winograd convolution reusing an already-transformed filter bank
-/// (skips the filter-transform phase entirely). Output is bit-identical
-/// to the cold-path [`conv_winograd_with_recipes`] with the same
-/// recipes: the warm `U` is the same values, only computed earlier.
+/// (skips the filter-transform phase entirely), on the process-wide
+/// runtime. Output is bit-identical to the cold-path [`conv_winograd`]
+/// with the same recipes: the warm `U` is the same values, only
+/// computed earlier.
 ///
 /// # Errors
 /// Shape mismatches, non-unit stride, or a transform/descriptor
@@ -422,61 +427,28 @@ pub fn conv_winograd_precomputed(
     variant: WinogradVariant,
     gemm: &GemmConfig,
 ) -> Result<Tensor4<f32>, ConvError> {
-    conv_winograd_precomputed_level(
-        input,
-        pre,
-        desc,
-        variant,
-        gemm,
-        Runtime::global(),
-        wino_gemm::simd_level(),
-    )
+    conv_winograd_precomputed_rt(input, pre, desc, variant, gemm, Runtime::global())
 }
 
-/// The engines with the transform dispatch level pinned (the public
-/// entry points pass the process-wide [`wino_gemm::simd_level`]).
-/// Public as a benchmarking/testing hook: it lets one process measure
-/// the scalar interpreted path against the compiled SIMD path without
-/// re-resolving `WINO_SIMD`.
+/// [`conv_winograd_precomputed`] on an explicit execution runtime.
+/// Outputs are bit-identical for every thread count: parallel tasks
+/// own disjoint lane groups/panels and preserve the serial per-element
+/// operation order.
 ///
-/// Under [`SimdLevel::Scalar`] both engines run the interpreted
-/// per-tile transform paths unchanged; under [`SimdLevel::Avx2`] they
-/// batch full groups of [`LANES`] tiles through the compiled SoA
-/// kernels (when [`compiled_for`] approves them) and interpret the
-/// ragged remainder. The transform kernels have no cross-lane
-/// operations, so their outputs are bit-identical across levels; only
-/// the GEMM stage's micro-kernel differs per level.
+/// Transforms and the GEMM run at [`PrecomputedFilters::level`]. The
+/// transform kernels have no cross-lane operations, so their outputs
+/// are bit-identical across levels; only the GEMM stage's micro-kernel
+/// (FMA, another tile walk) differs per level.
 ///
 /// # Errors
 /// As [`conv_winograd_precomputed`].
-#[allow(clippy::too_many_arguments)]
-pub fn conv_winograd_precomputed_level(
+pub fn conv_winograd_precomputed_rt(
     input: &Tensor4<f32>,
     pre: &PrecomputedFilters,
     desc: &ConvDesc,
     variant: WinogradVariant,
     gemm: &GemmConfig,
     rt: &Runtime,
-    level: SimdLevel,
-) -> Result<Tensor4<f32>, ConvError> {
-    conv_winograd_precomputed_levels(input, pre, desc, variant, gemm, rt, level, level)
-}
-
-/// The engines with the transform and GEMM dispatch levels pinned
-/// *independently* — a test hook: holding the GEMM level fixed while
-/// varying the transform level isolates the compiled-SoA wiring from
-/// the micro-kernel's FMA-vs-mul+add rounding difference, so the
-/// transform halves can be compared bit-for-bit.
-#[allow(clippy::too_many_arguments)]
-fn conv_winograd_precomputed_levels(
-    input: &Tensor4<f32>,
-    pre: &PrecomputedFilters,
-    desc: &ConvDesc,
-    variant: WinogradVariant,
-    gemm: &GemmConfig,
-    rt: &Runtime,
-    transform_level: SimdLevel,
-    gemm_level: SimdLevel,
 ) -> Result<Tensor4<f32>, ConvError> {
     if input.dims() != (desc.batch, desc.in_ch, desc.in_h, desc.in_w) {
         return Err(ConvError::Shape(format!(
@@ -485,159 +457,151 @@ fn conv_winograd_precomputed_levels(
         )));
     }
     pre.check_desc(desc)?;
-    let compiled = match transform_level {
-        SimdLevel::Scalar => None,
-        SimdLevel::Avx2 => compiled_for(pre.recipes()),
-    };
+    let compiled = compiled_at(pre.recipes(), pre.level());
     match variant {
-        WinogradVariant::NonFused => nonfused(
-            input,
-            pre,
-            desc,
-            gemm,
-            rt,
-            transform_level,
-            gemm_level,
-            compiled,
-        ),
-        WinogradVariant::Fused => fused(input, pre, desc, rt, transform_level, compiled),
+        WinogradVariant::NonFused => nonfused(input, pre, desc, gemm, rt, compiled),
+        WinogradVariant::Fused => fused(input, pre, desc, rt, compiled),
     }
 }
 
-/// Decomposes a linear tile index into `(batch, tile_y, tile_x)`.
-fn tile_coords(p: usize, th: usize, tw: usize) -> (usize, usize, usize) {
-    let n = p / (th * tw);
-    let rem = p % (th * tw);
-    (n, rem / tw, rem % tw)
+/// Tile geometry of one convolution call. Tiles are numbered
+/// `t = (n·th + ty)·tw + tx`; lane `l` of the lane group starting at
+/// tile `t0` is tile `t0 + l`.
+struct Tiling {
+    m: usize,
+    alpha: usize,
+    out_ch: usize,
+    oh: usize,
+    ow: usize,
+    th: usize,
+    tw: usize,
+    /// `batch · th · tw`.
+    tiles: usize,
 }
 
-// Lane loops index `lane l ↔ tile t0 + l` in parallel; an iterator
-// form would hide that pairing.
-#[allow(clippy::needless_range_loop, clippy::too_many_arguments)]
+impl Tiling {
+    fn new(desc: &ConvDesc, spec: WinogradSpec) -> Self {
+        let (oh, ow) = (desc.out_h(), desc.out_w());
+        let (th, tw) = tile_counts(oh, ow, spec.m);
+        Tiling {
+            m: spec.m,
+            alpha: spec.alpha(),
+            out_ch: desc.out_ch,
+            oh,
+            ow,
+            th,
+            tw,
+            tiles: desc.batch * th * tw,
+        }
+    }
+
+    /// Decomposes a linear tile index into `(batch, tile_y, tile_x)`.
+    fn coords(&self, t: usize) -> (usize, usize, usize) {
+        let rem = t % (self.th * self.tw);
+        (t / (self.th * self.tw), rem / self.tw, rem % self.tw)
+    }
+
+    /// Gathers channel `c` of the α×α input tiles `t0 .. t0 + count`
+    /// into lanes `0 .. count` of `src` (the other lanes keep whatever
+    /// they held); `in_tile` is α² floats of staging.
+    fn gather(
+        &self,
+        padded: &Tensor4<f32>,
+        c: usize,
+        t0: usize,
+        count: usize,
+        in_tile: &mut [f32],
+        src: &mut [[f32; LANES]],
+    ) {
+        for l in 0..count {
+            let (n, ty, tx) = self.coords(t0 + l);
+            extract_input_tile(padded, n, c, ty, tx, self.m, self.alpha, in_tile);
+            for (lanes, &val) in src.iter_mut().zip(in_tile.iter()) {
+                lanes[l] = val;
+            }
+        }
+    }
+
+    /// Writes lane `l` of `y` — the `m × m` output tile `t` of filter
+    /// `k`, clipped to the plane — into the shared output window, one
+    /// disjoint row segment at a time.
+    fn place(
+        &self,
+        out: &DisjointSlice<'_, f32>,
+        k: usize,
+        t: usize,
+        y: &[[f32; LANES]],
+        l: usize,
+    ) {
+        let (m, oh, ow) = (self.m, self.oh, self.ow);
+        let (n, ty, tx) = self.coords(t);
+        let h_eff = m.min(oh - ty * m);
+        let w_eff = m.min(ow - tx * m);
+        let plane = ((n * self.out_ch + k) * oh) * ow;
+        for dy in 0..h_eff {
+            let row = plane + (ty * m + dy) * ow + tx * m;
+            // SAFETY: exactly one (k, t) lane owns this tile, and tiles
+            // partition the plane, so row segments never overlap.
+            let dst = unsafe { out.slice_mut(row..row + w_eff) };
+            for (val, lanes) in dst.iter_mut().zip(&y[dy * m..]) {
+                *val = lanes[l];
+            }
+        }
+    }
+}
+
 fn nonfused(
     input: &Tensor4<f32>,
     pre: &PrecomputedFilters,
     desc: &ConvDesc,
     gemm: &GemmConfig,
     rt: &Runtime,
-    level: SimdLevel,
-    gemm_level: SimdLevel,
     compiled: Option<CompiledTransforms>,
 ) -> Result<Tensor4<f32>, ConvError> {
     let mut conv_span = wino_probe::span("conv.winograd.nonfused");
     conv_span.arg("desc", || desc.to_string());
-    let recipes = pre.recipes();
-    let spec = recipes.spec;
-    let (m, alpha) = (spec.m, spec.alpha());
-    let a2 = alpha * alpha;
-    let (oh, ow) = (desc.out_h(), desc.out_w());
-    let (th, tw) = tile_counts(oh, ow, m);
-    let p_total = desc.batch * th * tw;
+    let (recipes, level) = (pre.recipes(), pre.level());
+    let tiling = Tiling::new(desc, recipes.spec);
+    let (m, a2) = (tiling.m, tiling.alpha * tiling.alpha);
+    let p_total = tiling.tiles;
     let (kc, cc) = (desc.out_ch, desc.in_ch);
+    count_interpreted(compiled, level, p_total + kc * p_total);
 
-    // Stage 1a: U'(ξ) is resident, packed for the level it was built
-    // at. A call pinned to another GEMM level (the A/B hooks) re-packs
-    // for this call only — never a layout built for another `mr`.
-    let repacked;
-    let bank = if pre.bank.fits(gemm_level) {
-        &pre.bank
-    } else {
-        FILTER_REPACKS.add(1);
-        repacked = pre.bank.repacked(gemm_level);
-        &repacked
-    };
+    // Stage 1a is `pre.bank`: U'(ξ), resident and packed for `level`.
 
-    // Stage 1b: V' scatter layout (ξ, c, p), parallel over tiles `p`.
-    // A tile owns column `p` of every (ξ, c) matrix — strided but
-    // disjoint writes — and each chunk carries its own transformer
-    // scratch.
+    // Stage 1b: V' scatter layout (ξ, c, p), parallel over lane groups
+    // of tiles `p`. A group owns columns `p0 .. p0 + count` of every
+    // (ξ, c) matrix — strided but disjoint writes — and each chunk
+    // carries its own kernel scratch.
     let input_span = wino_probe::span("conv.input_transform");
     let input_hist = H_INPUT.start();
     let padded = input.pad_spatial(desc.pad);
     let mut v_scatter = vec![0.0f32; a2 * cc * p_total];
-    if let Some(ct) = compiled {
-        // Compiled SoA path: full groups of LANES tiles go through the
-        // generated kernel; the ragged tail group is interpreted.
-        let v_win = DisjointSlice::new(&mut v_scatter);
-        rt.parallel_for_chunks(0..p_total.div_ceil(LANES), 1, |groups| {
-            let _chunk_span = wino_probe::span("conv.tile_gather");
-            let mut it = TileTransformer::new(&recipes.input);
-            let mut in_tile = vec![0.0f32; a2];
-            let mut v_tile = vec![0.0f32; a2];
-            let mut src = vec![[0.0f32; LANES]; a2];
-            let mut dst = vec![[0.0f32; LANES]; a2];
-            for g in groups {
-                let p0 = g * LANES;
-                let count = LANES.min(p_total - p0);
-                TILES_GATHERED.add(count as u64);
-                if count == LANES {
-                    for c in 0..cc {
-                        for l in 0..LANES {
-                            let (n, ty, tx) = tile_coords(p0 + l, th, tw);
-                            extract_input_tile(&padded, n, c, ty, tx, m, alpha, &mut in_tile);
-                            for (xi, &val) in in_tile[..a2].iter().enumerate() {
-                                src[xi][l] = val;
-                            }
-                        }
-                        ct.input.run(level, &src, &mut dst);
-                        wino_probe::fault::inject_f32(
-                            wino_probe::fault::Site::Transform,
-                            dst.as_flattened_mut(),
-                        );
-                        // Lane l is tile p0 + l, and a (ξ, c) row is
-                        // contiguous in p: one LANES-wide store each.
-                        for (xi, lanes) in dst[..a2].iter().enumerate() {
-                            let base = (xi * cc + c) * p_total + p0;
-                            // SAFETY: only this group writes columns
-                            // p0..p0 + LANES of any (ξ, c) row.
-                            unsafe { v_win.slice_mut(base..base + LANES) }.copy_from_slice(lanes);
-                        }
-                    }
-                } else {
-                    TILES_INTERPRETED.add(count as u64);
-                    for p in p0..p_total {
-                        let (n, ty, tx) = tile_coords(p, th, tw);
-                        for c in 0..cc {
-                            extract_input_tile(&padded, n, c, ty, tx, m, alpha, &mut in_tile);
-                            it.transform(&in_tile, &mut v_tile);
-                            for (xi, &val) in v_tile[..a2].iter().enumerate() {
-                                // SAFETY: only tile `p` writes column `p`.
-                                unsafe {
-                                    v_win.write((xi * cc + c) * p_total + p, val);
-                                }
-                            }
-                        }
-                    }
+    let v_win = DisjointSlice::new(&mut v_scatter);
+    rt.parallel_for_chunks(0..p_total.div_ceil(LANES), 1, |groups| {
+        let _chunk_span = wino_probe::span("conv.tile_gather");
+        let mut kernel = Kernel::new(compiled.map(|ct| ct.input), &recipes.input, level);
+        let mut in_tile = vec![0.0f32; a2];
+        let mut src = vec![[0.0f32; LANES]; a2];
+        let mut dst = vec![[0.0f32; LANES]; a2];
+        for g in groups {
+            let p0 = g * LANES;
+            let count = LANES.min(p_total - p0);
+            TILES_GATHERED.add(count as u64);
+            for c in 0..cc {
+                tiling.gather(&padded, c, p0, count, &mut in_tile, &mut src);
+                kernel.run(&src, &mut dst);
+                // Lane l is tile p0 + l, and a (ξ, c) row is contiguous
+                // in p: one store of the group's lanes per position.
+                for (xi, lanes) in dst.iter().enumerate() {
+                    let base = (xi * cc + c) * p_total + p0;
+                    // SAFETY: only this group writes columns
+                    // p0..p0 + count of any (ξ, c) row.
+                    unsafe { v_win.slice_mut(base..base + count) }.copy_from_slice(&lanes[..count]);
                 }
             }
-        });
-    } else {
-        let v_win = DisjointSlice::new(&mut v_scatter);
-        rt.parallel_for_chunks(0..p_total, 1, |tiles| {
-            let _chunk_span = wino_probe::span("conv.tile_gather");
-            TILES_GATHERED.add(tiles.len() as u64);
-            if level == SimdLevel::Avx2 {
-                TILES_INTERPRETED.add(tiles.len() as u64);
-            }
-            let mut it = TileTransformer::new(&recipes.input);
-            let mut in_tile = vec![0.0f32; a2];
-            let mut v_tile = vec![0.0f32; a2];
-            for p in tiles {
-                let (n, ty, tx) = tile_coords(p, th, tw);
-                for c in 0..cc {
-                    extract_input_tile(&padded, n, c, ty, tx, m, alpha, &mut in_tile);
-                    it.transform(&in_tile, &mut v_tile);
-                    for (xi, &val) in v_tile[..a2].iter().enumerate() {
-                        // SAFETY: only tile `p` writes column `p`.
-                        unsafe {
-                            v_win.write((xi * cc + c) * p_total + p, val);
-                        }
-                    }
-                }
-            }
-        });
-    }
-
+        }
+    });
     drop(input_span);
     drop(input_hist);
 
@@ -653,290 +617,118 @@ fn nonfused(
         n: p_total,
     };
     let mut m_scatter = vec![0.0f32; shape.c_len()];
-    wino_gemm::batched_sgemm_packed(
-        &shape,
-        bank,
-        &v_scatter,
-        &mut m_scatter,
-        gemm,
-        rt,
-        gemm_level,
-    );
+    wino_gemm::batched_sgemm_packed(&shape, &pre.bank, &v_scatter, &mut m_scatter, gemm, rt);
     drop(gemm_span);
     drop(gemm_hist);
 
-    // Stage 3: output transform + placement, parallel over (k, p)
-    // pairs. A pair owns one m×m output tile of one plane; its rows
-    // are written as disjoint segments.
+    // Stage 3: output transform + placement, parallel over lane groups
+    // of (k, p) pairs. A pair owns one m×m output tile of one plane;
+    // its rows are written as disjoint segments.
     let output_span = wino_probe::span("conv.output_transform");
     let output_hist = H_OUTPUT.start();
-    let mut out = Tensor4::<f32>::zeros(desc.batch, kc, oh, ow);
-    if let Some(ct) = compiled {
-        let total = kc * p_total;
-        let out_win = DisjointSlice::new(out.data_mut());
-        rt.parallel_for_chunks(0..total.div_ceil(LANES), 1, |groups| {
-            let _chunk_span = wino_probe::span("conv.tile_scatter");
-            let mut ot = TileTransformer::new(&recipes.output);
-            let mut m_tile = vec![0.0f32; a2];
-            let mut y_tile = vec![0.0f32; m * m];
-            let mut src = vec![[0.0f32; LANES]; a2];
-            let mut dst = vec![[0.0f32; LANES]; m * m];
-            for g in groups {
-                let q0 = g * LANES;
-                let count = LANES.min(total - q0);
-                TILES_SCATTERED.add(count as u64);
-                if count == LANES {
-                    // Lane l is pair q0 + l, and M(ξ) is contiguous in
-                    // q = k·P + p (across a k boundary too): one
-                    // LANES-wide load per position.
-                    for (xi, lanes) in src[..a2].iter_mut().enumerate() {
-                        lanes.copy_from_slice(&m_scatter[xi * kc * p_total + q0..][..LANES]);
-                    }
-                    ct.output.run(level, &src, &mut dst);
-                    wino_probe::fault::inject_f32(
-                        wino_probe::fault::Site::Transform,
-                        dst.as_flattened_mut(),
-                    );
-                    for l in 0..LANES {
-                        let (k, p) = ((q0 + l) / p_total, (q0 + l) % p_total);
-                        let (n, ty, tx) = tile_coords(p, th, tw);
-                        for (pos, val) in y_tile.iter_mut().enumerate() {
-                            *val = dst[pos][l];
-                        }
-                        place_tile_rows(&out_win, n, k, kc, oh, ow, ty, tx, m, &y_tile);
-                    }
-                } else {
-                    TILES_INTERPRETED.add(count as u64);
-                    for q in q0..total {
-                        let (k, p) = (q / p_total, q % p_total);
-                        let (n, ty, tx) = tile_coords(p, th, tw);
-                        for xi in 0..a2 {
-                            m_tile[xi] = m_scatter[(xi * kc + k) * p_total + p];
-                        }
-                        ot.transform(&m_tile, &mut y_tile);
-                        place_tile_rows(&out_win, n, k, kc, oh, ow, ty, tx, m, &y_tile);
-                    }
-                }
+    let mut out = Tensor4::<f32>::zeros(desc.batch, kc, tiling.oh, tiling.ow);
+    let total = kc * p_total;
+    let out_win = DisjointSlice::new(out.data_mut());
+    rt.parallel_for_chunks(0..total.div_ceil(LANES), 1, |groups| {
+        let _chunk_span = wino_probe::span("conv.tile_scatter");
+        let mut kernel = Kernel::new(compiled.map(|ct| ct.output), &recipes.output, level);
+        let mut src = vec![[0.0f32; LANES]; a2];
+        let mut dst = vec![[0.0f32; LANES]; m * m];
+        for g in groups {
+            let q0 = g * LANES;
+            let count = LANES.min(total - q0);
+            TILES_SCATTERED.add(count as u64);
+            // Lane l is pair q0 + l, and M(ξ) is contiguous in
+            // q = k·P + p (across a k boundary too): one load of the
+            // group's lanes per position.
+            for (xi, lanes) in src.iter_mut().enumerate() {
+                lanes[..count].copy_from_slice(&m_scatter[xi * total + q0..][..count]);
             }
-        });
-    } else {
-        let out_win = DisjointSlice::new(out.data_mut());
-        rt.parallel_for_chunks(0..kc * p_total, 1, |pairs| {
-            let _chunk_span = wino_probe::span("conv.tile_scatter");
-            TILES_SCATTERED.add(pairs.len() as u64);
-            if level == SimdLevel::Avx2 {
-                TILES_INTERPRETED.add(pairs.len() as u64);
+            kernel.run(&src, &mut dst);
+            for l in 0..count {
+                tiling.place(&out_win, (q0 + l) / p_total, (q0 + l) % p_total, &dst, l);
             }
-            let mut ot = TileTransformer::new(&recipes.output);
-            let mut m_tile = vec![0.0f32; a2];
-            let mut y_tile = vec![0.0f32; m * m];
-            for q in pairs {
-                let (k, p) = (q / p_total, q % p_total);
-                let (n, ty, tx) = tile_coords(p, th, tw);
-                for xi in 0..a2 {
-                    m_tile[xi] = m_scatter[(xi * kc + k) * p_total + p];
-                }
-                ot.transform(&m_tile, &mut y_tile);
-                place_tile_rows(&out_win, n, k, kc, oh, ow, ty, tx, m, &y_tile);
-            }
-        });
-    }
+        }
+    });
     drop(output_span);
     drop(output_hist);
     Ok(out)
 }
 
-/// Writes the clipped `m × m` tile at `(ty, tx)` of plane `(n, k)`
-/// into the shared output window, one disjoint row segment at a time.
-#[allow(clippy::too_many_arguments)]
-fn place_tile_rows(
-    out: &DisjointSlice<'_, f32>,
-    n: usize,
-    k: usize,
-    kc: usize,
-    oh: usize,
-    ow: usize,
-    ty: usize,
-    tx: usize,
-    m: usize,
-    tile: &[f32],
-) {
-    let h_eff = m.min(oh - ty * m);
-    let w_eff = m.min(ow - tx * m);
-    let plane = ((n * kc + k) * oh) * ow;
-    for dy in 0..h_eff {
-        let row = plane + (ty * m + dy) * ow + tx * m;
-        // SAFETY: exactly one (k, p) task owns this tile, and tiles
-        // partition the plane, so row segments never overlap.
-        let dst = unsafe { out.slice_mut(row..row + w_eff) };
-        dst.copy_from_slice(&tile[dy * m..dy * m + w_eff]);
-    }
-}
-
-// Lane loops index `lane l ↔ tile t0 + l` in parallel; an iterator
-// form would hide that pairing.
+// The multiply indexes `acc`, `u` and `v_c` by the same `(ξ, lane)`; an
+// iterator chain hides that pairing (and measured ~10 % slower).
 #[allow(clippy::needless_range_loop)]
 fn fused(
     input: &Tensor4<f32>,
     pre: &PrecomputedFilters,
     desc: &ConvDesc,
     rt: &Runtime,
-    level: SimdLevel,
     compiled: Option<CompiledTransforms>,
 ) -> Result<Tensor4<f32>, ConvError> {
     let mut conv_span = wino_probe::span("conv.winograd.fused");
     conv_span.arg("desc", || desc.to_string());
-    let recipes = pre.recipes();
-    let spec = recipes.spec;
-    let (m, alpha) = (spec.m, spec.alpha());
-    let a2 = alpha * alpha;
-    let (oh, ow) = (desc.out_h(), desc.out_w());
-    let (th, tw) = tile_counts(oh, ow, m);
+    let (recipes, level) = (pre.recipes(), pre.level());
+    let tiling = Tiling::new(desc, recipes.spec);
+    let (m, a2) = (tiling.m, tiling.alpha * tiling.alpha);
     let (kc, cc) = (desc.out_ch, desc.in_ch);
+    count_interpreted(compiled, level, tiling.tiles);
 
     // The (k, c, ξ) filter bank (the generated kernel recomputes it
     // per thread block from shared memory; here it is resident).
     let u_kc = pre.u_kc();
 
     let padded = input.pad_spatial(desc.pad);
-    let mut out = Tensor4::<f32>::zeros(desc.batch, kc, oh, ow);
+    let mut out = Tensor4::<f32>::zeros(desc.batch, kc, tiling.oh, tiling.ow);
 
-    // Parallel over (n, ty, tx) tiles — the fused kernel's thread
-    // blocks. Each chunk owns transformer scratch; a tile writes its
-    // own region of every output plane, disjoint from other tiles.
-    // Per chunk, gather work (tile extraction + input transform) and
-    // scatter work (channel-summed multiply + output transform +
-    // placement) are interleaved per tile, so the two phases get
-    // chunk-level spans instead of stage-level ones.
+    // Parallel over lane groups of (n, ty, tx) tiles — the fused
+    // kernel's thread blocks: LANES spatial tiles advance together
+    // through transform, channel-summed multiply, and output
+    // transform. Each chunk owns kernel scratch; a tile writes its own
+    // region of every output plane, disjoint from other tiles. Per
+    // chunk, gather work (tile extraction + input transform) and
+    // scatter work (multiply + output transform + placement) are
+    // interleaved per group, so the two phases get chunk-level spans
+    // instead of stage-level ones.
     let out_win = DisjointSlice::new(out.data_mut());
-    if let Some(ct) = compiled {
-        // Compiled SoA path: LANES spatial tiles advance together
-        // through transform, channel-summed multiply, and output
-        // transform; the ragged tail group runs the interpreted body.
-        let total = desc.batch * th * tw;
-        rt.parallel_for_chunks(0..total.div_ceil(LANES), 1, |groups| {
-            let mut it = TileTransformer::new(&recipes.input);
-            let mut ot = TileTransformer::new(&recipes.output);
-            let mut in_tile = vec![0.0f32; a2];
-            let mut v_tiles = vec![0.0f32; cc * a2];
-            let mut acc = vec![0.0f32; a2];
-            let mut y_tile = vec![0.0f32; m * m];
-            let mut src = vec![[0.0f32; LANES]; a2];
-            let mut v_soa = vec![[0.0f32; LANES]; cc * a2];
-            let mut acc_soa = vec![[0.0f32; LANES]; a2];
-            let mut y_soa = vec![[0.0f32; LANES]; m * m];
-            for g in groups {
-                let t0 = g * LANES;
-                let count = LANES.min(total - t0);
-                TILES_GATHERED.add(count as u64);
-                TILES_SCATTERED.add(count as u64);
-                if count == LANES {
-                    let gather_span = wino_probe::span("conv.tile_gather");
-                    for c in 0..cc {
-                        for l in 0..LANES {
-                            let (n, ty, tx) = tile_coords(t0 + l, th, tw);
-                            extract_input_tile(&padded, n, c, ty, tx, m, alpha, &mut in_tile);
-                            for (xi, &val) in in_tile[..a2].iter().enumerate() {
-                                src[xi][l] = val;
-                            }
-                        }
-                        let v = &mut v_soa[c * a2..(c + 1) * a2];
-                        ct.input.run(level, &src, v);
-                        wino_probe::fault::inject_f32(
-                            wino_probe::fault::Site::Transform,
-                            v.as_flattened_mut(),
-                        );
-                    }
-                    drop(gather_span);
-                    let _scatter_span = wino_probe::span("conv.tile_scatter");
-                    for k in 0..kc {
-                        acc_soa.fill([0.0; LANES]);
-                        for c in 0..cc {
-                            let u = &u_kc[(k * cc + c) * a2..(k * cc + c + 1) * a2];
-                            let v = &v_soa[c * a2..(c + 1) * a2];
-                            for xi in 0..a2 {
-                                for l in 0..LANES {
-                                    acc_soa[xi][l] += u[xi] * v[xi][l];
-                                }
-                            }
-                        }
-                        ct.output.run(level, &acc_soa, &mut y_soa);
-                        wino_probe::fault::inject_f32(
-                            wino_probe::fault::Site::Transform,
-                            y_soa.as_flattened_mut(),
-                        );
-                        for l in 0..LANES {
-                            let (n, ty, tx) = tile_coords(t0 + l, th, tw);
-                            for (pos, val) in y_tile.iter_mut().enumerate() {
-                                *val = y_soa[pos][l];
-                            }
-                            place_tile_rows(&out_win, n, k, kc, oh, ow, ty, tx, m, &y_tile);
-                        }
-                    }
-                } else {
-                    TILES_INTERPRETED.add(count as u64);
-                    for t in t0..total {
-                        let (n, ty, tx) = tile_coords(t, th, tw);
-                        let gather_span = wino_probe::span("conv.tile_gather");
-                        for c in 0..cc {
-                            extract_input_tile(&padded, n, c, ty, tx, m, alpha, &mut in_tile);
-                            it.transform(&in_tile, &mut v_tiles[c * a2..(c + 1) * a2]);
-                        }
-                        drop(gather_span);
-                        let _scatter_span = wino_probe::span("conv.tile_scatter");
-                        for k in 0..kc {
-                            acc.fill(0.0);
-                            for c in 0..cc {
-                                let u = &u_kc[(k * cc + c) * a2..(k * cc + c + 1) * a2];
-                                let v = &v_tiles[c * a2..(c + 1) * a2];
-                                for xi in 0..a2 {
-                                    acc[xi] += u[xi] * v[xi];
-                                }
-                            }
-                            ot.transform(&acc, &mut y_tile);
-                            place_tile_rows(&out_win, n, k, kc, oh, ow, ty, tx, m, &y_tile);
-                        }
-                    }
-                }
-            }
-        });
-        return Ok(out);
-    }
-    rt.parallel_for_chunks(0..desc.batch * th * tw, 1, |tiles| {
-        TILES_GATHERED.add(tiles.len() as u64);
-        TILES_SCATTERED.add(tiles.len() as u64);
-        if level == SimdLevel::Avx2 {
-            TILES_INTERPRETED.add(tiles.len() as u64);
-        }
-        let mut it = TileTransformer::new(&recipes.input);
-        let mut ot = TileTransformer::new(&recipes.output);
+    rt.parallel_for_chunks(0..tiling.tiles.div_ceil(LANES), 1, |groups| {
+        let mut input_kernel = Kernel::new(compiled.map(|ct| ct.input), &recipes.input, level);
+        let mut output_kernel = Kernel::new(compiled.map(|ct| ct.output), &recipes.output, level);
         let mut in_tile = vec![0.0f32; a2];
-        let mut v_tiles = vec![0.0f32; cc * a2];
-        let mut acc = vec![0.0f32; a2];
-        let mut y_tile = vec![0.0f32; m * m];
-        for t in tiles {
-            let (n, ty, tx) = tile_coords(t, th, tw);
-            // Input transform for every channel of this tile.
+        let mut src = vec![[0.0f32; LANES]; a2];
+        let mut v = vec![[0.0f32; LANES]; cc * a2];
+        let mut acc = vec![[0.0f32; LANES]; a2];
+        let mut y = vec![[0.0f32; LANES]; m * m];
+        for g in groups {
+            let t0 = g * LANES;
+            let count = LANES.min(tiling.tiles - t0);
+            TILES_GATHERED.add(count as u64);
+            TILES_SCATTERED.add(count as u64);
+            // Input transform for every channel of the group.
             let gather_span = wino_probe::span("conv.tile_gather");
-            for c in 0..cc {
-                extract_input_tile(&padded, n, c, ty, tx, m, alpha, &mut in_tile);
-                it.transform(&in_tile, &mut v_tiles[c * a2..(c + 1) * a2]);
+            for (c, v_c) in v.chunks_exact_mut(a2).enumerate() {
+                tiling.gather(&padded, c, t0, count, &mut in_tile, &mut src);
+                input_kernel.run(&src, v_c);
             }
             drop(gather_span);
             // Channel-summed element-wise multiply + output transform
             // per filter.
             let _scatter_span = wino_probe::span("conv.tile_scatter");
             for k in 0..kc {
-                acc.fill(0.0);
+                acc.fill([0.0; LANES]);
+                let u_k = &u_kc[k * cc * a2..(k + 1) * cc * a2];
                 for c in 0..cc {
-                    let u = &u_kc[(k * cc + c) * a2..(k * cc + c + 1) * a2];
-                    let v = &v_tiles[c * a2..(c + 1) * a2];
+                    let u = &u_k[c * a2..(c + 1) * a2];
+                    let v_c = &v[c * a2..(c + 1) * a2];
                     for xi in 0..a2 {
-                        acc[xi] += u[xi] * v[xi];
+                        for l in 0..LANES {
+                            acc[xi][l] += u[xi] * v_c[xi][l];
+                        }
                     }
                 }
-                ot.transform(&acc, &mut y_tile);
-                place_tile_rows(&out_win, n, k, kc, oh, ow, ty, tx, m, &y_tile);
+                output_kernel.run(&acc, &mut y);
+                for l in 0..count {
+                    tiling.place(&out_win, k, t0 + l, &y, l);
+                }
             }
         }
     });
@@ -1081,61 +873,52 @@ mod tests {
     }
 
     #[test]
-    fn compiled_engines_bit_identical_to_interpreted() {
-        // Forcing the *transform* dispatch level must not change
-        // output bits: the compiled SoA kernels (filter, input,
-        // output) retire the interpreter's per-lane ops in the
-        // interpreter's order, and the lane-wide loads/stores around
-        // them only move data. The GEMM level is pinned to Scalar on
-        // both sides — the micro-kernel's FMA rounding is the one
-        // legitimate cross-level difference, and holding it fixed
-        // isolates the transform wiring. Gated on actual AVX2 support
-        // because Avx2-level kernels require it.
-        if wino_gemm::detect_simd() != SimdLevel::Avx2 {
-            return;
-        }
+    fn engines_bit_identical_with_and_without_compiled_kernels() {
+        // One bank, both engines, `compiled = Some(..)` vs `None`: the
+        // compiled SoA kernels (input, output) retire the lane
+        // interpreter's per-lane ops in its order and everything
+        // around them only moves data, so the bits must not change —
+        // at either entry of the kernels. Banks built at the two
+        // levels must hold the same U (filter kernel ≡ interpreter;
+        // packing is a pure re-layout).
         let cases = [
-            // 3×3 zoo tile sizes on a small even layer.
-            (ConvDesc::new(3, 1, 1, 4, 3, 12, 12, 3), vec![2usize, 4, 6]),
-            // 5×5 through F(4,5).
-            (ConvDesc::new(5, 1, 2, 9, 2, 11, 11, 10), vec![4]),
-            // C = 20 leaves a 4-channel filter remainder, K = 13 and
+            // P = 4 < LANES, C = 3 < LANES, K·P = 4 < LANES.
+            (ConvDesc::new(3, 1, 1, 1, 1, 4, 4, 3), vec![2usize, 4, 6]),
+            // C = 20 leaves a 4-channel filter group, K = 13 and
             // P = 2·3·3 = 18 leave ragged input and output groups, and
             // K·P crosses k boundaries inside a lane group.
             (ConvDesc::new(3, 1, 1, 13, 2, 11, 11, 20), vec![4]),
+            // 5×5 through F(4,5), C = 10.
+            (ConvDesc::new(5, 1, 2, 9, 2, 11, 11, 10), vec![4]),
         ];
+        let mut levels = vec![SimdLevel::Scalar];
+        if wino_gemm::detect_simd() == SimdLevel::Avx2 {
+            levels.push(SimdLevel::Avx2);
+        }
+        let (gemm, rt) = (GemmConfig::default(), Runtime::global());
         for (desc, ms) in cases {
             let (input, filt) = random_case(&desc, 55);
             for m in ms {
-                let cfg = WinogradConfig::new(m);
                 let spec = winograd_checks(&desc, m).unwrap();
-                let recipes = recipe_db().get(spec, cfg.options).unwrap();
-                assert!(
-                    compiled_for(&recipes).is_some(),
-                    "expected compiled kernels for {spec}"
-                );
-                for variant in [WinogradVariant::NonFused, WinogradVariant::Fused] {
-                    let run = |transform_level| {
-                        let pre = PrecomputedFilters::new_level(
-                            &filt,
-                            &desc,
-                            Arc::clone(&recipes),
-                            transform_level,
-                        )
-                        .unwrap();
-                        conv_winograd_precomputed_levels(
-                            &input,
-                            &pre,
-                            &desc,
-                            variant,
-                            &cfg.gemm,
-                            Runtime::global(),
-                            transform_level,
-                            SimdLevel::Scalar,
-                        )
-                        .unwrap()
-                    };
-                    assert_bits_equal(&run(SimdLevel::Avx2), &run(SimdLevel::Scalar));
+                let recipes = recipe_db().get(spec, RecipeOptions::optimized()).unwrap();
+                let ct = compiled_for(&recipes);
+                assert!(ct.is_some(), "expected compiled kernels for {spec}");
+                let banks: Vec<_> = levels
+                    .iter()
+                    .map(|&lv| {
+                        PrecomputedFilters::new_at(&filt, &desc, Arc::clone(&recipes), lv).unwrap()
+                    })
+                    .collect();
+                for pre in &banks {
+                    assert_eq!(pre.u_kc(), banks[0].u_kc(), "{spec} at {:?}", pre.level());
+                    assert_bits_equal(
+                        &nonfused(&input, pre, &desc, &gemm, rt, ct).unwrap(),
+                        &nonfused(&input, pre, &desc, &gemm, rt, None).unwrap(),
+                    );
+                    assert_bits_equal(
+                        &fused(&input, pre, &desc, rt, ct).unwrap(),
+                        &fused(&input, pre, &desc, rt, None).unwrap(),
+                    );
                 }
             }
         }
@@ -1160,43 +943,6 @@ mod tests {
         // The fused engine's (k, c, ξ) order appears only when asked.
         assert_eq!(pre.u_kc().len(), 13 * 20 * a2);
         assert_eq!(pre.resident_bytes(), packed + 13 * 20 * a2 * 4);
-    }
-
-    #[test]
-    fn mismatched_gemm_level_repacks_for_the_call() {
-        // A bank packed for one level serves a call pinned to the
-        // other by re-packing, and answers with that level's bits.
-        if wino_gemm::detect_simd() != SimdLevel::Avx2 {
-            return;
-        }
-        let desc = ConvDesc::new(3, 1, 1, 5, 1, 9, 9, 7);
-        let (input, filt) = random_case(&desc, 48);
-        let recipes = recipe_db()
-            .get(
-                winograd_checks(&desc, 4).unwrap(),
-                RecipeOptions::optimized(),
-            )
-            .unwrap();
-        let run = |pack_level, gemm_level| {
-            let pre = PrecomputedFilters::new_level(&filt, &desc, Arc::clone(&recipes), pack_level)
-                .unwrap();
-            conv_winograd_precomputed_level(
-                &input,
-                &pre,
-                &desc,
-                WinogradVariant::NonFused,
-                &GemmConfig::default(),
-                Runtime::global(),
-                gemm_level,
-            )
-            .unwrap()
-        };
-        for gemm_level in [SimdLevel::Scalar, SimdLevel::Avx2] {
-            assert_bits_equal(
-                &run(SimdLevel::Avx2, gemm_level),
-                &run(SimdLevel::Scalar, gemm_level),
-            );
-        }
     }
 
     #[test]
@@ -1255,23 +1001,14 @@ mod tests {
         // Descriptor says r = 3 and recipes say m = 4 — consistent —
         // but force a mismatch by using a 5×5 descriptor.
         let desc5 = ConvDesc::new(5, 1, 2, 2, 1, 8, 8, 2);
-        let (input5, filt5) = random_case(&desc5, 36);
-        assert!(conv_winograd_with_recipes(
-            &input5,
-            &filt5,
-            &desc5,
-            &other,
-            WinogradVariant::NonFused
-        )
-        .is_err());
+        let (_, filt5) = random_case(&desc5, 36);
+        assert!(PrecomputedFilters::new(&filt5, &desc5, Arc::clone(&other)).is_err());
         // Matching case passes.
-        assert!(conv_winograd_with_recipes(
-            &input,
-            &filt,
-            &desc,
-            &other,
-            WinogradVariant::NonFused
-        )
-        .is_ok());
+        let pre = PrecomputedFilters::new(&filt, &desc, other).unwrap();
+        let gemm = GemmConfig::default();
+        assert!(
+            conv_winograd_precomputed(&input, &pre, &desc, WinogradVariant::NonFused, &gemm)
+                .is_ok()
+        );
     }
 }

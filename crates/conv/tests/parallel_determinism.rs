@@ -11,7 +11,9 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wino_conv::{conv_winograd_rt, WinogradConfig, WinogradVariant};
+use wino_conv::{
+    conv_winograd_precomputed_rt, PrecomputedFilters, WinogradConfig, WinogradVariant,
+};
 use wino_runtime::Runtime;
 use wino_tensor::{ConvDesc, Tensor4};
 
@@ -34,9 +36,12 @@ fn random_case(desc: &ConvDesc, seed: u64) -> (Tensor4<f32>, Tensor4<f32>) {
 
 fn assert_bit_identical(desc: &ConvDesc, cfg: &WinogradConfig, threads: usize, seed: u64) {
     let (input, filt) = random_case(desc, seed);
-    let serial = conv_winograd_rt(&input, &filt, desc, cfg, &Runtime::serial()).unwrap();
-    let rt = Runtime::with_threads(threads);
-    let parallel = conv_winograd_rt(&input, &filt, desc, cfg, &rt).unwrap();
+    let pre = PrecomputedFilters::for_config(&filt, desc, cfg).unwrap();
+    let run = |rt: &Runtime| {
+        conv_winograd_precomputed_rt(&input, &pre, desc, cfg.variant, &cfg.gemm, rt).unwrap()
+    };
+    let serial = run(&Runtime::serial());
+    let parallel = run(&Runtime::with_threads(threads));
     assert_eq!(serial.dims(), parallel.dims());
     let exact = serial
         .data()

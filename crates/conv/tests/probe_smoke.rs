@@ -4,7 +4,9 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wino_conv::{conv_winograd_rt, WinogradConfig, WinogradVariant};
+use wino_conv::{
+    conv_winograd_precomputed_rt, PrecomputedFilters, WinogradConfig, WinogradVariant,
+};
 use wino_probe::{self as probe, Mode};
 use wino_runtime::Runtime;
 use wino_tensor::{ConvDesc, Tensor4};
@@ -35,17 +37,22 @@ fn run_traced_vs_untraced(variant: WinogradVariant, expected_spans: &[&str]) {
     let cfg = WinogradConfig::new(4).with_variant(variant);
     let (input, filt) = random_case(&desc, 0xABCD);
     let rt = Runtime::with_threads(2);
+    // A cold call: transform the bank, serve one inference from it.
+    let cold = || {
+        let pre = PrecomputedFilters::for_config(&filt, &desc, &cfg).unwrap();
+        conv_winograd_precomputed_rt(&input, &pre, &desc, variant, &cfg.gemm, &rt).unwrap()
+    };
 
     probe::set_mode(Mode::Off);
     probe::reset();
-    let untraced = conv_winograd_rt(&input, &filt, &desc, &cfg, &rt).unwrap();
+    let untraced = cold();
     assert!(
         probe::take_events().is_empty(),
         "disabled probe must record nothing"
     );
 
     probe::set_mode(Mode::Summary);
-    let traced = conv_winograd_rt(&input, &filt, &desc, &cfg, &rt).unwrap();
+    let traced = cold();
     probe::set_mode(Mode::Off);
     let events = probe::take_events();
 

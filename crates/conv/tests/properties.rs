@@ -4,7 +4,9 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wino_conv::{conv_direct_f32, conv_im2col, conv_winograd, WinogradConfig, WinogradVariant};
+use wino_conv::{
+    conv_direct_f32, conv_direct_f64, conv_im2col, conv_winograd, WinogradConfig, WinogradVariant,
+};
 use wino_symbolic::RecipeOptions;
 use wino_tensor::{ConvDesc, Tensor4};
 
@@ -109,5 +111,37 @@ proptest! {
             &WinogradConfig::new(m).with_options(RecipeOptions::minimal()),
         ).unwrap();
         prop_assert!(close(&opt, &naive, 1e-4));
+    }
+}
+
+/// Shapes whose lane groups are all ragged or tiny — `P < 8`, `C < 8`,
+/// `K·P < 8`, `C mod 8 ≠ 0`, a k-boundary inside a lane group, F(4,5)
+/// — through both engines, against the FP64 direct convolution.
+#[test]
+fn tiny_and_ragged_lane_groups_match_direct_f64() {
+    let cases = [
+        (ConvDesc::new(3, 1, 1, 1, 1, 4, 4, 1), 4), // P = 1, C = 1, K·P = 1
+        (ConvDesc::new(3, 1, 1, 1, 1, 4, 4, 3), 2), // P = 4, K·P = 4
+        (ConvDesc::new(3, 1, 1, 3, 1, 6, 6, 5), 2), // P = 9: k-boundary mid-group
+        (ConvDesc::new(3, 1, 1, 13, 2, 11, 11, 20), 4), // C mod 8 = 4, P = 18
+        (ConvDesc::new(3, 1, 1, 2, 1, 13, 13, 9), 6), // C mod 8 = 1, P = 9
+        (ConvDesc::new(5, 1, 2, 9, 2, 11, 11, 10), 4), // F(4,5)
+        (ConvDesc::new(5, 1, 2, 1, 1, 5, 5, 2), 2), // F(2,5): no compiled kernels
+    ];
+    for (desc, m) in cases {
+        let (input, filt) = random_case(&desc, 0x7a9 + m as u64);
+        let direct = conv_direct_f64(&input.to_f64(), &filt.to_f64(), &desc).unwrap();
+        for variant in [WinogradVariant::NonFused, WinogradVariant::Fused] {
+            let cfg = WinogradConfig::new(m).with_variant(variant);
+            let wino = conv_winograd(&input, &filt, &desc, &cfg).unwrap().to_f64();
+            assert_eq!(wino.dims(), direct.dims());
+            for (x, y) in wino.data().iter().zip(direct.data()) {
+                assert!(
+                    (x - y).abs() <= 5e-3 * (1.0 + y.abs()),
+                    "{desc} F({m},{}) {variant:?}: {x} vs {y}",
+                    desc.ksz
+                );
+            }
+        }
     }
 }

@@ -12,7 +12,7 @@ use crate::packed::PackedA;
 use crate::simd::{simd_level, SimdLevel};
 use wino_runtime::{DisjointSlice, Runtime};
 
-/// Independent batch multiplies executed by `batched_sgemm_rt`.
+/// Independent batch multiplies executed by the batched entries.
 static GEMM_BATCHES: wino_probe::Counter = wino_probe::Counter::new("gemm.batches");
 
 /// Shape of one batched-GEMM invocation.
@@ -55,30 +55,15 @@ impl BatchedGemmShape {
 ///
 /// Panics if a buffer is shorter than the shape requires.
 pub fn batched_sgemm(shape: &BatchedGemmShape, a: &[f32], b: &[f32], c: &mut [f32]) {
-    batched_sgemm_rt(shape, a, b, c, &GemmConfig::default(), Runtime::global());
+    let cfg = GemmConfig::default();
+    batched_sgemm_rt_level(shape, a, b, c, &cfg, Runtime::global(), simd_level());
 }
 
-/// [`batched_sgemm`] with explicit blocking config and runtime. The
-/// batch dimension carries the parallelism (the α² multiplies are
-/// independent and write disjoint `C` windows); each per-batch GEMM
-/// runs serially so its accumulation order — and therefore every
-/// output bit — matches the single-threaded path.
-pub fn batched_sgemm_rt(
-    shape: &BatchedGemmShape,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    cfg: &GemmConfig,
-    rt: &Runtime,
-) {
-    batched_sgemm_rt_level(shape, a, b, c, cfg, rt, simd_level());
-}
-
-/// [`batched_sgemm_rt`] with the SIMD dispatch level pinned instead of
-/// resolved from the process-wide [`simd_level`] — the hook the
-/// Winograd engines use so one pinned level governs transforms and
-/// multiplication alike (and benchmarks can compare levels in one
-/// process).
+/// [`batched_sgemm`] with explicit blocking config, runtime and SIMD
+/// dispatch level. The batch dimension carries the parallelism (the α²
+/// multiplies are independent and write disjoint `C` windows); each
+/// per-batch GEMM runs serially so its accumulation order — and
+/// therefore every output bit — matches the single-threaded path.
 pub fn batched_sgemm_rt_level(
     shape: &BatchedGemmShape,
     a: &[f32],
@@ -94,14 +79,12 @@ pub fn batched_sgemm_rt_level(
     batched(shape, a_of, b, c, cfg, rt, level);
 }
 
-/// [`batched_sgemm_rt_level`] over an A operand packed ahead of time:
-/// the same loop nest, minus the per-call `pack_a`, so `C` is
-/// bit-identical to the row-major entry on the matrices `a` was packed
-/// from.
+/// [`batched_sgemm_rt_level`] over an A operand packed ahead of time,
+/// at the level it was packed for ([`PackedA::level`]): the same loop
+/// nest, minus the per-call `pack_a`, so `C` is bit-identical to the
+/// row-major entry at that level on the matrices `a` was packed from.
 ///
-/// Panics if `a`'s shape differs from `shape`'s or it was packed for
-/// another sliver height than `level`'s (see [`PackedA::fits`]) — a
-/// layout built for one `mr` never answers for another.
+/// Panics if `a`'s shape differs from `shape`'s.
 pub fn batched_sgemm_packed(
     shape: &BatchedGemmShape,
     a: &PackedA,
@@ -109,22 +92,13 @@ pub fn batched_sgemm_packed(
     c: &mut [f32],
     cfg: &GemmConfig,
     rt: &Runtime,
-    level: SimdLevel,
 ) {
     assert!(
         (a.batches(), a.m(), a.k()) == (shape.batches, shape.m, shape.k),
         "packed A shape differs from the batched shape"
     );
-    assert!(a.fits(level), "A was packed for another micro-kernel");
-    batched(
-        shape,
-        |batch| ASource::Packed(a.batch(batch)),
-        b,
-        c,
-        cfg,
-        rt,
-        level,
-    );
+    let a_of = |batch: usize| ASource::Packed(a.batch(batch));
+    batched(shape, a_of, b, c, cfg, rt, a.level());
 }
 
 /// The batch loop both entries share; `a_of` names batch `b`'s A.
@@ -156,7 +130,6 @@ fn batched<'a>(
                 shape.m,
                 shape.k,
                 shape.n,
-                false,
                 cfg,
                 &serial,
                 level,

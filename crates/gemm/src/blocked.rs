@@ -55,57 +55,28 @@ const PARALLEL_FLOP_THRESHOLD: u64 = 1 << 19;
 /// part of the caller's contract, not runtime input.
 pub fn sgemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     let cfg = GemmConfig::default();
-    sgemm_acc_rt(a, b, c, m, k, n, false, &cfg, Runtime::global());
+    sgemm_rt_level(a, b, c, m, k, n, &cfg, Runtime::global(), simd_level());
 }
 
-/// Fully-parameterized entry point: explicit blocking config and
-/// execution runtime. Output bits do not depend on the runtime's
-/// thread count (see the module docs of `wino-runtime`).
+/// [`sgemm`] with explicit blocking config, execution runtime and SIMD
+/// dispatch level (instead of the defaults, the global runtime and the
+/// level resolved from `WINO_SIMD`/detection). Output bits do not
+/// depend on the runtime's thread count (see the module docs of
+/// `wino-runtime`).
 #[allow(clippy::too_many_arguments)]
-pub fn sgemm_acc_rt(
+pub fn sgemm_rt_level(
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
     m: usize,
     k: usize,
     n: usize,
-    accumulate: bool,
-    cfg: &GemmConfig,
-    rt: &Runtime,
-) {
-    sgemm_acc_rt_level(a, b, c, m, k, n, accumulate, cfg, rt, simd_level());
-}
-
-/// [`sgemm_acc_rt`] with the SIMD dispatch level pinned by the caller
-/// instead of resolved from `WINO_SIMD`/detection. This is the A/B
-/// hook the benchmarks and cross-kernel tests use; production paths
-/// go through [`sgemm_acc_rt`].
-#[allow(clippy::too_many_arguments)]
-pub fn sgemm_acc_rt_level(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    accumulate: bool,
     cfg: &GemmConfig,
     rt: &Runtime,
     level: SimdLevel,
 ) {
     assert!(a.len() >= m * k, "A too short: {} < {}", a.len(), m * k);
-    gemm_into(
-        ASource::RowMajor(a),
-        b,
-        c,
-        m,
-        k,
-        n,
-        accumulate,
-        cfg,
-        rt,
-        level,
-    );
+    gemm_into(ASource::RowMajor(a), b, c, m, k, n, cfg, rt, level);
 }
 
 /// Where the blocked loop nest finds a macro-block's `mr`-row A
@@ -135,7 +106,6 @@ pub(crate) fn gemm_into(
     m: usize,
     k: usize,
     n: usize,
-    accumulate: bool,
     cfg: &GemmConfig,
     rt: &Runtime,
     level: SimdLevel,
@@ -146,9 +116,7 @@ pub(crate) fn gemm_into(
         cfg.mc >= 1 && cfg.kc >= 1 && cfg.nc >= 1,
         "degenerate GemmConfig"
     );
-    if !accumulate {
-        c[..m * n].fill(0.0);
-    }
+    c[..m * n].fill(0.0);
     if m == 0 || n == 0 || k == 0 {
         return;
     }
@@ -513,18 +481,6 @@ mod tests {
     }
 
     #[test]
-    fn accumulate_adds_to_existing() {
-        let a = vec![1.0f32, 0.0, 0.0, 1.0];
-        let b = vec![2.0f32, 3.0, 4.0, 5.0];
-        let mut c = vec![10.0f32; 4];
-        let cfg = GemmConfig::default();
-        sgemm_acc_rt(&a, &b, &mut c, 2, 2, 2, true, &cfg, Runtime::global());
-        assert_eq!(c, vec![12.0, 13.0, 14.0, 15.0]);
-        sgemm_acc_rt(&a, &b, &mut c, 2, 2, 2, false, &cfg, Runtime::global());
-        assert_eq!(c, vec![2.0, 3.0, 4.0, 5.0]);
-    }
-
-    #[test]
     fn zero_dimensions_are_noops() {
         let mut c = vec![7.0f32; 4];
         sgemm(&[], &[], &mut c, 0, 0, 0);
@@ -557,18 +513,8 @@ mod tests {
         n: usize,
         lv: SimdLevel,
     ) {
-        sgemm_acc_rt_level(
-            a,
-            b,
-            c,
-            m,
-            k,
-            n,
-            false,
-            &GemmConfig::default(),
-            Runtime::global(),
-            lv,
-        );
+        let cfg = GemmConfig::default();
+        sgemm_rt_level(a, b, c, m, k, n, &cfg, Runtime::global(), lv);
     }
 
     #[test]
@@ -616,41 +562,17 @@ mod tests {
     }
 
     #[test]
-    fn scalar_level_accumulate_matches_plain_path() {
+    fn scalar_level_matches_plain_path() {
         // The pinned-scalar entry must take the exact same code path
-        // as sgemm under WINO_SIMD=off: accumulate twice and compare
-        // bitwise.
+        // as sgemm under WINO_SIMD=off.
         let mut rng = StdRng::seed_from_u64(9);
         let (m, k, n) = (9, 11, 10);
         let a = random_mat(&mut rng, m * k);
         let b = random_mat(&mut rng, k * n);
         let mut c1 = vec![0.5f32; m * n];
         let mut c2 = vec![0.5f32; m * n];
-        for acc in [true, false] {
-            sgemm_acc_rt_level(
-                &a,
-                &b,
-                &mut c1,
-                m,
-                k,
-                n,
-                acc,
-                &GemmConfig::default(),
-                Runtime::global(),
-                SimdLevel::Scalar,
-            );
-            sgemm_acc_rt(
-                &a,
-                &b,
-                &mut c2,
-                m,
-                k,
-                n,
-                acc,
-                &GemmConfig::default(),
-                Runtime::global(),
-            );
-        }
+        sgemm_level(&a, &b, &mut c1, m, k, n, SimdLevel::Scalar);
+        sgemm(&a, &b, &mut c2, m, k, n);
         // Only bit-equal when the ambient dispatch is also scalar.
         if simd_level() == SimdLevel::Scalar {
             assert_eq!(c1, c2);

@@ -14,12 +14,8 @@ mod packed;
 pub mod schedule;
 pub mod simd;
 
-pub use batched::{
-    batched_sgemm, batched_sgemm_packed, batched_sgemm_rt, batched_sgemm_rt_level, BatchedGemmShape,
-};
-pub use blocked::{
-    gemm_flops, pack_a, pack_b, sgemm, sgemm_acc_rt, sgemm_acc_rt_level, sgemm_naive, GemmConfig,
-};
+pub use batched::{batched_sgemm, batched_sgemm_packed, batched_sgemm_rt_level, BatchedGemmShape};
+pub use blocked::{gemm_flops, pack_a, pack_b, sgemm, sgemm_naive, sgemm_rt_level, GemmConfig};
 pub use packed::PackedA;
 pub use schedule::{
     col_panel, dim_blocks, micro_tiles, pack_a_model, pack_b_model, pack_capacities,

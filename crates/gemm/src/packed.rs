@@ -6,11 +6,13 @@
 //! whole bank to serve a handful of tile columns; [`PackedA`] does that
 //! copy once, at registration.
 //!
-//! The layout is keyed by `mr` alone: each matrix is
-//! [`crate::pack_a`] applied to the whole `m × k` operand — `⌈m/mr⌉`
+//! The layout is keyed by the dispatch level's `mr` alone: each matrix
+//! is [`crate::pack_a`] applied to the whole `m × k` operand — `⌈m/mr⌉`
 //! slivers of `k · mr` floats, depth-major inside a sliver — so a
 //! `kc`-deep block is a contiguous sub-range of every sliver and no
-//! [`crate::GemmConfig`] field selects the layout.
+//! [`crate::GemmConfig`] field selects the layout. The operand records
+//! the level it was packed for and [`crate::batched_sgemm_packed`] runs
+//! at that level, so a layout never meets another level's micro-kernel.
 
 use crate::blocked::pack_a;
 use crate::schedule::{dim_blocks, packed_a_len, tile_extents};
@@ -22,7 +24,7 @@ pub struct PackedA {
     batches: usize,
     m: usize,
     k: usize,
-    mr: usize,
+    level: SimdLevel,
 }
 
 impl PackedA {
@@ -76,28 +78,18 @@ impl PackedA {
             batches,
             m,
             k,
-            mr,
+            level,
         }
     }
 
-    /// Whether this layout is the one `level`'s micro-kernel reads.
-    pub fn fits(&self, level: SimdLevel) -> bool {
-        self.mr == tile_extents(level).0
-    }
-
-    /// The same matrices packed for `level` (a pure re-layout).
-    pub fn repacked(&self, level: SimdLevel) -> Self {
-        let k = self.k;
-        Self::from_rows(self.batches, self.m, k, level, |row, out| {
-            for (batch, dst) in out.chunks_exact_mut(k).enumerate() {
-                self.copy_row(batch, row, dst);
-            }
-        })
+    /// The dispatch level whose micro-kernel reads this layout.
+    pub fn level(&self) -> SimdLevel {
+        self.level
     }
 
     /// Reads row `i` of matrix `batch` back out into `dst[..k]`.
     pub fn copy_row(&self, batch: usize, i: usize, dst: &mut [f32]) {
-        let (k, mr) = (self.k, self.mr);
+        let (k, mr) = (self.k, tile_extents(self.level).0);
         let sliver = &self.batch(batch)[(i / mr) * k * mr..][..k * mr];
         for (p, v) in dst[..k].iter_mut().enumerate() {
             *v = sliver[p * mr + i % mr];
@@ -127,7 +119,7 @@ impl PackedA {
     /// Packed matrix `batch`: [`packed_a_len`]`(m, k, mr)` floats laid
     /// out as [`crate::pack_a_model`]`(m, k, mr)` describes.
     pub fn batch(&self, batch: usize) -> &[f32] {
-        let stride = packed_a_len(self.m, self.k, self.mr);
+        let stride = packed_a_len(self.m, self.k, tile_extents(self.level).0);
         &self.data[batch * stride..(batch + 1) * stride]
     }
 }

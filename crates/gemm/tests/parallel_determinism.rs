@@ -7,7 +7,7 @@
 //! random shapes, ragged panel tilings, and 1–8 worker lanes.
 
 use proptest::prelude::*;
-use wino_gemm::{batched_sgemm_rt, sgemm_acc_rt, BatchedGemmShape, GemmConfig};
+use wino_gemm::{batched_sgemm_rt_level, sgemm_rt_level, simd_level, BatchedGemmShape, GemmConfig};
 use wino_runtime::Runtime;
 
 fn bits(v: &[f32]) -> Vec<u32> {
@@ -33,20 +33,19 @@ proptest! {
         mc in 4usize..40,
         nc in 4usize..40,
         threads in 1usize..9,
-        accumulate in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let a = random_vec(m * k, seed);
         let b = random_vec(k * n, seed ^ 0x9e37);
-        let c_init = random_vec(m * n, seed ^ 0x79b9);
         let cfg = GemmConfig { mc, kc: 16, nc };
+        let level = simd_level();
 
-        let mut serial = c_init.clone();
-        sgemm_acc_rt(&a, &b, &mut serial, m, k, n, accumulate, &cfg, &Runtime::serial());
+        let mut serial = vec![0.0f32; m * n];
+        sgemm_rt_level(&a, &b, &mut serial, m, k, n, &cfg, &Runtime::serial(), level);
 
         let rt = Runtime::with_threads(threads);
-        let mut parallel = c_init.clone();
-        sgemm_acc_rt(&a, &b, &mut parallel, m, k, n, accumulate, &cfg, &rt);
+        let mut parallel = vec![0.0f32; m * n];
+        sgemm_rt_level(&a, &b, &mut parallel, m, k, n, &cfg, &rt, level);
 
         prop_assert_eq!(bits(&serial), bits(&parallel));
     }
@@ -64,13 +63,14 @@ proptest! {
         let a = random_vec(shape.a_len(), seed);
         let b = random_vec(shape.b_len(), seed ^ 0xabcd);
         let cfg = GemmConfig { mc: 8, kc: 8, nc: 12 };
+        let level = simd_level();
 
         let mut serial = vec![0.0f32; shape.c_len()];
-        batched_sgemm_rt(&shape, &a, &b, &mut serial, &cfg, &Runtime::serial());
+        batched_sgemm_rt_level(&shape, &a, &b, &mut serial, &cfg, &Runtime::serial(), level);
 
         let rt = Runtime::with_threads(threads);
         let mut parallel = vec![0.0f32; shape.c_len()];
-        batched_sgemm_rt(&shape, &a, &b, &mut parallel, &cfg, &rt);
+        batched_sgemm_rt_level(&shape, &a, &b, &mut parallel, &cfg, &rt, level);
 
         prop_assert_eq!(bits(&serial), bits(&parallel));
     }

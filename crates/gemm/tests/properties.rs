@@ -89,7 +89,7 @@ proptest! {
 // ---------------------------------------------------------------------
 
 use wino_gemm::{
-    pack_a, pack_a_model, pack_b, pack_b_model, packed_a_len, packed_b_len, sgemm_acc_rt_level,
+    pack_a, pack_a_model, pack_b, pack_b_model, packed_a_len, packed_b_len, sgemm_rt_level,
     GemmConfig, PackSlot, SimdLevel, MR_AVX2, MR_SCALAR, NR_AVX2, NR_SCALAR,
 };
 
@@ -187,33 +187,29 @@ proptest! {
         m in adversarial_dim(),
         k in adversarial_dim(),
         n in adversarial_dim(),
-        accumulate in any::<bool>(),
         seed in any::<u64>(),
     ) {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let a: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-2.0..2.0)).collect();
         let b: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-2.0..2.0)).collect();
+        // Stale C contents must be overwritten, not accumulated into.
         let init: Vec<f32> = (0..m * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
         // A tiny blocking config forces ragged remainders in every
         // dimension even for small shapes.
         let cfg = GemmConfig { mc: 8, kc: 8, nc: 16 };
         let rt = wino_runtime::Runtime::global();
 
-        let mut expect = if accumulate { init.clone() } else { vec![0.0; m * n] };
-        let mut expect_term = vec![0.0f32; m * n];
-        sgemm_naive(&a, &b, &mut expect_term, m, k, n);
-        for (e, t) in expect.iter_mut().zip(&expect_term) {
-            if accumulate { *e += t } else { *e = *t }
-        }
+        let mut expect = vec![0.0f32; m * n];
+        sgemm_naive(&a, &b, &mut expect, m, k, n);
 
         for level in test_levels() {
             let mut c = init.clone();
-            sgemm_acc_rt_level(&a, &b, &mut c, m, k, n, accumulate, &cfg, rt, level);
+            sgemm_rt_level(&a, &b, &mut c, m, k, n, &cfg, rt, level);
             prop_assert!(
                 close(&c, &expect),
-                "level {:?} diverges from naive at m={} k={} n={} accumulate={}",
-                level, m, k, n, accumulate
+                "level {:?} diverges from naive at m={} k={} n={}",
+                level, m, k, n
             );
         }
     }
@@ -221,8 +217,8 @@ proptest! {
 
 // ---------------------------------------------------------------------
 // Packed-A operand (PR 14): the layout is the whole-matrix pack model,
-// it unpacks and re-levels losslessly, and the packed batched entry is
-// the row-major one bit for bit — over shapes that leave every block
+// it unpacks losslessly, and the packed batched entry is the row-major
+// one at the operand's level bit for bit — over shapes that leave every block
 // (mr sliver, mc, kc, nr, nc) ragged, at both levels and thread counts.
 // ---------------------------------------------------------------------
 
@@ -266,7 +262,7 @@ proptest! {
             batched_sgemm_rt_level(&shape, &a, &b, &mut want, &cfg, &rt, level);
             let packed = PackedA::pack(&a, batches, m, k, level);
             let mut got = vec![f32::NAN; shape.c_len()];
-            batched_sgemm_packed(&shape, &packed, &b, &mut got, &cfg, &rt, level);
+            batched_sgemm_packed(&shape, &packed, &b, &mut got, &cfg, &rt);
             for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                 prop_assert_eq!(
                     g.to_bits(), w.to_bits(),
@@ -289,7 +285,7 @@ proptest! {
         for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
             let mr = tile_extents(level).0;
             let packed = PackedA::pack(&a, batches, m, k, level);
-            prop_assert!(packed.fits(level));
+            prop_assert_eq!(packed.level(), level);
             prop_assert_eq!(packed.bytes(), batches * packed_a_len(m, k, mr) * 4);
             let model = pack_a_model(m, k, mr);
             for batch in 0..batches {
@@ -334,37 +330,6 @@ proptest! {
                     }
                 }
             }
-            // Re-levelling is a pure re-layout.
-            for other in [SimdLevel::Scalar, SimdLevel::Avx2] {
-                let again = packed.repacked(other);
-                prop_assert!(again.fits(other));
-                let direct = PackedA::pack(&a, batches, m, k, other);
-                for batch in 0..batches {
-                    prop_assert_eq!(again.batch(batch), direct.batch(batch));
-                }
-            }
         }
     }
-}
-
-#[test]
-#[should_panic(expected = "packed for another micro-kernel")]
-fn packed_entry_rejects_a_layout_for_another_mr() {
-    let shape = BatchedGemmShape {
-        batches: 1,
-        m: 7,
-        k: 3,
-        n: 2,
-    };
-    let packed = PackedA::pack(&[1.0; 21], 1, 7, 3, SimdLevel::Avx2);
-    let mut c = vec![0.0f32; shape.c_len()];
-    batched_sgemm_packed(
-        &shape,
-        &packed,
-        &[1.0; 6],
-        &mut c,
-        &GemmConfig::default(),
-        &wino_runtime::Runtime::serial(),
-        SimdLevel::Scalar,
-    );
 }

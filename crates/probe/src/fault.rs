@@ -39,7 +39,8 @@ use parking_lot::Mutex;
 /// engine stack and three in the serving layer above it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Site {
-    /// Output of a Winograd tile transform (`TileTransformer`).
+    /// Output of a Winograd tile transform in the engines (the one
+    /// kernel call every transform stage makes per lane group).
     Transform,
     /// The blocked SGEMM kernel (covers plain, batched, im2col use).
     Gemm,

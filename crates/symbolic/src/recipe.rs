@@ -520,6 +520,33 @@ impl RecipeScalar for f64 {
     }
 }
 
+/// Eight independent `f32` lanes — one register of a structure-of-arrays
+/// tile group. Every op is the `f32` op applied lane by lane, with no
+/// cross-lane arithmetic, so a recipe run over `[f32; 8]` retires, per
+/// lane, exactly the IEEE operations the `f32` run retires, in the same
+/// order: lane `l` of the result is bitwise the scalar result on lane
+/// `l` of the inputs.
+impl RecipeScalar for [f32; 8] {
+    fn from_rational(r: &Rational) -> Self {
+        [r.to_f32(); 8]
+    }
+    fn add(a: Self, b: Self) -> Self {
+        std::array::from_fn(|l| a[l] + b[l])
+    }
+    fn sub(a: Self, b: Self) -> Self {
+        std::array::from_fn(|l| a[l] - b[l])
+    }
+    fn mul(a: Self, b: Self) -> Self {
+        std::array::from_fn(|l| a[l] * b[l])
+    }
+    fn fma(c: Self, a: Self, b: Self) -> Self {
+        std::array::from_fn(|l| c[l].mul_add(a[l], b[l]))
+    }
+    fn neg(a: Self) -> Self {
+        a.map(|v| -v)
+    }
+}
+
 /// Flat-register instruction for the compiled executor.
 #[derive(Clone, Copy, Debug)]
 enum CompiledOp<T> {

@@ -8,6 +8,16 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "== one way to run a Winograd convolution"
+# The entry ladder is conv_winograd (cold) -> conv_winograd_precomputed
+# (global runtime) -> conv_winograd_precomputed_rt (explicit runtime);
+# a fourth name is a twin growing back.
+ladder=$(grep -c 'fn conv_winograd' crates/conv/src/winograd.rs)
+if [ "$ladder" -ne 3 ]; then
+  echo "FAIL: expected 3 conv_winograd* functions in winograd.rs, found $ladder" >&2
+  exit 1
+fi
+
 echo "== cargo clippy (workspace, warnings are errors, SAFETY comments required)"
 # `undocumented_unsafe_blocks` is allow-by-default; deny it so every
 # unsafe block/impl must carry a `// SAFETY:` rationale. wino-verify's
@@ -164,11 +174,14 @@ serve_smoke() {
 # kernels' fingerprints match their recipes, so the compiled path
 # never silently degrades to the interpreter (satellite of the
 # compiled-kernel proof gate — drift is observable, and absent).
+# conv.tiles_interpreted=0 on the clean run: every lane group, ragged
+# last one included, went through a compiled kernel.
 # Sequential requests never stack, so the depth gauge peaks at exactly 1.
 serve_smoke --smoke "" \
   serve.enqueued=8 serve.shed=0 serve.batches=8 serve.batched=0 \
   serve.executed=8 serve.deadline_demotions=0 conv.filter_transforms=1 \
-  conv.compiled_fallback=0 conv.filter_repacks=0 guard.demote.guardrail=0 guard.served_by_fallback=0 \
+  conv.compiled_fallback=0 conv.tiles_interpreted=0 \
+  guard.demote.guardrail=0 guard.served_by_fallback=0 \
   exec.allocs_steady=0 exec.degraded_runs=0 serve.networks_registered=0 \
   "gauge serve.breaker_state.smoke/conv=0 peak=0" \
   "gauge serve.queue_depth=0 peak=1"
@@ -184,22 +197,20 @@ serve_smoke --smoke "transform:nan" \
   "gauge serve.breaker_state.smoke/conv=2 peak=2" \
   "gauge serve.queue_depth=0 peak=1"
 # Clean network run: full accounting, zero demotions, zero steady
-# allocations. The transform interpreter must not hide again: no bank
-# was re-packed for a foreign SIMD level, no compiled kernel drifted
-# from its recipe, and alexnet's warmup pass (served alone, so its
-# tile counts are exact) interpreted only the ragged tails of its
-# 8-lane groups — conv2's 5x5 tiles run the compiled F(4,5) kernels.
+# allocations. The transform interpreter must not hide again: no
+# compiled kernel drifted from its recipe, and no zoo layer handed a
+# single tile to the interpreter — conv2's 5x5 tiles run the compiled
+# F(4,5) kernels, ragged lane groups ride the compiled kernels too.
 serve_smoke --net-smoke "" \
   serve.enqueued=10 serve.executed=10 serve.shed=0 \
   serve.deadline_demotions=0 serve.networks_registered=2 \
   exec.allocs_steady=0 exec.degraded_runs=0 \
   guard.demote.guardrail=0 guard.served_by_fallback=0 \
-  conv.filter_repacks=0 conv.compiled_fallback=0 \
+  conv.compiled_fallback=0 conv.tiles_interpreted=0 \
   "net-smoke: steady served=8/8" \
   "net-smoke: demotions=0" \
   "net-smoke: planner peak under naive activations: ok" \
-  "net-smoke: warm transforms once per winograd conv: ok" \
-  "net-smoke: alexnet interpreter on ragged tails only: ok"
+  "net-smoke: warm transforms once per winograd conv: ok"
 # Poisoned transforms: all 10 requests still serve (guard demotes each
 # Winograd conv to its fallback), and the steady phase still allocates
 # nothing at graph level.
