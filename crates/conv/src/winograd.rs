@@ -5,7 +5,8 @@
 //! materializes the transformed filters `U'` and inputs `V'` in the
 //! scatter layouts of Lavin & Gray and runs the multiplication stage
 //! as α² batched SGEMMs — `U'` packed once, at construction, into the
-//! GEMM micro-kernel's own A order. The **fused** engine processes a
+//! GEMM micro-kernel's own A order, `V'` written by the input transform
+//! straight into its B order. The **fused** engine processes a
 //! group of input tiles end-to-end — transform, channel-summed
 //! element-wise multiply, output transform — without materializing
 //! intermediates, mirroring the single-kernel variant's dataflow.
@@ -22,10 +23,10 @@
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use wino_gemm::{BatchedGemmShape, GemmConfig, PackedA, SimdLevel};
+use wino_gemm::{BatchedGemmShape, GemmConfig, PackedA, PackedB, SimdLevel};
 use wino_runtime::{DisjointSlice, Runtime};
 use wino_symbolic::{Recipe, RecipeOptions};
-use wino_tensor::{extract_input_tile, tile_counts, ConvDesc, Tensor4};
+use wino_tensor::{tile_counts, ConvDesc, Tensor4};
 use wino_transform::{recipe_db, TransformRecipes, WinogradSpec};
 
 use crate::compiled::{compiled_for, CompiledTransforms, SoaKernel, LANES};
@@ -470,6 +471,7 @@ pub fn conv_winograd_precomputed_rt(
 struct Tiling {
     m: usize,
     alpha: usize,
+    in_ch: usize,
     out_ch: usize,
     oh: usize,
     ow: usize,
@@ -477,21 +479,25 @@ struct Tiling {
     tw: usize,
     /// `batch · th · tw`.
     tiles: usize,
+    /// The bank's dispatch level: how [`Tiling::gather`] moves floats.
+    level: SimdLevel,
 }
 
 impl Tiling {
-    fn new(desc: &ConvDesc, spec: WinogradSpec) -> Self {
+    fn new(desc: &ConvDesc, spec: WinogradSpec, level: SimdLevel) -> Self {
         let (oh, ow) = (desc.out_h(), desc.out_w());
         let (th, tw) = tile_counts(oh, ow, spec.m);
         Tiling {
             m: spec.m,
             alpha: spec.alpha(),
+            in_ch: desc.in_ch,
             out_ch: desc.out_ch,
             oh,
             ow,
             th,
             tw,
             tiles: desc.batch * th * tw,
+            level,
         }
     }
 
@@ -501,24 +507,54 @@ impl Tiling {
         (t / (self.th * self.tw), rem / self.tw, rem % self.tw)
     }
 
-    /// Gathers channel `c` of the α×α input tiles `t0 .. t0 + count`
-    /// into lanes `0 .. count` of `src` (the other lanes keep whatever
-    /// they held); `in_tile` is α² floats of staging.
+    /// Extent `(h, w)` of a plane zero-padded to whole tiles: the last
+    /// tile row and column end exactly at the edge, so every tile's
+    /// α × α window is in bounds and [`Tiling::gather`] tests nothing.
+    fn padded_extent(&self) -> (usize, usize) {
+        let overlap = self.alpha - self.m;
+        (self.th * self.m + overlap, self.tw * self.m + overlap)
+    }
+
+    /// `input` with `pad` zeros above and left of every plane and zeros
+    /// out to [`Tiling::padded_extent`] below and right.
+    fn pad(&self, input: &Tensor4<f32>, pad: usize) -> Tensor4<f32> {
+        let (h, w) = self.padded_extent();
+        input.pad_to(pad, h, w)
+    }
+
+    /// Offsets, in the padded input's data, of the channel-0 windows of
+    /// tiles `t0 .. t0 + count` — a lane group's geometry, found once
+    /// per group; channel `c`'s windows are `c` planes further on. The
+    /// lanes past `count` repeat the first tile.
+    fn origins(&self, t0: usize, count: usize) -> [usize; LANES] {
+        let (h, w) = self.padded_extent();
+        std::array::from_fn(|l| {
+            let (n, ty, tx) = self.coords(t0 + if l < count { l } else { 0 });
+            (n * self.in_ch * h + ty * self.m) * w + tx * self.m
+        })
+    }
+
+    /// Gathers channel `c` of the α×α input tiles at `origins` (from
+    /// [`Tiling::origins`]) into the lanes of `src`. What the lanes past
+    /// the group's `count` receive is a repeat of lane 0 — in bounds,
+    /// and never read back.
     fn gather(
         &self,
         padded: &Tensor4<f32>,
+        origins: &[usize; LANES],
         c: usize,
-        t0: usize,
-        count: usize,
-        in_tile: &mut [f32],
         src: &mut [[f32; LANES]],
     ) {
-        for l in 0..count {
-            let (n, ty, tx) = self.coords(t0 + l);
-            extract_input_tile(padded, n, c, ty, tx, self.m, self.alpha, in_tile);
-            for (lanes, &val) in src.iter_mut().zip(in_tile.iter()) {
-                lanes[l] = val;
-            }
+        let (h, w) = self.padded_extent();
+        let plane = &padded.data()[c * h * w..];
+        match self.level {
+            SimdLevel::Scalar => gather_rows(plane, w, origins, self.alpha, src),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: Avx2 is only ever resolved on CPUs reporting
+            // avx2+fma (see wino_gemm::resolve_simd).
+            SimdLevel::Avx2 => unsafe { gather_rows_avx2(plane, w, origins, self.alpha, src) },
+            #[cfg(not(target_arch = "x86_64"))]
+            SimdLevel::Avx2 => unreachable!("avx2 level on non-x86_64"),
         }
     }
 
@@ -550,6 +586,118 @@ impl Tiling {
     }
 }
 
+/// `src[dy·α + dx][l] = plane[origins[l] + dy·w + dx]` for every lane
+/// `l` and `dy, dx < α`: the α×α windows at `origins`, rows `w` apart,
+/// into position-major SoA.
+fn gather_rows(
+    plane: &[f32],
+    w: usize,
+    origins: &[usize; LANES],
+    alpha: usize,
+    src: &mut [[f32; LANES]],
+) {
+    for (dy, positions) in src.chunks_exact_mut(alpha).enumerate() {
+        for (l, origin) in origins.iter().enumerate() {
+            let row = &plane[origin + dy * w..][..alpha];
+            for (lanes, &val) in positions.iter_mut().zip(row) {
+                lanes[l] = val;
+            }
+        }
+    }
+}
+
+/// [`gather_rows`] at vector width: a window row of all eight lanes —
+/// eight α-float slices — becomes that row's SoA positions, eight
+/// columns at a time through an in-register 8×8 transpose. Every load
+/// reads inside its lane's row slice (a masked load where fewer than
+/// eight columns remain) and every store is a whole `[f32; LANES]`
+/// position, so the bounds are the slices' own.
+///
+/// # Safety
+/// Requires AVX2 on the host; callers hold the [`SimdLevel::Avx2`]
+/// dispatch token.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn gather_rows_avx2(
+    plane: &[f32],
+    w: usize,
+    origins: &[usize; LANES],
+    alpha: usize,
+    src: &mut [[f32; LANES]],
+) {
+    use std::arch::x86_64::*;
+    /// `TAIL[8 - n..][..8]` masks the first `n` lanes of a vector.
+    const TAIL: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+    for (dy, positions) in src.chunks_exact_mut(alpha).enumerate() {
+        let rows = origins.map(|origin| &plane[origin + dy * w..][..alpha]);
+        for (chunk, out) in positions.chunks_mut(LANES).enumerate() {
+            let x0 = chunk * LANES;
+            let mask = _mm256_loadu_si256(TAIL[LANES - out.len()..][..LANES].as_ptr().cast());
+            let mut r = [_mm256_setzero_ps(); LANES];
+            for (v, row) in r.iter_mut().zip(rows) {
+                let row = &row[x0..x0 + out.len()];
+                *v = if row.len() == LANES {
+                    _mm256_loadu_ps(row.as_ptr())
+                } else {
+                    _mm256_maskload_ps(row.as_ptr(), mask)
+                };
+            }
+            // 8×8 transpose. Interleave row pairs: `lo`/`hi(a, b)` hold
+            // columns 0, 1 | 4, 5 and 2, 3 | 6, 7 of rows `a`, `b`.
+            let (t0, t1) = (
+                _mm256_unpacklo_ps(r[0], r[1]),
+                _mm256_unpackhi_ps(r[0], r[1]),
+            );
+            let (t2, t3) = (
+                _mm256_unpacklo_ps(r[2], r[3]),
+                _mm256_unpackhi_ps(r[2], r[3]),
+            );
+            let (t4, t5) = (
+                _mm256_unpacklo_ps(r[4], r[5]),
+                _mm256_unpackhi_ps(r[4], r[5]),
+            );
+            let (t6, t7) = (
+                _mm256_unpacklo_ps(r[6], r[7]),
+                _mm256_unpackhi_ps(r[6], r[7]),
+            );
+            // Pairs of pairs: `top[c]` is column c | c + 4 of rows 0..4,
+            // `bottom[c]` the same of rows 4..8.
+            const EVEN: i32 = 0b0100_0100;
+            const ODD: i32 = 0b1110_1110;
+            let top = [
+                _mm256_shuffle_ps::<EVEN>(t0, t2),
+                _mm256_shuffle_ps::<ODD>(t0, t2),
+                _mm256_shuffle_ps::<EVEN>(t1, t3),
+                _mm256_shuffle_ps::<ODD>(t1, t3),
+            ];
+            let bottom = [
+                _mm256_shuffle_ps::<EVEN>(t4, t6),
+                _mm256_shuffle_ps::<ODD>(t4, t6),
+                _mm256_shuffle_ps::<EVEN>(t5, t7),
+                _mm256_shuffle_ps::<ODD>(t5, t7),
+            ];
+            // Swap 128-bit halves: low halves are columns 0..4, high 4..8.
+            let cols = [
+                _mm256_permute2f128_ps::<0x20>(top[0], bottom[0]),
+                _mm256_permute2f128_ps::<0x20>(top[1], bottom[1]),
+                _mm256_permute2f128_ps::<0x20>(top[2], bottom[2]),
+                _mm256_permute2f128_ps::<0x20>(top[3], bottom[3]),
+                _mm256_permute2f128_ps::<0x31>(top[0], bottom[0]),
+                _mm256_permute2f128_ps::<0x31>(top[1], bottom[1]),
+                _mm256_permute2f128_ps::<0x31>(top[2], bottom[2]),
+                _mm256_permute2f128_ps::<0x31>(top[3], bottom[3]),
+            ];
+            // Eight guarded stores, not a loop over `out`: a copy of
+            // run-time length out of `cols` compiles to a spill and a call.
+            for (j, col) in cols.iter().enumerate() {
+                if let Some(position) = out.get_mut(j) {
+                    _mm256_storeu_ps(position.as_mut_ptr(), *col);
+                }
+            }
+        }
+    }
+}
+
 fn nonfused(
     input: &Tensor4<f32>,
     pre: &PrecomputedFilters,
@@ -561,7 +709,7 @@ fn nonfused(
     let mut conv_span = wino_probe::span("conv.winograd.nonfused");
     conv_span.arg("desc", || desc.to_string());
     let (recipes, level) = (pre.recipes(), pre.level());
-    let tiling = Tiling::new(desc, recipes.spec);
+    let tiling = Tiling::new(desc, recipes.spec, level);
     let (m, a2) = (tiling.m, tiling.alpha * tiling.alpha);
     let p_total = tiling.tiles;
     let (kc, cc) = (desc.out_ch, desc.in_ch);
@@ -569,36 +717,33 @@ fn nonfused(
 
     // Stage 1a is `pre.bank`: U'(ξ), resident and packed for `level`.
 
-    // Stage 1b: V' scatter layout (ξ, c, p), parallel over lane groups
-    // of tiles `p`. A group owns columns `p0 .. p0 + count` of every
-    // (ξ, c) matrix — strided but disjoint writes — and each chunk
-    // carries its own kernel scratch.
+    // Stage 1b: V'(ξ), α² matrices of C × P, born in the GEMM
+    // micro-kernel's B order; parallel over lane groups of tiles `p`. A
+    // group owns columns `p0 .. p0 + count` of every (ξ, c) row —
+    // disjoint writes — and each chunk carries its own kernel scratch.
     let input_span = wino_probe::span("conv.input_transform");
     let input_hist = H_INPUT.start();
-    let padded = input.pad_spatial(desc.pad);
-    let mut v_scatter = vec![0.0f32; a2 * cc * p_total];
-    let v_win = DisjointSlice::new(&mut v_scatter);
+    let padded = tiling.pad(input, desc.pad);
+    let mut v_packed = PackedB::zeroed(a2, cc, p_total, level);
+    let v_columns = v_packed.columns();
     rt.parallel_for_chunks(0..p_total.div_ceil(LANES), 1, |groups| {
         let _chunk_span = wino_probe::span("conv.tile_gather");
         let mut kernel = Kernel::new(compiled.map(|ct| ct.input), &recipes.input, level);
-        let mut in_tile = vec![0.0f32; a2];
         let mut src = vec![[0.0f32; LANES]; a2];
         let mut dst = vec![[0.0f32; LANES]; a2];
         for g in groups {
             let p0 = g * LANES;
             let count = LANES.min(p_total - p0);
             TILES_GATHERED.add(count as u64);
+            let origins = tiling.origins(p0, count);
             for c in 0..cc {
-                tiling.gather(&padded, c, p0, count, &mut in_tile, &mut src);
+                tiling.gather(&padded, &origins, c, &mut src);
                 kernel.run(&src, &mut dst);
-                // Lane l is tile p0 + l, and a (ξ, c) row is contiguous
-                // in p: one store of the group's lanes per position.
-                for (xi, lanes) in dst.iter().enumerate() {
-                    let base = (xi * cc + c) * p_total + p0;
-                    // SAFETY: only this group writes columns
-                    // p0..p0 + count of any (ξ, c) row.
-                    unsafe { v_win.slice_mut(base..base + count) }.copy_from_slice(&lanes[..count]);
-                }
+                // Lane l is tile p0 + l, column p0 + l of row c of
+                // every V'(ξ).
+                // SAFETY: only this group writes columns
+                // p0..p0 + count of any (ξ, c) row.
+                unsafe { v_columns.write(c, p0, count, &dst) };
             }
         }
     });
@@ -617,7 +762,7 @@ fn nonfused(
         n: p_total,
     };
     let mut m_scatter = vec![0.0f32; shape.c_len()];
-    wino_gemm::batched_sgemm_packed(&shape, &pre.bank, &v_scatter, &mut m_scatter, gemm, rt);
+    wino_gemm::batched_sgemm_packed(&shape, &pre.bank, &v_packed, &mut m_scatter, gemm, rt);
     drop(gemm_span);
     drop(gemm_hist);
 
@@ -668,7 +813,7 @@ fn fused(
     let mut conv_span = wino_probe::span("conv.winograd.fused");
     conv_span.arg("desc", || desc.to_string());
     let (recipes, level) = (pre.recipes(), pre.level());
-    let tiling = Tiling::new(desc, recipes.spec);
+    let tiling = Tiling::new(desc, recipes.spec, level);
     let (m, a2) = (tiling.m, tiling.alpha * tiling.alpha);
     let (kc, cc) = (desc.out_ch, desc.in_ch);
     count_interpreted(compiled, level, tiling.tiles);
@@ -677,7 +822,7 @@ fn fused(
     // per thread block from shared memory; here it is resident).
     let u_kc = pre.u_kc();
 
-    let padded = input.pad_spatial(desc.pad);
+    let padded = tiling.pad(input, desc.pad);
     let mut out = Tensor4::<f32>::zeros(desc.batch, kc, tiling.oh, tiling.ow);
 
     // Parallel over lane groups of (n, ty, tx) tiles — the fused
@@ -693,7 +838,6 @@ fn fused(
     rt.parallel_for_chunks(0..tiling.tiles.div_ceil(LANES), 1, |groups| {
         let mut input_kernel = Kernel::new(compiled.map(|ct| ct.input), &recipes.input, level);
         let mut output_kernel = Kernel::new(compiled.map(|ct| ct.output), &recipes.output, level);
-        let mut in_tile = vec![0.0f32; a2];
         let mut src = vec![[0.0f32; LANES]; a2];
         let mut v = vec![[0.0f32; LANES]; cc * a2];
         let mut acc = vec![[0.0f32; LANES]; a2];
@@ -705,8 +849,9 @@ fn fused(
             TILES_SCATTERED.add(count as u64);
             // Input transform for every channel of the group.
             let gather_span = wino_probe::span("conv.tile_gather");
+            let origins = tiling.origins(t0, count);
             for (c, v_c) in v.chunks_exact_mut(a2).enumerate() {
-                tiling.gather(&padded, c, t0, count, &mut in_tile, &mut src);
+                tiling.gather(&padded, &origins, c, &mut src);
                 input_kernel.run(&src, v_c);
             }
             drop(gather_span);
@@ -739,8 +884,10 @@ fn fused(
 mod tests {
     use super::*;
     use crate::direct::conv_direct_f32;
+    use proptest::prelude::{any, prop_oneof, Just};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use wino_tensor::extract_input_tile;
 
     fn assert_close(a: &Tensor4<f32>, b: &Tensor4<f32>, tol: f32) {
         assert_eq!(a.dims(), b.dims());
@@ -919,6 +1066,72 @@ mod tests {
                         &fused(&input, pre, &desc, rt, ct).unwrap(),
                         &fused(&input, pre, &desc, rt, None).unwrap(),
                     );
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        // The gather against the reference it replaced — `pad_spatial`
+        // then `extract_input_tile` per lane — on the shapes that make
+        // its geometry ragged: planes smaller than a tile, outputs `m`
+        // does not divide, `P mod 8 ≠ 0`, lane groups that run over the
+        // end of a tile row and of an image, every α the compiled specs
+        // use (4, 6, 8) plus one below and one above the vector width.
+        #[test]
+        fn gather_matches_extract_input_tile(
+            batch in 1usize..4,
+            in_ch in 1usize..4,
+            h in 1usize..13,
+            w in 1usize..13,
+            pad in 0usize..3,
+            (m, r) in prop_oneof![
+                Just((2usize, 3usize)),
+                Just((4, 3)),
+                Just((6, 3)),
+                Just((4, 5)),
+                Just((3, 2)),
+                Just((5, 3)),
+                Just((8, 3)),
+            ],
+            seed in any::<u64>(),
+        ) {
+            proptest::prop_assume!(h + 2 * pad >= r && w + 2 * pad >= r);
+            let desc = ConvDesc::new(r, 1, pad, 1, batch, h, w, in_ch);
+            let spec = WinogradSpec::new(m, r).unwrap();
+            let input = {
+                let mut rng = StdRng::seed_from_u64(seed);
+                Tensor4::<f32>::random(batch, in_ch, h, w, -1.0, 1.0, &mut rng)
+            };
+            let reference = input.pad_spatial(pad);
+            let a2 = spec.alpha() * spec.alpha();
+            let mut want = vec![0.0f32; a2];
+            let mut levels = vec![SimdLevel::Scalar];
+            if wino_gemm::detect_simd() == SimdLevel::Avx2 {
+                levels.push(SimdLevel::Avx2);
+            }
+            for level in levels {
+                let tiling = Tiling::new(&desc, spec, level);
+                let padded = tiling.pad(&input, pad);
+                for t0 in (0..tiling.tiles).step_by(LANES) {
+                    let count = LANES.min(tiling.tiles - t0);
+                    let origins = tiling.origins(t0, count);
+                    for c in 0..in_ch {
+                        let mut src = vec![[f32::NAN; LANES]; a2];
+                        tiling.gather(&padded, &origins, c, &mut src);
+                        for l in 0..count {
+                            let (n, ty, tx) = tiling.coords(t0 + l);
+                            extract_input_tile(&reference, n, c, ty, tx, m, spec.alpha(), &mut want);
+                            for (pos, lanes) in src.iter().enumerate() {
+                                proptest::prop_assert_eq!(
+                                    lanes[l].to_bits(),
+                                    want[pos].to_bits(),
+                                    "{:?} tile {} channel {} position {}", level, t0 + l, c, pos
+                                );
+                            }
+                        }
+                    }
                 }
             }
         }

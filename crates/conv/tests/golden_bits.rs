@@ -1,0 +1,269 @@
+//! Output bits pinned per dispatch level.
+//!
+//! The Winograd engines promise that data-movement changes (layouts,
+//! packing, register tiling, gathers) never move an output bit at a
+//! fixed SIMD level. This table holds FNV-1a hashes of the output bits
+//! of PR 15's 22-shape × {non-fused, fused} list — plus three inputs
+//! aimed at the sign of zero — recorded at commit 0357644 (the parent
+//! of the packed-`V'` / 6×16 micro-kernel change) and compared on every
+//! run since. A change that legitimately alters the summation order at
+//! a level must say so and re-record; anything else that trips this is
+//! a bug.
+//!
+//! Inputs come from a generator local to this file, so the hashes
+//! depend on the engines alone.
+
+use std::sync::Arc;
+
+use wino_conv::{conv_winograd_precomputed_rt, PrecomputedFilters, WinogradVariant};
+use wino_gemm::{GemmConfig, SimdLevel};
+use wino_runtime::Runtime;
+use wino_symbolic::RecipeOptions;
+use wino_tensor::{ConvDesc, Tensor4};
+use wino_transform::{recipe_db, WinogradSpec};
+
+/// What the input and filter tensors hold.
+#[derive(Clone, Copy)]
+enum Fill {
+    /// Uniform in (−1, 1).
+    Uniform,
+    /// All `+0.0`: every product is an exact zero.
+    Zero,
+    /// Uniform in (−1e−24, 1e−24): every product underflows, so an FMA
+    /// chain that starts at `+0.0` can round to `−0.0`.
+    Tiny,
+}
+
+struct Case {
+    desc: ConvDesc,
+    m: usize,
+    options: RecipeOptions,
+    fill: Fill,
+}
+
+fn case(desc: ConvDesc, m: usize) -> Case {
+    Case {
+        desc,
+        m,
+        options: RecipeOptions::optimized(),
+        fill: Fill::Uniform,
+    }
+}
+
+fn cases() -> Vec<Case> {
+    let d = ConvDesc::new;
+    let mut v = vec![
+        // Compiled specs on even layers.
+        case(d(3, 1, 1, 8, 1, 8, 8, 8), 2),
+        case(d(3, 1, 1, 8, 1, 8, 8, 8), 4),
+        case(d(3, 1, 1, 8, 1, 12, 12, 8), 6),
+        case(d(5, 1, 2, 8, 1, 8, 8, 8), 4),
+        // Ragged: C = 20, K = 13, P = 18; C = 3, K = 5 on 7×9; C = 7 on
+        // 13×13; F(4,5) with C = 10, K = 9.
+        case(d(3, 1, 1, 13, 2, 11, 11, 20), 4),
+        case(d(3, 1, 1, 5, 1, 7, 9, 3), 2),
+        case(d(3, 1, 1, 6, 1, 13, 13, 7), 6),
+        case(d(5, 1, 2, 9, 2, 11, 11, 10), 4),
+        // Tiny: P = 1, C = 1, K = 1; P = 4, C = 3.
+        case(d(3, 1, 1, 1, 1, 2, 2, 1), 2),
+        case(d(3, 1, 1, 1, 1, 4, 4, 3), 2),
+        // Zoo-shaped layers.
+        case(d(3, 1, 1, 32, 1, 13, 13, 48), 6),
+        case(d(3, 1, 1, 64, 1, 27, 27, 48), 6),
+        // Uncompiled specs: F(3,3), F(5,3), F(2,5), F(3,2), F(2,7), F(8,3).
+        case(d(3, 1, 1, 4, 1, 9, 9, 5), 3),
+        case(d(3, 1, 1, 4, 1, 11, 11, 5), 5),
+        case(d(5, 1, 2, 4, 1, 9, 9, 5), 2),
+        case(d(2, 1, 0, 4, 1, 9, 9, 5), 3),
+        case(d(7, 1, 3, 3, 1, 10, 10, 4), 2),
+        case(d(3, 1, 1, 4, 1, 17, 17, 5), 8),
+        // No padding; batch 3.
+        case(d(3, 1, 0, 6, 1, 10, 10, 9), 4),
+        case(d(3, 1, 1, 6, 3, 9, 9, 9), 4),
+    ];
+    // `RecipeOptions::minimal()` on two shapes.
+    for (desc, m) in [
+        (d(3, 1, 1, 8, 1, 8, 8, 8), 4),
+        (d(3, 1, 1, 5, 1, 7, 9, 3), 2),
+    ] {
+        v.push(Case {
+            options: RecipeOptions::minimal(),
+            ..case(desc, m)
+        });
+    }
+    // The sign of zero: all-zero operands, operands whose products all
+    // underflow, and a depth that crosses the default `kc` of 128 so a
+    // later k-block accumulates onto the first one's store.
+    v.push(Case {
+        fill: Fill::Zero,
+        ..case(d(3, 1, 1, 7, 1, 9, 9, 5), 4)
+    });
+    v.push(Case {
+        fill: Fill::Tiny,
+        ..case(d(3, 1, 1, 7, 1, 9, 9, 5), 4)
+    });
+    v.push(case(d(3, 1, 1, 7, 1, 9, 9, 150), 4));
+    v
+}
+
+/// splitmix64 — a fixed stream per seed, owned by this file.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next_unit(&mut self) -> f32 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        // 24 random bits → (−1, 1), every value exact in f32.
+        ((z >> 40) as f32 + 0.5) / (1u32 << 23) as f32 - 1.0
+    }
+}
+
+fn filled(dims: (usize, usize, usize, usize), fill: Fill, rng: &mut SplitMix) -> Tensor4<f32> {
+    let mut t = Tensor4::<f32>::zeros(dims.0, dims.1, dims.2, dims.3);
+    for v in t.data_mut() {
+        *v = match fill {
+            Fill::Uniform => rng.next_unit(),
+            Fill::Zero => 0.0,
+            Fill::Tiny => rng.next_unit() * 1e-24,
+        };
+    }
+    t
+}
+
+fn fnv1a(t: &Tensor4<f32>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for v in t.data() {
+        for byte in v.to_bits().to_le_bytes() {
+            h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Hashes of every case × {non-fused, fused} at `level`, on `rt`.
+fn hashes(level: SimdLevel, rt: &Runtime) -> Vec<[u64; 2]> {
+    cases()
+        .iter()
+        .enumerate()
+        .map(|(idx, c)| {
+            let desc = &c.desc;
+            let mut rng = SplitMix(idx as u64 + 1);
+            let input = filled(
+                (desc.batch, desc.in_ch, desc.in_h, desc.in_w),
+                c.fill,
+                &mut rng,
+            );
+            let filt = filled(
+                (desc.out_ch, desc.in_ch, desc.ksz, desc.ksz),
+                c.fill,
+                &mut rng,
+            );
+            let spec = WinogradSpec::new(c.m, desc.ksz).unwrap();
+            let recipes = recipe_db().get(spec, c.options).unwrap();
+            let pre = PrecomputedFilters::new_at(&filt, desc, Arc::clone(&recipes), level).unwrap();
+            [WinogradVariant::NonFused, WinogradVariant::Fused].map(|variant| {
+                let out = conv_winograd_precomputed_rt(
+                    &input,
+                    &pre,
+                    desc,
+                    variant,
+                    &GemmConfig::default(),
+                    rt,
+                )
+                .unwrap();
+                fnv1a(&out)
+            })
+        })
+        .collect()
+}
+
+fn assert_golden(level: SimdLevel, golden: &[[u64; 2]]) {
+    let serial = hashes(level, &Runtime::serial());
+    let table: Vec<String> = serial
+        .iter()
+        .map(|[nf, f]| format!("    [{nf:#018x}, {f:#018x}],"))
+        .collect();
+    assert!(
+        serial == golden,
+        "output bits moved at {level:?}; this run computed:\n{}",
+        table.join("\n")
+    );
+    assert!(
+        hashes(level, &Runtime::with_threads(4)) == serial,
+        "output bits depend on the thread count at {level:?}"
+    );
+}
+
+#[test]
+fn scalar_output_bits_are_the_recorded_ones() {
+    assert_golden(SimdLevel::Scalar, GOLDEN_SCALAR);
+}
+
+#[test]
+fn avx2_output_bits_are_the_recorded_ones() {
+    if wino_gemm::detect_simd() != SimdLevel::Avx2 {
+        return; // no AVX2+FMA on this machine
+    }
+    assert_golden(SimdLevel::Avx2, GOLDEN_AVX2);
+}
+
+/// `[non-fused, fused]` per case of [`cases`], `SimdLevel::Scalar`.
+const GOLDEN_SCALAR: &[[u64; 2]] = &[
+    [0x9bf04532cb710553, 0x9bf04532cb710553],
+    [0xfbc0038dd947000b, 0xfbc0038dd947000b],
+    [0x4a67986f6b2eb023, 0x4a67986f6b2eb023],
+    [0x5ea13432028e9027, 0x5ea13432028e9027],
+    [0xe87efa61935e745c, 0xe87efa61935e745c],
+    [0x0227d4f1e5467183, 0x0227d4f1e5467183],
+    [0x0cfc08c53cabd143, 0x0cfc08c53cabd143],
+    [0x2dfa660693387abe, 0x2dfa660693387abe],
+    [0xa63a974fa7657824, 0xa63a974fa7657824],
+    [0x667bc495f6ecc174, 0x667bc495f6ecc174],
+    [0xaa00c9c9e6780b4a, 0xaa00c9c9e6780b4a],
+    [0xc7c3a1f7569d556f, 0xc7c3a1f7569d556f],
+    [0x86e7d9cef9d0533f, 0x86e7d9cef9d0533f],
+    [0xdf0b359af9a1ffcf, 0xdf0b359af9a1ffcf],
+    [0x80f318a12cba139e, 0x80f318a12cba139e],
+    [0xcbde5d99b3525d47, 0xcbde5d99b3525d47],
+    [0x57f599032d33088b, 0x57f599032d33088b],
+    [0x07aadd70a2f5800d, 0x07aadd70a2f5800d],
+    [0xe967280ab70b4bf4, 0xe967280ab70b4bf4],
+    [0x00c5f375c8fc14e6, 0x00c5f375c8fc14e6],
+    [0xff1fa85d25a3d454, 0xff1fa85d25a3d454],
+    [0x881a2d386c26373c, 0x881a2d386c26373c],
+    [0xf099fb0c9a8ae0d5, 0xf099fb0c9a8ae0d5],
+    [0xf099fb0c9a8ae0d5, 0xf099fb0c9a8ae0d5],
+    [0xd961ff25741aa058, 0xd6ea793b0fdc9b63],
+];
+
+/// `[non-fused, fused]` per case of [`cases`], `SimdLevel::Avx2`.
+const GOLDEN_AVX2: &[[u64; 2]] = &[
+    [0x3d40863bb0272be1, 0x9bf04532cb710553],
+    [0x42bc930a8aeb41ee, 0xfbc0038dd947000b],
+    [0x5aefbf12a8bfc349, 0x4a67986f6b2eb023],
+    [0x06e38881d5c2c38a, 0x5ea13432028e9027],
+    [0x0d98308494822d97, 0xe87efa61935e745c],
+    [0x9bb8a7d3feb092a4, 0x0227d4f1e5467183],
+    [0x59e4025dbb33c97d, 0x0cfc08c53cabd143],
+    [0xd8f2d1607d23c654, 0x2dfa660693387abe],
+    [0xa63a974fa7657824, 0xa63a974fa7657824],
+    [0x4334331dc7e19dbe, 0x667bc495f6ecc174],
+    [0x98dc45d895df03cd, 0xaa00c9c9e6780b4a],
+    [0x238c12a5e335dbd9, 0xc7c3a1f7569d556f],
+    [0x6ffaecf5c769fc24, 0x86e7d9cef9d0533f],
+    [0x8a72f449e2c2d260, 0xdf0b359af9a1ffcf],
+    [0x26d836f9bcb1872e, 0x80f318a12cba139e],
+    [0x00fd2568038c6334, 0xcbde5d99b3525d47],
+    [0xa818d034044b8978, 0x57f599032d33088b],
+    [0x40819c4aeaf32dc2, 0x07aadd70a2f5800d],
+    [0x890b68c59552a93d, 0xe967280ab70b4bf4],
+    [0x0ab5793bc0efcda7, 0x00c5f375c8fc14e6],
+    [0xbc20d21ccc331f8c, 0xff1fa85d25a3d454],
+    [0xd839843a4fc5a462, 0x881a2d386c26373c],
+    [0xf099fb0c9a8ae0d5, 0xf099fb0c9a8ae0d5],
+    [0xf099fb0c9a8ae0d5, 0xf099fb0c9a8ae0d5],
+    [0x12dc01523aa1bcc4, 0xd6ea793b0fdc9b63],
+];

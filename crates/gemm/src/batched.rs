@@ -7,8 +7,8 @@
 //! the per-batch matrices live at a fixed stride inside three flat
 //! buffers.
 
-use crate::blocked::{gemm_flops, gemm_into, ASource, GemmConfig};
-use crate::packed::PackedA;
+use crate::blocked::{gemm_flops, gemm_into, GemmConfig, Operand};
+use crate::packed::{PackedA, PackedB};
 use crate::simd::{simd_level, SimdLevel};
 use wino_runtime::{DisjointSlice, Runtime};
 
@@ -74,21 +74,29 @@ pub fn batched_sgemm_rt_level(
     level: SimdLevel,
 ) {
     assert!(a.len() >= shape.a_len(), "batched A too short");
-    let am = shape.m * shape.k;
-    let a_of = |batch: usize| ASource::RowMajor(&a[batch * am..(batch + 1) * am]);
-    batched(shape, a_of, b, c, cfg, rt, level);
+    assert!(b.len() >= shape.b_len(), "batched B too short");
+    let (am, bm) = (shape.m * shape.k, shape.k * shape.n);
+    let operands = |batch: usize| {
+        (
+            Operand::RowMajor(&a[batch * am..(batch + 1) * am]),
+            Operand::RowMajor(&b[batch * bm..(batch + 1) * bm]),
+        )
+    };
+    batched(shape, operands, c, cfg, rt, level);
 }
 
-/// [`batched_sgemm_rt_level`] over an A operand packed ahead of time,
-/// at the level it was packed for ([`PackedA::level`]): the same loop
-/// nest, minus the per-call `pack_a`, so `C` is bit-identical to the
-/// row-major entry at that level on the matrices `a` was packed from.
+/// [`batched_sgemm_rt_level`] over operands packed ahead of time, at
+/// the level they were packed for ([`PackedA::level`]): the same loop
+/// nest, minus the per-call `pack_a` and `pack_b`, so `C` is
+/// bit-identical to the row-major entry at that level on the matrices
+/// `a` and `b` were packed from.
 ///
-/// Panics if `a`'s shape differs from `shape`'s.
+/// Panics if an operand's shape differs from `shape`'s, or the two
+/// were packed for different levels.
 pub fn batched_sgemm_packed(
     shape: &BatchedGemmShape,
     a: &PackedA,
-    b: &[f32],
+    b: &PackedB,
     c: &mut [f32],
     cfg: &GemmConfig,
     rt: &Runtime,
@@ -97,23 +105,35 @@ pub fn batched_sgemm_packed(
         (a.batches(), a.m(), a.k()) == (shape.batches, shape.m, shape.k),
         "packed A shape differs from the batched shape"
     );
-    let a_of = |batch: usize| ASource::Packed(a.batch(batch));
-    batched(shape, a_of, b, c, cfg, rt, a.level());
+    assert!(
+        (b.batches(), b.k(), b.n()) == (shape.batches, shape.k, shape.n),
+        "packed B shape differs from the batched shape"
+    );
+    assert!(
+        a.level() == b.level(),
+        "packed A and B are for different dispatch levels"
+    );
+    let operands = |batch: usize| {
+        (
+            Operand::Packed(a.batch(batch)),
+            Operand::Packed(b.batch(batch)),
+        )
+    };
+    batched(shape, operands, c, cfg, rt, a.level());
 }
 
-/// The batch loop both entries share; `a_of` names batch `b`'s A.
+/// The batch loop both entries share; `operands` names a batch's A and
+/// B.
 fn batched<'a>(
     shape: &BatchedGemmShape,
-    a_of: impl Fn(usize) -> ASource<'a> + Sync,
-    b: &[f32],
+    operands: impl Fn(usize) -> (Operand<'a>, Operand<'a>) + Sync,
     c: &mut [f32],
     cfg: &GemmConfig,
     rt: &Runtime,
     level: SimdLevel,
 ) {
-    assert!(b.len() >= shape.b_len(), "batched B too short");
     assert!(c.len() >= shape.c_len(), "batched C too short");
-    let (bm, cm) = (shape.k * shape.n, shape.m * shape.n);
+    let cm = shape.m * shape.n;
     GEMM_BATCHES.add(shape.batches as u64);
     let serial = Runtime::serial();
     let c_win = DisjointSlice::new(&mut c[..shape.c_len()]);
@@ -123,16 +143,9 @@ fn batched<'a>(
         for batch in batches {
             // SAFETY: batch-major C windows are disjoint across batches.
             let c_batch = unsafe { c_win.slice_mut(batch * cm..(batch + 1) * cm) };
+            let (a, b) = operands(batch);
             gemm_into(
-                a_of(batch),
-                &b[batch * bm..(batch + 1) * bm],
-                c_batch,
-                shape.m,
-                shape.k,
-                shape.n,
-                cfg,
-                &serial,
-                level,
+                a, b, c_batch, shape.m, shape.k, shape.n, cfg, &serial, level,
             );
         }
     });

@@ -9,7 +9,7 @@
 //! thread blocking, Table 1).
 
 use crate::schedule::{
-    col_panel, dim_blocks, micro_tiles, pack_capacities, packed_a_block_off, packed_mc,
+    col_panel, dim_blocks, micro_tiles, pack_capacities, packed_block_off, packed_step,
     tile_extents, MR_AVX2, MR_SCALAR, NR_AVX2, NR_SCALAR,
 };
 use crate::simd::{simd_level, SimdLevel};
@@ -76,32 +76,35 @@ pub fn sgemm_rt_level(
     level: SimdLevel,
 ) {
     assert!(a.len() >= m * k, "A too short: {} < {}", a.len(), m * k);
-    gemm_into(ASource::RowMajor(a), b, c, m, k, n, cfg, rt, level);
+    assert!(b.len() >= k * n, "B too short: {} < {}", b.len(), k * n);
+    let (a, b) = (Operand::RowMajor(a), Operand::RowMajor(b));
+    gemm_into(a, b, c, m, k, n, cfg, rt, level);
 }
 
 /// Where the blocked loop nest finds a macro-block's `mr`-row A
-/// slivers. The two sources feed the micro-kernel the same floats in
-/// the same depth order, so a `C` element's bits do not depend on
-/// which one served it.
+/// slivers or `nr`-column B slivers. The two sources feed the
+/// micro-kernel the same floats in the same depth order, so a `C`
+/// element's bits do not depend on which one served it.
 #[derive(Clone, Copy)]
-pub(crate) enum ASource<'a> {
-    /// Row-major `m × k`: each `(m-block, k-block)` is packed into the
-    /// task's scratch buffer on the way in.
+pub(crate) enum Operand<'a> {
+    /// Row-major (`m × k` or `k × n`): each block is packed into the
+    /// task's scratch buffer on the way in — A per `(m-block,
+    /// k-block)`, B per `(panel, k-block)`.
     RowMajor(&'a [f32]),
-    /// One matrix of a [`crate::PackedA`]: full-depth slivers already
-    /// in micro-kernel order for this call's `mr`; a k-block is a
-    /// sub-range of each sliver.
+    /// One matrix of a [`crate::PackedA`] / [`crate::PackedB`]:
+    /// full-depth slivers already in micro-kernel order for this
+    /// call's `mr` / `nr`; a k-block is a sub-range of each sliver.
     Packed(&'a [f32]),
 }
 
 /// The one GEMM body every entry point funnels through (the caller has
-/// checked `A` against the shape): shape checks on `B`/`C`, the FLOP
-/// counter, the serial-below-threshold rule, the
-/// blocked loop nest, and the GEMM fault site.
+/// checked `A` and `B` against the shape): the shape check on `C`, the
+/// FLOP counter, the serial-below-threshold rule, the blocked loop
+/// nest, and the GEMM fault site.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_into(
-    a: ASource<'_>,
-    b: &[f32],
+    a: Operand<'_>,
+    b: Operand<'_>,
     c: &mut [f32],
     m: usize,
     k: usize,
@@ -110,14 +113,17 @@ pub(crate) fn gemm_into(
     rt: &Runtime,
     level: SimdLevel,
 ) {
-    assert!(b.len() >= k * n, "B too short: {} < {}", b.len(), k * n);
     assert!(c.len() >= m * n, "C too short: {} < {}", c.len(), m * n);
     assert!(
         cfg.mc >= 1 && cfg.kc >= 1 && cfg.nc >= 1,
         "degenerate GemmConfig"
     );
-    c[..m * n].fill(0.0);
-    if m == 0 || n == 0 || k == 0 {
+    if m == 0 || n == 0 {
+        return;
+    }
+    if k == 0 {
+        // No k-block runs, so nothing below would write the empty sum.
+        c[..m * n].fill(0.0);
         return;
     }
     GEMM_FLOPS.add(gemm_flops(m, k, n));
@@ -145,14 +151,17 @@ pub(crate) fn gemm_into(
 /// so the blocking structure wino-verify's index analysis proves
 /// coverage/disjointness/bounds over is the structure running here.
 ///
-/// The A source changes only where a block's slivers are read from: a
-/// row-major `A` is packed per `(m-block, k-block)` into `a_pack`; a
-/// packed `A` is windowed in place, with row blocks stepped in whole
-/// slivers ([`packed_mc`]).
+/// An operand's source changes only where a block's slivers are read
+/// from: a row-major one is packed per block into `a_pack` / `b_pack`;
+/// a packed one is windowed in place, with its blocks stepped in whole
+/// slivers ([`packed_step`]).
+///
+/// The first k-block of a panel writes `C`, later ones accumulate into
+/// it: `C`'s previous contents are never read.
 #[allow(clippy::too_many_arguments)]
 fn sgemm_blocked(
-    a: ASource<'_>,
-    b: &[f32],
+    a: Operand<'_>,
+    b: Operand<'_>,
     c: &mut [f32],
     m: usize,
     k: usize,
@@ -162,12 +171,16 @@ fn sgemm_blocked(
     level: SimdLevel,
 ) {
     let (mr, nr) = tile_extents(level);
-    let panels = n.div_ceil(cfg.nc);
     let (a_cap, b_cap) = pack_capacities(cfg, mr, nr);
     let (mc, a_cap) = match a {
-        ASource::RowMajor(_) => (cfg.mc, a_cap),
-        ASource::Packed(_) => (packed_mc(cfg.mc, mr), 0),
+        Operand::RowMajor(_) => (cfg.mc, a_cap),
+        Operand::Packed(_) => (packed_step(cfg.mc, mr), 0),
     };
+    let (nc, b_cap) = match b {
+        Operand::RowMajor(_) => (cfg.nc, b_cap),
+        Operand::Packed(_) => (packed_step(cfg.nc, nr), 0),
+    };
+    let panels = n.div_ceil(nc);
     let c_win = DisjointSlice::new(c);
     rt.parallel_for_chunks(0..panels, 1, |panel_range| {
         let mut panel_span = wino_probe::span("gemm.panel");
@@ -176,22 +189,35 @@ fn sgemm_blocked(
         let mut a_pack = vec![0.0f32; a_cap];
         let mut b_pack = vec![0.0f32; b_cap];
         for panel in panel_range {
-            let jp = col_panel(n, cfg.nc, panel);
+            let jp = col_panel(n, nc, panel);
             let (jj, nb) = (jp.start, jp.len);
             for kp in dim_blocks(k, cfg.kc) {
                 let (kk, kb) = (kp.start, kp.len);
-                pack_b(&mut b_pack, b, kk, jj, kb, nb, n, nr);
+                let (b_block, b_stride) = match b {
+                    Operand::RowMajor(b) => {
+                        pack_b(&mut b_pack, b, kk, jj, kb, nb, n, nr);
+                        (&b_pack[..], kb * nr)
+                    }
+                    Operand::Packed(pb) => (&pb[packed_block_off(jj, kk, k, nr)..], k * nr),
+                };
                 for ip in dim_blocks(m, mc) {
                     let (ii, mb) = (ip.start, ip.len);
                     let (a_block, a_stride) = match a {
-                        ASource::RowMajor(a) => {
+                        Operand::RowMajor(a) => {
                             pack_a(&mut a_pack, a, ii, kk, mb, kb, k, mr);
                             (&a_pack[..], kb * mr)
                         }
-                        ASource::Packed(pa) => (&pa[packed_a_block_off(ii, kk, k, mr)..], k * mr),
+                        Operand::Packed(pa) => (&pa[packed_block_off(ii, kk, k, mr)..], k * mr),
                     };
                     macro_kernel(
-                        a_block, a_stride, &b_pack, &c_win, ii, jj, mb, kb, nb, n, level,
+                        (a_block, a_stride),
+                        (b_block, b_stride),
+                        &c_win,
+                        (ii, jj),
+                        (mb, kb, nb),
+                        n,
+                        kk == 0,
+                        level,
                     );
                 }
             }
@@ -238,9 +264,10 @@ pub fn pack_a(
     }
 }
 
-/// Packs `B[kk.., jj..]` (kb×nb) into `nr`-column slivers. Mirrors
-/// [`pack_a`]: layout per [`crate::schedule::pack_b_model`], public
-/// for the cross-check.
+/// Packs `B[kk.., jj..]` (kb×nb) into `nr`-column slivers (with
+/// `kk = jj = 0`, `kb = k`, `nb = n` this is the full-depth layout of
+/// [`crate::PackedB`]). Mirrors [`pack_a`]: layout per
+/// [`crate::schedule::pack_b_model`], public for the cross-check.
 #[allow(clippy::too_many_arguments)]
 pub fn pack_b(
     dst: &mut [f32],
@@ -272,30 +299,29 @@ pub fn pack_b(
     }
 }
 
-/// Runs the mr×nr micro-kernel over one packed macro-block,
-/// accumulating into `C` through the disjoint-write window (this
-/// task's column panel never overlaps another task's). The tile walk
-/// is the exported [`micro_tiles`] schedule, in its order; `a_block`
-/// starts at the block's first sliver and `a_stride` separates
-/// consecutive slivers.
+/// Runs the mr×nr micro-kernel over one macro-block — `(rows, depth,
+/// cols) = (mb, kb, nb)` at `C` origin `(ii, jj)` — through the
+/// disjoint-write window (this task's column panel never overlaps
+/// another task's). The tile walk is the exported [`micro_tiles`]
+/// schedule, in its order; `a` and `b` are each the block's first
+/// sliver onward and the stride separating consecutive slivers. `first`
+/// says this is the panel's first k-block, which writes `C`; later ones
+/// add to it.
 #[allow(clippy::too_many_arguments)]
 fn macro_kernel(
-    a_block: &[f32],
-    a_stride: usize,
-    b_pack: &[f32],
+    (a_block, a_stride): (&[f32], usize),
+    (b_block, b_stride): (&[f32], usize),
     c: &DisjointSlice<'_, f32>,
-    ii: usize,
-    jj: usize,
-    mb: usize,
-    kb: usize,
-    nb: usize,
+    (ii, jj): (usize, usize),
+    (mb, kb, nb): (usize, usize, usize),
     ldc: usize,
+    first: bool,
     level: SimdLevel,
 ) {
     let (mr, nr) = tile_extents(level);
-    for t in micro_tiles(mb, nb, kb, a_stride, mr, nr) {
+    for t in micro_tiles(mb, nb, a_stride, b_stride, mr, nr) {
         let a_sliver = &a_block[t.a_off..t.a_off + kb * mr];
-        let b_sliver = &b_pack[t.b_off..t.b_off + kb * nr];
+        let b_sliver = &b_block[t.b_off..t.b_off + kb * nr];
         let c_off = (ii + t.i) * ldc + jj + t.j;
         // Invariant (proven by wino-verify's index analysis over this
         // exact schedule): the tile's row segments stay inside this
@@ -303,16 +329,26 @@ fn macro_kernel(
         debug_assert!(c_off + (t.rows - 1) * ldc + t.cols <= c.len());
         match level {
             SimdLevel::Scalar => {
-                micro_kernel(a_sliver, b_sliver, c, c_off, t.rows, t.cols, ldc, kb);
+                micro_kernel(a_sliver, b_sliver, c, c_off, t.rows, t.cols, ldc, kb, first);
             }
             #[cfg(target_arch = "x86_64")]
-            SimdLevel::Avx2 => {
-                // SAFETY: Avx2 is only ever resolved when CPUID
-                // reports avx2+fma (see `simd::resolve_simd`).
-                unsafe {
-                    micro_kernel_avx2(a_sliver, b_sliver, c, c_off, t.rows, t.cols, ldc, kb);
+            // SAFETY: Avx2 is only ever resolved when CPUID reports
+            // avx2+fma (see `simd::resolve_simd`).
+            SimdLevel::Avx2 => unsafe {
+                // The register tile follows the tile's width: a tile
+                // of at most one vector of columns multiplies the
+                // first half of its sliver's rows, skipping the FMAs
+                // on the zero half.
+                if t.cols <= 8 {
+                    micro_kernel_avx2::<1>(
+                        a_sliver, b_sliver, c, c_off, t.rows, t.cols, ldc, kb, first,
+                    );
+                } else {
+                    micro_kernel_avx2::<2>(
+                        a_sliver, b_sliver, c, c_off, t.rows, t.cols, ldc, kb, first,
+                    );
                 }
-            }
+            },
             #[cfg(not(target_arch = "x86_64"))]
             SimdLevel::Avx2 => unreachable!("avx2 level on non-x86_64"),
         }
@@ -331,6 +367,7 @@ fn micro_kernel(
     cols: usize,
     ldc: usize,
     kb: usize,
+    first: bool,
 ) {
     let mut acc = [[0.0f32; NR_SCALAR]; MR_SCALAR];
     for p in 0..kb {
@@ -349,17 +386,22 @@ fn micro_kernel(
         // caller's column panel, which no other task touches.
         let row = unsafe { c.slice_mut(base..base + cols) };
         for (dst, &add) in row.iter_mut().zip(acc_row[..cols].iter()) {
-            *dst += add;
+            // The first k-block's `0.0 +`: see `micro_kernel_avx2`.
+            *dst = if first { 0.0 } else { *dst } + add;
         }
     }
 }
 
-/// The AVX2/FMA inner kernel: MR_AVX2 rows × one 8-lane vector of
-/// accumulators live in ymm registers across the k loop; each step
-/// broadcasts one A element per row and fuses into the accumulator
-/// with `vfmaddps`. Numerics differ from the scalar kernel (fused
-/// rounding, different tile walk) — covered by the per-dispatch-level
-/// determinism contract, not cross-level bit-identity.
+/// The AVX2/FMA inner kernel: MR_AVX2 rows × `NV` 8-lane vectors of
+/// accumulators live in ymm registers across the k loop (`NV = 2`: 12
+/// accumulators + 2 B vectors + 1 broadcast of the 16 registers); each
+/// step broadcasts one A element per row and fuses into the row's
+/// accumulators with `vfmaddps`. `NV = 1` is the same kernel over the
+/// first 8 columns of each sliver row, for tiles at most that wide: a
+/// column's chain of FMAs is the same either way. Numerics differ from
+/// the scalar kernel (fused rounding, different tile walk) — covered by
+/// the per-dispatch-level determinism contract, not cross-level
+/// bit-identity.
 ///
 /// # Safety
 /// Caller must ensure the CPU supports `avx2` and `fma` (the dispatch
@@ -367,7 +409,7 @@ fn micro_kernel(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn micro_kernel_avx2(
+unsafe fn micro_kernel_avx2<const NV: usize>(
     a_sliver: &[f32],
     b_sliver: &[f32],
     c: &DisjointSlice<'_, f32>,
@@ -376,43 +418,63 @@ unsafe fn micro_kernel_avx2(
     cols: usize,
     ldc: usize,
     kb: usize,
+    first: bool,
 ) {
     use std::arch::x86_64::*;
     // Audited invariants (wino-verify `avx2_pointer_audit` re-derives
     // each of these from the exported schedule): every `ap` read is at
-    // offset p·MR + r < kb·MR and every 8-wide `bp` load ends at
-    // p·NR + 8 ≤ kb·NR, so the pointer walk never leaves the slivers;
-    // the C store below writes `rows ≤ MR` row segments of `cols ≤ NR`
-    // elements through the bounds-checked `DisjointSlice` window.
+    // offset p·MR + r < kb·MR and the `NV` 8-wide `bp` loads of a step
+    // end at p·NR + 8·NV ≤ kb·NR, so the pointer walk never leaves the
+    // slivers; the C store below writes `rows ≤ MR` row segments of
+    // `cols ≤ 8·NV` elements through the bounds-checked
+    // `DisjointSlice` window.
     debug_assert!(a_sliver.len() >= kb * MR_AVX2);
     debug_assert!(b_sliver.len() >= kb * NR_AVX2);
     debug_assert!((1..=MR_AVX2).contains(&rows));
-    debug_assert!((1..=NR_AVX2).contains(&cols));
-    let mut acc = [_mm256_setzero_ps(); MR_AVX2];
+    debug_assert!((1..=8 * NV).contains(&cols));
+    const { assert!(8 * NV <= NR_AVX2) };
+    let mut acc = [[_mm256_setzero_ps(); NV]; MR_AVX2];
     let mut ap = a_sliver.as_ptr();
     let mut bp = b_sliver.as_ptr();
     for _ in 0..kb {
-        let bv = _mm256_loadu_ps(bp);
+        let mut bv = [_mm256_setzero_ps(); NV];
+        for (v, bv_v) in bv.iter_mut().enumerate() {
+            *bv_v = _mm256_loadu_ps(bp.add(8 * v));
+        }
         for (r, acc_r) in acc.iter_mut().enumerate() {
             let av = _mm256_set1_ps(*ap.add(r));
-            *acc_r = _mm256_fmadd_ps(av, bv, *acc_r);
+            for (acc_rv, bv_v) in acc_r.iter_mut().zip(&bv) {
+                *acc_rv = _mm256_fmadd_ps(av, *bv_v, *acc_rv);
+            }
         }
         ap = ap.add(MR_AVX2);
         bp = bp.add(NR_AVX2);
     }
+    // The first k-block writes `0.0 + acc`: what accumulating onto a
+    // zero-filled C gives, without the read. A plain store of `acc`
+    // would differ in one case — a chain of FMAs whose products all
+    // underflow can round to −0.0, and `0.0 + −0.0` is `+0.0` — so the
+    // add stays, in a register.
+    let zero = _mm256_setzero_ps();
     for (r, acc_r) in acc.iter().enumerate().take(rows) {
         let base = c_off + r * ldc;
         // SAFETY: this micro-tile's row segment lies inside the
         // caller's column panel, which no other task touches.
         let row = c.slice_mut(base..base + cols);
-        if cols == NR_AVX2 {
-            let cv = _mm256_loadu_ps(row.as_ptr());
-            _mm256_storeu_ps(row.as_mut_ptr(), _mm256_add_ps(cv, *acc_r));
-        } else {
-            let mut spill = [0.0f32; NR_AVX2];
-            _mm256_storeu_ps(spill.as_mut_ptr(), *acc_r);
-            for (dst, &add) in row.iter_mut().zip(spill[..cols].iter()) {
-                *dst += add;
+        for (seg, acc_rv) in row.chunks_mut(8).zip(acc_r) {
+            if seg.len() == 8 {
+                let cv = if first {
+                    zero
+                } else {
+                    _mm256_loadu_ps(seg.as_ptr())
+                };
+                _mm256_storeu_ps(seg.as_mut_ptr(), _mm256_add_ps(cv, *acc_rv));
+            } else {
+                let mut spill = [0.0f32; 8];
+                _mm256_storeu_ps(spill.as_mut_ptr(), *acc_rv);
+                for (dst, &add) in seg.iter_mut().zip(&spill) {
+                    *dst = if first { 0.0 } else { *dst } + add;
+                }
             }
         }
     }
@@ -488,7 +550,7 @@ mod tests {
         assert_eq!(c, vec![7.0; 4]);
         let mut c2 = vec![7.0f32; 4];
         sgemm(&[], &[], &mut c2, 2, 0, 2);
-        // k = 0: C is cleared but no products accumulate.
+        // k = 0: C is the empty sum.
         assert_eq!(&c2[..4], &[0.0, 0.0, 0.0, 0.0]);
     }
 
@@ -523,12 +585,14 @@ mod tests {
             return; // no AVX2+FMA on this machine; kernel untestable here
         }
         let mut rng = StdRng::seed_from_u64(7);
-        // Shapes straddling every tile boundary: full 6×8 tiles,
-        // partial rows, partial cols, single elements, and sizes
-        // crossing the mc/kc/nc cache blocks.
+        // Shapes straddling every tile boundary: full 6×16 tiles,
+        // one-vector tiles, partial rows, partial cols, single
+        // elements, and sizes crossing the mc/kc/nc cache blocks.
         for (m, k, n) in [
             (1, 1, 1),
             (6, 4, 8),
+            (6, 4, 16),
+            (7, 5, 25),
             (5, 3, 7),
             (13, 17, 19),
             (65, 129, 130),

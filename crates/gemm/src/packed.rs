@@ -1,4 +1,5 @@
-//! A constant A operand, packed once.
+//! Operands packed ahead of the multiply: a constant A, packed once,
+//! and a B whose producer writes it packed.
 //!
 //! The Winograd multiplication stage multiplies the same transformed
 //! filter bank `U(ξ)` into every request. Packing it per call — what
@@ -13,10 +14,18 @@
 //! [`crate::GemmConfig`] field selects the layout. The operand records
 //! the level it was packed for and [`crate::batched_sgemm_packed`] runs
 //! at that level, so a layout never meets another level's micro-kernel.
+//!
+//! [`PackedB`] is the same idea for the other operand, keyed by the
+//! level's `nr` alone: each `k × n` matrix is `⌈n/nr⌉` column slivers of
+//! `k · nr` floats, depth-major inside a sliver — [`crate::pack_b`]
+//! applied to the whole matrix. Its producer (the Winograd input
+//! transform) stores runs of consecutive columns at one depth straight
+//! into that order, so the multiply packs nothing per call.
 
-use crate::blocked::pack_a;
-use crate::schedule::{dim_blocks, packed_a_len, tile_extents};
+use crate::blocked::{pack_a, pack_b};
+use crate::schedule::{dim_blocks, packed_a_len, packed_b_len, tile_extents};
 use crate::simd::SimdLevel;
+use wino_runtime::DisjointSlice;
 
 /// `batches` row-major `m × k` matrices in the micro-kernel's A order.
 pub struct PackedA {
@@ -121,5 +130,143 @@ impl PackedA {
     pub fn batch(&self, batch: usize) -> &[f32] {
         let stride = packed_a_len(self.m, self.k, tile_extents(self.level).0);
         &self.data[batch * stride..(batch + 1) * stride]
+    }
+}
+
+/// `batches` `k × n` matrices in the micro-kernel's B order, zero until
+/// written; the padding columns of a ragged last sliver stay zero.
+pub struct PackedB {
+    data: Vec<f32>,
+    batches: usize,
+    k: usize,
+    n: usize,
+    level: SimdLevel,
+}
+
+impl PackedB {
+    /// An all-zero operand for `level`'s micro-kernel.
+    pub fn zeroed(batches: usize, k: usize, n: usize, level: SimdLevel) -> Self {
+        let stride = packed_b_len(k, n, tile_extents(level).1);
+        PackedB {
+            data: vec![0.0f32; batches * stride],
+            batches,
+            k,
+            n,
+            level,
+        }
+    }
+
+    /// Packs the batch-major row-major matrices in `b`.
+    ///
+    /// Panics if `b` is shorter than `batches · k · n`.
+    pub fn pack(b: &[f32], batches: usize, k: usize, n: usize, level: SimdLevel) -> Self {
+        assert!(b.len() >= batches * k * n, "B too short to pack");
+        let nr = tile_extents(level).1;
+        let mut packed = Self::zeroed(batches, k, n, level);
+        let stride = packed_b_len(k, n, nr);
+        for batch in 0..batches {
+            let dst = &mut packed.data[batch * stride..(batch + 1) * stride];
+            pack_b(dst, &b[batch * k * n..], 0, 0, k, n, n, nr);
+        }
+        packed
+    }
+
+    /// A shared-write window for filling the operand in parallel.
+    pub fn columns(&mut self) -> PackedBColumns<'_> {
+        let nr = tile_extents(self.level).1;
+        PackedBColumns {
+            batches: self.batches,
+            k: self.k,
+            n: self.n,
+            nr,
+            stride: packed_b_len(self.k, self.n, nr),
+            data: DisjointSlice::new(&mut self.data),
+        }
+    }
+
+    /// The dispatch level whose micro-kernel reads this layout.
+    pub fn level(&self) -> SimdLevel {
+        self.level
+    }
+
+    /// Number of matrices.
+    pub fn batches(&self) -> usize {
+        self.batches
+    }
+
+    /// Rows (depth) of each matrix.
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Columns of each matrix.
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Packed matrix `batch`: [`packed_b_len`]`(k, n, nr)` floats laid
+    /// out as [`crate::pack_b_model`]`(k, n, nr)` describes.
+    pub fn batch(&self, batch: usize) -> &[f32] {
+        let stride = packed_b_len(self.k, self.n, tile_extents(self.level).1);
+        &self.data[batch * stride..(batch + 1) * stride]
+    }
+}
+
+/// The write side of a [`PackedB`]: tasks that own disjoint column
+/// ranges store through it concurrently.
+pub struct PackedBColumns<'a> {
+    data: DisjointSlice<'a, f32>,
+    batches: usize,
+    k: usize,
+    n: usize,
+    nr: usize,
+    stride: usize,
+}
+
+impl PackedBColumns<'_> {
+    /// Stores, for every matrix `b`, `vals[b][..count]` as columns
+    /// `col .. col + count` of row `depth` — what one lane group of the
+    /// Winograd input transform produces for one channel. The run may
+    /// start anywhere and cross slivers: with `nr = 4` eight columns
+    /// fill two slivers' rows, with `nr = 16` they are half of one.
+    ///
+    /// Panics if `vals` is not one entry per matrix, or the run leaves
+    /// the matrix.
+    ///
+    /// # Safety
+    /// No other thread may write any of these columns of row `depth`
+    /// over the window's lifetime (checked in debug builds).
+    pub unsafe fn write<const L: usize>(
+        &self,
+        depth: usize,
+        col: usize,
+        count: usize,
+        vals: &[[f32; L]],
+    ) {
+        assert!(
+            vals.len() == self.batches && depth < self.k && count <= L && col + count <= self.n,
+            "column run does not fit the packed B operand"
+        );
+        let nr = self.nr;
+        let mut done = 0;
+        while done < count {
+            let (sliver, lane) = ((col + done) / nr, (col + done) % nr);
+            let take = (nr - lane).min(count - done);
+            let at = (sliver * self.k + depth) * nr + lane;
+            for (batch, lanes) in vals.iter().enumerate() {
+                let at = batch * self.stride + at;
+                // SAFETY: in bounds by the assert above (the run's last
+                // column is below `n`, so its sliver exists), and the
+                // caller owns these columns of this row.
+                let dst = unsafe { self.data.slice_mut(at..at + take) };
+                match <&mut [f32; L]>::try_from(&mut *dst) {
+                    // A whole group in one sliver: a copy whose length
+                    // the compiler knows is a vector move, not a call.
+                    Ok(dst) => *dst = *lanes,
+                    Err(_) => dst.copy_from_slice(&lanes[done..done + take]),
+                }
+            }
+            done += take;
+        }
     }
 }

@@ -24,12 +24,15 @@ pub const MR_SCALAR: usize = 4;
 /// Scalar micro-tile columns (see [`MR_SCALAR`]).
 pub const NR_SCALAR: usize = 4;
 
-/// Micro-tile rows of the AVX2 kernel: six rows of one 8-lane vector
-/// each keeps 6 accumulator registers + a broadcast + a B vector
-/// within the 16 ymm registers.
+/// Micro-tile rows of the AVX2 kernel: six rows of two 8-lane vectors
+/// each keeps 12 accumulator registers + 2 B vectors + a broadcast
+/// within the 16 ymm registers — 8 loads per 12 FMAs over 12
+/// independent chains, enough to cover the FMA latency on two ports.
 pub const MR_AVX2: usize = 6;
-/// AVX2 micro-tile columns — one 8-lane f32 vector.
-pub const NR_AVX2: usize = 8;
+/// AVX2 micro-tile columns — two 8-lane f32 vectors. A micro-tile with
+/// [`MicroTile::cols`] ≤ 8 runs the one-vector body on the first half
+/// of its sliver.
+pub const NR_AVX2: usize = 16;
 
 /// Micro-tile extents `(mr, nr)` of the dispatch level's inner kernel;
 /// packing and the macro loop are parameterized on these.
@@ -102,7 +105,8 @@ pub struct MicroTile {
     /// Offset of the A sliver (`kb * mr` floats) from the macro-block's
     /// first sliver: `(i / mr) · a_stride`.
     pub a_off: usize,
-    /// Offset of the B sliver (`kb * nr` floats) in the B pack buffer.
+    /// Offset of the B sliver (`kb * nr` floats) from the macro-block's
+    /// first sliver: `(j / nr) · b_stride`.
     pub b_off: usize,
 }
 
@@ -113,14 +117,15 @@ pub struct MicroTile {
 ///
 /// `a_stride` is the distance between consecutive row slivers in the
 /// block's A source: `kb · mr` for a block `pack_a` just wrote,
-/// `k · mr` for a window into a full-depth [`packed_a_block_off`]
-/// operand. It moves `a_off` only — which rows share a sliver, and the
-/// order tiles run in, do not depend on it.
+/// `k · mr` for a window into a full-depth [`packed_block_off`]
+/// operand; `b_stride` is the same for column slivers (`kb · nr` or
+/// `k · nr`). They move `a_off`/`b_off` only — which rows and columns
+/// share a sliver, and the order tiles run in, do not depend on them.
 pub fn micro_tiles(
     mb: usize,
     nb: usize,
-    kb: usize,
     a_stride: usize,
+    b_stride: usize,
     mr: usize,
     nr: usize,
 ) -> impl Iterator<Item = MicroTile> {
@@ -131,7 +136,7 @@ pub fn micro_tiles(
             rows: ib.len,
             cols: jb.len,
             a_off: (ib.start / mr) * a_stride,
-            b_off: (jb.start / nr) * kb * nr,
+            b_off: (jb.start / nr) * b_stride,
         })
     })
 }
@@ -158,26 +163,29 @@ pub fn packed_a_len(mb: usize, kb: usize, mr: usize) -> usize {
     mb.next_multiple_of(mr) * kb
 }
 
-/// Row-block step of the macro loop over an already-packed A: `mc`
-/// rounded down to whole `mr`-row slivers (at least one), so every
-/// block starts on a sliver boundary of the full-depth layout. Which
-/// rows share a block never enters a `C` element's accumulation order,
-/// so this step and the on-the-fly `mc` produce the same bits.
-pub fn packed_mc(mc: usize, mr: usize) -> usize {
-    (mc / mr).max(1) * mr
+/// Block step of a macro loop over an operand packed ahead of time:
+/// the configured `step` (`mc` over a packed A's rows, `nc` over a
+/// packed B's columns) rounded down to whole `r`-wide slivers (at least
+/// one), so every block starts on a sliver boundary of the full-depth
+/// layout. Which rows or columns share a block never enters a `C`
+/// element's accumulation order, so this step and the on-the-fly one
+/// produce the same bits.
+pub fn packed_step(step: usize, r: usize) -> usize {
+    (step / r).max(1) * r
 }
 
-/// Offset, inside a full-depth packed `m × k` operand (the layout
-/// [`pack_a_model`]`(m, k, mr)` describes), of the sliver holding row
-/// `ii` (a multiple of `mr`) at depth `kk`. Depth runs contiguously
-/// within a sliver, so the `kb` steps of a k-block are the `kb · mr`
-/// floats from here, and the next row sliver is `k · mr` further on.
-pub fn packed_a_block_off(ii: usize, kk: usize, k: usize, mr: usize) -> usize {
+/// Offset, inside a full-depth packed operand — `m × k` in the layout
+/// [`pack_a_model`]`(m, k, r)` describes, or `k × n` in
+/// [`pack_b_model`]`(k, n, r)`'s — of the sliver holding row (column)
+/// `start`, a multiple of `r`, at depth `kk`. Depth runs contiguously
+/// within a sliver, so the `kb` steps of a k-block are the `kb · r`
+/// floats from here, and the next sliver is `k · r` further on.
+pub fn packed_block_off(start: usize, kk: usize, k: usize, r: usize) -> usize {
     debug_assert!(
-        ii.is_multiple_of(mr),
-        "packed-A block must start on a sliver"
+        start.is_multiple_of(r),
+        "packed block must start on a sliver"
     );
-    (ii / mr) * k * mr + kk * mr
+    (start / r) * k * r + kk * r
 }
 
 /// Length of the packed B buffer for a `kb × nb` block under
@@ -271,9 +279,14 @@ mod tests {
 
     #[test]
     fn micro_tiles_cover_macro_block_once() {
-        for (mb, nb, kb, mr, nr) in [(13, 17, 5, 4, 4), (6, 8, 1, 6, 8), (1, 1, 3, 6, 8)] {
+        for (mb, nb, kb, mr, nr) in [
+            (13, 17, 5, 4, 4),
+            (6, 16, 1, 6, 16),
+            (1, 1, 3, 6, 16),
+            (7, 9, 2, 6, 16),
+        ] {
             let mut seen = vec![0u32; mb * nb];
-            for t in micro_tiles(mb, nb, kb, kb * mr, mr, nr) {
+            for t in micro_tiles(mb, nb, kb * mr, kb * nr, mr, nr) {
                 assert!(t.rows >= 1 && t.rows <= mr);
                 assert!(t.cols >= 1 && t.cols <= nr);
                 for r in 0..t.rows {
@@ -288,12 +301,15 @@ mod tests {
 
     #[test]
     fn packed_blocks_start_on_slivers() {
-        assert_eq!(packed_mc(64, 6), 60);
-        assert_eq!(packed_mc(64, 4), 64);
-        assert_eq!(packed_mc(5, 6), 6);
+        assert_eq!(packed_step(64, 6), 60);
+        assert_eq!(packed_step(64, 4), 64);
+        assert_eq!(packed_step(5, 6), 6);
+        assert_eq!(packed_step(256, 16), 256);
         // Row 12 at depth 3 of a depth-10 operand under 6-row slivers:
         // two whole slivers, then three depth steps into the third.
-        assert_eq!(packed_a_block_off(12, 3, 10, 6), 2 * 60 + 18);
+        assert_eq!(packed_block_off(12, 3, 10, 6), 2 * 60 + 18);
+        // Column 32 of a depth-10 operand under 16-column slivers.
+        assert_eq!(packed_block_off(32, 3, 10, 16), 2 * 160 + 48);
     }
 
     #[test]

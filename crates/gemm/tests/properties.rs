@@ -216,16 +216,43 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Packed-A operand (PR 14): the layout is the whole-matrix pack model,
-// it unpacks losslessly, and the packed batched entry is the row-major
-// one at the operand's level bit for bit — over shapes that leave every block
-// (mr sliver, mc, kc, nr, nc) ragged, at both levels and thread counts.
+// Operands packed ahead of time (PackedA: PR 14, PackedB: PR 16): each
+// layout is the whole-matrix pack model, A unpacks losslessly, B is
+// the model however its column runs were written, and the packed
+// batched entry is the row-major one at the operands' level bit for
+// bit — over shapes that leave every block (mr sliver, mc, kc, nr, nc)
+// ragged, at both levels and thread counts.
 // ---------------------------------------------------------------------
 
 use wino_gemm::{
-    batched_sgemm_packed, batched_sgemm_rt_level, packed_a_block_off, packed_mc, tile_extents,
-    PackedA,
+    batched_sgemm_packed, batched_sgemm_rt_level, packed_block_off, packed_step, tile_extents,
+    PackedA, PackedB,
 };
+
+/// Fills `packed` from the row-major matrices in `b` through the
+/// column writer, `L` columns of every matrix at a time (fewer in the
+/// ragged last run, whose unused lanes hold NaN) — runs in descending
+/// column order, depths interleaved: the layout must not depend on the
+/// order its runs arrive in.
+fn write_in_runs<const L: usize>(packed: &mut PackedB, b: &[f32]) {
+    let (batches, k, n) = (packed.batches(), packed.k(), packed.n());
+    let columns = packed.columns();
+    for col in (0..n).step_by(L).rev() {
+        let count = L.min(n - col);
+        for depth in 0..k {
+            let vals: Vec<[f32; L]> = (0..batches)
+                .map(|batch| {
+                    let mut lanes = [f32::NAN; L];
+                    lanes[..count].copy_from_slice(&b[(batch * k + depth) * n + col..][..count]);
+                    lanes
+                })
+                .collect();
+            // SAFETY: single-threaded; each column range of a row is
+            // written once.
+            unsafe { columns.write(depth, col, count, &vals) };
+        }
+    }
+}
 
 fn test_levels() -> Vec<SimdLevel> {
     let mut levels = vec![SimdLevel::Scalar];
@@ -243,31 +270,107 @@ proptest! {
         batches in 1usize..4,
         m in adversarial_dim(),
         k in adversarial_dim(),
-        n in prop_oneof![Just(1usize), Just(5), Just(9), Just(45), Just(257)],
-        // mc below, at and above mr; kc that divides nothing.
+        n in prop_oneof![Just(1usize), Just(5), Just(9), Just(17), Just(45), Just(257)],
+        // mc below, at and above mr; kc that divides nothing; nc below
+        // and off the nr grid, so packed panels step differently from
+        // the on-the-fly ones.
         mc in prop_oneof![Just(5usize), Just(8), Just(13), Just(64)],
         kc in prop_oneof![Just(3usize), Just(7), Just(128)],
+        nc in prop_oneof![Just(3usize), Just(16), Just(40)],
         threads in 1usize..3,
+        // 0: uniform operands; 1: all zero; 2: products that all
+        // underflow, so FMA chains round to −0.0 and the first
+        // k-block's write must still be `0.0 + acc`.
+        fill in 0usize..3,
         seed in any::<u64>(),
     ) {
         use rand::{Rng, SeedableRng};
         let shape = BatchedGemmShape { batches, m, k, n };
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let a: Vec<f32> = (0..shape.a_len()).map(|_| rng.gen_range(-2.0..2.0)).collect();
-        let b: Vec<f32> = (0..shape.b_len()).map(|_| rng.gen_range(-2.0..2.0)).collect();
-        let cfg = GemmConfig { mc, kc, nc: 16 };
+        let scale = [1.0f32, 0.0, 1e-24][fill];
+        let a: Vec<f32> = (0..shape.a_len()).map(|_| scale * rng.gen_range(-2.0f32..2.0)).collect();
+        let b: Vec<f32> = (0..shape.b_len()).map(|_| scale * rng.gen_range(-2.0f32..2.0)).collect();
+        let cfg = GemmConfig { mc, kc, nc };
         let rt = wino_runtime::Runtime::with_threads(threads);
         for level in test_levels() {
             let mut want = vec![f32::NAN; shape.c_len()];
             batched_sgemm_rt_level(&shape, &a, &b, &mut want, &cfg, &rt, level);
+            if fill > 0 {
+                // What accumulating onto a zero-filled C always gave.
+                prop_assert!(want.iter().all(|w| w.to_bits() == 0), "{:?}", level);
+            }
             let packed = PackedA::pack(&a, batches, m, k, level);
+            let packed_b = PackedB::pack(&b, batches, k, n, level);
             let mut got = vec![f32::NAN; shape.c_len()];
-            batched_sgemm_packed(&shape, &packed, &b, &mut got, &cfg, &rt);
+            batched_sgemm_packed(&shape, &packed, &packed_b, &mut got, &cfg, &rt);
             for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                 prop_assert_eq!(
                     g.to_bits(), w.to_bits(),
-                    "{:?} m={} k={} n={} mc={} kc={} element {}", level, m, k, n, mc, kc, i
+                    "{:?} m={} k={} n={} mc={} kc={} nc={} element {}",
+                    level, m, k, n, mc, kc, nc, i
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn packed_b_written_in_column_runs_is_the_whole_matrix_model(
+        batches in 1usize..3,
+        k in adversarial_dim(),
+        n in adversarial_dim(),
+        nr in prop_oneof![Just(NR_SCALAR), Just(NR_AVX2)],
+        // Run widths on both sides of every sliver width: 8 is the
+        // Winograd lane group (two scalar slivers, half an AVX2 one).
+        wide in any::<bool>(),
+        nc in 1usize..40,
+        kc in 1usize..9,
+    ) {
+        let level = if nr == NR_SCALAR { SimdLevel::Scalar } else { SimdLevel::Avx2 };
+        prop_assert_eq!(tile_extents(level).1, nr);
+        // Distinct values pin the exact source element per slot.
+        let b: Vec<f32> = (0..batches * k * n).map(|i| i as f32 + 1.0).collect();
+        let mut packed = PackedB::zeroed(batches, k, n, level);
+        if wide {
+            write_in_runs::<21>(&mut packed, &b);
+        } else {
+            write_in_runs::<8>(&mut packed, &b);
+        }
+        let model = pack_b_model(k, n, nr);
+        let whole = PackedB::pack(&b, batches, k, n, level);
+        for batch in 0..batches {
+            let got = packed.batch(batch);
+            prop_assert_eq!(got.len(), model.len());
+            prop_assert_eq!(got, whole.batch(batch));
+            for (idx, slot) in model.iter().enumerate() {
+                let want = match *slot {
+                    PackSlot::Src { row, col } => b[(batch * k + row) * n + col],
+                    PackSlot::Zero => 0.0,
+                };
+                prop_assert_eq!(got[idx].to_bits(), want.to_bits());
+            }
+        }
+        // The window a (panel, k block) reads: sliver `s` of the panel
+        // sits `s · k · nr` past `packed_block_off`, and holds columns
+        // jj + s·nr.. at depths kk..kk+kb — zero past column n.
+        let step = packed_step(nc, nr);
+        prop_assert!(step.is_multiple_of(nr) && step >= nr);
+        for jj in (0..n).step_by(step) {
+            for kk in (0..k).step_by(kc) {
+                let kb = kc.min(k - kk);
+                let base = packed_block_off(jj, kk, k, nr);
+                for s in 0..step.min(n - jj).div_ceil(nr) {
+                    for p in 0..kb {
+                        for c in 0..nr {
+                            let col = jj + s * nr + c;
+                            let want = if col < n {
+                                PackSlot::Src { row: kk + p, col }
+                            } else {
+                                PackSlot::Zero
+                            };
+                            prop_assert_eq!(model[base + s * k * nr + p * nr + c], want);
+                        }
+                    }
+                }
             }
         }
     }
@@ -305,15 +408,15 @@ proptest! {
                 }
             }
             // The window a (row block, k block) reads: sliver `s` of
-            // the block sits `s · k · mr` past `packed_a_block_off`,
+            // the block sits `s · k · mr` past `packed_block_off`,
             // and holds rows ii + s·mr.. at depths kk..kk+kb — the last
             // sliver zero-padded past row m.
-            let step = packed_mc(mc, mr);
+            let step = packed_step(mc, mr);
             prop_assert!(step.is_multiple_of(mr) && step >= mr);
             for ii in (0..m).step_by(step) {
                 for kk in (0..k).step_by(kc) {
                     let kb = kc.min(k - kk);
-                    let base = packed_a_block_off(ii, kk, k, mr);
+                    let base = packed_block_off(ii, kk, k, mr);
                     for s in 0..step.min(m - ii).div_ceil(mr) {
                         for p in 0..kb {
                             for r in 0..mr {

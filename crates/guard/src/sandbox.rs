@@ -13,7 +13,8 @@
 //! tuner needs (no candidate gets a second chance to stall a sweep).
 //! Deterministic tests never rely on the clock: the
 //! `tuner:timeout[:n]` fault trigger marks the watchdog expired
-//! through [`fault::take_injected_timeout`] without sleeping.
+//! through [`fault::take_injected_timeout`] without sleeping, and this
+//! module's own tests hand the watchdog its elapsed time.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::time::Instant;
@@ -90,8 +91,20 @@ pub fn payload_to_string(payload: Box<dyn std::any::Any + Send>) -> String {
 /// wall clock (tests are deterministic).
 pub fn run_sandboxed<T>(budget: &SandboxBudget, f: impl FnOnce() -> T) -> SandboxOutcome<T> {
     let start = Instant::now();
+    run_with_clock(budget, f, || start.elapsed().as_secs_f64() * 1e3)
+}
+
+/// [`run_sandboxed`] with the watchdog's clock as an argument:
+/// `elapsed_ms` is asked once, after `f` returns, how long `f` took.
+/// Tests answer with a constant, so no stall of the machine they run
+/// on can move a result across the budget.
+fn run_with_clock<T>(
+    budget: &SandboxBudget,
+    f: impl FnOnce() -> T,
+    elapsed_ms: impl FnOnce() -> f64,
+) -> SandboxOutcome<T> {
     let result = panic::catch_unwind(AssertUnwindSafe(f));
-    let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
+    let elapsed_ms = elapsed_ms();
     match result {
         Err(payload) => SandboxOutcome::Panicked(payload_to_string(payload)),
         Ok(value) => {
@@ -116,14 +129,35 @@ pub fn run_sandboxed<T>(budget: &SandboxBudget, f: impl FnOnce() -> T) -> Sandbo
 mod tests {
     use super::*;
 
+    /// A budget no stall can reach, for tests through the real clock.
+    const UNREACHABLE: SandboxBudget = SandboxBudget {
+        wall_ms: f64::INFINITY,
+    };
+
+    /// Holds the fault scope with nothing armed. Every sandboxed run
+    /// consumes the process-wide injected-timeout flag, so a test that
+    /// runs beside `injected_timeout_is_deterministic` without the
+    /// scope can take the timeout meant for it — and be failed by it.
+    fn no_fault() -> fault::ScopedFault {
+        fault::scoped("")
+    }
+
     #[test]
     fn completes_within_budget() {
-        let outcome = run_sandboxed(&SandboxBudget::default(), || 41 + 1);
+        let _scope = no_fault();
+        let budget = SandboxBudget::default();
+        let outcome = run_with_clock(&budget, || 41 + 1, || budget.wall_ms);
         assert_eq!(outcome, SandboxOutcome::Completed(42));
+        // And through the real clock.
+        assert_eq!(
+            run_sandboxed(&UNREACHABLE, || 41 + 1),
+            SandboxOutcome::Completed(42)
+        );
     }
 
     #[test]
     fn panic_is_captured_with_message() {
+        let _scope = no_fault();
         let outcome = run_sandboxed(&SandboxBudget::default(), || -> i32 {
             panic!("candidate exploded")
         });
@@ -131,19 +165,26 @@ mod tests {
             SandboxOutcome::Panicked(msg) => assert!(msg.contains("candidate exploded")),
             other => panic!("expected Panicked, got {other:?}"),
         }
+        // A panic wins over an overrun.
+        let late = run_with_clock(
+            &SandboxBudget::from_ms(1.0),
+            || -> i32 { panic!("late and broken") },
+            || 2.0,
+        );
+        assert!(matches!(late, SandboxOutcome::Panicked(_)));
     }
 
     #[test]
     fn injected_timeout_is_deterministic() {
         let _scope = fault::scoped("tuner:timeout:1");
-        let outcome = run_sandboxed(&SandboxBudget::default(), || {
+        let outcome = run_sandboxed(&UNREACHABLE, || {
             // The candidate body checks its site, as the tuner does.
             let _ = fault::fire(fault::Site::TunerCandidate);
             7
         });
         assert!(matches!(outcome, SandboxOutcome::TimedOut { .. }));
         // Second run: the one-shot fault is spent.
-        let outcome = run_sandboxed(&SandboxBudget::default(), || {
+        let outcome = run_sandboxed(&UNREACHABLE, || {
             let _ = fault::fire(fault::Site::TunerCandidate);
             7
         });
@@ -152,11 +193,18 @@ mod tests {
 
     #[test]
     fn wall_clock_overrun_is_flagged() {
-        // A zero-millisecond budget: any real work overruns it. This
-        // is the only clock-dependent test and it only relies on
-        // elapsed > 0.
-        let budget = SandboxBudget::from_ms(0.0);
-        let outcome = run_sandboxed(&budget, || std::hint::black_box((0..1000).sum::<u64>()));
+        let _scope = no_fault();
+        let budget = SandboxBudget::from_ms(250.0);
+        let outcome = run_with_clock(&budget, || 7, || 250.5);
+        assert_eq!(
+            outcome,
+            SandboxOutcome::TimedOut {
+                elapsed_ms: 250.5,
+                budget_ms: 250.0
+            }
+        );
+        // The real clock reads more than a negative budget allows.
+        let outcome = run_sandboxed(&SandboxBudget::from_ms(-1.0), || 7);
         assert!(matches!(outcome, SandboxOutcome::TimedOut { .. }));
     }
 }

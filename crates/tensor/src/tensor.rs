@@ -149,14 +149,37 @@ impl<T: Copy + Default> Tensor4<T> {
 
     /// Spatially zero-pads by `pad` on every side of H and W.
     pub fn pad_spatial(&self, pad: usize) -> Tensor4<T> {
-        let mut out = Tensor4::zeros(self.n, self.c, self.h + 2 * pad, self.w + 2 * pad);
-        for n in 0..self.n {
-            for c in 0..self.c {
-                for y in 0..self.h {
-                    for x in 0..self.w {
-                        out[(n, c, y + pad, x + pad)] = self[(n, c, y, x)];
-                    }
-                }
+        self.pad_to(pad, self.h + 2 * pad, self.w + 2 * pad)
+    }
+
+    /// Zero-pads every plane to `out_h × out_w` with the content at
+    /// `(pad, pad)`: `pad` rows and columns of zeros above and to the
+    /// left, whatever is left of the extent below and to the right.
+    /// The Winograd engines pad to whole tiles this way, so a border
+    /// tile reads zeros instead of testing each element.
+    ///
+    /// # Panics
+    /// When the content does not fit: `out_h < h + pad` or
+    /// `out_w < w + pad`.
+    pub fn pad_to(&self, pad: usize, out_h: usize, out_w: usize) -> Tensor4<T> {
+        assert!(
+            out_h >= self.h + pad && out_w >= self.w + pad,
+            "{}x{} content at ({pad}, {pad}) does not fit {out_h}x{out_w}",
+            self.h,
+            self.w
+        );
+        let mut out = Tensor4::zeros(self.n, self.c, out_h, out_w);
+        if self.h * self.w == 0 {
+            return out;
+        }
+        let planes = self
+            .data
+            .chunks_exact(self.h * self.w)
+            .zip(out.data.chunks_exact_mut(out_h * out_w));
+        for (src, dst) in planes {
+            let rows = dst[pad * out_w..].chunks_exact_mut(out_w);
+            for (src_row, dst_row) in src.chunks_exact(self.w).zip(rows) {
+                dst_row[pad..pad + self.w].copy_from_slice(src_row);
             }
         }
         out
@@ -252,6 +275,31 @@ mod tests {
         assert_eq!(p[(0, 0, 1, 1)], 1.0);
         assert_eq!(p[(0, 0, 2, 2)], 4.0);
         assert_eq!(p[(0, 0, 3, 3)], 0.0);
+    }
+
+    #[test]
+    fn pad_to_places_content_and_zero_fills_the_rest() {
+        let t = Tensor4::<f32>::from_fn(2, 2, 2, 3, |n, c, y, x| {
+            (n * 100 + c * 10 + y * 3 + x + 1) as f32
+        });
+        // Uneven extents: one row/column of padding before the content,
+        // three rows and two columns after it.
+        let p = t.pad_to(1, 6, 6);
+        assert_eq!(p.dims(), (2, 2, 6, 6));
+        for (n, c, y, x) in (0..2 * 2 * 6 * 6).map(|i| (i / 72, i / 36 % 2, i / 6 % 6, i % 6)) {
+            let inside = (1..3).contains(&y) && (1..4).contains(&x);
+            let want = if inside { t[(n, c, y - 1, x - 1)] } else { 0.0 };
+            assert_eq!(p[(n, c, y, x)], want, "({n}, {c}, {y}, {x})");
+        }
+        // A zero-area tensor pads to all zeros.
+        let empty = Tensor4::<f32>::zeros(1, 1, 0, 0);
+        assert_eq!(empty.pad_to(2, 4, 4), Tensor4::zeros(1, 1, 4, 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn pad_to_rejects_an_extent_the_content_overflows() {
+        Tensor4::<f32>::zeros(1, 1, 4, 4).pad_to(1, 4, 6);
     }
 
     #[test]

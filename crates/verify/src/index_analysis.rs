@@ -20,13 +20,14 @@
 //!   and its task's column panel — including every ragged remainder
 //!   combination (`m % mr`, `n % nr`, tail blocks of `mc`/`kc`/`nc`).
 //!
-//! - **Packed A:** when the A operand was packed ahead of time
-//!   ([`wino_gemm::PackedA`]), the same nest windows it in place;
-//!   [`check_packed_schedule`] proves every sliver window — row blocks
-//!   stepped by [`wino_gemm::packed_mc`], based at
-//!   [`wino_gemm::packed_a_block_off`] — stays inside the operand and
-//!   holds exactly the rows and depths the tile multiplies, the zero
-//!   padding of the last ragged sliver included.
+//! - **Packed operands:** when A or B was packed ahead of time
+//!   ([`wino_gemm::PackedA`], [`wino_gemm::PackedB`]), the same nest
+//!   windows it in place; [`check_packed_schedule`] proves every sliver
+//!   window — blocks stepped by [`wino_gemm::packed_step`], based at
+//!   [`wino_gemm::packed_block_off`], slivers a full depth apart —
+//!   stays inside the operand and holds exactly the rows (columns) and
+//!   depths the tile multiplies, the zero padding of the last ragged
+//!   sliver included.
 //!
 //! The reasoning is interval/affine arithmetic over loop bounds: all
 //! quantities are affine in the block descriptors, so checking every
@@ -42,8 +43,8 @@ use std::fmt;
 
 use wino_gemm::{
     col_panel, dim_blocks, micro_tiles, pack_a, pack_a_model, pack_b, pack_b_model,
-    pack_capacities, packed_a_block_off, packed_a_len, packed_b_len, packed_mc, tile_extents,
-    GemmConfig, MicroTile, PackSlot, PackedA, SimdLevel,
+    pack_capacities, packed_a_len, packed_b_len, packed_block_off, packed_step, tile_extents,
+    GemmConfig, MicroTile, PackSlot, PackedA, PackedB, SimdLevel,
 };
 
 /// One defect found by the index analysis.
@@ -323,7 +324,7 @@ pub fn check_schedule(
                     ));
                 }
                 let tiles: Vec<_> =
-                    micro_tiles(ip.len, jp.len, kp.len, kp.len * mr, mr, nr).collect();
+                    micro_tiles(ip.len, jp.len, kp.len * mr, kp.len * nr, mr, nr).collect();
                 let mctx = format!("{ctx} macro({},{})", ip.start, jp.start);
                 check_micro_tiles(&mctx, &tiles, ip.len, jp.len, kp.len, mr, nr, &mut issues);
                 for t in &tiles {
@@ -373,7 +374,7 @@ pub fn check_schedule(
             // one count proves all of them.
             if Some(kp) == kblocks.first() {
                 for ip in &mblocks {
-                    for t in micro_tiles(ip.len, jp.len, kp.len, kp.len * mr, mr, nr) {
+                    for t in micro_tiles(ip.len, jp.len, kp.len * mr, kp.len * nr, mr, nr) {
                         for r in 0..t.rows {
                             for c in 0..t.cols {
                                 cover[(ip.start + t.i + r) * n + jp.start + t.j + c] += 1;
@@ -402,92 +403,145 @@ pub fn check_schedule(
     IndexCheck { label, issues }
 }
 
-/// Proves the packed-A windows of one `(m, k)` operand × config ×
-/// level: the macro loop over an already-packed `A` steps row blocks by
-/// [`packed_mc`] and reads tile slivers at
-/// `packed_a_block_off(ii, kk) + t.a_off`. Against the full-depth
-/// layout model `pack_a_model(m, k, mr)` — which
-/// [`cross_check_packing`] ties to what [`PackedA::pack`] writes —
-/// every window must lie inside the operand and hold, slot for slot,
-/// rows `ii + t.i ..` at depths `kk ..`, zero past row `m`; and the
-/// row blocks must partition `[0, m)` so `C` coverage is the row-major
-/// schedule's. `n` plays no part in A offsets, so one column sliver
-/// stands for all.
-pub fn check_packed_schedule(m: usize, k: usize, cfg: &GemmConfig, level: SimdLevel) -> IndexCheck {
+/// Which operand of the multiply a packed-window proof is about.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PackedSide {
+    /// `m × k`, `mr`-row slivers, blocks of `mc` rows.
+    A,
+    /// `k × n`, `nr`-column slivers, panels of `nc` columns.
+    B,
+}
+
+/// Proves the windows of one operand packed ahead of time — A `extent ×
+/// k` or B `k × extent` — × config × level: the macro loop over it
+/// steps blocks by [`packed_step`] and reads tile slivers at
+/// `packed_block_off(start, kk) + t.a_off` (`t.b_off`), consecutive
+/// slivers a full depth (`k · r`) apart. Against the full-depth layout
+/// model `pack_a_model(m, k, mr)` / `pack_b_model(k, n, nr)` — which
+/// [`cross_check_packing`] ties to what [`PackedA::pack`] and
+/// [`PackedB`]'s run writer produce — every window must lie inside the
+/// operand and hold, slot for slot, the block's rows (columns) at
+/// depths `kk ..`, zero past the operand's edge; and the blocks must
+/// partition the extent so `C` coverage is the row-major schedule's.
+/// The other operand plays no part in these offsets, so one sliver of
+/// it stands for all.
+pub fn check_packed_schedule(
+    side: PackedSide,
+    extent: usize,
+    k: usize,
+    cfg: &GemmConfig,
+    level: SimdLevel,
+) -> IndexCheck {
     let (mr, nr) = tile_extents(level);
+    let (r, step) = match side {
+        PackedSide::A => (mr, cfg.mc),
+        PackedSide::B => (nr, cfg.nc),
+    };
     let label = format!(
-        "packed-A {m}x{k} cfg({},{}) {}",
-        cfg.mc,
+        "packed-{side:?} {extent}x{k} cfg({step},{}) {}",
         cfg.kc,
         level.name()
     );
     let mut issues = Vec::new();
-    let step = packed_mc(cfg.mc, mr);
-    check_packed_windows(&label, m, k, step, cfg.kc, mr, nr, &mut issues);
+    let step = packed_step(step, r);
+    check_packed_windows(
+        &label,
+        side,
+        extent,
+        k,
+        step,
+        cfg.kc,
+        k * r,
+        (mr, nr),
+        &mut issues,
+    );
     IndexCheck { label, issues }
 }
 
-/// The body of [`check_packed_schedule`] with the row-block step as a
-/// parameter, so a negative fixture can feed the step a refactor would
-/// most likely get wrong (`cfg.mc` itself).
+/// The body of [`check_packed_schedule`] with the block step and the
+/// sliver stride as parameters, so negative fixtures can feed the
+/// values a refactor would most likely get wrong (`cfg.mc` itself; the
+/// on-the-fly stride `kb · r`).
 #[allow(clippy::too_many_arguments)]
 fn check_packed_windows(
     ctx: &str,
-    m: usize,
+    side: PackedSide,
+    extent: usize,
     k: usize,
     step: usize,
     kc: usize,
-    mr: usize,
-    nr: usize,
+    stride: usize,
+    (mr, nr): (usize, usize),
     issues: &mut Vec<IndexIssue>,
 ) {
-    if step == 0 || !step.is_multiple_of(mr) {
+    let r = match side {
+        PackedSide::A => mr,
+        PackedSide::B => nr,
+    };
+    if step == 0 || !step.is_multiple_of(r) {
         issues.push(issue(
             ctx,
-            format!("row-block step {step} is not whole {mr}-row slivers"),
+            format!("block step {step} is not whole {r}-wide slivers"),
         ));
         return;
     }
-    let mblocks: Vec<_> = dim_blocks(m, step).collect();
-    check_partition(ctx, "packed m", &mblocks, m, step, issues);
-    let model = pack_a_model(m, k, mr);
-    let a_len = packed_a_len(m, k, mr);
+    let blocks: Vec<_> = dim_blocks(extent, step).collect();
+    check_partition(ctx, "packed", &blocks, extent, step, issues);
+    let (model, len) = match side {
+        PackedSide::A => (pack_a_model(extent, k, mr), packed_a_len(extent, k, mr)),
+        PackedSide::B => (pack_b_model(k, extent, nr), packed_b_len(k, extent, nr)),
+    };
     for kp in dim_blocks(k, kc) {
-        for ip in &mblocks {
-            let base = packed_a_block_off(ip.start, kp.start, k, mr);
-            for t in micro_tiles(ip.len, nr, kp.len, k * mr, mr, nr) {
-                let off = base + t.a_off;
-                if off + kp.len * mr > a_len {
+        for bp in &blocks {
+            let base = packed_block_off(bp.start, kp.start, k, r);
+            // One sliver of the other operand: its stride is never
+            // multiplied by anything but zero.
+            let tiles: Vec<MicroTile> = match side {
+                PackedSide::A => micro_tiles(bp.len, nr, stride, 0, mr, nr).collect(),
+                PackedSide::B => micro_tiles(mr, bp.len, 0, stride, mr, nr).collect(),
+            };
+            for t in tiles {
+                // The tile's sliver offset, first row (column) and how
+                // many of the sliver's `r` lanes are real.
+                let (t_off, t_start, t_len) = match side {
+                    PackedSide::A => (t.a_off, t.i, t.rows),
+                    PackedSide::B => (t.b_off, t.j, t.cols),
+                };
+                let off = base + t_off;
+                if off + kp.len * r > len {
                     issues.push(issue(
                         ctx,
                         format!(
-                            "block ({},{}) tile row {}: sliver [{off}, {}) escapes packed A of {a_len}",
-                            ip.start,
+                            "block ({},{}) tile {t_start}: sliver [{off}, {}) escapes the packed operand of {len}",
+                            bp.start,
                             kp.start,
-                            t.i,
-                            off + kp.len * mr
+                            off + kp.len * r
                         ),
                     ));
                     return;
                 }
                 for p in 0..kp.len {
-                    for r in 0..mr {
-                        let want = if r < t.rows {
-                            PackSlot::Src {
-                                row: ip.start + t.i + r,
-                                col: kp.start + p,
-                            }
-                        } else {
-                            PackSlot::Zero
+                    for lane in 0..r {
+                        let (at, depth) = (bp.start + t_start + lane, kp.start + p);
+                        let want = match side {
+                            _ if lane >= t_len => PackSlot::Zero,
+                            PackedSide::A => PackSlot::Src {
+                                row: at,
+                                col: depth,
+                            },
+                            PackedSide::B => PackSlot::Src {
+                                row: depth,
+                                col: at,
+                            },
                         };
-                        let got = model[off + p * mr + r];
+                        let got = model[off + p * r + lane];
                         if got != want {
                             issues.push(issue(
                                 ctx,
                                 format!(
-                                    "block ({},{}) tile row {} slot ({p},{r}) holds {got:?}, \
+                                    "block ({},{}) tile {t_start} slot ({p},{lane}) holds {got:?}, \
                                      micro-kernel expects {want:?}",
-                                    ip.start, kp.start, t.i
+                                    bp.start, kp.start
                                 ),
                             ));
                             return;
@@ -569,11 +623,13 @@ pub fn analyze_gemm_indexing() -> Vec<IndexCheck> {
             }
         }
     }
-    // The same grid's A operands, packed ahead of time.
+    // The same grid's operands, packed ahead of time: A as `m × k`
+    // row slivers, B as `k × n` column slivers.
     for cfg in sweep_configs() {
-        for &(m, k, _) in SHAPES {
+        for &(m, k, n) in SHAPES {
             for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
-                out.push(check_packed_schedule(m, k, &cfg, level));
+                out.push(check_packed_schedule(PackedSide::A, m, k, &cfg, level));
+                out.push(check_packed_schedule(PackedSide::B, n, k, &cfg, level));
             }
         }
     }
@@ -602,12 +658,12 @@ pub fn analyze_gemm_indexing() -> Vec<IndexCheck> {
     }
     for &(kb, nb, nr) in &[
         (128usize, 256usize, 4usize),
-        (128, 256, 8),
-        (1, 1, 8),
-        (3, 7, 8),
+        (128, 256, 16),
+        (1, 1, 16),
+        (3, 7, 16),
         (7, 13, 4),
-        (8, 8, 8),
-        (2, 3, 8),
+        (16, 16, 16),
+        (2, 19, 16),
     ] {
         let label = format!("pack_b model {kb}x{nb}/nr{nr}");
         let mut issues = Vec::new();
@@ -709,12 +765,65 @@ pub fn cross_check_packing() -> Vec<IndexCheck> {
             out.push(IndexCheck { label, issues });
         }
     }
+    // The other ahead-of-time operand: `PackedB` filled a lane group
+    // (8 columns) at a time, the way the Winograd input transform
+    // fills it, must hold the whole-matrix B model.
+    for &(batches, k, n) in &[(2usize, 5usize, 13usize), (1, 8, 16), (3, 1, 1), (1, 9, 45)] {
+        for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+            let nr = tile_extents(level).1;
+            let label = format!("PackedB impl {batches}x{k}x{n}/nr{nr}");
+            let mut issues = Vec::new();
+            let b: Vec<f32> = (0..batches * k * n).map(|v| v as f32 + 2.0).collect();
+            let mut packed = PackedB::zeroed(batches, k, n, level);
+            let columns = packed.columns();
+            for depth in 0..k {
+                for col in (0..n).step_by(8) {
+                    let count = 8.min(n - col);
+                    let vals: Vec<[f32; 8]> = (0..batches)
+                        .map(|batch| {
+                            let mut lanes = [SENTINEL; 8];
+                            let row = &b[(batch * k + depth) * n..][..n];
+                            lanes[..count].copy_from_slice(&row[col..col + count]);
+                            lanes
+                        })
+                        .collect();
+                    // SAFETY: one thread; each column run of a row is
+                    // written once.
+                    unsafe { columns.write(depth, col, count, &vals) };
+                }
+            }
+            let model = pack_b_model(k, n, nr);
+            for batch in 0..batches {
+                let got = packed.batch(batch);
+                let bad = (got.len() != model.len()).then_some(0).or_else(|| {
+                    model.iter().zip(got).position(|(slot, &v)| {
+                        v != match slot {
+                            PackSlot::Src { row, col } => b[(batch * k + row) * n + col],
+                            PackSlot::Zero => 0.0,
+                        }
+                    })
+                });
+                if let Some(slot) = bad {
+                    issues.push(issue(
+                        &label,
+                        format!(
+                            "matrix {batch} ({} slots, model {}) disagrees with the model at slot {slot}",
+                            got.len(),
+                            model.len()
+                        ),
+                    ));
+                    break;
+                }
+            }
+            out.push(IndexCheck { label, issues });
+        }
+    }
     for &(kb, nb, nr, kk, jj) in &[
-        (5usize, 13usize, 8usize, 2usize, 3usize),
-        (8, 8, 8, 0, 0),
-        (1, 1, 8, 4, 4),
+        (5usize, 13usize, 16usize, 2usize, 3usize),
+        (16, 16, 16, 0, 0),
+        (1, 1, 16, 4, 4),
         (3, 7, 4, 0, 1),
-        (4, 4, 8, 5, 0),
+        (4, 20, 16, 5, 0),
     ] {
         let label = format!("pack_b impl {kb}x{nb}/nr{nr}@({kk},{jj})");
         let mut issues = Vec::new();
@@ -781,7 +890,7 @@ mod tests {
         // a j=16 remainder column; a schedule without it leaves a
         // coverage hole the analysis must name.
         let (mb, nb, kb, mr, nr) = (13usize, 17usize, 5usize, 4usize, 4usize);
-        let tiles: Vec<MicroTile> = micro_tiles(mb, nb, kb, kb * mr, mr, nr)
+        let tiles: Vec<MicroTile> = micro_tiles(mb, nb, kb * mr, kb * nr, mr, nr)
             .filter(|t| t.cols == nr)
             .collect();
         let mut issues = Vec::new();
@@ -798,7 +907,7 @@ mod tests {
         // Shift one tile's sliver offset past the pack buffer — the
         // panel-index arithmetic a refactor is most likely to break.
         let (mb, nb, kb, mr, nr) = (8usize, 8usize, 3usize, 4usize, 4usize);
-        let mut tiles: Vec<MicroTile> = micro_tiles(mb, nb, kb, kb * mr, mr, nr).collect();
+        let mut tiles: Vec<MicroTile> = micro_tiles(mb, nb, kb * mr, kb * nr, mr, nr).collect();
         tiles[0].b_off = packed_b_len(kb, nb, nr);
         let mut issues = Vec::new();
         check_micro_tiles("fixture", &tiles, mb, nb, kb, mr, nr, &mut issues);
@@ -809,7 +918,7 @@ mod tests {
     #[test]
     fn overlapping_tiles_rejected() {
         let (mb, nb, kb, mr, nr) = (4usize, 4usize, 2usize, 4usize, 4usize);
-        let mut tiles: Vec<MicroTile> = micro_tiles(mb, nb, kb, kb * mr, mr, nr).collect();
+        let mut tiles: Vec<MicroTile> = micro_tiles(mb, nb, kb * mr, kb * nr, mr, nr).collect();
         let dup = tiles[0];
         tiles.push(dup);
         let mut issues = Vec::new();
@@ -821,17 +930,45 @@ mod tests {
     fn packed_row_step_off_the_sliver_grid_rejected() {
         // Stepping packed row blocks by the raw `mc` (64 under 6-row
         // slivers) would start a block mid-sliver.
+        let (a, extents) = (PackedSide::A, (6, 16));
         let mut issues = Vec::new();
-        check_packed_windows("fixture", 130, 9, 64, 128, 6, 8, &mut issues);
+        check_packed_windows("fixture", a, 130, 9, 64, 128, 9 * 6, extents, &mut issues);
         let detail = &issues
             .first()
             .expect("misaligned step must be found")
             .detail;
-        assert!(detail.contains("not whole 6-row slivers"), "{detail}");
+        assert!(detail.contains("not whole 6-wide slivers"), "{detail}");
         // The step the engine uses is clean on the same operand.
-        let mut issues = Vec::new();
-        check_packed_windows("fixture", 130, 9, packed_mc(64, 6), 128, 6, 8, &mut issues);
+        let (step, mut issues) = (packed_step(64, 6), Vec::new());
+        check_packed_windows("fixture", a, 130, 9, step, 128, 9 * 6, extents, &mut issues);
         assert!(issues.is_empty(), "{}", issues[0]);
+    }
+
+    #[test]
+    fn packed_b_stride_off_by_one_sliver_rejected() {
+        // A 9-deep, 45-column B under 16-column slivers, kc = 4: the
+        // slivers of the full-depth operand are k·nr = 144 apart.
+        let (b, extents, k, nr) = (PackedSide::B, (6, 16), 9, 16);
+        let run = |stride: usize| {
+            let mut issues = Vec::new();
+            check_packed_windows("fixture", b, 45, k, 32, 4, stride, extents, &mut issues);
+            issues
+        };
+        assert!(run(k * nr).is_empty());
+        // One depth step too many per sliver: the second sliver's
+        // window starts a row into the third column sliver's data.
+        let issues = run((k + 1) * nr);
+        let detail = &issues.first().expect("long stride must be found").detail;
+        assert!(detail.contains("micro-kernel expects"), "{detail}");
+        // The stride of a block `pack_b` just wrote (kb·nr) lands the
+        // second sliver inside the first one's later depths.
+        let issues = run(4 * nr);
+        let detail = &issues.first().expect("short stride must be found").detail;
+        assert!(detail.contains("micro-kernel expects"), "{detail}");
+        // And a stride that runs the last sliver off the operand.
+        let issues = run(3 * k * nr);
+        let detail = &issues.first().expect("escape must be found").detail;
+        assert!(detail.contains("escapes the packed operand"), "{detail}");
     }
 
     #[test]

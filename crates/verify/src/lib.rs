@@ -49,7 +49,7 @@ pub use compiled_kernel::{
 };
 pub use index_analysis::{
     analyze_gemm_indexing, check_packed_schedule, check_schedule, cross_check_packing, IndexCheck,
-    IndexIssue,
+    IndexIssue, PackedSide,
 };
 pub use safety_lint::{audit_avx2_pointer_paths, scan_workspace_unsafe, SafetyIssue, SafetyReport};
 pub use template_lint::{lint_generated_plans, lint_static_templates};

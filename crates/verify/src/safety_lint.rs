@@ -19,7 +19,10 @@
 //!    loop) and then checks the *source text* still carries the
 //!    matching `debug_assert!` — every audited invariant is
 //!    cross-checked at runtime in debug builds, so the static claim
-//!    and the executable check cannot drift apart unnoticed.
+//!    and the executable check cannot drift apart unnoticed. (The other
+//!    hand-written AVX2 body, `wino-conv`'s transposing tile gather,
+//!    does no pointer arithmetic: each load and store starts at the
+//!    head of a bounds-checked slice no shorter than it touches.)
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -306,14 +309,19 @@ const AUDITED_KB: &[usize] = &[1, 2, 3, 5, 8, 16, 64, 127, 128, 129, 1024];
 /// `debug_assert!` that cross-checks it at runtime.
 ///
 /// The kernel advances `ap` by [`MR_AVX2`] and `bp` by [`NR_AVX2`] per
-/// k step and reads `*ap.add(r)` (r < MR) plus one 8-lane load at
-/// `bp`. The slivers are `kb·MR` and `kb·NR` floats (proven in-bounds
-/// inside the pack buffers — or, for an A packed ahead of time, inside
-/// the full-depth operand — by the index analysis; either way the
-/// kernel is handed a bounds-checked `kb·MR` sub-slice, anchored
-/// below), so the obligations are: `(kb-1)·MR + MR ≤ kb·MR`, `(kb-1)·NR + 8 ≤ kb·NR`, and the
-/// vector width actually equals `NR_AVX2`.
+/// k step and reads `*ap.add(r)` (r < MR) plus `NV` 8-lane loads at
+/// `bp + 8·v` (v < NV) — `NV = 2` for the full 6×16 tile, `NV = 1` for
+/// a tile of at most 8 columns, which reads the first half of each
+/// sliver row. The slivers are `kb·MR` and `kb·NR` floats (proven
+/// in-bounds inside the pack buffers — or, for an operand packed ahead
+/// of time, inside the full-depth operand — by the index analysis;
+/// either way the kernel is handed bounds-checked `kb·MR` / `kb·NR`
+/// sub-slices, anchored below), so the obligations are:
+/// `(kb-1)·MR + MR ≤ kb·MR`, `(kb-1)·NR + 8·NV ≤ kb·NR` for both `NV`,
+/// and the widest body's vectors cover exactly `NR_AVX2` columns.
 pub fn audit_avx2_pointer_paths() -> Vec<SafetyIssue> {
+    /// Vector counts `micro_kernel_avx2::<NV>` is instantiated at.
+    const BODIES: [usize; 2] = [1, 2];
     let mut issues = Vec::new();
     let file = "crates/gemm/src/blocked.rs".to_string();
     let mut fail = |reason: String| {
@@ -324,12 +332,13 @@ pub fn audit_avx2_pointer_paths() -> Vec<SafetyIssue> {
         })
     };
 
-    // Invariant 1: the 8-lane B load matches the B sliver stride —
-    // if NR_AVX2 ever changed without rewriting the kernel, the load
-    // would read into the next sliver.
-    if NR_AVX2 != 8 {
+    // Invariant 1: the widest body's B loads cover the sliver row —
+    // if NR_AVX2 ever changed without rewriting the kernel, columns
+    // would go unmultiplied or the loads would read into the next row.
+    let widest = 8 * BODIES[BODIES.len() - 1];
+    if NR_AVX2 != widest {
         fail(format!(
-            "AVX2 B load is 8 lanes but NR_AVX2 = {NR_AVX2}; final k-step load escapes the sliver"
+            "widest AVX2 body loads {widest} lanes per k-step but NR_AVX2 = {NR_AVX2}"
         ));
     }
     for &kb in AUDITED_KB {
@@ -341,13 +350,16 @@ pub fn audit_avx2_pointer_paths() -> Vec<SafetyIssue> {
                 kb * MR_AVX2
             ));
         }
-        // Invariant 3: last B load [(kb-1)·NR, (kb-1)·NR+8) ends at kb·NR.
-        let last_b_end = (kb - 1) * NR_AVX2 + 8;
-        if last_b_end > kb * NR_AVX2 {
-            fail(format!(
-                "kb={kb}: B load ends at {last_b_end} past the {}-float sliver",
-                kb * NR_AVX2
-            ));
+        // Invariant 3: a step's last B load, [(kb-1)·NR + 8(NV-1),
+        // (kb-1)·NR + 8·NV), ends inside kb·NR for every body.
+        for nv in BODIES {
+            let last_b_end = (kb - 1) * NR_AVX2 + 8 * nv;
+            if last_b_end > kb * NR_AVX2 {
+                fail(format!(
+                    "kb={kb} NV={nv}: B load ends at {last_b_end} past the {}-float sliver",
+                    kb * NR_AVX2
+                ));
+            }
         }
     }
 
@@ -366,7 +378,14 @@ pub fn audit_avx2_pointer_paths() -> Vec<SafetyIssue> {
         "debug_assert!(a_sliver.len() >= kb * MR_AVX2);",
         "debug_assert!(b_sliver.len() >= kb * NR_AVX2);",
         "debug_assert!((1..=MR_AVX2).contains(&rows));",
-        "debug_assert!((1..=NR_AVX2).contains(&cols));",
+        "debug_assert!((1..=8 * NV).contains(&cols));",
+        // The compile-time form of invariant 3's `8·NV ≤ NR`.
+        "const { assert!(8 * NV <= NR_AVX2) };",
+        // The two instantiations audited above are the ones dispatched,
+        // the narrow one only for tiles it covers.
+        "if t.cols <= 8 {",
+        "micro_kernel_avx2::<1>(",
+        "micro_kernel_avx2::<2>(",
     ] {
         if !source.contains(anchor) {
             fail(format!(
@@ -374,11 +393,15 @@ pub fn audit_avx2_pointer_paths() -> Vec<SafetyIssue> {
             ));
         }
     }
-    // Both A sources reach the kernel through this one bounds-checked
-    // slice, so the walk above is over exactly `kb·MR` floats whether
-    // the sliver sits in the task's pack buffer or in a `PackedA`.
+    // Both sources of either operand reach the kernel through these
+    // bounds-checked slices, so the walks above are over exactly
+    // `kb·MR` and `kb·NR` floats whether a sliver sits in the task's
+    // pack buffer or in a `PackedA` / `PackedB`.
     if !source.contains("let a_sliver = &a_block[t.a_off..t.a_off + kb * mr];") {
         fail("macro_kernel no longer bounds the A sliver to kb*mr floats".to_string());
+    }
+    if !source.contains("let b_sliver = &b_block[t.b_off..t.b_off + kb * nr];") {
+        fail("macro_kernel no longer bounds the B sliver to kb*nr floats".to_string());
     }
     // The C-side bound is asserted where the offsets are computed.
     if !source.contains("debug_assert!(c_off + (t.rows - 1) * ldc + t.cols <= c.len());") {

@@ -53,8 +53,10 @@ assert_verify_line() {
 # plus the fifteen-kernel fresh-emitter sweep (5 specs x 3), proven —
 # not just fingerprinted.
 assert_verify_line '^compiled kernels: 27/27 proven' "27/27 compiled-kernel proofs"
-# Shape x config x SIMD-level grid — A packed on the fly and ahead of
-# time — plus pack-model cross-checks, all clean.
+# Shape x config x SIMD-level grid (AVX2 tile 6x16) — A and B each
+# packed on the fly and ahead of time, the latter as full-depth
+# `k·mr` / `k·nr`-strided windows whose blocks start on sliver
+# boundaries — plus pack-model cross-checks, all clean.
 assert_verify_line '^index analysis: ([1-9][0-9]*)/([1-9][0-9]*) schedule points proven' \
   "a nonempty index-analysis sweep"
 if ! grep -E '^index analysis: ' <<<"$verify_out" | grep -qE ' ([0-9]+)/\1 '; then
@@ -62,7 +64,8 @@ if ! grep -E '^index analysis: ' <<<"$verify_out" | grep -qE ' ([0-9]+)/\1 '; th
   grep -E '^(index analysis|FAIL)' <<<"$verify_out" >&2
   exit 1
 fi
-# Every workspace unsafe site annotated; AVX2 pointer audit clean.
+# Every workspace unsafe site annotated; AVX2 pointer audit clean for
+# both micro-kernel bodies (one and two B loads per k-step, NR = 16).
 assert_verify_line '^safety lint: [1-9][0-9]* unsafe site\(s\) across [1-9][0-9]* files, 0 unannotated; avx2 pointer audit: 0 issue\(s\)' \
   "a clean safety lint over a nonempty unsafe-site set"
 # The compiled-kernel table (wino-conv's build script) generates its
