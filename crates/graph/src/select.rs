@@ -51,15 +51,19 @@ pub fn select_engine(desc: &ConvDesc) -> EngineChoice {
 }
 
 /// Picks the engine for a convolution from an explicit tuning cache,
-/// falling back to [`select_engine_static`] — with a `probe::diag`
-/// note — when the cache has no plan for this (shape, device).
+/// falling back to [`select_engine_static`] when the cache has no plan
+/// for this (shape, device) — with a `probe::diag` note if the cache
+/// holds other plans (a hole in a tuned set is worth a line; a cache
+/// nobody tuned into is the untuned default, not a finding).
 pub fn select_engine_cached(desc: &ConvDesc, cache: &TuningCache, device: &str) -> EngineChoice {
     match cache.get(desc, device) {
         Some(eval) => engine_from_evaluation(&eval),
         None => {
-            wino_probe::diag(format!(
-                "select: no tuned plan for {desc} on {device:?}; using static heuristic"
-            ));
+            if !cache.is_empty() {
+                wino_probe::diag(format!(
+                    "select: no tuned plan for {desc} on {device:?}; using static heuristic"
+                ));
+            }
             select_engine_static(desc)
         }
     }
@@ -191,47 +195,49 @@ mod tests {
         assert_eq!(cfg.gemm, point.gemm_config());
     }
 
+    /// An untuned-looking evaluation prescribing a baseline engine.
+    fn baseline(variant: PlanVariant) -> Evaluation {
+        let point = wino_tuner::TuningPoint {
+            variant,
+            unroll: wino_codegen::Unroll::Full,
+            mnt: 1,
+            mnb: 8,
+            threads: 1,
+        };
+        Evaluation {
+            point,
+            time_ms: 1.0,
+        }
+    }
+
     #[test]
     fn cache_miss_falls_back_with_diag() {
         let d = ConvDesc::new(3, 1, 1, 64, 1, 14, 14, 32);
         let cache = TuningCache::new();
-        wino_probe::set_mode(wino_probe::Mode::Summary);
-        let _ = wino_probe::take_diagnostics();
-        let choice = select_engine_cached(&d, &cache, "cpu");
-        let diags = wino_probe::take_diagnostics();
-        wino_probe::set_mode(wino_probe::Mode::Off);
-        assert_eq!(choice, select_engine_static(&d));
-        assert!(
-            diags.iter().any(|l| l.contains("no tuned plan")),
-            "expected a fallback diagnostic, got {diags:?}"
-        );
+        let select = |cache: &TuningCache| {
+            wino_probe::set_mode(wino_probe::Mode::Summary);
+            let _ = wino_probe::take_diagnostics();
+            let choice = select_engine_cached(&d, cache, "cpu");
+            let diags = wino_probe::take_diagnostics();
+            wino_probe::set_mode(wino_probe::Mode::Off);
+            assert_eq!(choice, select_engine_static(&d));
+            diags.iter().any(|l| l.contains("no tuned plan"))
+        };
+        assert!(!select(&cache), "an empty cache must stay silent");
+        // One unrelated entry makes it a tuned set with a hole.
+        cache.put(&d, "another-device", &baseline(PlanVariant::Im2col));
+        assert!(select(&cache), "expected a fallback diagnostic");
     }
 
     #[test]
     fn cached_baseline_variants_map_through() {
-        use wino_codegen::Unroll;
-        use wino_tuner::TuningPoint;
-
         let d = ConvDesc::new(3, 1, 1, 64, 1, 14, 14, 32);
         let cache = TuningCache::new();
         for (variant, expected) in [
             (PlanVariant::Im2col, EngineChoice::Im2col),
             (PlanVariant::Direct, EngineChoice::Direct),
         ] {
-            cache.put(
-                &d,
-                "cpu",
-                &Evaluation {
-                    point: TuningPoint {
-                        variant,
-                        unroll: Unroll::Full,
-                        mnt: 1,
-                        mnb: 8,
-                        threads: 1,
-                    },
-                    time_ms: 1.0,
-                },
-            );
+            cache.put(&d, "cpu", &baseline(variant));
             assert_eq!(select_engine_cached(&d, &cache, "cpu"), expected);
         }
     }

@@ -2,23 +2,19 @@
 //! plain-text summary table (count / total / mean / p50 / p95 per span
 //! name), both rendered from one drained [`TraceData`] snapshot.
 
-use crate::hist::HistogramSnapshot;
+use crate::metrics::{self, Snapshot};
 use crate::{take_events, thread_names, SpanEvent};
 use serde::Value;
 
 /// Everything one export pass needs: the drained span events plus a
-/// counter snapshot. Grab it once via [`collect`] and render either
+/// metrics snapshot. Grab it once via [`collect`] and render either
 /// (or both) formats from it.
 #[derive(Clone, Debug)]
 pub struct TraceData {
     /// Finished spans, sorted by start time.
     pub events: Vec<SpanEvent>,
-    /// `(name, value)` counter snapshot, sorted by name.
-    pub counters: Vec<(String, u64)>,
-    /// `(name, current, peak)` gauge snapshot, sorted by name.
-    pub gauges: Vec<(String, i64, i64)>,
-    /// Histogram snapshots, sorted by name.
-    pub hists: Vec<HistogramSnapshot>,
+    /// Counters, gauges and histograms at collection time.
+    pub metrics: Snapshot,
     /// `(tid, thread name)` pairs for chrome metadata events.
     pub threads: Vec<(usize, String)>,
 }
@@ -29,9 +25,7 @@ pub struct TraceData {
 pub fn collect() -> TraceData {
     TraceData {
         events: take_events(),
-        counters: crate::counter_values(),
-        gauges: crate::gauge_values(),
-        hists: crate::hist_values(),
+        metrics: metrics::snapshot(),
         threads: thread_names(),
     }
 }
@@ -55,16 +49,15 @@ impl TraceData {
         rows.sort_by_key(|row| std::cmp::Reverse(row.total_ns()));
         Summary {
             rows,
-            counters: self.counters.clone(),
-            gauges: self.gauges.clone(),
-            hists: self.hists.clone(),
+            metrics: self.metrics.clone(),
         }
     }
 
     /// Renders the chrome://tracing JSON object. Spans become complete
-    /// (`"ph": "X"`) events with microsecond timestamps; counters
-    /// become one `"ph": "C"` sample each at the trace end, so
-    /// chrome://tracing and Perfetto both load the file directly.
+    /// (`"ph": "X"`) events with microsecond timestamps; counters,
+    /// gauges and histograms become one `"ph": "C"` sample each at the
+    /// trace end, so chrome://tracing and Perfetto both load the file
+    /// directly.
     pub fn chrome_trace(&self) -> ChromeTrace {
         let mut trace_events: Vec<Value> = Vec::new();
         for (tid, name) in &self.threads {
@@ -107,55 +100,34 @@ impl TraceData {
             }
             trace_events.push(Value::Object(obj));
         }
-        for (name, value) in &self.counters {
+        // One counter sample per metric at the trace end.
+        let mut sample = |name: &str, args: Vec<(&str, Value)>| {
+            let args = args.into_iter().map(|(k, v)| (k.to_string(), v));
             trace_events.push(Value::Object(vec![
-                ("name".into(), Value::Str(name.clone())),
+                ("name".into(), Value::Str(name.to_string())),
                 ("cat".into(), Value::Str("wino".into())),
                 ("ph".into(), Value::Str("C".into())),
                 ("ts".into(), Value::Float(end_us)),
                 ("pid".into(), Value::UInt(1)),
                 ("tid".into(), Value::UInt(0)),
-                (
-                    "args".into(),
-                    Value::Object(vec![("value".into(), Value::UInt(*value))]),
-                ),
+                ("args".into(), Value::Object(args.collect())),
             ]));
+        };
+        for (name, value) in &self.metrics.counters {
+            sample(name, vec![("value", Value::UInt(*value))]);
         }
-        for (name, current, peak) in &self.gauges {
-            trace_events.push(Value::Object(vec![
-                ("name".into(), Value::Str(name.clone())),
-                ("cat".into(), Value::Str("wino".into())),
-                ("ph".into(), Value::Str("C".into())),
-                ("ts".into(), Value::Float(end_us)),
-                ("pid".into(), Value::UInt(1)),
-                ("tid".into(), Value::UInt(0)),
-                (
-                    "args".into(),
-                    Value::Object(vec![
-                        ("value".into(), Value::Int(*current)),
-                        ("peak".into(), Value::Int(*peak)),
-                    ]),
-                ),
-            ]));
+        for (name, current, peak) in &self.metrics.gauges {
+            let (value, peak) = (Value::Int(*current), Value::Int(*peak));
+            sample(name, vec![("value", value), ("peak", peak)]);
         }
-        for h in &self.hists {
-            trace_events.push(Value::Object(vec![
-                ("name".into(), Value::Str(h.name.clone())),
-                ("cat".into(), Value::Str("wino".into())),
-                ("ph".into(), Value::Str("C".into())),
-                ("ts".into(), Value::Float(end_us)),
-                ("pid".into(), Value::UInt(1)),
-                ("tid".into(), Value::UInt(0)),
-                (
-                    "args".into(),
-                    Value::Object(vec![
-                        ("count".into(), Value::UInt(h.count)),
-                        ("p50_ns".into(), Value::UInt(h.quantile(0.50))),
-                        ("p99_ns".into(), Value::UInt(h.quantile(0.99))),
-                        ("max_ns".into(), Value::UInt(h.max)),
-                    ]),
-                ),
-            ]));
+        for h in &self.metrics.hists {
+            let args = [
+                ("count", h.count),
+                ("p50_ns", h.quantile(0.50)),
+                ("p99_ns", h.quantile(0.99)),
+                ("max_ns", h.max),
+            ];
+            sample(&h.name, args.map(|(k, v)| (k, Value::UInt(v))).into());
         }
         ChromeTrace {
             root: Value::Object(vec![
@@ -227,12 +199,8 @@ impl SummaryRow {
 pub struct Summary {
     /// Rows sorted by total time, descending.
     pub rows: Vec<SummaryRow>,
-    /// `(name, value)` counter snapshot.
-    pub counters: Vec<(String, u64)>,
-    /// `(name, current, peak)` gauge snapshot.
-    pub gauges: Vec<(String, i64, i64)>,
-    /// Histogram snapshots, sorted by name.
-    pub hists: Vec<HistogramSnapshot>,
+    /// The metrics snapshot the trace was collected with.
+    pub metrics: Snapshot,
 }
 
 impl Summary {
@@ -275,42 +243,30 @@ impl Summary {
                 out.push('\n');
             }
         }
-        let live: Vec<_> = self.counters.iter().filter(|(_, v)| *v > 0).collect();
-        if !live.is_empty() {
-            out.push_str("\ncounters:\n");
-            let w = live.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
+        let mut section = |title: &str, live: Vec<(&str, String)>| {
+            if !live.is_empty() {
+                out.push_str(&format!("\n{title}:\n"));
+            }
+            let w = live.iter().map(|(name, _)| name.len()).max().unwrap_or(0);
             for (name, value) in live {
                 out.push_str(&format!("  {name:<w$}  {value}\n"));
             }
-        }
-        let live: Vec<_> = self
-            .gauges
-            .iter()
-            .filter(|(_, current, peak)| *current != 0 || *peak != 0)
-            .collect();
-        if !live.is_empty() {
-            out.push_str("\ngauges:\n");
-            let w = live.iter().map(|(n, _, _)| n.len()).max().unwrap_or(0);
-            for (name, current, peak) in live {
-                out.push_str(&format!("  {name:<w$}  {current} (peak {peak})\n"));
-            }
-        }
-        let live: Vec<_> = self.hists.iter().filter(|h| h.count > 0).collect();
-        if !live.is_empty() {
-            out.push_str("\nhistograms:\n");
-            let w = live.iter().map(|h| h.name.len()).max().unwrap_or(0);
-            for h in live {
-                out.push_str(&format!(
-                    "  {:<w$}  count={} p50={} p90={} p99={} max={}\n",
-                    h.name,
-                    h.count,
-                    h.quantile(0.50),
-                    h.quantile(0.90),
-                    h.quantile(0.99),
-                    h.max,
-                ));
-            }
-        }
+        };
+        let m = &self.metrics;
+        let live = m.counters.iter().filter(|(_, v)| *v > 0);
+        let text = live.map(|(name, v)| (&name[..], v.to_string()));
+        section("counters", text.collect());
+        let live = m.gauges.iter().filter(|(_, v, peak)| *v != 0 || *peak != 0);
+        let text = live.map(|(name, v, peak)| (&name[..], format!("{v} (peak {peak})")));
+        section("gauges", text.collect());
+        let live = m.hists.iter().filter(|h| h.count > 0);
+        let text = live.map(|h| {
+            let (p50, p90, p99) = (h.quantile(0.50), h.quantile(0.90), h.quantile(0.99));
+            let (count, max) = (h.count, h.max);
+            let text = format!("count={count} p50={p50} p90={p90} p99={p99} max={max}");
+            (&h.name[..], text)
+        });
+        section("histograms", text.collect());
         out
     }
 }
@@ -318,6 +274,7 @@ impl Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hist::HistogramSnapshot;
 
     fn event(name: &'static str, tid: usize, start: u64, dur: u64) -> SpanEvent {
         SpanEvent {
@@ -340,9 +297,11 @@ mod tests {
                 event("b", 0, 500_000, 1_000_000),
                 event("a", 1, 2_000_000, 2_000_000),
             ],
-            counters: vec![("hits".into(), 7), ("zeros".into(), 0)],
-            gauges: vec![("depth".into(), 2, 5), ("idle".into(), 0, 0)],
-            hists: vec![lat, HistogramSnapshot::named("empty")],
+            metrics: Snapshot {
+                counters: vec![("hits".into(), 7), ("zeros".into(), 0)],
+                gauges: vec![("depth".into(), 2, 5), ("idle".into(), 0, 0)],
+                hists: vec![lat, HistogramSnapshot::named("empty")],
+            },
             threads: vec![(0, "main".into()), (1, "wino-worker-0".into())],
         }
     }

@@ -11,8 +11,9 @@
 //! Gating follows the house rule: one relaxed [`AtomicBool`] checked
 //! before anything else happens. Disarmed (the default), every feed
 //! point is a relaxed load and a branch; tests and the existing
-//! drill/serve counter contracts see no new events. `wino-telemetry`
-//! arms the recorder when `WINO_METRICS` is active.
+//! drill/serve counter contracts see no new events.
+//! [`crate::metrics::set_mode`] arms the recorder when `WINO_METRICS`
+//! is active.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -41,7 +42,7 @@ pub fn enabled() -> bool {
 }
 
 /// Arms or disarms the recorder (normally done by
-/// `wino-telemetry::init_from_env`, directly callable from tests).
+/// [`crate::metrics::init_from_env`], directly callable from tests).
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }

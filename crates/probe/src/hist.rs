@@ -1,18 +1,20 @@
-//! Fixed log2-bucketed, lock-free latency histograms.
+//! Fixed log-linear-bucketed, lock-free latency histograms.
 //!
 //! A [`Histogram`] is the third probe primitive next to [`Counter`]
-//! and [`Gauge`](crate::Gauge): a set of 65 atomic bucket counters
-//! (bucket 0 holds exact zeros, bucket `i ≥ 1` holds values in
-//! `[2^(i-1), 2^i)`), plus an exact count, sum, and maximum. Recording
-//! is wait-free — one bucket `fetch_add`, plus the count/sum adds and
-//! a `fetch_max` — so any number of threads can record into the same
-//! histogram concurrently and the merged totals are exact.
+//! and [`Gauge`](crate::Gauge): a set of 976 atomic bucket counters —
+//! values below 16 get a bucket each, and every octave `[2^e, 2^(e+1))`
+//! above is split into [`SUB_BUCKETS`] equal-width buckets — plus an
+//! exact count, sum, and maximum. Recording is wait-free — one bucket
+//! `fetch_add`, plus the count/sum adds and a `fetch_max` — so any
+//! number of threads can record into the same histogram concurrently
+//! and the merged totals are exact.
 //!
 //! Quantiles are *estimated* from the bucket counts: the reported
 //! value is the upper edge of the bucket containing the nearest-rank
-//! order statistic, so every estimate is within one bucket boundary of
-//! the true sorted-array quantile (for a true quantile `t > 0` the
-//! estimate `e` satisfies `t ≤ e < 2·t`). The maximum is exact.
+//! order statistic, so every estimate is within one bucket of the true
+//! sorted-array quantile: for a true quantile `t` the estimate `e`
+//! satisfies `t ≤ e ≤ t·(1 + 1/16)`, and `e = t` below 32. The
+//! maximum is exact.
 //!
 //! Like every probe primitive, the disabled path is a relaxed atomic
 //! load and a branch: with tracing *and* telemetry off,
@@ -26,39 +28,49 @@ use std::time::{Duration, Instant};
 
 use crate::{registry, stats_enabled};
 
-/// Number of buckets: one for exact zero plus one per power of two.
-pub const BUCKETS: usize = 65;
+/// Equal-width buckets per octave (a power of two, so the sub-bucket
+/// is a shift and a mask).
+pub const SUB_BUCKETS: usize = 16;
 
-/// Bucket index of `v`: 0 for `v == 0`, else `64 - leading_zeros(v)`
-/// (so bucket `i` covers `[2^(i-1), 2^i)`).
+/// `log2(SUB_BUCKETS)`: the first octave that is split rather than
+/// exact.
+const SUB_BITS: usize = SUB_BUCKETS.trailing_zeros() as usize;
+
+/// Number of buckets: one per value below [`SUB_BUCKETS`], then
+/// [`SUB_BUCKETS`] per octave from `2^4` to `2^63`.
+pub const BUCKETS: usize = SUB_BUCKETS + (64 - SUB_BITS) * SUB_BUCKETS;
+
+/// Bucket index of `v`: `v` itself below 16; above, octave
+/// `e = ⌊log2 v⌋` starts at index `16·(e − 3)` and the next four bits
+/// of `v` pick the sub-bucket.
 #[inline]
 pub fn bucket_index(v: u64) -> usize {
-    if v == 0 {
-        0
-    } else {
-        64 - v.leading_zeros() as usize
+    if v < SUB_BUCKETS as u64 {
+        return v as usize;
     }
+    let shift = 63 - v.leading_zeros() as usize - SUB_BITS;
+    // `v >> shift` is in [16, 32): its low four bits are the sub-bucket
+    // and its leading one carries the index into the next octave.
+    (shift << SUB_BITS) + (v >> shift) as usize
 }
 
 /// Inclusive lower edge of bucket `i`.
 pub fn bucket_lower(i: usize) -> u64 {
-    if i == 0 {
-        0
-    } else {
-        1u64 << (i - 1)
+    if i < SUB_BUCKETS {
+        return i as u64;
     }
+    let shift = (i >> SUB_BITS) - 1;
+    ((SUB_BUCKETS + (i & (SUB_BUCKETS - 1))) as u64) << shift
 }
 
 /// Inclusive upper edge of bucket `i` (the value quantile estimation
 /// reports for ranks landing in the bucket).
 pub fn bucket_upper(i: usize) -> u64 {
-    if i == 0 {
-        0
-    } else if i >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << i) - 1
+    if i < SUB_BUCKETS {
+        return i as u64;
     }
+    let width = 1u64 << ((i >> SUB_BITS) - 1);
+    bucket_lower(i) + (width - 1)
 }
 
 /// Atomic backing storage of one histogram.
@@ -336,15 +348,49 @@ mod tests {
 
     #[test]
     fn bucket_edges_are_consistent() {
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 1);
-        assert_eq!(bucket_index(2), 2);
-        assert_eq!(bucket_index(3), 2);
-        assert_eq!(bucket_index(4), 3);
-        assert_eq!(bucket_index(u64::MAX), 64);
-        for v in [0u64, 1, 2, 3, 7, 8, 1023, 1024, u64::MAX] {
+        assert_eq!(BUCKETS, 976);
+        for v in 0..32u64 {
+            assert_eq!(bucket_index(v), v as usize, "values below 32 are exact");
+        }
+        assert_eq!(bucket_index(32), 32);
+        assert_eq!(bucket_index(33), 32);
+        assert_eq!(bucket_index(34), 33);
+        assert_eq!(bucket_index(u64::MAX), BUCKETS - 1);
+        assert_eq!(bucket_upper(BUCKETS - 1), u64::MAX);
+        for v in [0u64, 1, 15, 16, 31, 32, 1023, 1024, 1 << 40, u64::MAX] {
             let i = bucket_index(v);
             assert!(bucket_lower(i) <= v && v <= bucket_upper(i), "v={v} i={i}");
+        }
+        // The buckets tile the whole range in order, and each upper
+        // edge is within 1/16 of its lower edge.
+        for i in 1..BUCKETS {
+            let (lo, hi) = (bucket_lower(i), bucket_upper(i));
+            assert_eq!(
+                lo,
+                bucket_upper(i - 1) + 1,
+                "bucket {i} starts after {}",
+                i - 1
+            );
+            assert_eq!((bucket_index(lo), bucket_index(hi)), (i, i));
+            assert!(hi - lo <= lo / 16, "bucket {i} is wider than lower/16");
+        }
+    }
+
+    /// Samples inside one octave separate: the log2 buckets this
+    /// replaced reported p50 = p90 = p99 for any such distribution.
+    #[test]
+    fn percentiles_within_one_octave_differ() {
+        let mut h = HistogramSnapshot::named("octave");
+        for i in 0..1_000u64 {
+            h.observe(1_000_000 + i * 1_000);
+        }
+        let (p50, p90, p99) = (h.quantile(0.50), h.quantile(0.90), h.quantile(0.99));
+        assert!(p50 < p90 && p90 < p99, "p50={p50} p90={p90} p99={p99}");
+        for (est, truth) in [(p50, 1_499_000u64), (p90, 1_899_000), (p99, 1_989_000)] {
+            assert!(
+                truth <= est && est <= truth + truth / 16,
+                "{est} vs {truth}"
+            );
         }
     }
 

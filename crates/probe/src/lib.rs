@@ -29,6 +29,10 @@
 //! chrome://tracing-compatible JSON trace or a plain-text summary
 //! table — see the [`export`] module.
 //!
+//! `WINO_METRICS=off|summary|text[:path]` is the second, metrics-only
+//! gate — see the [`metrics`] module, which also owns the one snapshot
+//! of counters/gauges/histograms and the metric schema.
+//!
 //! ## Fault injection
 //!
 //! The [`fault`] module is the deterministic `WINO_FAULT` injection
@@ -42,6 +46,7 @@ pub mod export;
 pub mod fault;
 pub mod flight;
 pub mod hist;
+pub mod metrics;
 
 pub use export::{collect, ChromeTrace, Summary, SummaryRow, TraceData};
 pub use hist::{hist_values, histogram, Histogram, HistogramHandle, HistogramSnapshot};
@@ -76,7 +81,7 @@ pub fn enabled() -> bool {
     MODE.load(Ordering::Relaxed) != 0
 }
 
-/// Second gate: metrics-only recording, armed by `wino-telemetry`
+/// Second gate: metrics-only recording, armed by [`metrics::set_mode`]
 /// when `WINO_METRICS` is active. Distinct from [`MODE`] so a serving
 /// process can collect counters/gauges/histograms indefinitely
 /// without spans accumulating in the (unbounded) thread buffers.
@@ -91,7 +96,7 @@ pub fn telemetry_enabled() -> bool {
 /// Arms or disarms metrics-only recording: counters, gauges, and
 /// histograms record, but spans still only land in thread buffers
 /// under an active [`Mode`]. Normally driven by
-/// `wino-telemetry::init_from_env`.
+/// [`metrics::init_from_env`].
 pub fn set_telemetry(on: bool) {
     let _ = epoch();
     TELEMETRY.store(on, Ordering::Relaxed);

@@ -145,7 +145,7 @@ proptest! {
         run_workload(threads, tasks, "prop.counter.off");
         let data = probe::collect();
         prop_assert!(data.events.is_empty(), "disabled mode must record no spans");
-        for (name, value) in &data.counters {
+        for (name, value) in &data.metrics.counters {
             prop_assert_eq!(*value, 0u64, "counter {} moved while disabled", name);
         }
     }

@@ -61,8 +61,9 @@ proptest! {
         prop_assert_eq!(snap.buckets, expected.buckets);
     }
 
-    /// The estimated quantile always lands in the same log2 bucket as
-    /// the exact nearest-rank statistic — the histogram's documented
+    /// The estimated quantile always lands in the same bucket as the
+    /// exact nearest-rank statistic, which bounds it to
+    /// `truth ≤ est ≤ truth·(1 + 1/16)` — the histogram's documented
     /// error bound — and never exceeds the exact maximum.
     #[test]
     fn quantile_within_one_bucket_of_truth(
@@ -79,6 +80,10 @@ proptest! {
         prop_assert_eq!(
             hist::bucket_index(est), hist::bucket_index(truth),
             "q={}: est {} vs truth {}", q, est, truth
+        );
+        prop_assert!(
+            truth <= est && est <= truth + truth / 16,
+            "q={}: est {} outside [t, t(1+1/16)] of truth {}", q, est, truth
         );
         prop_assert!(est <= h.max);
     }

@@ -52,7 +52,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel;
 use wino_exec::NetworkExecutor;
 use wino_guard::{payload_to_string, Engine, GuardrailPolicy};
-use wino_probe::fault;
+use wino_probe::{fault, metrics};
 use wino_tensor::Tensor4;
 
 use crate::breaker::{BreakerDecision, BreakerMap};
@@ -394,7 +394,7 @@ pub struct Server {
     health: Arc<HealthState>,
     liveness: Arc<Liveness>,
     supervisor: Mutex<Option<Supervisor>>,
-    emitter: Mutex<Option<wino_telemetry::PeriodicEmitter>>,
+    emitter: Mutex<Option<metrics::PeriodicEmitter>>,
     shutting_down: Arc<AtomicBool>,
 }
 
@@ -466,8 +466,8 @@ impl Server {
             config.max_executor_restarts,
             config.restart_backoff,
         );
-        let emitter = if wino_telemetry::mode() != wino_telemetry::MetricsMode::Off {
-            Some(wino_telemetry::PeriodicEmitter::start(
+        let emitter = if metrics::mode() != metrics::MetricsMode::Off {
+            Some(metrics::PeriodicEmitter::start(
                 config.metrics_interval,
                 "serve.periodic",
             ))
@@ -647,7 +647,7 @@ impl Server {
     /// `serve.breaker_state.*` positions, histograms), regardless of
     /// the `WINO_METRICS` mode.
     pub fn render_metrics(&self) -> String {
-        wino_telemetry::render_prometheus()
+        metrics::snapshot().prometheus()
     }
 
     /// Drains and stops: closes admission, lets the scheduler flush
@@ -682,10 +682,8 @@ impl Server {
         drop(st);
         // Stop the periodic emitter, then emit one final snapshot so
         // a `text:path` scrape file always reflects the drained state.
-        if let Some(emitter) = lock_recover(&self.emitter).take() {
-            emitter.stop();
-        }
-        wino_telemetry::emit("serve.shutdown");
+        drop(lock_recover(&self.emitter).take());
+        metrics::emit("serve.shutdown");
     }
 }
 

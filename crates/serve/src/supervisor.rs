@@ -373,6 +373,6 @@ impl SupState {
         // Wake a scheduler parked on the condvar so it can observe the
         // closed queue and exit its drain loop.
         self.queue.cv.notify_all();
-        wino_telemetry::emit("serve.failed");
+        wino_probe::metrics::emit("serve.failed");
     }
 }

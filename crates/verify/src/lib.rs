@@ -183,7 +183,7 @@ pub fn verify_recipe_db() -> Vec<RecipeSummary> {
 }
 
 /// Aggregate outcome of all analyses.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct VerificationReport {
     /// Per-recipe verification results over the full DB sweep.
     pub recipes: Vec<RecipeSummary>,
@@ -223,9 +223,52 @@ impl VerificationReport {
         self.index_checks.iter().filter(|c| !c.passed()).collect()
     }
 
-    /// `true` when every analysis came back clean.
+    /// What the sweep should have analysed and did not: an analysis
+    /// that covered nothing, or a compiled spec × stage that is not
+    /// among the proven `optimized` recipes and the proven embedded
+    /// kernels (the build script compiles exactly those recipes, so
+    /// only proven recipes may reach it). Empty when the sweep is
+    /// whole.
+    pub fn coverage_gaps(&self) -> Vec<String> {
+        let mut gaps = Vec::new();
+        for (what, n) in [
+            ("recipes", self.recipes.len()),
+            ("compiled kernels", self.kernel_checks.len()),
+            ("index-analysis schedule points", self.index_checks.len()),
+            ("unsafe sites", self.safety.unsafe_sites),
+        ] {
+            if n == 0 {
+                gaps.push(format!("coverage: the sweep analysed no {what}"));
+            }
+        }
+        for &(m, r) in wino_conv::compiled::compiled_specs() {
+            for stage in ["filter", "input", "output"] {
+                let recipe = self.recipes.iter().any(|s| {
+                    (s.spec.m, s.spec.r, s.stage) == (m, r, stage)
+                        && s.pipeline == "optimized"
+                        && s.result.is_ok()
+                });
+                if !recipe {
+                    gaps.push(format!(
+                        "coverage: no proven F({m},{r})/{stage}/optimized recipe"
+                    ));
+                }
+                let label = format!("F({m},{r}) {stage} (embedded)");
+                let kernel = |c: &KernelCheck| c.label == label && c.passed();
+                if !self.kernel_checks.iter().any(kernel) {
+                    gaps.push(format!("coverage: no proven {label} kernel"));
+                }
+            }
+        }
+        gaps
+    }
+
+    /// `true` when every analysis came back clean *and* covered what
+    /// ships ([`Self::coverage_gaps`]) — a sweep that analysed nothing
+    /// has proven nothing.
     pub fn passed(&self) -> bool {
-        self.failed_recipes().is_empty()
+        self.coverage_gaps().is_empty()
+            && self.failed_recipes().is_empty()
             && self.template_issues.is_empty()
             && self.plan_issues.is_empty()
             && self.audit_issues.is_empty()
@@ -279,6 +322,46 @@ mod tests {
         // r=3: m 2..=10 (α 4..12); r=5: m 2..=10 (α 6..14); r=7: m 2..=10 (α 8..16).
         assert_eq!(specs.len(), 27);
         assert!(specs.iter().all(|s| (4..=16).contains(&s.alpha())));
+    }
+
+    #[test]
+    fn empty_sweep_does_not_pass() {
+        let empty = VerificationReport::default();
+        assert!(
+            !empty.passed(),
+            "a sweep that analysed nothing proves nothing"
+        );
+        let gaps = empty.coverage_gaps();
+        assert!(gaps.iter().any(|g| g.contains("no recipes")), "{gaps:?}");
+    }
+
+    /// A whole report passes; the same report short one compiled
+    /// spec/stage — first among the recipes, then among the kernels —
+    /// does not, and names what is missing.
+    #[test]
+    fn sweep_short_one_spec_stage_does_not_pass() {
+        let full = run_full_verification();
+        assert!(full.passed(), "{:?}", full.coverage_gaps());
+        let &(m, r) = wino_conv::compiled::compiled_specs().first().unwrap();
+        let mut no_recipe = full.clone();
+        no_recipe.recipes.retain(|s| {
+            (s.spec.m, s.spec.r, s.stage, s.pipeline.as_str()) != (m, r, "input", "optimized")
+        });
+        assert!(!no_recipe.passed());
+        assert_eq!(
+            no_recipe.coverage_gaps(),
+            [format!(
+                "coverage: no proven F({m},{r})/input/optimized recipe"
+            )]
+        );
+        let mut no_kernel = full;
+        let label = format!("F({m},{r}) output (embedded)");
+        no_kernel.kernel_checks.retain(|c| c.label != label);
+        assert!(!no_kernel.passed());
+        assert_eq!(
+            no_kernel.coverage_gaps(),
+            [format!("coverage: no proven {label} kernel")]
+        );
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //!
 //! Exit status 0 means: every recipe in the shipped DB sweep is proven
 //! equivalent to its transformation matrix over exact rationals, every
-//! kernel template and generated plan lints clean, and the
-//! unsafe-invariant audits hold. Wired into `scripts/ci.sh`.
+//! kernel template and generated plan lints clean, the
+//! unsafe-invariant audits hold, and no analysis came back empty or
+//! short of a compiled spec (`VerificationReport::coverage_gaps`).
+//! Wired into `scripts/ci.sh`.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -128,6 +130,10 @@ fn main() -> ExitCode {
     );
     for issue in report.safety.issues.iter().chain(&report.pointer_audit) {
         println!("FAIL {issue}");
+    }
+
+    for gap in report.coverage_gaps() {
+        println!("FAIL {gap}");
     }
 
     println!("wino-verify: completed in {:.2?}", elapsed);

@@ -48,7 +48,7 @@ impl fmt::Display for SafetyIssue {
 }
 
 /// Outcome of the workspace scan.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SafetyReport {
     /// `.rs` files tokenized.
     pub files_scanned: usize,
