@@ -36,6 +36,9 @@ pub use error::ConvError;
 pub use flops::{winograd_flops, winograd_flops_baseline, winograd_tile_total, WinogradFlops};
 pub use im2col::{conv_im2col, im2col_image};
 pub use tiles::TileTransformer;
+/// The level a bank is packed for, and the `V'` columns the non-fused
+/// GEMM phase multiplies at it (the selector's cost model prices them).
+pub use wino_gemm::{issued_cols, SimdLevel};
 pub use winograd::{
     conv_winograd, conv_winograd_precomputed, conv_winograd_precomputed_rt, PrecomputedFilters,
     WinogradConfig, WinogradVariant,

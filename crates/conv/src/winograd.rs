@@ -20,6 +20,7 @@
 //! per-lane IEEE ops in the same order, so each stage has exactly one
 //! floating-point operation order.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -45,14 +46,33 @@ static TILES_SCATTERED: wino_probe::Counter = wino_probe::Counter::new("conv.til
 /// no compiled fast path (or lost it: `conv.compiled_fallback`).
 static TILES_INTERPRETED: wino_probe::Counter = wino_probe::Counter::new("conv.tiles_interpreted");
 /// Bytes held by live [`PrecomputedFilters`] (Σ `resident_bytes()`).
-static FILTER_BANK_BYTES: wino_probe::Gauge = wino_probe::Gauge::new("conv.filter_bank_bytes");
-static LIVE_BANK_BYTES: AtomicI64 = AtomicI64::new(0);
+static FILTER_BANK_BYTES: LiveBytes = LiveBytes::new("conv.filter_bank_bytes");
+/// Bytes every thread's [`Workspace`] retains between calls.
+static WORKSPACE_BYTES: LiveBytes = LiveBytes::new("conv.workspace_bytes");
+/// Calls that left their thread's [`Workspace`] larger than they found
+/// it. Steady state adds none: the buffers only ever grow.
+static WORKSPACE_GROWS: wino_probe::Counter = wino_probe::Counter::new("conv.workspace_grows");
 
-/// Moves the live-bank total behind [`FILTER_BANK_BYTES`].
-fn track_bank_bytes(delta: i64) {
-    // Relaxed: a statistic, publishes no other data.
-    let live = LIVE_BANK_BYTES.fetch_add(delta, Ordering::Relaxed) + delta;
-    FILTER_BANK_BYTES.set(live);
+/// A gauge of bytes owned by live values: the total is kept beside the
+/// gauge so it is right whenever the probe starts listening.
+struct LiveBytes {
+    gauge: wino_probe::Gauge,
+    live: AtomicI64,
+}
+
+impl LiveBytes {
+    const fn new(name: &'static str) -> Self {
+        LiveBytes {
+            gauge: wino_probe::Gauge::new(name),
+            live: AtomicI64::new(0),
+        }
+    }
+
+    fn add(&self, delta: i64) {
+        // Relaxed: a statistic, publishes no other data.
+        let live = self.live.fetch_add(delta, Ordering::Relaxed) + delta;
+        self.gauge.set(live);
+    }
 }
 
 /// Whole-filter-bank transforms `U = G·g·Gᵀ` performed. A serving
@@ -185,6 +205,50 @@ fn count_interpreted(compiled: Option<CompiledTransforms>, level: SimdLevel, til
     }
 }
 
+/// The buffers a call fills and reads back and nothing outlives it
+/// with — the padded input, `V'` and `M'` — kept by the calling thread
+/// between calls, so a steady caller allocates (and page-faults) for
+/// them only when a call outgrows every earlier one. A call takes its
+/// thread's workspace at entry and puts it back on success; one that
+/// unwinds drops it and the next starts from an empty one. Nothing in
+/// it is read before the call has written it: padding is re-zeroed per
+/// call, the input transform writes every other float of `V'`, and the
+/// GEMM every float of `M'` it hands on.
+#[derive(Default)]
+struct Workspace {
+    padded: Vec<f32>,
+    v: Vec<f32>,
+    m: Vec<f32>,
+    /// Bytes of this workspace counted in [`WORKSPACE_BYTES`].
+    counted: i64,
+}
+
+thread_local! {
+    static WORKSPACE: Cell<Workspace> = Cell::default();
+}
+
+impl Workspace {
+    /// Hands the workspace back to the calling thread.
+    fn put_back(mut self) {
+        let floats = self.padded.capacity() + self.v.capacity() + self.m.capacity();
+        let bytes = (floats * std::mem::size_of::<f32>()) as i64;
+        if bytes != self.counted {
+            WORKSPACE_GROWS.add(1);
+            WORKSPACE_BYTES.add(bytes - self.counted);
+            self.counted = bytes;
+        }
+        WORKSPACE.set(self);
+    }
+}
+
+impl Drop for Workspace {
+    fn drop(&mut self) {
+        if self.counted != 0 {
+            WORKSPACE_BYTES.add(-self.counted);
+        }
+    }
+}
+
 /// Winograd convolution using recipes from the process-wide database:
 /// the cold convenience entry — it transforms the filter bank, serves
 /// one call from it, and drops it.
@@ -277,20 +341,39 @@ impl PrecomputedFilters {
                 filters.dims()
             )));
         }
+        // Row slivers of the bank are independent tasks on the pool.
+        let rt = Runtime::global();
+        Ok(Self::transformed(filters, desc, recipes, level, rt))
+    }
+
+    /// The transform behind [`PrecomputedFilters::new_at`] (which has
+    /// checked its arguments), on an explicit runtime; the bank's bits
+    /// do not depend on the thread count.
+    fn transformed(
+        filters: &Tensor4<f32>,
+        desc: &ConvDesc,
+        recipes: Arc<TransformRecipes>,
+        level: SimdLevel,
+        rt: &Runtime,
+    ) -> Self {
         let filter_span = wino_probe::span("conv.filter_transform");
         let filter_hist = H_FILTER.start();
-        let a2 = spec.alpha() * spec.alpha();
+        let a2 = recipes.spec.alpha() * recipes.spec.alpha();
         let (kc, cc) = (desc.out_ch, desc.in_ch);
         let compiled = compiled_at(&recipes, level);
         count_interpreted(compiled, level, kc * cc);
-        let mut kernel = Kernel::new(compiled.map(|ct| ct.filter), &recipes.filter, level);
-        let mut src = vec![[0.0f32; LANES]; desc.ksz * desc.ksz];
-        let mut dst = vec![[0.0f32; LANES]; a2];
+        // Each task carries its own kernel scratch.
+        let task_state = || {
+            let kernel = Kernel::new(compiled.map(|ct| ct.filter), &recipes.filter, level);
+            let src = vec![[0.0f32; LANES]; desc.ksz * desc.ksz];
+            (kernel, src, vec![[0.0f32; LANES]; a2])
+        };
         // Filter k is row k of every U'(ξ): packed a row sliver at a
         // time, no (ξ, k, c) copy of the bank is ever resident. The
         // lanes of a group are consecutive channels of filter k, so
         // `dst[ξ]` is a contiguous run of row k of U'(ξ).
-        let bank = PackedA::from_rows(a2, kc, cc, level, |k, u_row| {
+        type State = (Kernel, Vec<[f32; LANES]>, Vec<[f32; LANES]>);
+        let fill_row = |(kernel, src, dst): &mut State, k: usize, u_row: &mut [f32]| {
             for c0 in (0..cc).step_by(LANES) {
                 let count = LANES.min(cc - c0);
                 for l in 0..count {
@@ -298,23 +381,24 @@ impl PrecomputedFilters {
                         lanes[l] = val;
                     }
                 }
-                kernel.run(&src, &mut dst);
+                kernel.run(src, dst);
                 for (xi, lanes) in dst.iter().enumerate() {
                     u_row[xi * cc + c0..][..count].copy_from_slice(&lanes[..count]);
                 }
             }
-        });
+        };
+        let bank = PackedA::from_rows(a2, kc, cc, level, rt, task_state, fill_row);
         drop(filter_span);
         drop(filter_hist);
         FILTER_TRANSFORMS.add(1);
-        track_bank_bytes(bank.bytes() as i64);
-        Ok(PrecomputedFilters {
+        FILTER_BANK_BYTES.add(bank.bytes() as i64);
+        PrecomputedFilters {
             recipes,
             out_ch: kc,
             in_ch: cc,
             bank,
             u_kc: OnceLock::new(),
-        })
+        }
     }
 
     /// [`PrecomputedFilters::new`] resolving recipes for `cfg` from
@@ -374,7 +458,7 @@ impl PrecomputedFilters {
                     }
                 }
             }
-            track_bank_bytes(std::mem::size_of_val(&u_kc[..]) as i64);
+            FILTER_BANK_BYTES.add(std::mem::size_of_val(&u_kc[..]) as i64);
             u_kc
         })
     }
@@ -408,7 +492,7 @@ impl PrecomputedFilters {
 
 impl Drop for PrecomputedFilters {
     fn drop(&mut self) {
-        track_bank_bytes(-(self.resident_bytes() as i64));
+        FILTER_BANK_BYTES.add(-(self.resident_bytes() as i64));
     }
 }
 
@@ -459,10 +543,13 @@ pub fn conv_winograd_precomputed_rt(
     }
     pre.check_desc(desc)?;
     let compiled = compiled_at(pre.recipes(), pre.level());
-    match variant {
-        WinogradVariant::NonFused => nonfused(input, pre, desc, gemm, rt, compiled),
-        WinogradVariant::Fused => fused(input, pre, desc, rt, compiled),
-    }
+    let mut ws = WORKSPACE.take();
+    let out = match variant {
+        WinogradVariant::NonFused => nonfused(input, pre, desc, gemm, rt, compiled, &mut ws),
+        WinogradVariant::Fused => fused(input, pre, desc, rt, compiled, &mut ws),
+    }?;
+    ws.put_back();
+    Ok(out)
 }
 
 /// Tile geometry of one convolution call. Tiles are numbered
@@ -516,10 +603,10 @@ impl Tiling {
     }
 
     /// `input` with `pad` zeros above and left of every plane and zeros
-    /// out to [`Tiling::padded_extent`] below and right.
-    fn pad(&self, input: &Tensor4<f32>, pad: usize) -> Tensor4<f32> {
+    /// out to [`Tiling::padded_extent`] below and right, built in `buf`.
+    fn pad(&self, input: &Tensor4<f32>, pad: usize, buf: Vec<f32>) -> Tensor4<f32> {
         let (h, w) = self.padded_extent();
-        input.pad_to(pad, h, w)
+        input.pad_into(pad, h, w, buf)
     }
 
     /// Offsets, in the padded input's data, of the channel-0 windows of
@@ -705,6 +792,7 @@ fn nonfused(
     gemm: &GemmConfig,
     rt: &Runtime,
     compiled: Option<CompiledTransforms>,
+    ws: &mut Workspace,
 ) -> Result<Tensor4<f32>, ConvError> {
     let mut conv_span = wino_probe::span("conv.winograd.nonfused");
     conv_span.arg("desc", || desc.to_string());
@@ -723,8 +811,8 @@ fn nonfused(
     // disjoint writes — and each chunk carries its own kernel scratch.
     let input_span = wino_probe::span("conv.input_transform");
     let input_hist = H_INPUT.start();
-    let padded = tiling.pad(input, desc.pad);
-    let mut v_packed = PackedB::zeroed(a2, cc, p_total, level);
+    let padded = tiling.pad(input, desc.pad, std::mem::take(&mut ws.padded));
+    let mut v_packed = PackedB::recycled(std::mem::take(&mut ws.v), a2, cc, p_total, level);
     let v_columns = v_packed.columns();
     rt.parallel_for_chunks(0..p_total.div_ceil(LANES), 1, |groups| {
         let _chunk_span = wino_probe::span("conv.tile_gather");
@@ -761,8 +849,15 @@ fn nonfused(
         k: cc,
         n: p_total,
     };
-    let mut m_scatter = vec![0.0f32; shape.c_len()];
-    wino_gemm::batched_sgemm_packed(&shape, &pre.bank, &v_packed, &mut m_scatter, gemm, rt);
+    // The GEMM overwrites all of M' and never reads it: grown, never
+    // filled.
+    if ws.m.len() < shape.c_len() {
+        ws.m.reserve_exact(shape.c_len() - ws.m.len());
+        ws.m.resize(shape.c_len(), 0.0);
+    }
+    wino_gemm::batched_sgemm_packed(&shape, &pre.bank, &v_packed, &mut ws.m, gemm, rt);
+    let m_scatter = &ws.m[..shape.c_len()];
+    (ws.padded, ws.v) = (padded.into_raw(), v_packed.into_raw());
     drop(gemm_span);
     drop(gemm_hist);
 
@@ -809,6 +904,7 @@ fn fused(
     desc: &ConvDesc,
     rt: &Runtime,
     compiled: Option<CompiledTransforms>,
+    ws: &mut Workspace,
 ) -> Result<Tensor4<f32>, ConvError> {
     let mut conv_span = wino_probe::span("conv.winograd.fused");
     conv_span.arg("desc", || desc.to_string());
@@ -822,7 +918,7 @@ fn fused(
     // per thread block from shared memory; here it is resident).
     let u_kc = pre.u_kc();
 
-    let padded = tiling.pad(input, desc.pad);
+    let padded = tiling.pad(input, desc.pad, std::mem::take(&mut ws.padded));
     let mut out = Tensor4::<f32>::zeros(desc.batch, kc, tiling.oh, tiling.ow);
 
     // Parallel over lane groups of (n, ty, tx) tiles — the fused
@@ -877,6 +973,7 @@ fn fused(
             }
         }
     });
+    ws.padded = padded.into_raw();
     Ok(out)
 }
 
@@ -1027,7 +1124,8 @@ mod tests {
         // around them only moves data, so the bits must not change —
         // at either entry of the kernels. Banks built at the two
         // levels must hold the same U (filter kernel ≡ interpreter;
-        // packing is a pure re-layout).
+        // packing is a pure re-layout), whether one task transformed
+        // every row sliver or four shared them.
         let cases = [
             // P = 4 < LANES, C = 3 < LANES, K·P = 4 < LANES.
             (ConvDesc::new(3, 1, 1, 1, 1, 4, 4, 3), vec![2usize, 4, 6]),
@@ -1050,21 +1148,24 @@ mod tests {
                 let recipes = recipe_db().get(spec, RecipeOptions::optimized()).unwrap();
                 let ct = compiled_for(&recipes);
                 assert!(ct.is_some(), "expected compiled kernels for {spec}");
+                let bank = |lv, threads| {
+                    let rt = Runtime::with_threads(threads);
+                    PrecomputedFilters::transformed(&filt, &desc, Arc::clone(&recipes), lv, &rt)
+                };
                 let banks: Vec<_> = levels
                     .iter()
-                    .map(|&lv| {
-                        PrecomputedFilters::new_at(&filt, &desc, Arc::clone(&recipes), lv).unwrap()
-                    })
+                    .flat_map(|&lv| [bank(lv, 1), bank(lv, 4)])
                     .collect();
                 for pre in &banks {
                     assert_eq!(pre.u_kc(), banks[0].u_kc(), "{spec} at {:?}", pre.level());
+                    let ws = &mut Workspace::default();
                     assert_bits_equal(
-                        &nonfused(&input, pre, &desc, &gemm, rt, ct).unwrap(),
-                        &nonfused(&input, pre, &desc, &gemm, rt, None).unwrap(),
+                        &nonfused(&input, pre, &desc, &gemm, rt, ct, ws).unwrap(),
+                        &nonfused(&input, pre, &desc, &gemm, rt, None, ws).unwrap(),
                     );
                     assert_bits_equal(
-                        &fused(&input, pre, &desc, rt, ct).unwrap(),
-                        &fused(&input, pre, &desc, rt, None).unwrap(),
+                        &fused(&input, pre, &desc, rt, ct, ws).unwrap(),
+                        &fused(&input, pre, &desc, rt, None, ws).unwrap(),
                     );
                 }
             }
@@ -1113,7 +1214,7 @@ mod tests {
             }
             for level in levels {
                 let tiling = Tiling::new(&desc, spec, level);
-                let padded = tiling.pad(&input, pad);
+                let padded = tiling.pad(&input, pad, Vec::new());
                 for t0 in (0..tiling.tiles).step_by(LANES) {
                     let count = LANES.min(tiling.tiles - t0);
                     let origins = tiling.origins(t0, count);

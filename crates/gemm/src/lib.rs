@@ -18,8 +18,8 @@ pub use batched::{batched_sgemm, batched_sgemm_packed, batched_sgemm_rt_level, B
 pub use blocked::{gemm_flops, pack_a, pack_b, sgemm, sgemm_naive, sgemm_rt_level, GemmConfig};
 pub use packed::{PackedA, PackedB, PackedBColumns};
 pub use schedule::{
-    col_panel, dim_blocks, micro_tiles, pack_a_model, pack_b_model, pack_capacities, packed_a_len,
-    packed_b_len, packed_block_off, packed_step, tile_extents, DimBlock, MicroTile, PackSlot,
-    MR_AVX2, MR_SCALAR, NR_AVX2, NR_SCALAR,
+    col_panel, dim_blocks, issued_cols, micro_tiles, pack_a_model, pack_b_model, pack_capacities,
+    packed_a_len, packed_b_len, packed_block_off, packed_step, tile_extents, DimBlock, MicroTile,
+    PackSlot, MR_AVX2, MR_SCALAR, NR_AVX2, NR_SCALAR,
 };
 pub use simd::{detect_simd, resolve_simd, simd_level, SimdLevel};

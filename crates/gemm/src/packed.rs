@@ -23,9 +23,9 @@
 //! into that order, so the multiply packs nothing per call.
 
 use crate::blocked::{pack_a, pack_b};
-use crate::schedule::{dim_blocks, packed_a_len, packed_b_len, tile_extents};
+use crate::schedule::{packed_a_len, packed_b_len, packed_block_off, tile_extents};
 use crate::simd::SimdLevel;
-use wino_runtime::DisjointSlice;
+use wino_runtime::{DisjointSlice, Runtime};
 
 /// `batches` row-major `m × k` matrices in the micro-kernel's A order.
 pub struct PackedA {
@@ -43,25 +43,31 @@ impl PackedA {
     /// Panics if `a` is shorter than `batches · m · k`.
     pub fn pack(a: &[f32], batches: usize, m: usize, k: usize, level: SimdLevel) -> Self {
         assert!(a.len() >= batches * m * k, "A too short to pack");
-        Self::from_rows(batches, m, k, level, |row, out| {
+        let copy_row = |_: &mut (), row: usize, out: &mut [f32]| {
             for (batch, dst) in out.chunks_exact_mut(k).enumerate() {
                 dst.copy_from_slice(&a[(batch * m + row) * k..][..k]);
             }
-        })
+        };
+        Self::from_rows(batches, m, k, level, &Runtime::serial(), || (), copy_row)
     }
 
     /// Builds the operand a row at a time, so a caller that computes
     /// its matrices (the filter transform) never holds a row-major copy
-    /// of them: `fill_row(i, out)` writes row `i` of every matrix —
-    /// matrix `b`'s into `out[b·k..][..k]` — and is called once per row,
-    /// ascending. Each sliver's rows are packed by [`pack_a`] as soon
-    /// as they are filled; the only staging is one sliver deep.
-    pub fn from_rows(
+    /// of them: `fill_row(state, i, out)` writes row `i` of every
+    /// matrix — matrix `b`'s into `out[b·k..][..k]` — and is called
+    /// once per row. Row slivers are independent tasks on `rt`: each
+    /// stages its own `mr` rows, packs them with [`pack_a`] into its
+    /// own range of every matrix, and hands `fill_row` scratch of its
+    /// own from `task_state`, so the result does not depend on the
+    /// thread count; the only staging is one sliver deep per task.
+    pub fn from_rows<S>(
         batches: usize,
         m: usize,
         k: usize,
         level: SimdLevel,
-        mut fill_row: impl FnMut(usize, &mut [f32]),
+        rt: &Runtime,
+        task_state: impl Fn() -> S + Sync,
+        fill_row: impl Fn(&mut S, usize, &mut [f32]) + Sync,
     ) -> Self {
         let mr = tile_extents(level).0;
         let stride = packed_a_len(m, k, mr);
@@ -70,17 +76,26 @@ impl PackedA {
         // order: matrix `b` is a row-major block at `b·k` with leading
         // dimension `batches·k`.
         let lda = batches * k;
-        let mut rows = vec![0.0f32; mr * lda];
         if lda > 0 {
-            for sliver in dim_blocks(m, mr) {
-                for (r, out) in rows.chunks_exact_mut(lda).take(sliver.len).enumerate() {
-                    fill_row(sliver.start + r, out);
+            let packed = DisjointSlice::new(&mut data);
+            rt.parallel_for_chunks(0..m.div_ceil(mr), 1, |slivers| {
+                let mut state = task_state();
+                let mut rows = vec![0.0f32; mr * lda];
+                for start in slivers.map(|sliver| sliver * mr) {
+                    let len = mr.min(m - start);
+                    for (r, out) in rows.chunks_exact_mut(lda).take(len).enumerate() {
+                        fill_row(&mut state, start + r, out);
+                    }
+                    for batch in 0..batches {
+                        let at = batch * stride + start * k;
+                        // SAFETY: inside matrix `batch` (the sliver at
+                        // row `start` ends at or before `stride`), and
+                        // only this sliver's task writes its range.
+                        let dst = unsafe { packed.slice_mut(at..at + k * mr) };
+                        pack_a(dst, &rows[batch * k..], 0, 0, len, k, lda, mr);
+                    }
                 }
-                for batch in 0..batches {
-                    let dst = &mut data[batch * stride + sliver.start * k..][..k * mr];
-                    pack_a(dst, &rows[batch * k..], 0, 0, sliver.len, k, lda, mr);
-                }
-            }
+            });
         }
         PackedA {
             data,
@@ -133,8 +148,8 @@ impl PackedA {
     }
 }
 
-/// `batches` `k × n` matrices in the micro-kernel's B order, zero until
-/// written; the padding columns of a ragged last sliver stay zero.
+/// `batches` `k × n` matrices in the micro-kernel's B order; the
+/// padding columns of a ragged last sliver are zero.
 pub struct PackedB {
     data: Vec<f32>,
     batches: usize,
@@ -146,14 +161,47 @@ pub struct PackedB {
 impl PackedB {
     /// An all-zero operand for `level`'s micro-kernel.
     pub fn zeroed(batches: usize, k: usize, n: usize, level: SimdLevel) -> Self {
-        let stride = packed_b_len(k, n, tile_extents(level).1);
+        Self::recycled(Vec::new(), batches, k, n, level)
+    }
+
+    /// An operand built in `data`, whose capacity is reused or grown to
+    /// exactly what is needed ([`PackedB::into_raw`] gives it back).
+    /// Only what no producer writes is zeroed — the padding columns of
+    /// a ragged last sliver, and whatever `data` grows by: columns below
+    /// `n` hold what `data` held, so the producer must write every one
+    /// of them before the multiply reads them.
+    pub fn recycled(
+        mut data: Vec<f32>,
+        batches: usize,
+        k: usize,
+        n: usize,
+        level: SimdLevel,
+    ) -> Self {
+        let nr = tile_extents(level).1;
+        let stride = packed_b_len(k, n, nr);
+        data.reserve_exact((batches * stride).saturating_sub(data.len()));
+        data.resize(batches * stride, 0.0);
+        let ragged = n % nr;
+        if ragged > 0 && k > 0 {
+            for matrix in data.chunks_exact_mut(stride) {
+                for row in matrix[packed_block_off(n - ragged, 0, k, nr)..].chunks_exact_mut(nr) {
+                    row[ragged..].fill(0.0);
+                }
+            }
+        }
         PackedB {
-            data: vec![0.0f32; batches * stride],
+            data,
             batches,
             k,
             n,
             level,
         }
+    }
+
+    /// Consumes the operand, returning its buffer (capacity intact)
+    /// for [`PackedB::recycled`].
+    pub fn into_raw(self) -> Vec<f32> {
+        self.data
     }
 
     /// Packs the batch-major row-major matrices in `b`.

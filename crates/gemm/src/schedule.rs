@@ -43,6 +43,17 @@ pub fn tile_extents(level: SimdLevel) -> (usize, usize) {
     }
 }
 
+/// Columns of `B` the `level` micro-kernel multiplies for an `n`-column
+/// operand: whole `nr` slivers, except that the AVX2 macro kernel runs
+/// the one-vector body on a last tile of at most 8 columns, half a sliver.
+pub fn issued_cols(n: usize, level: SimdLevel) -> usize {
+    let nr = tile_extents(level).1;
+    n.next_multiple_of(match level {
+        SimdLevel::Scalar => nr,
+        SimdLevel::Avx2 => nr / 2,
+    })
+}
+
 /// One contiguous block `[start, start + len)` of a blocked dimension.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DimBlock {
@@ -265,6 +276,16 @@ mod tests {
             dim_blocks(3, 8).collect::<Vec<_>>(),
             vec![DimBlock { start: 0, len: 3 }]
         );
+    }
+
+    #[test]
+    fn issued_cols_follow_the_body_that_runs() {
+        // (n, AVX2, scalar): 9 columns fill a 16-sliver, 20 a sliver
+        // and one vector; the scalar kernel has whole 4-slivers only.
+        for (n, avx2, scalar) in [(0, 0, 0), (1, 8, 4), (8, 8, 8), (9, 16, 12), (20, 24, 20)] {
+            assert_eq!(issued_cols(n, SimdLevel::Avx2), avx2, "n = {n}");
+            assert_eq!(issued_cols(n, SimdLevel::Scalar), scalar, "n = {n}");
+        }
     }
 
     #[test]

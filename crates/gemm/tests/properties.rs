@@ -329,7 +329,11 @@ proptest! {
         prop_assert_eq!(tile_extents(level).1, nr);
         // Distinct values pin the exact source element per slot.
         let b: Vec<f32> = (0..batches * k * n).map(|i| i as f32 + 1.0).collect();
-        let mut packed = PackedB::zeroed(batches, k, n, level);
+        // Built in a recycled buffer — dirty, and longer or shorter than
+        // this operand — it must come out as from a fresh one: every
+        // column below `n` is written below, the padding re-zeroed.
+        let dirty = vec![f32::NAN; if wide { 0 } else { batches * k * n + 40 }];
+        let mut packed = PackedB::recycled(dirty, batches, k, n, level);
         if wide {
             write_in_runs::<21>(&mut packed, &b);
         } else {
@@ -388,6 +392,17 @@ proptest! {
         for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
             let mr = tile_extents(level).0;
             let packed = PackedA::pack(&a, batches, m, k, level);
+            // Four tasks sharing the row slivers pack what one does.
+            let rt = wino_runtime::Runtime::with_threads(4);
+            let copy_row = |_: &mut (), row: usize, out: &mut [f32]| {
+                for (batch, dst) in out.chunks_exact_mut(k).enumerate() {
+                    dst.copy_from_slice(&a[(batch * m + row) * k..][..k]);
+                }
+            };
+            let shared = PackedA::from_rows(batches, m, k, level, &rt, || (), copy_row);
+            for batch in 0..batches {
+                prop_assert_eq!(shared.batch(batch), packed.batch(batch));
+            }
             prop_assert_eq!(packed.level(), level);
             prop_assert_eq!(packed.bytes(), batches * packed_a_len(m, k, mr) * 4);
             let model = pack_a_model(m, k, mr);

@@ -18,8 +18,7 @@ pub use graph::{
     GraphError, Node, NodeId, Op,
 };
 pub use select::{
-    default_tile_size, engine_from_evaluation, select_engine, select_engine_cached,
-    select_engine_static,
+    candidates, engine_from_evaluation, select_engine, select_engine_cached, select_engine_static,
 };
 pub use zoo::{
     alexnet_convs, all_network_convs, build_alexnet_graph, build_inception_3a_3b,

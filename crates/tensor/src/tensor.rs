@@ -162,13 +162,28 @@ impl<T: Copy + Default> Tensor4<T> {
     /// When the content does not fit: `out_h < h + pad` or
     /// `out_w < w + pad`.
     pub fn pad_to(&self, pad: usize, out_h: usize, out_w: usize) -> Tensor4<T> {
+        self.pad_into(pad, out_h, out_w, Vec::new())
+    }
+
+    /// [`Tensor4::pad_to`] built in `buf` — its contents are discarded,
+    /// its capacity reused, or grown to exactly what is needed — so a
+    /// caller that pads per call ([`Tensor4::into_raw`] gives the buffer
+    /// back) allocates only when a call outgrows every earlier one.
+    ///
+    /// # Panics
+    /// As [`Tensor4::pad_to`].
+    pub fn pad_into(&self, pad: usize, out_h: usize, out_w: usize, mut buf: Vec<T>) -> Tensor4<T> {
         assert!(
             out_h >= self.h + pad && out_w >= self.w + pad,
             "{}x{} content at ({pad}, {pad}) does not fit {out_h}x{out_w}",
             self.h,
             self.w
         );
-        let mut out = Tensor4::zeros(self.n, self.c, out_h, out_w);
+        let len = self.n * self.c * out_h * out_w;
+        buf.clear();
+        buf.reserve_exact(len);
+        buf.resize(len, T::default());
+        let mut out = Tensor4::from_raw(self.n, self.c, out_h, out_w, buf);
         if self.h * self.w == 0 {
             return out;
         }
@@ -291,6 +306,13 @@ mod tests {
             let want = if inside { t[(n, c, y - 1, x - 1)] } else { 0.0 };
             assert_eq!(p[(n, c, y, x)], want, "({n}, {c}, {y}, {x})");
         }
+        // A recycled buffer, dirty and of another length, changes nothing
+        // and is the one the result lives in.
+        let dirty = vec![7.0f32; 500];
+        let at = dirty.as_ptr();
+        let q = t.pad_into(1, 6, 6, dirty);
+        assert_eq!(q, p);
+        assert_eq!(q.data().as_ptr(), at);
         // A zero-area tensor pads to all zeros.
         let empty = Tensor4::<f32>::zeros(1, 1, 0, 0);
         assert_eq!(empty.pad_to(2, 4, 4), Tensor4::zeros(1, 1, 4, 4));

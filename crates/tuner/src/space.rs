@@ -12,8 +12,10 @@
 //! The `threads` axis is this framework's extension for the CPU
 //! execution runtime (`wino-runtime`): the analytic GPU device model
 //! is thread-agnostic, so the model-based tuner collapses the axis
-//! (see `tune_with_space`), while the wall-clock CPU harness measures
-//! each value for real.
+//! (see `tune_with_space`). What is measured on the CPU for real is the
+//! `m` axis: `wino-bench`'s `figure9_cpu` times every compiled `F(m, r)`
+//! per Table-4 layer; a measured `threads` axis is still open
+//! (ROADMAP item 3).
 
 use wino_codegen::{PlanVariant, Unroll};
 use wino_gemm::GemmConfig;

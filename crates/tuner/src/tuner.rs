@@ -143,8 +143,9 @@ pub fn tune_with_space(
     // The analytic device model prices GPU kernels and cannot see the
     // CPU runtime's `threads` axis, so equal-model points collapse to
     // one evaluation (the first encountered — lowest thread count in
-    // enumeration order). The wall-clock CPU harness is where the
-    // axis is measured for real.
+    // enumeration order). Nothing measures the axis yet: the
+    // wall-clock CPU harness (`wino-bench`'s `figure9_cpu`) times the
+    // `m` axis only.
     let mut seen = std::collections::HashSet::new();
     let space: Vec<TuningPoint> = space
         .into_iter()

@@ -52,6 +52,10 @@ WINO_TRACE="json:$trace" ./target/release/figure6 >/dev/null
 python3 -m json.tool "$trace" >/dev/null
 rm -f "$trace"
 
+echo "== figure9_cpu --quick: every selector candidate serves undemoted, they agree, the pick is one"
+# Nothing timed: the measured table belongs in EXPERIMENTS.md, not in a gate.
+./target/release/figure9_cpu --quick
+
 echo "== wino-drill: fault, serving and chaos scenarios (one process each, typed reports)"
 # The table of scenarios, their environments and their expected
 # counters/gauges/histograms/health lives in

@@ -17,4 +17,6 @@ for bin in figure7 figure8 figure9 network; do
   echo ">> $bin (tuning sweep)"
   cargo run -q --release -p wino-bench --bin "$bin" > "results/$bin.txt"
 done
+echo ">> figure9_cpu (wall-clock: this machine's numbers, 15 interleaved rounds)"
+cargo run -q --release -p wino-bench --bin figure9_cpu > results/figure9_cpu.txt
 echo "done — outputs in results/"
