@@ -296,6 +296,8 @@ fn scenarios() -> Vec<Scenario> {
             .gauge("serve.queue_depth", 0, 1),
         // Scheduler death is unrecoverable by design: the one parked
         // request fails terminally, admission closes, 11 are refused.
+        // (`executors_alive` 0 is read after the supervisor's reap
+        // pass: see `drill_chaos`.)
         row("chaos/sched-panic", drill_chaos)
             .env("WINO_FAULT", "serve_sched:panic:1")
             .counters([("serve.enqueued", 1), ("serve.executed", 0)])
@@ -798,7 +800,20 @@ fn drill_chaos() -> Value {
             assert_bit_identical(&registry, seed, &resp);
         }
     }
-    let h = server.health();
+    // A dead scheduler disconnects the batch channel; each executor
+    // then leaves cleanly and the supervisor reaps it on a later tick,
+    // so `executors_alive` reaches 0 a pass or two after the failure is
+    // declared and the last request refused. The read waits for that
+    // pass (bounded) rather than race it — `chaos/sched-panic` once
+    // read 1 here.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let h = loop {
+        let h = server.health();
+        if h.scheduler_alive || h.executors_alive == 0 || Instant::now() >= deadline {
+            break h;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    };
     let status = format!("{:?}", h.status);
     let (alive, restarts, panics) = (h.executors_alive, h.executor_restarts, h.batch_panics);
     let health = health(&status, h.scheduler_alive, alive, restarts, panics);

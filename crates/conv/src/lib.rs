@@ -6,7 +6,8 @@
 //! * [`conv_direct_f32`] / [`conv_direct_f64`] — sliding-window
 //!   reference (FP64 is the accuracy ground truth of §4.1);
 //! * [`conv_im2col`] — the "reshape as matrix multiplication" lowering
-//!   of §2, backed by the blocked SGEMM of `wino-gemm`;
+//!   of §2, backed by the blocked SGEMM of `wino-gemm` ([`Im2colFilters`]
+//!   keeps the packed filter matrix between calls);
 //! * [`conv_winograd`] — recipe-driven Winograd in both the
 //!   **non-fused** (batched-SGEMM) and **fused** (tile-local) variants
 //!   of §3.2.2, with output tile size `m` and symbolic-pipeline
@@ -29,12 +30,13 @@ mod im2col;
 mod tiles;
 mod winograd;
 mod winograd1d;
+mod workspace;
 
 pub use accuracy::{accuracy_probe_desc, conv_error_trial, measure_conv_error};
 pub use direct::{conv_direct_f32, conv_direct_f64};
 pub use error::ConvError;
 pub use flops::{winograd_flops, winograd_flops_baseline, winograd_tile_total, WinogradFlops};
-pub use im2col::{conv_im2col, im2col_image};
+pub use im2col::{conv_im2col, im2col_image, Im2colFilters};
 pub use tiles::TileTransformer;
 /// The level a bank is packed for, and the `V'` columns the non-fused
 /// GEMM phase multiplies at it (the selector's cost model prices them).

@@ -20,8 +20,6 @@
 //! per-lane IEEE ops in the same order, so each stage has exactly one
 //! floating-point operation order.
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use wino_gemm::{BatchedGemmShape, GemmConfig, PackedA, PackedB, SimdLevel};
@@ -34,6 +32,7 @@ use crate::compiled::{compiled_for, CompiledTransforms, SoaKernel, LANES};
 use crate::direct::check_shapes;
 use crate::error::ConvError;
 use crate::tiles::TileTransformer;
+use crate::workspace::{LiveBytes, Workspace};
 
 /// Tiles gathered into the transformed-input layout (both engines).
 static TILES_GATHERED: wino_probe::Counter = wino_probe::Counter::new("conv.tiles_gathered");
@@ -47,34 +46,6 @@ static TILES_SCATTERED: wino_probe::Counter = wino_probe::Counter::new("conv.til
 static TILES_INTERPRETED: wino_probe::Counter = wino_probe::Counter::new("conv.tiles_interpreted");
 /// Bytes held by live [`PrecomputedFilters`] (Σ `resident_bytes()`).
 static FILTER_BANK_BYTES: LiveBytes = LiveBytes::new("conv.filter_bank_bytes");
-/// Bytes every thread's [`Workspace`] retains between calls.
-static WORKSPACE_BYTES: LiveBytes = LiveBytes::new("conv.workspace_bytes");
-/// Calls that left their thread's [`Workspace`] larger than they found
-/// it. Steady state adds none: the buffers only ever grow.
-static WORKSPACE_GROWS: wino_probe::Counter = wino_probe::Counter::new("conv.workspace_grows");
-
-/// A gauge of bytes owned by live values: the total is kept beside the
-/// gauge so it is right whenever the probe starts listening.
-struct LiveBytes {
-    gauge: wino_probe::Gauge,
-    live: AtomicI64,
-}
-
-impl LiveBytes {
-    const fn new(name: &'static str) -> Self {
-        LiveBytes {
-            gauge: wino_probe::Gauge::new(name),
-            live: AtomicI64::new(0),
-        }
-    }
-
-    fn add(&self, delta: i64) {
-        // Relaxed: a statistic, publishes no other data.
-        let live = self.live.fetch_add(delta, Ordering::Relaxed) + delta;
-        self.gauge.set(live);
-    }
-}
-
 /// Whole-filter-bank transforms `U = G·g·Gᵀ` performed. A serving
 /// layer that warms its filters sees exactly one bump per registered
 /// layer, never per request.
@@ -202,50 +173,6 @@ fn compiled_at(recipes: &TransformRecipes, level: SimdLevel) -> Option<CompiledT
 fn count_interpreted(compiled: Option<CompiledTransforms>, level: SimdLevel, tiles: usize) {
     if compiled.is_none() && level == SimdLevel::Avx2 {
         TILES_INTERPRETED.add(tiles as u64);
-    }
-}
-
-/// The buffers a call fills and reads back and nothing outlives it
-/// with — the padded input, `V'` and `M'` — kept by the calling thread
-/// between calls, so a steady caller allocates (and page-faults) for
-/// them only when a call outgrows every earlier one. A call takes its
-/// thread's workspace at entry and puts it back on success; one that
-/// unwinds drops it and the next starts from an empty one. Nothing in
-/// it is read before the call has written it: padding is re-zeroed per
-/// call, the input transform writes every other float of `V'`, and the
-/// GEMM every float of `M'` it hands on.
-#[derive(Default)]
-struct Workspace {
-    padded: Vec<f32>,
-    v: Vec<f32>,
-    m: Vec<f32>,
-    /// Bytes of this workspace counted in [`WORKSPACE_BYTES`].
-    counted: i64,
-}
-
-thread_local! {
-    static WORKSPACE: Cell<Workspace> = Cell::default();
-}
-
-impl Workspace {
-    /// Hands the workspace back to the calling thread.
-    fn put_back(mut self) {
-        let floats = self.padded.capacity() + self.v.capacity() + self.m.capacity();
-        let bytes = (floats * std::mem::size_of::<f32>()) as i64;
-        if bytes != self.counted {
-            WORKSPACE_GROWS.add(1);
-            WORKSPACE_BYTES.add(bytes - self.counted);
-            self.counted = bytes;
-        }
-        WORKSPACE.set(self);
-    }
-}
-
-impl Drop for Workspace {
-    fn drop(&mut self) {
-        if self.counted != 0 {
-            WORKSPACE_BYTES.add(-self.counted);
-        }
     }
 }
 
@@ -517,7 +444,7 @@ pub fn conv_winograd_precomputed(
 
 /// [`conv_winograd_precomputed`] on an explicit execution runtime.
 /// Outputs are bit-identical for every thread count: parallel tasks
-/// own disjoint lane groups/panels and preserve the serial per-element
+/// own disjoint lane groups/tiles and preserve the serial per-element
 /// operation order.
 ///
 /// Transforms and the GEMM run at [`PrecomputedFilters::level`]. The
@@ -543,7 +470,7 @@ pub fn conv_winograd_precomputed_rt(
     }
     pre.check_desc(desc)?;
     let compiled = compiled_at(pre.recipes(), pre.level());
-    let mut ws = WORKSPACE.take();
+    let mut ws = Workspace::take();
     let out = match variant {
         WinogradVariant::NonFused => nonfused(input, pre, desc, gemm, rt, compiled, &mut ws),
         WinogradVariant::Fused => fused(input, pre, desc, rt, compiled, &mut ws),

@@ -10,12 +10,18 @@
 //! a level must say so and re-record; anything else that trips this is
 //! a bug.
 //!
+//! The im2col column pins `conv_im2col` the same way: its hashes were
+//! recorded at ed443f9 from the row-major path it replaced (a fresh
+//! `C·r² × OH·OW` column matrix per image through row-major `sgemm`),
+//! the parent of the born-packed gather and the (image × tile) GEMM
+//! grid.
+//!
 //! Inputs come from a generator local to this file, so the hashes
 //! depend on the engines alone.
 
 use std::sync::Arc;
 
-use wino_conv::{conv_winograd_precomputed_rt, PrecomputedFilters, WinogradVariant};
+use wino_conv::{conv_winograd_precomputed_rt, Im2colFilters, PrecomputedFilters, WinogradVariant};
 use wino_gemm::{GemmConfig, SimdLevel};
 use wino_runtime::Runtime;
 use wino_symbolic::RecipeOptions;
@@ -197,9 +203,85 @@ fn assert_golden(level: SimdLevel, golden: &[[u64; 2]]) {
     );
 }
 
+/// The im2col column's shapes, each at batch 1 and 5: a zoo 1×1
+/// (28×28×192→16), a ragged one (7×7×83→37: `K % mr ≠ 0`, `OH·OW % nr
+/// ≠ 0`), AlexNet conv1 (11×11 stride 4), a padded 3×3 stride 2, and
+/// two 1×1s that must take the gather, not the plane copy (pad 1;
+/// stride 2).
+fn im2col_cases() -> Vec<ConvDesc> {
+    let d = ConvDesc::new;
+    let mut v = Vec::new();
+    for batch in [1, 5] {
+        v.push(d(1, 1, 0, 16, batch, 28, 28, 192));
+        v.push(d(1, 1, 0, 37, batch, 7, 7, 83));
+        v.push(d(11, 4, 0, 96, batch, 227, 227, 3));
+        v.push(d(3, 2, 1, 10, batch, 13, 11, 20));
+        v.push(d(1, 1, 1, 9, batch, 6, 5, 7));
+        v.push(d(1, 2, 0, 9, batch, 9, 8, 7));
+    }
+    v
+}
+
+/// Hashes of every im2col case at `level`, on `rt`. A batch-5 case is
+/// also run an image at a time: stacking must not move a bit.
+fn im2col_hashes(level: SimdLevel, rt: &Runtime) -> Vec<u64> {
+    im2col_cases()
+        .iter()
+        .enumerate()
+        .map(|(idx, desc)| {
+            let mut rng = SplitMix(1000 + idx as u64);
+            let input = filled(
+                (desc.batch, desc.in_ch, desc.in_h, desc.in_w),
+                Fill::Uniform,
+                &mut rng,
+            );
+            let filt = filled(
+                (desc.out_ch, desc.in_ch, desc.ksz, desc.ksz),
+                Fill::Uniform,
+                &mut rng,
+            );
+            let bank = Im2colFilters::new_at(&filt, level).unwrap();
+            let out = bank.conv_rt(&input, desc, rt).unwrap();
+            let one = ConvDesc { batch: 1, ..*desc };
+            let plane = desc.in_ch * desc.in_h * desc.in_w;
+            for (img, want) in out.data().chunks_exact(out.len() / desc.batch).enumerate() {
+                let image = input.data()[img * plane..][..plane].to_vec();
+                let single = Tensor4::from_raw(1, desc.in_ch, desc.in_h, desc.in_w, image);
+                let alone = bank.conv_rt(&single, &one, rt).unwrap();
+                assert!(
+                    alone
+                        .data()
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .eq(want.iter().map(|v| v.to_bits())),
+                    "{desc}: image {img} differs when run alone at {level:?}"
+                );
+            }
+            fnv1a(&out)
+        })
+        .collect()
+}
+
+fn assert_im2col_golden(level: SimdLevel, golden: &[u64]) {
+    let serial = im2col_hashes(level, &Runtime::serial());
+    let table: Vec<String> = serial.iter().map(|h| format!("    {h:#018x},")).collect();
+    assert!(
+        serial == golden,
+        "im2col output bits moved at {level:?}; this run computed:\n{}",
+        table.join("\n")
+    );
+    for threads in [2, 3] {
+        assert!(
+            im2col_hashes(level, &Runtime::with_threads(threads)) == serial,
+            "im2col output bits depend on the thread count ({threads}) at {level:?}"
+        );
+    }
+}
+
 #[test]
 fn scalar_output_bits_are_the_recorded_ones() {
     assert_golden(SimdLevel::Scalar, GOLDEN_SCALAR);
+    assert_im2col_golden(SimdLevel::Scalar, GOLDEN_IM2COL_SCALAR);
 }
 
 #[test]
@@ -208,7 +290,40 @@ fn avx2_output_bits_are_the_recorded_ones() {
         return; // no AVX2+FMA on this machine
     }
     assert_golden(SimdLevel::Avx2, GOLDEN_AVX2);
+    assert_im2col_golden(SimdLevel::Avx2, GOLDEN_IM2COL_AVX2);
 }
+
+/// Per case of [`im2col_cases`], `SimdLevel::Scalar`.
+const GOLDEN_IM2COL_SCALAR: &[u64] = &[
+    0x6746d0a95a8cf6f7,
+    0x856323c9e468e8fe,
+    0xb8e9f6fd943ccba7,
+    0x92745187a4de2821,
+    0x582ce87097da9f77,
+    0x118e6d6eccc0258e,
+    0x62015adcb20e74e9,
+    0x913b0e154406c234,
+    0x2ffaeb1c2831c545,
+    0x41a5f4f411ca64df,
+    0xc90a743b0e920043,
+    0xaaea23ed34176a52,
+];
+
+/// Per case of [`im2col_cases`], `SimdLevel::Avx2`.
+const GOLDEN_IM2COL_AVX2: &[u64] = &[
+    0x707ccc4031107838,
+    0x116a59f42678e74f,
+    0x9932d3086b003a9d,
+    0x220012263d2d1862,
+    0x1c5cb9014b2308a7,
+    0x7e67216fb0958068,
+    0x7aa02e1aa0613325,
+    0x169e35139ffee2aa,
+    0x86db1e46295cfdc6,
+    0x2b79207c15c31024,
+    0xf37a6614719053c8,
+    0x82ba72ee6d1326ed,
+];
 
 /// `[non-fused, fused]` per case of [`cases`], `SimdLevel::Scalar`.
 const GOLDEN_SCALAR: &[[u64; 2]] = &[

@@ -38,23 +38,50 @@ fn random_case(desc: &ConvDesc, seed: u64) -> (Tensor4<f32>, Tensor4<f32>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
+    /// im2col against direct on shapes aimed at its seams: planes
+    /// smaller than the kernel (padding makes them valid), output
+    /// planes of 1, 15, 16, 17, 255, 256 and 257 positions under a 1×1
+    /// (one sliver, the task's 128 columns and the old 256-column panel,
+    /// each ± 1), filter counts around the 6-row sliver and the 60-row
+    /// block, depths `C·r²` off the 128 grid, pad 0–2, stride 1–4 — and
+    /// every image of a stacked batch bit-identical to the image alone.
     #[test]
     fn im2col_equals_direct(
-        batch in 1usize..3,
-        in_ch in 1usize..5,
-        out_ch in 1usize..5,
-        hw in 3usize..10,
-        ksz in 1usize..4,
-        stride in 1usize..3,
-        pad in 0usize..2,
+        batch in 1usize..4,
+        in_ch in prop_oneof![Just(1usize), Just(3), Just(43), Just(129), Just(150)],
+        out_ch in prop_oneof![
+            Just(1usize), Just(5), Just(6), Just(7), Just(63), Just(64), Just(65)
+        ],
+        plane in prop_oneof![
+            Just((1usize, 1usize)), Just((3, 5)), Just((4, 4)), Just((1, 17)), Just((2, 9)),
+            Just((15, 17)), Just((16, 16)), Just((1, 257)), Just((7, 7)), Just((9, 2)),
+        ],
+        ksz in 1usize..6,
+        stride in 1usize..5,
+        pad in 0usize..3,
         seed in any::<u64>(),
     ) {
-        prop_assume!(hw + 2 * pad >= ksz);
-        let desc = ConvDesc::new(ksz, stride, pad, out_ch, batch, hw, hw, in_ch);
+        let (in_h, in_w) = plane;
+        prop_assume!(in_h.min(in_w) + 2 * pad >= ksz);
+        // Keep the direct reference affordable: deep inputs get 1×1s
+        // and 3×3s only.
+        prop_assume!(in_ch < 100 || ksz <= 3);
+        let desc = ConvDesc::new(ksz, stride, pad, out_ch, batch, in_h, in_w, in_ch);
         let (input, filt) = random_case(&desc, seed);
         let direct = conv_direct_f32(&input, &filt, &desc).unwrap();
         let im2col = conv_im2col(&input, &filt, &desc).unwrap();
-        prop_assert!(close(&im2col, &direct, 1e-3));
+        prop_assert!(close(&im2col, &direct, 1e-3), "{desc}");
+        let one = ConvDesc { batch: 1, ..desc };
+        let image = in_ch * in_h * in_w;
+        for (n, stacked) in im2col.data().chunks(im2col.len() / batch).enumerate() {
+            let single = input.data()[n * image..][..image].to_vec();
+            let single = Tensor4::from_raw(1, in_ch, in_h, in_w, single);
+            let alone = conv_im2col(&single, &filt, &one).unwrap();
+            prop_assert!(
+                alone.data().iter().map(|v| v.to_bits()).eq(stacked.iter().map(|v| v.to_bits())),
+                "{desc}: image {n} differs when convolved alone"
+            );
+        }
     }
 
     #[test]

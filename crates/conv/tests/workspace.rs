@@ -1,17 +1,52 @@
 //! The calling thread's workspace cannot leak one call into the next.
 //!
 //! `conv_winograd_precomputed` keeps its padded input, `V'` and `M'`
-//! in a thread-local between calls. Every test here runs its calls on
-//! threads of its own, so which calls shared a workspace is known, and
-//! holds the fault scope's process-wide lock, so the process-global
-//! gauge and counter move only under the test reading them.
+//! in a thread-local between calls, and `conv_im2col` its packed column
+//! matrix. Every test here runs its calls on threads of its own, so
+//! which calls shared a workspace is known, and holds the fault scope's
+//! process-wide lock, so the process-global gauge, counter and
+//! allocation count move only under the test reading them.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wino_conv::{conv_winograd_precomputed, PrecomputedFilters, WinogradConfig, WinogradVariant};
+use wino_conv::{
+    conv_direct_f32, conv_winograd_precomputed, Im2colFilters, PrecomputedFilters, WinogradConfig,
+    WinogradVariant,
+};
 use wino_gemm::GemmConfig;
 use wino_probe::fault;
+use wino_runtime::DisjointSlice;
 use wino_tensor::{tile_counts, ConvDesc, Tensor4};
+
+/// Allocations of a page or more, process-wide: what a per-call
+/// column matrix or a per-task pack buffer would be, and a task's few
+/// hundred bytes of bookkeeping are not.
+static PAGE_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+struct CountingAlloc;
+
+// SAFETY: defers to `System` for every request; the count is a relaxed
+// statistic beside it.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if layout.size() >= 4096 {
+            PAGE_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
+        // SAFETY: the caller's contract is `System::alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 /// A convolution with its operands and warm bank.
 struct Case {
@@ -133,4 +168,122 @@ fn the_call_after_a_caught_panic_is_a_clean_one() {
         assert!(case.run(WinogradVariant::NonFused) == clean);
         assert!(case.run(WinogradVariant::NonFused) == clean);
     });
+}
+
+/// An im2col convolution with its operands and packed bank.
+struct Im2colCase {
+    desc: ConvDesc,
+    input: Tensor4<f32>,
+    filt: Tensor4<f32>,
+    bank: Im2colFilters,
+}
+
+impl Im2colCase {
+    fn new(desc: ConvDesc, seed: u64) -> Im2colCase {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let d = &desc;
+        let input = Tensor4::random(d.batch, d.in_ch, d.in_h, d.in_w, -1.0, 1.0, &mut rng);
+        let filt = Tensor4::random(d.out_ch, d.in_ch, d.ksz, d.ksz, -1.0, 1.0, &mut rng);
+        let bank = Im2colFilters::new(&filt).unwrap();
+        Im2colCase {
+            desc,
+            input,
+            filt,
+            bank,
+        }
+    }
+
+    fn run(&self) -> Vec<u32> {
+        let out = self.bank.conv(&self.input, &self.desc).unwrap();
+        out.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Bytes of the packed column matrix, the one buffer a call needs.
+    fn workspace_bytes(&self) -> i64 {
+        let d = &self.desc;
+        let nr = wino_gemm::tile_extents(self.bank.level()).1;
+        let (k, n) = (d.in_ch * d.ksz * d.ksz, d.out_h() * d.out_w());
+        4 * (d.batch * wino_gemm::packed_b_len(k, n, nr)) as i64
+    }
+}
+
+/// A zoo 1×1 (14×14×480→64, the plane copy) at batch 2, and a padded
+/// strided 3×3 that gathers through the phase split.
+fn im2col_cases() -> [Im2colCase; 2] {
+    [
+        Im2colCase::new(ConvDesc::new(1, 1, 0, 64, 2, 14, 14, 480), 4),
+        Im2colCase::new(ConvDesc::new(3, 2, 1, 24, 2, 29, 27, 40), 5),
+    ]
+}
+
+#[test]
+fn a_warm_im2col_call_allocates_only_its_output() {
+    let _scope = fault::scoped("");
+    wino_probe::set_telemetry(true);
+    let grows = wino_probe::counter("conv.workspace_grows");
+    let bytes = wino_probe::gauge("conv.workspace_bytes");
+    for case in im2col_cases() {
+        let (grows0, bytes0) = (grows.get(), bytes.get());
+        on_a_fresh_thread(|| {
+            let first = case.run();
+            // From empty, the column buffer grows to exactly the call's
+            // packed B operand, and the gauge covers it.
+            assert_eq!(grows.get(), grows0 + 1);
+            assert_eq!(bytes.get(), bytes0 + case.workspace_bytes());
+            let pages0 = PAGE_ALLOCS.load(Ordering::Relaxed);
+            let second = case.run();
+            assert!(first == second);
+            // No column matrix, no per-task pack buffer, no filter
+            // re-pack: the output tensor is the one large allocation
+            // (and `second`, its bits, the other). A debug build adds
+            // the ownership ledgers of the two shared-write windows,
+            // the column matrix's and the output's.
+            let ledgers = if DisjointSlice::<f32>::checks_enabled() {
+                2
+            } else {
+                0
+            };
+            assert_eq!(PAGE_ALLOCS.load(Ordering::Relaxed) - pages0, 2 + ledgers);
+            // A smaller call fits in what is there.
+            Im2colCase::new(ConvDesc::new(1, 1, 0, 7, 1, 9, 9, 5), 6).run();
+            assert_eq!(grows.get(), grows0 + 1);
+            assert_eq!(bytes.get(), bytes0 + case.workspace_bytes());
+        });
+        assert_eq!(bytes.get(), bytes0);
+    }
+    wino_probe::set_telemetry(false);
+}
+
+#[test]
+fn the_im2col_call_after_a_caught_gemm_panic_is_a_clean_one() {
+    for case in im2col_cases() {
+        let want = conv_direct_f32(&case.input, &case.filt, &case.desc).unwrap();
+        let clean = {
+            let _scope = fault::scoped("");
+            on_a_fresh_thread(|| case.run())
+        };
+        for (got, want) in clean.iter().zip(want.data()) {
+            let got = f32::from_bits(*got);
+            assert!(
+                (got - want).abs() <= 1e-3 * (1.0 + want.abs()),
+                "{got} vs {want}"
+            );
+        }
+        on_a_fresh_thread(|| {
+            {
+                let _scope = fault::scoped("");
+                assert!(case.run() == clean);
+            }
+            {
+                // The panic unwinds through the call while it holds the
+                // thread's workspace, its column matrix written.
+                let _scope = fault::scoped("gemm:panic");
+                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| case.run()));
+                assert!(caught.is_err(), "the armed fault must panic the call");
+            }
+            let _scope = fault::scoped("");
+            assert!(case.run() == clean);
+            assert!(case.run() == clean);
+        });
+    }
 }

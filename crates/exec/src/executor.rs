@@ -327,7 +327,7 @@ fn run_step(
                 .with_chain(chain)
                 .with_policy(policy)
                 .with_gemm_config(plan.gemm)
-                .run_warm(src, &plan.weights, &desc, plan.warm.as_ref())
+                .run_with_banks(src, &plan.weights, &desc, plan.banks())
                 .map_err(|e| ExecError::Guard(format!("{}: {e}", plan.name)))?;
             let engine_out = run.output.data();
             let dst = out.data_mut();

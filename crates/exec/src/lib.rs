@@ -41,10 +41,10 @@ mod schedule;
 use std::fmt;
 use std::sync::Arc;
 
-use wino_conv::{PrecomputedFilters, WinogradVariant};
+use wino_conv::{Im2colFilters, PrecomputedFilters, WinogradVariant};
 use wino_gemm::GemmConfig;
 use wino_graph::{EngineChoice, GraphError};
-use wino_guard::Engine;
+use wino_guard::{Engine, WarmBanks};
 use wino_tensor::{ConvDesc, Tensor4};
 
 pub use arena::{set_steady_phase, steady_phase, Arena, ArenaPool};
@@ -120,6 +120,9 @@ pub struct LayerPlan {
     /// Warm `U = G·g·Gᵀ`, present for Winograd plans; shared by every
     /// request so the per-request filter-transform phase disappears.
     pub warm: Option<PrecomputedFilters>,
+    /// The filter matrix packed for the im2col GEMM, present for
+    /// im2col plans; shared by every request so none re-packs it.
+    pub im2col: Option<Im2colFilters>,
     /// Degradation chain headed by the selected engine.
     pub chain: Vec<Engine>,
     /// GEMM blocking for the Winograd multiplication stage.
@@ -128,8 +131,9 @@ pub struct LayerPlan {
 
 impl LayerPlan {
     /// Builds the plan for `engine`, precomputing warm filters for
-    /// Winograd choices. `desc` is the conv at any batch (canonicalized
-    /// to batch 1 internally).
+    /// Winograd choices and packing the filter matrix for im2col ones.
+    /// `desc` is the conv at any batch (canonicalized to batch 1
+    /// internally).
     ///
     /// # Errors
     /// [`ExecError::Shape`] when `weights` do not match `desc` or the
@@ -148,13 +152,18 @@ impl LayerPlan {
                 weights.dims()
             )));
         }
-        let (warm, gemm) = match &engine {
+        let shape_err = |e: wino_conv::ConvError| ExecError::Shape(e.to_string());
+        let (warm, im2col, gemm) = match &engine {
             EngineChoice::Winograd(cfg) => {
-                let pre = PrecomputedFilters::for_config(&weights, &canonical, cfg)
-                    .map_err(|e| ExecError::Shape(e.to_string()))?;
-                (Some(pre), cfg.gemm)
+                let pre =
+                    PrecomputedFilters::for_config(&weights, &canonical, cfg).map_err(shape_err)?;
+                (Some(pre), None, cfg.gemm)
             }
-            _ => (None, GemmConfig::default()),
+            EngineChoice::Im2col => {
+                let bank = Im2colFilters::new(&weights).map_err(shape_err)?;
+                (None, Some(bank), GemmConfig::default())
+            }
+            EngineChoice::Direct => (None, None, GemmConfig::default()),
         };
         Ok(LayerPlan {
             name: name.into(),
@@ -163,8 +172,17 @@ impl LayerPlan {
             engine,
             weights,
             warm,
+            im2col,
             gemm,
         })
+    }
+
+    /// The banks built at construction, as a guarded run takes them.
+    pub fn banks(&self) -> WarmBanks<'_> {
+        WarmBanks {
+            winograd: self.warm.as_ref(),
+            im2col: self.im2col.as_ref(),
+        }
     }
 
     /// The engine serving requests when nothing demotes.

@@ -1,5 +1,6 @@
-//! Probe-counter contracts: zero steady-state allocations and
-//! exactly-once warm filter transforms.
+//! Probe-counter contracts: zero steady-state allocations,
+//! exactly-once warm filter transforms and exactly-once im2col filter
+//! packs.
 //!
 //! Counters are process-global, so each contract lives in its own
 //! integration-test binary section guarded by a shared lock to keep
@@ -36,8 +37,10 @@ fn winograd_net() -> ComputeGraph {
             &mut rng,
         );
         g.set_weights(id, w).unwrap();
-        if desc.ksz == 3 {
-            g.set_engine(id, EngineChoice::Winograd(WinogradConfig::new(2)));
+        match desc.ksz {
+            3 => g.set_engine(id, EngineChoice::Winograd(WinogradConfig::new(2))),
+            1 => g.set_engine(id, EngineChoice::Im2col),
+            _ => {}
         }
     }
     g
@@ -82,7 +85,7 @@ fn steady_phase_executes_with_zero_graph_level_allocations() {
 }
 
 #[test]
-fn warm_filter_transforms_fire_exactly_once_per_winograd_conv() {
+fn filter_banks_are_built_exactly_once_per_conv() {
     let _guard = lock();
     wino_probe::reset();
     wino_probe::set_mode(wino_probe::Mode::Summary);
@@ -93,7 +96,12 @@ fn warm_filter_transforms_fire_exactly_once_per_winograd_conv() {
         .iter()
         .filter(|(id, _)| matches!(g.engine(*id), EngineChoice::Winograd(_)))
         .count() as u64;
-    assert!(winograd_layers > 0);
+    let im2col_layers = g
+        .conv_nodes()
+        .iter()
+        .filter(|(id, _)| g.engine(*id) == EngineChoice::Im2col)
+        .count() as u64;
+    assert!(winograd_layers > 0 && im2col_layers > 0);
 
     // Compilation builds every plan — and with it, every warm bank.
     let net = Arc::new(compile_with_graph_engines("inception-3a-3b", &g, (192, 28, 28)).unwrap());
@@ -101,6 +109,11 @@ fn warm_filter_transforms_fire_exactly_once_per_winograd_conv() {
     assert_eq!(
         after_compile, winograd_layers,
         "expected one filter transform per winograd conv at compile time"
+    );
+    assert_eq!(
+        wino_probe::counter("conv.im2col_packs").get(),
+        im2col_layers,
+        "expected one packed filter matrix per im2col conv at compile time"
     );
 
     // Serving N requests must not re-transform anything.
@@ -115,6 +128,11 @@ fn warm_filter_transforms_fire_exactly_once_per_winograd_conv() {
         wino_probe::counter("conv.filter_transforms").get(),
         after_compile,
         "steady-state serving re-ran a filter transform"
+    );
+    assert_eq!(
+        wino_probe::counter("conv.im2col_packs").get(),
+        im2col_layers,
+        "steady-state serving re-packed an im2col filter matrix"
     );
     wino_probe::set_mode(wino_probe::Mode::Off);
 }

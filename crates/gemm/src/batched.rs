@@ -1,19 +1,27 @@
-//! Batched SGEMM.
+//! Batched SGEMM: the one parallel region every GEMM runs in.
 //!
 //! The non-fused Winograd multiplication stage needs α² small
 //! independent GEMMs over matrices stored contiguously (§3.2.2: "we
 //! avoid invoking different matrix multiplication kernels and,
-//! instead, use a batched-SGEMM operation"). All batches share shapes;
-//! the per-batch matrices live at a fixed stride inside three flat
+//! instead, use a batched-SGEMM operation"), and an im2col convolution
+//! one GEMM per image against the same filter matrix. All batches share
+//! shapes; the per-batch matrices live at a fixed stride inside their
 //! buffers.
 
-use crate::blocked::{gemm_flops, gemm_into, GemmConfig, Operand};
+use crate::blocked::{gemm_flops, run_tile, GemmConfig};
 use crate::packed::{PackedA, PackedB};
+use crate::schedule::TaskGrid;
 use crate::simd::{simd_level, SimdLevel};
 use wino_runtime::{DisjointSlice, Runtime};
 
-/// Independent batch multiplies executed by the batched entries.
+/// Multiply-add FLOPs retired (counted once per call, not per task, to
+/// keep the enabled path cheap).
+static GEMM_FLOPS: wino_probe::Counter = wino_probe::Counter::new("gemm.flops");
+/// Independent batch multiplies executed.
 static GEMM_BATCHES: wino_probe::Counter = wino_probe::Counter::new("gemm.batches");
+/// Wall-clock distribution of worker chunks of (batch, tile) tasks;
+/// records whenever tracing or telemetry is armed.
+static H_TILES: wino_probe::Histogram = wino_probe::Histogram::new("gemm.tiles");
 
 /// Shape of one batched-GEMM invocation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,10 +68,8 @@ pub fn batched_sgemm(shape: &BatchedGemmShape, a: &[f32], b: &[f32], c: &mut [f3
 }
 
 /// [`batched_sgemm`] with explicit blocking config, runtime and SIMD
-/// dispatch level. The batch dimension carries the parallelism (the α²
-/// multiplies are independent and write disjoint `C` windows); each
-/// per-batch GEMM runs serially so its accumulation order — and
-/// therefore every output bit — matches the single-threaded path.
+/// dispatch level: both operands packed whole, then
+/// [`batched_sgemm_packed`].
 pub fn batched_sgemm_rt_level(
     shape: &BatchedGemmShape,
     a: &[f32],
@@ -75,24 +81,28 @@ pub fn batched_sgemm_rt_level(
 ) {
     assert!(a.len() >= shape.a_len(), "batched A too short");
     assert!(b.len() >= shape.b_len(), "batched B too short");
-    let (am, bm) = (shape.m * shape.k, shape.k * shape.n);
-    let operands = |batch: usize| {
-        (
-            Operand::RowMajor(&a[batch * am..(batch + 1) * am]),
-            Operand::RowMajor(&b[batch * bm..(batch + 1) * bm]),
-        )
-    };
-    batched(shape, operands, c, cfg, rt, level);
+    let (a, b) = (
+        PackedA::pack(a, shape.batches, shape.m, shape.k, level, rt),
+        PackedB::pack(b, shape.batches, shape.k, shape.n, level, rt),
+    );
+    batched_sgemm_packed(shape, &a, &b, c, cfg, rt);
 }
 
-/// [`batched_sgemm_rt_level`] over operands packed ahead of time, at
-/// the level they were packed for ([`PackedA::level`]): the same loop
-/// nest, minus the per-call `pack_a` and `pack_b`, so `C` is
-/// bit-identical to the row-major entry at that level on the matrices
-/// `a` and `b` were packed from.
+/// `C[b] = A[b] · B[b]` over operands packed ahead of time, at the
+/// level they were packed for ([`PackedA::level`]); an `a` of one
+/// matrix multiplies every batch (an im2col filter matrix against each
+/// image's columns).
 ///
-/// Panics if an operand's shape differs from `shape`'s, or the two
-/// were packed for different levels.
+/// The unit of parallelism is a tile of one batch's `C`
+/// ([`TaskGrid`]), flattened with the batch index: one region of
+/// `batches × tiles` tasks, batch major, however the work divides
+/// between many small multiplies and one large one. Each task runs the
+/// whole depth loop for its tile (`run_tile`), so every output bit is
+/// the serial one at any thread count; fewer than two tasks never enter
+/// the pool.
+///
+/// Panics if an operand's shape differs from `shape`'s, the two were
+/// packed for different levels, or `c` is shorter than the shape needs.
 pub fn batched_sgemm_packed(
     shape: &BatchedGemmShape,
     a: &PackedA,
@@ -101,54 +111,61 @@ pub fn batched_sgemm_packed(
     cfg: &GemmConfig,
     rt: &Runtime,
 ) {
+    let BatchedGemmShape { batches, m, k, n } = *shape;
     assert!(
-        (a.batches(), a.m(), a.k()) == (shape.batches, shape.m, shape.k),
+        (a.batches() == batches || a.batches() == 1) && (a.m(), a.k()) == (m, k),
         "packed A shape differs from the batched shape"
     );
     assert!(
-        (b.batches(), b.k(), b.n()) == (shape.batches, shape.k, shape.n),
+        (b.batches(), b.k(), b.n()) == (batches, k, n),
         "packed B shape differs from the batched shape"
     );
     assert!(
         a.level() == b.level(),
         "packed A and B are for different dispatch levels"
     );
-    let operands = |batch: usize| {
-        (
-            Operand::Packed(a.batch(batch)),
-            Operand::Packed(b.batch(batch)),
-        )
-    };
-    batched(shape, operands, c, cfg, rt, a.level());
-}
-
-/// The batch loop both entries share; `operands` names a batch's A and
-/// B.
-fn batched<'a>(
-    shape: &BatchedGemmShape,
-    operands: impl Fn(usize) -> (Operand<'a>, Operand<'a>) + Sync,
-    c: &mut [f32],
-    cfg: &GemmConfig,
-    rt: &Runtime,
-    level: SimdLevel,
-) {
     assert!(c.len() >= shape.c_len(), "batched C too short");
-    let cm = shape.m * shape.n;
-    GEMM_BATCHES.add(shape.batches as u64);
-    let serial = Runtime::serial();
-    let c_win = DisjointSlice::new(&mut c[..shape.c_len()]);
-    rt.parallel_for_chunks(0..shape.batches, 1, |batches| {
-        let mut batch_span = wino_probe::span("gemm.batch");
-        batch_span.arg("batches", || batches.len().to_string());
-        for batch in batches {
-            // SAFETY: batch-major C windows are disjoint across batches.
-            let c_batch = unsafe { c_win.slice_mut(batch * cm..(batch + 1) * cm) };
-            let (a, b) = operands(batch);
-            gemm_into(
-                a, b, c_batch, shape.m, shape.k, shape.n, cfg, &serial, level,
+    assert!(
+        cfg.mc >= 1 && cfg.kc >= 1 && cfg.nc >= 1,
+        "degenerate GemmConfig"
+    );
+    let c = &mut c[..shape.c_len()];
+    if k == 0 {
+        // No k-block runs, so nothing below would write the empty sum.
+        c.fill(0.0);
+    }
+    if c.is_empty() || k == 0 {
+        return;
+    }
+    GEMM_BATCHES.add(batches as u64);
+    GEMM_FLOPS.add(shape.flops());
+    let level = a.level();
+    let grid = TaskGrid::new(batches, m, n, cfg, level);
+    let c_win = DisjointSlice::new(c);
+    rt.parallel_for_chunks(0..grid.len(), 1, |tasks| {
+        let mut span = wino_probe::span("gemm.tiles");
+        span.arg("tiles", || tasks.len().to_string());
+        let _hist = H_TILES.start();
+        for (batch, tile) in tasks.map(|task| grid.task(task)) {
+            // The grid's tiles partition each C and batch-major C
+            // windows are disjoint, so no two tasks share an element.
+            run_tile(
+                a.batch(batch % a.batches()),
+                b.batch(batch),
+                &c_win,
+                batch * m * n,
+                tile,
+                k,
+                n,
+                cfg.kc,
+                level,
             );
         }
     });
+    // WINO_FAULT hook (GEMM-kernel site): one relaxed load when
+    // disarmed. Sits on the one entry point every GEMM path (plain,
+    // batched, packed, im2col) funnels through.
+    wino_probe::fault::inject_f32(wino_probe::fault::Site::Gemm, c);
 }
 
 #[cfg(test)]

@@ -2,34 +2,32 @@
 //!
 //! The Winograd matrix-multiplication stage is reframed as α² batched
 //! SGEMMs (§3.2.2, after Lavin & Gray); on CPU we execute them with
-//! this cache-blocked implementation: panels of `A` and `B` are packed
-//! into contiguous buffers and consumed by a register-tiled
-//! micro-kernel. The block sizes mirror the tuning parameters the
-//! paper exposes for its GPU SGEMM (`MNt` register blocking, `MNb`
-//! thread blocking, Table 1).
+//! this cache-blocked implementation: `A` and `B` are packed whole into
+//! the micro-kernel's sliver order ([`crate::PackedA`],
+//! [`crate::PackedB`]) — ahead of time by the engines, on the way in by
+//! the row-major entries here — and a register-tiled micro-kernel
+//! consumes windows of them in place. The block sizes mirror the tuning
+//! parameters the paper exposes for its GPU SGEMM (`MNt` register
+//! blocking, `MNb` thread blocking, Table 1).
 
+use crate::batched::{batched_sgemm_packed, BatchedGemmShape};
+use crate::packed::{PackedA, PackedB};
 use crate::schedule::{
-    col_panel, dim_blocks, micro_tiles, pack_capacities, packed_block_off, packed_step,
-    tile_extents, MR_AVX2, MR_SCALAR, NR_AVX2, NR_SCALAR,
+    dim_blocks, micro_tiles, packed_block_off, tile_extents, TaskTile, MR_AVX2, MR_SCALAR, NR_AVX2,
+    NR_SCALAR,
 };
 use crate::simd::{simd_level, SimdLevel};
 use wino_runtime::{DisjointSlice, Runtime};
 
-/// Multiply-add FLOPs retired by the blocked SGEMM (counted once per
-/// call, not per panel, to keep the enabled path cheap).
-static GEMM_FLOPS: wino_probe::Counter = wino_probe::Counter::new("gemm.flops");
-/// Wall-clock distribution of worker panel chunks (the unit of GEMM
-/// parallelism); records whenever tracing or telemetry is armed.
-static H_PANEL: wino_probe::Histogram = wino_probe::Histogram::new("gemm.panel");
-
 /// Cache/register blocking parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GemmConfig {
-    /// Rows of the A panel kept hot in cache (MC).
+    /// Rows of a task's tile of `C`: the A block kept hot in cache (MC).
     pub mc: usize,
-    /// Depth of the packed panels (KC).
+    /// Depth of one pass over a tile (KC).
     pub kc: usize,
-    /// Columns of the B panel (NC).
+    /// Most columns of a task's tile of `C` (NC); the grid never steps
+    /// wider than [`crate::schedule::TASK_COLS`].
     pub nc: usize,
 }
 
@@ -43,11 +41,6 @@ impl Default for GemmConfig {
     }
 }
 
-/// Below this many FLOPs a single GEMM runs serially even on a
-/// parallel runtime: the fork/join round trip costs more than the
-/// multiply.
-const PARALLEL_FLOP_THRESHOLD: u64 = 1 << 19;
-
 /// `C = A·B` for row-major `A (m×k)`, `B (k×n)`, `C (m×n)`,
 /// overwriting `C`.
 ///
@@ -60,8 +53,9 @@ pub fn sgemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) 
 
 /// [`sgemm`] with explicit blocking config, execution runtime and SIMD
 /// dispatch level (instead of the defaults, the global runtime and the
-/// level resolved from `WINO_SIMD`/detection). Output bits do not
-/// depend on the runtime's thread count (see the module docs of
+/// level resolved from `WINO_SIMD`/detection): both operands packed
+/// whole, then [`batched_sgemm_packed`] on a batch of one. Output bits
+/// do not depend on the runtime's thread count (see the module docs of
 /// `wino-runtime`).
 #[allow(clippy::too_many_arguments)]
 pub fn sgemm_rt_level(
@@ -77,152 +71,58 @@ pub fn sgemm_rt_level(
 ) {
     assert!(a.len() >= m * k, "A too short: {} < {}", a.len(), m * k);
     assert!(b.len() >= k * n, "B too short: {} < {}", b.len(), k * n);
-    let (a, b) = (Operand::RowMajor(a), Operand::RowMajor(b));
-    gemm_into(a, b, c, m, k, n, cfg, rt, level);
-}
-
-/// Where the blocked loop nest finds a macro-block's `mr`-row A
-/// slivers or `nr`-column B slivers. The two sources feed the
-/// micro-kernel the same floats in the same depth order, so a `C`
-/// element's bits do not depend on which one served it.
-#[derive(Clone, Copy)]
-pub(crate) enum Operand<'a> {
-    /// Row-major (`m × k` or `k × n`): each block is packed into the
-    /// task's scratch buffer on the way in — A per `(m-block,
-    /// k-block)`, B per `(panel, k-block)`.
-    RowMajor(&'a [f32]),
-    /// One matrix of a [`crate::PackedA`] / [`crate::PackedB`]:
-    /// full-depth slivers already in micro-kernel order for this
-    /// call's `mr` / `nr`; a k-block is a sub-range of each sliver.
-    Packed(&'a [f32]),
-}
-
-/// The one GEMM body every entry point funnels through (the caller has
-/// checked `A` and `B` against the shape): the shape check on `C`, the
-/// FLOP counter, the serial-below-threshold rule, the blocked loop
-/// nest, and the GEMM fault site.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_into(
-    a: Operand<'_>,
-    b: Operand<'_>,
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    cfg: &GemmConfig,
-    rt: &Runtime,
-    level: SimdLevel,
-) {
-    assert!(c.len() >= m * n, "C too short: {} < {}", c.len(), m * n);
-    assert!(
-        cfg.mc >= 1 && cfg.kc >= 1 && cfg.nc >= 1,
-        "degenerate GemmConfig"
-    );
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        // No k-block runs, so nothing below would write the empty sum.
-        c[..m * n].fill(0.0);
-        return;
-    }
-    GEMM_FLOPS.add(gemm_flops(m, k, n));
-    let serial = Runtime::serial();
-    let rt = if gemm_flops(m, k, n) < PARALLEL_FLOP_THRESHOLD {
-        &serial
-    } else {
-        rt
+    let shape = BatchedGemmShape {
+        batches: 1,
+        m,
+        k,
+        n,
     };
-    sgemm_blocked(a, b, &mut c[..m * n], m, k, n, cfg, rt, level);
-    // WINO_FAULT hook (GEMM-kernel site): one relaxed load when
-    // disarmed. Sits on the one entry point every GEMM path (plain,
-    // blocked-config, batched, packed, im2col) funnels through.
-    wino_probe::fault::inject_f32(wino_probe::fault::Site::Gemm, &mut c[..m * n]);
+    let (a, b) = (
+        PackedA::pack(a, 1, m, k, level, rt),
+        PackedB::pack(b, 1, k, n, level, rt),
+    );
+    batched_sgemm_packed(&shape, &a, &b, c, cfg, rt);
 }
 
-/// Cache-blocked kernel, parallel across `NC`-wide column panels of
-/// `C`. Each panel is owned end-to-end by one task — it runs the whole
-/// `kk` loop for its columns with private pack buffers — so every `C`
-/// element sees the exact serial accumulation order and the result is
-/// bit-identical for any thread count.
+/// One task of the one GEMM loop nest: the tile `tile` of the `C` that
+/// starts at `c_base` in `c` (row length `ldc`), from the full-depth
+/// packed `m × k` matrix `a` and `k × n` matrix `b`. The task runs the
+/// whole `kc` loop for its tile, in order, so every `C` element sees
+/// the serial accumulation order — bit-identical for any thread count
+/// and any grid. The first k-block writes `C`, later ones accumulate
+/// into it: `C`'s previous contents are never read.
 ///
-/// The loop nest walks the descriptors exported by [`crate::schedule`]
-/// (`col_panel` → `dim_blocks` → `micro_tiles` inside `macro_kernel`),
-/// so the blocking structure wino-verify's index analysis proves
+/// The walk is the descriptors exported by [`crate::schedule`]
+/// ([`crate::TaskGrid`] → `dim_blocks` → `micro_tiles` inside
+/// `macro_kernel`), windows based at [`packed_block_off`], so the
+/// structure wino-verify's index analysis proves
 /// coverage/disjointness/bounds over is the structure running here.
-///
-/// An operand's source changes only where a block's slivers are read
-/// from: a row-major one is packed per block into `a_pack` / `b_pack`;
-/// a packed one is windowed in place, with its blocks stepped in whole
-/// slivers ([`packed_step`]).
-///
-/// The first k-block of a panel writes `C`, later ones accumulate into
-/// it: `C`'s previous contents are never read.
 #[allow(clippy::too_many_arguments)]
-fn sgemm_blocked(
-    a: Operand<'_>,
-    b: Operand<'_>,
-    c: &mut [f32],
-    m: usize,
+pub(crate) fn run_tile(
+    a: &[f32],
+    b: &[f32],
+    c: &DisjointSlice<'_, f32>,
+    c_base: usize,
+    tile: TaskTile,
     k: usize,
-    n: usize,
-    cfg: &GemmConfig,
-    rt: &Runtime,
+    ldc: usize,
+    kc: usize,
     level: SimdLevel,
 ) {
     let (mr, nr) = tile_extents(level);
-    let (a_cap, b_cap) = pack_capacities(cfg, mr, nr);
-    let (mc, a_cap) = match a {
-        Operand::RowMajor(_) => (cfg.mc, a_cap),
-        Operand::Packed(_) => (packed_step(cfg.mc, mr), 0),
-    };
-    let (nc, b_cap) = match b {
-        Operand::RowMajor(_) => (cfg.nc, b_cap),
-        Operand::Packed(_) => (packed_step(cfg.nc, nr), 0),
-    };
-    let panels = n.div_ceil(nc);
-    let c_win = DisjointSlice::new(c);
-    rt.parallel_for_chunks(0..panels, 1, |panel_range| {
-        let mut panel_span = wino_probe::span("gemm.panel");
-        panel_span.arg("panels", || panel_range.len().to_string());
-        let _panel_hist = H_PANEL.start();
-        let mut a_pack = vec![0.0f32; a_cap];
-        let mut b_pack = vec![0.0f32; b_cap];
-        for panel in panel_range {
-            let jp = col_panel(n, nc, panel);
-            let (jj, nb) = (jp.start, jp.len);
-            for kp in dim_blocks(k, cfg.kc) {
-                let (kk, kb) = (kp.start, kp.len);
-                let (b_block, b_stride) = match b {
-                    Operand::RowMajor(b) => {
-                        pack_b(&mut b_pack, b, kk, jj, kb, nb, n, nr);
-                        (&b_pack[..], kb * nr)
-                    }
-                    Operand::Packed(pb) => (&pb[packed_block_off(jj, kk, k, nr)..], k * nr),
-                };
-                for ip in dim_blocks(m, mc) {
-                    let (ii, mb) = (ip.start, ip.len);
-                    let (a_block, a_stride) = match a {
-                        Operand::RowMajor(a) => {
-                            pack_a(&mut a_pack, a, ii, kk, mb, kb, k, mr);
-                            (&a_pack[..], kb * mr)
-                        }
-                        Operand::Packed(pa) => (&pa[packed_block_off(ii, kk, k, mr)..], k * mr),
-                    };
-                    macro_kernel(
-                        (a_block, a_stride),
-                        (b_block, b_stride),
-                        &c_win,
-                        (ii, jj),
-                        (mb, kb, nb),
-                        n,
-                        kk == 0,
-                        level,
-                    );
-                }
-            }
-        }
-    });
+    let (rows, cols) = (tile.rows, tile.cols);
+    for kp in dim_blocks(k, kc) {
+        macro_kernel(
+            (&a[packed_block_off(rows.start, kp.start, k, mr)..], k * mr),
+            (&b[packed_block_off(cols.start, kp.start, k, nr)..], k * nr),
+            c,
+            c_base + rows.start * ldc + cols.start,
+            (rows.len, kp.len, cols.len),
+            ldc,
+            kp.start == 0,
+            level,
+        );
+    }
 }
 
 /// Packs `A[ii.., kk..]` (mb×kb) into `mr`-row slivers so the
@@ -246,19 +146,23 @@ pub fn pack_a(
 ) {
     debug_assert!(dst.len() >= crate::schedule::packed_a_len(mb, kb, mr));
     debug_assert!(mb == 0 || kb == 0 || (ii + mb - 1) * lda + kk + kb <= a.len());
-    let mut idx = 0;
+    if kb == 0 {
+        return;
+    }
+    let mut slivers = dst.chunks_exact_mut(kb * mr);
     let mut i = 0;
     while i < mb {
         let rows = mr.min(mb - i);
-        for p in 0..kb {
-            for r in 0..mr {
-                dst[idx] = if r < rows {
-                    a[(ii + i + r) * lda + kk + p]
-                } else {
-                    0.0
-                };
-                idx += 1;
+        let sliver = slivers.next().expect("one chunk per sliver");
+        // Row by row: a unit-stride read per row, `mr` write streams.
+        for r in 0..rows {
+            let row = &a[(ii + i + r) * lda + kk..][..kb];
+            for (step, v) in sliver.chunks_exact_mut(mr).zip(row) {
+                step[r] = *v;
             }
+        }
+        for step in sliver.chunks_exact_mut(mr) {
+            step[rows..].fill(0.0);
         }
         i += rows;
     }
@@ -281,38 +185,32 @@ pub fn pack_b(
 ) {
     debug_assert!(dst.len() >= crate::schedule::packed_b_len(kb, nb, nr));
     debug_assert!(kb == 0 || nb == 0 || (kk + kb - 1) * ldb + jj + nb <= b.len());
-    let mut idx = 0;
+    let mut steps = dst.chunks_exact_mut(nr);
     let mut j = 0;
     while j < nb {
         let cols = nr.min(nb - j);
         for p in 0..kb {
-            for col in 0..nr {
-                dst[idx] = if col < cols {
-                    b[(kk + p) * ldb + jj + j + col]
-                } else {
-                    0.0
-                };
-                idx += 1;
-            }
+            let step = steps.next().expect("one chunk per sliver row");
+            step[..cols].copy_from_slice(&b[(kk + p) * ldb + jj + j..][..cols]);
+            step[cols..].fill(0.0);
         }
         j += cols;
     }
 }
 
 /// Runs the mr×nr micro-kernel over one macro-block — `(rows, depth,
-/// cols) = (mb, kb, nb)` at `C` origin `(ii, jj)` — through the
-/// disjoint-write window (this task's column panel never overlaps
-/// another task's). The tile walk is the exported [`micro_tiles`]
-/// schedule, in its order; `a` and `b` are each the block's first
-/// sliver onward and the stride separating consecutive slivers. `first`
-/// says this is the panel's first k-block, which writes `C`; later ones
-/// add to it.
+/// cols) = (mb, kb, nb)`, its first `C` element at `origin` — through
+/// the disjoint-write window (this task's tile never overlaps another
+/// task's). The tile walk is the exported [`micro_tiles`] schedule, in
+/// its order; `a` and `b` are each the block's first sliver onward and
+/// the stride separating consecutive slivers. `first` says this is the
+/// tile's first k-block, which writes `C`; later ones add to it.
 #[allow(clippy::too_many_arguments)]
 fn macro_kernel(
     (a_block, a_stride): (&[f32], usize),
     (b_block, b_stride): (&[f32], usize),
     c: &DisjointSlice<'_, f32>,
-    (ii, jj): (usize, usize),
+    origin: usize,
     (mb, kb, nb): (usize, usize, usize),
     ldc: usize,
     first: bool,
@@ -322,10 +220,10 @@ fn macro_kernel(
     for t in micro_tiles(mb, nb, a_stride, b_stride, mr, nr) {
         let a_sliver = &a_block[t.a_off..t.a_off + kb * mr];
         let b_sliver = &b_block[t.b_off..t.b_off + kb * nr];
-        let c_off = (ii + t.i) * ldc + jj + t.j;
+        let c_off = origin + t.i * ldc + t.j;
         // Invariant (proven by wino-verify's index analysis over this
         // exact schedule): the tile's row segments stay inside this
-        // task's column panel and inside C.
+        // task's tile and inside C.
         debug_assert!(c_off + (t.rows - 1) * ldc + t.cols <= c.len());
         match level {
             SimdLevel::Scalar => {
@@ -383,7 +281,7 @@ fn micro_kernel(
     for (r, acc_row) in acc.iter().enumerate().take(rows) {
         let base = c_off + r * ldc;
         // SAFETY: this micro-tile's row segment lies inside the
-        // caller's column panel, which no other task touches.
+        // caller's tile of C, which no other task touches.
         let row = unsafe { c.slice_mut(base..base + cols) };
         for (dst, &add) in row.iter_mut().zip(acc_row[..cols].iter()) {
             // The first k-block's `0.0 +`: see `micro_kernel_avx2`.
@@ -459,7 +357,7 @@ unsafe fn micro_kernel_avx2<const NV: usize>(
     for (r, acc_r) in acc.iter().enumerate().take(rows) {
         let base = c_off + r * ldc;
         // SAFETY: this micro-tile's row segment lies inside the
-        // caller's column panel, which no other task touches.
+        // caller's tile of C, which no other task touches.
         let row = c.slice_mut(base..base + cols);
         for (seg, acc_rv) in row.chunks_mut(8).zip(acc_r) {
             if seg.len() == 8 {

@@ -2,10 +2,10 @@
 //! and a B whose producer writes it packed.
 //!
 //! The Winograd multiplication stage multiplies the same transformed
-//! filter bank `U(ξ)` into every request. Packing it per call — what
-//! `sgemm_blocked` does for a row-major `A` — streams and copies the
-//! whole bank to serve a handful of tile columns; [`PackedA`] does that
-//! copy once, at registration.
+//! filter bank `U(ξ)` into every request, and an im2col convolution the
+//! same filter matrix into every image. Packing it per call streams and
+//! copies the whole bank to serve a handful of tile columns;
+//! [`PackedA`] does that copy once, at registration.
 //!
 //! The layout is keyed by the dispatch level's `mr` alone: each matrix
 //! is [`crate::pack_a`] applied to the whole `m × k` operand — `⌈m/mr⌉`
@@ -18,12 +18,13 @@
 //! [`PackedB`] is the same idea for the other operand, keyed by the
 //! level's `nr` alone: each `k × n` matrix is `⌈n/nr⌉` column slivers of
 //! `k · nr` floats, depth-major inside a sliver — [`crate::pack_b`]
-//! applied to the whole matrix. Its producer (the Winograd input
-//! transform) stores runs of consecutive columns at one depth straight
-//! into that order, so the multiply packs nothing per call.
+//! applied to the whole matrix. Its producers (the Winograd input
+//! transform, the im2col gather) store runs of consecutive columns at
+//! one depth straight into that order, so the multiply packs nothing
+//! per call.
 
 use crate::blocked::{pack_a, pack_b};
-use crate::schedule::{packed_a_len, packed_b_len, packed_block_off, tile_extents};
+use crate::schedule::{packed_a_len, packed_b_len, packed_block_off, tile_extents, NR_AVX2};
 use crate::simd::SimdLevel;
 use wino_runtime::{DisjointSlice, Runtime};
 
@@ -38,17 +39,32 @@ pub struct PackedA {
 
 impl PackedA {
     /// Packs the batch-major row-major matrices in `a` for `level`'s
-    /// micro-kernel.
+    /// micro-kernel, a sliver a task on `rt`.
     ///
     /// Panics if `a` is shorter than `batches · m · k`.
-    pub fn pack(a: &[f32], batches: usize, m: usize, k: usize, level: SimdLevel) -> Self {
+    pub fn pack(
+        a: &[f32],
+        batches: usize,
+        m: usize,
+        k: usize,
+        level: SimdLevel,
+        rt: &Runtime,
+    ) -> Self {
         assert!(a.len() >= batches * m * k, "A too short to pack");
-        let copy_row = |_: &mut (), row: usize, out: &mut [f32]| {
-            for (batch, dst) in out.chunks_exact_mut(k).enumerate() {
-                dst.copy_from_slice(&a[(batch * m + row) * k..][..k]);
-            }
-        };
-        Self::from_rows(batches, m, k, level, &Runtime::serial(), || (), copy_row)
+        let mr = tile_extents(level).0;
+        let mut data = vec![0.0f32; batches * packed_a_len(m, k, mr)];
+        let slivers = m.div_ceil(mr);
+        pack_slivers(&mut data, k * mr, rt, |i, dst| {
+            let (matrix, start) = (&a[i / slivers * m * k..], i % slivers * mr);
+            pack_a(dst, matrix, start, 0, mr.min(m - start), k, k, mr);
+        });
+        PackedA {
+            data,
+            batches,
+            m,
+            k,
+            level,
+        }
     }
 
     /// Builds the operand a row at a time, so a caller that computes
@@ -148,6 +164,27 @@ impl PackedA {
     }
 }
 
+/// Runs `pack(i, sliver i)` over the `sliver_len`-float slivers `data`
+/// consists of, each a task on `rt`.
+fn pack_slivers(
+    data: &mut [f32],
+    sliver_len: usize,
+    rt: &Runtime,
+    pack: impl Fn(usize, &mut [f32]) + Sync,
+) {
+    if sliver_len == 0 {
+        return;
+    }
+    let window = DisjointSlice::new(data);
+    rt.parallel_for(0..window.len() / sliver_len, |i| {
+        // SAFETY: sliver `i`'s range lies inside `data` and is no other
+        // task's.
+        pack(i, unsafe {
+            window.slice_mut(i * sliver_len..(i + 1) * sliver_len)
+        });
+    });
+}
+
 /// `batches` `k × n` matrices in the micro-kernel's B order; the
 /// padding columns of a ragged last sliver are zero.
 pub struct PackedB {
@@ -204,18 +241,26 @@ impl PackedB {
         self.data
     }
 
-    /// Packs the batch-major row-major matrices in `b`.
+    /// Packs the batch-major row-major matrices in `b`, a sliver a task
+    /// on `rt`.
     ///
     /// Panics if `b` is shorter than `batches · k · n`.
-    pub fn pack(b: &[f32], batches: usize, k: usize, n: usize, level: SimdLevel) -> Self {
+    pub fn pack(
+        b: &[f32],
+        batches: usize,
+        k: usize,
+        n: usize,
+        level: SimdLevel,
+        rt: &Runtime,
+    ) -> Self {
         assert!(b.len() >= batches * k * n, "B too short to pack");
         let nr = tile_extents(level).1;
         let mut packed = Self::zeroed(batches, k, n, level);
-        let stride = packed_b_len(k, n, nr);
-        for batch in 0..batches {
-            let dst = &mut packed.data[batch * stride..(batch + 1) * stride];
-            pack_b(dst, &b[batch * k * n..], 0, 0, k, n, n, nr);
-        }
+        let slivers = n.div_ceil(nr);
+        pack_slivers(&mut packed.data, k * nr, rt, |i, dst| {
+            let (matrix, start) = (&b[i / slivers * k * n..], i % slivers * nr);
+            pack_b(dst, matrix, 0, start, k, nr.min(n - start), n, nr);
+        });
         packed
     }
 
@@ -316,5 +361,84 @@ impl PackedBColumns<'_> {
             }
             done += take;
         }
+    }
+
+    /// Stores `src` as columns `col .. col + src.len()` of row `depth`
+    /// of matrix `batch` — what the im2col gather produces for one
+    /// filter tap over an output row's interior. Runs split at sliver
+    /// boundaries like [`PackedBColumns::write`]'s.
+    ///
+    /// Panics if the run leaves the matrix.
+    ///
+    /// # Safety
+    /// No other thread may write any of these columns of row `depth` of
+    /// matrix `batch` over the window's lifetime (checked in debug
+    /// builds).
+    pub unsafe fn write_run(&self, batch: usize, depth: usize, col: usize, src: &[f32]) {
+        // SAFETY: the caller's contract is `pieces`'.
+        let pieces = unsafe { self.pieces(batch, depth, col, src.len()) };
+        let mut rest = src;
+        for dst in pieces {
+            let (now, later) = rest.split_at(dst.len());
+            match <&mut [f32; NR_AVX2]>::try_from(&mut *dst) {
+                // A whole AVX2 sliver row: a copy whose length the
+                // compiler knows is two vector moves, not a call.
+                Ok(dst) => *dst = *now.first_chunk().expect("same length"),
+                Err(_) => dst.copy_from_slice(now),
+            }
+            rest = later;
+        }
+    }
+
+    /// Zeroes columns `col .. col + count` of row `depth` of matrix
+    /// `batch` (an output row's border under one filter tap).
+    ///
+    /// Panics if the run leaves the matrix.
+    ///
+    /// # Safety
+    /// As [`PackedBColumns::write_run`].
+    pub unsafe fn zero_run(&self, batch: usize, depth: usize, col: usize, count: usize) {
+        // SAFETY: the caller's contract is `pieces`'.
+        for dst in unsafe { self.pieces(batch, depth, col, count) } {
+            dst.fill(0.0);
+        }
+    }
+
+    /// The stretches of the operand holding columns `col .. col +
+    /// count` of row `depth` of matrix `batch`, in column order: the
+    /// first ends its sliver, every later one starts the next sliver, a
+    /// full depth (`k · nr`) further on.
+    ///
+    /// # Safety
+    /// As [`PackedBColumns::write_run`].
+    unsafe fn pieces(
+        &self,
+        batch: usize,
+        depth: usize,
+        col: usize,
+        count: usize,
+    ) -> impl Iterator<Item = &mut [f32]> {
+        assert!(
+            batch < self.batches && depth < self.k && col + count <= self.n,
+            "column run does not fit the packed B operand"
+        );
+        let (k, nr) = (self.k, self.nr);
+        let lane = col % nr;
+        let mut at = batch * self.stride + (col / nr * k + depth) * nr + lane;
+        let mut take = (nr - lane).min(count);
+        let mut left = count;
+        std::iter::from_fn(move || {
+            if left == 0 {
+                return None;
+            }
+            // SAFETY: in bounds by the assert above (the run's last
+            // column is below `n`, so its sliver exists), and the caller
+            // owns these columns of this row.
+            let dst = unsafe { self.data.slice_mut(at..at + take) };
+            left -= take;
+            at += k * nr - (nr - take);
+            take = nr.min(left);
+            Some(dst)
+        })
     }
 }

@@ -1,13 +1,13 @@
 //! The blocked-GEMM loop nest as data.
 //!
-//! `sgemm_blocked` used to carry its blocking structure implicitly in
-//! `while` loops; this module exports that structure as descriptor
+//! The GEMM used to carry its blocking structure implicitly in `while`
+//! loops; this module exports that structure as descriptors and
 //! iterators and the hot path consumes them, so the schedule the
 //! static index analysis in `wino-verify` reasons about is — by
 //! construction, not by transcription — the schedule that executes.
-//! Every claim the analysis proves (coverage, panel disjointness,
-//! in-bounds packing and micro-tile extents, ragged remainders) is a
-//! property of these functions.
+//! Every claim the analysis proves (coverage, task-tile disjointness,
+//! in-bounds packed windows and micro-tile extents, ragged remainders)
+//! is a property of these functions.
 //!
 //! The descriptors are pure integer arithmetic over the problem shape
 //! and [`GemmConfig`], with no dependence on the data being
@@ -73,8 +73,9 @@ impl DimBlock {
 
 /// Splits `[0, total)` into `step`-sized blocks in ascending order;
 /// the last block carries the ragged remainder. An empty dimension
-/// yields no blocks. This is the blocking rule all three GEMM macro
-/// loops (NC column panels, KC depth blocks, MC row blocks) share.
+/// yields no blocks. This is the blocking rule of every blocked
+/// dimension: a [`TaskGrid`]'s row blocks and column steps, the `kc`
+/// depth blocks inside a task, the micro-tiles of a macro-block.
 pub fn dim_blocks(total: usize, step: usize) -> impl Iterator<Item = DimBlock> {
     assert!(step >= 1, "degenerate blocking step");
     (0..total.div_ceil(step)).map(move |b| {
@@ -86,17 +87,90 @@ pub fn dim_blocks(total: usize, step: usize) -> impl Iterator<Item = DimBlock> {
     })
 }
 
-/// The `n`th column panel of an `n_total`-column matrix under
-/// `nc`-wide panel blocking — the unit of cross-task parallelism in
-/// `sgemm_blocked`. Identical to the `panel`th element of
-/// [`dim_blocks`]`(n_total, nc)`; exported separately because the
-/// parallel runtime hands tasks panel *indices*, not iterator items.
-pub fn col_panel(n_total: usize, nc: usize, panel: usize) -> DimBlock {
-    let start = panel * nc;
-    debug_assert!(start < n_total, "panel index out of range");
-    DimBlock {
-        start,
-        len: nc.min(n_total - start),
+/// Most columns of `C` one task owns. Measured on the 88 zoo im2col
+/// GEMMs (EXPERIMENTS.md, PR 21): 256 leaves a 14×14 layer one column
+/// step, and its batch-1 rows with `K = 64` read ≈ 20 % slower; 64 reads
+/// no faster than 128 on any row.
+pub const TASK_COLS: usize = 128;
+
+/// One task's tile of `C`: the unit of GEMM parallelism.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TaskTile {
+    /// The tile's rows — whole `mr` slivers of a packed A.
+    pub rows: DimBlock,
+    /// The tile's columns — whole `nr` slivers of a packed B.
+    pub cols: DimBlock,
+}
+
+/// How `batches` independent `m × n` products are cut into tasks: each
+/// `C` into row blocks of [`packed_step`]`(mc, mr)` rows × column steps
+/// of [`packed_step`]`(min(nc, `[`TASK_COLS`]`), nr)` columns, numbered
+/// batch major, then row block major so consecutive tasks share an A
+/// block. A pure function of the shape, the config and the level —
+/// never of the thread count — so it is data the index analysis can
+/// enumerate, and which tile a `C` element falls in never enters its
+/// accumulation order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TaskGrid {
+    batches: usize,
+    m: usize,
+    n: usize,
+    row_step: usize,
+    col_step: usize,
+}
+
+impl TaskGrid {
+    /// The grid of `batches` `m × n` products under `cfg` at `level`.
+    pub fn new(batches: usize, m: usize, n: usize, cfg: &GemmConfig, level: SimdLevel) -> Self {
+        let (mr, nr) = tile_extents(level);
+        TaskGrid {
+            batches,
+            m,
+            n,
+            row_step: packed_step(cfg.mc, mr),
+            col_step: packed_step(cfg.nc.min(TASK_COLS), nr),
+        }
+    }
+
+    /// Rows of every row block but a ragged last one.
+    pub fn row_step(&self) -> usize {
+        self.row_step
+    }
+
+    /// Columns of every column step but a ragged last one.
+    pub fn col_step(&self) -> usize {
+        self.col_step
+    }
+
+    /// Tiles of one product's `C`.
+    fn tiles(&self) -> usize {
+        self.m.div_ceil(self.row_step) * self.n.div_ceil(self.col_step)
+    }
+
+    /// Number of tasks; zero when there is no `C` element.
+    pub fn len(&self) -> usize {
+        self.batches * self.tiles()
+    }
+
+    /// Whether there is no `C` element.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Task `index < len()`: which product, and which tile of its `C`.
+    pub fn task(&self, index: usize) -> (usize, TaskTile) {
+        debug_assert!(index < self.len(), "task index out of range");
+        let (batch, tile) = (index / self.tiles(), index % self.tiles());
+        let steps = self.n.div_ceil(self.col_step);
+        let block = |at: usize, step: usize, total: usize| DimBlock {
+            start: at * step,
+            len: step.min(total - at * step),
+        };
+        let tile = TaskTile {
+            rows: block(tile / steps, self.row_step, self.m),
+            cols: block(tile % steps, self.col_step, self.n),
+        };
+        (batch, tile)
     }
 }
 
@@ -127,11 +201,12 @@ pub struct MicroTile {
 /// of the exported contract.
 ///
 /// `a_stride` is the distance between consecutive row slivers in the
-/// block's A source: `kb · mr` for a block `pack_a` just wrote,
-/// `k · mr` for a window into a full-depth [`packed_block_off`]
-/// operand; `b_stride` is the same for column slivers (`kb · nr` or
-/// `k · nr`). They move `a_off`/`b_off` only — which rows and columns
-/// share a sliver, and the order tiles run in, do not depend on them.
+/// block's A source — `k · mr` for a window into a full-depth
+/// [`packed_block_off`] operand, the only source the GEMM reads (`kb ·
+/// mr` would be a block packed on its own) — and `b_stride` the same
+/// for column slivers. They move `a_off`/`b_off` only: which rows and
+/// columns share a sliver, and the order tiles run in, do not depend on
+/// them.
 pub fn micro_tiles(
     mb: usize,
     nb: usize,
@@ -174,13 +249,12 @@ pub fn packed_a_len(mb: usize, kb: usize, mr: usize) -> usize {
     mb.next_multiple_of(mr) * kb
 }
 
-/// Block step of a macro loop over an operand packed ahead of time:
-/// the configured `step` (`mc` over a packed A's rows, `nc` over a
-/// packed B's columns) rounded down to whole `r`-wide slivers (at least
-/// one), so every block starts on a sliver boundary of the full-depth
-/// layout. Which rows or columns share a block never enters a `C`
-/// element's accumulation order, so this step and the on-the-fly one
-/// produce the same bits.
+/// Block step over a packed operand: the configured `step` (`mc` over
+/// A's rows, the column step over B's columns) rounded down to whole
+/// `r`-wide slivers (at least one), so every block starts on a sliver
+/// boundary of the full-depth layout. Which rows or columns share a
+/// block never enters a `C` element's accumulation order, so no choice
+/// of step moves a bit.
 pub fn packed_step(step: usize, r: usize) -> usize {
     (step / r).max(1) * r
 }
@@ -250,16 +324,6 @@ pub fn pack_b_model(kb: usize, nb: usize, nr: usize) -> Vec<PackSlot> {
     slots
 }
 
-/// Pack-buffer capacities `(a, b)` that `sgemm_blocked` allocates per
-/// task for `cfg` at dispatch level extents `(mr, nr)` — the bound the
-/// index analysis checks every sliver offset against.
-pub fn pack_capacities(cfg: &GemmConfig, mr: usize, nr: usize) -> (usize, usize) {
-    (
-        cfg.mc.next_multiple_of(mr) * cfg.kc,
-        cfg.kc * cfg.nc.next_multiple_of(nr),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,13 +353,33 @@ mod tests {
     }
 
     #[test]
-    fn col_panel_matches_dim_blocks() {
-        for (n, nc) in [(1, 256), (256, 256), (257, 256), (1000, 7)] {
-            let blocks: Vec<DimBlock> = dim_blocks(n, nc).collect();
-            for (p, want) in blocks.iter().enumerate() {
-                assert_eq!(col_panel(n, nc, p), *want);
+    fn task_grid_partitions_every_c_on_sliver_boundaries() {
+        let cfg = GemmConfig::default();
+        for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+            let (mr, nr) = tile_extents(level);
+            for (batches, m, n) in [(1, 1, 1), (2, 96, 3025), (5, 32, 49), (3, 61, 129)] {
+                let grid = TaskGrid::new(batches, m, n, &cfg, level);
+                let mut seen = vec![0u32; batches * m * n];
+                for (batch, t) in (0..grid.len()).map(|i| grid.task(i)) {
+                    assert!(t.rows.start.is_multiple_of(mr) && t.cols.start.is_multiple_of(nr));
+                    assert!(batch < batches && t.rows.len >= 1 && t.cols.len >= 1);
+                    for i in t.rows.start..t.rows.end() {
+                        for j in t.cols.start..t.cols.end() {
+                            seen[(batch * m + i) * n + j] += 1;
+                        }
+                    }
+                }
+                assert!(seen.iter().all(|&c| c == 1), "{m}x{n} at {level:?}");
+            }
+            for (batches, m, n) in [(0, 5, 5), (3, 0, 5), (3, 5, 0)] {
+                assert!(TaskGrid::new(batches, m, n, &cfg, level).is_empty());
             }
         }
+        // The config's `nc` narrows a step, never widens it past the cap.
+        let narrow = GemmConfig { nc: 40, ..cfg };
+        let avx2 = SimdLevel::Avx2;
+        assert_eq!(TaskGrid::new(1, 8, 8, &narrow, avx2).col_step(), 32);
+        assert_eq!(TaskGrid::new(1, 8, 8, &cfg, avx2).col_step(), TASK_COLS);
     }
 
     #[test]

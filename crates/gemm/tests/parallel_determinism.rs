@@ -4,7 +4,7 @@
 //! result: every output element is written by exactly one task and the
 //! per-element accumulation order matches the serial loop. These
 //! properties pin that down with exact `f32::to_bits` equality across
-//! random shapes, ragged panel tilings, and 1–8 worker lanes.
+//! random shapes, ragged task grids, and 1–8 worker lanes.
 
 use proptest::prelude::*;
 use wino_gemm::{batched_sgemm_rt_level, sgemm_rt_level, simd_level, BatchedGemmShape, GemmConfig};
@@ -29,7 +29,7 @@ proptest! {
         k in 1usize..48,
         n in 1usize..96,
         // Ragged blocking: nc deliberately not a multiple of NR and
-        // often smaller than n, so panel boundaries fall everywhere.
+        // often smaller than n, so tile boundaries fall everywhere.
         mc in 4usize..40,
         nc in 4usize..40,
         threads in 1usize..9,

@@ -218,10 +218,11 @@ proptest! {
 // ---------------------------------------------------------------------
 // Operands packed ahead of time (PackedA: PR 14, PackedB: PR 16): each
 // layout is the whole-matrix pack model, A unpacks losslessly, B is
-// the model however its column runs were written, and the packed
-// batched entry is the row-major one at the operands' level bit for
-// bit — over shapes that leave every block (mr sliver, mc, kc, nr, nc)
-// ragged, at both levels and thread counts.
+// the model however its column runs were written, and every entry —
+// row-major, packed, one A shared by the batch — computes each C
+// element by the one kc-blocked chain, bit for bit, over shapes that
+// leave every block (mr sliver, mc, kc, nr, the column step) ragged, at
+// both levels and 1–3 threads.
 // ---------------------------------------------------------------------
 
 use wino_gemm::{
@@ -266,18 +267,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn packed_entry_is_bit_identical_to_row_major(
+    fn every_entry_is_the_kc_blocked_chain_bit_for_bit(
         batches in 1usize..4,
         m in adversarial_dim(),
         k in adversarial_dim(),
         n in prop_oneof![Just(1usize), Just(5), Just(9), Just(17), Just(45), Just(257)],
         // mc below, at and above mr; kc that divides nothing; nc below
-        // and off the nr grid, so packed panels step differently from
-        // the on-the-fly ones.
+        // and off the nr grid: the task grid's tiles fall everywhere.
         mc in prop_oneof![Just(5usize), Just(8), Just(13), Just(64)],
         kc in prop_oneof![Just(3usize), Just(7), Just(128)],
         nc in prop_oneof![Just(3usize), Just(16), Just(40)],
-        threads in 1usize..3,
+        threads in 1usize..4,
         // 0: uniform operands; 1: all zero; 2: products that all
         // underflow, so FMA chains round to −0.0 and the first
         // k-block's write must still be `0.0 + acc`.
@@ -286,6 +286,7 @@ proptest! {
     ) {
         use rand::{Rng, SeedableRng};
         let shape = BatchedGemmShape { batches, m, k, n };
+        let shared_a = seed % 2 == 0;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let scale = [1.0f32, 0.0, 1e-24][fill];
         let a: Vec<f32> = (0..shape.a_len()).map(|_| scale * rng.gen_range(-2.0f32..2.0)).collect();
@@ -293,22 +294,69 @@ proptest! {
         let cfg = GemmConfig { mc, kc, nc };
         let rt = wino_runtime::Runtime::with_threads(threads);
         for level in test_levels() {
+            // The contract, element by element: per `kc` block a chain
+            // from zero over the block's depths in order — fused at
+            // AVX2, multiply then add at scalar — added onto the blocks
+            // before it, the first onto +0.0. No tile, sliver, batch or
+            // thread enters it.
             let mut want = vec![f32::NAN; shape.c_len()];
-            batched_sgemm_rt_level(&shape, &a, &b, &mut want, &cfg, &rt, level);
+            for (idx, w) in want.iter_mut().enumerate() {
+                let (batch, i, j) = (idx / (m * n), idx / n % m, idx % n);
+                let mut c = 0.0f32;
+                for kk in (0..k).step_by(kc) {
+                    let mut acc = 0.0f32;
+                    for p in kk..k.min(kk + kc) {
+                        let (x, y) = (a[(batch * m + i) * k + p], b[(batch * k + p) * n + j]);
+                        acc = match level {
+                            SimdLevel::Scalar => acc + x * y,
+                            SimdLevel::Avx2 => x.mul_add(y, acc),
+                        };
+                    }
+                    c += acc;
+                }
+                *w = c;
+            }
             if fill > 0 {
                 // What accumulating onto a zero-filled C always gave.
                 prop_assert!(want.iter().all(|w| w.to_bits() == 0), "{:?}", level);
             }
-            let packed = PackedA::pack(&a, batches, m, k, level);
-            let packed_b = PackedB::pack(&b, batches, k, n, level);
-            let mut got = vec![f32::NAN; shape.c_len()];
-            batched_sgemm_packed(&shape, &packed, &packed_b, &mut got, &cfg, &rt);
-            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            let mut row_major = vec![f32::NAN; shape.c_len()];
+            batched_sgemm_rt_level(&shape, &a, &b, &mut row_major, &cfg, &rt, level);
+            let packed_b = PackedB::pack(&b, batches, k, n, level, &rt);
+            let mut packed = vec![f32::NAN; shape.c_len()];
+            if shared_a {
+                // One A for every batch: each batch's C is A[0]·B[batch].
+                let first = PackedA::pack(&a, 1, m, k, level, &rt);
+                batched_sgemm_packed(&shape, &first, &packed_b, &mut packed, &cfg, &rt);
+                let one = BatchedGemmShape { batches: 1, ..shape };
+                for batch in 0..batches {
+                    let alone_b = PackedB::pack(&b[batch * k * n..], 1, k, n, level, &rt);
+                    let mut alone = vec![f32::NAN; m * n];
+                    batched_sgemm_packed(&one, &first, &alone_b, &mut alone, &cfg, &rt);
+                    let stacked = &packed[batch * m * n..][..m * n];
+                    prop_assert!(
+                        alone.iter().map(|v| v.to_bits()).eq(stacked.iter().map(|v| v.to_bits())),
+                        "{:?}: batch {} differs when multiplied alone", level, batch
+                    );
+                }
+                packed.truncate(m * n);
+            } else {
+                let packed_a = PackedA::pack(&a, batches, m, k, level, &rt);
+                batched_sgemm_packed(&shape, &packed_a, &packed_b, &mut packed, &cfg, &rt);
+            }
+            for (i, w) in want.iter().enumerate() {
                 prop_assert_eq!(
-                    g.to_bits(), w.to_bits(),
-                    "{:?} m={} k={} n={} mc={} kc={} nc={} element {}",
+                    row_major[i].to_bits(), w.to_bits(),
+                    "row-major {:?} m={} k={} n={} mc={} kc={} nc={} element {}",
                     level, m, k, n, mc, kc, nc, i
                 );
+                if let Some(g) = packed.get(i) {
+                    prop_assert_eq!(
+                        g.to_bits(), w.to_bits(),
+                        "packed {:?} m={} k={} n={} mc={} kc={} nc={} element {}",
+                        level, m, k, n, mc, kc, nc, i
+                    );
+                }
             }
         }
     }
@@ -340,7 +388,7 @@ proptest! {
             write_in_runs::<8>(&mut packed, &b);
         }
         let model = pack_b_model(k, n, nr);
-        let whole = PackedB::pack(&b, batches, k, n, level);
+        let whole = PackedB::pack(&b, batches, k, n, level, &wino_runtime::Runtime::serial());
         for batch in 0..batches {
             let got = packed.batch(batch);
             prop_assert_eq!(got.len(), model.len());
@@ -353,7 +401,7 @@ proptest! {
                 prop_assert_eq!(got[idx].to_bits(), want.to_bits());
             }
         }
-        // The window a (panel, k block) reads: sliver `s` of the panel
+        // The window a (column step, k block) reads: sliver `s` of the step
         // sits `s · k · nr` past `packed_block_off`, and holds columns
         // jj + s·nr.. at depths kk..kk+kb — zero past column n.
         let step = packed_step(nc, nr);
@@ -391,7 +439,7 @@ proptest! {
         let a: Vec<f32> = (0..batches * m * k).map(|i| i as f32 + 1.0).collect();
         for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
             let mr = tile_extents(level).0;
-            let packed = PackedA::pack(&a, batches, m, k, level);
+            let packed = PackedA::pack(&a, batches, m, k, level, &wino_runtime::Runtime::serial());
             // Four tasks sharing the row slivers pack what one does.
             let rt = wino_runtime::Runtime::with_threads(4);
             let copy_row = |_: &mut (), row: usize, out: &mut [f32]| {

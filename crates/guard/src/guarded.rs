@@ -23,7 +23,7 @@ use std::panic::{self, AssertUnwindSafe};
 
 use wino_conv::{
     conv_direct_f32, conv_im2col, conv_winograd, conv_winograd_precomputed, ConvError,
-    PrecomputedFilters, WinogradConfig, WinogradVariant,
+    Im2colFilters, PrecomputedFilters, WinogradConfig, WinogradVariant,
 };
 use wino_gemm::GemmConfig;
 use wino_probe::Counter;
@@ -50,6 +50,21 @@ pub enum Engine {
     Direct,
 }
 
+/// Filter banks prepared ahead of a guarded run (at registration, by a
+/// serving layer): each spares the engine it belongs to its per-call
+/// filter work, and neither changes an output bit. The raw filters are
+/// still required — fallback engines and the spot-check guardrail
+/// consume them.
+#[derive(Clone, Copy, Default)]
+pub struct WarmBanks<'a> {
+    /// `U = G·g·Gᵀ` for chain entries whose Winograd `m` matches; it
+    /// must come from the recipes the cold path would resolve
+    /// (optimized options, the chain's default).
+    pub winograd: Option<&'a PrecomputedFilters>,
+    /// The packed `(K, C·r²)` filter matrix for the im2col entry.
+    pub im2col: Option<&'a Im2colFilters>,
+}
+
 impl Engine {
     fn run(
         &self,
@@ -57,9 +72,9 @@ impl Engine {
         filters: &Tensor4<f32>,
         desc: &ConvDesc,
         gemm: &GemmConfig,
-        warm: Option<&PrecomputedFilters>,
+        banks: WarmBanks<'_>,
     ) -> Result<Tensor4<f32>, ConvError> {
-        let winograd = |m: usize, variant: WinogradVariant| match warm {
+        let winograd = |m: usize, variant: WinogradVariant| match banks.winograd {
             // A warm bank with matching m skips the filter transform.
             // Its values equal the cold transform's (same recipes), so
             // the output is bit-identical either way.
@@ -76,7 +91,10 @@ impl Engine {
         match *self {
             Engine::FusedWinograd(m) => winograd(m, WinogradVariant::Fused),
             Engine::NonFusedWinograd(m) => winograd(m, WinogradVariant::NonFused),
-            Engine::Im2col => conv_im2col(input, filters, desc),
+            Engine::Im2col => match banks.im2col {
+                Some(bank) => bank.conv(input, desc),
+                None => conv_im2col(input, filters, desc),
+            },
             Engine::Direct => conv_direct_f32(input, filters, desc),
         }
     }
@@ -218,21 +236,15 @@ impl GuardedConv {
         filters: &Tensor4<f32>,
         desc: &ConvDesc,
     ) -> Result<GuardedOutput, GuardError> {
-        self.run_warm(input, filters, desc, None)
+        self.run_with_banks(input, filters, desc, WarmBanks::default())
     }
 
-    /// [`GuardedConv::run`] with an optional warm filter bank: chain
-    /// entries whose Winograd `m` matches `warm` skip the filter
-    /// transform (the serving layer's steady state). `filters` is
-    /// still required — fallback engines and the spot-check guardrail
-    /// consume the raw bank. Output is bit-identical to the cold
-    /// [`GuardedConv::run`] as long as `warm` was built with the same
-    /// recipes the cold path would resolve (optimized options, the
-    /// chain's default).
+    /// [`GuardedConv::run_with_banks`] with a warm Winograd bank only:
+    /// chain entries whose Winograd `m` matches `warm` skip the filter
+    /// transform.
     ///
     /// # Errors
-    /// [`GuardError`] when every engine in the chain failed; the error
-    /// carries the per-engine causes.
+    /// As [`GuardedConv::run`].
     pub fn run_warm(
         &self,
         input: &Tensor4<f32>,
@@ -240,9 +252,29 @@ impl GuardedConv {
         desc: &ConvDesc,
         warm: Option<&PrecomputedFilters>,
     ) -> Result<GuardedOutput, GuardError> {
+        let banks = WarmBanks {
+            winograd: warm,
+            im2col: None,
+        };
+        self.run_with_banks(input, filters, desc, banks)
+    }
+
+    /// [`GuardedConv::run`] with the filter banks a serving layer
+    /// prepared at registration (its steady state): output is
+    /// bit-identical to the cold run's (see [`WarmBanks`]).
+    ///
+    /// # Errors
+    /// As [`GuardedConv::run`].
+    pub fn run_with_banks(
+        &self,
+        input: &Tensor4<f32>,
+        filters: &Tensor4<f32>,
+        desc: &ConvDesc,
+        banks: WarmBanks<'_>,
+    ) -> Result<GuardedOutput, GuardError> {
         let mut demotions = Vec::new();
         for (i, engine) in self.chain.iter().enumerate() {
-            match self.attempt(*engine, input, filters, desc, warm) {
+            match self.attempt(*engine, input, filters, desc, banks) {
                 Ok(output) => {
                     if i > 0 {
                         SERVED_FALLBACK.add(1);
@@ -291,10 +323,10 @@ impl GuardedConv {
         input: &Tensor4<f32>,
         filters: &Tensor4<f32>,
         desc: &ConvDesc,
-        warm: Option<&PrecomputedFilters>,
+        banks: WarmBanks<'_>,
     ) -> Result<Tensor4<f32>, DemotionCause> {
         let result = panic::catch_unwind(AssertUnwindSafe(|| {
-            engine.run(input, filters, desc, &self.gemm, warm)
+            engine.run(input, filters, desc, &self.gemm, banks)
         }));
         let output = match result {
             Err(payload) => return Err(DemotionCause::Panic(payload_to_string(payload))),

@@ -50,7 +50,9 @@ pub mod sandbox;
 
 pub use denylist::{DenyCause, Denylist};
 pub use gate::{GateVerdict, NumericGate};
-pub use guarded::{Demotion, DemotionCause, Engine, GuardError, GuardedConv, GuardedOutput};
+pub use guarded::{
+    Demotion, DemotionCause, Engine, GuardError, GuardedConv, GuardedOutput, WarmBanks,
+};
 pub use guardrail::{scan_finite, spot_check, GuardrailPolicy, NumericFault};
 pub use sandbox::{payload_to_string, run_sandboxed, SandboxBudget, SandboxOutcome};
 pub use wino_conv::WinogradVariant;

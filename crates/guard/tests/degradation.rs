@@ -14,8 +14,10 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wino_conv::{conv_direct_f32, conv_im2col, conv_winograd, WinogradConfig, WinogradVariant};
-use wino_guard::{fault, Engine, GuardedConv};
+use wino_conv::{
+    conv_direct_f32, conv_im2col, conv_winograd, Im2colFilters, WinogradConfig, WinogradVariant,
+};
+use wino_guard::{fault, Engine, GuardedConv, WarmBanks};
 use wino_tensor::{ConvDesc, Tensor4};
 
 fn random_case(desc: &ConvDesc, seed: u64) -> (Tensor4<f32>, Tensor4<f32>) {
@@ -121,10 +123,42 @@ proptest! {
             Engine::Im2col,
             Engine::Direct,
         ]);
-        let out = guarded.run(&input, &filt, &desc).unwrap();
-        prop_assert_eq!(out.served_by, Engine::Direct);
-        prop_assert_eq!(out.demotions.len(), 2);
         let reference = conv_direct_f32(&input, &filt, &desc).unwrap();
-        assert_bits_equal(&out.output, &reference);
+        // A filter matrix packed ahead spares im2col its packing, not
+        // the guardrail: the poisoned product demotes either way.
+        let bank = Im2colFilters::new(&filt).unwrap();
+        for im2col in [None, Some(&bank)] {
+            let banks = WarmBanks { im2col, ..WarmBanks::default() };
+            let out = guarded.run_with_banks(&input, &filt, &desc, banks).unwrap();
+            prop_assert_eq!(out.served_by, Engine::Direct);
+            prop_assert_eq!(out.demotions.len(), 2);
+            assert_bits_equal(&out.output, &reference);
+        }
+    }
+
+    #[test]
+    fn a_prepacked_im2col_bank_moves_no_bit(
+        in_ch in 1usize..40,
+        out_ch in 1usize..9,
+        hw in 1usize..12,
+        ksz in 1usize..4,
+        stride in 1usize..3,
+        batch in 1usize..4,
+        seed in any::<u64>(),
+    ) {
+        let _scope = fault::scoped("");
+        let desc = ConvDesc::new(ksz, stride, ksz / 2, out_ch, batch, hw, hw, in_ch);
+        let (input, filt) = random_case(&desc, seed);
+        let guarded = GuardedConv::new(4).with_chain(vec![Engine::Im2col, Engine::Direct]);
+        let cold = guarded.run(&input, &filt, &desc).unwrap();
+        let bank = Im2colFilters::new(&filt).unwrap();
+        let banks = WarmBanks { im2col: Some(&bank), ..WarmBanks::default() };
+        let warm = guarded.run_with_banks(&input, &filt, &desc, banks).unwrap();
+        for out in [&cold, &warm] {
+            prop_assert_eq!(out.served_by, Engine::Im2col);
+            prop_assert!(out.demotions.is_empty());
+        }
+        assert_bits_equal(&warm.output, &cold.output);
+        assert_bits_equal(&warm.output, &conv_im2col(&input, &filt, &desc).unwrap());
     }
 }

@@ -1,29 +1,29 @@
 //! Static index analysis of the blocked-GEMM packing and tiling.
 //!
-//! `wino-gemm` exports its loop nest as data ([`wino_gemm::dim_blocks`],
-//! [`wino_gemm::col_panel`], [`wino_gemm::micro_tiles`], the pack
-//! models) and `sgemm_blocked` *consumes those descriptors*, so the
-//! schedule this module reasons about is the schedule that executes —
-//! by construction, not by transcription. Over that data the analysis
+//! `wino-gemm` exports its loop nest as data ([`wino_gemm::TaskGrid`],
+//! [`wino_gemm::dim_blocks`], [`wino_gemm::micro_tiles`], the pack
+//! models) and the GEMM *consumes those descriptors*, so the schedule
+//! this module reasons about is the schedule that executes — by
+//! construction, not by transcription. Over that data the analysis
 //! proves, for a grid of problem shapes × blocking configs × both SIMD
-//! dispatch levels:
+//! dispatch levels, plus the zoo's im2col shapes:
 //!
-//! - **Coverage:** every `(i, j)` of `C` is written exactly once per
-//!   k-block — no element missed (a wrong result) and none touched
-//!   twice (a data race under panel parallelism).
-//! - **Disjointness:** column panels partition `[0, n)`, so the
-//!   per-panel tasks' write sets never intersect and the
-//!   `DisjointSlice` windows in the micro-kernels are sound.
-//! - **In-bounds:** packed buffer lengths fit the allocated
-//!   capacities, every micro-tile's A/B sliver lies inside its pack
-//!   buffer, and every `C` row segment stays inside both the matrix
-//!   and its task's column panel — including every ragged remainder
-//!   combination (`m % mr`, `n % nr`, tail blocks of `mc`/`kc`/`nc`).
-//!
-//! - **Packed operands:** when A or B was packed ahead of time
-//!   ([`wino_gemm::PackedA`], [`wino_gemm::PackedB`]), the same nest
-//!   windows it in place; [`check_packed_schedule`] proves every sliver
-//!   window — blocks stepped by [`wino_gemm::packed_step`], based at
+//! - **Coverage:** every `(i, j)` of every batch's `C` is written
+//!   exactly once per k-block — no element missed (a wrong result) and
+//!   none touched twice (a data race between tasks).
+//! - **Disjointness:** the unit of parallelism is a (batch, tile) task;
+//!   the tiles of one grid partition each `C` — row blocks and column
+//!   steps each partition their dimension, on sliver boundaries — so no
+//!   two tasks' write sets intersect and the `DisjointSlice` windows in
+//!   the micro-kernels are sound.
+//! - **In-bounds:** every micro-tile's `C` row segment stays inside the
+//!   matrix and inside its task's tile — including every ragged
+//!   remainder combination (`m % mr`, `n % nr`, tail blocks of
+//!   `mc`/`kc` and of the column step).
+//! - **Packed operands:** both operands reach the nest packed whole
+//!   ([`wino_gemm::PackedA`], [`wino_gemm::PackedB`]) and are windowed
+//!   in place; [`check_packed_schedule`] proves every sliver window —
+//!   blocks stepped by the grid's row and column steps, based at
 //!   [`wino_gemm::packed_block_off`], slivers a full depth apart —
 //!   stays inside the operand and holds exactly the rows (columns) and
 //!   depths the tile multiplies, the zero padding of the last ragged
@@ -33,19 +33,20 @@
 //! quantities are affine in the block descriptors, so checking every
 //! descriptor (there are finitely many per shape) *is* the proof for
 //! that shape. The model-vs-implementation gap for the packing loops —
-//! `pack_a`/`pack_b` are hand-written while the analysis walks
-//! [`wino_gemm::pack_a_model`]/[`wino_gemm::pack_b_model`] — is closed
-//! by [`cross_check_packing`], which runs the real loops on
+//! `pack_a`/`pack_b` and the column writers are hand-written while the
+//! analysis walks [`wino_gemm::pack_a_model`]/[`wino_gemm::pack_b_model`]
+//! — is closed by [`cross_check_packing`], which runs the real loops on
 //! sentinel-valued matrices and compares slot-for-slot against the
 //! model.
 
 use std::fmt;
 
 use wino_gemm::{
-    col_panel, dim_blocks, micro_tiles, pack_a, pack_a_model, pack_b, pack_b_model,
-    pack_capacities, packed_a_len, packed_b_len, packed_block_off, packed_step, tile_extents,
-    GemmConfig, MicroTile, PackSlot, PackedA, PackedB, SimdLevel,
+    dim_blocks, micro_tiles, pack_a, pack_a_model, pack_b, pack_b_model, packed_a_len,
+    packed_b_len, packed_block_off, tile_extents, GemmConfig, MicroTile, PackSlot, PackedA,
+    PackedB, SimdLevel, TaskGrid, TaskTile,
 };
+use wino_runtime::Runtime;
 
 /// One defect found by the index analysis.
 #[derive(Clone, Debug)]
@@ -92,6 +93,24 @@ const SHAPES: &[(usize, usize, usize)] = &[
     (65, 129, 257),
     (3, 2, 131),
 ];
+
+/// The `(K, C·r², OH·OW)` GEMMs of zoo layers the selector sends to
+/// im2col, proven under the default config the engine runs them with:
+/// AlexNet conv1 (11×11 stride 4), a NiN 1×1 on 27×27, and Inception
+/// 1×1s on 28×28, 14×14 and 7×7 — the smallest (32 rows of 49 columns)
+/// and the widest filter matrix among them.
+const ZOO_IM2COL_SHAPES: &[(usize, usize, usize)] = &[
+    (96, 363, 3025),
+    (256, 256, 729),
+    (16, 192, 784),
+    (24, 512, 196),
+    (32, 832, 49),
+    (384, 832, 49),
+];
+
+/// Batch counts the grid proofs flatten: one product, and a batch-5
+/// im2col call's worth of images is covered by three.
+const BATCHES: usize = 3;
 
 /// Blocking configs the sweep proves: the default, a tiny config that
 /// maximizes block-count edge cases, and an awkward config whose steps
@@ -253,9 +272,95 @@ fn check_micro_tiles(
     }
 }
 
+/// Checks one task list against the `batches` `m × n` products it must
+/// cover: every tile on sliver boundaries of the packed operands and
+/// inside its `C`; every micro-tile's row segments inside the matrix
+/// and inside the task's tile; and — the disjointness argument for the
+/// `DisjointSlice` the tasks share — every element of every `C` written
+/// by exactly one task. Takes the tasks as a slice so negative fixtures
+/// can feed a tampered grid.
+fn check_tasks(
+    ctx: &str,
+    tasks: &[(usize, TaskTile)],
+    (batches, m, n): (usize, usize, usize),
+    (mr, nr): (usize, usize),
+    issues: &mut Vec<IndexIssue>,
+) {
+    let mut cover = vec![0u32; batches * m * n];
+    for (batch, tile) in tasks {
+        let (rows, cols) = (tile.rows, tile.cols);
+        let tctx = format!("{ctx} task({batch};{},{})", rows.start, cols.start);
+        if !rows.start.is_multiple_of(mr) || !cols.start.is_multiple_of(nr) {
+            issues.push(issue(
+                &tctx,
+                format!("tile origin is off the {mr}x{nr} sliver grid of the packed operands"),
+            ));
+            return;
+        }
+        if *batch >= batches || rows.len == 0 || cols.len == 0 || rows.end() > m || cols.end() > n {
+            issues.push(issue(
+                &tctx,
+                format!(
+                    "tile rows {}..{} cols {}..{} escape C {m}x{n} of {batches} batches",
+                    rows.start,
+                    rows.end(),
+                    cols.start,
+                    cols.end()
+                ),
+            ));
+            return;
+        }
+        // The walk of this tile's macro-block: micro-tile extents,
+        // block coverage, sliver indices (a depth of 1 makes a sliver
+        // index its offset; `check_packed_schedule` proves the windows
+        // of the real, full-depth operands).
+        let micro: Vec<_> = micro_tiles(rows.len, cols.len, mr, nr, mr, nr).collect();
+        check_micro_tiles(&tctx, &micro, rows.len, cols.len, 1, mr, nr, issues);
+        for t in micro {
+            // The C write window of this micro-tile, in matrix
+            // coordinates. Two affine facts:
+            let (i0, j0) = (rows.start + t.i, cols.start + t.j);
+            // (1) inside the task's tile — the disjointness half of the
+            // DisjointSlice argument, and with the tile inside C (above)
+            // the debug_assert in macro_kernel;
+            if i0 + t.rows > rows.end() || j0 + t.cols > cols.end() {
+                issues.push(issue(
+                    &tctx,
+                    format!(
+                        "micro-tile rows {i0}..{} cols {j0}..{} escape the task's tile",
+                        i0 + t.rows,
+                        j0 + t.cols
+                    ),
+                ));
+                return;
+            }
+            // (2) counted once: each k-block repeats the identical
+            // (task × micro-tile) walk, so one count proves all of them.
+            for r in 0..t.rows {
+                for c in 0..t.cols {
+                    cover[(batch * m + i0 + r) * n + j0 + c] += 1;
+                }
+            }
+        }
+    }
+    if let Some((pos, &count)) = cover.iter().enumerate().find(|(_, &c)| c != 1) {
+        issues.push(issue(
+            ctx,
+            format!(
+                "C[{}][{}, {}] written {count} times per k-block (want exactly 1)",
+                pos / (m * n),
+                pos / n % m,
+                pos % n
+            ),
+        ));
+    }
+}
+
 /// Proves the full schedule for one `(m, k, n)` × config × level
-/// point. Every property is derived from the exported descriptors;
-/// nothing about the shape is assumed beyond what the descriptors say.
+/// point, flattened over [`BATCHES`] products the way a batched call
+/// flattens them. Every property is derived from the exported
+/// descriptors; nothing about the shape is assumed beyond what the
+/// descriptors say.
 pub fn check_schedule(
     m: usize,
     k: usize,
@@ -263,142 +368,48 @@ pub fn check_schedule(
     cfg: &GemmConfig,
     level: SimdLevel,
 ) -> IndexCheck {
-    let (mr, nr) = tile_extents(level);
+    let extents = tile_extents(level);
     let label = format!(
         "gemm {m}x{k}x{n} cfg({},{},{}) {}",
         cfg.mc,
         cfg.kc,
         cfg.nc,
-        match level {
-            SimdLevel::Scalar => "scalar",
-            SimdLevel::Avx2 => "avx2",
-        }
+        level.name()
     );
     let mut issues = Vec::new();
-    let ctx = label.clone();
-
-    // Panel disjointness + partition of the n dimension. The panels
-    // are what `parallel_for_chunks` hands to concurrent tasks, so
-    // this is the data-race freedom argument for DisjointSlice.
-    let panels: Vec<_> = (0..n.div_ceil(cfg.nc))
-        .map(|p| col_panel(n, cfg.nc, p))
+    let grid = TaskGrid::new(BATCHES, m, n, cfg, level);
+    let tasks: Vec<_> = (0..grid.len()).map(|i| grid.task(i)).collect();
+    // The row blocks and column steps of the first product's tiles:
+    // each must partition its dimension, ragged only at the end.
+    let first = || tasks.iter().filter(|(batch, _)| *batch == 0);
+    let row_blocks: Vec<_> = first()
+        .filter(|(_, t)| t.cols.start == 0)
+        .map(|(_, t)| t.rows)
         .collect();
-    check_partition(&ctx, "column-panel", &panels, n, cfg.nc, &mut issues);
+    check_partition(
+        &label,
+        "task-row",
+        &row_blocks,
+        m,
+        grid.row_step(),
+        &mut issues,
+    );
+    let col_steps: Vec<_> = first()
+        .filter(|(_, t)| t.rows.start == 0)
+        .map(|(_, t)| t.cols)
+        .collect();
+    check_partition(
+        &label,
+        "task-column",
+        &col_steps,
+        n,
+        grid.col_step(),
+        &mut issues,
+    );
     let kblocks: Vec<_> = dim_blocks(k, cfg.kc).collect();
-    check_partition(&ctx, "k", &kblocks, k, cfg.kc, &mut issues);
-    let mblocks: Vec<_> = dim_blocks(m, cfg.mc).collect();
-    check_partition(&ctx, "m", &mblocks, m, cfg.mc, &mut issues);
-    if !issues.is_empty() {
-        return IndexCheck { label, issues };
-    }
-
-    let (a_cap, b_cap) = pack_capacities(cfg, mr, nr);
-    // Per k-block coverage of all of C exactly once, across every
-    // panel and row block — one pass proves both "no element missed"
-    // and "no element written twice".
-    let mut cover = vec![0u32; m * n];
-    for jp in &panels {
-        for kp in &kblocks {
-            // Pack buffers must fit the per-task allocation.
-            if packed_b_len(kp.len, jp.len, nr) > b_cap {
-                issues.push(issue(
-                    &ctx,
-                    format!(
-                        "packed B for k-block {} panel {} needs {} > capacity {b_cap}",
-                        kp.start,
-                        jp.start,
-                        packed_b_len(kp.len, jp.len, nr)
-                    ),
-                ));
-            }
-            for ip in &mblocks {
-                if packed_a_len(ip.len, kp.len, mr) > a_cap {
-                    issues.push(issue(
-                        &ctx,
-                        format!(
-                            "packed A for m-block {} k-block {} needs {} > capacity {a_cap}",
-                            ip.start,
-                            kp.start,
-                            packed_a_len(ip.len, kp.len, mr)
-                        ),
-                    ));
-                }
-                let tiles: Vec<_> =
-                    micro_tiles(ip.len, jp.len, kp.len * mr, kp.len * nr, mr, nr).collect();
-                let mctx = format!("{ctx} macro({},{})", ip.start, jp.start);
-                check_micro_tiles(&mctx, &tiles, ip.len, jp.len, kp.len, mr, nr, &mut issues);
-                for t in &tiles {
-                    // The C write window of this tile, in matrix
-                    // coordinates: rows [ii+t.i, ii+t.i+rows), cols
-                    // [jj+t.j, jj+t.j+cols). Three affine facts:
-                    let (i0, j0) = (ip.start + t.i, jp.start + t.j);
-                    // (1) inside C (the debug_assert in macro_kernel);
-                    if (i0 + t.rows - 1) * n + j0 + t.cols > m * n {
-                        issues.push(issue(
-                            &mctx,
-                            format!(
-                                "tile C window rows {i0}..{} cols {j0}..{} escapes {m}x{n}",
-                                i0 + t.rows,
-                                j0 + t.cols
-                            ),
-                        ));
-                    }
-                    // (2) row segments never wrap into the next matrix
-                    // row (segment end within the row's columns);
-                    if j0 + t.cols > n {
-                        issues.push(issue(
-                            &mctx,
-                            format!(
-                                "tile row segment cols {j0}..{} wrap past n={n}",
-                                j0 + t.cols
-                            ),
-                        ));
-                    }
-                    // (3) inside this task's column panel — the
-                    // disjointness half of the DisjointSlice argument.
-                    if j0 < jp.start || j0 + t.cols > jp.end() {
-                        issues.push(issue(
-                            &mctx,
-                            format!(
-                                "tile cols {j0}..{} escape panel [{}, {})",
-                                j0 + t.cols,
-                                jp.start,
-                                jp.end()
-                            ),
-                        ));
-                    }
-                }
-            }
-            // Count coverage only for the first k-block: each k-block
-            // repeats the identical (panel × m-block × tile) walk, so
-            // one count proves all of them.
-            if Some(kp) == kblocks.first() {
-                for ip in &mblocks {
-                    for t in micro_tiles(ip.len, jp.len, kp.len * mr, kp.len * nr, mr, nr) {
-                        for r in 0..t.rows {
-                            for c in 0..t.cols {
-                                cover[(ip.start + t.i + r) * n + jp.start + t.j + c] += 1;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    if !kblocks.is_empty() {
-        for (pos, &count) in cover.iter().enumerate() {
-            if count != 1 {
-                issues.push(issue(
-                    &ctx,
-                    format!(
-                        "C[{}, {}] written {count} times per k-block (want exactly 1)",
-                        pos / n,
-                        pos % n
-                    ),
-                ));
-                break;
-            }
-        }
+    check_partition(&label, "k", &kblocks, k, cfg.kc, &mut issues);
+    if issues.is_empty() {
+        check_tasks(&label, &tasks, (BATCHES, m, n), extents, &mut issues);
     }
     IndexCheck { label, issues }
 }
@@ -406,15 +417,15 @@ pub fn check_schedule(
 /// Which operand of the multiply a packed-window proof is about.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PackedSide {
-    /// `m × k`, `mr`-row slivers, blocks of `mc` rows.
+    /// `m × k`, `mr`-row slivers, the grid's row blocks.
     A,
-    /// `k × n`, `nr`-column slivers, panels of `nc` columns.
+    /// `k × n`, `nr`-column slivers, the grid's column steps.
     B,
 }
 
-/// Proves the windows of one operand packed ahead of time — A `extent ×
-/// k` or B `k × extent` — × config × level: the macro loop over it
-/// steps blocks by [`packed_step`] and reads tile slivers at
+/// Proves the windows of one packed operand — A `extent × k` or B `k ×
+/// extent` — × config × level: a task's tile spans one block of the
+/// [`TaskGrid`]'s row (column) step and reads tile slivers at
 /// `packed_block_off(start, kk) + t.a_off` (`t.b_off`), consecutive
 /// slivers a full depth (`k · r`) apart. Against the full-depth layout
 /// model `pack_a_model(m, k, mr)` / `pack_b_model(k, n, nr)` — which
@@ -433,17 +444,17 @@ pub fn check_packed_schedule(
     level: SimdLevel,
 ) -> IndexCheck {
     let (mr, nr) = tile_extents(level);
+    // The other operand's extent plays no part in this one's step.
     let (r, step) = match side {
-        PackedSide::A => (mr, cfg.mc),
-        PackedSide::B => (nr, cfg.nc),
+        PackedSide::A => (mr, TaskGrid::new(1, extent, nr, cfg, level).row_step()),
+        PackedSide::B => (nr, TaskGrid::new(1, mr, extent, cfg, level).col_step()),
     };
     let label = format!(
-        "packed-{side:?} {extent}x{k} cfg({step},{}) {}",
+        "packed-{side:?} {extent}x{k} step({step},{}) {}",
         cfg.kc,
         level.name()
     );
     let mut issues = Vec::new();
-    let step = packed_step(step, r);
     check_packed_windows(
         &label,
         side,
@@ -461,7 +472,7 @@ pub fn check_packed_schedule(
 /// The body of [`check_packed_schedule`] with the block step and the
 /// sliver stride as parameters, so negative fixtures can feed the
 /// values a refactor would most likely get wrong (`cfg.mc` itself; the
-/// on-the-fly stride `kb · r`).
+/// stride `kb · r` of a block packed on its own).
 #[allow(clippy::too_many_arguments)]
 fn check_packed_windows(
     ctx: &str,
@@ -623,14 +634,23 @@ pub fn analyze_gemm_indexing() -> Vec<IndexCheck> {
             }
         }
     }
-    // The same grid's operands, packed ahead of time: A as `m × k`
-    // row slivers, B as `k × n` column slivers.
+    // The same grid's operands, packed whole: A as `m × k` row
+    // slivers, B as `k × n` column slivers.
     for cfg in sweep_configs() {
         for &(m, k, n) in SHAPES {
             for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
                 out.push(check_packed_schedule(PackedSide::A, m, k, &cfg, level));
                 out.push(check_packed_schedule(PackedSide::B, n, k, &cfg, level));
             }
+        }
+    }
+    // The zoo's im2col GEMMs: grid and windows, as the engine runs them.
+    let cfg = GemmConfig::default();
+    for &(m, k, n) in ZOO_IM2COL_SHAPES {
+        for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+            out.push(check_schedule(m, k, n, &cfg, level));
+            out.push(check_packed_schedule(PackedSide::A, m, k, &cfg, level));
+            out.push(check_packed_schedule(PackedSide::B, n, k, &cfg, level));
         }
     }
     // Pack-model structure for every (block, sliver) extent the grid
@@ -730,7 +750,7 @@ pub fn cross_check_packing() -> Vec<IndexCheck> {
             let label = format!("PackedA impl {batches}x{m}x{k}/mr{mr}");
             let mut issues = Vec::new();
             let a: Vec<f32> = (0..batches * m * k).map(|v| v as f32 + 2.0).collect();
-            let packed = PackedA::pack(&a, batches, m, k, level);
+            let packed = PackedA::pack(&a, batches, m, k, level, &Runtime::with_threads(2));
             let model = pack_a_model(m, k, mr);
             for batch in 0..batches {
                 let got = packed.batch(batch);
@@ -767,7 +787,8 @@ pub fn cross_check_packing() -> Vec<IndexCheck> {
     }
     // The other ahead-of-time operand: `PackedB` filled a lane group
     // (8 columns) at a time, the way the Winograd input transform
-    // fills it, must hold the whole-matrix B model.
+    // fills it, must hold the whole-matrix B model — and so must one
+    // filled a run at a time, the way the im2col gather fills it.
     for &(batches, k, n) in &[(2usize, 5usize, 13usize), (1, 8, 16), (3, 1, 1), (1, 9, 45)] {
         for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
             let nr = tile_extents(level).1;
@@ -791,6 +812,34 @@ pub fn cross_check_packing() -> Vec<IndexCheck> {
                     // written once.
                     unsafe { columns.write(depth, col, count, &vals) };
                 }
+            }
+            // The same operand through the im2col gather's writers, in
+            // a dirty buffer: runs of 21 columns of one matrix, every
+            // third one a border run written as zeros first.
+            let dirty = vec![SENTINEL; batches * k * n + 3];
+            let mut by_runs = PackedB::recycled(dirty, batches, k, n, level);
+            let columns = by_runs.columns();
+            for batch in 0..batches {
+                for depth in 0..k {
+                    let row = &b[(batch * k + depth) * n..][..n];
+                    for col in (0..n).step_by(21) {
+                        let count = 21.min(n - col);
+                        // SAFETY: one thread; the runs of a row never
+                        // overlap in time.
+                        unsafe {
+                            if col % 3 == 0 {
+                                columns.zero_run(batch, depth, col, count);
+                            }
+                            columns.write_run(batch, depth, col, &row[col..col + count]);
+                        }
+                    }
+                }
+            }
+            if (0..batches).any(|batch| by_runs.batch(batch) != packed.batch(batch)) {
+                issues.push(issue(
+                    &label,
+                    "the run writers and the lane-group writer disagree on the layout",
+                ));
             }
             let model = pack_b_model(k, n, nr);
             for batch in 0..batches {
@@ -881,8 +930,8 @@ mod tests {
         }
     }
 
-    // ---- negative fixtures (ISSUE satellite c): a tampered schedule
-    // is rejected with a precise diagnostic ----
+    // ---- negative fixtures: a tampered schedule is rejected with a
+    // precise diagnostic ----
 
     #[test]
     fn missing_remainder_handling_rejected() {
@@ -904,8 +953,8 @@ mod tests {
 
     #[test]
     fn out_of_bounds_panel_index_rejected() {
-        // Shift one tile's sliver offset past the pack buffer — the
-        // panel-index arithmetic a refactor is most likely to break.
+        // Shift one tile's sliver offset past the block's slivers — the
+        // sliver-index arithmetic a refactor is most likely to break.
         let (mb, nb, kb, mr, nr) = (8usize, 8usize, 3usize, 4usize, 4usize);
         let mut tiles: Vec<MicroTile> = micro_tiles(mb, nb, kb * mr, kb * nr, mr, nr).collect();
         tiles[0].b_off = packed_b_len(kb, nb, nr);
@@ -939,7 +988,7 @@ mod tests {
             .detail;
         assert!(detail.contains("not whole 6-wide slivers"), "{detail}");
         // The step the engine uses is clean on the same operand.
-        let (step, mut issues) = (packed_step(64, 6), Vec::new());
+        let (step, mut issues) = (wino_gemm::packed_step(64, 6), Vec::new());
         check_packed_windows("fixture", a, 130, 9, step, 128, 9 * 6, extents, &mut issues);
         assert!(issues.is_empty(), "{}", issues[0]);
     }
@@ -972,15 +1021,72 @@ mod tests {
     }
 
     #[test]
-    fn non_partitioning_panels_rejected() {
-        // A panel set that skips columns [4, 7) of n=10.
+    fn non_partitioning_column_steps_rejected() {
+        // A column-step set that skips columns [4, 7) of n=10.
         let blocks = vec![
             wino_gemm::DimBlock { start: 0, len: 4 },
             wino_gemm::DimBlock { start: 7, len: 3 },
         ];
         let mut issues = Vec::new();
-        check_partition("fixture", "column-panel", &blocks, 10, 4, &mut issues);
+        check_partition("fixture", "task-column", &blocks, 10, 4, &mut issues);
         assert!(issues.first().unwrap().detail.contains("starts at 7"));
+    }
+
+    /// The tasks of two 120 × 384 products at AVX2 under the default
+    /// config: 2 row blocks (of 60) × 3 column steps (of 128) each.
+    fn fixture_tasks() -> (Vec<(usize, TaskTile)>, (usize, usize, usize)) {
+        let dims = (2, 120, 384);
+        let grid = TaskGrid::new(2, 120, 384, &GemmConfig::default(), SimdLevel::Avx2);
+        assert_eq!(grid.len(), 2 * 2 * 3);
+        ((0..grid.len()).map(|i| grid.task(i)).collect(), dims)
+    }
+
+    #[test]
+    fn overlapping_column_steps_rejected() {
+        let (mut tasks, dims) = fixture_tasks();
+        let extents = (6, 16);
+        let mut issues = Vec::new();
+        check_tasks("fixture", &tasks, dims, extents, &mut issues);
+        assert!(issues.is_empty(), "{}", issues[0]);
+        // The second column step of image 1 starts a sliver early: two
+        // tasks would write columns 112..128 of its first row block.
+        let (batch, tile) = &mut tasks[6 + 1];
+        assert_eq!((*batch, tile.rows.start, tile.cols.start), (1, 0, 128));
+        tile.cols.start -= 16;
+        check_tasks("fixture", &tasks, dims, extents, &mut issues);
+        let detail = &issues.first().expect("overlap must be found").detail;
+        assert!(
+            detail.contains("C[1][0, 112] written 2 times"),
+            "diagnostic should name the doubly-owned element: {detail}"
+        );
+    }
+
+    #[test]
+    fn task_tile_off_the_sliver_grid_rejected() {
+        // A column step of 120 is whole scalar slivers but splits an
+        // AVX2 one: the packed B window would start mid-sliver.
+        let (mut tasks, dims) = fixture_tasks();
+        for (_, tile) in tasks.iter_mut().filter(|(_, t)| t.cols.start == 128) {
+            tile.cols.start = 120;
+        }
+        let mut issues = Vec::new();
+        check_tasks("fixture", &tasks, dims, (6, 16), &mut issues);
+        let detail = &issues
+            .first()
+            .expect("misaligned tile must be found")
+            .detail;
+        assert!(detail.contains("off the 6x16 sliver grid"), "{detail}");
+    }
+
+    #[test]
+    fn dropped_task_rejected() {
+        // Losing one (image, tile) task leaves its elements unwritten.
+        let (mut tasks, dims) = fixture_tasks();
+        tasks.remove(4);
+        let mut issues = Vec::new();
+        check_tasks("fixture", &tasks, dims, (6, 16), &mut issues);
+        let detail = &issues.first().expect("hole must be found").detail;
+        assert!(detail.contains("written 0 times"), "{detail}");
     }
 
     #[test]

@@ -313,9 +313,8 @@ const AUDITED_KB: &[usize] = &[1, 2, 3, 5, 8, 16, 64, 127, 128, 129, 1024];
 /// `bp + 8·v` (v < NV) — `NV = 2` for the full 6×16 tile, `NV = 1` for
 /// a tile of at most 8 columns, which reads the first half of each
 /// sliver row. The slivers are `kb·MR` and `kb·NR` floats (proven
-/// in-bounds inside the pack buffers — or, for an operand packed ahead
-/// of time, inside the full-depth operand — by the index analysis;
-/// either way the kernel is handed bounds-checked `kb·MR` / `kb·NR`
+/// in-bounds inside the full-depth packed operand by the index
+/// analysis; the kernel is handed bounds-checked `kb·MR` / `kb·NR`
 /// sub-slices, anchored below), so the obligations are:
 /// `(kb-1)·MR + MR ≤ kb·MR`, `(kb-1)·NR + 8·NV ≤ kb·NR` for both `NV`,
 /// and the widest body's vectors cover exactly `NR_AVX2` columns.
@@ -393,10 +392,9 @@ pub fn audit_avx2_pointer_paths() -> Vec<SafetyIssue> {
             ));
         }
     }
-    // Both sources of either operand reach the kernel through these
-    // bounds-checked slices, so the walks above are over exactly
-    // `kb·MR` and `kb·NR` floats whether a sliver sits in the task's
-    // pack buffer or in a `PackedA` / `PackedB`.
+    // Either operand reaches the kernel through these bounds-checked
+    // slices of a `PackedA` / `PackedB` window, so the walks above are
+    // over exactly `kb·MR` and `kb·NR` floats.
     if !source.contains("let a_sliver = &a_block[t.a_off..t.a_off + kb * mr];") {
         fail("macro_kernel no longer bounds the A sliver to kb*mr floats".to_string());
     }
