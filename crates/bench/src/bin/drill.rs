@@ -2,8 +2,9 @@
 //! scenarios, and the one checker over their reports.
 //!
 //! A [`Scenario`] is a drill, the environment it runs under
-//! (`WINO_FAULT`, `WINO_SIMD`, `WINO_METRICS`, `WINO_FLIGHT_DIR`) and
-//! what its report must say. Fault arming, the SIMD level and every
+//! (`WINO_FAULT`, `WINO_SIMD`, `WINO_METRICS`, `WINO_FLIGHT_DIR`; a row
+//! may also pin `WINO_THREADS`) and what its report must say. Fault
+//! arming, the SIMD level and every
 //! probe counter are process-global, and only a fresh process
 //! exercises the `init_from_env` paths, so the checker re-executes
 //! this binary once per row: the child runs the drill — which keeps
@@ -54,6 +55,10 @@ const ENV_VARS: [(&str, &str); 4] = [
     ("WINO_FLIGHT_DIR", "results/flight"),
 ];
 
+/// The one variable a row may pin that has no value arming nothing:
+/// a row that leaves it out runs on the caller's lane count.
+const THREADS: &str = "WINO_THREADS";
+
 const GUARDRAIL: &str = "guard.demote.guardrail";
 const FALLBACK: &str = "guard.served_by_fallback";
 
@@ -67,6 +72,9 @@ struct Scenario {
     drill: fn() -> Value,
     env: Vec<(&'static str, &'static str)>,
     checks: Vec<(Vec<&'static str>, Value)>,
+    /// `(var, value, fact)`: a second child runs with `var` set to
+    /// `value`, and must report the same `fact` as the row's own.
+    same_under: Option<(&'static str, &'static str, &'static str)>,
 }
 
 fn row(name: &'static str, drill: fn() -> Value) -> Scenario {
@@ -75,6 +83,7 @@ fn row(name: &'static str, drill: fn() -> Value) -> Scenario {
         drill,
         env: Vec::new(),
         checks: Vec::new(),
+        same_under: None,
     }
 }
 
@@ -110,6 +119,17 @@ impl Scenario {
 
     fn fact(self, key: &'static str, value: impl Serialize) -> Self {
         self.want(&["facts", key], value)
+    }
+
+    /// The fact `key` must read the same when `var` is `value`.
+    fn same_fact_under(
+        mut self,
+        key: &'static str,
+        var: &'static str,
+        value: &'static str,
+    ) -> Self {
+        self.same_under = Some((var, value, key));
+        self
     }
 }
 
@@ -265,6 +285,17 @@ fn scenarios() -> Vec<Scenario> {
             .fact("steady_served", 8)
             .fact("demoted", true)
             .want(&["gauges", "serve.queue_depth", "value"], 0),
+        // -- wino-exec on the pool: a wave's branches run on both
+        // lanes (the caller is one), waiting lanes helped, nothing
+        // demoted, and the bits are the one-lane run's.
+        row("exec/wave-lanes", drill_wave_lanes)
+            .env(THREADS, "2")
+            .fact("lanes", 2)
+            .fact("conv_lanes", 2)
+            .fact("helped", true)
+            .fact("demotions", 0)
+            .zero([GUARDRAIL, FALLBACK, "conv.tiles_interpreted"])
+            .same_fact_under("output_hash", THREADS, "1"),
         // -- wino-serve supervision: one serve-site fault per run.
         row("chaos/clean", drill_chaos)
             .counters([("serve.enqueued", 12), ("serve.executed", 12)])
@@ -373,42 +404,84 @@ fn check_report(report: &Value, checks: &[(Vec<&'static str>, Value)]) -> Vec<St
     failures
 }
 
+/// What `other` holds at `paths` (`null` where it holds nothing), as
+/// checks: the other run's values are this run's expectations.
+fn values_at(other: &Value, paths: &[Vec<&'static str>]) -> Vec<(Vec<&'static str>, Value)> {
+    let lookup = |path: &Vec<&'static str>| {
+        let found = path.iter().try_fold(other, |v, field| v.get(field));
+        (path.clone(), found.cloned().unwrap_or(Value::Null))
+    };
+    paths.iter().map(lookup).collect()
+}
+
 impl Scenario {
-    /// Re-executes this binary as the row's child and checks its
-    /// report; empty when the row holds. The child's output is relayed
-    /// on a miss, or when `relay` asks.
-    fn run_checked(&self, relay: bool) -> Vec<String> {
+    /// Re-executes this binary as the row's child — under the row's
+    /// environment, with `also` on top — and returns its report, what
+    /// was wrong with the run itself (no report, a failing exit), and
+    /// everything it printed.
+    fn child_report(&self, also: Option<(&str, &str)>) -> (Option<Value>, Vec<String>, String) {
         // Per parent process, so concurrent runs on one host never
         // delete each other's scrape file or flight dumps.
         let tmp = format!("wino-drill-{}-{}", std::process::id(), self.name);
         let tmp = std::env::temp_dir().join(tmp.replace('/', "-"));
-        let value = |(var, unset): &(&'static str, &'static str)| {
-            let set = self.env.iter().find(|(k, _)| k == var);
-            let value = set.map_or(*unset, |(_, v)| v);
-            (*var, value.replace("{tmp}", &tmp.to_string_lossy()))
-        };
+        let expand = |value: &str| value.replace("{tmp}", &tmp.to_string_lossy());
+        // Every row's child gets all of `ENV_VARS`; [`THREADS`] only
+        // the child of a row that sets it.
+        let unset = ENV_VARS
+            .iter()
+            .filter(|(var, _)| !self.env.iter().any(|(k, _)| k == var));
         let _ = std::fs::remove_dir_all(&tmp);
         let exe = std::env::current_exe().expect("own executable path");
         let child = Command::new(exe)
             .arg(self.name)
-            .envs(ENV_VARS.iter().map(value))
+            .envs(unset.map(|(var, value)| (*var, value.to_string())))
+            .envs(self.env.iter().map(|(var, value)| (*var, expand(value))))
+            .envs(also)
             .output();
         let _ = std::fs::remove_dir_all(&tmp);
         let out = match child {
             Ok(out) => out,
-            Err(e) => return vec![format!("could not re-execute: {e}")],
+            Err(e) => {
+                return (
+                    None,
+                    vec![format!("could not re-execute: {e}")],
+                    String::new(),
+                )
+            }
         };
         let stdout = String::from_utf8_lossy(&out.stdout);
         let last = stdout.lines().last().unwrap_or("");
-        let mut failures = match serde_json::from_str::<Value>(last) {
-            Ok(report) => check_report(&report, &self.checks),
-            Err(e) => vec![format!("last stdout line is not a report ({e}): {last:?}")],
+        let (report, mut problems) = match serde_json::from_str::<Value>(last) {
+            Ok(report) => (Some(report), Vec::new()),
+            Err(e) => (
+                None,
+                vec![format!("last stdout line is not a report ({e}): {last:?}")],
+            ),
         };
         if !out.status.success() {
-            failures.push(format!("child exited with {}", out.status));
+            problems.push(format!("child exited with {}", out.status));
+        }
+        let printed = format!("{stdout}{}", String::from_utf8_lossy(&out.stderr));
+        (report, problems, printed)
+    }
+
+    /// Runs the row and checks its report; empty when the row holds.
+    /// The child's output is relayed on a miss, or when `relay` asks.
+    fn run_checked(&self, relay: bool) -> Vec<String> {
+        let (report, mut failures, mut printed) = self.child_report(None);
+        if let Some(report) = &report {
+            failures.extend(check_report(report, &self.checks));
+        }
+        if let (Some(report), Some((var, value, fact))) = (&report, self.same_under) {
+            let (other, problems, other_printed) = self.child_report(Some((var, value)));
+            printed.push_str(&other_printed);
+            let other = other.unwrap_or(Value::Null);
+            let differ = check_report(report, &values_at(&other, &[vec!["facts", fact]]));
+            let under = |miss: String| format!("under {var}={value}: {miss}");
+            failures.extend(problems.into_iter().chain(differ).map(under));
         }
         if relay || !failures.is_empty() {
-            eprint!("{stdout}{}", String::from_utf8_lossy(&out.stderr));
+            eprint!("{printed}");
         }
         failures
     }
@@ -648,6 +721,50 @@ fn drill_smoke() -> Value {
     wino_exec::set_steady_phase(false);
     server.shutdown();
     object([])
+}
+
+/// One `inception-3a-3b` pass through the wave executor on the global
+/// runtime (after one to warm it), observed: how many lanes the
+/// runtime has, how many distinct threads recorded an `exec.node.conv`
+/// span, whether a waiting lane ran anything, and the output's bits.
+fn drill_wave_lanes() -> Value {
+    let registry = PlanRegistry::new();
+    let plan = registry
+        .register_zoo_network("inception-3a-3b")
+        .expect("the zoo network registers");
+    let exec = wino_exec::NetworkExecutor::new(Arc::clone(&plan.net), Arc::clone(&plan.pool));
+    let (c, h, w) = plan.input_dims();
+    let mut rng = StdRng::seed_from_u64(0x77a7e);
+    let input = Tensor4::random(1, c, h, w, -1.0, 1.0, &mut rng);
+    exec.run(&input).expect("the warm-up pass serves");
+
+    let helped = probe::counter("runtime.helped");
+    let helped_before = helped.get();
+    probe::take_events();
+    let out = exec.run(&input).expect("the observed pass serves");
+    let conv_lanes: std::collections::BTreeSet<usize> = probe::take_events()
+        .iter()
+        .filter(|event| event.name == "exec.node.conv")
+        .map(|event| event.tid)
+        .collect();
+    // FNV-1a over the output's bit patterns.
+    let hash = out
+        .output
+        .data()
+        .iter()
+        .fold(0xcbf29ce484222325u64, |h, v| {
+            (h ^ u64::from(v.to_bits())).wrapping_mul(0x100000001b3)
+        });
+    object([
+        (
+            "lanes",
+            wino_runtime::Runtime::global().threads().to_value(),
+        ),
+        ("conv_lanes", conv_lanes.len().to_value()),
+        ("helped", (helped.get() > helped_before).to_value()),
+        ("demotions", out.demotions.to_value()),
+        ("output_hash", format!("{hash:016x}").to_value()),
+    ])
 }
 
 /// Two zoo networks registered for whole-graph execution, one warmup
@@ -1018,6 +1135,35 @@ mod tests {
         );
     }
 
+    /// A fact that reads differently in the other environment's report
+    /// is a miss naming both values; one the other report lacks is too.
+    #[test]
+    fn agreement_with_another_report_is_checked_like_any_value() {
+        let other = |facts: &str| {
+            let text = format!(r#"{{"facts": {facts}}}"#);
+            values_at(
+                &serde_json::from_str(&text).unwrap(),
+                &[vec!["facts", "demotions"]],
+            )
+        };
+        let row = |checks| Scenario {
+            checks,
+            ..row("t", drill_chaos)
+        };
+        assert_eq!(
+            misses(row(other(r#"{"demotions": 3}"#))),
+            Vec::<String>::new()
+        );
+        assert_eq!(
+            misses(row(other(r#"{"demotions": 4}"#))),
+            ["facts demotions: expected 4, got 3"]
+        );
+        assert_eq!(
+            misses(row(other("{}"))),
+            ["facts demotions: expected null, got 3"]
+        );
+    }
+
     #[test]
     fn the_table_is_whole() {
         let table = scenarios();
@@ -1026,7 +1172,8 @@ mod tests {
         names.dedup();
         assert_eq!(names.len(), table.len(), "scenario names are unique");
         for s in &table {
-            let known = |(var, _): &(&str, &str)| ENV_VARS.iter().any(|(v, _)| v == var);
+            let known =
+                |(var, _): &(&str, &str)| *var == THREADS || ENV_VARS.iter().any(|(v, _)| v == var);
             assert!(s.env.iter().all(known), "{}: not a drill variable", s.name);
             assert!(!s.checks.is_empty(), "{} expects nothing", s.name);
         }

@@ -2,12 +2,16 @@
 //!
 //! Waves run in order; within a wave, independent steps run
 //! concurrently via [`Runtime::scope`]. A single-step wave executes
-//! inline on the calling thread — that keeps a sequential chain's
-//! convolutions on the caller, where the engines' *intra*-conv
-//! `parallel_for` can still fan out across the pool (a spawned task
-//! runs on a pool worker, where nested parallelism is inlined).
-//! Multi-step waves trade intra-conv parallelism for inter-branch
-//! parallelism — the Inception-module case the schedule exists for.
+//! inline on the calling thread. A multi-step wave's steps are branch
+//! tasks: the pool's idle workers take them and so does the calling
+//! thread once it has spawned them all, so a 4-branch Inception wave
+//! on a 2-lane runtime runs on two threads. Each branch's convolution
+//! still opens its intra-conv `parallel_for` regions, from whichever
+//! lane runs it, and a lane that finishes its branch's chunks early
+//! helps with the other branch's — but a lane waiting inside a region
+//! never starts another branch (one engine call per thread at a time:
+//! the thread-local workspace and span nesting rely on it; the runtime
+//! enforces it, see its module docs).
 //!
 //! Convolutions run the full [`GuardedConv`] degradation chain with
 //! the plan's warm filters; a fused ReLU is applied during the one
@@ -160,7 +164,7 @@ impl NetworkExecutor {
                 })
                 .collect();
             if wave.len() == 1 {
-                // Inline: keeps intra-conv parallelism on the pool.
+                // Inline: nothing to overlap with.
                 let s = wave[0];
                 let mut out = outs[0].take().expect("materialized above");
                 let meta = run_step(
@@ -180,7 +184,8 @@ impl NetworkExecutor {
                     &mut demotions,
                 );
             } else {
-                // Fan the wave out; cells collect each task's verdict.
+                // Fan the wave out (this thread takes its share once
+                // all are spawned); cells collect each task's verdict.
                 let cells: Vec<VerdictCell> = wave.iter().map(|_| Mutex::new(None)).collect();
                 {
                     let values_ref = &values;

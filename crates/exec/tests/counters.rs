@@ -1,4 +1,5 @@
-//! Probe-counter contracts: zero steady-state allocations,
+//! Probe-counter contracts: zero steady-state allocations (arena and
+//! per-thread workspace, on a pool whose lanes help each other),
 //! exactly-once warm filter transforms and exactly-once im2col filter
 //! packs.
 //!
@@ -81,6 +82,62 @@ fn steady_phase_executes_with_zero_graph_level_allocations() {
     );
     // The gauge saw the in-flight arena bytes.
     assert!(wino_probe::gauge("exec.arena_bytes_peak").peak() > 0);
+    wino_probe::set_mode(wino_probe::Mode::Off);
+}
+
+#[test]
+fn warm_passes_on_helping_lanes_grow_no_workspace_and_allocate_nothing() {
+    let _guard = lock();
+    wino_probe::reset();
+    wino_probe::set_mode(wino_probe::Mode::Summary);
+    set_steady_phase(false);
+
+    // 250 passes: the 5×5s ride im2col too (the default direct loop
+    // is most of an unoptimized pass).
+    let mut g = winograd_net();
+    for (id, _) in g.conv_nodes() {
+        if g.engine(id) == EngineChoice::Direct {
+            g.set_engine(id, EngineChoice::Im2col);
+        }
+    }
+    let net = Arc::new(compile_with_graph_engines("inception-3a-3b", &g, (192, 28, 28)).unwrap());
+    let pool = Arc::new(ArenaPool::new(&net));
+    pool.reserve(1, 1);
+    let exec = NetworkExecutor::new(net, pool);
+    let mut rng = StdRng::seed_from_u64(14);
+    let input = Tensor4::<f32>::random(1, 192, 28, 28, -1.0, 1.0, &mut rng);
+    let grows = wino_probe::counter("conv.workspace_grows");
+    let allocs = wino_probe::counter("exec.allocs_steady");
+    for lanes in [2, 3] {
+        let rt = Runtime::with_threads(lanes);
+        // Which lane runs which branch is a race, so a lane can meet
+        // its largest convolution late: warm until the workspaces have
+        // stopped growing for a while.
+        let (mut quiet, mut last) = (0, grows.get());
+        for _ in 0..1000 {
+            exec.run_on(&rt, &input, false).unwrap();
+            quiet = if grows.get() == last { quiet + 1 } else { 0 };
+            last = grows.get();
+            if quiet == 25 {
+                break;
+            }
+        }
+        assert_eq!(quiet, 25, "workspaces never settled at {lanes} lanes");
+        // A lane that started a branch underneath a suspended
+        // convolution would find its thread's workspace taken and
+        // allocate a fresh one: every time, warm or not.
+        set_steady_phase(true);
+        for _ in 0..100 {
+            exec.run_on(&rt, &input, false).unwrap();
+        }
+        set_steady_phase(false);
+        assert_eq!(
+            grows.get(),
+            last,
+            "a warm pass grew a workspace at {lanes} lanes"
+        );
+        assert_eq!(allocs.get(), 0, "a warm pass allocated at {lanes} lanes");
+    }
     wino_probe::set_mode(wino_probe::Mode::Off);
 }
 

@@ -3,10 +3,11 @@
 //! Randomized conv/relu/pool/concat DAGs (including Inception-style
 //! branch fan-outs and fused ReLUs) with mixed Direct/Im2col/Winograd
 //! engine choices, executed through the wave scheduler + arena at pool
-//! sizes 1, 2, and 4 and compared against the naive node-by-node
-//! reference with the same engine choices. Exact `f32::to_bits`
-//! equality: the determinism contract says wave concurrency and slab
-//! recycling are unobservable in the output.
+//! sizes 1 to 4 and compared against the naive node-by-node reference
+//! with the same engine choices. Exact `f32::to_bits` equality: the
+//! determinism contract says wave concurrency and slab recycling are
+//! unobservable in the output — and one test that the concurrency is
+//! there: a wave's branches run on the caller as well as the pool.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -16,6 +17,13 @@ use wino_exec::{compile_with_graph_engines, ArenaPool, NetworkExecutor};
 use wino_graph::{ComputeGraph, EngineChoice, NodeId};
 use wino_runtime::Runtime;
 use wino_tensor::{ConvDesc, Tensor4};
+
+/// Held by every test here: the last one reads the process-wide probe
+/// and must not see the others' spans.
+fn probe_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
 
 /// Deterministic per-test stream for structural choices (the tensor
 /// contents use `Tensor4::random` with the shim rng).
@@ -137,6 +145,7 @@ fn random_graph(seed: u64, segments: usize) -> (ComputeGraph, (usize, usize, usi
 }
 
 fn assert_exec_matches_naive(seed: u64, segments: usize, batch: usize) {
+    let _alone = probe_lock();
     let (g, (c, h, w)) = random_graph(seed, segments);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9e3779b97f4a7c15);
     let input = Tensor4::<f32>::random(batch, c, h, w, -1.0, 1.0, &mut rng);
@@ -145,7 +154,7 @@ fn assert_exec_matches_naive(seed: u64, segments: usize, batch: usize) {
     let net = std::sync::Arc::new(compile_with_graph_engines("prop", &g, (c, h, w)).unwrap());
     let pool = std::sync::Arc::new(ArenaPool::new(&net));
     let exec = NetworkExecutor::new(net.clone(), pool);
-    for threads in [1usize, 2, 4] {
+    for threads in 1..=4 {
         let rt = Runtime::with_threads(threads);
         // Twice per pool size: the second run rides a recycled arena.
         for round in 0..2 {
@@ -183,6 +192,7 @@ proptest! {
 fn known_inception_fragment_is_bit_identical() {
     // Deterministic smoke for the branch-heavy case: both Inception
     // modules at once, Winograd on the 3×3s, fused ReLUs on.
+    let _alone = probe_lock();
     let (mut g, _out) = wino_graph::build_inception_3a_3b().unwrap();
     let mut lcg = Lcg(7);
     for (id, desc) in g.conv_nodes() {
@@ -216,14 +226,73 @@ fn known_inception_fragment_is_bit_identical() {
     );
     let pool = std::sync::Arc::new(ArenaPool::new(&net));
     let exec = NetworkExecutor::new(net, pool);
-    let out = exec
-        .run_on(&Runtime::with_threads(4), &input, false)
-        .unwrap();
-    let exact = out
-        .output
-        .data()
-        .iter()
-        .zip(reference.data())
-        .all(|(a, b)| a.to_bits() == b.to_bits());
-    assert!(exact, "inception exec output diverged from naive reference");
+    for threads in 1..=4 {
+        let out = exec
+            .run_on(&Runtime::with_threads(threads), &input, false)
+            .unwrap();
+        let exact = out
+            .output
+            .data()
+            .iter()
+            .zip(reference.data())
+            .all(|(a, b)| a.to_bits() == b.to_bits());
+        assert!(
+            exact,
+            "inception exec output diverged from naive reference (threads {threads})"
+        );
+    }
+}
+
+#[test]
+fn a_waves_branches_run_on_both_lanes_of_a_two_lane_runtime() {
+    // One wave of four convolutions and nothing else, so every
+    // `exec.node.conv` span of a pass belongs to that wave.
+    let mut g = ComputeGraph::new();
+    let input_node = g.add_input();
+    let desc = ConvDesc::new(3, 1, 1, 16, 1, 24, 24, 16);
+    let mut rng = StdRng::seed_from_u64(5);
+    let branches: Vec<NodeId> = (0..4)
+        .map(|_| {
+            let conv = g.add_conv(input_node, desc).unwrap();
+            let w = Tensor4::<f32>::random(16, 16, 3, 3, -0.5, 0.5, &mut rng);
+            g.set_weights(conv, w).unwrap();
+            g.set_engine(conv, EngineChoice::Direct);
+            conv
+        })
+        .collect();
+    g.add_concat(&branches).unwrap();
+    let net = std::sync::Arc::new(compile_with_graph_engines("fan", &g, (16, 24, 24)).unwrap());
+    assert_eq!(net.max_wave_width(), 4);
+    let pool = std::sync::Arc::new(ArenaPool::new(&net));
+    let exec = NetworkExecutor::new(net, pool);
+    let input = Tensor4::<f32>::random(1, 16, 24, 24, -1.0, 1.0, &mut rng);
+    let rt = Runtime::with_threads(2);
+
+    // The probe is process-wide: keep the other tests' spans out.
+    let _alone = probe_lock();
+    wino_probe::set_mode(wino_probe::Mode::Summary);
+    wino_probe::take_events();
+    // Which lane takes which branch is a race the caller cannot lose
+    // four times a pass unless it never takes one; a worker slow to
+    // wake on a loaded host can, so allow it a few passes.
+    let mut lanes = std::collections::BTreeSet::new();
+    for _ in 0..20 {
+        exec.run_on(&rt, &input, false).unwrap();
+        let events = wino_probe::take_events();
+        let convs: Vec<_> = events
+            .iter()
+            .filter(|e| e.name == "exec.node.conv")
+            .collect();
+        assert_eq!(convs.len(), 4);
+        lanes.extend(convs.iter().map(|e| e.tid));
+        if lanes.len() == 2 {
+            break;
+        }
+    }
+    wino_probe::set_mode(wino_probe::Mode::Off);
+    assert_eq!(
+        lanes.len(),
+        2,
+        "the wave's convolutions ran on threads {lanes:?}"
+    );
 }

@@ -543,27 +543,35 @@ pub fn max_pool(input: &Tensor4<f32>, k: usize, s: usize) -> Tensor4<f32> {
 /// element is the same `f32::max` reduction in the same window order,
 /// so values are bit-identical to [`max_pool`].
 ///
+/// The window offset `(dy, dx)` is the outer loop and the output row
+/// the inner one, over row slices: every output element still folds
+/// its window in `(dy, dx)` order from `-inf`, so the bits match the
+/// per-element loop (kept as the test reference) for any input, NaN,
+/// `-0.0` and `-inf` included.
+///
 /// # Panics
 /// When `out`'s shape does not match the pooled shape of `input`.
 pub fn max_pool_into(input: &Tensor4<f32>, k: usize, s: usize, out: &mut Tensor4<f32>) {
-    let oh = (input.h() - k) / s + 1;
-    let ow = (input.w() - k) / s + 1;
+    let (h, w) = (input.h(), input.w());
+    let oh = (h - k) / s + 1;
+    let ow = (w - k) / s + 1;
     assert_eq!(
         out.dims(),
         (input.n(), input.c(), oh, ow),
         "max_pool output shape mismatch"
     );
-    for n in 0..input.n() {
-        for c in 0..input.c() {
-            for y in 0..oh {
-                for x in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
-                    for dy in 0..k {
-                        for dx in 0..k {
-                            best = best.max(input[(n, c, y * s + dy, x * s + dx)]);
-                        }
+    let planes = input.data().chunks_exact(h * w);
+    for (plane, out_plane) in planes.zip(out.data_mut().chunks_exact_mut(oh * ow)) {
+        for (y, out_row) in out_plane.chunks_exact_mut(ow).enumerate() {
+            out_row.fill(f32::NEG_INFINITY);
+            for dy in 0..k {
+                let row = &plane[(y * s + dy) * w..][..w];
+                for dx in 0..k {
+                    // `(ow - 1) * s + dx < w`: the stepped row has at
+                    // least `ow` elements and the zip stops there.
+                    for (best, &v) in out_row.iter_mut().zip(row[dx..].iter().step_by(s)) {
+                        *best = best.max(v);
                     }
-                    out[(n, c, y, x)] = best;
                 }
             }
         }
@@ -647,6 +655,44 @@ mod tests {
         assert_eq!(out.dims(), (1, 1, 2, 2));
         assert_eq!(out[(0, 0, 0, 0)], 5.0);
         assert_eq!(out[(0, 0, 1, 1)], 15.0);
+    }
+
+    /// The per-element window loop `max_pool_into` replaced; its
+    /// reference.
+    fn max_pool_elementwise(input: &Tensor4<f32>, k: usize, s: usize) -> Tensor4<f32> {
+        let oh = (input.h() - k) / s + 1;
+        let ow = (input.w() - k) / s + 1;
+        Tensor4::from_fn(input.n(), input.c(), oh, ow, |n, c, y, x| {
+            let mut best = f32::NEG_INFINITY;
+            for dy in 0..k {
+                for dx in 0..k {
+                    best = best.max(input[(n, c, y * s + dy, x * s + dx)]);
+                }
+            }
+            best
+        })
+    }
+
+    #[test]
+    fn max_pool_rows_match_the_element_loop_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(9);
+        // The zoo's windows (3/2, 3/1, 2/2) plus a ragged one whose
+        // last window stops short of the edge, on a plane sprinkled
+        // with the values where `f32::max` is order-sensitive.
+        for (h, w, k, s) in [(13, 13, 3, 2), (9, 11, 3, 1), (8, 8, 2, 2), (10, 7, 4, 3)] {
+            let mut x = Tensor4::random(2, 3, h, w, -1.0, 1.0, &mut rng);
+            let specials = [f32::NAN, -0.0, 0.0, f32::NEG_INFINITY, f32::INFINITY];
+            for (i, v) in x.data_mut().iter_mut().enumerate() {
+                if i % 3 != 0 {
+                    *v = specials[(i / 3 + i / 7) % specials.len()];
+                }
+            }
+            let want = max_pool_elementwise(&x, k, s);
+            let got = max_pool(&x, k, s);
+            assert_eq!(got.dims(), want.dims());
+            let bits = |t: &Tensor4<f32>| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{h}x{w} window {k} stride {s}");
+        }
     }
 
     #[test]

@@ -131,7 +131,10 @@ pub fn scan_finite(data: &[f32]) -> Result<(), NumericFault> {
     Ok(())
 }
 
-/// One output element of the direct convolution, accumulated in f64.
+/// One output element of the direct convolution, accumulated in f64
+/// in `(c, fy, fx)` order. Walks the in-bounds part of each window
+/// row as a pair of slices; the per-tap indexing loop it replaced is
+/// the test reference (same taps, same order, same bits).
 fn direct_at(
     input: &Tensor4<f32>,
     filters: &Tensor4<f32>,
@@ -141,23 +144,31 @@ fn direct_at(
     oy: usize,
     ox: usize,
 ) -> f64 {
-    let (ih, iw) = (desc.in_h as isize, desc.in_w as isize);
-    let base_y = (oy * desc.stride) as isize - desc.pad as isize;
-    let base_x = (ox * desc.stride) as isize - desc.pad as isize;
+    // The window's taps that land inside the image, per axis.
+    let taps = |out: usize, extent: usize| {
+        let base = (out * desc.stride) as isize - desc.pad as isize;
+        let lo = (-base).clamp(0, desc.ksz as isize) as usize;
+        let hi = (extent as isize - base).clamp(lo as isize, desc.ksz as isize) as usize;
+        (base, lo, hi)
+    };
+    let (base_y, fy_lo, fy_hi) = taps(oy, desc.in_h);
+    let (base_x, fx_lo, fx_hi) = taps(ox, desc.in_w);
+    if fx_lo == fx_hi {
+        return 0.0;
+    }
+    let x_lo = (base_x + fx_lo as isize) as usize;
+    let (_, in_c, in_h, in_w) = input.dims();
+    let (_, f_c, f_h, f_w) = filters.dims();
     let mut acc = 0.0f64;
     for c in 0..desc.in_ch {
-        for fy in 0..desc.ksz {
-            let y = base_y + fy as isize;
-            if y < 0 || y >= ih {
-                continue;
-            }
-            for fx in 0..desc.ksz {
-                let x = base_x + fx as isize;
-                if x < 0 || x >= iw {
-                    continue;
-                }
-                acc +=
-                    input[(n, c, y as usize, x as usize)] as f64 * filters[(k, c, fy, fx)] as f64;
+        let plane = &input.data()[(n * in_c + c) * in_h * in_w..][..in_h * in_w];
+        let window = &filters.data()[(k * f_c + c) * f_h * f_w..][..f_h * f_w];
+        for fy in fy_lo..fy_hi {
+            let y = (base_y + fy as isize) as usize;
+            let row = &plane[y * in_w + x_lo..][..fx_hi - fx_lo];
+            let weights = &window[fy * f_w + fx_lo..][..fx_hi - fx_lo];
+            for (&a, &b) in row.iter().zip(weights) {
+                acc += a as f64 * b as f64;
             }
         }
     }
@@ -223,6 +234,76 @@ mod tests {
             ((k + c + y + 2 * x) % 5) as f32 * 0.125 - 0.25
         });
         (input, filters, desc)
+    }
+
+    /// The per-tap 4-D indexing loop `direct_at` replaced; its
+    /// reference.
+    fn direct_at_elementwise(
+        input: &Tensor4<f32>,
+        filters: &Tensor4<f32>,
+        desc: &ConvDesc,
+        (n, k, oy, ox): (usize, usize, usize, usize),
+    ) -> f64 {
+        let (ih, iw) = (desc.in_h as isize, desc.in_w as isize);
+        let base_y = (oy * desc.stride) as isize - desc.pad as isize;
+        let base_x = (ox * desc.stride) as isize - desc.pad as isize;
+        let mut acc = 0.0f64;
+        for c in 0..desc.in_ch {
+            for fy in 0..desc.ksz {
+                let y = base_y + fy as isize;
+                if y < 0 || y >= ih {
+                    continue;
+                }
+                for fx in 0..desc.ksz {
+                    let x = base_x + fx as isize;
+                    if x < 0 || x >= iw {
+                        continue;
+                    }
+                    acc += input[(n, c, y as usize, x as usize)] as f64
+                        * filters[(k, c, fy, fx)] as f64;
+                }
+            }
+        }
+        acc
+    }
+
+    #[test]
+    fn direct_at_rows_match_the_tap_loop_bit_for_bit() {
+        // (ksz, stride, pad, h, w): padded borders, a stride, a
+        // window wider than the image, and no padding at all.
+        for (ksz, stride, pad, h, w) in [
+            (3, 1, 1, 6, 7),
+            (5, 1, 2, 7, 6),
+            (11, 4, 2, 23, 19),
+            (3, 2, 0, 9, 9),
+            (1, 1, 0, 4, 5),
+            (7, 1, 3, 3, 4),
+        ] {
+            let desc = ConvDesc::new(ksz, stride, pad, 3, 2, h, w, 4);
+            let input = Tensor4::from_fn(2, 4, h, w, |n, c, y, x| {
+                ((n + 2 * c + 3 * y + 5 * x) % 11) as f32 * 0.37 - 1.9
+            });
+            let filters = Tensor4::from_fn(3, 4, ksz, ksz, |k, c, y, x| {
+                ((3 * k + c + 2 * y + 7 * x) % 13) as f32 * 0.21 - 1.3
+            });
+            let (oh, ow) = (desc.out_h(), desc.out_w());
+            for n in 0..2 {
+                for k in 0..3 {
+                    for oy in 0..oh {
+                        for ox in 0..ow {
+                            let want =
+                                direct_at_elementwise(&input, &filters, &desc, (n, k, oy, ox));
+                            let got = direct_at(&input, &filters, &desc, n, k, oy, ox);
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "{ksz}/{stride}/{pad} on {h}x{w} at ({n}, {k}, {oy}, {ox})"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! per-candidate autotuner timings), so every pipeline stage — filter
 //! transform, input transform, batched SGEMM, output transform, tile
 //! scatter/gather, and the GEMM panel loops — opens a [`span`], and
-//! the work-stealing runtime exposes per-worker counters (tasks,
-//! steals, parks) through [`counter`].
+//! the thread-pool runtime exposes per-worker counters (tasks, parks)
+//! through [`counter`].
 //!
 //! ## Span model
 //!
@@ -415,7 +415,7 @@ impl Counter {
 }
 
 /// A counter handle for a runtime-constructed name (e.g. per-worker
-/// `runtime.worker3.steals`). The name is leaked once per *distinct*
+/// `runtime.worker3.parks`). The name is leaked once per *distinct*
 /// string — interning dedupes repeats — so handles are cheap to clone
 /// and [`CounterHandle::add`] matches [`Counter::add`]'s fast path.
 #[derive(Clone, Copy)]

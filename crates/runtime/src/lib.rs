@@ -1,10 +1,10 @@
-//! A small work-stealing thread pool powering the parallel Winograd
-//! engines.
+//! A small thread pool powering the parallel Winograd engines.
 //!
-//! The pool follows the classic crossbeam layout: one global
-//! [`Injector`] queue for submitted work plus one worker-local deque
-//! per thread whose [`Stealer`] side every other worker polls. Idle
-//! workers park on a condvar; pushing work wakes them.
+//! Work reaches the pool through two shared FIFO queues: *chunk
+//! tickets* (a share of a `parallel_for` region — any lane may take
+//! one at any time) and *branch tasks* (a closure spawned by
+//! [`Scope::spawn`] — typically a whole convolution). `threads - 1`
+//! workers plus the submitting caller are the pool's *lanes*.
 //!
 //! Determinism contract: [`Runtime::parallel_for`] and
 //! [`Runtime::parallel_for_chunks`] split an index range into
@@ -15,37 +15,88 @@
 //! per-element accumulation order internal to one task) produces
 //! bit-identical results on 1 or N threads.
 //!
-//! Nested calls never deadlock: a `parallel_for` issued from inside a
-//! worker runs serially inline, so pool threads never block on a
-//! latch. The thread count comes from `WINO_THREADS` when set, else
+//! The thread count comes from `WINO_THREADS` when set, else
 //! `std::thread::available_parallelism`; [`Runtime::serial`] is the
 //! zero-thread fallback that runs everything inline.
 //!
-//! Observability: each worker maintains `wino-probe` counters
-//! `runtime.worker<i>.{tasks,steals,parks}` (tasks executed,
-//! successful steals from peer deques, condvar parks). When the probe
-//! is off every counter update is a single relaxed-load branch.
+//! # Waiting policy: a lane that has to wait works
+//!
+//! There is one way to wait, [`Shared::work`], used by an idle worker,
+//! by a region's owner once its own chunks are done, and by a scope's
+//! caller. The lane first looks for work it may run, then polls for
+//! [`SPIN_BUDGET`] (`spin_loop`, then `yield_now`), then parks on the
+//! pool condvar:
+//!
+//! * an **idle worker** runs chunk tickets, then branch tasks;
+//! * a **region's owner** — the caller of `parallel_for_chunks`, a
+//!   pool worker included: a region issued from a worker pushes
+//!   tickets like any other — runs chunk tickets of any region, its
+//!   own unclaimed (stale) ones among them, until its latch opens;
+//! * a **scope's caller** first runs its own scope's branch tasks that
+//!   no lane has taken yet, then waits like a region's owner.
+//!
+//! Two rules are enforced by construction. *A lane waiting inside a
+//! region never starts a branch task*: the waiter arm of
+//! [`Shared::work`] only ever pops the chunk queue, branch tasks are
+//! popped in exactly two places (the idle-worker arm and the head of
+//! [`Runtime::scope`]'s wait, both outside any region), and
+//! [`Scope::spawn`] called inside a region runs its closure inline
+//! instead of queueing it. The engines rely on this: a thread-local
+//! workspace and the probe's span nesting assume one engine call per
+//! thread at a time. A debug assertion on a per-thread region depth
+//! checks it at every branch start.
+//!
+//! *No wake-up is lost*: a latch's count is an atomic polled without a
+//! lock; whoever makes a waiting condition true (a push to either
+//! queue, a latch reaching zero, shutdown) afterwards takes the pool
+//! lock and notifies, and a lane re-checks its conditions under that
+//! lock before it parks. The shim condvar has no timed wait, so this
+//! re-check is the whole argument.
+//!
+//! ## Deadlock freedom
+//!
+//! A lane parks on a latch only when the chunk queue is empty (checked
+//! under the pool lock), so every ticket or branch still holding the
+//! latch closed is being *run* by another lane — a queued ticket would
+//! have been taken by the waiter itself, and a scope's queued branches
+//! are drained by their owner before it waits. The lane running it is
+//! either executing, or parked deeper in its own stack on a region (or
+//! scope) it opened *after* taking that ticket, hence after the
+//! waiter's region was opened. Following "waits for" therefore walks
+//! through strictly later-opened regions, cannot cycle, and ends at a
+//! lane that is executing; bodies terminate, so every latch opens.
+//! Branch tasks never hold a *region* latch, so not running them while
+//! inside a region costs no progress.
+//!
+//! Observability: `runtime.worker<i>.{tasks,parks}` (tasks an idle
+//! worker took, its condvar parks), `runtime.helped` (tasks run by a
+//! lane that was waiting on a latch) and `runtime.wait_parks` (parks
+//! of such a lane — the caller's included). When the probe is off
+//! every counter update is a single relaxed-load branch.
 //!
 //! # Panic contract
 //!
 //! A panic in a `parallel_for`/`parallel_for_chunks` body or a scoped
 //! task never unwinds through a worker thread (which would abort the
-//! pool) and never deadlocks a latch. The guarantees, in order:
+//! pool) or through a helping lane's wait, and never deadlocks a
+//! latch. The guarantees, in order:
 //!
 //! 1. **Containment** — every body invocation runs under
-//!    `catch_unwind`; workers survive and return to their queues.
+//!    `catch_unwind`; workers survive and return to their queues, and
+//!    a lane that was helping returns to its own wait.
 //! 2. **Drain-then-report** — after a body panics, the *remaining
 //!    chunks still execute*. The range is always fully claimed, so
 //!    sibling chunks' writes (e.g. through a [`DisjointSlice`]) are
 //!    complete and their ownership claims undisturbed; only the
 //!    panicking chunk's own writes may be partial.
-//! 3. **First payload wins** — the submitting caller re-raises via
+//! 3. **First payload wins** — the region's owner re-raises via
 //!    `resume_unwind` with the payload of the first panic observed
-//!    (first to store it, under racy chunk scheduling); later panics
-//!    in the same call are recorded only as a `runtime.body_panics`
-//!    probe count. The original message therefore survives to the
-//!    caller — `wino-guard` depends on this to classify injected
-//!    faults — rather than being replaced by a generic string.
+//!    (first to store it, under racy chunk scheduling), whichever lane
+//!    ran the chunk; later panics in the same call are recorded only
+//!    as a `runtime.body_panics` probe count. The original message
+//!    therefore survives to the caller — `wino-guard` depends on this
+//!    to classify injected faults — rather than being replaced by a
+//!    generic string.
 //! 4. **Reusability** — the pool remains fully operational after a
 //!    caught panic: latches opened, no poisoned state, subsequent
 //!    `parallel_for` calls run normally.
@@ -55,10 +106,10 @@
 //! re-raised (it is the root cause; the closure's unwind is usually
 //! the latch wait being abandoned).
 
-use crossbeam::deque::{Injector, Stealer, Worker};
 use parking_lot::{Condvar, Mutex};
 use std::any::Any;
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::mem;
 use std::ops::Range;
@@ -66,10 +117,25 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// Body panics caught by the pool (all of them, including the ones
 /// whose payload was re-raised to the caller).
 static BODY_PANICS: wino_probe::Counter = wino_probe::Counter::new("runtime.body_panics");
+/// Tasks run by a lane that was waiting on a latch: chunk tickets
+/// taken inside [`Shared::work`], a scope's branches run by its caller.
+static HELPED: wino_probe::Counter = wino_probe::Counter::new("runtime.helped");
+/// Condvar parks of a lane waiting on a latch (idle workers count
+/// theirs in `runtime.worker<i>.parks`).
+static WAIT_PARKS: wino_probe::Counter = wino_probe::Counter::new("runtime.wait_parks");
+
+/// How long a lane with nothing to run polls before it parks: the
+/// first half in `spin_loop`, the second in `yield_now`. A park costs
+/// its waker a futex call and, on a VM, a vCPU kick, and most regions
+/// of a batch-1 pass are 0.1–1 ms long, so the gap between two of them
+/// is cheaper to poll through than to sleep through. Measured, not
+/// configurable: EXPERIMENTS.md "Fork/join on two lanes".
+const SPIN_BUDGET: Duration = Duration::from_micros(100);
 
 /// First-panic-wins payload slot shared by a `parallel_for` call or a
 /// scope: the first panicking task stores its payload, later ones
@@ -104,111 +170,268 @@ impl PanicSlot {
 const CHUNKS_PER_LANE: usize = 4;
 
 thread_local! {
-    /// Set on pool threads; nested parallel calls detect it and run
-    /// inline instead of blocking a worker on a latch.
-    static IS_WORKER: Cell<bool> = const { Cell::new(false) };
+    /// Regions this thread is inside: ones it owns (from the first
+    /// ticket pushed until the latch opens) plus chunk tickets it is
+    /// running. Nonzero means an engine call may be suspended on this
+    /// stack, so no branch task may start here.
+    static REGION_DEPTH: Cell<usize> = const { Cell::new(0) };
 }
 
-/// One unit of queued work.
-enum Task {
-    /// A share of a borrowed `parallel_for` job (pointer valid until
-    /// the job's latch opens — the submitting call blocks on it).
-    For(ForTask),
-    /// A boxed closure spawned by [`Scope::spawn`].
-    Boxed(Box<dyn FnOnce() + Send + 'static>),
+/// Holds [`REGION_DEPTH`] one higher for its lifetime (unwinding
+/// included).
+struct InRegion;
+
+impl InRegion {
+    fn enter() -> Self {
+        REGION_DEPTH.with(|depth| depth.set(depth.get() + 1));
+        InRegion
+    }
 }
 
-struct ForTask {
+impl Drop for InRegion {
+    fn drop(&mut self) {
+        REGION_DEPTH.with(|depth| depth.set(depth.get() - 1));
+    }
+}
+
+fn in_region() -> bool {
+    REGION_DEPTH.with(|depth| depth.get() > 0)
+}
+
+/// A share of a borrowed `parallel_for` job: "come and claim chunks of
+/// this job until its range is exhausted".
+struct ChunkTicket {
     job: *const (),
-    // SAFETY: `run` may only be called with this task's `job` pointer
-    // while the ForJob behind it is alive; the submitting call blocks
-    // on the job latch until every task has run, guaranteeing that.
-    run: unsafe fn(*const ()),
+    // SAFETY: `run` may only be called with this ticket's `job`
+    // pointer while the ForJob behind it is alive; the submitting call
+    // stays in its wait until every ticket has counted the job latch
+    // down, guaranteeing that.
+    run: unsafe fn(*const (), &Shared),
 }
 
-// SAFETY: the pointer references a `ForJob` that outlives the task
-// (the submitting thread blocks until every task has finished), and
-// `ForJob` only holds `Sync` state.
-unsafe impl Send for ForTask {}
+// SAFETY: the pointer references a `ForJob` that outlives the ticket
+// (the submitting thread does not return until every ticket has
+// finished), and `ForJob` only holds `Sync` state.
+unsafe impl Send for ChunkTicket {}
 
-/// Count-down latch on the shim mutex/condvar pair.
+impl ChunkTicket {
+    fn run(self, shared: &Shared) {
+        let _region = InRegion::enter();
+        // SAFETY: `self.job` points at the ForJob this ticket was
+        // built from, and its owner waits on the job latch, which this
+        // ticket still holds closed, so the pointee is alive.
+        unsafe { (self.run)(self.job, shared) }
+    }
+}
+
+/// A closure spawned by [`Scope::spawn`], with the scope it reports to.
+struct Branch {
+    scope: Arc<ScopeState>,
+    body: Box<dyn FnOnce() + Send + 'static>,
+}
+
+impl Branch {
+    fn run(self, shared: &Shared) {
+        let body = self.body;
+        let result = panic::catch_unwind(AssertUnwindSafe(|| {
+            debug_assert!(
+                !in_region(),
+                "a branch task started on a lane that is inside a region"
+            );
+            body()
+        }));
+        if let Err(payload) = result {
+            self.scope.panic.record(payload);
+        }
+        if self.scope.latch.count_down() {
+            shared.notify();
+        }
+    }
+}
+
+/// Count-down latch whose count is polled without a lock. Opening it
+/// wakes nobody by itself: the lane whose [`Latch::count_down`]
+/// returned `true` calls [`Shared::notify`].
 struct Latch {
-    remaining: Mutex<usize>,
-    done: Condvar,
+    remaining: AtomicUsize,
 }
 
 impl Latch {
     fn new(count: usize) -> Self {
         Latch {
-            remaining: Mutex::new(count),
-            done: Condvar::new(),
+            remaining: AtomicUsize::new(count),
         }
     }
 
+    /// Only the owner adds, before it publishes the task that will
+    /// count down (a queue push, which orders this store).
     fn add(&self, n: usize) {
-        *self.remaining.lock() += n;
+        self.remaining.fetch_add(n, Ordering::Relaxed);
     }
 
-    fn count_down(&self) {
-        let mut remaining = self.remaining.lock();
-        *remaining -= 1;
-        if *remaining == 0 {
-            self.done.notify_all();
+    /// `true` when this call opened the latch. Release: everything the
+    /// task wrote happens-before the owner's acquiring
+    /// [`Latch::is_open`]. The latch may be freed by its owner the
+    /// moment it reads zero, so it must not be touched after this.
+    fn count_down(&self) -> bool {
+        self.remaining.fetch_sub(1, Ordering::AcqRel) == 1
+    }
+
+    /// Acquire: pairs with the release half of every
+    /// [`Latch::count_down`] (a chain of read-modify-writes).
+    fn is_open(&self) -> bool {
+        self.remaining.load(Ordering::Acquire) == 0
+    }
+}
+
+/// A shared FIFO whose emptiness can be polled without its lock.
+struct Queue<T> {
+    items: Mutex<VecDeque<T>>,
+    /// `items.len()`, stored under the lock. Relaxed: it publishes
+    /// nothing — a reader that acts on it takes the lock — and a
+    /// stale read only costs one more poll, except before a park,
+    /// where the pool lock orders it (see [`Shared::notify`]).
+    len: AtomicUsize,
+}
+
+impl<T> Queue<T> {
+    fn new() -> Self {
+        Queue {
+            items: Mutex::new(VecDeque::new()),
+            len: AtomicUsize::new(0),
         }
     }
 
-    fn wait(&self) {
-        let mut remaining = self.remaining.lock();
-        while *remaining > 0 {
-            self.done.wait(&mut remaining);
+    fn push_all(&self, new: impl Iterator<Item = T>) {
+        let mut items = self.items.lock();
+        items.extend(new);
+        self.len.store(items.len(), Ordering::Relaxed);
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len.load(Ordering::Relaxed) == 0
+    }
+
+    fn pop(&self) -> Option<T> {
+        self.pop_where(|_| true)
+    }
+
+    /// Removes the oldest item `wanted` accepts.
+    fn pop_where(&self, wanted: impl Fn(&T) -> bool) -> Option<T> {
+        if self.is_empty() {
+            return None;
         }
+        let mut items = self.items.lock();
+        let index = items.iter().position(wanted)?;
+        let item = items.remove(index);
+        self.len.store(items.len(), Ordering::Relaxed);
+        item
     }
 }
 
 struct PoolState {
     shutdown: bool,
+    /// Lanes inside `wakeup.wait`, so a notify with nobody parked
+    /// (the common case while lanes poll) skips the futex call.
+    sleepers: usize,
 }
 
 struct Shared {
-    injector: Injector<Task>,
-    stealers: Vec<Stealer<Task>>,
+    chunks: Queue<ChunkTicket>,
+    branches: Queue<Branch>,
     state: Mutex<PoolState>,
     wakeup: Condvar,
     /// Total execution lanes: workers plus the submitting caller.
     threads: usize,
 }
 
+/// Who is in [`Shared::work`], which decides what it may run and when
+/// it leaves.
+#[derive(Clone, Copy)]
+enum Lane<'a> {
+    /// An idle worker: runs chunk tickets and branch tasks, leaves at
+    /// shutdown.
+    Worker(&'a WorkerStats),
+    /// A lane waiting for a latch, possibly inside a region: runs
+    /// chunk tickets only, leaves when the latch is open.
+    Waiter(&'a Latch),
+}
+
+/// One unit of queued work.
+enum Task {
+    Chunks(ChunkTicket),
+    Branch(Branch),
+}
+
 impl Shared {
-    /// Queues a task and wakes parked workers. Notifying under the
-    /// state lock pairs with the re-check workers do before parking,
-    /// so no wakeup is lost.
-    fn submit(&self, task: Task) {
-        self.injector.push(task);
-        let _state = self.state.lock();
-        self.wakeup.notify_all();
+    /// Wakes parked lanes after a waiting condition became true (a
+    /// push, a latch opening). Taking the pool lock pairs with the
+    /// re-check a lane does under it before parking: either the lane
+    /// sees the new condition, or it is already in `wait` and counted
+    /// in `sleepers` when this runs.
+    fn notify(&self) {
+        let state = self.state.lock();
+        if state.sleepers > 0 {
+            self.wakeup.notify_all();
+        }
     }
 
-    fn find_task(&self, local: &Worker<Task>, index: usize, stats: &WorkerStats) -> Option<Task> {
-        if let Some(task) = local.pop() {
-            return Some(task);
-        }
+    /// The pool's one waiting policy (module docs): run what this
+    /// lane may run; with nothing to run poll for [`SPIN_BUDGET`];
+    /// then park until notified.
+    fn work(&self, lane: Lane) {
+        let mut idle_since: Option<Instant> = None;
         loop {
-            match self.injector.steal() {
-                crossbeam::deque::Steal::Success(task) => return Some(task),
-                crossbeam::deque::Steal::Empty => break,
-                crossbeam::deque::Steal::Retry => continue,
-            }
-        }
-        for (i, stealer) in self.stealers.iter().enumerate() {
-            if i == index {
+            let task = match lane {
+                Lane::Waiter(latch) if latch.is_open() => return,
+                Lane::Waiter(_) => self.chunks.pop().map(Task::Chunks),
+                Lane::Worker(_) => (self.chunks.pop().map(Task::Chunks))
+                    .or_else(|| self.branches.pop().map(Task::Branch)),
+            };
+            if let Some(task) = task {
+                match lane {
+                    Lane::Worker(stats) => stats.tasks.add(1),
+                    Lane::Waiter(_) => HELPED.add(1),
+                }
+                match task {
+                    Task::Chunks(ticket) => ticket.run(self),
+                    Task::Branch(branch) => branch.run(self),
+                }
+                idle_since = None;
                 continue;
             }
-            if let Some(task) = stealer.steal().success() {
-                stats.steals.add(1);
-                return Some(task);
+            let idle = idle_since.get_or_insert_with(Instant::now).elapsed();
+            if idle < SPIN_BUDGET / 2 {
+                std::hint::spin_loop();
+                continue;
             }
+            if idle < SPIN_BUDGET {
+                std::thread::yield_now();
+                continue;
+            }
+            let mut state = self.state.lock();
+            // Re-check under the lock `notify` takes: a condition made
+            // true before this point is seen here, one made true after
+            // it finds this lane counted in `sleepers`.
+            let more = !self.chunks.is_empty()
+                || match lane {
+                    Lane::Worker(_) if state.shutdown => return,
+                    Lane::Worker(_) => !self.branches.is_empty(),
+                    Lane::Waiter(latch) => latch.is_open(),
+                };
+            if more {
+                continue;
+            }
+            match lane {
+                Lane::Worker(stats) => stats.parks.add(1),
+                Lane::Waiter(_) => WAIT_PARKS.add(1),
+            }
+            state.sleepers += 1;
+            self.wakeup.wait(&mut state);
+            state.sleepers -= 1;
+            drop(state);
+            idle_since = None;
         }
-        None
     }
 }
 
@@ -217,7 +440,6 @@ impl Shared {
 /// tracing is off.
 struct WorkerStats {
     tasks: wino_probe::CounterHandle,
-    steals: wino_probe::CounterHandle,
     parks: wino_probe::CounterHandle,
 }
 
@@ -225,42 +447,8 @@ impl WorkerStats {
     fn new(index: usize) -> Self {
         WorkerStats {
             tasks: wino_probe::counter(&format!("runtime.worker{index}.tasks")),
-            steals: wino_probe::counter(&format!("runtime.worker{index}.steals")),
             parks: wino_probe::counter(&format!("runtime.worker{index}.parks")),
         }
-    }
-}
-
-fn run_task(task: Task) {
-    match task {
-        // SAFETY: `t.job` points at the ForJob this task was built
-        // from, and the submitting thread blocks on the job latch, so
-        // the pointee is alive for the whole call.
-        Task::For(t) => unsafe { (t.run)(t.job) },
-        Task::Boxed(f) => f(),
-    }
-}
-
-fn worker_loop(shared: Arc<Shared>, local: Worker<Task>, index: usize) {
-    IS_WORKER.with(|flag| flag.set(true));
-    let stats = WorkerStats::new(index);
-    loop {
-        if let Some(task) = shared.find_task(&local, index, &stats) {
-            stats.tasks.add(1);
-            run_task(task);
-            continue;
-        }
-        let mut state = shared.state.lock();
-        if state.shutdown {
-            return;
-        }
-        // Re-check under the lock: `submit` notifies while holding it,
-        // so a push racing with this parking attempt is never missed.
-        if !(local.is_empty() && shared.injector.is_empty()) {
-            continue;
-        }
-        stats.parks.add(1);
-        shared.wakeup.wait(&mut state);
     }
 }
 
@@ -296,13 +484,17 @@ impl ForJob<'_> {
 }
 
 /// # Safety
-/// `job` must point at a live `ForJob` (upheld by the latch protocol
-/// on [`ForTask::run`]).
-unsafe fn run_for_task(job: *const ()) {
+/// `job` must point at a live `ForJob` whose latch this ticket still
+/// holds closed (upheld by the latch protocol on [`ChunkTicket::run`]).
+unsafe fn run_for_ticket(job: *const (), shared: &Shared) {
     // SAFETY: caller contract above — `job` is a live `ForJob`.
     let job = unsafe { &*(job as *const ForJob) };
     job.execute_chunks();
-    job.latch.count_down();
+    // The owner may return, and the job die, as soon as the count
+    // reads zero: `job` is not used past this call.
+    if job.latch.count_down() {
+        shared.notify();
+    }
 }
 
 /// Handle for spawning borrowed tasks; see [`Runtime::scope`].
@@ -318,32 +510,31 @@ struct ScopeState {
 }
 
 impl<'scope> Scope<'scope, '_> {
-    /// Spawns `f` onto the pool. Runs inline when the runtime is
-    /// serial or when called from a pool worker (so workers never
-    /// block waiting on their own spawns).
+    /// Queues `f` as a branch task for an idle worker or, once the
+    /// scope's closure has returned, the scope's caller. Runs inline
+    /// when the runtime is serial or when called inside a region
+    /// (where the caller could not run it, see the module docs).
     pub fn spawn<F>(&self, f: F)
     where
         F: FnOnce() + Send + 'scope,
     {
         let shared = match self.rt.shared.as_ref() {
-            Some(shared) if !IS_WORKER.with(|flag| flag.get()) => shared,
+            Some(shared) if !in_region() => shared,
             _ => {
                 f();
                 return;
             }
         };
         self.state.latch.add(1);
-        let state = Arc::clone(&self.state);
-        let task: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
-            if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(f)) {
-                state.panic.record(payload);
-            }
-            state.latch.count_down();
-        });
-        // SAFETY: `Runtime::scope` blocks until the latch opens, so
-        // everything `f` borrows ('scope) outlives the task.
-        let task: Box<dyn FnOnce() + Send + 'static> = unsafe { mem::transmute(task) };
-        shared.submit(Task::Boxed(task));
+        let body: Box<dyn FnOnce() + Send + 'scope> = Box::new(f);
+        // SAFETY: `Runtime::scope` does not return until the latch
+        // opens, so everything `f` borrows ('scope) outlives the task.
+        let body: Box<dyn FnOnce() + Send + 'static> = unsafe { mem::transmute(body) };
+        shared.branches.push_all(std::iter::once(Branch {
+            scope: Arc::clone(&self.state),
+            body,
+        }));
+        shared.notify();
     }
 }
 
@@ -370,23 +561,22 @@ impl Runtime {
         if threads <= 1 {
             return Self::serial();
         }
-        let workers: Vec<Worker<Task>> = (0..threads - 1).map(|_| Worker::new_lifo()).collect();
-        let stealers = workers.iter().map(Worker::stealer).collect();
         let shared = Arc::new(Shared {
-            injector: Injector::new(),
-            stealers,
-            state: Mutex::new(PoolState { shutdown: false }),
+            chunks: Queue::new(),
+            branches: Queue::new(),
+            state: Mutex::new(PoolState {
+                shutdown: false,
+                sleepers: 0,
+            }),
             wakeup: Condvar::new(),
             threads,
         });
-        let handles = workers
-            .into_iter()
-            .enumerate()
-            .map(|(index, local)| {
+        let handles = (0..threads - 1)
+            .map(|index| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("wino-worker-{index}"))
-                    .spawn(move || worker_loop(shared, local, index))
+                    .spawn(move || shared.work(Lane::Worker(&WorkerStats::new(index))))
                     .expect("failed to spawn wino-runtime worker")
             })
             .collect();
@@ -429,7 +619,10 @@ impl Runtime {
 
     /// Runs `body` once per claimed chunk of `range` (chunks never
     /// shrink below `min_chunk` indices). The chunk granularity lets
-    /// callers amortize per-task scratch allocations.
+    /// callers amortize per-task scratch allocations. May be called
+    /// from anywhere, a chunk body or a branch task included: the
+    /// caller runs chunks itself, then helps other regions until its
+    /// own is done.
     pub fn parallel_for_chunks<F>(&self, range: Range<usize>, min_chunk: usize, body: F)
     where
         F: Fn(Range<usize>) + Sync,
@@ -440,7 +633,7 @@ impl Runtime {
         }
         let threads = self.threads();
         let min_chunk = min_chunk.max(1);
-        if threads <= 1 || len <= min_chunk || IS_WORKER.with(|flag| flag.get()) {
+        if threads <= 1 || len <= min_chunk {
             body(range);
             return;
         }
@@ -461,20 +654,19 @@ impl Runtime {
             panic: PanicSlot::new(),
         };
         let job_ptr = &job as *const ForJob as *const ();
-        for _ in 0..helpers {
-            shared.injector.push(Task::For(ForTask {
-                job: job_ptr,
-                run: run_for_task,
-            }));
-        }
         {
-            let _state = shared.state.lock();
-            shared.wakeup.notify_all();
+            let _region = InRegion::enter();
+            shared.chunks.push_all((0..helpers).map(|_| ChunkTicket {
+                job: job_ptr,
+                run: run_for_ticket,
+            }));
+            shared.notify();
+            // The caller is a full execution lane; nothing between the
+            // push and the latch opening can unwind (the job is on
+            // this stack frame, and the tickets point at it).
+            job.execute_chunks();
+            shared.work(Lane::Waiter(&job.latch));
         }
-        // The caller is a full execution lane, then blocks until every
-        // helper has finished (the job is on this stack frame).
-        job.execute_chunks();
-        job.latch.wait();
         if let Some(payload) = job.panic.take() {
             // First payload wins; the original message reaches the
             // caller (module-level panic contract, rule 3).
@@ -483,7 +675,9 @@ impl Runtime {
     }
 
     /// Structured spawning of heterogeneous borrowed tasks; returns
-    /// once every spawned task has finished.
+    /// once every spawned task has finished. The caller is a lane of
+    /// its own scope: after `f` returns it runs the spawned tasks no
+    /// worker has taken.
     pub fn scope<'scope, F, R>(&self, f: F) -> R
     where
         F: FnOnce(&Scope<'scope, '_>) -> R,
@@ -497,7 +691,17 @@ impl Runtime {
             _marker: PhantomData,
         };
         let result = panic::catch_unwind(AssertUnwindSafe(|| f(&scope)));
-        scope.state.latch.wait();
+        if let Some(shared) = &self.shared {
+            // Nothing is queued when this runs inside a region (every
+            // spawn ran inline), so a branch only ever starts here
+            // with no region below it.
+            let mine = |branch: &Branch| Arc::ptr_eq(&branch.scope, &scope.state);
+            while let Some(branch) = shared.branches.pop_where(mine) {
+                HELPED.add(1);
+                branch.run(shared);
+            }
+            shared.work(Lane::Waiter(&scope.state.latch));
+        }
         // A spawned task's payload outranks the closure's own unwind:
         // the task panic is the root cause (panic contract, rule 3).
         if let Some(payload) = scope.state.panic.take() {
@@ -801,7 +1005,8 @@ mod tests {
         let rt = Runtime::with_threads(4);
         let total = AtomicUsize::new(0);
         rt.parallel_for(0..8, |_| {
-            // Nested call: runs inline on workers, so no deadlock.
+            // Nested call: pushes tickets like any other; its owner
+            // waits by helping, so no deadlock.
             rt.parallel_for(0..8, |_| {
                 total.fetch_add(1, Ordering::SeqCst);
             });
@@ -943,11 +1148,26 @@ mod tests {
     #[test]
     fn chunk_ranges_match_parallel_for_chunks() {
         let rt = Runtime::with_threads(3);
-        let seen = Mutex::new(Vec::new());
-        rt.parallel_for_chunks(10..250, 7, |chunk| seen.lock().push(chunk));
-        let mut observed = seen.into_inner();
-        observed.sort_by_key(|c| c.start);
-        assert_eq!(observed, chunk_ranges(10..250, 3, 7));
+        let observe = || {
+            let seen = Mutex::new(Vec::new());
+            rt.parallel_for_chunks(10..250, 7, |chunk| seen.lock().push(chunk));
+            let mut observed = seen.into_inner();
+            observed.sort_by_key(|c| c.start);
+            observed
+        };
+        assert_eq!(observe(), chunk_ranges(10..250, 3, 7));
+        // The same boundaries when every lane — both workers and the
+        // caller, held together by the barrier — issues the region
+        // from inside a branch task.
+        let all_lanes = std::sync::Barrier::new(3);
+        rt.scope(|s| {
+            for _ in 0..3 {
+                s.spawn(|| {
+                    all_lanes.wait();
+                    assert_eq!(observe(), chunk_ranges(10..250, 3, 7));
+                });
+            }
+        });
     }
 
     #[test]

@@ -956,9 +956,15 @@ fn run_group(
     let exec = NetworkExecutor::new(Arc::clone(&plan.net), Arc::clone(&plan.pool))
         .with_policy(shared.policy);
     // Phase attribution reads only this executor thread's spans
-    // recorded during the run: single-step waves run inline (visible,
-    // conv phases included), fanned-out waves land on pool workers
-    // (not visible) — the executor's own `exec.network` span always is.
+    // recorded during the run. Region-level spans on this thread are
+    // this group's own: single-step waves run inline, and of a
+    // fanned-out wave this thread runs its own scope's branches (the
+    // ones pool workers took are not visible here) — so a phase can
+    // be less than the whole, never another request's. Chunk-level
+    // spans (`conv.tile_*`) are left out: they nest inside the region
+    // spans already counted, and while this thread waits inside a
+    // region it runs chunk tickets of any region in the pool, with
+    // `executors > 1` another request's included.
     let mark = wino_probe::local_event_mark();
     let execute_start = Instant::now();
     let result = {
@@ -971,7 +977,10 @@ fn run_group(
     let execute = execute_start.elapsed();
     let phases: Vec<(&'static str, u64)> = wino_probe::local_spans_since(mark)
         .into_iter()
-        .filter(|(name, _)| name.starts_with("exec.") || name.starts_with("conv."))
+        .filter(|(name, _)| {
+            name.starts_with("exec.")
+                || (name.starts_with("conv.") && !name.starts_with("conv.tile_"))
+        })
         .collect();
     match result {
         Ok(out) => {

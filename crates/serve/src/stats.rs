@@ -44,9 +44,11 @@ pub struct RequestTrace {
     /// Whether the deadline policy demoted this request to the
     /// terminal fallback engine before execution.
     pub deadline_demoted: bool,
-    /// Per-phase `exec.*`/`conv.*` durations (ns) summed from the
-    /// executor thread's spans for this group; empty when tracing is
-    /// off.
+    /// Per-phase durations (ns) summed from the executor thread's
+    /// region-level spans for this group — `exec.*` and `conv.*`
+    /// without the chunk-level `conv.tile_*` — so each is this group's
+    /// own work on that thread (branches that pool workers ran are
+    /// not in it); empty when tracing is off.
     pub phases: Vec<(&'static str, u64)>,
 }
 

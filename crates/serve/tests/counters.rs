@@ -562,6 +562,27 @@ fn zoo_serving_accounts_exactly_with_zero_steady_allocations() {
     for h in handles {
         let resp = h.wait().unwrap();
         batched_with_seen = batched_with_seen.max(resp.batched_with);
+        // Two executors help each other's regions; a request's phases
+        // are still its own: no chunk-level span (those may be another
+        // request's), and the spans of one nesting level — the nodes,
+        // the convolutions' stages — fit inside its `serve.execute`.
+        let trace = &resp.trace;
+        let execute = trace.execute.as_nanos() as u64;
+        let level = |prefixes: &[&str]| -> u64 {
+            let of_level = |name: &str| prefixes.iter().any(|p| name.starts_with(p));
+            let phases = trace.phases.iter().filter(|(name, _)| of_level(name));
+            phases.map(|(_, ns)| ns).sum()
+        };
+        assert!(!trace.phases.is_empty());
+        assert_eq!(level(&["conv.tile_", "gemm."]), 0, "{:?}", trace.phases);
+        assert!(level(&["exec.node."]) <= execute, "{trace:?}");
+        let stages = [
+            "conv.input_",
+            "conv.batched_",
+            "conv.output_",
+            "conv.im2col_g",
+        ];
+        assert!(level(&stages) <= execute, "{trace:?}");
     }
     wino_exec::set_steady_phase(false);
     server.shutdown();
