@@ -36,7 +36,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Serialize, Value};
 use wino_codegen::{PlanVariant, Unroll};
 use wino_graph::EngineChoice;
-use wino_guard::{fault, Denylist, Engine, GuardedConv, SandboxBudget};
+use wino_guard::{fault, Denylist, GuardedConv, SandboxBudget};
 use wino_probe::{self as probe, metrics};
 use wino_serve::{
     BreakerState, ConvRequest, ConvResponse, HealthStatus, NetworkRequest, PlanRegistry,
@@ -170,17 +170,23 @@ fn scenarios() -> Vec<Scenario> {
     vec![
         // -- wino-guard: each run arms one site and the guard layer
         // must produce exactly these demotion/quarantine counters.
+        // `drill_guard` runs the default chain once: Winograd → im2col
+        // → direct.
         row("guard/clean", drill_guard)
             .zero(["guard.demote.panic", GUARDRAIL, FALLBACK])
             .zero(["tuner.quarantine.panic", "tuner.quarantine.timeout"])
             .zero(["tuner.quarantine.nonfinite", "tuner.cache.rebuilt"])
             .zero(["flight.dumps"]),
+        // Only the head runs the transform kernels: it is demoted
+        // (1) and im2col serves as a fallback (1).
         row("guard/transform-nan", drill_guard)
             .env("WINO_FAULT", "transform:nan")
-            .counters([(GUARDRAIL, 3), (FALLBACK, 2)]),
+            .counters([(GUARDRAIL, 1), (FALLBACK, 1)]),
         row("guard/transform-panic", drill_guard)
             .env("WINO_FAULT", "transform:panic")
-            .counters([("guard.demote.panic", 3), (FALLBACK, 2)]),
+            .counters([("guard.demote.panic", 1), (FALLBACK, 1)]),
+        // Winograd and im2col both multiply through the GEMM: two
+        // demotions, direct serves as a fallback (1).
         row("guard/gemm-nan", drill_guard)
             .env("WINO_FAULT", "gemm:nan")
             .counters([(GUARDRAIL, 2), (FALLBACK, 1)]),
@@ -207,22 +213,22 @@ fn scenarios() -> Vec<Scenario> {
         row("guard/avx2-transform-nan", drill_guard)
             .env("WINO_SIMD", "avx2")
             .env("WINO_FAULT", "transform:nan")
-            .counters([(GUARDRAIL, 3), (FALLBACK, 2)]),
+            .counters([(GUARDRAIL, 1), (FALLBACK, 1)]),
         row("guard/avx2-gemm-nan", drill_guard)
             .env("WINO_SIMD", "avx2")
             .env("WINO_FAULT", "gemm:nan")
             .counters([(GUARDRAIL, 2), (FALLBACK, 1)]),
-        // Telemetry arms the flight recorder: each of the 3 guardrail
-        // demotions leaves a parseable dump that carries the reason
-        // and the recent conv.* span history an incident responder
-        // needs.
+        // Telemetry arms the flight recorder: the one guardrail
+        // demotion of `guard/transform-nan` leaves a parseable dump
+        // that carries the reason and the recent conv.* span history
+        // an incident responder needs.
         row("guard/flight", drill_guard)
             .env("WINO_FAULT", "transform:nan")
             .env("WINO_METRICS", "summary")
             .env("WINO_FLIGHT_DIR", "{tmp}/flight")
-            .counters([("flight.dumps", 3)])
-            .want(&["flight", "dumps"], 3)
-            .want(&["flight", "guardrail_with_conv_spans"], 3),
+            .counters([("flight.dumps", 1)])
+            .want(&["flight", "dumps"], 1)
+            .want(&["flight", "guardrail_with_conv_spans"], 1),
         // -- wino-serve, layer requests. Nothing sheds at low load,
         // each request is its own batch, the filter transform runs
         // once at registration, the arena reserved at start covers
@@ -651,8 +657,7 @@ fn sequential_config() -> ServerConfig {
 /// shows in the counters; its result is not otherwise used.
 fn drill_guard() -> Value {
     arm_fault();
-    // 1 + 2: the default (fused-head) chain, then the non-fused-head
-    // chain a GEMM fault hits.
+    // 1: the default chain.
     let desc = ConvDesc::new(3, 1, 1, 2, 1, 8, 8, 3);
     let input = Tensor4::from_fn(1, 3, 8, 8, |n, c, y, x| {
         ((n + 2 * c + 3 * y + 5 * x) % 7) as f32 * 0.25 - 0.5
@@ -660,16 +665,13 @@ fn drill_guard() -> Value {
     let filters = Tensor4::from_fn(2, 3, 3, 3, |k, c, y, x| {
         ((k + c + y + 2 * x) % 5) as f32 * 0.125 - 0.25
     });
-    let nonfused_head = vec![Engine::NonFusedWinograd(4), Engine::Im2col, Engine::Direct];
-    for chain in [
-        GuardedConv::new(4),
-        GuardedConv::new(4).with_chain(nonfused_head),
-    ] {
-        let served = chain.run(&input, &filters, &desc).map(|out| out.served_by);
-        println!("drill: chain served by {served:?}");
-    }
+    let served = GuardedConv::new(4).run(&input, &filters, &desc);
+    println!(
+        "drill: chain served by {:?}",
+        served.map(|out| out.served_by)
+    );
 
-    // 3: a hardened tuning sweep over the reduced space.
+    // 2: a hardened tuning sweep over the reduced space.
     let desc = ConvDesc::new(3, 1, 1, 32, 1, 14, 14, 16);
     let sweep = tune_hardened(
         &desc,
@@ -682,7 +684,7 @@ fn drill_guard() -> Value {
     let quarantined = sweep.map(|report| report.quarantined.len());
     println!("drill: sweep quarantined {quarantined:?}");
 
-    // 4: a tuning-cache save → load round trip.
+    // 3: a tuning-cache save → load round trip.
     let path = std::env::temp_dir().join(format!("wino_drill_cache_{}.json", std::process::id()));
     let cache = TuningCache::new();
     cache.put(
@@ -694,7 +696,6 @@ fn drill_guard() -> Value {
                 unroll: Unroll::Full,
                 mnt: 4,
                 mnb: 16,
-                threads: 1,
             },
             time_ms: 0.5,
         },

@@ -42,11 +42,10 @@ fn main() {
         speedups.iter().cloned().fold(0.0, f64::max),
     ));
     if wino_probe::enabled() {
-        let (nonfused_ms, fused_ms) = figure6_phase_capture(4);
+        let ms = figure6_phase_capture(4);
         report.line(format!(
             "\nmeasured CPU phase capture F(4,3) on the representative layer:\n\
-             non-fused {nonfused_ms:.2} ms, fused {fused_ms:.2} ms (per-phase spans in the \
-             probe artifact)",
+             {ms:.2} ms (per-phase spans in the probe artifact)",
         ));
     }
     report.finish();

@@ -6,9 +6,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
 use wino_codegen::{generate_plan, CodegenOptions, PlanVariant, Unroll};
-use wino_conv::{
-    conv_winograd_precomputed_rt, PrecomputedFilters, WinogradConfig, WinogradVariant,
-};
+use wino_conv::{conv_winograd_precomputed_rt, PrecomputedFilters, WinogradConfig};
 use wino_gpu::{estimate_plan_ms, gtx_1080_ti, mali_g71, rx_580, DeviceProfile};
 use wino_runtime::{default_threads, Runtime};
 use wino_tensor::{ConvDesc, Tensor4};
@@ -80,14 +78,13 @@ pub fn figure6_rows() -> Vec<Figure6Row> {
     rows
 }
 
-/// Runs the Figure 6 representative layer once per engine on the real
-/// CPU pipeline, so a probe-enabled `figure6` run captures a
+/// Runs the Figure 6 representative layer once on the real CPU
+/// pipeline, so a probe-enabled `figure6` run captures a
 /// *measured* per-phase breakdown (the subject of Figure 6) instead of
 /// only the device model's estimate. The pool uses at least two lanes
 /// so the work-stealing runtime's per-worker counters are exercised
-/// even on single-CPU hosts. Returns `(non-fused ms, fused ms)`
-/// wall-clock times.
-pub fn figure6_phase_capture(m: usize) -> (f64, f64) {
+/// even on single-CPU hosts. Returns the wall-clock time in ms.
+pub fn figure6_phase_capture(m: usize) -> f64 {
     let desc = figure6_desc(3, 1);
     let mut rng = StdRng::seed_from_u64(6);
     let input = Tensor4::<f32>::random(
@@ -103,15 +100,12 @@ pub fn figure6_phase_capture(m: usize) -> (f64, f64) {
         &mut rng,
     );
     let rt = Runtime::with_threads(default_threads().max(2));
-    let run = |variant: WinogradVariant| -> f64 {
-        let cfg = WinogradConfig::new(m).with_variant(variant);
-        let start = Instant::now();
-        let pre = PrecomputedFilters::for_config(&filters, &desc, &cfg).expect("figure6 filters");
-        conv_winograd_precomputed_rt(&input, &pre, &desc, variant, &cfg.gemm, &rt)
-            .expect("figure6 phase capture");
-        start.elapsed().as_secs_f64() * 1e3
-    };
-    (run(WinogradVariant::NonFused), run(WinogradVariant::Fused))
+    let cfg = WinogradConfig::new(m);
+    let start = Instant::now();
+    let pre = PrecomputedFilters::for_config(&filters, &desc, &cfg).expect("figure6 filters");
+    conv_winograd_precomputed_rt(&input, &pre, &desc, cfg.variant, &cfg.gemm, &rt)
+        .expect("figure6 phase capture");
+    start.elapsed().as_secs_f64() * 1e3
 }
 
 /// One convolution's worth of a vendor-comparison figure (7 or 8).

@@ -8,16 +8,15 @@
 //! * [`conv_im2col`] — the "reshape as matrix multiplication" lowering
 //!   of §2, backed by the blocked SGEMM of `wino-gemm` ([`Im2colFilters`]
 //!   keeps the packed filter matrix between calls);
-//! * [`conv_winograd`] — recipe-driven Winograd in both the
-//!   **non-fused** (batched-SGEMM) and **fused** (tile-local) variants
-//!   of §3.2.2, with output tile size `m` and symbolic-pipeline
-//!   options as tuning parameters.
+//! * [`conv_winograd`] — recipe-driven Winograd, the **non-fused**
+//!   (batched-SGEMM) variant of §3.2.2, with output tile size `m` and
+//!   symbolic-pipeline options as tuning parameters.
 //!
 //! The [`accuracy`] module reproduces the paper's error-measurement
 //! protocol (Table 3, Figure 4); [`flops`] accounts Winograd work for
 //! Figure 5d and the GPU cost model. The [`compiled`] module holds the
-//! build-time-compiled SoA transform kernels both Winograd engines
-//! dispatch to when SIMD is enabled (see `DESIGN.md` §5.9).
+//! build-time-compiled SoA transform kernels the Winograd engine
+//! dispatches to when SIMD is enabled (see `DESIGN.md` §5.9).
 
 #![warn(missing_docs)]
 

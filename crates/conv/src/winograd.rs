@@ -1,26 +1,24 @@
-//! Recipe-driven Winograd convolution engines (non-fused and fused).
+//! The recipe-driven Winograd convolution engine.
 //!
-//! These are the CPU reference implementations of the two kernel
-//! variants the paper generates (§3.2.2). The **non-fused** engine
-//! materializes the transformed filters `U'` and inputs `V'` in the
-//! scatter layouts of Lavin & Gray and runs the multiplication stage
-//! as α² batched SGEMMs — `U'` packed once, at construction, into the
-//! GEMM micro-kernel's own A order, `V'` written by the input transform
-//! straight into its B order. The **fused** engine processes a
-//! group of input tiles end-to-end — transform, channel-summed
-//! element-wise multiply, output transform — without materializing
-//! intermediates, mirroring the single-kernel variant's dataflow.
+//! The CPU implementation of the paper's **non-fused** kernel variant
+//! (§3.2.2): it materializes the transformed filters `U'` and inputs
+//! `V'` in the scatter layouts of Lavin & Gray and runs the
+//! multiplication stage as α² batched SGEMMs — `U'` packed once, at
+//! construction, into the GEMM micro-kernel's own A order, `V'` written
+//! by the input transform straight into its B order. (The paper's
+//! other, single-kernel variant runs on the simulated GPU only, in
+//! `wino-gpu`: its per-tile CPU port measured 5–10× slower than this
+//! engine — EXPERIMENTS.md, "Served stack stands alone (PR 24)".)
 //!
-//! Every transform stage (filter, non-fused input, non-fused output,
-//! fused) is one loop over **lane groups**: [`LANES`] tiles side by
-//! side in position-major SoA (`[pos][lane]`), a last group that uses
+//! Every transform stage (filter, input, output) is one loop over
+//! **lane groups**: [`LANES`] tiles side by side in position-major SoA (`[pos][lane]`), a last group that uses
 //! fewer lanes, and one [`Kernel::run`] call per group. Only the
 //! kernel varies — a build-time-compiled proven kernel, or the recipe
 //! interpreted over `LANES`-wide registers — and both retire the same
 //! per-lane IEEE ops in the same order, so each stage has exactly one
 //! floating-point operation order.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use wino_gemm::{BatchedGemmShape, GemmConfig, PackedA, PackedB, SimdLevel};
 use wino_runtime::{DisjointSlice, Runtime};
@@ -34,9 +32,9 @@ use crate::error::ConvError;
 use crate::tiles::TileTransformer;
 use crate::workspace::{LiveBytes, Workspace};
 
-/// Tiles gathered into the transformed-input layout (both engines).
+/// Tiles gathered into the transformed-input layout.
 static TILES_GATHERED: wino_probe::Counter = wino_probe::Counter::new("conv.tiles_gathered");
-/// Output tiles scattered back into NCHW planes (both engines).
+/// Output tiles scattered back into NCHW planes.
 static TILES_SCATTERED: wino_probe::Counter = wino_probe::Counter::new("conv.tiles_scattered");
 /// Tiles a stage handed the lane interpreter while dispatching AVX2 —
 /// every tile of a spec with no compiled kernel, each in its stage's
@@ -51,23 +49,21 @@ static FILTER_BANK_BYTES: LiveBytes = LiveBytes::new("conv.filter_bank_bytes");
 /// layer, never per request.
 static FILTER_TRANSFORMS: wino_probe::Counter = wino_probe::Counter::new("conv.filter_transforms");
 
-/// Per-phase duration histograms for the non-fused pipeline (the
-/// fused engine interleaves phases per tile group, so it records
-/// nothing here). These record whenever tracing *or* telemetry is
-/// armed, so a serving process sees phase distributions without span
-/// buffers.
+/// Per-phase duration histograms. These record whenever tracing *or*
+/// telemetry is armed, so a serving process sees phase distributions
+/// without span buffers.
 static H_FILTER: wino_probe::Histogram = wino_probe::Histogram::new("conv.filter_transform");
 static H_INPUT: wino_probe::Histogram = wino_probe::Histogram::new("conv.input_transform");
 static H_SGEMM: wino_probe::Histogram = wino_probe::Histogram::new("conv.batched_sgemm");
 static H_OUTPUT: wino_probe::Histogram = wino_probe::Histogram::new("conv.output_transform");
 
-/// Which kernel variant to model (tuning parameter `WV` of Table 1).
+/// The kernel variant the CPU engine implements (tuning parameter `WV`
+/// of Table 1 has a second, single-kernel value; plans of that variant
+/// run on `wino-gpu`'s modelled devices only).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum WinogradVariant {
     /// Separate kernels per stage + batched SGEMM.
     NonFused,
-    /// One kernel: everything tile-local.
-    Fused,
 }
 
 /// Configuration of a Winograd convolution run.
@@ -93,12 +89,6 @@ impl WinogradConfig {
             variant: WinogradVariant::NonFused,
             gemm: GemmConfig::default(),
         }
-    }
-
-    /// Switches the variant.
-    pub fn with_variant(mut self, variant: WinogradVariant) -> Self {
-        self.variant = variant;
-        self
     }
 
     /// Switches the recipe options.
@@ -201,11 +191,8 @@ pub fn conv_winograd(
 /// micro-kernel's row slivers ([`PackedA`]) for one SIMD dispatch
 /// level, so steady-state requests neither transform nor pack filters.
 /// That level is a property of the bank ([`PrecomputedFilters::level`]):
-/// the engines run their transforms and the GEMM at it, so a bank
-/// never meets a micro-kernel it was not packed for.
-/// The fused engine's `(k, c, ξ)` order is a pure element reorder of
-/// the bank, built the first time [`PrecomputedFilters::u_kc`] is asked
-/// (so a warm run stays bit-identical to a cold one). The serving
+/// the engine runs its transforms and the GEMM at it, so a bank
+/// never meets a micro-kernel it was not packed for. The serving
 /// layer's plan registry builds one per registered layer; transforms
 /// are visible as the `conv.filter_transforms` counter and the
 /// `conv.filter_transform` span, resident bytes as the
@@ -220,9 +207,6 @@ pub struct PrecomputedFilters {
     in_ch: usize,
     /// `U'(ξ)`, `ξ = α²` matrices of `K × C`, packed at construction.
     bank: PackedA,
-    /// `(k, c, ξ)` layout, the fused engine's access pattern; unpacked
-    /// from `bank` on first use.
-    u_kc: OnceLock<Vec<f32>>,
 }
 
 impl PrecomputedFilters {
@@ -324,7 +308,6 @@ impl PrecomputedFilters {
             out_ch: kc,
             in_ch: cc,
             bank,
-            u_kc: OnceLock::new(),
         }
     }
 
@@ -369,32 +352,10 @@ impl PrecomputedFilters {
         self.in_ch
     }
 
-    /// `U` in `(k, c, ξ)` order, unpacking it from the resident bank
-    /// on first use (only the fused engine asks).
-    pub fn u_kc(&self) -> &[f32] {
-        self.u_kc.get_or_init(|| {
-            let a2 = self.bank.batches();
-            let cc = self.in_ch;
-            let mut u_kc = vec![0.0f32; self.out_ch * cc * a2];
-            let mut row = vec![0.0f32; cc];
-            for xi in 0..a2 {
-                for k in 0..self.out_ch {
-                    self.bank.copy_row(xi, k, &mut row);
-                    for (c, &val) in row.iter().enumerate() {
-                        u_kc[(k * cc + c) * a2 + xi] = val;
-                    }
-                }
-            }
-            FILTER_BANK_BYTES.add(std::mem::size_of_val(&u_kc[..]) as i64);
-            u_kc
-        })
-    }
-
-    /// Bytes this bank keeps resident: the packed `U'` (last row
-    /// sliver's padding included), plus the `(k, c, ξ)` copy once
-    /// [`PrecomputedFilters::u_kc`] has been asked for.
+    /// Bytes this bank keeps resident: the packed `U'`, last row
+    /// sliver's padding included.
     pub fn resident_bytes(&self) -> usize {
-        self.bank.bytes() + self.u_kc.get().map_or(0, |u| std::mem::size_of_val(&u[..]))
+        self.bank.bytes()
     }
 
     /// Validates that `desc` is servable by this transform: same
@@ -428,6 +389,10 @@ impl Drop for PrecomputedFilters {
 /// runtime. Output is bit-identical to the cold-path [`conv_winograd`]
 /// with the same recipes: the warm `U` is the same values, only
 /// computed earlier.
+///
+/// `variant` has one value and selects nothing: the parameter stays only
+/// because `benchmark/src/workloads/conv.rs` passes `cfg.variant`
+/// through, and goes when that package next opens (ROADMAP item 1 (v)).
 ///
 /// # Errors
 /// Shape mismatches, non-unit stride, or a transform/descriptor
@@ -473,7 +438,6 @@ pub fn conv_winograd_precomputed_rt(
     let mut ws = Workspace::take();
     let out = match variant {
         WinogradVariant::NonFused => nonfused(input, pre, desc, gemm, rt, compiled, &mut ws),
-        WinogradVariant::Fused => fused(input, pre, desc, rt, compiled, &mut ws),
     }?;
     ws.put_back();
     Ok(out)
@@ -822,88 +786,6 @@ fn nonfused(
     Ok(out)
 }
 
-// The multiply indexes `acc`, `u` and `v_c` by the same `(ξ, lane)`; an
-// iterator chain hides that pairing (and measured ~10 % slower).
-#[allow(clippy::needless_range_loop)]
-fn fused(
-    input: &Tensor4<f32>,
-    pre: &PrecomputedFilters,
-    desc: &ConvDesc,
-    rt: &Runtime,
-    compiled: Option<CompiledTransforms>,
-    ws: &mut Workspace,
-) -> Result<Tensor4<f32>, ConvError> {
-    let mut conv_span = wino_probe::span("conv.winograd.fused");
-    conv_span.arg("desc", || desc.to_string());
-    let (recipes, level) = (pre.recipes(), pre.level());
-    let tiling = Tiling::new(desc, recipes.spec, level);
-    let (m, a2) = (tiling.m, tiling.alpha * tiling.alpha);
-    let (kc, cc) = (desc.out_ch, desc.in_ch);
-    count_interpreted(compiled, level, tiling.tiles);
-
-    // The (k, c, ξ) filter bank (the generated kernel recomputes it
-    // per thread block from shared memory; here it is resident).
-    let u_kc = pre.u_kc();
-
-    let padded = tiling.pad(input, desc.pad, std::mem::take(&mut ws.padded));
-    let mut out = Tensor4::<f32>::zeros(desc.batch, kc, tiling.oh, tiling.ow);
-
-    // Parallel over lane groups of (n, ty, tx) tiles — the fused
-    // kernel's thread blocks: LANES spatial tiles advance together
-    // through transform, channel-summed multiply, and output
-    // transform. Each chunk owns kernel scratch; a tile writes its own
-    // region of every output plane, disjoint from other tiles. Per
-    // chunk, gather work (tile extraction + input transform) and
-    // scatter work (multiply + output transform + placement) are
-    // interleaved per group, so the two phases get chunk-level spans
-    // instead of stage-level ones.
-    let out_win = DisjointSlice::new(out.data_mut());
-    rt.parallel_for_chunks(0..tiling.tiles.div_ceil(LANES), 1, |groups| {
-        let mut input_kernel = Kernel::new(compiled.map(|ct| ct.input), &recipes.input, level);
-        let mut output_kernel = Kernel::new(compiled.map(|ct| ct.output), &recipes.output, level);
-        let mut src = vec![[0.0f32; LANES]; a2];
-        let mut v = vec![[0.0f32; LANES]; cc * a2];
-        let mut acc = vec![[0.0f32; LANES]; a2];
-        let mut y = vec![[0.0f32; LANES]; m * m];
-        for g in groups {
-            let t0 = g * LANES;
-            let count = LANES.min(tiling.tiles - t0);
-            TILES_GATHERED.add(count as u64);
-            TILES_SCATTERED.add(count as u64);
-            // Input transform for every channel of the group.
-            let gather_span = wino_probe::span("conv.tile_gather");
-            let origins = tiling.origins(t0, count);
-            for (c, v_c) in v.chunks_exact_mut(a2).enumerate() {
-                tiling.gather(&padded, &origins, c, &mut src);
-                input_kernel.run(&src, v_c);
-            }
-            drop(gather_span);
-            // Channel-summed element-wise multiply + output transform
-            // per filter.
-            let _scatter_span = wino_probe::span("conv.tile_scatter");
-            for k in 0..kc {
-                acc.fill([0.0; LANES]);
-                let u_k = &u_kc[k * cc * a2..(k + 1) * cc * a2];
-                for c in 0..cc {
-                    let u = &u_k[c * a2..(c + 1) * a2];
-                    let v_c = &v[c * a2..(c + 1) * a2];
-                    for xi in 0..a2 {
-                        for l in 0..LANES {
-                            acc[xi][l] += u[xi] * v_c[xi][l];
-                        }
-                    }
-                }
-                output_kernel.run(&acc, &mut y);
-                for l in 0..count {
-                    tiling.place(&out_win, k, t0 + l, &y, l);
-                }
-            }
-        }
-    });
-    ws.padded = padded.into_raw();
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -948,16 +830,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_matches_direct_f23() {
-        let desc = ConvDesc::new(3, 1, 1, 4, 2, 8, 8, 3);
-        let (input, filt) = random_case(&desc, 22);
-        let direct = conv_direct_f32(&input, &filt, &desc).unwrap();
-        let cfg = WinogradConfig::new(2).with_variant(WinogradVariant::Fused);
-        let wino = conv_winograd(&input, &filt, &desc, &cfg).unwrap();
-        assert_close(&wino, &direct, 1e-4);
-    }
-
-    #[test]
     fn ragged_tiling_is_handled() {
         // 7×7 output with m = 4: ragged last tile row/column.
         let desc = ConvDesc::new(3, 1, 1, 2, 1, 7, 7, 2);
@@ -973,11 +845,8 @@ mod tests {
             let desc = ConvDesc::new(r, 1, r / 2, 3, 1, 12, 12, 2);
             let (input, filt) = random_case(&desc, 1000 + (m * 10 + r) as u64);
             let direct = conv_direct_f32(&input, &filt, &desc).unwrap();
-            for variant in [WinogradVariant::NonFused, WinogradVariant::Fused] {
-                let cfg = WinogradConfig::new(m).with_variant(variant);
-                let wino = conv_winograd(&input, &filt, &desc, &cfg).unwrap();
-                assert_close(&wino, &direct, 2e-3);
-            }
+            let wino = conv_winograd(&input, &filt, &desc, &WinogradConfig::new(m)).unwrap();
+            assert_close(&wino, &direct, 2e-3);
         }
     }
 
@@ -1027,25 +896,23 @@ mod tests {
     fn precomputed_filters_bit_identical_to_cold_path() {
         let desc = ConvDesc::new(3, 1, 1, 4, 3, 10, 10, 2);
         let (input, filt) = random_case(&desc, 41);
-        for variant in [WinogradVariant::NonFused, WinogradVariant::Fused] {
-            let cfg = WinogradConfig::new(4).with_variant(variant);
-            let cold = conv_winograd(&input, &filt, &desc, &cfg).unwrap();
-            let pre = PrecomputedFilters::for_config(&filt, &desc, &cfg).unwrap();
-            let warm = conv_winograd_precomputed(&input, &pre, &desc, variant, &cfg.gemm).unwrap();
-            assert_bits_equal(&warm, &cold);
-            // The same warm bank serves a different batch size too.
-            let desc2 = ConvDesc { batch: 5, ..desc };
-            let (input2, _) = random_case(&desc2, 42);
-            let cold2 = conv_winograd(&input2, &filt, &desc2, &cfg).unwrap();
-            let warm2 =
-                conv_winograd_precomputed(&input2, &pre, &desc2, variant, &cfg.gemm).unwrap();
-            assert_bits_equal(&warm2, &cold2);
-        }
+        let cfg = WinogradConfig::new(4);
+        let cold = conv_winograd(&input, &filt, &desc, &cfg).unwrap();
+        let pre = PrecomputedFilters::for_config(&filt, &desc, &cfg).unwrap();
+        let warm = conv_winograd_precomputed(&input, &pre, &desc, cfg.variant, &cfg.gemm).unwrap();
+        assert_bits_equal(&warm, &cold);
+        // The same warm bank serves a different batch size too.
+        let desc2 = ConvDesc { batch: 5, ..desc };
+        let (input2, _) = random_case(&desc2, 42);
+        let cold2 = conv_winograd(&input2, &filt, &desc2, &cfg).unwrap();
+        let warm2 =
+            conv_winograd_precomputed(&input2, &pre, &desc2, cfg.variant, &cfg.gemm).unwrap();
+        assert_bits_equal(&warm2, &cold2);
     }
 
     #[test]
     fn engines_bit_identical_with_and_without_compiled_kernels() {
-        // One bank, both engines, `compiled = Some(..)` vs `None`: the
+        // One bank, `compiled = Some(..)` vs `None`: the
         // compiled SoA kernels (input, output) retire the lane
         // interpreter's per-lane ops in its order and everything
         // around them only moves data, so the bits must not change —
@@ -1083,16 +950,25 @@ mod tests {
                     .iter()
                     .flat_map(|&lv| [bank(lv, 1), bank(lv, 4)])
                     .collect();
+                // U'(ξ) row by row, whatever sliver height it is packed in.
+                let unpacked = |pre: &PrecomputedFilters| {
+                    let mut u = vec![0.0f32; pre.bank.batches() * desc.out_ch * desc.in_ch];
+                    for (i, row) in u.chunks_exact_mut(desc.in_ch).enumerate() {
+                        pre.bank.copy_row(i / desc.out_ch, i % desc.out_ch, row);
+                    }
+                    u
+                };
                 for pre in &banks {
-                    assert_eq!(pre.u_kc(), banks[0].u_kc(), "{spec} at {:?}", pre.level());
+                    assert_eq!(
+                        unpacked(pre),
+                        unpacked(&banks[0]),
+                        "{spec} at {:?}",
+                        pre.level()
+                    );
                     let ws = &mut Workspace::default();
                     assert_bits_equal(
                         &nonfused(&input, pre, &desc, &gemm, rt, ct, ws).unwrap(),
                         &nonfused(&input, pre, &desc, &gemm, rt, None, ws).unwrap(),
-                    );
-                    assert_bits_equal(
-                        &fused(&input, pre, &desc, rt, ct, ws).unwrap(),
-                        &fused(&input, pre, &desc, rt, None, ws).unwrap(),
                     );
                 }
             }
@@ -1177,13 +1053,9 @@ mod tests {
         let a2 = pre.spec().alpha() * pre.spec().alpha();
         let packed = a2 * 13usize.div_ceil(mr) * mr * 20 * 4;
         assert_eq!(pre.resident_bytes(), packed);
-        // Serving non-fused requests adds nothing.
-        conv_winograd_precomputed(&input, &pre, &desc, WinogradVariant::NonFused, &cfg.gemm)
-            .unwrap();
+        // Serving requests adds nothing.
+        conv_winograd_precomputed(&input, &pre, &desc, cfg.variant, &cfg.gemm).unwrap();
         assert_eq!(pre.resident_bytes(), packed);
-        // The fused engine's (k, c, ξ) order appears only when asked.
-        assert_eq!(pre.u_kc().len(), 13 * 20 * a2);
-        assert_eq!(pre.resident_bytes(), packed + 13 * 20 * a2 * 4);
     }
 
     #[test]

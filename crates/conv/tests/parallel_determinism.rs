@@ -1,19 +1,16 @@
 //! Parallel Winograd == serial Winograd, bit for bit.
 //!
-//! Both engines promise that the `wino-runtime` thread count is
-//! unobservable in the output: the non-fused path parallelizes the V
-//! scatter, the batched SGEMMs, and the output transform; the fused
-//! path parallelizes over tiles — in every case each output element is
-//! written once, in the serial operation order. Verified here with
+//! The engine promises that the `wino-runtime` thread count is
+//! unobservable in the output: it parallelizes the V scatter, the
+//! batched SGEMMs, and the output transform — in every case each output
+//! element is written once, in the serial operation order. Verified here with
 //! exact `f32::to_bits` equality over random shapes (including ragged
 //! tilings where `m` does not divide the output) and 1–8 lanes.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wino_conv::{
-    conv_winograd_precomputed_rt, PrecomputedFilters, WinogradConfig, WinogradVariant,
-};
+use wino_conv::{conv_winograd_precomputed_rt, PrecomputedFilters, WinogradConfig};
 use wino_runtime::Runtime;
 use wino_tensor::{ConvDesc, Tensor4};
 
@@ -66,22 +63,6 @@ proptest! {
     ) {
         // Ragged tilings welcome: hw need not align with m.
         let desc = ConvDesc::new(3, 1, 1, out_ch, batch, hw, hw, in_ch);
-        let cfg = WinogradConfig::new(m).with_variant(WinogradVariant::NonFused);
-        assert_bit_identical(&desc, &cfg, threads, seed);
-    }
-
-    #[test]
-    fn fused_parallel_is_bit_identical(
-        batch in 1usize..3,
-        in_ch in 1usize..6,
-        out_ch in 1usize..6,
-        hw in 4usize..14,
-        m in 2usize..5,
-        threads in 1usize..9,
-        seed in any::<u64>(),
-    ) {
-        let desc = ConvDesc::new(3, 1, 1, out_ch, batch, hw, hw, in_ch);
-        let cfg = WinogradConfig::new(m).with_variant(WinogradVariant::Fused);
-        assert_bit_identical(&desc, &cfg, threads, seed);
+        assert_bit_identical(&desc, &WinogradConfig::new(m), threads, seed);
     }
 }

@@ -1,18 +1,13 @@
-//! Tracing must be observation-only: both Winograd engines produce
+//! Tracing must be observation-only: the Winograd engine produces
 //! bit-identical output with the probe on vs. off, and an
 //! instrumented run records every phase span the engine promises.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wino_conv::{
-    conv_winograd_precomputed_rt, PrecomputedFilters, WinogradConfig, WinogradVariant,
-};
+use wino_conv::{conv_winograd_precomputed_rt, PrecomputedFilters, WinogradConfig};
 use wino_probe::{self as probe, Mode};
 use wino_runtime::Runtime;
 use wino_tensor::{ConvDesc, Tensor4};
-
-// Probe state is process-global; keep the two smoke tests serial.
-static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn random_case(desc: &ConvDesc, seed: u64) -> (Tensor4<f32>, Tensor4<f32>) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -31,16 +26,17 @@ fn random_case(desc: &ConvDesc, seed: u64) -> (Tensor4<f32>, Tensor4<f32>) {
     (input, filt)
 }
 
-fn run_traced_vs_untraced(variant: WinogradVariant, expected_spans: &[&str]) {
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+// Probe state is process-global: this file holds one test.
+#[test]
+fn nonfused_identical_with_tracing_and_spans_recorded() {
     let desc = ConvDesc::new(3, 1, 1, 4, 2, 10, 10, 3);
-    let cfg = WinogradConfig::new(4).with_variant(variant);
+    let cfg = WinogradConfig::new(4);
     let (input, filt) = random_case(&desc, 0xABCD);
     let rt = Runtime::with_threads(2);
     // A cold call: transform the bank, serve one inference from it.
     let cold = || {
         let pre = PrecomputedFilters::for_config(&filt, &desc, &cfg).unwrap();
-        conv_winograd_precomputed_rt(&input, &pre, &desc, variant, &cfg.gemm, &rt).unwrap()
+        conv_winograd_precomputed_rt(&input, &pre, &desc, cfg.variant, &cfg.gemm, &rt).unwrap()
     };
 
     probe::set_mode(Mode::Off);
@@ -73,9 +69,17 @@ fn run_traced_vs_untraced(variant: WinogradVariant, expected_spans: &[&str]) {
             .count(),
         1
     );
-    for span in expected_spans {
+    for span in [
+        "conv.winograd.nonfused",
+        "conv.filter_transform",
+        "conv.input_transform",
+        "conv.batched_sgemm",
+        "conv.output_transform",
+        "conv.tile_gather",
+        "conv.tile_scatter",
+    ] {
         assert!(
-            events.iter().any(|e| e.name == *span),
+            events.iter().any(|e| e.name == span),
             "expected span {span:?} in traced run; got {:?}",
             events
                 .iter()
@@ -83,33 +87,4 @@ fn run_traced_vs_untraced(variant: WinogradVariant, expected_spans: &[&str]) {
                 .collect::<std::collections::BTreeSet<_>>()
         );
     }
-}
-
-#[test]
-fn nonfused_identical_with_tracing_and_spans_recorded() {
-    run_traced_vs_untraced(
-        WinogradVariant::NonFused,
-        &[
-            "conv.winograd.nonfused",
-            "conv.filter_transform",
-            "conv.input_transform",
-            "conv.batched_sgemm",
-            "conv.output_transform",
-            "conv.tile_gather",
-            "conv.tile_scatter",
-        ],
-    );
-}
-
-#[test]
-fn fused_identical_with_tracing_and_spans_recorded() {
-    run_traced_vs_untraced(
-        WinogradVariant::Fused,
-        &[
-            "conv.winograd.fused",
-            "conv.filter_transform",
-            "conv.tile_gather",
-            "conv.tile_scatter",
-        ],
-    );
 }

@@ -4,9 +4,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wino_conv::{
-    conv_direct_f32, conv_direct_f64, conv_im2col, conv_winograd, WinogradConfig, WinogradVariant,
-};
+use wino_conv::{conv_direct_f32, conv_direct_f64, conv_im2col, conv_winograd, WinogradConfig};
 use wino_symbolic::RecipeOptions;
 use wino_tensor::{ConvDesc, Tensor4};
 
@@ -92,7 +90,6 @@ proptest! {
         hw in 4usize..12,
         m in 2usize..7,
         r_idx in 0usize..2,
-        fused in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let r = [3, 5][r_idx];
@@ -101,28 +98,8 @@ proptest! {
         let desc = ConvDesc::new(r, 1, r / 2, out_ch, batch, hw, hw, in_ch);
         let (input, filt) = random_case(&desc, seed);
         let direct = conv_direct_f32(&input, &filt, &desc).unwrap();
-        let variant = if fused { WinogradVariant::Fused } else { WinogradVariant::NonFused };
-        let cfg = WinogradConfig::new(m).with_variant(variant);
-        let wino = conv_winograd(&input, &filt, &desc, &cfg).unwrap();
-        prop_assert!(close(&wino, &direct, 5e-3), "F({m},{r}) {variant:?} diverged");
-    }
-
-    #[test]
-    fn fused_equals_nonfused_bitwise_shapes(
-        m in 2usize..6,
-        hw in 4usize..10,
-        seed in any::<u64>(),
-    ) {
-        let desc = ConvDesc::new(3, 1, 1, 3, 1, hw, hw, 2);
-        let (input, filt) = random_case(&desc, seed);
-        let nf = conv_winograd(&input, &filt, &desc, &WinogradConfig::new(m)).unwrap();
-        let f = conv_winograd(
-            &input, &filt, &desc,
-            &WinogradConfig::new(m).with_variant(WinogradVariant::Fused),
-        ).unwrap();
-        // Same math, possibly different accumulation order: close, not
-        // necessarily bit-equal.
-        prop_assert!(close(&f, &nf, 1e-4));
+        let wino = conv_winograd(&input, &filt, &desc, &WinogradConfig::new(m)).unwrap();
+        prop_assert!(close(&wino, &direct, 5e-3), "F({m},{r}) diverged");
     }
 
     #[test]
@@ -158,17 +135,15 @@ fn tiny_and_ragged_lane_groups_match_direct_f64() {
     for (desc, m) in cases {
         let (input, filt) = random_case(&desc, 0x7a9 + m as u64);
         let direct = conv_direct_f64(&input.to_f64(), &filt.to_f64(), &desc).unwrap();
-        for variant in [WinogradVariant::NonFused, WinogradVariant::Fused] {
-            let cfg = WinogradConfig::new(m).with_variant(variant);
-            let wino = conv_winograd(&input, &filt, &desc, &cfg).unwrap().to_f64();
-            assert_eq!(wino.dims(), direct.dims());
-            for (x, y) in wino.data().iter().zip(direct.data()) {
-                assert!(
-                    (x - y).abs() <= 5e-3 * (1.0 + y.abs()),
-                    "{desc} F({m},{}) {variant:?}: {x} vs {y}",
-                    desc.ksz
-                );
-            }
+        let cfg = WinogradConfig::new(m);
+        let wino = conv_winograd(&input, &filt, &desc, &cfg).unwrap().to_f64();
+        assert_eq!(wino.dims(), direct.dims());
+        for (x, y) in wino.data().iter().zip(direct.data()) {
+            assert!(
+                (x - y).abs() <= 5e-3 * (1.0 + y.abs()),
+                "{desc} F({m},{}): {x} vs {y}",
+                desc.ksz
+            );
         }
     }
 }

@@ -65,13 +65,13 @@ impl Case {
         Case { desc, input, pre }
     }
 
-    fn run(&self, variant: WinogradVariant) -> Vec<u32> {
-        let gemm = GemmConfig::default();
+    fn run(&self) -> Vec<u32> {
+        let (variant, gemm) = (WinogradVariant::NonFused, GemmConfig::default());
         let out = conv_winograd_precomputed(&self.input, &self.pre, &self.desc, variant, &gemm);
         out.unwrap().data().iter().map(|v| v.to_bits()).collect()
     }
 
-    /// Bytes of the three buffers a non-fused call needs.
+    /// Bytes of the three buffers a call needs.
     fn workspace_bytes(&self, m: usize) -> i64 {
         let d = &self.desc;
         let alpha = m + d.ksz - 1;
@@ -107,14 +107,12 @@ fn a_small_call_after_a_large_one_reads_nothing_stale() {
     let large = large();
     for m in [2, 6] {
         let small = small(m);
-        for variant in [WinogradVariant::NonFused, WinogradVariant::Fused] {
-            let fresh = on_a_fresh_thread(|| small.run(variant));
-            let after_large = on_a_fresh_thread(|| {
-                large.run(WinogradVariant::NonFused);
-                small.run(variant)
-            });
-            assert!(fresh == after_large, "m = {m}, {variant:?}");
-        }
+        let fresh = on_a_fresh_thread(|| small.run());
+        let after_large = on_a_fresh_thread(|| {
+            large.run();
+            small.run()
+        });
+        assert!(fresh == after_large, "m = {m}");
     }
 }
 
@@ -127,14 +125,14 @@ fn a_second_identical_call_grows_nothing() {
     let case = small(2);
     let (grows0, bytes0) = (grows.get(), bytes.get());
     on_a_fresh_thread(|| {
-        let first = case.run(WinogradVariant::NonFused);
+        let first = case.run();
         // From empty, each buffer grows to exactly what the call needs.
         assert_eq!(grows.get(), grows0 + 1);
         assert_eq!(bytes.get(), bytes0 + case.workspace_bytes(2));
-        let second = case.run(WinogradVariant::NonFused);
+        let second = case.run();
         assert!(first == second);
         // A smaller call fits in what is there.
-        Case::new(ConvDesc::new(3, 1, 1, 5, 1, 9, 9, 7), 4, 3).run(WinogradVariant::NonFused);
+        Case::new(ConvDesc::new(3, 1, 1, 5, 1, 9, 9, 7), 4, 3).run();
         assert_eq!(grows.get(), grows0 + 1);
         assert_eq!(bytes.get(), bytes0 + case.workspace_bytes(2));
     });
@@ -148,25 +146,23 @@ fn the_call_after_a_caught_panic_is_a_clean_one() {
     let case = small(2);
     let clean = {
         let _scope = fault::scoped("");
-        on_a_fresh_thread(|| case.run(WinogradVariant::NonFused))
+        on_a_fresh_thread(|| case.run())
     };
     on_a_fresh_thread(|| {
         {
             let _scope = fault::scoped("");
-            assert!(case.run(WinogradVariant::NonFused) == clean);
+            assert!(case.run() == clean);
         }
         {
             // The panic unwinds through the call while it holds the
             // thread's workspace.
             let _scope = fault::scoped("transform:panic");
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                case.run(WinogradVariant::NonFused)
-            }));
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| case.run()));
             assert!(caught.is_err(), "the armed fault must panic the call");
         }
         let _scope = fault::scoped("");
-        assert!(case.run(WinogradVariant::NonFused) == clean);
-        assert!(case.run(WinogradVariant::NonFused) == clean);
+        assert!(case.run() == clean);
+        assert!(case.run() == clean);
     });
 }
 

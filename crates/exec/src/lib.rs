@@ -41,7 +41,7 @@ mod schedule;
 use std::fmt;
 use std::sync::Arc;
 
-use wino_conv::{Im2colFilters, PrecomputedFilters, WinogradVariant};
+use wino_conv::{Im2colFilters, PrecomputedFilters};
 use wino_gemm::GemmConfig;
 use wino_graph::{EngineChoice, GraphError};
 use wino_guard::{Engine, WarmBanks};
@@ -89,14 +89,11 @@ impl From<GraphError> for ExecError {
 pub fn chain_for(engine: &EngineChoice) -> Vec<Engine> {
     match engine {
         EngineChoice::Winograd(cfg) => {
-            let mut chain = Vec::new();
-            if cfg.variant == WinogradVariant::Fused {
-                chain.push(Engine::FusedWinograd(cfg.m));
-            }
-            chain.push(Engine::NonFusedWinograd(cfg.m));
-            chain.push(Engine::Im2col);
-            chain.push(Engine::Direct);
-            chain
+            vec![
+                Engine::NonFusedWinograd(cfg.m),
+                Engine::Im2col,
+                Engine::Direct,
+            ]
         }
         EngineChoice::Im2col => vec![Engine::Im2col, Engine::Direct],
         EngineChoice::Direct => vec![Engine::Direct],
@@ -112,7 +109,7 @@ pub struct LayerPlan {
     pub name: String,
     /// Canonical descriptor at batch 1 (requests may carry any batch).
     pub desc: ConvDesc,
-    /// The selected engine (tuned plan or static heuristic).
+    /// The selected engine.
     pub engine: EngineChoice,
     /// Raw filter bank `(K, C, r, r)`, for fallback engines and
     /// guardrails.

@@ -50,8 +50,10 @@ fn candidates_agree_with_the_reference_and_each_other() {
                 let EngineChoice::Winograd(cfg) = engine else {
                     panic!("{d}: Table 4 is all Winograd, got {engine:?}");
                 };
+                // The guard's default chain is the one the executor pins.
                 let chain = chain_for(engine);
-                let guarded = GuardedConv::new(cfg.m).with_chain(chain.clone());
+                let guarded = GuardedConv::new(cfg.m);
+                assert_eq!(guarded.chain(), chain, "{d} {engine:?}");
                 let run = guarded.run(&input, &weights, d).unwrap();
                 assert_eq!(run.served_by, chain[0], "{d} {engine:?}");
                 assert!(run.demotions.is_empty(), "{d} {engine:?}");

@@ -9,10 +9,7 @@
 
 use std::fmt;
 
-use wino_conv::{
-    conv_direct_f32, conv_im2col, conv_winograd, ConvError, TileTransformer, WinogradConfig,
-    WinogradVariant,
-};
+use wino_conv::{conv_direct_f32, conv_im2col, ConvError, TileTransformer};
 use wino_gemm::{batched_sgemm, BatchedGemmShape};
 use wino_ir::{KernelKind, KernelPlan};
 use wino_symbolic::RecipeOptions;
@@ -68,10 +65,7 @@ pub fn execute_plan(
     match kinds.as_slice() {
         [KernelKind::DirectConv] => Ok(conv_direct_f32(input, filters, desc)?),
         [KernelKind::Im2col, KernelKind::Gemm { .. }] => Ok(conv_im2col(input, filters, desc)?),
-        [KernelKind::FusedWinograd { m, .. }] => {
-            let cfg = WinogradConfig::new(*m).with_variant(WinogradVariant::Fused);
-            Ok(conv_winograd(input, filters, desc, &cfg)?)
-        }
+        [KernelKind::FusedWinograd { m, r }] => execute_fused(plan, input, filters, *m, *r),
         [KernelKind::FilterTransform { m, r }, KernelKind::InputTransform { .. }, KernelKind::BatchedGemm {
             batches,
             m_dim,
@@ -183,6 +177,54 @@ fn execute_nonfused_stages(
     Ok(out)
 }
 
+/// The fused kernel, one thread block — one tile — at a time: transform
+/// the tile's channels, per filter sum `U(k, c) ⊙ V(c)` over channels,
+/// output transform, place. Only `U` outlives a tile (the generated
+/// kernel recomputes it per block from shared memory).
+fn execute_fused(
+    plan: &KernelPlan,
+    input: &Tensor4<f32>,
+    filters: &Tensor4<f32>,
+    m: usize,
+    r: usize,
+) -> Result<Tensor4<f32>, ExecError> {
+    let desc = &plan.desc;
+    let spec = WinogradSpec::new(m, r)?;
+    let (alpha, a2) = (spec.alpha(), spec.alpha() * spec.alpha());
+    let (oh, ow) = (desc.out_h(), desc.out_w());
+    let (th, tw) = tile_counts(oh, ow, m);
+    let (kc, cc) = (desc.out_ch, desc.in_ch);
+    let recipes = recipe_db().get(spec, RecipeOptions::optimized())?;
+    let mut ft = TileTransformer::new(&recipes.filter);
+    let mut u = vec![0.0f32; kc * cc * a2];
+    for (plane, u_kc) in u.chunks_exact_mut(a2).enumerate() {
+        ft.transform(filters.plane(plane / cc, plane % cc), u_kc);
+    }
+    let padded = input.pad_spatial(desc.pad);
+    let mut it = TileTransformer::new(&recipes.input);
+    let mut ot = TileTransformer::new(&recipes.output);
+    let mut out = Tensor4::<f32>::zeros(desc.batch, kc, oh, ow);
+    let (mut in_tile, mut v) = (vec![0.0f32; a2], vec![0.0f32; cc * a2]);
+    let (mut acc, mut y_tile) = (vec![0.0f32; a2], vec![0.0f32; m * m]);
+    for (n, ty, tx) in (0..desc.batch * th * tw).map(|p| (p / (th * tw), p / tw % th, p % tw)) {
+        for (c, v_c) in v.chunks_exact_mut(a2).enumerate() {
+            extract_input_tile(&padded, n, c, ty, tx, m, alpha, &mut in_tile);
+            it.transform(&in_tile, v_c);
+        }
+        for (k, u_k) in u.chunks_exact(cc * a2).enumerate() {
+            acc.fill(0.0);
+            for (u_c, v_c) in u_k.chunks_exact(a2).zip(v.chunks_exact(a2)) {
+                for ((sum, &uv), &vv) in acc.iter_mut().zip(u_c).zip(v_c) {
+                    *sum += uv * vv;
+                }
+            }
+            ot.transform(&acc, &mut y_tile);
+            place_output_tile(&mut out, n, k, ty, tx, m, &y_tile);
+        }
+    }
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,27 +279,30 @@ mod tests {
         }
     }
 
+    /// The four-kernel non-fused plan of `F(m, ksz)` for `desc`.
+    fn nonfused_plan(desc: ConvDesc, m: usize) -> KernelPlan {
+        let r = desc.ksz;
+        let (th, tw) = tile_counts(desc.out_h(), desc.out_w(), m);
+        let gemm = KernelKind::BatchedGemm {
+            batches: (m + r - 1) * (m + r - 1),
+            m_dim: desc.out_ch,
+            n_dim: desc.batch * th * tw,
+            k_dim: desc.in_ch,
+        };
+        let kinds = vec![
+            KernelKind::FilterTransform { m, r },
+            KernelKind::InputTransform { m, r },
+            gemm,
+            KernelKind::OutputTransform { m, r },
+        ];
+        hand_plan(desc, kinds)
+    }
+
     #[test]
     fn nonfused_plan_executes_correctly() {
         let desc = ConvDesc::new(3, 1, 1, 4, 1, 10, 10, 3);
         let (input, filt) = case(&desc, 50);
-        let (th, tw) = tile_counts(desc.out_h(), desc.out_w(), 4);
-        let p = desc.batch * th * tw;
-        let plan = hand_plan(
-            desc,
-            vec![
-                KernelKind::FilterTransform { m: 4, r: 3 },
-                KernelKind::InputTransform { m: 4, r: 3 },
-                KernelKind::BatchedGemm {
-                    batches: 36,
-                    m_dim: 4,
-                    n_dim: p,
-                    k_dim: 3,
-                },
-                KernelKind::OutputTransform { m: 4, r: 3 },
-            ],
-        );
-        let got = execute_plan(&plan, &input, &filt).unwrap();
+        let got = execute_plan(&nonfused_plan(desc, 4), &input, &filt).unwrap();
         let expect = conv_direct_f32(&input, &filt, &desc).unwrap();
         assert!(close(&got, &expect));
     }
@@ -282,6 +327,23 @@ mod tests {
             let plan = hand_plan(desc, kinds);
             let got = execute_plan(&plan, &input, &filt).unwrap();
             assert!(close(&got, &expect), "plan failed");
+        }
+    }
+
+    #[test]
+    fn fused_model_matches_direct_and_the_nonfused_stages() {
+        // A ragged plane (7×7 under m = 4), a 5×5 through F(4,5), batch 2.
+        for (desc, m) in [
+            (ConvDesc::new(3, 1, 1, 3, 1, 7, 7, 2), 4),
+            (ConvDesc::new(5, 1, 2, 3, 1, 9, 9, 2), 4),
+            (ConvDesc::new(3, 1, 1, 4, 2, 8, 8, 3), 2),
+        ] {
+            let (input, filt) = case(&desc, 54 + m as u64);
+            let fused = hand_plan(desc, vec![KernelKind::FusedWinograd { m, r: desc.ksz }]);
+            let got = execute_plan(&fused, &input, &filt).unwrap();
+            assert!(close(&got, &conv_direct_f32(&input, &filt, &desc).unwrap()));
+            let staged = execute_plan(&nonfused_plan(desc, m), &input, &filt).unwrap();
+            assert!(close(&got, &staged));
         }
     }
 

@@ -17,9 +17,7 @@ pub use graph::{
     concat_channels, concat_into, max_pool, max_pool_into, run_conv, ComputeGraph, EngineChoice,
     GraphError, Node, NodeId, Op,
 };
-pub use select::{
-    candidates, engine_from_evaluation, select_engine, select_engine_cached, select_engine_static,
-};
+pub use select::{candidates, select_engine_static};
 pub use zoo::{
     alexnet_convs, all_network_convs, build_alexnet_graph, build_inception_3a_3b,
     build_inception_module, build_inception_v1_graph, build_nin_graph, extract_benchmark_convs,

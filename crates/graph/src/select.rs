@@ -1,11 +1,9 @@
-//! Variant pre-selection: tuned plans first, rules second.
+//! Engine selection: which engine runs a convolution on this CPU.
 //!
 //! The framework needs a sound engine per layer ("once the framework
 //! picks a Winograd convolution according to the hardware and the
-//! convolution parameters", §3). The preferred source is a persisted
-//! tuning cache — serving must pin the *specific* tuned `(m, variant)`
-//! plan per layer rather than re-deciding per request. When no tuned
-//! plan exists, static rules encode the paper's own findings: Winograd
+//! convolution parameters", §3). The one input is the descriptor:
+//! static rules encode the paper's own findings — Winograd
 //! for unit-stride 3×3 and 5×5 layers (filters above five "are
 //! probably not suitable for deployment", §4.2), im2col + GEMM
 //! otherwise. The output tile is sized to the layer (§3.3, Figure 9):
@@ -15,21 +13,10 @@
 //! once per call (DESIGN.md, "Plan selection"; `figure9_cpu` checks it
 //! against measurement). The paper's α = 8 sweet spot (§4.2) is a GPU
 //! finding: here F(6,3) wins only on planes 56 wide and up.
-//!
-//! [`select_engine`] consults the cache named by the `WINO_TUNE_CACHE`
-//! environment variable (device key `WINO_TUNE_DEVICE`, default
-//! `"cpu"`), loaded once per process through the never-failing
-//! `load_or_rebuild`. [`select_engine_cached`] takes an explicit cache
-//! for callers that manage their own (the serving plan registry).
 
-use std::path::Path;
-use std::sync::OnceLock;
-
-use wino_codegen::PlanVariant;
 use wino_conv::compiled::compiled_specs;
-use wino_conv::{issued_cols, SimdLevel, WinogradConfig, WinogradVariant};
+use wino_conv::{issued_cols, SimdLevel, WinogradConfig};
 use wino_tensor::{tile_counts, ConvDesc};
-use wino_tuner::{Evaluation, TuningCache};
 
 use crate::graph::EngineChoice;
 
@@ -40,7 +27,7 @@ const BANK_COLUMNS: usize = 13;
 /// The kernel both terms describe: a plan does not move with `WINO_SIMD`.
 const PRICED_AT: SimdLevel = SimdLevel::Avx2;
 
-/// What is worth timing for `desc`: on a unit-stride 3×3 or 5×5, non-fused
+/// What is worth timing for `desc`: on a unit-stride 3×3 or 5×5,
 /// `F(m, ksz)` for every compiled spec (if any); im2col everywhere else.
 pub fn candidates(desc: &ConvDesc) -> Vec<EngineChoice> {
     let engine = |spec: &(usize, usize)| EngineChoice::Winograd(WinogradConfig::new(spec.0));
@@ -52,54 +39,7 @@ pub fn candidates(desc: &ConvDesc) -> Vec<EngineChoice> {
     engines
 }
 
-/// Picks the engine for a convolution: the process-wide tuning cache
-/// (`WINO_TUNE_CACHE`) when one is configured and holds this shape,
-/// the static heuristic otherwise.
-pub fn select_engine(desc: &ConvDesc) -> EngineChoice {
-    match env_cache() {
-        Some((cache, device)) => select_engine_cached(desc, cache, device),
-        None => select_engine_static(desc),
-    }
-}
-
-/// Picks the engine for a convolution from an explicit tuning cache,
-/// falling back to [`select_engine_static`] when the cache has no plan
-/// for this (shape, device) — with a `probe::diag` note if the cache
-/// holds other plans (a hole in a tuned set is worth a line; a cache
-/// nobody tuned into is the untuned default, not a finding).
-pub fn select_engine_cached(desc: &ConvDesc, cache: &TuningCache, device: &str) -> EngineChoice {
-    match cache.get(desc, device) {
-        Some(eval) => engine_from_evaluation(&eval),
-        None => {
-            if !cache.is_empty() {
-                wino_probe::diag(format!(
-                    "select: no tuned plan for {desc} on {device:?}; using static heuristic"
-                ));
-            }
-            select_engine_static(desc)
-        }
-    }
-}
-
-/// Maps a tuned evaluation onto the engine it prescribes, carrying the
-/// winning GEMM blocking into the Winograd configuration.
-pub fn engine_from_evaluation(eval: &Evaluation) -> EngineChoice {
-    let winograd = |m: usize, variant: WinogradVariant| {
-        EngineChoice::Winograd(
-            WinogradConfig::new(m)
-                .with_variant(variant)
-                .with_gemm_config(eval.point.gemm_config()),
-        )
-    };
-    match eval.point.variant {
-        PlanVariant::Direct => EngineChoice::Direct,
-        PlanVariant::Im2col => EngineChoice::Im2col,
-        PlanVariant::WinogradNonFused { m } => winograd(m, WinogradVariant::NonFused),
-        PlanVariant::WinogradFused { m } => winograd(m, WinogradVariant::Fused),
-    }
-}
-
-/// The untuned selection: the candidate cheapest in MACs per `K·C` at batch
+/// The selection: the candidate cheapest in MACs per `K·C` at batch
 /// 1, α² · (GEMM columns issued for `P` tiles + the bank); ties go to small α.
 pub fn select_engine_static(desc: &ConvDesc) -> EngineChoice {
     let cost = |engine: &EngineChoice| match engine {
@@ -114,19 +54,6 @@ pub fn select_engine_static(desc: &ConvDesc) -> EngineChoice {
     pick.expect("candidates is never empty")
 }
 
-/// The cache named by `WINO_TUNE_CACHE`, loaded once per process with
-/// the never-failing loader; `None` when the variable is unset.
-fn env_cache() -> Option<&'static (TuningCache, String)> {
-    static CACHE: OnceLock<Option<(TuningCache, String)>> = OnceLock::new();
-    CACHE
-        .get_or_init(|| {
-            let path = std::env::var_os("WINO_TUNE_CACHE")?;
-            let device = std::env::var("WINO_TUNE_DEVICE").unwrap_or_else(|_| "cpu".to_string());
-            Some((TuningCache::load_or_rebuild(Path::new(&path)), device))
-        })
-        .as_ref()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,23 +61,26 @@ mod tests {
     #[test]
     fn three_by_three_gets_winograd() {
         let d = ConvDesc::new(3, 1, 1, 64, 1, 14, 14, 32);
-        assert!(matches!(select_engine(&d), EngineChoice::Winograd(cfg) if cfg.m == 4));
+        assert!(matches!(select_engine_static(&d), EngineChoice::Winograd(cfg) if cfg.m == 4));
     }
 
     #[test]
     fn five_by_five_gets_f45() {
         let d = ConvDesc::new(5, 1, 2, 64, 1, 14, 14, 32);
-        assert!(matches!(select_engine(&d), EngineChoice::Winograd(cfg) if cfg.m == 4));
+        assert!(matches!(select_engine_static(&d), EngineChoice::Winograd(cfg) if cfg.m == 4));
     }
 
     #[test]
     fn strided_and_large_filters_fall_back() {
         let strided = ConvDesc::new(3, 2, 1, 64, 1, 14, 14, 32);
-        assert!(matches!(select_engine(&strided), EngineChoice::Im2col));
+        assert!(matches!(
+            select_engine_static(&strided),
+            EngineChoice::Im2col
+        ));
         let seven = ConvDesc::new(7, 1, 3, 64, 1, 14, 14, 32);
-        assert!(matches!(select_engine(&seven), EngineChoice::Im2col));
+        assert!(matches!(select_engine_static(&seven), EngineChoice::Im2col));
         let one = ConvDesc::new(1, 1, 0, 64, 1, 14, 14, 32);
-        assert!(matches!(select_engine(&one), EngineChoice::Im2col));
+        assert!(matches!(select_engine_static(&one), EngineChoice::Im2col));
         // Unit stride and in range, but no F(m, 4) is compiled.
         let four = ConvDesc::new(4, 1, 1, 64, 1, 14, 14, 32);
         assert_eq!(candidates(&four), [EngineChoice::Im2col]);
@@ -164,7 +94,7 @@ mod tests {
         for plane in [1, 3, 5, 6] {
             let d = ConvDesc::new(3, 1, 1, 1024, 1, plane, plane, 384);
             assert_eq!(
-                select_engine(&d),
+                select_engine_static(&d),
                 EngineChoice::Winograd(WinogradConfig::new(2)),
                 "{d}"
             );
@@ -175,10 +105,12 @@ mod tests {
     fn alpha_8_is_for_large_planes_and_5x5() {
         for plane in [56, 112, 224] {
             let d = ConvDesc::new(3, 1, 1, 64, 1, plane, plane, 64);
-            assert!(matches!(select_engine(&d), EngineChoice::Winograd(cfg) if cfg.m == 6));
+            assert!(matches!(select_engine_static(&d), EngineChoice::Winograd(cfg) if cfg.m == 6));
         }
         let d = ConvDesc::new(5, 1, 2, 64, 1, 7, 7, 64);
-        assert!(matches!(select_engine(&d), EngineChoice::Winograd(cfg) if cfg.m + 5 - 1 == 8));
+        assert!(
+            matches!(select_engine_static(&d), EngineChoice::Winograd(cfg) if cfg.m + 5 - 1 == 8)
+        );
     }
 
     #[test]
@@ -236,11 +168,11 @@ mod tests {
     }
 
     proptest::proptest! {
-        // Whatever the plane, the pick is a non-fused engine with
-        // compiled kernels and is one of the candidates — never the
-        // fused engine, never an interpreted F(3,3)/F(5,3).
+        // Whatever the plane, the pick is a Winograd engine with
+        // compiled kernels and is one of the candidates — never an
+        // interpreted F(3,3)/F(5,3).
         #[test]
-        fn pick_is_a_compiled_nonfused_candidate(
+        fn pick_is_a_compiled_candidate(
             ksz in proptest::prelude::prop_oneof![
                 proptest::prelude::Just(3usize),
                 proptest::prelude::Just(5usize)
@@ -254,90 +186,9 @@ mod tests {
             let EngineChoice::Winograd(cfg) = pick else {
                 panic!("expected Winograd for {d}, got {pick:?}");
             };
-            proptest::prop_assert_eq!(cfg.variant, WinogradVariant::NonFused);
             proptest::prop_assert!(compiled_specs().contains(&(cfg.m, ksz)));
             proptest::prop_assert!(candidates(&d).contains(&pick));
             proptest::prop_assert_eq!(pick, select_engine_static(&ConvDesc { batch: 1, ..d }));
-        }
-    }
-
-    #[test]
-    fn cached_plan_overrides_static_heuristic() {
-        use wino_codegen::Unroll;
-        use wino_tuner::TuningPoint;
-
-        // The static rule would pick NonFused F(4,3) for this shape;
-        // the cache prescribes Fused F(2,3) with its own blocking.
-        let d = ConvDesc::new(3, 1, 1, 64, 1, 14, 14, 32);
-        let cache = TuningCache::new();
-        let point = TuningPoint {
-            variant: PlanVariant::WinogradFused { m: 2 },
-            unroll: Unroll::Full,
-            mnt: 2,
-            mnb: 4,
-            threads: 1,
-        };
-        cache.put(
-            &d,
-            "cpu",
-            &Evaluation {
-                point,
-                time_ms: 0.5,
-            },
-        );
-        let choice = select_engine_cached(&d, &cache, "cpu");
-        let EngineChoice::Winograd(cfg) = choice else {
-            panic!("expected Winograd, got {choice:?}");
-        };
-        assert_eq!(cfg.m, 2);
-        assert_eq!(cfg.variant, WinogradVariant::Fused);
-        assert_eq!(cfg.gemm, point.gemm_config());
-    }
-
-    /// An untuned-looking evaluation prescribing a baseline engine.
-    fn baseline(variant: PlanVariant) -> Evaluation {
-        let point = wino_tuner::TuningPoint {
-            variant,
-            unroll: wino_codegen::Unroll::Full,
-            mnt: 1,
-            mnb: 8,
-            threads: 1,
-        };
-        Evaluation {
-            point,
-            time_ms: 1.0,
-        }
-    }
-
-    #[test]
-    fn cache_miss_falls_back_with_diag() {
-        let d = ConvDesc::new(3, 1, 1, 64, 1, 14, 14, 32);
-        let cache = TuningCache::new();
-        let select = |cache: &TuningCache| {
-            wino_probe::set_mode(wino_probe::Mode::Summary);
-            let _ = wino_probe::take_diagnostics();
-            let choice = select_engine_cached(&d, cache, "cpu");
-            let diags = wino_probe::take_diagnostics();
-            wino_probe::set_mode(wino_probe::Mode::Off);
-            assert_eq!(choice, select_engine_static(&d));
-            diags.iter().any(|l| l.contains("no tuned plan"))
-        };
-        assert!(!select(&cache), "an empty cache must stay silent");
-        // One unrelated entry makes it a tuned set with a hole.
-        cache.put(&d, "another-device", &baseline(PlanVariant::Im2col));
-        assert!(select(&cache), "expected a fallback diagnostic");
-    }
-
-    #[test]
-    fn cached_baseline_variants_map_through() {
-        let d = ConvDesc::new(3, 1, 1, 64, 1, 14, 14, 32);
-        let cache = TuningCache::new();
-        for (variant, expected) in [
-            (PlanVariant::Im2col, EngineChoice::Im2col),
-            (PlanVariant::Direct, EngineChoice::Direct),
-        ] {
-            cache.put(&d, "cpu", &baseline(variant));
-            assert_eq!(select_engine_cached(&d, &cache, "cpu"), expected);
         }
     }
 }

@@ -1,11 +1,11 @@
-//! The numeric gate: accuracy screening of `(F(m, r), variant)`.
+//! The numeric gate: accuracy screening of `F(m, r)`.
 //!
 //! The paper's Table 3 shows accuracy degrading with α = m + r - 1;
 //! wino-verify measured the symbolic coefficient growth behind it
 //! (4096× at F(9,7)). The tuner must therefore not *select* a
 //! configuration purely on modelled speed — a fast-but-wrong variant
 //! is not a candidate at all. [`NumericGate`] runs one small trial
-//! convolution per `(m, r, variant)` triple, compares it against the
+//! convolution per `(m, r)`, compares it against the
 //! FP64 direct reference, and caches the verdict; the tuner consults
 //! the gate before admitting a Winograd point into its search space.
 //!
@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
 
 use parking_lot::Mutex;
-use wino_conv::{conv_direct_f64, conv_winograd, WinogradConfig, WinogradVariant};
+use wino_conv::{conv_direct_f64, conv_winograd, WinogradConfig};
 use wino_probe::Counter;
 use wino_tensor::{relative_error_l1, ConvDesc, Tensor4};
 
@@ -25,7 +25,7 @@ use crate::sandbox::payload_to_string;
 
 static GATE_REJECTED: Counter = Counter::new("guard.gate.rejected");
 
-/// The gate's decision for one `(m, r, variant)` triple.
+/// The gate's decision for one `F(m, r)`.
 #[derive(Clone, Debug, PartialEq)]
 pub enum GateVerdict {
     /// The trial convolution matched the FP64 reference.
@@ -33,13 +33,13 @@ pub enum GateVerdict {
         /// Measured L1 relative error of the trial.
         rel_err: f64,
     },
-    /// The triple is ineligible for tuning; the reason rendered as a
+    /// The spec is ineligible for tuning; the reason rendered as a
     /// string (panic message, transform error, or error magnitude).
     Rejected(String),
 }
 
 impl GateVerdict {
-    /// Whether the triple may enter the tuning space.
+    /// Whether the spec may enter the tuning space.
     pub fn passed(&self) -> bool {
         matches!(self, GateVerdict::Passed { .. })
     }
@@ -48,7 +48,7 @@ impl GateVerdict {
 /// Memoizing accuracy gate for Winograd configurations.
 pub struct NumericGate {
     policy: GuardrailPolicy,
-    memo: Mutex<BTreeMap<(usize, usize, WinogradVariant), GateVerdict>>,
+    memo: Mutex<BTreeMap<(usize, usize), GateVerdict>>,
 }
 
 impl Default for NumericGate {
@@ -77,18 +77,18 @@ impl NumericGate {
         }
     }
 
-    /// The verdict for `(F(m, r), variant)`, computing and caching it
-    /// on first use.
-    pub fn check(&self, m: usize, r: usize, variant: WinogradVariant) -> GateVerdict {
-        if let Some(v) = self.memo.lock().get(&(m, r, variant)) {
+    /// The verdict for `F(m, r)`, computing and caching it on first
+    /// use.
+    pub fn check(&self, m: usize, r: usize) -> GateVerdict {
+        if let Some(v) = self.memo.lock().get(&(m, r)) {
             return v.clone();
         }
-        let verdict = self.trial(m, r, variant);
+        let verdict = self.trial(m, r);
         if let GateVerdict::Rejected(reason) = &verdict {
             GATE_REJECTED.add(1);
-            wino_probe::diag(format!("gate: rejecting F({m},{r}) {variant:?}: {reason}"));
+            wino_probe::diag(format!("gate: rejecting F({m},{r}): {reason}"));
         }
-        self.memo.lock().insert((m, r, variant), verdict.clone());
+        self.memo.lock().insert((m, r), verdict.clone());
         verdict
     }
 
@@ -97,7 +97,7 @@ impl NumericGate {
         self.memo.lock().len()
     }
 
-    fn trial(&self, m: usize, r: usize, variant: WinogradVariant) -> GateVerdict {
+    fn trial(&self, m: usize, r: usize) -> GateVerdict {
         // Two tiles per spatial dim, a couple of channels: big enough
         // to exercise gather/scatter and ragged edges, small enough to
         // be negligible next to one real tuning evaluation.
@@ -109,7 +109,7 @@ impl NumericGate {
         let filters = Tensor4::from_fn(2, 2, r, r, |k, c, y, x| {
             ((k + c + 2 * y + 3 * x) % 7) as f32 * 0.25 - 0.75
         });
-        let cfg = WinogradConfig::new(m).with_variant(variant);
+        let cfg = WinogradConfig::new(m);
         let trial = panic::catch_unwind(AssertUnwindSafe(|| {
             conv_winograd(&input, &filters, &desc, &cfg)
         }));
@@ -142,13 +142,10 @@ mod tests {
     use wino_probe::fault;
 
     #[test]
-    fn small_m_passes_both_variants() {
+    fn small_m_passes() {
         let _scope = fault::scoped("");
-        let gate = NumericGate::new();
-        for variant in [WinogradVariant::NonFused, WinogradVariant::Fused] {
-            let v = gate.check(2, 3, variant);
-            assert!(v.passed(), "F(2,3) {variant:?} rejected: {v:?}");
-        }
+        let v = NumericGate::new().check(2, 3);
+        assert!(v.passed(), "F(2,3) rejected: {v:?}");
     }
 
     #[test]
@@ -156,7 +153,7 @@ mod tests {
         let _scope = fault::scoped("");
         let gate = NumericGate::new();
         // α = 40 + 3 - 1 is far outside the recipe database.
-        let v = gate.check(40, 3, WinogradVariant::NonFused);
+        let v = gate.check(40, 3);
         assert!(!v.passed());
     }
 
@@ -165,18 +162,18 @@ mod tests {
         let _scope = fault::scoped("");
         let gate = NumericGate::new();
         assert_eq!(gate.cached(), 0);
-        let first = gate.check(4, 3, WinogradVariant::Fused);
+        let first = gate.check(4, 3);
         assert_eq!(gate.cached(), 1);
-        let second = gate.check(4, 3, WinogradVariant::Fused);
+        let second = gate.check(4, 3);
         assert_eq!(gate.cached(), 1);
         assert_eq!(first, second);
     }
 
     #[test]
-    fn injected_transform_nan_rejects_winograd_triples() {
+    fn injected_transform_nan_rejects_winograd() {
         let _scope = fault::scoped("transform:nan");
         let gate = NumericGate::new();
-        let v = gate.check(4, 3, WinogradVariant::NonFused);
+        let v = gate.check(4, 3);
         match v {
             GateVerdict::Rejected(reason) => assert!(reason.contains("non-finite")),
             other => panic!("expected rejection, got {other:?}"),
@@ -187,7 +184,7 @@ mod tests {
     fn injected_candidate_panic_rejects_cleanly() {
         let _scope = fault::scoped("transform:panic");
         let gate = NumericGate::new();
-        let v = gate.check(4, 3, WinogradVariant::Fused);
+        let v = gate.check(4, 3);
         match v {
             GateVerdict::Rejected(reason) => assert!(reason.contains("panic")),
             other => panic!("expected rejection, got {other:?}"),

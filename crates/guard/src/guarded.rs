@@ -2,9 +2,9 @@
 //!
 //! A caller asking for "the fast engine" should never receive a panic
 //! or a tensor full of NaN because the fast engine misbehaved on their
-//! shape. [`GuardedConv`] runs a *chain* of engines — by default fused
-//! Winograd → non-fused Winograd → im2col → direct — and demotes to
-//! the next entry whenever the current one:
+//! shape. [`GuardedConv`] runs a *chain* of engines — by default
+//! non-fused Winograd → im2col → direct — and demotes to the next
+//! entry whenever the current one:
 //!
 //! * panics (caught with `catch_unwind`),
 //! * returns a [`wino_conv::ConvError`] (shape/stride/α unsupported),
@@ -23,7 +23,7 @@ use std::panic::{self, AssertUnwindSafe};
 
 use wino_conv::{
     conv_direct_f32, conv_im2col, conv_winograd, conv_winograd_precomputed, ConvError,
-    Im2colFilters, PrecomputedFilters, WinogradConfig, WinogradVariant,
+    Im2colFilters, PrecomputedFilters, WinogradConfig,
 };
 use wino_gemm::GemmConfig;
 use wino_probe::Counter;
@@ -40,8 +40,6 @@ static SERVED_FALLBACK: Counter = Counter::new("guard.served_by_fallback");
 /// One engine in the degradation chain.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Engine {
-    /// Fused Winograd with output tile `m`.
-    FusedWinograd(usize),
     /// Non-fused (batched-SGEMM) Winograd with output tile `m`.
     NonFusedWinograd(usize),
     /// im2col + blocked SGEMM.
@@ -74,23 +72,19 @@ impl Engine {
         gemm: &GemmConfig,
         banks: WarmBanks<'_>,
     ) -> Result<Tensor4<f32>, ConvError> {
-        let winograd = |m: usize, variant: WinogradVariant| match banks.winograd {
-            // A warm bank with matching m skips the filter transform.
-            // Its values equal the cold transform's (same recipes), so
-            // the output is bit-identical either way.
-            Some(pre) if pre.spec().m == m => {
-                conv_winograd_precomputed(input, pre, desc, variant, gemm)
-            }
-            _ => {
-                let cfg = WinogradConfig::new(m)
-                    .with_variant(variant)
-                    .with_gemm_config(*gemm);
-                conv_winograd(input, filters, desc, &cfg)
-            }
-        };
         match *self {
-            Engine::FusedWinograd(m) => winograd(m, WinogradVariant::Fused),
-            Engine::NonFusedWinograd(m) => winograd(m, WinogradVariant::NonFused),
+            Engine::NonFusedWinograd(m) => {
+                let cfg = WinogradConfig::new(m).with_gemm_config(*gemm);
+                match banks.winograd {
+                    // A warm bank with matching m skips the filter transform.
+                    // Its values equal the cold transform's (same recipes), so
+                    // the output is bit-identical either way.
+                    Some(pre) if pre.spec().m == m => {
+                        conv_winograd_precomputed(input, pre, desc, cfg.variant, gemm)
+                    }
+                    _ => conv_winograd(input, filters, desc, &cfg),
+                }
+            }
             Engine::Im2col => match banks.im2col {
                 Some(bank) => bank.conv(input, desc),
                 None => conv_im2col(input, filters, desc),
@@ -103,7 +97,6 @@ impl Engine {
 impl std::fmt::Display for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Engine::FusedWinograd(m) => write!(f, "winograd-fused(m={m})"),
             Engine::NonFusedWinograd(m) => write!(f, "winograd-nonfused(m={m})"),
             Engine::Im2col => f.write_str("im2col"),
             Engine::Direct => f.write_str("direct"),
@@ -186,15 +179,10 @@ pub struct GuardedConv {
 
 impl GuardedConv {
     /// The default chain for output tile `m`:
-    /// fused Winograd → non-fused Winograd → im2col → direct.
+    /// non-fused Winograd → im2col → direct.
     pub fn new(m: usize) -> Self {
         GuardedConv {
-            chain: vec![
-                Engine::FusedWinograd(m),
-                Engine::NonFusedWinograd(m),
-                Engine::Im2col,
-                Engine::Direct,
-            ],
+            chain: vec![Engine::NonFusedWinograd(m), Engine::Im2col, Engine::Direct],
             policy: GuardrailPolicy::full(),
             gemm: GemmConfig::default(),
         }
@@ -363,8 +351,12 @@ mod tests {
         let _scope = fault::scoped("");
         let (input, filters, desc) = fixture();
         let guarded = GuardedConv::new(4);
+        assert_eq!(
+            guarded.chain(),
+            [Engine::NonFusedWinograd(4), Engine::Im2col, Engine::Direct]
+        );
         let out = guarded.run(&input, &filters, &desc).unwrap();
-        assert_eq!(out.served_by, Engine::FusedWinograd(4));
+        assert_eq!(out.served_by, Engine::NonFusedWinograd(4));
         assert!(out.demotions.is_empty());
         let reference = conv_direct_f32(&input, &filters, &desc).unwrap();
         for i in 0..reference.len() {
@@ -375,18 +367,18 @@ mod tests {
     #[test]
     fn unsupported_stride_demotes_to_im2col() {
         let _scope = fault::scoped("");
-        // Stride 2: both Winograd engines refuse, im2col serves.
+        // Stride 2: the Winograd engine refuses, im2col serves.
         let desc = ConvDesc::new(3, 2, 1, 2, 1, 8, 8, 3);
         let input = Tensor4::from_fn(1, 3, 8, 8, |_, c, y, x| (c + y + x) as f32 * 0.1);
         let filters = Tensor4::from_fn(2, 3, 3, 3, |k, c, y, x| (k + c + y + x) as f32 * 0.1);
         let guarded = GuardedConv::new(4);
         let out = guarded.run(&input, &filters, &desc).unwrap();
         assert_eq!(out.served_by, Engine::Im2col);
-        assert_eq!(out.demotions.len(), 2);
-        assert!(out
-            .demotions
-            .iter()
-            .all(|d| matches!(d.cause, DemotionCause::Unsupported(_))));
+        assert_eq!(out.demotions.len(), 1);
+        assert!(matches!(
+            out.demotions[0].cause,
+            DemotionCause::Unsupported(_)
+        ));
     }
 
     #[test]
@@ -395,14 +387,14 @@ mod tests {
         let (input, filters, desc) = fixture();
         let guarded = GuardedConv::new(4);
         let out = guarded.run(&input, &filters, &desc).unwrap();
-        // Both Winograd engines use the tile transformer; im2col does
+        // The Winograd engine runs the transform kernels; im2col does
         // not, so it serves.
         assert_eq!(out.served_by, Engine::Im2col);
-        assert_eq!(out.demotions.len(), 2);
-        assert!(out
-            .demotions
-            .iter()
-            .all(|d| matches!(d.cause, DemotionCause::Guardrail(_))));
+        assert_eq!(out.demotions.len(), 1);
+        assert!(matches!(
+            out.demotions[0].cause,
+            DemotionCause::Guardrail(_)
+        ));
     }
 
     #[test]
@@ -420,17 +412,11 @@ mod tests {
 
     #[test]
     fn injected_gemm_fault_reaches_direct() {
-        // The GEMM hook poisons every SGEMM: the non-fused engine and
-        // im2col both fail, only direct survives. Start the chain at
-        // non-fused (the fused engine does its multiply tile-locally
-        // and never calls SGEMM).
+        // The GEMM hook poisons every SGEMM: the Winograd engine and
+        // im2col both fail, only direct survives.
         let _scope = fault::scoped("gemm:nan");
         let (input, filters, desc) = fixture();
-        let guarded = GuardedConv::new(4).with_chain(vec![
-            Engine::NonFusedWinograd(4),
-            Engine::Im2col,
-            Engine::Direct,
-        ]);
+        let guarded = GuardedConv::new(4);
         let out = guarded.run(&input, &filters, &desc).unwrap();
         assert_eq!(out.served_by, Engine::Direct);
         assert_eq!(out.demotions.len(), 2);
@@ -458,7 +444,7 @@ mod tests {
         let warm = guarded
             .run_warm(&input, &filters, &desc, Some(&pre))
             .unwrap();
-        assert_eq!(warm.served_by, Engine::FusedWinograd(4));
+        assert_eq!(warm.served_by, Engine::NonFusedWinograd(4));
         assert!(warm.demotions.is_empty());
         for (a, b) in warm.output.data().iter().zip(cold.output.data()) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -467,7 +453,7 @@ mod tests {
 
     #[test]
     fn warm_chain_still_demotes_under_fault() {
-        // A poisoned GEMM kills the warm non-fused head; the chain
+        // A poisoned GEMM kills the warm Winograd head; the chain
         // must still land on direct even though warm filters were
         // supplied.
         let (input, filters, desc) = fixture();
@@ -486,11 +472,11 @@ mod tests {
     fn disabled_policy_skips_guardrails() {
         let _scope = fault::scoped("transform:nan");
         let (input, filters, desc) = fixture();
-        // With guardrails off, the poisoned fused output is served
+        // With guardrails off, the poisoned Winograd output is served
         // as-is — proving the checks (not the engines) catch NaN.
         let guarded = GuardedConv::new(4).with_policy(GuardrailPolicy::disabled());
         let out = guarded.run(&input, &filters, &desc).unwrap();
-        assert_eq!(out.served_by, Engine::FusedWinograd(4));
+        assert_eq!(out.served_by, Engine::NonFusedWinograd(4));
         assert!(out.output.data().iter().any(|v| v.is_nan()));
     }
 }

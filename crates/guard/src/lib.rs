@@ -17,13 +17,13 @@
 //! * [`guardrail`] — post-run numeric checks: a NaN/Inf scan and a
 //!   relative-error spot-check against `conv::direct` on sampled
 //!   output positions;
-//! * [`GuardedConv`] — the graceful-degradation chain: fused Winograd
-//!   → non-fused Winograd → im2col → direct, demoting on panic,
-//!   guardrail failure, or unsupported shape, with a `probe::diag`
-//!   event and a per-cause counter per demotion;
+//! * [`GuardedConv`] — the graceful-degradation chain: non-fused
+//!   Winograd → im2col → direct, demoting on panic, guardrail
+//!   failure, or unsupported shape, with a `probe::diag` event and a
+//!   per-cause counter per demotion;
 //! * [`NumericGate`] — the accuracy-vs-α tradeoff as a gate: each
-//!   `(F(m,r), variant)` must pass a spot-checked trial convolution
-//!   before its tuning points are eligible for selection;
+//!   `F(m,r)` must pass a spot-checked trial convolution before its
+//!   tuning points are eligible for selection;
 //! * [`Denylist`] — persistent quarantine of candidates that panicked,
 //!   timed out, or produced non-finite numbers, so a bad variant is
 //!   skipped on every subsequent sweep.
@@ -37,8 +37,8 @@
 //!
 //! With no fault armed and guardrails disabled, the guarded paths add
 //! one relaxed atomic load per hook and nothing else — no allocation,
-//! no branch beyond the gate. The `guard_overhead` criterion bench
-//! holds the disabled path within noise of the raw engines.
+//! no branch beyond the gate. The repo benchmark's traced
+//! `guard.overhead_ms` rung is guarded − raw on the same sweep.
 
 #![warn(missing_docs)]
 
@@ -55,5 +55,4 @@ pub use guarded::{
 };
 pub use guardrail::{scan_finite, spot_check, GuardrailPolicy, NumericFault};
 pub use sandbox::{payload_to_string, run_sandboxed, SandboxBudget, SandboxOutcome};
-pub use wino_conv::WinogradVariant;
 pub use wino_probe::fault;

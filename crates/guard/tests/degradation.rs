@@ -14,9 +14,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wino_conv::{
-    conv_direct_f32, conv_im2col, conv_winograd, Im2colFilters, WinogradConfig, WinogradVariant,
-};
+use wino_conv::{conv_direct_f32, conv_im2col, conv_winograd, Im2colFilters, WinogradConfig};
 use wino_guard::{fault, Engine, GuardedConv, WarmBanks};
 use wino_tensor::{ConvDesc, Tensor4};
 
@@ -62,10 +60,9 @@ proptest! {
         let desc = ConvDesc::new(3, 1, 1, out_ch, 1, hw, hw, in_ch);
         let (input, filt) = random_case(&desc, seed);
         let out = GuardedConv::new(m).run(&input, &filt, &desc).unwrap();
-        prop_assert_eq!(out.served_by, Engine::FusedWinograd(m));
+        prop_assert_eq!(out.served_by, Engine::NonFusedWinograd(m));
         prop_assert!(out.demotions.is_empty());
-        let cfg = WinogradConfig::new(m).with_variant(WinogradVariant::Fused);
-        let reference = conv_winograd(&input, &filt, &desc, &cfg).unwrap();
+        let reference = conv_winograd(&input, &filt, &desc, &WinogradConfig::new(m)).unwrap();
         assert_bits_equal(&out.output, &reference);
     }
 
@@ -82,7 +79,7 @@ proptest! {
         let (input, filt) = random_case(&desc, seed);
         let out = GuardedConv::new(m).run(&input, &filt, &desc).unwrap();
         prop_assert_eq!(out.served_by, Engine::Im2col);
-        prop_assert_eq!(out.demotions.len(), 2);
+        prop_assert_eq!(out.demotions.len(), 1);
         let reference = conv_im2col(&input, &filt, &desc).unwrap();
         assert_bits_equal(&out.output, &reference);
     }
@@ -112,17 +109,12 @@ proptest! {
         m in 2usize..5,
         seed in any::<u64>(),
     ) {
-        // Poisoning SGEMM kills the non-fused engine and im2col; the
-        // fused engine never calls SGEMM, so start past it to force
-        // the chain all the way down to direct.
+        // Poisoning SGEMM kills the Winograd engine and im2col: the
+        // chain goes all the way down to direct.
         let _scope = fault::scoped("gemm:nan");
         let desc = ConvDesc::new(3, 1, 1, out_ch, 1, hw, hw, in_ch);
         let (input, filt) = random_case(&desc, seed);
-        let guarded = GuardedConv::new(m).with_chain(vec![
-            Engine::NonFusedWinograd(m),
-            Engine::Im2col,
-            Engine::Direct,
-        ]);
+        let guarded = GuardedConv::new(m);
         let reference = conv_direct_f32(&input, &filt, &desc).unwrap();
         // A filter matrix packed ahead spares im2col its packing, not
         // the guardrail: the poisoned product demotes either way.

@@ -1,12 +1,13 @@
 //! `wino-serve`: a batching inference server over the guarded
 //! convolution stack.
 //!
-//! The paper's tuned Winograd plans are only worth their tuning cost
-//! when the same layer runs many times — exactly the serving regime.
-//! This crate closes that loop:
+//! A Winograd plan's set-up — selecting the tile, transforming and
+//! packing the filter bank — is only worth its cost when the same
+//! layer runs many times: exactly the serving regime. This crate
+//! closes that loop:
 //!
 //! - [`PlanRegistry`] resolves each registered layer to a pinned plan
-//!   (persisted tuner cache first, static heuristic as fallback) and
+//!   ([`wino_graph::select_engine_static`] on its descriptor) and
 //!   precomputes the filter transform `U = G·g·Gᵀ` once per layer, so
 //!   steady-state requests skip the filter-transform phase entirely.
 //!   Whole reference networks register by name from the zoo, and any

@@ -1,9 +1,8 @@
 //! The plan registry: layer name → pinned plan + warm filters.
 //!
-//! Serving must pin a *specific* tuned `(m, variant)` plan per layer
-//! rather than re-deciding per request. Registration resolves each
-//! layer's engine through the persisted tuner cache (falling back to
-//! the static heuristic via [`wino_graph::select_engine_cached`]) and
+//! Serving must pin a *specific* plan per layer rather than
+//! re-deciding per request. Registration resolves each layer's engine
+//! from its descriptor ([`wino_graph::select_engine_static`]) and
 //! precomputes the filter transform `U = G·g·Gᵀ` once, so steady-state
 //! requests skip the filter-transform phase entirely. Whole reference
 //! networks are registrable by name from the zoo, and arbitrary
@@ -15,7 +14,6 @@
 //! same path through the scheduler and the `wino-exec` executor.
 
 use std::collections::BTreeMap;
-use std::path::Path;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -24,11 +22,10 @@ use rand::SeedableRng;
 use wino_exec::{ArenaPool, CompiledNetwork};
 use wino_graph::{
     alexnet_convs, build_alexnet_graph, build_inception_3a_3b, build_inception_v1_graph,
-    build_nin_graph, inception_v1_convs, nin_convs, select_engine_cached, ComputeGraph,
+    build_nin_graph, inception_v1_convs, nin_convs, select_engine_static, ComputeGraph,
     EngineChoice, NamedConv, NodeId,
 };
 use wino_tensor::{ConvDesc, Tensor4};
-use wino_tuner::TuningCache;
 
 pub use wino_exec::LayerPlan;
 
@@ -111,8 +108,6 @@ struct LayerEntry {
 pub struct PlanRegistry {
     layers: RwLock<BTreeMap<String, LayerEntry>>,
     networks: RwLock<BTreeMap<String, Arc<NetworkPlan>>>,
-    cache: TuningCache,
-    device: String,
 }
 
 impl Default for PlanRegistry {
@@ -122,36 +117,16 @@ impl Default for PlanRegistry {
 }
 
 impl PlanRegistry {
-    /// Empty registry with an empty tuning cache (every layer falls
-    /// back to the static heuristic) and device key `"cpu"`.
+    /// Empty registry.
     pub fn new() -> Self {
         PlanRegistry {
             layers: RwLock::new(BTreeMap::new()),
             networks: RwLock::new(BTreeMap::new()),
-            cache: TuningCache::new(),
-            device: "cpu".to_string(),
         }
     }
 
-    /// Registry resolving plans against an explicit tuning cache and
-    /// device key.
-    pub fn with_cache(cache: TuningCache, device: impl Into<String>) -> Self {
-        PlanRegistry {
-            layers: RwLock::new(BTreeMap::new()),
-            networks: RwLock::new(BTreeMap::new()),
-            cache,
-            device: device.into(),
-        }
-    }
-
-    /// Registry whose cache is loaded from `path` with the
-    /// never-failing loader (damage degrades to the static heuristic).
-    pub fn from_cache_file(path: &Path, device: impl Into<String>) -> Self {
-        Self::with_cache(TuningCache::load_or_rebuild(path), device)
-    }
-
-    /// Registers one layer, resolving its engine from the tuning cache
-    /// with static fallback. The filter transform runs here, once.
+    /// Registers one layer with the engine the selector picks for its
+    /// descriptor. The filter transform runs here, once.
     ///
     /// # Errors
     /// [`ServeError::Shape`] when `weights` do not match `desc`.
@@ -163,12 +138,11 @@ impl PlanRegistry {
     ) -> Result<(), ServeError> {
         let mut canonical = desc;
         canonical.batch = 1;
-        let engine = select_engine_cached(&canonical, &self.cache, &self.device);
+        let engine = select_engine_static(&canonical);
         self.register_with_engine(name, desc, weights, engine)
     }
 
-    /// Registers one layer with an explicitly pinned engine (no cache
-    /// consultation).
+    /// Registers one layer with an explicitly pinned engine.
     ///
     /// # Errors
     /// [`ServeError::Shape`] when `weights` do not match `desc`.
@@ -248,8 +222,8 @@ impl PlanRegistry {
     }
 
     /// Registers a whole network for graph-level serving: fuses
-    /// conv+ReLU pairs, resolves every conv node's engine through the
-    /// tuning cache (pinning it on the graph *and* as a registry
+    /// conv+ReLU pairs, selects every conv node's engine from its
+    /// descriptor (pinning it on the graph *and* as a registry
     /// [`LayerPlan`] named `"{name}/node{i}"` — the warm filter
     /// transform runs exactly once, here), compiles the wave schedule
     /// and arena plan, and stores the resulting [`NetworkPlan`] under
@@ -273,7 +247,7 @@ impl PlanRegistry {
         for (id, desc) in graph.conv_nodes() {
             let mut canonical = desc;
             canonical.batch = 1;
-            let engine = select_engine_cached(&canonical, &self.cache, &self.device);
+            let engine = select_engine_static(&canonical);
             graph.set_engine(id, engine);
             let weights = graph
                 .weights(id)
@@ -399,7 +373,6 @@ fn fnv1a(s: &str) -> u64 {
 mod tests {
     use super::*;
     use wino_guard::Engine;
-    use wino_tuner::{Evaluation, TuningPoint};
 
     fn small_desc() -> ConvDesc {
         ConvDesc::new(3, 1, 1, 4, 1, 8, 8, 2)
@@ -436,31 +409,15 @@ mod tests {
     }
 
     #[test]
-    fn tuned_plan_pins_the_engine() {
-        use wino_codegen::{PlanVariant, Unroll};
-        let cache = TuningCache::new();
-        let mut canonical = small_desc();
-        canonical.batch = 1;
-        cache.put(
-            &canonical,
-            "test-dev",
-            &Evaluation {
-                point: TuningPoint {
-                    variant: PlanVariant::WinogradNonFused { m: 3 },
-                    unroll: Unroll::Full,
-                    mnt: 2,
-                    mnb: 4,
-                    threads: 1,
-                },
-                time_ms: 0.1,
-            },
-        );
-        let reg = PlanRegistry::with_cache(cache, "test-dev");
-        reg.register_layer("net/c1", small_desc(), small_weights())
+    fn an_explicit_engine_is_pinned() {
+        // The selector would pick F(4,3) for this plane.
+        let engine = EngineChoice::Winograd(wino_conv::WinogradConfig::new(2));
+        let reg = PlanRegistry::new();
+        reg.register_with_engine("net/c1", small_desc(), small_weights(), engine)
             .unwrap();
         let plan = reg.get("net/c1").unwrap();
-        assert_eq!(plan.head_engine(), Engine::NonFusedWinograd(3));
-        assert_eq!(plan.warm.as_ref().unwrap().spec().m, 3);
+        assert_eq!(plan.head_engine(), Engine::NonFusedWinograd(2));
+        assert_eq!(plan.warm.as_ref().unwrap().spec().m, 2);
     }
 
     #[test]

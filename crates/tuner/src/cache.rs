@@ -35,7 +35,7 @@ use crate::tuner::Evaluation;
 /// Version tag of the on-disk envelope. Bump on any change to
 /// [`CacheEntry`]'s semantics; older files then rebuild rather than
 /// deserialize into wrong meanings.
-pub const CACHE_FORMAT_VERSION: u32 = 2;
+pub const CACHE_FORMAT_VERSION: u32 = 3;
 
 /// Serializable form of one cached tuning result.
 #[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
@@ -50,8 +50,6 @@ pub struct CacheEntry {
     pub mnt: usize,
     /// Thread blocking.
     pub mnb: usize,
-    /// CPU runtime lanes of the `wino-runtime` pool.
-    pub threads: usize,
     /// Modelled runtime in milliseconds.
     pub time_ms: f64,
 }
@@ -74,7 +72,6 @@ impl CacheEntry {
             },
             mnt: e.point.mnt,
             mnb: e.point.mnb,
-            threads: e.point.threads,
             time_ms: e.time_ms,
         }
     }
@@ -86,7 +83,6 @@ impl CacheEntry {
     pub fn is_sane(&self) -> bool {
         self.time_ms.is_finite()
             && self.time_ms > 0.0
-            && (1..=1024).contains(&self.threads)
             && (1..=64).contains(&self.mnt)
             && (1..=256).contains(&self.mnb)
             && self.m <= 16
@@ -113,7 +109,6 @@ impl CacheEntry {
                 },
                 mnt: self.mnt,
                 mnb: self.mnb,
-                threads: self.threads,
             },
             time_ms: self.time_ms,
         })
@@ -361,7 +356,6 @@ mod tests {
                 unroll: Unroll::Full,
                 mnt: 4,
                 mnb: 16,
-                threads: 1,
             },
             time_ms: 0.123,
         }
@@ -439,7 +433,6 @@ mod tests {
             unroll: 1,
             mnt: 1,
             mnb: 8,
-            threads: 1,
             time_ms: 1.0,
         };
         assert!(entry.to_evaluation().is_none());
@@ -496,7 +489,7 @@ mod tests {
     fn insane_entry_dropped_on_load() {
         let mut entries = BTreeMap::new();
         let mut bad = CacheEntry::from_evaluation(&sample_eval());
-        bad.threads = 0; // no runtime can have zero lanes
+        bad.mnt = 0; // no kernel has zero register blocking
         entries.insert("bad".to_string(), bad);
         entries.insert(
             "good".to_string(),
@@ -519,7 +512,6 @@ mod tests {
         for mutate in [
             |e: &mut CacheEntry| e.time_ms = f64::NAN,
             |e: &mut CacheEntry| e.time_ms = -1.0,
-            |e: &mut CacheEntry| e.threads = 0,
             |e: &mut CacheEntry| e.mnt = 0,
             |e: &mut CacheEntry| e.mnb = 100_000,
             |e: &mut CacheEntry| e.m = 99,

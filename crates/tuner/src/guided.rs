@@ -48,7 +48,6 @@ pub fn tune_guided(
                 unroll: Unroll::Full,
                 mnt: 4,
                 mnb: 16,
-                threads: 1,
             });
         }
     }

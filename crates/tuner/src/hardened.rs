@@ -8,9 +8,9 @@
 //!
 //! 1. **Denylist** — candidates quarantined by an earlier sweep are
 //!    skipped outright (`tuner.denylist.skipped`);
-//! 2. **Numeric gate** — Winograd `(F(m,r), variant)` triples must
-//!    pass the [`NumericGate`]'s accuracy trial before any of their
-//!    points is eligible (rejections counted by the gate itself as
+//! 2. **Numeric gate** — a Winograd point's `F(m,r)` must pass the
+//!    [`NumericGate`]'s accuracy trial before the point is eligible
+//!    (rejections counted by the gate itself as
 //!    `guard.gate.rejected`);
 //! 3. **Sandbox** — each surviving evaluation runs under
 //!    `catch_unwind` with a watchdog budget; a panic, overrun, or
@@ -22,11 +22,8 @@
 //! far cheaper than the evaluation itself for real workloads, and a
 //! deterministic order keeps quarantine decisions reproducible.
 
-use wino_codegen::PlanVariant;
 use wino_gpu::DeviceProfile;
-use wino_guard::{
-    run_sandboxed, DenyCause, Denylist, NumericGate, SandboxBudget, SandboxOutcome, WinogradVariant,
-};
+use wino_guard::{run_sandboxed, DenyCause, Denylist, NumericGate, SandboxBudget, SandboxOutcome};
 use wino_tensor::ConvDesc;
 
 use crate::error::TunerError;
@@ -38,17 +35,10 @@ static QUAR_TIMEOUT: wino_probe::Counter = wino_probe::Counter::new("tuner.quara
 static QUAR_NONFINITE: wino_probe::Counter = wino_probe::Counter::new("tuner.quarantine.nonfinite");
 static DENYLIST_SKIPPED: wino_probe::Counter = wino_probe::Counter::new("tuner.denylist.skipped");
 
-/// Stable denylist key for a tuning point (the model-collapsed point,
-/// rendered debug-style — unique per candidate the model can
-/// distinguish).
+/// Stable denylist key for a tuning point (the point rendered
+/// debug-style — unique per candidate).
 pub fn candidate_key(desc: &ConvDesc, device: &DeviceProfile, point: &TuningPoint) -> String {
-    format!(
-        "{}|k{}s{}|{:?}",
-        device.name,
-        desc.ksz,
-        desc.stride,
-        point.model_key()
-    )
+    format!("{}|k{}s{}|{point:?}", device.name, desc.ksz, desc.stride)
 }
 
 /// One quarantine decision made during a hardened sweep.
@@ -72,17 +62,9 @@ pub struct HardenedReport {
     pub quarantined: Vec<Quarantine>,
     /// Points skipped because the denylist already held them.
     pub denylist_skipped: usize,
-    /// Points skipped because their `(F(m,r), variant)` failed the
-    /// accuracy gate.
+    /// Points skipped because their `F(m,r)` failed the accuracy
+    /// gate.
     pub gate_skipped: usize,
-}
-
-fn gate_variant(point: &TuningPoint) -> Option<(usize, WinogradVariant)> {
-    match point.variant {
-        PlanVariant::WinogradNonFused { m } => Some((m, WinogradVariant::NonFused)),
-        PlanVariant::WinogradFused { m } => Some((m, WinogradVariant::Fused)),
-        PlanVariant::Direct | PlanVariant::Im2col => None,
-    }
 }
 
 /// Runs a fault-isolated, accuracy-gated sweep over `space`.
@@ -104,14 +86,6 @@ pub fn tune_hardened(
     denylist: &Denylist,
     gate: Option<&NumericGate>,
 ) -> Result<HardenedReport, TunerError> {
-    // Same model-key dedup as the parallel sweep: the analytic device
-    // model cannot distinguish the runtime-threads axis.
-    let mut seen = std::collections::HashSet::new();
-    let space: Vec<TuningPoint> = space
-        .into_iter()
-        .filter(|p| seen.insert(p.model_key()))
-        .collect();
-
     let mut evaluations: Vec<Evaluation> = Vec::new();
     let mut quarantined: Vec<Quarantine> = Vec::new();
     let mut rejected = 0usize;
@@ -125,8 +99,10 @@ pub fn tune_hardened(
             denylist_skipped += 1;
             continue;
         }
-        if let (Some(gate), Some((m, variant))) = (gate, gate_variant(point)) {
-            if !gate.check(m, desc.ksz, variant).passed() {
+        // Both plan variants of F(m, r) share its transforms, and with
+        // them the gate's one trial.
+        if let (Some(gate), Some(m)) = (gate, point.variant.winograd_m()) {
+            if !gate.check(m, desc.ksz).passed() {
                 gate_skipped += 1;
                 continue;
             }

@@ -29,9 +29,7 @@ pub use cache::{cache_key, CacheEntry, CacheLoadError, TuningCache, CACHE_FORMAT
 pub use error::{TuneError, TunerError};
 pub use guided::{tune_guided, GuidedReport};
 pub use hardened::{candidate_key, tune_hardened, HardenedReport, Quarantine};
-pub use space::{
-    reduced_space, search_space, TuningPoint, MNB_VALUES, MNT_VALUES, M_RANGE, THREADS_VALUES,
-};
+pub use space::{reduced_space, search_space, TuningPoint, MNB_VALUES, MNT_VALUES, M_RANGE};
 pub use tuner::{
     evaluate_candidate, evaluate_untuned, tune, tune_with_space, untuned_point, Evaluation,
     TuneReport,

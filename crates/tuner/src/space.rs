@@ -7,18 +7,13 @@
 //! | MNt       | SGEMM register blocking          | powers of two |
 //! | MNb       | SGEMM thread blocking            | powers of two |
 //! | m         | Winograd output tile size        | 2 ≤ m ≤ 10    |
-//! | threads   | CPU runtime worker lanes         | 1, 2, 4, 8    |
 //!
-//! The `threads` axis is this framework's extension for the CPU
-//! execution runtime (`wino-runtime`): the analytic GPU device model
-//! is thread-agnostic, so the model-based tuner collapses the axis
-//! (see `tune_with_space`). What is measured on the CPU for real is the
-//! `m` axis: `wino-bench`'s `figure9_cpu` times every compiled `F(m, r)`
-//! per Table-4 layer; a measured `threads` axis is still open
-//! (ROADMAP item 3).
+//! Every axis is priced by the analytic GPU device model. What is
+//! measured on the CPU for real is the `m` axis, and not here:
+//! `wino-bench`'s `figure9_cpu` times every compiled `F(m, r)` per
+//! Table-4 layer.
 
 use wino_codegen::{PlanVariant, Unroll};
-use wino_gemm::GemmConfig;
 use wino_tensor::ConvDesc;
 
 /// One point in the tuning space.
@@ -32,32 +27,6 @@ pub struct TuningPoint {
     pub mnt: usize,
     /// SGEMM thread blocking MNb.
     pub mnb: usize,
-    /// CPU execution lanes for the `wino-runtime` pool.
-    pub threads: usize,
-}
-
-impl TuningPoint {
-    /// The same point with the runtime axis normalized away — the key
-    /// under which the thread-agnostic device model prices it.
-    pub fn model_key(&self) -> TuningPoint {
-        TuningPoint {
-            threads: 1,
-            ..*self
-        }
-    }
-
-    /// CPU cache-blocking derived from the `MNt`/`MNb` axes: `MNb`
-    /// scales the A-panel rows held hot (thread blocking → macro rows)
-    /// and `MNt` the B-panel columns (register blocking → panel
-    /// width). The defaults (`mnt = 8`, `mnb = 8`) reproduce
-    /// [`GemmConfig::default`].
-    pub fn gemm_config(&self) -> GemmConfig {
-        GemmConfig {
-            mc: (self.mnb * 8).max(8),
-            kc: 128,
-            nc: (self.mnt * 32).max(32),
-        }
-    }
 }
 
 /// The MNt values explored.
@@ -66,8 +35,6 @@ pub const MNT_VALUES: [usize; 4] = [1, 2, 4, 8];
 pub const MNB_VALUES: [usize; 3] = [8, 16, 32];
 /// The m range explored (Table 1: 2 ≤ m ≤ 10).
 pub const M_RANGE: std::ops::RangeInclusive<usize> = 2..=10;
-/// The CPU runtime thread counts explored.
-pub const THREADS_VALUES: [usize; 4] = [1, 2, 4, 8];
 
 /// Enumerates the full brute-force space for one convolution,
 /// pre-pruned to points that can possibly generate: Winograd variants
@@ -89,15 +56,12 @@ pub fn search_space(desc: &ConvDesc) -> Vec<TuningPoint> {
         for unroll in Unroll::table1_values() {
             for &mnt in &MNT_VALUES {
                 for &mnb in &MNB_VALUES {
-                    for &threads in &THREADS_VALUES {
-                        points.push(TuningPoint {
-                            variant,
-                            unroll,
-                            mnt,
-                            mnb,
-                            threads,
-                        });
-                    }
+                    points.push(TuningPoint {
+                        variant,
+                        unroll,
+                        mnt,
+                        mnb,
+                    });
                 }
             }
         }
@@ -106,16 +70,14 @@ pub fn search_space(desc: &ConvDesc) -> Vec<TuningPoint> {
 }
 
 /// A reduced sweep for large batch experiments (the paper's "sampled
-/// exploration" option, §3.3): unroll ∈ {1, ∞}, MNt ∈ {2, 8}, one
-/// runtime lane, full MNb and variant axes. ~10× cheaper than the
-/// full space while still exercising every variant.
+/// exploration" option, §3.3): unroll ∈ {1, ∞}, MNt ∈ {2, 8}, full
+/// MNb and variant axes. ~5× cheaper than the full space while still
+/// exercising every variant.
 pub fn reduced_space(desc: &ConvDesc) -> Vec<TuningPoint> {
     search_space(desc)
         .into_iter()
         .filter(|p| {
-            matches!(p.unroll, Unroll::Factor(1) | Unroll::Full)
-                && (p.mnt == 2 || p.mnt == 8)
-                && p.threads == 1
+            matches!(p.unroll, Unroll::Factor(1) | Unroll::Full) && (p.mnt == 2 || p.mnt == 8)
         })
         .collect()
 }
@@ -129,8 +91,8 @@ mod tests {
         let desc = ConvDesc::new(3, 1, 1, 64, 1, 14, 14, 32);
         let space = search_space(&desc);
         // 2 baselines + 9 m-values × 2 WV = 20 variants; × 5 LU × 4
-        // MNt × 3 MNb × 4 threads = 4800 points.
-        assert_eq!(space.len(), 20 * 5 * 4 * 3 * 4);
+        // MNt × 3 MNb = 1200 points.
+        assert_eq!(space.len(), 20 * 5 * 4 * 3);
     }
 
     #[test]
@@ -138,24 +100,7 @@ mod tests {
         let desc = ConvDesc::new(3, 2, 1, 64, 1, 14, 14, 32);
         let space = search_space(&desc);
         assert!(space.iter().all(|p| p.variant.winograd_m().is_none()));
-        assert_eq!(space.len(), 2 * 5 * 4 * 3 * 4);
-    }
-
-    #[test]
-    fn reduced_space_collapses_runtime_axis() {
-        let desc = ConvDesc::new(3, 1, 1, 64, 1, 14, 14, 32);
-        assert!(reduced_space(&desc).iter().all(|p| p.threads == 1));
-    }
-
-    #[test]
-    fn gemm_config_defaults_match() {
-        let desc = ConvDesc::new(3, 1, 1, 8, 1, 8, 8, 4);
-        let p = search_space(&desc)
-            .into_iter()
-            .find(|p| p.mnt == 8 && p.mnb == 8)
-            .unwrap();
-        assert_eq!(p.gemm_config(), GemmConfig::default());
-        assert_eq!(p.model_key().threads, 1);
+        assert_eq!(space.len(), 2 * 5 * 4 * 3);
     }
 
     #[test]

@@ -140,17 +140,6 @@ pub fn tune_with_space(
     space: Vec<TuningPoint>,
 ) -> Result<TuneReport, TuneError> {
     let threads = threads.clamp(1, 16);
-    // The analytic device model prices GPU kernels and cannot see the
-    // CPU runtime's `threads` axis, so equal-model points collapse to
-    // one evaluation (the first encountered — lowest thread count in
-    // enumeration order). Nothing measures the axis yet: the
-    // wall-clock CPU harness (`wino-bench`'s `figure9_cpu`) times the
-    // `m` axis only.
-    let mut seen = std::collections::HashSet::new();
-    let space: Vec<TuningPoint> = space
-        .into_iter()
-        .filter(|p| seen.insert(p.model_key()))
-        .collect();
     let chunks: Vec<&[TuningPoint]> = space.chunks(space.len().div_ceil(threads).max(1)).collect();
     let results: Vec<Option<Evaluation>> = thread::scope(|s| {
         let handles: Vec<_> = chunks
@@ -220,7 +209,6 @@ pub fn untuned_point() -> TuningPoint {
         unroll: wino_codegen::Unroll::Factor(1),
         mnt: 2,
         mnb: 16,
-        threads: 1,
     }
 }
 

@@ -23,13 +23,16 @@ fn populated_cache() -> TuningCache {
                 unroll: Unroll::Full,
                 mnt: 4,
                 mnb: 16,
-                threads: 1,
             },
             time_ms: 0.123,
         },
     );
     cache
 }
+
+/// `tuner.cache.rebuilt` is process-wide: the tests that rebuild take
+/// turns, so the one that reads the counter sees its own rebuild only.
+static REBUILDS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn temp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("wino_cache_hardening_{name}.json"))
@@ -55,6 +58,7 @@ fn missing_file_is_an_empty_cache() {
 
 #[test]
 fn truncated_file_rebuilds() {
+    let _serial = REBUILDS.lock().unwrap();
     let path = temp_path("truncated");
     populated_cache().save(&path).unwrap();
     let bytes = std::fs::read(&path).unwrap();
@@ -71,6 +75,7 @@ fn truncated_file_rebuilds() {
 
 #[test]
 fn bit_flipped_value_rebuilds() {
+    let _serial = REBUILDS.lock().unwrap();
     let path = temp_path("bitflip");
     populated_cache().save(&path).unwrap();
     // Flip one payload bit inside an entry value: the JSON still
@@ -84,22 +89,61 @@ fn bit_flipped_value_rebuilds() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A cache file as the previous format version wrote it (`examples/autotune`
+/// at version 2, whose entries carried a `threads` field).
+const VERSION_2_FILE: &str = r#"{
+  "version": 2,
+  "checksum": "b612e518b95a1edc",
+  "entries": {
+    "AMD Radeon RX 580|k3s1p1oc256b1h14w14c128": {
+      "variant": "fused",
+      "m": 2,
+      "unroll": 1,
+      "mnt": 4,
+      "mnb": 32,
+      "threads": 1,
+      "time_ms": 0.06338
+    },
+    "ARM Mali-G71 MP8|k3s1p1oc256b1h14w14c128": {
+      "variant": "fused",
+      "m": 2,
+      "unroll": 1,
+      "mnt": 4,
+      "mnb": 8,
+      "threads": 1,
+      "time_ms": 1.1340363636363635
+    },
+    "NVIDIA GTX 1080 Ti|k3s1p1oc256b1h14w14c128": {
+      "variant": "fused",
+      "m": 2,
+      "unroll": 1,
+      "mnt": 8,
+      "mnb": 32,
+      "threads": 1,
+      "time_ms": 0.03108396694214876
+    }
+  }
+}"#;
+
 #[test]
-fn stale_version_rebuilds() {
+fn previous_version_file_rebuilds() {
+    let _serial = REBUILDS.lock().unwrap();
     let path = temp_path("stale");
-    populated_cache().save(&path).unwrap();
-    let json = std::fs::read_to_string(&path).unwrap();
-    let version_field = format!("\"version\": {}", wino_tuner::CACHE_FORMAT_VERSION);
-    assert!(json.contains(&version_field));
-    std::fs::write(&path, json.replace(&version_field, "\"version\": 1")).unwrap();
+    std::fs::write(&path, VERSION_2_FILE).unwrap();
+    let rebuilt = wino_probe::counter("tuner.cache.rebuilt");
+    let before = rebuilt.get();
+    wino_probe::set_telemetry(true);
     let loaded = TuningCache::load_or_rebuild(&path);
+    wino_probe::set_telemetry(false);
     assert!(loaded.is_empty(), "stale-version cache must rebuild empty");
+    assert_eq!(rebuilt.get(), before + 1);
     let _ = std::fs::remove_file(&path);
 }
 
 #[test]
 fn injected_cache_corruption_rebuilds() {
     let _scope = wino_guard::fault::scoped("cache:corrupt");
+    let _serial = REBUILDS.lock().unwrap();
     let path = temp_path("injected");
     populated_cache().save(&path).unwrap();
     let loaded = TuningCache::load_or_rebuild(&path);

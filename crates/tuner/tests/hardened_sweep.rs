@@ -128,7 +128,7 @@ fn denylist_skips_quarantined_candidates_on_the_next_sweep() {
 
 #[test]
 fn gate_rejects_poisoned_winograd_triples() {
-    // With the transform output poisoned, every (F(m,r), variant)
+    // With the transform output poisoned, every F(m,r)
     // trial produces NaN: the gate rejects them all and the sweep
     // selects a baseline. The analytic candidate evaluations never run
     // a real transform, so only the gate trials see the fault.

@@ -54,7 +54,7 @@ fn main() {
         ConvDesc::new(5, 1, 2, 24, 1, 16, 16, 16),
         ConvDesc::new(3, 2, 1, 32, 1, 16, 16, 24),
     ] {
-        println!("  {d}  ->  {:?}", select_engine(&d));
+        println!("  {d}  ->  {:?}", select_engine_static(&d));
     }
 
     // Reference: everything direct.
@@ -66,7 +66,7 @@ fn main() {
     let t_direct = t0.elapsed();
 
     // Production: selector-chosen engines (Winograd where applicable).
-    let mut tuned_net = build_net(select_engine);
+    let mut tuned_net = build_net(select_engine_static);
     tuned_net.fuse_relu();
     let t0 = Instant::now();
     let output = tuned_net.execute(&input).expect("tuned net runs");

@@ -9,6 +9,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# wino-cc's tests are the independent-compiler check of the generated
+# kernels; without a C compiler they skip, and a skip proves nothing.
+if ! command -v cc >/dev/null; then
+  echo "FAIL: no C compiler (cc) on PATH: wino-cc's tests would skip" >&2
+  exit 1
+fi
+
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -19,6 +26,21 @@ echo "== one way to run a Winograd convolution"
 ladder=$(grep -c 'fn conv_winograd' crates/conv/src/winograd.rs)
 if [ "$ladder" -ne 3 ]; then
   echo "FAIL: expected 3 conv_winograd* functions in winograd.rs, found $ladder" >&2
+  exit 1
+fi
+
+echo "== the served stack stands alone"
+# wino-serve (and so wino-exec, -graph, -guard, -conv) links none of the
+# modelled-GPU reproduction layer. `-e normal` leaves out the one
+# sanctioned edge, wino-conv's build-time use of wino-codegen's emitter.
+tree=$(cargo tree --offline -e normal -p wino-serve)
+if grep -E 'wino-(tuner|gpu|ir|vendor|cc|codegen) ' <<<"$tree"; then
+  echo "FAIL: wino-serve depends on the reproduction layer (crates above)" >&2
+  exit 1
+fi
+# ([_]: so that this line is not itself a match.)
+if grep -rn 'WINO_TUNE[_]' crates src examples tests scripts; then
+  echo "FAIL: the tuned-plan environment seam is back (lines above)" >&2
   exit 1
 fi
 

@@ -18,7 +18,7 @@
 //! | [`codegen`] | `wino-codegen` | `%(placeholder)` templates, kernel generators |
 //! | [`gemm`] | `wino-gemm` | blocked and batched SGEMM |
 //! | [`gpu`] | `wino-gpu` | simulated devices, occupancy, timing, plan execution |
-//! | [`graph`] | `wino-graph` | compute graph, model zoo (Table 4), variant selection |
+//! | [`graph`] | `wino-graph` | compute graph, model zoo (Table 4), engine selection |
 //! | [`tuner`] | `wino-tuner` | brute-force auto-tuning over the Table-1 space |
 //! | [`vendor`] | `wino-vendor` | cuDNN / MIOpen / ACL simulators |
 //!
@@ -63,10 +63,9 @@ pub mod prelude {
     pub use wino_codegen::{generate_plan, CodegenOptions, PlanVariant, Unroll};
     pub use wino_conv::{
         conv_direct_f32, conv_direct_f64, conv_im2col, conv_winograd, WinogradConfig,
-        WinogradVariant,
     };
     pub use wino_gpu::{estimate_plan_ms, execute_plan, gtx_1080_ti, mali_g71, rx_580};
-    pub use wino_graph::{select_engine, table4_convs, ComputeGraph, EngineChoice};
+    pub use wino_graph::{select_engine_static, table4_convs, ComputeGraph, EngineChoice};
     pub use wino_num::{RatMat, Rational};
     pub use wino_symbolic::{generate_recipe, OpCount, Recipe, RecipeOptions};
     pub use wino_tensor::{ConvDesc, Tensor4};

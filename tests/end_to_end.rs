@@ -115,13 +115,13 @@ fn graph_inference_with_selected_engines() {
     let mut rng = StdRng::seed_from_u64(3);
     g.set_weights(c1, Tensor4::random(8, 4, 3, 3, -1.0, 1.0, &mut rng))
         .expect("dims");
-    g.set_engine(c1, select_engine(&d1));
+    g.set_engine(c1, select_engine_static(&d1));
     let relu = g.add_relu(c1).expect("edge");
     let d2 = ConvDesc::new(5, 1, 2, 4, 1, 16, 16, 8);
     let c2 = g.add_conv(relu, d2).expect("edge");
     g.set_weights(c2, Tensor4::random(4, 8, 5, 5, -1.0, 1.0, &mut rng))
         .expect("dims");
-    g.set_engine(c2, select_engine(&d2));
+    g.set_engine(c2, select_engine_static(&d2));
     assert_eq!(g.fuse_relu(), 1);
 
     let input = Tensor4::random(1, 4, 16, 16, -1.0, 1.0, &mut rng);
