@@ -34,16 +34,14 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Serialize, Value};
-use wino_codegen::{PlanVariant, Unroll};
 use wino_graph::EngineChoice;
-use wino_guard::{fault, Denylist, GuardedConv, SandboxBudget};
+use wino_guard::{fault, GuardedConv};
 use wino_probe::{self as probe, metrics};
 use wino_serve::{
     BreakerState, ConvRequest, ConvResponse, HealthStatus, NetworkRequest, PlanRegistry,
     ServeError, Server, ServerConfig,
 };
 use wino_tensor::{ConvDesc, Tensor4};
-use wino_tuner::{reduced_space, tune_hardened, Evaluation, TuningCache, TuningPoint};
 
 /// The variables a scenario may set, each with the documented value
 /// that arms nothing: what the child of a row that leaves the variable
@@ -169,13 +167,11 @@ fn outcomes(ok: i64, internal: i64, refused: i64, shed: i64) -> [(&'static str, 
 fn scenarios() -> Vec<Scenario> {
     vec![
         // -- wino-guard: each run arms one site and the guard layer
-        // must produce exactly these demotion/quarantine counters.
+        // must produce exactly these demotion counters.
         // `drill_guard` runs the default chain once: Winograd → im2col
         // → direct.
         row("guard/clean", drill_guard)
             .zero(["guard.demote.panic", GUARDRAIL, FALLBACK])
-            .zero(["tuner.quarantine.panic", "tuner.quarantine.timeout"])
-            .zero(["tuner.quarantine.nonfinite", "tuner.cache.rebuilt"])
             .zero(["flight.dumps"]),
         // Only the head runs the transform kernels: it is demoted
         // (1) and im2col serves as a fallback (1).
@@ -190,18 +186,6 @@ fn scenarios() -> Vec<Scenario> {
         row("guard/gemm-nan", drill_guard)
             .env("WINO_FAULT", "gemm:nan")
             .counters([(GUARDRAIL, 2), (FALLBACK, 1)]),
-        row("guard/tuner-panic", drill_guard)
-            .env("WINO_FAULT", "tuner:panic:3")
-            .counters([("tuner.quarantine.panic", 1)]),
-        row("guard/tuner-timeout", drill_guard)
-            .env("WINO_FAULT", "tuner:timeout:2")
-            .counters([("tuner.quarantine.timeout", 1)]),
-        row("guard/tuner-nan", drill_guard)
-            .env("WINO_FAULT", "tuner:nan:4")
-            .counters([("tuner.quarantine.nonfinite", 1)]),
-        row("guard/cache-corrupt", drill_guard)
-            .env("WINO_FAULT", "cache:corrupt")
-            .counters([("tuner.cache.rebuilt", 1)]),
         // Dispatch pinned to the compiled AVX2 kernels (hosts without
         // avx2+fma diag and fall back to scalar, which still must
         // pass): the clean run proves the f64 guardrail spot-checks
@@ -651,13 +635,11 @@ fn sequential_config() -> ServerConfig {
     }
 }
 
-/// Every guard surface under whatever fault is armed. Each site's
-/// hooks only fire at that site, so the stage order only matters for
-/// `:n` one-shot specs within a single site. What each stage absorbed
-/// shows in the counters; its result is not otherwise used.
+/// The default chain once, under whatever fault is armed. What the
+/// chain absorbed shows in the counters; its result is not otherwise
+/// used.
 fn drill_guard() -> Value {
     arm_fault();
-    // 1: the default chain.
     let desc = ConvDesc::new(3, 1, 1, 2, 1, 8, 8, 3);
     let input = Tensor4::from_fn(1, 3, 8, 8, |n, c, y, x| {
         ((n + 2 * c + 3 * y + 5 * x) % 7) as f32 * 0.25 - 0.5
@@ -670,41 +652,6 @@ fn drill_guard() -> Value {
         "drill: chain served by {:?}",
         served.map(|out| out.served_by)
     );
-
-    // 2: a hardened tuning sweep over the reduced space.
-    let desc = ConvDesc::new(3, 1, 1, 32, 1, 14, 14, 16);
-    let sweep = tune_hardened(
-        &desc,
-        &wino_gpu::gtx_1080_ti(),
-        reduced_space(&desc),
-        &SandboxBudget::default(),
-        &Denylist::new(),
-        None,
-    );
-    let quarantined = sweep.map(|report| report.quarantined.len());
-    println!("drill: sweep quarantined {quarantined:?}");
-
-    // 3: a tuning-cache save → load round trip.
-    let path = std::env::temp_dir().join(format!("wino_drill_cache_{}.json", std::process::id()));
-    let cache = TuningCache::new();
-    cache.put(
-        &ConvDesc::new(3, 1, 1, 64, 1, 14, 14, 32),
-        "drill-dev",
-        &Evaluation {
-            point: TuningPoint {
-                variant: PlanVariant::WinogradFused { m: 4 },
-                unroll: Unroll::Full,
-                mnt: 4,
-                mnb: 16,
-            },
-            time_ms: 0.5,
-        },
-    );
-    let reloaded = cache
-        .save(&path)
-        .map(|()| TuningCache::load_or_rebuild(&path).len());
-    println!("drill: cache reloaded with {reloaded:?} entries");
-    let _ = std::fs::remove_file(&path);
     object([])
 }
 
@@ -1185,19 +1132,11 @@ mod tests {
             assert!(table.iter().any(clean), "{drill} has no clean row");
         }
         // Every env-var arming path stays a row: only a child process
-        // exercises `init_from_env`.
-        for armed in [
-            "transform:",
-            "gemm:",
-            "tuner:",
-            "cache:",
-            "serve_exec:",
-            "serve_sched:",
-            "serve_resp:",
-            "avx2",
-            "text:",
-            "{tmp}/flight",
-        ] {
+        // exercises `init_from_env`. A fault site added later without a
+        // row fails here.
+        let sites = fault::SITES.map(|site| format!("{site}:"));
+        let others = ["avx2", "text:", "{tmp}/flight"];
+        for armed in sites.iter().map(String::as_str).chain(others) {
             let arms = |s: &Scenario| s.env.iter().any(|(_, v)| v.contains(armed));
             assert!(table.iter().any(arms), "no row arms {armed}");
         }

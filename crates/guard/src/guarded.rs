@@ -30,12 +30,24 @@ use wino_probe::Counter;
 use wino_tensor::{ConvDesc, Tensor4};
 
 use crate::guardrail::{scan_finite, spot_check, GuardrailPolicy, NumericFault};
-use crate::sandbox::payload_to_string;
 
 static DEMOTE_PANIC: Counter = Counter::new("guard.demote.panic");
 static DEMOTE_GUARDRAIL: Counter = Counter::new("guard.demote.guardrail");
 static DEMOTE_UNSUPPORTED: Counter = Counter::new("guard.demote.unsupported");
 static SERVED_FALLBACK: Counter = Counter::new("guard.served_by_fallback");
+
+/// Renders a panic payload the way the default hook would. Public so
+/// layers above the guard (`wino-serve` crash containment) can report
+/// the same payload text in their own error types.
+pub fn payload_to_string(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&'static str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
 
 /// One engine in the degradation chain.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -304,7 +316,7 @@ impl GuardedConv {
         Err(GuardError { demotions })
     }
 
-    /// One engine attempt: sandboxed run + guardrails.
+    /// One engine attempt: caught panic + guardrails.
     fn attempt(
         &self,
         engine: Engine,
@@ -457,7 +469,12 @@ mod tests {
         // must still land on direct even though warm filters were
         // supplied.
         let (input, filters, desc) = fixture();
-        let pre = PrecomputedFilters::for_config(&filters, &desc, &WinogradConfig::new(4)).unwrap();
+        // The bank is built under the fault lock too: a test arming a
+        // transform fault beside this one must not reach its transform.
+        let pre = {
+            let _clean = fault::scoped("");
+            PrecomputedFilters::for_config(&filters, &desc, &WinogradConfig::new(4)).unwrap()
+        };
         let _scope = fault::scoped("gemm:nan");
         let guarded =
             GuardedConv::new(4).with_chain(vec![Engine::NonFusedWinograd(4), Engine::Direct]);

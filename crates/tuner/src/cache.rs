@@ -6,19 +6,17 @@
 //! The cache serializes to JSON so deployments can ship pre-tuned
 //! parameter sets per platform.
 //!
-//! ## Hardened on-disk format
+//! ## Checked on-disk format
 //!
 //! A cache file a deployment ships around is exactly the kind of
 //! input that rots: truncated copies, partial writes, edits by hand,
 //! files from an older build. The on-disk envelope therefore carries
 //! a format version and an FNV-1a checksum of the canonical entry
 //! serialization, and every entry is sanity-checked on load
-//! (finite positive time, plausible blocking parameters). The strict
-//! loaders ([`TuningCache::from_json`], [`TuningCache::load`]) report
-//! [`CacheLoadError`]; [`TuningCache::load_or_rebuild`] is the
-//! serving-path entry point — it *never* fails, degrading to an empty
-//! cache (a re-tune) with a `probe::diag` note and a bump of the
-//! `tuner.cache.rebuilt` counter.
+//! (finite positive time, plausible blocking parameters). The loaders
+//! ([`TuningCache::from_json`], [`TuningCache::load`]) are strict: a
+//! damaged or stale file is a [`CacheLoadError`], never parameters
+//! that were not tuned. Nothing on the serving path loads a cache.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -33,8 +31,8 @@ use crate::space::TuningPoint;
 use crate::tuner::Evaluation;
 
 /// Version tag of the on-disk envelope. Bump on any change to
-/// [`CacheEntry`]'s semantics; older files then rebuild rather than
-/// deserialize into wrong meanings.
+/// [`CacheEntry`]'s semantics; older files are then refused rather
+/// than deserialized into wrong meanings.
 pub const CACHE_FORMAT_VERSION: u32 = 3;
 
 /// Serializable form of one cached tuning result.
@@ -233,47 +231,6 @@ impl TuningCache {
     pub fn load(path: &Path) -> io::Result<Self> {
         let json = std::fs::read_to_string(path)?;
         Self::from_json(&json).map_err(io::Error::other)
-    }
-
-    /// Reads a cache from a file, degrading to an empty cache on any
-    /// failure — the serving-path loader, guaranteed not to fail.
-    ///
-    /// A missing file is the normal first-run case (empty cache, no
-    /// diagnostic). A present-but-invalid file — unreadable,
-    /// truncated, bit-flipped, or from another format version — emits
-    /// a `probe::diag` note, bumps `tuner.cache.rebuilt`, and yields
-    /// an empty cache so the caller re-tunes instead of crashing or
-    /// trusting damaged parameters.
-    pub fn load_or_rebuild(path: &Path) -> Self {
-        static REBUILT: wino_probe::Counter = wino_probe::Counter::new("tuner.cache.rebuilt");
-        if !path.exists() {
-            return TuningCache::new();
-        }
-        let mut bytes = match std::fs::read(path) {
-            Ok(b) => b,
-            Err(e) => {
-                wino_probe::diag(format!(
-                    "tuning cache: could not read {}: {e}; rebuilding",
-                    path.display()
-                ));
-                REBUILT.add(1);
-                return TuningCache::new();
-            }
-        };
-        // WINO_FAULT hook (cache-deserialization site): one relaxed
-        // load when disarmed.
-        wino_probe::fault::inject_bytes(wino_probe::fault::Site::CacheDeser, &mut bytes);
-        match Self::from_json(&String::from_utf8_lossy(&bytes)) {
-            Ok(cache) => cache,
-            Err(e) => {
-                wino_probe::diag(format!(
-                    "tuning cache: invalid file {}: {e}; rebuilding",
-                    path.display()
-                ));
-                REBUILT.add(1);
-                TuningCache::new()
-            }
-        }
     }
 }
 

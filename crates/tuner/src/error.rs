@@ -1,11 +1,11 @@
 //! Typed errors for the tuning layer.
 //!
-//! The tuner is library code reachable from long-running services
-//! (the bench harness, the graph planner), so conditions a caller can
-//! hit — an empty feasible space, a panicking evaluation worker, a
-//! damaged cache file — are typed variants here, not `expect` calls.
-//! Panics remain only for internal invariants, and their messages say
-//! so explicitly.
+//! The tuner is library code reachable from the bench harness and the
+//! CLI, so conditions a caller can hit — an empty feasible space, a
+//! panicking evaluation worker — are typed variants here, not `expect`
+//! calls (a damaged cache file is the cache's own
+//! [`CacheLoadError`](crate::CacheLoadError)). Panics remain only for
+//! internal invariants, and their messages say so explicitly.
 
 use std::any::Any;
 
@@ -14,14 +14,9 @@ use std::any::Any;
 pub enum TunerError {
     /// Not a single point of the space ran on this device.
     NothingRuns(String),
-    /// A tuning worker thread panicked; the payload rendered as a
-    /// string. Seen only from the *unhardened* parallel sweep —
-    /// `tune_hardened` catches candidate panics per-point instead.
+    /// A worker thread of the parallel sweep panicked; the payload
+    /// rendered as a string.
     WorkerPanicked(String),
-    /// A persisted artifact (cache file) failed validation. Callers
-    /// that prefer degradation over failure should use
-    /// `TuningCache::load_or_rebuild`, which never returns this.
-    CacheInvalid(String),
 }
 
 impl std::fmt::Display for TunerError {
@@ -29,7 +24,6 @@ impl std::fmt::Display for TunerError {
         match self {
             TunerError::NothingRuns(msg) => write!(f, "no tuning point runs: {msg}"),
             TunerError::WorkerPanicked(msg) => write!(f, "tuning worker panicked: {msg}"),
-            TunerError::CacheInvalid(msg) => write!(f, "tuning cache invalid: {msg}"),
         }
     }
 }

@@ -7,28 +7,19 @@
 //! kernel exceeding the device's shared memory, a block larger than
 //! the mobile part allows — are rejected, which is precisely how the
 //! same meta-code adapts across platforms. Results persist in a JSON
-//! [`TuningCache`].
-
-//!
-//! The hardened layer (`tune_hardened`) threads the `wino-guard`
-//! fault-tolerance machinery through the sweep: sandboxed candidate
-//! evaluation with quarantine, a persisted denylist, and the numeric
-//! accuracy gate. The cache persists through a versioned, checksummed
-//! envelope with a degrade-to-rebuild loader.
+//! [`TuningCache`] behind a versioned, checksummed envelope.
 
 #![warn(missing_docs)]
 
 mod cache;
 mod error;
 mod guided;
-mod hardened;
 mod space;
 mod tuner;
 
 pub use cache::{cache_key, CacheEntry, CacheLoadError, TuningCache, CACHE_FORMAT_VERSION};
 pub use error::{TuneError, TunerError};
 pub use guided::{tune_guided, GuidedReport};
-pub use hardened::{candidate_key, tune_hardened, HardenedReport, Quarantine};
 pub use space::{reduced_space, search_space, TuningPoint, MNB_VALUES, MNT_VALUES, M_RANGE};
 pub use tuner::{
     evaluate_candidate, evaluate_untuned, tune, tune_with_space, untuned_point, Evaluation,

@@ -30,14 +30,25 @@ if [ "$ladder" -ne 3 ]; then
 fi
 
 echo "== the served stack stands alone"
+# forbid <crates regex> <cargo tree args>: fail if the normal-dependency
+# tree names one of the crates.
+forbid() {
+  local crates=$1 tree
+  shift
+  tree=$(cargo tree --offline -e normal "$@")
+  if grep -E "($crates) " <<<"$tree"; then
+    echo "FAIL: $* depends on the crates above" >&2
+    exit 1
+  fi
+}
 # wino-serve (and so wino-exec, -graph, -guard, -conv) links none of the
 # modelled-GPU reproduction layer. `-e normal` leaves out the one
 # sanctioned edge, wino-conv's build-time use of wino-codegen's emitter.
-tree=$(cargo tree --offline -e normal -p wino-serve)
-if grep -E 'wino-(tuner|gpu|ir|vendor|cc|codegen) ' <<<"$tree"; then
-  echo "FAIL: wino-serve depends on the reproduction layer (crates above)" >&2
-  exit 1
-fi
+forbid 'wino-(tuner|gpu|ir|vendor|cc|codegen)' -p wino-serve
+# The guard is the degradation chain and nothing else: the modelled
+# tuner does not borrow it, and it persists nothing.
+forbid 'wino-guard' -p wino-tuner
+forbid 'parking_lot|serde|serde_json' -p wino-guard --depth 1
 # ([_]: so that this line is not itself a match.)
 if grep -rn 'WINO_TUNE[_]' crates src examples tests scripts; then
   echo "FAIL: the tuned-plan environment seam is back (lines above)" >&2
