@@ -202,6 +202,12 @@ fn scenarios() -> Vec<Scenario> {
             .env("WINO_SIMD", "avx2")
             .env("WINO_FAULT", "gemm:nan")
             .counters([(GUARDRAIL, 2), (FALLBACK, 1)]),
+        // The same under the AVX-512 GEMM tile (a host without
+        // avx512f diags and runs scalar, which must still pass).
+        row("guard/avx512-gemm-nan", drill_guard)
+            .env("WINO_SIMD", "avx512")
+            .env("WINO_FAULT", "gemm:nan")
+            .counters([(GUARDRAIL, 2), (FALLBACK, 1)]),
         // Telemetry arms the flight recorder: the one guardrail
         // demotion of `guard/transform-nan` leaves a parseable dump
         // that carries the reason and the recent conv.* span history
@@ -1135,7 +1141,7 @@ mod tests {
         // exercises `init_from_env`. A fault site added later without a
         // row fails here.
         let sites = fault::SITES.map(|site| format!("{site}:"));
-        let others = ["avx2", "text:", "{tmp}/flight"];
+        let others = ["avx2", "avx512", "text:", "{tmp}/flight"];
         for armed in sites.iter().map(String::as_str).chain(others) {
             let arms = |s: &Scenario| s.env.iter().any(|(_, v)| v.contains(armed));
             assert!(table.iter().any(arms), "no row arms {armed}");

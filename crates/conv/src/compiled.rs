@@ -38,9 +38,10 @@ type SoaFn = fn(&[[f32; LANES]], &mut [[f32; LANES]]);
 /// The AVX2+FMA entry of the same kernel.
 ///
 /// # Safety
-/// Calling through this pointer requires AVX2+FMA on the host; the
-/// [`SimdLevel::Avx2`] dispatch token (CPUID-gated) encodes exactly
-/// that proof, so every call site threads it through.
+/// Calling through this pointer requires AVX2+FMA on the host; a
+/// vector-level dispatch token ([`SimdLevel::Avx2`] or
+/// [`SimdLevel::Avx512`], CPUID-gated) encodes that proof, so every
+/// call site threads it through.
 #[cfg(target_arch = "x86_64")]
 type SoaAvx2Fn = unsafe fn(&[[f32; LANES]], &mut [[f32; LANES]]);
 
@@ -83,11 +84,11 @@ impl SoaKernel {
         match level {
             SimdLevel::Scalar => (self.scalar)(src, dst),
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: Avx2 is only ever resolved on CPUs reporting
-            // avx2+fma (see wino_gemm::resolve_simd).
-            SimdLevel::Avx2 => unsafe { (self.avx2)(src, dst) },
+            // SAFETY: the vector levels are only ever resolved on CPUs
+            // reporting avx2+fma (see wino_gemm::resolve_simd).
+            SimdLevel::Avx2 | SimdLevel::Avx512 => unsafe { (self.avx2)(src, dst) },
             #[cfg(not(target_arch = "x86_64"))]
-            SimdLevel::Avx2 => (self.scalar)(src, dst),
+            SimdLevel::Avx2 | SimdLevel::Avx512 => (self.scalar)(src, dst),
         }
     }
 }
@@ -172,7 +173,7 @@ mod tests {
     use crate::tiles::TileTransformer;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use wino_gemm::detect_simd;
+    use wino_gemm::supported_levels;
     use wino_transform::WinogradSpec;
 
     fn optimized(m: usize, r: usize) -> TransformRecipes {
@@ -267,11 +268,7 @@ mod tests {
         for &(m, r) in compiled_specs() {
             let recipes = optimized(m, r);
             let ct = compiled_for(&recipes).unwrap();
-            let mut levels = vec![SimdLevel::Scalar];
-            if detect_simd() == SimdLevel::Avx2 {
-                levels.push(SimdLevel::Avx2);
-            }
-            for level in levels {
+            for level in supported_levels() {
                 let seed = (m * 100 + r) as u64;
                 assert_kernel_matches_interpreter(&ct.input, &recipes.input, level, seed);
                 assert_kernel_matches_interpreter(&ct.output, &recipes.output, level, seed + 1);
@@ -301,11 +298,7 @@ mod tests {
             for (i, v) in values.iter().enumerate() {
                 src[i / LANES][i % LANES] = *v;
             }
-            let mut levels = vec![SimdLevel::Scalar];
-            if detect_simd() == SimdLevel::Avx2 {
-                levels.push(SimdLevel::Avx2);
-            }
-            for level in levels {
+            for level in supported_levels() {
                 assert_kernel_matches_interpreter_on(&ct.input, &recipes.input, level, &src);
                 assert_kernel_matches_interpreter_on(&ct.output, &recipes.output, level, &src);
             }

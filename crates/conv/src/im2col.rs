@@ -18,7 +18,7 @@ use wino_runtime::Runtime;
 use wino_tensor::{ConvDesc, Tensor4};
 
 use crate::error::ConvError;
-use crate::workspace::Workspace;
+use crate::workspace::{Buffer, Workspace};
 
 /// Filter banks packed for the im2col GEMM. A serving layer that packs
 /// at registration sees one bump per im2col plan, never per request.
@@ -140,6 +140,9 @@ impl Im2colFilters {
         };
         let mut ws = Workspace::take();
         let gather_span = wino_probe::span("conv.im2col_gather");
+        let nr = wino_gemm::tile_extents(self.level()).1;
+        let need = shape.batches * wino_gemm::packed_b_len(shape.k, shape.n, nr);
+        ws.fit(Buffer::V, need);
         let buf = std::mem::take(&mut ws.v);
         let mut cols = PackedB::recycled(buf, shape.batches, shape.k, shape.n, self.level());
         gather(input, desc, &cols.columns(), rt);
@@ -343,7 +346,7 @@ mod tests {
             for (img, cols) in reference.chunks_exact_mut(k * n).enumerate() {
                 im2col_image(&input, img, &desc, cols);
             }
-            for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+            for level in SimdLevel::ALL {
                 let want = PackedB::pack(&reference, desc.batch, k, n, level, &Runtime::serial());
                 for threads in [1, 3] {
                     let dirty = vec![f32::NAN; desc.batch * k * n + 7];

@@ -30,7 +30,7 @@ use crate::compiled::{compiled_for, CompiledTransforms, SoaKernel, LANES};
 use crate::direct::check_shapes;
 use crate::error::ConvError;
 use crate::tiles::TileTransformer;
-use crate::workspace::{LiveBytes, Workspace};
+use crate::workspace::{Buffer, LiveBytes, Workspace};
 
 /// Tiles gathered into the transformed-input layout.
 static TILES_GATHERED: wino_probe::Counter = wino_probe::Counter::new("conv.tiles_gathered");
@@ -151,17 +151,17 @@ impl Kernel {
 
 /// The compiled kernels `level` dispatches to for `recipes`: none
 /// under [`SimdLevel::Scalar`] (the interpreted reference path), the
-/// fingerprint-gated build table under [`SimdLevel::Avx2`].
+/// fingerprint-gated build table at the vector levels.
 fn compiled_at(recipes: &TransformRecipes, level: SimdLevel) -> Option<CompiledTransforms> {
     match level {
         SimdLevel::Scalar => None,
-        SimdLevel::Avx2 => compiled_for(recipes),
+        SimdLevel::Avx2 | SimdLevel::Avx512 => compiled_for(recipes),
     }
 }
 
 /// Accounts `tiles` a stage is about to hand the interpreter.
 fn count_interpreted(compiled: Option<CompiledTransforms>, level: SimdLevel, tiles: usize) {
-    if compiled.is_none() && level == SimdLevel::Avx2 {
+    if compiled.is_none() && level != SimdLevel::Scalar {
         TILES_INTERPRETED.add(tiles as u64);
     }
 }
@@ -528,11 +528,13 @@ impl Tiling {
         match self.level {
             SimdLevel::Scalar => gather_rows(plane, w, origins, self.alpha, src),
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: Avx2 is only ever resolved on CPUs reporting
-            // avx2+fma (see wino_gemm::resolve_simd).
-            SimdLevel::Avx2 => unsafe { gather_rows_avx2(plane, w, origins, self.alpha, src) },
+            // SAFETY: the vector levels are only ever resolved on CPUs
+            // reporting avx2+fma (see wino_gemm::resolve_simd).
+            SimdLevel::Avx2 | SimdLevel::Avx512 => unsafe {
+                gather_rows_avx2(plane, w, origins, self.alpha, src)
+            },
             #[cfg(not(target_arch = "x86_64"))]
-            SimdLevel::Avx2 => unreachable!("avx2 level on non-x86_64"),
+            SimdLevel::Avx2 | SimdLevel::Avx512 => unreachable!("vector level on non-x86_64"),
         }
     }
 
@@ -592,8 +594,8 @@ fn gather_rows(
 /// position, so the bounds are the slices' own.
 ///
 /// # Safety
-/// Requires AVX2 on the host; callers hold the [`SimdLevel::Avx2`]
-/// dispatch token.
+/// Requires AVX2 on the host; callers hold a vector-level dispatch
+/// token ([`SimdLevel::Avx2`] or [`SimdLevel::Avx512`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn gather_rows_avx2(
@@ -702,7 +704,11 @@ fn nonfused(
     // disjoint writes — and each chunk carries its own kernel scratch.
     let input_span = wino_probe::span("conv.input_transform");
     let input_hist = H_INPUT.start();
+    let (ph, pw) = tiling.padded_extent();
+    ws.fit(Buffer::Padded, desc.batch * cc * ph * pw);
     let padded = tiling.pad(input, desc.pad, std::mem::take(&mut ws.padded));
+    let nr = wino_gemm::tile_extents(level).1;
+    ws.fit(Buffer::V, a2 * wino_gemm::packed_b_len(cc, p_total, nr));
     let mut v_packed = PackedB::recycled(std::mem::take(&mut ws.v), a2, cc, p_total, level);
     let v_columns = v_packed.columns();
     rt.parallel_for_chunks(0..p_total.div_ceil(LANES), 1, |groups| {
@@ -742,8 +748,8 @@ fn nonfused(
     };
     // The GEMM overwrites all of M' and never reads it: grown, never
     // filled.
+    ws.fit(Buffer::M, shape.c_len());
     if ws.m.len() < shape.c_len() {
-        ws.m.reserve_exact(shape.c_len() - ws.m.len());
         ws.m.resize(shape.c_len(), 0.0);
     }
     wino_gemm::batched_sgemm_packed(&shape, &pre.bank, &v_packed, &mut ws.m, gemm, rt);
@@ -930,10 +936,7 @@ mod tests {
             // 5×5 through F(4,5), C = 10.
             (ConvDesc::new(5, 1, 2, 9, 2, 11, 11, 10), vec![4]),
         ];
-        let mut levels = vec![SimdLevel::Scalar];
-        if wino_gemm::detect_simd() == SimdLevel::Avx2 {
-            levels.push(SimdLevel::Avx2);
-        }
+        let levels = wino_gemm::supported_levels();
         let (gemm, rt) = (GemmConfig::default(), Runtime::global());
         for (desc, ms) in cases {
             let (input, filt) = random_case(&desc, 55);
@@ -1011,11 +1014,7 @@ mod tests {
             let reference = input.pad_spatial(pad);
             let a2 = spec.alpha() * spec.alpha();
             let mut want = vec![0.0f32; a2];
-            let mut levels = vec![SimdLevel::Scalar];
-            if wino_gemm::detect_simd() == SimdLevel::Avx2 {
-                levels.push(SimdLevel::Avx2);
-            }
-            for level in levels {
+            for level in wino_gemm::supported_levels() {
                 let tiling = Tiling::new(&desc, spec, level);
                 let padded = tiling.pad(&input, pad, Vec::new());
                 for t0 in (0..tiling.tiles).step_by(LANES) {
@@ -1043,7 +1042,7 @@ mod tests {
 
     #[test]
     fn nonfused_bank_holds_one_layout() {
-        // K = 13 is not a multiple of either sliver height, so the
+        // K = 13 is not a multiple of any sliver height, so the
         // padded last sliver is part of the count.
         let desc = ConvDesc::new(3, 1, 1, 13, 1, 8, 8, 20);
         let (input, filt) = random_case(&desc, 47);

@@ -5,7 +5,10 @@
 //! batched SGEMMs, and the output transform — in every case each output
 //! element is written once, in the serial operation order. Verified here with
 //! exact `f32::to_bits` equality over random shapes (including ragged
-//! tilings where `m` does not divide the output) and 1–8 lanes.
+//! tilings where `m` does not divide the output) and 1–8 lanes, at every
+//! dispatch level the host runs.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -33,19 +36,28 @@ fn random_case(desc: &ConvDesc, seed: u64) -> (Tensor4<f32>, Tensor4<f32>) {
 
 fn assert_bit_identical(desc: &ConvDesc, cfg: &WinogradConfig, threads: usize, seed: u64) {
     let (input, filt) = random_case(desc, seed);
-    let pre = PrecomputedFilters::for_config(&filt, desc, cfg).unwrap();
-    let run = |rt: &Runtime| {
-        conv_winograd_precomputed_rt(&input, &pre, desc, cfg.variant, &cfg.gemm, rt).unwrap()
-    };
-    let serial = run(&Runtime::serial());
-    let parallel = run(&Runtime::with_threads(threads));
-    assert_eq!(serial.dims(), parallel.dims());
-    let exact = serial
-        .data()
-        .iter()
-        .zip(parallel.data())
-        .all(|(a, b)| a.to_bits() == b.to_bits());
-    assert!(exact, "parallel output diverged from serial bits");
+    let recipes = PrecomputedFilters::for_config(&filt, desc, cfg)
+        .unwrap()
+        .recipes()
+        .clone();
+    for level in wino_gemm::supported_levels() {
+        let pre = PrecomputedFilters::new_at(&filt, desc, Arc::clone(&recipes), level).unwrap();
+        let run = |rt: &Runtime| {
+            conv_winograd_precomputed_rt(&input, &pre, desc, cfg.variant, &cfg.gemm, rt).unwrap()
+        };
+        let serial = run(&Runtime::serial());
+        let parallel = run(&Runtime::with_threads(threads));
+        assert_eq!(serial.dims(), parallel.dims());
+        let exact = serial
+            .data()
+            .iter()
+            .zip(parallel.data())
+            .all(|(a, b)| a.to_bits() == b.to_bits());
+        assert!(
+            exact,
+            "parallel output diverged from serial bits at {level:?}"
+        );
+    }
 }
 
 proptest! {

@@ -5,7 +5,11 @@
 //! matrix. Every test here runs its calls on threads of its own, so
 //! which calls shared a workspace is known, and holds the fault scope's
 //! process-wide lock, so the process-global gauge, counter and
-//! allocation count move only under the test reading them.
+//! allocation count move only under the test reading them. A call sizes
+//! each buffer it uses to the most any call in the process has needed
+//! of it, so a test that checks sizes first runs [`large`], the largest
+//! call of every buffer any test here makes: after it, each mark is
+//! that call's need.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -51,6 +55,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// A convolution with its operands and warm bank.
 struct Case {
     desc: ConvDesc,
+    m: usize,
     input: Tensor4<f32>,
     pre: PrecomputedFilters,
 }
@@ -62,7 +67,12 @@ impl Case {
         let input = Tensor4::random(d.batch, d.in_ch, d.in_h, d.in_w, -1.0, 1.0, &mut rng);
         let filt = Tensor4::random(d.out_ch, d.in_ch, d.ksz, d.ksz, -1.0, 1.0, &mut rng);
         let pre = PrecomputedFilters::for_config(&filt, d, &WinogradConfig::new(m)).unwrap();
-        Case { desc, input, pre }
+        Case {
+            desc,
+            m,
+            input,
+            pre,
+        }
     }
 
     fn run(&self) -> Vec<u32> {
@@ -71,9 +81,9 @@ impl Case {
         out.unwrap().data().iter().map(|v| v.to_bits()).collect()
     }
 
-    /// Bytes of the three buffers a call needs.
-    fn workspace_bytes(&self, m: usize) -> i64 {
-        let d = &self.desc;
+    /// Floats a call needs of the padded input, `V'` and `M'`.
+    fn needs(&self) -> [usize; 3] {
+        let (d, m) = (&self.desc, self.m);
         let alpha = m + d.ksz - 1;
         let (th, tw) = tile_counts(d.out_h(), d.out_w(), m);
         let tiles = d.batch * th * tw;
@@ -81,8 +91,16 @@ impl Case {
         let nr = wino_gemm::tile_extents(self.pre.level()).1;
         let v = alpha * alpha * d.in_ch * tiles.div_ceil(nr) * nr;
         let m_prime = alpha * alpha * d.out_ch * tiles;
-        4 * (padded + v + m_prime) as i64
+        [padded, v, m_prime]
     }
+}
+
+/// Bytes a thread holds once a call that needs `needs` floats of the
+/// buffers has sized each to the larger of its need and the process's
+/// `marks`.
+fn held(needs: [usize; 3], marks: [usize; 3]) -> i64 {
+    let floats: usize = needs.iter().zip(marks).map(|(n, m)| m.max(*n)).sum();
+    4 * floats as i64
 }
 
 /// The largest Table-4 geometry: 56×56×64→192 at batch 5, F(6,3).
@@ -122,22 +140,52 @@ fn a_second_identical_call_grows_nothing() {
     wino_probe::set_telemetry(true);
     let grows = wino_probe::counter("conv.workspace_grows");
     let bytes = wino_probe::gauge("conv.workspace_bytes");
-    let case = small(2);
+    let (large, case) = (large(), small(2));
+    on_a_fresh_thread(|| large.run());
     let (grows0, bytes0) = (grows.get(), bytes.get());
+    let want = bytes0 + held(case.needs(), large.needs());
     on_a_fresh_thread(|| {
         let first = case.run();
-        // From empty, each buffer grows to exactly what the call needs.
+        // From empty, the buffers grow once, each to the most any call
+        // has needed of it.
         assert_eq!(grows.get(), grows0 + 1);
-        assert_eq!(bytes.get(), bytes0 + case.workspace_bytes(2));
+        assert_eq!(bytes.get(), want);
         let second = case.run();
         assert!(first == second);
         // A smaller call fits in what is there.
         Case::new(ConvDesc::new(3, 1, 1, 5, 1, 9, 9, 7), 4, 3).run();
         assert_eq!(grows.get(), grows0 + 1);
-        assert_eq!(bytes.get(), bytes0 + case.workspace_bytes(2));
+        assert_eq!(bytes.get(), want);
     });
     // The thread is gone, and what it retained with it.
     assert_eq!(bytes.get(), bytes0);
+    wino_probe::set_telemetry(false);
+}
+
+#[test]
+fn a_lane_that_meets_the_large_call_late_grows_nothing() {
+    // Two lanes of a pool: one runs the large call, the other only
+    // small ones until, much later, it wins the large call too. Its
+    // workspace was sized by the process's largest call at its first,
+    // so that late call grows nothing.
+    let _scope = fault::scoped("");
+    wino_probe::set_telemetry(true);
+    let grows = wino_probe::counter("conv.workspace_grows");
+    let (large, small) = (large(), small(2));
+    on_a_fresh_thread(|| large.run());
+    on_a_fresh_thread(|| {
+        small.run();
+        let settled = grows.get();
+        for _ in 0..3 {
+            small.run();
+        }
+        large.run();
+        assert_eq!(
+            grows.get(),
+            settled,
+            "the late large call grew the workspace"
+        );
+    });
     wino_probe::set_telemetry(false);
 }
 
@@ -194,12 +242,13 @@ impl Im2colCase {
         out.data().iter().map(|v| v.to_bits()).collect()
     }
 
-    /// Bytes of the packed column matrix, the one buffer a call needs.
-    fn workspace_bytes(&self) -> i64 {
+    /// Floats a call needs of the padded input, the packed column
+    /// matrix (the `V'` buffer) and `M'`: the columns only.
+    fn needs(&self) -> [usize; 3] {
         let d = &self.desc;
         let nr = wino_gemm::tile_extents(self.bank.level()).1;
         let (k, n) = (d.in_ch * d.ksz * d.ksz, d.out_h() * d.out_w());
-        4 * (d.batch * wino_gemm::packed_b_len(k, n, nr)) as i64
+        [0, d.batch * wino_gemm::packed_b_len(k, n, nr), 0]
     }
 }
 
@@ -218,14 +267,21 @@ fn a_warm_im2col_call_allocates_only_its_output() {
     wino_probe::set_telemetry(true);
     let grows = wino_probe::counter("conv.workspace_grows");
     let bytes = wino_probe::gauge("conv.workspace_bytes");
+    let large = large();
+    on_a_fresh_thread(|| large.run());
+    // The column matrix shares its buffer, and so its mark, with `V'`;
+    // the padded input's and `M'`s marks do not apply.
+    let [_, v_mark, _] = large.needs();
     for case in im2col_cases() {
         let (grows0, bytes0) = (grows.get(), bytes.get());
+        let want = bytes0 + held(case.needs(), [0, v_mark, 0]);
         on_a_fresh_thread(|| {
             let first = case.run();
-            // From empty, the column buffer grows to exactly the call's
-            // packed B operand, and the gauge covers it.
+            // From empty, the column buffer grows to the most any call
+            // has needed of it, the padded input and `M'` not at all,
+            // and the gauge covers it.
             assert_eq!(grows.get(), grows0 + 1);
-            assert_eq!(bytes.get(), bytes0 + case.workspace_bytes());
+            assert_eq!(bytes.get(), want);
             let pages0 = PAGE_ALLOCS.load(Ordering::Relaxed);
             let second = case.run();
             assert!(first == second);
@@ -243,7 +299,7 @@ fn a_warm_im2col_call_allocates_only_its_output() {
             // A smaller call fits in what is there.
             Im2colCase::new(ConvDesc::new(1, 1, 0, 7, 1, 9, 9, 5), 6).run();
             assert_eq!(grows.get(), grows0 + 1);
-            assert_eq!(bytes.get(), bytes0 + case.workspace_bytes());
+            assert_eq!(bytes.get(), want);
         });
         assert_eq!(bytes.get(), bytes0);
     }

@@ -8,6 +8,9 @@
 //! determinism contract says wave concurrency and slab recycling are
 //! unobservable in the output — and one test that the concurrency is
 //! there: a wave's branches run on the caller as well as the pool.
+//! Both sides run at the process's dispatch level, the widest the host
+//! has unless `WINO_SIMD` pins one, so on an AVX-512 host these
+//! identities hold for the 14×32 GEMM tile.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;

@@ -13,8 +13,8 @@
 use crate::batched::{batched_sgemm_packed, BatchedGemmShape};
 use crate::packed::{PackedA, PackedB};
 use crate::schedule::{
-    dim_blocks, micro_tiles, packed_block_off, tile_extents, TaskTile, MR_AVX2, MR_SCALAR, NR_AVX2,
-    NR_SCALAR,
+    dim_blocks, micro_tiles, packed_block_off, tile_extents, TaskTile, MR_AVX2, MR_AVX512,
+    MR_SCALAR, NR_AVX2, NR_AVX512, NR_SCALAR,
 };
 use crate::simd::{simd_level, SimdLevel};
 use wino_runtime::{DisjointSlice, Runtime};
@@ -247,8 +247,23 @@ fn macro_kernel(
                     );
                 }
             },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: Avx512 is only ever resolved when CPUID reports
+            // avx2+fma+avx512f (see `simd::resolve_simd`).
+            SimdLevel::Avx512 => unsafe {
+                // The `cols ≤ 8` rule one vector wider.
+                if t.cols <= 16 {
+                    micro_kernel_avx512::<1>(
+                        a_sliver, b_sliver, c, c_off, t.rows, t.cols, ldc, kb, first,
+                    );
+                } else {
+                    micro_kernel_avx512::<2>(
+                        a_sliver, b_sliver, c, c_off, t.rows, t.cols, ldc, kb, first,
+                    );
+                }
+            },
             #[cfg(not(target_arch = "x86_64"))]
-            SimdLevel::Avx2 => unreachable!("avx2 level on non-x86_64"),
+            SimdLevel::Avx2 | SimdLevel::Avx512 => unreachable!("vector level on non-x86_64"),
         }
     }
 }
@@ -296,10 +311,10 @@ fn micro_kernel(
 /// step broadcasts one A element per row and fuses into the row's
 /// accumulators with `vfmaddps`. `NV = 1` is the same kernel over the
 /// first 8 columns of each sliver row, for tiles at most that wide: a
-/// column's chain of FMAs is the same either way. Numerics differ from
-/// the scalar kernel (fused rounding, different tile walk) — covered by
-/// the per-dispatch-level determinism contract, not cross-level
-/// bit-identity.
+/// column's chain of FMAs is the same either way, and the same as in
+/// [`micro_kernel_avx512`]'s wider tile. Numerics differ from the
+/// scalar kernel (fused rounding) — covered by the per-dispatch-level
+/// determinism contract, not bit-identity with `Scalar`.
 ///
 /// # Safety
 /// Caller must ensure the CPU supports `avx2` and `fma` (the dispatch
@@ -374,6 +389,80 @@ unsafe fn micro_kernel_avx2<const NV: usize>(
                     *dst = if first { 0.0 } else { *dst } + add;
                 }
             }
+        }
+    }
+}
+
+/// The AVX-512 inner kernel: [`micro_kernel_avx2`] at register width —
+/// MR_AVX512 rows × `NV` 16-lane vectors of accumulators live in zmm
+/// registers across the k loop (`NV = 2`: 28 accumulators, 2 B vectors
+/// and 1 broadcast of the 32 registers). Every `C` element is the same
+/// `fma` chain over the same depths, then the same `0.0 + acc` or
+/// `C + acc`, so the output is bit-identical to the AVX2 kernel's; only
+/// which columns share a register differs. A ragged last vector of a
+/// row stores (and, past the first k-block, loads) through a lane mask.
+///
+/// # Safety
+/// Caller must ensure the CPU supports `avx512f` (the dispatch in
+/// [`macro_kernel`] only selects this at [`SimdLevel::Avx512`], which
+/// is resolved only after CPUID reports it).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn micro_kernel_avx512<const NV: usize>(
+    a_sliver: &[f32],
+    b_sliver: &[f32],
+    c: &DisjointSlice<'_, f32>,
+    c_off: usize,
+    rows: usize,
+    cols: usize,
+    ldc: usize,
+    kb: usize,
+    first: bool,
+) {
+    use std::arch::x86_64::*;
+    // Audited invariants, as for `micro_kernel_avx2` at 16 lanes: every
+    // `ap` read is at p·MR + r < kb·MR and the `NV` 16-wide `bp` loads
+    // of a step end at p·NR + 16·NV ≤ kb·NR.
+    debug_assert!(a_sliver.len() >= kb * MR_AVX512);
+    debug_assert!(b_sliver.len() >= kb * NR_AVX512);
+    debug_assert!((1..=MR_AVX512).contains(&rows));
+    debug_assert!((1..=16 * NV).contains(&cols));
+    const { assert!(16 * NV <= NR_AVX512) };
+    let mut acc = [[_mm512_setzero_ps(); NV]; MR_AVX512];
+    let mut ap = a_sliver.as_ptr();
+    let mut bp = b_sliver.as_ptr();
+    for _ in 0..kb {
+        let mut bv = [_mm512_setzero_ps(); NV];
+        for (v, bv_v) in bv.iter_mut().enumerate() {
+            *bv_v = _mm512_loadu_ps(bp.add(16 * v));
+        }
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            let av = _mm512_set1_ps(*ap.add(r));
+            for (acc_rv, bv_v) in acc_r.iter_mut().zip(&bv) {
+                *acc_rv = _mm512_fmadd_ps(av, *bv_v, *acc_rv);
+            }
+        }
+        ap = ap.add(MR_AVX512);
+        bp = bp.add(NR_AVX512);
+    }
+    // The first k-block writes `0.0 + acc`, as `micro_kernel_avx2` does.
+    let zero = _mm512_setzero_ps();
+    for (r, acc_r) in acc.iter().enumerate().take(rows) {
+        let base = c_off + r * ldc;
+        // SAFETY: this micro-tile's row segment lies inside the
+        // caller's tile of C, which no other task touches.
+        let row = c.slice_mut(base..base + cols);
+        for (seg, acc_rv) in row.chunks_mut(16).zip(acc_r) {
+            // Lanes past the segment are masked off: neither read nor
+            // written, so the access stays inside `seg`.
+            let mask = ((1u32 << seg.len()) - 1) as __mmask16;
+            let cv = if first {
+                zero
+            } else {
+                _mm512_maskz_loadu_ps(mask, seg.as_ptr())
+            };
+            _mm512_mask_storeu_ps(seg.as_mut_ptr(), mask, _mm512_add_ps(cv, *acc_rv));
         }
     }
 }
@@ -478,13 +567,10 @@ mod tests {
     }
 
     #[test]
-    fn avx2_matches_naive_on_awkward_shapes() {
-        if crate::simd::detect_simd() != SimdLevel::Avx2 {
-            return; // no AVX2+FMA on this machine; kernel untestable here
-        }
+    fn vector_levels_match_naive_on_awkward_shapes() {
         let mut rng = StdRng::seed_from_u64(7);
-        // Shapes straddling every tile boundary: full 6×16 tiles,
-        // one-vector tiles, partial rows, partial cols, single
+        // Shapes straddling every tile boundary: full 6×16 and 14×32
+        // tiles, one-vector tiles, partial rows, partial cols, single
         // elements, and sizes crossing the mc/kc/nc cache blocks.
         for (m, k, n) in [
             (1, 1, 1),
@@ -493,34 +579,37 @@ mod tests {
             (7, 5, 25),
             (5, 3, 7),
             (13, 17, 19),
+            (14, 4, 32),
+            (15, 9, 33),
             (65, 129, 130),
             (70, 64, 257),
         ] {
             let a = random_mat(&mut rng, m * k);
             let b = random_mat(&mut rng, k * n);
-            let mut c = vec![0.0f32; m * n];
             let mut expect = vec![0.0f32; m * n];
-            sgemm_level(&a, &b, &mut c, m, k, n, SimdLevel::Avx2);
             sgemm_naive(&a, &b, &mut expect, m, k, n);
-            assert_close(&c, &expect);
+            for level in crate::simd::supported_levels() {
+                let mut c = vec![0.0f32; m * n];
+                sgemm_level(&a, &b, &mut c, m, k, n, level);
+                assert_close(&c, &expect);
+            }
         }
     }
 
     #[test]
-    fn avx2_and_scalar_agree_within_tolerance() {
-        if crate::simd::detect_simd() != SimdLevel::Avx2 {
-            return;
-        }
+    fn vector_levels_and_scalar_agree_within_tolerance() {
         let mut rng = StdRng::seed_from_u64(8);
         let (m, k, n) = (37, 53, 41);
         let a = random_mat(&mut rng, m * k);
         let b = random_mat(&mut rng, k * n);
-        let mut c_simd = vec![0.0f32; m * n];
         let mut c_scalar = vec![0.0f32; m * n];
-        sgemm_level(&a, &b, &mut c_simd, m, k, n, SimdLevel::Avx2);
         sgemm_level(&a, &b, &mut c_scalar, m, k, n, SimdLevel::Scalar);
-        // Different accumulation order + FMA: close, not bit-equal.
-        assert_close(&c_simd, &c_scalar);
+        for level in crate::simd::supported_levels() {
+            let mut c_simd = vec![0.0f32; m * n];
+            sgemm_level(&a, &b, &mut c_simd, m, k, n, level);
+            // FMA against multiply-then-add: close, not bit-equal.
+            assert_close(&c_simd, &c_scalar);
+        }
     }
 
     #[test]

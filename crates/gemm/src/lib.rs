@@ -22,6 +22,6 @@ pub use packed::{PackedA, PackedB, PackedBColumns};
 pub use schedule::{
     dim_blocks, issued_cols, micro_tiles, pack_a_model, pack_b_model, packed_a_len, packed_b_len,
     packed_block_off, packed_step, tile_extents, DimBlock, MicroTile, PackSlot, TaskGrid, TaskTile,
-    MR_AVX2, MR_SCALAR, NR_AVX2, NR_SCALAR, TASK_COLS,
+    MR_AVX2, MR_AVX512, MR_SCALAR, NR_AVX2, NR_AVX512, NR_SCALAR, TASK_COLS,
 };
-pub use simd::{detect_simd, resolve_simd, simd_level, SimdLevel};
+pub use simd::{detect_simd, resolve_simd, simd_level, supported_levels, SimdLevel};

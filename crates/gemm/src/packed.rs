@@ -24,7 +24,9 @@
 //! per call.
 
 use crate::blocked::{pack_a, pack_b};
-use crate::schedule::{packed_a_len, packed_b_len, packed_block_off, tile_extents, NR_AVX2};
+use crate::schedule::{
+    packed_a_len, packed_b_len, packed_block_off, tile_extents, NR_AVX2, NR_AVX512,
+};
 use crate::simd::SimdLevel;
 use wino_runtime::{DisjointSlice, Runtime};
 
@@ -305,6 +307,21 @@ impl PackedB {
     }
 }
 
+/// Copies `src` into `pieces`, in order. A piece of `N` floats — a
+/// whole sliver row — is a copy whose length the compiler knows: vector
+/// moves, not a call.
+fn copy_pieces<'a, const N: usize>(pieces: impl Iterator<Item = &'a mut [f32]>, src: &[f32]) {
+    let mut rest = src;
+    for dst in pieces {
+        let (now, later) = rest.split_at(dst.len());
+        match <&mut [f32; N]>::try_from(&mut *dst) {
+            Ok(dst) => *dst = *now.first_chunk().expect("same length"),
+            Err(_) => dst.copy_from_slice(now),
+        }
+        rest = later;
+    }
+}
+
 /// The write side of a [`PackedB`]: tasks that own disjoint column
 /// ranges store through it concurrently.
 pub struct PackedBColumns<'a> {
@@ -321,7 +338,8 @@ impl PackedBColumns<'_> {
     /// `col .. col + count` of row `depth` — what one lane group of the
     /// Winograd input transform produces for one channel. The run may
     /// start anywhere and cross slivers: with `nr = 4` eight columns
-    /// fill two slivers' rows, with `nr = 16` they are half of one.
+    /// fill two slivers' rows, with `nr = 16` they are half of one, with
+    /// `nr = 32` a quarter.
     ///
     /// Panics if `vals` is not one entry per matrix, or the run leaves
     /// the matrix.
@@ -377,16 +395,13 @@ impl PackedBColumns<'_> {
     pub unsafe fn write_run(&self, batch: usize, depth: usize, col: usize, src: &[f32]) {
         // SAFETY: the caller's contract is `pieces`'.
         let pieces = unsafe { self.pieces(batch, depth, col, src.len()) };
-        let mut rest = src;
-        for dst in pieces {
-            let (now, later) = rest.split_at(dst.len());
-            match <&mut [f32; NR_AVX2]>::try_from(&mut *dst) {
-                // A whole AVX2 sliver row: a copy whose length the
-                // compiler knows is two vector moves, not a call.
-                Ok(dst) => *dst = *now.first_chunk().expect("same length"),
-                Err(_) => dst.copy_from_slice(now),
-            }
-            rest = later;
+        // Keyed on the operand's sliver width once per run, not per
+        // piece: a per-piece length test slowed the AVX2 im2col gather
+        // by about a tenth. The scalar level's 4-float rows take the
+        // slice copy under either width.
+        match self.nr {
+            NR_AVX512 => copy_pieces::<NR_AVX512>(pieces, src),
+            _ => copy_pieces::<NR_AVX2>(pieces, src),
         }
     }
 

@@ -34,23 +34,34 @@ pub const MR_AVX2: usize = 6;
 /// of its sliver.
 pub const NR_AVX2: usize = 16;
 
+/// Micro-tile rows of the AVX-512 kernel: fourteen rows of two 16-lane
+/// vectors keep 28 accumulators + 2 B vectors + a broadcast within the
+/// 32 zmm registers — 16 loads per 28 FMAs over 28 independent chains.
+pub const MR_AVX512: usize = 14;
+/// AVX-512 micro-tile columns — two 16-lane f32 vectors. A micro-tile
+/// with [`MicroTile::cols`] ≤ 16 runs the one-vector body on the first
+/// half of its sliver.
+pub const NR_AVX512: usize = 32;
+
 /// Micro-tile extents `(mr, nr)` of the dispatch level's inner kernel;
 /// packing and the macro loop are parameterized on these.
 pub fn tile_extents(level: SimdLevel) -> (usize, usize) {
     match level {
         SimdLevel::Scalar => (MR_SCALAR, NR_SCALAR),
         SimdLevel::Avx2 => (MR_AVX2, NR_AVX2),
+        SimdLevel::Avx512 => (MR_AVX512, NR_AVX512),
     }
 }
 
 /// Columns of `B` the `level` micro-kernel multiplies for an `n`-column
-/// operand: whole `nr` slivers, except that the AVX2 macro kernel runs
-/// the one-vector body on a last tile of at most 8 columns, half a sliver.
+/// operand: whole `nr` slivers, except that a vector macro kernel runs
+/// the one-vector body on a last tile of at most one vector of columns,
+/// half a sliver.
 pub fn issued_cols(n: usize, level: SimdLevel) -> usize {
     let nr = tile_extents(level).1;
     n.next_multiple_of(match level {
         SimdLevel::Scalar => nr,
-        SimdLevel::Avx2 => nr / 2,
+        SimdLevel::Avx2 | SimdLevel::Avx512 => nr / 2,
     })
 }
 
@@ -344,9 +355,20 @@ mod tests {
 
     #[test]
     fn issued_cols_follow_the_body_that_runs() {
-        // (n, AVX2, scalar): 9 columns fill a 16-sliver, 20 a sliver
-        // and one vector; the scalar kernel has whole 4-slivers only.
-        for (n, avx2, scalar) in [(0, 0, 0), (1, 8, 4), (8, 8, 8), (9, 16, 12), (20, 24, 20)] {
+        // (n, AVX-512, AVX2, scalar): 9 columns fill a 16-sliver, 20 a
+        // sliver and one vector; 17 fill a 32-sliver, 40 a sliver and
+        // one vector; the scalar kernel has whole 4-slivers only.
+        for (n, avx512, avx2, scalar) in [
+            (0, 0, 0, 0),
+            (1, 16, 8, 4),
+            (8, 16, 8, 8),
+            (9, 16, 16, 12),
+            (16, 16, 16, 16),
+            (17, 32, 24, 20),
+            (20, 32, 24, 20),
+            (40, 48, 40, 40),
+        ] {
+            assert_eq!(issued_cols(n, SimdLevel::Avx512), avx512, "n = {n}");
             assert_eq!(issued_cols(n, SimdLevel::Avx2), avx2, "n = {n}");
             assert_eq!(issued_cols(n, SimdLevel::Scalar), scalar, "n = {n}");
         }
@@ -355,7 +377,7 @@ mod tests {
     #[test]
     fn task_grid_partitions_every_c_on_sliver_boundaries() {
         let cfg = GemmConfig::default();
-        for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+        for level in SimdLevel::ALL {
             let (mr, nr) = tile_extents(level);
             for (batches, m, n) in [(1, 1, 1), (2, 96, 3025), (5, 32, 49), (3, 61, 129)] {
                 let grid = TaskGrid::new(batches, m, n, &cfg, level);
@@ -389,6 +411,7 @@ mod tests {
             (6, 16, 1, 6, 16),
             (1, 1, 3, 6, 16),
             (7, 9, 2, 6, 16),
+            (15, 33, 2, 14, 32),
         ] {
             let mut seen = vec![0u32; mb * nb];
             for t in micro_tiles(mb, nb, kb * mr, kb * nr, mr, nr) {

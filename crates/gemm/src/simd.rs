@@ -7,37 +7,53 @@
 //! `WINO_SIMD` override and caches it for the process lifetime —
 //! every hot path reads one already-initialized atomic.
 //!
-//! Determinism contract (DESIGN.md §5.9): results are bit-identical
-//! for a fixed dispatch choice at any thread count, but *not* across
-//! levels — the AVX2 kernels use fused multiply-add and a different
-//! accumulation tiling, so `Scalar` and `Avx2` outputs may differ in
-//! the low bits. `WINO_SIMD=off` therefore pins the exact pre-SIMD
-//! scalar code path, which is the reference for reproducibility runs.
+//! The levels are ordered (`Scalar < Avx2 < Avx512`): a host that runs
+//! one level runs every level below it, and [`supported_levels`] lists
+//! them. `Avx512` is a GEMM register tier — the 14×32 `zmm`
+//! micro-kernel; the transforms and gathers run their AVX2 bodies at it.
 //!
-//! `WINO_SIMD` accepts `off` (alias `scalar`), `avx2`, or `auto`
-//! (empty/unset behaves like `auto`). Malformed values are *not*
+//! Determinism contract (DESIGN.md §5.9): results are bit-identical
+//! for a fixed dispatch choice at any thread count, and `Avx2` and
+//! `Avx512` are bit-identical to each other — a `C` element is the same
+//! FMA chain whichever register tile computes it. Only `Scalar` differs:
+//! its kernels multiply then add where the vector ones fuse, so
+//! `Scalar` and the vector levels may differ in the low bits.
+//! `WINO_SIMD=off` therefore pins the exact pre-SIMD scalar code path,
+//! which is the reference for reproducibility runs.
+//!
+//! `WINO_SIMD` accepts `off` (alias `scalar`), `avx2`, `avx512`, or
+//! `auto` (empty/unset behaves like `auto`). Malformed values are *not*
 //! silently ignored: a one-line warning goes through wino-probe's
 //! diagnostics channel before falling back to detection — the same
-//! contract `WINO_THREADS` has in `wino-runtime`.
+//! contract `WINO_THREADS` has in `wino-runtime`. A level the host
+//! lacks diags and falls back to scalar.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// The instruction-set tiers the micro-kernels are compiled for.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// The instruction-set tiers the micro-kernels are compiled for, in
+/// the order hosts support them: each level implies the ones below.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdLevel {
     /// Portable scalar kernels — the exact pre-SIMD code path, and the
     /// fallback on machines (or builds) without AVX2+FMA.
     Scalar,
     /// 256-bit AVX2 kernels with FMA accumulation.
     Avx2,
+    /// The 512-bit GEMM micro-kernel (AVX-512F); every other kernel
+    /// runs its AVX2 body. Bit-identical to `Avx2`.
+    Avx512,
 }
 
 impl SimdLevel {
+    /// Every level, narrowest first.
+    pub const ALL: [SimdLevel; 3] = [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512];
+
     /// Stable lowercase name, as accepted by `WINO_SIMD`.
     pub fn name(self) -> &'static str {
         match self {
             SimdLevel::Scalar => "scalar",
             SimdLevel::Avx2 => "avx2",
+            SimdLevel::Avx512 => "avx512",
         }
     }
 }
@@ -48,10 +64,23 @@ pub fn detect_simd() -> SimdLevel {
     {
         if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
         {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                return SimdLevel::Avx512;
+            }
             return SimdLevel::Avx2;
         }
     }
     SimdLevel::Scalar
+}
+
+/// Every level this machine runs, narrowest first: what a test that
+/// holds each level to its contract iterates.
+pub fn supported_levels() -> Vec<SimdLevel> {
+    let widest = detect_simd();
+    SimdLevel::ALL
+        .into_iter()
+        .filter(|&l| l <= widest)
+        .collect()
 }
 
 /// Resolves a `WINO_SIMD` value (`None` = unset) against detection.
@@ -60,28 +89,28 @@ pub fn detect_simd() -> SimdLevel {
 /// diag and fall back explicitly.
 pub fn resolve_simd(raw: Option<&str>, detected: SimdLevel) -> SimdLevel {
     let Some(raw) = raw else { return detected };
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "off" | "scalar" => SimdLevel::Scalar,
-        "auto" | "" => detected,
-        "avx2" => {
-            if detected == SimdLevel::Avx2 {
-                SimdLevel::Avx2
-            } else {
-                wino_probe::diag(format!(
-                    "WINO_SIMD={raw:?} requested but avx2+fma not available; \
-                     falling back to scalar kernels"
-                ));
-                SimdLevel::Scalar
-            }
-        }
+    let (requested, needs) = match raw.trim().to_ascii_lowercase().as_str() {
+        "off" | "scalar" => return SimdLevel::Scalar,
+        "auto" | "" => return detected,
+        "avx2" => (SimdLevel::Avx2, "avx2+fma"),
+        "avx512" => (SimdLevel::Avx512, "avx2+fma+avx512f"),
         _ => {
             wino_probe::diag(format!(
-                "invalid WINO_SIMD={raw:?} (expected off|avx2|auto); \
+                "invalid WINO_SIMD={raw:?} (expected off|avx2|avx512|auto); \
                  falling back to detected level {}",
                 detected.name()
             ));
-            detected
+            return detected;
         }
+    };
+    if requested <= detected {
+        requested
+    } else {
+        wino_probe::diag(format!(
+            "WINO_SIMD={raw:?} requested but {needs} not available; \
+             falling back to scalar kernels"
+        ));
+        SimdLevel::Scalar
     }
 }
 
@@ -89,6 +118,7 @@ pub fn resolve_simd(raw: Option<&str>, detected: SimdLevel) -> SimdLevel {
 const UNSET: u8 = 0;
 const SCALAR: u8 = 1;
 const AVX2: u8 = 2;
+const AVX512: u8 = 3;
 
 static LEVEL: AtomicU8 = AtomicU8::new(UNSET);
 
@@ -100,12 +130,14 @@ pub fn simd_level() -> SimdLevel {
     match LEVEL.load(Ordering::Relaxed) {
         SCALAR => SimdLevel::Scalar,
         AVX2 => SimdLevel::Avx2,
+        AVX512 => SimdLevel::Avx512,
         _ => {
             let env = std::env::var("WINO_SIMD").ok();
             let level = resolve_simd(env.as_deref(), detect_simd());
             let code = match level {
                 SimdLevel::Scalar => SCALAR,
                 SimdLevel::Avx2 => AVX2,
+                SimdLevel::Avx512 => AVX512,
             };
             // Racing initializers compute the same value (env +
             // detection are stable), so last-write-wins is fine.
@@ -121,7 +153,7 @@ mod tests {
 
     #[test]
     fn explicit_levels_resolve_directly() {
-        for detected in [SimdLevel::Scalar, SimdLevel::Avx2] {
+        for detected in SimdLevel::ALL {
             assert_eq!(resolve_simd(Some("off"), detected), SimdLevel::Scalar);
             assert_eq!(resolve_simd(Some("scalar"), detected), SimdLevel::Scalar);
             assert_eq!(resolve_simd(Some(" OFF "), detected), SimdLevel::Scalar);
@@ -129,7 +161,26 @@ mod tests {
             assert_eq!(resolve_simd(Some("auto"), detected), detected);
             assert_eq!(resolve_simd(Some(""), detected), detected);
         }
+        // A pinned level is honoured on every host that has it, not
+        // only on one whose widest level it is.
         assert_eq!(resolve_simd(Some("avx2"), SimdLevel::Avx2), SimdLevel::Avx2);
+        assert_eq!(
+            resolve_simd(Some("avx2"), SimdLevel::Avx512),
+            SimdLevel::Avx2
+        );
+        assert_eq!(
+            resolve_simd(Some("AVX512"), SimdLevel::Avx512),
+            SimdLevel::Avx512
+        );
+    }
+
+    #[test]
+    fn levels_are_ordered_and_listed_up_to_detection() {
+        assert!(SimdLevel::Scalar < SimdLevel::Avx2 && SimdLevel::Avx2 < SimdLevel::Avx512);
+        let levels = supported_levels();
+        assert_eq!(levels[0], SimdLevel::Scalar);
+        assert_eq!(levels.last(), Some(&detect_simd()));
+        assert!(levels.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
@@ -137,18 +188,19 @@ mod tests {
         // One test for both diag paths: the diagnostics buffer is
         // process-global, and two tests draining it concurrently
         // could steal each other's messages.
-        assert_eq!(
-            resolve_simd(Some("avx512"), SimdLevel::Avx2),
-            SimdLevel::Avx2
-        );
+        assert_eq!(resolve_simd(Some("sse9"), SimdLevel::Avx2), SimdLevel::Avx2);
         assert_eq!(
             resolve_simd(Some("avx2"), SimdLevel::Scalar),
+            SimdLevel::Scalar
+        );
+        assert_eq!(
+            resolve_simd(Some("avx512"), SimdLevel::Avx2),
             SimdLevel::Scalar
         );
         let diags = wino_probe::take_diagnostics();
         assert!(
             diags.iter().any(|d| d.contains("invalid WINO_SIMD")
-                && d.contains("avx512")
+                && d.contains("sse9")
                 && d.contains("falling back")),
             "missing malformed-value diagnostic: {diags:?}"
         );
@@ -157,6 +209,12 @@ mod tests {
                 .iter()
                 .any(|d| d.contains("WINO_SIMD") && d.contains("not available")),
             "missing unsatisfiable-request diagnostic: {diags:?}"
+        );
+        assert!(
+            diags
+                .iter()
+                .any(|d| d.contains("avx512f") && d.contains("not available")),
+            "missing unsatisfiable avx512 diagnostic: {diags:?}"
         );
     }
 

@@ -35,7 +35,7 @@ fn empty_products_return_the_right_zeros_and_fork_nothing() {
     wino_probe::set_mode(wino_probe::Mode::Summary);
     let rt = Runtime::with_threads(2);
     let shape = |batches, m, k, n| BatchedGemmShape { batches, m, k, n };
-    for level in [SimdLevel::Scalar, wino_gemm::detect_simd()] {
+    for level in wino_gemm::supported_levels() {
         // No depth: every C element is the empty sum, +0.0.
         let c = packed_call(shape(3, 70, 0, 300), level, &rt);
         assert!(c[..3 * 70 * 300].iter().all(|v| v.to_bits() == 0));

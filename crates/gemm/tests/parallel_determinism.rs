@@ -4,10 +4,13 @@
 //! result: every output element is written by exactly one task and the
 //! per-element accumulation order matches the serial loop. These
 //! properties pin that down with exact `f32::to_bits` equality across
-//! random shapes, ragged task grids, and 1–8 worker lanes.
+//! random shapes, ragged task grids, and 1–8 worker lanes, at every
+//! dispatch level the host runs.
 
 use proptest::prelude::*;
-use wino_gemm::{batched_sgemm_rt_level, sgemm_rt_level, simd_level, BatchedGemmShape, GemmConfig};
+use wino_gemm::{
+    batched_sgemm_rt_level, sgemm_rt_level, supported_levels, BatchedGemmShape, GemmConfig,
+};
 use wino_runtime::Runtime;
 
 fn bits(v: &[f32]) -> Vec<u32> {
@@ -38,16 +41,16 @@ proptest! {
         let a = random_vec(m * k, seed);
         let b = random_vec(k * n, seed ^ 0x9e37);
         let cfg = GemmConfig { mc, kc: 16, nc };
-        let level = simd_level();
-
-        let mut serial = vec![0.0f32; m * n];
-        sgemm_rt_level(&a, &b, &mut serial, m, k, n, &cfg, &Runtime::serial(), level);
-
         let rt = Runtime::with_threads(threads);
-        let mut parallel = vec![0.0f32; m * n];
-        sgemm_rt_level(&a, &b, &mut parallel, m, k, n, &cfg, &rt, level);
+        for level in supported_levels() {
+            let mut serial = vec![0.0f32; m * n];
+            sgemm_rt_level(&a, &b, &mut serial, m, k, n, &cfg, &Runtime::serial(), level);
 
-        prop_assert_eq!(bits(&serial), bits(&parallel));
+            let mut parallel = vec![0.0f32; m * n];
+            sgemm_rt_level(&a, &b, &mut parallel, m, k, n, &cfg, &rt, level);
+
+            prop_assert_eq!(bits(&serial), bits(&parallel), "{:?}", level);
+        }
     }
 
     #[test]
@@ -63,15 +66,15 @@ proptest! {
         let a = random_vec(shape.a_len(), seed);
         let b = random_vec(shape.b_len(), seed ^ 0xabcd);
         let cfg = GemmConfig { mc: 8, kc: 8, nc: 12 };
-        let level = simd_level();
-
-        let mut serial = vec![0.0f32; shape.c_len()];
-        batched_sgemm_rt_level(&shape, &a, &b, &mut serial, &cfg, &Runtime::serial(), level);
-
         let rt = Runtime::with_threads(threads);
-        let mut parallel = vec![0.0f32; shape.c_len()];
-        batched_sgemm_rt_level(&shape, &a, &b, &mut parallel, &cfg, &rt, level);
+        for level in supported_levels() {
+            let mut serial = vec![0.0f32; shape.c_len()];
+            batched_sgemm_rt_level(&shape, &a, &b, &mut serial, &cfg, &Runtime::serial(), level);
 
-        prop_assert_eq!(bits(&serial), bits(&parallel));
+            let mut parallel = vec![0.0f32; shape.c_len()];
+            batched_sgemm_rt_level(&shape, &a, &b, &mut parallel, &cfg, &rt, level);
+
+            prop_assert_eq!(bits(&serial), bits(&parallel), "{:?}", level);
+        }
     }
 }

@@ -84,14 +84,24 @@ proptest! {
 // realize the exported pack models slot-for-slot and round-trip every
 // block element, and the blocked kernel must agree with the reference
 // triple loop on adversarial shapes (primes, sub-micro-tile slivers)
-// at both dispatch levels. These are the dynamic counterparts of
+// at every dispatch level. These are the dynamic counterparts of
 // wino-verify's static index analysis over the same schedule.
 // ---------------------------------------------------------------------
 
 use wino_gemm::{
     pack_a, pack_a_model, pack_b, pack_b_model, packed_a_len, packed_b_len, sgemm_rt_level,
-    GemmConfig, PackSlot, SimdLevel, MR_AVX2, MR_SCALAR, NR_AVX2, NR_SCALAR,
+    GemmConfig, PackSlot, SimdLevel,
 };
+
+/// Any dispatch level, for properties of the layouts alone (which run
+/// on every host).
+fn any_level() -> impl Strategy<Value = SimdLevel> {
+    prop_oneof![
+        Just(SimdLevel::Scalar),
+        Just(SimdLevel::Avx2),
+        Just(SimdLevel::Avx512)
+    ]
+}
 
 /// Shapes that stress remainder handling: primes (never a multiple of
 /// any micro-tile or cache-block extent) and sub-micro-tile slivers.
@@ -116,9 +126,9 @@ proptest! {
         ii in 0usize..3,
         kk in 0usize..3,
         pad in 0usize..3,
-        use_avx2_tile in any::<bool>(),
+        level in any_level(),
     ) {
-        let mr = if use_avx2_tile { MR_AVX2 } else { MR_SCALAR };
+        let mr = tile_extents(level).0;
         let lda = kk + kb + pad;
         // Distinct values (flat index + 1) make slot equality pin the
         // exact source element, not just a plausible one.
@@ -157,9 +167,9 @@ proptest! {
         kk in 0usize..3,
         jj in 0usize..3,
         pad in 0usize..3,
-        use_avx2_tile in any::<bool>(),
+        level in any_level(),
     ) {
-        let nr = if use_avx2_tile { NR_AVX2 } else { NR_SCALAR };
+        let nr = tile_extents(level).1;
         let ldb = jj + nb + pad;
         let b: Vec<f32> = (0..(kk + kb) * ldb).map(|i| i as f32 + 1.0).collect();
         let mut dst = vec![f32::NAN; packed_b_len(kb, nb, nr)];
@@ -183,7 +193,7 @@ proptest! {
     }
 
     #[test]
-    fn micro_kernel_matches_naive_adversarial_shapes_both_levels(
+    fn micro_kernel_matches_naive_adversarial_shapes_every_level(
         m in adversarial_dim(),
         k in adversarial_dim(),
         n in adversarial_dim(),
@@ -203,7 +213,7 @@ proptest! {
         let mut expect = vec![0.0f32; m * n];
         sgemm_naive(&a, &b, &mut expect, m, k, n);
 
-        for level in test_levels() {
+        for level in wino_gemm::supported_levels() {
             let mut c = init.clone();
             sgemm_rt_level(&a, &b, &mut c, m, k, n, &cfg, rt, level);
             prop_assert!(
@@ -222,7 +232,7 @@ proptest! {
 // row-major, packed, one A shared by the batch — computes each C
 // element by the one kc-blocked chain, bit for bit, over shapes that
 // leave every block (mr sliver, mc, kc, nr, the column step) ragged, at
-// both levels and 1–3 threads.
+// every level and 1–3 threads.
 // ---------------------------------------------------------------------
 
 use wino_gemm::{
@@ -255,14 +265,6 @@ fn write_in_runs<const L: usize>(packed: &mut PackedB, b: &[f32]) {
     }
 }
 
-fn test_levels() -> Vec<SimdLevel> {
-    let mut levels = vec![SimdLevel::Scalar];
-    if wino_gemm::detect_simd() == SimdLevel::Avx2 {
-        levels.push(SimdLevel::Avx2);
-    }
-    levels
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -293,10 +295,10 @@ proptest! {
         let b: Vec<f32> = (0..shape.b_len()).map(|_| scale * rng.gen_range(-2.0f32..2.0)).collect();
         let cfg = GemmConfig { mc, kc, nc };
         let rt = wino_runtime::Runtime::with_threads(threads);
-        for level in test_levels() {
+        for level in wino_gemm::supported_levels() {
             // The contract, element by element: per `kc` block a chain
             // from zero over the block's depths in order — fused at
-            // AVX2, multiply then add at scalar — added onto the blocks
+            // the vector levels, multiply then add at scalar — added onto the blocks
             // before it, the first onto +0.0. No tile, sliver, batch or
             // thread enters it.
             let mut want = vec![f32::NAN; shape.c_len()];
@@ -309,7 +311,7 @@ proptest! {
                         let (x, y) = (a[(batch * m + i) * k + p], b[(batch * k + p) * n + j]);
                         acc = match level {
                             SimdLevel::Scalar => acc + x * y,
-                            SimdLevel::Avx2 => x.mul_add(y, acc),
+                            SimdLevel::Avx2 | SimdLevel::Avx512 => x.mul_add(y, acc),
                         };
                     }
                     c += acc;
@@ -366,15 +368,15 @@ proptest! {
         batches in 1usize..3,
         k in adversarial_dim(),
         n in adversarial_dim(),
-        nr in prop_oneof![Just(NR_SCALAR), Just(NR_AVX2)],
+        level in any_level(),
         // Run widths on both sides of every sliver width: 8 is the
-        // Winograd lane group (two scalar slivers, half an AVX2 one).
+        // Winograd lane group (two scalar slivers, half an AVX2 one, a
+        // quarter of an AVX-512 one).
         wide in any::<bool>(),
         nc in 1usize..40,
         kc in 1usize..9,
     ) {
-        let level = if nr == NR_SCALAR { SimdLevel::Scalar } else { SimdLevel::Avx2 };
-        prop_assert_eq!(tile_extents(level).1, nr);
+        let nr = tile_extents(level).1;
         // Distinct values pin the exact source element per slot.
         let b: Vec<f32> = (0..batches * k * n).map(|i| i as f32 + 1.0).collect();
         // Built in a recycled buffer — dirty, and longer or shorter than
@@ -437,7 +439,7 @@ proptest! {
     ) {
         // Distinct values pin the exact source element per slot.
         let a: Vec<f32> = (0..batches * m * k).map(|i| i as f32 + 1.0).collect();
-        for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+        for level in SimdLevel::ALL {
             let mr = tile_extents(level).0;
             let packed = PackedA::pack(&a, batches, m, k, level, &wino_runtime::Runtime::serial());
             // Four tasks sharing the row slivers pack what one does.
@@ -496,6 +498,66 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The cross-level contract: the AVX-512 register tile (14×32) computes
+// every C element by the same FMA chain as the AVX2 one (6×16), so the
+// two levels agree bit for bit — on shapes ragged against both tiles
+// and across the kc blocks, with the underflow input class, at 1–3
+// threads.
+// ---------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn avx512_is_avx2_bit_for_bit(
+        batches in 1usize..3,
+        // Off both 6 and 14, and on them.
+        m in prop_oneof![
+            Just(1usize), Just(5), Just(6), Just(13), Just(14), Just(15), Just(29), Just(43), Just(85)
+        ],
+        // Below, at and past kc = 128, and ragged against the small kc.
+        k in prop_oneof![Just(1usize), Just(9), Just(127), Just(128), Just(129), Just(300)],
+        n in prop_oneof![
+            Just(1usize), Just(15), Just(16), Just(17), Just(31), Just(33), Just(257)
+        ],
+        kc in prop_oneof![Just(7usize), Just(128)],
+        mc in prop_oneof![Just(13usize), Just(64)],
+        threads in 1usize..4,
+        // 0: uniform operands; 1: products that all underflow.
+        tiny in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        if !wino_gemm::supported_levels().contains(&SimdLevel::Avx512) {
+            return Ok(()); // the host lacks avx512f: nothing to compare
+        }
+        use rand::{Rng, SeedableRng};
+        let shape = BatchedGemmShape { batches, m, k, n };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let scale = if tiny { 1e-24f32 } else { 1.0 };
+        let a: Vec<f32> = (0..shape.a_len()).map(|_| scale * rng.gen_range(-2.0f32..2.0)).collect();
+        let b: Vec<f32> = (0..shape.b_len()).map(|_| scale * rng.gen_range(-2.0f32..2.0)).collect();
+        let cfg = GemmConfig { mc, kc, nc: 256 };
+        let rt = wino_runtime::Runtime::with_threads(threads);
+        let run = |level| {
+            let (pa, pb) = (
+                PackedA::pack(&a, batches, m, k, level, &rt),
+                PackedB::pack(&b, batches, k, n, level, &rt),
+            );
+            let mut c = vec![f32::NAN; shape.c_len()];
+            batched_sgemm_packed(&shape, &pa, &pb, &mut c, &cfg, &rt);
+            c
+        };
+        let (wide, narrow) = (run(SimdLevel::Avx512), run(SimdLevel::Avx2));
+        for (i, (x, y)) in wide.iter().zip(&narrow).enumerate() {
+            prop_assert_eq!(
+                x.to_bits(), y.to_bits(),
+                "m={} k={} n={} kc={} element {}", m, k, n, kc, i
+            );
         }
     }
 }

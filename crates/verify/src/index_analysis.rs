@@ -629,7 +629,7 @@ pub fn analyze_gemm_indexing() -> Vec<IndexCheck> {
     let mut out = Vec::new();
     for cfg in sweep_configs() {
         for &(m, k, n) in SHAPES {
-            for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+            for level in SimdLevel::ALL {
                 out.push(check_schedule(m, k, n, &cfg, level));
             }
         }
@@ -638,7 +638,7 @@ pub fn analyze_gemm_indexing() -> Vec<IndexCheck> {
     // slivers, B as `k × n` column slivers.
     for cfg in sweep_configs() {
         for &(m, k, n) in SHAPES {
-            for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+            for level in SimdLevel::ALL {
                 out.push(check_packed_schedule(PackedSide::A, m, k, &cfg, level));
                 out.push(check_packed_schedule(PackedSide::B, n, k, &cfg, level));
             }
@@ -647,7 +647,7 @@ pub fn analyze_gemm_indexing() -> Vec<IndexCheck> {
     // The zoo's im2col GEMMs: grid and windows, as the engine runs them.
     let cfg = GemmConfig::default();
     for &(m, k, n) in ZOO_IM2COL_SHAPES {
-        for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+        for level in SimdLevel::ALL {
             out.push(check_schedule(m, k, n, &cfg, level));
             out.push(check_packed_schedule(PackedSide::A, m, k, &cfg, level));
             out.push(check_packed_schedule(PackedSide::B, n, k, &cfg, level));
@@ -663,6 +663,8 @@ pub fn analyze_gemm_indexing() -> Vec<IndexCheck> {
         (13, 7, 4),
         (6, 8, 6),
         (3, 2, 4),
+        (64, 128, 14),
+        (15, 3, 14),
     ] {
         let label = format!("pack_a model {mb}x{kb}/mr{mr}");
         let mut issues = Vec::new();
@@ -684,6 +686,8 @@ pub fn analyze_gemm_indexing() -> Vec<IndexCheck> {
         (7, 13, 4),
         (16, 16, 16),
         (2, 19, 16),
+        (128, 256, 32),
+        (3, 33, 32),
     ] {
         let label = format!("pack_b model {kb}x{nb}/nr{nr}");
         let mut issues = Vec::new();
@@ -716,6 +720,7 @@ pub fn cross_check_packing() -> Vec<IndexCheck> {
         (1, 1, 4, 7, 7),
         (5, 3, 6, 1, 0),
         (4, 4, 4, 0, 5),
+        (15, 4, 14, 2, 1),
     ] {
         let label = format!("pack_a impl {mb}x{kb}/mr{mr}@({ii},{kk})");
         let mut issues = Vec::new();
@@ -745,7 +750,7 @@ pub fn cross_check_packing() -> Vec<IndexCheck> {
     // The ahead-of-time operand: `PackedA::pack` must write, per
     // matrix, the whole-matrix model `check_packed_schedule` walks.
     for &(batches, m, k) in &[(2usize, 13usize, 5usize), (1, 6, 8), (3, 1, 1), (1, 65, 9)] {
-        for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+        for level in SimdLevel::ALL {
             let mr = tile_extents(level).0;
             let label = format!("PackedA impl {batches}x{m}x{k}/mr{mr}");
             let mut issues = Vec::new();
@@ -790,7 +795,7 @@ pub fn cross_check_packing() -> Vec<IndexCheck> {
     // fills it, must hold the whole-matrix B model — and so must one
     // filled a run at a time, the way the im2col gather fills it.
     for &(batches, k, n) in &[(2usize, 5usize, 13usize), (1, 8, 16), (3, 1, 1), (1, 9, 45)] {
-        for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+        for level in SimdLevel::ALL {
             let nr = tile_extents(level).1;
             let label = format!("PackedB impl {batches}x{k}x{n}/nr{nr}");
             let mut issues = Vec::new();
@@ -873,6 +878,7 @@ pub fn cross_check_packing() -> Vec<IndexCheck> {
         (1, 1, 16, 4, 4),
         (3, 7, 4, 0, 1),
         (4, 20, 16, 5, 0),
+        (3, 45, 32, 1, 2),
     ] {
         let label = format!("pack_b impl {kb}x{nb}/nr{nr}@({kk},{jj})");
         let mut issues = Vec::new();

@@ -32,8 +32,9 @@
 //!    packed ahead of time.
 //! 6. **Safety lint** ([`safety_lint`]) — a tokenizer-based fallback
 //!    behind clippy's `undocumented_unsafe_blocks` demanding a
-//!    rationale at every workspace `unsafe` site, plus the AVX2
-//!    pointer-walk audit anchored to runtime debug-asserts.
+//!    rationale at every workspace `unsafe` site, plus the pointer-walk
+//!    audit of every SIMD GEMM micro-kernel anchored to runtime
+//!    debug-asserts.
 
 #![warn(missing_docs)]
 
@@ -51,7 +52,10 @@ pub use index_analysis::{
     analyze_gemm_indexing, check_packed_schedule, check_schedule, cross_check_packing, IndexCheck,
     IndexIssue, PackedSide,
 };
-pub use safety_lint::{audit_avx2_pointer_paths, scan_workspace_unsafe, SafetyIssue, SafetyReport};
+pub use safety_lint::{
+    audit_simd_pointer_paths, scan_workspace_unsafe, AuditedKernel, SafetyIssue, SafetyReport,
+    AUDITED_KERNELS,
+};
 pub use template_lint::{lint_generated_plans, lint_static_templates};
 pub use unsafe_audit::{
     audit_all, audit_chunk_partition, audit_scatter_coverage, debug_checks_enabled,
@@ -201,7 +205,8 @@ pub struct VerificationReport {
     pub index_checks: Vec<IndexCheck>,
     /// SAFETY-comment lint over every workspace `.rs` file.
     pub safety: SafetyReport,
-    /// AVX2 pointer-walk audit findings (empty = proven + anchored).
+    /// SIMD pointer-walk audit findings, over every kernel of
+    /// [`AUDITED_KERNELS`] (empty = proven + anchored).
     pub pointer_audit: Vec<SafetyIssue>,
     /// Whether this build carries the debug ownership ledger.
     pub debug_checks: bool,
@@ -307,7 +312,7 @@ pub fn run_full_verification() -> VerificationReport {
         kernel_checks,
         index_checks,
         safety: scan_workspace_unsafe(),
-        pointer_audit: audit_avx2_pointer_paths(),
+        pointer_audit: audit_simd_pointer_paths(),
         debug_checks: debug_checks_enabled(),
     }
 }

@@ -120,12 +120,18 @@ fn main() -> ExitCode {
         }
     }
 
+    let kernels: Vec<_> = wino_verify::AUDITED_KERNELS
+        .iter()
+        .map(|k| format!("{} {}x{}", k.name, k.mr, k.nr))
+        .collect();
     println!(
         "safety lint: {} unsafe site(s) across {} files, {} unannotated; \
-         avx2 pointer audit: {} issue(s)",
+         pointer audit over {} kernel(s) ({}): {} issue(s)",
         report.safety.unsafe_sites,
         report.safety.files_scanned,
         report.safety.issues.len(),
+        kernels.len(),
+        kernels.join(", "),
         report.pointer_audit.len()
     );
     for issue in report.safety.issues.iter().chain(&report.pointer_audit) {

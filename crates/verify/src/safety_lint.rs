@@ -1,4 +1,4 @@
-//! Unsafe-audit expansion: SAFETY-comment lint and AVX2 pointer audit.
+//! Unsafe-audit expansion: SAFETY-comment lint and SIMD pointer audit.
 //!
 //! Two layers of defense around every `unsafe` in the workspace:
 //!
@@ -12,22 +12,23 @@
 //!    above. Running our own scanner means a clippy version change or
 //!    an `#[allow]` sneaking in cannot silently drop the invariant,
 //!    and it covers the `shims/` and build scripts uniformly.
-//! 2. **AVX2 pointer audit.** The `#[target_feature]` entry points are
-//!    the only places raw pointer arithmetic happens. For the GEMM
-//!    micro-kernel the audit re-derives each pointer-walk bound from
-//!    the exported schedule constants (interval arithmetic over the k
-//!    loop) and then checks the *source text* still carries the
-//!    matching `debug_assert!` — every audited invariant is
-//!    cross-checked at runtime in debug builds, so the static claim
-//!    and the executable check cannot drift apart unnoticed. (The other
-//!    hand-written AVX2 body, `wino-conv`'s transposing tile gather,
-//!    does no pointer arithmetic: each load and store starts at the
-//!    head of a bounds-checked slice no shorter than it touches.)
+//! 2. **SIMD pointer audit.** The `#[target_feature]` entry points are
+//!    the only places raw pointer arithmetic happens. For each GEMM
+//!    micro-kernel — one row of [`AUDITED_KERNELS`] per SIMD level —
+//!    the audit re-derives each pointer-walk bound from the exported
+//!    schedule constants (interval arithmetic over the k loop) and
+//!    then checks the *source text* still carries the matching
+//!    `debug_assert!` — every audited invariant is cross-checked at
+//!    runtime in debug builds, so the static claim and the executable
+//!    check cannot drift apart unnoticed. (The other hand-written AVX2
+//!    body, `wino-conv`'s transposing tile gather, does no pointer
+//!    arithmetic: each load and store starts at the head of a
+//!    bounds-checked slice no shorter than it touches.)
 
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use wino_gemm::{MR_AVX2, NR_AVX2};
+use wino_gemm::{MR_AVX2, MR_AVX512, NR_AVX2, NR_AVX512};
 
 /// One lint finding: an `unsafe` site without its safety rationale, or
 /// an audit invariant whose debug-assert anchor is missing.
@@ -304,23 +305,85 @@ pub fn scan_workspace_unsafe() -> SafetyReport {
 /// hold; the audit checks the closed-form inequality for each.
 const AUDITED_KB: &[usize] = &[1, 2, 3, 5, 8, 16, 64, 127, 128, 129, 1024];
 
-/// Statically audits the AVX2 micro-kernel's pointer walk against the
-/// exported schedule constants, then anchors each invariant to the
-/// `debug_assert!` that cross-checks it at runtime.
+/// One SIMD GEMM micro-kernel the pointer audit proves: its register
+/// tile, the f32 lanes of one vector load, the vector counts `NV` it is
+/// instantiated at (widest last), and the source lines that re-check
+/// each audited invariant at runtime or pin the dispatch to it.
+pub struct AuditedKernel {
+    /// The kernel's function name in `crates/gemm/src/blocked.rs`.
+    pub name: &'static str,
+    /// Rows of the tile: `ap` advances by this per k step.
+    pub mr: usize,
+    /// Columns of the tile: `bp` advances by this per k step.
+    pub nr: usize,
+    /// Lanes of one B load.
+    pub lanes: usize,
+    /// The `NV` the dispatch instantiates, narrowest first.
+    pub bodies: &'static [usize],
+    /// Source lines each audited invariant is anchored to.
+    pub anchors: &'static [&'static str],
+}
+
+/// Every SIMD micro-kernel, one row each.
+pub const AUDITED_KERNELS: &[AuditedKernel] = &[
+    AuditedKernel {
+        name: "micro_kernel_avx2",
+        mr: MR_AVX2,
+        nr: NR_AVX2,
+        lanes: 8,
+        bodies: &[1, 2],
+        anchors: &[
+            "debug_assert!(a_sliver.len() >= kb * MR_AVX2);",
+            "debug_assert!(b_sliver.len() >= kb * NR_AVX2);",
+            "debug_assert!((1..=MR_AVX2).contains(&rows));",
+            "debug_assert!((1..=8 * NV).contains(&cols));",
+            // The compile-time form of invariant 3's `lanes·NV ≤ NR`.
+            "const { assert!(8 * NV <= NR_AVX2) };",
+            // The two instantiations audited are the ones dispatched,
+            // the narrow one only for tiles it covers.
+            "if t.cols <= 8 {",
+            "micro_kernel_avx2::<1>(",
+            "micro_kernel_avx2::<2>(",
+        ],
+    },
+    AuditedKernel {
+        name: "micro_kernel_avx512",
+        mr: MR_AVX512,
+        nr: NR_AVX512,
+        lanes: 16,
+        bodies: &[1, 2],
+        anchors: &[
+            "debug_assert!(a_sliver.len() >= kb * MR_AVX512);",
+            "debug_assert!(b_sliver.len() >= kb * NR_AVX512);",
+            "debug_assert!((1..=MR_AVX512).contains(&rows));",
+            "debug_assert!((1..=16 * NV).contains(&cols));",
+            "const { assert!(16 * NV <= NR_AVX512) };",
+            "if t.cols <= 16 {",
+            "micro_kernel_avx512::<1>(",
+            "micro_kernel_avx512::<2>(",
+            // A ragged vector's store (and load) touches only the
+            // segment's own lanes.
+            "let mask = ((1u32 << seg.len()) - 1) as __mmask16;",
+        ],
+    },
+];
+
+/// Statically audits each SIMD micro-kernel's pointer walk
+/// ([`AUDITED_KERNELS`]) against the exported schedule constants, then
+/// anchors each invariant to the source line that cross-checks it at
+/// runtime.
 ///
-/// The kernel advances `ap` by [`MR_AVX2`] and `bp` by [`NR_AVX2`] per
-/// k step and reads `*ap.add(r)` (r < MR) plus `NV` 8-lane loads at
-/// `bp + 8·v` (v < NV) — `NV = 2` for the full 6×16 tile, `NV = 1` for
-/// a tile of at most 8 columns, which reads the first half of each
-/// sliver row. The slivers are `kb·MR` and `kb·NR` floats (proven
-/// in-bounds inside the full-depth packed operand by the index
+/// A kernel advances `ap` by `MR` and `bp` by `NR` per k step and reads
+/// `*ap.add(r)` (r < MR) plus `NV` `lanes`-wide loads at `bp + lanes·v`
+/// (v < NV) — the widest `NV` for a full tile, `NV = 1` for a tile of
+/// at most one vector of columns, which reads the first `lanes` floats
+/// of each sliver row. The slivers are `kb·MR` and `kb·NR` floats
+/// (proven in-bounds inside the full-depth packed operand by the index
 /// analysis; the kernel is handed bounds-checked `kb·MR` / `kb·NR`
 /// sub-slices, anchored below), so the obligations are:
-/// `(kb-1)·MR + MR ≤ kb·MR`, `(kb-1)·NR + 8·NV ≤ kb·NR` for both `NV`,
-/// and the widest body's vectors cover exactly `NR_AVX2` columns.
-pub fn audit_avx2_pointer_paths() -> Vec<SafetyIssue> {
-    /// Vector counts `micro_kernel_avx2::<NV>` is instantiated at.
-    const BODIES: [usize; 2] = [1, 2];
+/// `(kb-1)·MR + MR ≤ kb·MR`, `(kb-1)·NR + lanes·NV ≤ kb·NR` for every
+/// body, and the widest body's vectors cover exactly `NR` columns.
+pub fn audit_simd_pointer_paths() -> Vec<SafetyIssue> {
     let mut issues = Vec::new();
     let file = "crates/gemm/src/blocked.rs".to_string();
     let mut fail = |reason: String| {
@@ -330,69 +393,65 @@ pub fn audit_avx2_pointer_paths() -> Vec<SafetyIssue> {
             reason,
         })
     };
-
-    // Invariant 1: the widest body's B loads cover the sliver row —
-    // if NR_AVX2 ever changed without rewriting the kernel, columns
-    // would go unmultiplied or the loads would read into the next row.
-    let widest = 8 * BODIES[BODIES.len() - 1];
-    if NR_AVX2 != widest {
-        fail(format!(
-            "widest AVX2 body loads {widest} lanes per k-step but NR_AVX2 = {NR_AVX2}"
-        ));
+    let source = std::fs::read_to_string(workspace_root().join(&file));
+    if let Err(e) = &source {
+        fail(format!("cannot read kernel source for assert anchors: {e}"));
     }
-    for &kb in AUDITED_KB {
-        // Invariant 2: last A read (kb-1)·MR + (MR-1) is inside kb·MR.
-        let last_a = (kb - 1) * MR_AVX2 + (MR_AVX2 - 1);
-        if last_a >= kb * MR_AVX2 {
+    for kernel in AUDITED_KERNELS {
+        let AuditedKernel {
+            name,
+            mr,
+            nr,
+            lanes,
+            ..
+        } = *kernel;
+        // Invariant 1: the widest body's B loads cover the sliver row —
+        // if NR ever changed without rewriting the kernel, columns
+        // would go unmultiplied or the loads would read into the next row.
+        let widest = lanes * kernel.bodies.last().copied().unwrap_or(0);
+        if nr != widest {
             fail(format!(
-                "kb={kb}: A pointer walk reads offset {last_a} of a {}-float sliver",
-                kb * MR_AVX2
+                "{name}: widest body loads {widest} lanes per k-step but NR = {nr}"
             ));
         }
-        // Invariant 3: a step's last B load, [(kb-1)·NR + 8(NV-1),
-        // (kb-1)·NR + 8·NV), ends inside kb·NR for every body.
-        for nv in BODIES {
-            let last_b_end = (kb - 1) * NR_AVX2 + 8 * nv;
-            if last_b_end > kb * NR_AVX2 {
+        for &kb in AUDITED_KB {
+            // Invariant 2: last A read (kb-1)·MR + (MR-1) is inside kb·MR.
+            let last_a = (kb - 1) * mr + (mr - 1);
+            if last_a >= kb * mr {
                 fail(format!(
-                    "kb={kb} NV={nv}: B load ends at {last_b_end} past the {}-float sliver",
-                    kb * NR_AVX2
+                    "{name} kb={kb}: A pointer walk reads offset {last_a} of a {}-float sliver",
+                    kb * mr
                 ));
+            }
+            // Invariant 3: a step's last B load, [(kb-1)·NR +
+            // lanes·(NV-1), (kb-1)·NR + lanes·NV), ends inside kb·NR
+            // for every body.
+            for &nv in kernel.bodies {
+                let last_b_end = (kb - 1) * nr + lanes * nv;
+                if last_b_end > kb * nr {
+                    fail(format!(
+                        "{name} kb={kb} NV={nv}: B load ends at {last_b_end} past the {}-float sliver",
+                        kb * nr
+                    ));
+                }
+            }
+        }
+        // Anchor: each audited invariant must be cross-checked in the
+        // kernel source, so debug builds re-verify at runtime what this
+        // audit proved statically. A refactor that drops an assert (or
+        // renames the sliver) fails here.
+        if let Ok(source) = &source {
+            for anchor in kernel.anchors {
+                if !source.contains(anchor) {
+                    fail(format!(
+                        "{name}: audited invariant lost its runtime cross-check: `{anchor}` not found"
+                    ));
+                }
             }
         }
     }
-
-    // Anchor: each audited invariant must be cross-checked by a
-    // debug_assert in the kernel source, so debug builds re-verify at
-    // runtime what this audit proved statically. A refactor that drops
-    // an assert (or renames the sliver) fails here.
-    let source = match std::fs::read_to_string(workspace_root().join(&file)) {
-        Ok(s) => s,
-        Err(e) => {
-            fail(format!("cannot read kernel source for assert anchors: {e}"));
-            return issues;
-        }
-    };
-    for anchor in [
-        "debug_assert!(a_sliver.len() >= kb * MR_AVX2);",
-        "debug_assert!(b_sliver.len() >= kb * NR_AVX2);",
-        "debug_assert!((1..=MR_AVX2).contains(&rows));",
-        "debug_assert!((1..=8 * NV).contains(&cols));",
-        // The compile-time form of invariant 3's `8·NV ≤ NR`.
-        "const { assert!(8 * NV <= NR_AVX2) };",
-        // The two instantiations audited above are the ones dispatched,
-        // the narrow one only for tiles it covers.
-        "if t.cols <= 8 {",
-        "micro_kernel_avx2::<1>(",
-        "micro_kernel_avx2::<2>(",
-    ] {
-        if !source.contains(anchor) {
-            fail(format!(
-                "audited invariant lost its runtime cross-check: `{anchor}` not found"
-            ));
-        }
-    }
-    // Either operand reaches the kernel through these bounds-checked
+    let Ok(source) = source else { return issues };
+    // Either operand reaches every kernel through these bounds-checked
     // slices of a `PackedA` / `PackedB` window, so the walks above are
     // over exactly `kb·MR` and `kb·NR` floats.
     if !source.contains("let a_sliver = &a_block[t.a_off..t.a_off + kb * mr];") {
@@ -496,8 +555,10 @@ fn lifetime<'unsafe_looking>() {}
     }
 
     #[test]
-    fn avx2_pointer_audit_is_clean() {
-        let issues = audit_avx2_pointer_paths();
+    fn simd_pointer_audit_is_clean() {
+        let names: Vec<_> = AUDITED_KERNELS.iter().map(|k| k.name).collect();
+        assert_eq!(names, ["micro_kernel_avx2", "micro_kernel_avx512"]);
+        let issues = audit_simd_pointer_paths();
         let rendered: Vec<String> = issues.iter().map(|i| i.to_string()).collect();
         assert!(issues.is_empty(), "{}", rendered.join("\n"));
     }

@@ -68,6 +68,11 @@ cargo build --release --offline --workspace
 echo "== tier-1: test suite (every workspace member, not just the root package)"
 cargo test --workspace --offline -q
 
+echo "== exec identities at the pinned AVX2 tier"
+# The suite above runs at the widest level the host has; on an AVX-512
+# host this re-runs the network identities on the 6x16 GEMM tile.
+WINO_SIMD=avx2 cargo test --offline -q -p wino-exec --test prop_identity
+
 echo "== wino-verify: static verification (recipes, kernels, indexing, unsafe invariants)"
 # Exits nonzero on any failed proof *and* on any analysis that covered
 # nothing or missed a compiled spec x stage (its coverage check), so a
