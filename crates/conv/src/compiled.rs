@@ -38,10 +38,10 @@ type SoaFn = fn(&[[f32; LANES]], &mut [[f32; LANES]]);
 /// The AVX2+FMA entry of the same kernel.
 ///
 /// # Safety
-/// Calling through this pointer requires AVX2+FMA on the host; a
-/// vector-level dispatch token ([`SimdLevel::Avx2`] or
-/// [`SimdLevel::Avx512`], CPUID-gated) encodes that proof, so every
-/// call site threads it through.
+/// Calling through this pointer requires AVX2+FMA on the host:
+/// [`SoaKernel::run`] calls it only at a vector level
+/// ([`SimdLevel::Avx2`] or [`SimdLevel::Avx512`]) that
+/// [`wino_gemm::assert_supported`] has admitted.
 #[cfg(target_arch = "x86_64")]
 type SoaAvx2Fn = unsafe fn(&[[f32; LANES]], &mut [[f32; LANES]]);
 
@@ -80,12 +80,16 @@ impl SoaKernel {
     /// `n_out²`. Output bits do not depend on `level`: the kernel has
     /// no cross-lane operations, so the AVX2 entry retires the same
     /// per-lane IEEE ops the scalar entry does.
+    ///
+    /// Panics if the host does not run `level`
+    /// ([`wino_gemm::assert_supported`]).
     pub fn run(&self, level: SimdLevel, src: &[[f32; LANES]], dst: &mut [[f32; LANES]]) {
+        wino_gemm::assert_supported(level);
         match level {
             SimdLevel::Scalar => (self.scalar)(src, dst),
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: the vector levels are only ever resolved on CPUs
-            // reporting avx2+fma (see wino_gemm::resolve_simd).
+            // SAFETY: `level` passed `assert_supported` above, and both
+            // vector levels imply avx2+fma.
             SimdLevel::Avx2 | SimdLevel::Avx512 => unsafe { (self.avx2)(src, dst) },
             #[cfg(not(target_arch = "x86_64"))]
             SimdLevel::Avx2 | SimdLevel::Avx512 => (self.scalar)(src, dst),

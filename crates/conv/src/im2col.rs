@@ -75,8 +75,15 @@ impl Im2colFilters {
     /// convolutions run at that level.
     ///
     /// # Errors
-    /// As [`Im2colFilters::new`].
+    /// As [`Im2colFilters::new`], plus [`ConvError::Unsupported`] when
+    /// the host does not run `level` ([`wino_gemm::host_supports`]).
     pub fn new_at(filters: &Tensor4<f32>, level: SimdLevel) -> Result<Self, ConvError> {
+        if !wino_gemm::host_supports(level) {
+            return Err(ConvError::Unsupported(format!(
+                "SIMD level {} is not supported on this host",
+                level.name()
+            )));
+        }
         let (k, c, r, rw) = filters.dims();
         if r != rw {
             return Err(ConvError::Shape(format!(
@@ -148,15 +155,20 @@ impl Im2colFilters {
         gather(input, desc, &cols.columns(), rt);
         drop(gather_span);
         // C (K × OH·OW) of image n lands directly in the output tensor:
-        // planes (n, 0..K) are contiguous and of length OH·OW each.
-        let mut out = Tensor4::<f32>::zeros(desc.batch, desc.out_ch, oh, ow);
+        // planes (n, 0..K) are contiguous and of length OH·OW each. The
+        // GEMM writes every element once, so nothing is zero-filled.
+        let mut out = Vec::<f32>::with_capacity(shape.c_len());
         let gemm = GemmConfig::default();
         let gemm_span = wino_probe::span("conv.im2col_gemm");
-        wino_gemm::batched_sgemm_packed(&shape, &self.a, &cols, out.data_mut(), &gemm, rt);
+        let c = &mut out.spare_capacity_mut()[..shape.c_len()];
+        wino_gemm::batched_sgemm_packed_uninit(&shape, &self.a, &cols, c, &gemm, rt);
+        // SAFETY: `batched_sgemm_packed_uninit` returned, so it wrote
+        // all `c_len` elements.
+        unsafe { out.set_len(shape.c_len()) };
         drop(gemm_span);
         ws.v = cols.into_raw();
         ws.put_back();
-        Ok(out)
+        Ok(Tensor4::from_raw(desc.batch, desc.out_ch, oh, ow, out))
     }
 }
 
@@ -346,7 +358,7 @@ mod tests {
             for (img, cols) in reference.chunks_exact_mut(k * n).enumerate() {
                 im2col_image(&input, img, &desc, cols);
             }
-            for level in SimdLevel::ALL {
+            for level in wino_gemm::supported_levels() {
                 let want = PackedB::pack(&reference, desc.batch, k, n, level, &Runtime::serial());
                 for threads in [1, 3] {
                     let dirty = vec![f32::NAN; desc.batch * k * n + 7];

@@ -26,6 +26,7 @@ mod direct;
 mod error;
 pub mod flops;
 mod im2col;
+mod scatter;
 mod tiles;
 mod winograd;
 mod winograd1d;
@@ -36,6 +37,7 @@ pub use direct::{conv_direct_f32, conv_direct_f64};
 pub use error::ConvError;
 pub use flops::{winograd_flops, winograd_flops_baseline, winograd_tile_total, WinogradFlops};
 pub use im2col::{conv_im2col, im2col_image, Im2colFilters};
+pub use scatter::{LaneGroup, ScatterMap, TileSpan};
 pub use tiles::TileTransformer;
 /// The level a bank is packed for, and the `V'` columns the non-fused
 /// GEMM phase multiplies at it (the selector's cost model prices them).

@@ -18,17 +18,19 @@
 //! per-lane IEEE ops in the same order, so each stage has exactly one
 //! floating-point operation order.
 
+use std::mem::MaybeUninit;
 use std::sync::Arc;
 
 use wino_gemm::{BatchedGemmShape, GemmConfig, PackedA, PackedB, SimdLevel};
 use wino_runtime::{DisjointSlice, Runtime};
 use wino_symbolic::{Recipe, RecipeOptions};
-use wino_tensor::{tile_counts, ConvDesc, Tensor4};
+use wino_tensor::{pad_plane, tile_counts, ConvDesc, Tensor4};
 use wino_transform::{recipe_db, TransformRecipes, WinogradSpec};
 
 use crate::compiled::{compiled_for, CompiledTransforms, SoaKernel, LANES};
 use crate::direct::check_shapes;
 use crate::error::ConvError;
+use crate::scatter::{LaneGroup, ScatterMap, TileSpan};
 use crate::tiles::TileTransformer;
 use crate::workspace::{Buffer, LiveBytes, Workspace};
 
@@ -36,7 +38,7 @@ use crate::workspace::{Buffer, LiveBytes, Workspace};
 static TILES_GATHERED: wino_probe::Counter = wino_probe::Counter::new("conv.tiles_gathered");
 /// Output tiles scattered back into NCHW planes.
 static TILES_SCATTERED: wino_probe::Counter = wino_probe::Counter::new("conv.tiles_scattered");
-/// Tiles a stage handed the lane interpreter while dispatching AVX2 —
+/// Tiles a stage handed the lane interpreter at a vector level —
 /// every tile of a spec with no compiled kernel, each in its stage's
 /// own unit (`tiles_gathered`'s, `tiles_scattered`'s, `(k, c)` filter
 /// planes). Zero for every zoo layer; anything else means a layer has
@@ -227,18 +229,24 @@ impl PrecomputedFilters {
     /// [`PrecomputedFilters::new`] at an explicit dispatch level — the
     /// one A/B hook: `level` selects the filter-transform kernel (same
     /// bits either way) and the micro-kernel the bank is packed for,
-    /// and every later call on this bank runs at it. `level` must be
-    /// one the host supports ([`SimdLevel::Scalar`], or what
-    /// [`wino_gemm::detect_simd`] reports).
+    /// and every later call on this bank runs at it.
     ///
     /// # Errors
-    /// As [`PrecomputedFilters::new`].
+    /// As [`PrecomputedFilters::new`], plus [`ConvError::Unsupported`]
+    /// when the host does not run `level`
+    /// ([`wino_gemm::host_supports`]).
     pub fn new_at(
         filters: &Tensor4<f32>,
         desc: &ConvDesc,
         recipes: Arc<TransformRecipes>,
         level: SimdLevel,
     ) -> Result<Self, ConvError> {
+        if !wino_gemm::host_supports(level) {
+            return Err(ConvError::Unsupported(format!(
+                "SIMD level {} is not supported on this host",
+                level.name()
+            )));
+        }
         let spec = winograd_checks(desc, recipes.spec.m)?;
         if recipes.spec != spec {
             return Err(ConvError::Shape(format!(
@@ -414,8 +422,10 @@ pub fn conv_winograd_precomputed(
 ///
 /// Transforms and the GEMM run at [`PrecomputedFilters::level`]. The
 /// transform kernels have no cross-lane operations, so their outputs
-/// are bit-identical across levels; only the GEMM stage's micro-kernel
-/// (FMA, another tile walk) differs per level.
+/// are bit-identical across levels, and the two vector GEMM tiles run
+/// the same FMA chain per element, so [`SimdLevel::Avx2`] and
+/// [`SimdLevel::Avx512`] give the same bits; only [`SimdLevel::Scalar`]
+/// (multiply then add in its GEMM) differs.
 ///
 /// # Errors
 /// As [`conv_winograd_precomputed`].
@@ -450,14 +460,14 @@ struct Tiling {
     m: usize,
     alpha: usize,
     in_ch: usize,
-    out_ch: usize,
-    oh: usize,
-    ow: usize,
     th: usize,
     tw: usize,
     /// `batch · th · tw`.
     tiles: usize,
-    /// The bank's dispatch level: how [`Tiling::gather`] moves floats.
+    /// The output stage's lane groups and where they store.
+    scatter: ScatterMap,
+    /// The bank's dispatch level: how [`Tiling::gather`] and
+    /// [`Tiling::place_group`] move floats.
     level: SimdLevel,
 }
 
@@ -469,12 +479,10 @@ impl Tiling {
             m: spec.m,
             alpha: spec.alpha(),
             in_ch: desc.in_ch,
-            out_ch: desc.out_ch,
-            oh,
-            ow,
             th,
             tw,
             tiles: desc.batch * th * tw,
+            scatter: ScatterMap::new(desc.batch, desc.out_ch, oh, ow, spec.m),
             level,
         }
     }
@@ -494,10 +502,40 @@ impl Tiling {
     }
 
     /// `input` with `pad` zeros above and left of every plane and zeros
-    /// out to [`Tiling::padded_extent`] below and right, built in `buf`.
-    fn pad(&self, input: &Tensor4<f32>, pad: usize, buf: Vec<f32>) -> Tensor4<f32> {
+    /// out to [`Tiling::padded_extent`] below and right, built in `buf`
+    /// ([`Tensor4::pad_into`]'s result) a plane per task on `rt`: each
+    /// float is written once, the border's zeros included, and nothing
+    /// is zero-filled first.
+    fn pad(
+        &self,
+        input: &Tensor4<f32>,
+        pad: usize,
+        mut buf: Vec<f32>,
+        rt: &Runtime,
+    ) -> Tensor4<f32> {
         let (h, w) = self.padded_extent();
-        input.pad_into(pad, h, w, buf)
+        let (n, c, ih, iw) = input.dims();
+        let (planes, plane) = (n * c, h * w);
+        let len = planes * plane;
+        buf.clear();
+        buf.reserve_exact(len);
+        let dst = DisjointSlice::new(&mut buf.spare_capacity_mut()[..len]);
+        // Whole planes per task, at least a few thousand floats each.
+        let min_planes = (4096 / plane.max(1)).max(1);
+        rt.parallel_for_chunks(0..planes, min_planes, |chunk| {
+            for i in chunk {
+                // SAFETY: plane `i`'s range lies inside `dst` and only
+                // this task writes it.
+                let out = unsafe { dst.slice_mut(i * plane..(i + 1) * plane) };
+                pad_plane(input.plane_at(i), (ih, iw), pad, w, out);
+            }
+        });
+        drop(dst);
+        // SAFETY: the region covered `0..planes` and `pad_plane` wrote
+        // every element of each plane, so the first `len` elements are
+        // initialised (none when `plane` is 0).
+        unsafe { buf.set_len(len) };
+        Tensor4::from_raw(n, c, h, w, buf)
     }
 
     /// Offsets, in the padded input's data, of the channel-0 windows of
@@ -528,8 +566,9 @@ impl Tiling {
         match self.level {
             SimdLevel::Scalar => gather_rows(plane, w, origins, self.alpha, src),
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: the vector levels are only ever resolved on CPUs
-            // reporting avx2+fma (see wino_gemm::resolve_simd).
+            // SAFETY: the level is the bank's, and no bank is packed for
+            // a level the host lacks (`wino_gemm::assert_supported`);
+            // both vector levels imply avx2.
             SimdLevel::Avx2 | SimdLevel::Avx512 => unsafe {
                 gather_rows_avx2(plane, w, origins, self.alpha, src)
             },
@@ -538,30 +577,28 @@ impl Tiling {
         }
     }
 
-    /// Writes lane `l` of `y` — the `m × m` output tile `t` of filter
-    /// `k`, clipped to the plane — into the shared output window, one
-    /// disjoint row segment at a time.
-    fn place(
+    /// Stores a lane group's output tiles `y` — `m × m` positions, lane
+    /// `l` the tile of the group's `l`-th pair — where its
+    /// [`ScatterMap::group`] spans say they go, each clipped to its
+    /// plane.
+    fn place_group(
         &self,
-        out: &DisjointSlice<'_, f32>,
-        k: usize,
-        t: usize,
+        out: &DisjointSlice<'_, MaybeUninit<f32>>,
+        group: &LaneGroup,
         y: &[[f32; LANES]],
-        l: usize,
     ) {
-        let (m, oh, ow) = (self.m, self.oh, self.ow);
-        let (n, ty, tx) = self.coords(t);
-        let h_eff = m.min(oh - ty * m);
-        let w_eff = m.min(ow - tx * m);
-        let plane = ((n * self.out_ch + k) * oh) * ow;
-        for dy in 0..h_eff {
-            let row = plane + (ty * m + dy) * ow + tx * m;
-            // SAFETY: exactly one (k, t) lane owns this tile, and tiles
-            // partition the plane, so row segments never overlap.
-            let dst = unsafe { out.slice_mut(row..row + w_eff) };
-            for (val, lanes) in dst.iter_mut().zip(&y[dy * m..]) {
-                *val = lanes[l];
-            }
+        let (m, stride) = (self.m, self.scatter.row_stride());
+        match self.level {
+            SimdLevel::Scalar => place_rows(out, &group.spans, stride, m, y),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as in `gather`: a bank's level passed
+            // `wino_gemm::assert_supported`, and both vector levels
+            // imply avx2.
+            SimdLevel::Avx2 | SimdLevel::Avx512 => unsafe {
+                place_rows_avx2(out, &group.spans, stride, m, y)
+            },
+            #[cfg(not(target_arch = "x86_64"))]
+            SimdLevel::Avx2 | SimdLevel::Avx512 => unreachable!("vector level on non-x86_64"),
         }
     }
 }
@@ -586,12 +623,97 @@ fn gather_rows(
     }
 }
 
+/// The reference store: lane by lane, row segment by row segment,
+/// `out[span.row(dy)][dx] = y[dy·m + dx][l]`.
+fn place_rows(
+    out: &DisjointSlice<'_, MaybeUninit<f32>>,
+    spans: &[TileSpan; LANES],
+    stride: usize,
+    m: usize,
+    y: &[[f32; LANES]],
+) {
+    for (l, span) in spans.iter().enumerate() {
+        for dy in 0..span.rows {
+            // SAFETY: the scatter map gives each output element to one
+            // lane of one group (wino-verify proves it), so row
+            // segments never overlap, and every one is inside `out`.
+            let dst = unsafe { out.slice_mut(span.row(dy, stride)) };
+            for (val, lanes) in dst.iter_mut().zip(&y[dy * m..]) {
+                val.write(lanes[l]);
+            }
+        }
+    }
+}
+
+/// `TAIL[8 - n..][..8]` masks the first `n` lanes of a vector.
+#[cfg(target_arch = "x86_64")]
+const TAIL: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+
+/// The 8×8 transpose between the engine's two layouts: `r[i]` element
+/// `j` becomes `out[j]` element `i`, so eight rows of eight lanes — a
+/// lane's eight positions each — become eight positions of eight lanes,
+/// and back. Shuffles only: no float is changed.
+///
+/// # Safety
+/// Requires AVX2 on the host.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn transpose8(r: [std::arch::x86_64::__m256; 8]) -> [std::arch::x86_64::__m256; 8] {
+    use std::arch::x86_64::*;
+    // Interleave row pairs: `lo`/`hi(a, b)` hold columns 0, 1 | 4, 5
+    // and 2, 3 | 6, 7 of rows `a`, `b`.
+    let (t0, t1) = (
+        _mm256_unpacklo_ps(r[0], r[1]),
+        _mm256_unpackhi_ps(r[0], r[1]),
+    );
+    let (t2, t3) = (
+        _mm256_unpacklo_ps(r[2], r[3]),
+        _mm256_unpackhi_ps(r[2], r[3]),
+    );
+    let (t4, t5) = (
+        _mm256_unpacklo_ps(r[4], r[5]),
+        _mm256_unpackhi_ps(r[4], r[5]),
+    );
+    let (t6, t7) = (
+        _mm256_unpacklo_ps(r[6], r[7]),
+        _mm256_unpackhi_ps(r[6], r[7]),
+    );
+    // Pairs of pairs: `top[c]` is column c | c + 4 of rows 0..4,
+    // `bottom[c]` the same of rows 4..8.
+    const EVEN: i32 = 0b0100_0100;
+    const ODD: i32 = 0b1110_1110;
+    let top = [
+        _mm256_shuffle_ps::<EVEN>(t0, t2),
+        _mm256_shuffle_ps::<ODD>(t0, t2),
+        _mm256_shuffle_ps::<EVEN>(t1, t3),
+        _mm256_shuffle_ps::<ODD>(t1, t3),
+    ];
+    let bottom = [
+        _mm256_shuffle_ps::<EVEN>(t4, t6),
+        _mm256_shuffle_ps::<ODD>(t4, t6),
+        _mm256_shuffle_ps::<EVEN>(t5, t7),
+        _mm256_shuffle_ps::<ODD>(t5, t7),
+    ];
+    // Swap 128-bit halves: low halves are columns 0..4, high 4..8.
+    [
+        _mm256_permute2f128_ps::<0x20>(top[0], bottom[0]),
+        _mm256_permute2f128_ps::<0x20>(top[1], bottom[1]),
+        _mm256_permute2f128_ps::<0x20>(top[2], bottom[2]),
+        _mm256_permute2f128_ps::<0x20>(top[3], bottom[3]),
+        _mm256_permute2f128_ps::<0x31>(top[0], bottom[0]),
+        _mm256_permute2f128_ps::<0x31>(top[1], bottom[1]),
+        _mm256_permute2f128_ps::<0x31>(top[2], bottom[2]),
+        _mm256_permute2f128_ps::<0x31>(top[3], bottom[3]),
+    ]
+}
+
 /// [`gather_rows`] at vector width: a window row of all eight lanes —
 /// eight α-float slices — becomes that row's SoA positions, eight
-/// columns at a time through an in-register 8×8 transpose. Every load
-/// reads inside its lane's row slice (a masked load where fewer than
-/// eight columns remain) and every store is a whole `[f32; LANES]`
-/// position, so the bounds are the slices' own.
+/// columns at a time through [`transpose8`]. Every load reads inside
+/// its lane's row slice (a masked load where fewer than eight columns
+/// remain) and every store is a whole `[f32; LANES]` position, so the
+/// bounds are the slices' own.
 ///
 /// # Safety
 /// Requires AVX2 on the host; callers hold a vector-level dispatch
@@ -606,8 +728,6 @@ unsafe fn gather_rows_avx2(
     src: &mut [[f32; LANES]],
 ) {
     use std::arch::x86_64::*;
-    /// `TAIL[8 - n..][..8]` masks the first `n` lanes of a vector.
-    const TAIL: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
     for (dy, positions) in src.chunks_exact_mut(alpha).enumerate() {
         let rows = origins.map(|origin| &plane[origin + dy * w..][..alpha]);
         for (chunk, out) in positions.chunks_mut(LANES).enumerate() {
@@ -622,56 +742,62 @@ unsafe fn gather_rows_avx2(
                     _mm256_maskload_ps(row.as_ptr(), mask)
                 };
             }
-            // 8×8 transpose. Interleave row pairs: `lo`/`hi(a, b)` hold
-            // columns 0, 1 | 4, 5 and 2, 3 | 6, 7 of rows `a`, `b`.
-            let (t0, t1) = (
-                _mm256_unpacklo_ps(r[0], r[1]),
-                _mm256_unpackhi_ps(r[0], r[1]),
-            );
-            let (t2, t3) = (
-                _mm256_unpacklo_ps(r[2], r[3]),
-                _mm256_unpackhi_ps(r[2], r[3]),
-            );
-            let (t4, t5) = (
-                _mm256_unpacklo_ps(r[4], r[5]),
-                _mm256_unpackhi_ps(r[4], r[5]),
-            );
-            let (t6, t7) = (
-                _mm256_unpacklo_ps(r[6], r[7]),
-                _mm256_unpackhi_ps(r[6], r[7]),
-            );
-            // Pairs of pairs: `top[c]` is column c | c + 4 of rows 0..4,
-            // `bottom[c]` the same of rows 4..8.
-            const EVEN: i32 = 0b0100_0100;
-            const ODD: i32 = 0b1110_1110;
-            let top = [
-                _mm256_shuffle_ps::<EVEN>(t0, t2),
-                _mm256_shuffle_ps::<ODD>(t0, t2),
-                _mm256_shuffle_ps::<EVEN>(t1, t3),
-                _mm256_shuffle_ps::<ODD>(t1, t3),
-            ];
-            let bottom = [
-                _mm256_shuffle_ps::<EVEN>(t4, t6),
-                _mm256_shuffle_ps::<ODD>(t4, t6),
-                _mm256_shuffle_ps::<EVEN>(t5, t7),
-                _mm256_shuffle_ps::<ODD>(t5, t7),
-            ];
-            // Swap 128-bit halves: low halves are columns 0..4, high 4..8.
-            let cols = [
-                _mm256_permute2f128_ps::<0x20>(top[0], bottom[0]),
-                _mm256_permute2f128_ps::<0x20>(top[1], bottom[1]),
-                _mm256_permute2f128_ps::<0x20>(top[2], bottom[2]),
-                _mm256_permute2f128_ps::<0x20>(top[3], bottom[3]),
-                _mm256_permute2f128_ps::<0x31>(top[0], bottom[0]),
-                _mm256_permute2f128_ps::<0x31>(top[1], bottom[1]),
-                _mm256_permute2f128_ps::<0x31>(top[2], bottom[2]),
-                _mm256_permute2f128_ps::<0x31>(top[3], bottom[3]),
-            ];
             // Eight guarded stores, not a loop over `out`: a copy of
-            // run-time length out of `cols` compiles to a spill and a call.
-            for (j, col) in cols.iter().enumerate() {
+            // run-time length out of the transpose compiles to a spill
+            // and a call.
+            for (j, col) in transpose8(r).iter().enumerate() {
                 if let Some(position) = out.get_mut(j) {
                     _mm256_storeu_ps(position.as_mut_ptr(), *col);
+                }
+            }
+        }
+    }
+}
+
+/// [`place_rows`] at vector width, the gather run backwards: an output
+/// row's positions — up to eight columns of all eight lanes — go
+/// through [`transpose8`] to one vector per lane, stored whole where
+/// the lane's segment has eight columns left and through a lane mask
+/// where it has fewer. Columns are chunked by eight, so every `m` runs
+/// this one body. Each store writes inside its lane's row segment and
+/// nothing is read from `out`.
+///
+/// # Safety
+/// Requires AVX2 on the host; callers hold a vector-level dispatch
+/// token ([`SimdLevel::Avx2`] or [`SimdLevel::Avx512`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn place_rows_avx2(
+    out: &DisjointSlice<'_, MaybeUninit<f32>>,
+    spans: &[TileSpan; LANES],
+    stride: usize,
+    m: usize,
+    y: &[[f32; LANES]],
+) {
+    use std::arch::x86_64::*;
+    for (dy, positions) in y[..m * m].chunks_exact(m).enumerate() {
+        for (chunk, columns) in positions.chunks(LANES).enumerate() {
+            let x0 = chunk * LANES;
+            let mut r = [_mm256_setzero_ps(); LANES];
+            for (v, lanes) in r.iter_mut().zip(columns) {
+                *v = _mm256_loadu_ps(lanes.as_ptr());
+            }
+            // A loop of constant trip count over the lanes: unrolled,
+            // the transposed rows stay in registers.
+            for (span, row) in spans.iter().zip(transpose8(r)) {
+                if dy >= span.rows || x0 >= span.cols {
+                    continue;
+                }
+                let n = (span.cols - x0).min(LANES);
+                let at = span.origin + dy * stride + x0;
+                // SAFETY: as in `place_rows`: columns `x0 .. x0 + n` of
+                // the lane's row segment `dy`, no other lane's.
+                let dst = out.slice_mut(at..at + n).as_mut_ptr().cast::<f32>();
+                if n == LANES {
+                    _mm256_storeu_ps(dst, row);
+                } else {
+                    let mask = _mm256_loadu_si256(TAIL[LANES - n..][..LANES].as_ptr().cast());
+                    _mm256_maskstore_ps(dst, mask, row);
                 }
             }
         }
@@ -691,7 +817,7 @@ fn nonfused(
     conv_span.arg("desc", || desc.to_string());
     let (recipes, level) = (pre.recipes(), pre.level());
     let tiling = Tiling::new(desc, recipes.spec, level);
-    let (m, a2) = (tiling.m, tiling.alpha * tiling.alpha);
+    let a2 = tiling.alpha * tiling.alpha;
     let p_total = tiling.tiles;
     let (kc, cc) = (desc.out_ch, desc.in_ch);
     count_interpreted(compiled, level, p_total + kc * p_total);
@@ -706,7 +832,7 @@ fn nonfused(
     let input_hist = H_INPUT.start();
     let (ph, pw) = tiling.padded_extent();
     ws.fit(Buffer::Padded, desc.batch * cc * ph * pw);
-    let padded = tiling.pad(input, desc.pad, std::mem::take(&mut ws.padded));
+    let padded = tiling.pad(input, desc.pad, std::mem::take(&mut ws.padded), rt);
     let nr = wino_gemm::tile_extents(level).1;
     ws.fit(Buffer::V, a2 * wino_gemm::packed_b_len(cc, p_total, nr));
     let mut v_packed = PackedB::recycled(std::mem::take(&mut ws.v), a2, cc, p_total, level);
@@ -758,38 +884,76 @@ fn nonfused(
     drop(gemm_span);
     drop(gemm_hist);
 
-    // Stage 3: output transform + placement, parallel over lane groups
-    // of (k, p) pairs. A pair owns one m×m output tile of one plane;
-    // its rows are written as disjoint segments.
+    // Stage 3: output transform + placement, written once, never
+    // zero-filled.
     let output_span = wino_probe::span("conv.output_transform");
     let output_hist = H_OUTPUT.start();
-    let mut out = Tensor4::<f32>::zeros(desc.batch, kc, tiling.oh, tiling.ow);
-    let total = kc * p_total;
-    let out_win = DisjointSlice::new(out.data_mut());
-    rt.parallel_for_chunks(0..total.div_ceil(LANES), 1, |groups| {
+    let out_len = tiling.scatter.out_len();
+    let mut out = Vec::<f32>::with_capacity(out_len);
+    let out_win = DisjointSlice::new(&mut out.spare_capacity_mut()[..out_len]);
+    output_stage(&tiling, recipes, compiled, m_scatter, &out_win, rt);
+    drop(out_win);
+    // SAFETY: `output_stage` returned, so it wrote all `out_len`
+    // elements. A panicking group unwinds past this point instead, and
+    // `out` is dropped empty.
+    unsafe { out.set_len(out_len) };
+    drop(output_span);
+    drop(output_hist);
+    Ok(Tensor4::from_raw(
+        desc.batch,
+        kc,
+        desc.out_h(),
+        desc.out_w(),
+        out,
+    ))
+}
+
+/// Stage 3: the output transform of `M'` (`m_scatter`, α² matrices of
+/// `K × P`) stored into `out`, parallel over the scatter map's lane
+/// groups of `(k, p)` pairs. A pair owns one `m × m` output tile of one
+/// plane, and the map gives each output element to exactly one pair
+/// (wino-verify's index analysis proves it), so every element of `out`
+/// is written once and none is read: `out` may be a fresh buffer's
+/// spare capacity.
+fn output_stage(
+    tiling: &Tiling,
+    recipes: &TransformRecipes,
+    compiled: Option<CompiledTransforms>,
+    m_scatter: &[f32],
+    out: &DisjointSlice<'_, MaybeUninit<f32>>,
+    rt: &Runtime,
+) {
+    let (m, a2, level) = (tiling.m, tiling.alpha * tiling.alpha, tiling.level);
+    let total = tiling.scatter.pairs();
+    assert!(
+        m_scatter.len() >= a2 * total && out.len() >= tiling.scatter.out_len(),
+        "M' or the output is too short for the tiling"
+    );
+    rt.parallel_for_chunks(0..tiling.scatter.groups(), 1, |groups| {
         let _chunk_span = wino_probe::span("conv.tile_scatter");
         let mut kernel = Kernel::new(compiled.map(|ct| ct.output), &recipes.output, level);
         let mut src = vec![[0.0f32; LANES]; a2];
         let mut dst = vec![[0.0f32; LANES]; m * m];
         for g in groups {
-            let q0 = g * LANES;
-            let count = LANES.min(total - q0);
+            let group = tiling.scatter.group(g);
+            let (q0, count) = (g * LANES, group.count);
             TILES_SCATTERED.add(count as u64);
             // Lane l is pair q0 + l, and M(ξ) is contiguous in
             // q = k·P + p (across a k boundary too): one load of the
-            // group's lanes per position.
+            // group's lanes per position — a whole vector but in the
+            // ragged last group.
             for (xi, lanes) in src.iter_mut().enumerate() {
-                lanes[..count].copy_from_slice(&m_scatter[xi * total + q0..][..count]);
+                let at = &m_scatter[xi * total + q0..];
+                if count == LANES {
+                    lanes.copy_from_slice(&at[..LANES]);
+                } else {
+                    lanes[..count].copy_from_slice(&at[..count]);
+                }
             }
             kernel.run(&src, &mut dst);
-            for l in 0..count {
-                tiling.place(&out_win, (q0 + l) / p_total, (q0 + l) % p_total, &dst, l);
-            }
+            tiling.place_group(out, &group, &dst);
         }
     });
-    drop(output_span);
-    drop(output_hist);
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -1016,7 +1180,7 @@ mod tests {
             let mut want = vec![0.0f32; a2];
             for level in wino_gemm::supported_levels() {
                 let tiling = Tiling::new(&desc, spec, level);
-                let padded = tiling.pad(&input, pad, Vec::new());
+                let padded = tiling.pad(&input, pad, Vec::new(), Runtime::global());
                 for t0 in (0..tiling.tiles).step_by(LANES) {
                     let count = LANES.min(tiling.tiles - t0);
                     let origins = tiling.origins(t0, count);
@@ -1035,6 +1199,131 @@ mod tests {
                             }
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// The stage-3 store the vector one replaced, kept as the reference:
+    /// lane by lane, `(k, p)` and the tile's coordinates found by
+    /// division, `y[dy·m + dx][l]` into row `ty·m + dy` of plane
+    /// `(n, k)`, clipped to the plane.
+    fn place_reference(
+        tiling: &Tiling,
+        desc: &ConvDesc,
+        out: &mut [f32],
+        q: usize,
+        y: &[[f32; LANES]],
+        l: usize,
+    ) {
+        let (m, oh, ow) = (tiling.m, desc.out_h(), desc.out_w());
+        let (k, t) = (q / tiling.tiles, q % tiling.tiles);
+        let (n, ty, tx) = tiling.coords(t);
+        for dy in 0..m.min(oh - ty * m) {
+            let row = ((n * desc.out_ch + k) * oh + ty * m + dy) * ow + tx * m;
+            for dx in 0..m.min(ow - tx * m) {
+                out[row + dx] = y[dy * m + dx][l];
+            }
+        }
+    }
+
+    /// The pad the engine runs a plane per task equals the serial
+    /// `pad_to`, into a NaN-dirty recycled buffer, on one lane and on
+    /// three.
+    #[test]
+    fn parallel_pad_into_a_dirty_buffer_is_pad_to() {
+        for (desc, m) in [
+            (ConvDesc::new(3, 1, 1, 1, 2, 7, 5, 3), 4),
+            (ConvDesc::new(5, 1, 2, 1, 1, 13, 11, 2), 4),
+            (ConvDesc::new(3, 1, 0, 1, 3, 3, 3, 1), 2),
+        ] {
+            let (input, _) = random_case(&desc, 9);
+            let tiling = Tiling::new(
+                &desc,
+                WinogradSpec::new(m, desc.ksz).unwrap(),
+                SimdLevel::Scalar,
+            );
+            let (h, w) = tiling.padded_extent();
+            let want = input.pad_to(desc.pad, h, w);
+            for threads in [1, 3] {
+                let mut dirty = vec![f32::NAN; want.len() + 5];
+                dirty.truncate(3);
+                let got = tiling.pad(&input, desc.pad, dirty, &Runtime::with_threads(threads));
+                assert_bits_equal(&got, &want);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        // The output stage writes each output element exactly once, and
+        // writes it the reference's bits: stage 3 on random `M'` into a
+        // sentinel-filled destination, at every level the host runs, on
+        // the compiled specs and two interpreted ones, on planes `m`
+        // does not divide, rows of fewer than eight tiles (groups
+        // straddle tile rows), batch and filter counts whose groups
+        // cross image and `k` planes, and pair counts that leave a
+        // ragged last group.
+        #[test]
+        fn output_stage_writes_each_element_once_as_the_reference(
+            batch in 1usize..4,
+            out_ch in 1usize..5,
+            oh in 1usize..15,
+            ow in 1usize..15,
+            (m, r, is_compiled) in prop_oneof![
+                Just((2usize, 3usize, true)),
+                Just((4, 3, true)),
+                Just((6, 3, true)),
+                Just((4, 5, true)),
+                Just((3, 2, false)),
+                Just((5, 3, false)),
+            ],
+            seed in any::<u64>(),
+        ) {
+            const SENTINEL: u32 = 0x7fc0_dead;
+            let desc = ConvDesc::new(r, 1, 0, out_ch, batch, oh + r - 1, ow + r - 1, 1);
+            let spec = WinogradSpec::new(m, r).unwrap();
+            let recipes = recipe_db().get(spec, RecipeOptions::optimized()).unwrap();
+            let compiled = compiled_for(&recipes);
+            proptest::prop_assert_eq!(compiled.is_some(), is_compiled);
+            let reference_tiling = Tiling::new(&desc, spec, SimdLevel::Scalar);
+            let (a2, total) = (spec.alpha() * spec.alpha(), reference_tiling.scatter.pairs());
+            let out_len = reference_tiling.scatter.out_len();
+            let m_scatter: Vec<f32> = {
+                use rand::Rng;
+                let mut rng = StdRng::seed_from_u64(seed);
+                (0..a2 * total).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
+            };
+            let mut want = vec![f32::from_bits(SENTINEL); out_len];
+            let mut kernel = Kernel::new(None, &recipes.output, SimdLevel::Scalar);
+            let (mut src, mut y) = (vec![[0.0f32; LANES]; a2], vec![[0.0f32; LANES]; m * m]);
+            for q0 in (0..total).step_by(LANES) {
+                let count = LANES.min(total - q0);
+                for (xi, lanes) in src.iter_mut().enumerate() {
+                    lanes[..count].copy_from_slice(&m_scatter[xi * total + q0..][..count]);
+                }
+                kernel.run(&src, &mut y);
+                for l in 0..count {
+                    place_reference(&reference_tiling, &desc, &mut want, q0 + l, &y, l);
+                }
+            }
+            for level in wino_gemm::supported_levels() {
+                let tiling = Tiling::new(&desc, spec, level);
+                let mut out = vec![MaybeUninit::new(f32::from_bits(SENTINEL)); out_len];
+                output_stage(
+                    &tiling,
+                    &recipes,
+                    compiled_at(&recipes, level),
+                    &m_scatter,
+                    &DisjointSlice::new(&mut out),
+                    &Runtime::with_threads(2),
+                );
+                for (i, (got, want)) in out.iter().zip(&want).enumerate() {
+                    // SAFETY: every element was initialised (to the
+                    // sentinel) before the stage ran.
+                    let got = unsafe { got.assume_init() }.to_bits();
+                    proptest::prop_assert!(got != SENTINEL, "{:?}: element {} never written", level, i);
+                    proptest::prop_assert_eq!(got, want.to_bits(), "{:?}: element {}", level, i);
                 }
             }
         }

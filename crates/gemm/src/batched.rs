@@ -8,6 +8,8 @@
 //! shapes; the per-batch matrices live at a fixed stride inside their
 //! buffers.
 
+use std::mem::MaybeUninit;
+
 use crate::blocked::{gemm_flops, run_tile, GemmConfig};
 use crate::packed::{PackedA, PackedB};
 use crate::schedule::TaskGrid;
@@ -91,7 +93,29 @@ pub fn batched_sgemm_rt_level(
 /// `C[b] = A[b] · B[b]` over operands packed ahead of time, at the
 /// level they were packed for ([`PackedA::level`]); an `a` of one
 /// matrix multiplies every batch (an im2col filter matrix against each
-/// image's columns).
+/// image's columns). `c`'s previous contents are never read.
+///
+/// Panics as [`batched_sgemm_packed_uninit`].
+pub fn batched_sgemm_packed(
+    shape: &BatchedGemmShape,
+    a: &PackedA,
+    b: &PackedB,
+    c: &mut [f32],
+    cfg: &GemmConfig,
+    rt: &Runtime,
+) {
+    // SAFETY: `MaybeUninit<f32>` has `f32`'s layout, and the multiply
+    // stores only initialised values through the view, so `c` holds
+    // valid floats whenever it is read again.
+    let c = unsafe { &mut *(c as *mut [f32] as *mut [MaybeUninit<f32>]) };
+    batched_sgemm_packed_uninit(shape, a, b, c, cfg, rt);
+}
+
+/// [`batched_sgemm_packed`] into memory that need not hold floats yet —
+/// a fresh buffer's spare capacity — returning the first
+/// `shape.c_len()` elements, every one written exactly once by the
+/// first k-block of its tile (or as the empty sum when `k = 0`), so a
+/// caller need not zero-fill its output first.
 ///
 /// The unit of parallelism is a tile of one batch's `C`
 /// ([`TaskGrid`]), flattened with the batch index: one region of
@@ -103,14 +127,14 @@ pub fn batched_sgemm_rt_level(
 ///
 /// Panics if an operand's shape differs from `shape`'s, the two were
 /// packed for different levels, or `c` is shorter than the shape needs.
-pub fn batched_sgemm_packed(
+pub fn batched_sgemm_packed_uninit<'c>(
     shape: &BatchedGemmShape,
     a: &PackedA,
     b: &PackedB,
-    c: &mut [f32],
+    c: &'c mut [MaybeUninit<f32>],
     cfg: &GemmConfig,
     rt: &Runtime,
-) {
+) -> &'c mut [f32] {
     let BatchedGemmShape { batches, m, k, n } = *shape;
     assert!(
         (a.batches() == batches || a.batches() == 1) && (a.m(), a.k()) == (m, k),
@@ -132,40 +156,46 @@ pub fn batched_sgemm_packed(
     let c = &mut c[..shape.c_len()];
     if k == 0 {
         // No k-block runs, so nothing below would write the empty sum.
-        c.fill(0.0);
+        c.fill(MaybeUninit::new(0.0));
+    } else if !c.is_empty() {
+        GEMM_BATCHES.add(batches as u64);
+        GEMM_FLOPS.add(shape.flops());
+        let level = a.level();
+        let grid = TaskGrid::new(batches, m, n, cfg, level);
+        let c_win = DisjointSlice::new(&mut *c);
+        rt.parallel_for_chunks(0..grid.len(), 1, |tasks| {
+            let mut span = wino_probe::span("gemm.tiles");
+            span.arg("tiles", || tasks.len().to_string());
+            let _hist = H_TILES.start();
+            for (batch, tile) in tasks.map(|task| grid.task(task)) {
+                // The grid's tiles partition each C and batch-major C
+                // windows are disjoint, so no two tasks share an element.
+                run_tile(
+                    a.batch(batch % a.batches()),
+                    b.batch(batch),
+                    &c_win,
+                    batch * m * n,
+                    tile,
+                    k,
+                    n,
+                    cfg.kc,
+                    level,
+                );
+            }
+        });
     }
-    if c.is_empty() || k == 0 {
-        return;
+    // SAFETY: every element of `c` is written: the fill above when
+    // `k = 0`, else by the first k-block of the one tile that covers it
+    // — the grid's tiles partition each batch's `C` (wino-verify's
+    // index analysis proves the coverage over the schedule run here).
+    let c = unsafe { &mut *(c as *mut [MaybeUninit<f32>] as *mut [f32]) };
+    if k > 0 && !c.is_empty() {
+        // WINO_FAULT hook (GEMM-kernel site): one relaxed load when
+        // disarmed. Sits on the one entry point every GEMM path (plain,
+        // batched, packed, im2col) funnels through.
+        wino_probe::fault::inject_f32(wino_probe::fault::Site::Gemm, c);
     }
-    GEMM_BATCHES.add(batches as u64);
-    GEMM_FLOPS.add(shape.flops());
-    let level = a.level();
-    let grid = TaskGrid::new(batches, m, n, cfg, level);
-    let c_win = DisjointSlice::new(c);
-    rt.parallel_for_chunks(0..grid.len(), 1, |tasks| {
-        let mut span = wino_probe::span("gemm.tiles");
-        span.arg("tiles", || tasks.len().to_string());
-        let _hist = H_TILES.start();
-        for (batch, tile) in tasks.map(|task| grid.task(task)) {
-            // The grid's tiles partition each C and batch-major C
-            // windows are disjoint, so no two tasks share an element.
-            run_tile(
-                a.batch(batch % a.batches()),
-                b.batch(batch),
-                &c_win,
-                batch * m * n,
-                tile,
-                k,
-                n,
-                cfg.kc,
-                level,
-            );
-        }
-    });
-    // WINO_FAULT hook (GEMM-kernel site): one relaxed load when
-    // disarmed. Sits on the one entry point every GEMM path (plain,
-    // batched, packed, im2col) funnels through.
-    wino_probe::fault::inject_f32(wino_probe::fault::Site::Gemm, c);
+    c
 }
 
 #[cfg(test)]

@@ -17,6 +17,7 @@ use crate::schedule::{
     MR_SCALAR, NR_AVX2, NR_AVX512, NR_SCALAR,
 };
 use crate::simd::{simd_level, SimdLevel};
+use std::mem::MaybeUninit;
 use wino_runtime::{DisjointSlice, Runtime};
 
 /// Cache/register blocking parameters.
@@ -90,7 +91,8 @@ pub fn sgemm_rt_level(
 /// whole `kc` loop for its tile, in order, so every `C` element sees
 /// the serial accumulation order — bit-identical for any thread count
 /// and any grid. The first k-block writes `C`, later ones accumulate
-/// into it: `C`'s previous contents are never read.
+/// into it: `C`'s previous contents are never read, so it may be
+/// memory no float has been stored in yet.
 ///
 /// The walk is the descriptors exported by [`crate::schedule`]
 /// ([`crate::TaskGrid`] → `dim_blocks` → `micro_tiles` inside
@@ -101,7 +103,7 @@ pub fn sgemm_rt_level(
 pub(crate) fn run_tile(
     a: &[f32],
     b: &[f32],
-    c: &DisjointSlice<'_, f32>,
+    c: &DisjointSlice<'_, MaybeUninit<f32>>,
     c_base: usize,
     tile: TaskTile,
     k: usize,
@@ -209,7 +211,7 @@ pub fn pack_b(
 fn macro_kernel(
     (a_block, a_stride): (&[f32], usize),
     (b_block, b_stride): (&[f32], usize),
-    c: &DisjointSlice<'_, f32>,
+    c: &DisjointSlice<'_, MaybeUninit<f32>>,
     origin: usize,
     (mb, kb, nb): (usize, usize, usize),
     ldc: usize,
@@ -230,8 +232,9 @@ fn macro_kernel(
                 micro_kernel(a_sliver, b_sliver, c, c_off, t.rows, t.cols, ldc, kb, first);
             }
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: Avx2 is only ever resolved when CPUID reports
-            // avx2+fma (see `simd::resolve_simd`).
+            // SAFETY: `level` is the packed operands' level, and no
+            // operand is packed for a level the host lacks
+            // (`simd::assert_supported`): this host has avx2+fma.
             SimdLevel::Avx2 => unsafe {
                 // The register tile follows the tile's width: a tile
                 // of at most one vector of columns multiplies the
@@ -248,8 +251,8 @@ fn macro_kernel(
                 }
             },
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: Avx512 is only ever resolved when CPUID reports
-            // avx2+fma+avx512f (see `simd::resolve_simd`).
+            // SAFETY: as for Avx2 — the operands' level passed
+            // `simd::assert_supported`, so this host has avx512f.
             SimdLevel::Avx512 => unsafe {
                 // The `cols ≤ 8` rule one vector wider.
                 if t.cols <= 16 {
@@ -274,7 +277,7 @@ fn macro_kernel(
 fn micro_kernel(
     a_sliver: &[f32],
     b_sliver: &[f32],
-    c: &DisjointSlice<'_, f32>,
+    c: &DisjointSlice<'_, MaybeUninit<f32>>,
     c_off: usize,
     rows: usize,
     cols: usize,
@@ -300,7 +303,14 @@ fn micro_kernel(
         let row = unsafe { c.slice_mut(base..base + cols) };
         for (dst, &add) in row.iter_mut().zip(acc_row[..cols].iter()) {
             // The first k-block's `0.0 +`: see `micro_kernel_avx2`.
-            *dst = if first { 0.0 } else { *dst } + add;
+            let prev = if first {
+                0.0
+            } else {
+                // SAFETY: past the first k-block this task has written
+                // the element (its first block stored all of its tile).
+                unsafe { dst.assume_init_read() }
+            };
+            dst.write(prev + add);
         }
     }
 }
@@ -318,14 +328,15 @@ fn micro_kernel(
 ///
 /// # Safety
 /// Caller must ensure the CPU supports `avx2` and `fma` (the dispatch
-/// in [`macro_kernel`] only selects this after CPUID detection).
+/// in [`macro_kernel`] only selects this for operands packed at a
+/// level [`crate::assert_supported`] admitted).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 #[allow(clippy::too_many_arguments)]
 unsafe fn micro_kernel_avx2<const NV: usize>(
     a_sliver: &[f32],
     b_sliver: &[f32],
-    c: &DisjointSlice<'_, f32>,
+    c: &DisjointSlice<'_, MaybeUninit<f32>>,
     c_off: usize,
     rows: usize,
     cols: usize,
@@ -374,19 +385,22 @@ unsafe fn micro_kernel_avx2<const NV: usize>(
         // SAFETY: this micro-tile's row segment lies inside the
         // caller's tile of C, which no other task touches.
         let row = c.slice_mut(base..base + cols);
+        // Past the first k-block every element of the row has been
+        // written by this task's first block, so the loads read floats.
         for (seg, acc_rv) in row.chunks_mut(8).zip(acc_r) {
             if seg.len() == 8 {
                 let cv = if first {
                     zero
                 } else {
-                    _mm256_loadu_ps(seg.as_ptr())
+                    _mm256_loadu_ps(seg.as_ptr().cast())
                 };
-                _mm256_storeu_ps(seg.as_mut_ptr(), _mm256_add_ps(cv, *acc_rv));
+                _mm256_storeu_ps(seg.as_mut_ptr().cast(), _mm256_add_ps(cv, *acc_rv));
             } else {
                 let mut spill = [0.0f32; 8];
                 _mm256_storeu_ps(spill.as_mut_ptr(), *acc_rv);
                 for (dst, &add) in seg.iter_mut().zip(&spill) {
-                    *dst = if first { 0.0 } else { *dst } + add;
+                    let prev = if first { 0.0 } else { dst.assume_init_read() };
+                    dst.write(prev + add);
                 }
             }
         }
@@ -404,15 +418,16 @@ unsafe fn micro_kernel_avx2<const NV: usize>(
 ///
 /// # Safety
 /// Caller must ensure the CPU supports `avx512f` (the dispatch in
-/// [`macro_kernel`] only selects this at [`SimdLevel::Avx512`], which
-/// is resolved only after CPUID reports it).
+/// [`macro_kernel`] only selects this for operands packed at
+/// [`SimdLevel::Avx512`], which [`crate::assert_supported`] admits only
+/// after CPUID reports it).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
 unsafe fn micro_kernel_avx512<const NV: usize>(
     a_sliver: &[f32],
     b_sliver: &[f32],
-    c: &DisjointSlice<'_, f32>,
+    c: &DisjointSlice<'_, MaybeUninit<f32>>,
     c_off: usize,
     rows: usize,
     cols: usize,
@@ -460,9 +475,9 @@ unsafe fn micro_kernel_avx512<const NV: usize>(
             let cv = if first {
                 zero
             } else {
-                _mm512_maskz_loadu_ps(mask, seg.as_ptr())
+                _mm512_maskz_loadu_ps(mask, seg.as_ptr().cast())
             };
-            _mm512_mask_storeu_ps(seg.as_mut_ptr(), mask, _mm512_add_ps(cv, *acc_rv));
+            _mm512_mask_storeu_ps(seg.as_mut_ptr().cast(), mask, _mm512_add_ps(cv, *acc_rv));
         }
     }
 }

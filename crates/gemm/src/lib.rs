@@ -16,7 +16,10 @@ mod packed;
 pub mod schedule;
 pub mod simd;
 
-pub use batched::{batched_sgemm, batched_sgemm_packed, batched_sgemm_rt_level, BatchedGemmShape};
+pub use batched::{
+    batched_sgemm, batched_sgemm_packed, batched_sgemm_packed_uninit, batched_sgemm_rt_level,
+    BatchedGemmShape,
+};
 pub use blocked::{gemm_flops, pack_a, pack_b, sgemm, sgemm_naive, sgemm_rt_level, GemmConfig};
 pub use packed::{PackedA, PackedB, PackedBColumns};
 pub use schedule::{
@@ -24,4 +27,7 @@ pub use schedule::{
     packed_block_off, packed_step, tile_extents, DimBlock, MicroTile, PackSlot, TaskGrid, TaskTile,
     MR_AVX2, MR_AVX512, MR_SCALAR, NR_AVX2, NR_AVX512, NR_SCALAR, TASK_COLS,
 };
-pub use simd::{detect_simd, resolve_simd, simd_level, supported_levels, SimdLevel};
+pub use simd::{
+    assert_supported, detect_simd, host_supports, level_supported, resolve_simd, simd_level,
+    supported_levels, SimdLevel,
+};

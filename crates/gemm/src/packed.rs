@@ -27,7 +27,7 @@ use crate::blocked::{pack_a, pack_b};
 use crate::schedule::{
     packed_a_len, packed_b_len, packed_block_off, tile_extents, NR_AVX2, NR_AVX512,
 };
-use crate::simd::SimdLevel;
+use crate::simd::{assert_supported, SimdLevel};
 use wino_runtime::{DisjointSlice, Runtime};
 
 /// `batches` row-major `m × k` matrices in the micro-kernel's A order.
@@ -43,7 +43,8 @@ impl PackedA {
     /// Packs the batch-major row-major matrices in `a` for `level`'s
     /// micro-kernel, a sliver a task on `rt`.
     ///
-    /// Panics if `a` is shorter than `batches · m · k`.
+    /// Panics if `a` is shorter than `batches · m · k`, or the host
+    /// does not run `level` ([`crate::assert_supported`]).
     pub fn pack(
         a: &[f32],
         batches: usize,
@@ -52,6 +53,7 @@ impl PackedA {
         level: SimdLevel,
         rt: &Runtime,
     ) -> Self {
+        assert_supported(level);
         assert!(a.len() >= batches * m * k, "A too short to pack");
         let mr = tile_extents(level).0;
         let mut data = vec![0.0f32; batches * packed_a_len(m, k, mr)];
@@ -78,6 +80,8 @@ impl PackedA {
     /// own range of every matrix, and hands `fill_row` scratch of its
     /// own from `task_state`, so the result does not depend on the
     /// thread count; the only staging is one sliver deep per task.
+    ///
+    /// Panics if the host does not run `level`.
     pub fn from_rows<S>(
         batches: usize,
         m: usize,
@@ -87,6 +91,7 @@ impl PackedA {
         task_state: impl Fn() -> S + Sync,
         fill_row: impl Fn(&mut S, usize, &mut [f32]) + Sync,
     ) -> Self {
+        assert_supported(level);
         let mr = tile_extents(level).0;
         let stride = packed_a_len(m, k, mr);
         let mut data = vec![0.0f32; batches * stride];
@@ -209,6 +214,9 @@ impl PackedB {
     /// a ragged last sliver, and whatever `data` grows by: columns below
     /// `n` hold what `data` held, so the producer must write every one
     /// of them before the multiply reads them.
+    ///
+    /// Panics if the host does not run `level` (so neither do
+    /// [`PackedB::zeroed`] and [`PackedB::pack`], built on this).
     pub fn recycled(
         mut data: Vec<f32>,
         batches: usize,
@@ -216,6 +224,7 @@ impl PackedB {
         n: usize,
         level: SimdLevel,
     ) -> Self {
+        assert_supported(level);
         let nr = tile_extents(level).1;
         let stride = packed_b_len(k, n, nr);
         data.reserve_exact((batches * stride).saturating_sub(data.len()));

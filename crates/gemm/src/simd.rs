@@ -76,11 +76,62 @@ pub fn detect_simd() -> SimdLevel {
 /// Every level this machine runs, narrowest first: what a test that
 /// holds each level to its contract iterates.
 pub fn supported_levels() -> Vec<SimdLevel> {
-    let widest = detect_simd();
+    let widest = detected();
     SimdLevel::ALL
         .into_iter()
-        .filter(|&l| l <= widest)
+        .filter(|&l| level_supported(l, widest))
         .collect()
+}
+
+/// Whether a host whose widest level is `detected` runs `level`: pure,
+/// so tests can drive it with any pair.
+pub fn level_supported(level: SimdLevel, detected: SimdLevel) -> bool {
+    level <= detected
+}
+
+/// [`detect_simd`], cached for the process (one relaxed load after
+/// the first call).
+fn detected() -> SimdLevel {
+    static DETECTED: AtomicU8 = AtomicU8::new(UNSET);
+    match decode(DETECTED.load(Ordering::Relaxed)) {
+        Some(level) => level,
+        None => {
+            let level = detect_simd();
+            DETECTED.store(encode(level), Ordering::Relaxed);
+            level
+        }
+    }
+}
+
+/// Whether this host runs `level`: [`level_supported`] against the
+/// cached [`detect_simd`].
+pub fn host_supports(level: SimdLevel) -> bool {
+    level == SimdLevel::Scalar || level_supported(level, detected())
+}
+
+/// Panics unless this host runs `level`. Every public entry that takes
+/// a level — an operand packed for it, a kernel run at it — calls this
+/// (or refuses through [`host_supports`]) before the level can reach a
+/// `#[target_feature]` body, so safe code cannot run an instruction set
+/// the host lacks; those bodies' SAFETY comments rest on it.
+///
+/// # Panics
+/// When `level` is wider than the host's [`detect_simd`].
+#[inline]
+pub fn assert_supported(level: SimdLevel) {
+    if !host_supports(level) {
+        unsupported(level);
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn unsupported(level: SimdLevel) -> ! {
+    panic!(
+        "SIMD level {} is not supported on this host (widest: {})",
+        level.name(),
+        detected().name()
+    )
 }
 
 /// Resolves a `WINO_SIMD` value (`None` = unset) against detection.
@@ -122,26 +173,36 @@ const AVX512: u8 = 3;
 
 static LEVEL: AtomicU8 = AtomicU8::new(UNSET);
 
+fn decode(code: u8) -> Option<SimdLevel> {
+    match code {
+        SCALAR => Some(SimdLevel::Scalar),
+        AVX2 => Some(SimdLevel::Avx2),
+        AVX512 => Some(SimdLevel::Avx512),
+        _ => None,
+    }
+}
+
+fn encode(level: SimdLevel) -> u8 {
+    match level {
+        SimdLevel::Scalar => SCALAR,
+        SimdLevel::Avx2 => AVX2,
+        SimdLevel::Avx512 => AVX512,
+    }
+}
+
 /// The dispatch level every kernel in this process uses: `WINO_SIMD`
 /// resolved against detection on first call, then cached (one relaxed
 /// load thereafter). Changing the env var mid-process has no effect —
 /// the level is part of the process's determinism contract.
 pub fn simd_level() -> SimdLevel {
-    match LEVEL.load(Ordering::Relaxed) {
-        SCALAR => SimdLevel::Scalar,
-        AVX2 => SimdLevel::Avx2,
-        AVX512 => SimdLevel::Avx512,
-        _ => {
+    match decode(LEVEL.load(Ordering::Relaxed)) {
+        Some(level) => level,
+        None => {
             let env = std::env::var("WINO_SIMD").ok();
-            let level = resolve_simd(env.as_deref(), detect_simd());
-            let code = match level {
-                SimdLevel::Scalar => SCALAR,
-                SimdLevel::Avx2 => AVX2,
-                SimdLevel::Avx512 => AVX512,
-            };
+            let level = resolve_simd(env.as_deref(), detected());
             // Racing initializers compute the same value (env +
             // detection are stable), so last-write-wins is fine.
-            LEVEL.store(code, Ordering::Relaxed);
+            LEVEL.store(encode(level), Ordering::Relaxed);
             level
         }
     }
@@ -216,6 +277,36 @@ mod tests {
                 .any(|d| d.contains("avx512f") && d.contains("not available")),
             "missing unsatisfiable avx512 diagnostic: {diags:?}"
         );
+    }
+
+    #[test]
+    fn a_level_is_supported_up_to_detection() {
+        use SimdLevel::*;
+        let pairs = [
+            (Scalar, Scalar, true),
+            (Avx2, Scalar, false),
+            (Avx512, Scalar, false),
+            (Scalar, Avx2, true),
+            (Avx2, Avx2, true),
+            (Avx512, Avx2, false),
+            (Scalar, Avx512, true),
+            (Avx2, Avx512, true),
+            (Avx512, Avx512, true),
+        ];
+        for (level, detected, want) in pairs {
+            assert_eq!(
+                level_supported(level, detected),
+                want,
+                "{level:?} on {detected:?}"
+            );
+        }
+        // The cached check agrees with the listing, and refuses what
+        // the host lacks rather than running it.
+        for level in SimdLevel::ALL {
+            let listed = supported_levels().contains(&level);
+            let ran = std::panic::catch_unwind(|| assert_supported(level)).is_ok();
+            assert_eq!(ran, listed, "{level:?}");
+        }
     }
 
     #[test]

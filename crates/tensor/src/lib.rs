@@ -14,7 +14,7 @@ mod tensor;
 mod tiling;
 
 pub use shape::ConvDesc;
-pub use tensor::Tensor4;
+pub use tensor::{pad_plane, Tensor4};
 pub use tiling::{extract_input_tile, place_output_tile, place_output_tile_into, tile_counts};
 
 /// The paper's L1 matrix norm — maximum absolute column sum — extended

@@ -1,6 +1,7 @@
 //! The dense NCHW tensor type.
 
 use std::fmt;
+use std::mem::MaybeUninit;
 use std::ops::{Index, IndexMut};
 
 use rand::distributions::uniform::SampleUniform;
@@ -165,10 +166,12 @@ impl<T: Copy + Default> Tensor4<T> {
         self.pad_into(pad, out_h, out_w, Vec::new())
     }
 
-    /// [`Tensor4::pad_to`] built in `buf` — its contents are discarded,
-    /// its capacity reused, or grown to exactly what is needed — so a
-    /// caller that pads per call ([`Tensor4::into_raw`] gives the buffer
-    /// back) allocates only when a call outgrows every earlier one.
+    /// [`Tensor4::pad_to`] built in `buf` — its contents are discarded
+    /// unread, its capacity reused, or grown to exactly what is needed —
+    /// so a caller that pads per call ([`Tensor4::into_raw`] gives the
+    /// buffer back) allocates only when a call outgrows every earlier
+    /// one. Every element is written once ([`pad_plane`]): the border's
+    /// zeros and the content, nothing zero-filled first.
     ///
     /// # Panics
     /// As [`Tensor4::pad_to`].
@@ -179,26 +182,71 @@ impl<T: Copy + Default> Tensor4<T> {
             self.h,
             self.w
         );
-        let len = self.n * self.c * out_h * out_w;
+        let (planes, plane) = (self.n * self.c, out_h * out_w);
+        let len = planes * plane;
         buf.clear();
         buf.reserve_exact(len);
-        buf.resize(len, T::default());
-        let mut out = Tensor4::from_raw(self.n, self.c, out_h, out_w, buf);
-        if self.h * self.w == 0 {
-            return out;
+        let dst = &mut buf.spare_capacity_mut()[..len];
+        for (i, dst) in dst.chunks_exact_mut(plane.max(1)).enumerate() {
+            pad_plane(self.plane_at(i), (self.h, self.w), pad, out_w, dst);
         }
-        let planes = self
-            .data
-            .chunks_exact(self.h * self.w)
-            .zip(out.data.chunks_exact_mut(out_h * out_w));
-        for (src, dst) in planes {
-            let rows = dst[pad * out_w..].chunks_exact_mut(out_w);
-            for (src_row, dst_row) in src.chunks_exact(self.w).zip(rows) {
-                dst_row[pad..pad + self.w].copy_from_slice(src_row);
-            }
-        }
-        out
+        // SAFETY: `pad_plane` wrote all `plane` elements of each of the
+        // `planes` chunks (none when `plane` is 0), so the first `len`
+        // elements are initialised.
+        unsafe { buf.set_len(len) };
+        Tensor4::from_raw(self.n, self.c, out_h, out_w, buf)
     }
+
+    /// The `i`-th `h × w` plane in storage order (`i = n·C + c`).
+    pub fn plane_at(&self, i: usize) -> &[T] {
+        let len = self.h * self.w;
+        &self.data[i * len..][..len]
+    }
+}
+
+/// Writes one `out_h × out_w` plane of [`Tensor4::pad_to`] into `dst`
+/// (`out_h = dst.len() / out_w`): the `h × w` plane `src` at
+/// `(pad, pad)`, zeros everywhere else. Each element of `dst` is
+/// written exactly once and none is read, so `dst` may be memory no
+/// value has been stored in yet — a buffer's spare capacity.
+///
+/// # Panics
+/// When the content does not fit the plane, or `src` is shorter than
+/// `h · w`.
+pub fn pad_plane<T: Copy + Default>(
+    src: &[T],
+    (h, w): (usize, usize),
+    pad: usize,
+    out_w: usize,
+    dst: &mut [MaybeUninit<T>],
+) {
+    let zero = MaybeUninit::new(T::default());
+    if h * w == 0 {
+        dst.fill(zero);
+        return;
+    }
+    assert!(
+        out_w >= w + pad && dst.len() >= (h + pad) * out_w,
+        "{h}x{w} content at ({pad}, {pad}) does not fit a {}-wide plane of {} elements",
+        out_w,
+        dst.len()
+    );
+    let (top, rest) = dst.split_at_mut(pad * out_w);
+    let (body, bottom) = rest.split_at_mut(h * out_w);
+    top.fill(zero);
+    for (row, src_row) in body
+        .chunks_exact_mut(out_w)
+        .zip(src[..h * w].chunks_exact(w))
+    {
+        let (left, rest) = row.split_at_mut(pad);
+        let (content, right) = rest.split_at_mut(w);
+        left.fill(zero);
+        for (d, &v) in content.iter_mut().zip(src_row) {
+            d.write(v);
+        }
+        right.fill(zero);
+    }
+    bottom.fill(zero);
 }
 
 impl<T: Copy + Default + SampleUniform + PartialOrd> Tensor4<T> {
@@ -313,6 +361,13 @@ mod tests {
         let q = t.pad_into(1, 6, 6, dirty);
         assert_eq!(q, p);
         assert_eq!(q.data().as_ptr(), at);
+        // So does a NaN-dirty one of the right capacity: the border is
+        // written, not assumed zero.
+        let mut nan = vec![f32::NAN; 2 * 2 * 6 * 6];
+        nan.clear();
+        assert_eq!(t.pad_into(1, 6, 6, nan), p);
+        let nan = vec![f32::NAN; 2 * 2 * 6 * 6];
+        assert_eq!(t.pad_into(1, 6, 6, nan), p);
         // A zero-area tensor pads to all zeros.
         let empty = Tensor4::<f32>::zeros(1, 1, 0, 0);
         assert_eq!(empty.pad_to(2, 4, 4), Tensor4::zeros(1, 1, 4, 4));

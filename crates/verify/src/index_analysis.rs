@@ -28,6 +28,13 @@
 //!   stays inside the operand and holds exactly the rows (columns) and
 //!   depths the tile multiplies, the zero padding of the last ragged
 //!   sliver included.
+//! - **The Winograd output scatter:** `wino-conv` exports its output
+//!   stage's lane-group → row-segment map ([`wino_conv::ScatterMap`])
+//!   and the engine stores through it; [`check_scatter`] proves over a
+//!   shape grid, and over the Table-4 layers at batch 1 and 5, that the
+//!   segments cover each output element exactly once, each inside its
+//!   plane row. That is what lets the engine write its output without
+//!   zero-filling it, as the GEMM coverage above does for im2col's.
 //!
 //! The reasoning is interval/affine arithmetic over loop bounds: all
 //! quantities are affine in the block descriptors, so checking every
@@ -41,10 +48,11 @@
 
 use std::fmt;
 
+use wino_conv::{LaneGroup, ScatterMap};
 use wino_gemm::{
     dim_blocks, micro_tiles, pack_a, pack_a_model, pack_b, pack_b_model, packed_a_len,
-    packed_b_len, packed_block_off, tile_extents, GemmConfig, MicroTile, PackSlot, PackedA,
-    PackedB, SimdLevel, TaskGrid, TaskTile,
+    packed_b_len, packed_block_off, supported_levels, tile_extents, GemmConfig, MicroTile,
+    PackSlot, PackedA, PackedB, SimdLevel, TaskGrid, TaskTile,
 };
 use wino_runtime::Runtime;
 
@@ -706,6 +714,129 @@ pub fn analyze_gemm_indexing() -> Vec<IndexCheck> {
     out
 }
 
+/// Output-stage shapes the scatter proof sweeps, `(batch, K, oh, ow)`:
+/// one element, planes smaller than any tile, `oh`/`ow` no `m` divides,
+/// rows of fewer tiles than a lane group, and pair counts off the lane
+/// width, so groups straddle tile rows, images and filters and the last
+/// one is ragged.
+const SCATTER_SHAPES: &[(usize, usize, usize, usize)] = &[
+    (1, 1, 1, 1),
+    (1, 1, 2, 2),
+    (2, 3, 7, 5),
+    (1, 5, 13, 13),
+    (3, 2, 6, 11),
+    (2, 1, 1, 9),
+    (1, 9, 17, 3),
+    (5, 7, 14, 14),
+];
+
+/// Proves the output stage's scatter for one geometry: every lane
+/// group's spans are row segments of at most `m × m` inside one plane
+/// row each, the lanes past a group's count store nothing, the groups
+/// hold every `(k, p)` pair once, and the segments cover each output
+/// element exactly once.
+pub fn check_scatter(batch: usize, out_ch: usize, oh: usize, ow: usize, m: usize) -> IndexCheck {
+    let map = ScatterMap::new(batch, out_ch, oh, ow, m);
+    let label = format!("scatter {batch}x{out_ch}x{oh}x{ow} m{m}");
+    let groups = (0..map.groups()).map(|g| map.group(g));
+    check_scatter_groups(label, &map, oh, groups)
+}
+
+/// [`check_scatter`]'s obligations over `groups`, in the place of
+/// `map`'s own (the negative fixtures hand it tampered ones).
+fn check_scatter_groups(
+    label: String,
+    map: &ScatterMap,
+    oh: usize,
+    groups: impl Iterator<Item = LaneGroup>,
+) -> IndexCheck {
+    let mut issues = Vec::new();
+    let (m, len, ow) = (map.m(), map.out_len(), map.row_stride());
+    let mut seen = vec![0u8; len];
+    let mut lanes = 0;
+    'groups: for (g, group) in groups.enumerate() {
+        lanes += group.count;
+        for (l, span) in group.spans.iter().enumerate() {
+            if l >= group.count {
+                if span.rows * span.cols != 0 {
+                    issues.push(issue(
+                        &label,
+                        format!("group {g} lane {l} is empty but stores"),
+                    ));
+                }
+                continue;
+            }
+            let (x, y) = (span.origin % ow, span.origin / ow % oh);
+            if !(1..=m).contains(&span.rows)
+                || !(1..=m).contains(&span.cols)
+                || x + span.cols > ow
+                || y + span.rows > oh
+            {
+                issues.push(issue(
+                    &label,
+                    format!("group {g} lane {l}: {span:?} leaves its plane"),
+                ));
+                break 'groups;
+            }
+            for dy in 0..span.rows {
+                let row = span.row(dy, ow);
+                if row.end > len {
+                    issues.push(issue(
+                        &label,
+                        format!("group {g} lane {l} row {dy}: {row:?} past {len}"),
+                    ));
+                    break 'groups;
+                }
+                for e in &mut seen[row] {
+                    *e = e.saturating_add(1);
+                }
+            }
+        }
+    }
+    if lanes != map.pairs() {
+        issues.push(issue(
+            &label,
+            format!("groups hold {lanes} lanes for {} pairs", map.pairs()),
+        ));
+    }
+    if let Some(e) = seen.iter().position(|&count| count != 1) {
+        issues.push(issue(
+            &label,
+            format!("output element {e} written {} times", seen[e]),
+        ));
+    }
+    IndexCheck { label, issues }
+}
+
+/// [`check_scatter`] over [`SCATTER_SHAPES`] at every `m` of Table 1
+/// (2..=10), and over every Table-4 layer at batch 1 and 5 at each `m`
+/// the build compiled kernels for at its filter size.
+pub fn analyze_scatter() -> Vec<IndexCheck> {
+    let mut out = Vec::new();
+    for &(batch, k, oh, ow) in SCATTER_SHAPES {
+        for m in 2..=10 {
+            out.push(check_scatter(batch, k, oh, ow, m));
+        }
+    }
+    for desc in wino_graph::table4_convs() {
+        let ms = wino_conv::compiled::compiled_specs()
+            .iter()
+            .filter(|&&(_, r)| r == desc.ksz);
+        for &(m, _) in ms {
+            for batch in [1, 5] {
+                out.push(check_scatter(
+                    batch,
+                    desc.out_ch,
+                    desc.out_h(),
+                    desc.out_w(),
+                    m,
+                ));
+            }
+        }
+    }
+    out
+}
+
 /// Closes the model/implementation gap: runs the real
 /// [`wino_gemm::pack_a`]/[`wino_gemm::pack_b`] loops over matrices
 /// whose every element encodes its own flat index (exact in f32 for
@@ -748,9 +879,11 @@ pub fn cross_check_packing() -> Vec<IndexCheck> {
         out.push(IndexCheck { label, issues });
     }
     // The ahead-of-time operand: `PackedA::pack` must write, per
-    // matrix, the whole-matrix model `check_packed_schedule` walks.
+    // matrix, the whole-matrix model `check_packed_schedule` walks —
+    // at every level this host runs (no operand is built for a level
+    // it lacks; those layouts are proven on the models above).
     for &(batches, m, k) in &[(2usize, 13usize, 5usize), (1, 6, 8), (3, 1, 1), (1, 65, 9)] {
-        for level in SimdLevel::ALL {
+        for level in supported_levels() {
             let mr = tile_extents(level).0;
             let label = format!("PackedA impl {batches}x{m}x{k}/mr{mr}");
             let mut issues = Vec::new();
@@ -795,7 +928,7 @@ pub fn cross_check_packing() -> Vec<IndexCheck> {
     // fills it, must hold the whole-matrix B model — and so must one
     // filled a run at a time, the way the im2col gather fills it.
     for &(batches, k, n) in &[(2usize, 5usize, 13usize), (1, 8, 16), (3, 1, 1), (1, 9, 45)] {
-        for level in SimdLevel::ALL {
+        for level in supported_levels() {
             let nr = tile_extents(level).1;
             let label = format!("PackedB impl {batches}x{k}x{n}/nr{nr}");
             let mut issues = Vec::new();
@@ -934,6 +1067,52 @@ mod tests {
                 check.issues.first().unwrap()
             );
         }
+    }
+
+    #[test]
+    fn scatter_sweep_proves_clean() {
+        let checks = analyze_scatter();
+        // The grid at nine `m`s, and 31 Table-4 rows at two batches.
+        assert!(checks.len() >= SCATTER_SHAPES.len() * 9 + 31 * 2);
+        for check in checks {
+            assert!(
+                check.passed(),
+                "{}: {}",
+                check.label,
+                check.issues.first().unwrap()
+            );
+        }
+    }
+
+    #[test]
+    fn tampered_scatter_rejected() {
+        // 2 images × 3 filters of 7×9 under m = 4: 2×3 tiles per plane,
+        // 36 pairs, groups that straddle tile rows, images and filters,
+        // and a ragged last group of four.
+        let map = ScatterMap::new(2, 3, 7, 9, 4);
+        let groups = || (0..map.groups()).map(|g| map.group(g));
+        let check = |groups: Vec<LaneGroup>| {
+            check_scatter_groups("fixture".into(), &map, 7, groups.into_iter())
+        };
+        assert!(check(groups().collect()).passed());
+        // A lost ragged last group: a coverage hole and a lane short.
+        let short: Vec<_> = groups().take(map.groups() - 1).collect();
+        let issues = check(short).issues;
+        assert!(issues
+            .iter()
+            .any(|i| i.detail.contains("lanes for 36 pairs")));
+        assert!(issues.iter().any(|i| i.detail.contains("written 0 times")));
+        // Two lanes storing one tile: a race the proof must name.
+        let mut doubled: Vec<_> = groups().collect();
+        doubled[1].spans[3] = doubled[1].spans[2];
+        let issues = check(doubled).issues;
+        assert!(issues.iter().any(|i| i.detail.contains("written 2 times")));
+        // A clip that forgets the plane edge runs into the next row.
+        let mut unclipped: Vec<_> = groups().collect();
+        let edge = unclipped[0].spans.iter_mut().find(|s| s.cols < 4).unwrap();
+        edge.cols = 4;
+        let issues = check(unclipped).issues;
+        assert!(issues.iter().any(|i| i.detail.contains("leaves its plane")));
     }
 
     // ---- negative fixtures: a tampered schedule is rejected with a

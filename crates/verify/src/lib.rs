@@ -29,7 +29,8 @@
 //!    panel disjointness, and in-bounds access for the blocked-GEMM
 //!    packing and micro-tiling over the loop schedule wino-gemm
 //!    exports (and executes), for an A packed on the fly and for one
-//!    packed ahead of time.
+//!    packed ahead of time, and exactly-once coverage for the Winograd
+//!    output scatter over the lane-group map wino-conv exports.
 //! 6. **Safety lint** ([`safety_lint`]) — a tokenizer-based fallback
 //!    behind clippy's `undocumented_unsafe_blocks` demanding a
 //!    rationale at every workspace `unsafe` site, plus the pointer-walk
@@ -49,8 +50,8 @@ pub use compiled_kernel::{
     verify_kernel, KernelCheck, KernelError, KernelProof, ParsedKernel,
 };
 pub use index_analysis::{
-    analyze_gemm_indexing, check_packed_schedule, check_schedule, cross_check_packing, IndexCheck,
-    IndexIssue, PackedSide,
+    analyze_gemm_indexing, analyze_scatter, check_packed_schedule, check_scatter, check_schedule,
+    cross_check_packing, IndexCheck, IndexIssue, PackedSide,
 };
 pub use safety_lint::{
     audit_simd_pointer_paths, scan_workspace_unsafe, AuditedKernel, SafetyIssue, SafetyReport,
@@ -240,6 +241,13 @@ impl VerificationReport {
             ("recipes", self.recipes.len()),
             ("compiled kernels", self.kernel_checks.len()),
             ("index-analysis schedule points", self.index_checks.len()),
+            (
+                "Winograd scatter maps",
+                self.index_checks
+                    .iter()
+                    .filter(|c| c.label.starts_with("scatter "))
+                    .count(),
+            ),
             ("unsafe sites", self.safety.unsafe_sites),
         ] {
             if n == 0 {
@@ -304,6 +312,7 @@ pub fn run_full_verification() -> VerificationReport {
     kernel_checks.extend(verify_emitter_kernels());
     let mut index_checks = analyze_gemm_indexing();
     index_checks.extend(cross_check_packing());
+    index_checks.extend(analyze_scatter());
     VerificationReport {
         recipes: verify_recipe_db(),
         template_issues: lint_static_templates(),

@@ -109,9 +109,14 @@ fn main() -> ExitCode {
     }
 
     let index_ok = report.index_checks.iter().filter(|c| c.passed()).count();
+    let scatter = report
+        .index_checks
+        .iter()
+        .filter(|c| c.label.starts_with("scatter "))
+        .count();
     println!(
         "index analysis: {index_ok}/{} schedule points proven \
-         (coverage, disjointness, bounds)",
+         (coverage, disjointness, bounds; {scatter} of them Winograd output scatters)",
         report.index_checks.len()
     );
     for c in report.failed_index_checks() {
