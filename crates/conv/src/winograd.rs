@@ -503,7 +503,7 @@ impl Tiling {
 
     /// `input` with `pad` zeros above and left of every plane and zeros
     /// out to [`Tiling::padded_extent`] below and right, built in `buf`
-    /// ([`Tensor4::pad_into`]'s result) a plane per task on `rt`: each
+    /// ([`Tensor4::pad_to`]'s result) a plane per task on `rt`: each
     /// float is written once, the border's zeros included, and nothing
     /// is zero-filled first.
     fn pad(

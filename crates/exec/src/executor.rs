@@ -13,19 +13,20 @@
 //! the thread-local workspace and span nesting rely on it; the runtime
 //! enforces it, see its module docs).
 //!
-//! Convolutions run the full [`GuardedConv`] degradation chain with
-//! the plan's warm filters; a fused ReLU is applied during the one
-//! copy from the engine output into the arena slab. Pool and concat
-//! steps write straight into their slabs. Output is bit-identical to
-//! the naive node-by-node reference with the same engine choices at
-//! any wave concurrency (engines are thread-count-invariant, and
-//! every other op is elementwise or a copy).
+//! A conv step is its plan's [`LayerPlan::run`](crate::LayerPlan::run):
+//! the full degradation chain with the plan's warm filters; a fused
+//! ReLU is applied during the one copy from the engine output into the
+//! arena slab. Pool and concat steps write straight into their slabs.
+//! Output is bit-identical to the naive node-by-node reference with
+//! the same engine choices at any wave concurrency (engines are
+//! thread-count-invariant, and every other op is elementwise or a
+//! copy).
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use wino_guard::{Engine, GuardedConv, GuardrailPolicy};
+use wino_guard::Engine;
 use wino_runtime::Runtime;
 use wino_tensor::Tensor4;
 
@@ -63,33 +64,12 @@ struct StepMeta {
 pub struct NetworkExecutor {
     net: Arc<CompiledNetwork>,
     pool: Arc<ArenaPool>,
-    policy: GuardrailPolicy,
 }
 
 impl NetworkExecutor {
     /// Executor over `net`, borrowing arenas from `pool`.
     pub fn new(net: Arc<CompiledNetwork>, pool: Arc<ArenaPool>) -> NetworkExecutor {
-        NetworkExecutor {
-            net,
-            pool,
-            policy: GuardrailPolicy::full(),
-        }
-    }
-
-    /// Replaces the guardrail policy applied to every conv step.
-    pub fn with_policy(mut self, policy: GuardrailPolicy) -> NetworkExecutor {
-        self.policy = policy;
-        self
-    }
-
-    /// The compiled network this executor runs.
-    pub fn network(&self) -> &Arc<CompiledNetwork> {
-        &self.net
-    }
-
-    /// The arena pool this executor borrows from.
-    pub fn arena_pool(&self) -> &Arc<ArenaPool> {
-        &self.pool
+        NetworkExecutor { net, pool }
     }
 
     /// Runs the network on the global runtime pool.
@@ -167,14 +147,7 @@ impl NetworkExecutor {
                 // Inline: nothing to overlap with.
                 let s = wave[0];
                 let mut out = outs[0].take().expect("materialized above");
-                let meta = run_step(
-                    &net.steps[s],
-                    input,
-                    &values,
-                    &mut out,
-                    self.policy,
-                    degraded,
-                )?;
+                let meta = run_step(&net.steps[s], input, &values, &mut out, degraded)?;
                 finish_step(
                     &net.steps[s],
                     out,
@@ -189,16 +162,14 @@ impl NetworkExecutor {
                 let cells: Vec<VerdictCell> = wave.iter().map(|_| Mutex::new(None)).collect();
                 {
                     let values_ref = &values;
-                    let policy = self.policy;
                     rt.scope(|scope| {
                         for (i, &s) in wave.iter().enumerate() {
                             let mut out = outs[i].take().expect("materialized above");
                             let step = &net.steps[s];
                             let cell = &cells[i];
                             scope.spawn(move || {
-                                let verdict =
-                                    run_step(step, input, values_ref, &mut out, policy, degraded)
-                                        .map(|meta| (out, meta));
+                                let verdict = run_step(step, input, values_ref, &mut out, degraded)
+                                    .map(|meta| (out, meta));
                                 *cell.lock() = Some(verdict);
                             });
                         }
@@ -293,7 +264,6 @@ fn run_step(
     external: &Tensor4<f32>,
     values: &[Option<Tensor4<f32>>],
     out: &mut Tensor4<f32>,
-    policy: GuardrailPolicy,
     degraded: bool,
 ) -> Result<StepMeta, ExecError> {
     NODES.add(1);
@@ -314,25 +284,9 @@ fn run_step(
     let mut span = wino_probe::span(span_name);
     span.arg("node", || step.node.to_string());
     match &step.op {
-        StepOp::Conv {
-            desc,
-            fused_relu,
-            plan,
-        } => {
-            let src = srcs[0];
-            let mut desc = *desc;
-            desc.batch = src.n();
-            let chain = if degraded {
-                vec![plan.tail_engine()]
-            } else {
-                plan.chain.clone()
-            };
-            let m = plan.warm.as_ref().map_or(4, |pre| pre.spec().m);
-            let run = GuardedConv::new(m)
-                .with_chain(chain)
-                .with_policy(policy)
-                .with_gemm_config(plan.gemm)
-                .run_with_banks(src, &plan.weights, &desc, plan.banks())
+        StepOp::Conv { fused_relu, plan } => {
+            let run = plan
+                .run(srcs[0], degraded)
                 .map_err(|e| ExecError::Guard(format!("{}: {e}", plan.name)))?;
             let engine_out = run.output.data();
             let dst = out.data_mut();

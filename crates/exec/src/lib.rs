@@ -18,12 +18,12 @@
 //!   sum-of-activations. [`ArenaPool`] owns recycled per-request
 //!   arenas so steady-state execution performs **zero graph-level
 //!   allocations** — proved by the `exec.allocs_steady` probe counter.
-//! - [`NetworkExecutor`] runs a compiled network: convolutions go
-//!   through [`wino_guard::GuardedConv`] with warm filter transforms
-//!   (the full degradation chain, so a poisoned engine still serves
-//!   via fallback), fused ReLUs are applied during the single copy
-//!   from the engine output into the arena slab (no intermediate
-//!   slab), and pool/concat nodes write straight into their slabs.
+//! - [`NetworkExecutor`] runs a compiled network: each conv step is
+//!   [`LayerPlan::run`] — the plan's own degradation chain over its
+//!   warm filter banks, so a poisoned engine still serves via
+//!   fallback — fused ReLUs are applied during the single copy from
+//!   the engine output into the arena slab (no intermediate slab), and
+//!   pool/concat nodes write straight into their slabs.
 //!
 //! Determinism contract: every node's output is computed by the same
 //! arithmetic regardless of wave concurrency — engines are
@@ -44,7 +44,7 @@ use std::sync::Arc;
 use wino_conv::{Im2colFilters, PrecomputedFilters};
 use wino_gemm::GemmConfig;
 use wino_graph::{EngineChoice, GraphError};
-use wino_guard::{Engine, WarmBanks};
+use wino_guard::{run_chain, Engine, GuardError, GuardedOutput, WarmBanks};
 use wino_tensor::{ConvDesc, Tensor4};
 
 pub use arena::{set_steady_phase, steady_phase, Arena, ArenaPool};
@@ -102,8 +102,9 @@ pub fn chain_for(engine: &EngineChoice) -> Vec<Engine> {
 
 /// The pinned serving plan of one convolution — the single conv-plan
 /// type: the serving registry stores one per registered layer, the plan
-/// compiler pins one per graph conv node, and the executor runs it.
-/// The filter transform runs once, at construction.
+/// compiler pins one per graph conv node, and the executor runs it
+/// ([`LayerPlan::run`]). The filter transform runs once, at
+/// construction.
 pub struct LayerPlan {
     /// Plan name (registry key, diagnostics, probe args).
     pub name: String,
@@ -172,6 +173,26 @@ impl LayerPlan {
             im2col,
             gemm,
         })
+    }
+
+    /// Runs the plan on `input` at the batch `input` carries: its
+    /// chain — only the terminal fallback when `degraded` (the
+    /// near-deadline / open-breaker serving mode) — over its banks and
+    /// GEMM blocking, through [`run_chain`].
+    ///
+    /// # Errors
+    /// [`GuardError`] when every engine run failed.
+    pub fn run(&self, input: &Tensor4<f32>, degraded: bool) -> Result<GuardedOutput, GuardError> {
+        let desc = ConvDesc {
+            batch: input.n(),
+            ..self.desc
+        };
+        let chain = if degraded {
+            &self.chain[self.chain.len() - 1..]
+        } else {
+            &self.chain[..]
+        };
+        run_chain(chain, input, &self.weights, &desc, &self.gemm, self.banks())
     }
 
     /// The banks built at construction, as a guarded run takes them.

@@ -50,11 +50,10 @@ pub(crate) enum StepOp {
     /// Guarded convolution, optionally writing `max(x, 0)` during the
     /// copy into the arena slab.
     Conv {
-        /// Batch-1 descriptor (batch set per request).
-        desc: ConvDesc,
         /// Fused ReLU from the graph-level optimizer.
         fused_relu: bool,
-        /// Pinned chain + warm filters.
+        /// Pinned plan: its descriptor (checked against the node's at
+        /// compile time), chain and warm filters.
         plan: Arc<LayerPlan>,
     },
     /// Standalone elementwise `max(x, 0)`.
@@ -175,14 +174,38 @@ impl CompiledNetwork {
     }
 }
 
+/// Resolves conv node `id`'s plan and checks that it is a plan for the
+/// node: the executor runs the plan's descriptor, so one that differs
+/// from the node's in anything but `batch` would compute another
+/// convolution, or fail on every request.
+fn resolve_checked(
+    resolve: &mut PlanResolver<'_>,
+    id: NodeId,
+    desc: &ConvDesc,
+) -> Result<Arc<LayerPlan>, ExecError> {
+    let plan = resolve(id, desc)?;
+    let node = ConvDesc {
+        batch: plan.desc.batch,
+        ..*desc
+    };
+    if plan.desc != node {
+        return Err(ExecError::Shape(format!(
+            "conv node {}: plan {:?} is for {}, the node is {node}",
+            id.0, plan.name, plan.desc
+        )));
+    }
+    Ok(plan)
+}
+
 /// Compiles `graph` for per-image input `(c, h, w)`, resolving each
 /// conv node's pinned plan through `resolve` (the serving registry, or
 /// [`LayerPlan::from_engine`] construction).
 ///
 /// # Errors
 /// [`ExecError::Graph`] on shape-inference failures,
-/// [`ExecError::Shape`] on an empty or outputless graph, and whatever
-/// `resolve` returns for un-servable conv nodes.
+/// [`ExecError::Shape`] on an empty or outputless graph or a resolved
+/// plan whose descriptor differs from its node's in anything but
+/// `batch`, and whatever `resolve` returns for un-servable conv nodes.
 pub fn compile(
     name: impl Into<String>,
     graph: &ComputeGraph,
@@ -215,9 +238,8 @@ pub fn compile(
                 let inputs: Vec<Source> = node.inputs.iter().map(|src| sources[src.0]).collect();
                 let step_op = match op {
                     Op::Conv { desc, fused_relu } => StepOp::Conv {
-                        desc: *desc,
                         fused_relu: *fused_relu,
-                        plan: resolve(NodeId(i), desc)?,
+                        plan: resolve_checked(resolve, NodeId(i), desc)?,
                     },
                     Op::Relu => StepOp::Relu,
                     Op::MaxPool { k, s } => StepOp::MaxPool { k: *k, s: *s },

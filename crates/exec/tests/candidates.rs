@@ -14,7 +14,8 @@ use rand::SeedableRng;
 use wino_conv::conv_direct_f64;
 use wino_exec::chain_for;
 use wino_graph::{candidates, select_engine_static, table4_convs, EngineChoice};
-use wino_guard::{GuardedConv, GuardrailPolicy};
+use wino_guard::guardrail::{MAX_REL_ERR, REL_ERR_FLOOR};
+use wino_guard::GuardedConv;
 use wino_tensor::{ConvDesc, Tensor4};
 
 #[test]
@@ -35,7 +36,6 @@ fn candidates_agree_with_the_reference_and_each_other() {
     }
     // 9 distinct (filter, plane) pairs in Table 4, two batches each.
     assert_eq!(geometries.len(), 18);
-    let policy = GuardrailPolicy::full();
     for (i, desc) in geometries.iter().enumerate() {
         let d = desc;
         let mut rng = StdRng::seed_from_u64(i as u64);
@@ -59,8 +59,8 @@ fn candidates_agree_with_the_reference_and_each_other() {
                 assert!(run.demotions.is_empty(), "{d} {engine:?}");
                 // The guard's spot-check measure, at every element.
                 for (got, want) in run.output.data().iter().zip(reference.data()) {
-                    let rel_err = (f64::from(*got) - want).abs() / want.abs().max(1e-3);
-                    assert!(rel_err <= policy.max_rel_err, "{d} {engine:?}: {rel_err:e}");
+                    let rel_err = (f64::from(*got) - want).abs() / want.abs().max(REL_ERR_FLOOR);
+                    assert!(rel_err <= MAX_REL_ERR, "{d} {engine:?}: {rel_err:e}");
                 }
                 run.output
             })

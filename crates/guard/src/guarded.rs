@@ -1,10 +1,10 @@
-//! The graceful-degradation chain: `GuardedConv`.
+//! The graceful-degradation chain: [`run_chain`].
 //!
 //! A caller asking for "the fast engine" should never receive a panic
 //! or a tensor full of NaN because the fast engine misbehaved on their
-//! shape. [`GuardedConv`] runs a *chain* of engines — by default
-//! non-fused Winograd → im2col → direct — and demotes to the next
-//! entry whenever the current one:
+//! shape. [`run_chain`] runs a *chain* of engines — [`GuardedConv`]'s
+//! default is non-fused Winograd → im2col → direct — and demotes to the
+//! next entry whenever the current one:
 //!
 //! * panics (caught with `catch_unwind`),
 //! * returns a [`wino_conv::ConvError`] (shape/stride/α unsupported),
@@ -29,7 +29,7 @@ use wino_gemm::GemmConfig;
 use wino_probe::Counter;
 use wino_tensor::{ConvDesc, Tensor4};
 
-use crate::guardrail::{scan_finite, spot_check, GuardrailPolicy, NumericFault};
+use crate::guardrail::{scan_finite, spot_check, NumericFault};
 
 static DEMOTE_PANIC: Counter = Counter::new("guard.demote.panic");
 static DEMOTE_GUARDRAIL: Counter = Counter::new("guard.demote.guardrail");
@@ -181,11 +181,93 @@ pub struct GuardedOutput {
     pub demotions: Vec<Demotion>,
 }
 
-/// Convolution with a graceful-degradation chain and numeric
-/// guardrails.
+/// Runs `chain` until an engine completes *and* passes the
+/// guardrails — the one chain walk: every guarded convolution, a
+/// pinned plan's or a [`GuardedConv`]'s, is this call. `banks` are the
+/// filter banks prepared ahead (a serving layer's steady state); the
+/// output is bit-identical to the cold run's (see [`WarmBanks`]).
+///
+/// # Errors
+/// [`GuardError`] when every engine in the chain failed; the error
+/// carries the per-engine causes.
+pub fn run_chain(
+    chain: &[Engine],
+    input: &Tensor4<f32>,
+    filters: &Tensor4<f32>,
+    desc: &ConvDesc,
+    gemm: &GemmConfig,
+    banks: WarmBanks<'_>,
+) -> Result<GuardedOutput, GuardError> {
+    let mut demotions = Vec::new();
+    for (i, engine) in chain.iter().enumerate() {
+        match attempt(*engine, input, filters, desc, gemm, banks) {
+            Ok(output) => {
+                if i > 0 {
+                    SERVED_FALLBACK.add(1);
+                }
+                return Ok(GuardedOutput {
+                    output,
+                    served_by: *engine,
+                    demotions,
+                });
+            }
+            Err(cause) => {
+                let reason = match cause {
+                    DemotionCause::Panic(_) => {
+                        DEMOTE_PANIC.add(1);
+                        "guard.demote.panic"
+                    }
+                    DemotionCause::Guardrail(_) => {
+                        DEMOTE_GUARDRAIL.add(1);
+                        "guard.demote.guardrail"
+                    }
+                    DemotionCause::Unsupported(_) => {
+                        DEMOTE_UNSUPPORTED.add(1);
+                        "guard.demote.unsupported"
+                    }
+                };
+                wino_probe::diag(format!("guard: demoting from {engine}: {cause}"));
+                // With the flight recorder armed, every demotion
+                // dumps the last-N-events context that led to it
+                // (a no-op returning None when disarmed).
+                wino_probe::flight::dump_incident(reason);
+                demotions.push(Demotion {
+                    engine: *engine,
+                    cause,
+                });
+            }
+        }
+    }
+    wino_probe::flight::dump_incident("guard.exhausted");
+    Err(GuardError { demotions })
+}
+
+/// One engine attempt: caught panic + guardrails.
+fn attempt(
+    engine: Engine,
+    input: &Tensor4<f32>,
+    filters: &Tensor4<f32>,
+    desc: &ConvDesc,
+    gemm: &GemmConfig,
+    banks: WarmBanks<'_>,
+) -> Result<Tensor4<f32>, DemotionCause> {
+    let result = panic::catch_unwind(AssertUnwindSafe(|| {
+        engine.run(input, filters, desc, gemm, banks)
+    }));
+    let output = match result {
+        Err(payload) => return Err(DemotionCause::Panic(payload_to_string(payload))),
+        Ok(Err(e)) => return Err(DemotionCause::Unsupported(e.to_string())),
+        Ok(Ok(out)) => out,
+    };
+    scan_finite(output.data()).map_err(DemotionCause::Guardrail)?;
+    spot_check(&output, input, filters, desc).map_err(DemotionCause::Guardrail)?;
+    Ok(output)
+}
+
+/// A chain and a GEMM blocking held together for ad-hoc guarded
+/// convolutions: each run is [`run_chain`] over them.
 pub struct GuardedConv {
     chain: Vec<Engine>,
-    policy: GuardrailPolicy,
     gemm: GemmConfig,
 }
 
@@ -195,7 +277,6 @@ impl GuardedConv {
     pub fn new(m: usize) -> Self {
         GuardedConv {
             chain: vec![Engine::NonFusedWinograd(m), Engine::Im2col, Engine::Direct],
-            policy: GuardrailPolicy::full(),
             gemm: GemmConfig::default(),
         }
     }
@@ -203,12 +284,6 @@ impl GuardedConv {
     /// Replaces the chain (first entry is tried first).
     pub fn with_chain(mut self, chain: Vec<Engine>) -> Self {
         self.chain = chain;
-        self
-    }
-
-    /// Replaces the guardrail policy.
-    pub fn with_policy(mut self, policy: GuardrailPolicy) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -224,27 +299,31 @@ impl GuardedConv {
         &self.chain
     }
 
-    /// Runs the chain until an engine completes *and* passes the
-    /// guardrails.
+    /// [`run_chain`] cold: every engine does its own filter work.
     ///
     /// # Errors
-    /// [`GuardError`] when every engine in the chain failed; the error
-    /// carries the per-engine causes.
+    /// As [`run_chain`].
     pub fn run(
         &self,
         input: &Tensor4<f32>,
         filters: &Tensor4<f32>,
         desc: &ConvDesc,
     ) -> Result<GuardedOutput, GuardError> {
-        self.run_with_banks(input, filters, desc, WarmBanks::default())
+        run_chain(
+            &self.chain,
+            input,
+            filters,
+            desc,
+            &self.gemm,
+            WarmBanks::default(),
+        )
     }
 
-    /// [`GuardedConv::run_with_banks`] with a warm Winograd bank only:
-    /// chain entries whose Winograd `m` matches `warm` skip the filter
-    /// transform.
+    /// [`run_chain`] with a warm Winograd bank only: chain entries
+    /// whose Winograd `m` matches `warm` skip the filter transform.
     ///
     /// # Errors
-    /// As [`GuardedConv::run`].
+    /// As [`run_chain`].
     pub fn run_warm(
         &self,
         input: &Tensor4<f32>,
@@ -256,89 +335,7 @@ impl GuardedConv {
             winograd: warm,
             im2col: None,
         };
-        self.run_with_banks(input, filters, desc, banks)
-    }
-
-    /// [`GuardedConv::run`] with the filter banks a serving layer
-    /// prepared at registration (its steady state): output is
-    /// bit-identical to the cold run's (see [`WarmBanks`]).
-    ///
-    /// # Errors
-    /// As [`GuardedConv::run`].
-    pub fn run_with_banks(
-        &self,
-        input: &Tensor4<f32>,
-        filters: &Tensor4<f32>,
-        desc: &ConvDesc,
-        banks: WarmBanks<'_>,
-    ) -> Result<GuardedOutput, GuardError> {
-        let mut demotions = Vec::new();
-        for (i, engine) in self.chain.iter().enumerate() {
-            match self.attempt(*engine, input, filters, desc, banks) {
-                Ok(output) => {
-                    if i > 0 {
-                        SERVED_FALLBACK.add(1);
-                    }
-                    return Ok(GuardedOutput {
-                        output,
-                        served_by: *engine,
-                        demotions,
-                    });
-                }
-                Err(cause) => {
-                    let reason = match cause {
-                        DemotionCause::Panic(_) => {
-                            DEMOTE_PANIC.add(1);
-                            "guard.demote.panic"
-                        }
-                        DemotionCause::Guardrail(_) => {
-                            DEMOTE_GUARDRAIL.add(1);
-                            "guard.demote.guardrail"
-                        }
-                        DemotionCause::Unsupported(_) => {
-                            DEMOTE_UNSUPPORTED.add(1);
-                            "guard.demote.unsupported"
-                        }
-                    };
-                    wino_probe::diag(format!("guard: demoting from {engine}: {cause}"));
-                    // With the flight recorder armed, every demotion
-                    // dumps the last-N-events context that led to it
-                    // (a no-op returning None when disarmed).
-                    wino_probe::flight::dump_incident(reason);
-                    demotions.push(Demotion {
-                        engine: *engine,
-                        cause,
-                    });
-                }
-            }
-        }
-        wino_probe::flight::dump_incident("guard.exhausted");
-        Err(GuardError { demotions })
-    }
-
-    /// One engine attempt: caught panic + guardrails.
-    fn attempt(
-        &self,
-        engine: Engine,
-        input: &Tensor4<f32>,
-        filters: &Tensor4<f32>,
-        desc: &ConvDesc,
-        banks: WarmBanks<'_>,
-    ) -> Result<Tensor4<f32>, DemotionCause> {
-        let result = panic::catch_unwind(AssertUnwindSafe(|| {
-            engine.run(input, filters, desc, &self.gemm, banks)
-        }));
-        let output = match result {
-            Err(payload) => return Err(DemotionCause::Panic(payload_to_string(payload))),
-            Ok(Err(e)) => return Err(DemotionCause::Unsupported(e.to_string())),
-            Ok(Ok(out)) => out,
-        };
-        if self.policy.check_finite {
-            scan_finite(output.data()).map_err(DemotionCause::Guardrail)?;
-        }
-        spot_check(&output, input, filters, desc, &self.policy)
-            .map_err(DemotionCause::Guardrail)?;
-        Ok(output)
+        run_chain(&self.chain, input, filters, desc, &self.gemm, banks)
     }
 }
 
@@ -483,17 +480,5 @@ mod tests {
             .unwrap();
         assert_eq!(out.served_by, Engine::Direct);
         assert_eq!(out.demotions.len(), 1);
-    }
-
-    #[test]
-    fn disabled_policy_skips_guardrails() {
-        let _scope = fault::scoped("transform:nan");
-        let (input, filters, desc) = fixture();
-        // With guardrails off, the poisoned Winograd output is served
-        // as-is — proving the checks (not the engines) catch NaN.
-        let guarded = GuardedConv::new(4).with_policy(GuardrailPolicy::disabled());
-        let out = guarded.run(&input, &filters, &desc).unwrap();
-        assert_eq!(out.served_by, Engine::NonFusedWinograd(4));
-        assert!(out.output.data().iter().any(|v| v.is_nan()));
     }
 }

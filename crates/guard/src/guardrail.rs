@@ -8,15 +8,16 @@
 //! protocol:
 //!
 //! * [`scan_finite`] — O(len) sweep rejecting the first NaN/Inf;
-//! * [`spot_check`] — recompute a handful of output positions with the
-//!   direct sliding-window formula (f64 accumulation) and reject if
-//!   the relative error at any sampled position exceeds the policy
-//!   threshold.
+//! * [`spot_check`] — recompute [`SPOT_SAMPLES`] output positions with
+//!   the direct sliding-window formula (f64 accumulation) and reject if
+//!   the relative error at any sampled position exceeds
+//!   [`MAX_REL_ERR`].
 //!
-//! The spot-check recomputes *single output elements* — cost is
+//! Both run after every engine attempt; there is no switch. The
+//! spot-check recomputes *single output elements* — cost is
 //! `samples × C × r²` multiply-adds, independent of output size — so
-//! it is safe to leave on in production. [`GuardrailPolicy::disabled`]
-//! turns both checks off for overhead-sensitive callers.
+//! leaving it on costs little. The constants below are the guard's
+//! only settings, each named once.
 
 use wino_tensor::{ConvDesc, Tensor4};
 
@@ -36,7 +37,7 @@ pub enum NumericFault {
         index: usize,
         /// Observed relative error at that position.
         rel_err: f64,
-        /// The policy threshold that was exceeded.
+        /// The threshold that was exceeded ([`MAX_REL_ERR`]).
         max_rel_err: f64,
     },
 }
@@ -59,59 +60,19 @@ impl std::fmt::Display for NumericFault {
     }
 }
 
-/// Which checks run after an engine produces an output.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct GuardrailPolicy {
-    /// Run the NaN/Inf scan.
-    pub check_finite: bool,
-    /// Number of output positions to spot-check against the direct
-    /// formula (0 disables the spot-check).
-    pub spot_samples: usize,
-    /// Maximum tolerated relative error at a sampled position.
-    pub max_rel_err: f64,
-}
+/// Output positions [`spot_check`] recomputes per output tensor.
+pub const SPOT_SAMPLES: usize = 8;
 
-impl GuardrailPolicy {
-    /// Both checks off: the guarded path adds only its gating branch.
-    pub fn disabled() -> Self {
-        GuardrailPolicy {
-            check_finite: false,
-            spot_samples: 0,
-            max_rel_err: f64::INFINITY,
-        }
-    }
+/// Largest relative error [`spot_check`] admits at a sampled position.
+/// Loose on purpose: it admits every usable `m` from the paper's
+/// Table 3 while rejecting the catastrophic blow-ups the check exists
+/// for.
+pub const MAX_REL_ERR: f64 = 5e-2;
 
-    /// NaN/Inf scan only.
-    pub fn finite_only() -> Self {
-        GuardrailPolicy {
-            check_finite: true,
-            spot_samples: 0,
-            max_rel_err: f64::INFINITY,
-        }
-    }
-
-    /// Scan + spot-check (the default). The 5e-2 threshold is loose on
-    /// purpose: it admits every usable `m` from the paper's Table 3
-    /// while rejecting the catastrophic blow-ups the gate exists for.
-    pub fn full() -> Self {
-        GuardrailPolicy {
-            check_finite: true,
-            spot_samples: 8,
-            max_rel_err: 5e-2,
-        }
-    }
-
-    /// Whether any check is active.
-    pub fn any_enabled(&self) -> bool {
-        self.check_finite || self.spot_samples > 0
-    }
-}
-
-impl Default for GuardrailPolicy {
-    fn default() -> Self {
-        GuardrailPolicy::full()
-    }
-}
+/// Floor of the relative error's denominator, so that near-zero
+/// reference values (common with symmetric test data) don't turn
+/// rounding noise into false rejections.
+pub const REL_ERR_FLOOR: f64 = 1e-3;
 
 /// Rejects the first NaN or ±Inf in `data`.
 pub fn scan_finite(data: &[f32]) -> Result<(), NumericFault> {
@@ -184,36 +145,33 @@ fn sample_indices(total: usize, samples: usize) -> impl Iterator<Item = usize> {
 }
 
 /// Spot-checks `output` against the direct formula at
-/// `policy.spot_samples` deterministic positions.
-///
-/// The relative error denominator is clamped at 1e-3 so near-zero
-/// reference values (common with symmetric test data) don't turn
-/// rounding noise into false rejections.
+/// [`SPOT_SAMPLES`] deterministic positions, rejecting a relative error
+/// above [`MAX_REL_ERR`] (denominator floored at [`REL_ERR_FLOOR`]).
+/// An empty output passes.
 pub fn spot_check(
     output: &Tensor4<f32>,
     input: &Tensor4<f32>,
     filters: &Tensor4<f32>,
     desc: &ConvDesc,
-    policy: &GuardrailPolicy,
 ) -> Result<(), NumericFault> {
-    if policy.spot_samples == 0 || output.is_empty() {
+    if output.is_empty() {
         return Ok(());
     }
     let (_, _, oh, ow) = output.dims();
     let total = output.len();
-    for flat in sample_indices(total, policy.spot_samples) {
+    for flat in sample_indices(total, SPOT_SAMPLES) {
         let ox = flat % ow;
         let oy = (flat / ow) % oh;
         let k = (flat / (ow * oh)) % desc.out_ch;
         let n = flat / (ow * oh * desc.out_ch);
         let reference = direct_at(input, filters, desc, n, k, oy, ox);
         let got = output[(n, k, oy, ox)] as f64;
-        let rel_err = (got - reference).abs() / reference.abs().max(1e-3);
-        if rel_err > policy.max_rel_err {
+        let rel_err = (got - reference).abs() / reference.abs().max(REL_ERR_FLOOR);
+        if rel_err > MAX_REL_ERR {
             return Err(NumericFault::Inaccurate {
                 index: flat,
                 rel_err,
-                max_rel_err: policy.max_rel_err,
+                max_rel_err: MAX_REL_ERR,
             });
         }
     }
@@ -347,7 +305,7 @@ mod tests {
     fn spot_check_accepts_the_true_output() {
         let (input, filters, desc) = fixture();
         let out = conv_direct_f32(&input, &filters, &desc).unwrap();
-        spot_check(&out, &input, &filters, &desc, &GuardrailPolicy::full()).unwrap();
+        spot_check(&out, &input, &filters, &desc).unwrap();
     }
 
     #[test]
@@ -358,20 +316,8 @@ mod tests {
         for v in out.data_mut() {
             *v += 100.0;
         }
-        let err = spot_check(&out, &input, &filters, &desc, &GuardrailPolicy::full()).unwrap_err();
+        let err = spot_check(&out, &input, &filters, &desc).unwrap_err();
         assert!(matches!(err, NumericFault::Inaccurate { .. }));
-    }
-
-    #[test]
-    fn disabled_policy_checks_nothing() {
-        let (input, filters, desc) = fixture();
-        let mut out = conv_direct_f32(&input, &filters, &desc).unwrap();
-        for v in out.data_mut() {
-            *v = f32::NAN;
-        }
-        let policy = GuardrailPolicy::disabled();
-        assert!(!policy.any_enabled());
-        spot_check(&out, &input, &filters, &desc, &policy).unwrap();
     }
 
     #[test]

@@ -12,10 +12,11 @@
 //! * [`guardrail`] — post-run numeric checks: a NaN/Inf scan and a
 //!   relative-error spot-check against `conv::direct` on sampled
 //!   output positions;
-//! * [`GuardedConv`] — the graceful-degradation chain: non-fused
-//!   Winograd → im2col → direct, demoting on a caught panic, guardrail
-//!   failure, or unsupported shape, with a `probe::diag` event and a
-//!   per-cause counter per demotion.
+//! * [`run_chain`] — the graceful-degradation chain (a pinned plan's,
+//!   or [`GuardedConv`]'s default non-fused Winograd → im2col →
+//!   direct), demoting on a caught panic, guardrail failure, or
+//!   unsupported shape, with a `probe::diag` event and a per-cause
+//!   counter per demotion.
 //!
 //! Deterministic fault injection (`WINO_FAULT=<site>:<trigger>[:n]`)
 //! proves every demotion path fires; the mechanism lives in
@@ -24,10 +25,12 @@
 //!
 //! ## Overhead contract
 //!
-//! With no fault armed and guardrails disabled, the guarded paths add
-//! one relaxed atomic load per hook and nothing else — no allocation,
-//! no branch beyond the gate. The repo benchmark's traced
-//! `guard.overhead_ms` rung is guarded − raw on the same sweep.
+//! With no fault armed, a fault hook costs one relaxed atomic load and
+//! nothing else — no allocation, no branch beyond the gate. The
+//! guardrails always run: per engine attempt, one `O(len)` finite scan
+//! of the output and [`guardrail::SPOT_SAMPLES`] single-element direct
+//! recomputations, independent of output size. The repo benchmark's
+//! traced `guard.overhead_ms` rung is guarded − raw on the same sweep.
 
 #![warn(missing_docs)]
 
@@ -35,8 +38,8 @@ mod guarded;
 pub mod guardrail;
 
 pub use guarded::{
-    payload_to_string, Demotion, DemotionCause, Engine, GuardError, GuardedConv, GuardedOutput,
-    WarmBanks,
+    payload_to_string, run_chain, Demotion, DemotionCause, Engine, GuardError, GuardedConv,
+    GuardedOutput, WarmBanks,
 };
-pub use guardrail::{scan_finite, spot_check, GuardrailPolicy, NumericFault};
+pub use guardrail::{scan_finite, spot_check, NumericFault};
 pub use wino_probe::fault;

@@ -15,7 +15,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wino_conv::{conv_direct_f32, conv_im2col, conv_winograd, Im2colFilters, WinogradConfig};
-use wino_guard::{fault, Engine, GuardedConv, WarmBanks};
+use wino_gemm::GemmConfig;
+use wino_guard::{fault, run_chain, Engine, GuardedConv, WarmBanks};
 use wino_tensor::{ConvDesc, Tensor4};
 
 fn random_case(desc: &ConvDesc, seed: u64) -> (Tensor4<f32>, Tensor4<f32>) {
@@ -121,7 +122,7 @@ proptest! {
         let bank = Im2colFilters::new(&filt).unwrap();
         for im2col in [None, Some(&bank)] {
             let banks = WarmBanks { im2col, ..WarmBanks::default() };
-            let out = guarded.run_with_banks(&input, &filt, &desc, banks).unwrap();
+            let out = run_chain(guarded.chain(), &input, &filt, &desc, &GemmConfig::default(), banks).unwrap();
             prop_assert_eq!(out.served_by, Engine::Direct);
             prop_assert_eq!(out.demotions.len(), 2);
             assert_bits_equal(&out.output, &reference);
@@ -145,7 +146,7 @@ proptest! {
         let cold = guarded.run(&input, &filt, &desc).unwrap();
         let bank = Im2colFilters::new(&filt).unwrap();
         let banks = WarmBanks { im2col: Some(&bank), ..WarmBanks::default() };
-        let warm = guarded.run_with_banks(&input, &filt, &desc, banks).unwrap();
+        let warm = run_chain(guarded.chain(), &input, &filt, &desc, &GemmConfig::default(), banks).unwrap();
         for out in [&cold, &warm] {
             prop_assert_eq!(out.served_by, Engine::Im2col);
             prop_assert!(out.demotions.is_empty());

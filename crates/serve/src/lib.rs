@@ -10,16 +10,17 @@
 //!   ([`wino_graph::select_engine_static`] on its descriptor) and
 //!   precomputes the filter transform `U = G·g·Gᵀ` once per layer, so
 //!   steady-state requests skip the filter-transform phase entirely.
-//!   Whole reference networks register by name from the zoo, and any
-//!   [`wino_graph::ComputeGraph`] by walking its conv nodes.
+//!   Whole networks register as one compiled plan each: the zoo's by
+//!   name, any [`wino_graph::ComputeGraph`] by
+//!   [`PlanRegistry::register_network_graph`].
 //! - [`Server`] accepts [`ConvRequest`]s and [`NetworkRequest`]s on a
 //!   bounded submission queue, coalesces same-plan requests into
 //!   dynamic batches under `max_batch`/`max_wait`, and executes them
 //!   through one path: the `wino-exec` network executor, a layer
 //!   request being a one-conv network around the layer's
-//!   [`LayerPlan`]. Every conv runs [`wino_guard::GuardedConv`] with
-//!   the warm filters. Batched responses are bit-identical to
-//!   one-at-a-time runs.
+//!   [`LayerPlan`]. Every conv is its plan's [`LayerPlan::run`]: the
+//!   pinned degradation chain over the warm filters. Batched responses
+//!   are bit-identical to one-at-a-time runs.
 //! - Admission control sheds at capacity ([`ServeError::Overloaded`]),
 //!   per-request deadlines demote near-late members to the terminal
 //!   fallback engine, and shutdown drains in-flight work while

@@ -4,9 +4,9 @@
 //! re-deciding per request. Registration resolves each layer's engine
 //! from its descriptor ([`wino_graph::select_engine_static`]) and
 //! precomputes the filter transform `U = G·g·Gᵀ` once, so steady-state
-//! requests skip the filter-transform phase entirely. Whole reference
-//! networks are registrable by name from the zoo, and arbitrary
-//! [`ComputeGraph`]s by walking their conv nodes.
+//! requests skip the filter-transform phase entirely. Whole networks
+//! register as compiled [`NetworkPlan`]s: the zoo's by name, arbitrary
+//! [`ComputeGraph`]s through [`PlanRegistry::register_network_graph`].
 //!
 //! Everything the server executes is a [`NetworkPlan`]: registering a
 //! layer also compiles a one-conv network around the same
@@ -21,9 +21,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wino_exec::{ArenaPool, CompiledNetwork};
 use wino_graph::{
-    alexnet_convs, build_alexnet_graph, build_inception_3a_3b, build_inception_v1_graph,
-    build_nin_graph, inception_v1_convs, nin_convs, select_engine_static, ComputeGraph,
-    EngineChoice, NamedConv, NodeId,
+    build_alexnet_graph, build_inception_3a_3b, build_inception_v1_graph, build_nin_graph,
+    select_engine_static, ComputeGraph, EngineChoice, NodeId,
 };
 use wino_tensor::{ConvDesc, Tensor4};
 
@@ -167,60 +166,6 @@ impl PlanRegistry {
         Ok(())
     }
 
-    /// Registers every weighted conv node of a compute graph as
-    /// `"{prefix}/node{i}"`. Nodes without attached weights are
-    /// skipped (they cannot serve). Returns the registered names.
-    ///
-    /// # Errors
-    /// [`ServeError::Shape`] when any node's weights disagree with its
-    /// descriptor (the graph validates this on attach, so effectively
-    /// unreachable).
-    pub fn register_graph(
-        &self,
-        prefix: &str,
-        graph: &ComputeGraph,
-    ) -> Result<Vec<String>, ServeError> {
-        let mut names = Vec::new();
-        for (id, desc) in graph.conv_nodes() {
-            let Some(weights) = graph.weights(id) else {
-                continue;
-            };
-            let name = format!("{prefix}/node{}", id.0);
-            self.register_layer(name.clone(), desc, weights.clone())?;
-            names.push(name);
-        }
-        Ok(names)
-    }
-
-    /// Registers a zoo network by name (`"alexnet"`, `"nin"`,
-    /// `"inception-v1"`) with deterministic seeded weights, one layer
-    /// per spatial convolution, named `"{network}/{layer}"`. Returns
-    /// the registered names.
-    ///
-    /// # Errors
-    /// [`ServeError::UnknownModel`] for names outside the zoo.
-    pub fn register_network(&self, network: &str) -> Result<Vec<String>, ServeError> {
-        let convs: Vec<NamedConv> = match network {
-            "alexnet" => alexnet_convs(),
-            "nin" => nin_convs(),
-            "inception-v1" => inception_v1_convs(),
-            _ => return Err(ServeError::UnknownModel(network.to_string())),
-        };
-        let mut names = Vec::new();
-        for named in convs {
-            let name = format!("{}/{}", named.network, named.layer);
-            let d = named.desc;
-            // Deterministic per-layer weights, kept small so guardrail
-            // spot checks stay comfortably within tolerance.
-            let mut rng = StdRng::seed_from_u64(fnv1a(&name));
-            let weights =
-                Tensor4::<f32>::random(d.out_ch, d.in_ch, d.ksz, d.ksz, -0.1, 0.1, &mut rng);
-            self.register_layer(name.clone(), d, weights)?;
-            names.push(name);
-        }
-        Ok(names)
-    }
-
     /// Registers a whole network for graph-level serving: fuses
     /// conv+ReLU pairs, selects every conv node's engine from its
     /// descriptor (pinning it on the graph *and* as a registry
@@ -287,9 +232,8 @@ impl PlanRegistry {
         };
         let (mut graph, _out) = built.map_err(|e| ServeError::Shape(e.to_string()))?;
         for (id, desc) in graph.conv_nodes() {
-            // Deterministic per-node weights, matching the per-layer
-            // zoo registration's amplitude so guardrail spot checks
-            // stay in tolerance.
+            // Deterministic per-node weights, kept small so guardrail
+            // spot checks stay comfortably within tolerance.
             let seed = fnv1a(&format!("{network}/node{}", id.0));
             let mut rng = StdRng::seed_from_u64(seed);
             let weights = Tensor4::<f32>::random(
@@ -311,11 +255,6 @@ impl PlanRegistry {
     /// Looks up a registered network plan.
     pub fn network(&self, name: &str) -> Option<Arc<NetworkPlan>> {
         self.networks.read().get(name).cloned()
-    }
-
-    /// Registered network names, sorted.
-    pub fn network_names(&self) -> Vec<String> {
-        self.networks.read().keys().cloned().collect()
     }
 
     /// Looks up a registered plan.
@@ -423,7 +362,16 @@ mod tests {
     #[test]
     fn zoo_networks_register_by_name() {
         let reg = PlanRegistry::new();
-        let names = reg.register_network("alexnet").unwrap();
+        let mut names = Vec::new();
+        for named in wino_graph::alexnet_convs() {
+            let name = format!("{}/{}", named.network, named.layer);
+            let d = named.desc;
+            let mut rng = StdRng::seed_from_u64(fnv1a(&name));
+            let weights =
+                Tensor4::<f32>::random(d.out_ch, d.in_ch, d.ksz, d.ksz, -0.1, 0.1, &mut rng);
+            reg.register_layer(name.clone(), d, weights).unwrap();
+            names.push(name);
+        }
         assert_eq!(names.len(), 5);
         assert!(reg.get("alexnet/conv3").is_some());
         // conv1 is 11x11 stride 4: no Winograd, no warm filters.
@@ -435,7 +383,7 @@ mod tests {
         assert!(matches!(conv3.head_engine(), Engine::NonFusedWinograd(_)));
         assert!(conv3.warm.is_some());
         assert!(matches!(
-            reg.register_network("resnet-9000"),
+            reg.register_zoo_network("resnet-9000"),
             Err(ServeError::UnknownModel(_))
         ));
     }
@@ -447,8 +395,14 @@ mod tests {
         let desc = small_desc();
         let conv = g.add_conv(input, desc).unwrap();
         g.set_weights(conv, small_weights()).unwrap();
+        let names: Vec<String> = g
+            .conv_nodes()
+            .into_iter()
+            .map(|(id, _)| format!("toy/node{}", id.0))
+            .collect();
         let reg = PlanRegistry::new();
-        let names = reg.register_graph("toy", &g).unwrap();
+        reg.register_network_graph("toy", g, (desc.in_ch, desc.in_h, desc.in_w))
+            .unwrap();
         assert_eq!(names.len(), 1);
         assert!(reg.get(&names[0]).is_some());
     }

@@ -51,7 +51,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel;
 use wino_exec::NetworkExecutor;
-use wino_guard::{payload_to_string, Engine, GuardrailPolicy};
+use wino_guard::{payload_to_string, Engine};
 use wino_probe::{fault, metrics};
 use wino_tensor::Tensor4;
 
@@ -115,8 +115,6 @@ pub struct ServerConfig {
     /// request within `slack` of its deadline at execution time runs
     /// on the terminal fallback engine instead of the full chain.
     pub deadline_slack: Duration,
-    /// Guardrails applied to every execution.
-    pub policy: GuardrailPolicy,
     /// Interval between periodic metric emissions when `WINO_METRICS`
     /// is active (the emitter thread is only spawned then).
     pub metrics_interval: Duration,
@@ -144,7 +142,6 @@ impl Default for ServerConfig {
             executors: 1,
             default_deadline: None,
             deadline_slack: Duration::from_micros(500),
-            policy: GuardrailPolicy::full(),
             metrics_interval: Duration::from_secs(5),
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_millis(250),
@@ -373,7 +370,6 @@ pub(crate) fn lock_queue(queue: &SubmissionQueue) -> MutexGuard<'_, QueueState> 
 #[derive(Clone)]
 pub(crate) struct ExecShared {
     pub(crate) rx: channel::Receiver<Vec<Pending>>,
-    pub(crate) policy: GuardrailPolicy,
     pub(crate) slack: Duration,
     pub(crate) stats: Arc<StatsInner>,
     pub(crate) breakers: Arc<BreakerMap>,
@@ -447,7 +443,6 @@ impl Server {
         };
         let shared = ExecShared {
             rx: batch_rx,
-            policy: config.policy,
             slack: config.deadline_slack,
             stats: Arc::clone(&stats),
             breakers: Arc::clone(&breakers),
@@ -953,8 +948,7 @@ fn run_group(
         stacked = Tensor4::from_raw(total, c, h, w, images.concat());
         &stacked
     };
-    let exec = NetworkExecutor::new(Arc::clone(&plan.net), Arc::clone(&plan.pool))
-        .with_policy(shared.policy);
+    let exec = NetworkExecutor::new(Arc::clone(&plan.net), Arc::clone(&plan.pool));
     // Phase attribution reads only this executor thread's spans
     // recorded during the run. Region-level spans on this thread are
     // this group's own: single-step waves run inline, and of a

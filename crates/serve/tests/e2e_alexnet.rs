@@ -10,6 +10,7 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use wino_graph::alexnet_convs;
 use wino_guard::GuardedConv;
 use wino_probe::Mode;
 use wino_serve::{ConvRequest, LayerPlan, PlanRegistry, Server, ServerConfig};
@@ -20,6 +21,23 @@ fn layer_input(plan: &LayerPlan, seed: u64) -> Tensor4<f32> {
     let d = &plan.desc;
     let mut rng = StdRng::seed_from_u64(0x5e12e ^ seed.wrapping_mul(0x9e3779b97f4a7c15));
     Tensor4::random(1, d.in_ch, d.in_h, d.in_w, -1.0, 1.0, &mut rng)
+}
+
+/// Registers AlexNet's five convs as layers `"alexnet/<layer>"` with
+/// seeded weights; returns the names in zoo order.
+fn register_alexnet(registry: &PlanRegistry) -> Vec<String> {
+    alexnet_convs()
+        .into_iter()
+        .enumerate()
+        .map(|(i, named)| {
+            let name = format!("{}/{}", named.network, named.layer);
+            let d = named.desc;
+            let mut rng = StdRng::seed_from_u64(0xa1e7 + i as u64);
+            let weights = Tensor4::random(d.out_ch, d.in_ch, d.ksz, d.ksz, -0.1, 0.1, &mut rng);
+            registry.register_layer(name.clone(), d, weights).unwrap();
+            name
+        })
+        .collect()
 }
 
 /// A cold, unbatched, direct run of the layer's pinned chain — the
@@ -44,7 +62,7 @@ fn alexnet_serves_bit_identically_with_warm_filters() {
     // below owns the filter-transform counter exactly.
     wino_probe::set_mode(Mode::Off);
     let oracle_reg = PlanRegistry::new();
-    let names = oracle_reg.register_network("alexnet").unwrap();
+    let names = register_alexnet(&oracle_reg);
     assert_eq!(names.len(), 5);
     let mut references: HashMap<(String, u64), Tensor4<f32>> = HashMap::new();
     for name in &names {
@@ -60,7 +78,7 @@ fn alexnet_serves_bit_identically_with_warm_filters() {
     wino_probe::reset();
     wino_probe::set_mode(Mode::Summary);
     let registry = Arc::new(PlanRegistry::new());
-    let served_names = registry.register_network("alexnet").unwrap();
+    let served_names = register_alexnet(&registry);
     let winograd_layers = served_names
         .iter()
         .filter(|n| registry.get(n).unwrap().warm.is_some())

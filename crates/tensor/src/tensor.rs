@@ -156,26 +156,15 @@ impl<T: Copy + Default> Tensor4<T> {
     /// Zero-pads every plane to `out_h × out_w` with the content at
     /// `(pad, pad)`: `pad` rows and columns of zeros above and to the
     /// left, whatever is left of the extent below and to the right.
-    /// The Winograd engines pad to whole tiles this way, so a border
-    /// tile reads zeros instead of testing each element.
+    /// Every element is written once ([`pad_plane`]): the border's
+    /// zeros and the content, nothing zero-filled first. The Winograd
+    /// engine pads to whole tiles with the same [`pad_plane`], a plane
+    /// per task, and is tested against this.
     ///
     /// # Panics
     /// When the content does not fit: `out_h < h + pad` or
     /// `out_w < w + pad`.
     pub fn pad_to(&self, pad: usize, out_h: usize, out_w: usize) -> Tensor4<T> {
-        self.pad_into(pad, out_h, out_w, Vec::new())
-    }
-
-    /// [`Tensor4::pad_to`] built in `buf` — its contents are discarded
-    /// unread, its capacity reused, or grown to exactly what is needed —
-    /// so a caller that pads per call ([`Tensor4::into_raw`] gives the
-    /// buffer back) allocates only when a call outgrows every earlier
-    /// one. Every element is written once ([`pad_plane`]): the border's
-    /// zeros and the content, nothing zero-filled first.
-    ///
-    /// # Panics
-    /// As [`Tensor4::pad_to`].
-    pub fn pad_into(&self, pad: usize, out_h: usize, out_w: usize, mut buf: Vec<T>) -> Tensor4<T> {
         assert!(
             out_h >= self.h + pad && out_w >= self.w + pad,
             "{}x{} content at ({pad}, {pad}) does not fit {out_h}x{out_w}",
@@ -184,8 +173,7 @@ impl<T: Copy + Default> Tensor4<T> {
         );
         let (planes, plane) = (self.n * self.c, out_h * out_w);
         let len = planes * plane;
-        buf.clear();
-        buf.reserve_exact(len);
+        let mut buf = Vec::with_capacity(len);
         let dst = &mut buf.spare_capacity_mut()[..len];
         for (i, dst) in dst.chunks_exact_mut(plane.max(1)).enumerate() {
             pad_plane(self.plane_at(i), (self.h, self.w), pad, out_w, dst);
@@ -354,20 +342,6 @@ mod tests {
             let want = if inside { t[(n, c, y - 1, x - 1)] } else { 0.0 };
             assert_eq!(p[(n, c, y, x)], want, "({n}, {c}, {y}, {x})");
         }
-        // A recycled buffer, dirty and of another length, changes nothing
-        // and is the one the result lives in.
-        let dirty = vec![7.0f32; 500];
-        let at = dirty.as_ptr();
-        let q = t.pad_into(1, 6, 6, dirty);
-        assert_eq!(q, p);
-        assert_eq!(q.data().as_ptr(), at);
-        // So does a NaN-dirty one of the right capacity: the border is
-        // written, not assumed zero.
-        let mut nan = vec![f32::NAN; 2 * 2 * 6 * 6];
-        nan.clear();
-        assert_eq!(t.pad_into(1, 6, 6, nan), p);
-        let nan = vec![f32::NAN; 2 * 2 * 6 * 6];
-        assert_eq!(t.pad_into(1, 6, 6, nan), p);
         // A zero-area tensor pads to all zeros.
         let empty = Tensor4::<f32>::zeros(1, 1, 0, 0);
         assert_eq!(empty.pad_to(2, 4, 4), Tensor4::zeros(1, 1, 4, 4));

@@ -54,6 +54,12 @@ if grep -rn 'WINO_TUNE[_]' crates src examples tests scripts; then
   echo "FAIL: the tuned-plan environment seam is back (lines above)" >&2
   exit 1
 fi
+# The served stack runs pinned plans (LayerPlan::run), not ad-hoc
+# guards: a second conv call path growing back names GuardedConv.
+if grep -rn 'GuardedConv' crates/exec/src crates/serve/src; then
+  echo "FAIL: wino-exec/wino-serve build their own guard (lines above)" >&2
+  exit 1
+fi
 
 echo "== cargo clippy (workspace, warnings are errors, SAFETY comments required)"
 # `undocumented_unsafe_blocks` is allow-by-default; deny it so every
