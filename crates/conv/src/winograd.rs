@@ -3,9 +3,10 @@
 //! The CPU implementation of the paper's **non-fused** kernel variant
 //! (§3.2.2): it materializes the transformed filters `U'` and inputs
 //! `V'` in the scatter layouts of Lavin & Gray and runs the
-//! multiplication stage as α² batched SGEMMs — `U'` packed once, at
-//! construction, into the GEMM micro-kernel's own A order, `V'` written
-//! by the input transform straight into its B order. (The paper's
+//! multiplication stage as α² batched SGEMMs — `U'` written once, at
+//! construction, by the filter transform straight into the GEMM
+//! micro-kernel's own A order, `V'` by the input transform straight
+//! into its B order. (The paper's
 //! other, single-kernel variant runs on the simulated GPU only, in
 //! `wino-gpu`: its per-tile CPU port measured 5–10× slower than this
 //! engine — EXPERIMENTS.md, "Served stack stands alone (PR 24)".)
@@ -21,7 +22,7 @@
 use std::mem::MaybeUninit;
 use std::sync::Arc;
 
-use wino_gemm::{BatchedGemmShape, GemmConfig, PackedA, PackedB, SimdLevel};
+use wino_gemm::{ASliver, BatchedGemmShape, GemmConfig, PackedA, PackedB, SimdLevel};
 use wino_runtime::{DisjointSlice, Runtime};
 use wino_symbolic::{Recipe, RecipeOptions};
 use wino_tensor::{pad_plane, tile_counts, ConvDesc, Tensor4};
@@ -287,26 +288,29 @@ impl PrecomputedFilters {
             let src = vec![[0.0f32; LANES]; desc.ksz * desc.ksz];
             (kernel, src, vec![[0.0f32; LANES]; a2])
         };
-        // Filter k is row k of every U'(ξ): packed a row sliver at a
-        // time, no (ξ, k, c) copy of the bank is ever resident. The
-        // lanes of a group are consecutive channels of filter k, so
-        // `dst[ξ]` is a contiguous run of row k of U'(ξ).
+        // Filter k is row k of every U'(ξ), and a row sliver's filters
+        // at channel c are the sliver's run at depth c: the lanes of a
+        // group are consecutive filters of the sliver at one channel,
+        // so `dst[ξ]` is a run of rows of U'(ξ) at depth c, stored
+        // where the GEMM reads it — no (ξ, k, c) copy of the bank, and
+        // no row-major staging, is ever resident.
         type State = (Kernel, Vec<[f32; LANES]>, Vec<[f32; LANES]>);
-        let fill_row = |(kernel, src, dst): &mut State, k: usize, u_row: &mut [f32]| {
-            for c0 in (0..cc).step_by(LANES) {
-                let count = LANES.min(cc - c0);
-                for l in 0..count {
-                    for (lanes, &val) in src.iter_mut().zip(filters.plane(k, c0 + l)) {
-                        lanes[l] = val;
+        let fill = |(kernel, src, dst): &mut State, sliver: &mut ASliver<'_>| {
+            let rows = sliver.rows();
+            for c in 0..cc {
+                for k0 in rows.clone().step_by(LANES) {
+                    let count = LANES.min(rows.end - k0);
+                    for l in 0..count {
+                        for (lanes, &val) in src.iter_mut().zip(filters.plane(k0 + l, c)) {
+                            lanes[l] = val;
+                        }
                     }
-                }
-                kernel.run(src, dst);
-                for (xi, lanes) in dst.iter().enumerate() {
-                    u_row[xi * cc + c0..][..count].copy_from_slice(&lanes[..count]);
+                    kernel.run(src, dst);
+                    sliver.push(count, dst);
                 }
             }
         };
-        let bank = PackedA::from_rows(a2, kc, cc, level, rt, task_state, fill_row);
+        let bank = PackedA::from_slivers(a2, kc, cc, level, rt, task_state, fill);
         drop(filter_span);
         drop(filter_hist);
         FILTER_TRANSFORMS.add(1);
@@ -1137,6 +1141,71 @@ mod tests {
                         &nonfused(&input, pre, &desc, &gemm, rt, ct, ws).unwrap(),
                         &nonfused(&input, pre, &desc, &gemm, rt, None, ws).unwrap(),
                     );
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+        // The born-packed bank against the path it replaced: `U` built a
+        // `(k, c)` plane at a time by the scalar interpreter into
+        // row-major `K × C` matrices `U'(ξ)`, then packed whole by
+        // `PackedA::pack` — bit for bit at every level the host runs,
+        // on one task and on three, for the compiled specs and an
+        // interpreted one, with `K` below, at and past every sliver
+        // height and `C` below and past a lane group. The padding rows
+        // of a ragged last sliver are `+0.0`, not merely zero.
+        #[test]
+        fn born_packed_bank_is_the_interpreted_bank_packed(
+            (m, r) in prop_oneof![
+                Just((2usize, 3usize)),
+                Just((4, 3)),
+                Just((6, 3)),
+                Just((4, 5)),
+                Just((3, 2)),
+            ],
+            out_ch in prop_oneof![
+                Just(1usize), Just(5), Just(6), Just(7), Just(13), Just(14), Just(15), Just(29),
+            ],
+            in_ch in prop_oneof![Just(1usize), Just(3), Just(19)],
+            seed in any::<u64>(),
+        ) {
+            let desc = ConvDesc::new(r, 1, 0, out_ch, 1, 8, 8, in_ch);
+            let (_, filt) = random_case(&desc, seed);
+            let spec = WinogradSpec::new(m, r).unwrap();
+            let recipes = recipe_db().get(spec, RecipeOptions::optimized()).unwrap();
+            let a2 = spec.alpha() * spec.alpha();
+            let mut u = vec![f32::NAN; a2 * out_ch * in_ch];
+            let mut reference = TileTransformer::<f32>::new(&recipes.filter);
+            let mut tile = vec![0.0f32; a2];
+            for k in 0..out_ch {
+                for c in 0..in_ch {
+                    reference.transform(filt.plane(k, c), &mut tile);
+                    for (xi, &v) in tile.iter().enumerate() {
+                        u[(xi * out_ch + k) * in_ch + c] = v;
+                    }
+                }
+            }
+            let runtimes = [Runtime::with_threads(1), Runtime::with_threads(3)];
+            for level in wino_gemm::supported_levels() {
+                let want = PackedA::pack(&u, a2, out_ch, in_ch, level, &runtimes[0]);
+                let model = wino_gemm::pack_a_model(out_ch, in_ch, wino_gemm::tile_extents(level).0);
+                for rt in &runtimes {
+                    let pre = PrecomputedFilters::transformed(&filt, &desc, Arc::clone(&recipes), level, rt);
+                    for xi in 0..a2 {
+                        let (got, want) = (pre.bank.batch(xi), want.batch(xi));
+                        proptest::prop_assert_eq!(got.len(), model.len());
+                        for (s, slot) in model.iter().enumerate() {
+                            proptest::prop_assert_eq!(
+                                got[s].to_bits(), want[s].to_bits(),
+                                "{} {:?} at {} threads: U'({}) slot {}", spec, level, rt.threads(), xi, s
+                            );
+                            if *slot == wino_gemm::PackSlot::Zero {
+                                proptest::prop_assert_eq!(got[s].to_bits(), 0, "padding slot {}", s);
+                            }
+                        }
+                    }
                 }
             }
         }

@@ -21,7 +21,7 @@ pub use batched::{
     BatchedGemmShape,
 };
 pub use blocked::{gemm_flops, pack_a, pack_b, sgemm, sgemm_naive, sgemm_rt_level, GemmConfig};
-pub use packed::{PackedA, PackedB, PackedBColumns};
+pub use packed::{ASliver, PackedA, PackedASlivers, PackedB, PackedBColumns};
 pub use schedule::{
     dim_blocks, issued_cols, micro_tiles, pack_a_model, pack_b_model, packed_a_len, packed_b_len,
     packed_block_off, packed_step, tile_extents, DimBlock, MicroTile, PackSlot, TaskGrid, TaskTile,

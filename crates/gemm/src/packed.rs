@@ -1,11 +1,15 @@
-//! Operands packed ahead of the multiply: a constant A, packed once,
+//! Operands packed ahead of the multiply: a constant A, built once,
 //! and a B whose producer writes it packed.
 //!
 //! The Winograd multiplication stage multiplies the same transformed
 //! filter bank `U(ξ)` into every request, and an im2col convolution the
 //! same filter matrix into every image. Packing it per call streams and
-//! copies the whole bank to serve a handful of tile columns;
-//! [`PackedA`] does that copy once, at registration.
+//! copies the whole bank to serve a handful of tile columns; a
+//! [`PackedA`] is built once, at registration. It has two
+//! constructors: [`PackedA::pack`] copies a row-major operand (the
+//! im2col filter matrix), and [`PackedA::from_slivers`] lets the
+//! operand's producer (the filter transform) store it straight into its
+//! slivers, each float once, with no zero fill and no staging.
 //!
 //! The layout is keyed by the dispatch level's `mr` alone: each matrix
 //! is [`crate::pack_a`] applied to the whole `m × k` operand — `⌈m/mr⌉`
@@ -22,6 +26,9 @@
 //! transform, the im2col gather) store runs of consecutive columns at
 //! one depth straight into that order, so the multiply packs nothing
 //! per call.
+
+use std::mem::MaybeUninit;
+use std::ops::Range;
 
 use crate::blocked::{pack_a, pack_b};
 use crate::schedule::{
@@ -71,55 +78,47 @@ impl PackedA {
         }
     }
 
-    /// Builds the operand a row at a time, so a caller that computes
-    /// its matrices (the filter transform) never holds a row-major copy
-    /// of them: `fill_row(state, i, out)` writes row `i` of every
-    /// matrix — matrix `b`'s into `out[b·k..][..k]` — and is called
-    /// once per row. Row slivers are independent tasks on `rt`: each
-    /// stages its own `mr` rows, packs them with [`pack_a`] into its
-    /// own range of every matrix, and hands `fill_row` scratch of its
-    /// own from `task_state`, so the result does not depend on the
-    /// thread count; the only staging is one sliver deep per task.
+    /// Builds the operand a row sliver at a time, each float written
+    /// once and straight into its slot, so a caller that computes its
+    /// matrices (the filter transform) never holds a row-major copy of
+    /// them and the operand is never zero-filled first. Row slivers are
+    /// independent tasks on `rt`: `fill(state, sliver)` stores every
+    /// row of its sliver at every depth through [`ASliver::push`] —
+    /// the writer stores the padding rows of a ragged last sliver
+    /// itself — with scratch of its own from `task_state`, so the
+    /// result does not depend on the thread count.
     ///
-    /// Panics if the host does not run `level`.
-    pub fn from_rows<S>(
+    /// Panics if the host does not run `level`, or if a fill leaves its
+    /// sliver short (then the half-built operand is freed, never read).
+    pub fn from_slivers<S>(
         batches: usize,
         m: usize,
         k: usize,
         level: SimdLevel,
         rt: &Runtime,
         task_state: impl Fn() -> S + Sync,
-        fill_row: impl Fn(&mut S, usize, &mut [f32]) + Sync,
+        fill: impl Fn(&mut S, &mut ASliver<'_>) + Sync,
     ) -> Self {
         assert_supported(level);
-        let mr = tile_extents(level).0;
-        let stride = packed_a_len(m, k, mr);
-        let mut data = vec![0.0f32; batches * stride];
-        // One sliver's rows of every matrix, in (row, matrix, col)
-        // order: matrix `b` is a row-major block at `b·k` with leading
-        // dimension `batches·k`.
-        let lda = batches * k;
-        if lda > 0 {
-            let packed = DisjointSlice::new(&mut data);
-            rt.parallel_for_chunks(0..m.div_ceil(mr), 1, |slivers| {
-                let mut state = task_state();
-                let mut rows = vec![0.0f32; mr * lda];
-                for start in slivers.map(|sliver| sliver * mr) {
-                    let len = mr.min(m - start);
-                    for (r, out) in rows.chunks_exact_mut(lda).take(len).enumerate() {
-                        fill_row(&mut state, start + r, out);
-                    }
-                    for batch in 0..batches {
-                        let at = batch * stride + start * k;
-                        // SAFETY: inside matrix `batch` (the sliver at
-                        // row `start` ends at or before `stride`), and
-                        // only this sliver's task writes its range.
-                        let dst = unsafe { packed.slice_mut(at..at + k * mr) };
-                        pack_a(dst, &rows[batch * k..], 0, 0, len, k, lda, mr);
-                    }
-                }
-            });
-        }
+        let len = batches * packed_a_len(m, k, tile_extents(level).0);
+        let mut data = Vec::<f32>::with_capacity(len);
+        let slivers =
+            PackedASlivers::new(&mut data.spare_capacity_mut()[..len], batches, m, k, level);
+        rt.parallel_for_chunks(0..slivers.count(), 1, |chunk| {
+            let mut state = task_state();
+            for s in chunk {
+                // SAFETY: the region hands each sliver to one task.
+                let mut sliver = unsafe { slivers.sliver(s) };
+                fill(&mut state, &mut sliver);
+                assert!(sliver.is_full(), "the fill left row sliver {s} short");
+            }
+        });
+        drop(slivers);
+        // SAFETY: the region covered every sliver and each one's writer
+        // reported every slot of its rows stored, so all `len` floats
+        // are initialised. A panicking fill unwinds past this point
+        // instead, and `data` is dropped empty.
+        unsafe { data.set_len(len) };
         PackedA {
             data,
             batches,
@@ -168,6 +167,181 @@ impl PackedA {
     pub fn batch(&self, batch: usize) -> &[f32] {
         let stride = packed_a_len(self.m, self.k, tile_extents(self.level).0);
         &self.data[batch * stride..(batch + 1) * stride]
+    }
+}
+
+/// The write side of a [`PackedA`] under construction: `batches`
+/// full-depth `m × k` matrices over a buffer of exactly their length,
+/// one [`ASliver`] writer per row sliver. Public so the static index
+/// analysis can run the writer over a buffer it has filled with
+/// sentinels.
+pub struct PackedASlivers<'a> {
+    data: DisjointSlice<'a, MaybeUninit<f32>>,
+    batches: usize,
+    m: usize,
+    k: usize,
+    mr: usize,
+    stride: usize,
+}
+
+impl<'a> PackedASlivers<'a> {
+    /// Windows `data` as `batches` matrices of `m × k` in `level`'s A
+    /// order.
+    ///
+    /// Panics if `data` is not `batches ·`
+    /// [`packed_a_len`]`(m, k, mr)` floats long.
+    pub fn new(
+        data: &'a mut [MaybeUninit<f32>],
+        batches: usize,
+        m: usize,
+        k: usize,
+        level: SimdLevel,
+    ) -> Self {
+        let mr = tile_extents(level).0;
+        let stride = packed_a_len(m, k, mr);
+        assert_eq!(
+            data.len(),
+            batches * stride,
+            "buffer is not the packed A operand"
+        );
+        PackedASlivers {
+            data: DisjointSlice::new(data),
+            batches,
+            m,
+            k,
+            mr,
+            stride,
+        }
+    }
+
+    /// Number of row slivers, `⌈m / mr⌉`.
+    pub fn count(&self) -> usize {
+        self.m.div_ceil(self.mr)
+    }
+
+    /// The writer of row sliver `s`, its cursor at depth 0, row 0.
+    ///
+    /// Panics if `s` is not below [`PackedASlivers::count`].
+    ///
+    /// # Safety
+    /// No other writer of sliver `s` may exist over the window's
+    /// lifetime (checked in debug builds).
+    pub unsafe fn sliver(&self, s: usize) -> ASliver<'_> {
+        assert!(s < self.count(), "row sliver {s} is past the operand");
+        let start = s * self.mr;
+        ASliver {
+            slivers: self,
+            start,
+            len: self.mr.min(self.m - start),
+            base: start * self.k,
+            depth: 0,
+            row: 0,
+        }
+    }
+}
+
+/// One row sliver of a [`PackedA`] under construction, filled in the
+/// layout's own order: depth by depth, each depth's rows in runs of
+/// consecutive rows. The cursor moves past every slot it stores, so no
+/// slot is written twice, and once a depth's last row is stored the
+/// writer stores `+0.0` into that depth's padding rows — past `m`, in
+/// the last sliver only.
+pub struct ASliver<'s> {
+    slivers: &'s PackedASlivers<'s>,
+    start: usize,
+    len: usize,
+    /// Offset of the sliver in every matrix: `start · k`.
+    base: usize,
+    depth: usize,
+    row: usize,
+}
+
+impl ASliver<'_> {
+    /// The operand rows this sliver holds.
+    pub fn rows(&self) -> Range<usize> {
+        self.start..self.start + self.len
+    }
+
+    /// `true` once every depth's rows are stored (and so is every
+    /// padding slot).
+    pub fn is_full(&self) -> bool {
+        self.depth == self.slivers.k
+    }
+
+    /// Stores, for every matrix `b`, `vals[b][..count]` as the next
+    /// `count` rows of the cursor's depth — what one lane group of the
+    /// filter transform produces for one input channel. A run of `L`
+    /// rows is one store whose length the compiler knows.
+    ///
+    /// Panics if `vals` is not one entry per matrix, or the run leaves
+    /// the depth's rows or the sliver.
+    pub fn push<const L: usize>(&mut self, count: usize, vals: &[[f32; L]]) {
+        let slivers = self.slivers;
+        assert!(
+            vals.len() == slivers.batches
+                && count <= L
+                && self.depth < slivers.k
+                && self.row + count <= self.len,
+            "row run does not fit the sliver"
+        );
+        let at = self.base + self.depth * slivers.mr + self.row;
+        for (batch, lanes) in vals.iter().enumerate() {
+            let at = batch * slivers.stride + at;
+            // SAFETY: rows `row .. row + count` (below `len ≤ mr`) of
+            // depth `depth` (below `k`) of this sliver lie inside matrix
+            // `batch`, and only this sliver's writer stores to them.
+            let dst = unsafe { slivers.data.slice_mut(at..at + count) };
+            match <&mut [MaybeUninit<f32>; L]>::try_from(&mut *dst) {
+                Ok(dst) => *dst = lanes.map(MaybeUninit::new),
+                Err(_) => store_part(dst, &lanes[..count]),
+            }
+        }
+        self.row += count;
+        if self.row == self.len {
+            self.end_depth();
+        }
+    }
+
+    /// Stores the padding rows of the cursor's depth in every matrix
+    /// and moves on to the next depth.
+    fn end_depth(&mut self) {
+        let slivers = self.slivers;
+        if self.len < slivers.mr {
+            let at = self.base + self.depth * slivers.mr;
+            for batch in 0..slivers.batches {
+                let at = batch * slivers.stride + at;
+                // SAFETY: the padding rows `len .. mr` of this depth of
+                // this sliver, inside matrix `batch` and this writer's.
+                let pad = unsafe { slivers.data.slice_mut(at + self.len..at + slivers.mr) };
+                pad.fill(MaybeUninit::new(0.0));
+            }
+        }
+        self.depth += 1;
+        self.row = 0;
+    }
+}
+
+/// Stores `src` into `dst`, of the same length: a run shorter than a
+/// lane group. The ones a sliver writer is fed are the 6 rows a 14-row
+/// sliver has left after one group of 8, and whole 6- and 4-row
+/// slivers; each of those is one move whose length the compiler knows,
+/// not a loop of run-time length. Forced inline: as a call, it cost
+/// the alexnet filter transforms about as much as it saves.
+#[inline(always)]
+fn store_part(dst: &mut [MaybeUninit<f32>], src: &[f32]) {
+    fn fixed<const N: usize>(dst: &mut [MaybeUninit<f32>], src: &[f32]) {
+        let dst: &mut [MaybeUninit<f32>; N] = dst.try_into().expect("a run of N rows");
+        let src: &[f32; N] = src.try_into().expect("a run of N rows");
+        *dst = src.map(MaybeUninit::new);
+    }
+    match src.len() {
+        6 => fixed::<6>(dst, src),
+        4 => fixed::<4>(dst, src),
+        _ => {
+            for (slot, &v) in dst.iter_mut().zip(src) {
+                slot.write(v);
+            }
+        }
     }
 }
 

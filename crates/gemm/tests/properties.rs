@@ -237,8 +237,31 @@ proptest! {
 
 use wino_gemm::{
     batched_sgemm_packed, batched_sgemm_rt_level, packed_block_off, packed_step, tile_extents,
-    PackedA, PackedB,
+    ASliver, PackedA, PackedB,
 };
+
+/// A fill that stores every row at every depth but the last leaves the
+/// operand unbuilt: the constructor panics rather than hand out a bank
+/// with slots no one wrote.
+#[test]
+#[should_panic(expected = "short")]
+fn a_short_sliver_fill_panics() {
+    let level = SimdLevel::Scalar;
+    let fill = |_: &mut (), sliver: &mut ASliver<'_>| {
+        for _ in 1..5 {
+            sliver.push(sliver.rows().len(), &[[1.0f32; 8]; 2]);
+        }
+    };
+    PackedA::from_slivers(
+        2,
+        7,
+        5,
+        level,
+        &wino_runtime::Runtime::serial(),
+        || (),
+        fill,
+    );
+}
 
 /// Fills `packed` from the row-major matrices in `b` through the
 /// column writer, `L` columns of every matrix at a time (fewer in the
@@ -444,14 +467,26 @@ proptest! {
         for level in wino_gemm::supported_levels() {
             let mr = tile_extents(level).0;
             let packed = PackedA::pack(&a, batches, m, k, level, &wino_runtime::Runtime::serial());
-            // Four tasks sharing the row slivers pack what one does.
+            // Four tasks sharing the row slivers, each storing its rows
+            // in runs of up to five (no sliver height is a multiple),
+            // pack what one does.
             let rt = wino_runtime::Runtime::with_threads(4);
-            let copy_row = |_: &mut (), row: usize, out: &mut [f32]| {
-                for (batch, dst) in out.chunks_exact_mut(k).enumerate() {
-                    dst.copy_from_slice(&a[(batch * m + row) * k..][..k]);
+            let fill = |vals: &mut Vec<[f32; 8]>, sliver: &mut ASliver<'_>| {
+                let rows = sliver.rows();
+                for col in 0..k {
+                    for r0 in rows.clone().step_by(5) {
+                        let count = 5.min(rows.end - r0);
+                        for (batch, lanes) in vals.iter_mut().enumerate() {
+                            for (l, lane) in lanes[..count].iter_mut().enumerate() {
+                                *lane = a[(batch * m + r0 + l) * k + col];
+                            }
+                        }
+                        sliver.push(count, vals);
+                    }
                 }
             };
-            let shared = PackedA::from_rows(batches, m, k, level, &rt, || (), copy_row);
+            let task_state = || vec![[f32::NAN; 8]; batches];
+            let shared = PackedA::from_slivers(batches, m, k, level, &rt, task_state, fill);
             for batch in 0..batches {
                 prop_assert_eq!(shared.batch(batch), packed.batch(batch));
             }

@@ -44,15 +44,20 @@
 //! analysis walks [`wino_gemm::pack_a_model`]/[`wino_gemm::pack_b_model`]
 //! — is closed by [`cross_check_packing`], which runs the real loops on
 //! sentinel-valued matrices and compares slot-for-slot against the
-//! model.
+//! model. It also runs the sliver writer a filter bank is born packed
+//! through ([`wino_gemm::ASliver`]) over sentinel buffers, push by push:
+//! the bank is never zero-filled and its length is set once the writers
+//! are done, so each slot must be stored by its own sliver's writer,
+//! by the push it belongs to, with the model's value.
 
 use std::fmt;
+use std::mem::MaybeUninit;
 
 use wino_conv::{LaneGroup, ScatterMap};
 use wino_gemm::{
     dim_blocks, micro_tiles, pack_a, pack_a_model, pack_b, pack_b_model, packed_a_len,
     packed_b_len, packed_block_off, supported_levels, tile_extents, GemmConfig, MicroTile,
-    PackSlot, PackedA, PackedB, SimdLevel, TaskGrid, TaskTile,
+    PackSlot, PackedA, PackedASlivers, PackedB, SimdLevel, TaskGrid, TaskTile,
 };
 use wino_runtime::Runtime;
 
@@ -923,6 +928,43 @@ pub fn cross_check_packing() -> Vec<IndexCheck> {
             out.push(IndexCheck { label, issues });
         }
     }
+    // The operand born packed: `PackedA::from_slivers` keeps no zero
+    // fill and calls `set_len` once its writers are done, so every slot
+    // must be stored by exactly one of them. Its sliver writer runs here
+    // over sentinel buffers, fed the way the filter transform feeds it
+    // (a sliver's rows in lane groups of eight at each depth, the lanes
+    // past a group's count stale) from matrices whose every element is
+    // distinct: whole, every slot must hold the model's value, and one
+    // sliver at a time, after each of its pushes, the writer must have
+    // stored that push's slots (and a finished depth's padding rows)
+    // and nothing else.
+    for &(batches, m, k) in &[
+        (2usize, 13usize, 5usize),
+        (1, 6, 8),
+        (3, 1, 1),
+        (1, 65, 9),
+        (2, 14, 3),
+        (2, 15, 3),
+        (1, 29, 4),
+    ] {
+        for level in supported_levels() {
+            let mr = tile_extents(level).0;
+            let label = format!("PackedA slivers {batches}x{m}x{k}/mr{mr}");
+            let mut issues = Vec::new();
+            let op = BornPacked::new(batches, m, k, level);
+            let whole = op.write(None);
+            check_sliver_slots(&label, &whole, |slot| Some(op.want(slot)), &mut issues);
+            for s in 0..m.div_ceil(mr) {
+                for pushes in 0..=op.pushes(s) {
+                    let ctx = format!("{label} sliver {s} after {pushes} pushes");
+                    let bits = op.write(Some((s, pushes)));
+                    let expect = |slot| op.written(s, pushes, slot).then(|| op.want(slot));
+                    check_sliver_slots(&ctx, &bits, expect, &mut issues);
+                }
+            }
+            out.push(IndexCheck { label, issues });
+        }
+    }
     // The other ahead-of-time operand: `PackedB` filled a lane group
     // (8 columns) at a time, the way the Winograd input transform
     // fills it, must hold the whole-matrix B model — and so must one
@@ -1039,6 +1081,160 @@ pub fn cross_check_packing() -> Vec<IndexCheck> {
         out.push(IndexCheck { label, issues });
     }
     out
+}
+
+/// What no sliver writer stores: a NaN whose payload marks a slot the
+/// writers left alone.
+const UNWRITTEN: u32 = 0x7fc0_dead;
+
+/// What the lanes of a group past its count hold: stored anywhere, it
+/// reads as a wrong value, not as the sentinel.
+const STALE: f32 = -1.0;
+
+/// Lanes per push, as the filter transform groups a sliver's filters.
+const GROUP: usize = 8;
+
+/// A born-packed operand under test: `batches` matrices of `m × k`
+/// whose element `(b, i, p)` is `(b·m + i)·k + p + 2` — distinct, exact
+/// in f32 for these extents, and never `+0.0`.
+struct BornPacked {
+    batches: usize,
+    m: usize,
+    k: usize,
+    mr: usize,
+    level: SimdLevel,
+    model: Vec<PackSlot>,
+}
+
+impl BornPacked {
+    fn new(batches: usize, m: usize, k: usize, level: SimdLevel) -> Self {
+        let mr = tile_extents(level).0;
+        BornPacked {
+            batches,
+            m,
+            k,
+            mr,
+            level,
+            model: pack_a_model(m, k, mr),
+        }
+    }
+
+    fn source(&self, batch: usize, row: usize, col: usize) -> f32 {
+        ((batch * self.m + row) * self.k + col) as f32 + 2.0
+    }
+
+    /// Bits slot `slot` of the operand must end with.
+    fn want(&self, slot: usize) -> u32 {
+        let stride = self.model.len();
+        match self.model[slot % stride] {
+            PackSlot::Src { row, col } => self.source(slot / stride, row, col).to_bits(),
+            PackSlot::Zero => 0.0f32.to_bits(),
+        }
+    }
+
+    /// Rows of sliver `s`, and pushes its writer takes per depth.
+    fn rows(&self, s: usize) -> (usize, usize) {
+        let len = self.mr.min(self.m - s * self.mr);
+        (len, len.div_ceil(GROUP))
+    }
+
+    /// Pushes that fill sliver `s`.
+    fn pushes(&self, s: usize) -> usize {
+        self.k * self.rows(s).1
+    }
+
+    /// Whether the first `pushes` pushes of sliver `s` store `slot`:
+    /// its run, or a padding row of a depth whose last run is stored.
+    fn written(&self, s: usize, pushes: usize, slot: usize) -> bool {
+        let (k, mr) = (self.k, self.mr);
+        let at = slot % self.model.len();
+        if at / (k * mr) != s {
+            return false;
+        }
+        let (depth, row) = (at % (k * mr) / mr, at % mr);
+        let (len, per_depth) = self.rows(s);
+        let push = depth * per_depth + row.min(len - 1) / GROUP;
+        if row < len {
+            push < pushes
+        } else {
+            (depth + 1) * per_depth <= pushes
+        }
+    }
+
+    /// Runs the sliver writer over a sentinel-filled buffer — every
+    /// sliver, or only the first `pushes` pushes of one — and returns
+    /// the buffer's bits.
+    fn write(&self, only: Option<(usize, usize)>) -> Vec<u32> {
+        let (batches, m, k) = (self.batches, self.m, self.k);
+        let len = batches * self.model.len();
+        let mut buf = vec![MaybeUninit::new(f32::from_bits(UNWRITTEN)); len];
+        let slivers = PackedASlivers::new(&mut buf, batches, m, k, self.level);
+        let (first, count) = match only {
+            Some((s, _)) => (s, 1),
+            None => (0, slivers.count()),
+        };
+        let mut vals = vec![[STALE; GROUP]; batches];
+        for s in first..first + count {
+            // SAFETY: one thread, one writer of sliver `s` at a time.
+            let mut sliver = unsafe { slivers.sliver(s) };
+            let rows = sliver.rows();
+            let mut left = only.map_or(usize::MAX, |(_, pushes)| pushes);
+            for col in 0..k {
+                for r0 in rows.clone().step_by(GROUP) {
+                    if left == 0 {
+                        break;
+                    }
+                    left -= 1;
+                    let count = GROUP.min(rows.end - r0);
+                    for (batch, lanes) in vals.iter_mut().enumerate() {
+                        for (l, lane) in lanes.iter_mut().enumerate() {
+                            *lane = if l < count {
+                                self.source(batch, r0 + l, col)
+                            } else {
+                                STALE
+                            };
+                        }
+                    }
+                    sliver.push(count, &vals);
+                }
+            }
+        }
+        drop(slivers);
+        buf.iter()
+            // SAFETY: every slot was initialised (to the sentinel)
+            // before the writer ran, and the writer stores only floats.
+            .map(|v| unsafe { v.assume_init() }.to_bits())
+            .collect()
+    }
+}
+
+/// Compares what sliver writers left in a sentinel-filled buffer with
+/// what they must have stored: `expect(slot)` is the slot's bits, or
+/// `None` where no writer may have touched it. Reports the first slot
+/// that is missed, stored where nothing may be, or holds wrong bits.
+fn check_sliver_slots(
+    ctx: &str,
+    bits: &[u32],
+    expect: impl Fn(usize) -> Option<u32>,
+    issues: &mut Vec<IndexIssue>,
+) {
+    for (slot, &got) in bits.iter().enumerate() {
+        let detail = match expect(slot) {
+            Some(_) if got == UNWRITTEN => format!("slot {slot} never written"),
+            Some(want) if got != want => format!(
+                "slot {slot} holds {}, the model says {}",
+                f32::from_bits(got),
+                f32::from_bits(want)
+            ),
+            None if got != UNWRITTEN => format!(
+                "slot {slot} stored ({}) outside the writes so far",
+                f32::from_bits(got)
+            ),
+            _ => continue,
+        };
+        issues.push(issue(ctx, detail));
+        return;
+    }
 }
 
 #[cfg(test)]
@@ -1158,6 +1354,36 @@ mod tests {
         let mut issues = Vec::new();
         check_micro_tiles("fixture", &tiles, mb, nb, kb, mr, nr, &mut issues);
         assert!(issues.first().unwrap().detail.contains("written 2 times"));
+    }
+
+    #[test]
+    fn sliver_writer_skipping_a_padding_row_rejected() {
+        // 13 rows under 4-row slivers: the last sliver holds one row and
+        // three padding rows. A writer that left the second padding row
+        // of depth 2 in matrix 1 unstored leaves the sentinel there.
+        let op = BornPacked::new(2, 13, 5, SimdLevel::Scalar);
+        let mut bits = op.write(None);
+        let mut issues = Vec::new();
+        check_sliver_slots("fixture", &bits, |slot| Some(op.want(slot)), &mut issues);
+        assert!(issues.is_empty(), "{}", issues[0]);
+        let slot = packed_a_len(13, 5, 4) + packed_block_off(12, 2, 5, 4) + 2;
+        assert_eq!(op.want(slot), 0, "a padding slot");
+        bits[slot] = UNWRITTEN;
+        check_sliver_slots("fixture", &bits, |slot| Some(op.want(slot)), &mut issues);
+        let detail = &issues.first().expect("gap must be found").detail;
+        assert_eq!(detail, &format!("slot {slot} never written"));
+        // A writer that stored a whole group of eight where the run had
+        // fewer rows spills a stale lane past its run.
+        let (s, pushes) = (3, 1);
+        let mut bits = op.write(Some((s, pushes)));
+        let spill = packed_block_off(12, 1, 5, 4);
+        let expect = |slot| op.written(s, pushes, slot).then(|| op.want(slot));
+        assert!(expect(spill).is_none(), "depth 1 is not stored yet");
+        bits[spill] = STALE.to_bits();
+        let mut issues = Vec::new();
+        check_sliver_slots("fixture", &bits, expect, &mut issues);
+        let detail = &issues.first().expect("spill must be found").detail;
+        assert!(detail.contains("outside the writes so far"), "{detail}");
     }
 
     #[test]

@@ -29,8 +29,9 @@
 //!    panel disjointness, and in-bounds access for the blocked-GEMM
 //!    packing and micro-tiling over the loop schedule wino-gemm
 //!    exports (and executes), for an A packed on the fly and for one
-//!    packed ahead of time, and exactly-once coverage for the Winograd
-//!    output scatter over the lane-group map wino-conv exports.
+//!    packed ahead of time, and exactly-once coverage for the sliver
+//!    writer an A is born packed through and for the Winograd output
+//!    scatter over the lane-group map wino-conv exports.
 //! 6. **Safety lint** ([`safety_lint`]) — a tokenizer-based fallback
 //!    behind clippy's `undocumented_unsafe_blocks` demanding a
 //!    rationale at every workspace `unsafe` site, plus the pointer-walk
@@ -246,6 +247,13 @@ impl VerificationReport {
                 self.index_checks
                     .iter()
                     .filter(|c| c.label.starts_with("scatter "))
+                    .count(),
+            ),
+            (
+                "born-packed A operands",
+                self.index_checks
+                    .iter()
+                    .filter(|c| c.label.starts_with("PackedA slivers "))
                     .count(),
             ),
             ("unsafe sites", self.safety.unsafe_sites),

@@ -109,15 +109,17 @@ fn main() -> ExitCode {
     }
 
     let index_ok = report.index_checks.iter().filter(|c| c.passed()).count();
-    let scatter = report
-        .index_checks
-        .iter()
-        .filter(|c| c.label.starts_with("scatter "))
-        .count();
+    let labelled = |prefix: &str| {
+        let checks = report.index_checks.iter();
+        checks.filter(|c| c.label.starts_with(prefix)).count()
+    };
     println!(
         "index analysis: {index_ok}/{} schedule points proven \
-         (coverage, disjointness, bounds; {scatter} of them Winograd output scatters)",
-        report.index_checks.len()
+         (coverage, disjointness, bounds; {} of them Winograd output scatters, \
+         {} born-packed A operands)",
+        report.index_checks.len(),
+        labelled("scatter "),
+        labelled("PackedA slivers "),
     );
     for c in report.failed_index_checks() {
         for issue in &c.issues {

@@ -74,6 +74,12 @@ cargo build --release --offline --workspace
 echo "== tier-1: test suite (every workspace member, not just the root package)"
 cargo test --workspace --offline -q
 
+echo "== the repo benchmark builds against today's crates, and its own tests pass"
+# benchmark/ is a package of its own, outside the workspace: nothing
+# above builds it, so a crate API change that breaks it would otherwise
+# surface only when the benchmark runs.
+cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
+
 echo "== exec identities at the pinned AVX2 tier"
 # The suite above runs at the widest level the host has; on an AVX-512
 # host this re-runs the network identities on the 6x16 GEMM tile.
