@@ -222,16 +222,16 @@ fn scenarios() -> Vec<Scenario> {
         // -- wino-serve, layer requests. Nothing sheds at low load,
         // each request is its own batch, the filter transform runs
         // once at registration, the arena reserved at start covers
-        // every request (allocs_steady 0), no compiled kernel drifted
-        // from its recipe and no lane group — the ragged last one
-        // included — fell to the interpreter.
+        // every request (allocs_steady 0), and every lane group — the
+        // ragged last one included — ran the build's proven kernels,
+        // none the interpreter.
         row("smoke/clean", drill_smoke)
             .counters([("serve.enqueued", 8), ("serve.batches", 8)])
             .counters([("serve.executed", 8)])
             .zero(["serve.shed", "serve.batched", "serve.deadline_demotions"])
             .zero(["serve.networks_registered", GUARDRAIL, FALLBACK])
             .counters([("conv.filter_transforms", 1)])
-            .zero(["conv.compiled_fallback", "conv.tiles_interpreted"])
+            .zero(["conv.tiles_interpreted"])
             .zero(["exec.allocs_steady", "exec.degraded_runs"])
             .gauge("serve.breaker_state.drill/conv", 0, 0)
             .gauge("serve.queue_depth", 0, 1),
@@ -245,7 +245,7 @@ fn scenarios() -> Vec<Scenario> {
             .counters([("serve.executed", 8)])
             .counters([(GUARDRAIL, 3), (FALLBACK, 3), ("serve.breaker.open", 1)])
             .counters([("conv.filter_transforms", 1), ("exec.degraded_runs", 5)])
-            .zero(["serve.shed", "conv.compiled_fallback", "exec.allocs_steady"])
+            .zero(["serve.shed", "exec.allocs_steady"])
             .gauge("serve.breaker_state.drill/conv", 2, 2)
             .gauge("serve.queue_depth", 0, 1),
         // One histogram record per request — nothing double-counted,
@@ -267,7 +267,7 @@ fn scenarios() -> Vec<Scenario> {
             .zero(["serve.shed", "serve.deadline_demotions"])
             .zero([GUARDRAIL, FALLBACK])
             .zero(["exec.allocs_steady", "exec.degraded_runs"])
-            .zero(["conv.compiled_fallback", "conv.tiles_interpreted"])
+            .zero(["conv.tiles_interpreted"])
             .fact("steady_served", 8)
             .fact("demotions", 0)
             .want(&["gauges", "serve.queue_depth", "value"], 0),

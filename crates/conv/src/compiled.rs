@@ -1,30 +1,21 @@
-//! Build-time-compiled SoA transform kernels and their runtime gate.
+//! Build-time-compiled SoA transform kernels.
 //!
 //! `build.rs` runs the symbolic pipeline at compile time, proves each
 //! recipe with `wino-verify`, and emits one specialized
 //! structure-of-arrays kernel per transform into `OUT_DIR`; this
-//! module `include!`s that file and decides, per convolution call,
-//! whether the compiled kernels may serve the resolved recipes.
-//!
-//! The gate is a fingerprint equality check: a kernel runs only for
-//! the exact recipe it was generated (and verified) from. Any drift —
-//! different pipeline options, a changed recipe generator — falls back
-//! to [`crate::TileTransformer`] interpreting the recipe over the same
-//! [`LANES`]-wide SoA group, which is the behavior the compiled path is
-//! bit-identical to anyway (per lane the emitted ops are the
-//! interpreter's ops in the interpreter's order).
+//! module `include!`s that file. A filter bank takes its three kernels
+//! from this table once, when it is built
+//! ([`crate::PrecomputedFilters`]): by `(m, r)` for a configuration of
+//! the optimized pipeline (`CompiledTransforms::of`), or, for
+//! explicit recipes, only when the recipes are the ones the kernels
+//! were generated (and proven) from (`CompiledTransforms::matching`).
+//! Every other bank interprets its recipes with
+//! [`crate::TileTransformer`] over the same [`LANES`]-wide SoA group,
+//! which the compiled path is bit-identical to anyway (per lane the
+//! emitted ops are the interpreter's ops in the interpreter's order).
 
 use wino_gemm::SimdLevel;
-use wino_symbolic::RecipeOptions;
-use wino_transform::TransformRecipes;
-
-/// Counts every convolution call whose optimized-pipeline recipes were
-/// expected to have compiled kernels but fingerprint-mismatched the
-/// build-time table — the silent-drift case. Steady-state serving must
-/// keep this at zero (asserted by the ci.sh serve smoke); any bump
-/// means a kernel proven at build time no longer covers the recipe in
-/// use and the engine quietly lost its compiled fast path.
-static COMPILED_FALLBACK: wino_probe::Counter = wino_probe::Counter::new("conv.compiled_fallback");
+use wino_transform::{TransformRecipes, WinogradSpec};
 
 /// Tiles processed together by one SoA kernel application. Eight f32
 /// lanes = one AVX2 vector; every emitted vector op covers the whole
@@ -108,42 +99,29 @@ pub struct CompiledTransforms {
     pub output: SoaKernel,
 }
 
-/// Returns the compiled kernels for `recipes` if — and only if — they
-/// were generated from these exact recipes.
-///
-/// Non-optimized pipeline options never have compiled kernels (the
-/// build table is generated with [`RecipeOptions::optimized`]), so
-/// they return `None` silently. An optimized configuration that is in
-/// the table but fingerprint-mismatches indicates build/runtime recipe
-/// drift — that falls back too, but leaves a diagnostic, because it
-/// means the proof obtained at build time no longer covers the recipe
-/// in use.
-pub fn compiled_for(recipes: &TransformRecipes) -> Option<CompiledTransforms> {
-    if recipes.options != RecipeOptions::optimized() {
-        return None;
+impl CompiledTransforms {
+    /// The build table's kernels for `spec`, proven at build time
+    /// against the optimized pipeline's recipes; `None` when the table
+    /// has no entry for it.
+    pub(crate) fn of(spec: WinogradSpec) -> Option<Self> {
+        let [filter, input, output] = gen::lookup(spec.m, spec.r)?;
+        Some(CompiledTransforms {
+            filter,
+            input,
+            output,
+        })
     }
-    let spec = recipes.spec;
-    let [filter, input, output] = gen::lookup(spec.m, spec.r)?;
-    let built = [filter.fingerprint, input.fingerprint, output.fingerprint];
-    let runtime = [
-        recipes.filter.fingerprint(),
-        recipes.input.fingerprint(),
-        recipes.output.fingerprint(),
-    ];
-    if built != runtime {
-        COMPILED_FALLBACK.add(1);
-        wino_probe::diag(format!(
-            "compiled transform kernels for {spec} do not match the runtime \
-             recipes (filter/input/output build-time fingerprints {built:016x?}, \
-             runtime {runtime:016x?}); using the interpreted path",
-        ));
-        return None;
+
+    /// The table's kernels for `recipes` if — and only if — they were
+    /// generated from these exact recipes (all three fingerprints
+    /// equal). Recipes from other points or other pipeline options
+    /// have none.
+    pub(crate) fn matching(recipes: &TransformRecipes) -> Option<Self> {
+        let ct = Self::of(recipes.spec)?;
+        let built = [ct.filter, ct.input, ct.output].map(|k| k.fingerprint);
+        let given = [&recipes.filter, &recipes.input, &recipes.output].map(|r| r.fingerprint());
+        (built == given).then_some(ct)
     }
-    Some(CompiledTransforms {
-        filter,
-        input,
-        output,
-    })
 }
 
 /// The generated kernels. The lane loops in the emitted bodies are
@@ -178,7 +156,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use wino_gemm::supported_levels;
-    use wino_transform::WinogradSpec;
+    use wino_symbolic::RecipeOptions;
 
     fn optimized(m: usize, r: usize) -> TransformRecipes {
         TransformRecipes::generate(WinogradSpec::new(m, r).unwrap(), RecipeOptions::optimized())
@@ -190,7 +168,7 @@ mod tests {
         assert_eq!(compiled_specs(), [(2, 3), (4, 3), (6, 3), (4, 5)]);
         for &(m, r) in compiled_specs() {
             let recipes = optimized(m, r);
-            let ct = compiled_for(&recipes)
+            let ct = CompiledTransforms::matching(&recipes)
                 .unwrap_or_else(|| panic!("no compiled kernels for F({m},{r})"));
             assert_eq!(ct.filter.n_in(), r);
             assert_eq!(ct.filter.n_out(), recipes.spec.alpha());
@@ -208,13 +186,15 @@ mod tests {
     fn uncompiled_configs_fall_back() {
         // Not in the build table at all.
         let recipes = optimized(2, 5);
-        assert!(compiled_for(&recipes).is_none());
+        assert!(CompiledTransforms::of(recipes.spec).is_none());
+        assert!(CompiledTransforms::matching(&recipes).is_none());
         // In the table, but the recipes were generated under different
         // pipeline options than the compiled kernels.
         let naive =
             TransformRecipes::generate(WinogradSpec::new(2, 3).unwrap(), RecipeOptions::minimal())
                 .unwrap();
-        assert!(compiled_for(&naive).is_none());
+        assert!(CompiledTransforms::of(naive.spec).is_some());
+        assert!(CompiledTransforms::matching(&naive).is_none());
     }
 
     /// Runs `kern` and the interpreter over the same random tile batch
@@ -271,7 +251,7 @@ mod tests {
     fn compiled_kernels_bit_identical_to_interpreter() {
         for &(m, r) in compiled_specs() {
             let recipes = optimized(m, r);
-            let ct = compiled_for(&recipes).unwrap();
+            let ct = CompiledTransforms::matching(&recipes).unwrap();
             for level in supported_levels() {
                 let seed = (m * 100 + r) as u64;
                 assert_kernel_matches_interpreter(&ct.input, &recipes.input, level, seed);
@@ -296,7 +276,7 @@ mod tests {
             values in proptest::collection::vec(-1.0e3f32..1.0e3, 36 * LANES),
         ) {
             let recipes = optimized(4, 3);
-            let ct = compiled_for(&recipes).unwrap();
+            let ct = CompiledTransforms::matching(&recipes).unwrap();
             let ni = recipes.spec.alpha() * recipes.spec.alpha();
             let mut src = vec![[0.0f32; LANES]; ni];
             for (i, v) in values.iter().enumerate() {

@@ -15,8 +15,8 @@
 //! The [`accuracy`] module reproduces the paper's error-measurement
 //! protocol (Table 3, Figure 4); [`flops`] accounts Winograd work for
 //! Figure 5d and the GPU cost model. The [`compiled`] module holds the
-//! build-time-compiled SoA transform kernels the Winograd engine
-//! dispatches to when SIMD is enabled (see `DESIGN.md` §5.9).
+//! build-time-compiled SoA transform kernels a Winograd filter bank
+//! takes when it is built (see `DESIGN.md` §5.9).
 
 #![warn(missing_docs)]
 
@@ -29,7 +29,6 @@ mod im2col;
 mod scatter;
 mod tiles;
 mod winograd;
-mod winograd1d;
 mod workspace;
 
 pub use accuracy::{accuracy_probe_desc, conv_error_trial, measure_conv_error};
@@ -46,4 +45,3 @@ pub use winograd::{
     conv_winograd, conv_winograd_precomputed, conv_winograd_precomputed_rt, PrecomputedFilters,
     WinogradConfig, WinogradVariant,
 };
-pub use winograd1d::{conv1d_direct, conv1d_winograd};

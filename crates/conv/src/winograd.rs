@@ -17,18 +17,19 @@
 //! kernel varies — a build-time-compiled proven kernel, or the recipe
 //! interpreted over `LANES`-wide registers — and both retire the same
 //! per-lane IEEE ops in the same order, so each stage has exactly one
-//! floating-point operation order.
+//! floating-point operation order. Which one a bank runs is chosen
+//! once, when the bank is built ([`Transforms`]).
 
 use std::mem::MaybeUninit;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use wino_gemm::{ASliver, BatchedGemmShape, GemmConfig, PackedA, PackedB, SimdLevel};
 use wino_runtime::{DisjointSlice, Runtime};
-use wino_symbolic::{Recipe, RecipeOptions};
+use wino_symbolic::RecipeOptions;
 use wino_tensor::{pad_plane, tile_counts, ConvDesc, Tensor4};
 use wino_transform::{recipe_db, TransformRecipes, WinogradSpec};
 
-use crate::compiled::{compiled_for, CompiledTransforms, SoaKernel, LANES};
+use crate::compiled::{CompiledTransforms, SoaKernel, LANES};
 use crate::direct::check_shapes;
 use crate::error::ConvError;
 use crate::scatter::{LaneGroup, ScatterMap, TileSpan};
@@ -39,11 +40,11 @@ use crate::workspace::{Buffer, LiveBytes, Workspace};
 static TILES_GATHERED: wino_probe::Counter = wino_probe::Counter::new("conv.tiles_gathered");
 /// Output tiles scattered back into NCHW planes.
 static TILES_SCATTERED: wino_probe::Counter = wino_probe::Counter::new("conv.tiles_scattered");
-/// Tiles a stage handed the lane interpreter at a vector level —
-/// every tile of a spec with no compiled kernel, each in its stage's
-/// own unit (`tiles_gathered`'s, `tiles_scattered`'s, `(k, c)` filter
-/// planes). Zero for every zoo layer; anything else means a layer has
-/// no compiled fast path (or lost it: `conv.compiled_fallback`).
+/// Tiles a stage handed the lane interpreter — every tile of a bank
+/// with no compiled kernels, each in its stage's own unit
+/// (`tiles_gathered`'s, `tiles_scattered`'s, `(k, c)` filter planes).
+/// Zero for every zoo layer; anything else means a layer runs without
+/// the build's proven kernels.
 static TILES_INTERPRETED: wino_probe::Counter = wino_probe::Counter::new("conv.tiles_interpreted");
 /// Bytes held by live [`PrecomputedFilters`] (Σ `resident_bytes()`).
 static FILTER_BANK_BYTES: LiveBytes = LiveBytes::new("conv.filter_bank_bytes");
@@ -132,13 +133,6 @@ enum Kernel {
 }
 
 impl Kernel {
-    fn new(compiled: Option<SoaKernel>, recipe: &Recipe, level: SimdLevel) -> Self {
-        match compiled {
-            Some(kernel) => Kernel::Compiled(kernel, level),
-            None => Kernel::Interpreted(TileTransformer::new(recipe)),
-        }
-    }
-
     /// Transforms one lane group; `src` and `dst` hold exactly the
     /// transform's input and output positions.
     fn run(&mut self, src: &[[f32; LANES]], dst: &mut [[f32; LANES]]) {
@@ -152,20 +146,61 @@ impl Kernel {
     }
 }
 
-/// The compiled kernels `level` dispatches to for `recipes`: none
-/// under [`SimdLevel::Scalar`] (the interpreted reference path), the
-/// fingerprint-gated build table at the vector levels.
-fn compiled_at(recipes: &TransformRecipes, level: SimdLevel) -> Option<CompiledTransforms> {
-    match level {
-        SimdLevel::Scalar => None,
-        SimdLevel::Avx2 | SimdLevel::Avx512 => compiled_for(recipes),
-    }
+/// One of a bank's three transforms.
+#[derive(Clone, Copy)]
+enum Stage {
+    Filter,
+    Input,
+    Output,
 }
 
-/// Accounts `tiles` a stage is about to hand the interpreter.
-fn count_interpreted(compiled: Option<CompiledTransforms>, level: SimdLevel, tiles: usize) {
-    if compiled.is_none() && level != SimdLevel::Scalar {
-        TILES_INTERPRETED.add(tiles as u64);
+/// The three transforms a bank runs, chosen once, when it is built.
+enum Transforms {
+    /// The build table's proven kernels. The recipes they were
+    /// generated from are read from the database only if
+    /// [`PrecomputedFilters::recipes`] asks for them.
+    Compiled(CompiledTransforms, OnceLock<Arc<TransformRecipes>>),
+    /// Recipes the table has no kernels for, interpreted.
+    Interpreted(Arc<TransformRecipes>),
+}
+
+impl Transforms {
+    /// The compiled kernels when they were generated from `recipes`,
+    /// the interpreter otherwise.
+    fn for_recipes(recipes: Arc<TransformRecipes>) -> Self {
+        match CompiledTransforms::matching(&recipes) {
+            Some(ct) => Transforms::Compiled(ct, OnceLock::from(recipes)),
+            None => Transforms::Interpreted(recipes),
+        }
+    }
+
+    /// A fresh kernel for `stage` at `level`, one per task: the
+    /// interpreter carries its own scratch.
+    fn kernel(&self, stage: Stage, level: SimdLevel) -> Kernel {
+        match self {
+            Transforms::Compiled(ct, _) => {
+                let kernel = match stage {
+                    Stage::Filter => ct.filter,
+                    Stage::Input => ct.input,
+                    Stage::Output => ct.output,
+                };
+                Kernel::Compiled(kernel, level)
+            }
+            Transforms::Interpreted(recipes) => {
+                Kernel::Interpreted(TileTransformer::new(match stage {
+                    Stage::Filter => &recipes.filter,
+                    Stage::Input => &recipes.input,
+                    Stage::Output => &recipes.output,
+                }))
+            }
+        }
+    }
+
+    /// Accounts `tiles` a stage is about to transform.
+    fn count(&self, tiles: usize) {
+        if let Transforms::Interpreted(_) = self {
+            TILES_INTERPRETED.add(tiles as u64);
+        }
     }
 }
 
@@ -201,11 +236,18 @@ pub fn conv_winograd(
 /// `conv.filter_transform` span, resident bytes as the
 /// `conv.filter_bank_bytes` gauge.
 ///
+/// The bank also holds the three transforms its calls run, chosen once
+/// here: the build table's proven kernels for an `F(m, r)` the build
+/// compiled (recipes given explicitly take them only when they are the
+/// recipes those kernels were generated from), the recipes interpreted
+/// otherwise.
+///
 /// The transform depends only on the filter bank, the recipes, and
 /// the channel counts — batch size and spatial extent of later inputs
 /// are free to vary.
 pub struct PrecomputedFilters {
-    recipes: Arc<TransformRecipes>,
+    spec: WinogradSpec,
+    transforms: Transforms,
     out_ch: usize,
     in_ch: usize,
     /// `U'(ξ)`, `ξ = α²` matrices of `K × C`, packed at construction.
@@ -228,7 +270,7 @@ impl PrecomputedFilters {
     }
 
     /// [`PrecomputedFilters::new`] at an explicit dispatch level — the
-    /// one A/B hook: `level` selects the filter-transform kernel (same
+    /// one A/B hook: `level` selects the transform kernels' entry (same
     /// bits either way) and the micro-kernel the bank is packed for,
     /// and every later call on this bank runs at it.
     ///
@@ -242,17 +284,50 @@ impl PrecomputedFilters {
         recipes: Arc<TransformRecipes>,
         level: SimdLevel,
     ) -> Result<Self, ConvError> {
+        let spec = recipes.spec;
+        Self::checked(filters, desc, spec, Transforms::for_recipes(recipes), level)
+    }
+
+    /// [`PrecomputedFilters::new`] for `cfg`: the build table's kernels
+    /// when it compiled `F(m, r)` under `cfg.options`, without deriving
+    /// a recipe; otherwise recipes resolved from the process-wide
+    /// database.
+    ///
+    /// # Errors
+    /// As [`PrecomputedFilters::new`], plus unsupported `F(m, r)`.
+    pub fn for_config(
+        filters: &Tensor4<f32>,
+        desc: &ConvDesc,
+        cfg: &WinogradConfig,
+    ) -> Result<Self, ConvError> {
+        let spec = winograd_checks(desc, cfg.m)?;
+        let transforms = match CompiledTransforms::of(spec) {
+            Some(ct) if cfg.options == RecipeOptions::optimized() => {
+                Transforms::Compiled(ct, OnceLock::new())
+            }
+            _ => Transforms::Interpreted(recipe_db().get(spec, cfg.options)?),
+        };
+        Self::checked(filters, desc, spec, transforms, wino_gemm::simd_level())
+    }
+
+    /// Checks the arguments of a bank for `spec` and builds it.
+    fn checked(
+        filters: &Tensor4<f32>,
+        desc: &ConvDesc,
+        spec: WinogradSpec,
+        transforms: Transforms,
+        level: SimdLevel,
+    ) -> Result<Self, ConvError> {
         if !wino_gemm::host_supports(level) {
             return Err(ConvError::Unsupported(format!(
                 "SIMD level {} is not supported on this host",
                 level.name()
             )));
         }
-        let spec = winograd_checks(desc, recipes.spec.m)?;
-        if recipes.spec != spec {
+        let implied = winograd_checks(desc, spec.m)?;
+        if implied != spec {
             return Err(ConvError::Shape(format!(
-                "recipes are for {} but descriptor implies {spec}",
-                recipes.spec
+                "recipes are for {spec} but descriptor implies {implied}"
             )));
         }
         if filters.dims() != (desc.out_ch, desc.in_ch, desc.ksz, desc.ksz) {
@@ -263,28 +338,30 @@ impl PrecomputedFilters {
         }
         // Row slivers of the bank are independent tasks on the pool.
         let rt = Runtime::global();
-        Ok(Self::transformed(filters, desc, recipes, level, rt))
+        Ok(Self::transformed(
+            filters, desc, spec, transforms, level, rt,
+        ))
     }
 
-    /// The transform behind [`PrecomputedFilters::new_at`] (which has
-    /// checked its arguments), on an explicit runtime; the bank's bits
-    /// do not depend on the thread count.
+    /// The transform behind [`PrecomputedFilters::checked`], on an
+    /// explicit runtime; the bank's bits do not depend on the thread
+    /// count.
     fn transformed(
         filters: &Tensor4<f32>,
         desc: &ConvDesc,
-        recipes: Arc<TransformRecipes>,
+        spec: WinogradSpec,
+        transforms: Transforms,
         level: SimdLevel,
         rt: &Runtime,
     ) -> Self {
         let filter_span = wino_probe::span("conv.filter_transform");
         let filter_hist = H_FILTER.start();
-        let a2 = recipes.spec.alpha() * recipes.spec.alpha();
+        let a2 = spec.alpha() * spec.alpha();
         let (kc, cc) = (desc.out_ch, desc.in_ch);
-        let compiled = compiled_at(&recipes, level);
-        count_interpreted(compiled, level, kc * cc);
+        transforms.count(kc * cc);
         // Each task carries its own kernel scratch.
         let task_state = || {
-            let kernel = Kernel::new(compiled.map(|ct| ct.filter), &recipes.filter, level);
+            let kernel = transforms.kernel(Stage::Filter, level);
             let src = vec![[0.0f32; LANES]; desc.ksz * desc.ksz];
             (kernel, src, vec![[0.0f32; LANES]; a2])
         };
@@ -316,36 +393,31 @@ impl PrecomputedFilters {
         FILTER_TRANSFORMS.add(1);
         FILTER_BANK_BYTES.add(bank.bytes() as i64);
         PrecomputedFilters {
-            recipes,
+            spec,
+            transforms,
             out_ch: kc,
             in_ch: cc,
             bank,
         }
     }
 
-    /// [`PrecomputedFilters::new`] resolving recipes for `cfg` from
-    /// the process-wide database.
-    ///
-    /// # Errors
-    /// As [`PrecomputedFilters::new`], plus unsupported `F(m, r)`.
-    pub fn for_config(
-        filters: &Tensor4<f32>,
-        desc: &ConvDesc,
-        cfg: &WinogradConfig,
-    ) -> Result<Self, ConvError> {
-        let spec = winograd_checks(desc, cfg.m)?;
-        let recipes = recipe_db().get(spec, cfg.options)?;
-        Self::new(filters, desc, recipes)
-    }
-
-    /// The recipes the transform was computed with.
+    /// The recipes the bank's transforms were generated from. A bank
+    /// built from the table reads them from the process-wide database
+    /// on the first call; its calls never do.
     pub fn recipes(&self) -> &Arc<TransformRecipes> {
-        &self.recipes
+        match &self.transforms {
+            Transforms::Interpreted(recipes) => recipes,
+            Transforms::Compiled(_, recipes) => recipes.get_or_init(|| {
+                recipe_db()
+                    .get(self.spec, RecipeOptions::optimized())
+                    .expect("a compiled F(m, r) has recipes")
+            }),
+        }
     }
 
     /// The `F(m, r)` specification.
     pub fn spec(&self) -> WinogradSpec {
-        self.recipes.spec
+        self.spec
     }
 
     /// The dispatch level the bank was transformed and packed at, and
@@ -373,11 +445,11 @@ impl PrecomputedFilters {
     /// Validates that `desc` is servable by this transform: same
     /// channel counts and the same implied `F(m, r)`.
     fn check_desc(&self, desc: &ConvDesc) -> Result<(), ConvError> {
-        let spec = winograd_checks(desc, self.recipes.spec.m)?;
-        if self.recipes.spec != spec {
+        let spec = winograd_checks(desc, self.spec.m)?;
+        if self.spec != spec {
             return Err(ConvError::Shape(format!(
                 "precomputed filters are for {} but descriptor implies {spec}",
-                self.recipes.spec
+                self.spec
             )));
         }
         if (desc.out_ch, desc.in_ch) != (self.out_ch, self.in_ch) {
@@ -448,10 +520,9 @@ pub fn conv_winograd_precomputed_rt(
         )));
     }
     pre.check_desc(desc)?;
-    let compiled = compiled_at(pre.recipes(), pre.level());
     let mut ws = Workspace::take();
     let out = match variant {
-        WinogradVariant::NonFused => nonfused(input, pre, desc, gemm, rt, compiled, &mut ws),
+        WinogradVariant::NonFused => nonfused(input, pre, desc, gemm, rt, &mut ws),
     }?;
     ws.put_back();
     Ok(out)
@@ -814,17 +885,16 @@ fn nonfused(
     desc: &ConvDesc,
     gemm: &GemmConfig,
     rt: &Runtime,
-    compiled: Option<CompiledTransforms>,
     ws: &mut Workspace,
 ) -> Result<Tensor4<f32>, ConvError> {
     let mut conv_span = wino_probe::span("conv.winograd.nonfused");
     conv_span.arg("desc", || desc.to_string());
-    let (recipes, level) = (pre.recipes(), pre.level());
-    let tiling = Tiling::new(desc, recipes.spec, level);
+    let (transforms, level) = (&pre.transforms, pre.level());
+    let tiling = Tiling::new(desc, pre.spec, level);
     let a2 = tiling.alpha * tiling.alpha;
     let p_total = tiling.tiles;
     let (kc, cc) = (desc.out_ch, desc.in_ch);
-    count_interpreted(compiled, level, p_total + kc * p_total);
+    transforms.count(p_total + kc * p_total);
 
     // Stage 1a is `pre.bank`: U'(ξ), resident and packed for `level`.
 
@@ -843,7 +913,7 @@ fn nonfused(
     let v_columns = v_packed.columns();
     rt.parallel_for_chunks(0..p_total.div_ceil(LANES), 1, |groups| {
         let _chunk_span = wino_probe::span("conv.tile_gather");
-        let mut kernel = Kernel::new(compiled.map(|ct| ct.input), &recipes.input, level);
+        let mut kernel = transforms.kernel(Stage::Input, level);
         let mut src = vec![[0.0f32; LANES]; a2];
         let mut dst = vec![[0.0f32; LANES]; a2];
         for g in groups {
@@ -895,7 +965,7 @@ fn nonfused(
     let out_len = tiling.scatter.out_len();
     let mut out = Vec::<f32>::with_capacity(out_len);
     let out_win = DisjointSlice::new(&mut out.spare_capacity_mut()[..out_len]);
-    output_stage(&tiling, recipes, compiled, m_scatter, &out_win, rt);
+    output_stage(&tiling, transforms, m_scatter, &out_win, rt);
     drop(out_win);
     // SAFETY: `output_stage` returned, so it wrote all `out_len`
     // elements. A panicking group unwinds past this point instead, and
@@ -921,8 +991,7 @@ fn nonfused(
 /// spare capacity.
 fn output_stage(
     tiling: &Tiling,
-    recipes: &TransformRecipes,
-    compiled: Option<CompiledTransforms>,
+    transforms: &Transforms,
     m_scatter: &[f32],
     out: &DisjointSlice<'_, MaybeUninit<f32>>,
     rt: &Runtime,
@@ -935,7 +1004,7 @@ fn output_stage(
     );
     rt.parallel_for_chunks(0..tiling.scatter.groups(), 1, |groups| {
         let _chunk_span = wino_probe::span("conv.tile_scatter");
-        let mut kernel = Kernel::new(compiled.map(|ct| ct.output), &recipes.output, level);
+        let mut kernel = transforms.kernel(Stage::Output, level);
         let mut src = vec![[0.0f32; LANES]; a2];
         let mut dst = vec![[0.0f32; LANES]; m * m];
         for g in groups {
@@ -1086,13 +1155,13 @@ mod tests {
 
     #[test]
     fn engines_bit_identical_with_and_without_compiled_kernels() {
-        // One bank, `compiled = Some(..)` vs `None`: the
-        // compiled SoA kernels (input, output) retire the lane
-        // interpreter's per-lane ops in its order and everything
-        // around them only moves data, so the bits must not change —
-        // at either entry of the kernels. Banks built at the two
-        // levels must hold the same U (filter kernel ≡ interpreter;
-        // packing is a pure re-layout), whether one task transformed
+        // Banks running the compiled kernels against banks
+        // interpreting the same recipes: the compiled SoA kernels
+        // (filter, input, output) retire the lane interpreter's
+        // per-lane ops in its order and everything around them only
+        // moves data, so the bits must not change — at either entry of
+        // the kernels. Banks built at every level must hold the same U
+        // (packing is a pure re-layout), whether one task transformed
         // every row sliver or four shared them.
         let cases = [
             // P = 4 < LANES, C = 3 < LANES, K·P = 4 < LANES.
@@ -1111,16 +1180,17 @@ mod tests {
             for m in ms {
                 let spec = winograd_checks(&desc, m).unwrap();
                 let recipes = recipe_db().get(spec, RecipeOptions::optimized()).unwrap();
-                let ct = compiled_for(&recipes);
-                assert!(ct.is_some(), "expected compiled kernels for {spec}");
-                let bank = |lv, threads| {
+                let bank = |compiled: bool, lv, threads| {
+                    let transforms = match compiled {
+                        true => Transforms::Compiled(
+                            CompiledTransforms::of(spec).unwrap(),
+                            OnceLock::new(),
+                        ),
+                        false => Transforms::Interpreted(Arc::clone(&recipes)),
+                    };
                     let rt = Runtime::with_threads(threads);
-                    PrecomputedFilters::transformed(&filt, &desc, Arc::clone(&recipes), lv, &rt)
+                    PrecomputedFilters::transformed(&filt, &desc, spec, transforms, lv, &rt)
                 };
-                let banks: Vec<_> = levels
-                    .iter()
-                    .flat_map(|&lv| [bank(lv, 1), bank(lv, 4)])
-                    .collect();
                 // U'(ξ) row by row, whatever sliver height it is packed in.
                 let unpacked = |pre: &PrecomputedFilters| {
                     let mut u = vec![0.0f32; pre.bank.batches() * desc.out_ch * desc.in_ch];
@@ -1129,18 +1199,16 @@ mod tests {
                     }
                     u
                 };
-                for pre in &banks {
-                    assert_eq!(
-                        unpacked(pre),
-                        unpacked(&banks[0]),
-                        "{spec} at {:?}",
-                        pre.level()
-                    );
+                let u = unpacked(&bank(false, SimdLevel::Scalar, 1));
+                for &lv in &levels {
+                    let interpreted = bank(false, lv, 1);
                     let ws = &mut Workspace::default();
-                    assert_bits_equal(
-                        &nonfused(&input, pre, &desc, &gemm, rt, ct, ws).unwrap(),
-                        &nonfused(&input, pre, &desc, &gemm, rt, None, ws).unwrap(),
-                    );
+                    let want = nonfused(&input, &interpreted, &desc, &gemm, rt, ws).unwrap();
+                    for pre in [interpreted, bank(true, lv, 1), bank(true, lv, 4)] {
+                        assert_eq!(unpacked(&pre), u, "{spec} at {lv:?}");
+                        let got = nonfused(&input, &pre, &desc, &gemm, rt, ws).unwrap();
+                        assert_bits_equal(&got, &want);
+                    }
                 }
             }
         }
@@ -1192,7 +1260,8 @@ mod tests {
                 let want = PackedA::pack(&u, a2, out_ch, in_ch, level, &runtimes[0]);
                 let model = wino_gemm::pack_a_model(out_ch, in_ch, wino_gemm::tile_extents(level).0);
                 for rt in &runtimes {
-                    let pre = PrecomputedFilters::transformed(&filt, &desc, Arc::clone(&recipes), level, rt);
+                    let transforms = Transforms::for_recipes(Arc::clone(&recipes));
+                    let pre = PrecomputedFilters::transformed(&filt, &desc, spec, transforms, level, rt);
                     for xi in 0..a2 {
                         let (got, want) = (pre.bank.batch(xi), want.batch(xi));
                         proptest::prop_assert_eq!(got.len(), model.len());
@@ -1353,8 +1422,8 @@ mod tests {
             let desc = ConvDesc::new(r, 1, 0, out_ch, batch, oh + r - 1, ow + r - 1, 1);
             let spec = WinogradSpec::new(m, r).unwrap();
             let recipes = recipe_db().get(spec, RecipeOptions::optimized()).unwrap();
-            let compiled = compiled_for(&recipes);
-            proptest::prop_assert_eq!(compiled.is_some(), is_compiled);
+            let transforms = Transforms::for_recipes(Arc::clone(&recipes));
+            proptest::prop_assert_eq!(matches!(transforms, Transforms::Compiled(..)), is_compiled);
             let reference_tiling = Tiling::new(&desc, spec, SimdLevel::Scalar);
             let (a2, total) = (spec.alpha() * spec.alpha(), reference_tiling.scatter.pairs());
             let out_len = reference_tiling.scatter.out_len();
@@ -1364,7 +1433,7 @@ mod tests {
                 (0..a2 * total).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
             };
             let mut want = vec![f32::from_bits(SENTINEL); out_len];
-            let mut kernel = Kernel::new(None, &recipes.output, SimdLevel::Scalar);
+            let mut kernel = Kernel::Interpreted(TileTransformer::new(&recipes.output));
             let (mut src, mut y) = (vec![[0.0f32; LANES]; a2], vec![[0.0f32; LANES]; m * m]);
             for q0 in (0..total).step_by(LANES) {
                 let count = LANES.min(total - q0);
@@ -1381,8 +1450,7 @@ mod tests {
                 let mut out = vec![MaybeUninit::new(f32::from_bits(SENTINEL)); out_len];
                 output_stage(
                     &tiling,
-                    &recipes,
-                    compiled_at(&recipes, level),
+                    &transforms,
                     &m_scatter,
                     &DisjointSlice::new(&mut out),
                     &Runtime::with_threads(2),

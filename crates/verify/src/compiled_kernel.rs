@@ -2,8 +2,9 @@
 //! statement IR and prove each kernel computes `T · X · Tᵀ`.
 //!
 //! The build script already refuses to *emit* a kernel whose source
-//! recipe fails `verify_recipe`, and `compiled_for` refuses to *run* a
-//! kernel whose fingerprint drifted from the runtime recipe. Both gates
+//! recipe fails `verify_recipe`, and a filter bank built from explicit
+//! recipes takes a kernel only when their fingerprints match the one
+//! it was emitted from. Both gates
 //! trust that `emit_soa_transform` faithfully translated the recipe
 //! into Rust. This module removes that trust: it parses the emitted
 //! text — the exact bytes `include!`d into `wino-conv`, plus fresh

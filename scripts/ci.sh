@@ -60,6 +60,14 @@ if grep -rn 'GuardedConv' crates/exec/src crates/serve/src; then
   echo "FAIL: wino-exec/wino-serve build their own guard (lines above)" >&2
   exit 1
 fi
+# The served stack runs the kernels the build proved: a bank for a
+# compiled F(m, r) is built from the table, so nothing above wino-conv
+# resolves or holds recipes.
+if grep -rnE 'recipe_db|TransformRecipes' crates/graph/src crates/guard/src \
+  crates/exec/src crates/serve/src; then
+  echo "FAIL: the served stack names recipes (lines above)" >&2
+  exit 1
+fi
 
 echo "== cargo clippy (workspace, warnings are errors, SAFETY comments required)"
 # `undocumented_unsafe_blocks` is allow-by-default; deny it so every
