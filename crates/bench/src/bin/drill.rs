@@ -137,18 +137,10 @@ fn object<const N: usize>(fields: [(&str, Value); N]) -> Value {
 
 /// `Server::health` as the `health` fact, built the same way by the
 /// drill that reports it and the rows that expect it.
-fn health(
-    status: &str,
-    scheduler_alive: bool,
-    executors_alive: usize,
-    restarts: u64,
-    batch_panics: u64,
-) -> Value {
+fn health(status: &str, scheduler_alive: bool, batch_panics: u64) -> Value {
     object([
         ("status", status.to_value()),
         ("scheduler_alive", scheduler_alive.to_value()),
-        ("executors_alive", executors_alive.to_value()),
-        ("restarts", restarts.to_value()),
         ("batch_panics", batch_panics.to_value()),
     ])
 }
@@ -292,71 +284,73 @@ fn scenarios() -> Vec<Scenario> {
             .fact("demotions", 0)
             .zero([GUARDRAIL, FALLBACK, "conv.tiles_interpreted"])
             .same_fact_under("output_hash", THREADS, "1"),
-        // -- wino-serve supervision: one serve-site fault per run.
+        // -- wino-serve failure domains: one serve-site fault per run.
+        // (Changed with the supervisor's removal: the `health` fact
+        // no longer carries `executors_alive` or `restarts`, and the
+        // executor death/restart counters are gone from the zero
+        // list.)
         row("chaos/clean", drill_chaos)
             .counters([("serve.enqueued", 12), ("serve.executed", 12)])
             .zero(["serve.internal_errors", "serve.batch_panics", "serve.shed"])
-            .zero(["serve.executor_deaths", "serve.executor_restarts"])
             .zero(["serve.scheduler_deaths", "serve.responses_dropped"])
             .counters(outcomes(12, 0, 0, 0))
-            .fact("health", health("Healthy", true, 1, 0, 0))
-            .gauge("serve.queue_depth", 0, 1),
-        // The sole executor dies mid-batch: that batch's member fails
-        // terminally, the supervisor respawns the executor, the
-        // replacement serves the remaining 11.
-        row("chaos/exec-panic-once", drill_chaos)
-            .env("WINO_FAULT", "serve_exec:panic:1")
-            .counters([("serve.enqueued", 12), ("serve.executed", 11)])
-            .counters([("serve.internal_errors", 1), ("serve.batch_panics", 0)])
-            .counters([("serve.executor_deaths", 1), ("serve.executor_restarts", 1)])
-            .counters(outcomes(11, 1, 0, 0))
-            .fact("health", health("Degraded", true, 1, 1, 0))
-            .gauge("serve.queue_depth", 0, 1),
-        // Every incarnation dies: the restart budget (8) runs out and
-        // the supervisor declares the server failed. Counts beyond the
-        // budget race the declaration, so only the budget is pinned.
-        row("chaos/exec-panic-always", drill_chaos)
-            .env("WINO_FAULT", "serve_exec:panic")
-            .counters([("serve.executed", 0)])
-            .counters([("serve.executor_deaths", 9), ("serve.executor_restarts", 8)])
-            .fact("health", health("Failed", true, 0, 8, 0))
+            .fact("health", health("Healthy", true, 0))
             .gauge("serve.queue_depth", 0, 1),
         // Scheduler death is unrecoverable by design: the one parked
         // request fails terminally, admission closes, 11 are refused.
-        // (`executors_alive` 0 is read after the supervisor's reap
-        // pass: see `drill_chaos`.)
+        // The dying scheduler fails the server before the waiter
+        // unblocks, so the health read needs no wait. (Changed: the
+        // `health` fact's fields, as above.)
         row("chaos/sched-panic", drill_chaos)
             .env("WINO_FAULT", "serve_sched:panic:1")
             .counters([("serve.enqueued", 1), ("serve.executed", 0)])
             .counters([("serve.scheduler_deaths", 1), ("serve.internal_errors", 1)])
             .counters(outcomes(0, 1, 11, 0))
-            .fact("health", health("Failed", false, 0, 0, 0))
+            .fact("health", health("Failed", false, 0))
             .gauge("serve.queue_depth", 0, 1),
         // A stall only delays dispatch.
+        // (Changed: the `health` fact's fields, as above.)
         row("chaos/sched-stall", drill_chaos)
             .env("WINO_FAULT", "serve_sched:stall:3")
             .counters([("serve.enqueued", 12), ("serve.executed", 12)])
             .counters([("fault.injected.serve_sched", 1)])
             .counters(outcomes(12, 0, 0, 0))
-            .fact("health", health("Healthy", true, 1, 0, 0))
+            .fact("health", health("Healthy", true, 0))
             .gauge("serve.queue_depth", 0, 1),
         // A dropped response is a terminal Internal at the waiter
         // (closed channel), never a hang; the batch itself executed.
+        // (Changed: the `health` fact's fields, as above.)
         row("chaos/resp-drop", drill_chaos)
             .env("WINO_FAULT", "serve_resp:drop:1")
             .counters([("serve.enqueued", 12), ("serve.executed", 12)])
             .counters([("serve.responses_dropped", 1), ("serve.internal_errors", 0)])
             .counters(outcomes(11, 1, 0, 0))
-            .fact("health", health("Healthy", true, 1, 0, 0))
+            .fact("health", health("Healthy", true, 0))
             .gauge("serve.queue_depth", 0, 1),
         // A panic inside response delivery is contained: the batch
-        // fails its member, the executor survives (no respawn).
+        // fails its member, the executor survives. (Changed: the
+        // deleted `serve.executor_restarts` is no longer pinned to 0,
+        // and the `health` fact's fields, as above.)
         row("chaos/resp-panic", drill_chaos)
             .env("WINO_FAULT", "serve_resp:panic:1")
             .counters([("serve.enqueued", 12), ("serve.executed", 12)])
-            .counters([("serve.batch_panics", 1), ("serve.executor_restarts", 0)])
+            .counters([("serve.batch_panics", 1)])
             .counters(outcomes(11, 1, 0, 0))
-            .fact("health", health("Degraded", true, 1, 0, 1))
+            .fact("health", health("Degraded", true, 1))
+            .gauge("serve.queue_depth", 0, 1),
+        // New with the supervisor's removal, in place of the
+        // `serve_exec` rows: a panic in every delivery fails all 12
+        // requests and never the executor, which serves each next
+        // batch. The last batch's containment can still be counting
+        // when its waiter unblocks, so the fact pins only status and
+        // scheduler; `serve.batch_panics` is read after shutdown.
+        row("chaos/resp-panic-always", drill_chaos)
+            .env("WINO_FAULT", "serve_resp:panic")
+            .counters([("serve.enqueued", 12), ("serve.executed", 12)])
+            .counters([("serve.batch_panics", 12)])
+            .counters(outcomes(0, 12, 0, 0))
+            .want(&["facts", "health", "status"], "Degraded")
+            .want(&["facts", "health", "scheduler_alive"], true)
             .gauge("serve.queue_depth", 0, 1),
         // Three poisoned batches trip the breaker (threshold 3), an
         // open-state request rides the terminal fallback, the fault
@@ -856,14 +850,7 @@ fn resolved(outcome: Option<Result<ConvResponse, ServeError>>) -> Option<ConvRes
 fn drill_chaos() -> Value {
     let registry = layer_registry();
     arm_fault();
-    let server = Server::start(
-        Arc::clone(&registry),
-        ServerConfig {
-            max_executor_restarts: 8,
-            restart_backoff: Duration::from_millis(1),
-            ..sequential_config()
-        },
-    );
+    let server = Server::start(Arc::clone(&registry), sequential_config());
     for seed in 0..12 {
         if let Some(resp) = resolved(submit_and_wait(&server, seed)) {
             // The direct re-run never passes a serve hook, so this is
@@ -871,23 +858,12 @@ fn drill_chaos() -> Value {
             assert_bit_identical(&registry, seed, &resp);
         }
     }
-    // A dead scheduler disconnects the batch channel; each executor
-    // then leaves cleanly and the supervisor reaps it on a later tick,
-    // so `executors_alive` reaches 0 a pass or two after the failure is
-    // declared and the last request refused. The read waits for that
-    // pass (bounded) rather than race it — `chaos/sched-panic` once
-    // read 1 here.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    let h = loop {
-        let h = server.health();
-        if h.scheduler_alive || h.executors_alive == 0 || Instant::now() >= deadline {
-            break h;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    };
-    let status = format!("{:?}", h.status);
-    let (alive, restarts, panics) = (h.executors_alive, h.executor_restarts, h.batch_panics);
-    let health = health(&status, h.scheduler_alive, alive, restarts, panics);
+    let h = server.health();
+    let health = health(
+        &format!("{:?}", h.status),
+        h.scheduler_alive,
+        h.batch_panics,
+    );
     server.shutdown();
     object([("health", health)])
 }
@@ -981,10 +957,6 @@ fn drill_seeded() -> Value {
             max_batch: 2,
             max_wait: Duration::from_micros(200),
             executors: 2,
-            // The schedule may kill one executor per wave; give the
-            // supervisor budget for all of them.
-            max_executor_restarts: WAVES * 2,
-            restart_backoff: Duration::from_millis(1),
             ..ServerConfig::default()
         },
     );
@@ -995,7 +967,7 @@ fn drill_seeded() -> Value {
         } else {
             let nth = rng.gen_range(1..=4u32);
             match rng.gen_range(0..4u32) {
-                0 => format!("serve_exec:panic:{nth}"),
+                0 => format!("serve_resp:panic:{nth}"),
                 1 => format!("serve_resp:drop:{nth}"),
                 2 => format!("serve_sched:stall:{nth}"),
                 _ => String::new(),
@@ -1030,7 +1002,7 @@ fn drill_seeded() -> Value {
     assert_ne!(
         server.health().status,
         HealthStatus::Failed,
-        "the schedule stays within the restart budget"
+        "no fault in the schedule can fail the server"
     );
     server.shutdown();
     object([])
@@ -1046,8 +1018,7 @@ mod tests {
             "gauges": {"serve.queue_depth": {"value": 0, "peak": 1}},
             "hists": {"serve.e2e": {"count": 12}},
             "facts": {"demotions": 3, "health": {"status": "Healthy",
-                      "scheduler_alive": true, "executors_alive": 1,
-                      "restarts": 0, "batch_panics": 0}}}"#;
+                      "scheduler_alive": true, "batch_panics": 0}}}"#;
         check_report(&serde_json::from_str(text).unwrap(), &row.checks)
     }
 
@@ -1058,7 +1029,7 @@ mod tests {
             .zero(["serve.shed"])
             .gauge("serve.queue_depth", 0, 1)
             .want(&["hists", "serve.e2e", "count"], 12)
-            .fact("health", health("Healthy", true, 1, 0, 0))
+            .fact("health", health("Healthy", true, 0))
             .fact("demotions", 3);
         assert_eq!(misses(row), Vec::<String>::new());
     }
@@ -1076,7 +1047,7 @@ mod tests {
             misses(row("t", drill_chaos).want(&breaker, 0)),
             ["gauges serve.breaker_state.drill/conv value: expected 0, missing from the report"]
         );
-        let degraded = row("t", drill_chaos).fact("health", health("Degraded", true, 1, 0, 0));
+        let degraded = row("t", drill_chaos).fact("health", health("Degraded", true, 0));
         let [miss] = &misses(degraded)[..] else {
             panic!("one wrong fact is one miss");
         };

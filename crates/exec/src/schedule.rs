@@ -12,7 +12,7 @@
 //!    external input). All steps in a wave are mutually independent,
 //!    so the executor may run them concurrently; a wave boundary is a
 //!    barrier. Inception branches land in the same wave.
-//! 3. **Liveness + slab coloring.** A value is live from its birth
+//! 3. **Live ranges + slab coloring.** A value is live from its birth
 //!    wave through the wave of its last consumer (wave granularity:
 //!    values born in the same wave never share a slab, and a value is
 //!    reusable only once the wave of its last read has fully

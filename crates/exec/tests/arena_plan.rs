@@ -42,7 +42,7 @@ fn planner_peak_is_strictly_below_naive_on_inception_modules() {
     );
     // The branches must actually be co-scheduled (4 per module).
     assert!(net.max_wave_width() >= 4);
-    // Liveness-driven reuse should do a lot better than "every value
+    // Live-range-driven reuse should do a lot better than "every value
     // gets its own slab": the slab count stays well under the value
     // count.
     assert!(net.slab_count() < net.step_count());

@@ -1,12 +1,13 @@
 //! Deterministic fault injection (`WINO_FAULT`).
 //!
 //! The guard layer (`wino-guard`) and the serving layer above it
-//! promise that every recovery path — guardrail demotion, executor
-//! respawn, contained response failures — actually fires. Proving that
-//! requires *causing* the faults on demand, at the exact sites where
-//! real failures originate: the transform output of a tile, the GEMM
-//! kernel, and — one layer up — the serve executor, scheduler, and
-//! response-delivery paths. This module is that facility.
+//! promise that every recovery path — guardrail demotion, contained
+//! batch and response failures, a scheduler death that fails the
+//! server — actually fires. Proving that requires *causing* the faults
+//! on demand, at the exact sites where real failures originate: the
+//! transform output of a tile, the GEMM kernel, and — one layer up —
+//! the serve scheduler and response-delivery paths. This module is
+//! that facility.
 //!
 //! It lives in `wino-probe` (the instrumentation substrate every crate
 //! already depends on) rather than in `wino-guard` itself, because the
@@ -35,7 +36,7 @@ use std::sync::MutexGuard;
 use parking_lot::Mutex;
 
 /// Injection sites — the places real failures originate: two in the
-/// engine stack and three in the serving layer above it.
+/// engine stack and two in the serving layer above it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Site {
     /// Output of a Winograd tile transform in the engines (the one
@@ -43,23 +44,20 @@ pub enum Site {
     Transform,
     /// The blocked SGEMM kernel (covers plain, batched, im2col use).
     Gemm,
-    /// Serve executor, checked once per dequeued batch (a `Panic`
-    /// kills the executor thread — the supervisor-respawn drill).
-    ServeExec,
     /// Serve scheduler loop (a `Panic` kills the scheduler; a `Stall`
     /// delays dispatch while the queue backs up).
     ServeSched,
     /// Serve response delivery (a `Drop` discards the response so the
-    /// waiter sees a closed channel; a `Panic` unwinds mid-send).
+    /// waiter sees a closed channel; a `Panic` unwinds mid-send, inside
+    /// the executor's batch containment).
     ServeResp,
 }
 
 /// All sites in declaration order — the one table a site's spec name,
 /// armed bit and hit counter are read from.
-pub const SITES: [Site; 5] = [
+pub const SITES: [Site; 4] = [
     Site::Transform,
     Site::Gemm,
-    Site::ServeExec,
     Site::ServeSched,
     Site::ServeResp,
 ];
@@ -78,7 +76,6 @@ impl Site {
         match self {
             Site::Transform => "transform",
             Site::Gemm => "gemm",
-            Site::ServeExec => "serve_exec",
             Site::ServeSched => "serve_sched",
             Site::ServeResp => "serve_resp",
         }
@@ -167,7 +164,7 @@ pub struct FaultSpec {
 
 impl FaultSpec {
     /// Parses `site:trigger[:n]` (e.g. `transform:nan`,
-    /// `serve_exec:panic:3`).
+    /// `serve_resp:panic:3`).
     pub fn parse(spec: &str) -> Result<FaultSpec, String> {
         let mut parts = spec.trim().split(':');
         let site = parts.next().and_then(Site::parse).ok_or_else(|| {
@@ -364,14 +361,15 @@ mod tests {
         assert!(FaultSpec::parse("gemm:melt").is_err());
         assert!(FaultSpec::parse("gemm:nan:0").is_err());
         assert!(FaultSpec::parse("gemm:nan:2:junk").is_err());
-        // The tuner and cache sites and the timeout/corrupt triggers
-        // are gone: nothing checks them.
+        // The tuner, cache and serve_exec sites and the
+        // timeout/corrupt triggers are gone: nothing checks them.
         let site_err = FaultSpec::parse("tuner:panic:3").unwrap_err();
         assert!(FaultSpec::parse("cache:corrupt").is_err());
+        assert!(FaultSpec::parse("serve_exec:panic").is_err());
         let trigger_err = FaultSpec::parse("gemm:timeout").unwrap_err();
         // The expected lists are rendered from the tables.
         assert!(
-            site_err.ends_with("(expected transform|gemm|serve_exec|serve_sched|serve_resp)"),
+            site_err.ends_with("(expected transform|gemm|serve_sched|serve_resp)"),
             "{site_err}"
         );
         assert!(
@@ -385,7 +383,6 @@ mod tests {
     #[test]
     fn serve_sites_parse_and_round_trip() {
         for (name, site) in [
-            ("serve_exec", Site::ServeExec),
             ("serve_sched", Site::ServeSched),
             ("serve_resp", Site::ServeResp),
         ] {
@@ -414,11 +411,11 @@ mod tests {
 
     #[test]
     fn serve_sites_fire_independently() {
-        let _scope = scoped("serve_exec:drop:2");
-        assert_eq!(fire(Site::ServeExec), None);
+        let _scope = scoped("serve_resp:drop:2");
+        assert_eq!(fire(Site::ServeResp), None);
         assert_eq!(fire(Site::ServeSched), None, "other serve sites inert");
-        assert_eq!(fire(Site::ServeExec), Some(Trigger::Drop));
-        assert_eq!(fire(Site::ServeExec), None, "nth fires exactly once");
+        assert_eq!(fire(Site::ServeResp), Some(Trigger::Drop));
+        assert_eq!(fire(Site::ServeResp), None, "nth fires exactly once");
     }
 
     #[test]
@@ -440,7 +437,7 @@ mod tests {
             "missing malformed-value diagnostic: {diags:?}"
         );
         // A deleted site is malformed too: it disarms, and the diag
-        // names the five sites that remain.
+        // names the four sites that remain.
         assert!(init_from_value("gemm:nan").is_some());
         assert_eq!(init_from_value("tuner:panic"), None);
         assert!(SITES.into_iter().all(|site| !armed(site)));
@@ -448,7 +445,7 @@ mod tests {
         assert!(
             diags.iter().any(|d| d.contains("ignoring WINO_FAULT")
                 && d.contains("\"tuner:panic\"")
-                && d.contains("transform|gemm|serve_exec|serve_sched|serve_resp")),
+                && d.contains("transform|gemm|serve_sched|serve_resp")),
             "missing deleted-site diagnostic: {diags:?}"
         );
         // Well-formed values and the off switch stay silent.

@@ -11,8 +11,9 @@ pub enum ServeError {
         /// The configured queue capacity.
         capacity: usize,
     },
-    /// The server is draining: late submissions are refused while
-    /// in-flight requests complete.
+    /// The server is draining — late submissions are refused while
+    /// in-flight requests complete — or a scheduler death closed
+    /// admission.
     ShuttingDown,
     /// No layer with this name is registered.
     UnknownLayer(String),
@@ -23,13 +24,12 @@ pub enum ServeError {
     /// Every engine in the layer's degradation chain failed.
     Engine(String),
     /// The serving machinery itself failed while holding the request —
-    /// a batch panicked in an executor, the executor or scheduler
-    /// thread died, or the response channel was lost. The request was
-    /// *terminated*, never stranded: crash containment guarantees a
-    /// waiter always observes exactly one terminal result.
+    /// a batch panicked in an executor, the scheduler thread died, or
+    /// the response channel was lost. The request was *terminated*,
+    /// never stranded: crash containment guarantees a waiter always
+    /// observes exactly one terminal result.
     Internal {
-        /// Human-readable failure cause (panic payload or supervisor
-        /// verdict).
+        /// Human-readable failure cause (the panic payload).
         cause: String,
     },
 }

@@ -25,13 +25,13 @@
 //!   per-request deadlines demote near-late members to the terminal
 //!   fallback engine, and shutdown drains in-flight work while
 //!   refusing late submissions ([`ServeError::ShuttingDown`]).
-//! - The server **self-heals**: batch panics are contained
-//!   ([`ServeError::Internal`], never a hung waiter), a supervisor
-//!   thread respawns dead executors under a restart budget, and a
+//! - The server **self-heals**: a batch panic is contained on its
+//!   executor ([`ServeError::Internal`], never a hung waiter, and the
+//!   thread keeps serving), a scheduler death fails the server in
+//!   place (pending requests get `Internal`, admission closes), and a
 //!   per-layer circuit breaker ([`BreakerState`]) trips repeatedly
 //!   failing layers to their terminal fallback engine with half-open
-//!   probe batches. [`Server::health`] snapshots the whole supervision
-//!   state.
+//!   probe batches. [`Server::health`] snapshots all of it.
 //!
 //! Everything is threads and channels — no async runtime.
 
@@ -40,11 +40,9 @@ mod error;
 mod registry;
 mod server;
 mod stats;
-mod supervisor;
 
 pub use breaker::{BreakerSnapshot, BreakerState};
 pub use error::ServeError;
 pub use registry::{LayerPlan, NetworkPlan, PlanRegistry};
 pub use server::{ConvRequest, ConvResponse, NetworkRequest, ResponseHandle, Server, ServerConfig};
-pub use stats::{RequestTrace, ServerStats, RECENT_CAP};
-pub use supervisor::{ExecutorHealth, HealthStatus, ServerHealth};
+pub use stats::{HealthStatus, RequestTrace, ServerHealth, ServerStats, RECENT_CAP};

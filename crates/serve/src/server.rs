@@ -18,16 +18,17 @@
 //!
 //! - an *engine* failure is absorbed by each conv's guard chain
 //!   inside the executor;
-//! - a *batch* panic is contained by `catch_unwind` here — members
-//!   get [`ServeError::Internal`], the flight recorder dumps, and
-//!   `serve.batch_panics` counts it;
-//! - an *executor* death is detected by the supervisor and respawned
-//!   under a restart budget (batch members are failed by a drop
-//!   guard, never stranded);
+//! - a *batch* panic is contained by the one `catch_unwind` around
+//!   everything an executor does per batch — members get
+//!   [`ServeError::Internal`], the flight recorder dumps,
+//!   `serve.batch_panics` counts it, and the executor thread serves
+//!   the next batch (it leaves its loop only when the batch channel
+//!   disconnects);
 //! - a repeatedly-failing *plan* is tripped by its circuit breaker
 //!   to the terminal fallback engines;
-//! - an unrecoverable *server* (scheduler death, exhausted restarts)
-//!   fails all pending requests and closes admission.
+//! - a *scheduler* death fails the server in place, on the dying
+//!   thread: admission closes and every pending request gets
+//!   [`ServeError::Internal`].
 //!
 //! Every response channel is wrapped in a [`ResponseSlot`] whose send
 //! is take-once, so a waiter observes **exactly one** terminal result
@@ -44,7 +45,7 @@
 //! [`submit`]: Server::submit
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -58,8 +59,7 @@ use wino_tensor::Tensor4;
 use crate::breaker::{BreakerDecision, BreakerMap};
 use crate::error::ServeError;
 use crate::registry::{NetworkPlan, PlanRegistry};
-use crate::stats::{RequestTrace, ServerStats, StatsInner};
-use crate::supervisor::{HealthState, HealthStatus, Liveness, ServerHealth, Supervisor};
+use crate::stats::{HealthState, RequestTrace, ServerHealth, ServerStats, StatsInner};
 
 static ENQUEUED: wino_probe::Counter = wino_probe::Counter::new("serve.enqueued");
 static SHED: wino_probe::Counter = wino_probe::Counter::new("serve.shed");
@@ -74,13 +74,21 @@ static RESPONSES_DROPPED: wino_probe::Counter = wino_probe::Counter::new("serve.
 static POISON_RECOVERED: wino_probe::Counter =
     wino_probe::Counter::new("serve.lock_poison_recovered");
 static CONFIG_CLAMPED: wino_probe::Counter = wino_probe::Counter::new("serve.config_clamped");
-pub(crate) static QUEUE_DEPTH: wino_probe::Gauge = wino_probe::Gauge::new("serve.queue_depth");
+static SCHED_DEATHS: wino_probe::Counter = wino_probe::Counter::new("serve.scheduler_deaths");
+static QUEUE_DEPTH: wino_probe::Gauge = wino_probe::Gauge::new("serve.queue_depth");
 static H_QUEUE_WAIT: wino_probe::Histogram = wino_probe::Histogram::new("serve.queue_wait");
 static H_EXECUTE: wino_probe::Histogram = wino_probe::Histogram::new("serve.execute");
 static H_E2E: wino_probe::Histogram = wino_probe::Histogram::new("serve.e2e");
 
 /// How long an injected `serve_sched:stall` delays one scheduler pass.
 const SCHED_STALL: Duration = Duration::from_millis(10);
+/// Margin subtracted from deadlines when deciding demotion: a request
+/// within this of its deadline at execution time runs on the terminal
+/// fallback engine instead of the full chain.
+const DEADLINE_SLACK: Duration = Duration::from_micros(500);
+/// Interval between periodic metric emissions when `WINO_METRICS` is
+/// active (the emitter thread is only spawned then).
+const METRICS_INTERVAL: Duration = Duration::from_secs(5);
 
 /// Locks a std mutex, recovering (instead of cascading) poison left by
 /// a thread that panicked while holding it. The protected state is
@@ -109,15 +117,6 @@ pub struct ServerConfig {
     /// Executor thread count. Zero is clamped to 1 at
     /// [`Server::start`].
     pub executors: usize,
-    /// Deadline applied to requests that carry none.
-    pub default_deadline: Option<Duration>,
-    /// Margin subtracted from deadlines when deciding demotion: a
-    /// request within `slack` of its deadline at execution time runs
-    /// on the terminal fallback engine instead of the full chain.
-    pub deadline_slack: Duration,
-    /// Interval between periodic metric emissions when `WINO_METRICS`
-    /// is active (the emitter thread is only spawned then).
-    pub metrics_interval: Duration,
     /// Consecutive unclean full-chain batches before a layer's circuit
     /// breaker trips it to the terminal fallback engine. Zero disables
     /// the breakers.
@@ -125,12 +124,6 @@ pub struct ServerConfig {
     /// How long a tripped breaker serves the fallback before the
     /// half-open probe batch rides the full chain again.
     pub breaker_cooldown: Duration,
-    /// Total executor respawns the supervisor may spend over the
-    /// server's lifetime; one more death is unrecoverable.
-    pub max_executor_restarts: u64,
-    /// Backoff before the first respawn; doubles per respawn (capped
-    /// internally).
-    pub restart_backoff: Duration,
 }
 
 impl Default for ServerConfig {
@@ -140,13 +133,8 @@ impl Default for ServerConfig {
             max_wait: Duration::from_millis(2),
             queue_capacity: 256,
             executors: 1,
-            default_deadline: None,
-            deadline_slack: Duration::from_micros(500),
-            metrics_interval: Duration::from_secs(5),
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_millis(250),
-            max_executor_restarts: 8,
-            restart_backoff: Duration::from_millis(1),
         }
     }
 }
@@ -179,12 +167,12 @@ pub struct ConvRequest {
     /// any `N ≥ 1`.
     pub input: Tensor4<f32>,
     /// Time budget from submission; near-late requests demote to the
-    /// terminal fallback engine. `None` uses the server default.
+    /// terminal fallback engine. `None`: no deadline.
     pub deadline: Option<Duration>,
 }
 
 impl ConvRequest {
-    /// Request with the server's default deadline.
+    /// Request without a deadline.
     pub fn new(layer: impl Into<String>, input: Tensor4<f32>) -> Self {
         ConvRequest {
             layer: layer.into(),
@@ -209,13 +197,13 @@ pub struct NetworkRequest {
     /// input, any `N ≥ 1`.
     pub input: Tensor4<f32>,
     /// Time budget from submission; a near-late request runs every
-    /// conv on its terminal fallback engine (degraded mode). `None`
-    /// uses the server default.
+    /// conv on its terminal fallback engine (degraded mode). `None`:
+    /// no deadline.
     pub deadline: Option<Duration>,
 }
 
 impl NetworkRequest {
-    /// Request with the server's default deadline.
+    /// Request without a deadline.
     pub fn new(network: impl Into<String>, input: Tensor4<f32>) -> Self {
         NetworkRequest {
             network: network.into(),
@@ -248,10 +236,9 @@ pub struct ConvResponse {
 
 /// Take-once wrapper around a request's response sender: however many
 /// failure paths race to terminate a request (normal delivery, batch
-/// containment, the executor drop guard, supervisor fail-all,
-/// shutdown drain), exactly one send reaches the waiter and the rest
-/// are structurally discarded.
-pub(crate) struct ResponseSlot {
+/// containment, the scheduler's fail-all), exactly one send reaches
+/// the waiter and the rest are structurally discarded.
+struct ResponseSlot {
     tx: parking_lot::Mutex<Option<channel::Sender<Result<ConvResponse, ServeError>>>>,
 }
 
@@ -264,13 +251,13 @@ impl ResponseSlot {
 
     /// Delivers the terminal result if nothing has been delivered yet;
     /// returns `false` when the slot was already consumed.
-    pub(crate) fn send(&self, result: Result<ConvResponse, ServeError>) -> bool {
+    fn send(&self, result: Result<ConvResponse, ServeError>) -> bool {
         let Some(tx) = self.tx.lock().take() else {
             return false;
         };
         // serve_resp chaos site. Only real (Ok) deliveries are
-        // eligible: failure-path sends come from containment code and
-        // drop guards, which must never re-enter an injected panic.
+        // eligible: failure-path sends come from containment code,
+        // which must never re-enter an injected panic.
         if result.is_ok() && fault::armed(fault::Site::ServeResp) {
             match fault::fire(fault::Site::ServeResp) {
                 Some(fault::Trigger::Drop) => {
@@ -308,11 +295,11 @@ impl ResponseHandle {
         self.id
     }
 
-    /// Blocks until the terminal result arrives. A server torn down
-    /// before executing the request delivers
-    /// [`ServeError::ShuttingDown`] explicitly; a response channel
-    /// closed without any delivery (response dropped by an injected
-    /// fault) maps to [`ServeError::Internal`].
+    /// Blocks until the terminal result arrives. Shutdown serves every
+    /// admitted request first; a scheduler death fails it with
+    /// [`ServeError::Internal`], and a response channel closed without
+    /// any delivery (response dropped by an injected fault) maps to
+    /// [`ServeError::Internal`] too.
     pub fn wait(self) -> Result<ConvResponse, ServeError> {
         self.rx.recv().map_err(|_| ServeError::Internal {
             cause: "response channel closed without a terminal result".to_string(),
@@ -335,7 +322,7 @@ impl ResponseHandle {
 }
 
 /// A request admitted to the queue.
-pub(crate) struct Pending {
+struct Pending {
     id: u64,
     /// The plan the request was admitted against; the scheduler
     /// coalesces, and the breaker map keys, by this `Arc`'s identity.
@@ -343,38 +330,35 @@ pub(crate) struct Pending {
     input: Tensor4<f32>,
     enqueued_at: Instant,
     deadline: Option<Duration>,
-    pub(crate) slot: Arc<ResponseSlot>,
+    slot: Arc<ResponseSlot>,
 }
 
-pub(crate) struct QueueState {
-    pub(crate) open: bool,
-    pub(crate) pending: VecDeque<Pending>,
+struct QueueState {
+    open: bool,
+    pending: VecDeque<Pending>,
 }
 
 /// The submission queue. `std::sync` primitives on purpose: the
 /// scheduler needs a timed condition wait, which the `parking_lot`
 /// shim does not provide. Poison from a panicking holder is recovered
 /// at every lock site, never propagated.
-pub(crate) struct SubmissionQueue {
-    pub(crate) state: Mutex<QueueState>,
-    pub(crate) cv: Condvar,
+struct SubmissionQueue {
+    state: Mutex<QueueState>,
+    cv: Condvar,
 }
 
 /// Queue lock with poison recovery.
-pub(crate) fn lock_queue(queue: &SubmissionQueue) -> MutexGuard<'_, QueueState> {
+fn lock_queue(queue: &SubmissionQueue) -> MutexGuard<'_, QueueState> {
     lock_recover(&queue.state)
 }
 
-/// Everything an executor thread needs; cloned for supervisor
-/// respawns.
+/// Everything an executor thread needs; one clone per executor.
 #[derive(Clone)]
-pub(crate) struct ExecShared {
-    pub(crate) rx: channel::Receiver<Vec<Pending>>,
-    pub(crate) slack: Duration,
-    pub(crate) stats: Arc<StatsInner>,
-    pub(crate) breakers: Arc<BreakerMap>,
-    pub(crate) health: Arc<HealthState>,
-    pub(crate) liveness: Arc<Liveness>,
+struct ExecShared {
+    rx: channel::Receiver<Vec<Pending>>,
+    stats: Arc<StatsInner>,
+    breakers: Arc<BreakerMap>,
+    health: Arc<HealthState>,
 }
 
 /// The batching inference server.
@@ -388,16 +372,16 @@ pub struct Server {
     stats: Arc<StatsInner>,
     breakers: Arc<BreakerMap>,
     health: Arc<HealthState>,
-    liveness: Arc<Liveness>,
-    supervisor: Mutex<Option<Supervisor>>,
+    /// The scheduler's handle, then every executor's: the join order
+    /// of [`Server::shutdown`]. Taken by the first shutdown.
+    threads: Mutex<Option<Vec<JoinHandle<()>>>>,
     emitter: Mutex<Option<metrics::PeriodicEmitter>>,
-    shutting_down: Arc<AtomicBool>,
 }
 
 impl Server {
-    /// Starts the scheduler, executor pool, and supervisor threads
-    /// (plus the periodic metrics emitter when `WINO_METRICS` is
-    /// active). Degenerate config values are clamped first (see
+    /// Starts the scheduler and the executor pool (plus the periodic
+    /// metrics emitter when `WINO_METRICS` is active). Degenerate
+    /// config values are clamped first (see
     /// [`ServerConfig::validated`]).
     pub fn start(registry: Arc<PlanRegistry>, config: ServerConfig) -> Self {
         let config = config.validated();
@@ -409,8 +393,7 @@ impl Server {
             cv: Condvar::new(),
         });
         let stats = Arc::new(StatsInner::new());
-        let health = Arc::new(HealthState::new(config.executors));
-        let liveness = Arc::new(Liveness::new(config.executors));
+        let health = Arc::new(HealthState::new());
         let breakers = Arc::new(BreakerMap::new(
             config.breaker_threshold,
             config.breaker_cooldown,
@@ -425,50 +408,35 @@ impl Server {
             // `exec.arena_allocs`).
             plan.pool.reserve(config.max_batch, config.executors);
         }
-        let shutting_down = Arc::new(AtomicBool::new(false));
         // The batch channel's only sender lives on the scheduler
         // thread, so executor `recv` disconnects exactly when the
-        // scheduler exits (after the drain loop empties the queue).
-        // The supervisor holds a receiver clone for respawns and for
-        // bleeding the channel when no executor is left.
+        // scheduler exits (after the drain loop empties the queue, or
+        // after its death failed the queue).
         let (batch_tx, batch_rx) = channel::bounded::<Vec<Pending>>(config.executors * 2);
         let scheduler = {
-            let queue = Arc::clone(&queue);
-            let max_batch = config.max_batch;
-            let max_wait = config.max_wait;
+            let (queue, health) = (Arc::clone(&queue), Arc::clone(&health));
+            let (max_batch, max_wait) = (config.max_batch, config.max_wait);
             std::thread::Builder::new()
                 .name("wino-scheduler".into())
-                .spawn(move || scheduler_loop(&queue, max_batch, max_wait, &batch_tx))
+                .spawn(move || run_scheduler(&queue, &health, max_batch, max_wait, &batch_tx))
                 .expect("spawn scheduler thread")
         };
         let shared = ExecShared {
             rx: batch_rx,
-            slack: config.deadline_slack,
             stats: Arc::clone(&stats),
             breakers: Arc::clone(&breakers),
             health: Arc::clone(&health),
-            liveness: Arc::clone(&liveness),
         };
-        let executors: Vec<JoinHandle<()>> = (0..config.executors)
-            .map(|slot| spawn_executor(slot, shared.clone()))
-            .collect();
-        let supervisor = Supervisor::spawn(
-            scheduler,
-            executors,
-            shared,
-            Arc::clone(&queue),
-            Arc::clone(&shutting_down),
-            config.max_executor_restarts,
-            config.restart_backoff,
-        );
-        let emitter = if metrics::mode() != metrics::MetricsMode::Off {
-            Some(metrics::PeriodicEmitter::start(
-                config.metrics_interval,
-                "serve.periodic",
-            ))
-        } else {
-            None
-        };
+        let executors = (0..config.executors).map(|slot| {
+            let shared = shared.clone();
+            std::thread::Builder::new()
+                .name(format!("wino-exec{slot}"))
+                .spawn(move || executor_loop(&shared))
+                .expect("spawn executor thread")
+        });
+        let threads = std::iter::once(scheduler).chain(executors).collect();
+        let emitter = (metrics::mode() != metrics::MetricsMode::Off)
+            .then(|| metrics::PeriodicEmitter::start(METRICS_INTERVAL, "serve.periodic"));
         Server {
             registry,
             config,
@@ -476,10 +444,8 @@ impl Server {
             stats,
             breakers,
             health,
-            liveness,
-            supervisor: Mutex::new(Some(supervisor)),
+            threads: Mutex::new(Some(threads)),
             emitter: Mutex::new(emitter),
-            shutting_down,
         }
     }
 
@@ -493,8 +459,8 @@ impl Server {
     /// # Errors
     /// [`ServeError::UnknownLayer`] for unregistered names,
     /// [`ServeError::Shape`] on input mismatch,
-    /// [`ServeError::ShuttingDown`] after drain began (or after the
-    /// supervisor closed admission on unrecoverable failure), and
+    /// [`ServeError::ShuttingDown`] after drain began (or after a
+    /// scheduler death closed admission), and
     /// [`ServeError::Overloaded`] when the queue is full (the request
     /// is shed; nothing was enqueued).
     pub fn submit(&self, req: ConvRequest) -> Result<ResponseHandle, ServeError> {
@@ -554,7 +520,6 @@ impl Server {
             )));
         }
         let (tx, rx) = channel::bounded(1);
-        let deadline = deadline.or(self.config.default_deadline);
         let id = self.stats.assign_id();
         {
             // Every early return before the push leaves the counters
@@ -608,33 +573,12 @@ impl Server {
         }
     }
 
-    /// Supervision snapshot: overall status, thread liveness, restart
-    /// and contained-panic totals, and every layer breaker's position.
+    /// Health snapshot: overall status, whether the scheduler runs,
+    /// the contained-panic total, and every plan breaker's position.
     /// Works regardless of the metrics mode — health bookkeeping is
     /// not gated behind the probe.
     pub fn health(&self) -> ServerHealth {
-        let failed = self.health.failed.load(Ordering::SeqCst);
-        let executor_restarts = self.health.executor_restarts.load(Ordering::Relaxed);
-        let batch_panics = self.health.batch_panics.load(Ordering::Relaxed);
-        let breakers = self.breakers.snapshot();
-        let status = if failed {
-            HealthStatus::Failed
-        } else if executor_restarts > 0 || batch_panics > 0 || self.breakers.any_open() {
-            HealthStatus::Degraded
-        } else {
-            HealthStatus::Healthy
-        };
-        ServerHealth {
-            status,
-            scheduler_alive: self.health.scheduler_alive.load(Ordering::Relaxed),
-            executors_alive: self.health.executors_alive.load(Ordering::Relaxed),
-            executors_configured: self.config.executors,
-            executor_restarts,
-            batch_panics,
-            queue_depth: self.queue_depth(),
-            executors: ServerHealth::executor_rows(&self.liveness),
-            breakers,
-        }
+        self.health.snapshot(self.queue_depth(), &self.breakers)
     }
 
     /// Prometheus-style text exposition of every live metric
@@ -645,36 +589,25 @@ impl Server {
         metrics::snapshot().prometheus()
     }
 
-    /// Drains and stops: closes admission, lets the scheduler flush
-    /// every pending batch, waits (through the supervisor, which keeps
-    /// respawning executors that die mid-drain) for all in-flight work
-    /// to finish. Idempotent; also runs on drop.
+    /// Drains and stops: closes admission, joins the scheduler — which
+    /// dispatches every pending request before it exits and so drops
+    /// the batch sender — then joins the executors, which leave once
+    /// they have drained the batch channel. Idempotent; also runs on
+    /// drop.
     pub fn shutdown(&self) {
-        if self.shutting_down.swap(true, Ordering::SeqCst) {
+        let Some(threads) = lock_recover(&self.threads).take() else {
             return;
-        }
-        {
-            let mut st = lock_queue(&self.queue);
-            st.open = false;
-        }
+        };
+        lock_queue(&self.queue).open = false;
         self.queue.cv.notify_all();
-        // The supervisor owns the scheduler and executor handles; its
-        // stop path joins the scheduler (which drains), keeps
-        // supervising executors during the drain, and returns once
-        // everything is joined.
-        if let Some(supervisor) = lock_recover(&self.supervisor).take() {
-            supervisor.stop_and_join();
+        for thread in threads {
+            // A scheduler death is handled on the scheduler and a
+            // batch panic on its executor; anything else is a bug.
+            if let Err(payload) = thread.join() {
+                let cause = payload_to_string(payload);
+                wino_probe::diag(format!("serve: a server thread died uncontained: {cause}"));
+            }
         }
-        // With every thread joined nothing can admit or extract work:
-        // fail anything left behind (non-empty only if the scheduler
-        // died) and pin the depth gauge at zero so `serve.queue_depth`
-        // always drains with the server.
-        let mut st = lock_queue(&self.queue);
-        for p in st.pending.drain(..) {
-            p.slot.send(Err(ServeError::ShuttingDown));
-        }
-        QUEUE_DEPTH.set(0);
-        drop(st);
         // Stop the periodic emitter, then emit one final snapshot so
         // a `text:path` scrape file always reflects the drained state.
         drop(lock_recover(&self.emitter).take());
@@ -690,8 +623,8 @@ impl Drop for Server {
 
 /// Chaos hook at the top of every scheduler pass that has work
 /// pending. A `Panic` kills the scheduler *before* extracting a batch
-/// (requests stay in the queue, where the supervisor's fail-all can
-/// reach them); a `Stall` delays dispatch so the queue backs up.
+/// (requests stay in the queue, where the scheduler's own fail-all
+/// reaches them); a `Stall` delays dispatch so the queue backs up.
 fn serve_sched_hook() {
     if fault::armed(fault::Site::ServeSched) {
         match fault::fire(fault::Site::ServeSched) {
@@ -700,6 +633,49 @@ fn serve_sched_hook() {
             _ => {}
         }
     }
+}
+
+/// The scheduler thread. It owns the only batch sender, so nothing
+/// can stand in for it: a panic out of [`scheduler_loop`] fails the
+/// server in place, on this thread. In order: count the death, diag
+/// and dump, mark the server failed, close admission, fail every
+/// pending request with [`ServeError::Internal`], zero the depth
+/// gauge, emit `serve.failed` — all before any waiter sees its
+/// `Internal`, so [`Server::health`] reads `Failed` the moment one
+/// unblocks. Batches already in the channel are still served: the
+/// sender drops as this thread ends and the executors drain the
+/// channel before they leave.
+fn run_scheduler(
+    queue: &SubmissionQueue,
+    health: &HealthState,
+    max_batch: usize,
+    max_wait: Duration,
+    batch_tx: &channel::Sender<Vec<Pending>>,
+) {
+    let batching = std::panic::AssertUnwindSafe(|| {
+        scheduler_loop(queue, max_batch, max_wait, batch_tx);
+    });
+    let Err(payload) = std::panic::catch_unwind(batching) else {
+        health.scheduler_alive.store(false, Ordering::SeqCst);
+        return;
+    };
+    let cause = format!("scheduler thread died: {}", payload_to_string(payload));
+    SCHED_DEATHS.add(1);
+    wino_probe::diag(format!(
+        "serve: {cause}; failing pending requests and closing admission"
+    ));
+    wino_probe::flight::dump_incident("serve.scheduler_death");
+    health.failed.store(true, Ordering::SeqCst);
+    health.scheduler_alive.store(false, Ordering::SeqCst);
+    let mut st = lock_queue(queue);
+    st.open = false;
+    for p in st.pending.drain(..) {
+        let cause = cause.clone();
+        p.slot.send(Err(ServeError::Internal { cause }));
+    }
+    QUEUE_DEPTH.set(0);
+    drop(st);
+    metrics::emit("serve.failed");
 }
 
 /// Scheduler: coalesce same-plan requests into batches. Dispatches a
@@ -752,89 +728,22 @@ fn scheduler_loop(
         QUEUE_DEPTH.set(st.pending.len() as i64);
         drop(st);
         if let Err(channel::SendError(batch)) = batch_tx.send(batch) {
-            // Every receiver is gone — executors and supervisor alike
-            // (only possible in teardown races). Nothing can serve the
-            // extracted batch or anything still queued: fail them all
-            // explicitly so waiters unblock, and zero the depth gauge
-            // rather than leaving it stuck at the last set() value.
-            for p in batch {
-                p.slot.send(Err(ServeError::ShuttingDown));
-            }
-            let mut st = lock_queue(queue);
-            for p in st.pending.drain(..) {
-                p.slot.send(Err(ServeError::ShuttingDown));
-            }
-            QUEUE_DEPTH.set(0);
-            return;
+            // Executors leave only once this sender is gone, so every
+            // one of them died outside containment: put the batch
+            // back and die, and the failure path fails it with the
+            // rest of the queue.
+            lock_queue(queue).pending.extend(batch);
+            panic!("no executor left to serve a batch");
         }
         st = lock_queue(queue);
     }
 }
 
-/// Spawns one executor on `slot` (initial pool and supervisor
-/// respawns go through the same path).
-pub(crate) fn spawn_executor(slot: usize, shared: ExecShared) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("wino-exec{slot}"))
-        .spawn(move || executor_loop(slot, &shared))
-        .expect("spawn executor thread")
-}
-
-/// Fails every member of an in-flight batch if the executor unwinds
-/// past containment (the injected `serve_exec` kill, or anything else
-/// that escapes `catch_unwind`). Response slots are take-once, so
-/// firing after a member was already answered is a no-op.
-struct BatchFailGuard {
-    slots: Vec<Arc<ResponseSlot>>,
-    armed: bool,
-}
-
-impl BatchFailGuard {
-    fn new(batch: &[Pending]) -> BatchFailGuard {
-        BatchFailGuard {
-            slots: batch.iter().map(|p| Arc::clone(&p.slot)).collect(),
-            armed: true,
-        }
-    }
-
-    fn disarm(mut self) {
-        self.armed = false;
-    }
-}
-
-impl Drop for BatchFailGuard {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        for slot in &self.slots {
-            slot.send(Err(ServeError::Internal {
-                cause: "executor thread died while holding this batch".to_string(),
-            }));
-        }
-    }
-}
-
-/// Chaos hook checked once per dequeued batch. A `Panic` here unwinds
-/// *outside* batch containment on purpose: it kills the executor
-/// thread, which is exactly the supervisor-respawn drill (the
-/// [`BatchFailGuard`] fails the batch members on the way out).
-fn serve_exec_hook() {
-    if fault::armed(fault::Site::ServeExec) {
-        if let Some(fault::Trigger::Panic) = fault::fire(fault::Site::ServeExec) {
-            panic!("wino-fault: injected panic at serve_exec");
-        }
-    }
-}
-
-fn executor_loop(slot: usize, shared: &ExecShared) {
+/// An executor: runs batches until the channel disconnects. Nothing it
+/// does per batch can unwind out of [`execute_batch_contained`].
+fn executor_loop(shared: &ExecShared) {
     while let Ok(batch) = shared.rx.recv() {
-        shared.liveness.beat(slot, true);
-        let guard = BatchFailGuard::new(&batch);
-        serve_exec_hook();
         execute_batch_contained(batch, shared);
-        guard.disarm();
-        shared.liveness.beat(slot, false);
     }
 }
 
@@ -842,8 +751,11 @@ fn executor_loop(slot: usize, shared: &ExecShared) {
 /// runs the batch under `catch_unwind`, feeds the outcome back to the
 /// breaker, and on a contained panic fails every unanswered member
 /// with [`ServeError::Internal`], dumps a flight-recorder snapshot,
-/// and bumps `serve.batch_panics`.
-pub(crate) fn execute_batch_contained(batch: Vec<Pending>, shared: &ExecShared) {
+/// and bumps `serve.batch_panics`. Everything an executor does per
+/// batch is in here; the breaker calls outside the `catch_unwind`
+/// take `parking_lot` locks, which cannot poison, and run no engine
+/// code.
+fn execute_batch_contained(batch: Vec<Pending>, shared: &ExecShared) {
     if batch.is_empty() {
         return;
     }
@@ -862,7 +774,7 @@ pub(crate) fn execute_batch_contained(batch: Vec<Pending>, shared: &ExecShared) 
             // Internal error.
             breaker.resolve(decision, Some(false));
             BATCH_PANICS.add(1);
-            shared.health.note_batch_panic();
+            shared.health.batch_panics.fetch_add(1, Ordering::Relaxed);
             let cause = payload_to_string(payload);
             wino_probe::diag(format!(
                 "serve: batch for {:?} panicked: {cause}",
@@ -903,7 +815,7 @@ fn execute_batch(
         H_QUEUE_WAIT.record_duration(p.enqueued_at.elapsed());
         let is_late = p
             .deadline
-            .is_some_and(|d| p.enqueued_at.elapsed() + shared.slack >= d);
+            .is_some_and(|d| p.enqueued_at.elapsed() + DEADLINE_SLACK >= d);
         if is_late {
             DEADLINE_DEMOTIONS.add(1);
             late.push(p);
@@ -1036,6 +948,7 @@ fn run_group(
 mod tests {
     use super::*;
     use crate::breaker::BreakerState;
+    use crate::stats::HealthStatus;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use wino_tensor::ConvDesc;
@@ -1216,18 +1129,8 @@ mod tests {
         let h = server.health();
         assert_eq!(h.status, HealthStatus::Healthy);
         assert!(h.scheduler_alive);
-        assert_eq!(h.executors_configured, 1);
-        assert_eq!(h.executor_restarts, 0);
         assert_eq!(h.batch_panics, 0);
         assert_eq!(h.queue_depth, 0);
-        assert_eq!(h.executors.len(), 1);
-        // The response sends mid-batch, so only the batch-start beat
-        // is guaranteed to have landed by now.
-        assert!(
-            h.executors[0].beats >= 1,
-            "a served batch leaves at least one heartbeat, saw {}",
-            h.executors[0].beats
-        );
         assert_eq!(h.breakers.len(), 1, "breakers pre-seeded from registry");
         assert_eq!(h.breakers[0].layer, "toy/c1");
         assert_eq!(h.breakers[0].state, BreakerState::Closed);

@@ -1,4 +1,5 @@
-//! Per-request serve traces and the server statistics snapshot.
+//! Per-request serve traces, the server statistics snapshot, and
+//! server health.
 //!
 //! Every admitted request gets a process-unique id at submission;
 //! the executor fills in a [`RequestTrace`] when the request is
@@ -9,11 +10,13 @@
 //! its own trace.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
 use wino_guard::Engine;
+
+use crate::breaker::{BreakerMap, BreakerSnapshot};
 
 /// Completed request traces retained for [`ServerStats::recent`].
 pub const RECENT_CAP: usize = 64;
@@ -110,4 +113,70 @@ pub struct ServerStats {
     pub queue_depth: usize,
     /// The most recent completed request traces, oldest first.
     pub recent: Vec<RequestTrace>,
+}
+
+/// Health flags shared by the scheduler, the executors, and
+/// [`crate::Server::health`]. Deliberately independent of the probe's
+/// stats gate: health must report truthfully even with metrics off.
+pub(crate) struct HealthState {
+    pub(crate) failed: AtomicBool,
+    pub(crate) scheduler_alive: AtomicBool,
+    pub(crate) batch_panics: AtomicU64,
+}
+
+impl HealthState {
+    pub(crate) fn new() -> HealthState {
+        HealthState {
+            failed: AtomicBool::new(false),
+            scheduler_alive: AtomicBool::new(true),
+            batch_panics: AtomicU64::new(0),
+        }
+    }
+
+    pub(crate) fn snapshot(&self, queue_depth: usize, breakers: &BreakerMap) -> ServerHealth {
+        let batch_panics = self.batch_panics.load(Ordering::Relaxed);
+        let status = if self.failed.load(Ordering::SeqCst) {
+            HealthStatus::Failed
+        } else if batch_panics > 0 || breakers.any_open() {
+            HealthStatus::Degraded
+        } else {
+            HealthStatus::Healthy
+        };
+        ServerHealth {
+            status,
+            scheduler_alive: self.scheduler_alive.load(Ordering::SeqCst),
+            batch_panics,
+            queue_depth,
+            breakers: breakers.snapshot(),
+        }
+    }
+}
+
+/// Overall server condition, derived in [`crate::Server::health`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum HealthStatus {
+    /// No panic contained, no breaker open.
+    Healthy,
+    /// Serving, but something recovered: a batch panic was contained,
+    /// or a plan breaker is open.
+    Degraded,
+    /// The scheduler died. Admission is closed and every pending
+    /// request was failed.
+    Failed,
+}
+
+/// Point-in-time health snapshot from [`crate::Server::health`].
+#[derive(Clone, Debug)]
+pub struct ServerHealth {
+    /// Overall condition.
+    pub status: HealthStatus,
+    /// `false` once the scheduler thread has exited (normal at
+    /// shutdown, fatal before it).
+    pub scheduler_alive: bool,
+    /// Batch panics contained by `catch_unwind` so far.
+    pub batch_panics: u64,
+    /// Current submission-queue depth.
+    pub queue_depth: usize,
+    /// Per-plan breaker positions.
+    pub breakers: Vec<BreakerSnapshot>,
 }

@@ -1,8 +1,9 @@
-//! Chaos property: under randomized executor-kill schedules, deadline
-//! mixes, and pool sizes, every concurrent submission resolves to
-//! **exactly one** terminal result — no double delivery, no hang
-//! (enforced by a watchdog) — and every Ok output is bit-identical to
-//! a direct [`GuardedConv`] run on the engine that served it.
+//! Chaos property: under randomized batch-panic schedules (an injected
+//! `serve_resp` panic mid-delivery), deadline mixes, and pool sizes,
+//! every concurrent submission resolves to **exactly one** terminal
+//! result — no double delivery, no hang (enforced by a watchdog) — and
+//! every Ok output is bit-identical to a direct [`GuardedConv`] run on
+//! the engine that served it.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -58,18 +59,18 @@ proptest! {
 
     #[test]
     fn every_submission_resolves_exactly_once(
-        kill_nth in 1u64..8,
+        panic_nth in 1u64..8,
         requests in 4usize..9,
         deadline_mask in any::<u16>(),
         executors in 1usize..3,
     ) {
         quiet_injected_panics();
         let reg = registry();
-        // Arm one executor kill at a randomized point in the schedule
-        // (beyond the last batch = no kill at all — also a valid
-        // schedule). The scoped guard also serializes fault-armed
-        // tests process-wide.
-        let _fault = fault::scoped(&format!("serve_exec:panic:{kill_nth}"));
+        // Arm one panic inside response delivery at a randomized
+        // point in the schedule (beyond the last delivery = no panic
+        // at all — also a valid schedule). The scoped guard also
+        // serializes fault-armed tests process-wide.
+        let _fault = fault::scoped(&format!("serve_resp:panic:{panic_nth}"));
         let server = Server::start(
             Arc::clone(&reg),
             ServerConfig {
@@ -130,8 +131,9 @@ proptest! {
                         resp.served_by
                     );
                 }
-                // A kill may fail its batch members (Internal) and a
-                // teardown race may refuse late work (ShuttingDown);
+                // A contained panic fails its batch's unanswered
+                // members (Internal) and a teardown race may refuse
+                // late work (ShuttingDown);
                 // both are terminal, which is all the property asks.
                 Err(ServeError::Internal { .. }) | Err(ServeError::ShuttingDown) => {}
                 Err(other) => {

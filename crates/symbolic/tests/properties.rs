@@ -114,7 +114,7 @@ proptest! {
         }
     }
 
-    /// Liveness never exceeds the SSA temporary count and the recipe
+    /// Live temporaries never exceed the SSA temporary count and the recipe
     /// always validates.
     #[test]
     fn liveness_bounded_by_ssa(t in arb_matrix(7), fma in any::<bool>()) {

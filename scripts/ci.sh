@@ -68,6 +68,15 @@ if grep -rnE 'recipe_db|TransformRecipes' crates/graph/src crates/guard/src \
   echo "FAIL: the served stack names recipes (lines above)" >&2
   exit 1
 fi
+# The server runs one scheduler and N executors and nothing else: a
+# batch panic is contained on its executor and a scheduler death fails
+# the server on the scheduler, so a third spawn is a watcher growing
+# back.
+spawns=$(cat crates/serve/src/*.rs | grep -c 'std::thread::Builder::new()' || true)
+if [ "$spawns" -ne 2 ]; then
+  echo "FAIL: expected 2 thread spawns in crates/serve/src (scheduler, executor), found $spawns" >&2
+  exit 1
+fi
 
 echo "== cargo clippy (workspace, warnings are errors, SAFETY comments required)"
 # `undocumented_unsafe_blocks` is allow-by-default; deny it so every
