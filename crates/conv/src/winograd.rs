@@ -476,7 +476,7 @@ impl Drop for PrecomputedFilters {
 ///
 /// `variant` has one value and selects nothing: the parameter stays only
 /// because `benchmark/src/workloads/conv.rs` passes `cfg.variant`
-/// through, and goes when that package next opens (ROADMAP item 1 (v)).
+/// through, and goes when that package next opens (ROADMAP item 1B).
 ///
 /// # Errors
 /// Shape mismatches, non-unit stride, or a transform/descriptor
@@ -496,12 +496,10 @@ pub fn conv_winograd_precomputed(
 /// own disjoint lane groups/tiles and preserve the serial per-element
 /// operation order.
 ///
-/// Transforms and the GEMM run at [`PrecomputedFilters::level`]. The
-/// transform kernels have no cross-lane operations, so their outputs
-/// are bit-identical across levels, and the two vector GEMM tiles run
-/// the same FMA chain per element, so [`SimdLevel::Avx2`] and
-/// [`SimdLevel::Avx512`] give the same bits; only [`SimdLevel::Scalar`]
-/// (multiply then add in its GEMM) differs.
+/// Transforms and the GEMM run at [`PrecomputedFilters::level`], and
+/// every level gives the same bits: the transform kernels have no
+/// cross-lane operations, and every GEMM tile runs the same FMA chain
+/// per element.
 ///
 /// # Errors
 /// As [`conv_winograd_precomputed`].

@@ -1,14 +1,16 @@
-//! Output bits pinned per dispatch level.
+//! Output bits pinned: one column per engine, which every dispatch
+//! level must compute.
 //!
 //! The Winograd engine promises that data-movement changes (layouts,
-//! packing, register tiling, gathers) never move an output bit at a
-//! fixed SIMD level. This table holds FNV-1a hashes of the output bits
-//! of PR 15's 22-shape list — plus three inputs aimed at the sign of
-//! zero — recorded at commit 0357644 (the parent
-//! of the packed-`V'` / 6×16 micro-kernel change) and compared on every
-//! run since. A change that legitimately alters the summation order at
-//! a level must say so and re-record; anything else that trips this is
-//! a bug.
+//! packing, register tiling, gathers) never move an output bit, and
+//! every SIMD level computes each output by the same FMA chain. This
+//! table holds FNV-1a hashes of the output bits of 22 shapes — plus
+//! three inputs aimed at the sign of zero — recorded at `Avx2` at
+//! commit 0357644 (the parent of the packed-`V'` / 6×16 micro-kernel
+//! change) and compared on every run since; `Scalar` computes the same
+//! column since its kernel became the same FMA chain. A change that
+//! legitimately alters the summation order must say so and re-record;
+//! anything else that trips this is a bug.
 //!
 //! The im2col column pins `conv_im2col` the same way: its hashes were
 //! recorded at ed443f9 from the row-major path it replaced (a fresh
@@ -273,43 +275,18 @@ fn assert_im2col_golden(level: SimdLevel, golden: &[u64]) {
     }
 }
 
+/// Every level the host runs, `Scalar` included, against the one
+/// column per engine.
 #[test]
-fn scalar_output_bits_are_the_recorded_ones() {
-    assert_golden(SimdLevel::Scalar, GOLDEN_SCALAR);
-    assert_im2col_golden(SimdLevel::Scalar, GOLDEN_IM2COL_SCALAR);
-}
-
-/// Every vector level the host runs against the one AVX2 column: the
-/// AVX-512 register tile computes each output by the same FMA chain,
-/// so it has no column of its own.
-#[test]
-fn vector_output_bits_are_the_recorded_ones() {
+fn output_bits_are_the_recorded_ones() {
     for level in wino_gemm::supported_levels() {
-        if level != SimdLevel::Scalar {
-            assert_golden(level, GOLDEN_AVX2);
-            assert_im2col_golden(level, GOLDEN_IM2COL_AVX2);
-        }
+        assert_golden(level, GOLDEN);
+        assert_im2col_golden(level, GOLDEN_IM2COL);
     }
 }
 
-/// Per case of [`im2col_cases`], `SimdLevel::Scalar`.
-const GOLDEN_IM2COL_SCALAR: &[u64] = &[
-    0x6746d0a95a8cf6f7,
-    0x856323c9e468e8fe,
-    0xb8e9f6fd943ccba7,
-    0x92745187a4de2821,
-    0x582ce87097da9f77,
-    0x118e6d6eccc0258e,
-    0x62015adcb20e74e9,
-    0x913b0e154406c234,
-    0x2ffaeb1c2831c545,
-    0x41a5f4f411ca64df,
-    0xc90a743b0e920043,
-    0xaaea23ed34176a52,
-];
-
-/// Per case of [`im2col_cases`], `SimdLevel::Avx2` and `SimdLevel::Avx512`.
-const GOLDEN_IM2COL_AVX2: &[u64] = &[
+/// Per case of [`im2col_cases`], at every level.
+const GOLDEN_IM2COL: &[u64] = &[
     0x707ccc4031107838,
     0x116a59f42678e74f,
     0x9932d3086b003a9d,
@@ -324,37 +301,8 @@ const GOLDEN_IM2COL_AVX2: &[u64] = &[
     0x82ba72ee6d1326ed,
 ];
 
-/// Per case of [`cases`], `SimdLevel::Scalar`.
-const GOLDEN_SCALAR: &[u64] = &[
-    0x9bf04532cb710553,
-    0xfbc0038dd947000b,
-    0x4a67986f6b2eb023,
-    0x5ea13432028e9027,
-    0xe87efa61935e745c,
-    0x0227d4f1e5467183,
-    0x0cfc08c53cabd143,
-    0x2dfa660693387abe,
-    0xa63a974fa7657824,
-    0x667bc495f6ecc174,
-    0xaa00c9c9e6780b4a,
-    0xc7c3a1f7569d556f,
-    0x86e7d9cef9d0533f,
-    0xdf0b359af9a1ffcf,
-    0x80f318a12cba139e,
-    0xcbde5d99b3525d47,
-    0x57f599032d33088b,
-    0x07aadd70a2f5800d,
-    0xe967280ab70b4bf4,
-    0x00c5f375c8fc14e6,
-    0xff1fa85d25a3d454,
-    0x881a2d386c26373c,
-    0xf099fb0c9a8ae0d5,
-    0xf099fb0c9a8ae0d5,
-    0xd961ff25741aa058,
-];
-
-/// Per case of [`cases`], `SimdLevel::Avx2` and `SimdLevel::Avx512`.
-const GOLDEN_AVX2: &[u64] = &[
+/// Per case of [`cases`], at every level.
+const GOLDEN: &[u64] = &[
     0x3d40863bb0272be1,
     0x42bc930a8aeb41ee,
     0x5aefbf12a8bfc349,

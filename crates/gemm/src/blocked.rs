@@ -228,6 +228,14 @@ fn macro_kernel(
         // task's tile and inside C.
         debug_assert!(c_off + (t.rows - 1) * ldc + t.cols <= c.len());
         match level {
+            // Without the `fma` feature compiled in, `mul_add` is a libm
+            // call per element, so a host with the instruction runs the
+            // kernel compiled for it. The bits are the same either way.
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the guard checked that this host has fma.
+            SimdLevel::Scalar if std::arch::is_x86_feature_detected!("fma") => unsafe {
+                micro_kernel_fma(a_sliver, b_sliver, c, c_off, t.rows, t.cols, ldc, kb, first);
+            },
             SimdLevel::Scalar => {
                 micro_kernel(a_sliver, b_sliver, c, c_off, t.rows, t.cols, ldc, kb, first);
             }
@@ -271,8 +279,33 @@ fn macro_kernel(
     }
 }
 
+/// [`micro_kernel`] compiled with hardware FMA.
+///
+/// # Safety
+/// Caller must ensure the CPU supports `fma`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn micro_kernel_fma(
+    a_sliver: &[f32],
+    b_sliver: &[f32],
+    c: &DisjointSlice<'_, MaybeUninit<f32>>,
+    c_off: usize,
+    rows: usize,
+    cols: usize,
+    ldc: usize,
+    kb: usize,
+    first: bool,
+) {
+    micro_kernel(a_sliver, b_sliver, c, c_off, rows, cols, ldc, kb, first);
+}
+
 /// The register-tiled inner kernel: a full MR×NR accumulator array
-/// lives in registers across the k loop.
+/// lives in registers across the k loop. Each element is one fused
+/// multiply-add chain over the block's depths, then the same `0.0 +
+/// acc` or `C + acc` store, so its bits are [`micro_kernel_avx2`]'s:
+/// every level computes the same output.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn micro_kernel(
     a_sliver: &[f32],
@@ -292,7 +325,7 @@ fn micro_kernel(
         for r in 0..MR_SCALAR {
             let ar = av[r];
             for col in 0..NR_SCALAR {
-                acc[r][col] += ar * bv[col];
+                acc[r][col] = ar.mul_add(bv[col], acc[r][col]);
             }
         }
     }
@@ -322,9 +355,7 @@ fn micro_kernel(
 /// accumulators with `vfmaddps`. `NV = 1` is the same kernel over the
 /// first 8 columns of each sliver row, for tiles at most that wide: a
 /// column's chain of FMAs is the same either way, and the same as in
-/// [`micro_kernel_avx512`]'s wider tile. Numerics differ from the
-/// scalar kernel (fused rounding) — covered by the per-dispatch-level
-/// determinism contract, not bit-identity with `Scalar`.
+/// [`micro_kernel_avx512`]'s wider tile and in [`micro_kernel`].
 ///
 /// # Safety
 /// Caller must ensure the CPU supports `avx2` and `fma` (the dispatch
@@ -612,9 +643,10 @@ mod tests {
     }
 
     #[test]
-    fn vector_levels_and_scalar_agree_within_tolerance() {
+    fn vector_levels_and_scalar_agree_bitwise() {
         let mut rng = StdRng::seed_from_u64(8);
-        let (m, k, n) = (37, 53, 41);
+        // 200 deep: a later k-block accumulates onto the first's store.
+        let (m, k, n) = (37, 200, 41);
         let a = random_mat(&mut rng, m * k);
         let b = random_mat(&mut rng, k * n);
         let mut c_scalar = vec![0.0f32; m * n];
@@ -622,15 +654,20 @@ mod tests {
         for level in crate::simd::supported_levels() {
             let mut c_simd = vec![0.0f32; m * n];
             sgemm_level(&a, &b, &mut c_simd, m, k, n, level);
-            // FMA against multiply-then-add: close, not bit-equal.
-            assert_close(&c_simd, &c_scalar);
+            assert!(
+                c_simd
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .eq(c_scalar.iter().map(|v| v.to_bits())),
+                "{level:?} differs from Scalar"
+            );
         }
     }
 
     #[test]
     fn scalar_level_matches_plain_path() {
-        // The pinned-scalar entry must take the exact same code path
-        // as sgemm under WINO_SIMD=off.
+        // The pinned-scalar entry computes what sgemm does at the
+        // ambient level, whatever that is.
         let mut rng = StdRng::seed_from_u64(9);
         let (m, k, n) = (9, 11, 10);
         let a = random_mat(&mut rng, m * k);
@@ -639,11 +676,42 @@ mod tests {
         let mut c2 = vec![0.5f32; m * n];
         sgemm_level(&a, &b, &mut c1, m, k, n, SimdLevel::Scalar);
         sgemm(&a, &b, &mut c2, m, k, n);
-        // Only bit-equal when the ambient dispatch is also scalar.
-        if simd_level() == SimdLevel::Scalar {
-            assert_eq!(c1, c2);
-        } else {
-            assert_close(&c1, &c2);
+        assert_eq!(c1, c2);
+    }
+
+    /// The kernel a host without FMA runs (`mul_add` in software)
+    /// computes the `fma`-compiled one's bits, underflow included.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn software_fma_kernel_matches_the_fma_compiled_one() {
+        if !std::arch::is_x86_feature_detected!("fma") {
+            return; // only the software kernel runs here
+        }
+        let mut rng = StdRng::seed_from_u64(10);
+        let kb = 37;
+        let (mr, nr) = (MR_SCALAR, NR_SCALAR);
+        for scale in [1.0f32, 1e-24] {
+            let a: Vec<f32> = (0..kb * mr)
+                .map(|_| scale * rng.gen_range(-1.0..1.0))
+                .collect();
+            let b: Vec<f32> = (0..kb * nr)
+                .map(|_| scale * rng.gen_range(-1.0..1.0))
+                .collect();
+            let run = |fma: bool| {
+                let mut c = [MaybeUninit::new(f32::NAN); MR_SCALAR * NR_SCALAR];
+                let win = DisjointSlice::new(&mut c[..]);
+                for first in [true, false] {
+                    if fma {
+                        // SAFETY: the host reports fma (checked above).
+                        unsafe { micro_kernel_fma(&a, &b, &win, 0, mr, nr, nr, kb, first) };
+                    } else {
+                        micro_kernel(&a, &b, &win, 0, mr, nr, nr, kb, first);
+                    }
+                }
+                // SAFETY: the first k-block wrote every element.
+                c.map(|v| unsafe { v.assume_init() }.to_bits())
+            };
+            assert_eq!(run(false), run(true), "scale {scale}");
         }
     }
 }

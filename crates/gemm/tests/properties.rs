@@ -318,33 +318,29 @@ proptest! {
         let b: Vec<f32> = (0..shape.b_len()).map(|_| scale * rng.gen_range(-2.0f32..2.0)).collect();
         let cfg = GemmConfig { mc, kc, nc };
         let rt = wino_runtime::Runtime::with_threads(threads);
-        for level in wino_gemm::supported_levels() {
-            // The contract, element by element: per `kc` block a chain
-            // from zero over the block's depths in order — fused at
-            // the vector levels, multiply then add at scalar — added onto the blocks
-            // before it, the first onto +0.0. No tile, sliver, batch or
-            // thread enters it.
-            let mut want = vec![f32::NAN; shape.c_len()];
-            for (idx, w) in want.iter_mut().enumerate() {
-                let (batch, i, j) = (idx / (m * n), idx / n % m, idx % n);
-                let mut c = 0.0f32;
-                for kk in (0..k).step_by(kc) {
-                    let mut acc = 0.0f32;
-                    for p in kk..k.min(kk + kc) {
-                        let (x, y) = (a[(batch * m + i) * k + p], b[(batch * k + p) * n + j]);
-                        acc = match level {
-                            SimdLevel::Scalar => acc + x * y,
-                            SimdLevel::Avx2 | SimdLevel::Avx512 => x.mul_add(y, acc),
-                        };
-                    }
-                    c += acc;
+        // The contract, element by element: per `kc` block a fused
+        // chain from zero over the block's depths in order, added onto
+        // the blocks before it, the first onto +0.0. No level, tile,
+        // sliver, batch or thread enters it.
+        let mut want = vec![f32::NAN; shape.c_len()];
+        for (idx, w) in want.iter_mut().enumerate() {
+            let (batch, i, j) = (idx / (m * n), idx / n % m, idx % n);
+            let mut c = 0.0f32;
+            for kk in (0..k).step_by(kc) {
+                let mut acc = 0.0f32;
+                for p in kk..k.min(kk + kc) {
+                    let (x, y) = (a[(batch * m + i) * k + p], b[(batch * k + p) * n + j]);
+                    acc = x.mul_add(y, acc);
                 }
-                *w = c;
+                c += acc;
             }
-            if fill > 0 {
-                // What accumulating onto a zero-filled C always gave.
-                prop_assert!(want.iter().all(|w| w.to_bits() == 0), "{:?}", level);
-            }
+            *w = c;
+        }
+        if fill > 0 {
+            // What accumulating onto a zero-filled C always gave.
+            prop_assert!(want.iter().all(|w| w.to_bits() == 0));
+        }
+        for level in wino_gemm::supported_levels() {
             let mut row_major = vec![f32::NAN; shape.c_len()];
             batched_sgemm_rt_level(&shape, &a, &b, &mut row_major, &cfg, &rt, level);
             let packed_b = PackedB::pack(&b, batches, k, n, level, &rt);
@@ -535,66 +531,6 @@ proptest! {
                     }
                 }
             }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// The cross-level contract: the AVX-512 register tile (14×32) computes
-// every C element by the same FMA chain as the AVX2 one (6×16), so the
-// two levels agree bit for bit — on shapes ragged against both tiles
-// and across the kc blocks, with the underflow input class, at 1–3
-// threads.
-// ---------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn avx512_is_avx2_bit_for_bit(
-        batches in 1usize..3,
-        // Off both 6 and 14, and on them.
-        m in prop_oneof![
-            Just(1usize), Just(5), Just(6), Just(13), Just(14), Just(15), Just(29), Just(43), Just(85)
-        ],
-        // Below, at and past kc = 128, and ragged against the small kc.
-        k in prop_oneof![Just(1usize), Just(9), Just(127), Just(128), Just(129), Just(300)],
-        n in prop_oneof![
-            Just(1usize), Just(15), Just(16), Just(17), Just(31), Just(33), Just(257)
-        ],
-        kc in prop_oneof![Just(7usize), Just(128)],
-        mc in prop_oneof![Just(13usize), Just(64)],
-        threads in 1usize..4,
-        // 0: uniform operands; 1: products that all underflow.
-        tiny in any::<bool>(),
-        seed in any::<u64>(),
-    ) {
-        if !wino_gemm::supported_levels().contains(&SimdLevel::Avx512) {
-            return Ok(()); // the host lacks avx512f: nothing to compare
-        }
-        use rand::{Rng, SeedableRng};
-        let shape = BatchedGemmShape { batches, m, k, n };
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let scale = if tiny { 1e-24f32 } else { 1.0 };
-        let a: Vec<f32> = (0..shape.a_len()).map(|_| scale * rng.gen_range(-2.0f32..2.0)).collect();
-        let b: Vec<f32> = (0..shape.b_len()).map(|_| scale * rng.gen_range(-2.0f32..2.0)).collect();
-        let cfg = GemmConfig { mc, kc, nc: 256 };
-        let rt = wino_runtime::Runtime::with_threads(threads);
-        let run = |level| {
-            let (pa, pb) = (
-                PackedA::pack(&a, batches, m, k, level, &rt),
-                PackedB::pack(&b, batches, k, n, level, &rt),
-            );
-            let mut c = vec![f32::NAN; shape.c_len()];
-            batched_sgemm_packed(&shape, &pa, &pb, &mut c, &cfg, &rt);
-            c
-        };
-        let (wide, narrow) = (run(SimdLevel::Avx512), run(SimdLevel::Avx2));
-        for (i, (x, y)) in wide.iter().zip(&narrow).enumerate() {
-            prop_assert_eq!(
-                x.to_bits(), y.to_bits(),
-                "m={} k={} n={} kc={} element {}", m, k, n, kc, i
-            );
         }
     }
 }

@@ -36,9 +36,9 @@
 //! ## Fault injection
 //!
 //! The [`fault`] module is the deterministic `WINO_FAULT` injection
-//! facility backing `wino-guard`'s recovery-path tests: hooks at four
-//! sites (transform output, GEMM kernel, tuner candidate, cache
-//! deserialization), each one relaxed atomic load when disarmed.
+//! facility backing the guard's and the server's recovery-path tests:
+//! hooks at four sites (`transform`, `gemm`, `serve_sched`,
+//! `serve_resp`), each one relaxed atomic load when disarmed.
 
 #![warn(missing_docs)]
 

@@ -3,11 +3,11 @@
 //! A layer whose full degradation chain keeps demoting (guardrail
 //! rejections, engine panics, engine errors) wastes the doomed
 //! engines' work on every batch. The breaker watches *consecutive*
-//! unclean batch executions per layer and, past a threshold, trips the
-//! layer straight to its terminal fallback engine for a cool-down
-//! window. After the window one half-open **probe batch** rides the
-//! full chain again: a clean probe closes the breaker, an unclean one
-//! reopens it for another window.
+//! unclean batch executions per layer and, at the third
+//! (`BREAKER_THRESHOLD`), trips the layer straight to its terminal
+//! fallback engine for a cool-down window. After the window one
+//! half-open **probe batch** rides the full chain again: a clean probe
+//! closes the breaker, an unclean one reopens it for another window.
 //!
 //! State machine (per layer):
 //!
@@ -30,6 +30,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Mutex, RwLock};
 
 use crate::registry::NetworkPlan;
+use crate::server::BREAKER_THRESHOLD;
 
 static OPEN: wino_probe::Counter = wino_probe::Counter::new("serve.breaker.open");
 static HALF_OPEN: wino_probe::Counter = wino_probe::Counter::new("serve.breaker.half_open");
@@ -107,21 +108,18 @@ struct BreakerInner {
     trips: u64,
 }
 
-/// One layer's breaker. `threshold == 0` disables it (every decision
-/// is `Full`, outcomes are ignored).
+/// One layer's breaker.
 pub(crate) struct Breaker {
     layer: String,
-    threshold: u32,
     cooldown: Duration,
     inner: Mutex<BreakerInner>,
     gauge: wino_probe::GaugeHandle,
 }
 
 impl Breaker {
-    fn new(layer: &str, threshold: u32, cooldown: Duration) -> Breaker {
+    fn new(layer: &str, cooldown: Duration) -> Breaker {
         Breaker {
             layer: layer.to_string(),
-            threshold,
             cooldown,
             inner: Mutex::new(BreakerInner {
                 state: BreakerState::Closed,
@@ -136,9 +134,6 @@ impl Breaker {
 
     /// Decides how the next batch for this layer executes.
     pub(crate) fn decide(&self) -> BreakerDecision {
-        if self.threshold == 0 {
-            return BreakerDecision::Full;
-        }
         let mut inner = self.inner.lock();
         match inner.state {
             BreakerState::Closed => BreakerDecision::Full,
@@ -179,7 +174,7 @@ impl Breaker {
     /// `Probe` decision with no outcome returns the probe slot so the
     /// breaker cannot wedge half-open.
     pub(crate) fn resolve(&self, decision: BreakerDecision, clean: Option<bool>) {
-        if self.threshold == 0 || decision == BreakerDecision::Fallback {
+        if decision == BreakerDecision::Fallback {
             return;
         }
         let mut inner = self.inner.lock();
@@ -207,7 +202,7 @@ impl Breaker {
                     inner.consecutive_unclean = 0;
                 } else {
                     inner.consecutive_unclean += 1;
-                    if inner.consecutive_unclean >= self.threshold
+                    if inner.consecutive_unclean >= BREAKER_THRESHOLD
                         && inner.state == BreakerState::Closed
                     {
                         self.trip(&mut inner);
@@ -251,7 +246,6 @@ impl Breaker {
 /// request have let the plan go. Plans registered after
 /// [`crate::Server::start`] get their breaker lazily on first batch.
 pub(crate) struct BreakerMap {
-    threshold: u32,
     cooldown: Duration,
     map: RwLock<BTreeMap<usize, PlanBreaker>>,
 }
@@ -260,9 +254,8 @@ pub(crate) struct BreakerMap {
 type PlanBreaker = (Weak<NetworkPlan>, Arc<Breaker>);
 
 impl BreakerMap {
-    pub(crate) fn new(threshold: u32, cooldown: Duration) -> BreakerMap {
+    pub(crate) fn new(cooldown: Duration) -> BreakerMap {
         BreakerMap {
-            threshold,
             cooldown,
             map: RwLock::new(BTreeMap::new()),
         }
@@ -279,7 +272,7 @@ impl BreakerMap {
         let mut map = self.map.write();
         map.retain(|_, (plan, _)| plan.strong_count() > 0);
         let (_, breaker) = map.entry(key).or_insert_with(|| {
-            let breaker = Breaker::new(&plan.name, self.threshold, self.cooldown);
+            let breaker = Breaker::new(&plan.name, self.cooldown);
             (Arc::downgrade(plan), Arc::new(breaker))
         });
         Arc::clone(breaker)
@@ -318,7 +311,7 @@ mod tests {
     use super::*;
 
     fn breaker() -> Breaker {
-        Breaker::new("t/l", 3, Duration::from_millis(20))
+        Breaker::new("t/l", Duration::from_millis(20))
     }
 
     #[test]
@@ -378,17 +371,6 @@ mod tests {
         assert_eq!(b.decide(), BreakerDecision::Probe);
     }
 
-    #[test]
-    fn zero_threshold_disables() {
-        let b = Breaker::new("t/l", 0, Duration::from_millis(5));
-        for _ in 0..10 {
-            let d = b.decide();
-            assert_eq!(d, BreakerDecision::Full);
-            b.resolve(d, Some(false));
-        }
-        assert_eq!(b.snapshot().state, BreakerState::Closed);
-    }
-
     /// A registered toy layer's serving plan (the registry is the only
     /// way to build a [`NetworkPlan`]).
     fn toy_plan(name: &str) -> Arc<NetworkPlan> {
@@ -401,7 +383,7 @@ mod tests {
 
     #[test]
     fn map_interns_per_plan_identity() {
-        let m = BreakerMap::new(2, Duration::from_millis(5));
+        let m = BreakerMap::new(Duration::from_millis(5));
         let (a, b) = (toy_plan("a"), toy_plan("b"));
         let (a1, _) = m.decide(&a);
         let (a2, _) = m.decide(&a);
@@ -413,8 +395,9 @@ mod tests {
         assert!(!Arc::ptr_eq(&a1, &a3));
         assert_eq!(m.snapshot().len(), 3);
         assert!(!m.any_open());
-        a1.resolve(BreakerDecision::Full, Some(false));
-        a1.resolve(BreakerDecision::Full, Some(false));
+        for _ in 0..BREAKER_THRESHOLD {
+            a1.resolve(BreakerDecision::Full, Some(false));
+        }
         assert!(m.any_open());
         // A plan nothing holds any more loses its entry at the next
         // insertion.

@@ -101,6 +101,10 @@ pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     })
 }
 
+/// Consecutive unclean full-chain batches before a layer's circuit
+/// breaker trips it to the terminal fallback engine.
+pub(crate) const BREAKER_THRESHOLD: u32 = 3;
+
 /// Server tunables.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
@@ -117,10 +121,6 @@ pub struct ServerConfig {
     /// Executor thread count. Zero is clamped to 1 at
     /// [`Server::start`].
     pub executors: usize,
-    /// Consecutive unclean full-chain batches before a layer's circuit
-    /// breaker trips it to the terminal fallback engine. Zero disables
-    /// the breakers.
-    pub breaker_threshold: u32,
     /// How long a tripped breaker serves the fallback before the
     /// half-open probe batch rides the full chain again.
     pub breaker_cooldown: Duration,
@@ -133,7 +133,6 @@ impl Default for ServerConfig {
             max_wait: Duration::from_millis(2),
             queue_capacity: 256,
             executors: 1,
-            breaker_threshold: 3,
             breaker_cooldown: Duration::from_millis(250),
         }
     }
@@ -252,19 +251,23 @@ impl ResponseSlot {
     /// Delivers the terminal result if nothing has been delivered yet;
     /// returns `false` when the slot was already consumed.
     fn send(&self, result: Result<ConvResponse, ServeError>) -> bool {
-        let Some(tx) = self.tx.lock().take() else {
+        let mut slot = self.tx.lock();
+        let Some(tx) = slot.as_ref() else {
             return false;
         };
         // serve_resp chaos site. Only real (Ok) deliveries are
         // eligible: failure-path sends come from containment code,
-        // which must never re-enter an injected panic.
+        // which must never re-enter an injected panic. It fires while
+        // the sender is still in the slot, so an injected panic leaves
+        // it there for containment's counted `Internal`.
         if result.is_ok() && fault::armed(fault::Site::ServeResp) {
             match fault::fire(fault::Site::ServeResp) {
                 Some(fault::Trigger::Drop) => {
                     RESPONSES_DROPPED.add(1);
-                    // tx drops here: the waiter observes the closed
-                    // channel and maps it to ServeError::Internal —
-                    // a terminal result, never a hang.
+                    // The sender drops here: the waiter observes the
+                    // closed channel and maps it to ServeError::Internal
+                    // — a terminal result, never a hang.
+                    *slot = None;
                     return true;
                 }
                 Some(fault::Trigger::Panic) => {
@@ -276,7 +279,9 @@ impl ResponseSlot {
         if matches!(result, Err(ServeError::Internal { .. })) {
             INTERNAL_ERRORS.add(1);
         }
+        // The channel holds one result, so this never blocks.
         let _ = tx.send(result);
+        *slot = None;
         true
     }
 }
@@ -394,10 +399,7 @@ impl Server {
         });
         let stats = Arc::new(StatsInner::new());
         let health = Arc::new(HealthState::new());
-        let breakers = Arc::new(BreakerMap::new(
-            config.breaker_threshold,
-            config.breaker_cooldown,
-        ));
+        let breakers = Arc::new(BreakerMap::new(config.breaker_cooldown));
         for plan in registry.serving_plans() {
             // Pre-seeded so the state gauges exist from the first render.
             breakers.intern(&plan);

@@ -165,10 +165,11 @@ fn a_batch_panic_on_every_delivery_never_loses_the_executor() {
     let _serial = serial();
     quiet_injected_panics();
     wino_probe::set_mode(wino_probe::Mode::Summary);
-    let (e0, x0, p0) = (
+    let (e0, x0, p0, i0) = (
         c("serve.enqueued"),
         c("serve.executed"),
         c("serve.batch_panics"),
+        c("serve.internal_errors"),
     );
     let server = Server::start(
         registry(),
@@ -181,14 +182,22 @@ fn a_batch_panic_on_every_delivery_never_loses_the_executor() {
     );
     let fault = fault::scoped("serve_resp:panic");
     for i in 0..REQUESTS {
+        // The injected panic leaves the sender in its slot, so the
+        // waiter gets containment's own Internal, sent after the batch
+        // was counted: never a bare closed channel, never ahead of the
+        // count.
         match Target::Layer.infer(&server, i) {
-            Err(ServeError::Internal { .. }) => {}
+            Err(ServeError::Internal { cause }) => assert!(
+                cause.contains("batch execution panicked"),
+                "request {i}: {cause}"
+            ),
             other => panic!("request {i}: expected a contained Internal, got {other:?}"),
         }
+        assert_eq!(server.health().batch_panics, i + 1, "request {i}");
+        assert_eq!(c("serve.internal_errors"), i0 + i + 1, "request {i}");
     }
     // Disarmed, the one executor — it never left its loop — serves
-    // again, and only after containment finished the last batch's
-    // bookkeeping, which the waiters above can otherwise outrun.
+    // again.
     drop(fault);
     let resp = Target::Layer.infer(&server, REQUESTS).unwrap();
     assert_eq!(resp.output.dims(), (1, 4, 8, 8));
@@ -239,18 +248,18 @@ fn contained_response_panic_fails_the_batch_and_counts() {
         let (p0, x0) = (c("serve.batch_panics"), c("serve.executed"));
         let _fault = fault::scoped("serve_resp:panic:1");
         let server = Server::start(registry(), ServerConfig::default());
-        // The injected panic fires after the response slot was
-        // consumed, so containment's explicit Internal cannot be
-        // delivered there — the waiter observes the closed channel
-        // instead, which maps to Internal. Either way: a terminal
-        // error, never a hang.
+        // The injected panic leaves the response slot unconsumed, so
+        // containment's Internal is what the waiter gets.
         match target.infer(&server, 11) {
-            Err(ServeError::Internal { .. }) => {}
+            Err(ServeError::Internal { cause }) => {
+                assert!(
+                    cause.contains("batch execution panicked"),
+                    "{target:?}: {cause}"
+                )
+            }
             other => panic!("{target:?}: expected contained Internal, got {other:?}"),
         }
-        // The same (sole) executor thread serves the next request —
-        // and only after containment finished its bookkeeping, which
-        // the waiter above can otherwise outrun.
+        // The same (sole) executor thread serves the next request.
         target.infer(&server, 12).unwrap();
         let health = server.health();
         assert_eq!(health.status, HealthStatus::Degraded);
@@ -362,7 +371,6 @@ fn poisoned_batches_trip_only_the_breaker_of_the_plan_they_ran() {
             ServerConfig {
                 max_batch: 1,
                 max_wait: Duration::ZERO,
-                breaker_threshold: 3,
                 breaker_cooldown: Duration::from_secs(600),
                 ..ServerConfig::default()
             },

@@ -22,7 +22,7 @@ fn poisoned_transforms_still_serve_networks_via_fallback() {
         ServerConfig {
             max_batch: 2,
             max_wait: Duration::from_millis(2),
-            // Breakers stay armed (default threshold): even if the
+            // Breakers stay armed: even if the
             // repeated NaNs trip the network's breaker mid-test, open
             // (degraded) batches must still serve.
             ..ServerConfig::default()
