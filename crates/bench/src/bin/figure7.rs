@@ -1,10 +1,10 @@
 //! Regenerates Figure 7: the 31 Table-4 convolutions against the
 //! cuDNN stand-in on the modelled GTX 1080 Ti.
 //!
-//! `WINO_THREADS` sets tuning parallelism (default 8); `WINO_TRACE`
+//! `WINO_THREADS` sizes the tuning pool (default: the cores); `WINO_TRACE`
 //! attaches per-candidate tuner spans to the probe artifact.
 
-use wino_bench::{env_threads, figure7_rows, fmt_sci, geometric_mean, Report, TablePrinter};
+use wino_bench::{figure7_rows, fmt_sci, geometric_mean, Report, TablePrinter};
 use wino_graph::table4_convs;
 
 fn main() {
@@ -12,8 +12,7 @@ fn main() {
         "figure7",
         "Figure 7 — vs cuDNN-sim on the GTX 1080 Ti model",
     );
-    let threads = env_threads(8);
-    let rows = figure7_rows(&table4_convs(), threads);
+    let rows = figure7_rows(&table4_convs());
     let mut t = TablePrinter::new(&[
         "FLOPs",
         "cuDNN fastest",

@@ -1,16 +1,15 @@
 //! Regenerates Figure 8: the 31 Table-4 convolutions against the
 //! MIOpen stand-in on the modelled RX 580.
 //!
-//! `WINO_THREADS` sets tuning parallelism (default 8); `WINO_TRACE`
+//! `WINO_THREADS` sizes the tuning pool (default: the cores); `WINO_TRACE`
 //! attaches per-candidate tuner spans to the probe artifact.
 
-use wino_bench::{env_threads, figure8_rows, fmt_sci, geometric_mean, Report, TablePrinter};
+use wino_bench::{figure8_rows, fmt_sci, geometric_mean, Report, TablePrinter};
 use wino_graph::table4_convs;
 
 fn main() {
     let mut report = Report::new("figure8", "Figure 8 — vs MIOpen-sim on the RX 580 model");
-    let threads = env_threads(8);
-    let rows = figure8_rows(&table4_convs(), threads);
+    let rows = figure8_rows(&table4_convs());
     let mut t = TablePrinter::new(&[
         "FLOPs",
         "MIOpen fastest",

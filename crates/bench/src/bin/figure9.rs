@@ -1,12 +1,10 @@
 //! Regenerates Figure 9: auto-tuning on/off plus the ARM Compute
 //! Library stand-in on the modelled Mali G71.
 //!
-//! `WINO_THREADS` sets tuning parallelism (default 8); `WINO_TRACE`
+//! `WINO_THREADS` sizes the tuning pool (default: the cores); `WINO_TRACE`
 //! attaches per-candidate tuner spans to the probe artifact.
 
-use wino_bench::{
-    env_threads, figure9_rows, fmt_sci, geometric_mean, Figure9Row, Report, TablePrinter,
-};
+use wino_bench::{figure9_rows, fmt_sci, geometric_mean, Figure9Row, Report, TablePrinter};
 use wino_graph::table4_convs;
 
 fn main() {
@@ -14,8 +12,7 @@ fn main() {
         "figure9",
         "Figure 9 — Autotuning on/off + ACL-sim on the Mali G71 model",
     );
-    let threads = env_threads(8);
-    let rows = figure9_rows(&table4_convs(), threads);
+    let rows = figure9_rows(&table4_convs());
     let mut t = TablePrinter::new(&[
         "FLOPs",
         "ACL WG",

@@ -5,13 +5,9 @@ use wino_bench::{estimate_networks, TablePrinter};
 use wino_gpu::paper_devices;
 
 fn main() {
-    let threads: usize = std::env::var("WINO_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8);
     for device in paper_devices() {
         println!("=== {} (batch 1) ===", device.name);
-        for net in estimate_networks(&device, 1, threads) {
+        for net in estimate_networks(&device, 1) {
             let mut t = TablePrinter::new(&["layer", "conv", "baseline (ms)", "tuned (ms)"]);
             for l in &net.layers {
                 t.row(vec![

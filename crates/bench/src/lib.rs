@@ -18,7 +18,7 @@ pub mod verification;
 pub use accuracy_exp::{figure4_rows, spec_for_alpha, table3_rows, Figure4Row, Table3Row};
 pub use network_exp::{estimate_networks, LayerEstimate, NetworkEstimate};
 pub use opcount_exp::{figure5_rows, peak_reduction, Figure5Row, StageOps};
-pub use report::{env_threads, fmt_sci, geometric_mean, Report, TablePrinter};
+pub use report::{fmt_sci, geometric_mean, Report, TablePrinter};
 pub use runtime_exp::{
     figure6_desc, figure6_phase_capture, figure6_rows, figure7_rows, figure8_rows, figure9_rows,
     Figure6Row, Figure9Row, VendorCompareRow,

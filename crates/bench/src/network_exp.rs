@@ -53,7 +53,6 @@ fn estimate_network(
     layers: &[NamedConv],
     device: &DeviceProfile,
     batch: usize,
-    threads: usize,
 ) -> NetworkEstimate {
     let layers = layers
         .iter()
@@ -66,11 +65,11 @@ fn estimate_network(
                 .filter(|p| p.variant.winograd_m().is_none())
                 .cloned()
                 .collect();
-            let baseline = tune_with_space(&desc, device, threads, base_space)
+            let baseline = tune_with_space(&desc, device, base_space)
                 .map(|r| r.best.time_ms)
                 .or_else(|_| evaluate_untuned(&desc, device).map(|e| e.time_ms))
                 .ok()?;
-            let tuned = tune_with_space(&desc, device, threads, space)
+            let tuned = tune_with_space(&desc, device, space)
                 .map(|r| r.best.time_ms)
                 .ok()?;
             Some(LayerEstimate {
@@ -85,21 +84,11 @@ fn estimate_network(
 }
 
 /// Estimates all three reference networks on a device.
-pub fn estimate_networks(
-    device: &DeviceProfile,
-    batch: usize,
-    threads: usize,
-) -> Vec<NetworkEstimate> {
+pub fn estimate_networks(device: &DeviceProfile, batch: usize) -> Vec<NetworkEstimate> {
     vec![
-        estimate_network("alexnet", &alexnet_convs(), device, batch, threads),
-        estimate_network("nin", &nin_convs(), device, batch, threads),
-        estimate_network(
-            "inception-v1",
-            &inception_v1_convs(),
-            device,
-            batch,
-            threads,
-        ),
+        estimate_network("alexnet", &alexnet_convs(), device, batch),
+        estimate_network("nin", &nin_convs(), device, batch),
+        estimate_network("inception-v1", &inception_v1_convs(), device, batch),
     ]
 }
 
@@ -111,7 +100,7 @@ mod tests {
     #[test]
     fn networks_speed_up_end_to_end() {
         let device = gtx_1080_ti();
-        for net in estimate_networks(&device, 1, 8) {
+        for net in estimate_networks(&device, 1) {
             assert!(
                 !net.layers.is_empty(),
                 "{}: no layers estimated",
@@ -129,7 +118,7 @@ mod tests {
     #[test]
     fn winograd_unfriendly_layers_keep_baseline() {
         let device = gtx_1080_ti();
-        let nets = estimate_networks(&device, 1, 8);
+        let nets = estimate_networks(&device, 1);
         let alex = nets
             .iter()
             .find(|n| n.network == "alexnet")

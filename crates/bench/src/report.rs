@@ -88,26 +88,6 @@ impl TablePrinter {
     }
 }
 
-/// Tuning-thread count for the experiment binaries: `WINO_THREADS`
-/// when set to a positive integer, else `default`. Malformed values
-/// warn through the probe diagnostics channel instead of being
-/// silently ignored.
-pub fn env_threads(default: usize) -> usize {
-    match std::env::var("WINO_THREADS") {
-        Err(_) => default,
-        Ok(value) => match value.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                wino_probe::diag(format!(
-                    "invalid WINO_THREADS={value:?} (expected a positive integer); \
-                     using {default} tuning workers"
-                ));
-                default
-            }
-        },
-    }
-}
-
 /// Output sink shared by the experiment binaries: accumulates the
 /// experiment's text, then [`Report::finish`] prints it and attaches
 /// whatever probe artifact `WINO_TRACE` asked for.
@@ -224,13 +204,5 @@ mod tests {
         assert!(r.body.starts_with("Title\n\n"));
         assert!(r.body.contains("one\n\n"));
         assert!(r.body.contains('h'));
-    }
-
-    #[test]
-    fn env_threads_default_without_var() {
-        // WINO_THREADS is not set in the test environment.
-        if std::env::var("WINO_THREADS").is_err() {
-            assert_eq!(env_threads(8), 8);
-        }
     }
 }

@@ -135,7 +135,6 @@ fn compare_against(
     convs: &[ConvDesc],
     device: &DeviceProfile,
     vendor: &VendorLibrary,
-    threads: usize,
 ) -> Vec<VendorCompareRow> {
     convs
         .iter()
@@ -152,8 +151,8 @@ fn compare_against(
                 .filter(|p| p.variant.winograd_m().is_none())
                 .cloned()
                 .collect();
-            let boda_wg: TuneReport = tune_with_space(desc, device, threads, wg_space).ok()?;
-            let boda_base: TuneReport = tune_with_space(desc, device, threads, base_space).ok()?;
+            let boda_wg: TuneReport = tune_with_space(desc, device, wg_space).ok()?;
+            let boda_base: TuneReport = tune_with_space(desc, device, base_space).ok()?;
             Some(VendorCompareRow {
                 desc: *desc,
                 vendor_fastest_ms: vres.fastest_ms,
@@ -167,13 +166,13 @@ fn compare_against(
 
 /// Figure 7: the given convolutions against cuDNN-sim on the modelled
 /// GTX 1080 Ti.
-pub fn figure7_rows(convs: &[ConvDesc], threads: usize) -> Vec<VendorCompareRow> {
-    compare_against(convs, &gtx_1080_ti(), &cudnn(), threads)
+pub fn figure7_rows(convs: &[ConvDesc]) -> Vec<VendorCompareRow> {
+    compare_against(convs, &gtx_1080_ti(), &cudnn())
 }
 
 /// Figure 8: against MIOpen-sim on the modelled RX 580.
-pub fn figure8_rows(convs: &[ConvDesc], threads: usize) -> Vec<VendorCompareRow> {
-    compare_against(convs, &rx_580(), &miopen(), threads)
+pub fn figure8_rows(convs: &[ConvDesc]) -> Vec<VendorCompareRow> {
+    compare_against(convs, &rx_580(), &miopen())
 }
 
 /// One convolution of Figure 9 (Mali G71, autotuning study).
@@ -197,14 +196,14 @@ impl Figure9Row {
 }
 
 /// Figure 9: the autotuning on/off study on the modelled Mali G71.
-pub fn figure9_rows(convs: &[ConvDesc], threads: usize) -> Vec<Figure9Row> {
+pub fn figure9_rows(convs: &[ConvDesc]) -> Vec<Figure9Row> {
     let device = mali_g71();
     let lib = acl();
     convs
         .iter()
         .filter_map(|desc| {
             let untuned = evaluate_untuned(desc, &device).ok()?;
-            let tuned = tune_with_space(desc, &device, threads, reduced_space(desc)).ok()?;
+            let tuned = tune_with_space(desc, &device, reduced_space(desc)).ok()?;
             let acl_ms = lib.run(desc, &device).and_then(|r| r.winograd_ms);
             Some(Figure9Row {
                 desc: *desc,
@@ -243,7 +242,7 @@ mod tests {
 
     #[test]
     fn figure7_boda_winograd_competitive() {
-        let rows = figure7_rows(&sample_convs(), 8);
+        let rows = figure7_rows(&sample_convs());
         assert_eq!(rows.len(), sample_convs().len());
         // Where cuDNN has a Winograd, our tuned Winograd should win on
         // at least one small convolution (the paper reports up to
@@ -258,7 +257,7 @@ mod tests {
 
     #[test]
     fn figure7_winograd_beats_no_winograd_on_3x3() {
-        let rows = figure7_rows(&sample_convs(), 8);
+        let rows = figure7_rows(&sample_convs());
         for row in rows.iter().filter(|r| r.desc.ksz == 3) {
             assert!(
                 row.boda_winograd_ms < row.boda_no_winograd_ms * 1.05,
@@ -272,7 +271,7 @@ mod tests {
 
     #[test]
     fn figure9_autotuning_always_helps() {
-        let rows = figure9_rows(&sample_convs(), 8);
+        let rows = figure9_rows(&sample_convs());
         assert!(!rows.is_empty());
         for row in &rows {
             assert!(

@@ -42,7 +42,6 @@ pub mod expr;
 pub mod lower;
 pub mod recipe;
 pub mod recipe_check;
-pub mod serialize;
 
 pub use cse::{eliminate_common_subexpressions, CseProgram};
 pub use expr::{symbolic_matvec, LinExpr, Node};
@@ -51,4 +50,3 @@ pub use recipe::{CompiledRecipe, Instr, OpCount, Recipe, RecipeScalar, Reg};
 pub use recipe_check::{
     abstract_outputs, dead_statements, verify_recipe, RecipeError, RecipeProof,
 };
-pub use serialize::RecipeParseError;

@@ -94,47 +94,6 @@ impl RecipeDb {
     pub fn clear(&self) {
         self.entries.write().clear();
     }
-
-    /// Snapshots every cached configuration for persistence.
-    pub fn export_entries(&self) -> Vec<crate::persist::PersistedEntry> {
-        let mut out: Vec<crate::persist::PersistedEntry> = self
-            .entries
-            .read()
-            .iter()
-            .map(
-                |(&(spec, cse, factorize, fma, naive), recipes)| crate::persist::PersistedEntry {
-                    spec,
-                    options: RecipeOptions {
-                        cse,
-                        factorize,
-                        fma,
-                    },
-                    naive,
-                    points: recipes.matrices.points.clone(),
-                    recipes: (
-                        recipes.filter.clone(),
-                        recipes.input.clone(),
-                        recipes.output.clone(),
-                    ),
-                },
-            )
-            .collect();
-        out.sort_by_key(|e| (e.spec, e.naive));
-        out
-    }
-
-    /// Inserts an already-verified entry (used by the disk loader).
-    pub(crate) fn insert_loaded(
-        &self,
-        spec: WinogradSpec,
-        opts: RecipeOptions,
-        naive: bool,
-        recipes: TransformRecipes,
-    ) {
-        self.entries
-            .write()
-            .insert(key(spec, opts, naive), Arc::new(recipes));
-    }
 }
 
 /// The process-wide shared database instance.

@@ -27,7 +27,6 @@
 pub mod accuracy;
 pub mod db;
 pub mod error;
-pub mod persist;
 pub mod points;
 pub mod recipes;
 pub mod search;
@@ -37,7 +36,6 @@ pub mod toomcook;
 pub use accuracy::{measure_tile_error, ErrorStats};
 pub use db::{recipe_db, RecipeDb};
 pub use error::TransformError;
-pub use persist::{entries_from_text, entries_to_text, entry_to_recipes, PersistedEntry};
 pub use points::{base_points, candidate_pool, table3_paper_error, table3_points};
 pub use recipes::{elementwise_ops, BaselineOps, TransformRecipes};
 pub use search::{search_points, SearchConfig, SearchResult};

@@ -175,7 +175,7 @@ mod tests {
     #[test]
     fn guided_lands_near_the_brute_force_optimum() {
         for device in [gtx_1080_ti(), mali_g71()] {
-            let brute = tune(&conv(), &device, 8).unwrap();
+            let brute = tune(&conv(), &device).unwrap();
             let guided = tune_guided(&conv(), &device, 3).unwrap();
             let gap = guided.best.time_ms / brute.best.time_ms;
             assert!(

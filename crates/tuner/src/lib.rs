@@ -6,19 +6,16 @@
 //! modelled device by `wino-gpu`; points that cannot launch — a fused
 //! kernel exceeding the device's shared memory, a block larger than
 //! the mobile part allows — are rejected, which is precisely how the
-//! same meta-code adapts across platforms. Results persist in a JSON
-//! [`TuningCache`] behind a versioned, checksummed envelope.
+//! same meta-code adapts across platforms.
 
 #![warn(missing_docs)]
 
-mod cache;
 mod error;
 mod guided;
 mod space;
 mod tuner;
 
-pub use cache::{cache_key, CacheEntry, CacheLoadError, TuningCache, CACHE_FORMAT_VERSION};
-pub use error::{TuneError, TunerError};
+pub use error::TuneError;
 pub use guided::{tune_guided, GuidedReport};
 pub use space::{reduced_space, search_space, TuningPoint, MNB_VALUES, MNT_VALUES, M_RANGE};
 pub use tuner::{

@@ -12,16 +12,18 @@
 //! registers exceed the part) are counted as rejected — that rejection
 //! *is* the mechanism by which variant selection adapts per platform.
 
-use crossbeam::thread;
+use std::sync::OnceLock;
+
 use wino_codegen::{generate_plan, CodegenOptions, PlanVariant};
 use wino_gpu::{estimate_plan_ms, DeviceProfile};
+use wino_runtime::Runtime;
 use wino_tensor::ConvDesc;
 
-use crate::error::{panic_payload_string, TuneError, TunerError};
+use crate::error::TuneError;
 use crate::space::{search_space, TuningPoint};
 
 /// Outcome of evaluating one tuning point.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Evaluation {
     /// The point evaluated.
     pub point: TuningPoint,
@@ -30,7 +32,7 @@ pub struct Evaluation {
 }
 
 /// Result of tuning one convolution on one device.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TuneReport {
     /// The winning point.
     pub best: Evaluation,
@@ -83,16 +85,12 @@ pub fn evaluate_candidate(
 }
 
 /// Brute-force tunes `desc` on `device` over the full Table-1 space,
-/// evaluating points in parallel across `threads` workers.
+/// evaluating points in parallel on [`Runtime::global`].
 ///
 /// # Errors
 /// [`TuneError::NothingRuns`] when every point is rejected.
-pub fn tune(
-    desc: &ConvDesc,
-    device: &DeviceProfile,
-    threads: usize,
-) -> Result<TuneReport, TuneError> {
-    tune_with_space(desc, device, threads, search_space(desc))
+pub fn tune(desc: &ConvDesc, device: &DeviceProfile) -> Result<TuneReport, TuneError> {
+    tune_with_space(desc, device, search_space(desc))
 }
 
 /// Tunes over an explicit (possibly filtered) point set — the paper's
@@ -100,41 +98,36 @@ pub fn tune(
 /// and the hook the benchmark harness uses to tune Winograd-only or
 /// baseline-only sub-spaces.
 ///
+/// Each point is one branch task of a [`Runtime::global`] scope: point
+/// costs span four orders of magnitude, so fixed index chunks would
+/// leave a lane idle behind the costliest. A panicking evaluation's
+/// payload is re-raised here (the pool's panic contract).
+///
 /// # Errors
 /// [`TuneError::NothingRuns`] when every point is rejected.
 pub fn tune_with_space(
     desc: &ConvDesc,
     device: &DeviceProfile,
-    threads: usize,
     space: Vec<TuningPoint>,
 ) -> Result<TuneReport, TuneError> {
-    let threads = threads.clamp(1, 16);
-    let chunks: Vec<&[TuningPoint]> = space.chunks(space.len().div_ceil(threads).max(1)).collect();
-    let results: Vec<Option<Evaluation>> = thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| {
-                s.spawn(move |_| {
-                    chunk
-                        .iter()
-                        .map(|p| evaluate_candidate(desc, device, p))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        let mut all = Vec::new();
-        for h in handles {
-            match h.join() {
-                Ok(chunk_results) => all.extend(chunk_results),
-                Err(payload) => {
-                    return Err(TunerError::WorkerPanicked(panic_payload_string(payload)))
-                }
-            }
+    let slots: Vec<OnceLock<Option<Evaluation>>> = space.iter().map(|_| OnceLock::new()).collect();
+    Runtime::global().scope(|s| {
+        for (slot, point) in slots.iter().zip(&space) {
+            s.spawn(move || {
+                let _ = slot.set(evaluate_candidate(desc, device, point));
+            });
         }
-        Ok(all)
-    })
-    .unwrap_or_else(|payload| Err(TunerError::WorkerPanicked(panic_payload_string(payload))))?;
+    });
+    let results = slots.into_iter().map(|s| s.into_inner().flatten());
+    fold(desc, device, results.collect())
+}
 
+/// The report of `results`, one per point in index order.
+fn fold(
+    desc: &ConvDesc,
+    device: &DeviceProfile,
+    results: Vec<Option<Evaluation>>,
+) -> Result<TuneReport, TuneError> {
     let evaluations: Vec<Evaluation> = results.iter().flatten().cloned().collect();
     let rejected = results.len() - evaluations.len();
     let best = evaluations
@@ -205,7 +198,7 @@ pub fn evaluate_untuned(desc: &ConvDesc, device: &DeviceProfile) -> Result<Evalu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wino_gpu::{gtx_1080_ti, mali_g71};
+    use wino_gpu::{gtx_1080_ti, mali_g71, paper_devices};
 
     fn small_conv() -> ConvDesc {
         ConvDesc::new(3, 1, 1, 32, 1, 14, 14, 16)
@@ -213,7 +206,7 @@ mod tests {
 
     #[test]
     fn tuning_finds_a_winner() {
-        let report = tune(&small_conv(), &gtx_1080_ti(), 4).unwrap();
+        let report = tune(&small_conv(), &gtx_1080_ti()).unwrap();
         assert!(report.evaluated > 0);
         assert!(report.best.time_ms > 0.0);
         // The winner must beat (or match) every per-variant best.
@@ -225,7 +218,7 @@ mod tests {
     #[test]
     fn some_points_are_rejected_on_mobile() {
         // Mali's 384-thread block limit rejects every MNb = 32 point.
-        let report = tune(&small_conv(), &mali_g71(), 4).unwrap();
+        let report = tune(&small_conv(), &mali_g71()).unwrap();
         assert!(report.rejected > 0, "expected rejections on Mali");
         assert!(report.best.point.mnb < 32);
     }
@@ -234,7 +227,7 @@ mod tests {
     fn tuned_beats_untuned() {
         let desc = small_conv();
         for device in [gtx_1080_ti(), mali_g71()] {
-            let tuned = tune(&desc, &device, 4).unwrap();
+            let tuned = tune(&desc, &device).unwrap();
             let untuned = evaluate_untuned(&desc, &device).unwrap();
             assert!(
                 tuned.best.time_ms <= untuned.time_ms,
@@ -250,7 +243,7 @@ mod tests {
     fn winograd_wins_on_suitable_layers() {
         // A classic 3×3 layer: some Winograd variant should beat the
         // direct baseline on the desktop GPU.
-        let report = tune(&small_conv(), &gtx_1080_ti(), 4).unwrap();
+        let report = tune(&small_conv(), &gtx_1080_ti()).unwrap();
         assert!(
             report.best.point.variant.winograd_m().is_some(),
             "best = {:?}",
@@ -261,15 +254,18 @@ mod tests {
     #[test]
     fn strided_conv_tunes_to_baseline() {
         let desc = ConvDesc::new(3, 2, 1, 32, 1, 14, 14, 16);
-        let report = tune(&desc, &gtx_1080_ti(), 2).unwrap();
+        let report = tune(&desc, &gtx_1080_ti()).unwrap();
         assert!(report.best.point.variant.winograd_m().is_none());
     }
 
     #[test]
-    fn deterministic() {
-        let a = tune(&small_conv(), &gtx_1080_ti(), 4).unwrap();
-        let b = tune(&small_conv(), &gtx_1080_ti(), 1).unwrap();
-        assert_eq!(a.best.point, b.best.point);
-        assert!((a.best.time_ms - b.best.time_ms).abs() < 1e-12);
+    fn tune_is_the_serial_fold() {
+        let desc = small_conv();
+        for device in paper_devices() {
+            let space = search_space(&desc);
+            let serial = space.iter().map(|p| evaluate_candidate(&desc, &device, p));
+            let want = fold(&desc, &device, serial.collect());
+            assert_eq!(tune(&desc, &device), want, "{}", device.name);
+        }
     }
 }

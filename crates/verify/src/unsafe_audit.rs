@@ -140,8 +140,8 @@ mod tests {
 
     #[test]
     fn tests_run_with_ledger_compiled_in() {
-        // `cargo test` builds the dev profile, so the audit's
-        // scatter exercise above ran under the ownership ledger.
-        assert!(debug_checks_enabled());
+        // The dev profile ran the audit's scatter exercise above under
+        // the ownership ledger; a release build compiles it out.
+        assert_eq!(debug_checks_enabled(), cfg!(debug_assertions));
     }
 }

@@ -1,25 +1,23 @@
 //! Performance portability via auto-tuning (§3.3): tune the same
 //! convolution on the three modelled GPUs and show how the winning
 //! configuration — variant, tile size, unrolling, blocking — changes
-//! per platform, then persist the results in a tuning cache.
+//! per platform.
 //!
 //! ```sh
 //! cargo run --release --example autotune
 //! ```
 
 use winograd_meta::prelude::*;
-use winograd_meta::tuner::{evaluate_untuned, CacheEntry};
+use winograd_meta::tuner::evaluate_untuned;
 
 fn main() {
     // A GoogLeNet 3×3 layer from Table 4.
     let desc = ConvDesc::new(3, 1, 1, 256, 1, 14, 14, 128);
     println!("tuning {desc} ({:.2e} FLOPs)\n", desc.flops() as f64);
 
-    let cache = TuningCache::new();
     for device in [gtx_1080_ti(), rx_580(), mali_g71()] {
-        let report = tune(&desc, &device, 8).expect("something runs everywhere");
+        let report = tune(&desc, &device).expect("something runs everywhere");
         let untuned = evaluate_untuned(&desc, &device).expect("reference runs");
-        cache.put(&desc, device.name, &report.best);
         println!("=== {} ===", device.name);
         println!(
             "  evaluated {} points, rejected {} (cannot launch)",
@@ -44,13 +42,4 @@ fn main() {
         }
         println!();
     }
-
-    let json = cache.to_json().expect("serializes");
-    println!("=== tuning cache (shippable per-platform parameter sets) ===");
-    println!("{json}");
-    // Round-trip sanity.
-    let reloaded = TuningCache::from_json(&json).expect("parses");
-    let entry = reloaded.get(&desc, gtx_1080_ti().name).expect("present");
-    let _ = CacheEntry::from_evaluation(&entry);
-    println!("cache round-trip OK ({} entries)", reloaded.len());
 }

@@ -48,6 +48,8 @@ forbid 'wino-(tuner|gpu|ir|vendor|cc|codegen)' -p wino-serve
 # The guard is the degradation chain and nothing else: the modelled
 # tuner does not borrow it, and it persists nothing.
 forbid 'wino-guard' -p wino-tuner
+# The modelled tuner runs on the wino-runtime pool and persists nothing.
+forbid 'crossbeam|parking_lot|serde|serde_json' -p wino-tuner --depth 1
 forbid 'parking_lot|serde|serde_json' -p wino-guard --depth 1
 # ([_]: so that this line is not itself a match.)
 if grep -rn 'WINO_TUNE[_]' crates src examples tests scripts; then

@@ -1,199 +1,6 @@
 //! Offline stand-in for the subset of `crossbeam` this workspace
-//! uses: scoped threads (`crossbeam::thread::scope`, backed by
-//! `std::thread::scope`, stable since 1.63), work-stealing deques
-//! (`crossbeam::deque`, backed by mutexes — correct semantics, not
-//! lock-free; fine for the task granularities this workspace runs),
-//! and MPMC channels (`crossbeam::channel`, backed by a mutex +
+//! uses: MPMC channels (`crossbeam::channel`, backed by a mutex +
 //! condvars with crossbeam's disconnect semantics).
-
-pub mod thread {
-    //! Scoped threads with the `crossbeam` calling convention (spawn
-    //! closures receive a scope argument, `scope` returns `Result`).
-
-    use std::any::Any;
-
-    /// Scope handle passed to [`scope`] closures.
-    pub struct Scope<'scope, 'env: 'scope> {
-        inner: &'scope std::thread::Scope<'scope, 'env>,
-    }
-
-    /// Handle to a scoped thread.
-    pub struct ScopedJoinHandle<'scope, T> {
-        inner: std::thread::ScopedJoinHandle<'scope, T>,
-    }
-
-    impl<'scope, T> ScopedJoinHandle<'scope, T> {
-        /// Waits for the thread and returns its result (`Err` holds
-        /// the panic payload).
-        pub fn join(self) -> Result<T, Box<dyn Any + Send + 'static>> {
-            self.inner.join()
-        }
-    }
-
-    impl<'scope, 'env> Scope<'scope, 'env> {
-        /// Spawns a scoped thread. The closure's argument mirrors
-        /// crossbeam's nested-scope handle; this shim passes `()`
-        /// (the workspace only ever ignores it).
-        pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
-        where
-            F: FnOnce(()) -> T + Send + 'scope,
-            T: Send + 'scope,
-        {
-            ScopedJoinHandle {
-                inner: self.inner.spawn(move || f(())),
-            }
-        }
-    }
-
-    /// Runs `f` with a scope in which borrowed-data threads can be
-    /// spawned; all are joined before this returns.
-    ///
-    /// # Errors
-    /// Never returns `Err` in this shim: panics of unjoined children
-    /// propagate as panics (std semantics) rather than being captured.
-    pub fn scope<'env, F, R>(f: F) -> Result<R, Box<dyn Any + Send + 'static>>
-    where
-        F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-    {
-        Ok(std::thread::scope(|s| f(&Scope { inner: s })))
-    }
-}
-
-pub mod deque {
-    //! Work-stealing deques with the `crossbeam-deque` API shape.
-
-    use std::collections::VecDeque;
-    use std::sync::{Arc, Mutex};
-
-    /// Result of a steal attempt.
-    #[derive(Debug)]
-    pub enum Steal<T> {
-        /// Queue observed empty.
-        Empty,
-        /// One task stolen.
-        Success(T),
-        /// Transient contention; try again.
-        Retry,
-    }
-
-    impl<T> Steal<T> {
-        /// `Some` on success.
-        pub fn success(self) -> Option<T> {
-            match self {
-                Steal::Success(t) => Some(t),
-                _ => None,
-            }
-        }
-
-        /// `true` when the queue was observed empty.
-        pub fn is_empty(&self) -> bool {
-            matches!(self, Steal::Empty)
-        }
-    }
-
-    /// Owner side of a worker deque (LIFO for the owner).
-    pub struct Worker<T> {
-        queue: Arc<Mutex<VecDeque<T>>>,
-    }
-
-    /// Thief side of a worker deque (FIFO for thieves).
-    pub struct Stealer<T> {
-        queue: Arc<Mutex<VecDeque<T>>>,
-    }
-
-    impl<T> Clone for Stealer<T> {
-        fn clone(&self) -> Self {
-            Stealer {
-                queue: Arc::clone(&self.queue),
-            }
-        }
-    }
-
-    impl<T> Default for Worker<T> {
-        fn default() -> Self {
-            Self::new_lifo()
-        }
-    }
-
-    impl<T> Worker<T> {
-        /// New deque whose owner pops in LIFO order.
-        pub fn new_lifo() -> Self {
-            Worker {
-                queue: Arc::new(Mutex::new(VecDeque::new())),
-            }
-        }
-
-        /// Pushes a task on the owner end.
-        pub fn push(&self, task: T) {
-            self.queue.lock().unwrap().push_back(task);
-        }
-
-        /// Pops from the owner end (most recently pushed first).
-        pub fn pop(&self) -> Option<T> {
-            self.queue.lock().unwrap().pop_back()
-        }
-
-        /// `true` when the deque holds no tasks.
-        pub fn is_empty(&self) -> bool {
-            self.queue.lock().unwrap().is_empty()
-        }
-
-        /// Creates a thief handle.
-        pub fn stealer(&self) -> Stealer<T> {
-            Stealer {
-                queue: Arc::clone(&self.queue),
-            }
-        }
-    }
-
-    impl<T> Stealer<T> {
-        /// Steals from the opposite end of the owner.
-        pub fn steal(&self) -> Steal<T> {
-            match self.queue.lock().unwrap().pop_front() {
-                Some(t) => Steal::Success(t),
-                None => Steal::Empty,
-            }
-        }
-    }
-
-    /// Shared FIFO injector queue.
-    pub struct Injector<T> {
-        queue: Mutex<VecDeque<T>>,
-    }
-
-    impl<T> Default for Injector<T> {
-        fn default() -> Self {
-            Self::new()
-        }
-    }
-
-    impl<T> Injector<T> {
-        /// New empty injector.
-        pub fn new() -> Self {
-            Injector {
-                queue: Mutex::new(VecDeque::new()),
-            }
-        }
-
-        /// Enqueues a task.
-        pub fn push(&self, task: T) {
-            self.queue.lock().unwrap().push_back(task);
-        }
-
-        /// Steals the oldest task.
-        pub fn steal(&self) -> Steal<T> {
-            match self.queue.lock().unwrap().pop_front() {
-                Some(t) => Steal::Success(t),
-                None => Steal::Empty,
-            }
-        }
-
-        /// `true` when no tasks are queued.
-        pub fn is_empty(&self) -> bool {
-            self.queue.lock().unwrap().is_empty()
-        }
-    }
-}
 
 pub mod channel {
     //! MPMC channels with the `crossbeam-channel` API shape and
@@ -472,32 +279,6 @@ pub mod channel {
 
 #[cfg(test)]
 mod tests {
-    #[test]
-    fn scope_joins_and_returns() {
-        let data = [1, 2, 3];
-        let sum = crate::thread::scope(|s| {
-            let h = s.spawn(|_| data.iter().sum::<i32>());
-            h.join().unwrap()
-        })
-        .unwrap();
-        assert_eq!(sum, 6);
-    }
-
-    #[test]
-    fn deque_lifo_owner_fifo_thief() {
-        use crate::deque::{Steal, Worker};
-        let w = Worker::new_lifo();
-        let s = w.stealer();
-        w.push(1);
-        w.push(2);
-        assert_eq!(w.pop(), Some(2));
-        match s.steal() {
-            Steal::Success(v) => assert_eq!(v, 1),
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(s.steal().is_empty());
-    }
-
     #[test]
     fn channel_fifo_and_try_recv() {
         use crate::channel::{unbounded, TryRecvError};

@@ -4,15 +4,12 @@
 //! round-trips through an owned [`Value`] tree — `Serialize` lowers
 //! into a `Value`, `Deserialize` rebuilds from one. `serde_json` (the
 //! sibling shim) renders and parses that tree. The public surface the
-//! workspace relies on is identical: `#[derive(Serialize,
-//! Deserialize)]` on plain structs, and `serde_json::{to_string_pretty,
+//! workspace relies on is identical: `Serialize`/`Deserialize` for
+//! std types and [`Value`], and `serde_json::{to_string_pretty,
 //! from_str}`.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-
-#[cfg(feature = "derive")]
-pub use serde_derive::{Deserialize, Serialize};
 
 /// Self-describing data tree (the JSON data model).
 #[derive(Clone, Debug, PartialEq)]

@@ -186,7 +186,7 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
         Some(other) => return Err(format!("unknown device '{other}' (gtx|rx|mali)")),
     };
     println!("tuning {desc} on {} ...", device.name);
-    let report = tune(&desc, &device, 8).map_err(|e| e.to_string())?;
+    let report = tune(&desc, &device).map_err(|e| e.to_string())?;
     println!(
         "evaluated {} points ({} rejected as unlaunchable)\n",
         report.evaluated, report.rejected

@@ -70,6 +70,6 @@ pub mod prelude {
     pub use wino_symbolic::{generate_recipe, OpCount, Recipe, RecipeOptions};
     pub use wino_tensor::{ConvDesc, Tensor4};
     pub use wino_transform::{table3_points, toom_cook_matrices, TransformRecipes, WinogradSpec};
-    pub use wino_tuner::{tune, TuningCache};
+    pub use wino_tuner::tune;
     pub use wino_vendor::{acl, cudnn, miopen};
 }

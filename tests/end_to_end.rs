@@ -149,7 +149,7 @@ fn graph_inference_with_selected_engines() {
 fn tuned_configuration_round_trip() {
     let desc = ConvDesc::new(3, 1, 1, 16, 1, 14, 14, 8);
     let device = gtx_1080_ti();
-    let report = tune(&desc, &device, 4).expect("tuning succeeds");
+    let report = tune(&desc, &device).expect("tuning succeeds");
     let point = report.best.point;
     let opts = CodegenOptions {
         unroll: point.unroll,

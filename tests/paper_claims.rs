@@ -104,7 +104,7 @@ fn claim_vendor_crossover() {
             .into_iter()
             .filter(|p| p.variant.winograd_m().is_some())
             .collect();
-        let ours = winograd_meta::tuner::tune_with_space(&desc, &device, 8, space)
+        let ours = winograd_meta::tuner::tune_with_space(&desc, &device, space)
             .expect("tunes")
             .best
             .time_ms;
@@ -139,7 +139,6 @@ fn claim_mobile_autotuning_speedup() {
         let tuned = winograd_meta::tuner::tune_with_space(
             desc,
             &device,
-            8,
             winograd_meta::tuner::reduced_space(desc),
         )
         .expect("tunes")
