@@ -2,23 +2,22 @@
 //! scenarios, and the one checker over their reports.
 //!
 //! A [`Scenario`] is a drill, the environment it runs under
-//! (`WINO_FAULT`, `WINO_SIMD`, `WINO_METRICS`, `WINO_FLIGHT_DIR`; a row
-//! may also pin `WINO_THREADS`) and what its report must say. Fault
-//! arming, the SIMD level and every
-//! probe counter are process-global, and only a fresh process
-//! exercises the `init_from_env` paths, so the checker re-executes
-//! this binary once per row: the child runs the drill — which keeps
-//! its own in-process assertions (exactly-once resolution, `Ok`
-//! outputs bit-identical to a direct [`GuardedConv`], finite outputs,
-//! the watchdogs, planner peak under naive, warm transforms once per
-//! Winograd conv) — and ends with one JSON report line on stdout: the
-//! [`metrics::Snapshot`], the drill's `facts`, and what its telemetry
-//! left on disk (`scrape`, `flight`). The parent compares typed values
-//! and names scenario, key, expected and got on a miss.
+//! (`WINO_FAULT`, `WINO_METRICS`, `WINO_FLIGHT_DIR`; a row may also pin
+//! `WINO_THREADS`) and what its report must say. Fault arming, the
+//! pool size and every probe counter are process-global, and only a
+//! fresh process exercises the `init_from_env` paths, so the checker
+//! re-executes this binary once per row: the child runs the drill —
+//! which keeps its own in-process assertions (exactly-once resolution,
+//! `Ok` outputs bit-identical to a direct [`GuardedConv`], finite
+//! outputs, the watchdogs, planner peak under naive, warm transforms
+//! once per Winograd conv) — and ends with one JSON report line on
+//! stdout: the [`metrics::Snapshot`], the drill's `facts`, and what its
+//! telemetry left on disk (`scrape`, `flight`). The parent compares
+//! typed values and names scenario, key, expected and got on a miss.
 //!
 //! `wino-drill` runs the whole table; `wino-drill <scenario>` runs one
-//! row and relays its child's output. The parent sets all four
-//! variables above for every child, and a process that finds all four
+//! row and relays its child's output. The parent sets all three
+//! variables above for every child, and a process that finds all three
 //! set is a child — a shell does not do that by accident, and a child
 //! can therefore never re-execute itself — so the one positional
 //! serves both.
@@ -46,9 +45,8 @@ use wino_tensor::{ConvDesc, Tensor4};
 /// The variables a scenario may set, each with the documented value
 /// that arms nothing: what the child of a row that leaves the variable
 /// out gets, so nothing leaks in from the caller's shell.
-const ENV_VARS: [(&str, &str); 4] = [
+const ENV_VARS: [(&str, &str); 3] = [
     ("WINO_FAULT", "off"),
-    ("WINO_SIMD", "auto"),
     ("WINO_METRICS", "off"),
     ("WINO_FLIGHT_DIR", "results/flight"),
 ];
@@ -178,28 +176,6 @@ fn scenarios() -> Vec<Scenario> {
         row("guard/gemm-nan", drill_guard)
             .env("WINO_FAULT", "gemm:nan")
             .counters([(GUARDRAIL, 2), (FALLBACK, 1)]),
-        // Dispatch pinned to the compiled AVX2 kernels (hosts without
-        // avx2+fma diag and fall back to scalar, which still must
-        // pass): the clean run proves the f64 guardrail spot-checks
-        // accept the SIMD outputs, the fault runs that injection and
-        // demotion still work on that path.
-        row("guard/avx2-clean", drill_guard)
-            .env("WINO_SIMD", "avx2")
-            .zero(["guard.demote.panic", GUARDRAIL, FALLBACK]),
-        row("guard/avx2-transform-nan", drill_guard)
-            .env("WINO_SIMD", "avx2")
-            .env("WINO_FAULT", "transform:nan")
-            .counters([(GUARDRAIL, 1), (FALLBACK, 1)]),
-        row("guard/avx2-gemm-nan", drill_guard)
-            .env("WINO_SIMD", "avx2")
-            .env("WINO_FAULT", "gemm:nan")
-            .counters([(GUARDRAIL, 2), (FALLBACK, 1)]),
-        // The same under the AVX-512 GEMM tile (a host without
-        // avx512f diags and runs scalar, which must still pass).
-        row("guard/avx512-gemm-nan", drill_guard)
-            .env("WINO_SIMD", "avx512")
-            .env("WINO_FAULT", "gemm:nan")
-            .counters([(GUARDRAIL, 2), (FALLBACK, 1)]),
         // Telemetry arms the flight recorder: the one guardrail
         // demotion of `guard/transform-nan` leaves a parseable dump
         // that carries the reason and the recent conv.* span history
@@ -214,17 +190,17 @@ fn scenarios() -> Vec<Scenario> {
         // -- wino-serve, layer requests. Nothing sheds at low load,
         // each request is its own batch, the filter transform runs
         // once at registration, the arena reserved at start covers
-        // every request (allocs_steady 0), and every lane group — the
-        // ragged last one included — ran the build's proven kernels,
-        // none the interpreter.
+        // every request (no arena allocation while they run), and
+        // every lane group — the ragged last one included — ran the
+        // build's proven kernels, none the interpreter.
         row("smoke/clean", drill_smoke)
             .counters([("serve.enqueued", 8), ("serve.batches", 8)])
             .counters([("serve.executed", 8)])
             .zero(["serve.shed", "serve.batched", "serve.deadline_demotions"])
             .zero(["serve.networks_registered", GUARDRAIL, FALLBACK])
             .counters([("conv.filter_transforms", 1)])
-            .zero(["conv.tiles_interpreted"])
-            .zero(["exec.allocs_steady", "exec.degraded_runs"])
+            .zero(["conv.tiles_interpreted", "exec.degraded_runs"])
+            .fact("steady_arena_allocs", 0)
             .gauge("serve.breaker_state.drill/conv", 0, 0)
             .gauge("serve.queue_depth", 0, 1),
         // The first three batches demote in the guard, the layer
@@ -237,7 +213,8 @@ fn scenarios() -> Vec<Scenario> {
             .counters([("serve.executed", 8)])
             .counters([(GUARDRAIL, 3), (FALLBACK, 3), ("serve.breaker.open", 1)])
             .counters([("conv.filter_transforms", 1), ("exec.degraded_runs", 5)])
-            .zero(["serve.shed", "exec.allocs_steady"])
+            .zero(["serve.shed"])
+            .fact("steady_arena_allocs", 0)
             .gauge("serve.breaker_state.drill/conv", 2, 2)
             .gauge("serve.queue_depth", 0, 1),
         // One histogram record per request — nothing double-counted,
@@ -258,8 +235,8 @@ fn scenarios() -> Vec<Scenario> {
             .counters([("serve.networks_registered", 2)])
             .zero(["serve.shed", "serve.deadline_demotions"])
             .zero([GUARDRAIL, FALLBACK])
-            .zero(["exec.allocs_steady", "exec.degraded_runs"])
-            .zero(["conv.tiles_interpreted"])
+            .zero(["exec.degraded_runs", "conv.tiles_interpreted"])
+            .fact("steady_arena_allocs", 0)
             .fact("steady_served", 8)
             .fact("demotions", 0)
             .want(&["gauges", "serve.queue_depth", "value"], 0),
@@ -269,7 +246,8 @@ fn scenarios() -> Vec<Scenario> {
         row("net-smoke/transform-nan", drill_net_smoke)
             .env("WINO_FAULT", "transform:nan")
             .counters([("serve.enqueued", 10), ("serve.executed", 10)])
-            .zero(["serve.shed", "exec.allocs_steady"])
+            .zero(["serve.shed"])
+            .fact("steady_arena_allocs", 0)
             .fact("steady_served", 8)
             .fact("demoted", true)
             .want(&["gauges", "serve.queue_depth", "value"], 0),
@@ -284,18 +262,6 @@ fn scenarios() -> Vec<Scenario> {
             .fact("demotions", 0)
             .zero([GUARDRAIL, FALLBACK, "conv.tiles_interpreted"])
             .same_fact_under("output_hash", THREADS, "1"),
-        // One answer on every host: the same pass pinned to each
-        // vector level serves the bytes the scalar level serves. (A
-        // level the host lacks resolves to scalar, which then holds
-        // trivially.)
-        row("exec/simd-avx2", drill_wave_lanes)
-            .env("WINO_SIMD", "avx2")
-            .fact("demotions", 0)
-            .same_fact_under("output_hash", "WINO_SIMD", "off"),
-        row("exec/simd-avx512", drill_wave_lanes)
-            .env("WINO_SIMD", "avx512")
-            .fact("demotions", 0)
-            .same_fact_under("output_hash", "WINO_SIMD", "off"),
         // -- wino-serve failure domains: one serve-site fault per run.
         // (Changed with the supervisor's removal: the `health` fact
         // no longer carries `executors_alive` or `restarts`, and the
@@ -497,7 +463,7 @@ fn main() -> ExitCode {
             }
             return ExitCode::FAILURE;
         };
-        // Only a child finds all four set: it never re-executes.
+        // Only a child finds all three set: it never re-executes.
         let set = |(var, _): &(&str, &str)| std::env::var_os(var).is_some();
         if ENV_VARS.iter().all(set) {
             run_child(row);
@@ -568,7 +534,7 @@ fn run_child(row: &Scenario) {
         report.push(("scrape".into(), scrape_series(&path)));
     }
     if row.env.iter().any(|(var, _)| *var == "WINO_FLIGHT_DIR") {
-        let dir = std::env::var("WINO_FLIGHT_DIR").expect("the parent sets all four");
+        let dir = std::env::var("WINO_FLIGHT_DIR").expect("the parent sets all three");
         report.push(("flight".into(), flight_summary(&dir)));
     }
     let line = serde_json::to_string(&Value::Object(report)).expect("report values are finite");
@@ -665,19 +631,21 @@ fn drill_guard() -> Value {
 }
 
 /// Eight sequential layer requests. The arena reserved at start covers
-/// every one of them, so the whole drill runs as steady phase.
+/// every one of them, so the whole drill is the steady window:
+/// `steady_arena_allocs` is what `exec.arena_allocs` moved in it.
 fn drill_smoke() -> Value {
     let registry = layer_registry();
     arm_fault();
     let server = Server::start(registry, sequential_config());
-    wino_exec::set_steady_phase(true);
+    let allocs = probe::counter("exec.arena_allocs");
+    let warm = allocs.get();
     for seed in 0..8 {
         let served = server.infer(ConvRequest::new(LAYER, layer_input(seed)));
         println!("drill: request {seed}: {:?}", served.map(|r| r.served_by));
     }
-    wino_exec::set_steady_phase(false);
+    let steady_allocs = allocs.get() - warm;
     server.shutdown();
-    object([])
+    object([("steady_arena_allocs", steady_allocs.to_value())])
 }
 
 /// One `inception-3a-3b` pass through the wave executor on the global
@@ -727,7 +695,9 @@ fn drill_wave_lanes() -> Value {
 /// Two zoo networks registered for whole-graph execution, one warmup
 /// request each, then eight steady-state requests submitted before any
 /// is collected so cross-request coalescing happens. Batch counts
-/// depend on scheduler timing and are not reported.
+/// depend on scheduler timing and are not reported;
+/// `steady_arena_allocs` is what `exec.arena_allocs` moved while the
+/// eight ran.
 fn drill_net_smoke() -> Value {
     const NETWORKS: [&str; 2] = ["alexnet", "inception-3a-3b"];
     let registry = Arc::new(PlanRegistry::new());
@@ -769,12 +739,13 @@ fn drill_net_smoke() -> Value {
         NetworkRequest::new(name, Tensor4::random(1, c, h, w, -1.0, 1.0, &mut rng))
     };
     // Warmup fills each arena pool to its high-water mark, so the
-    // steady phase can demand zero graph-level allocations.
+    // steady window can demand zero graph-level allocations.
     for name in NETWORKS {
         let warm = server.infer_network(request(name, 0));
         warm.unwrap_or_else(|e| panic!("warmup {name} failed: {e}"));
     }
-    wino_exec::set_steady_phase(true);
+    let allocs = probe::counter("exec.arena_allocs");
+    let warm_allocs = allocs.get();
     // Requests are built before the first submit so the scheduler
     // sees concurrent same-network requests.
     let steady: Vec<_> = (0..8)
@@ -798,7 +769,7 @@ fn drill_net_smoke() -> Value {
             Err(e) => println!("drill: request {i} failed: {e}"),
         }
     }
-    wino_exec::set_steady_phase(false);
+    let steady_allocs = allocs.get() - warm_allocs;
     server.shutdown();
     assert_eq!(
         probe::counter("conv.filter_transforms").get(),
@@ -806,6 +777,7 @@ fn drill_net_smoke() -> Value {
         "warm filter transforms must run once per Winograd conv, never while serving"
     );
     object([
+        ("steady_arena_allocs", steady_allocs.to_value()),
         ("steady_served", served.to_value()),
         ("demotions", demotions.to_value()),
         ("demoted", (demotions > 0).to_value()),
@@ -1120,7 +1092,7 @@ mod tests {
         // exercises `init_from_env`. A fault site added later without a
         // row fails here.
         let sites = fault::SITES.map(|site| format!("{site}:"));
-        let others = ["avx2", "avx512", "text:", "{tmp}/flight"];
+        let others = ["text:", "{tmp}/flight"];
         for armed in sites.iter().map(String::as_str).chain(others) {
             let arms = |s: &Scenario| s.env.iter().any(|(_, v)| v.contains(armed));
             assert!(table.iter().any(arms), "no row arms {armed}");

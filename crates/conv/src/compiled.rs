@@ -269,8 +269,8 @@ mod tests {
         // IEEE ops in the interpreter's order — no cross-lane
         // operations, no reassociation — so the match is bitwise for
         // arbitrary finite inputs, not merely within a tolerance.
-        // `WINO_SIMD=off` never reaches these kernels at all, so its
-        // bit-identity to the interpreted path is structural.
+        // Every supported level runs here, the scalar level through
+        // the kernels' scalar entry.
         #[test]
         fn compiled_transforms_match_interpreter_for_arbitrary_tiles(
             values in proptest::collection::vec(-1.0e3f32..1.0e3, 36 * LANES),

@@ -7,10 +7,9 @@
 //!
 //! - `exec.arena_allocs` counts every arena materialization event
 //!   (fresh arena, regrowth for a larger batch, or refill of a slab
-//!   lost to an error path).
-//! - `exec.allocs_steady` counts the subset that happens after the
-//!   harness flips [`set_steady_phase`] — the serve network smoke
-//!   asserts this stays **zero** after warmup.
+//!   lost to an error path). A steady window is two reads of it: the
+//!   exec and serve counter tests and the drill's smokes assert it
+//!   does not move after warmup.
 //! - `exec.arena_bytes_peak` gauges the planned bytes of all arenas
 //!   currently out of the pool (its peak is the high-water mark).
 //!
@@ -19,36 +18,14 @@
 //! per-request response tensor are owned by their layers and are out
 //! of scope for these counters.
 
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::atomic::{AtomicI64, Ordering};
 
 use wino_tensor::Tensor4;
 
 use crate::schedule::CompiledNetwork;
 
 static ARENA_ALLOCS: wino_probe::Counter = wino_probe::Counter::new("exec.arena_allocs");
-static ALLOCS_STEADY: wino_probe::Counter = wino_probe::Counter::new("exec.allocs_steady");
 static ARENA_BYTES: wino_probe::Gauge = wino_probe::Gauge::new("exec.arena_bytes_peak");
-
-static STEADY: AtomicBool = AtomicBool::new(false);
-
-/// Marks the process as past warmup: subsequent arena allocations
-/// count into `exec.allocs_steady` (the counter the network smoke
-/// asserts stays zero). Flip after warm requests and pool reservation.
-pub fn set_steady_phase(on: bool) {
-    STEADY.store(on, Ordering::SeqCst);
-}
-
-/// `true` once [`set_steady_phase`] armed steady accounting.
-pub fn steady_phase() -> bool {
-    STEADY.load(Ordering::SeqCst)
-}
-
-fn count_alloc() {
-    ARENA_ALLOCS.add(1);
-    if steady_phase() {
-        ALLOCS_STEADY.add(1);
-    }
-}
 
 /// One request's working memory: the planned slabs at a concrete
 /// batch size. Slots are taken (as [`Tensor4`]s via
@@ -65,7 +42,7 @@ pub struct Arena {
 
 impl Arena {
     fn build(caps: &[usize], batch: usize) -> Arena {
-        count_alloc();
+        ARENA_ALLOCS.add(1);
         let slabs = caps
             .iter()
             .map(|&cap| Some(Vec::with_capacity(cap * batch)))
@@ -83,7 +60,7 @@ impl Arena {
         if batch <= self.batch {
             return;
         }
-        count_alloc();
+        ARENA_ALLOCS.add(1);
         for (slab, &cap) in self.slabs.iter_mut().zip(&self.caps) {
             if let Some(v) = slab {
                 v.reserve((cap * batch).saturating_sub(v.len()));
@@ -105,13 +82,13 @@ impl Arena {
         match self.slabs[slab].take() {
             Some(mut v) => {
                 if v.capacity() < need {
-                    count_alloc();
+                    ARENA_ALLOCS.add(1);
                 }
                 v.resize(need, 0.0);
                 v
             }
             None => {
-                count_alloc();
+                ARENA_ALLOCS.add(1);
                 vec![0.0; need]
             }
         }

@@ -17,7 +17,7 @@
 //!   reports planned peak memory against the naive
 //!   sum-of-activations. [`ArenaPool`] owns recycled per-request
 //!   arenas so steady-state execution performs **zero graph-level
-//!   allocations** — proved by the `exec.allocs_steady` probe counter.
+//!   allocations** — `exec.arena_allocs` does not move after warmup.
 //! - [`NetworkExecutor`] runs a compiled network: each conv step is
 //!   [`LayerPlan::run`] — the plan's own degradation chain over its
 //!   warm filter banks, so a poisoned engine still serves via
@@ -47,7 +47,7 @@ use wino_graph::{EngineChoice, GraphError};
 use wino_guard::{run_chain, Engine, GuardError, GuardedOutput, WarmBanks};
 use wino_tensor::{ConvDesc, Tensor4};
 
-pub use arena::{set_steady_phase, steady_phase, Arena, ArenaPool};
+pub use arena::{Arena, ArenaPool};
 pub use executor::{NetworkExecutor, NetworkOutput};
 pub use schedule::{compile, CompiledNetwork, PlanResolver};
 

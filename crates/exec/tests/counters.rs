@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wino_conv::WinogradConfig;
-use wino_exec::{compile_with_graph_engines, set_steady_phase, ArenaPool, NetworkExecutor};
+use wino_exec::{compile_with_graph_engines, ArenaPool, NetworkExecutor};
 use wino_graph::{build_inception_3a_3b, ComputeGraph, EngineChoice};
 use wino_runtime::Runtime;
 use wino_tensor::Tensor4;
@@ -48,11 +48,10 @@ fn winograd_net() -> ComputeGraph {
 }
 
 #[test]
-fn steady_phase_executes_with_zero_graph_level_allocations() {
+fn a_steady_window_executes_with_zero_graph_level_allocations() {
     let _guard = lock();
     wino_probe::reset();
     wino_probe::set_mode(wino_probe::Mode::Summary);
-    set_steady_phase(false);
 
     let g = winograd_net();
     let net = Arc::new(compile_with_graph_engines("inception-3a-3b", &g, (192, 28, 28)).unwrap());
@@ -66,17 +65,17 @@ fn steady_phase_executes_with_zero_graph_level_allocations() {
     let big = Tensor4::<f32>::random(2, 192, 28, 28, -1.0, 1.0, &mut rng);
     let small = Tensor4::<f32>::random(1, 192, 28, 28, -1.0, 1.0, &mut rng);
     exec.run_on(&rt, &big, false).unwrap();
-    assert!(wino_probe::counter("exec.arena_allocs").get() > 0);
+    let allocs = wino_probe::counter("exec.arena_allocs");
+    let warm = allocs.get();
+    assert!(warm > 0);
 
     // Steady state: smaller and equal batches recycle reserved arenas.
-    set_steady_phase(true);
     for _ in 0..4 {
         exec.run_on(&rt, &big, false).unwrap();
         exec.run_on(&rt, &small, false).unwrap();
     }
-    set_steady_phase(false);
     assert_eq!(
-        wino_probe::counter("exec.allocs_steady").get(),
+        allocs.get() - warm,
         0,
         "steady-state execution must not allocate at graph level"
     );
@@ -90,7 +89,6 @@ fn warm_passes_on_helping_lanes_grow_no_workspace_and_allocate_nothing() {
     let _guard = lock();
     wino_probe::reset();
     wino_probe::set_mode(wino_probe::Mode::Summary);
-    set_steady_phase(false);
 
     // 250 passes: the 5×5s ride im2col too (the default direct loop
     // is most of an unoptimized pass).
@@ -107,7 +105,7 @@ fn warm_passes_on_helping_lanes_grow_no_workspace_and_allocate_nothing() {
     let mut rng = StdRng::seed_from_u64(14);
     let input = Tensor4::<f32>::random(1, 192, 28, 28, -1.0, 1.0, &mut rng);
     let grows = wino_probe::counter("conv.workspace_grows");
-    let allocs = wino_probe::counter("exec.allocs_steady");
+    let allocs = wino_probe::counter("exec.arena_allocs");
     for lanes in [2, 3] {
         let rt = Runtime::with_threads(lanes);
         // Which lane runs which branch is a race, so a lane can meet
@@ -126,17 +124,20 @@ fn warm_passes_on_helping_lanes_grow_no_workspace_and_allocate_nothing() {
         // A lane that started a branch underneath a suspended
         // convolution would find its thread's workspace taken and
         // allocate a fresh one: every time, warm or not.
-        set_steady_phase(true);
+        let warm = allocs.get();
         for _ in 0..100 {
             exec.run_on(&rt, &input, false).unwrap();
         }
-        set_steady_phase(false);
         assert_eq!(
             grows.get(),
             last,
             "a warm pass grew a workspace at {lanes} lanes"
         );
-        assert_eq!(allocs.get(), 0, "a warm pass allocated at {lanes} lanes");
+        assert_eq!(
+            allocs.get() - warm,
+            0,
+            "a warm pass allocated at {lanes} lanes"
+        );
     }
     wino_probe::set_mode(wino_probe::Mode::Off);
 }

@@ -8,15 +8,20 @@
 //! determinism contract says wave concurrency and slab recycling are
 //! unobservable in the output — and one test that the concurrency is
 //! there: a wave's branches run on the caller as well as the pool.
-//! Both sides run at the process's dispatch level, the widest the host
-//! has unless `WINO_SIMD` pins one, so on an AVX-512 host these
-//! identities hold for the 14×32 GEMM tile.
+//! The identities hold at every SIMD level the host has: the executor
+//! runs each conv over banks built at the level, the reference at the
+//! host's own, so every level serves the scalar level's bits.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wino_conv::WinogradConfig;
-use wino_exec::{compile_with_graph_engines, ArenaPool, NetworkExecutor};
+use wino_conv::{Im2colFilters, PrecomputedFilters, WinogradConfig};
+use wino_exec::{
+    compile, compile_with_graph_engines, ArenaPool, CompiledNetwork, LayerPlan, NetworkExecutor,
+};
+use wino_gemm::{supported_levels, SimdLevel};
 use wino_graph::{ComputeGraph, EngineChoice, NodeId};
 use wino_runtime::Runtime;
 use wino_tensor::{ConvDesc, Tensor4};
@@ -147,6 +152,31 @@ fn random_graph(seed: u64, segments: usize) -> (ComputeGraph, (usize, usize, usi
     (g, input_dims)
 }
 
+/// `graph` compiled with every conv's plan built as
+/// [`LayerPlan::from_engine`] builds it, its filter banks at `level`.
+fn compile_at(
+    graph: &ComputeGraph,
+    input: (usize, usize, usize),
+    level: SimdLevel,
+) -> Arc<CompiledNetwork> {
+    let net = compile("prop", graph, input, &mut |id, desc| {
+        let weights = graph.weights(id).expect("every conv has weights").clone();
+        let mut plan =
+            LayerPlan::from_engine(format!("node{}", id.0), weights, desc, graph.engine(id))?;
+        if let Some(pre) = &plan.warm {
+            let recipes = Arc::clone(pre.recipes());
+            plan.warm = Some(
+                PrecomputedFilters::new_at(&plan.weights, &plan.desc, recipes, level).unwrap(),
+            );
+        }
+        if plan.im2col.is_some() {
+            plan.im2col = Some(Im2colFilters::new_at(&plan.weights, level).unwrap());
+        }
+        Ok(Arc::new(plan))
+    });
+    Arc::new(net.unwrap())
+}
+
 fn assert_exec_matches_naive(seed: u64, segments: usize, batch: usize) {
     let _alone = probe_lock();
     let (g, (c, h, w)) = random_graph(seed, segments);
@@ -154,26 +184,28 @@ fn assert_exec_matches_naive(seed: u64, segments: usize, batch: usize) {
     let input = Tensor4::<f32>::random(batch, c, h, w, -1.0, 1.0, &mut rng);
     let reference = g.execute(&input).unwrap();
 
-    let net = std::sync::Arc::new(compile_with_graph_engines("prop", &g, (c, h, w)).unwrap());
-    let pool = std::sync::Arc::new(ArenaPool::new(&net));
-    let exec = NetworkExecutor::new(net.clone(), pool);
-    for threads in 1..=4 {
-        let rt = Runtime::with_threads(threads);
-        // Twice per pool size: the second run rides a recycled arena.
-        for round in 0..2 {
-            let out = exec.run_on(&rt, &input, false).unwrap();
-            assert_eq!(out.output.dims(), reference.dims());
-            let exact = out
-                .output
-                .data()
-                .iter()
-                .zip(reference.data())
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(
-                exact,
-                "seed {seed}: exec output diverged from naive reference \
-                 (threads {threads}, round {round})"
-            );
+    for level in supported_levels() {
+        let net = compile_at(&g, (c, h, w), level);
+        let pool = Arc::new(ArenaPool::new(&net));
+        let exec = NetworkExecutor::new(net, pool);
+        for threads in 1..=4 {
+            let rt = Runtime::with_threads(threads);
+            // Twice per pool size: the second run rides a recycled arena.
+            for round in 0..2 {
+                let out = exec.run_on(&rt, &input, false).unwrap();
+                assert_eq!(out.output.dims(), reference.dims());
+                let exact = out
+                    .output
+                    .data()
+                    .iter()
+                    .zip(reference.data())
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(
+                    exact,
+                    "seed {seed}: exec output diverged from naive reference \
+                     ({level:?}, threads {threads}, round {round})"
+                );
+            }
         }
     }
 }
@@ -220,29 +252,30 @@ fn known_inception_fragment_is_bit_identical() {
     let input = Tensor4::<f32>::random(1, 192, 28, 28, -1.0, 1.0, &mut rng);
     let reference = g.execute(&input).unwrap();
 
-    let net = std::sync::Arc::new(
-        compile_with_graph_engines("inception-3a-3b", &g, (192, 28, 28)).unwrap(),
-    );
-    assert!(
-        net.max_wave_width() >= 4,
-        "inception branches must share a wave"
-    );
-    let pool = std::sync::Arc::new(ArenaPool::new(&net));
-    let exec = NetworkExecutor::new(net, pool);
-    for threads in 1..=4 {
-        let out = exec
-            .run_on(&Runtime::with_threads(threads), &input, false)
-            .unwrap();
-        let exact = out
-            .output
-            .data()
-            .iter()
-            .zip(reference.data())
-            .all(|(a, b)| a.to_bits() == b.to_bits());
+    for level in supported_levels() {
+        let net = compile_at(&g, (192, 28, 28), level);
         assert!(
-            exact,
-            "inception exec output diverged from naive reference (threads {threads})"
+            net.max_wave_width() >= 4,
+            "inception branches must share a wave"
         );
+        let pool = Arc::new(ArenaPool::new(&net));
+        let exec = NetworkExecutor::new(net, pool);
+        for threads in 1..=4 {
+            let out = exec
+                .run_on(&Runtime::with_threads(threads), &input, false)
+                .unwrap();
+            let exact = out
+                .output
+                .data()
+                .iter()
+                .zip(reference.data())
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(
+                exact,
+                "inception exec output diverged from naive reference \
+                 ({level:?}, threads {threads})"
+            );
+        }
     }
 }
 

@@ -53,8 +53,8 @@ pub fn sgemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) 
 }
 
 /// [`sgemm`] with explicit blocking config, execution runtime and SIMD
-/// dispatch level (instead of the defaults, the global runtime and the
-/// level resolved from `WINO_SIMD`/detection): both operands packed
+/// dispatch level (instead of the defaults, the global runtime and
+/// [`simd_level`]): both operands packed
 /// whole, then [`batched_sgemm_packed`] on a batch of one. Output bits
 /// do not depend on the runtime's thread count (see the module docs of
 /// `wino-runtime`).

@@ -27,7 +27,4 @@ pub use schedule::{
     packed_block_off, packed_step, tile_extents, DimBlock, MicroTile, PackSlot, TaskGrid, TaskTile,
     MR_AVX2, MR_AVX512, MR_SCALAR, NR_AVX2, NR_AVX512, NR_SCALAR, TASK_COLS,
 };
-pub use simd::{
-    assert_supported, detect_simd, host_supports, level_supported, resolve_simd, simd_level,
-    supported_levels, SimdLevel,
-};
+pub use simd::{assert_supported, host_supports, simd_level, supported_levels, SimdLevel};

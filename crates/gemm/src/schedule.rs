@@ -17,9 +17,9 @@ use crate::blocked::GemmConfig;
 use crate::simd::SimdLevel;
 
 /// Register micro-tile extents of the portable scalar kernel. Fixed
-/// at compile time so the inner loops fully unroll. These are the
-/// pre-SIMD values; changing them would change scalar accumulation
-/// order and break the `WINO_SIMD=off` bit-identity contract.
+/// at compile time so the inner loops fully unroll. A tile's extents
+/// decide which elements it holds, not an element's FMA chain (the
+/// same k-order at every extent), so they move speed, never bits.
 pub const MR_SCALAR: usize = 4;
 /// Scalar micro-tile columns (see [`MR_SCALAR`]).
 pub const NR_SCALAR: usize = 4;

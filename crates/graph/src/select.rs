@@ -24,8 +24,9 @@ use crate::graph::EngineChoice;
 /// peak / 2) MAC/s ÷ (stream bandwidth / 4) floats/s as the repo
 /// benchmark probes them; [0, 16) gives the same picks on the zoo.
 const BANK_COLUMNS: usize = 13;
-/// The kernel both terms describe: a plan does not move with `WINO_SIMD`
-/// (at `Avx512` too, whose wider tile issues more padding columns).
+/// The kernel both terms describe: a plan does not move with the
+/// host's SIMD level (at `Avx512` too, whose wider tile issues more
+/// padding columns).
 const PRICED_AT: SimdLevel = SimdLevel::Avx2;
 
 /// What is worth timing for `desc`: on a unit-stride 3×3 or 5×5,

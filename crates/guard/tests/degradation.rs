@@ -10,12 +10,19 @@
 //!    class, the guarded output is bit-identical to running the
 //!    engine that ends up serving, on its own. Demotion changes the
 //!    provenance, never the arithmetic of the survivor.
+//!
+//! The chain runs cold and over warm banks built at every SIMD level
+//! the host has: each level demotes alike and serves the same bits.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wino_conv::{conv_direct_f32, conv_im2col, conv_winograd, Im2colFilters, WinogradConfig};
-use wino_gemm::GemmConfig;
+use wino_conv::{
+    conv_direct_f32, conv_im2col, conv_winograd, Im2colFilters, PrecomputedFilters, WinogradConfig,
+};
+use wino_gemm::{supported_levels, GemmConfig};
 use wino_guard::{fault, run_chain, Engine, GuardedConv, WarmBanks};
 use wino_tensor::{ConvDesc, Tensor4};
 
@@ -34,6 +41,33 @@ fn random_case(desc: &ConvDesc, seed: u64) -> (Tensor4<f32>, Tensor4<f32>) {
         &mut rng,
     );
     (input, filt)
+}
+
+/// The default chain's banks for `F(m, 3)` at every supported level,
+/// built with no fault armed: a fault armed while a bank is built
+/// would poison it for good.
+fn banks_per_level(
+    filt: &Tensor4<f32>,
+    desc: &ConvDesc,
+    m: usize,
+) -> Vec<(PrecomputedFilters, Im2colFilters)> {
+    let _clean = fault::scoped("");
+    let pre = PrecomputedFilters::for_config(filt, desc, &WinogradConfig::new(m)).unwrap();
+    let at = |level| {
+        let recipes = Arc::clone(pre.recipes());
+        let winograd = PrecomputedFilters::new_at(filt, desc, recipes, level).unwrap();
+        (winograd, Im2colFilters::new_at(filt, level).unwrap())
+    };
+    supported_levels().into_iter().map(at).collect()
+}
+
+/// The chain's runs to check: cold, then warm over each level's banks.
+fn runs(banks: &[(PrecomputedFilters, Im2colFilters)]) -> impl Iterator<Item = WarmBanks<'_>> {
+    let warm = banks.iter().map(|(winograd, im2col)| WarmBanks {
+        winograd: Some(winograd),
+        im2col: Some(im2col),
+    });
+    std::iter::once(WarmBanks::default()).chain(warm)
 }
 
 fn assert_bits_equal(guarded: &Tensor4<f32>, reference: &Tensor4<f32>) {
@@ -57,14 +91,18 @@ proptest! {
         m in 2usize..5,
         seed in any::<u64>(),
     ) {
-        let _scope = fault::scoped("");
         let desc = ConvDesc::new(3, 1, 1, out_ch, 1, hw, hw, in_ch);
         let (input, filt) = random_case(&desc, seed);
-        let out = GuardedConv::new(m).run(&input, &filt, &desc).unwrap();
-        prop_assert_eq!(out.served_by, Engine::NonFusedWinograd(m));
-        prop_assert!(out.demotions.is_empty());
+        let banks = banks_per_level(&filt, &desc, m);
+        let _scope = fault::scoped("");
+        let guarded = GuardedConv::new(m);
         let reference = conv_winograd(&input, &filt, &desc, &WinogradConfig::new(m)).unwrap();
-        assert_bits_equal(&out.output, &reference);
+        for banks in runs(&banks) {
+            let out = run_chain(guarded.chain(), &input, &filt, &desc, &GemmConfig::default(), banks).unwrap();
+            prop_assert_eq!(out.served_by, Engine::NonFusedWinograd(m));
+            prop_assert!(out.demotions.is_empty());
+            assert_bits_equal(&out.output, &reference);
+        }
     }
 
     #[test]
@@ -75,14 +113,18 @@ proptest! {
         m in 2usize..5,
         seed in any::<u64>(),
     ) {
-        let _scope = fault::scoped("transform:nan");
         let desc = ConvDesc::new(3, 1, 1, out_ch, 1, hw, hw, in_ch);
         let (input, filt) = random_case(&desc, seed);
-        let out = GuardedConv::new(m).run(&input, &filt, &desc).unwrap();
-        prop_assert_eq!(out.served_by, Engine::Im2col);
-        prop_assert_eq!(out.demotions.len(), 1);
+        let banks = banks_per_level(&filt, &desc, m);
+        let _scope = fault::scoped("transform:nan");
+        let guarded = GuardedConv::new(m);
         let reference = conv_im2col(&input, &filt, &desc).unwrap();
-        assert_bits_equal(&out.output, &reference);
+        for banks in runs(&banks) {
+            let out = run_chain(guarded.chain(), &input, &filt, &desc, &GemmConfig::default(), banks).unwrap();
+            prop_assert_eq!(out.served_by, Engine::Im2col);
+            prop_assert_eq!(out.demotions.len(), 1);
+            assert_bits_equal(&out.output, &reference);
+        }
     }
 
     #[test]
@@ -112,16 +154,16 @@ proptest! {
     ) {
         // Poisoning SGEMM kills the Winograd engine and im2col: the
         // chain goes all the way down to direct.
-        let _scope = fault::scoped("gemm:nan");
         let desc = ConvDesc::new(3, 1, 1, out_ch, 1, hw, hw, in_ch);
         let (input, filt) = random_case(&desc, seed);
+        let banks = banks_per_level(&filt, &desc, m);
+        let _scope = fault::scoped("gemm:nan");
         let guarded = GuardedConv::new(m);
         let reference = conv_direct_f32(&input, &filt, &desc).unwrap();
-        // A filter matrix packed ahead spares im2col its packing, not
-        // the guardrail: the poisoned product demotes either way.
-        let bank = Im2colFilters::new(&filt).unwrap();
-        for im2col in [None, Some(&bank)] {
-            let banks = WarmBanks { im2col, ..WarmBanks::default() };
+        // Filter banks built ahead spare the engines their filter
+        // work, not the guardrail: the poisoned product demotes either
+        // way.
+        for banks in runs(&banks) {
             let out = run_chain(guarded.chain(), &input, &filt, &desc, &GemmConfig::default(), banks).unwrap();
             prop_assert_eq!(out.served_by, Engine::Direct);
             prop_assert_eq!(out.demotions.len(), 2);

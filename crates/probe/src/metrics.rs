@@ -33,8 +33,6 @@
 use parking_lot::Mutex;
 use serde::Value;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::time::Duration;
 
 use crate::hist::HistogramSnapshot;
 use crate::{counter_values, diag, flight, gauge_values, hist_values, set_telemetry};
@@ -251,7 +249,7 @@ fn replace_file(path: &str, text: &str) -> std::io::Result<()> {
 }
 
 /// Emits one metrics snapshot according to the current mode. `tag`
-/// labels the emission (e.g. `serve.periodic`, `serve.shutdown`).
+/// labels the emission (e.g. `serve.shutdown`, `serve.failed`).
 /// I/O failures diag and are otherwise swallowed — metrics must never
 /// take the serving path down.
 pub fn emit(tag: &str) {
@@ -267,47 +265,6 @@ pub fn emit(tag: &str) {
             if let Err(e) = replace_file(&path, &snapshot().prometheus()) {
                 diag(format!("metrics write to {path:?} failed: {e}"));
             }
-        }
-    }
-}
-
-/// A background thread emitting one snapshot per interval until
-/// dropped. Used by `wino-serve` for the periodic emission; each tick
-/// calls [`emit`] with the given tag.
-pub struct PeriodicEmitter {
-    stop_tx: mpsc::Sender<()>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl PeriodicEmitter {
-    /// Spawns the emitter thread. With metrics off the thread still
-    /// runs but every tick is a no-op (the mode is re-read per tick,
-    /// so tests can flip it live).
-    pub fn start(interval: Duration, tag: &str) -> Self {
-        let (stop_tx, stop_rx) = mpsc::channel::<()>();
-        let tag = tag.to_string();
-        let handle = std::thread::Builder::new()
-            .name("wino-metrics".into())
-            .spawn(move || loop {
-                match stop_rx.recv_timeout(interval) {
-                    Ok(()) | Err(mpsc::RecvTimeoutError::Disconnected) => return,
-                    Err(mpsc::RecvTimeoutError::Timeout) => emit(&tag),
-                }
-            })
-            .expect("spawn metrics emitter");
-        PeriodicEmitter {
-            stop_tx,
-            handle: Some(handle),
-        }
-    }
-}
-
-impl Drop for PeriodicEmitter {
-    /// Stops the emitter and joins its thread.
-    fn drop(&mut self) {
-        let _ = self.stop_tx.send(());
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
         }
     }
 }

@@ -86,9 +86,6 @@ const SCHED_STALL: Duration = Duration::from_millis(10);
 /// within this of its deadline at execution time runs on the terminal
 /// fallback engine instead of the full chain.
 const DEADLINE_SLACK: Duration = Duration::from_micros(500);
-/// Interval between periodic metric emissions when `WINO_METRICS` is
-/// active (the emitter thread is only spawned then).
-const METRICS_INTERVAL: Duration = Duration::from_secs(5);
 
 /// Locks a std mutex, recovering (instead of cascading) poison left by
 /// a thread that panicked while holding it. The protected state is
@@ -380,14 +377,11 @@ pub struct Server {
     /// The scheduler's handle, then every executor's: the join order
     /// of [`Server::shutdown`]. Taken by the first shutdown.
     threads: Mutex<Option<Vec<JoinHandle<()>>>>,
-    emitter: Mutex<Option<metrics::PeriodicEmitter>>,
 }
 
 impl Server {
-    /// Starts the scheduler and the executor pool (plus the periodic
-    /// metrics emitter when `WINO_METRICS` is active). Degenerate
-    /// config values are clamped first (see
-    /// [`ServerConfig::validated`]).
+    /// Starts the scheduler and the executor pool. Degenerate config
+    /// values are clamped first (see [`ServerConfig::validated`]).
     pub fn start(registry: Arc<PlanRegistry>, config: ServerConfig) -> Self {
         let config = config.validated();
         let queue = Arc::new(SubmissionQueue {
@@ -437,8 +431,6 @@ impl Server {
                 .expect("spawn executor thread")
         });
         let threads = std::iter::once(scheduler).chain(executors).collect();
-        let emitter = (metrics::mode() != metrics::MetricsMode::Off)
-            .then(|| metrics::PeriodicEmitter::start(METRICS_INTERVAL, "serve.periodic"));
         Server {
             registry,
             config,
@@ -447,7 +439,6 @@ impl Server {
             breakers,
             health,
             threads: Mutex::new(Some(threads)),
-            emitter: Mutex::new(emitter),
         }
     }
 
@@ -610,9 +601,8 @@ impl Server {
                 wino_probe::diag(format!("serve: a server thread died uncontained: {cause}"));
             }
         }
-        // Stop the periodic emitter, then emit one final snapshot so
-        // a `text:path` scrape file always reflects the drained state.
-        drop(lock_recover(&self.emitter).take());
+        // One final snapshot, so a `text:path` scrape file always
+        // reflects the drained state.
         metrics::emit("serve.shutdown");
     }
 }

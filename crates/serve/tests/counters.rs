@@ -483,7 +483,6 @@ fn zoo_serving_accounts_exactly_with_zero_steady_allocations() {
     let _serial = serial();
     wino_probe::reset();
     wino_probe::set_mode(wino_probe::Mode::Summary);
-    wino_exec::set_steady_phase(false);
 
     // Registration: exactly one filter transform per Winograd conv per
     // registered network, all at registration time.
@@ -543,11 +542,11 @@ fn zoo_serving_accounts_exactly_with_zero_steady_allocations() {
     };
     let targets = [layer.as_str(), NETWORKS[0], NETWORKS[1]];
 
-    // Warmup: one request per target, then flip steady accounting.
+    // Warmup: one request per target; the steady window opens after.
     for target in targets {
         submit(target, 0).unwrap().wait().unwrap();
     }
-    wino_exec::set_steady_phase(true);
+    let warm_allocs = c("exec.arena_allocs");
 
     // Steady load: submit everything first so the scheduler can
     // coalesce, then collect.
@@ -583,7 +582,7 @@ fn zoo_serving_accounts_exactly_with_zero_steady_allocations() {
         ];
         assert!(level(&stages) <= execute, "{trace:?}");
     }
-    wino_exec::set_steady_phase(false);
+    let steady_allocs = c("exec.arena_allocs") - warm_allocs;
     server.shutdown();
 
     let total = (targets.len() * (LOAD_PER_TARGET + 1)) as u64;
@@ -601,8 +600,7 @@ fn zoo_serving_accounts_exactly_with_zero_steady_allocations() {
     // Steady state: zero graph-level allocations after warmup, for
     // layer and network requests alike...
     assert_eq!(
-        c("exec.allocs_steady"),
-        0,
+        steady_allocs, 0,
         "steady-state serving must not allocate at graph level"
     );
     // ...and no filter transform ever ran again.
@@ -610,6 +608,23 @@ fn zoo_serving_accounts_exactly_with_zero_steady_allocations() {
         transforms.get(),
         winograd_convs,
         "serving must never re-run a filter transform"
+    );
+    wino_probe::set_mode(wino_probe::Mode::Off);
+    wino_probe::reset();
+}
+
+#[test]
+fn rendered_metrics_read_the_live_counters() {
+    let _serial = serial();
+    wino_probe::reset();
+    wino_probe::set_mode(wino_probe::Mode::Summary);
+    let server = Server::start(registry(), ServerConfig::default());
+    Target::Layer.infer(&server, 40).unwrap();
+    let text = server.render_metrics();
+    server.shutdown();
+    assert!(
+        text.lines().any(|line| line == "serve_executed 1"),
+        "{text}"
     );
     wino_probe::set_mode(wino_probe::Mode::Off);
     wino_probe::reset();

@@ -1,10 +1,11 @@
 //! The server runs exactly the threads it serves with: one scheduler
 //! and one executor per configured slot, nothing watching them, and
-//! none of them left after shutdown. Its own test binary, so no other
-//! server shares the process.
+//! none of them left after shutdown — with metrics armed too. Its own
+//! test binary, so no other server shares the process.
 
 use std::time::{Duration, Instant};
 
+use wino_probe::metrics::{self, MetricsMode};
 use wino_serve::{PlanRegistry, Server, ServerConfig};
 
 const SERVING: [&str; 3] = ["wino-scheduler", "wino-exec0", "wino-exec1"];
@@ -40,26 +41,39 @@ fn names_once(settled: impl Fn(&[String]) -> bool) -> Vec<String> {
 
 #[test]
 fn the_server_runs_one_scheduler_and_its_executors_and_nothing_else() {
-    let registry = std::sync::Arc::new(PlanRegistry::new());
-    let server = Server::start(
-        registry,
-        ServerConfig {
-            executors: 2,
-            ..ServerConfig::default()
-        },
-    );
-    let names = names_once(|names| SERVING.iter().all(|s| count(names, s) == 1));
-    for name in SERVING {
-        assert_eq!(count(&names, name), 1, "{name} in {names:?}");
-    }
-    assert_eq!(count(&names, "wino-supervisor"), 0, "{names:?}");
-    server.shutdown();
-    let names = names_once(|names| SERVING.iter().all(|s| count(names, s) == 0));
-    for name in SERVING {
-        assert_eq!(
-            count(&names, name),
-            0,
-            "{name} outlived shutdown: {names:?}"
+    // Armed metrics are emitted at shutdown and rendered on demand,
+    // never from a `wino-metrics` thread of their own.
+    for mode in [MetricsMode::Off, MetricsMode::Summary] {
+        metrics::set_mode(mode.clone());
+        // Counted, not only named: a thread names itself after it
+        // starts, but it is in the task list once its spawn returns.
+        let before = thread_names().len();
+        let registry = std::sync::Arc::new(PlanRegistry::new());
+        let server = Server::start(
+            registry,
+            ServerConfig {
+                executors: 2,
+                ..ServerConfig::default()
+            },
         );
+        let names = names_once(|names| SERVING.iter().all(|s| count(names, s) == 1));
+        for name in SERVING {
+            assert_eq!(count(&names, name), 1, "{name} in {names:?} ({mode:?})");
+        }
+        assert_eq!(
+            names.len(),
+            before + SERVING.len(),
+            "threads beyond {SERVING:?} in {names:?} ({mode:?})"
+        );
+        server.shutdown();
+        let names = names_once(|names| SERVING.iter().all(|s| count(names, s) == 0));
+        for name in SERVING {
+            assert_eq!(
+                count(&names, name),
+                0,
+                "{name} outlived shutdown: {names:?} ({mode:?})"
+            );
+        }
     }
+    metrics::set_mode(MetricsMode::Off);
 }

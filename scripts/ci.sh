@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, the release build, the whole
-# workspace's tests, the static verifier, the probe smokes and the
-# drill table. Every stage is a program that exits nonzero on failure;
+# Local CI gate: formatting, the docs' file references, lints, the
+# release build, the whole workspace's tests, the static verifier, the
+# probe smokes and the drill table. Every stage is a program that exits nonzero on failure;
 # this script asserts nothing by reading their output. Perf is not
 # gated here: `cargo run --release --manifest-path benchmark/Cargo.toml
 # -- --repeat <n>` is the local A/B, and the PR pipeline runs the
@@ -18,6 +18,33 @@ fi
 
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
+
+echo "== the docs name only files that exist"
+# README, DESIGN and ROADMAP are read as the map of the tree: every
+# crates/, shims/, scripts/, benchmark/, src/, tests/ or examples/ path
+# they name must exist, and a `file.rs:N` (or `:N-M`) anchor must fall
+# inside its file. EXPERIMENTS and CHANGES are ledgers of what was,
+# and are not checked.
+python3 - README.md DESIGN.md ROADMAP.md <<'PY'
+import os, re, sys
+ref = re.compile(r"(?<![\w./-])((?:crates|shims|scripts|benchmark|src|tests|examples)/[\w./-]*)(?::(\d+)(?:-(\d+))?)?")
+bad = []
+for doc in sys.argv[1:]:
+    for n, line in enumerate(open(doc, encoding="utf-8"), 1):
+        for m in ref.finditer(line):
+            path = m.group(1).rstrip(".")
+            if not os.path.exists(path):
+                bad.append(f"{doc}:{n}: {path} does not exist")
+            elif m.group(2):
+                last = int(m.group(3) or m.group(2))
+                with open(path, encoding="utf-8") as f:
+                    length = sum(1 for _ in f)
+                if last > length:
+                    bad.append(f"{doc}:{n}: {m.group(0)} is past the end of {path} ({length} lines)")
+for line in bad:
+    print(f"FAIL: {line}", file=sys.stderr)
+sys.exit(1 if bad else 0)
+PY
 
 echo "== one way to run a Winograd convolution"
 # The entry ladder is conv_winograd (cold) -> conv_winograd_precomputed
@@ -98,11 +125,6 @@ echo "== the repo benchmark builds against today's crates, and its own tests pas
 # above builds it, so a crate API change that breaks it would otherwise
 # surface only when the benchmark runs.
 cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
-
-echo "== exec identities at the pinned AVX2 tier"
-# The suite above runs at the widest level the host has; on an AVX-512
-# host this re-runs the network identities on the 6x16 GEMM tile.
-WINO_SIMD=avx2 cargo test --offline -q -p wino-exec --test prop_identity
 
 echo "== wino-verify: static verification (recipes, kernels, indexing, unsafe invariants)"
 # Exits nonzero on any failed proof *and* on any analysis that covered
