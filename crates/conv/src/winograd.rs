@@ -903,11 +903,15 @@ fn nonfused(
     let input_span = wino_probe::span("conv.input_transform");
     let input_hist = H_INPUT.start();
     let (ph, pw) = tiling.padded_extent();
+    let pad_span = wino_probe::span("conv.pad");
     ws.fit(Buffer::Padded, desc.batch * cc * ph * pw);
     let padded = tiling.pad(input, desc.pad, std::mem::take(&mut ws.padded), rt);
+    drop(pad_span);
+    let b_pack_span = wino_probe::span("conv.b_pack");
     let nr = wino_gemm::tile_extents(level).1;
     ws.fit(Buffer::V, a2 * wino_gemm::packed_b_len(cc, p_total, nr));
     let mut v_packed = PackedB::recycled(std::mem::take(&mut ws.v), a2, cc, p_total, level);
+    drop(b_pack_span);
     let v_columns = v_packed.columns();
     rt.parallel_for_chunks(0..p_total.div_ceil(LANES), 1, |groups| {
         let _chunk_span = wino_probe::span("conv.tile_gather");

@@ -73,6 +73,8 @@ fn nonfused_identical_with_tracing_and_spans_recorded() {
         "conv.winograd.nonfused",
         "conv.filter_transform",
         "conv.input_transform",
+        "conv.pad",
+        "conv.b_pack",
         "conv.batched_sgemm",
         "conv.output_transform",
         "conv.tile_gather",

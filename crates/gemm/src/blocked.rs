@@ -13,8 +13,8 @@
 use crate::batched::{batched_sgemm_packed, BatchedGemmShape};
 use crate::packed::{PackedA, PackedB};
 use crate::schedule::{
-    dim_blocks, micro_tiles, packed_block_off, tile_extents, TaskTile, MR_AVX2, MR_AVX512,
-    MR_SCALAR, NR_AVX2, NR_AVX512, NR_SCALAR,
+    tile_extents, tile_walk, TaskTile, MR_AVX2, MR_AVX512, MR_SCALAR, NR_AVX2, NR_AVX512,
+    NR_SCALAR, PREFETCH_A,
 };
 use crate::simd::{simd_level, SimdLevel};
 use std::mem::MaybeUninit;
@@ -87,18 +87,20 @@ pub fn sgemm_rt_level(
 
 /// One task of the one GEMM loop nest: the tile `tile` of the `C` that
 /// starts at `c_base` in `c` (row length `ldc`), from the full-depth
-/// packed `m × k` matrix `a` and `k × n` matrix `b`. The task runs the
-/// whole `kc` loop for its tile, in order, so every `C` element sees
-/// the serial accumulation order — bit-identical for any thread count
-/// and any grid. The first k-block writes `C`, later ones accumulate
-/// into it: `C`'s previous contents are never read, so it may be
-/// memory no float has been stored in yet.
+/// packed `m × k` matrix `a` and `k × n` matrix `b`. The task walks
+/// [`tile_walk`]: each row sliver of its tile through all of its
+/// `kc`-deep k-blocks in order before the next sliver, so it reads its
+/// A rows as one front-to-back stream, and every `C` element sees the
+/// serial accumulation order — bit-identical for any thread count and
+/// any grid. The first k-block writes `C`, later ones accumulate into
+/// it: `C`'s previous contents are never read, so it may be memory no
+/// float has been stored in yet.
 ///
-/// The walk is the descriptors exported by [`crate::schedule`]
-/// ([`crate::TaskGrid`] → `dim_blocks` → `micro_tiles` inside
-/// `macro_kernel`), windows based at [`packed_block_off`], so the
-/// structure wino-verify's index analysis proves
-/// coverage/disjointness/bounds over is the structure running here.
+/// The walk is the iterator wino-verify's index analysis proves
+/// coverage, disjointness, bounds and k-order over, so the structure
+/// proven is the structure running here. Writes go through the
+/// disjoint-write window: this task's tile never overlaps another
+/// task's.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_tile(
     a: &[f32],
@@ -112,19 +114,86 @@ pub(crate) fn run_tile(
     level: SimdLevel,
 ) {
     let (mr, nr) = tile_extents(level);
-    let (rows, cols) = (tile.rows, tile.cols);
-    for kp in dim_blocks(k, kc) {
-        macro_kernel(
-            (&a[packed_block_off(rows.start, kp.start, k, mr)..], k * mr),
-            (&b[packed_block_off(cols.start, kp.start, k, nr)..], k * nr),
-            c,
-            c_base + rows.start * ldc + cols.start,
-            (rows.len, kp.len, cols.len),
-            ldc,
-            kp.start == 0,
-            level,
-        );
+    for t in tile_walk(tile, k, kc, mr, nr) {
+        let kb = t.depth.len;
+        let a_sliver = &a[t.a_off..t.a_off + kb * mr];
+        let b_sliver = &b[t.b_off..t.b_off + kb * nr];
+        let c_off = c_base + t.i * ldc + t.j;
+        let first = t.depth.start == 0;
+        // Invariant (proven by wino-verify's index analysis over this
+        // exact walk): the tile's row segments stay inside this task's
+        // tile and inside C.
+        debug_assert!(c_off + (t.rows - 1) * ldc + t.cols <= c.len());
+        match level {
+            // Without the `fma` feature compiled in, `mul_add` is a libm
+            // call per element, so a host with the instruction runs the
+            // kernel compiled for it. The bits are the same either way.
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the guard checked that this host has fma.
+            SimdLevel::Scalar if std::arch::is_x86_feature_detected!("fma") => unsafe {
+                micro_kernel_fma(a_sliver, b_sliver, c, c_off, t.rows, t.cols, ldc, kb, first);
+            },
+            SimdLevel::Scalar => {
+                micro_kernel(a_sliver, b_sliver, c, c_off, t.rows, t.cols, ldc, kb, first);
+            }
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `level` is the packed operands' level, and no
+            // operand is packed for a level the host lacks
+            // (`simd::assert_supported`): this host has avx2+fma.
+            SimdLevel::Avx2 => unsafe {
+                // The register tile follows the tile's width: a tile
+                // of at most one vector of columns multiplies the
+                // first half of its sliver's rows, skipping the FMAs
+                // on the zero half.
+                if t.cols <= 8 {
+                    micro_kernel_avx2::<1>(
+                        a_sliver, b_sliver, c, c_off, t.rows, t.cols, ldc, kb, first,
+                    );
+                } else {
+                    micro_kernel_avx2::<2>(
+                        a_sliver, b_sliver, c, c_off, t.rows, t.cols, ldc, kb, first,
+                    );
+                }
+            },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as for Avx2 — the operands' level passed
+            // `simd::assert_supported`, so this host has avx512f.
+            SimdLevel::Avx512 => unsafe {
+                // The `cols ≤ 8` rule one vector wider.
+                if t.cols <= 16 {
+                    micro_kernel_avx512::<1>(
+                        a_sliver, b_sliver, c, c_off, t.rows, t.cols, ldc, kb, first,
+                    );
+                } else {
+                    micro_kernel_avx512::<2>(
+                        a_sliver, b_sliver, c, c_off, t.rows, t.cols, ldc, kb, first,
+                    );
+                }
+            },
+            #[cfg(not(target_arch = "x86_64"))]
+            SimdLevel::Avx2 | SimdLevel::Avx512 => unreachable!("vector level on non-x86_64"),
+        }
     }
+}
+
+/// Asks the cache for the packed A line [`PREFETCH_A`] floats past
+/// `ap`: where a task's A stream will be a few dozen k-steps on. The
+/// address is formed with `wrapping_add` — past the operand's end it
+/// need not point into any allocation — and handed only to the
+/// prefetch hint, which reads nothing the program can observe and
+/// cannot fault, so it is never dereferenced.
+#[inline(always)]
+fn prefetch_a(ap: *const f32) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let ahead = ap.wrapping_add(PREFETCH_A);
+        // SAFETY: a prefetch is a hint that never dereferences its
+        // address (SSE, which every x86_64 host has).
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(ahead.cast()) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = ap;
 }
 
 /// Packs `A[ii.., kk..]` (mb×kb) into `mr`-row slivers so the
@@ -200,85 +269,6 @@ pub fn pack_b(
     }
 }
 
-/// Runs the mr×nr micro-kernel over one macro-block — `(rows, depth,
-/// cols) = (mb, kb, nb)`, its first `C` element at `origin` — through
-/// the disjoint-write window (this task's tile never overlaps another
-/// task's). The tile walk is the exported [`micro_tiles`] schedule, in
-/// its order; `a` and `b` are each the block's first sliver onward and
-/// the stride separating consecutive slivers. `first` says this is the
-/// tile's first k-block, which writes `C`; later ones add to it.
-#[allow(clippy::too_many_arguments)]
-fn macro_kernel(
-    (a_block, a_stride): (&[f32], usize),
-    (b_block, b_stride): (&[f32], usize),
-    c: &DisjointSlice<'_, MaybeUninit<f32>>,
-    origin: usize,
-    (mb, kb, nb): (usize, usize, usize),
-    ldc: usize,
-    first: bool,
-    level: SimdLevel,
-) {
-    let (mr, nr) = tile_extents(level);
-    for t in micro_tiles(mb, nb, a_stride, b_stride, mr, nr) {
-        let a_sliver = &a_block[t.a_off..t.a_off + kb * mr];
-        let b_sliver = &b_block[t.b_off..t.b_off + kb * nr];
-        let c_off = origin + t.i * ldc + t.j;
-        // Invariant (proven by wino-verify's index analysis over this
-        // exact schedule): the tile's row segments stay inside this
-        // task's tile and inside C.
-        debug_assert!(c_off + (t.rows - 1) * ldc + t.cols <= c.len());
-        match level {
-            // Without the `fma` feature compiled in, `mul_add` is a libm
-            // call per element, so a host with the instruction runs the
-            // kernel compiled for it. The bits are the same either way.
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: the guard checked that this host has fma.
-            SimdLevel::Scalar if std::arch::is_x86_feature_detected!("fma") => unsafe {
-                micro_kernel_fma(a_sliver, b_sliver, c, c_off, t.rows, t.cols, ldc, kb, first);
-            },
-            SimdLevel::Scalar => {
-                micro_kernel(a_sliver, b_sliver, c, c_off, t.rows, t.cols, ldc, kb, first);
-            }
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `level` is the packed operands' level, and no
-            // operand is packed for a level the host lacks
-            // (`simd::assert_supported`): this host has avx2+fma.
-            SimdLevel::Avx2 => unsafe {
-                // The register tile follows the tile's width: a tile
-                // of at most one vector of columns multiplies the
-                // first half of its sliver's rows, skipping the FMAs
-                // on the zero half.
-                if t.cols <= 8 {
-                    micro_kernel_avx2::<1>(
-                        a_sliver, b_sliver, c, c_off, t.rows, t.cols, ldc, kb, first,
-                    );
-                } else {
-                    micro_kernel_avx2::<2>(
-                        a_sliver, b_sliver, c, c_off, t.rows, t.cols, ldc, kb, first,
-                    );
-                }
-            },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as for Avx2 — the operands' level passed
-            // `simd::assert_supported`, so this host has avx512f.
-            SimdLevel::Avx512 => unsafe {
-                // The `cols ≤ 8` rule one vector wider.
-                if t.cols <= 16 {
-                    micro_kernel_avx512::<1>(
-                        a_sliver, b_sliver, c, c_off, t.rows, t.cols, ldc, kb, first,
-                    );
-                } else {
-                    micro_kernel_avx512::<2>(
-                        a_sliver, b_sliver, c, c_off, t.rows, t.cols, ldc, kb, first,
-                    );
-                }
-            },
-            #[cfg(not(target_arch = "x86_64"))]
-            SimdLevel::Avx2 | SimdLevel::Avx512 => unreachable!("vector level on non-x86_64"),
-        }
-    }
-}
-
 /// [`micro_kernel`] compiled with hardware FMA.
 ///
 /// # Safety
@@ -320,6 +310,7 @@ fn micro_kernel(
 ) {
     let mut acc = [[0.0f32; NR_SCALAR]; MR_SCALAR];
     for p in 0..kb {
+        prefetch_a(a_sliver.as_ptr().wrapping_add(p * MR_SCALAR));
         let av = &a_sliver[p * MR_SCALAR..p * MR_SCALAR + MR_SCALAR];
         let bv = &b_sliver[p * NR_SCALAR..p * NR_SCALAR + NR_SCALAR];
         for r in 0..MR_SCALAR {
@@ -359,7 +350,7 @@ fn micro_kernel(
 ///
 /// # Safety
 /// Caller must ensure the CPU supports `avx2` and `fma` (the dispatch
-/// in [`macro_kernel`] only selects this for operands packed at a
+/// in [`run_tile`] only selects this for operands packed at a
 /// level [`crate::assert_supported`] admitted).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
@@ -392,6 +383,7 @@ unsafe fn micro_kernel_avx2<const NV: usize>(
     let mut ap = a_sliver.as_ptr();
     let mut bp = b_sliver.as_ptr();
     for _ in 0..kb {
+        prefetch_a(ap);
         let mut bv = [_mm256_setzero_ps(); NV];
         for (v, bv_v) in bv.iter_mut().enumerate() {
             *bv_v = _mm256_loadu_ps(bp.add(8 * v));
@@ -449,7 +441,7 @@ unsafe fn micro_kernel_avx2<const NV: usize>(
 ///
 /// # Safety
 /// Caller must ensure the CPU supports `avx512f` (the dispatch in
-/// [`macro_kernel`] only selects this for operands packed at
+/// [`run_tile`] only selects this for operands packed at
 /// [`SimdLevel::Avx512`], which [`crate::assert_supported`] admits only
 /// after CPUID reports it).
 #[cfg(target_arch = "x86_64")]
@@ -479,6 +471,7 @@ unsafe fn micro_kernel_avx512<const NV: usize>(
     let mut ap = a_sliver.as_ptr();
     let mut bp = b_sliver.as_ptr();
     for _ in 0..kb {
+        prefetch_a(ap);
         let mut bv = [_mm512_setzero_ps(); NV];
         for (v, bv_v) in bv.iter_mut().enumerate() {
             *bv_v = _mm512_loadu_ps(bp.add(16 * v));

@@ -115,7 +115,7 @@ fn main() -> ExitCode {
     };
     println!(
         "index analysis: {index_ok}/{} schedule points proven \
-         (coverage, disjointness, bounds; {} of them Winograd output scatters, \
+         (coverage, disjointness, bounds, k-order; {} of them Winograd output scatters, \
          {} born-packed A operands)",
         report.index_checks.len(),
         labelled("scatter "),
@@ -133,7 +133,7 @@ fn main() -> ExitCode {
         .collect();
     println!(
         "safety lint: {} unsafe site(s) across {} files, {} unannotated; \
-         pointer audit over {} kernel(s) ({}): {} issue(s)",
+         pointer audit over {} kernel(s) ({}) and the A prefetch: {} issue(s)",
         report.safety.unsafe_sites,
         report.safety.files_scanned,
         report.safety.issues.len(),

@@ -382,7 +382,10 @@ pub const AUDITED_KERNELS: &[AuditedKernel] = &[
 /// analysis; the kernel is handed bounds-checked `kb·MR` / `kb·NR`
 /// sub-slices, anchored below), so the obligations are:
 /// `(kb-1)·MR + MR ≤ kb·MR`, `(kb-1)·NR + lanes·NV ≤ kb·NR` for every
-/// body, and the widest body's vectors cover exactly `NR` columns.
+/// body, and the widest body's vectors cover exactly `NR` columns. The
+/// one pointer a kernel forms beyond those walks, the A prefetch
+/// [`wino_gemm::PREFETCH_A`] floats ahead, is audited as never
+/// dereferenced (`audit_prefetch`).
 pub fn audit_simd_pointer_paths() -> Vec<SafetyIssue> {
     let mut issues = Vec::new();
     let file = "crates/gemm/src/blocked.rs".to_string();
@@ -454,15 +457,79 @@ pub fn audit_simd_pointer_paths() -> Vec<SafetyIssue> {
     // Either operand reaches every kernel through these bounds-checked
     // slices of a `PackedA` / `PackedB` window, so the walks above are
     // over exactly `kb·MR` and `kb·NR` floats.
-    if !source.contains("let a_sliver = &a_block[t.a_off..t.a_off + kb * mr];") {
-        fail("macro_kernel no longer bounds the A sliver to kb*mr floats".to_string());
+    if !source.contains("let a_sliver = &a[t.a_off..t.a_off + kb * mr];") {
+        fail("run_tile no longer bounds the A sliver to kb*mr floats".to_string());
     }
-    if !source.contains("let b_sliver = &b_block[t.b_off..t.b_off + kb * nr];") {
-        fail("macro_kernel no longer bounds the B sliver to kb*nr floats".to_string());
+    if !source.contains("let b_sliver = &b[t.b_off..t.b_off + kb * nr];") {
+        fail("run_tile no longer bounds the B sliver to kb*nr floats".to_string());
     }
     // The C-side bound is asserted where the offsets are computed.
     if !source.contains("debug_assert!(c_off + (t.rows - 1) * ldc + t.cols <= c.len());") {
-        fail("macro_kernel lost the C write-window debug_assert".to_string());
+        fail("run_tile lost the C write-window debug_assert".to_string());
+    }
+    for issue in audit_prefetch(&source) {
+        fail(issue);
+    }
+    issues
+}
+
+/// The text of function `name`'s body in `source`: from its `fn` line
+/// to the first line that closes an item (a `}` in column 0).
+fn fn_body<'s>(source: &'s str, name: &str) -> Option<&'s str> {
+    let start = source
+        .find(&format!("fn {name}<"))
+        .or_else(|| source.find(&format!("fn {name}(")))?;
+    let len = source[start..].find("\n}\n")?;
+    Some(&source[start..start + len])
+}
+
+/// Invariant 4: the A prefetch is an address, never a read. Every
+/// micro-kernel — the scalar one too — prefetches its A sliver on each
+/// k-step through `prefetch_a`, which may point past the operand (the
+/// last sliver's prefetches run off its end), so its address is formed
+/// with `wrapping_add` — no in-bounds claim — and goes nowhere but the
+/// prefetch hint, which never dereferences. The obligations, on the
+/// source text: each kernel body calls `prefetch_a`; the helper forms
+/// `ahead` once, with `wrapping_add(PREFETCH_A)`, and uses it once, as
+/// the hint's argument; and it neither reads through a pointer nor
+/// offsets one with the in-bounds `add`/`offset`.
+fn audit_prefetch(source: &str) -> Vec<String> {
+    let mut issues = Vec::new();
+    let kernels = AUDITED_KERNELS.iter().map(|k| k.name);
+    for name in std::iter::once("micro_kernel").chain(kernels) {
+        match fn_body(source, name) {
+            Some(body) if body.contains("prefetch_a(") => {}
+            Some(_) => issues.push(format!("{name}: no A prefetch on its k-steps")),
+            None => issues.push(format!("{name}: kernel body not found")),
+        }
+    }
+    let Some(helper) = fn_body(source, "prefetch_a") else {
+        issues.push("prefetch_a: helper not found".to_string());
+        return issues;
+    };
+    let formed = "let ahead = ap.wrapping_add(PREFETCH_A);";
+    let hinted = "_mm_prefetch::<_MM_HINT_T0>(ahead.cast())";
+    if !helper.contains(formed) {
+        issues.push(format!("prefetch_a: address not formed as `{formed}`"));
+    }
+    if !helper.contains(hinted) {
+        issues.push(format!("prefetch_a: address not handed to `{hinted}`"));
+    }
+    if helper.matches("ahead").count() != 2 {
+        issues.push("prefetch_a: the prefetch address is used beyond the hint".to_string());
+    }
+    for read in [
+        "*ap",
+        "*ahead",
+        ".read(",
+        "read_unaligned",
+        "read_volatile",
+        ".add(",
+        ".offset(",
+    ] {
+        if helper.contains(read) {
+            issues.push(format!("prefetch_a: `{read}` reads or offsets a pointer"));
+        }
     }
     issues
 }
@@ -551,6 +618,25 @@ fn lifetime<'unsafe_looking>() {}
             report.passed(),
             "unannotated unsafe sites:\n{}",
             rendered.join("\n")
+        );
+    }
+
+    #[test]
+    fn a_dereferenced_prefetch_is_flagged() {
+        let source = std::fs::read_to_string(workspace_root().join("crates/gemm/src/blocked.rs"))
+            .expect("kernel source");
+        assert!(audit_prefetch(&source).is_empty());
+        // A helper that reads the line it prefetches, or a kernel that
+        // stopped prefetching, fails the audit.
+        let formed = "let ahead = ap.wrapping_add(PREFETCH_A);";
+        let read = source.replace(formed, &format!("{formed}\n        let _ = *ahead;"));
+        let issues = audit_prefetch(&read);
+        assert!(issues.iter().any(|i| i.contains("`*ahead`")), "{issues:?}");
+        let dropped = source.replacen("        prefetch_a(ap);\n", "", 1);
+        let issues = audit_prefetch(&dropped);
+        assert!(
+            issues.iter().any(|i| i.contains("no A prefetch")),
+            "{issues:?}"
         );
     }
 

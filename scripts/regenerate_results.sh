@@ -19,4 +19,6 @@ for bin in figure7 figure8 figure9 network; do
 done
 echo ">> figure9_cpu (wall-clock: this machine's numbers, 15 interleaved rounds)"
 cargo run -q --release -p wino-bench --bin figure9_cpu > results/figure9_cpu.txt
+echo ">> bank_read (wall-clock: batch-1 GEMMs against a read of their filter bank)"
+cargo run -q --release -p wino-bench --bin bank_read > results/bank_read.txt
 echo "done — outputs in results/"
