@@ -37,8 +37,8 @@ use wino_graph::EngineChoice;
 use wino_guard::{fault, GuardedConv};
 use wino_probe::{self as probe, metrics};
 use wino_serve::{
-    BreakerState, ConvRequest, ConvResponse, HealthStatus, NetworkRequest, PlanRegistry,
-    ServeError, Server, ServerConfig,
+    BreakerState, ConvRequest, ConvResponse, NetworkRequest, PlanRegistry, ServeError, Server,
+    ServerConfig,
 };
 use wino_tensor::{ConvDesc, Tensor4};
 
@@ -135,10 +135,9 @@ fn object<const N: usize>(fields: [(&str, Value); N]) -> Value {
 
 /// `Server::health` as the `health` fact, built the same way by the
 /// drill that reports it and the rows that expect it.
-fn health(status: &str, scheduler_alive: bool, batch_panics: u64) -> Value {
+fn health(status: &str, batch_panics: u64) -> Value {
     object([
         ("status", status.to_value()),
-        ("scheduler_alive", scheduler_alive.to_value()),
         ("batch_panics", batch_panics.to_value()),
     ])
 }
@@ -270,30 +269,9 @@ fn scenarios() -> Vec<Scenario> {
         row("chaos/clean", drill_chaos)
             .counters([("serve.enqueued", 12), ("serve.executed", 12)])
             .zero(["serve.internal_errors", "serve.batch_panics", "serve.shed"])
-            .zero(["serve.scheduler_deaths", "serve.responses_dropped"])
+            .zero(["serve.responses_dropped"])
             .counters(outcomes(12, 0, 0, 0))
-            .fact("health", health("Healthy", true, 0))
-            .gauge("serve.queue_depth", 0, 1),
-        // Scheduler death is unrecoverable by design: the one parked
-        // request fails terminally, admission closes, 11 are refused.
-        // The dying scheduler fails the server before the waiter
-        // unblocks, so the health read needs no wait. (Changed: the
-        // `health` fact's fields, as above.)
-        row("chaos/sched-panic", drill_chaos)
-            .env("WINO_FAULT", "serve_sched:panic:1")
-            .counters([("serve.enqueued", 1), ("serve.executed", 0)])
-            .counters([("serve.scheduler_deaths", 1), ("serve.internal_errors", 1)])
-            .counters(outcomes(0, 1, 11, 0))
-            .fact("health", health("Failed", false, 0))
-            .gauge("serve.queue_depth", 0, 1),
-        // A stall only delays dispatch.
-        // (Changed: the `health` fact's fields, as above.)
-        row("chaos/sched-stall", drill_chaos)
-            .env("WINO_FAULT", "serve_sched:stall:3")
-            .counters([("serve.enqueued", 12), ("serve.executed", 12)])
-            .counters([("fault.injected.serve_sched", 1)])
-            .counters(outcomes(12, 0, 0, 0))
-            .fact("health", health("Healthy", true, 0))
+            .fact("health", health("Healthy", 0))
             .gauge("serve.queue_depth", 0, 1),
         // A dropped response is a terminal Internal at the waiter
         // (closed channel), never a hang; the batch itself executed.
@@ -303,7 +281,7 @@ fn scenarios() -> Vec<Scenario> {
             .counters([("serve.enqueued", 12), ("serve.executed", 12)])
             .counters([("serve.responses_dropped", 1), ("serve.internal_errors", 0)])
             .counters(outcomes(11, 1, 0, 0))
-            .fact("health", health("Healthy", true, 0))
+            .fact("health", health("Healthy", 0))
             .gauge("serve.queue_depth", 0, 1),
         // A panic inside response delivery is contained: the batch
         // fails its member, the executor survives. (Changed: the
@@ -314,7 +292,7 @@ fn scenarios() -> Vec<Scenario> {
             .counters([("serve.enqueued", 12), ("serve.executed", 12)])
             .counters([("serve.batch_panics", 1), ("serve.internal_errors", 1)])
             .counters(outcomes(11, 1, 0, 0))
-            .fact("health", health("Degraded", true, 1))
+            .fact("health", health("Degraded", 1))
             .gauge("serve.queue_depth", 0, 1),
         // A panic in every delivery fails all 12 requests and never
         // the executor, which serves each next batch. Containment
@@ -325,7 +303,7 @@ fn scenarios() -> Vec<Scenario> {
             .counters([("serve.enqueued", 12), ("serve.executed", 12)])
             .counters([("serve.batch_panics", 12), ("serve.internal_errors", 12)])
             .counters(outcomes(0, 12, 0, 0))
-            .fact("health", health("Degraded", true, 12))
+            .fact("health", health("Degraded", 12))
             .gauge("serve.queue_depth", 0, 1),
         // Three poisoned batches trip the breaker (threshold 3), an
         // open-state request rides the terminal fallback, the fault
@@ -695,7 +673,7 @@ fn drill_wave_lanes() -> Value {
 /// Two zoo networks registered for whole-graph execution, one warmup
 /// request each, then eight steady-state requests submitted before any
 /// is collected so cross-request coalescing happens. Batch counts
-/// depend on scheduler timing and are not reported;
+/// depend on executor timing and are not reported;
 /// `steady_arena_allocs` is what `exec.arena_allocs` moved while the
 /// eight ran.
 fn drill_net_smoke() -> Value {
@@ -746,8 +724,8 @@ fn drill_net_smoke() -> Value {
     }
     let allocs = probe::counter("exec.arena_allocs");
     let warm_allocs = allocs.get();
-    // Requests are built before the first submit so the scheduler
-    // sees concurrent same-network requests.
+    // Requests are built before the first submit so the executors
+    // see concurrent same-network requests.
     let steady: Vec<_> = (0..8)
         .map(|i| request(NETWORKS[i % 2], 1 + i as u64))
         .collect();
@@ -840,11 +818,7 @@ fn drill_chaos() -> Value {
         }
     }
     let h = server.health();
-    let health = health(
-        &format!("{:?}", h.status),
-        h.scheduler_alive,
-        h.batch_panics,
-    );
+    let health = health(&format!("{:?}", h.status), h.batch_panics);
     server.shutdown();
     object([("health", health)])
 }
@@ -949,7 +923,6 @@ fn drill_seeded() -> Value {
             match rng.gen_range(0..4u32) {
                 0 => format!("serve_resp:panic:{nth}"),
                 1 => format!("serve_resp:drop:{nth}"),
-                2 => format!("serve_sched:stall:{nth}"),
                 _ => String::new(),
             }
         };
@@ -979,11 +952,6 @@ fn drill_seeded() -> Value {
     for (req_seed, resp) in &served {
         assert_bit_identical(&registry, *req_seed, resp);
     }
-    assert_ne!(
-        server.health().status,
-        HealthStatus::Failed,
-        "no fault in the schedule can fail the server"
-    );
     server.shutdown();
     object([])
 }
@@ -998,7 +966,7 @@ mod tests {
             "gauges": {"serve.queue_depth": {"value": 0, "peak": 1}},
             "hists": {"serve.e2e": {"count": 12}},
             "facts": {"demotions": 3, "health": {"status": "Healthy",
-                      "scheduler_alive": true, "batch_panics": 0}}}"#;
+                      "batch_panics": 0}}}"#;
         check_report(&serde_json::from_str(text).unwrap(), &row.checks)
     }
 
@@ -1009,7 +977,7 @@ mod tests {
             .zero(["serve.shed"])
             .gauge("serve.queue_depth", 0, 1)
             .want(&["hists", "serve.e2e", "count"], 12)
-            .fact("health", health("Healthy", true, 0))
+            .fact("health", health("Healthy", 0))
             .fact("demotions", 3);
         assert_eq!(misses(row), Vec::<String>::new());
     }
@@ -1027,7 +995,7 @@ mod tests {
             misses(row("t", drill_chaos).want(&breaker, 0)),
             ["gauges serve.breaker_state.drill/conv value: expected 0, missing from the report"]
         );
-        let degraded = row("t", drill_chaos).fact("health", health("Degraded", true, 0));
+        let degraded = row("t", drill_chaos).fact("health", health("Degraded", 0));
         let [miss] = &misses(degraded)[..] else {
             panic!("one wrong fact is one miss");
         };

@@ -2,8 +2,7 @@
 //!
 //! One module per evaluation artefact of the paper; each `table*` /
 //! `figure*` binary in `src/bin/` prints the corresponding table or
-//! figure series, and `benches/` contains Criterion timings of the
-//! real CPU engines. See EXPERIMENTS.md at the workspace root for the
+//! figure series. See EXPERIMENTS.md at the workspace root for the
 //! paper-vs-measured record.
 
 #![warn(missing_docs)]

@@ -2,12 +2,11 @@
 //!
 //! The guard layer (`wino-guard`) and the serving layer above it
 //! promise that every recovery path — guardrail demotion, contained
-//! batch and response failures, a scheduler death that fails the
-//! server — actually fires. Proving that requires *causing* the faults
-//! on demand, at the exact sites where real failures originate: the
-//! transform output of a tile, the GEMM kernel, and — one layer up —
-//! the serve scheduler and response-delivery paths. This module is
-//! that facility.
+//! batch and response failures — actually fires. Proving that
+//! requires *causing* the faults on demand, at the exact sites where
+//! real failures originate: the transform output of a tile, the GEMM
+//! kernel, and — one layer up — the serve response-delivery path. This
+//! module is that facility.
 //!
 //! It lives in `wino-probe` (the instrumentation substrate every crate
 //! already depends on) rather than in `wino-guard` itself, because the
@@ -36,7 +35,7 @@ use std::sync::MutexGuard;
 use parking_lot::Mutex;
 
 /// Injection sites — the places real failures originate: two in the
-/// engine stack and two in the serving layer above it.
+/// engine stack and one in the serving layer above it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Site {
     /// Output of a Winograd tile transform in the engines (the one
@@ -44,9 +43,6 @@ pub enum Site {
     Transform,
     /// The blocked SGEMM kernel (covers plain, batched, im2col use).
     Gemm,
-    /// Serve scheduler loop (a `Panic` kills the scheduler; a `Stall`
-    /// delays dispatch while the queue backs up).
-    ServeSched,
     /// Serve response delivery (a `Drop` discards the response so the
     /// waiter sees a closed channel; a `Panic` unwinds mid-send, inside
     /// the executor's batch containment).
@@ -55,12 +51,7 @@ pub enum Site {
 
 /// All sites in declaration order — the one table a site's spec name,
 /// armed bit and hit counter are read from.
-pub const SITES: [Site; 4] = [
-    Site::Transform,
-    Site::Gemm,
-    Site::ServeSched,
-    Site::ServeResp,
-];
+pub const SITES: [Site; 3] = [Site::Transform, Site::Gemm, Site::ServeResp];
 
 impl Site {
     fn index(self) -> usize {
@@ -76,7 +67,6 @@ impl Site {
         match self {
             Site::Transform => "transform",
             Site::Gemm => "gemm",
-            Site::ServeSched => "serve_sched",
             Site::ServeResp => "serve_resp",
         }
     }
@@ -101,11 +91,6 @@ pub enum Trigger {
     Nan,
     /// Poison a float output with +∞.
     Inf,
-    /// Delay the site by a short, bounded sleep. The firing decision
-    /// stays clock-free (the sleep happens at the hook site, after the
-    /// decision), so runs with the same spec still inject at identical
-    /// points.
-    Stall,
     /// Discard the value the site was about to deliver (serve response
     /// delivery — the waiter observes a closed channel, never a hang).
     Drop,
@@ -113,13 +98,7 @@ pub enum Trigger {
 
 /// All triggers in declaration order; the armed trigger is stored as
 /// its index here.
-const TRIGGERS: [Trigger; 5] = [
-    Trigger::Panic,
-    Trigger::Nan,
-    Trigger::Inf,
-    Trigger::Stall,
-    Trigger::Drop,
-];
+const TRIGGERS: [Trigger; 4] = [Trigger::Panic, Trigger::Nan, Trigger::Inf, Trigger::Drop];
 
 impl Trigger {
     /// Spec-string name of the trigger.
@@ -128,7 +107,6 @@ impl Trigger {
             Trigger::Panic => "panic",
             Trigger::Nan => "nan",
             Trigger::Inf => "inf",
-            Trigger::Stall => "stall",
             Trigger::Drop => "drop",
         }
     }
@@ -361,19 +339,21 @@ mod tests {
         assert!(FaultSpec::parse("gemm:melt").is_err());
         assert!(FaultSpec::parse("gemm:nan:0").is_err());
         assert!(FaultSpec::parse("gemm:nan:2:junk").is_err());
-        // The tuner, cache and serve_exec sites and the
-        // timeout/corrupt triggers are gone: nothing checks them.
+        // The tuner, cache, serve_exec and serve_sched sites and the
+        // timeout/corrupt/stall triggers are gone: nothing checks them.
         let site_err = FaultSpec::parse("tuner:panic:3").unwrap_err();
         assert!(FaultSpec::parse("cache:corrupt").is_err());
         assert!(FaultSpec::parse("serve_exec:panic").is_err());
+        assert!(FaultSpec::parse("serve_sched:panic").is_err());
         let trigger_err = FaultSpec::parse("gemm:timeout").unwrap_err();
+        assert!(FaultSpec::parse("serve_resp:stall").is_err());
         // The expected lists are rendered from the tables.
         assert!(
-            site_err.ends_with("(expected transform|gemm|serve_sched|serve_resp)"),
+            site_err.ends_with("(expected transform|gemm|serve_resp)"),
             "{site_err}"
         );
         assert!(
-            trigger_err.ends_with("(expected panic|nan|inf|stall|drop)"),
+            trigger_err.ends_with("(expected panic|nan|inf|drop)"),
             "{trigger_err}"
         );
         let spec = FaultSpec::parse("transform:inf").unwrap();
@@ -382,19 +362,12 @@ mod tests {
 
     #[test]
     fn serve_sites_parse_and_round_trip() {
-        for (name, site) in [
-            ("serve_sched", Site::ServeSched),
-            ("serve_resp", Site::ServeResp),
-        ] {
-            let spec = FaultSpec::parse(&format!("{name}:panic:2")).unwrap();
-            assert_eq!(spec.site, site);
-            assert_eq!(spec.to_string(), format!("{name}:panic:2"));
-        }
-        for (name, trigger) in [("stall", Trigger::Stall), ("drop", Trigger::Drop)] {
-            let spec = FaultSpec::parse(&format!("serve_sched:{name}")).unwrap();
-            assert_eq!(spec.trigger, trigger);
-            assert_eq!(spec.to_string(), format!("serve_sched:{name}"));
-        }
+        let spec = FaultSpec::parse("serve_resp:panic:2").unwrap();
+        assert_eq!(spec.site, Site::ServeResp);
+        assert_eq!(spec.to_string(), "serve_resp:panic:2");
+        let spec = FaultSpec::parse("serve_resp:drop").unwrap();
+        assert_eq!(spec.trigger, Trigger::Drop);
+        assert_eq!(spec.to_string(), "serve_resp:drop");
         // Every site in the table survives a spec round-trip and sits
         // at its own index, so the CI matrix, the hit counters and this
         // enum can never silently diverge.
@@ -413,7 +386,7 @@ mod tests {
     fn serve_sites_fire_independently() {
         let _scope = scoped("serve_resp:drop:2");
         assert_eq!(fire(Site::ServeResp), None);
-        assert_eq!(fire(Site::ServeSched), None, "other serve sites inert");
+        assert_eq!(fire(Site::Gemm), None, "other sites inert");
         assert_eq!(fire(Site::ServeResp), Some(Trigger::Drop));
         assert_eq!(fire(Site::ServeResp), None, "nth fires exactly once");
     }
@@ -437,7 +410,7 @@ mod tests {
             "missing malformed-value diagnostic: {diags:?}"
         );
         // A deleted site is malformed too: it disarms, and the diag
-        // names the four sites that remain.
+        // names the three sites that remain.
         assert!(init_from_value("gemm:nan").is_some());
         assert_eq!(init_from_value("tuner:panic"), None);
         assert!(SITES.into_iter().all(|site| !armed(site)));
@@ -445,7 +418,7 @@ mod tests {
         assert!(
             diags.iter().any(|d| d.contains("ignoring WINO_FAULT")
                 && d.contains("\"tuner:panic\"")
-                && d.contains("transform|gemm|serve_sched|serve_resp")),
+                && d.contains("transform|gemm|serve_resp")),
             "missing deleted-site diagnostic: {diags:?}"
         );
         // Well-formed values and the off switch stay silent.

@@ -37,8 +37,8 @@
 //!
 //! The [`fault`] module is the deterministic `WINO_FAULT` injection
 //! facility backing the guard's and the server's recovery-path tests:
-//! hooks at four sites (`transform`, `gemm`, `serve_sched`,
-//! `serve_resp`), each one relaxed atomic load when disarmed.
+//! hooks at three sites (`transform`, `gemm`, `serve_resp`), each one
+//! relaxed atomic load when disarmed.
 
 #![warn(missing_docs)]
 

@@ -249,7 +249,7 @@ fn replace_file(path: &str, text: &str) -> std::io::Result<()> {
 }
 
 /// Emits one metrics snapshot according to the current mode. `tag`
-/// labels the emission (e.g. `serve.shutdown`, `serve.failed`).
+/// labels the emission (e.g. `serve.shutdown`).
 /// I/O failures diag and are otherwise swallowed — metrics must never
 /// take the serving path down.
 pub fn emit(tag: &str) {

@@ -11,9 +11,8 @@ pub enum ServeError {
         /// The configured queue capacity.
         capacity: usize,
     },
-    /// The server is draining — late submissions are refused while
-    /// in-flight requests complete — or a scheduler death closed
-    /// admission.
+    /// The server is draining: late submissions are refused while
+    /// in-flight requests complete.
     ShuttingDown,
     /// No layer with this name is registered.
     UnknownLayer(String),
@@ -24,8 +23,8 @@ pub enum ServeError {
     /// Every engine in the layer's degradation chain failed.
     Engine(String),
     /// The serving machinery itself failed while holding the request —
-    /// a batch panicked in an executor, the scheduler thread died, or
-    /// the response channel was lost. The request was *terminated*,
+    /// a batch panicked in an executor, or the response channel was
+    /// lost. The request was *terminated*,
     /// never stranded: crash containment guarantees a waiter always
     /// observes exactly one terminal result.
     Internal {

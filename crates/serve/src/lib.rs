@@ -14,9 +14,9 @@
 //!   name, any [`wino_graph::ComputeGraph`] by
 //!   [`PlanRegistry::register_network_graph`].
 //! - [`Server`] accepts [`ConvRequest`]s and [`NetworkRequest`]s on a
-//!   bounded submission queue, coalesces same-plan requests into
-//!   dynamic batches under `max_batch`/`max_wait`, and executes them
-//!   through one path: the `wino-exec` network executor, a layer
+//!   bounded submission queue; each idle executor thread takes its
+//!   next batch off the queue, coalescing same-plan requests under
+//!   `max_batch`/`max_wait`, and executes it through one path: the `wino-exec` network executor, a layer
 //!   request being a one-conv network around the layer's
 //!   [`LayerPlan`]. Every conv is its plan's [`LayerPlan::run`]: the
 //!   pinned degradation chain over the warm filters. Batched responses
@@ -27,13 +27,13 @@
 //!   refusing late submissions ([`ServeError::ShuttingDown`]).
 //! - The server **self-heals**: a batch panic is contained on its
 //!   executor ([`ServeError::Internal`], never a hung waiter, and the
-//!   thread keeps serving), a scheduler death fails the server in
-//!   place (pending requests get `Internal`, admission closes), and a
-//!   per-layer circuit breaker ([`BreakerState`]) trips repeatedly
-//!   failing layers to their terminal fallback engine with half-open
-//!   probe batches. [`Server::health`] snapshots all of it.
+//!   thread keeps serving), and a per-layer circuit breaker
+//!   ([`BreakerState`]) trips repeatedly failing layers to their
+//!   terminal fallback engine with half-open probe batches.
+//!   [`Server::health`] snapshots both.
 //!
-//! Everything is threads and channels — no async runtime.
+//! Everything is threads — N executors and nothing else — and a
+//! one-shot response channel per request; no async runtime.
 
 mod breaker;
 mod error;

@@ -11,7 +11,8 @@
 //! Everything the server executes is a [`NetworkPlan`]: registering a
 //! layer also compiles a one-conv network around the same
 //! [`LayerPlan`], so a layer request and a network request take the
-//! same path through the scheduler and the `wino-exec` executor.
+//! same path through the server's executors and the `wino-exec`
+//! executor.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

@@ -1,18 +1,19 @@
 //! The serving loop: submission queue, batch coalescing, execution,
 //! and crash containment.
 //!
-//! Threads and channels only (no async): callers [`submit`] requests
-//! onto a bounded queue; a scheduler thread coalesces same-plan
-//! requests into dynamic batches under `max_batch`/`max_wait`; a pool
-//! of executor threads runs each batch through the `wino-exec`
-//! [`NetworkExecutor`]. There is one path: a layer request is served
-//! as the one-conv network the registry compiled around the layer's
-//! plan, a network request as the registered network, and both carry
-//! an `Arc<NetworkPlan>` from admission to response. Admission control
-//! sheds work at capacity ([`ServeError::Overloaded`]), per-request
-//! deadlines demote near-late members to every conv's terminal
-//! fallback engine, and [`Server::shutdown`] drains: in-flight requests
-//! complete, late submissions get [`ServeError::ShuttingDown`].
+//! Threads only (no async): callers [`submit`] requests onto a bounded
+//! queue, and a pool of executor threads serves it. An idle executor
+//! takes its next batch straight off the queue ([`next_batch`]),
+//! coalescing same-plan requests under `max_batch`/`max_wait`, and
+//! runs it through the `wino-exec` [`NetworkExecutor`]. There is one
+//! path: a layer request is served as the one-conv network the
+//! registry compiled around the layer's plan, a network request as the
+//! registered network, and both carry an `Arc<NetworkPlan>` from
+//! admission to response. Admission control sheds work at capacity
+//! ([`ServeError::Overloaded`]), per-request deadlines demote near-late
+//! members to every conv's terminal fallback engine, and
+//! [`Server::shutdown`] drains: in-flight requests complete, late
+//! submissions get [`ServeError::ShuttingDown`].
 //!
 //! Failure domains, inside out (see DESIGN.md §5.12):
 //!
@@ -22,13 +23,14 @@
 //!   everything an executor does per batch — members get
 //!   [`ServeError::Internal`], the flight recorder dumps,
 //!   `serve.batch_panics` counts it, and the executor thread serves
-//!   the next batch (it leaves its loop only when the batch channel
-//!   disconnects);
+//!   the next batch (it leaves its loop only once the queue is closed
+//!   and empty);
 //! - a repeatedly-failing *plan* is tripped by its circuit breaker
-//!   to the terminal fallback engines;
-//! - a *scheduler* death fails the server in place, on the dying
-//!   thread: admission closes and every pending request gets
-//!   [`ServeError::Internal`].
+//!   to the terminal fallback engines.
+//!
+//! Taking a batch runs no engine code and takes no lock engine code
+//! holds, so nothing can unwind out of an executor outside that one
+//! `catch_unwind`.
 //!
 //! Every response channel is wrapped in a [`ResponseSlot`] whose send
 //! is take-once, so a waiter observes **exactly one** terminal result
@@ -43,14 +45,15 @@
 //! run of the same plan.
 //!
 //! [`submit`]: Server::submit
+//! [`next_batch`]: next_batch
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel;
 use wino_exec::NetworkExecutor;
 use wino_guard::{payload_to_string, Engine};
 use wino_probe::{fault, metrics};
@@ -74,14 +77,11 @@ static RESPONSES_DROPPED: wino_probe::Counter = wino_probe::Counter::new("serve.
 static POISON_RECOVERED: wino_probe::Counter =
     wino_probe::Counter::new("serve.lock_poison_recovered");
 static CONFIG_CLAMPED: wino_probe::Counter = wino_probe::Counter::new("serve.config_clamped");
-static SCHED_DEATHS: wino_probe::Counter = wino_probe::Counter::new("serve.scheduler_deaths");
 static QUEUE_DEPTH: wino_probe::Gauge = wino_probe::Gauge::new("serve.queue_depth");
 static H_QUEUE_WAIT: wino_probe::Histogram = wino_probe::Histogram::new("serve.queue_wait");
 static H_EXECUTE: wino_probe::Histogram = wino_probe::Histogram::new("serve.execute");
 static H_E2E: wino_probe::Histogram = wino_probe::Histogram::new("serve.e2e");
 
-/// How long an injected `serve_sched:stall` delays one scheduler pass.
-const SCHED_STALL: Duration = Duration::from_millis(10);
 /// Margin subtracted from deadlines when deciding demotion: a request
 /// within this of its deadline at execution time runs on the terminal
 /// fallback engine instead of the full chain.
@@ -232,14 +232,14 @@ pub struct ConvResponse {
 
 /// Take-once wrapper around a request's response sender: however many
 /// failure paths race to terminate a request (normal delivery, batch
-/// containment, the scheduler's fail-all), exactly one send reaches
-/// the waiter and the rest are structurally discarded.
+/// containment), exactly one send reaches the waiter and the rest are
+/// structurally discarded.
 struct ResponseSlot {
-    tx: parking_lot::Mutex<Option<channel::Sender<Result<ConvResponse, ServeError>>>>,
+    tx: parking_lot::Mutex<Option<SyncSender<Result<ConvResponse, ServeError>>>>,
 }
 
 impl ResponseSlot {
-    fn new(tx: channel::Sender<Result<ConvResponse, ServeError>>) -> Arc<ResponseSlot> {
+    fn new(tx: SyncSender<Result<ConvResponse, ServeError>>) -> Arc<ResponseSlot> {
         Arc::new(ResponseSlot {
             tx: parking_lot::Mutex::new(Some(tx)),
         })
@@ -286,7 +286,7 @@ impl ResponseSlot {
 /// Caller-side handle for an admitted request.
 pub struct ResponseHandle {
     id: u64,
-    rx: channel::Receiver<Result<ConvResponse, ServeError>>,
+    rx: Receiver<Result<ConvResponse, ServeError>>,
 }
 
 impl ResponseHandle {
@@ -298,7 +298,7 @@ impl ResponseHandle {
     }
 
     /// Blocks until the terminal result arrives. Shutdown serves every
-    /// admitted request first; a scheduler death fails it with
+    /// admitted request first; a contained batch panic fails it with
     /// [`ServeError::Internal`], and a response channel closed without
     /// any delivery (response dropped by an injected fault) maps to
     /// [`ServeError::Internal`] too.
@@ -315,10 +315,10 @@ impl ResponseHandle {
     pub fn wait_timeout(self, timeout: Duration) -> Option<Result<ConvResponse, ServeError>> {
         match self.rx.recv_timeout(timeout) {
             Ok(result) => Some(result),
-            Err(channel::RecvTimeoutError::Disconnected) => Some(Err(ServeError::Internal {
+            Err(RecvTimeoutError::Disconnected) => Some(Err(ServeError::Internal {
                 cause: "response channel closed without a terminal result".to_string(),
             })),
-            Err(channel::RecvTimeoutError::Timeout) => None,
+            Err(RecvTimeoutError::Timeout) => None,
         }
     }
 }
@@ -326,7 +326,7 @@ impl ResponseHandle {
 /// A request admitted to the queue.
 struct Pending {
     id: u64,
-    /// The plan the request was admitted against; the scheduler
+    /// The plan the request was admitted against; [`next_batch`]
     /// coalesces, and the breaker map keys, by this `Arc`'s identity.
     plan: Arc<NetworkPlan>,
     input: Tensor4<f32>,
@@ -340,8 +340,8 @@ struct QueueState {
     pending: VecDeque<Pending>,
 }
 
-/// The submission queue. `std::sync` primitives on purpose: the
-/// scheduler needs a timed condition wait, which the `parking_lot`
+/// The submission queue. `std::sync` primitives on purpose: an idle
+/// executor needs a timed condition wait, which the `parking_lot`
 /// shim does not provide. Poison from a panicking holder is recovered
 /// at every lock site, never propagated.
 struct SubmissionQueue {
@@ -357,7 +357,9 @@ fn lock_queue(queue: &SubmissionQueue) -> MutexGuard<'_, QueueState> {
 /// Everything an executor thread needs; one clone per executor.
 #[derive(Clone)]
 struct ExecShared {
-    rx: channel::Receiver<Vec<Pending>>,
+    queue: Arc<SubmissionQueue>,
+    max_batch: usize,
+    max_wait: Duration,
     stats: Arc<StatsInner>,
     breakers: Arc<BreakerMap>,
     health: Arc<HealthState>,
@@ -374,14 +376,14 @@ pub struct Server {
     stats: Arc<StatsInner>,
     breakers: Arc<BreakerMap>,
     health: Arc<HealthState>,
-    /// The scheduler's handle, then every executor's: the join order
-    /// of [`Server::shutdown`]. Taken by the first shutdown.
+    /// Every executor's handle. Taken by the first shutdown.
     threads: Mutex<Option<Vec<JoinHandle<()>>>>,
 }
 
 impl Server {
-    /// Starts the scheduler and the executor pool. Degenerate config
-    /// values are clamped first (see [`ServerConfig::validated`]).
+    /// Starts the executor pool. Degenerate config values (a zero
+    /// `queue_capacity`, `executors` or `max_batch`) are clamped to 1
+    /// first.
     pub fn start(registry: Arc<PlanRegistry>, config: ServerConfig) -> Self {
         let config = config.validated();
         let queue = Arc::new(SubmissionQueue {
@@ -404,33 +406,23 @@ impl Server {
             // `exec.arena_allocs`).
             plan.pool.reserve(config.max_batch, config.executors);
         }
-        // The batch channel's only sender lives on the scheduler
-        // thread, so executor `recv` disconnects exactly when the
-        // scheduler exits (after the drain loop empties the queue, or
-        // after its death failed the queue).
-        let (batch_tx, batch_rx) = channel::bounded::<Vec<Pending>>(config.executors * 2);
-        let scheduler = {
-            let (queue, health) = (Arc::clone(&queue), Arc::clone(&health));
-            let (max_batch, max_wait) = (config.max_batch, config.max_wait);
-            std::thread::Builder::new()
-                .name("wino-scheduler".into())
-                .spawn(move || run_scheduler(&queue, &health, max_batch, max_wait, &batch_tx))
-                .expect("spawn scheduler thread")
-        };
         let shared = ExecShared {
-            rx: batch_rx,
+            queue: Arc::clone(&queue),
+            max_batch: config.max_batch,
+            max_wait: config.max_wait,
             stats: Arc::clone(&stats),
             breakers: Arc::clone(&breakers),
             health: Arc::clone(&health),
         };
-        let executors = (0..config.executors).map(|slot| {
-            let shared = shared.clone();
-            std::thread::Builder::new()
-                .name(format!("wino-exec{slot}"))
-                .spawn(move || executor_loop(&shared))
-                .expect("spawn executor thread")
-        });
-        let threads = std::iter::once(scheduler).chain(executors).collect();
+        let threads = (0..config.executors)
+            .map(|slot| {
+                let shared = shared.clone();
+                std::thread::Builder::new()
+                    .name(format!("wino-exec{slot}"))
+                    .spawn(move || executor_loop(&shared))
+                    .expect("spawn executor thread")
+            })
+            .collect();
         Server {
             registry,
             config,
@@ -452,8 +444,7 @@ impl Server {
     /// # Errors
     /// [`ServeError::UnknownLayer`] for unregistered names,
     /// [`ServeError::Shape`] on input mismatch,
-    /// [`ServeError::ShuttingDown`] after drain began (or after a
-    /// scheduler death closed admission), and
+    /// [`ServeError::ShuttingDown`] after drain began, and
     /// [`ServeError::Overloaded`] when the queue is full (the request
     /// is shed; nothing was enqueued).
     pub fn submit(&self, req: ConvRequest) -> Result<ResponseHandle, ServeError> {
@@ -512,7 +503,7 @@ impl Server {
                 plan.name
             )));
         }
-        let (tx, rx) = channel::bounded(1);
+        let (tx, rx) = mpsc::sync_channel(1);
         let id = self.stats.assign_id();
         {
             // Every early return before the push leaves the counters
@@ -544,7 +535,8 @@ impl Server {
         Ok(ResponseHandle { id, rx })
     }
 
-    /// Current submission-queue depth.
+    /// Current submission-queue depth: every admitted request that no
+    /// executor has taken yet.
     pub fn queue_depth(&self) -> usize {
         lock_queue(&self.queue).pending.len()
     }
@@ -566,8 +558,8 @@ impl Server {
         }
     }
 
-    /// Health snapshot: overall status, whether the scheduler runs,
-    /// the contained-panic total, and every plan breaker's position.
+    /// Health snapshot: overall status, the contained-panic total, the
+    /// queue depth, and every plan breaker's position.
     /// Works regardless of the metrics mode — health bookkeeping is
     /// not gated behind the probe.
     pub fn health(&self) -> ServerHealth {
@@ -582,11 +574,10 @@ impl Server {
         metrics::snapshot().prometheus()
     }
 
-    /// Drains and stops: closes admission, joins the scheduler — which
-    /// dispatches every pending request before it exits and so drops
-    /// the batch sender — then joins the executors, which leave once
-    /// they have drained the batch channel. Idempotent; also runs on
-    /// drop.
+    /// Drains and stops: closes admission and joins the executors,
+    /// which dispatch every pending request without waiting for
+    /// batch-mates and leave once the queue is empty. Idempotent; also
+    /// runs on drop.
     pub fn shutdown(&self) {
         let Some(threads) = lock_recover(&self.threads).take() else {
             return;
@@ -594,11 +585,11 @@ impl Server {
         lock_queue(&self.queue).open = false;
         self.queue.cv.notify_all();
         for thread in threads {
-            // A scheduler death is handled on the scheduler and a
-            // batch panic on its executor; anything else is a bug.
+            // A batch panic is contained on its executor; anything
+            // else is a bug.
             if let Err(payload) = thread.join() {
                 let cause = payload_to_string(payload);
-                wino_probe::diag(format!("serve: a server thread died uncontained: {cause}"));
+                wino_probe::diag(format!("serve: an executor died uncontained: {cause}"));
             }
         }
         // One final snapshot, so a `text:path` scrape file always
@@ -613,85 +604,37 @@ impl Drop for Server {
     }
 }
 
-/// Chaos hook at the top of every scheduler pass that has work
-/// pending. A `Panic` kills the scheduler *before* extracting a batch
-/// (requests stay in the queue, where the scheduler's own fail-all
-/// reaches them); a `Stall` delays dispatch so the queue backs up.
-fn serve_sched_hook() {
-    if fault::armed(fault::Site::ServeSched) {
-        match fault::fire(fault::Site::ServeSched) {
-            Some(fault::Trigger::Panic) => panic!("wino-fault: injected panic at serve_sched"),
-            Some(fault::Trigger::Stall) => std::thread::sleep(SCHED_STALL),
-            _ => {}
-        }
+/// An executor: takes batches off the queue until it is closed and
+/// empty. Nothing it does per batch can unwind out of
+/// [`execute_batch_contained`].
+fn executor_loop(shared: &ExecShared) {
+    while let Some(batch) = next_batch(&shared.queue, shared.max_batch, shared.max_wait) {
+        execute_batch_contained(batch, shared);
     }
 }
 
-/// The scheduler thread. It owns the only batch sender, so nothing
-/// can stand in for it: a panic out of [`scheduler_loop`] fails the
-/// server in place, on this thread. In order: count the death, diag
-/// and dump, mark the server failed, close admission, fail every
-/// pending request with [`ServeError::Internal`], zero the depth
-/// gauge, emit `serve.failed` — all before any waiter sees its
-/// `Internal`, so [`Server::health`] reads `Failed` the moment one
-/// unblocks. Batches already in the channel are still served: the
-/// sender drops as this thread ends and the executors drain the
-/// channel before they leave.
-fn run_scheduler(
-    queue: &SubmissionQueue,
-    health: &HealthState,
-    max_batch: usize,
-    max_wait: Duration,
-    batch_tx: &channel::Sender<Vec<Pending>>,
-) {
-    let batching = std::panic::AssertUnwindSafe(|| {
-        scheduler_loop(queue, max_batch, max_wait, batch_tx);
-    });
-    let Err(payload) = std::panic::catch_unwind(batching) else {
-        health.scheduler_alive.store(false, Ordering::SeqCst);
-        return;
-    };
-    let cause = format!("scheduler thread died: {}", payload_to_string(payload));
-    SCHED_DEATHS.add(1);
-    wino_probe::diag(format!(
-        "serve: {cause}; failing pending requests and closing admission"
-    ));
-    wino_probe::flight::dump_incident("serve.scheduler_death");
-    health.failed.store(true, Ordering::SeqCst);
-    health.scheduler_alive.store(false, Ordering::SeqCst);
-    let mut st = lock_queue(queue);
-    st.open = false;
-    for p in st.pending.drain(..) {
-        let cause = cause.clone();
-        p.slot.send(Err(ServeError::Internal { cause }));
-    }
-    QUEUE_DEPTH.set(0);
-    drop(st);
-    metrics::emit("serve.failed");
-}
-
-/// Scheduler: coalesce same-plan requests into batches. Dispatches a
-/// batch when `max_batch` same-plan requests are waiting, when the
-/// head request has waited `max_wait`, or immediately during drain.
-/// "Same plan" is `Arc` identity, so a layer re-registered while
-/// requests are queued never lends its new plan to the old requests
-/// (or the other way round).
-fn scheduler_loop(
+/// An idle executor's next batch: coalesces same-plan requests.
+/// Dispatches when `max_batch` same-plan requests are waiting, when
+/// the head request has waited `max_wait`, or immediately during
+/// drain; `None` once the queue is closed and empty. Batches bind
+/// late: requests that queued while every executor was busy ride
+/// together. "Same plan" is `Arc` identity, so a layer re-registered
+/// while requests are queued never lends its new plan to the old
+/// requests (or the other way round).
+fn next_batch(
     queue: &SubmissionQueue,
     max_batch: usize,
     max_wait: Duration,
-    batch_tx: &channel::Sender<Vec<Pending>>,
-) {
+) -> Option<Vec<Pending>> {
     let mut st = lock_queue(queue);
     loop {
         if st.pending.is_empty() {
             if !st.open {
-                return; // drained
+                return None; // drained
             }
             st = queue.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
             continue;
         }
-        serve_sched_hook();
         let head = Arc::clone(&st.pending[0].plan);
         let same = st
             .pending
@@ -718,24 +661,7 @@ fn scheduler_loop(
             }
         }
         QUEUE_DEPTH.set(st.pending.len() as i64);
-        drop(st);
-        if let Err(channel::SendError(batch)) = batch_tx.send(batch) {
-            // Executors leave only once this sender is gone, so every
-            // one of them died outside containment: put the batch
-            // back and die, and the failure path fails it with the
-            // rest of the queue.
-            lock_queue(queue).pending.extend(batch);
-            panic!("no executor left to serve a batch");
-        }
-        st = lock_queue(queue);
-    }
-}
-
-/// An executor: runs batches until the channel disconnects. Nothing it
-/// does per batch can unwind out of [`execute_batch_contained`].
-fn executor_loop(shared: &ExecShared) {
-    while let Ok(batch) = shared.rx.recv() {
-        execute_batch_contained(batch, shared);
+        return Some(batch);
     }
 }
 
@@ -1120,7 +1046,6 @@ mod tests {
         server.infer(ConvRequest::new("toy/c1", input(40))).unwrap();
         let h = server.health();
         assert_eq!(h.status, HealthStatus::Healthy);
-        assert!(h.scheduler_alive);
         assert_eq!(h.batch_panics, 0);
         assert_eq!(h.queue_depth, 0);
         assert_eq!(h.breakers.len(), 1, "breakers pre-seeded from registry");
@@ -1131,7 +1056,7 @@ mod tests {
 
     #[test]
     fn response_slot_sends_exactly_once() {
-        let (tx, rx) = channel::bounded(1);
+        let (tx, rx) = mpsc::sync_channel(1);
         let slot = ResponseSlot::new(tx);
         assert!(slot.send(Err(ServeError::ShuttingDown)));
         assert!(

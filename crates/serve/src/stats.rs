@@ -10,7 +10,7 @@
 //! its own trace.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -115,36 +115,29 @@ pub struct ServerStats {
     pub recent: Vec<RequestTrace>,
 }
 
-/// Health flags shared by the scheduler, the executors, and
+/// Health state shared by the executors and
 /// [`crate::Server::health`]. Deliberately independent of the probe's
 /// stats gate: health must report truthfully even with metrics off.
 pub(crate) struct HealthState {
-    pub(crate) failed: AtomicBool,
-    pub(crate) scheduler_alive: AtomicBool,
     pub(crate) batch_panics: AtomicU64,
 }
 
 impl HealthState {
     pub(crate) fn new() -> HealthState {
         HealthState {
-            failed: AtomicBool::new(false),
-            scheduler_alive: AtomicBool::new(true),
             batch_panics: AtomicU64::new(0),
         }
     }
 
     pub(crate) fn snapshot(&self, queue_depth: usize, breakers: &BreakerMap) -> ServerHealth {
         let batch_panics = self.batch_panics.load(Ordering::Relaxed);
-        let status = if self.failed.load(Ordering::SeqCst) {
-            HealthStatus::Failed
-        } else if batch_panics > 0 || breakers.any_open() {
+        let status = if batch_panics > 0 || breakers.any_open() {
             HealthStatus::Degraded
         } else {
             HealthStatus::Healthy
         };
         ServerHealth {
             status,
-            scheduler_alive: self.scheduler_alive.load(Ordering::SeqCst),
             batch_panics,
             queue_depth,
             breakers: breakers.snapshot(),
@@ -160,9 +153,6 @@ pub enum HealthStatus {
     /// Serving, but something recovered: a batch panic was contained,
     /// or a plan breaker is open.
     Degraded,
-    /// The scheduler died. Admission is closed and every pending
-    /// request was failed.
-    Failed,
 }
 
 /// Point-in-time health snapshot from [`crate::Server::health`].
@@ -170,9 +160,6 @@ pub enum HealthStatus {
 pub struct ServerHealth {
     /// Overall condition.
     pub status: HealthStatus,
-    /// `false` once the scheduler thread has exited (normal at
-    /// shutdown, fatal before it).
-    pub scheduler_alive: bool,
     /// Batch panics contained by `catch_unwind` so far.
     pub batch_panics: u64,
     /// Current submission-queue depth.

@@ -53,8 +53,8 @@ fn assert_coalesced_bit_identity(
         .collect();
 
     // max_batch = request count and a generous max_wait force the
-    // scheduler to coalesce everything into one batch (submissions
-    // take microseconds).
+    // executor to coalesce everything into one batch (submissions take
+    // microseconds).
     let server = Server::start(
         Arc::clone(&registry),
         ServerConfig {
@@ -116,7 +116,7 @@ fn a_lone_request_matches_its_direct_run() {
     assert_coalesced_bit_identity(4, 2, 8, &[1], 11);
 }
 
-/// Regression: the scheduler used to coalesce by layer *name* and run
+/// Regression: the server used to coalesce by layer *name* and run
 /// the whole batch on its first member's plan, so a request admitted
 /// after a re-registration was silently computed with the old weights.
 #[test]
@@ -157,5 +157,56 @@ fn a_layer_re_registered_while_requests_queue_serves_each_on_its_own_plan() {
         );
         assert_eq!(resp.batched_with, 1, "different plans never share a batch");
     }
+    server.shutdown();
+}
+
+/// Batches bind late: a batch forms when an executor is free, so
+/// requests that queue behind a busy one ride together however far
+/// apart they arrived — here three requests 3 ms apart under a 1 ms
+/// `max_wait`, behind a layer that runs for tens of milliseconds.
+#[test]
+fn requests_queued_behind_a_busy_executor_ride_one_batch() {
+    let mut rng = StdRng::seed_from_u64(0x1a7e);
+    let registry = Arc::new(PlanRegistry::new());
+    let slow = ConvDesc::new(3, 1, 1, 128, 1, 56, 56, 128);
+    let slow_weights = Tensor4::random(128, 128, 3, 3, -0.5, 0.5, &mut rng);
+    registry.register_layer("slow", slow, slow_weights).unwrap();
+    let fast = ConvDesc::new(3, 1, 1, 4, 1, 8, 8, 4);
+    let fast_weights = Tensor4::random(4, 4, 3, 3, -0.5, 0.5, &mut rng);
+    registry.register_layer("fast", fast, fast_weights).unwrap();
+    let server = Server::start(
+        Arc::clone(&registry),
+        ServerConfig {
+            executors: 1,
+            max_batch: 4,
+            max_wait: Duration::from_millis(1),
+            ..ServerConfig::default()
+        },
+    );
+    let slow_input = Tensor4::random(1, 128, 56, 56, -1.0, 1.0, &mut rng);
+    let slow = server.submit(ConvRequest::new("slow", slow_input)).unwrap();
+    // An empty queue: the one executor has taken the slow request.
+    while server.queue_depth() > 0 {
+        std::thread::yield_now();
+    }
+    let fast: Vec<_> = (0..3)
+        .map(|i| {
+            if i > 0 {
+                std::thread::sleep(Duration::from_millis(3));
+            }
+            let input = Tensor4::random(1, 4, 8, 8, -1.0, 1.0, &mut rng);
+            server.submit(ConvRequest::new("fast", input)).unwrap()
+        })
+        .collect();
+    let batched_with: Vec<usize> = fast
+        .into_iter()
+        .map(|handle| handle.wait().unwrap().batched_with)
+        .collect();
+    slow.wait().unwrap();
+    assert_eq!(
+        batched_with,
+        [3, 3, 3],
+        "requests queued behind the busy executor must ride one batch"
+    );
     server.shutdown();
 }

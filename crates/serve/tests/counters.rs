@@ -1,7 +1,7 @@
 //! Exact-counter regression, clean and under injected faults: the
 //! serve counters and the queue-depth gauge stay consistent across
 //! batching, deadline demotion, breaker trips, shed, injected
-//! scheduler/response faults, and shutdown — no leaked
+//! response faults, and shutdown — no leaked
 //! response handles, no counter drift, no hangs. There is one serve
 //! path and one counter family, so the cases that do not care what is
 //! being served run over both kinds of target ([`TARGETS`]).
@@ -73,7 +73,7 @@ fn registry() -> Arc<PlanRegistry> {
 }
 
 /// What a request asks for. Both kinds go through the same admission,
-/// scheduler, executor, breaker, and counters.
+/// batching, executor, breaker, and counters.
 #[derive(Clone, Copy, Debug)]
 enum Target {
     Layer,
@@ -205,9 +205,8 @@ fn a_batch_panic_on_every_delivery_never_loses_the_executor() {
     assert_eq!(
         health.status,
         HealthStatus::Degraded,
-        "contained, not failed"
+        "contained, and still serving"
     );
-    assert!(health.scheduler_alive);
     assert_eq!(health.batch_panics, REQUESTS);
     assert_eq!(depth_gauge(), 0);
     server.shutdown();
@@ -284,7 +283,7 @@ fn queued_requests_coalesce_into_one_counted_batch() {
             c("serve.executed"),
         );
         // max_batch = request count under a generous max_wait: the
-        // scheduler dispatches the moment the last one is queued.
+        // executor dispatches the moment the last one is queued.
         let server = Server::start(
             registry(),
             ServerConfig {
@@ -430,52 +429,6 @@ fn a_layer_and_a_network_of_one_name_never_share_a_batch() {
 }
 
 #[test]
-fn scheduler_death_fails_pending_requests_terminally() {
-    let _serial = serial();
-    quiet_injected_panics();
-    wino_probe::set_mode(wino_probe::Mode::Summary);
-    let s0 = c("serve.scheduler_deaths");
-    let _fault = fault::scoped("serve_sched:panic:1");
-    let server = Server::start(registry(), ServerConfig::default());
-    let handle = server.submit(ConvRequest::new("cnt/l", input(20))).unwrap();
-    match handle.wait_timeout(WATCHDOG).expect("watchdog") {
-        Err(ServeError::Internal { .. }) => {}
-        other => panic!("expected Internal after scheduler death, got {other:?}"),
-    }
-    // The dying scheduler failed the server before it failed the
-    // request: no reap pass to wait for.
-    let health = server.health();
-    assert_eq!(health.status, HealthStatus::Failed);
-    assert!(!health.scheduler_alive);
-    assert!(
-        matches!(
-            server.submit(ConvRequest::new("cnt/l", input(21))),
-            Err(ServeError::ShuttingDown)
-        ),
-        "a failed server refuses admission"
-    );
-    assert_eq!(c("serve.scheduler_deaths"), s0 + 1);
-    server.shutdown();
-    assert_eq!(depth_gauge(), 0);
-}
-
-#[test]
-fn scheduler_stall_delays_but_serves_everything() {
-    let _serial = serial();
-    wino_probe::set_mode(wino_probe::Mode::Summary);
-    let f0 = c("fault.injected.serve_sched");
-    let _fault = fault::scoped("serve_sched:stall:2");
-    let server = Server::start(registry(), ServerConfig::default());
-    for i in 30..33u64 {
-        let resp = server.infer(ConvRequest::new("cnt/l", input(i))).unwrap();
-        assert_eq!(resp.output.dims(), (1, 4, 8, 8));
-    }
-    server.shutdown();
-    assert_eq!(c("fault.injected.serve_sched"), f0 + 1, "stall fired once");
-    assert_eq!(depth_gauge(), 0);
-}
-
-#[test]
 fn zoo_serving_accounts_exactly_with_zero_steady_allocations() {
     const NETWORKS: [&str; 2] = ["alexnet", "inception-3a-3b"];
     const LOAD_PER_TARGET: usize = 8;
@@ -548,7 +501,7 @@ fn zoo_serving_accounts_exactly_with_zero_steady_allocations() {
     }
     let warm_allocs = c("exec.arena_allocs");
 
-    // Steady load: submit everything first so the scheduler can
+    // Steady load: submit everything first so the executor can
     // coalesce, then collect.
     let mut handles = Vec::new();
     for i in 0..LOAD_PER_TARGET {

@@ -1,14 +1,14 @@
-//! The server runs exactly the threads it serves with: one scheduler
-//! and one executor per configured slot, nothing watching them, and
-//! none of them left after shutdown — with metrics armed too. Its own
-//! test binary, so no other server shares the process.
+//! The server runs exactly the threads it serves with: one executor
+//! per configured slot, nothing scheduling or watching them, and none
+//! of them left after shutdown — with metrics armed too. Its own test
+//! binary, so no other server shares the process.
 
 use std::time::{Duration, Instant};
 
 use wino_probe::metrics::{self, MetricsMode};
 use wino_serve::{PlanRegistry, Server, ServerConfig};
 
-const SERVING: [&str; 3] = ["wino-scheduler", "wino-exec0", "wino-exec1"];
+const SERVING: [&str; 2] = ["wino-exec0", "wino-exec1"];
 
 /// The names of this process's threads, from `/proc/self/task/*/comm`.
 fn thread_names() -> Vec<String> {
@@ -40,7 +40,7 @@ fn names_once(settled: impl Fn(&[String]) -> bool) -> Vec<String> {
 }
 
 #[test]
-fn the_server_runs_one_scheduler_and_its_executors_and_nothing_else() {
+fn the_server_runs_its_executors_and_nothing_else() {
     // Armed metrics are emitted at shutdown and rendered on demand,
     // never from a `wino-metrics` thread of their own.
     for mode in [MetricsMode::Off, MetricsMode::Summary] {

@@ -9,6 +9,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# A stage header, with the seconds since this script started (bash's
+# SECONDS): the gap between two headers is the stage's cost.
+stage() {
+  echo "== [${SECONDS}s] $*"
+}
+
 # wino-cc's tests are the independent-compiler check of the generated
 # kernels; without a C compiler they skip, and a skip proves nothing.
 if ! command -v cc >/dev/null; then
@@ -16,10 +22,10 @@ if ! command -v cc >/dev/null; then
   exit 1
 fi
 
-echo "== cargo fmt --check"
+stage "cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "== the docs name only files that exist"
+stage "the docs name only files that exist"
 # README, DESIGN and ROADMAP are read as the map of the tree: every
 # crates/, shims/, scripts/, benchmark/, src/, tests/ or examples/ path
 # they name must exist, and a `file.rs:N` (or `:N-M`) anchor must fall
@@ -46,7 +52,7 @@ for line in bad:
 sys.exit(1 if bad else 0)
 PY
 
-echo "== one way to run a Winograd convolution"
+stage "one way to run a Winograd convolution"
 # The entry ladder is conv_winograd (cold) -> conv_winograd_precomputed
 # (global runtime) -> conv_winograd_precomputed_rt (explicit runtime);
 # a fourth name is a twin growing back.
@@ -56,7 +62,7 @@ if [ "$ladder" -ne 3 ]; then
   exit 1
 fi
 
-echo "== the served stack stands alone"
+stage "the served stack stands alone"
 # forbid <crates regex> <cargo tree args>: fail if the normal-dependency
 # tree names one of the crates.
 forbid() {
@@ -76,7 +82,7 @@ forbid 'wino-(tuner|gpu|ir|vendor|cc|codegen)' -p wino-serve
 # tuner does not borrow it, and it persists nothing.
 forbid 'wino-guard' -p wino-tuner
 # The modelled tuner runs on the wino-runtime pool and persists nothing.
-forbid 'crossbeam|parking_lot|serde|serde_json' -p wino-tuner --depth 1
+forbid 'parking_lot|serde|serde_json' -p wino-tuner --depth 1
 forbid 'parking_lot|serde|serde_json' -p wino-guard --depth 1
 # ([_]: so that this line is not itself a match.)
 if grep -rn 'WINO_TUNE[_]' crates src examples tests scripts; then
@@ -97,60 +103,60 @@ if grep -rnE 'recipe_db|TransformRecipes' crates/graph/src crates/guard/src \
   echo "FAIL: the served stack names recipes (lines above)" >&2
   exit 1
 fi
-# The server runs one scheduler and N executors and nothing else: a
-# batch panic is contained on its executor and a scheduler death fails
-# the server on the scheduler, so a third spawn is a watcher growing
-# back.
+# The server runs N executors and nothing else: each takes its next
+# batch off the submission queue and contains its own batch panics, so
+# a second spawn is a scheduler or a watcher growing back.
 spawns=$(cat crates/serve/src/*.rs | grep -c 'std::thread::Builder::new()' || true)
-if [ "$spawns" -ne 2 ]; then
-  echo "FAIL: expected 2 thread spawns in crates/serve/src (scheduler, executor), found $spawns" >&2
+if [ "$spawns" -ne 1 ]; then
+  echo "FAIL: expected 1 thread spawn in crates/serve/src (the executors), found $spawns" >&2
   exit 1
 fi
 
-echo "== cargo clippy (workspace, warnings are errors, SAFETY comments required)"
+stage "cargo clippy (workspace, warnings are errors, SAFETY comments required)"
 # `undocumented_unsafe_blocks` is allow-by-default; deny it so every
 # unsafe block/impl must carry a `// SAFETY:` rationale. wino-verify's
 # own scanner backstops this (shims, build scripts, `unsafe fn`).
 cargo clippy --workspace --all-targets --offline -- -D warnings \
   -D clippy::undocumented_unsafe_blocks
 
-echo "== tier-1: release build (workspace: the stages below drive member binaries)"
+stage "tier-1: release build (workspace: the stages below drive member binaries)"
 cargo build --release --offline --workspace
 
-echo "== tier-1: test suite (every workspace member, not just the root package)"
+stage "tier-1: test suite (every workspace member, not just the root package)"
 cargo test --workspace --offline -q
 
-echo "== the repo benchmark builds against today's crates, and its own tests pass"
+stage "the repo benchmark builds against today's crates, and its own tests pass"
 # benchmark/ is a package of its own, outside the workspace: nothing
 # above builds it, so a crate API change that breaks it would otherwise
 # surface only when the benchmark runs.
 cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 
-echo "== wino-verify: static verification (recipes, kernels, indexing, unsafe invariants)"
+stage "wino-verify: static verification (recipes, kernels, indexing, unsafe invariants)"
 # Exits nonzero on any failed proof *and* on any analysis that covered
 # nothing or missed a compiled spec x stage (its coverage check), so a
 # stage that silently analysed nothing cannot pass. (The filter only
 # drops the indented per-recipe rows; headlines and FAIL lines show.)
 ./target/release/wino-verify | grep -v '^  '
 
-echo "== probe smoke: figure6 with WINO_TRACE=summary"
+stage "probe smoke: figure6 with WINO_TRACE=summary"
 # (plain grep, not -q: an early pipe close would SIGPIPE the binary)
 WINO_TRACE=summary ./target/release/figure6 | grep "wino-probe phase summary" >/dev/null
 
-echo "== probe smoke: figure6 with WINO_TRACE=json, trace must parse"
+stage "probe smoke: figure6 with WINO_TRACE=json, trace must parse"
 trace=results/ci-figure6.trace.json
 WINO_TRACE="json:$trace" ./target/release/figure6 >/dev/null
 python3 -m json.tool "$trace" >/dev/null
 rm -f "$trace"
 
-echo "== figure9_cpu --quick: every selector candidate serves undemoted, they agree, the pick is one"
+stage "figure9_cpu --quick: every selector candidate serves undemoted, they agree, the pick is one"
 # Nothing timed: the measured table belongs in EXPERIMENTS.md, not in a gate.
 ./target/release/figure9_cpu --quick
 
-echo "== wino-drill: fault, serving and chaos scenarios (one process each, typed reports)"
+stage "wino-drill: fault, serving and chaos scenarios (one process each, typed reports)"
 # The table of scenarios, their environments and their expected
 # counters/gauges/histograms/health lives in
 # crates/bench/src/bin/drill.rs; `wino-drill <scenario>` re-runs one.
 ./target/release/wino-drill
 
+stage "done"
 echo "CI OK"
