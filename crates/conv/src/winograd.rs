@@ -24,6 +24,7 @@ use std::mem::MaybeUninit;
 use std::sync::{Arc, OnceLock};
 
 use wino_gemm::{ASliver, BatchedGemmShape, GemmConfig, PackedA, PackedB, SimdLevel};
+use wino_probe::LiveBytes;
 use wino_runtime::{DisjointSlice, Runtime};
 use wino_symbolic::RecipeOptions;
 use wino_tensor::{pad_plane, tile_counts, ConvDesc, Tensor4};
@@ -34,7 +35,7 @@ use crate::direct::check_shapes;
 use crate::error::ConvError;
 use crate::scatter::{LaneGroup, ScatterMap, TileSpan};
 use crate::tiles::TileTransformer;
-use crate::workspace::{Buffer, LiveBytes, Workspace};
+use crate::workspace::{Buffer, Workspace};
 
 /// Tiles gathered into the transformed-input layout.
 static TILES_GATHERED: wino_probe::Counter = wino_probe::Counter::new("conv.tiles_gathered");
@@ -53,9 +54,10 @@ static FILTER_BANK_BYTES: LiveBytes = LiveBytes::new("conv.filter_bank_bytes");
 /// layer, never per request.
 static FILTER_TRANSFORMS: wino_probe::Counter = wino_probe::Counter::new("conv.filter_transforms");
 
-/// Per-phase duration histograms. These record whenever tracing *or*
-/// telemetry is armed, so a serving process sees phase distributions
-/// without span buffers.
+/// Per-phase duration histograms, each opened as its phase's span
+/// ([`wino_probe::Histogram::span`]). These record whenever tracing
+/// *or* telemetry is armed, so a serving process sees phase
+/// distributions without span buffers.
 static H_FILTER: wino_probe::Histogram = wino_probe::Histogram::new("conv.filter_transform");
 static H_INPUT: wino_probe::Histogram = wino_probe::Histogram::new("conv.input_transform");
 static H_SGEMM: wino_probe::Histogram = wino_probe::Histogram::new("conv.batched_sgemm");
@@ -354,8 +356,7 @@ impl PrecomputedFilters {
         level: SimdLevel,
         rt: &Runtime,
     ) -> Self {
-        let filter_span = wino_probe::span("conv.filter_transform");
-        let filter_hist = H_FILTER.start();
+        let filter_span = H_FILTER.span();
         let a2 = spec.alpha() * spec.alpha();
         let (kc, cc) = (desc.out_ch, desc.in_ch);
         transforms.count(kc * cc);
@@ -389,7 +390,6 @@ impl PrecomputedFilters {
         };
         let bank = PackedA::from_slivers(a2, kc, cc, level, rt, task_state, fill);
         drop(filter_span);
-        drop(filter_hist);
         FILTER_TRANSFORMS.add(1);
         FILTER_BANK_BYTES.add(bank.bytes() as i64);
         PrecomputedFilters {
@@ -900,8 +900,7 @@ fn nonfused(
     // micro-kernel's B order; parallel over lane groups of tiles `p`. A
     // group owns columns `p0 .. p0 + count` of every (ξ, c) row —
     // disjoint writes — and each chunk carries its own kernel scratch.
-    let input_span = wino_probe::span("conv.input_transform");
-    let input_hist = H_INPUT.start();
+    let input_span = H_INPUT.span();
     let (ph, pw) = tiling.padded_extent();
     let pad_span = wino_probe::span("conv.pad");
     ws.fit(Buffer::Padded, desc.batch * cc * ph * pw);
@@ -935,12 +934,10 @@ fn nonfused(
         }
     });
     drop(input_span);
-    drop(input_hist);
 
     // Stage 2: α² batched SGEMMs M(ξ) = U'(ξ) · V'(ξ), parallel
     // across the batch dimension.
-    let mut gemm_span = wino_probe::span("conv.batched_sgemm");
-    let gemm_hist = H_SGEMM.start();
+    let mut gemm_span = H_SGEMM.span();
     gemm_span.arg("shape", || format!("{a2}x({kc}x{cc}x{p_total})"));
     let shape = BatchedGemmShape {
         batches: a2,
@@ -958,12 +955,10 @@ fn nonfused(
     let m_scatter = &ws.m[..shape.c_len()];
     (ws.padded, ws.v) = (padded.into_raw(), v_packed.into_raw());
     drop(gemm_span);
-    drop(gemm_hist);
 
     // Stage 3: output transform + placement, written once, never
     // zero-filled.
-    let output_span = wino_probe::span("conv.output_transform");
-    let output_hist = H_OUTPUT.start();
+    let output_span = H_OUTPUT.span();
     let out_len = tiling.scatter.out_len();
     let mut out = Vec::<f32>::with_capacity(out_len);
     let out_win = DisjointSlice::new(&mut out.spare_capacity_mut()[..out_len]);
@@ -974,7 +969,6 @@ fn nonfused(
     // `out` is dropped empty.
     unsafe { out.set_len(out_len) };
     drop(output_span);
-    drop(output_hist);
     Ok(Tensor4::from_raw(
         desc.batch,
         kc,

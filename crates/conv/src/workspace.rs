@@ -2,35 +2,15 @@
 //! reads back and nothing outlives it with.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use wino_probe::LiveBytes;
 
 /// Bytes every thread's [`Workspace`] retains between calls.
 static WORKSPACE_BYTES: LiveBytes = LiveBytes::new("conv.workspace_bytes");
 /// Calls that left their thread's [`Workspace`] larger than they found
 /// it. Steady state adds none: the buffers only ever grow.
 static WORKSPACE_GROWS: wino_probe::Counter = wino_probe::Counter::new("conv.workspace_grows");
-
-/// A gauge of bytes owned by live values: the total is kept beside the
-/// gauge so it is right whenever the probe starts listening.
-pub(crate) struct LiveBytes {
-    gauge: wino_probe::Gauge,
-    live: AtomicI64,
-}
-
-impl LiveBytes {
-    pub(crate) const fn new(name: &'static str) -> Self {
-        LiveBytes {
-            gauge: wino_probe::Gauge::new(name),
-            live: AtomicI64::new(0),
-        }
-    }
-
-    pub(crate) fn add(&self, delta: i64) {
-        // Relaxed: a statistic, publishes no other data.
-        let live = self.live.fetch_add(delta, Ordering::Relaxed) + delta;
-        self.gauge.set(live);
-    }
-}
 
 /// The Winograd engines' padded input, `V'` and `M'`, and the im2col
 /// engine's column matrix (in `v`: either way the call's packed B

@@ -11,21 +11,22 @@
 //!   exec and serve counter tests and the drill's smokes assert it
 //!   does not move after warmup.
 //! - `exec.arena_bytes_peak` gauges the planned bytes of all arenas
-//!   currently out of the pool (its peak is the high-water mark).
+//!   currently out of every pool in the process (its peak is the
+//!   high-water mark).
 //!
 //! Scope: the arena eliminates per-node *graph-level* allocations
 //! (intermediate activation tensors). Engine-internal scratch and the
 //! per-request response tensor are owned by their layers and are out
 //! of scope for these counters.
 
-use std::sync::atomic::{AtomicI64, Ordering};
-
+use wino_probe::LiveBytes;
 use wino_tensor::Tensor4;
 
 use crate::schedule::CompiledNetwork;
 
 static ARENA_ALLOCS: wino_probe::Counter = wino_probe::Counter::new("exec.arena_allocs");
-static ARENA_BYTES: wino_probe::Gauge = wino_probe::Gauge::new("exec.arena_bytes_peak");
+/// Planned bytes of every arena out of its pool, summed over pools.
+static ARENA_BYTES: LiveBytes = LiveBytes::new("exec.arena_bytes_peak");
 
 /// One request's working memory: the planned slabs at a concrete
 /// batch size. Slots are taken (as [`Tensor4`]s via
@@ -112,9 +113,6 @@ impl Arena {
 pub struct ArenaPool {
     caps: Vec<usize>,
     free: parking_lot::Mutex<Vec<Arena>>,
-    /// Planned bytes of arenas currently out of the pool (drives the
-    /// `exec.arena_bytes_peak` gauge).
-    outstanding: AtomicI64,
 }
 
 impl ArenaPool {
@@ -123,7 +121,6 @@ impl ArenaPool {
         ArenaPool {
             caps: net.slab_caps.clone(),
             free: parking_lot::Mutex::new(Vec::new()),
-            outstanding: AtomicI64::new(0),
         }
     }
 
@@ -156,17 +153,44 @@ impl ArenaPool {
             None => Arena::build(&self.caps, batch),
         };
         arena.ensure_batch(batch);
-        let bytes = arena.planned_bytes() as i64;
-        let out = self.outstanding.fetch_add(bytes, Ordering::SeqCst) + bytes;
-        ARENA_BYTES.set(out);
+        ARENA_BYTES.add(arena.planned_bytes() as i64);
         arena
     }
 
     /// Returns an arena to the pool.
     pub(crate) fn release(&self, arena: Arena) {
-        let bytes = arena.planned_bytes() as i64;
-        let out = self.outstanding.fetch_sub(bytes, Ordering::SeqCst) - bytes;
-        ARENA_BYTES.set(out);
+        ARENA_BYTES.add(-(arena.planned_bytes() as i64));
         self.free.lock().push(arena);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::compile_with_graph_engines;
+    use wino_graph::ComputeGraph;
+
+    /// `exec.arena_bytes_peak` is the process total: with an arena out
+    /// of each of two pools it reads both, not whichever pool moved
+    /// last.
+    #[test]
+    fn arena_bytes_gauge_sums_every_pool() {
+        let mut g = ComputeGraph::new();
+        let x = g.add_input();
+        g.add_max_pool(x, 2, 2).unwrap();
+        let net = compile_with_graph_engines("pool", &g, (4, 8, 8)).unwrap();
+        let (a, b) = (ArenaPool::new(&net), ArenaPool::new(&net));
+        let bytes = |batch| net.peak_arena_bytes(batch) as i64;
+        let gauge = wino_probe::gauge("exec.arena_bytes_peak");
+        wino_probe::set_telemetry(true);
+        let from_a = a.acquire(1);
+        let from_b = b.acquire(2);
+        assert!(bytes(1) > 0);
+        assert_eq!(gauge.get(), bytes(1) + bytes(2));
+        a.release(from_a);
+        assert_eq!(gauge.get(), bytes(2));
+        b.release(from_b);
+        assert_eq!(gauge.get(), 0);
+        wino_probe::set_telemetry(false);
     }
 }

@@ -21,8 +21,9 @@ use wino_runtime::{DisjointSlice, Runtime};
 static GEMM_FLOPS: wino_probe::Counter = wino_probe::Counter::new("gemm.flops");
 /// Independent batch multiplies executed.
 static GEMM_BATCHES: wino_probe::Counter = wino_probe::Counter::new("gemm.batches");
-/// Wall-clock distribution of worker chunks of (batch, tile) tasks;
-/// records whenever tracing or telemetry is armed.
+/// Wall-clock distribution of worker chunks of (batch, tile) tasks,
+/// each chunk's `gemm.tiles` span; records whenever tracing or
+/// telemetry is armed.
 static H_TILES: wino_probe::Histogram = wino_probe::Histogram::new("gemm.tiles");
 
 /// Shape of one batched-GEMM invocation.
@@ -164,9 +165,8 @@ pub fn batched_sgemm_packed_uninit<'c>(
         let grid = TaskGrid::new(batches, m, n, cfg, level);
         let c_win = DisjointSlice::new(&mut *c);
         rt.parallel_for_chunks(0..grid.len(), 1, |tasks| {
-            let mut span = wino_probe::span("gemm.tiles");
+            let mut span = H_TILES.span();
             span.arg("tiles", || tasks.len().to_string());
-            let _hist = H_TILES.start();
             for (batch, tile) in tasks.map(|task| grid.task(task)) {
                 // The grid's tiles partition each C and batch-major C
                 // windows are disjoint, so no two tasks share an element.

@@ -394,8 +394,10 @@ mod tests {
     #[test]
     fn malformed_env_value_diags_and_disarms() {
         // This test drains the process-global diagnostics buffer, so
-        // it serializes with the lib tests that use it too.
+        // it serializes with the lib tests that use it too, and arms
+        // tracing, under which diagnostics are kept.
         let _diag_lock = crate::TEST_LOCK.lock();
+        crate::set_mode(crate::Mode::Summary);
         // Arm something first so the test proves malformed input
         // *disarms* rather than leaving a stale fault live.
         let _scope = scoped("transform:nan");
@@ -431,6 +433,7 @@ mod tests {
                 .any(|d| d.contains("WINO_FAULT")),
             "valid values must not warn"
         );
+        crate::set_mode(crate::Mode::Off);
     }
 
     #[test]

@@ -8,20 +8,19 @@
 //! thread, so an incident handler ([`dump_incident`]) can write the
 //! recent-history context alongside the demotion.
 //!
-//! Gating follows the house rule: one relaxed [`AtomicBool`] checked
-//! before anything else happens. Disarmed (the default), every feed
-//! point is a relaxed load and a branch; tests and the existing
-//! drill/serve counter contracts see no new events.
-//! [`crate::metrics::set_mode`] arms the recorder when `WINO_METRICS`
-//! is active.
+//! The recorder has no gate of its own: it records exactly when
+//! telemetry does ([`crate::telemetry_enabled`], armed by
+//! [`crate::metrics::set_mode`] when `WINO_METRICS` is active).
+//! Disarmed (the default), every feed point is a relaxed load and a
+//! branch; tracing alone feeds no ring.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use serde::Value;
 
-use crate::{diag, local_buf, now_ns, registry, Counter};
+use crate::{diag, local_buf, now_ns, registry, telemetry_enabled, Counter};
 
 /// Events retained per thread; older events are overwritten in ring
 /// order. 256 spans of context has covered every drill incident so
@@ -31,21 +30,8 @@ pub const RING_CAP: usize = 256;
 /// File-format identifier written into every dump.
 pub const SCHEMA: &str = "wino-flight/v1";
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
 static DUMP_SEQ: AtomicU64 = AtomicU64::new(0);
 static DUMPS: Counter = Counter::new("flight.dumps");
-
-/// `true` when the flight recorder is armed.
-#[inline(always)]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Arms or disarms the recorder (normally done by
-/// [`crate::metrics::init_from_env`], directly callable from tests).
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
 
 /// One recorded moment of recent history.
 #[derive(Clone, Debug)]
@@ -168,7 +154,7 @@ impl Ring {
 /// Feed point for span completions (called from `SpanGuard::drop`).
 #[inline]
 pub(crate) fn note_span(name: &'static str, end_ns: u64, dur_ns: u64) {
-    if !enabled() {
+    if !telemetry_enabled() {
         return;
     }
     local_buf(|buf| {
@@ -184,7 +170,7 @@ pub(crate) fn note_span(name: &'static str, end_ns: u64, dur_ns: u64) {
 /// Feed point for diagnostics lines (called from [`crate::diag`]).
 #[inline]
 pub(crate) fn note_diag(msg: &str) {
-    if !enabled() {
+    if !telemetry_enabled() {
         return;
     }
     local_buf(|buf| {
@@ -199,7 +185,7 @@ pub(crate) fn note_diag(msg: &str) {
 /// Feed point for counter increments.
 #[inline]
 pub(crate) fn note_count(name: &'static str, delta: u64) {
-    if !enabled() {
+    if !telemetry_enabled() {
         return;
     }
     local_buf(|buf| {
@@ -254,12 +240,12 @@ fn slugify(reason: &str) -> String {
 }
 
 /// Dumps the current snapshot to `WINO_FLIGHT_DIR` (default
-/// `results/flight`) when the recorder is armed. Returns the dump path
+/// `results/flight`) when telemetry is armed. Returns the dump path
 /// on success; disarmed recorders and I/O failures (after a [`diag`])
 /// return `None` — an incident dump must never take the serving path
 /// down with it.
 pub fn dump_incident(reason: &str) -> Option<PathBuf> {
-    if !enabled() {
+    if !telemetry_enabled() {
         return None;
     }
     let dir = std::env::var("WINO_FLIGHT_DIR").unwrap_or_else(|_| "results/flight".to_string());
@@ -267,9 +253,9 @@ pub fn dump_incident(reason: &str) -> Option<PathBuf> {
 }
 
 /// [`dump_incident`] with an explicit directory (test hook; still
-/// gated on the recorder being armed).
+/// gated on telemetry being armed).
 pub fn dump_incident_to(dir: &str, reason: &str) -> Option<PathBuf> {
-    if !enabled() {
+    if !telemetry_enabled() {
         return None;
     }
     let events = snapshot();

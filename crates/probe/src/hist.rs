@@ -23,10 +23,9 @@
 //! [`Counter`]: crate::Counter
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crate::{registry, stats_enabled};
+use crate::{registry, span_into, stats_enabled, MetricCell, Named, SpanGuard, Table};
 
 /// Equal-width buckets per octave (a power of two, so the sub-bucket
 /// is a shift and a mask).
@@ -81,8 +80,8 @@ pub(crate) struct HistCell {
     max: AtomicU64,
 }
 
-impl HistCell {
-    pub(crate) fn new() -> Self {
+impl Default for HistCell {
+    fn default() -> Self {
         #[allow(clippy::declare_interior_mutable_const)]
         const ZERO: AtomicU64 = AtomicU64::new(0);
         HistCell {
@@ -92,8 +91,16 @@ impl HistCell {
             max: AtomicU64::new(0),
         }
     }
+}
 
-    fn record(&self, v: u64) {
+impl MetricCell for HistCell {
+    fn table() -> &'static Table<Self> {
+        &registry().hists
+    }
+}
+
+impl HistCell {
+    pub(crate) fn record(&self, v: u64) {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
@@ -124,20 +131,14 @@ impl HistCell {
     }
 }
 
-/// A named histogram usable from `static` context, mirroring
-/// [`Counter`](crate::Counter)'s intern-on-first-use discipline.
-pub struct Histogram {
-    name: &'static str,
-    cell: OnceLock<&'static HistCell>,
-}
+/// A named histogram, declared like a [`Counter`](crate::Counter) in
+/// a `static` or returned by [`histogram`].
+pub struct Histogram(Named<HistCell>);
 
 impl Histogram {
-    /// A histogram handle for `name` (usable in a `static`).
+    /// A histogram for `name` (usable in a `static`).
     pub const fn new(name: &'static str) -> Self {
-        Histogram {
-            name,
-            cell: OnceLock::new(),
-        }
+        Histogram(Named::new(name))
     }
 
     /// Records one observation when tracing or telemetry is enabled.
@@ -146,108 +147,35 @@ impl Histogram {
         if !stats_enabled() {
             return;
         }
-        self.slot().record(v);
+        self.0.cell().record(v);
     }
 
     /// Records a [`Duration`] in nanoseconds.
     #[inline]
     pub fn record_duration(&self, d: Duration) {
-        if !stats_enabled() {
-            return;
-        }
-        self.slot().record(saturating_ns(d));
+        self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
-    /// Starts a timer that records the elapsed nanoseconds on drop.
-    /// Disabled probes return an inert timer without reading the
-    /// clock.
+    /// Opens the span named after this histogram; dropping it records
+    /// the span's duration here, so one interval is timed once for the
+    /// trace, the flight ring and the histogram. A phase whose
+    /// histogram counts only some outcomes records with
+    /// [`Histogram::record_duration`] instead.
     #[inline]
-    pub fn start(&self) -> HistTimer<'_> {
-        if !stats_enabled() {
-            return HistTimer { inner: None };
-        }
-        HistTimer {
-            inner: Some((self, Instant::now())),
-        }
+    pub fn span(&self) -> SpanGuard {
+        span_into(self.0.name, Some(&self.0))
     }
 
     /// Current snapshot of this histogram.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        self.slot().snapshot(self.name)
-    }
-
-    fn slot(&self) -> &'static HistCell {
-        self.cell.get_or_init(|| intern_hist(self.name))
+        self.0.cell().snapshot(self.0.name)
     }
 }
 
-/// RAII timer from [`Histogram::start`].
-pub struct HistTimer<'a> {
-    inner: Option<(&'a Histogram, Instant)>,
-}
-
-impl Drop for HistTimer<'_> {
-    fn drop(&mut self) {
-        if let Some((hist, start)) = self.inner.take() {
-            hist.record_duration(start.elapsed());
-        }
-    }
-}
-
-fn duration_to_ns(d: Duration) -> u128 {
-    d.as_nanos()
-}
-
-fn saturating_ns(d: Duration) -> u64 {
-    u64::try_from(duration_to_ns(d)).unwrap_or(u64::MAX)
-}
-
-/// Interns `name`, returning its process-wide histogram cell (same
-/// idempotent-aliasing contract as counter interning).
-fn intern_hist(name: &'static str) -> &'static HistCell {
-    let mut hists = registry().hists.lock();
-    if let Some((_, cell)) = hists.iter().find(|(n, _)| *n == name) {
-        return cell;
-    }
-    let cell: &'static HistCell = Box::leak(Box::new(HistCell::new()));
-    hists.push((name, cell));
-    cell
-}
-
-/// Interns a dynamically-built histogram name and returns a recording
-/// handle (the histogram analogue of [`crate::counter`]).
-pub fn histogram(name: &str) -> HistogramHandle {
-    let mut hists = registry().hists.lock();
-    if let Some((n, cell)) = hists.iter().find(|(n, _)| *n == name) {
-        return HistogramHandle { name: n, cell };
-    }
-    let name: &'static str = Box::leak(name.to_string().into_boxed_str());
-    let cell: &'static HistCell = Box::leak(Box::new(HistCell::new()));
-    hists.push((name, cell));
-    HistogramHandle { name, cell }
-}
-
-/// A histogram handle for a runtime-constructed name.
-#[derive(Clone, Copy)]
-pub struct HistogramHandle {
-    name: &'static str,
-    cell: &'static HistCell,
-}
-
-impl HistogramHandle {
-    /// Records one observation when tracing or telemetry is enabled.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        if !stats_enabled() {
-            return;
-        }
-        self.cell.record(v);
-    }
-
-    /// Current snapshot.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        self.cell.snapshot(self.name)
-    }
+/// The histogram named `name`, interned now: the same cell as a
+/// `static` [`Histogram`] of that name.
+pub fn histogram(name: &str) -> Histogram {
+    Histogram(Named::interned(name))
 }
 
 /// Snapshot of every registered histogram, sorted by name. Histograms

@@ -1,17 +1,28 @@
 //! # wino-probe — observability for the Winograd pipeline
 //!
-//! Hierarchical spans with RAII guards, named atomic counters, and a
-//! diagnostics channel, all gated behind one relaxed-atomic mode check
-//! so the disabled path is a branch on a static and nothing else: no
+//! Hierarchical spans with RAII guards, named counters, gauges and
+//! histograms, and a diagnostics channel, all gated behind two relaxed
+//! atomics (tracing and telemetry, see [`stats_enabled`]) so the
+//! disabled path is a branch on a static and nothing else: no
 //! allocation, no locking, no timestamp read.
 //!
 //! The paper's results section lives and dies on per-phase attribution
 //! (Figure 6's optimized-vs-non-optimized kernel breakdown, Figure 9's
 //! per-candidate autotuner timings), so every pipeline stage — filter
 //! transform, input transform, batched SGEMM, output transform, tile
-//! scatter/gather, and the GEMM panel loops — opens a [`span`], and
-//! the thread-pool runtime exposes per-worker counters (tasks, parks)
+//! scatter/gather, and the GEMM panel loops — opens a [`span`]. A
+//! phase that also keeps a latency histogram opens it with
+//! [`Histogram::span`], which times the interval once for both. The
+//! thread-pool runtime exposes per-worker counters (tasks, parks)
 //! through [`counter`].
+//!
+//! ## Metrics
+//!
+//! One type per kind: [`Counter`], [`Gauge`] and [`Histogram`]. A
+//! `static` declares one by name; [`counter`], [`gauge`] and
+//! [`histogram`] return the same type for a runtime-built name, and
+//! equal names alias one process-wide cell. [`LiveBytes`] is a gauge
+//! of bytes held by live values, summed over every owner.
 //!
 //! ## Span model
 //!
@@ -30,8 +41,9 @@
 //! table — see the [`export`] module.
 //!
 //! `WINO_METRICS=off|summary|text[:path]` is the second, metrics-only
-//! gate — see the [`metrics`] module, which also owns the one snapshot
-//! of counters/gauges/histograms and the metric schema.
+//! gate, which also arms the [`flight`] recorder — see the [`metrics`]
+//! module, which also owns the one snapshot of
+//! counters/gauges/histograms and the metric schema.
 //!
 //! ## Fault injection
 //!
@@ -49,7 +61,7 @@ pub mod hist;
 pub mod metrics;
 
 pub use export::{collect, ChromeTrace, Summary, SummaryRow, TraceData};
-pub use hist::{hist_values, histogram, Histogram, HistogramHandle, HistogramSnapshot};
+pub use hist::{hist_values, histogram, Histogram, HistogramSnapshot};
 
 use parking_lot::{Mutex, RwLock};
 use std::cell::{Cell, OnceCell};
@@ -60,7 +72,9 @@ use std::time::Instant;
 /// What the probe layer records.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Mode {
-    /// Nothing — every probe call is one relaxed atomic load.
+    /// No tracing: no span lands in a thread buffer. With telemetry
+    /// off too, every probe call is [`stats_enabled`]'s relaxed loads
+    /// and a branch.
     Off,
     /// Record spans/counters; exporters render the text summary table.
     Summary,
@@ -84,7 +98,8 @@ pub fn enabled() -> bool {
 /// Second gate: metrics-only recording, armed by [`metrics::set_mode`]
 /// when `WINO_METRICS` is active. Distinct from [`MODE`] so a serving
 /// process can collect counters/gauges/histograms indefinitely
-/// without spans accumulating in the (unbounded) thread buffers.
+/// without spans accumulating in the (unbounded) thread buffers. The
+/// flight recorder records exactly when this gate is open.
 static TELEMETRY: AtomicBool = AtomicBool::new(false);
 
 /// `true` when metrics-only recording is armed (see [`set_telemetry`]).
@@ -93,9 +108,9 @@ pub fn telemetry_enabled() -> bool {
     TELEMETRY.load(Ordering::Relaxed)
 }
 
-/// Arms or disarms metrics-only recording: counters, gauges, and
-/// histograms record, but spans still only land in thread buffers
-/// under an active [`Mode`]. Normally driven by
+/// Arms or disarms metrics-only recording: counters, gauges,
+/// histograms and the flight recorder record, but spans still only
+/// land in thread buffers under an active [`Mode`]. Normally driven by
 /// [`metrics::init_from_env`].
 pub fn set_telemetry(on: bool) {
     let _ = epoch();
@@ -233,9 +248,9 @@ struct ThreadBuf {
 
 struct Registry {
     buffers: Mutex<Vec<Arc<ThreadBuf>>>,
-    counters: Mutex<Vec<(&'static str, &'static AtomicU64)>>,
-    gauges: Mutex<Vec<(&'static str, &'static GaugeCell)>>,
-    hists: Mutex<Vec<(&'static str, &'static hist::HistCell)>>,
+    counters: Table<AtomicU64>,
+    gauges: Table<GaugeCell>,
+    hists: Table<hist::HistCell>,
     diagnostics: Mutex<Vec<String>>,
 }
 
@@ -287,25 +302,35 @@ struct ActiveSpan {
     start_ns: u64,
     depth: usize,
     /// Whether the span lands in the thread buffer on drop (tracing
-    /// was on at creation). Spans opened with only the flight
-    /// recorder armed time themselves but feed the bounded ring only.
+    /// was on at creation). Spans opened with only telemetry armed
+    /// time themselves but feed the flight ring (and their histogram)
+    /// only.
     record_buf: bool,
+    /// The histogram that records this span's duration, for a span
+    /// opened by [`Histogram::span`].
+    hist: Option<&'static hist::HistCell>,
     args: Vec<(&'static str, String)>,
 }
 
-/// Opens a span named `name` on the current thread. When both tracing
-/// and the flight recorder are off this is two relaxed loads, a
-/// branch, and a `None` — nothing else.
+/// Opens a span named `name` on the current thread. When tracing and
+/// telemetry are both off this is [`stats_enabled`]'s two relaxed
+/// loads, a branch, and a `None` — nothing else.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
-    if !enabled() && !flight::enabled() {
+    span_into(name, None)
+}
+
+/// [`span`], recording its duration into `hist` on drop when given.
+#[inline]
+fn span_into(name: &'static str, hist: Option<&Named<hist::HistCell>>) -> SpanGuard {
+    if !stats_enabled() {
         return SpanGuard { active: None };
     }
-    span_slow(name)
+    span_slow(name, hist.map(Named::cell))
 }
 
 #[cold]
-fn span_slow(name: &'static str) -> SpanGuard {
+fn span_slow(name: &'static str, hist: Option<&'static hist::HistCell>) -> SpanGuard {
     let depth = DEPTH.with(|d| {
         let depth = d.get();
         d.set(depth + 1);
@@ -317,6 +342,7 @@ fn span_slow(name: &'static str) -> SpanGuard {
             start_ns: now_ns(),
             depth,
             record_buf: enabled(),
+            hist,
             args: Vec::new(),
         }),
     }
@@ -346,6 +372,9 @@ impl Drop for SpanGuard {
         let end_ns = now_ns();
         let dur_ns = end_ns.saturating_sub(active.start_ns);
         DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
+        if let Some(hist) = active.hist {
+            hist.record(dur_ns);
+        }
         flight::note_span(active.name, end_ns, dur_ns);
         if !active.record_buf {
             return;
@@ -364,129 +393,126 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Interns `name`, returning its process-wide counter cell. Equal
-/// names alias the same cell, so interning is idempotent and the
-/// registry stays bounded even when callers re-derive names.
-fn intern_counter(name: &'static str) -> &'static AtomicU64 {
-    let mut counters = registry().counters.lock();
-    if let Some((_, cell)) = counters.iter().find(|(n, _)| *n == name) {
-        return cell;
+/// One registry table: every interned name beside its leaked cell.
+type Table<C> = Mutex<Vec<(&'static str, &'static C)>>;
+
+/// A metric kind's backing cell, interned by name in its own table.
+trait MetricCell: Default + Sync + 'static {
+    /// The registry table holding every cell of this kind.
+    fn table() -> &'static Table<Self>;
+}
+
+impl MetricCell for AtomicU64 {
+    fn table() -> &'static Table<Self> {
+        &registry().counters
     }
-    let cell: &'static AtomicU64 = Box::leak(Box::new(AtomicU64::new(0)));
-    counters.push((name, cell));
-    cell
 }
 
-/// A named counter usable from `static` context. The name is resolved
-/// to its interned cell on first use; afterwards [`Counter::add`] is a
-/// relaxed load, a branch, and a relaxed `fetch_add`.
-pub struct Counter {
+/// Interns `name`, returning its process-wide cell of kind `C`. Equal
+/// names alias the same cell, so interning is idempotent and the
+/// registry stays bounded even when callers re-derive names: a name is
+/// leaked once per distinct string.
+fn intern<C: MetricCell>(name: &str) -> (&'static str, &'static C) {
+    let mut table = C::table().lock();
+    if let Some(&row) = table.iter().find(|(n, _)| *n == name) {
+        return row;
+    }
+    let row: (&'static str, &'static C) = (Box::leak(name.into()), Box::leak(Box::default()));
+    table.push(row);
+    row
+}
+
+/// A metric's name and its interned cell: the one handle shape behind
+/// [`Counter`], [`Gauge`] and [`Histogram`]. A `static` resolves the
+/// cell on first use; [`counter`], [`gauge`] and [`histogram`] resolve
+/// it at once, so both alias the one cell of their name.
+struct Named<C: 'static> {
     name: &'static str,
-    cell: OnceLock<&'static AtomicU64>,
+    cell: OnceLock<&'static C>,
 }
 
-impl Counter {
-    /// A counter handle for `name` (usable in a `static`).
-    pub const fn new(name: &'static str) -> Self {
-        Counter {
+impl<C: MetricCell> Named<C> {
+    const fn new(name: &'static str) -> Self {
+        Named {
             name,
             cell: OnceLock::new(),
         }
     }
 
+    fn interned(name: &str) -> Self {
+        let (name, cell) = intern::<C>(name);
+        Named {
+            name,
+            cell: OnceLock::from(cell),
+        }
+    }
+
+    fn cell(&self) -> &'static C {
+        self.cell.get_or_init(|| intern::<C>(self.name).1)
+    }
+}
+
+/// A named counter. Declared in a `static` with [`Counter::new`], or
+/// for a runtime-built name (a per-worker `runtime.worker3.parks`)
+/// returned by [`counter`]; either way [`Counter::add`] is a relaxed
+/// load and a branch when the probe is off, and a relaxed `fetch_add`
+/// when it records.
+pub struct Counter(Named<AtomicU64>);
+
+impl Counter {
+    /// A counter for `name` (usable in a `static`).
+    pub const fn new(name: &'static str) -> Self {
+        Counter(Named::new(name))
+    }
+
     /// Adds `n` when tracing or telemetry is enabled.
     #[inline]
     pub fn add(&self, n: u64) {
         if !stats_enabled() {
             return;
         }
-        self.slot().fetch_add(n, Ordering::Relaxed);
-        flight::note_count(self.name, n);
+        self.0.cell().fetch_add(n, Ordering::Relaxed);
+        flight::note_count(self.0.name, n);
     }
 
     /// Current value (0 until first touched).
     pub fn get(&self) -> u64 {
-        self.slot().load(Ordering::Relaxed)
-    }
-
-    fn slot(&self) -> &'static AtomicU64 {
-        self.cell.get_or_init(|| intern_counter(self.name))
+        self.0.cell().load(Ordering::Relaxed)
     }
 }
 
-/// A counter handle for a runtime-constructed name (e.g. per-worker
-/// `runtime.worker3.parks`). The name is leaked once per *distinct*
-/// string — interning dedupes repeats — so handles are cheap to clone
-/// and [`CounterHandle::add`] matches [`Counter::add`]'s fast path.
-#[derive(Clone, Copy)]
-pub struct CounterHandle {
-    name: &'static str,
-    cell: &'static AtomicU64,
-}
-
-impl CounterHandle {
-    /// Adds `n` when tracing or telemetry is enabled.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        if !stats_enabled() {
-            return;
-        }
-        self.cell.fetch_add(n, Ordering::Relaxed);
-        flight::note_count(self.name, n);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.cell.load(Ordering::Relaxed)
-    }
-}
-
-/// Interns a dynamically-built counter name and returns its handle.
-pub fn counter(name: &str) -> CounterHandle {
-    let mut counters = registry().counters.lock();
-    if let Some((n, cell)) = counters.iter().find(|(n, _)| *n == name) {
-        return CounterHandle { name: n, cell };
-    }
-    let name: &'static str = Box::leak(name.to_string().into_boxed_str());
-    let cell: &'static AtomicU64 = Box::leak(Box::new(AtomicU64::new(0)));
-    counters.push((name, cell));
-    CounterHandle { name, cell }
+/// The counter named `name`, interned now: the same cell as a
+/// `static` [`Counter`] of that name.
+pub fn counter(name: &str) -> Counter {
+    Counter(Named::interned(name))
 }
 
 /// Backing storage of one gauge: the current level plus the maximum
 /// level ever set (both relaxed — gauges are observability, not
 /// synchronization).
+#[derive(Default)]
 struct GaugeCell {
     current: AtomicI64,
     peak: AtomicI64,
 }
 
-impl GaugeCell {
-    const fn new() -> Self {
-        GaugeCell {
-            current: AtomicI64::new(0),
-            peak: AtomicI64::new(0),
-        }
+impl MetricCell for GaugeCell {
+    fn table() -> &'static Table<Self> {
+        &registry().gauges
     }
 }
 
-/// A named level gauge (e.g. a queue depth) usable from `static`
-/// context. Unlike a [`Counter`], a gauge tracks a *current* value
-/// that can go up and down, and remembers its high-water mark.
-/// [`Gauge::set`] on the disabled probe is the usual relaxed load and
-/// branch.
-pub struct Gauge {
-    name: &'static str,
-    cell: OnceLock<&'static GaugeCell>,
-}
+/// A named level gauge (e.g. a queue depth), declared like a
+/// [`Counter`] in a `static` or returned by [`gauge`]. Unlike a
+/// counter, a gauge tracks a *current* value that can go up and down,
+/// and remembers its high-water mark. [`Gauge::set`] on the disabled
+/// probe is the usual relaxed load and branch.
+pub struct Gauge(Named<GaugeCell>);
 
 impl Gauge {
-    /// A gauge handle for `name` (usable in a `static`).
+    /// A gauge for `name` (usable in a `static`).
     pub const fn new(name: &'static str) -> Self {
-        Gauge {
-            name,
-            cell: OnceLock::new(),
-        }
+        Gauge(Named::new(name))
     }
 
     /// Sets the current level (and raises the peak) when tracing or
@@ -496,7 +522,7 @@ impl Gauge {
         if !stats_enabled() {
             return;
         }
-        let cell = self.slot();
+        let cell = self.0.cell();
         // Under the shared state lock (so reset can't interleave the
         // pair), peak first: lock-free readers then always observe
         // current <= peak.
@@ -507,77 +533,44 @@ impl Gauge {
 
     /// Current level (0 until first set).
     pub fn get(&self) -> i64 {
-        self.slot().current.load(Ordering::Relaxed)
+        self.0.cell().current.load(Ordering::Relaxed)
     }
 
     /// High-water mark of every [`Gauge::set`] so far.
     pub fn peak(&self) -> i64 {
-        self.slot().peak.load(Ordering::Relaxed)
-    }
-
-    fn slot(&self) -> &'static GaugeCell {
-        self.cell.get_or_init(|| intern_gauge(self.name))
+        self.0.cell().peak.load(Ordering::Relaxed)
     }
 }
 
-/// Interns `name`, returning its process-wide gauge cell (same
-/// idempotent-aliasing contract as [`Counter`] interning).
-fn intern_gauge(name: &'static str) -> &'static GaugeCell {
-    let mut gauges = registry().gauges.lock();
-    if let Some((_, cell)) = gauges.iter().find(|(n, _)| *n == name) {
-        return cell;
-    }
-    let cell: &'static GaugeCell = Box::leak(Box::new(GaugeCell::new()));
-    gauges.push((name, cell));
-    cell
+/// The gauge named `name`, interned now: the same cell as a `static`
+/// [`Gauge`] of that name.
+pub fn gauge(name: &str) -> Gauge {
+    Gauge(Named::interned(name))
 }
 
-/// A gauge handle for a runtime-constructed name (e.g. a per-layer
-/// `serve.breaker_state.<layer>`). Mirrors [`CounterHandle`]: the name
-/// is leaked once per distinct string, handles are `Copy`, and
-/// [`GaugeHandle::set`] matches [`Gauge::set`]'s fast path.
-#[derive(Clone, Copy)]
-pub struct GaugeHandle {
-    cell: &'static GaugeCell,
+/// A gauge of bytes owned by live values, however many owners move
+/// it: each owner adds what it takes and subtracts what it frees, and
+/// the gauge shows the process total. The total is kept beside the
+/// gauge, so it is right whenever the probe starts listening.
+pub struct LiveBytes {
+    gauge: Gauge,
+    live: AtomicI64,
 }
 
-impl GaugeHandle {
-    /// Sets the current level (and raises the peak) when tracing or
-    /// telemetry is enabled.
-    #[inline]
-    pub fn set(&self, value: i64) {
-        if !stats_enabled() {
-            return;
-        }
-        // Same ordering discipline as [`Gauge::set`]: peak first,
-        // under the shared state lock so reset can't interleave.
-        let _state = STATE_LOCK.read();
-        self.cell.peak.fetch_max(value, Ordering::Relaxed);
-        self.cell.current.store(value, Ordering::Relaxed);
-    }
-
-    /// Current level.
-    pub fn get(&self) -> i64 {
-        self.cell.current.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark so far.
-    pub fn peak(&self) -> i64 {
-        self.cell.peak.load(Ordering::Relaxed)
-    }
-}
-
-/// Interns a dynamically-built gauge name and returns its handle.
-pub fn gauge(name: &str) -> GaugeHandle {
-    {
-        let gauges = registry().gauges.lock();
-        if let Some((_, cell)) = gauges.iter().find(|(n, _)| *n == name) {
-            return GaugeHandle { cell };
+impl LiveBytes {
+    /// A live-bytes gauge for `name` (usable in a `static`).
+    pub const fn new(name: &'static str) -> Self {
+        LiveBytes {
+            gauge: Gauge::new(name),
+            live: AtomicI64::new(0),
         }
     }
-    let name: &'static str = Box::leak(name.to_string().into_boxed_str());
-    GaugeHandle {
-        cell: intern_gauge(name),
+
+    /// Moves the live total by `delta` bytes and sets the gauge to it.
+    pub fn add(&self, delta: i64) {
+        // Relaxed: a statistic, publishes no other data.
+        let live = self.live.fetch_add(delta, Ordering::Relaxed) + delta;
+        self.gauge.set(live);
     }
 }
 
@@ -613,17 +606,22 @@ pub fn counter_values() -> Vec<(String, u64)> {
 }
 
 /// One-line diagnostics channel: always emits to stderr (it carries
-/// rare warnings like a malformed `WINO_THREADS`, not per-event
-/// traffic) and is recorded for tests via [`take_diagnostics`].
+/// rare warnings like a malformed `WINO_THREADS` or a guard demotion)
+/// and feeds the flight ring. Only under tracing ([`enabled`]), whose
+/// span buffers grow without bound anyway, is a copy also kept in
+/// memory for [`take_diagnostics`]: a long-running process with the
+/// probe off, or with telemetry alone, holds none.
 pub fn diag(msg: impl Into<String>) {
     let msg = msg.into();
     eprintln!("[wino-probe] {msg}");
     flight::note_diag(&msg);
-    let _state = STATE_LOCK.read();
-    registry().diagnostics.lock().push(msg);
+    if enabled() {
+        let _state = STATE_LOCK.read();
+        registry().diagnostics.lock().push(msg);
+    }
 }
 
-/// Drains the recorded diagnostics (test hook).
+/// Drains the diagnostics kept under tracing (test hook).
 pub fn take_diagnostics() -> Vec<String> {
     std::mem::take(&mut *registry().diagnostics.lock())
 }
@@ -664,7 +662,7 @@ pub(crate) fn thread_names() -> Vec<(usize, String)> {
 /// set pairs, diag) observe either the pre-reset or post-reset state,
 /// never a half-applied one. Lock-free counter/histogram increments
 /// in flight may individually land on either side of the reset — see
-/// [`STATE_LOCK`]'s contract.
+/// the state lock's contract.
 pub fn reset() {
     let _state = STATE_LOCK.write();
     for buf in registry().buffers.lock().iter() {
@@ -802,10 +800,64 @@ mod tests {
         a.add(2);
         b.add(3);
         assert_eq!(a.get(), 5);
+        // A static and a dynamic counter of one name alias one cell.
         static S: Counter = Counter::new("test.intern");
         S.add(1);
         assert_eq!(b.get(), 6);
         set_mode(Mode::Off);
+    }
+
+    #[test]
+    fn histograms_intern_by_name() {
+        let _guard = LOCK.lock();
+        set_mode(Mode::Summary);
+        reset();
+        let a = histogram("test.hist_intern");
+        let b = histogram("test.hist_intern");
+        a.record(2);
+        b.record(3);
+        assert_eq!(a.snapshot().count, 2);
+        // A static and a dynamic histogram of one name alias one cell.
+        static H: Histogram = Histogram::new("test.hist_intern");
+        H.record(5);
+        assert_eq!((b.snapshot().count, b.snapshot().sum), (3, 10));
+        assert_eq!(
+            hist_values()
+                .iter()
+                .filter(|h| h.name == "test.hist_intern")
+                .count(),
+            1,
+            "interning must not duplicate the registry entry"
+        );
+        set_mode(Mode::Off);
+    }
+
+    /// One `Histogram::span` times one interval once: its span event
+    /// and its histogram observation carry the same duration. With the
+    /// probe off it leaves neither.
+    #[test]
+    fn histogram_span_records_its_duration_once() {
+        let _guard = LOCK.lock();
+        static H: Histogram = Histogram::new("test.hist_span");
+        set_mode(Mode::Off);
+        reset();
+        {
+            let span = H.span();
+            assert!(!span.is_active());
+        }
+        assert!(take_events().is_empty());
+        assert_eq!(H.snapshot().count, 0);
+
+        set_mode(Mode::Summary);
+        drop(H.span());
+        set_mode(Mode::Off);
+        let events = take_events();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].name, "test.hist_span");
+        let snap = H.snapshot();
+        assert_eq!(snap.count, 1);
+        assert_eq!(snap.sum, events[0].dur_ns);
+        reset();
     }
 
     #[test]
@@ -849,10 +901,26 @@ mod tests {
     #[test]
     fn diagnostics_are_recorded() {
         let _guard = LOCK.lock();
+        set_mode(Mode::Summary);
         reset();
         diag("something odd");
         let msgs = take_diagnostics();
         assert_eq!(msgs, vec!["something odd".to_string()]);
+        assert!(take_diagnostics().is_empty());
+        set_mode(Mode::Off);
+    }
+
+    /// A process with the probe off (or with telemetry alone) keeps no
+    /// diagnostics in memory, however many it emits.
+    #[test]
+    fn diagnostics_are_not_kept_unless_tracing() {
+        let _guard = LOCK.lock();
+        set_mode(Mode::Off);
+        reset();
+        diag("probe off");
+        set_telemetry(true);
+        diag("telemetry only");
+        set_telemetry(false);
         assert!(take_diagnostics().is_empty());
     }
 }

@@ -7,8 +7,8 @@
 //! `WINO_METRICS=off|summary|text[:path]`, parsed by
 //! [`init_from_env`] with the same discipline as `WINO_TRACE`:
 //! malformed values warn through [`diag`] and fall back to `off`. Any
-//! active mode arms the telemetry gate (counters, gauges, histograms
-//! record without span buffers growing) and the flight recorder.
+//! active mode arms the telemetry gate: counters, gauges, histograms
+//! and the flight recorder record without span buffers growing.
 //!
 //! - `summary` — compact `name=value` lines
 //!   ([`Snapshot::summary_lines`]) to stderr on each [`emit`].
@@ -35,7 +35,7 @@ use serde::Value;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::hist::HistogramSnapshot;
-use crate::{counter_values, diag, flight, gauge_values, hist_values, set_telemetry};
+use crate::{counter_values, diag, gauge_values, hist_values, set_telemetry};
 
 /// What [`emit`] does with metric snapshots.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -55,14 +55,13 @@ pub fn mode() -> MetricsMode {
     MODE.lock().clone()
 }
 
-/// Switches the metrics mode and arms/disarms the telemetry gate and
-/// flight recorder accordingly (tests call this directly; binaries use
+/// Switches the metrics mode and arms/disarms the telemetry gate
+/// accordingly (tests call this directly; binaries use
 /// [`init_from_env`]).
 pub fn set_mode(mode: MetricsMode) {
     let on = mode != MetricsMode::Off;
     *MODE.lock() = mode;
     set_telemetry(on);
-    flight::set_enabled(on);
 }
 
 /// Parses one `WINO_METRICS` value; `None` means unrecognized — the

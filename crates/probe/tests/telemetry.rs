@@ -36,7 +36,7 @@ proptest! {
         let _guard = LOCK.lock();
         probe::set_mode(Mode::Summary);
         probe::reset();
-        let h = probe::histogram("telem.prop.merge");
+        let h = &probe::histogram("telem.prop.merge");
         std::thread::scope(|scope| {
             for values in &per_thread {
                 scope.spawn(move || {
@@ -169,7 +169,7 @@ fn flight_ring_is_bounded_and_dump_parses() {
     let _guard = LOCK.lock();
     probe::set_mode(Mode::Off);
     probe::reset();
-    flight::set_enabled(true);
+    probe::set_telemetry(true);
     for _ in 0..flight::RING_CAP + 50 {
         drop(probe::span("telem.flight.spin"));
     }
@@ -204,7 +204,7 @@ fn flight_ring_is_bounded_and_dump_parses() {
     let name = path.file_name().unwrap().to_str().unwrap();
     assert!(name.starts_with("flight-") && name.ends_with("-unit-test--demotion--.json"));
 
-    flight::set_enabled(false);
+    probe::set_telemetry(false);
     let _ = std::fs::remove_dir_all(&dir);
     probe::reset();
     assert!(
@@ -220,7 +220,7 @@ fn flight_disarmed_records_nothing() {
     let _guard = LOCK.lock();
     probe::set_mode(Mode::Off);
     probe::reset();
-    flight::set_enabled(false);
+    probe::set_telemetry(false);
     for _ in 0..32 {
         drop(probe::span("telem.flight.silent"));
     }

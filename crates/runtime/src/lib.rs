@@ -21,10 +21,10 @@
 //!
 //! # Waiting policy: a lane that has to wait works
 //!
-//! There is one way to wait, [`Shared::work`], used by an idle worker,
+//! There is one way to wait, `Shared::work`, used by an idle worker,
 //! by a region's owner once its own chunks are done, and by a scope's
 //! caller. The lane first looks for work it may run, then polls for
-//! [`SPIN_BUDGET`] (`spin_loop`, then `yield_now`), then parks on the
+//! `SPIN_BUDGET` (`spin_loop`, then `yield_now`), then parks on the
 //! pool condvar:
 //!
 //! * an **idle worker** runs chunk tickets, then branch tasks;
@@ -37,7 +37,7 @@
 //!
 //! Two rules are enforced by construction. *A lane waiting inside a
 //! region never starts a branch task*: the waiter arm of
-//! [`Shared::work`] only ever pops the chunk queue, branch tasks are
+//! `Shared::work` only ever pops the chunk queue, branch tasks are
 //! popped in exactly two places (the idle-worker arm and the head of
 //! [`Runtime::scope`]'s wait, both outside any region), and
 //! [`Scope::spawn`] called inside a region runs its closure inline
@@ -439,8 +439,8 @@ impl Shared {
 /// startup; each `add` is wino-probe's disabled-path branch when
 /// tracing is off.
 struct WorkerStats {
-    tasks: wino_probe::CounterHandle,
-    parks: wino_probe::CounterHandle,
+    tasks: wino_probe::Counter,
+    parks: wino_probe::Counter,
 }
 
 impl WorkerStats {

@@ -113,7 +113,7 @@ pub(crate) struct Breaker {
     layer: String,
     cooldown: Duration,
     inner: Mutex<BreakerInner>,
-    gauge: wino_probe::GaugeHandle,
+    gauge: wino_probe::Gauge,
 }
 
 impl Breaker {

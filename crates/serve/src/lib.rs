@@ -31,6 +31,10 @@
 //!   ([`BreakerState`]) trips repeatedly failing layers to their
 //!   terminal fallback engine with half-open probe batches.
 //!   [`Server::health`] snapshots both.
+//! - Every response carries its own [`RequestTrace`] (queue wait,
+//!   batch peers, serving engine, per-phase breakdown). The server
+//!   keeps no copy: the aggregates are the process-global `serve.*`
+//!   probe metrics, rendered by `wino_probe::metrics::snapshot`.
 //!
 //! Everything is threads — N executors and nothing else — and a
 //! one-shot response channel per request; no async runtime.
@@ -45,4 +49,4 @@ pub use breaker::{BreakerSnapshot, BreakerState};
 pub use error::ServeError;
 pub use registry::{LayerPlan, NetworkPlan, PlanRegistry};
 pub use server::{ConvRequest, ConvResponse, NetworkRequest, ResponseHandle, Server, ServerConfig};
-pub use stats::{HealthStatus, RequestTrace, ServerHealth, ServerStats, RECENT_CAP};
+pub use stats::{HealthStatus, RequestTrace, ServerHealth};

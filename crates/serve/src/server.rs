@@ -48,7 +48,7 @@
 //! [`next_batch`]: next_batch
 
 use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -62,7 +62,7 @@ use wino_tensor::Tensor4;
 use crate::breaker::{BreakerDecision, BreakerMap};
 use crate::error::ServeError;
 use crate::registry::{NetworkPlan, PlanRegistry};
-use crate::stats::{HealthState, RequestTrace, ServerHealth, ServerStats, StatsInner};
+use crate::stats::{HealthState, RequestTrace, ServerHealth};
 
 static ENQUEUED: wino_probe::Counter = wino_probe::Counter::new("serve.enqueued");
 static SHED: wino_probe::Counter = wino_probe::Counter::new("serve.shed");
@@ -291,8 +291,7 @@ pub struct ResponseHandle {
 
 impl ResponseHandle {
     /// The request id assigned at submission (matches
-    /// [`RequestTrace::id`] in the response and in
-    /// [`ServerStats::recent`]).
+    /// [`RequestTrace::id`] in the response).
     pub fn id(&self) -> u64 {
         self.id
     }
@@ -360,7 +359,6 @@ struct ExecShared {
     queue: Arc<SubmissionQueue>,
     max_batch: usize,
     max_wait: Duration,
-    stats: Arc<StatsInner>,
     breakers: Arc<BreakerMap>,
     health: Arc<HealthState>,
 }
@@ -373,7 +371,8 @@ pub struct Server {
     registry: Arc<PlanRegistry>,
     config: ServerConfig,
     queue: Arc<SubmissionQueue>,
-    stats: Arc<StatsInner>,
+    /// The id the next admitted request gets.
+    next_id: AtomicU64,
     breakers: Arc<BreakerMap>,
     health: Arc<HealthState>,
     /// Every executor's handle. Taken by the first shutdown.
@@ -393,7 +392,6 @@ impl Server {
             }),
             cv: Condvar::new(),
         });
-        let stats = Arc::new(StatsInner::new());
         let health = Arc::new(HealthState::new());
         let breakers = Arc::new(BreakerMap::new(config.breaker_cooldown));
         for plan in registry.serving_plans() {
@@ -410,7 +408,6 @@ impl Server {
             queue: Arc::clone(&queue),
             max_batch: config.max_batch,
             max_wait: config.max_wait,
-            stats: Arc::clone(&stats),
             breakers: Arc::clone(&breakers),
             health: Arc::clone(&health),
         };
@@ -427,7 +424,7 @@ impl Server {
             registry,
             config,
             queue,
-            stats,
+            next_id: AtomicU64::new(1),
             breakers,
             health,
             threads: Mutex::new(Some(threads)),
@@ -504,7 +501,7 @@ impl Server {
             )));
         }
         let (tx, rx) = mpsc::sync_channel(1);
-        let id = self.stats.assign_id();
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         {
             // Every early return before the push leaves the counters
             // consistent: SHED counts exactly the Overloaded returns,
@@ -541,37 +538,12 @@ impl Server {
         lock_queue(&self.queue).pending.len()
     }
 
-    /// Point-in-time statistics snapshot: the serve counters, current
-    /// queue depth, and the recent request traces. Counter values
-    /// come from the process-global probe registry (see
-    /// [`ServerStats`] for the aggregation caveat).
-    pub fn stats(&self) -> ServerStats {
-        ServerStats {
-            enqueued: ENQUEUED.get(),
-            shed: SHED.get(),
-            batches: BATCHES.get(),
-            batched: BATCHED.get(),
-            executed: EXECUTED.get(),
-            deadline_demotions: DEADLINE_DEMOTIONS.get(),
-            queue_depth: self.queue_depth(),
-            recent: self.stats.recent(),
-        }
-    }
-
     /// Health snapshot: overall status, the contained-panic total, the
     /// queue depth, and every plan breaker's position.
     /// Works regardless of the metrics mode — health bookkeeping is
     /// not gated behind the probe.
     pub fn health(&self) -> ServerHealth {
         self.health.snapshot(self.queue_depth(), &self.breakers)
-    }
-
-    /// Prometheus-style text exposition of every live metric
-    /// (counters, gauges including the per-layer
-    /// `serve.breaker_state.*` positions, histograms), regardless of
-    /// the `WINO_METRICS` mode.
-    pub fn render_metrics(&self) -> String {
-        metrics::snapshot().prometheus()
     }
 
     /// Drains and stops: closes admission and joins the executors,
@@ -674,14 +646,11 @@ fn next_batch(
 /// take `parking_lot` locks, which cannot poison, and run no engine
 /// code.
 fn execute_batch_contained(batch: Vec<Pending>, shared: &ExecShared) {
-    if batch.is_empty() {
-        return;
-    }
     let plan = Arc::clone(&batch[0].plan);
     let slots: Vec<Arc<ResponseSlot>> = batch.iter().map(|p| Arc::clone(&p.slot)).collect();
     let (breaker, decision) = shared.breakers.decide(&plan);
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        execute_batch(&plan, batch, decision, shared)
+        execute_batch(&plan, batch, decision)
     }));
     match outcome {
         Ok(clean) => breaker.resolve(decision, clean),
@@ -720,7 +689,6 @@ fn execute_batch(
     plan: &NetworkPlan,
     batch: Vec<Pending>,
     decision: BreakerDecision,
-    shared: &ExecShared,
 ) -> Option<bool> {
     BATCHES.add(1);
     if batch.len() > 1 {
@@ -742,8 +710,8 @@ fn execute_batch(
         }
     }
     let degraded = !decision.full_chain();
-    let verdict = run_group(plan, on_time, degraded, &batch_ids, false, shared);
-    run_group(plan, late, true, &batch_ids, true, shared);
+    let verdict = run_group(plan, on_time, degraded, &batch_ids, false);
+    run_group(plan, late, true, &batch_ids, true);
     verdict
 }
 
@@ -758,7 +726,6 @@ fn run_group(
     degraded: bool,
     batch_ids: &[u64],
     deadline_demoted: bool,
-    shared: &ExecShared,
 ) -> Option<bool> {
     if group.is_empty() {
         return None;
@@ -842,7 +809,6 @@ fn run_group(
                     deadline_demoted,
                     phases: phases.clone(),
                 };
-                shared.stats.push(trace.clone());
                 p.slot.send(Ok(ConvResponse {
                     output: piece,
                     served_by: out.served_by,
@@ -1020,12 +986,6 @@ mod tests {
         assert!(r1.trace.execute <= r1.trace.e2e);
         assert!(!r1.trace.deadline_demoted);
         assert_eq!(r1.trace.demotions, 0);
-        let stats = server.stats();
-        assert!(
-            stats.recent.iter().any(|t| t.id == r2.trace.id),
-            "recent ring holds completed traces"
-        );
-        assert_eq!(stats.queue_depth, 0);
         server.shutdown();
     }
 

@@ -1,30 +1,24 @@
-//! Per-request serve traces, the server statistics snapshot, and
-//! server health.
+//! Per-request serve traces and server health.
 //!
-//! Every admitted request gets a process-unique id at submission;
-//! the executor fills in a [`RequestTrace`] when the request is
-//! served — queue wait, batch composition, which engine actually ran
-//! it, and the per-phase conv breakdown captured from the executor
-//! thread's own span buffer. The last [`RECENT_CAP`] traces are kept
-//! in a ring for [`crate::Server::stats`]; each response also carries
-//! its own trace.
+//! Every admitted request gets an id, unique within its server, at
+//! submission; the executor fills in a [`RequestTrace`] when the
+//! request is served — queue wait, batch composition, which engine
+//! actually ran it, and the per-phase conv breakdown captured from the
+//! executor thread's own span buffer — and the response carries it.
+//! The server keeps no copy: the aggregates are the process-global
+//! `serve.*` probe metrics.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 use wino_guard::Engine;
 
 use crate::breaker::{BreakerMap, BreakerSnapshot};
 
-/// Completed request traces retained for [`ServerStats::recent`].
-pub const RECENT_CAP: usize = 64;
-
 /// The full story of one served request.
 #[derive(Clone, Debug)]
 pub struct RequestTrace {
-    /// Process-unique request id, assigned at submission.
+    /// Request id, unique within its server, assigned at submission.
     pub id: u64,
     /// Layer (or network) the request ran against.
     pub layer: String,
@@ -53,66 +47,6 @@ pub struct RequestTrace {
     /// own work on that thread (branches that pool workers ran are
     /// not in it); empty when tracing is off.
     pub phases: Vec<(&'static str, u64)>,
-}
-
-/// Shared mutable state behind request ids and the recent-trace ring.
-pub(crate) struct StatsInner {
-    next_id: AtomicU64,
-    recent: Mutex<VecDeque<RequestTrace>>,
-}
-
-impl StatsInner {
-    pub(crate) fn new() -> Self {
-        StatsInner {
-            next_id: AtomicU64::new(1),
-            recent: Mutex::new(VecDeque::new()),
-        }
-    }
-
-    pub(crate) fn assign_id(&self) -> u64 {
-        self.next_id.fetch_add(1, Ordering::Relaxed)
-    }
-
-    pub(crate) fn push(&self, trace: RequestTrace) {
-        let mut recent = crate::server::lock_recover(&self.recent);
-        if recent.len() == RECENT_CAP {
-            recent.pop_front();
-        }
-        recent.push_back(trace);
-    }
-
-    pub(crate) fn recent(&self) -> Vec<RequestTrace> {
-        crate::server::lock_recover(&self.recent)
-            .iter()
-            .cloned()
-            .collect()
-    }
-}
-
-/// Point-in-time server statistics.
-///
-/// The counters are read from the process-global probe registry, so
-/// with several servers in one process they aggregate across all of
-/// them (the probe counters are process-global by design); the
-/// `recent` ring and `queue_depth` are this server's own.
-#[derive(Clone, Debug)]
-pub struct ServerStats {
-    /// Requests admitted to the queue.
-    pub enqueued: u64,
-    /// Requests shed at admission (queue full).
-    pub shed: u64,
-    /// Coalesced batches dispatched.
-    pub batches: u64,
-    /// Requests that rode in a batch of size > 1.
-    pub batched: u64,
-    /// Requests executed to completion.
-    pub executed: u64,
-    /// Requests the deadline policy demoted to the fallback engine.
-    pub deadline_demotions: u64,
-    /// Current submission-queue depth.
-    pub queue_depth: usize,
-    /// The most recent completed request traces, oldest first.
-    pub recent: Vec<RequestTrace>,
 }
 
 /// Health state shared by the executors and

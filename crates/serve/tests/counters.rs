@@ -573,7 +573,7 @@ fn rendered_metrics_read_the_live_counters() {
     wino_probe::set_mode(wino_probe::Mode::Summary);
     let server = Server::start(registry(), ServerConfig::default());
     Target::Layer.infer(&server, 40).unwrap();
-    let text = server.render_metrics();
+    let text = wino_probe::metrics::snapshot().prometheus();
     server.shutdown();
     assert!(
         text.lines().any(|line| line == "serve_executed 1"),

@@ -348,7 +348,7 @@ fn check_tasks(
 }
 
 /// Proves the full schedule for one `(m, k, n)` × config × level
-/// point, flattened over [`BATCHES`] products the way a batched call
+/// point, flattened over `BATCHES` products the way a batched call
 /// flattens them. Every property is derived from the exported
 /// descriptors; nothing about the shape is assumed beyond what the
 /// descriptors say.
@@ -789,7 +789,7 @@ fn check_scatter_groups(
     IndexCheck { label, issues }
 }
 
-/// [`check_scatter`] over [`SCATTER_SHAPES`] at every `m` of Table 1
+/// [`check_scatter`] over `SCATTER_SHAPES` at every `m` of Table 1
 /// (2..=10), and over every Table-4 layer at batch 1 and 5 at each `m`
 /// the build compiled kernels for at its filter size.
 pub fn analyze_scatter() -> Vec<IndexCheck> {

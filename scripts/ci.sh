@@ -119,6 +119,10 @@ stage "cargo clippy (workspace, warnings are errors, SAFETY comments required)"
 cargo clippy --workspace --all-targets --offline -- -D warnings \
   -D clippy::undocumented_unsafe_blocks
 
+stage "cargo doc (workspace, warnings are errors: every doc link resolves)"
+# A deleted or private item that a doc comment still links to fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 stage "tier-1: release build (workspace: the stages below drive member binaries)"
 cargo build --release --offline --workspace
 

@@ -433,7 +433,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::{Range, RangeInclusive};
 
-    /// Inclusive element-count bounds for [`vec`].
+    /// Inclusive element-count bounds for [`vec()`].
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {
         lo: usize,
