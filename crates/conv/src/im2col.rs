@@ -148,8 +148,7 @@ impl Im2colFilters {
         let mut ws = Workspace::take();
         let gather_span = wino_probe::span("conv.im2col_gather");
         let b_pack_span = wino_probe::span("conv.b_pack");
-        let nr = wino_gemm::tile_extents(self.level()).1;
-        let need = shape.batches * wino_gemm::packed_b_len(shape.k, shape.n, nr);
+        let need = shape.batches * wino_gemm::packed_b_len(shape.k, shape.n, self.level());
         ws.fit(Buffer::V, need);
         let buf = std::mem::take(&mut ws.v);
         let mut cols = PackedB::recycled(buf, shape.batches, shape.k, shape.n, self.level());

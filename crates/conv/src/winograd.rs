@@ -907,8 +907,7 @@ fn nonfused(
     let padded = tiling.pad(input, desc.pad, std::mem::take(&mut ws.padded), rt);
     drop(pad_span);
     let b_pack_span = wino_probe::span("conv.b_pack");
-    let nr = wino_gemm::tile_extents(level).1;
-    ws.fit(Buffer::V, a2 * wino_gemm::packed_b_len(cc, p_total, nr));
+    ws.fit(Buffer::V, a2 * wino_gemm::packed_b_len(cc, p_total, level));
     let mut v_packed = PackedB::recycled(std::mem::take(&mut ws.v), a2, cc, p_total, level);
     drop(b_pack_span);
     let v_columns = v_packed.columns();

@@ -88,8 +88,8 @@ impl Case {
         let (th, tw) = tile_counts(d.out_h(), d.out_w(), m);
         let tiles = d.batch * th * tw;
         let padded = d.batch * d.in_ch * (th * m + alpha - m) * (tw * m + alpha - m);
-        let nr = wino_gemm::tile_extents(self.pre.level()).1;
-        let v = alpha * alpha * d.in_ch * tiles.div_ceil(nr) * nr;
+        // `V'` holds the columns the kernel issues, padding and all.
+        let v = alpha * alpha * d.in_ch * wino_gemm::issued_cols(tiles, self.pre.level());
         let m_prime = alpha * alpha * d.out_ch * tiles;
         [padded, v, m_prime]
     }
@@ -131,6 +131,29 @@ fn a_small_call_after_a_large_one_reads_nothing_stale() {
             small.run()
         });
         assert!(fresh == after_large, "m = {m}");
+    }
+}
+
+#[test]
+fn calls_of_narrowing_tile_counts_on_one_thread_read_nothing_stale() {
+    // `P = 49`, 16 and 4 tiles under F(2,3): at AVX-512 a ragged full
+    // last sliver of `V'`, one exact half-width sliver, and a
+    // half-width sliver with 12 padding lanes — each layout over what
+    // the one before left in the thread's buffer.
+    let _scope = fault::scoped("");
+    let cases = [(14, 9, 5), (8, 13, 3), (4, 6, 11)]
+        .map(|(hw, k, c)| Case::new(ConvDesc::new(3, 1, 1, k, 1, hw, hw, c), 2, hw as u64));
+    let tiles = cases.each_ref().map(|case| {
+        let (th, tw) = tile_counts(case.desc.out_h(), case.desc.out_w(), case.m);
+        th * tw
+    });
+    assert_eq!(tiles, [49, 16, 4]);
+    let fresh = cases
+        .each_ref()
+        .map(|case| on_a_fresh_thread(|| case.run()));
+    let in_turn = on_a_fresh_thread(|| cases.each_ref().map(Case::run));
+    for ((case, fresh), in_turn) in cases.iter().zip(&fresh).zip(&in_turn) {
+        assert!(fresh == in_turn, "{} after the wider calls", case.desc);
     }
 }
 
@@ -246,9 +269,12 @@ impl Im2colCase {
     /// matrix (the `V'` buffer) and `M'`: the columns only.
     fn needs(&self) -> [usize; 3] {
         let d = &self.desc;
-        let nr = wino_gemm::tile_extents(self.bank.level()).1;
         let (k, n) = (d.in_ch * d.ksz * d.ksz, d.out_h() * d.out_w());
-        [0, d.batch * wino_gemm::packed_b_len(k, n, nr), 0]
+        [
+            0,
+            d.batch * wino_gemm::packed_b_len(k, n, self.bank.level()),
+            0,
+        ]
     }
 }
 

@@ -7,13 +7,13 @@
 //! integration-test binary section guarded by a shared lock to keep
 //! `wino_probe::reset()` calls from racing.
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Barrier, Mutex, OnceLock};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wino_conv::WinogradConfig;
 use wino_exec::{compile_with_graph_engines, ArenaPool, NetworkExecutor};
-use wino_graph::{build_inception_3a_3b, ComputeGraph, EngineChoice};
+use wino_graph::{build_inception_3a_3b, build_inception_module, ComputeGraph, EngineChoice};
 use wino_runtime::Runtime;
 use wino_tensor::Tensor4;
 
@@ -25,7 +25,11 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 }
 
 fn winograd_net() -> ComputeGraph {
-    let (mut g, _) = build_inception_3a_3b().unwrap();
+    with_engines(build_inception_3a_3b().unwrap().0)
+}
+
+/// Weights for every conv of `g`, 3×3s on F(2,3), 1×1s on im2col.
+fn with_engines(mut g: ComputeGraph) -> ComputeGraph {
     let mut rng = StdRng::seed_from_u64(11);
     for (id, desc) in g.conv_nodes() {
         let w = Tensor4::<f32>::random(
@@ -84,53 +88,77 @@ fn a_steady_window_executes_with_zero_graph_level_allocations() {
     wino_probe::set_mode(wino_probe::Mode::Off);
 }
 
+/// Runs one whole pass of `exec` on every lane of `rt`, each on its
+/// own thread: each lane's task holds it at a barrier until every lane
+/// holds one, so no lane takes two. A lane's workspace is then sized
+/// for every convolution of the network, whichever branches a later
+/// pass's race hands it — the warm state, reached in one round instead
+/// of by waiting for the race to have visited every lane.
+fn run_once_on_every_lane(rt: &Runtime, exec: &NetworkExecutor, input: &Tensor4<f32>) {
+    let barrier = Barrier::new(rt.threads());
+    rt.scope(|s| {
+        for _ in 0..rt.threads() {
+            s.spawn(|| {
+                barrier.wait();
+                exec.run_on(&Runtime::serial(), input, false).unwrap();
+            });
+        }
+    });
+}
+
 #[test]
 fn warm_passes_on_helping_lanes_grow_no_workspace_and_allocate_nothing() {
     let _guard = lock();
     wino_probe::reset();
     wino_probe::set_mode(wino_probe::Mode::Summary);
 
-    // 250 passes: the 5×5s ride im2col too (the default direct loop
-    // is most of an unoptimized pass).
-    let mut g = winograd_net();
+    // Inception 3a-3b's branch topology — two modules of four branches
+    // joined by a concat, 1×1s on im2col and 3×3s on F(2,3) — at 14×14
+    // with a quarter of the channels; the 5×5s ride im2col too (the
+    // default direct loop is most of an unoptimized pass).
+    let mut g = ComputeGraph::new();
+    let input = g.add_input();
+    let m3a = build_inception_module(&mut g, input, 14, 14, 48, (16, 24, 32, 4, 8, 8)).unwrap();
+    build_inception_module(&mut g, m3a, 14, 14, 64, (32, 32, 48, 8, 24, 16)).unwrap();
+    let mut g = with_engines(g);
     for (id, _) in g.conv_nodes() {
         if g.engine(id) == EngineChoice::Direct {
             g.set_engine(id, EngineChoice::Im2col);
         }
     }
-    let net = Arc::new(compile_with_graph_engines("inception-3a-3b", &g, (192, 28, 28)).unwrap());
+    let net = Arc::new(compile_with_graph_engines("inception-3a-3b/4", &g, (48, 14, 14)).unwrap());
     let pool = Arc::new(ArenaPool::new(&net));
     pool.reserve(1, 1);
     let exec = NetworkExecutor::new(net, pool);
     let mut rng = StdRng::seed_from_u64(14);
-    let input = Tensor4::<f32>::random(1, 192, 28, 28, -1.0, 1.0, &mut rng);
+    let input = Tensor4::<f32>::random(1, 48, 14, 14, -1.0, 1.0, &mut rng);
     let grows = wino_probe::counter("conv.workspace_grows");
     let allocs = wino_probe::counter("exec.arena_allocs");
+    let helped = wino_probe::counter("runtime.worker0.tasks");
     for lanes in [2, 3] {
         let rt = Runtime::with_threads(lanes);
-        // Which lane runs which branch is a race, so a lane can meet
-        // its largest convolution late: warm until the workspaces have
-        // stopped growing for a while.
-        let (mut quiet, mut last) = (0, grows.get());
-        for _ in 0..1000 {
-            exec.run_on(&rt, &input, false).unwrap();
-            quiet = if grows.get() == last { quiet + 1 } else { 0 };
-            last = grows.get();
-            if quiet == 25 {
-                break;
-            }
-        }
-        assert_eq!(quiet, 25, "workspaces never settled at {lanes} lanes");
+        run_once_on_every_lane(&rt, &exec, &input);
+        let settled = grows.get();
+        run_once_on_every_lane(&rt, &exec, &input);
+        assert_eq!(
+            grows.get(),
+            settled,
+            "workspaces never settled at {lanes} lanes"
+        );
         // A lane that started a branch underneath a suspended
         // convolution would find its thread's workspace taken and
         // allocate a fresh one: every time, warm or not.
-        let warm = allocs.get();
+        let (warm, helped_before) = (allocs.get(), helped.get());
         for _ in 0..100 {
             exec.run_on(&rt, &input, false).unwrap();
         }
+        assert!(
+            helped.get() > helped_before,
+            "no lane helped at {lanes} lanes"
+        );
         assert_eq!(
             grows.get(),
-            last,
+            settled,
             "a warm pass grew a workspace at {lanes} lanes"
         );
         assert_eq!(

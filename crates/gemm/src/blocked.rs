@@ -13,8 +13,8 @@
 use crate::batched::{batched_sgemm_packed, BatchedGemmShape};
 use crate::packed::{PackedA, PackedB};
 use crate::schedule::{
-    tile_extents, tile_walk, TaskTile, MR_AVX2, MR_AVX512, MR_SCALAR, NR_AVX2, NR_AVX512,
-    NR_SCALAR, PREFETCH_A,
+    b_sliver_width, dim_blocks, packed_b_len, tile_extents, tile_walk, TaskTile, MR_AVX2,
+    MR_AVX512, MR_SCALAR, NR_AVX2, NR_AVX512, NR_SCALAR, PREFETCH_A,
 };
 use crate::simd::{simd_level, SimdLevel};
 use std::mem::MaybeUninit;
@@ -86,8 +86,8 @@ pub fn sgemm_rt_level(
 }
 
 /// One task of the one GEMM loop nest: the tile `tile` of the `C` that
-/// starts at `c_base` in `c` (row length `ldc`), from the full-depth
-/// packed `m × k` matrix `a` and `k × n` matrix `b`. The task walks
+/// starts at `c_base` in `c` (row length `ldc`, which is `n`), from the
+/// full-depth packed `m × k` matrix `a` and `k × n` matrix `b`. The task walks
 /// [`tile_walk`]: each row sliver of its tile through all of its
 /// `kc`-deep k-blocks in order before the next sliver, so it reads its
 /// A rows as one front-to-back stream, and every `C` element sees the
@@ -113,11 +113,11 @@ pub(crate) fn run_tile(
     kc: usize,
     level: SimdLevel,
 ) {
-    let (mr, nr) = tile_extents(level);
-    for t in tile_walk(tile, k, kc, mr, nr) {
+    let mr = tile_extents(level).0;
+    for t in tile_walk(tile, k, ldc, kc, level) {
         let kb = t.depth.len;
         let a_sliver = &a[t.a_off..t.a_off + kb * mr];
-        let b_sliver = &b[t.b_off..t.b_off + kb * nr];
+        let b_sliver = &b[t.b_off..t.b_off + kb * t.b_width];
         let c_off = c_base + t.i * ldc + t.j;
         let first = t.depth.start == 0;
         // Invariant (proven by wino-verify's index analysis over this
@@ -141,11 +141,10 @@ pub(crate) fn run_tile(
             // operand is packed for a level the host lacks
             // (`simd::assert_supported`): this host has avx2+fma.
             SimdLevel::Avx2 => unsafe {
-                // The register tile follows the tile's width: a tile
-                // of at most one vector of columns multiplies the
-                // first half of its sliver's rows, skipping the FMAs
-                // on the zero half.
-                if t.cols <= 8 {
+                // The register tile follows the window's width: a
+                // half-width last sliver, which holds at most one
+                // vector of columns, runs the one-vector body.
+                if t.b_width < NR_AVX2 {
                     micro_kernel_avx2::<1>(
                         a_sliver, b_sliver, c, c_off, t.rows, t.cols, ldc, kb, first,
                     );
@@ -159,8 +158,8 @@ pub(crate) fn run_tile(
             // SAFETY: as for Avx2 — the operands' level passed
             // `simd::assert_supported`, so this host has avx512f.
             SimdLevel::Avx512 => unsafe {
-                // The `cols ≤ 8` rule one vector wider.
-                if t.cols <= 16 {
+                // The half-width rule one vector wider.
+                if t.b_width < NR_AVX512 {
                     micro_kernel_avx512::<1>(
                         a_sliver, b_sliver, c, c_off, t.rows, t.cols, ldc, kb, first,
                     );
@@ -239,9 +238,11 @@ pub fn pack_a(
     }
 }
 
-/// Packs `B[kk.., jj..]` (kb×nb) into `nr`-column slivers (with
-/// `kk = jj = 0`, `kb = k`, `nb = n` this is the full-depth layout of
-/// [`crate::PackedB`]). Mirrors [`pack_a`]: layout per
+/// Packs `B[kk.., jj..]` (kb×nb) into `level`'s `nr`-column slivers,
+/// each [`b_sliver_width`] floats per depth (with `kk = jj = 0`,
+/// `kb = k`, `nb = n` this is the full-depth layout of
+/// [`crate::PackedB`]). Mirrors [`pack_a`]: writes exactly
+/// [`packed_b_len`]`(kb, nb, level)` slots, laid out per
 /// [`crate::schedule::pack_b_model`], public for the cross-check.
 #[allow(clippy::too_many_arguments)]
 pub fn pack_b(
@@ -252,20 +253,19 @@ pub fn pack_b(
     kb: usize,
     nb: usize,
     ldb: usize,
-    nr: usize,
+    level: SimdLevel,
 ) {
-    debug_assert!(dst.len() >= crate::schedule::packed_b_len(kb, nb, nr));
+    debug_assert!(dst.len() >= packed_b_len(kb, nb, level));
     debug_assert!(kb == 0 || nb == 0 || (kk + kb - 1) * ldb + jj + nb <= b.len());
-    let mut steps = dst.chunks_exact_mut(nr);
-    let mut j = 0;
-    while j < nb {
-        let cols = nr.min(nb - j);
-        for p in 0..kb {
-            let step = steps.next().expect("one chunk per sliver row");
-            step[..cols].copy_from_slice(&b[(kk + p) * ldb + jj + j..][..cols]);
-            step[cols..].fill(0.0);
+    let mut at = 0;
+    for jb in dim_blocks(nb, tile_extents(level).1) {
+        let width = b_sliver_width(nb, jb.start, level);
+        let sliver = &mut dst[at..at + kb * width];
+        for (p, step) in sliver.chunks_exact_mut(width).enumerate() {
+            step[..jb.len].copy_from_slice(&b[(kk + p) * ldb + jj + jb.start..][..jb.len]);
+            step[jb.len..].fill(0.0);
         }
-        j += cols;
+        at += kb * width;
     }
 }
 
@@ -343,8 +343,8 @@ fn micro_kernel(
 /// accumulators live in ymm registers across the k loop (`NV = 2`: 12
 /// accumulators + 2 B vectors + 1 broadcast of the 16 registers); each
 /// step broadcasts one A element per row and fuses into the row's
-/// accumulators with `vfmaddps`. `NV = 1` is the same kernel over the
-/// first 8 columns of each sliver row, for tiles at most that wide: a
+/// accumulators with `vfmaddps`. `NV = 1` is the same kernel over a
+/// half-width sliver, 8 columns a row, for tiles at most that wide: a
 /// column's chain of FMAs is the same either way, and the same as in
 /// [`micro_kernel_avx512`]'s wider tile and in [`micro_kernel`].
 ///
@@ -370,12 +370,12 @@ unsafe fn micro_kernel_avx2<const NV: usize>(
     // Audited invariants (wino-verify `avx2_pointer_audit` re-derives
     // each of these from the exported schedule): every `ap` read is at
     // offset p·MR + r < kb·MR and the `NV` 8-wide `bp` loads of a step
-    // end at p·NR + 8·NV ≤ kb·NR, so the pointer walk never leaves the
-    // slivers; the C store below writes `rows ≤ MR` row segments of
-    // `cols ≤ 8·NV` elements through the bounds-checked
-    // `DisjointSlice` window.
+    // end at (p + 1)·8·NV ≤ kb·8·NV, a sliver row being 8·NV floats, so
+    // the pointer walk never leaves the slivers; the C store below
+    // writes `rows ≤ MR` row segments of `cols ≤ 8·NV` elements through
+    // the bounds-checked `DisjointSlice` window.
     debug_assert!(a_sliver.len() >= kb * MR_AVX2);
-    debug_assert!(b_sliver.len() >= kb * NR_AVX2);
+    debug_assert!(b_sliver.len() >= kb * 8 * NV);
     debug_assert!((1..=MR_AVX2).contains(&rows));
     debug_assert!((1..=8 * NV).contains(&cols));
     const { assert!(8 * NV <= NR_AVX2) };
@@ -395,7 +395,7 @@ unsafe fn micro_kernel_avx2<const NV: usize>(
             }
         }
         ap = ap.add(MR_AVX2);
-        bp = bp.add(NR_AVX2);
+        bp = bp.add(8 * NV);
     }
     // The first k-block writes `0.0 + acc`: what accumulating onto a
     // zero-filled C gives, without the read. A plain store of `acc`
@@ -461,9 +461,9 @@ unsafe fn micro_kernel_avx512<const NV: usize>(
     use std::arch::x86_64::*;
     // Audited invariants, as for `micro_kernel_avx2` at 16 lanes: every
     // `ap` read is at p·MR + r < kb·MR and the `NV` 16-wide `bp` loads
-    // of a step end at p·NR + 16·NV ≤ kb·NR.
+    // of a step end at (p + 1)·16·NV ≤ kb·16·NV.
     debug_assert!(a_sliver.len() >= kb * MR_AVX512);
-    debug_assert!(b_sliver.len() >= kb * NR_AVX512);
+    debug_assert!(b_sliver.len() >= kb * 16 * NV);
     debug_assert!((1..=MR_AVX512).contains(&rows));
     debug_assert!((1..=16 * NV).contains(&cols));
     const { assert!(16 * NV <= NR_AVX512) };
@@ -483,7 +483,7 @@ unsafe fn micro_kernel_avx512<const NV: usize>(
             }
         }
         ap = ap.add(MR_AVX512);
-        bp = bp.add(NR_AVX512);
+        bp = bp.add(16 * NV);
     }
     // The first k-block writes `0.0 + acc`, as `micro_kernel_avx2` does.
     let zero = _mm512_setzero_ps();

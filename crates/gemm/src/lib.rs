@@ -23,9 +23,9 @@ pub use batched::{
 pub use blocked::{gemm_flops, pack_a, pack_b, sgemm, sgemm_naive, sgemm_rt_level, GemmConfig};
 pub use packed::{ASliver, PackedA, PackedASlivers, PackedB, PackedBColumns};
 pub use schedule::{
-    dim_blocks, issued_cols, pack_a_model, pack_b_model, packed_a_len, packed_b_len,
-    packed_block_off, packed_step, tile_extents, tile_walk, DimBlock, MicroTile, PackSlot,
-    TaskGrid, TaskTile, MR_AVX2, MR_AVX512, MR_SCALAR, NR_AVX2, NR_AVX512, NR_SCALAR, PREFETCH_A,
-    TASK_COLS,
+    b_sliver_width, dim_blocks, issued_cols, pack_a_model, pack_b_model, packed_a_len,
+    packed_b_len, packed_block_off, packed_step, tile_extents, tile_walk, DimBlock, MicroTile,
+    PackSlot, TaskGrid, TaskTile, MR_AVX2, MR_AVX512, MR_SCALAR, NR_AVX2, NR_AVX512, NR_SCALAR,
+    PREFETCH_A, TASK_COLS,
 };
 pub use simd::{assert_supported, host_supports, simd_level, supported_levels, SimdLevel};

@@ -20,19 +20,23 @@
 //! at that level, so a layout never meets another level's micro-kernel.
 //!
 //! [`PackedB`] is the same idea for the other operand, keyed by the
-//! level's `nr` alone: each `k × n` matrix is `⌈n/nr⌉` column slivers of
-//! `k · nr` floats, depth-major inside a sliver — [`crate::pack_b`]
-//! applied to the whole matrix. Its producers (the Winograd input
-//! transform, the im2col gather) store runs of consecutive columns at
-//! one depth straight into that order, so the multiply packs nothing
-//! per call.
+//! level alone: each `k × n` matrix is `⌈n/nr⌉` column slivers,
+//! depth-major inside a sliver — [`crate::pack_b`] applied to the whole
+//! matrix. A sliver's rows are as wide as the kernel body that reads
+//! them ([`crate::b_sliver_width`]): `nr` floats, or half that in a
+//! ragged last sliver of at most one vector of columns, so a matrix
+//! holds `k ·` [`crate::issued_cols`]`(n)` floats and no padding lane
+//! that no kernel loads. Its producers (the Winograd input transform,
+//! the im2col gather) store runs of consecutive columns at one depth
+//! straight into that order, so the multiply packs nothing per call.
 
 use std::mem::MaybeUninit;
 use std::ops::Range;
 
 use crate::blocked::{pack_a, pack_b};
 use crate::schedule::{
-    packed_a_len, packed_b_len, packed_block_off, tile_extents, NR_AVX2, NR_AVX512,
+    b_sliver_width, issued_cols, packed_a_len, packed_b_len, packed_block_off, tile_extents,
+    NR_AVX2, NR_AVX512,
 };
 use crate::simd::{assert_supported, SimdLevel};
 use wino_runtime::{DisjointSlice, Runtime};
@@ -65,7 +69,8 @@ impl PackedA {
         let mr = tile_extents(level).0;
         let mut data = vec![0.0f32; batches * packed_a_len(m, k, mr)];
         let slivers = m.div_ceil(mr);
-        pack_slivers(&mut data, k * mr, rt, |i, dst| {
+        let span = |i: usize| i * k * mr..(i + 1) * k * mr;
+        pack_slivers(&mut data, batches * slivers, span, rt, |i, dst| {
             let (matrix, start) = (&a[i / slivers * m * k..], i % slivers * mr);
             pack_a(dst, matrix, start, 0, mr.min(m - start), k, k, mr);
         });
@@ -345,29 +350,30 @@ fn store_part(dst: &mut [MaybeUninit<f32>], src: &[f32]) {
     }
 }
 
-/// Runs `pack(i, sliver i)` over the `sliver_len`-float slivers `data`
-/// consists of, each a task on `rt`.
+/// Runs `pack(i, &mut data[span(i)])` for each of the `count` slivers
+/// `data` consists of, each a task on `rt`.
+///
+/// Panics if a span leaves `data`; the spans must not overlap.
 fn pack_slivers(
     data: &mut [f32],
-    sliver_len: usize,
+    count: usize,
+    span: impl Fn(usize) -> Range<usize> + Sync,
     rt: &Runtime,
     pack: impl Fn(usize, &mut [f32]) + Sync,
 ) {
-    if sliver_len == 0 {
-        return;
-    }
     let window = DisjointSlice::new(data);
-    rt.parallel_for(0..window.len() / sliver_len, |i| {
-        // SAFETY: sliver `i`'s range lies inside `data` and is no other
-        // task's.
-        pack(i, unsafe {
-            window.slice_mut(i * sliver_len..(i + 1) * sliver_len)
-        });
+    rt.parallel_for(0..count, |i| {
+        let span = span(i);
+        assert!(span.end <= window.len(), "sliver {i} is past the operand");
+        // SAFETY: sliver `i`'s range lies inside `data` (asserted) and
+        // is no other task's.
+        pack(i, unsafe { window.slice_mut(span) });
     });
 }
 
 /// `batches` `k × n` matrices in the micro-kernel's B order; the
-/// padding columns of a ragged last sliver are zero.
+/// padding columns of a ragged last sliver, past `n` up to the
+/// sliver's width, are zero.
 pub struct PackedB {
     data: Vec<f32>,
     batches: usize,
@@ -388,6 +394,7 @@ impl PackedB {
     /// floats, so a caller's buffer stays at its high-water mark and a
     /// call after a smaller one grows nothing. Only what no producer
     /// writes is zeroed — the padding columns of a ragged last sliver,
+    /// `n .. issued_cols(n)` (none when `n` fills its sliver's width),
     /// and whatever `data` grows by: columns below `n` hold what `data`
     /// held, so the producer must write every one of them before the
     /// multiply reads them.
@@ -403,16 +410,19 @@ impl PackedB {
     ) -> Self {
         assert_supported(level);
         let nr = tile_extents(level).1;
-        let stride = packed_b_len(k, n, nr);
+        let stride = packed_b_len(k, n, level);
         let len = batches * stride;
         if data.len() < len {
             data.reserve_exact(len - data.len());
             data.resize(len, 0.0);
         }
-        let ragged = n % nr;
-        if ragged > 0 && k > 0 {
+        if issued_cols(n, level) > n && k > 0 {
+            // The last sliver, the end of each matrix, holds `ragged`
+            // columns in rows `width` floats wide.
+            let last = n - n % nr;
+            let (ragged, width) = (n - last, b_sliver_width(n, last, level));
             for matrix in data[..len].chunks_exact_mut(stride) {
-                for row in matrix[packed_block_off(n - ragged, 0, k, nr)..].chunks_exact_mut(nr) {
+                for row in matrix[packed_block_off(last, 0, k, nr)..].chunks_exact_mut(width) {
                     row[ragged..].fill(0.0);
                 }
             }
@@ -447,32 +457,47 @@ impl PackedB {
         assert!(b.len() >= batches * k * n, "B too short to pack");
         let nr = tile_extents(level).1;
         let mut packed = Self::zeroed(batches, k, n, level);
-        let slivers = n.div_ceil(nr);
+        let (slivers, stride) = (n.div_ceil(nr), packed_b_len(k, n, level));
+        let span = |i: usize| {
+            let (matrix, start) = (i / slivers, i % slivers * nr);
+            let at = matrix * stride + packed_block_off(start, 0, k, nr);
+            at..at + k * b_sliver_width(n, start, level)
+        };
         let len = packed.len();
-        pack_slivers(&mut packed.data[..len], k * nr, rt, |i, dst| {
-            let (matrix, start) = (&b[i / slivers * k * n..], i % slivers * nr);
-            pack_b(dst, matrix, 0, start, k, nr.min(n - start), n, nr);
-        });
+        pack_slivers(
+            &mut packed.data[..len],
+            batches * slivers,
+            span,
+            rt,
+            |i, dst| {
+                let (matrix, start) = (&b[i / slivers * k * n..], i % slivers * nr);
+                pack_b(dst, matrix, 0, start, k, nr.min(n - start), n, level);
+            },
+        );
         packed
     }
 
     /// A shared-write window for filling the operand in parallel.
     pub fn columns(&mut self) -> PackedBColumns<'_> {
         let (nr, len) = (tile_extents(self.level).1, self.len());
+        let issued = issued_cols(self.n, self.level);
+        let narrow = issued % nr;
         PackedBColumns {
             batches: self.batches,
             k: self.k,
             n: self.n,
             nr,
-            stride: packed_b_len(self.k, self.n, nr),
+            stride: packed_b_len(self.k, self.n, self.level),
+            narrow_at: if narrow > 0 { issued - narrow } else { self.n },
+            narrow,
             data: DisjointSlice::new(&mut self.data[..len]),
         }
     }
 
-    /// Floats of the operand, `batches ·` [`packed_b_len`]`(k, n, nr)`:
-    /// a recycled buffer may be longer.
+    /// Floats of the operand, `batches ·` [`packed_b_len`]`(k, n,
+    /// level)`: a recycled buffer may be longer.
     fn len(&self) -> usize {
-        self.batches * packed_b_len(self.k, self.n, tile_extents(self.level).1)
+        self.batches * packed_b_len(self.k, self.n, self.level)
     }
 
     /// The dispatch level whose micro-kernel reads this layout.
@@ -495,10 +520,10 @@ impl PackedB {
         self.n
     }
 
-    /// Packed matrix `batch`: [`packed_b_len`]`(k, n, nr)` floats laid
-    /// out as [`crate::pack_b_model`]`(k, n, nr)` describes.
+    /// Packed matrix `batch`: [`packed_b_len`]`(k, n, level)` floats
+    /// laid out as [`crate::pack_b_model`]`(k, n, level)` describes.
     pub fn batch(&self, batch: usize) -> &[f32] {
-        let stride = packed_b_len(self.k, self.n, tile_extents(self.level).1);
+        let stride = packed_b_len(self.k, self.n, self.level);
         &self.data[..self.len()][batch * stride..(batch + 1) * stride]
     }
 }
@@ -527,6 +552,11 @@ pub struct PackedBColumns<'a> {
     n: usize,
     nr: usize,
     stride: usize,
+    /// First column of a half-width last sliver, or `n` when every
+    /// sliver is `nr` wide.
+    narrow_at: usize,
+    /// Floats per depth of that sliver (0 when there is none).
+    narrow: usize,
 }
 
 impl PackedBColumns<'_> {
@@ -534,8 +564,8 @@ impl PackedBColumns<'_> {
     /// `col .. col + count` of row `depth` — what one lane group of the
     /// Winograd input transform produces for one channel. The run may
     /// start anywhere and cross slivers: with `nr = 4` eight columns
-    /// fill two slivers' rows, with `nr = 16` they are half of one, with
-    /// `nr = 32` a quarter.
+    /// fill two slivers' rows, with `nr = 16` they are half of one (or
+    /// the whole row of a narrow last sliver), with `nr = 32` a quarter.
     ///
     /// Panics if `vals` is not one entry per matrix, or the run leaves
     /// the matrix.
@@ -558,8 +588,13 @@ impl PackedBColumns<'_> {
         let mut done = 0;
         while done < count {
             let (sliver, lane) = ((col + done) / nr, (col + done) % nr);
-            let take = (nr - lane).min(count - done);
-            let at = (sliver * self.k + depth) * nr + lane;
+            let width = if col + done < self.narrow_at {
+                nr
+            } else {
+                self.narrow
+            };
+            let take = (width - lane).min(count - done);
+            let at = sliver * self.k * nr + depth * width + lane;
             for (batch, lanes) in vals.iter().enumerate() {
                 let at = batch * self.stride + at;
                 // SAFETY: in bounds by the assert above (the run's last
@@ -588,8 +623,19 @@ impl PackedBColumns<'_> {
     /// No other thread may write any of these columns of row `depth` of
     /// matrix `batch` over the window's lifetime (checked in debug
     /// builds).
-    pub unsafe fn write_run(&self, batch: usize, depth: usize, col: usize, src: &[f32]) {
-        // SAFETY: the caller's contract is `pieces`'.
+    pub unsafe fn write_run(&self, batch: usize, depth: usize, col: usize, mut src: &[f32]) {
+        if col + src.len() > self.narrow_at {
+            // The run reaches a narrow last sliver: its stretch there is
+            // split off once per run (a test per piece cost the im2col
+            // gather about a tenth, like the width test below).
+            let tail;
+            (src, tail) = src.split_at(self.narrow_at.max(col) - col);
+            // SAFETY: the caller's contract is `narrow_row`'s.
+            let dst = unsafe { self.narrow_row(batch, depth, col + src.len(), tail.len()) };
+            dst.copy_from_slice(tail);
+        }
+        // SAFETY: the caller's contract is `pieces`', and the run now
+        // ends before a narrow last sliver.
         let pieces = unsafe { self.pieces(batch, depth, col, src.len()) };
         // Keyed on the operand's sliver width once per run, not per
         // piece: a per-piece length test slowed the AVX2 im2col gather
@@ -608,11 +654,50 @@ impl PackedBColumns<'_> {
     ///
     /// # Safety
     /// As [`PackedBColumns::write_run`].
-    pub unsafe fn zero_run(&self, batch: usize, depth: usize, col: usize, count: usize) {
-        // SAFETY: the caller's contract is `pieces`'.
+    pub unsafe fn zero_run(&self, batch: usize, depth: usize, col: usize, mut count: usize) {
+        if col + count > self.narrow_at {
+            // Split as in `write_run`.
+            let body = self.narrow_at.max(col) - col;
+            // SAFETY: the caller's contract is `narrow_row`'s.
+            unsafe { self.narrow_row(batch, depth, col + body, count - body) }.fill(0.0);
+            count = body;
+        }
+        // SAFETY: the caller's contract is `pieces`', and the run now
+        // ends before a narrow last sliver.
         for dst in unsafe { self.pieces(batch, depth, col, count) } {
             dst.fill(0.0);
         }
+    }
+
+    /// The stretch of the narrow last sliver's row `depth` in matrix
+    /// `batch` that holds columns `col .. col + count`.
+    ///
+    /// Panics if those columns are not in that sliver.
+    ///
+    /// # Safety
+    /// As [`PackedBColumns::write_run`].
+    // The window hands out disjoint stretches through `&self`, as
+    // `DisjointSlice::slice_mut` does.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn narrow_row(
+        &self,
+        batch: usize,
+        depth: usize,
+        col: usize,
+        count: usize,
+    ) -> &mut [f32] {
+        assert!(
+            batch < self.batches
+                && depth < self.k
+                && self.narrow_at <= col
+                && col + count <= self.n,
+            "column run does not fit the narrow sliver of the packed B operand"
+        );
+        let row = self.narrow_at * self.k + depth * self.narrow;
+        let at = batch * self.stride + row + col - self.narrow_at;
+        // SAFETY: lanes of the narrow sliver's row `depth` of matrix
+        // `batch`, below `n` (asserted above), and the caller owns them.
+        unsafe { self.data.slice_mut(at..at + count) }
     }
 
     /// The stretches of the operand holding columns `col .. col +
@@ -629,8 +714,10 @@ impl PackedBColumns<'_> {
         col: usize,
         count: usize,
     ) -> impl Iterator<Item = &mut [f32]> {
+        // A run in `nr`-wide slivers: it ends at or before a narrow
+        // last one, or is empty.
         assert!(
-            batch < self.batches && depth < self.k && col + count <= self.n,
+            batch < self.batches && depth < self.k && (count == 0 || col + count <= self.narrow_at),
             "column run does not fit the packed B operand"
         );
         let (k, nr) = (self.k, self.nr);

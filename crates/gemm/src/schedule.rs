@@ -30,8 +30,8 @@ pub const NR_SCALAR: usize = 4;
 /// independent chains, enough to cover the FMA latency on two ports.
 pub const MR_AVX2: usize = 6;
 /// AVX2 micro-tile columns — two 8-lane f32 vectors. A micro-tile with
-/// [`MicroTile::cols`] ≤ 8 runs the one-vector body on the first half
-/// of its sliver.
+/// [`MicroTile::cols`] ≤ 8 runs the one-vector body on a half-width
+/// sliver ([`b_sliver_width`]).
 pub const NR_AVX2: usize = 16;
 
 /// Micro-tile rows of the AVX-512 kernel: fourteen rows of two 16-lane
@@ -46,8 +46,8 @@ pub const MR_AVX512: usize = 14;
 /// batch-1 alexnet conv3–5 GEMMs (DESIGN.md, the GEMM section).
 pub const PREFETCH_A: usize = 448;
 /// AVX-512 micro-tile columns — two 16-lane f32 vectors. A micro-tile
-/// with [`MicroTile::cols`] ≤ 16 runs the one-vector body on the first
-/// half of its sliver.
+/// with [`MicroTile::cols`] ≤ 16 runs the one-vector body on a
+/// half-width sliver ([`b_sliver_width`]).
 pub const NR_AVX512: usize = 32;
 
 /// Micro-tile extents `(mr, nr)` of the dispatch level's inner kernel;
@@ -63,13 +63,25 @@ pub fn tile_extents(level: SimdLevel) -> (usize, usize) {
 /// Columns of `B` the `level` micro-kernel multiplies for an `n`-column
 /// operand: whole `nr` slivers, except that a vector macro kernel runs
 /// the one-vector body on a last tile of at most one vector of columns,
-/// half a sliver.
+/// half a sliver. A packed B stores exactly these columns
+/// ([`b_sliver_width`]).
 pub fn issued_cols(n: usize, level: SimdLevel) -> usize {
     let nr = tile_extents(level).1;
     n.next_multiple_of(match level {
         SimdLevel::Scalar => nr,
         SimdLevel::Avx2 | SimdLevel::Avx512 => nr / 2,
     })
+}
+
+/// Floats per depth of the packed-B sliver that starts at column `j`
+/// (a multiple of `nr`) of an `n`-column operand: the columns `level`'s
+/// kernel issues over the ones it holds — `nr` for every sliver but a
+/// ragged last one the one-vector body covers, which is half as wide.
+/// The one rule of the B layout: [`packed_b_len`], [`pack_b_model`] and
+/// [`tile_walk`]'s B windows derive from it, so a packed B holds no
+/// padding column the kernel never reads.
+pub fn b_sliver_width(n: usize, j: usize, level: SimdLevel) -> usize {
+    issued_cols(n - j, level).min(tile_extents(level).1)
 }
 
 /// One contiguous block `[start, start + len)` of a blocked dimension.
@@ -195,9 +207,8 @@ impl TaskGrid {
 /// One micro-kernel call of a task's walk: the `rows × cols`
 /// micro-tile of `C` at row `i`, column `j` of the product, multiplied
 /// over the depths of the k-block `depth`. Its windows start `a_off`
-/// and `b_off` floats into the full-depth packed operands
-/// ([`packed_block_off`]) and run `depth.len · mr` and `depth.len · nr`
-/// floats.
+/// and `b_off` floats into the full-depth packed operands and run
+/// `depth.len · mr` and `depth.len · b_width` floats.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MicroTile {
     /// First row (a multiple of `mr`).
@@ -215,12 +226,17 @@ pub struct MicroTile {
     pub a_off: usize,
     /// Offset of the B window: column sliver `j / nr` at `depth.start`.
     pub b_off: usize,
+    /// Floats per depth of the B window, [`b_sliver_width`]: `nr`, or
+    /// half of it in a narrow last sliver. The kernel body that runs
+    /// loads exactly this many per depth.
+    pub b_width: usize,
 }
 
 /// The walk of one task over its `tile` of an `m × k` by `k × n`
-/// product, in execution order: row slivers outer; inside a sliver its
-/// `kc`-deep k-blocks in ascending order; inside a k-block the tile's
-/// column slivers. A task so reads its A rows — the filter bank — as
+/// product at `level`, in execution order: row slivers outer; inside a
+/// sliver its `kc`-deep k-blocks in ascending order; inside a k-block
+/// the tile's column slivers, each window as wide as
+/// [`b_sliver_width`] says. A task so reads its A rows — the filter bank — as
 /// one front-to-back stream, a sliver's depths being contiguous and the
 /// next sliver following it ([`crate::pack_a_model`]). Every `C`
 /// element meets its k-blocks in ascending order, the one at depth 0
@@ -230,15 +246,23 @@ pub struct MicroTile {
 pub fn tile_walk(
     tile: TaskTile,
     k: usize,
+    n: usize,
     kc: usize,
-    mr: usize,
-    nr: usize,
+    level: SimdLevel,
 ) -> impl Iterator<Item = MicroTile> {
+    let (mr, nr) = tile_extents(level);
+    // The width of a ragged last sliver, worked out once: applied per
+    // micro-tile, the rule cost the im2col GEMMs about a twentieth. A
+    // grid's tiles span whole slivers but at the operand's end, so a
+    // ragged block is that sliver.
+    let ragged = b_sliver_width(n, n - n % nr, level);
     dim_blocks(tile.rows.len, mr).flat_map(move |ib| {
         let i = tile.rows.start + ib.start;
         dim_blocks(k, kc).flat_map(move |depth| {
             dim_blocks(tile.cols.len, nr).map(move |jb| {
                 let j = tile.cols.start + jb.start;
+                // `b_sliver_width(n, j, level)`.
+                let b_width = if jb.len == nr { nr } else { ragged };
                 MicroTile {
                     i,
                     j,
@@ -246,7 +270,8 @@ pub fn tile_walk(
                     cols: jb.len,
                     depth,
                     a_off: packed_block_off(i, depth.start, k, mr),
-                    b_off: packed_block_off(j, depth.start, k, nr),
+                    b_off: packed_block_off(j, 0, k, nr) + depth.start * b_width,
+                    b_width,
                 }
             })
         })
@@ -287,10 +312,12 @@ pub fn packed_step(step: usize, r: usize) -> usize {
 
 /// Offset, inside a full-depth packed operand — `m × k` in the layout
 /// [`pack_a_model`]`(m, k, r)` describes, or `k × n` in
-/// [`pack_b_model`]`(k, n, r)`'s — of the sliver holding row (column)
-/// `start`, a multiple of `r`, at depth `kk`. Depth runs contiguously
-/// within a sliver, so the `kb` steps of a k-block are the `kb · r`
-/// floats from here, and the next sliver is `k · r` further on.
+/// [`pack_b_model`]'s — of the sliver holding row (column) `start`, a
+/// multiple of `r`, at depth `kk` of an `r`-wide sliver. Depth runs
+/// contiguously within a sliver, so the `kb` steps of a k-block are the
+/// `kb · r` floats from here, and the next sliver is `k · r` further
+/// on. Every sliver before B's narrow last one is `r` wide, so with
+/// `kk = 0` this is where that one starts too.
 pub fn packed_block_off(start: usize, kk: usize, k: usize, r: usize) -> usize {
     debug_assert!(
         start.is_multiple_of(r),
@@ -299,10 +326,11 @@ pub fn packed_block_off(start: usize, kk: usize, k: usize, r: usize) -> usize {
     (start / r) * k * r + kk * r
 }
 
-/// Length of the packed B buffer for a `kb × nb` block under
-/// `nr`-column slivers.
-pub fn packed_b_len(kb: usize, nb: usize, nr: usize) -> usize {
-    kb * nb.next_multiple_of(nr)
+/// Length of the packed B buffer for a `kb × nb` block at `level`:
+/// every sliver [`b_sliver_width`] floats per depth, so `kb ·`
+/// [`issued_cols`]`(nb)` in all.
+pub fn packed_b_len(kb: usize, nb: usize, level: SimdLevel) -> usize {
+    kb * issued_cols(nb, level)
 }
 
 /// The exact slot-by-slot layout `pack_a` writes for an `mb × kb`
@@ -329,13 +357,15 @@ pub fn pack_a_model(mb: usize, kb: usize, mr: usize) -> Vec<PackSlot> {
     slots
 }
 
-/// The layout `pack_b` writes for a `kb × nb` block: `nr`-column
-/// slivers walked depth-major, zero-padded past column `nb`.
-pub fn pack_b_model(kb: usize, nb: usize, nr: usize) -> Vec<PackSlot> {
-    let mut slots = Vec::with_capacity(packed_b_len(kb, nb, nr));
+/// The layout `pack_b` writes for a `kb × nb` block at `level`:
+/// `nr`-column slivers walked depth-major, each [`b_sliver_width`]
+/// floats per depth, zero-padded past column `nb`.
+pub fn pack_b_model(kb: usize, nb: usize, level: SimdLevel) -> Vec<PackSlot> {
+    let nr = tile_extents(level).1;
+    let mut slots = Vec::with_capacity(packed_b_len(kb, nb, level));
     for jb in dim_blocks(nb, nr) {
         for p in 0..kb {
-            for col in 0..nr {
+            for col in 0..b_sliver_width(nb, jb.start, level) {
                 slots.push(if col < jb.len {
                     PackSlot::Src {
                         row: p,
@@ -421,13 +451,17 @@ mod tests {
 
     #[test]
     fn tile_walk_streams_slivers_and_keeps_k_order() {
-        for (rows, cols, k, kc, mr, nr) in [
-            (13, 17, 5, 2, 4, 4),
-            (6, 16, 1, 128, 6, 16),
-            (1, 1, 3, 1, 6, 16),
-            (7, 9, 7, 3, 6, 16),
-            (15, 33, 300, 128, 14, 32),
+        let (scalar, avx2, avx512) = (SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512);
+        for (rows, cols, k, kc, level) in [
+            (13, 17, 5, 2, scalar),
+            (6, 16, 1, 128, avx2),
+            (1, 1, 3, 1, avx2),
+            (7, 9, 7, 3, avx2),
+            (7, 24, 7, 3, avx2),
+            (15, 33, 300, 128, avx512),
+            (15, 48, 30, 7, avx512),
         ] {
+            let (mr, nr) = tile_extents(level);
             let tile = TaskTile {
                 rows: DimBlock {
                     start: mr,
@@ -441,8 +475,14 @@ mod tests {
             // The depth each element's chain has reached.
             let mut next = vec![0usize; rows * cols];
             let mut last_a = None;
-            for t in tile_walk(tile, k, kc, mr, nr) {
+            for t in tile_walk(tile, k, nr + cols, kc, level) {
                 assert!(t.rows >= 1 && t.rows <= mr && t.cols >= 1 && t.cols <= nr);
+                // B windows are the columns the kernel body loads: whole
+                // slivers, or half of one over at most half a sliver.
+                let half = level != SimdLevel::Scalar && t.cols <= nr / 2;
+                assert_eq!(t.b_width, if half { nr / 2 } else { nr });
+                let sliver = (t.j / nr) * k * nr;
+                assert_eq!(t.b_off, sliver + t.depth.start * t.b_width);
                 // A windows never step back: one sequential stream.
                 let a = (t.a_off, t.a_off + t.depth.len * mr);
                 assert!(last_a.is_none_or(|(start, end)| a.0 == start || a.0 == end));
@@ -475,6 +515,13 @@ mod tests {
     #[test]
     fn pack_models_have_declared_lengths() {
         assert_eq!(pack_a_model(13, 5, 4).len(), packed_a_len(13, 5, 4));
-        assert_eq!(pack_b_model(5, 17, 8).len(), packed_b_len(5, 17, 8));
+        for level in SimdLevel::ALL {
+            let nr = tile_extents(level).1;
+            for n in 0..=3 * nr {
+                let len = packed_b_len(5, n, level);
+                assert_eq!(len, 5 * issued_cols(n, level), "n = {n} at {level:?}");
+                assert_eq!(pack_b_model(5, n, level).len(), len, "n = {n} at {level:?}");
+            }
+        }
     }
 }

@@ -169,13 +169,12 @@ proptest! {
         pad in 0usize..3,
         level in any_level(),
     ) {
-        let nr = tile_extents(level).1;
         let ldb = jj + nb + pad;
         let b: Vec<f32> = (0..(kk + kb) * ldb).map(|i| i as f32 + 1.0).collect();
-        let mut dst = vec![f32::NAN; packed_b_len(kb, nb, nr)];
-        pack_b(&mut dst, &b, kk, jj, kb, nb, ldb, nr);
+        let mut dst = vec![f32::NAN; packed_b_len(kb, nb, level)];
+        pack_b(&mut dst, &b, kk, jj, kb, nb, ldb, level);
 
-        let model = pack_b_model(kb, nb, nr);
+        let model = pack_b_model(kb, nb, level);
         prop_assert_eq!(model.len(), dst.len());
         let mut seen = vec![false; kb * nb];
         for (idx, slot) in model.iter().enumerate() {
@@ -236,9 +235,32 @@ proptest! {
 // ---------------------------------------------------------------------
 
 use wino_gemm::{
-    batched_sgemm_packed, batched_sgemm_rt_level, packed_block_off, packed_step, tile_extents,
-    ASliver, PackedA, PackedB,
+    batched_sgemm_packed, batched_sgemm_rt_level, dim_blocks, issued_cols, packed_block_off,
+    packed_step, tile_extents, tile_walk, ASliver, DimBlock, PackedA, PackedB, TaskTile,
 };
+
+/// The operand holds the columns the kernel issues and nothing more:
+/// `k · issued_cols(n)` floats a matrix, at every level the host runs
+/// and every width up to three slivers.
+#[test]
+fn packed_b_holds_the_issued_columns() {
+    let (batches, k) = (2, 3);
+    for level in wino_gemm::supported_levels() {
+        let nr = tile_extents(level).1;
+        for n in 0..=3 * nr {
+            let want = k * issued_cols(n, level);
+            let packed = PackedB::zeroed(batches, k, n, level);
+            for batch in 0..batches {
+                assert_eq!(packed.batch(batch).len(), want, "n = {n} at {level:?}");
+            }
+            assert_eq!(
+                packed.into_raw().len(),
+                batches * want,
+                "n = {n} at {level:?}"
+            );
+        }
+    }
+}
 
 /// A fill that stores every row at every depth but the last leaves the
 /// operand unbuilt: the constructor panics rather than hand out a bank
@@ -351,7 +373,7 @@ proptest! {
         for level in wino_gemm::supported_levels() {
             let mut row_major = vec![f32::NAN; shape.c_len()];
             batched_sgemm_rt_level(&shape, &a, &b, &mut row_major, &cfg, &rt, level);
-            let held = batches * packed_b_len(k, n, tile_extents(level).1) + 33;
+            let held = batches * packed_b_len(k, n, level) + 33;
             let packed_b = if recycled {
                 let mut dirty = PackedB::recycled(vec![f32::NAN; held], batches, k, n, level);
                 write_in_runs::<8>(&mut dirty, &b);
@@ -416,7 +438,7 @@ proptest! {
     ) {
         // An operand is only ever built for a level the host runs.
         prop_assume!(wino_gemm::host_supports(level));
-        let nr = tile_extents(level).1;
+        let (mr, nr) = tile_extents(level);
         // Distinct values pin the exact source element per slot.
         let b: Vec<f32> = (0..batches * k * n).map(|i| i as f32 + 1.0).collect();
         // Built in a recycled buffer — dirty, and longer or shorter than
@@ -429,7 +451,7 @@ proptest! {
         } else {
             write_in_runs::<8>(&mut packed, &b);
         }
-        let model = pack_b_model(k, n, nr);
+        let model = pack_b_model(k, n, level);
         let whole = PackedB::pack(&b, batches, k, n, level, &wino_runtime::Runtime::serial());
         for batch in 0..batches {
             let got = packed.batch(batch);
@@ -443,30 +465,32 @@ proptest! {
                 prop_assert_eq!(got[idx].to_bits(), want.to_bits());
             }
         }
-        // The window a (column step, k block) reads: sliver `s` of the step
-        // sits `s · k · nr` past `packed_block_off`, and holds columns
-        // jj + s·nr.. at depths kk..kk+kb — zero past column n.
+        // The windows the walk of a column step's task reads: each
+        // holds the micro-tile's columns at the depths of its k-block,
+        // `b_width` lanes a depth — zero past column n — and the walks
+        // of all steps read every slot of the operand.
         let step = packed_step(nc, nr);
         prop_assert!(step.is_multiple_of(nr) && step >= nr);
-        for jj in (0..n).step_by(step) {
-            for kk in (0..k).step_by(kc) {
-                let kb = kc.min(k - kk);
-                let base = packed_block_off(jj, kk, k, nr);
-                for s in 0..step.min(n - jj).div_ceil(nr) {
-                    for p in 0..kb {
-                        for c in 0..nr {
-                            let col = jj + s * nr + c;
-                            let want = if col < n {
-                                PackSlot::Src { row: kk + p, col }
-                            } else {
-                                PackSlot::Zero
-                            };
-                            prop_assert_eq!(model[base + s * k * nr + p * nr + c], want);
-                        }
+        let mut read = vec![false; model.len()];
+        for cols in dim_blocks(n, step) {
+            let tile = TaskTile { rows: DimBlock { start: 0, len: mr }, cols };
+            for t in tile_walk(tile, k, n, kc, level) {
+                for p in 0..t.depth.len {
+                    for c in 0..t.b_width {
+                        let col = t.j + c;
+                        let want = if c < t.cols {
+                            PackSlot::Src { row: t.depth.start + p, col }
+                        } else {
+                            PackSlot::Zero
+                        };
+                        let slot = t.b_off + p * t.b_width + c;
+                        prop_assert_eq!(model.get(slot), Some(&want));
+                        read[slot] = true;
                     }
                 }
             }
         }
+        prop_assert!(read.iter().all(|&r| r), "a slot no window reads");
     }
 
     #[test]

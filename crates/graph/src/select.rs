@@ -11,7 +11,10 @@
 //! static rule takes the one a two-term cost prices cheapest on this
 //! CPU, the GEMM columns the micro-kernel issues plus the bank streamed
 //! once per call (DESIGN.md, "Plan selection"; `figure9_cpu` checks it
-//! against measurement). The paper's α = 8 sweet spot (§4.2) is a GPU
+//! against measurement). The columns priced are also the columns `V'`
+//! stores: a packed B holds a ragged last sliver at the width its
+//! kernel body reads (`wino_gemm::b_sliver_width`), so the first term
+//! prices the operand the input transform writes as well as the FMAs. The paper's α = 8 sweet spot (§4.2) is a GPU
 //! finding: here F(6,3) wins only on planes 56 wide and up.
 
 use wino_conv::compiled::compiled_specs;

@@ -28,9 +28,13 @@
 //!   in place; [`check_packed_schedule`] proves every window a task's
 //!   walk reads — blocks stepped by the grid's row and column steps,
 //!   windows at [`wino_gemm::packed_block_off`], slivers a full depth
-//!   apart — stays inside the operand and holds exactly the rows (columns) and
-//!   depths the tile multiplies, the zero padding of the last ragged
-//!   sliver included.
+//!   apart, each B window as wide as the walk says
+//!   ([`wino_gemm::b_sliver_width`]: a ragged last sliver the
+//!   one-vector body reads is half as wide) — stays inside the operand
+//!   and holds exactly the rows (columns) and depths the tile
+//!   multiplies, the zero padding of the last ragged sliver included,
+//!   and that the windows read every slot: no operand holds padding no
+//!   kernel loads.
 //! - **The Winograd output scatter:** `wino-conv` exports its output
 //!   stage's lane-group → row-segment map ([`wino_conv::ScatterMap`])
 //!   and the engine stores through it; [`check_scatter`] proves over a
@@ -62,6 +66,17 @@ use wino_gemm::{
     supported_levels, tile_extents, tile_walk, DimBlock, GemmConfig, MicroTile, PackSlot, PackedA,
     PackedASlivers, PackedB, SimdLevel, TaskGrid, TaskTile,
 };
+
+/// Floats per depth the `level` kernel bodies load from a B window:
+/// `nr` for the full tile, and at a vector level half of it for the
+/// one-vector body. A walk's window width must be one of these.
+fn body_widths(level: SimdLevel) -> Vec<usize> {
+    let nr = tile_extents(level).1;
+    match level {
+        SimdLevel::Scalar => vec![nr],
+        SimdLevel::Avx2 | SimdLevel::Avx512 => vec![nr / 2, nr],
+    }
+}
 use wino_runtime::Runtime;
 
 /// One defect found by the index analysis.
@@ -108,6 +123,10 @@ const SHAPES: &[(usize, usize, usize)] = &[
     (64, 128, 256),
     (65, 129, 257),
     (3, 2, 131),
+    // Served Winograd GEMMs: one exact narrow sliver at AVX-512 (no
+    // padding lane), and two full slivers plus a narrow one.
+    (384, 384, 16),
+    (384, 384, 80),
 ];
 
 /// The `(K, C·r², OH·OW)` GEMMs of zoo layers the selector sends to
@@ -222,11 +241,13 @@ fn check_tasks(
     ctx: &str,
     tasks: &[(usize, TaskTile)],
     (batches, m, k, n): (usize, usize, usize, usize),
-    (mr, nr): (usize, usize),
+    level: SimdLevel,
     walk: impl Fn(TaskTile) -> Vec<MicroTile>,
     issues: &mut Vec<IndexIssue>,
 ) {
-    let (a_len, b_len) = (packed_a_len(m, k, mr), packed_b_len(k, n, nr));
+    let (mr, nr) = tile_extents(level);
+    let (a_len, b_len) = (packed_a_len(m, k, mr), packed_b_len(k, n, level));
+    let widths = body_widths(level);
     let element = |e: usize| format!("C[{}][{}, {}]", e / (m * n), e / n % m, e % n);
     // Per `C` element: the visits that wrote it, and the depth its
     // chain has reached.
@@ -295,8 +316,17 @@ fn check_tasks(
                 issues.push(fail(detail));
                 return;
             }
-            if t.b_off + d.len * nr > b_len {
-                let end = t.b_off + d.len * nr;
+            if !widths.contains(&t.b_width) || t.cols > t.b_width {
+                let w = t.b_width;
+                let detail = format!(
+                    "B window {w} wide: no kernel body loads {w} lanes for {} columns",
+                    t.cols
+                );
+                issues.push(fail(detail));
+                return;
+            }
+            if t.b_off + d.len * t.b_width > b_len {
+                let end = t.b_off + d.len * t.b_width;
                 let detail = format!("B window [{}, {end}) escapes packed B of {b_len}", t.b_off);
                 issues.push(fail(detail));
                 return;
@@ -359,7 +389,6 @@ pub fn check_schedule(
     cfg: &GemmConfig,
     level: SimdLevel,
 ) -> IndexCheck {
-    let extents = tile_extents(level);
     let label = format!(
         "gemm {m}x{k}x{n} cfg({},{},{}) {}",
         cfg.mc,
@@ -400,16 +429,8 @@ pub fn check_schedule(
     let kblocks: Vec<_> = dim_blocks(k, cfg.kc).collect();
     check_partition(&label, "k", &kblocks, k, cfg.kc, &mut issues);
     if issues.is_empty() {
-        let (mr, nr) = extents;
-        let walk = |tile| tile_walk(tile, k, cfg.kc, mr, nr).collect();
-        check_tasks(
-            &label,
-            &tasks,
-            (BATCHES, m, k, n),
-            extents,
-            walk,
-            &mut issues,
-        );
+        let walk = |tile| tile_walk(tile, k, n, cfg.kc, level).collect();
+        check_tasks(&label, &tasks, (BATCHES, m, k, n), level, walk, &mut issues);
     }
     IndexCheck { label, issues }
 }
@@ -426,14 +447,16 @@ pub enum PackedSide {
 /// Proves the windows of one packed operand — A `extent × k` or B `k ×
 /// extent` — × config × level: a task's tile spans one block of the
 /// [`TaskGrid`]'s row (column) step, and its walk ([`tile_walk`]) reads
-/// each micro-tile's window at `a_off` (`b_off`). Against the
-/// full-depth layout model `pack_a_model(m, k, mr)` /
-/// `pack_b_model(k, n, nr)` — which [`cross_check_packing`] ties to
-/// what [`PackedA::pack`] and [`PackedB`]'s run writer produce — every
-/// window must lie inside the operand and hold, slot for slot, the
-/// micro-tile's rows (columns) at the depths of its k-block, zero past
-/// the operand's edge; and the blocks must partition the extent so `C`
-/// coverage is the row-major schedule's. The other operand plays no
+/// each micro-tile's window at `a_off` (`b_off`), `mr` (`b_width`)
+/// lanes a depth. Against the full-depth layout model
+/// `pack_a_model(m, k, mr)` / `pack_b_model(k, n, level)` — which
+/// [`cross_check_packing`] ties to what [`PackedA::pack`] and
+/// [`PackedB`]'s run writer produce — every window must lie inside the
+/// operand and hold, slot for slot, the micro-tile's rows (columns) at
+/// the depths of its k-block, zero past the operand's edge; the
+/// windows together must read every slot, so the operand holds no
+/// padding no kernel loads; and the blocks must partition the extent so
+/// `C` coverage is the row-major schedule's. The other operand plays no
 /// part in these offsets, so one sliver of it stands for all.
 pub fn check_packed_schedule(
     side: PackedSide,
@@ -454,15 +477,19 @@ pub fn check_packed_schedule(
         level.name()
     );
     let mut issues = Vec::new();
-    let walk = |tile| tile_walk(tile, k, cfg.kc, mr, nr).collect();
-    check_packed_windows(&label, side, extent, k, step, (mr, nr), walk, &mut issues);
+    // The B operand is `extent` columns wide; under A, the one sliver
+    // of B that stands for all is `nr` wide.
+    let n = if side == PackedSide::B { extent } else { nr };
+    let walk = |tile| tile_walk(tile, k, n, cfg.kc, level).collect();
+    check_packed_windows(&label, side, extent, k, step, level, walk, &mut issues);
     IndexCheck { label, issues }
 }
 
 /// The body of [`check_packed_schedule`] with the block step and the
 /// walk as parameters, so negative fixtures can feed the values a
 /// refactor would most likely get wrong (`cfg.mc` itself as the step;
-/// slivers strided by the depth of a block packed on its own).
+/// slivers strided by the depth of a block packed on its own; a narrow
+/// last sliver strided as a full one).
 #[allow(clippy::too_many_arguments)]
 fn check_packed_windows(
     ctx: &str,
@@ -470,10 +497,11 @@ fn check_packed_windows(
     extent: usize,
     k: usize,
     step: usize,
-    (mr, nr): (usize, usize),
+    level: SimdLevel,
     walk: impl Fn(TaskTile) -> Vec<MicroTile>,
     issues: &mut Vec<IndexIssue>,
 ) {
+    let (mr, nr) = tile_extents(level);
     let r = match side {
         PackedSide::A => mr,
         PackedSide::B => nr,
@@ -489,8 +517,12 @@ fn check_packed_windows(
     check_partition(ctx, "packed", &blocks, extent, step, issues);
     let (model, len) = match side {
         PackedSide::A => (pack_a_model(extent, k, mr), packed_a_len(extent, k, mr)),
-        PackedSide::B => (pack_b_model(k, extent, nr), packed_b_len(k, extent, nr)),
+        PackedSide::B => (
+            pack_b_model(k, extent, level),
+            packed_b_len(k, extent, level),
+        ),
     };
+    let mut read = vec![false; len];
     for &bp in &blocks {
         // One sliver of the other operand.
         let tile = match side {
@@ -504,11 +536,11 @@ fn check_packed_windows(
             },
         };
         for t in walk(tile) {
-            // The window's offset, first row (column) and how many of
-            // the sliver's `r` lanes are real.
-            let (off, start, real) = match side {
-                PackedSide::A => (t.a_off, t.i, t.rows),
-                PackedSide::B => (t.b_off, t.j, t.cols),
+            // The window's offset, first row (column), how many lanes a
+            // depth the kernel loads from it, and how many are real.
+            let (off, start, r, real) = match side {
+                PackedSide::A => (t.a_off, t.i, mr, t.rows),
+                PackedSide::B => (t.b_off, t.j, t.b_width, t.cols),
             };
             let (kk, kb) = (t.depth.start, t.depth.len);
             if off + kb * r > len {
@@ -537,6 +569,7 @@ fn check_packed_windows(
                         },
                     };
                     let got = model[off + p * r + lane];
+                    read[off + p * r + lane] = true;
                     if got != want {
                         issues.push(issue(
                             ctx,
@@ -550,6 +583,15 @@ fn check_packed_windows(
                 }
             }
         }
+    }
+    if let Some(slot) = read.iter().position(|&r| !r) {
+        issues.push(issue(
+            ctx,
+            format!(
+                "slot {slot} of the packed operand ({:?}) is read by no window",
+                model[slot]
+            ),
+        ));
     }
 }
 
@@ -667,27 +709,31 @@ pub fn analyze_gemm_indexing() -> Vec<IndexCheck> {
         );
         out.push(IndexCheck { label, issues });
     }
-    for &(kb, nb, nr) in &[
-        (128usize, 256usize, 4usize),
-        (128, 256, 16),
-        (1, 1, 16),
-        (3, 7, 16),
-        (7, 13, 4),
-        (16, 16, 16),
-        (2, 19, 16),
-        (128, 256, 32),
-        (3, 33, 32),
+    let (scalar, avx2, avx512) = (SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512);
+    for &(kb, nb, level) in &[
+        (128usize, 256usize, scalar),
+        (128, 256, avx2),
+        (1, 1, avx2),
+        (3, 7, avx2),
+        (7, 13, scalar),
+        (16, 16, avx2),
+        (2, 19, avx2),
+        (3, 40, avx2),
+        (128, 256, avx512),
+        (3, 33, avx512),
+        (3, 16, avx512),
+        (3, 80, avx512),
     ] {
-        let label = format!("pack_b model {kb}x{nb}/nr{nr}");
+        let label = format!("pack_b model {kb}x{nb}/nr{}", tile_extents(level).1);
         let mut issues = Vec::new();
         // The B model packs a kb×nb block element-for-element; its
         // "rows × cols" coverage domain is kb × nb.
         check_pack_model(
             &label,
-            &pack_b_model(kb, nb, nr),
+            &pack_b_model(kb, nb, level),
             kb,
             nb,
-            packed_b_len(kb, nb, nr),
+            packed_b_len(kb, nb, level),
             &mut issues,
         );
         out.push(IndexCheck { label, issues });
@@ -945,7 +991,14 @@ pub fn cross_check_packing() -> Vec<IndexCheck> {
     // (8 columns) at a time, the way the Winograd input transform
     // fills it, must hold the whole-matrix B model — and so must one
     // filled a run at a time, the way the im2col gather fills it.
-    for &(batches, k, n) in &[(2usize, 5usize, 13usize), (1, 8, 16), (3, 1, 1), (1, 9, 45)] {
+    for &(batches, k, n) in &[
+        (2usize, 5usize, 13usize),
+        (1, 8, 16),
+        (3, 1, 1),
+        (1, 9, 45),
+        (2, 3, 40),
+        (1, 5, 80),
+    ] {
         for level in supported_levels() {
             let nr = tile_extents(level).1;
             let label = format!("PackedB impl {batches}x{k}x{n}/nr{nr}");
@@ -997,7 +1050,7 @@ pub fn cross_check_packing() -> Vec<IndexCheck> {
                     "the run writers and the lane-group writer disagree on the layout",
                 ));
             }
-            let model = pack_b_model(k, n, nr);
+            let model = pack_b_model(k, n, level);
             for batch in 0..batches {
                 let got = packed.batch(batch);
                 let bad = (got.len() != model.len()).then_some(0).or_else(|| {
@@ -1023,22 +1076,28 @@ pub fn cross_check_packing() -> Vec<IndexCheck> {
             out.push(IndexCheck { label, issues });
         }
     }
-    for &(kb, nb, nr, kk, jj) in &[
-        (5usize, 13usize, 16usize, 2usize, 3usize),
-        (16, 16, 16, 0, 0),
-        (1, 1, 16, 4, 4),
-        (3, 7, 4, 0, 1),
-        (4, 20, 16, 5, 0),
-        (3, 45, 32, 1, 2),
+    let (scalar, avx2, avx512) = (SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512);
+    for &(kb, nb, level, kk, jj) in &[
+        (5usize, 13usize, avx2, 2usize, 3usize),
+        (16, 16, avx2, 0, 0),
+        (1, 1, avx2, 4, 4),
+        (3, 7, scalar, 0, 1),
+        (4, 20, avx2, 5, 0),
+        (3, 45, avx512, 1, 2),
+        (3, 40, avx2, 1, 1),
+        (2, 48, avx512, 0, 2),
     ] {
-        let label = format!("pack_b impl {kb}x{nb}/nr{nr}@({kk},{jj})");
+        let label = format!(
+            "pack_b impl {kb}x{nb}/nr{}@({kk},{jj})",
+            tile_extents(level).1
+        );
         let mut issues = Vec::new();
         let ldb = jj + nb + 3;
         let b: Vec<f32> = (0..(kk + kb) * ldb).map(|v| v as f32 + 2.0).collect();
-        let len = packed_b_len(kb, nb, nr);
+        let len = packed_b_len(kb, nb, level);
         let mut dst = vec![SENTINEL; len + 5];
-        pack_b(&mut dst, &b, kk, jj, kb, nb, ldb, nr);
-        for (s, slot) in pack_b_model(kb, nb, nr).iter().enumerate() {
+        pack_b(&mut dst, &b, kk, jj, kb, nb, ldb, level);
+        for (s, slot) in pack_b_model(kb, nb, level).iter().enumerate() {
             let want = match slot {
                 PackSlot::Src { row, col } => b[(kk + row) * ldb + jj + col],
                 PackSlot::Zero => 0.0,
@@ -1305,7 +1364,7 @@ mod tests {
         };
         let grid = TaskGrid::new(1, m, n, &cfg, SimdLevel::Scalar);
         let tasks = (0..grid.len()).map(|i| grid.task(i)).collect();
-        let walk = move |tile| tile_walk(tile, k, 2, 4, 4).collect::<Vec<_>>();
+        let walk = move |tile| tile_walk(tile, k, n, 2, SimdLevel::Scalar).collect::<Vec<_>>();
         ((tasks, (1, m, k, n)), walk)
     }
 
@@ -1318,7 +1377,7 @@ mod tests {
             "fixture",
             &tasks,
             dims,
-            (4, 4),
+            SimdLevel::Scalar,
             |t| tamper(walk(t)),
             &mut issues,
         );
@@ -1348,7 +1407,7 @@ mod tests {
         // Shift one micro-tile's B window past the operand — the sliver
         // offset arithmetic a refactor is most likely to break.
         let detail = walk_issue(|mut w| {
-            w[0].b_off = packed_b_len(5, 17, 4);
+            w[0].b_off = packed_b_len(5, 17, SimdLevel::Scalar);
             w
         });
         assert!(detail
@@ -1427,10 +1486,10 @@ mod tests {
     fn packed_row_step_off_the_sliver_grid_rejected() {
         // Stepping packed row blocks by the raw `mc` (64 under 6-row
         // slivers) would start a block mid-sliver.
-        let (a, extents) = (PackedSide::A, (6, 16));
-        let walk = |tile| tile_walk(tile, 9, 128, 6, 16).collect();
+        let (a, avx2) = (PackedSide::A, SimdLevel::Avx2);
+        let walk = |tile| tile_walk(tile, 9, 16, 128, avx2).collect();
         let mut issues = Vec::new();
-        check_packed_windows("fixture", a, 130, 9, 64, extents, walk, &mut issues);
+        check_packed_windows("fixture", a, 130, 9, 64, avx2, walk, &mut issues);
         let detail = &issues
             .first()
             .expect("misaligned step must be found")
@@ -1438,7 +1497,7 @@ mod tests {
         assert!(detail.contains("not whole 6-wide slivers"), "{detail}");
         // The step the engine uses is clean on the same operand.
         let (step, mut issues) = (wino_gemm::packed_step(64, 6), Vec::new());
-        check_packed_windows("fixture", a, 130, 9, step, extents, walk, &mut issues);
+        check_packed_windows("fixture", a, 130, 9, step, avx2, walk, &mut issues);
         assert!(issues.is_empty(), "{}", issues[0]);
     }
 
@@ -1446,18 +1505,18 @@ mod tests {
     fn packed_b_stride_off_by_one_sliver_rejected() {
         // A 9-deep, 45-column B under 16-column slivers, kc = 4: the
         // slivers of the full-depth operand are k·nr = 144 apart.
-        let (b, extents, k, nr) = (PackedSide::B, (6, 16), 9, 16);
+        let (b, avx2, k, nr) = (PackedSide::B, SimdLevel::Avx2, 9, 16);
         let run = |stride: usize| {
             // The walk with column slivers `stride` apart.
             let walk = |tile| {
-                let walk = tile_walk(tile, k, 4, 6, nr).map(|t| MicroTile {
+                let walk = tile_walk(tile, k, 45, 4, avx2).map(|t| MicroTile {
                     b_off: t.j / nr * stride + t.depth.start * nr,
                     ..t
                 });
                 walk.collect()
             };
             let mut issues = Vec::new();
-            check_packed_windows("fixture", b, 45, k, 32, extents, walk, &mut issues);
+            check_packed_windows("fixture", b, 45, k, 32, avx2, walk, &mut issues);
             issues
         };
         assert!(run(k * nr).is_empty());
@@ -1475,6 +1534,53 @@ mod tests {
         let issues = run(3 * k * nr);
         let detail = &issues.first().expect("escape must be found").detail;
         assert!(detail.contains("escapes the packed operand"), "{detail}");
+    }
+
+    #[test]
+    fn narrow_last_sliver_strided_at_nr_rejected() {
+        // A 9-deep, 40-column B at AVX2, kc = 4: slivers of 16, 16 and
+        // 8 columns, the last 8 floats a depth. A walk that reads it as
+        // a full sliver — rows `nr` apart, the layout of an operand
+        // whose every sliver is `nr` wide — must be flagged, through
+        // both proofs.
+        let (b, avx2, k, n, nr) = (PackedSide::B, SimdLevel::Avx2, 9, 40, 16);
+        let full = |tile| {
+            let walk = tile_walk(tile, k, n, 4, avx2).map(|t| MicroTile {
+                b_off: wino_gemm::packed_block_off(t.j, t.depth.start, k, nr),
+                b_width: nr,
+                ..t
+            });
+            walk.collect::<Vec<_>>()
+        };
+        let walk = |tile| tile_walk(tile, k, n, 4, avx2).collect::<Vec<_>>();
+        let mut issues = Vec::new();
+        check_packed_windows("fixture", b, n, k, 32, avx2, walk, &mut issues);
+        assert!(issues.is_empty(), "{}", issues[0]);
+        check_packed_windows("fixture", b, n, k, 32, avx2, full, &mut issues);
+        let detail = &issues
+            .first()
+            .expect("nr-strided narrow sliver must be found")
+            .detail;
+        assert!(detail.contains("micro-kernel expects"), "{detail}");
+        // In the task proof its deepest k-block runs off the operand.
+        let grid = TaskGrid::new(
+            1,
+            6,
+            n,
+            &GemmConfig {
+                mc: 6,
+                kc: 4,
+                nc: 32,
+            },
+            avx2,
+        );
+        let tasks: Vec<_> = (0..grid.len()).map(|i| grid.task(i)).collect();
+        let mut issues = Vec::new();
+        check_tasks("fixture", &tasks, (1, 6, k, n), avx2, walk, &mut issues);
+        assert!(issues.is_empty(), "{}", issues[0]);
+        check_tasks("fixture", &tasks, (1, 6, k, n), avx2, full, &mut issues);
+        let detail = &issues.first().expect("escape must be found").detail;
+        assert!(detail.contains("escapes packed B"), "{detail}");
     }
 
     #[test]
@@ -1501,22 +1607,22 @@ mod tests {
 
     /// The walk of a [`fixture_tasks`] task.
     fn fixture_walk(tile: TaskTile) -> Vec<MicroTile> {
-        tile_walk(tile, 9, GemmConfig::default().kc, 6, 16).collect()
+        tile_walk(tile, 9, 384, GemmConfig::default().kc, SimdLevel::Avx2).collect()
     }
 
     #[test]
     fn overlapping_column_steps_rejected() {
         let (mut tasks, dims) = fixture_tasks();
-        let extents = (6, 16);
+        let avx2 = SimdLevel::Avx2;
         let mut issues = Vec::new();
-        check_tasks("fixture", &tasks, dims, extents, fixture_walk, &mut issues);
+        check_tasks("fixture", &tasks, dims, avx2, fixture_walk, &mut issues);
         assert!(issues.is_empty(), "{}", issues[0]);
         // The second column step of image 1 starts a sliver early: two
         // tasks would write columns 112..128 of its first row block.
         let (batch, tile) = &mut tasks[6 + 1];
         assert_eq!((*batch, tile.rows.start, tile.cols.start), (1, 0, 128));
         tile.cols.start -= 16;
-        check_tasks("fixture", &tasks, dims, extents, fixture_walk, &mut issues);
+        check_tasks("fixture", &tasks, dims, avx2, fixture_walk, &mut issues);
         let detail = &issues.first().expect("overlap must be found").detail;
         assert!(
             detail.contains("C[1][0, 112] written 2 times"),
@@ -1533,7 +1639,14 @@ mod tests {
             tile.cols.start = 120;
         }
         let mut issues = Vec::new();
-        check_tasks("fixture", &tasks, dims, (6, 16), fixture_walk, &mut issues);
+        check_tasks(
+            "fixture",
+            &tasks,
+            dims,
+            SimdLevel::Avx2,
+            fixture_walk,
+            &mut issues,
+        );
         let detail = &issues
             .first()
             .expect("misaligned tile must be found")
@@ -1547,7 +1660,14 @@ mod tests {
         let (mut tasks, dims) = fixture_tasks();
         tasks.remove(4);
         let mut issues = Vec::new();
-        check_tasks("fixture", &tasks, dims, (6, 16), fixture_walk, &mut issues);
+        check_tasks(
+            "fixture",
+            &tasks,
+            dims,
+            SimdLevel::Avx2,
+            fixture_walk,
+            &mut issues,
+        );
         let detail = &issues.first().expect("hole must be found").detail;
         assert!(detail.contains("written 0 times"), "{detail}");
     }

@@ -314,7 +314,7 @@ pub struct AuditedKernel {
     pub name: &'static str,
     /// Rows of the tile: `ap` advances by this per k step.
     pub mr: usize,
-    /// Columns of the tile: `bp` advances by this per k step.
+    /// Columns of the tile: the widest body's B window is this wide.
     pub nr: usize,
     /// Lanes of one B load.
     pub lanes: usize,
@@ -334,14 +334,15 @@ pub const AUDITED_KERNELS: &[AuditedKernel] = &[
         bodies: &[1, 2],
         anchors: &[
             "debug_assert!(a_sliver.len() >= kb * MR_AVX2);",
-            "debug_assert!(b_sliver.len() >= kb * NR_AVX2);",
+            "debug_assert!(b_sliver.len() >= kb * 8 * NV);",
+            "bp = bp.add(8 * NV);",
             "debug_assert!((1..=MR_AVX2).contains(&rows));",
             "debug_assert!((1..=8 * NV).contains(&cols));",
-            // The compile-time form of invariant 3's `lanes·NV ≤ NR`.
+            // The compile-time form of invariant 1's `lanes·NV ≤ NR`.
             "const { assert!(8 * NV <= NR_AVX2) };",
             // The two instantiations audited are the ones dispatched,
-            // the narrow one only for tiles it covers.
-            "if t.cols <= 8 {",
+            // the narrow one only for a half-width window.
+            "if t.b_width < NR_AVX2 {",
             "micro_kernel_avx2::<1>(",
             "micro_kernel_avx2::<2>(",
         ],
@@ -354,11 +355,12 @@ pub const AUDITED_KERNELS: &[AuditedKernel] = &[
         bodies: &[1, 2],
         anchors: &[
             "debug_assert!(a_sliver.len() >= kb * MR_AVX512);",
-            "debug_assert!(b_sliver.len() >= kb * NR_AVX512);",
+            "debug_assert!(b_sliver.len() >= kb * 16 * NV);",
+            "bp = bp.add(16 * NV);",
             "debug_assert!((1..=MR_AVX512).contains(&rows));",
             "debug_assert!((1..=16 * NV).contains(&cols));",
             "const { assert!(16 * NV <= NR_AVX512) };",
-            "if t.cols <= 16 {",
+            "if t.b_width < NR_AVX512 {",
             "micro_kernel_avx512::<1>(",
             "micro_kernel_avx512::<2>(",
             // A ragged vector's store (and load) touches only the
@@ -373,19 +375,21 @@ pub const AUDITED_KERNELS: &[AuditedKernel] = &[
 /// anchors each invariant to the source line that cross-checks it at
 /// runtime.
 ///
-/// A kernel advances `ap` by `MR` and `bp` by `NR` per k step and reads
-/// `*ap.add(r)` (r < MR) plus `NV` `lanes`-wide loads at `bp + lanes·v`
-/// (v < NV) — the widest `NV` for a full tile, `NV = 1` for a tile of
-/// at most one vector of columns, which reads the first `lanes` floats
-/// of each sliver row. The slivers are `kb·MR` and `kb·NR` floats
-/// (proven in-bounds inside the full-depth packed operand by the index
-/// analysis; the kernel is handed bounds-checked `kb·MR` / `kb·NR`
-/// sub-slices, anchored below), so the obligations are:
-/// `(kb-1)·MR + MR ≤ kb·MR`, `(kb-1)·NR + lanes·NV ≤ kb·NR` for every
-/// body, and the widest body's vectors cover exactly `NR` columns. The
-/// one pointer a kernel forms beyond those walks, the A prefetch
-/// [`wino_gemm::PREFETCH_A`] floats ahead, is audited as never
-/// dereferenced (`audit_prefetch`).
+/// A kernel advances `ap` by `MR` and `bp` by `lanes·NV` per k step and
+/// reads `*ap.add(r)` (r < MR) plus `NV` `lanes`-wide loads at
+/// `bp + lanes·v` (v < NV) — the widest `NV` for a full-width window,
+/// `NV = 1` for a half-width one, the narrow last sliver of at most one
+/// vector of columns. `run_tile` picks the body by the window width the
+/// walk hands it (`MicroTile::b_width`, which the index analysis
+/// proves is `NR` or `NR/2` and inside the operand), so a body's
+/// `lanes·NV` is its window's width. The windows are `kb·MR` and
+/// `kb·b_width` floats (the kernel is handed bounds-checked sub-slices
+/// of those lengths, anchored below), so the obligations are:
+/// `(kb-1)·MR + MR ≤ kb·MR`, `(kb-1)·lanes·NV + lanes·NV ≤
+/// kb·lanes·NV` for every body, and the widest body's vectors cover
+/// exactly `NR` columns. The one pointer a kernel forms beyond those
+/// walks, the A prefetch [`wino_gemm::PREFETCH_A`] floats ahead, is
+/// audited as never dereferenced (`audit_prefetch`).
 pub fn audit_simd_pointer_paths() -> Vec<SafetyIssue> {
     let mut issues = Vec::new();
     let file = "crates/gemm/src/blocked.rs".to_string();
@@ -426,15 +430,16 @@ pub fn audit_simd_pointer_paths() -> Vec<SafetyIssue> {
                     kb * mr
                 ));
             }
-            // Invariant 3: a step's last B load, [(kb-1)·NR +
-            // lanes·(NV-1), (kb-1)·NR + lanes·NV), ends inside kb·NR
-            // for every body.
+            // Invariant 3: a step's last B load, [(kb-1)·lanes·NV +
+            // lanes·(NV-1), (kb-1)·lanes·NV + lanes·NV), ends inside
+            // the body's kb·lanes·NV-float window, which is no wider
+            // than a full sliver.
             for &nv in kernel.bodies {
-                let last_b_end = (kb - 1) * nr + lanes * nv;
-                if last_b_end > kb * nr {
+                let (row, window) = (lanes * nv, kb * lanes * nv);
+                let last_b_end = (kb - 1) * row + lanes * nv;
+                if last_b_end > window || row > nr {
                     fail(format!(
-                        "{name} kb={kb} NV={nv}: B load ends at {last_b_end} past the {}-float sliver",
-                        kb * nr
+                        "{name} kb={kb} NV={nv}: B load ends at {last_b_end} of a {window}-float window"
                     ));
                 }
             }
@@ -456,12 +461,12 @@ pub fn audit_simd_pointer_paths() -> Vec<SafetyIssue> {
     let Ok(source) = source else { return issues };
     // Either operand reaches every kernel through these bounds-checked
     // slices of a `PackedA` / `PackedB` window, so the walks above are
-    // over exactly `kb·MR` and `kb·NR` floats.
+    // over exactly `kb·MR` and `kb·b_width` floats.
     if !source.contains("let a_sliver = &a[t.a_off..t.a_off + kb * mr];") {
         fail("run_tile no longer bounds the A sliver to kb*mr floats".to_string());
     }
-    if !source.contains("let b_sliver = &b[t.b_off..t.b_off + kb * nr];") {
-        fail("run_tile no longer bounds the B sliver to kb*nr floats".to_string());
+    if !source.contains("let b_sliver = &b[t.b_off..t.b_off + kb * t.b_width];") {
+        fail("run_tile no longer bounds the B sliver to kb*b_width floats".to_string());
     }
     // The C-side bound is asserted where the offsets are computed.
     if !source.contains("debug_assert!(c_off + (t.rows - 1) * ldc + t.cols <= c.len());") {
