@@ -45,7 +45,7 @@ struct Row {
 }
 
 impl Row {
-    fn build(desc: ConvDesc, m: usize, rt: &Runtime, rng: &mut StdRng) -> Row {
+    fn build(desc: ConvDesc, m: usize, rng: &mut StdRng) -> Row {
         let alpha = m + desc.ksz - 1;
         let tiles = desc.out_h().div_ceil(m) * desc.out_w().div_ceil(m);
         let shape = BatchedGemmShape {
@@ -57,8 +57,8 @@ impl Row {
         let mut random =
             |len: usize| -> Vec<f32> { (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect() };
         let (level, (b, k, n)) = (simd_level(), (shape.batches, shape.k, shape.n));
-        let bank = PackedA::pack(&random(shape.a_len()), b, shape.m, k, level, rt);
-        let v = PackedB::pack(&random(shape.b_len()), b, k, n, level, rt);
+        let bank = PackedA::pack(&random(shape.a_len()), b, shape.m, k, level);
+        let v = PackedB::pack(&random(shape.b_len()), b, k, n, level);
         let read = random(bank.bytes() / std::mem::size_of::<f32>());
         Row {
             desc,
@@ -72,10 +72,10 @@ impl Row {
     }
 
     /// Milliseconds of one batched GEMM.
-    fn gemm(&mut self, rt: &Runtime) -> f64 {
+    fn gemm(&mut self) -> f64 {
         let cfg = GemmConfig::default();
         let start = std::time::Instant::now();
-        batched_sgemm_packed(&self.shape, &self.bank, &self.v, &mut self.c, &cfg, rt);
+        batched_sgemm_packed(&self.shape, &self.bank, &self.v, &mut self.c, &cfg);
         let ms = start.elapsed().as_secs_f64() * 1e3;
         std::hint::black_box(&self.c);
         ms
@@ -83,11 +83,11 @@ impl Row {
 
     /// Milliseconds of one read of the bank-sized buffer, a share per
     /// lane.
-    fn read(&self, rt: &Runtime) -> f64 {
-        let lanes = rt.threads().max(1);
+    fn read(&self) -> f64 {
+        let lanes = Runtime::global().threads().max(1);
         let share = self.read.len().div_ceil(lanes);
         let start = std::time::Instant::now();
-        rt.parallel_for(0..lanes, |lane| {
+        wino_runtime::parallel_for(0..lanes, |lane| {
             let from = (lane * share).min(self.read.len());
             let to = (from + share).min(self.read.len());
             std::hint::black_box(sum(&self.read[from..to]));
@@ -118,7 +118,6 @@ fn main() {
         "bank_read",
         "Batch-1 Winograd GEMMs against a vectorised read of their filter bank",
     );
-    let rt = Runtime::global();
     let mut rng = StdRng::seed_from_u64(46);
     let mut rows: Vec<Row> = Vec::new();
     for desc in table4_convs().into_iter().filter(|d| d.batch == 1) {
@@ -126,24 +125,24 @@ fn main() {
             continue;
         };
         if !rows.iter().any(|r| r.desc == desc) {
-            rows.push(Row::build(desc, cfg.m, rt, &mut rng));
+            rows.push(Row::build(desc, cfg.m, &mut rng));
         }
     }
     // Warm-up, untimed: page in every buffer once.
     for row in rows.iter_mut() {
-        row.gemm(rt);
-        row.read(rt);
+        row.gemm();
+        row.read();
     }
     let mut gemm_ms = vec![Vec::with_capacity(ROUNDS); rows.len()];
     let mut read_ms = vec![Vec::with_capacity(ROUNDS); rows.len()];
     for round in 0..ROUNDS {
         for (i, row) in rows.iter_mut().enumerate() {
             if round % 2 == 0 {
-                gemm_ms[i].push(row.gemm(rt));
-                read_ms[i].push(row.read(rt));
+                gemm_ms[i].push(row.gemm());
+                read_ms[i].push(row.read());
             } else {
-                read_ms[i].push(row.read(rt));
-                gemm_ms[i].push(row.gemm(rt));
+                read_ms[i].push(row.read());
+                gemm_ms[i].push(row.gemm());
             }
         }
     }
@@ -178,7 +177,7 @@ fn main() {
     report.line(format!(
         "\n(median of {ROUNDS} interleaved rounds; {} lanes, {:?}; GB/s = U's bytes over the \
          time)\nΣ GEMM {sum_gemm:.2} ms   Σ read {sum_read:.2} ms   GEMM/read {:.2}",
-        rt.threads(),
+        Runtime::global().threads(),
         simd_level(),
         sum_gemm / sum_read
     ));

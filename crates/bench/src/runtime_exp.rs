@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
 use wino_codegen::{generate_plan, CodegenOptions, PlanVariant, Unroll};
-use wino_conv::{conv_winograd_precomputed_rt, PrecomputedFilters, WinogradConfig};
+use wino_conv::{conv_winograd_precomputed, PrecomputedFilters, WinogradConfig};
 use wino_gpu::{estimate_plan_ms, gtx_1080_ti, mali_g71, rx_580, DeviceProfile};
 use wino_runtime::{default_threads, Runtime};
 use wino_tensor::{ConvDesc, Tensor4};
@@ -103,7 +103,7 @@ pub fn figure6_phase_capture(m: usize) -> f64 {
     let cfg = WinogradConfig::new(m);
     let start = Instant::now();
     let pre = PrecomputedFilters::for_config(&filters, &desc, &cfg).expect("figure6 filters");
-    conv_winograd_precomputed_rt(&input, &pre, &desc, cfg.variant, &cfg.gemm, &rt)
+    rt.install(|| conv_winograd_precomputed(&input, &pre, &desc, cfg.variant, &cfg.gemm))
         .expect("figure6 phase capture");
     start.elapsed().as_secs_f64() * 1e3
 }

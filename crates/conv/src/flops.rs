@@ -6,7 +6,7 @@
 
 use wino_symbolic::OpCount;
 use wino_tensor::{tile_counts, ConvDesc};
-use wino_transform::{BaselineOps, TransformRecipes};
+use wino_transform::TransformRecipes;
 
 use crate::error::ConvError;
 
@@ -74,22 +74,6 @@ pub fn winograd_flops(
     })
 }
 
-/// FLOPs of the same convolution with *naive matrix-multiplication*
-/// transforms — the paper's baseline.
-pub fn winograd_flops_baseline(desc: &ConvDesc, m: usize) -> Result<WinogradFlops, ConvError> {
-    let spec = wino_transform::WinogradSpec::new(m, desc.ksz)?;
-    let base = BaselineOps::for_spec(spec);
-    let alpha2 = (spec.alpha() * spec.alpha()) as u64;
-    let p = winograd_tile_total(desc, m);
-    let (k, c) = (desc.out_ch as u64, desc.in_ch as u64);
-    Ok(WinogradFlops {
-        filter_transform: k * c * ops_flops(base.filter),
-        input_transform: p * c * ops_flops(base.input),
-        multiplication: alpha2 * 2 * k * c * p,
-        output_transform: k * p * ops_flops(base.output),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,15 +97,6 @@ mod tests {
             w.multiplication,
             desc.flops()
         );
-    }
-
-    #[test]
-    fn optimized_transforms_cheaper_than_baseline() {
-        let desc = ConvDesc::new(3, 1, 1, 64, 1, 24, 24, 32);
-        let opt = winograd_flops(&desc, &recipes(6, 3)).unwrap();
-        let base = winograd_flops_baseline(&desc, 6).unwrap();
-        assert!(opt.transforms() < base.transforms());
-        assert_eq!(opt.multiplication, base.multiplication);
     }
 
     #[test]

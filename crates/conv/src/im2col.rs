@@ -14,7 +14,6 @@
 use wino_gemm::{
     simd_level, BatchedGemmShape, GemmConfig, PackedA, PackedB, PackedBColumns, SimdLevel,
 };
-use wino_runtime::Runtime;
 use wino_tensor::{ConvDesc, Tensor4};
 
 use crate::error::ConvError;
@@ -93,7 +92,7 @@ impl Im2colFilters {
         IM2COL_PACKS.add(1);
         // Filters are already contiguous in (K, C·r²) layout.
         Ok(Im2colFilters {
-            a: PackedA::pack(filters.data(), 1, k, c * r * r, level, Runtime::global()),
+            a: PackedA::pack(filters.data(), 1, k, c * r * r, level),
             dims: (k, c, r),
         })
     }
@@ -103,27 +102,15 @@ impl Im2colFilters {
         self.a.level()
     }
 
-    /// [`conv_im2col`] from this bank, on the global runtime.
+    /// [`conv_im2col`] from this bank, on the installed pool
+    /// ([`wino_runtime::Runtime::install`]; the global one by default).
+    /// Output bits depend on the bank's level alone: not on the thread
+    /// count, and not on which images share a call.
     ///
     /// # Errors
     /// [`ConvError::Shape`] when `input` or the bank disagree with
     /// `desc`.
     pub fn conv(&self, input: &Tensor4<f32>, desc: &ConvDesc) -> Result<Tensor4<f32>, ConvError> {
-        self.conv_rt(input, desc, Runtime::global())
-    }
-
-    /// [`Im2colFilters::conv`] on an explicit runtime. Output bits
-    /// depend on the bank's level alone: not on the thread count, and
-    /// not on which images share a call.
-    ///
-    /// # Errors
-    /// As [`Im2colFilters::conv`].
-    pub fn conv_rt(
-        &self,
-        input: &Tensor4<f32>,
-        desc: &ConvDesc,
-        rt: &Runtime,
-    ) -> Result<Tensor4<f32>, ConvError> {
         if input.dims() != (desc.batch, desc.in_ch, desc.in_h, desc.in_w) {
             return Err(ConvError::Shape(format!(
                 "input dims {:?} do not match descriptor {desc}",
@@ -153,7 +140,7 @@ impl Im2colFilters {
         let buf = std::mem::take(&mut ws.v);
         let mut cols = PackedB::recycled(buf, shape.batches, shape.k, shape.n, self.level());
         drop(b_pack_span);
-        gather(input, desc, &cols.columns(), rt);
+        gather(input, desc, &cols.columns());
         drop(gather_span);
         // C (K × OH·OW) of image n lands directly in the output tensor:
         // planes (n, 0..K) are contiguous and of length OH·OW each. The
@@ -162,7 +149,7 @@ impl Im2colFilters {
         let gemm = GemmConfig::default();
         let gemm_span = wino_probe::span("conv.im2col_gemm");
         let c = &mut out.spare_capacity_mut()[..shape.c_len()];
-        wino_gemm::batched_sgemm_packed_uninit(&shape, &self.a, &cols, c, &gemm, rt);
+        wino_gemm::batched_sgemm_packed_uninit(&shape, &self.a, &cols, c, &gemm);
         // SAFETY: `batched_sgemm_packed_uninit` returned, so it wrote
         // all `c_len` elements.
         unsafe { out.set_len(shape.c_len()) };
@@ -188,7 +175,7 @@ impl Im2colFilters {
 /// A 1×1 unit-stride unpadded convolution's column matrix is the input
 /// image itself, each channel plane one row: it runs as a one-row
 /// gather over the flattened plane, a task one whole-sliver copy of it.
-fn gather(input: &Tensor4<f32>, desc: &ConvDesc, cols: &PackedBColumns<'_>, rt: &Runtime) {
+fn gather(input: &Tensor4<f32>, desc: &ConvDesc, cols: &PackedBColumns<'_>) {
     let (r, s, pad) = (desc.ksz, desc.stride, desc.pad);
     let (ih, iw, oh, ow) = if r == 1 && s == 1 && pad == 0 {
         (1, desc.in_h * desc.in_w, 1, desc.in_h * desc.in_w)
@@ -208,7 +195,7 @@ fn gather(input: &Tensor4<f32>, desc: &ConvDesc, cols: &PackedBColumns<'_>, rt: 
             (lo, hi, x % s * phase_len + x / s)
         })
         .collect();
-    rt.parallel_for_chunks(0..desc.batch * desc.in_ch * r, 1, |tasks| {
+    wino_runtime::parallel_for_chunks(0..desc.batch * desc.in_ch * r, 1, |tasks| {
         let mut phases = vec![0.0f32; if s > 1 { s * phase_len } else { 0 }];
         for task in tasks {
             let (img, c, fy) = (task / (desc.in_ch * r), task / r % desc.in_ch, task % r);
@@ -269,6 +256,7 @@ mod tests {
     use crate::direct::conv_direct_f32;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use wino_runtime::Runtime;
 
     fn assert_close(a: &Tensor4<f32>, b: &Tensor4<f32>) {
         assert_eq!(a.dims(), b.dims());
@@ -360,16 +348,12 @@ mod tests {
                 im2col_image(&input, img, &desc, cols);
             }
             for level in wino_gemm::supported_levels() {
-                let want = PackedB::pack(&reference, desc.batch, k, n, level, &Runtime::serial());
+                let want = PackedB::pack(&reference, desc.batch, k, n, level);
                 for threads in [1, 3] {
                     let dirty = vec![f32::NAN; desc.batch * k * n + 7];
                     let mut got = PackedB::recycled(dirty, desc.batch, k, n, level);
-                    gather(
-                        &input,
-                        &desc,
-                        &got.columns(),
-                        &Runtime::with_threads(threads),
-                    );
+                    let rt = Runtime::with_threads(threads);
+                    rt.install(|| gather(&input, &desc, &got.columns()));
                     for img in 0..desc.batch {
                         let same = got
                             .batch(img)

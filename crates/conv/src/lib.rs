@@ -34,7 +34,7 @@ mod workspace;
 pub use accuracy::{accuracy_probe_desc, conv_error_trial, measure_conv_error};
 pub use direct::{conv_direct_f32, conv_direct_f64};
 pub use error::ConvError;
-pub use flops::{winograd_flops, winograd_flops_baseline, winograd_tile_total, WinogradFlops};
+pub use flops::{winograd_flops, winograd_tile_total, WinogradFlops};
 pub use im2col::{conv_im2col, im2col_image, Im2colFilters};
 pub use scatter::{LaneGroup, ScatterMap, TileSpan};
 pub use tiles::TileTransformer;
@@ -42,6 +42,5 @@ pub use tiles::TileTransformer;
 /// GEMM phase multiplies at it (the selector's cost model prices them).
 pub use wino_gemm::{issued_cols, SimdLevel};
 pub use winograd::{
-    conv_winograd, conv_winograd_precomputed, conv_winograd_precomputed_rt, PrecomputedFilters,
-    WinogradConfig, WinogradVariant,
+    conv_winograd, conv_winograd_precomputed, PrecomputedFilters, WinogradConfig, WinogradVariant,
 };

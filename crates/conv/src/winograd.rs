@@ -25,7 +25,7 @@ use std::sync::{Arc, OnceLock};
 
 use wino_gemm::{ASliver, BatchedGemmShape, GemmConfig, PackedA, PackedB, SimdLevel};
 use wino_probe::LiveBytes;
-use wino_runtime::{DisjointSlice, Runtime};
+use wino_runtime::DisjointSlice;
 use wino_symbolic::RecipeOptions;
 use wino_tensor::{pad_plane, tile_counts, ConvDesc, Tensor4};
 use wino_transform::{recipe_db, TransformRecipes, WinogradSpec};
@@ -338,23 +338,18 @@ impl PrecomputedFilters {
                 filters.dims()
             )));
         }
-        // Row slivers of the bank are independent tasks on the pool.
-        let rt = Runtime::global();
-        Ok(Self::transformed(
-            filters, desc, spec, transforms, level, rt,
-        ))
+        Ok(Self::transformed(filters, desc, spec, transforms, level))
     }
 
-    /// The transform behind [`PrecomputedFilters::checked`], on an
-    /// explicit runtime; the bank's bits do not depend on the thread
-    /// count.
+    /// The transform behind [`PrecomputedFilters::checked`]: row
+    /// slivers of the bank are independent tasks on the installed pool,
+    /// and the bank's bits do not depend on its thread count.
     fn transformed(
         filters: &Tensor4<f32>,
         desc: &ConvDesc,
         spec: WinogradSpec,
         transforms: Transforms,
         level: SimdLevel,
-        rt: &Runtime,
     ) -> Self {
         let filter_span = H_FILTER.span();
         let a2 = spec.alpha() * spec.alpha();
@@ -388,7 +383,7 @@ impl PrecomputedFilters {
                 }
             }
         };
-        let bank = PackedA::from_slivers(a2, kc, cc, level, rt, task_state, fill);
+        let bank = PackedA::from_slivers(a2, kc, cc, level, task_state, fill);
         drop(filter_span);
         FILTER_TRANSFORMS.add(1);
         FILTER_BANK_BYTES.add(bank.bytes() as i64);
@@ -469,10 +464,18 @@ impl Drop for PrecomputedFilters {
 }
 
 /// Winograd convolution reusing an already-transformed filter bank
-/// (skips the filter-transform phase entirely), on the process-wide
-/// runtime. Output is bit-identical to the cold-path [`conv_winograd`]
-/// with the same recipes: the warm `U` is the same values, only
-/// computed earlier.
+/// (skips the filter-transform phase entirely), on the installed pool
+/// ([`wino_runtime::Runtime::install`]; the global one by default).
+/// Output is bit-identical to the cold-path [`conv_winograd`] with the
+/// same recipes: the warm `U` is the same values, only computed
+/// earlier. Outputs are bit-identical for every thread count too:
+/// parallel tasks own disjoint lane groups/tiles and preserve the
+/// serial per-element operation order.
+///
+/// Transforms and the GEMM run at [`PrecomputedFilters::level`], and
+/// every level gives the same bits: the transform kernels have no
+/// cross-lane operations, and every GEMM tile runs the same FMA chain
+/// per element.
 ///
 /// `variant` has one value and selects nothing: the parameter stays only
 /// because `benchmark/src/workloads/conv.rs` passes `cfg.variant`
@@ -488,29 +491,6 @@ pub fn conv_winograd_precomputed(
     variant: WinogradVariant,
     gemm: &GemmConfig,
 ) -> Result<Tensor4<f32>, ConvError> {
-    conv_winograd_precomputed_rt(input, pre, desc, variant, gemm, Runtime::global())
-}
-
-/// [`conv_winograd_precomputed`] on an explicit execution runtime.
-/// Outputs are bit-identical for every thread count: parallel tasks
-/// own disjoint lane groups/tiles and preserve the serial per-element
-/// operation order.
-///
-/// Transforms and the GEMM run at [`PrecomputedFilters::level`], and
-/// every level gives the same bits: the transform kernels have no
-/// cross-lane operations, and every GEMM tile runs the same FMA chain
-/// per element.
-///
-/// # Errors
-/// As [`conv_winograd_precomputed`].
-pub fn conv_winograd_precomputed_rt(
-    input: &Tensor4<f32>,
-    pre: &PrecomputedFilters,
-    desc: &ConvDesc,
-    variant: WinogradVariant,
-    gemm: &GemmConfig,
-    rt: &Runtime,
-) -> Result<Tensor4<f32>, ConvError> {
     if input.dims() != (desc.batch, desc.in_ch, desc.in_h, desc.in_w) {
         return Err(ConvError::Shape(format!(
             "input dims {:?} do not match descriptor {desc}",
@@ -520,7 +500,7 @@ pub fn conv_winograd_precomputed_rt(
     pre.check_desc(desc)?;
     let mut ws = Workspace::take();
     let out = match variant {
-        WinogradVariant::NonFused => nonfused(input, pre, desc, gemm, rt, &mut ws),
+        WinogradVariant::NonFused => nonfused(input, pre, desc, gemm, &mut ws),
     }?;
     ws.put_back();
     Ok(out)
@@ -576,16 +556,10 @@ impl Tiling {
 
     /// `input` with `pad` zeros above and left of every plane and zeros
     /// out to [`Tiling::padded_extent`] below and right, built in `buf`
-    /// ([`Tensor4::pad_to`]'s result) a plane per task on `rt`: each
+    /// ([`Tensor4::pad_to`]'s result) a plane per task on the installed pool: each
     /// float is written once, the border's zeros included, and nothing
     /// is zero-filled first.
-    fn pad(
-        &self,
-        input: &Tensor4<f32>,
-        pad: usize,
-        mut buf: Vec<f32>,
-        rt: &Runtime,
-    ) -> Tensor4<f32> {
+    fn pad(&self, input: &Tensor4<f32>, pad: usize, mut buf: Vec<f32>) -> Tensor4<f32> {
         let (h, w) = self.padded_extent();
         let (n, c, ih, iw) = input.dims();
         let (planes, plane) = (n * c, h * w);
@@ -595,7 +569,7 @@ impl Tiling {
         let dst = DisjointSlice::new(&mut buf.spare_capacity_mut()[..len]);
         // Whole planes per task, at least a few thousand floats each.
         let min_planes = (4096 / plane.max(1)).max(1);
-        rt.parallel_for_chunks(0..planes, min_planes, |chunk| {
+        wino_runtime::parallel_for_chunks(0..planes, min_planes, |chunk| {
             for i in chunk {
                 // SAFETY: plane `i`'s range lies inside `dst` and only
                 // this task writes it.
@@ -882,7 +856,6 @@ fn nonfused(
     pre: &PrecomputedFilters,
     desc: &ConvDesc,
     gemm: &GemmConfig,
-    rt: &Runtime,
     ws: &mut Workspace,
 ) -> Result<Tensor4<f32>, ConvError> {
     let mut conv_span = wino_probe::span("conv.winograd.nonfused");
@@ -904,14 +877,14 @@ fn nonfused(
     let (ph, pw) = tiling.padded_extent();
     let pad_span = wino_probe::span("conv.pad");
     ws.fit(Buffer::Padded, desc.batch * cc * ph * pw);
-    let padded = tiling.pad(input, desc.pad, std::mem::take(&mut ws.padded), rt);
+    let padded = tiling.pad(input, desc.pad, std::mem::take(&mut ws.padded));
     drop(pad_span);
     let b_pack_span = wino_probe::span("conv.b_pack");
     ws.fit(Buffer::V, a2 * wino_gemm::packed_b_len(cc, p_total, level));
     let mut v_packed = PackedB::recycled(std::mem::take(&mut ws.v), a2, cc, p_total, level);
     drop(b_pack_span);
     let v_columns = v_packed.columns();
-    rt.parallel_for_chunks(0..p_total.div_ceil(LANES), 1, |groups| {
+    wino_runtime::parallel_for_chunks(0..p_total.div_ceil(LANES), 1, |groups| {
         let _chunk_span = wino_probe::span("conv.tile_gather");
         let mut kernel = transforms.kernel(Stage::Input, level);
         let mut src = vec![[0.0f32; LANES]; a2];
@@ -950,7 +923,7 @@ fn nonfused(
     if ws.m.len() < shape.c_len() {
         ws.m.resize(shape.c_len(), 0.0);
     }
-    wino_gemm::batched_sgemm_packed(&shape, &pre.bank, &v_packed, &mut ws.m, gemm, rt);
+    wino_gemm::batched_sgemm_packed(&shape, &pre.bank, &v_packed, &mut ws.m, gemm);
     let m_scatter = &ws.m[..shape.c_len()];
     (ws.padded, ws.v) = (padded.into_raw(), v_packed.into_raw());
     drop(gemm_span);
@@ -961,7 +934,7 @@ fn nonfused(
     let out_len = tiling.scatter.out_len();
     let mut out = Vec::<f32>::with_capacity(out_len);
     let out_win = DisjointSlice::new(&mut out.spare_capacity_mut()[..out_len]);
-    output_stage(&tiling, transforms, m_scatter, &out_win, rt);
+    output_stage(&tiling, transforms, m_scatter, &out_win);
     drop(out_win);
     // SAFETY: `output_stage` returned, so it wrote all `out_len`
     // elements. A panicking group unwinds past this point instead, and
@@ -989,7 +962,6 @@ fn output_stage(
     transforms: &Transforms,
     m_scatter: &[f32],
     out: &DisjointSlice<'_, MaybeUninit<f32>>,
-    rt: &Runtime,
 ) {
     let (m, a2, level) = (tiling.m, tiling.alpha * tiling.alpha, tiling.level);
     let total = tiling.scatter.pairs();
@@ -997,7 +969,7 @@ fn output_stage(
         m_scatter.len() >= a2 * total && out.len() >= tiling.scatter.out_len(),
         "M' or the output is too short for the tiling"
     );
-    rt.parallel_for_chunks(0..tiling.scatter.groups(), 1, |groups| {
+    wino_runtime::parallel_for_chunks(0..tiling.scatter.groups(), 1, |groups| {
         let _chunk_span = wino_probe::span("conv.tile_scatter");
         let mut kernel = transforms.kernel(Stage::Output, level);
         let mut src = vec![[0.0f32; LANES]; a2];
@@ -1031,6 +1003,7 @@ mod tests {
     use proptest::prelude::{any, prop_oneof, Just};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use wino_runtime::Runtime;
     use wino_tensor::extract_input_tile;
 
     fn assert_close(a: &Tensor4<f32>, b: &Tensor4<f32>, tol: f32) {
@@ -1169,7 +1142,7 @@ mod tests {
             (ConvDesc::new(5, 1, 2, 9, 2, 11, 11, 10), vec![4]),
         ];
         let levels = wino_gemm::supported_levels();
-        let (gemm, rt) = (GemmConfig::default(), Runtime::global());
+        let gemm = GemmConfig::default();
         for (desc, ms) in cases {
             let (input, filt) = random_case(&desc, 55);
             for m in ms {
@@ -1183,8 +1156,9 @@ mod tests {
                         ),
                         false => Transforms::Interpreted(Arc::clone(&recipes)),
                     };
-                    let rt = Runtime::with_threads(threads);
-                    PrecomputedFilters::transformed(&filt, &desc, spec, transforms, lv, &rt)
+                    Runtime::with_threads(threads).install(|| {
+                        PrecomputedFilters::transformed(&filt, &desc, spec, transforms, lv)
+                    })
                 };
                 // U'(ξ) row by row, whatever sliver height it is packed in.
                 let unpacked = |pre: &PrecomputedFilters| {
@@ -1198,10 +1172,10 @@ mod tests {
                 for &lv in &levels {
                     let interpreted = bank(false, lv, 1);
                     let ws = &mut Workspace::default();
-                    let want = nonfused(&input, &interpreted, &desc, &gemm, rt, ws).unwrap();
+                    let want = nonfused(&input, &interpreted, &desc, &gemm, ws).unwrap();
                     for pre in [interpreted, bank(true, lv, 1), bank(true, lv, 4)] {
                         assert_eq!(unpacked(&pre), u, "{spec} at {lv:?}");
-                        let got = nonfused(&input, &pre, &desc, &gemm, rt, ws).unwrap();
+                        let got = nonfused(&input, &pre, &desc, &gemm, ws).unwrap();
                         assert_bits_equal(&got, &want);
                     }
                 }
@@ -1252,11 +1226,11 @@ mod tests {
             }
             let runtimes = [Runtime::with_threads(1), Runtime::with_threads(3)];
             for level in wino_gemm::supported_levels() {
-                let want = PackedA::pack(&u, a2, out_ch, in_ch, level, &runtimes[0]);
+                let want = runtimes[0].install(|| PackedA::pack(&u, a2, out_ch, in_ch, level));
                 let model = wino_gemm::pack_a_model(out_ch, in_ch, wino_gemm::tile_extents(level).0);
                 for rt in &runtimes {
                     let transforms = Transforms::for_recipes(Arc::clone(&recipes));
-                    let pre = PrecomputedFilters::transformed(&filt, &desc, spec, transforms, level, rt);
+                    let pre = rt.install(|| PrecomputedFilters::transformed(&filt, &desc, spec, transforms, level));
                     for xi in 0..a2 {
                         let (got, want) = (pre.bank.batch(xi), want.batch(xi));
                         proptest::prop_assert_eq!(got.len(), model.len());
@@ -1313,7 +1287,7 @@ mod tests {
             let mut want = vec![0.0f32; a2];
             for level in wino_gemm::supported_levels() {
                 let tiling = Tiling::new(&desc, spec, level);
-                let padded = tiling.pad(&input, pad, Vec::new(), Runtime::global());
+                let padded = tiling.pad(&input, pad, Vec::new());
                 for t0 in (0..tiling.tiles).step_by(LANES) {
                     let count = LANES.min(tiling.tiles - t0);
                     let origins = tiling.origins(t0, count);
@@ -1381,7 +1355,8 @@ mod tests {
             for threads in [1, 3] {
                 let mut dirty = vec![f32::NAN; want.len() + 5];
                 dirty.truncate(3);
-                let got = tiling.pad(&input, desc.pad, dirty, &Runtime::with_threads(threads));
+                let got =
+                    Runtime::with_threads(threads).install(|| tiling.pad(&input, desc.pad, dirty));
                 assert_bits_equal(&got, &want);
             }
         }
@@ -1443,13 +1418,9 @@ mod tests {
             for level in wino_gemm::supported_levels() {
                 let tiling = Tiling::new(&desc, spec, level);
                 let mut out = vec![MaybeUninit::new(f32::from_bits(SENTINEL)); out_len];
-                output_stage(
-                    &tiling,
-                    &transforms,
-                    &m_scatter,
-                    &DisjointSlice::new(&mut out),
-                    &Runtime::with_threads(2),
-                );
+                Runtime::with_threads(2).install(|| {
+                    output_stage(&tiling, &transforms, &m_scatter, &DisjointSlice::new(&mut out))
+                });
                 for (i, (got, want)) in out.iter().zip(&want).enumerate() {
                     // SAFETY: every element was initialised (to the
                     // sentinel) before the stage ran.

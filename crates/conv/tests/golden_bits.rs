@@ -23,7 +23,7 @@
 
 use std::sync::Arc;
 
-use wino_conv::{conv_winograd_precomputed_rt, Im2colFilters, PrecomputedFilters, WinogradVariant};
+use wino_conv::{conv_winograd_precomputed, Im2colFilters, PrecomputedFilters, WinogradVariant};
 use wino_gemm::{GemmConfig, SimdLevel};
 use wino_runtime::Runtime;
 use wino_symbolic::RecipeOptions;
@@ -151,8 +151,8 @@ fn fnv1a(t: &Tensor4<f32>) -> u64 {
     h
 }
 
-/// Hashes of every case at `level`, on `rt`.
-fn hashes(level: SimdLevel, rt: &Runtime) -> Vec<u64> {
+/// Hashes of every case at `level`, on the installed pool.
+fn hashes(level: SimdLevel) -> Vec<u64> {
     cases()
         .iter()
         .enumerate()
@@ -172,13 +172,12 @@ fn hashes(level: SimdLevel, rt: &Runtime) -> Vec<u64> {
             let spec = WinogradSpec::new(c.m, desc.ksz).unwrap();
             let recipes = recipe_db().get(spec, c.options).unwrap();
             let pre = PrecomputedFilters::new_at(&filt, desc, Arc::clone(&recipes), level).unwrap();
-            let out = conv_winograd_precomputed_rt(
+            let out = conv_winograd_precomputed(
                 &input,
                 &pre,
                 desc,
                 WinogradVariant::NonFused,
                 &GemmConfig::default(),
-                rt,
             )
             .unwrap();
             fnv1a(&out)
@@ -187,7 +186,7 @@ fn hashes(level: SimdLevel, rt: &Runtime) -> Vec<u64> {
 }
 
 fn assert_golden(level: SimdLevel, golden: &[u64]) {
-    let serial = hashes(level, &Runtime::serial());
+    let serial = Runtime::serial().install(|| hashes(level));
     let table: Vec<String> = serial.iter().map(|h| format!("    {h:#018x},")).collect();
     assert!(
         serial == golden,
@@ -195,7 +194,7 @@ fn assert_golden(level: SimdLevel, golden: &[u64]) {
         table.join("\n")
     );
     assert!(
-        hashes(level, &Runtime::with_threads(4)) == serial,
+        Runtime::with_threads(4).install(|| hashes(level)) == serial,
         "output bits depend on the thread count at {level:?}"
     );
 }
@@ -219,9 +218,10 @@ fn im2col_cases() -> Vec<ConvDesc> {
     v
 }
 
-/// Hashes of every im2col case at `level`, on `rt`. A batch-5 case is
-/// also run an image at a time: stacking must not move a bit.
-fn im2col_hashes(level: SimdLevel, rt: &Runtime) -> Vec<u64> {
+/// Hashes of every im2col case at `level`, on the installed pool. A
+/// batch-5 case is also run an image at a time: stacking must not move
+/// a bit.
+fn im2col_hashes(level: SimdLevel) -> Vec<u64> {
     im2col_cases()
         .iter()
         .enumerate()
@@ -238,13 +238,13 @@ fn im2col_hashes(level: SimdLevel, rt: &Runtime) -> Vec<u64> {
                 &mut rng,
             );
             let bank = Im2colFilters::new_at(&filt, level).unwrap();
-            let out = bank.conv_rt(&input, desc, rt).unwrap();
+            let out = bank.conv(&input, desc).unwrap();
             let one = ConvDesc { batch: 1, ..*desc };
             let plane = desc.in_ch * desc.in_h * desc.in_w;
             for (img, want) in out.data().chunks_exact(out.len() / desc.batch).enumerate() {
                 let image = input.data()[img * plane..][..plane].to_vec();
                 let single = Tensor4::from_raw(1, desc.in_ch, desc.in_h, desc.in_w, image);
-                let alone = bank.conv_rt(&single, &one, rt).unwrap();
+                let alone = bank.conv(&single, &one).unwrap();
                 assert!(
                     alone
                         .data()
@@ -260,7 +260,7 @@ fn im2col_hashes(level: SimdLevel, rt: &Runtime) -> Vec<u64> {
 }
 
 fn assert_im2col_golden(level: SimdLevel, golden: &[u64]) {
-    let serial = im2col_hashes(level, &Runtime::serial());
+    let serial = Runtime::serial().install(|| im2col_hashes(level));
     let table: Vec<String> = serial.iter().map(|h| format!("    {h:#018x},")).collect();
     assert!(
         serial == golden,
@@ -269,7 +269,7 @@ fn assert_im2col_golden(level: SimdLevel, golden: &[u64]) {
     );
     for threads in [2, 3] {
         assert!(
-            im2col_hashes(level, &Runtime::with_threads(threads)) == serial,
+            Runtime::with_threads(threads).install(|| im2col_hashes(level)) == serial,
             "im2col output bits depend on the thread count ({threads}) at {level:?}"
         );
     }

@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wino_conv::{
-    conv_winograd_precomputed_rt, Im2colFilters, PrecomputedFilters, SimdLevel, WinogradConfig,
+    conv_winograd_precomputed, Im2colFilters, PrecomputedFilters, SimdLevel, WinogradConfig,
 };
 use wino_runtime::Runtime;
 use wino_tensor::{ConvDesc, Tensor4};
@@ -52,17 +52,19 @@ fn bits(t: &Tensor4<f32>) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
 }
 
-/// `conv` at every supported level, serial and on `threads` lanes: all
-/// of them must be the serial `Scalar` output's bits.
-fn assert_one_answer(threads: usize, conv: impl Fn(SimdLevel, &Runtime) -> Tensor4<f32>) {
-    let scalar = bits(&conv(SimdLevel::Scalar, &Runtime::serial()));
+/// `conv` at every supported level, serial and with a `threads`-lane
+/// pool installed: all of them must be the serial `Scalar` output's
+/// bits.
+fn assert_one_answer(threads: usize, conv: impl Fn(SimdLevel) -> Tensor4<f32>) {
+    let (serial, pool) = (Runtime::serial(), Runtime::with_threads(threads));
+    let scalar = bits(&serial.install(|| conv(SimdLevel::Scalar)));
     for level in wino_gemm::supported_levels() {
         assert!(
-            bits(&conv(level, &Runtime::serial())) == scalar,
+            bits(&serial.install(|| conv(level))) == scalar,
             "serial output at {level:?} differs from Scalar's"
         );
         assert!(
-            bits(&conv(level, &Runtime::with_threads(threads))) == scalar,
+            bits(&pool.install(|| conv(level))) == scalar,
             "output on {threads} lanes at {level:?} diverged from serial Scalar's"
         );
     }
@@ -91,10 +93,10 @@ proptest! {
             .unwrap()
             .recipes()
             .clone();
-        assert_one_answer(threads, |level, rt| {
+        assert_one_answer(threads, |level| {
             let pre =
                 PrecomputedFilters::new_at(&filt, &desc, Arc::clone(&recipes), level).unwrap();
-            conv_winograd_precomputed_rt(&input, &pre, &desc, cfg.variant, &cfg.gemm, rt).unwrap()
+            conv_winograd_precomputed(&input, &pre, &desc, cfg.variant, &cfg.gemm).unwrap()
         });
     }
 
@@ -113,9 +115,9 @@ proptest! {
     ) {
         let desc = ConvDesc::new(ksz, stride, ksz / 2, out_ch, batch, hw, hw, in_ch);
         let (input, filt) = random_case(&desc, FILLS[fill], seed);
-        assert_one_answer(threads, |level, rt| {
+        assert_one_answer(threads, |level| {
             let bank = Im2colFilters::new_at(&filt, level).unwrap();
-            bank.conv_rt(&input, &desc, rt).unwrap()
+            bank.conv(&input, &desc).unwrap()
         });
     }
 }

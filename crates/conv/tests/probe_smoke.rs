@@ -4,7 +4,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wino_conv::{conv_winograd_precomputed_rt, PrecomputedFilters, WinogradConfig};
+use wino_conv::{conv_winograd_precomputed, PrecomputedFilters, WinogradConfig};
 use wino_probe::{self as probe, Mode};
 use wino_runtime::Runtime;
 use wino_tensor::{ConvDesc, Tensor4};
@@ -35,8 +35,10 @@ fn nonfused_identical_with_tracing_and_spans_recorded() {
     let rt = Runtime::with_threads(2);
     // A cold call: transform the bank, serve one inference from it.
     let cold = || {
-        let pre = PrecomputedFilters::for_config(&filt, &desc, &cfg).unwrap();
-        conv_winograd_precomputed_rt(&input, &pre, &desc, cfg.variant, &cfg.gemm, &rt).unwrap()
+        rt.install(|| {
+            let pre = PrecomputedFilters::for_config(&filt, &desc, &cfg).unwrap();
+            conv_winograd_precomputed(&input, &pre, &desc, cfg.variant, &cfg.gemm).unwrap()
+        })
     };
 
     probe::set_mode(Mode::Off);

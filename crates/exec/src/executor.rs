@@ -1,13 +1,15 @@
-//! Wave-by-wave network execution on the shared runtime pool.
+//! Wave-by-wave network execution on the calling thread's installed
+//! pool ([`wino_runtime::Runtime::install`]; the global one when
+//! nothing is installed).
 //!
 //! Waves run in order; within a wave, independent steps run
-//! concurrently via [`Runtime::scope`]. A single-step wave executes
+//! concurrently via [`wino_runtime::scope`]. A single-step wave executes
 //! inline on the calling thread. A multi-step wave's steps are branch
 //! tasks: the pool's idle workers take them and so does the calling
 //! thread once it has spawned them all, so a 4-branch Inception wave
 //! on a 2-lane runtime runs on two threads. Each branch's convolution
-//! still opens its intra-conv `parallel_for` regions, from whichever
-//! lane runs it, and a lane that finishes its branch's chunks early
+//! still opens its intra-conv `parallel_for` regions on the same pool,
+//! from whichever lane runs it, and a lane that finishes its branch's chunks early
 //! helps with the other branch's — but a lane waiting inside a region
 //! never starts another branch (one engine call per thread at a time:
 //! the thread-local workspace and span nesting rely on it; the runtime
@@ -27,7 +29,6 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 use wino_guard::Engine;
-use wino_runtime::Runtime;
 use wino_tensor::Tensor4;
 
 use crate::arena::{Arena, ArenaPool};
@@ -72,27 +73,23 @@ impl NetworkExecutor {
         NetworkExecutor { net, pool }
     }
 
-    /// Runs the network on the global runtime pool.
+    /// Runs the network on the installed pool: its waves' branches and
+    /// every conv below them.
     ///
     /// # Errors
     /// [`ExecError::Shape`] on input mismatch, [`ExecError::Guard`]
     /// when some conv exhausted its chain.
     pub fn run(&self, input: &Tensor4<f32>) -> Result<NetworkOutput, ExecError> {
-        self.run_on(Runtime::global(), input, false)
+        self.run_on(input, false)
     }
 
-    /// [`NetworkExecutor::run`] on an explicit runtime, optionally
-    /// `degraded`: every conv rides its terminal fallback engine only
-    /// (the near-deadline / open-breaker serving mode).
+    /// [`NetworkExecutor::run`], optionally `degraded`: every conv
+    /// rides its terminal fallback engine only (the near-deadline /
+    /// open-breaker serving mode).
     ///
     /// # Errors
     /// As [`NetworkExecutor::run`].
-    pub fn run_on(
-        &self,
-        rt: &Runtime,
-        input: &Tensor4<f32>,
-        degraded: bool,
-    ) -> Result<NetworkOutput, ExecError> {
+    pub fn run_on(&self, input: &Tensor4<f32>, degraded: bool) -> Result<NetworkOutput, ExecError> {
         let net = &*self.net;
         let (n, c, h, w) = input.dims();
         if n == 0 || (c, h, w) != net.input_dims {
@@ -110,7 +107,7 @@ impl NetworkExecutor {
         }
         let start = Instant::now();
         let mut arena = self.pool.acquire(batch);
-        let result = self.run_waves(rt, input, batch, degraded, &mut arena);
+        let result = self.run_waves(input, batch, degraded, &mut arena);
         self.pool.release(arena);
         let out = result?;
         NETWORKS.add(1);
@@ -120,7 +117,6 @@ impl NetworkExecutor {
 
     fn run_waves(
         &self,
-        rt: &Runtime,
         input: &Tensor4<f32>,
         batch: usize,
         degraded: bool,
@@ -162,7 +158,7 @@ impl NetworkExecutor {
                 let cells: Vec<VerdictCell> = wave.iter().map(|_| Mutex::new(None)).collect();
                 {
                     let values_ref = &values;
-                    rt.scope(|scope| {
+                    wino_runtime::scope(|scope| {
                         for (i, &s) in wave.iter().enumerate() {
                             let mut out = outs[i].take().expect("materialized above");
                             let step = &net.steps[s];

@@ -118,7 +118,8 @@ fn arena_pool_recycles_and_error_free_runs_balance_the_pool() {
     let mut rng = StdRng::seed_from_u64(6);
     let input = Tensor4::<f32>::random(2, 192, 28, 28, -1.0, 1.0, &mut rng);
     for _ in 0..3 {
-        exec.run_on(&Runtime::with_threads(2), &input, false)
+        Runtime::with_threads(2)
+            .install(|| exec.run(&input))
             .unwrap();
         // Every run returns its arena.
         assert_eq!(pool.available(), 2);

@@ -68,15 +68,15 @@ fn a_steady_window_executes_with_zero_graph_level_allocations() {
     let mut rng = StdRng::seed_from_u64(12);
     let big = Tensor4::<f32>::random(2, 192, 28, 28, -1.0, 1.0, &mut rng);
     let small = Tensor4::<f32>::random(1, 192, 28, 28, -1.0, 1.0, &mut rng);
-    exec.run_on(&rt, &big, false).unwrap();
+    rt.install(|| exec.run(&big)).unwrap();
     let allocs = wino_probe::counter("exec.arena_allocs");
     let warm = allocs.get();
     assert!(warm > 0);
 
     // Steady state: smaller and equal batches recycle reserved arenas.
     for _ in 0..4 {
-        exec.run_on(&rt, &big, false).unwrap();
-        exec.run_on(&rt, &small, false).unwrap();
+        rt.install(|| exec.run(&big)).unwrap();
+        rt.install(|| exec.run(&small)).unwrap();
     }
     assert_eq!(
         allocs.get() - warm,
@@ -96,13 +96,15 @@ fn a_steady_window_executes_with_zero_graph_level_allocations() {
 /// of by waiting for the race to have visited every lane.
 fn run_once_on_every_lane(rt: &Runtime, exec: &NetworkExecutor, input: &Tensor4<f32>) {
     let barrier = Barrier::new(rt.threads());
-    rt.scope(|s| {
-        for _ in 0..rt.threads() {
-            s.spawn(|| {
-                barrier.wait();
-                exec.run_on(&Runtime::serial(), input, false).unwrap();
-            });
-        }
+    rt.install(|| {
+        wino_runtime::scope(|s| {
+            for _ in 0..rt.threads() {
+                s.spawn(|| {
+                    barrier.wait();
+                    Runtime::serial().install(|| exec.run(input)).unwrap();
+                });
+            }
+        })
     });
 }
 
@@ -150,7 +152,7 @@ fn warm_passes_on_helping_lanes_grow_no_workspace_and_allocate_nothing() {
         // allocate a fresh one: every time, warm or not.
         let (warm, helped_before) = (allocs.get(), helped.get());
         for _ in 0..100 {
-            exec.run_on(&rt, &input, false).unwrap();
+            rt.install(|| exec.run(&input)).unwrap();
         }
         assert!(
             helped.get() > helped_before,

@@ -192,7 +192,7 @@ fn assert_exec_matches_naive(seed: u64, segments: usize, batch: usize) {
             let rt = Runtime::with_threads(threads);
             // Twice per pool size: the second run rides a recycled arena.
             for round in 0..2 {
-                let out = exec.run_on(&rt, &input, false).unwrap();
+                let out = rt.install(|| exec.run(&input)).unwrap();
                 assert_eq!(out.output.dims(), reference.dims());
                 let exact = out
                     .output
@@ -261,8 +261,8 @@ fn known_inception_fragment_is_bit_identical() {
         let pool = Arc::new(ArenaPool::new(&net));
         let exec = NetworkExecutor::new(net, pool);
         for threads in 1..=4 {
-            let out = exec
-                .run_on(&Runtime::with_threads(threads), &input, false)
+            let out = Runtime::with_threads(threads)
+                .install(|| exec.run(&input))
                 .unwrap();
             let exact = out
                 .output
@@ -313,7 +313,7 @@ fn a_waves_branches_run_on_both_lanes_of_a_two_lane_runtime() {
     // wake on a loaded host can, so allow it a few passes.
     let mut lanes = std::collections::BTreeSet::new();
     for _ in 0..20 {
-        exec.run_on(&rt, &input, false).unwrap();
+        rt.install(|| exec.run(&input)).unwrap();
         let events = wino_probe::take_events();
         let convs: Vec<_> = events
             .iter()

@@ -13,8 +13,8 @@ use std::mem::MaybeUninit;
 use crate::blocked::{gemm_flops, run_tile, GemmConfig};
 use crate::packed::{PackedA, PackedB};
 use crate::schedule::TaskGrid;
-use crate::simd::{simd_level, SimdLevel};
-use wino_runtime::{DisjointSlice, Runtime};
+use crate::simd::simd_level;
+use wino_runtime::DisjointSlice;
 
 /// Multiply-add FLOPs retired (counted once per call, not per task, to
 /// keep the enabled path cheap).
@@ -61,34 +61,20 @@ impl BatchedGemmShape {
     }
 }
 
-/// `C[b] = A[b] · B[b]` for every batch `b`, with batch-major packed
-/// buffers.
+/// `C[b] = A[b] · B[b]` for every batch `b`, with batch-major
+/// row-major buffers: both operands packed whole for [`simd_level`],
+/// then [`batched_sgemm_packed`] with the default [`GemmConfig`].
 ///
 /// Panics if a buffer is shorter than the shape requires.
 pub fn batched_sgemm(shape: &BatchedGemmShape, a: &[f32], b: &[f32], c: &mut [f32]) {
-    let cfg = GemmConfig::default();
-    batched_sgemm_rt_level(shape, a, b, c, &cfg, Runtime::global(), simd_level());
-}
-
-/// [`batched_sgemm`] with explicit blocking config, runtime and SIMD
-/// dispatch level: both operands packed whole, then
-/// [`batched_sgemm_packed`].
-pub fn batched_sgemm_rt_level(
-    shape: &BatchedGemmShape,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    cfg: &GemmConfig,
-    rt: &Runtime,
-    level: SimdLevel,
-) {
     assert!(a.len() >= shape.a_len(), "batched A too short");
     assert!(b.len() >= shape.b_len(), "batched B too short");
+    let level = simd_level();
     let (a, b) = (
-        PackedA::pack(a, shape.batches, shape.m, shape.k, level, rt),
-        PackedB::pack(b, shape.batches, shape.k, shape.n, level, rt),
+        PackedA::pack(a, shape.batches, shape.m, shape.k, level),
+        PackedB::pack(b, shape.batches, shape.k, shape.n, level),
     );
-    batched_sgemm_packed(shape, &a, &b, c, cfg, rt);
+    batched_sgemm_packed(shape, &a, &b, c, &GemmConfig::default());
 }
 
 /// `C[b] = A[b] · B[b]` over operands packed ahead of time, at the
@@ -103,13 +89,12 @@ pub fn batched_sgemm_packed(
     b: &PackedB,
     c: &mut [f32],
     cfg: &GemmConfig,
-    rt: &Runtime,
 ) {
     // SAFETY: `MaybeUninit<f32>` has `f32`'s layout, and the multiply
     // stores only initialised values through the view, so `c` holds
     // valid floats whenever it is read again.
     let c = unsafe { &mut *(c as *mut [f32] as *mut [MaybeUninit<f32>]) };
-    batched_sgemm_packed_uninit(shape, a, b, c, cfg, rt);
+    batched_sgemm_packed_uninit(shape, a, b, c, cfg);
 }
 
 /// [`batched_sgemm_packed`] into memory that need not hold floats yet —
@@ -124,7 +109,7 @@ pub fn batched_sgemm_packed(
 /// between many small multiplies and one large one. Each task runs the
 /// whole depth loop for its tile (`run_tile`), so every output bit is
 /// the serial one at any thread count; fewer than two tasks never enter
-/// the pool.
+/// the installed pool.
 ///
 /// Panics if an operand's shape differs from `shape`'s, the two were
 /// packed for different levels, or `c` is shorter than the shape needs.
@@ -134,7 +119,6 @@ pub fn batched_sgemm_packed_uninit<'c>(
     b: &PackedB,
     c: &'c mut [MaybeUninit<f32>],
     cfg: &GemmConfig,
-    rt: &Runtime,
 ) -> &'c mut [f32] {
     let BatchedGemmShape { batches, m, k, n } = *shape;
     assert!(
@@ -164,7 +148,7 @@ pub fn batched_sgemm_packed_uninit<'c>(
         let level = a.level();
         let grid = TaskGrid::new(batches, m, n, cfg, level);
         let c_win = DisjointSlice::new(&mut *c);
-        rt.parallel_for_chunks(0..grid.len(), 1, |tasks| {
+        wino_runtime::parallel_for_chunks(0..grid.len(), 1, |tasks| {
             let mut span = H_TILES.span();
             span.arg("tiles", || tasks.len().to_string());
             for (batch, tile) in tasks.map(|task| grid.task(task)) {

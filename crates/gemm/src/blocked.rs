@@ -18,7 +18,7 @@ use crate::schedule::{
 };
 use crate::simd::{simd_level, SimdLevel};
 use std::mem::MaybeUninit;
-use wino_runtime::{DisjointSlice, Runtime};
+use wino_runtime::DisjointSlice;
 
 /// Cache/register blocking parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,33 +43,14 @@ impl Default for GemmConfig {
 }
 
 /// `C = A·B` for row-major `A (m×k)`, `B (k×n)`, `C (m×n)`,
-/// overwriting `C`.
+/// overwriting `C`: both operands packed whole for [`simd_level`], then
+/// [`batched_sgemm_packed`] on a batch of one with the default
+/// [`GemmConfig`]. Output bits do not depend on the installed pool's
+/// thread count (see the module docs of `wino-runtime`).
 ///
 /// Panics if any slice is shorter than its shape requires — shapes are
 /// part of the caller's contract, not runtime input.
 pub fn sgemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    let cfg = GemmConfig::default();
-    sgemm_rt_level(a, b, c, m, k, n, &cfg, Runtime::global(), simd_level());
-}
-
-/// [`sgemm`] with explicit blocking config, execution runtime and SIMD
-/// dispatch level (instead of the defaults, the global runtime and
-/// [`simd_level`]): both operands packed
-/// whole, then [`batched_sgemm_packed`] on a batch of one. Output bits
-/// do not depend on the runtime's thread count (see the module docs of
-/// `wino-runtime`).
-#[allow(clippy::too_many_arguments)]
-pub fn sgemm_rt_level(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    cfg: &GemmConfig,
-    rt: &Runtime,
-    level: SimdLevel,
-) {
     assert!(a.len() >= m * k, "A too short: {} < {}", a.len(), m * k);
     assert!(b.len() >= k * n, "B too short: {} < {}", b.len(), k * n);
     let shape = BatchedGemmShape {
@@ -78,11 +59,12 @@ pub fn sgemm_rt_level(
         k,
         n,
     };
+    let level = simd_level();
     let (a, b) = (
-        PackedA::pack(a, 1, m, k, level, rt),
-        PackedB::pack(b, 1, k, n, level, rt),
+        PackedA::pack(a, 1, m, k, level),
+        PackedB::pack(b, 1, k, n, level),
     );
-    batched_sgemm_packed(&shape, &a, &b, c, cfg, rt);
+    batched_sgemm_packed(&shape, &a, &b, c, &GemmConfig::default());
 }
 
 /// One task of the one GEMM loop nest: the tile `tile` of the `C` that
@@ -601,8 +583,14 @@ mod tests {
         n: usize,
         lv: SimdLevel,
     ) {
-        let cfg = GemmConfig::default();
-        sgemm_rt_level(a, b, c, m, k, n, &cfg, Runtime::global(), lv);
+        let shape = BatchedGemmShape {
+            batches: 1,
+            m,
+            k,
+            n,
+        };
+        let (a, b) = (PackedA::pack(a, 1, m, k, lv), PackedB::pack(b, 1, k, n, lv));
+        batched_sgemm_packed(&shape, &a, &b, c, &GemmConfig::default());
     }
 
     #[test]

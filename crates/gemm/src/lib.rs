@@ -17,10 +17,9 @@ pub mod schedule;
 pub mod simd;
 
 pub use batched::{
-    batched_sgemm, batched_sgemm_packed, batched_sgemm_packed_uninit, batched_sgemm_rt_level,
-    BatchedGemmShape,
+    batched_sgemm, batched_sgemm_packed, batched_sgemm_packed_uninit, BatchedGemmShape,
 };
-pub use blocked::{gemm_flops, pack_a, pack_b, sgemm, sgemm_naive, sgemm_rt_level, GemmConfig};
+pub use blocked::{gemm_flops, pack_a, pack_b, sgemm, sgemm_naive, GemmConfig};
 pub use packed::{ASliver, PackedA, PackedASlivers, PackedB, PackedBColumns};
 pub use schedule::{
     b_sliver_width, dim_blocks, issued_cols, pack_a_model, pack_b_model, packed_a_len,

@@ -39,7 +39,7 @@ use crate::schedule::{
     NR_AVX2, NR_AVX512,
 };
 use crate::simd::{assert_supported, SimdLevel};
-use wino_runtime::{DisjointSlice, Runtime};
+use wino_runtime::DisjointSlice;
 
 /// `batches` row-major `m × k` matrices in the micro-kernel's A order.
 pub struct PackedA {
@@ -52,25 +52,18 @@ pub struct PackedA {
 
 impl PackedA {
     /// Packs the batch-major row-major matrices in `a` for `level`'s
-    /// micro-kernel, a sliver a task on `rt`.
+    /// micro-kernel, a sliver a task on the installed pool.
     ///
     /// Panics if `a` is shorter than `batches · m · k`, or the host
     /// does not run `level` ([`crate::assert_supported`]).
-    pub fn pack(
-        a: &[f32],
-        batches: usize,
-        m: usize,
-        k: usize,
-        level: SimdLevel,
-        rt: &Runtime,
-    ) -> Self {
+    pub fn pack(a: &[f32], batches: usize, m: usize, k: usize, level: SimdLevel) -> Self {
         assert_supported(level);
         assert!(a.len() >= batches * m * k, "A too short to pack");
         let mr = tile_extents(level).0;
         let mut data = vec![0.0f32; batches * packed_a_len(m, k, mr)];
         let slivers = m.div_ceil(mr);
         let span = |i: usize| i * k * mr..(i + 1) * k * mr;
-        pack_slivers(&mut data, batches * slivers, span, rt, |i, dst| {
+        pack_slivers(&mut data, batches * slivers, span, |i, dst| {
             let (matrix, start) = (&a[i / slivers * m * k..], i % slivers * mr);
             pack_a(dst, matrix, start, 0, mr.min(m - start), k, k, mr);
         });
@@ -87,7 +80,7 @@ impl PackedA {
     /// once and straight into its slot, so a caller that computes its
     /// matrices (the filter transform) never holds a row-major copy of
     /// them and the operand is never zero-filled first. Row slivers are
-    /// independent tasks on `rt`: `fill(state, sliver)` stores every
+    /// independent tasks on the installed pool: `fill(state, sliver)` stores every
     /// row of its sliver at every depth through [`ASliver::push`] —
     /// the writer stores the padding rows of a ragged last sliver
     /// itself — with scratch of its own from `task_state`, so the
@@ -100,7 +93,6 @@ impl PackedA {
         m: usize,
         k: usize,
         level: SimdLevel,
-        rt: &Runtime,
         task_state: impl Fn() -> S + Sync,
         fill: impl Fn(&mut S, &mut ASliver<'_>) + Sync,
     ) -> Self {
@@ -109,7 +101,7 @@ impl PackedA {
         let mut data = Vec::<f32>::with_capacity(len);
         let slivers =
             PackedASlivers::new(&mut data.spare_capacity_mut()[..len], batches, m, k, level);
-        rt.parallel_for_chunks(0..slivers.count(), 1, |chunk| {
+        wino_runtime::parallel_for_chunks(0..slivers.count(), 1, |chunk| {
             let mut state = task_state();
             for s in chunk {
                 // SAFETY: the region hands each sliver to one task.
@@ -351,18 +343,17 @@ fn store_part(dst: &mut [MaybeUninit<f32>], src: &[f32]) {
 }
 
 /// Runs `pack(i, &mut data[span(i)])` for each of the `count` slivers
-/// `data` consists of, each a task on `rt`.
+/// `data` consists of, each a task on the installed pool.
 ///
 /// Panics if a span leaves `data`; the spans must not overlap.
 fn pack_slivers(
     data: &mut [f32],
     count: usize,
     span: impl Fn(usize) -> Range<usize> + Sync,
-    rt: &Runtime,
     pack: impl Fn(usize, &mut [f32]) + Sync,
 ) {
     let window = DisjointSlice::new(data);
-    rt.parallel_for(0..count, |i| {
+    wino_runtime::parallel_for(0..count, |i| {
         let span = span(i);
         assert!(span.end <= window.len(), "sliver {i} is past the operand");
         // SAFETY: sliver `i`'s range lies inside `data` (asserted) and
@@ -443,17 +434,10 @@ impl PackedB {
     }
 
     /// Packs the batch-major row-major matrices in `b`, a sliver a task
-    /// on `rt`.
+    /// on the installed pool.
     ///
     /// Panics if `b` is shorter than `batches · k · n`.
-    pub fn pack(
-        b: &[f32],
-        batches: usize,
-        k: usize,
-        n: usize,
-        level: SimdLevel,
-        rt: &Runtime,
-    ) -> Self {
+    pub fn pack(b: &[f32], batches: usize, k: usize, n: usize, level: SimdLevel) -> Self {
         assert!(b.len() >= batches * k * n, "B too short to pack");
         let nr = tile_extents(level).1;
         let mut packed = Self::zeroed(batches, k, n, level);
@@ -468,7 +452,6 @@ impl PackedB {
             &mut packed.data[..len],
             batches * slivers,
             span,
-            rt,
             |i, dst| {
                 let (matrix, start) = (&b[i / slivers * k * n..], i % slivers * nr);
                 pack_b(dst, matrix, 0, start, k, nr.min(n - start), n, level);

@@ -9,9 +9,28 @@
 
 use proptest::prelude::*;
 use wino_gemm::{
-    batched_sgemm_rt_level, sgemm_rt_level, supported_levels, BatchedGemmShape, GemmConfig,
+    batched_sgemm_packed, supported_levels, BatchedGemmShape, GemmConfig, PackedA, PackedB,
+    SimdLevel,
 };
 use wino_runtime::Runtime;
+
+/// `C[b] = A[b] · B[b]` over row-major buffers at one blocking config
+/// and level: both operands packed whole, then the packed multiply.
+fn row_major_batched(
+    shape: &BatchedGemmShape,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    cfg: &GemmConfig,
+    level: SimdLevel,
+) {
+    let BatchedGemmShape { batches, m, k, n } = *shape;
+    let (a, b) = (
+        PackedA::pack(a, batches, m, k, level),
+        PackedB::pack(b, batches, k, n, level),
+    );
+    batched_sgemm_packed(shape, &a, &b, c, cfg);
+}
 
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
@@ -41,13 +60,14 @@ proptest! {
         let a = random_vec(m * k, seed);
         let b = random_vec(k * n, seed ^ 0x9e37);
         let cfg = GemmConfig { mc, kc: 16, nc };
+        let shape = BatchedGemmShape { batches: 1, m, k, n };
         let rt = Runtime::with_threads(threads);
         for level in supported_levels() {
             let mut serial = vec![0.0f32; m * n];
-            sgemm_rt_level(&a, &b, &mut serial, m, k, n, &cfg, &Runtime::serial(), level);
+            Runtime::serial().install(|| row_major_batched(&shape, &a, &b, &mut serial, &cfg, level));
 
             let mut parallel = vec![0.0f32; m * n];
-            sgemm_rt_level(&a, &b, &mut parallel, m, k, n, &cfg, &rt, level);
+            rt.install(|| row_major_batched(&shape, &a, &b, &mut parallel, &cfg, level));
 
             prop_assert_eq!(bits(&serial), bits(&parallel), "{:?}", level);
         }
@@ -69,10 +89,10 @@ proptest! {
         let rt = Runtime::with_threads(threads);
         for level in supported_levels() {
             let mut serial = vec![0.0f32; shape.c_len()];
-            batched_sgemm_rt_level(&shape, &a, &b, &mut serial, &cfg, &Runtime::serial(), level);
+            Runtime::serial().install(|| row_major_batched(&shape, &a, &b, &mut serial, &cfg, level));
 
             let mut parallel = vec![0.0f32; shape.c_len()];
-            batched_sgemm_rt_level(&shape, &a, &b, &mut parallel, &cfg, &rt, level);
+            rt.install(|| row_major_batched(&shape, &a, &b, &mut parallel, &cfg, level));
 
             prop_assert_eq!(bits(&serial), bits(&parallel), "{:?}", level);
         }

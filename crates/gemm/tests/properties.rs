@@ -89,9 +89,27 @@ proptest! {
 // ---------------------------------------------------------------------
 
 use wino_gemm::{
-    pack_a, pack_a_model, pack_b, pack_b_model, packed_a_len, packed_b_len, sgemm_rt_level,
-    GemmConfig, PackSlot, SimdLevel,
+    pack_a, pack_a_model, pack_b, pack_b_model, packed_a_len, packed_b_len, GemmConfig, PackSlot,
+    SimdLevel,
 };
+
+/// `C[b] = A[b] · B[b]` over row-major buffers at one blocking config
+/// and level: both operands packed whole, then the packed multiply.
+fn row_major_batched(
+    shape: &BatchedGemmShape,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    cfg: &GemmConfig,
+    level: SimdLevel,
+) {
+    let BatchedGemmShape { batches, m, k, n } = *shape;
+    let (a, b) = (
+        PackedA::pack(a, batches, m, k, level),
+        PackedB::pack(b, batches, k, n, level),
+    );
+    batched_sgemm_packed(shape, &a, &b, c, cfg);
+}
 
 /// Any dispatch level, for properties of the layouts alone (which run
 /// on every host).
@@ -207,14 +225,14 @@ proptest! {
         // A tiny blocking config forces ragged remainders in every
         // dimension even for small shapes.
         let cfg = GemmConfig { mc: 8, kc: 8, nc: 16 };
-        let rt = wino_runtime::Runtime::global();
+        let shape = BatchedGemmShape { batches: 1, m, k, n };
 
         let mut expect = vec![0.0f32; m * n];
         sgemm_naive(&a, &b, &mut expect, m, k, n);
 
         for level in wino_gemm::supported_levels() {
             let mut c = init.clone();
-            sgemm_rt_level(&a, &b, &mut c, m, k, n, &cfg, rt, level);
+            row_major_batched(&shape, &a, &b, &mut c, &cfg, level);
             prop_assert!(
                 close(&c, &expect),
                 "level {:?} diverges from naive at m={} k={} n={}",
@@ -235,8 +253,8 @@ proptest! {
 // ---------------------------------------------------------------------
 
 use wino_gemm::{
-    batched_sgemm_packed, batched_sgemm_rt_level, dim_blocks, issued_cols, packed_block_off,
-    packed_step, tile_extents, tile_walk, ASliver, DimBlock, PackedA, PackedB, TaskTile,
+    batched_sgemm_packed, dim_blocks, issued_cols, packed_block_off, packed_step, tile_extents,
+    tile_walk, ASliver, DimBlock, PackedA, PackedB, TaskTile,
 };
 
 /// The operand holds the columns the kernel issues and nothing more:
@@ -274,15 +292,7 @@ fn a_short_sliver_fill_panics() {
             sliver.push(sliver.rows().len(), &[[1.0f32; 8]; 2]);
         }
     };
-    PackedA::from_slivers(
-        2,
-        7,
-        5,
-        level,
-        &wino_runtime::Runtime::serial(),
-        || (),
-        fill,
-    );
+    PackedA::from_slivers(2, 7, 5, level, || (), fill);
 }
 
 /// Fills `packed` from the row-major matrices in `b` through the
@@ -370,57 +380,60 @@ proptest! {
             // What accumulating onto a zero-filled C always gave.
             prop_assert!(want.iter().all(|w| w.to_bits() == 0));
         }
-        for level in wino_gemm::supported_levels() {
-            let mut row_major = vec![f32::NAN; shape.c_len()];
-            batched_sgemm_rt_level(&shape, &a, &b, &mut row_major, &cfg, &rt, level);
-            let held = batches * packed_b_len(k, n, level) + 33;
-            let packed_b = if recycled {
-                let mut dirty = PackedB::recycled(vec![f32::NAN; held], batches, k, n, level);
-                write_in_runs::<8>(&mut dirty, &b);
-                dirty
-            } else {
-                PackedB::pack(&b, batches, k, n, level, &rt)
-            };
-            let mut packed = vec![f32::NAN; shape.c_len()];
-            if shared_a {
-                // One A for every batch: each batch's C is A[0]·B[batch].
-                let first = PackedA::pack(&a, 1, m, k, level, &rt);
-                batched_sgemm_packed(&shape, &first, &packed_b, &mut packed, &cfg, &rt);
-                let one = BatchedGemmShape { batches: 1, ..shape };
-                for batch in 0..batches {
-                    let alone_b = PackedB::pack(&b[batch * k * n..], 1, k, n, level, &rt);
-                    let mut alone = vec![f32::NAN; m * n];
-                    batched_sgemm_packed(&one, &first, &alone_b, &mut alone, &cfg, &rt);
-                    let stacked = &packed[batch * m * n..][..m * n];
-                    prop_assert!(
-                        alone.iter().map(|v| v.to_bits()).eq(stacked.iter().map(|v| v.to_bits())),
-                        "{:?}: batch {} differs when multiplied alone", level, batch
-                    );
+        rt.install(|| -> Result<(), TestCaseError> {
+            for level in wino_gemm::supported_levels() {
+                let mut row_major = vec![f32::NAN; shape.c_len()];
+                row_major_batched(&shape, &a, &b, &mut row_major, &cfg, level);
+                let held = batches * packed_b_len(k, n, level) + 33;
+                let packed_b = if recycled {
+                    let mut dirty = PackedB::recycled(vec![f32::NAN; held], batches, k, n, level);
+                    write_in_runs::<8>(&mut dirty, &b);
+                    dirty
+                } else {
+                    PackedB::pack(&b, batches, k, n, level)
+                };
+                let mut packed = vec![f32::NAN; shape.c_len()];
+                if shared_a {
+                    // One A for every batch: each batch's C is A[0]·B[batch].
+                    let first = PackedA::pack(&a, 1, m, k, level);
+                    batched_sgemm_packed(&shape, &first, &packed_b, &mut packed, &cfg);
+                    let one = BatchedGemmShape { batches: 1, ..shape };
+                    for batch in 0..batches {
+                        let alone_b = PackedB::pack(&b[batch * k * n..], 1, k, n, level);
+                        let mut alone = vec![f32::NAN; m * n];
+                        batched_sgemm_packed(&one, &first, &alone_b, &mut alone, &cfg);
+                        let stacked = &packed[batch * m * n..][..m * n];
+                        prop_assert!(
+                            alone.iter().map(|v| v.to_bits()).eq(stacked.iter().map(|v| v.to_bits())),
+                            "{:?}: batch {} differs when multiplied alone", level, batch
+                        );
+                    }
+                    packed.truncate(m * n);
+                } else {
+                    let packed_a = PackedA::pack(&a, batches, m, k, level);
+                    batched_sgemm_packed(&shape, &packed_a, &packed_b, &mut packed, &cfg);
                 }
-                packed.truncate(m * n);
-            } else {
-                let packed_a = PackedA::pack(&a, batches, m, k, level, &rt);
-                batched_sgemm_packed(&shape, &packed_a, &packed_b, &mut packed, &cfg, &rt);
-            }
-            for (i, w) in want.iter().enumerate() {
-                prop_assert_eq!(
-                    row_major[i].to_bits(), w.to_bits(),
-                    "row-major {:?} m={} k={} n={} mc={} kc={} nc={} element {}",
-                    level, m, k, n, mc, kc, nc, i
-                );
-                if let Some(g) = packed.get(i) {
+                for (i, w) in want.iter().enumerate() {
                     prop_assert_eq!(
-                        g.to_bits(), w.to_bits(),
-                        "packed {:?} m={} k={} n={} mc={} kc={} nc={} element {}",
+                        row_major[i].to_bits(), w.to_bits(),
+                        "row-major {:?} m={} k={} n={} mc={} kc={} nc={} element {}",
                         level, m, k, n, mc, kc, nc, i
                     );
+                    if let Some(g) = packed.get(i) {
+                        prop_assert_eq!(
+                            g.to_bits(), w.to_bits(),
+                            "packed {:?} m={} k={} n={} mc={} kc={} nc={} element {}",
+                            level, m, k, n, mc, kc, nc, i
+                        );
+                    }
+                }
+                if recycled {
+                    // The buffer keeps its high-water length for the next call.
+                    prop_assert_eq!(packed_b.into_raw().len(), held);
                 }
             }
-            if recycled {
-                // The buffer keeps its high-water length for the next call.
-                prop_assert_eq!(packed_b.into_raw().len(), held);
-            }
-        }
+            Ok(())
+        })?;
     }
 
     #[test]
@@ -452,7 +465,7 @@ proptest! {
             write_in_runs::<8>(&mut packed, &b);
         }
         let model = pack_b_model(k, n, level);
-        let whole = PackedB::pack(&b, batches, k, n, level, &wino_runtime::Runtime::serial());
+        let whole = PackedB::pack(&b, batches, k, n, level);
         for batch in 0..batches {
             let got = packed.batch(batch);
             prop_assert_eq!(got.len(), model.len());
@@ -505,7 +518,8 @@ proptest! {
         let a: Vec<f32> = (0..batches * m * k).map(|i| i as f32 + 1.0).collect();
         for level in wino_gemm::supported_levels() {
             let mr = tile_extents(level).0;
-            let packed = PackedA::pack(&a, batches, m, k, level, &wino_runtime::Runtime::serial());
+            let packed = wino_runtime::Runtime::serial()
+                .install(|| PackedA::pack(&a, batches, m, k, level));
             // Four tasks sharing the row slivers, each storing its rows
             // in runs of up to five (no sliver height is a multiple),
             // pack what one does.
@@ -525,7 +539,7 @@ proptest! {
                 }
             };
             let task_state = || vec![[f32::NAN; 8]; batches];
-            let shared = PackedA::from_slivers(batches, m, k, level, &rt, task_state, fill);
+            let shared = rt.install(|| PackedA::from_slivers(batches, m, k, level, task_state, fill));
             for batch in 0..batches {
                 prop_assert_eq!(shared.batch(batch), packed.batch(batch));
             }

@@ -18,15 +18,16 @@ static LOCK: Mutex<()> = Mutex::new(());
 /// each task opens a nested span pair and bumps a shared counter by
 /// its index weight.
 fn run_workload(threads: usize, tasks: usize, counter_name: &str) {
-    let rt = Runtime::with_threads(threads);
     let handle = probe::counter(counter_name);
-    rt.parallel_for(0..tasks, |i| {
-        let mut outer = probe::span("prop.task");
-        outer.arg("index", || i.to_string());
-        {
-            let _inner = probe::span("prop.task.inner");
-            handle.add(i as u64 + 1);
-        }
+    Runtime::with_threads(threads).install(|| {
+        wino_runtime::parallel_for(0..tasks, |i| {
+            let mut outer = probe::span("prop.task");
+            outer.arg("index", || i.to_string());
+            {
+                let _inner = probe::span("prop.task.inner");
+                handle.add(i as u64 + 1);
+            }
+        })
     });
 }
 

@@ -6,8 +6,8 @@
 //! [`Scope::spawn`] — typically a whole convolution). `threads - 1`
 //! workers plus the submitting caller are the pool's *lanes*.
 //!
-//! Determinism contract: [`Runtime::parallel_for`] and
-//! [`Runtime::parallel_for_chunks`] split an index range into
+//! Determinism contract: [`parallel_for`] and
+//! [`parallel_for_chunks`] split an index range into
 //! fixed-boundary chunks that tasks claim with an atomic counter.
 //! Which thread runs a chunk is racy, but every index is executed
 //! exactly once and chunk boundaries do not depend on the schedule, so
@@ -18,6 +18,20 @@
 //! The thread count comes from `WINO_THREADS` when set, else
 //! `std::thread::available_parallelism`; [`Runtime::serial`] is the
 //! zero-thread fallback that runs everything inline.
+//!
+//! # Which pool a call runs on
+//!
+//! The parallel calls — [`parallel_for`], [`parallel_for_chunks`] and
+//! [`scope`] — take no pool argument: they run on the calling thread's
+//! *installed* pool. [`Runtime::install`] installs a runtime on the
+//! calling thread for the length of a closure (and puts the previous
+//! one back after it, unwinding included); a pool's workers have their
+//! own pool installed for their whole life, so chunk tickets and
+//! branch tasks — a wave's conv steps — run their nested calls on the
+//! pool that queued them. A thread with nothing installed runs on
+//! [`Runtime::global`]. No reference to an installed pool leaves the
+//! runtime: the calls look it up each time, so none outlives its
+//! `install`.
 //!
 //! # Waiting policy: a lane that has to wait works
 //!
@@ -39,7 +53,7 @@
 //! region never starts a branch task*: the waiter arm of
 //! `Shared::work` only ever pops the chunk queue, branch tasks are
 //! popped in exactly two places (the idle-worker arm and the head of
-//! [`Runtime::scope`]'s wait, both outside any region), and
+//! [`scope`]'s wait, both outside any region), and
 //! [`Scope::spawn`] called inside a region runs its closure inline
 //! instead of queueing it. The engines rely on this: a thread-local
 //! workspace and the probe's span nesting assume one engine call per
@@ -101,7 +115,7 @@
 //!    caught panic: latches opened, no poisoned state, subsequent
 //!    `parallel_for` calls run normally.
 //!
-//! `Runtime::scope` follows the same rules; when both the scope
+//! [`scope`] follows the same rules; when both the scope
 //! closure and a spawned task panic, the spawned task's payload is
 //! re-raised (it is the root cause; the closure's unwind is usually
 //! the latch wait being abandoned).
@@ -196,6 +210,52 @@ impl Drop for InRegion {
 
 fn in_region() -> bool {
     REGION_DEPTH.with(|depth| depth.get() > 0)
+}
+
+/// The pool a thread's parallel calls run on (module docs, "Which pool
+/// a call runs on").
+#[derive(Clone, Copy)]
+enum Installed {
+    /// Nothing installed: [`Runtime::global`].
+    Global,
+    /// [`Runtime::serial`]: every call runs inline.
+    Serial,
+    /// A pool, alive while this is installed: put there by
+    /// [`Runtime::install`] for a closure's length, or by a worker over
+    /// the `Arc` it holds for its whole life.
+    Pool(*const Shared),
+}
+
+thread_local! {
+    static INSTALLED: Cell<Installed> = const { Cell::new(Installed::Global) };
+}
+
+/// Holds [`INSTALLED`] at one pool for its lifetime, then puts the
+/// previous one back (unwinding included).
+struct Installation(Installed);
+
+impl Installation {
+    fn set(pool: Installed) -> Self {
+        Installation(INSTALLED.replace(pool))
+    }
+}
+
+impl Drop for Installation {
+    fn drop(&mut self) {
+        INSTALLED.set(self.0);
+    }
+}
+
+/// Runs `f` on the calling thread's installed pool.
+fn with_installed<R>(f: impl FnOnce(Pool<'_>) -> R) -> R {
+    match INSTALLED.get() {
+        Installed::Global => f(Runtime::global().pool()),
+        Installed::Serial => f(Pool(None)),
+        // SAFETY: the installer keeps the pool alive while it is
+        // installed (`Installed::Pool`), and this call returns before
+        // the installation it reads ends.
+        Installed::Pool(shared) => f(Pool(Some(unsafe { &*shared }))),
+    }
 }
 
 /// A share of a borrowed `parallel_for` job: "come and claim chunks of
@@ -497,9 +557,9 @@ unsafe fn run_for_ticket(job: *const (), shared: &Shared) {
     }
 }
 
-/// Handle for spawning borrowed tasks; see [`Runtime::scope`].
+/// Handle for spawning borrowed tasks; see [`scope`].
 pub struct Scope<'scope, 'rt> {
-    rt: &'rt Runtime,
+    pool: Pool<'rt>,
     state: Arc<ScopeState>,
     _marker: PhantomData<&'scope mut &'scope ()>,
 }
@@ -518,7 +578,7 @@ impl<'scope> Scope<'scope, '_> {
     where
         F: FnOnce() + Send + 'scope,
     {
-        let shared = match self.rt.shared.as_ref() {
+        let shared = match self.pool.0 {
             Some(shared) if !in_region() => shared,
             _ => {
                 f();
@@ -527,7 +587,7 @@ impl<'scope> Scope<'scope, '_> {
         };
         self.state.latch.add(1);
         let body: Box<dyn FnOnce() + Send + 'scope> = Box::new(f);
-        // SAFETY: `Runtime::scope` does not return until the latch
+        // SAFETY: `scope` does not return until the latch
         // opens, so everything `f` borrows ('scope) outlives the task.
         let body: Box<dyn FnOnce() + Send + 'static> = unsafe { mem::transmute(body) };
         shared.branches.push_all(std::iter::once(Branch {
@@ -576,7 +636,10 @@ impl Runtime {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("wino-worker-{index}"))
-                    .spawn(move || shared.work(Lane::Worker(&WorkerStats::new(index))))
+                    .spawn(move || {
+                        let _own = Installation::set(Installed::Pool(Arc::as_ptr(&shared)));
+                        shared.work(Lane::Worker(&WorkerStats::new(index)))
+                    })
                     .expect("failed to spawn wino-runtime worker")
             })
             .collect();
@@ -595,38 +658,81 @@ impl Runtime {
 
     /// Total execution lanes (1 for the serial runtime).
     pub fn threads(&self) -> usize {
-        self.shared.as_ref().map_or(1, |s| s.threads)
+        self.pool().threads()
     }
 
-    /// `true` when worker threads exist.
-    pub fn is_parallel(&self) -> bool {
-        self.threads() > 1
+    /// Runs `f` with this runtime installed on the calling thread: every
+    /// parallel call `f` makes, and every nested call the pool's lanes
+    /// make for it, runs on this runtime (module docs, "Which pool a
+    /// call runs on"). Returns `f`'s result.
+    pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
+        let installed = match &self.shared {
+            Some(shared) => Installed::Pool(Arc::as_ptr(shared)),
+            None => Installed::Serial,
+        };
+        let _installation = Installation::set(installed);
+        f()
     }
 
-    /// Runs `body` for every index in `range`, distributed across the
-    /// pool. Bit-identical to the serial loop whenever distinct
-    /// indices touch disjoint data.
-    pub fn parallel_for<F>(&self, range: Range<usize>, body: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        self.parallel_for_chunks(range, 1, |chunk| {
-            for index in chunk {
-                body(index);
-            }
-        });
+    fn pool(&self) -> Pool<'_> {
+        Pool(self.shared.as_deref())
+    }
+}
+
+/// Runs `body` for every index in `range`, distributed across the
+/// calling thread's pool. Bit-identical to the serial loop whenever
+/// distinct indices touch disjoint data.
+pub fn parallel_for<F>(range: Range<usize>, body: F)
+where
+    F: Fn(usize) + Sync,
+{
+    parallel_for_chunks(range, 1, |chunk| {
+        for index in chunk {
+            body(index);
+        }
+    });
+}
+
+/// Runs `body` once per claimed chunk of `range` (chunks never shrink
+/// below `min_chunk` indices) on the calling thread's pool. The chunk
+/// granularity lets callers amortize per-task scratch allocations. May
+/// be called from anywhere, a chunk body or a branch task included:
+/// the caller runs chunks itself, then helps other regions until its
+/// own is done.
+pub fn parallel_for_chunks<F>(range: Range<usize>, min_chunk: usize, body: F)
+where
+    F: Fn(Range<usize>) + Sync,
+{
+    with_installed(|pool| pool.parallel_for_chunks(range, min_chunk, &body));
+}
+
+/// Structured spawning of heterogeneous borrowed tasks on the calling
+/// thread's pool; returns once every spawned task has finished. The
+/// caller is a lane of its own scope: after `f` returns it runs the
+/// spawned tasks no worker has taken.
+pub fn scope<'scope, F, R>(f: F) -> R
+where
+    F: FnOnce(&Scope<'scope, '_>) -> R,
+{
+    with_installed(|pool| pool.scope(f))
+}
+
+/// One pool as the parallel calls see it: `None` is the serial
+/// runtime.
+#[derive(Clone, Copy)]
+struct Pool<'a>(Option<&'a Shared>);
+
+impl<'a> Pool<'a> {
+    fn threads(self) -> usize {
+        self.0.map_or(1, |s| s.threads)
     }
 
-    /// Runs `body` once per claimed chunk of `range` (chunks never
-    /// shrink below `min_chunk` indices). The chunk granularity lets
-    /// callers amortize per-task scratch allocations. May be called
-    /// from anywhere, a chunk body or a branch task included: the
-    /// caller runs chunks itself, then helps other regions until its
-    /// own is done.
-    pub fn parallel_for_chunks<F>(&self, range: Range<usize>, min_chunk: usize, body: F)
-    where
-        F: Fn(Range<usize>) + Sync,
-    {
+    fn parallel_for_chunks(
+        self,
+        range: Range<usize>,
+        min_chunk: usize,
+        body: &(dyn Fn(Range<usize>) + Sync),
+    ) {
         let len = range.end.saturating_sub(range.start);
         if len == 0 {
             return;
@@ -644,9 +750,9 @@ impl Runtime {
             body(range);
             return;
         }
-        let shared = self.shared.as_ref().expect("threads > 1 implies a pool");
+        let shared = self.0.expect("threads > 1 implies a pool");
         let job = ForJob {
-            body: &body,
+            body,
             next: AtomicUsize::new(range.start),
             end: range.end,
             chunk,
@@ -674,16 +780,12 @@ impl Runtime {
         }
     }
 
-    /// Structured spawning of heterogeneous borrowed tasks; returns
-    /// once every spawned task has finished. The caller is a lane of
-    /// its own scope: after `f` returns it runs the spawned tasks no
-    /// worker has taken.
-    pub fn scope<'scope, F, R>(&self, f: F) -> R
+    fn scope<'scope, F, R>(self, f: F) -> R
     where
-        F: FnOnce(&Scope<'scope, '_>) -> R,
+        F: FnOnce(&Scope<'scope, 'a>) -> R,
     {
         let scope = Scope {
-            rt: self,
+            pool: self,
             state: Arc::new(ScopeState {
                 latch: Latch::new(0),
                 panic: PanicSlot::new(),
@@ -691,7 +793,7 @@ impl Runtime {
             _marker: PhantomData,
         };
         let result = panic::catch_unwind(AssertUnwindSafe(|| f(&scope)));
-        if let Some(shared) = &self.shared {
+        if let Some(shared) = self.0 {
             // Nothing is queued when this runs inside a region (every
             // spawn ran inline), so a branch only ever starts here
             // with no region below it.
@@ -766,7 +868,7 @@ fn chunk_size(len: usize, threads: usize, min_chunk: usize) -> usize {
     len.div_ceil(lanes).max(min_chunk)
 }
 
-/// The exact chunk boundaries [`Runtime::parallel_for_chunks`] hands
+/// The exact chunk boundaries [`parallel_for_chunks`] hands
 /// to its body for a runtime with `threads` total lanes. Exported so
 /// verification tooling (wino-verify's unsafe-invariant audit) can
 /// prove the schedule partitions the range: chunks are contiguous,
@@ -966,21 +1068,23 @@ mod tests {
 
     #[test]
     fn parallel_for_covers_every_index_once() {
-        let rt = Runtime::with_threads(4);
         let hits: Vec<AtomicUsize> = (0..1000).map(|_| AtomicUsize::new(0)).collect();
-        rt.parallel_for(0..1000, |i| {
-            hits[i].fetch_add(1, Ordering::SeqCst);
+        Runtime::with_threads(4).install(|| {
+            parallel_for(0..1000, |i| {
+                hits[i].fetch_add(1, Ordering::SeqCst);
+            })
         });
         assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
     }
 
     #[test]
     fn chunks_partition_the_range() {
-        let rt = Runtime::with_threads(3);
         let seen = Mutex::new(Vec::new());
-        rt.parallel_for_chunks(10..250, 7, |chunk| {
-            assert!(chunk.len() >= 7 || chunk.end == 250);
-            seen.lock().push(chunk);
+        Runtime::with_threads(3).install(|| {
+            parallel_for_chunks(10..250, 7, |chunk| {
+                assert!(chunk.len() >= 7 || chunk.end == 250);
+                seen.lock().push(chunk);
+            })
         });
         let mut chunks = seen.into_inner();
         chunks.sort_by_key(|c| c.start);
@@ -996,32 +1100,34 @@ mod tests {
         let rt = Runtime::serial();
         assert_eq!(rt.threads(), 1);
         let sum = Mutex::new(0u64);
-        rt.parallel_for(0..10, |i| *sum.lock() += i as u64);
+        rt.install(|| parallel_for(0..10, |i| *sum.lock() += i as u64));
         assert_eq!(sum.into_inner(), 45);
     }
 
     #[test]
     fn nested_parallel_for_completes() {
-        let rt = Runtime::with_threads(4);
         let total = AtomicUsize::new(0);
-        rt.parallel_for(0..8, |_| {
-            // Nested call: pushes tickets like any other; its owner
-            // waits by helping, so no deadlock.
-            rt.parallel_for(0..8, |_| {
-                total.fetch_add(1, Ordering::SeqCst);
-            });
+        Runtime::with_threads(4).install(|| {
+            parallel_for(0..8, |_| {
+                // Nested call: pushes tickets like any other; its owner
+                // waits by helping, so no deadlock.
+                parallel_for(0..8, |_| {
+                    total.fetch_add(1, Ordering::SeqCst);
+                });
+            })
         });
         assert_eq!(total.load(Ordering::SeqCst), 64);
     }
 
     #[test]
     fn scope_joins_borrowed_tasks() {
-        let rt = Runtime::with_threads(4);
         let data = [1u64, 2, 3, 4];
         let (left, right) = (AtomicUsize::new(0), AtomicUsize::new(0));
-        rt.scope(|s| {
-            s.spawn(|| left.store(data[..2].iter().sum::<u64>() as usize, Ordering::SeqCst));
-            s.spawn(|| right.store(data[2..].iter().sum::<u64>() as usize, Ordering::SeqCst));
+        Runtime::with_threads(4).install(|| {
+            scope(|s| {
+                s.spawn(|| left.store(data[..2].iter().sum::<u64>() as usize, Ordering::SeqCst));
+                s.spawn(|| right.store(data[2..].iter().sum::<u64>() as usize, Ordering::SeqCst));
+            })
         });
         assert_eq!(left.load(Ordering::SeqCst), 3);
         assert_eq!(right.load(Ordering::SeqCst), 7);
@@ -1029,16 +1135,17 @@ mod tests {
 
     #[test]
     fn disjoint_slice_parallel_writes() {
-        let rt = Runtime::with_threads(4);
         let mut data = vec![0usize; 512];
         {
             let window = DisjointSlice::new(&mut data);
-            rt.parallel_for_chunks(0..512, 1, |chunk| {
-                // SAFETY: chunks from one parallel_for never overlap.
-                let out = unsafe { window.slice_mut(chunk.clone()) };
-                for (slot, index) in out.iter_mut().zip(chunk) {
-                    *slot = index * 3;
-                }
+            Runtime::with_threads(4).install(|| {
+                parallel_for_chunks(0..512, 1, |chunk| {
+                    // SAFETY: chunks from one parallel_for never overlap.
+                    let out = unsafe { window.slice_mut(chunk.clone()) };
+                    for (slot, index) in out.iter_mut().zip(chunk) {
+                        *slot = index * 3;
+                    }
+                })
             });
         }
         assert!(data.iter().enumerate().all(|(i, &v)| v == i * 3));
@@ -1047,20 +1154,22 @@ mod tests {
     #[test]
     #[should_panic(expected = "boom")]
     fn body_panic_propagates_to_caller_with_original_payload() {
-        let rt = Runtime::with_threads(2);
-        rt.parallel_for(0..64, |i| {
-            if i == 33 {
-                panic!("boom");
-            }
+        Runtime::with_threads(2).install(|| {
+            parallel_for(0..64, |i| {
+                if i == 33 {
+                    panic!("boom");
+                }
+            })
         });
     }
 
     #[test]
     #[should_panic(expected = "spawned boom")]
     fn scope_panic_propagates_with_original_payload() {
-        let rt = Runtime::with_threads(2);
-        rt.scope(|s| {
-            s.spawn(|| panic!("spawned boom"));
+        Runtime::with_threads(2).install(|| {
+            scope(|s| {
+                s.spawn(|| panic!("spawned boom"));
+            })
         });
     }
 
@@ -1072,18 +1181,20 @@ mod tests {
         {
             let window = DisjointSlice::new(&mut data);
             let result = panic::catch_unwind(AssertUnwindSafe(|| {
-                rt.parallel_for_chunks(0..256, 1, |chunk| {
-                    if chunk.contains(&97) {
-                        // Panic before claiming anything: this chunk's
-                        // ownership stays untouched.
-                        panic!("chunk fault");
-                    }
-                    // SAFETY: chunks from one parallel_for never
-                    // overlap.
-                    let out = unsafe { window.slice_mut(chunk.clone()) };
-                    for (slot, index) in out.iter_mut().zip(chunk) {
-                        *slot = index + 1;
-                    }
+                rt.install(|| {
+                    parallel_for_chunks(0..256, 1, |chunk| {
+                        if chunk.contains(&97) {
+                            // Panic before claiming anything: this chunk's
+                            // ownership stays untouched.
+                            panic!("chunk fault");
+                        }
+                        // SAFETY: chunks from one parallel_for never
+                        // overlap.
+                        let out = unsafe { window.slice_mut(chunk.clone()) };
+                        for (slot, index) in out.iter_mut().zip(chunk) {
+                            *slot = index + 1;
+                        }
+                    })
                 });
             }));
             let payload = result.expect_err("the chunk panic must reach the caller");
@@ -1107,16 +1218,17 @@ mod tests {
         }
         // Reusability: the pool still works after the caught panic.
         let total = AtomicUsize::new(0);
-        rt.parallel_for(0..64, |_| {
-            total.fetch_add(1, Ordering::SeqCst);
+        rt.install(|| {
+            parallel_for(0..64, |_| {
+                total.fetch_add(1, Ordering::SeqCst);
+            })
         });
         assert_eq!(total.load(Ordering::SeqCst), 64);
     }
 
     #[test]
     fn with_threads_one_is_serial() {
-        let rt = Runtime::with_threads(1);
-        assert!(!rt.is_parallel());
+        assert_eq!(Runtime::with_threads(1).threads(), 1);
     }
 
     #[test]
@@ -1150,24 +1262,49 @@ mod tests {
         let rt = Runtime::with_threads(3);
         let observe = || {
             let seen = Mutex::new(Vec::new());
-            rt.parallel_for_chunks(10..250, 7, |chunk| seen.lock().push(chunk));
+            parallel_for_chunks(10..250, 7, |chunk| seen.lock().push(chunk));
             let mut observed = seen.into_inner();
             observed.sort_by_key(|c| c.start);
             observed
         };
-        assert_eq!(observe(), chunk_ranges(10..250, 3, 7));
+        assert_eq!(rt.install(observe), chunk_ranges(10..250, 3, 7));
         // The same boundaries when every lane — both workers and the
         // caller, held together by the barrier — issues the region
         // from inside a branch task.
         let all_lanes = std::sync::Barrier::new(3);
-        rt.scope(|s| {
-            for _ in 0..3 {
-                s.spawn(|| {
-                    all_lanes.wait();
-                    assert_eq!(observe(), chunk_ranges(10..250, 3, 7));
-                });
-            }
+        rt.install(|| {
+            scope(|s| {
+                for _ in 0..3 {
+                    s.spawn(|| {
+                        all_lanes.wait();
+                        assert_eq!(observe(), chunk_ranges(10..250, 3, 7));
+                    });
+                }
+            })
         });
+    }
+
+    #[test]
+    fn install_scopes_the_pool_and_restores_the_previous_one() {
+        let observe = || {
+            let seen = Mutex::new(Vec::new());
+            parallel_for_chunks(0..100, 1, |chunk| seen.lock().push(chunk));
+            let mut observed = seen.into_inner();
+            observed.sort_by_key(|c| c.start);
+            observed
+        };
+        let outer = Runtime::with_threads(3);
+        outer.install(|| {
+            Runtime::serial().install(|| assert_eq!(observe(), vec![0..100]));
+            assert_eq!(observe(), chunk_ranges(0..100, 3, 1));
+            let unwound = panic::catch_unwind(AssertUnwindSafe(|| {
+                Runtime::serial().install(|| panic!("inner"))
+            }));
+            assert!(unwound.is_err());
+            assert_eq!(observe(), chunk_ranges(0..100, 3, 1));
+        });
+        let global = Runtime::global().threads();
+        assert_eq!(observe(), chunk_ranges(0..100, global, 1));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::sync::{Barrier, Mutex};
 use std::thread::{self, ThreadId};
 use std::time::Duration;
 
-use wino_runtime::{chunk_ranges, Runtime};
+use wino_runtime::{chunk_ranges, parallel_for, parallel_for_chunks, scope, Runtime};
 
 /// Runs `f` on its own thread and fails the test if it has not
 /// returned in time (a deadlocked pool would otherwise hang the
@@ -41,11 +41,13 @@ fn on_worker() -> bool {
 /// only one free to help.
 fn with_the_caller_waiting(rt: &Runtime, nested: impl Fn() + Sync) {
     let both = Barrier::new(2);
-    rt.parallel_for(0..2, |_| {
-        both.wait();
-        if on_worker() {
-            nested();
-        }
+    rt.install(|| {
+        parallel_for(0..2, |_| {
+            both.wait();
+            if on_worker() {
+                nested();
+            }
+        })
     });
 }
 
@@ -58,7 +60,7 @@ fn a_region_issued_from_a_worker_shares_its_chunks() {
             // Both inner chunks must be in flight at once: run inline
             // on the worker, the first would wait here for ever.
             let inner = Barrier::new(2);
-            rt.parallel_for(0..2, |_| {
+            parallel_for(0..2, |_| {
                 inner.wait();
                 seen.lock().unwrap().insert(thread::current().id());
             });
@@ -76,13 +78,15 @@ fn a_scopes_caller_runs_its_own_branches() {
         // Two branches that wait for each other, one worker: the
         // caller has to run one of them.
         let both = Barrier::new(2);
-        rt.scope(|s| {
-            for _ in 0..2 {
-                s.spawn(|| {
-                    both.wait();
-                    ran_on.lock().unwrap().insert(thread::current().id());
-                });
-            }
+        rt.install(|| {
+            scope(|s| {
+                for _ in 0..2 {
+                    s.spawn(|| {
+                        both.wait();
+                        ran_on.lock().unwrap().insert(thread::current().id());
+                    });
+                }
+            })
         });
         (thread::current().id(), ran_on.into_inner().unwrap())
     });
@@ -103,38 +107,40 @@ fn every_lane_nested_at_once_finishes() {
             let bump = &|n: usize| {
                 total.fetch_add(n, Ordering::Relaxed);
             };
-            for round in 0..ROUNDS {
-                match round % 4 {
-                    // As many branches as lanes, each opening a region:
-                    // every lane is an owner waiting on its own latch.
-                    0 => rt.scope(|s| {
-                        for _ in 0..lanes {
-                            s.spawn(|| rt.parallel_for(0..16, |_| bump(1)));
-                        }
-                    }),
-                    // More branches than lanes, uneven regions.
-                    1 => rt.scope(|s| {
-                        for b in 0..2 * lanes + 1 {
-                            s.spawn(move || {
-                                rt.parallel_for_chunks(0..4 + 8 * b, 2, |c| bump(c.len()))
-                            });
-                        }
-                    }),
-                    // Regions inside chunks inside a region.
-                    2 => rt.parallel_for(0..2 * lanes, |_| {
-                        rt.parallel_for(0..8, |_| rt.parallel_for(0..3, |_| bump(1)));
-                    }),
-                    // A scope opened inside a region (its spawns run
-                    // inline) next to a plain region.
-                    _ => rt.parallel_for(0..lanes + 1, |i| {
-                        if i % 2 == 0 {
-                            rt.scope(|s| s.spawn(|| rt.parallel_for(0..8, |_| bump(1))));
-                        } else {
-                            rt.parallel_for(0..8, |_| bump(1));
-                        }
-                    }),
+            rt.install(|| {
+                for round in 0..ROUNDS {
+                    match round % 4 {
+                        // As many branches as lanes, each opening a region:
+                        // every lane is an owner waiting on its own latch.
+                        0 => scope(|s| {
+                            for _ in 0..lanes {
+                                s.spawn(|| parallel_for(0..16, |_| bump(1)));
+                            }
+                        }),
+                        // More branches than lanes, uneven regions.
+                        1 => scope(|s| {
+                            for b in 0..2 * lanes + 1 {
+                                s.spawn(move || {
+                                    parallel_for_chunks(0..4 + 8 * b, 2, |c| bump(c.len()))
+                                });
+                            }
+                        }),
+                        // Regions inside chunks inside a region.
+                        2 => parallel_for(0..2 * lanes, |_| {
+                            parallel_for(0..8, |_| parallel_for(0..3, |_| bump(1)));
+                        }),
+                        // A scope opened inside a region (its spawns run
+                        // inline) next to a plain region.
+                        _ => parallel_for(0..lanes + 1, |i| {
+                            if i % 2 == 0 {
+                                scope(|s| s.spawn(|| parallel_for(0..8, |_| bump(1))));
+                            } else {
+                                parallel_for(0..8, |_| bump(1));
+                            }
+                        }),
+                    }
                 }
-            }
+            });
             total.load(Ordering::Relaxed)
         });
         let uneven: usize = (0..2 * lanes + 1).map(|b| 4 + 8 * b).sum();
@@ -154,7 +160,7 @@ fn a_panic_in_a_helped_chunk_reaches_that_regions_owner() {
             // The worker owns this region; the chunk that panics is
             // the one the waiting caller helps with.
             let result = panic::catch_unwind(AssertUnwindSafe(|| {
-                rt.parallel_for(0..2, |_| {
+                parallel_for(0..2, |_| {
                     inner.wait();
                     if thread::current().id() != owner {
                         panic!("helped boom");
@@ -175,7 +181,7 @@ fn a_panic_in_a_helped_chunk_reaches_that_regions_owner() {
         // Rule 4: the pool is usable, helping included.
         let total = AtomicUsize::new(0);
         with_the_caller_waiting(&rt, || {
-            rt.parallel_for(0..64, |_| {
+            parallel_for(0..64, |_| {
                 total.fetch_add(1, Ordering::SeqCst);
             })
         });
@@ -200,39 +206,42 @@ fn a_lane_waiting_inside_a_region_never_starts_a_branch() {
             while windows.load(Ordering::Relaxed) < 8 {
                 let started = AtomicUsize::new(0);
                 let branches = 8 * lanes;
-                rt.scope(|s| {
-                    for _ in 0..branches {
-                        s.spawn(|| {
-                            started.fetch_add(1, Ordering::Relaxed);
-                            // A branch started underneath a suspended
-                            // one on this thread fails this borrow.
-                            WORKSPACE.with(|ws| {
-                                let mut ws = ws.borrow_mut();
-                                let owner = thread::current().id();
-                                let (done, held) = (AtomicUsize::new(0), AtomicBool::new(false));
-                                let chunks = chunk_ranges(0..32, lanes, 1).len();
-                                rt.parallel_for_chunks(0..32, 1, |_| {
-                                    let helper = thread::current().id() != owner;
-                                    if helper && !held.swap(true, Ordering::Relaxed) {
-                                        // Hold the owner in its wait: the
-                                        // other chunks get done, then it
-                                        // has nothing left but to wait
-                                        // on this one, for longer than
-                                        // it polls before parking.
-                                        while done.load(Ordering::Acquire) + 1 < chunks {
-                                            std::hint::spin_loop();
+                rt.install(|| {
+                    scope(|s| {
+                        for _ in 0..branches {
+                            s.spawn(|| {
+                                started.fetch_add(1, Ordering::Relaxed);
+                                // A branch started underneath a suspended
+                                // one on this thread fails this borrow.
+                                WORKSPACE.with(|ws| {
+                                    let mut ws = ws.borrow_mut();
+                                    let owner = thread::current().id();
+                                    let (done, held) =
+                                        (AtomicUsize::new(0), AtomicBool::new(false));
+                                    let chunks = chunk_ranges(0..32, lanes, 1).len();
+                                    parallel_for_chunks(0..32, 1, |_| {
+                                        let helper = thread::current().id() != owner;
+                                        if helper && !held.swap(true, Ordering::Relaxed) {
+                                            // Hold the owner in its wait: the
+                                            // other chunks get done, then it
+                                            // has nothing left but to wait
+                                            // on this one, for longer than
+                                            // it polls before parking.
+                                            while done.load(Ordering::Acquire) + 1 < chunks {
+                                                std::hint::spin_loop();
+                                            }
+                                            if started.load(Ordering::Relaxed) < branches {
+                                                windows.fetch_add(1, Ordering::Relaxed);
+                                            }
+                                            thread::sleep(Duration::from_micros(500));
                                         }
-                                        if started.load(Ordering::Relaxed) < branches {
-                                            windows.fetch_add(1, Ordering::Relaxed);
-                                        }
-                                        thread::sleep(Duration::from_micros(500));
-                                    }
-                                    done.fetch_add(1, Ordering::Release);
+                                        done.fetch_add(1, Ordering::Release);
+                                    });
+                                    *ws += 1;
                                 });
-                                *ws += 1;
                             });
-                        });
-                    }
+                        }
+                    })
                 });
             }
         }

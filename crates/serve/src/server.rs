@@ -763,7 +763,7 @@ fn run_group(
         span.arg("layer", || plan.name.clone());
         span.arg("requests", || batched_with.to_string());
         span.arg("images", || total.to_string());
-        exec.run_on(wino_runtime::Runtime::global(), input, degraded)
+        exec.run_on(input, degraded)
     };
     let execute = execute_start.elapsed();
     let phases: Vec<(&'static str, u64)> = wino_probe::local_spans_since(mark)

@@ -11,12 +11,10 @@
 #![warn(missing_docs)]
 
 mod error;
-mod guided;
 mod space;
 mod tuner;
 
 pub use error::TuneError;
-pub use guided::{tune_guided, GuidedReport};
 pub use space::{reduced_space, search_space, TuningPoint, MNB_VALUES, MNT_VALUES, M_RANGE};
 pub use tuner::{
     evaluate_candidate, evaluate_untuned, tune, tune_with_space, untuned_point, Evaluation,

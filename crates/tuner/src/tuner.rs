@@ -16,7 +16,6 @@ use std::sync::OnceLock;
 
 use wino_codegen::{generate_plan, CodegenOptions, PlanVariant};
 use wino_gpu::{estimate_plan_ms, DeviceProfile};
-use wino_runtime::Runtime;
 use wino_tensor::ConvDesc;
 
 use crate::error::TuneError;
@@ -45,9 +44,8 @@ pub struct TuneReport {
 }
 
 /// Generates and prices one tuning point; `None` when the point cannot
-/// generate or launch. Shared by the brute-force and guided tuners —
-/// and public so external harnesses can evaluate a single candidate in
-/// isolation.
+/// generate or launch. Public so external harnesses can evaluate a
+/// single candidate in isolation.
 pub fn evaluate_candidate(
     desc: &ConvDesc,
     device: &DeviceProfile,
@@ -85,7 +83,8 @@ pub fn evaluate_candidate(
 }
 
 /// Brute-force tunes `desc` on `device` over the full Table-1 space,
-/// evaluating points in parallel on [`Runtime::global`].
+/// evaluating points in parallel on the installed pool
+/// ([`wino_runtime::Runtime::install`]; the global one by default).
 ///
 /// # Errors
 /// [`TuneError::NothingRuns`] when every point is rejected.
@@ -98,7 +97,7 @@ pub fn tune(desc: &ConvDesc, device: &DeviceProfile) -> Result<TuneReport, TuneE
 /// and the hook the benchmark harness uses to tune Winograd-only or
 /// baseline-only sub-spaces.
 ///
-/// Each point is one branch task of a [`Runtime::global`] scope: point
+/// Each point is one branch task of a [`wino_runtime::scope`]: point
 /// costs span four orders of magnitude, so fixed index chunks would
 /// leave a lane idle behind the costliest. A panicking evaluation's
 /// payload is re-raised here (the pool's panic contract).
@@ -111,7 +110,7 @@ pub fn tune_with_space(
     space: Vec<TuningPoint>,
 ) -> Result<TuneReport, TuneError> {
     let slots: Vec<OnceLock<Option<Evaluation>>> = space.iter().map(|_| OnceLock::new()).collect();
-    Runtime::global().scope(|s| {
+    wino_runtime::scope(|s| {
         for (slot, point) in slots.iter().zip(&space) {
             s.spawn(move || {
                 let _ = slot.set(evaluate_candidate(desc, device, point));

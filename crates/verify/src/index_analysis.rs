@@ -915,7 +915,8 @@ pub fn cross_check_packing() -> Vec<IndexCheck> {
             let label = format!("PackedA impl {batches}x{m}x{k}/mr{mr}");
             let mut issues = Vec::new();
             let a: Vec<f32> = (0..batches * m * k).map(|v| v as f32 + 2.0).collect();
-            let packed = PackedA::pack(&a, batches, m, k, level, &Runtime::with_threads(2));
+            let packed =
+                Runtime::with_threads(2).install(|| PackedA::pack(&a, batches, m, k, level));
             let model = pack_a_model(m, k, mr);
             for batch in 0..batches {
                 let got = packed.batch(batch);

@@ -15,7 +15,7 @@
 //!    overlap panics). The audit reports whether the ledger is compiled
 //!    into the running binary and runs a live scatter coverage check.
 
-use wino_runtime::{chunk_ranges, DisjointSlice, Runtime};
+use wino_runtime::{chunk_ranges, parallel_for_chunks, DisjointSlice, Runtime};
 
 /// `true` when this build carries `DisjointSlice`'s debug ownership
 /// ledger (dev/test profile); `false` in release, where the contract
@@ -84,26 +84,27 @@ pub fn audit_chunk_partition() -> Vec<String> {
 /// ownership ledger over every claim.
 pub fn audit_scatter_coverage() -> Vec<String> {
     let mut issues = Vec::new();
-    let rt = Runtime::with_threads(4);
     let n = 1024;
     let mut data = vec![u32::MAX; n];
     {
         let win = DisjointSlice::new(&mut data);
-        rt.parallel_for_chunks(0..n / 2, 1, |chunk| {
-            for i in chunk {
-                // SAFETY: distinct indices from a partitioning schedule.
-                unsafe { win.write(i, i as u32) };
-            }
-        });
-        rt.parallel_for_chunks(0..8, 1, |blocks| {
-            for b in blocks {
-                let lo = n / 2 + b * (n / 16);
-                // SAFETY: blocks map to disjoint ranges.
-                let out = unsafe { win.slice_mut(lo..lo + n / 16) };
-                for (k, slot) in out.iter_mut().enumerate() {
-                    *slot = (lo + k) as u32;
+        Runtime::with_threads(4).install(|| {
+            parallel_for_chunks(0..n / 2, 1, |chunk| {
+                for i in chunk {
+                    // SAFETY: distinct indices from a partitioning schedule.
+                    unsafe { win.write(i, i as u32) };
                 }
-            }
+            });
+            parallel_for_chunks(0..8, 1, |blocks| {
+                for b in blocks {
+                    let lo = n / 2 + b * (n / 16);
+                    // SAFETY: blocks map to disjoint ranges.
+                    let out = unsafe { win.slice_mut(lo..lo + n / 16) };
+                    for (k, slot) in out.iter_mut().enumerate() {
+                        *slot = (lo + k) as u32;
+                    }
+                }
+            });
         });
     }
     for (i, &v) in data.iter().enumerate() {

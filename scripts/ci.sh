@@ -54,11 +54,17 @@ PY
 
 stage "one way to run a Winograd convolution"
 # The entry ladder is conv_winograd (cold) -> conv_winograd_precomputed
-# (global runtime) -> conv_winograd_precomputed_rt (explicit runtime);
-# a fourth name is a twin growing back.
+# (warm); a third name is a twin growing back. A caller picks a pool
+# with Runtime::install, so no function below takes one as an argument
+# or has an `_rt` twin.
 ladder=$(grep -c 'fn conv_winograd' crates/conv/src/winograd.rs)
-if [ "$ladder" -ne 3 ]; then
-  echo "FAIL: expected 3 conv_winograd* functions in winograd.rs, found $ladder" >&2
+if [ "$ladder" -ne 2 ]; then
+  echo "FAIL: expected 2 conv_winograd* functions in winograd.rs, found $ladder" >&2
+  exit 1
+fi
+if grep -rnE 'fn [a-z0-9_]+_rt(_level)?\b|&Runtime\b' \
+  crates/gemm/src crates/conv/src crates/guard/src crates/exec/src crates/serve/src; then
+  echo "FAIL: an _rt twin or a &Runtime parameter above (use Runtime::install)" >&2
   exit 1
 fi
 
