@@ -38,7 +38,7 @@ use wino_guard::{fault, GuardedConv};
 use wino_probe::{self as probe, metrics};
 use wino_serve::{
     BreakerState, ConvRequest, ConvResponse, NetworkRequest, PlanRegistry, ServeError, Server,
-    ServerConfig,
+    ServerConfig, BREAKER_COOLDOWN,
 };
 use wino_tensor::{ConvDesc, Tensor4};
 
@@ -825,20 +825,13 @@ fn drill_chaos() -> Value {
 
 /// Breaker trip-and-recover under an armed `transform:nan`.
 fn drill_breaker() -> Value {
-    const COOLDOWN: Duration = Duration::from_millis(150);
     let registry = layer_registry();
     arm_fault();
     assert!(
         fault::armed(fault::Site::Transform),
         "the breaker drill needs WINO_FAULT=transform:nan armed"
     );
-    let server = Server::start(
-        Arc::clone(&registry),
-        ServerConfig {
-            breaker_cooldown: COOLDOWN,
-            ..sequential_config()
-        },
-    );
+    let server = Server::start(Arc::clone(&registry), sequential_config());
     let tail = registry.get(LAYER).expect("drill layer").tail_engine();
     let served_by = |seed: u64, what: &str| {
         let resp = server.infer(ConvRequest::new(LAYER, layer_input(seed)));
@@ -853,7 +846,11 @@ fn drill_breaker() -> Value {
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
             let health = server.health();
-            let state = health.breakers.first().expect("breaker seeded").state;
+            let state = health
+                .breakers
+                .first()
+                .expect("the layer's breaker is listed")
+                .state;
             if state == want || Instant::now() >= deadline {
                 return state;
             }
@@ -877,7 +874,7 @@ fn drill_breaker() -> Value {
     // Heal the fault, wait out the cool-down: the next batch is the
     // half-open probe on the full chain; clean, so the breaker closes.
     fault::init_from_value("off");
-    std::thread::sleep(COOLDOWN + Duration::from_millis(50));
+    std::thread::sleep(BREAKER_COOLDOWN + Duration::from_millis(50));
     served_by(4, "half-open probe serves");
     let closed = await_state(BreakerState::Closed);
     assert_eq!(

@@ -32,16 +32,6 @@ impl StageOps {
         }
         1.0 - self.optimized.total() as f64 / base
     }
-
-    /// Reduction against the dense matrix-multiplication baseline
-    /// (what the bar heights of Figure 5 show).
-    pub fn reduction_vs_dense(&self) -> f64 {
-        let base = self.baseline.total_unfused() as f64;
-        if base == 0.0 {
-            return 0.0;
-        }
-        1.0 - self.optimized.total() as f64 / base
-    }
 }
 
 /// One F(m, r) entry of Figure 5.

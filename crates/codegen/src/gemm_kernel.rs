@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use wino_ir::{Backend, CostProfile, Dim3, Kernel, KernelKind, LaunchConfig};
+use wino_ir::{CostProfile, Dim3, Kernel, KernelKind, LaunchConfig};
 
 use crate::error::CodegenError;
 use crate::options::{gemm_micro_efficiency, CodegenOptions};
@@ -197,17 +197,6 @@ pub fn gen_single_gemm_kernel(
         opts,
         name_suffix,
     )
-}
-
-/// CUDA is irrelevant here — keep the helper for OpenCL flavouring of
-/// the synchronization primitive if a backend needs it later.
-#[allow(dead_code)]
-fn sync_call(backend: Backend) -> &'static str {
-    match backend {
-        Backend::Cuda => "__syncthreads()",
-        Backend::Vulkan => "barrier()",
-        Backend::OpenCl => "barrier(CLK_LOCAL_MEM_FENCE)",
-    }
 }
 
 #[cfg(test)]

@@ -296,10 +296,10 @@ mod tests {
 
     #[test]
     fn breaker_state_gauges_render_in_both_expositions() {
-        // The serve layer registers one `serve.breaker_state.<layer>`
-        // gauge per layer (0 closed / 1 half-open / 2 open); both
-        // exposition formats must carry it so operators can see a
-        // tripped layer without asking the server.
+        // The serve layer registers one `serve.breaker_state.<plan>`
+        // gauge per serving plan (0 closed / 1 half-open / 2 open);
+        // both exposition formats must carry it so operators can see a
+        // tripped plan without asking the server.
         let _guard = crate::TEST_LOCK.lock();
         set_telemetry(true);
         crate::gauge("serve.breaker_state.ci/layer").set(2);

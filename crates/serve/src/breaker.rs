@@ -1,15 +1,15 @@
-//! Per-layer circuit breakers.
+//! Per-plan circuit breakers.
 //!
-//! A layer whose full degradation chain keeps demoting (guardrail
+//! A plan whose full degradation chain keeps demoting (guardrail
 //! rejections, engine panics, engine errors) wastes the doomed
 //! engines' work on every batch. The breaker watches *consecutive*
-//! unclean batch executions per layer and, at the third
-//! (`BREAKER_THRESHOLD`), trips the layer straight to its terminal
-//! fallback engine for a cool-down window. After the window one
+//! unclean batch executions of its plan and, at the third
+//! ([`BREAKER_THRESHOLD`]), trips the plan straight to its terminal
+//! fallback engines for [`BREAKER_COOLDOWN`]. After the window one
 //! half-open **probe batch** rides the full chain again: a clean probe
 //! closes the breaker, an unclean one reopens it for another window.
 //!
-//! State machine (per layer):
+//! State machine (per plan):
 //!
 //! ```text
 //! Closed --(threshold consecutive unclean)--> Open
@@ -18,26 +18,32 @@
 //! HalfOpen --(probe unclean)---------------> Open
 //! ```
 //!
-//! Deadline-demoted groups already run the fallback engine by design
-//! and never feed the breaker. Breaker bookkeeping is independent of
-//! the probe's stats gate — tripping must work even with metrics off —
-//! only the counters and the per-layer state gauge are gated.
+//! Each [`crate::NetworkPlan`] owns its breaker, built at registration,
+//! so every server over one registry shares it and a restarted server
+//! inherits it. Deadline-demoted groups already run the fallback
+//! engine by design and never feed the breaker. Breaker bookkeeping is
+//! independent of the probe's stats gate — tripping must work even
+//! with metrics off — only the counters and the per-plan state gauge
+//! are gated.
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
-use crate::registry::NetworkPlan;
-use crate::server::BREAKER_THRESHOLD;
+/// Consecutive unclean full-chain batches before a plan's breaker
+/// trips it to the terminal fallback engines.
+pub const BREAKER_THRESHOLD: u32 = 3;
+
+/// How long a tripped breaker serves the fallback before the half-open
+/// probe batch rides the full chain again.
+pub const BREAKER_COOLDOWN: Duration = Duration::from_millis(250);
 
 static OPEN: wino_probe::Counter = wino_probe::Counter::new("serve.breaker.open");
 static HALF_OPEN: wino_probe::Counter = wino_probe::Counter::new("serve.breaker.half_open");
 static CLOSE: wino_probe::Counter = wino_probe::Counter::new("serve.breaker.close");
 
 /// Breaker position, exposed through [`crate::Server::health`] and as
-/// the per-layer `serve.breaker_state.<layer>` gauge (0 = closed,
+/// the per-plan `serve.breaker_state.<plan>` gauge (0 = closed,
 /// 1 = half-open, 2 = open).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BreakerState {
@@ -89,14 +95,14 @@ impl BreakerDecision {
     }
 }
 
-/// Point-in-time view of one layer's breaker.
+/// Point-in-time view of one plan's breaker.
 #[derive(Clone, Debug)]
 pub struct BreakerSnapshot {
-    /// Layer the breaker guards.
-    pub layer: String,
+    /// Name of the plan the breaker guards.
+    pub plan: String,
     /// Current position.
     pub state: BreakerState,
-    /// Times the breaker has opened over the server's lifetime.
+    /// Times the breaker has opened since its plan was registered.
     pub trips: u64,
 }
 
@@ -108,19 +114,19 @@ struct BreakerInner {
     trips: u64,
 }
 
-/// One layer's breaker.
+/// One plan's breaker.
 pub(crate) struct Breaker {
-    layer: String,
-    cooldown: Duration,
+    plan: String,
     inner: Mutex<BreakerInner>,
     gauge: wino_probe::Gauge,
 }
 
 impl Breaker {
-    fn new(layer: &str, cooldown: Duration) -> Breaker {
+    /// A closed breaker for the plan named `plan`, with its state gauge
+    /// interned.
+    pub(crate) fn new(plan: &str) -> Breaker {
         Breaker {
-            layer: layer.to_string(),
-            cooldown,
+            plan: plan.to_string(),
             inner: Mutex::new(BreakerInner {
                 state: BreakerState::Closed,
                 consecutive_unclean: 0,
@@ -128,11 +134,11 @@ impl Breaker {
                 probe_in_flight: false,
                 trips: 0,
             }),
-            gauge: wino_probe::gauge(&format!("serve.breaker_state.{layer}")),
+            gauge: wino_probe::gauge(&format!("serve.breaker_state.{plan}")),
         }
     }
 
-    /// Decides how the next batch for this layer executes.
+    /// Decides how the next batch for this plan executes.
     pub(crate) fn decide(&self) -> BreakerDecision {
         let mut inner = self.inner.lock();
         match inner.state {
@@ -140,7 +146,7 @@ impl Breaker {
             BreakerState::Open => {
                 let elapsed = inner
                     .opened_at
-                    .is_some_and(|at| at.elapsed() >= self.cooldown);
+                    .is_some_and(|at| at.elapsed() >= BREAKER_COOLDOWN);
                 if elapsed {
                     inner.state = BreakerState::HalfOpen;
                     inner.probe_in_flight = true;
@@ -148,7 +154,7 @@ impl Breaker {
                     self.gauge.set(inner.state.gauge_value());
                     wino_probe::diag(format!(
                         "serve: breaker for {:?} half-open, probing full chain",
-                        self.layer
+                        self.plan
                     ));
                     BreakerDecision::Probe
                 } else {
@@ -191,7 +197,7 @@ impl Breaker {
                     inner.state = BreakerState::Closed;
                     inner.consecutive_unclean = 0;
                     CLOSE.add(1);
-                    wino_probe::diag(format!("serve: breaker for {:?} closed", self.layer));
+                    wino_probe::diag(format!("serve: breaker for {:?} closed", self.plan));
                 } else {
                     self.trip(&mut inner);
                 }
@@ -222,87 +228,18 @@ impl Breaker {
         OPEN.add(1);
         wino_probe::diag(format!(
             "serve: breaker for {:?} open, serving terminal fallback for {:?}",
-            self.layer, self.cooldown
+            self.plan, BREAKER_COOLDOWN
         ));
         wino_probe::flight::dump_incident("serve.breaker_open");
     }
 
-    fn snapshot(&self) -> BreakerSnapshot {
+    pub(crate) fn snapshot(&self) -> BreakerSnapshot {
         let inner = self.inner.lock();
         BreakerSnapshot {
-            layer: self.layer.clone(),
+            plan: self.plan.clone(),
             state: inner.state,
             trips: inner.trips,
         }
-    }
-}
-
-/// All breakers of one server, keyed by plan identity (the address of
-/// the `Arc<NetworkPlan>` a request was admitted against), so a layer
-/// and a network that share a name — or a layer re-registered under
-/// its old name — never share a breaker. Each entry holds a `Weak` to
-/// its plan: that pins the address against reuse while the entry
-/// lives, and marks the entry dead once the registry and every queued
-/// request have let the plan go. Plans registered after
-/// [`crate::Server::start`] get their breaker lazily on first batch.
-pub(crate) struct BreakerMap {
-    cooldown: Duration,
-    map: RwLock<BTreeMap<usize, PlanBreaker>>,
-}
-
-/// A breaker and the plan whose address keys it.
-type PlanBreaker = (Weak<NetworkPlan>, Arc<Breaker>);
-
-impl BreakerMap {
-    pub(crate) fn new(cooldown: Duration) -> BreakerMap {
-        BreakerMap {
-            cooldown,
-            map: RwLock::new(BTreeMap::new()),
-        }
-    }
-
-    /// Interns the breaker for `plan` (pre-seeded at server start so
-    /// the state gauges exist from the first metrics render). Adding
-    /// an entry also drops the entries of plans that no longer exist.
-    pub(crate) fn intern(&self, plan: &Arc<NetworkPlan>) -> Arc<Breaker> {
-        let key = Arc::as_ptr(plan) as usize;
-        if let Some((_, b)) = self.map.read().get(&key) {
-            return Arc::clone(b);
-        }
-        let mut map = self.map.write();
-        map.retain(|_, (plan, _)| plan.strong_count() > 0);
-        let (_, breaker) = map.entry(key).or_insert_with(|| {
-            let breaker = Breaker::new(&plan.name, self.cooldown);
-            (Arc::downgrade(plan), Arc::new(breaker))
-        });
-        Arc::clone(breaker)
-    }
-
-    /// Breaker + execution decision for the next batch of `plan`.
-    pub(crate) fn decide(&self, plan: &Arc<NetworkPlan>) -> (Arc<Breaker>, BreakerDecision) {
-        let breaker = self.intern(plan);
-        let decision = breaker.decide();
-        (breaker, decision)
-    }
-
-    /// Snapshot of every breaker, sorted by plan name.
-    pub(crate) fn snapshot(&self) -> Vec<BreakerSnapshot> {
-        let mut all: Vec<BreakerSnapshot> = self
-            .map
-            .read()
-            .values()
-            .map(|(_, b)| b.snapshot())
-            .collect();
-        all.sort_by(|a, b| a.layer.cmp(&b.layer));
-        all
-    }
-
-    /// `true` when any plan's breaker is not closed.
-    pub(crate) fn any_open(&self) -> bool {
-        self.map
-            .read()
-            .values()
-            .any(|(_, b)| b.inner.lock().state != BreakerState::Closed)
     }
 }
 
@@ -311,7 +248,14 @@ mod tests {
     use super::*;
 
     fn breaker() -> Breaker {
-        Breaker::new("t/l", Duration::from_millis(20))
+        Breaker::new("t/l")
+    }
+
+    /// Moves the breaker's open instant back past the cool-down, as if
+    /// [`BREAKER_COOLDOWN`] had elapsed.
+    fn age_past_cooldown(b: &Breaker) {
+        let opened_at = Instant::now().checked_sub(BREAKER_COOLDOWN);
+        b.inner.lock().opened_at = Some(opened_at.expect("the clock runs past one cool-down"));
     }
 
     #[test]
@@ -337,19 +281,20 @@ mod tests {
     #[test]
     fn half_open_probe_closes_or_reopens() {
         let b = breaker();
-        for _ in 0..3 {
+        for _ in 0..BREAKER_THRESHOLD {
             b.resolve(BreakerDecision::Full, Some(false));
         }
         assert_eq!(b.decide(), BreakerDecision::Fallback);
-        std::thread::sleep(Duration::from_millis(25));
+        age_past_cooldown(&b);
         // Cooldown elapsed: exactly one probe, concurrent batches stay
         // on the fallback.
         assert_eq!(b.decide(), BreakerDecision::Probe);
         assert_eq!(b.decide(), BreakerDecision::Fallback);
-        // Unclean probe reopens.
+        // Unclean probe reopens, for a whole new window.
         b.resolve(BreakerDecision::Probe, Some(false));
         assert_eq!(b.snapshot().state, BreakerState::Open);
-        std::thread::sleep(Duration::from_millis(25));
+        assert_eq!(b.decide(), BreakerDecision::Fallback);
+        age_past_cooldown(&b);
         assert_eq!(b.decide(), BreakerDecision::Probe);
         b.resolve(BreakerDecision::Probe, Some(true));
         assert_eq!(b.snapshot().state, BreakerState::Closed);
@@ -360,51 +305,14 @@ mod tests {
     #[test]
     fn vacuous_probe_outcome_returns_the_probe_slot() {
         let b = breaker();
-        for _ in 0..3 {
+        for _ in 0..BREAKER_THRESHOLD {
             b.resolve(BreakerDecision::Full, Some(false));
         }
-        std::thread::sleep(Duration::from_millis(25));
+        age_past_cooldown(&b);
         assert_eq!(b.decide(), BreakerDecision::Probe);
         // The probe batch turned out to be all-deadline-demoted: no
         // verdict, but the next batch must get to probe again.
         b.resolve(BreakerDecision::Probe, None);
         assert_eq!(b.decide(), BreakerDecision::Probe);
-    }
-
-    /// A registered toy layer's serving plan (the registry is the only
-    /// way to build a [`NetworkPlan`]).
-    fn toy_plan(name: &str) -> Arc<NetworkPlan> {
-        let reg = crate::PlanRegistry::new();
-        let desc = wino_tensor::ConvDesc::new(3, 1, 1, 2, 1, 6, 6, 1);
-        let weights = wino_tensor::Tensor4::zeros(2, 1, 3, 3);
-        reg.register_layer(name, desc, weights).unwrap();
-        reg.layer_network(name).unwrap()
-    }
-
-    #[test]
-    fn map_interns_per_plan_identity() {
-        let m = BreakerMap::new(Duration::from_millis(5));
-        let (a, b) = (toy_plan("a"), toy_plan("b"));
-        let (a1, _) = m.decide(&a);
-        let (a2, _) = m.decide(&a);
-        assert!(Arc::ptr_eq(&a1, &a2));
-        m.decide(&b);
-        // Same name, different plan: its own breaker.
-        let a_again = toy_plan("a");
-        let (a3, _) = m.decide(&a_again);
-        assert!(!Arc::ptr_eq(&a1, &a3));
-        assert_eq!(m.snapshot().len(), 3);
-        assert!(!m.any_open());
-        for _ in 0..BREAKER_THRESHOLD {
-            a1.resolve(BreakerDecision::Full, Some(false));
-        }
-        assert!(m.any_open());
-        // A plan nothing holds any more loses its entry at the next
-        // insertion.
-        drop(a);
-        m.decide(&toy_plan("c"));
-        let names: Vec<String> = m.snapshot().into_iter().map(|s| s.layer).collect();
-        assert_eq!(names, ["a", "b", "c"]);
-        assert!(!m.any_open(), "the tripped breaker went with its plan");
     }
 }

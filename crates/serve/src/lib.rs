@@ -27,10 +27,12 @@
 //!   refusing late submissions ([`ServeError::ShuttingDown`]).
 //! - The server **self-heals**: a batch panic is contained on its
 //!   executor ([`ServeError::Internal`], never a hung waiter, and the
-//!   thread keeps serving), and a per-layer circuit breaker
-//!   ([`BreakerState`]) trips repeatedly failing layers to their
-//!   terminal fallback engine with half-open probe batches.
-//!   [`Server::health`] snapshots both.
+//!   thread keeps serving), and each plan's circuit breaker
+//!   ([`BreakerState`]) trips a repeatedly failing plan to its
+//!   terminal fallback engines for a constant [`BREAKER_COOLDOWN`],
+//!   then probes the full chain with one half-open batch. The breaker
+//!   lives in its [`NetworkPlan`], so servers over one registry share
+//!   it. [`Server::health`] snapshots both.
 //! - Every response carries its own [`RequestTrace`] (queue wait,
 //!   batch peers, serving engine, per-phase breakdown). The server
 //!   keeps no copy: the aggregates are the process-global `serve.*`
@@ -45,7 +47,7 @@ mod registry;
 mod server;
 mod stats;
 
-pub use breaker::{BreakerSnapshot, BreakerState};
+pub use breaker::{BreakerSnapshot, BreakerState, BREAKER_COOLDOWN, BREAKER_THRESHOLD};
 pub use error::ServeError;
 pub use registry::{LayerPlan, NetworkPlan, PlanRegistry};
 pub use server::{ConvRequest, ConvResponse, NetworkRequest, ResponseHandle, Server, ServerConfig};

@@ -29,6 +29,7 @@ use wino_tensor::{ConvDesc, Tensor4};
 
 pub use wino_exec::LayerPlan;
 
+use crate::breaker::Breaker;
 use crate::error::ServeError;
 
 static REGISTERED: wino_probe::Counter = wino_probe::Counter::new("serve.layers_registered");
@@ -36,8 +37,9 @@ static NET_REGISTERED: wino_probe::Counter = wino_probe::Counter::new("serve.net
 
 /// One serving plan — a registered whole network, or the one-conv
 /// network compiled around a registered layer: the compiled wave
-/// schedule + arena plan, the pool of recycled per-request arenas, and
-/// the engine-annotated graph kept as the bit-identity oracle.
+/// schedule + arena plan, the pool of recycled per-request arenas, the
+/// plan's circuit breaker, and the engine-annotated graph kept as the
+/// bit-identity oracle.
 pub struct NetworkPlan {
     /// Registry key.
     pub name: String,
@@ -48,6 +50,9 @@ pub struct NetworkPlan {
     /// reserves them at start so steady-state serving allocates
     /// nothing at graph level).
     pub pool: Arc<ArenaPool>,
+    /// The plan's circuit breaker, shared by every server over the
+    /// registry.
+    pub(crate) breaker: Breaker,
     /// The fused, engine-annotated source graph. Naive execution of
     /// this graph is the reference the executor must match bit for
     /// bit.
@@ -61,7 +66,8 @@ impl NetworkPlan {
     }
 
     /// Compiles `graph` against `resolve`'s pinned conv plans and
-    /// pairs the schedule with an empty arena pool.
+    /// pairs the schedule with an empty arena pool and a closed
+    /// breaker.
     fn compile(
         name: String,
         graph: ComputeGraph,
@@ -71,6 +77,7 @@ impl NetworkPlan {
         let net = wino_exec::compile(name.clone(), &graph, input, resolve)
             .map_err(|e| ServeError::Shape(e.to_string()))?;
         Ok(NetworkPlan {
+            breaker: Breaker::new(&name),
             name,
             pool: Arc::new(ArenaPool::new(&net)),
             net: Arc::new(net),
@@ -273,10 +280,10 @@ impl PlanRegistry {
         self.layers.read().keys().cloned().collect()
     }
 
-    /// Everything the server can be asked to run — each layer's
-    /// one-conv network, then each registered network, in name order
-    /// (the server seeds one circuit breaker and reserves arenas per
-    /// plan at start).
+    /// Everything a server can be asked to run — each layer's one-conv
+    /// network, then each registered network, in name order (a server
+    /// reserves arenas per plan at start, and reports each plan's
+    /// breaker in its health).
     pub(crate) fn serving_plans(&self) -> Vec<Arc<NetworkPlan>> {
         let layers = self.layers.read();
         let networks = self.networks.read();

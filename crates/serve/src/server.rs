@@ -59,10 +59,10 @@ use wino_guard::{payload_to_string, Engine};
 use wino_probe::{fault, metrics};
 use wino_tensor::Tensor4;
 
-use crate::breaker::{BreakerDecision, BreakerMap};
+use crate::breaker::{BreakerDecision, BreakerState};
 use crate::error::ServeError;
 use crate::registry::{NetworkPlan, PlanRegistry};
-use crate::stats::{HealthState, RequestTrace, ServerHealth};
+use crate::stats::{HealthStatus, RequestTrace, ServerHealth};
 
 static ENQUEUED: wino_probe::Counter = wino_probe::Counter::new("serve.enqueued");
 static SHED: wino_probe::Counter = wino_probe::Counter::new("serve.shed");
@@ -98,10 +98,6 @@ pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     })
 }
 
-/// Consecutive unclean full-chain batches before a layer's circuit
-/// breaker trips it to the terminal fallback engine.
-pub(crate) const BREAKER_THRESHOLD: u32 = 3;
-
 /// Server tunables.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
@@ -118,9 +114,6 @@ pub struct ServerConfig {
     /// Executor thread count. Zero is clamped to 1 at
     /// [`Server::start`].
     pub executors: usize,
-    /// How long a tripped breaker serves the fallback before the
-    /// half-open probe batch rides the full chain again.
-    pub breaker_cooldown: Duration,
 }
 
 impl Default for ServerConfig {
@@ -130,7 +123,6 @@ impl Default for ServerConfig {
             max_wait: Duration::from_millis(2),
             queue_capacity: 256,
             executors: 1,
-            breaker_cooldown: Duration::from_millis(250),
         }
     }
 }
@@ -326,7 +318,8 @@ impl ResponseHandle {
 struct Pending {
     id: u64,
     /// The plan the request was admitted against; [`next_batch`]
-    /// coalesces, and the breaker map keys, by this `Arc`'s identity.
+    /// coalesces by this `Arc`'s identity, and the batch consults the
+    /// breaker it carries.
     plan: Arc<NetworkPlan>,
     input: Tensor4<f32>,
     enqueued_at: Instant,
@@ -359,8 +352,9 @@ struct ExecShared {
     queue: Arc<SubmissionQueue>,
     max_batch: usize,
     max_wait: Duration,
-    breakers: Arc<BreakerMap>,
-    health: Arc<HealthState>,
+    /// Batch panics contained so far. Not gated behind the probe:
+    /// health must report truthfully even with metrics off.
+    batch_panics: Arc<AtomicU64>,
 }
 
 /// The batching inference server.
@@ -373,8 +367,7 @@ pub struct Server {
     queue: Arc<SubmissionQueue>,
     /// The id the next admitted request gets.
     next_id: AtomicU64,
-    breakers: Arc<BreakerMap>,
-    health: Arc<HealthState>,
+    batch_panics: Arc<AtomicU64>,
     /// Every executor's handle. Taken by the first shutdown.
     threads: Mutex<Option<Vec<JoinHandle<()>>>>,
 }
@@ -392,11 +385,8 @@ impl Server {
             }),
             cv: Condvar::new(),
         });
-        let health = Arc::new(HealthState::new());
-        let breakers = Arc::new(BreakerMap::new(config.breaker_cooldown));
+        let batch_panics = Arc::new(AtomicU64::new(0));
         for plan in registry.serving_plans() {
-            // Pre-seeded so the state gauges exist from the first render.
-            breakers.intern(&plan);
             // Reserve one arena per executor at the worst-case
             // coalesced batch, so steady-state serving does zero
             // graph-level allocation (requests larger than max_batch
@@ -408,8 +398,7 @@ impl Server {
             queue: Arc::clone(&queue),
             max_batch: config.max_batch,
             max_wait: config.max_wait,
-            breakers: Arc::clone(&breakers),
-            health: Arc::clone(&health),
+            batch_panics: Arc::clone(&batch_panics),
         };
         let threads = (0..config.executors)
             .map(|slot| {
@@ -425,8 +414,7 @@ impl Server {
             config,
             queue,
             next_id: AtomicU64::new(1),
-            breakers,
-            health,
+            batch_panics,
             threads: Mutex::new(Some(threads)),
         }
     }
@@ -539,11 +527,30 @@ impl Server {
     }
 
     /// Health snapshot: overall status, the contained-panic total, the
-    /// queue depth, and every plan breaker's position.
-    /// Works regardless of the metrics mode — health bookkeeping is
-    /// not gated behind the probe.
+    /// queue depth, and the breaker position of every plan in the
+    /// registry. `Degraded` once a batch panic was contained or while
+    /// any breaker is not closed. Works regardless of the metrics mode
+    /// — health bookkeeping is not gated behind the probe.
     pub fn health(&self) -> ServerHealth {
-        self.health.snapshot(self.queue_depth(), &self.breakers)
+        let batch_panics = self.batch_panics.load(Ordering::Relaxed);
+        let breakers: Vec<_> = self
+            .registry
+            .serving_plans()
+            .iter()
+            .map(|plan| plan.breaker.snapshot())
+            .collect();
+        let open = breakers.iter().any(|b| b.state != BreakerState::Closed);
+        let status = if batch_panics > 0 || open {
+            HealthStatus::Degraded
+        } else {
+            HealthStatus::Healthy
+        };
+        ServerHealth {
+            status,
+            batch_panics,
+            queue_depth: self.queue_depth(),
+            breakers,
+        }
     }
 
     /// Drains and stops: closes admission and joins the executors,
@@ -648,20 +655,20 @@ fn next_batch(
 fn execute_batch_contained(batch: Vec<Pending>, shared: &ExecShared) {
     let plan = Arc::clone(&batch[0].plan);
     let slots: Vec<Arc<ResponseSlot>> = batch.iter().map(|p| Arc::clone(&p.slot)).collect();
-    let (breaker, decision) = shared.breakers.decide(&plan);
+    let decision = plan.breaker.decide();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         execute_batch(&plan, batch, decision)
     }));
     match outcome {
-        Ok(clean) => breaker.resolve(decision, clean),
+        Ok(clean) => plan.breaker.resolve(decision, clean),
         Err(payload) => {
             // The full-chain group (probe included) panicked: that is
             // an unclean outcome for the breaker, and every member
             // that was not answered before the panic gets a terminal
             // Internal error.
-            breaker.resolve(decision, Some(false));
+            plan.breaker.resolve(decision, Some(false));
             BATCH_PANICS.add(1);
-            shared.health.batch_panics.fetch_add(1, Ordering::Relaxed);
+            shared.batch_panics.fetch_add(1, Ordering::Relaxed);
             let cause = payload_to_string(payload);
             wino_probe::diag(format!(
                 "serve: batch for {:?} panicked: {cause}",
@@ -831,8 +838,6 @@ fn run_group(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::breaker::BreakerState;
-    use crate::stats::HealthStatus;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use wino_tensor::ConvDesc;
@@ -1008,9 +1013,33 @@ mod tests {
         assert_eq!(h.status, HealthStatus::Healthy);
         assert_eq!(h.batch_panics, 0);
         assert_eq!(h.queue_depth, 0);
-        assert_eq!(h.breakers.len(), 1, "breakers pre-seeded from registry");
-        assert_eq!(h.breakers[0].layer, "toy/c1");
+        assert_eq!(h.breakers.len(), 1, "one breaker per registered plan");
+        assert_eq!(h.breakers[0].plan, "toy/c1");
         assert_eq!(h.breakers[0].state, BreakerState::Closed);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_layer_registered_after_start_is_listed_closed_before_its_first_request() {
+        let reg = small_registry();
+        let server = Server::start(Arc::clone(&reg), ServerConfig::default());
+        let desc = ConvDesc::new(3, 1, 1, 4, 1, 8, 8, 2);
+        reg.register_layer("toy/c2", desc, Tensor4::zeros(4, 2, 3, 3))
+            .unwrap();
+        let h = server.health();
+        let listed: Vec<(&str, BreakerState)> = h
+            .breakers
+            .iter()
+            .map(|b| (b.plan.as_str(), b.state))
+            .collect();
+        assert_eq!(
+            listed,
+            [
+                ("toy/c1", BreakerState::Closed),
+                ("toy/c2", BreakerState::Closed)
+            ]
+        );
+        assert_eq!(h.status, HealthStatus::Healthy);
         server.shutdown();
     }
 

@@ -8,12 +8,11 @@
 //! The server keeps no copy: the aggregates are the process-global
 //! `serve.*` probe metrics.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use wino_guard::Engine;
 
-use crate::breaker::{BreakerMap, BreakerSnapshot};
+use crate::breaker::BreakerSnapshot;
 
 /// The full story of one served request.
 #[derive(Clone, Debug)]
@@ -49,36 +48,6 @@ pub struct RequestTrace {
     pub phases: Vec<(&'static str, u64)>,
 }
 
-/// Health state shared by the executors and
-/// [`crate::Server::health`]. Deliberately independent of the probe's
-/// stats gate: health must report truthfully even with metrics off.
-pub(crate) struct HealthState {
-    pub(crate) batch_panics: AtomicU64,
-}
-
-impl HealthState {
-    pub(crate) fn new() -> HealthState {
-        HealthState {
-            batch_panics: AtomicU64::new(0),
-        }
-    }
-
-    pub(crate) fn snapshot(&self, queue_depth: usize, breakers: &BreakerMap) -> ServerHealth {
-        let batch_panics = self.batch_panics.load(Ordering::Relaxed);
-        let status = if batch_panics > 0 || breakers.any_open() {
-            HealthStatus::Degraded
-        } else {
-            HealthStatus::Healthy
-        };
-        ServerHealth {
-            status,
-            batch_panics,
-            queue_depth,
-            breakers: breakers.snapshot(),
-        }
-    }
-}
-
 /// Overall server condition, derived in [`crate::Server::health`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HealthStatus {
@@ -98,6 +67,7 @@ pub struct ServerHealth {
     pub batch_panics: u64,
     /// Current submission-queue depth.
     pub queue_depth: usize,
-    /// Per-plan breaker positions.
+    /// The breaker position of every plan in the registry: layers,
+    /// then networks, each in name order.
     pub breakers: Vec<BreakerSnapshot>,
 }

@@ -10,7 +10,7 @@
 //! serialization lock and asserts *deltas* against its own baseline.
 
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -19,7 +19,7 @@ use wino_guard::Engine;
 use wino_probe::fault;
 use wino_serve::{
     BreakerState, ConvRequest, ConvResponse, HealthStatus, NetworkRequest, PlanRegistry,
-    ResponseHandle, ServeError, Server, ServerConfig,
+    ResponseHandle, ServeError, Server, ServerConfig, BREAKER_COOLDOWN, BREAKER_THRESHOLD,
 };
 use wino_tensor::{ConvDesc, Tensor4};
 
@@ -344,7 +344,7 @@ fn shared_name_breakers(server: &Server) -> Vec<BreakerState> {
         .health()
         .breakers
         .into_iter()
-        .filter(|b| b.layer == "cnt/l")
+        .filter(|b| b.plan == "cnt/l")
         .map(|b| b.state)
         .collect();
     states.sort_by_key(|s| *s != BreakerState::Open);
@@ -365,15 +365,7 @@ fn poisoned_batches_trip_only_the_breaker_of_the_plan_they_ran() {
         // transforms but never the cached warm filters.
         let reg = registry();
         let _fault = fault::scoped("transform:nan");
-        let server = Server::start(
-            reg,
-            ServerConfig {
-                max_batch: 1,
-                max_wait: Duration::ZERO,
-                breaker_cooldown: Duration::from_secs(600),
-                ..ServerConfig::default()
-            },
-        );
+        let server = Server::start(reg, one_at_a_time());
         for i in 0..3 {
             let resp = target.infer(&server, 60 + i).unwrap();
             assert_eq!(resp.trace.demotions, 1, "{target:?}: guardrail demotes");
@@ -393,6 +385,81 @@ fn poisoned_batches_trip_only_the_breaker_of_the_plan_they_ran() {
         assert_eq!(c("guard.demote.guardrail"), g0 + 3, "{target:?}");
         assert_eq!(c("serve.executed"), x0 + 4, "{target:?}");
     }
+}
+
+/// Polls [`shared_name_breakers`] until it reads `want`: a response is
+/// delivered before its batch's outcome reaches the breaker, so a read
+/// right after `infer` can still see the previous position.
+fn await_breakers(server: &Server, want: [BreakerState; 2]) -> Vec<BreakerState> {
+    let deadline = Instant::now() + WATCHDOG;
+    loop {
+        let states = shared_name_breakers(server);
+        if states == want || Instant::now() >= deadline {
+            return states;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// One request at a time, each its own batch.
+fn one_at_a_time() -> ServerConfig {
+    ServerConfig {
+        max_batch: 1,
+        max_wait: Duration::ZERO,
+        ..ServerConfig::default()
+    }
+}
+
+#[test]
+fn an_open_breaker_alone_degrades_health_until_its_probe_closes_it() {
+    let _serial = serial();
+    let reg = registry();
+    let fault = fault::scoped("transform:nan");
+    let server = Server::start(reg, one_at_a_time());
+    assert_eq!(server.health().status, HealthStatus::Healthy);
+    for i in 0..u64::from(BREAKER_THRESHOLD) {
+        Target::Layer.infer(&server, 80 + i).unwrap();
+    }
+    let open = [BreakerState::Open, BreakerState::Closed];
+    assert_eq!(await_breakers(&server, open), open);
+    let health = server.health();
+    assert_eq!(health.batch_panics, 0);
+    assert_eq!(health.status, HealthStatus::Degraded, "an open breaker");
+    // Healed and past the cool-down, the next batch is the half-open
+    // probe: clean, so it closes the breaker.
+    drop(fault);
+    std::thread::sleep(BREAKER_COOLDOWN + Duration::from_millis(50));
+    let probe = Target::Layer.infer(&server, 90).unwrap();
+    assert_eq!(probe.trace.demotions, 0, "the probe rode the full chain");
+    let closed = [BreakerState::Closed, BreakerState::Closed];
+    assert_eq!(await_breakers(&server, closed), closed);
+    let health = server.health();
+    assert_eq!(health.batch_panics, 0);
+    assert_eq!(health.status, HealthStatus::Healthy, "every breaker closed");
+    server.shutdown();
+}
+
+#[test]
+fn servers_over_one_registry_share_a_plans_breaker() {
+    let _serial = serial();
+    let reg = registry();
+    let tail = reg.get("cnt/l").unwrap().tail_engine();
+    let _fault = fault::scoped("transform:nan");
+    let a = Server::start(Arc::clone(&reg), one_at_a_time());
+    for i in 0..u64::from(BREAKER_THRESHOLD) {
+        Target::Layer.infer(&a, 100 + i).unwrap();
+    }
+    let open = [BreakerState::Open, BreakerState::Closed];
+    assert_eq!(await_breakers(&a, open), open);
+    // A second server over the same registry reads the breaker A
+    // tripped, and serves the layer on its terminal fallback.
+    let b = Server::start(Arc::clone(&reg), one_at_a_time());
+    assert_eq!(shared_name_breakers(&b), open);
+    let resp = Target::Layer.infer(&b, 103).unwrap();
+    assert_eq!(resp.served_by, tail);
+    assert_eq!(resp.trace.demotions, 0, "the head engine never ran");
+    a.shutdown();
+    b.shutdown();
 }
 
 #[test]
@@ -473,7 +540,6 @@ fn zoo_serving_accounts_exactly_with_zero_steady_allocations() {
             max_wait: Duration::from_millis(5),
             queue_capacity: 256,
             executors: 2,
-            ..ServerConfig::default()
         },
     );
 

@@ -99,7 +99,6 @@ fn alexnet_serves_bit_identically_with_warm_filters() {
             max_wait: Duration::from_millis(3),
             queue_capacity: 1024,
             executors: 2,
-            ..ServerConfig::default()
         },
     );
     let mix: Vec<(String, u64)> = (0..TOTAL_REQUESTS)

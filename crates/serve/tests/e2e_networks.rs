@@ -108,7 +108,6 @@ fn zoo_networks_serve_bit_identically_to_layer_by_layer_guarded_runs() {
             max_wait: Duration::from_millis(3),
             queue_capacity: 64,
             executors: 2,
-            ..ServerConfig::default()
         },
     );
     // Concurrent same-network requests: coalescing into cross-request
