@@ -228,10 +228,14 @@ fn scenarios() -> Vec<Scenario> {
             .want(&["scrape", "serve_enqueued"], 8)
             .want(&["scrape", "serve_executed"], 8),
         // -- wino-serve, whole networks: 2 warmups + 8 steady requests,
-        // coalesced, so the queue-depth peak is not pinned.
+        // coalesced, so the queue-depth peak is not pinned. Two
+        // registrations are two serving plans: a network's convs are
+        // no layers of their own.
         row("net-smoke/clean", drill_net_smoke)
             .counters([("serve.enqueued", 10), ("serve.executed", 10)])
             .counters([("serve.networks_registered", 2)])
+            .zero(["serve.layers_registered"])
+            .fact("breakers", 2)
             .zero(["serve.shed", "serve.deadline_demotions"])
             .zero([GUARDRAIL, FALLBACK])
             .zero(["exec.degraded_runs", "conv.tiles_interpreted"])
@@ -675,7 +679,7 @@ fn drill_wave_lanes() -> Value {
 /// is collected so cross-request coalescing happens. Batch counts
 /// depend on executor timing and are not reported;
 /// `steady_arena_allocs` is what `exec.arena_allocs` moved while the
-/// eight ran.
+/// eight ran, `breakers` how many plans `health()` lists.
 fn drill_net_smoke() -> Value {
     const NETWORKS: [&str; 2] = ["alexnet", "inception-3a-3b"];
     let registry = Arc::new(PlanRegistry::new());
@@ -748,6 +752,7 @@ fn drill_net_smoke() -> Value {
         }
     }
     let steady_allocs = allocs.get() - warm_allocs;
+    let breakers = server.health().breakers.len();
     server.shutdown();
     assert_eq!(
         probe::counter("conv.filter_transforms").get(),
@@ -759,6 +764,7 @@ fn drill_net_smoke() -> Value {
         ("steady_served", served.to_value()),
         ("demotions", demotions.to_value()),
         ("demoted", (demotions > 0).to_value()),
+        ("breakers", breakers.to_value()),
     ])
 }
 

@@ -42,16 +42,6 @@ impl<T: RecipeScalar> TileTransformer<T> {
         }
     }
 
-    /// Input tile side length.
-    pub fn input_size(&self) -> usize {
-        self.q
-    }
-
-    /// Output tile side length.
-    pub fn output_size(&self) -> usize {
-        self.p
-    }
-
     /// Transforms the `q×q` tile `input` into the `p×p` tile `out`
     /// (both row-major).
     pub fn transform(&mut self, input: &[T], out: &mut [T]) {
@@ -91,8 +81,6 @@ mod tests {
         let mats = toom_cook_matrices(spec, &table3_points(4).unwrap()).unwrap();
         let recipe = generate_recipe(&mats.b_t, &RecipeOptions::optimized());
         let mut tt = TileTransformer::new(&recipe);
-        assert_eq!(tt.input_size(), 4);
-        assert_eq!(tt.output_size(), 4);
 
         let tile: Vec<f32> = (0..16).map(|k| k as f32 * 0.25 - 2.0).collect();
         let mut out = vec![0.0f32; 16];
@@ -125,8 +113,6 @@ mod tests {
         let mats = toom_cook_matrices(spec, &table3_points(6).unwrap()).unwrap();
         let recipe = generate_recipe(&mats.g, &RecipeOptions::optimized());
         let mut tt = TileTransformer::new(&recipe);
-        assert_eq!(tt.input_size(), 3);
-        assert_eq!(tt.output_size(), 6);
         let g: Vec<f32> = (0..9).map(|k| (k as f32 - 4.0) * 0.1).collect();
         let mut u = vec![0.0f32; 36];
         tt.transform(&g, &mut u);

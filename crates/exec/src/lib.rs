@@ -101,12 +101,13 @@ pub fn chain_for(engine: &EngineChoice) -> Vec<Engine> {
 }
 
 /// The pinned serving plan of one convolution — the single conv-plan
-/// type: the serving registry stores one per registered layer, the plan
-/// compiler pins one per graph conv node, and the executor runs it
+/// type: the plan compiler pins one per graph conv node (a registered
+/// layer is a one-conv graph around its own), and the executor runs it
 /// ([`LayerPlan::run`]). The filter transform runs once, at
 /// construction.
 pub struct LayerPlan {
-    /// Plan name (registry key, diagnostics, probe args).
+    /// Plan name (a registered layer's name or `<net>/node<i>`;
+    /// diagnostics, probe args).
     pub name: String,
     /// Canonical descriptor at batch 1 (requests may carry any batch).
     pub desc: ConvDesc,
@@ -217,8 +218,9 @@ impl LayerPlan {
 
 /// Compiles a graph whose conv engines are taken from the graph's own
 /// `set_engine` choices (default [`EngineChoice::Direct`]), building a
-/// [`LayerPlan`] per conv node from its attached weights — the
-/// registry-free convenience used by tests and benches.
+/// [`LayerPlan`] per conv node from its attached weights, named
+/// `"{name}/node{i}"` — how the serving registry compiles a network,
+/// and what tests and benches use.
 ///
 /// # Errors
 /// [`ExecError::MissingPlan`] for weightless conv nodes, plus

@@ -31,9 +31,9 @@ use crate::{ExecError, LayerPlan};
 
 static COMPILED: wino_probe::Counter = wino_probe::Counter::new("exec.networks_compiled");
 
-/// Resolver mapping each conv node to its pinned execution plan (the
-/// serving registry's pinned-plan lookup, or ad-hoc plan construction
-/// in tests and benches).
+/// Resolver mapping each conv node to its pinned execution plan (a
+/// registered layer's own plan, or a plan built per node by
+/// [`crate::compile_with_graph_engines`]).
 pub type PlanResolver<'a> = dyn FnMut(NodeId, &ConvDesc) -> Result<Arc<LayerPlan>, ExecError> + 'a;
 
 /// Where a step reads one input from.
@@ -133,10 +133,15 @@ impl CompiledNetwork {
 
     /// Number of convolution steps.
     pub fn conv_count(&self) -> usize {
-        self.steps
-            .iter()
-            .filter(|s| matches!(s.op, StepOp::Conv { .. }))
-            .count()
+        self.conv_plans().count()
+    }
+
+    /// The pinned plan of every convolution step, in step order.
+    pub fn conv_plans(&self) -> impl Iterator<Item = &Arc<LayerPlan>> {
+        self.steps.iter().filter_map(|s| match &s.op {
+            StepOp::Conv { plan, .. } => Some(plan),
+            _ => None,
+        })
     }
 
     /// The widest wave (the degree of inter-layer parallelism the
@@ -198,8 +203,8 @@ fn resolve_checked(
 }
 
 /// Compiles `graph` for per-image input `(c, h, w)`, resolving each
-/// conv node's pinned plan through `resolve` (the serving registry, or
-/// [`LayerPlan::from_engine`] construction).
+/// conv node's pinned plan through `resolve` (a registered layer's
+/// plan, or [`LayerPlan::from_engine`] construction).
 ///
 /// # Errors
 /// [`ExecError::Graph`] on shape-inference failures,

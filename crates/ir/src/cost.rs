@@ -47,17 +47,6 @@ impl CostProfile {
         self.global_load_bytes + self.global_store_bytes
     }
 
-    /// Arithmetic intensity in FLOPs per global byte (∞ when no
-    /// global traffic).
-    pub fn arithmetic_intensity(&self) -> f64 {
-        let b = self.global_bytes();
-        if b == 0 {
-            f64::INFINITY
-        } else {
-            self.flops as f64 / b as f64
-        }
-    }
-
     /// Component-wise sum; coalescing is traffic-weighted and control
     /// overhead flop-weighted so merged profiles stay meaningful.
     pub fn merge(&self, other: &CostProfile) -> CostProfile {
@@ -102,23 +91,6 @@ impl CostProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn intensity() {
-        let c = CostProfile {
-            flops: 400,
-            global_load_bytes: 80,
-            global_store_bytes: 20,
-            shared_bytes: 0,
-            coalescing: 1.0,
-            control_overhead: 1.0,
-        };
-        assert_eq!(c.arithmetic_intensity(), 4.0);
-        assert_eq!(
-            CostProfile::compute_only(5).arithmetic_intensity(),
-            f64::INFINITY
-        );
-    }
 
     #[test]
     fn merge_weights_factors_by_traffic_and_flops() {

@@ -16,15 +16,6 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// Keyword introducing a kernel entry point in this backend.
-    pub fn kernel_qualifier(&self) -> &'static str {
-        match self {
-            Backend::Cuda => "__global__ void",
-            Backend::Vulkan => "void", // GLSL compute: main() with layout qualifiers
-            Backend::OpenCl => "__kernel void",
-        }
-    }
-
     /// Qualifier for on-chip scratchpad memory.
     pub fn shared_qualifier(&self) -> &'static str {
         match self {
@@ -144,8 +135,6 @@ mod tests {
 
     #[test]
     fn backend_qualifiers() {
-        assert_eq!(Backend::Cuda.kernel_qualifier(), "__global__ void");
         assert_eq!(Backend::Vulkan.shared_qualifier(), "shared");
-        assert_eq!(Backend::OpenCl.kernel_qualifier(), "__kernel void");
     }
 }

@@ -170,18 +170,6 @@ impl Poly {
         }
         Ok(acc)
     }
-
-    /// Formal derivative.
-    pub fn derivative(&self) -> Poly {
-        let coeffs = self
-            .coeffs
-            .iter()
-            .enumerate()
-            .skip(1)
-            .map(|(k, c)| c * &Rational::from_int(k as i64))
-            .collect();
-        Poly::from_coeffs(coeffs)
-    }
 }
 
 impl fmt::Display for Poly {
@@ -312,13 +300,6 @@ mod tests {
             Poly::interpolate(&points),
             Err(NumError::DuplicatePoint(_))
         ));
-    }
-
-    #[test]
-    fn derivative() {
-        let p = Poly::from_coeffs(vec![r(5, 1), r(3, 1), r(2, 1)]); // 5 + 3x + 2x^2
-        assert_eq!(p.derivative().coeffs(), &[r(3, 1), r(4, 1)]);
-        assert!(Poly::zero().derivative().is_zero());
     }
 
     #[test]

@@ -122,9 +122,12 @@ pub(crate) struct Breaker {
 }
 
 impl Breaker {
-    /// A closed breaker for the plan named `plan`, with its state gauge
-    /// interned.
+    /// A closed breaker for the plan named `plan`. Its state gauge is
+    /// interned by name and set to closed: a plan registered again
+    /// under a name whose old breaker had tripped reads closed.
     pub(crate) fn new(plan: &str) -> Breaker {
+        let gauge = wino_probe::gauge(&format!("serve.breaker_state.{plan}"));
+        gauge.set(BreakerState::Closed.gauge_value());
         Breaker {
             plan: plan.to_string(),
             inner: Mutex::new(BreakerInner {
@@ -134,7 +137,7 @@ impl Breaker {
                 probe_in_flight: false,
                 trips: 0,
             }),
-            gauge: wino_probe::gauge(&format!("serve.breaker_state.{plan}")),
+            gauge,
         }
     }
 

@@ -6,21 +6,25 @@
 //! layer runs many times: exactly the serving regime. This crate
 //! closes that loop:
 //!
-//! - [`PlanRegistry`] resolves each registered layer to a pinned plan
-//!   ([`wino_graph::select_engine_static`] on its descriptor) and
-//!   precomputes the filter transform `U = G·g·Gᵀ` once per layer, so
+//! - [`PlanRegistry`] keeps one serving plan ([`NetworkPlan`]) per
+//!   registered name: a whole network (the zoo's by name, any
+//!   [`wino_graph::ComputeGraph`] by
+//!   [`PlanRegistry::register_network_graph`]), or the one-conv
+//!   network around a registered layer. Registration pins each conv's
+//!   plan ([`wino_graph::select_engine_static`] on its descriptor) and
+//!   precomputes the filter transform `U = G·g·Gᵀ` once, so
 //!   steady-state requests skip the filter-transform phase entirely.
-//!   Whole networks register as one compiled plan each: the zoo's by
-//!   name, any [`wino_graph::ComputeGraph`] by
-//!   [`PlanRegistry::register_network_graph`].
+//!   A network's convs are no plans of their own;
+//!   [`PlanRegistry::get`] finds them inside it.
 //! - [`Server`] accepts [`ConvRequest`]s and [`NetworkRequest`]s on a
-//!   bounded submission queue; each idle executor thread takes its
-//!   next batch off the queue, coalescing same-plan requests under
-//!   `max_batch`/`max_wait`, and executes it through one path: the `wino-exec` network executor, a layer
-//!   request being a one-conv network around the layer's
-//!   [`LayerPlan`]. Every conv is its plan's [`LayerPlan::run`]: the
-//!   pinned degradation chain over the warm filters. Batched responses
-//!   are bit-identical to one-at-a-time runs.
+//!   bounded submission queue; both name a serving plan and differ
+//!   only in the error an unknown name gets. Each idle executor
+//!   thread takes its next batch off the queue, coalescing same-plan
+//!   requests under `max_batch`/`max_wait`, and executes it through
+//!   one path: the `wino-exec` network executor. Every conv is its
+//!   plan's [`LayerPlan::run`]: the pinned degradation chain over the
+//!   warm filters. Batched responses are bit-identical to
+//!   one-at-a-time runs.
 //! - Admission control sheds at capacity ([`ServeError::Overloaded`]),
 //!   per-request deadlines demote near-late members to the terminal
 //!   fallback engine, and shutdown drains in-flight work while

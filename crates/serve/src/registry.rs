@@ -1,18 +1,20 @@
-//! The plan registry: layer name → pinned plan + warm filters.
+//! The plan registry: one serving plan per registered name.
 //!
-//! Serving must pin a *specific* plan per layer rather than
-//! re-deciding per request. Registration resolves each layer's engine
-//! from its descriptor ([`wino_graph::select_engine_static`]) and
-//! precomputes the filter transform `U = G·g·Gᵀ` once, so steady-state
-//! requests skip the filter-transform phase entirely. Whole networks
-//! register as compiled [`NetworkPlan`]s: the zoo's by name, arbitrary
-//! [`ComputeGraph`]s through [`PlanRegistry::register_network_graph`].
+//! Serving must pin a *specific* plan per conv rather than re-deciding
+//! per request. Registration resolves each conv's engine from its
+//! descriptor ([`wino_graph::select_engine_static`]) and precomputes
+//! the filter transform `U = G·g·Gᵀ` once, so steady-state requests
+//! skip the filter-transform phase entirely.
 //!
-//! Everything the server executes is a [`NetworkPlan`]: registering a
-//! layer also compiles a one-conv network around the same
-//! [`LayerPlan`], so a layer request and a network request take the
-//! same path through the server's executors and the `wino-exec`
-//! executor.
+//! Everything the server executes is a [`NetworkPlan`], and the
+//! registry keeps one per name: a whole network (the zoo's by name,
+//! arbitrary [`ComputeGraph`]s through
+//! [`PlanRegistry::register_network_graph`]), or the one-conv network
+//! compiled around a registered layer's [`LayerPlan`]. A layer request
+//! and a network request take the same path through the server's
+//! executors and the `wino-exec` executor. A network's convs are not
+//! registered on their own: [`PlanRegistry::get`] finds conv node
+//! `<net>/node<i>` inside its network.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -20,10 +22,10 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wino_exec::{ArenaPool, CompiledNetwork};
+use wino_exec::{ArenaPool, CompiledNetwork, ExecError};
 use wino_graph::{
     build_alexnet_graph, build_inception_3a_3b, build_inception_v1_graph, build_nin_graph,
-    select_engine_static, ComputeGraph, EngineChoice, NodeId,
+    select_engine_static, ComputeGraph, EngineChoice,
 };
 use wino_tensor::{ConvDesc, Tensor4};
 
@@ -43,8 +45,7 @@ static NET_REGISTERED: wino_probe::Counter = wino_probe::Counter::new("serve.net
 pub struct NetworkPlan {
     /// Registry key.
     pub name: String,
-    /// Compiled schedule with per-conv plans pinned to this registry's
-    /// [`LayerPlan`]s.
+    /// Compiled schedule with its per-conv [`LayerPlan`]s pinned.
     pub net: Arc<CompiledNetwork>,
     /// Recycled per-request arenas (registry-owned: the server
     /// reserves them at start so steady-state serving allocates
@@ -53,9 +54,10 @@ pub struct NetworkPlan {
     /// The plan's circuit breaker, shared by every server over the
     /// registry.
     pub(crate) breaker: Breaker,
-    /// The fused, engine-annotated source graph. Naive execution of
-    /// this graph is the reference the executor must match bit for
-    /// bit.
+    /// The fused, engine-annotated source graph. For a registered
+    /// network, naive execution of this graph is the reference the
+    /// executor must match bit for bit; a layer's one-conv graph
+    /// carries no weights (they are its [`LayerPlan`]'s).
     pub graph: ComputeGraph,
 }
 
@@ -64,57 +66,11 @@ impl NetworkPlan {
     pub fn input_dims(&self) -> (usize, usize, usize) {
         self.net.input_dims()
     }
-
-    /// Compiles `graph` against `resolve`'s pinned conv plans and
-    /// pairs the schedule with an empty arena pool and a closed
-    /// breaker.
-    fn compile(
-        name: String,
-        graph: ComputeGraph,
-        input: (usize, usize, usize),
-        resolve: &mut wino_exec::PlanResolver<'_>,
-    ) -> Result<NetworkPlan, ServeError> {
-        let net = wino_exec::compile(name.clone(), &graph, input, resolve)
-            .map_err(|e| ServeError::Shape(e.to_string()))?;
-        Ok(NetworkPlan {
-            breaker: Breaker::new(&name),
-            name,
-            pool: Arc::new(ArenaPool::new(&net)),
-            net: Arc::new(net),
-            graph,
-        })
-    }
-
-    /// The one-conv network a layer request is served as: input →
-    /// conv, pinned to `plan` itself (no second filter transform).
-    fn around_layer(plan: &Arc<LayerPlan>) -> Result<NetworkPlan, ServeError> {
-        let mut graph = ComputeGraph::new();
-        let input = graph.add_input();
-        let conv = graph
-            .add_conv(input, plan.desc)
-            .map_err(|e| ServeError::Shape(e.to_string()))?;
-        graph.set_engine(conv, plan.engine);
-        let d = &plan.desc;
-        NetworkPlan::compile(
-            plan.name.clone(),
-            graph,
-            (d.in_ch, d.in_h, d.in_w),
-            &mut |_, _| Ok(Arc::clone(plan)),
-        )
-    }
 }
 
-/// What one registered layer resolves to: its conv plan, and the
-/// one-conv network around it that requests are served through.
-struct LayerEntry {
-    plan: Arc<LayerPlan>,
-    network: Arc<NetworkPlan>,
-}
-
-/// Thread-safe registry of serving plans.
+/// Thread-safe registry of serving plans, one per name.
 pub struct PlanRegistry {
-    layers: RwLock<BTreeMap<String, LayerEntry>>,
-    networks: RwLock<BTreeMap<String, Arc<NetworkPlan>>>,
+    plans: RwLock<BTreeMap<String, Arc<NetworkPlan>>>,
 }
 
 impl Default for PlanRegistry {
@@ -127,8 +83,7 @@ impl PlanRegistry {
     /// Empty registry.
     pub fn new() -> Self {
         PlanRegistry {
-            layers: RwLock::new(BTreeMap::new()),
-            networks: RwLock::new(BTreeMap::new()),
+            plans: RwLock::new(BTreeMap::new()),
         }
     }
 
@@ -149,7 +104,9 @@ impl PlanRegistry {
         self.register_with_engine(name, desc, weights, engine)
     }
 
-    /// Registers one layer with an explicitly pinned engine.
+    /// Registers one layer with an explicitly pinned engine, served as
+    /// the one-conv network input → conv around its plan. Replaces
+    /// whatever was registered under `name`.
     ///
     /// # Errors
     /// [`ServeError::Shape`] when `weights` do not match `desc`.
@@ -166,21 +123,29 @@ impl PlanRegistry {
         let plan = LayerPlan::from_engine(name.clone(), weights, &desc, engine)
             .map_err(|e| ServeError::Shape(e.to_string()))?;
         let plan = Arc::new(plan);
-        let network = Arc::new(NetworkPlan::around_layer(&plan)?);
-        self.layers
-            .write()
-            .insert(name, LayerEntry { plan, network });
+        let mut graph = ComputeGraph::new();
+        let input = graph.add_input();
+        let conv = graph
+            .add_conv(input, plan.desc)
+            .map_err(|e| ServeError::Shape(e.to_string()))?;
+        graph.set_engine(conv, engine);
+        let d = &plan.desc;
+        let net = wino_exec::compile(name, &graph, (d.in_ch, d.in_h, d.in_w), &mut |_, _| {
+            Ok(Arc::clone(&plan))
+        });
+        self.insert(graph, net)?;
         REGISTERED.add(1);
         Ok(())
     }
 
     /// Registers a whole network for graph-level serving: fuses
-    /// conv+ReLU pairs, selects every conv node's engine from its
-    /// descriptor (pinning it on the graph *and* as a registry
-    /// [`LayerPlan`] named `"{name}/node{i}"` — the warm filter
-    /// transform runs exactly once, here), compiles the wave schedule
-    /// and arena plan, and stores the resulting [`NetworkPlan`] under
-    /// `name`. Returns the plan.
+    /// conv+ReLU pairs, pins every conv node's engine on the graph
+    /// (selected from its descriptor), compiles the wave schedule and
+    /// arena plan with a [`LayerPlan`] per conv node named
+    /// `"{name}/node{i}"` (the warm filter transform runs exactly
+    /// once, here), and stores the resulting [`NetworkPlan`] under
+    /// `name`, replacing whatever was registered there. Returns the
+    /// plan.
     ///
     /// # Errors
     /// [`ServeError::Shape`] on weightless conv nodes or compile
@@ -195,30 +160,14 @@ impl PlanRegistry {
         let mut span = wino_probe::span("serve.register_network");
         span.arg("network", || name.clone());
         graph.fuse_relu();
-        // Resolve + pin engines first so the graph kept as the oracle
-        // agrees with the layer plans the compiler will bind.
-        for (id, desc) in graph.conv_nodes() {
-            let mut canonical = desc;
-            canonical.batch = 1;
-            let engine = select_engine_static(&canonical);
-            graph.set_engine(id, engine);
-            let weights = graph
-                .weights(id)
-                .ok_or_else(|| {
-                    ServeError::Shape(format!(
-                        "network {name:?}: conv node {} has no weights",
-                        id.0
-                    ))
-                })?
-                .clone();
-            self.register_with_engine(format!("{name}/node{}", id.0), desc, weights, engine)?;
+        // Pin engines on the graph, so the graph kept as the oracle
+        // agrees with the plans the compiler builds from it.
+        for (id, mut desc) in graph.conv_nodes() {
+            desc.batch = 1;
+            graph.set_engine(id, select_engine_static(&desc));
         }
-        let plan = NetworkPlan::compile(name.clone(), graph, input, &mut |id: NodeId, _desc| {
-            self.get(&format!("{name}/node{}", id.0))
-                .ok_or(wino_exec::ExecError::MissingPlan(id.0))
-        })?;
-        let plan = Arc::new(plan);
-        self.networks.write().insert(name, Arc::clone(&plan));
+        let net = wino_exec::compile_with_graph_engines(name, &graph, input);
+        let plan = self.insert(graph, net)?;
         NET_REGISTERED.add(1);
         Ok(plan)
     }
@@ -260,49 +209,59 @@ impl PlanRegistry {
         self.register_network_graph(network, graph, input)
     }
 
-    /// Looks up a registered network plan.
+    /// Stores `graph`'s compiled network under its name, with an empty
+    /// arena pool and a closed breaker, replacing the previous plan of
+    /// that name.
+    fn insert(
+        &self,
+        graph: ComputeGraph,
+        net: Result<CompiledNetwork, ExecError>,
+    ) -> Result<Arc<NetworkPlan>, ServeError> {
+        let net = net.map_err(|e| ServeError::Shape(e.to_string()))?;
+        let plan = Arc::new(NetworkPlan {
+            name: net.name().to_string(),
+            breaker: Breaker::new(net.name()),
+            pool: Arc::new(ArenaPool::new(&net)),
+            net: Arc::new(net),
+            graph,
+        });
+        self.plans
+            .write()
+            .insert(plan.name.clone(), Arc::clone(&plan));
+        Ok(plan)
+    }
+
+    /// The serving plan registered under `name`, a network or a
+    /// layer's one-conv network.
     pub fn network(&self, name: &str) -> Option<Arc<NetworkPlan>> {
-        self.networks.read().get(name).cloned()
+        self.plans.read().get(name).cloned()
     }
 
-    /// Looks up a registered plan.
+    /// The conv plan named `name`: a registered layer's own plan, or
+    /// conv node `"{net}/node{i}"` inside registered network `net`.
     pub fn get(&self, name: &str) -> Option<Arc<LayerPlan>> {
-        self.layers.read().get(name).map(|e| Arc::clone(&e.plan))
+        let plans = self.plans.read();
+        let owner = plans
+            .get(name)
+            .or_else(|| plans.get(name.rsplit_once('/')?.0))?;
+        let plan = owner.net.conv_plans().find(|p| p.name == name)?;
+        Some(Arc::clone(plan))
     }
 
-    /// The one-conv network requests for layer `name` are served as.
-    pub(crate) fn layer_network(&self, name: &str) -> Option<Arc<NetworkPlan>> {
-        self.layers.read().get(name).map(|e| Arc::clone(&e.network))
-    }
-
-    /// Registered layer names, sorted.
-    pub fn layer_names(&self) -> Vec<String> {
-        self.layers.read().keys().cloned().collect()
-    }
-
-    /// Everything a server can be asked to run — each layer's one-conv
-    /// network, then each registered network, in name order (a server
-    /// reserves arenas per plan at start, and reports each plan's
-    /// breaker in its health).
+    /// Every serving plan, in name order (a server reserves arenas per
+    /// plan at start, and reports each plan's breaker in its health).
     pub(crate) fn serving_plans(&self) -> Vec<Arc<NetworkPlan>> {
-        let layers = self.layers.read();
-        let networks = self.networks.read();
-        layers
-            .values()
-            .map(|e| &e.network)
-            .chain(networks.values())
-            .cloned()
-            .collect()
+        self.plans.read().values().cloned().collect()
     }
 
-    /// Number of registered layers.
+    /// Number of serving plans.
     pub fn len(&self) -> usize {
-        self.layers.read().len()
+        self.plans.read().len()
     }
 
     /// `true` when nothing is registered.
     pub fn is_empty(&self) -> bool {
-        self.layers.read().is_empty()
+        self.plans.read().is_empty()
     }
 }
 
@@ -341,7 +300,7 @@ mod tests {
         assert!(plan.warm.is_some(), "winograd plans carry warm filters");
         assert_eq!(plan.tail_engine(), Engine::Direct);
         assert!(reg.get("net/none").is_none());
-        assert_eq!(reg.layer_names(), vec!["net/c1".to_string()]);
+        assert_eq!(reg.len(), 1);
     }
 
     #[test]
@@ -412,6 +371,33 @@ mod tests {
         reg.register_network_graph("toy", g, (desc.in_ch, desc.in_h, desc.in_w))
             .unwrap();
         assert_eq!(names.len(), 1);
-        assert!(reg.get(&names[0]).is_some());
+        assert_eq!(reg.get(&names[0]).unwrap().name, names[0]);
+        // The node is found inside the network; it is no plan of its own.
+        assert!(reg.network(&names[0]).is_none());
+        assert_eq!(reg.len(), 1);
+    }
+
+    #[test]
+    fn a_network_registered_under_a_layers_name_replaces_the_layer() {
+        let reg = PlanRegistry::new();
+        let desc = small_desc();
+        reg.register_layer("x", desc, small_weights()).unwrap();
+        assert!(reg.get("x").is_some());
+        let mut g = ComputeGraph::new();
+        let input = g.add_input();
+        let conv = g.add_conv(input, desc).unwrap();
+        g.set_weights(conv, small_weights()).unwrap();
+        let net = reg
+            .register_network_graph("x", g, (desc.in_ch, desc.in_h, desc.in_w))
+            .unwrap();
+        assert_eq!(reg.len(), 1, "one plan per name");
+        assert!(Arc::ptr_eq(&reg.network("x").unwrap(), &net));
+        assert!(reg.get("x").is_none(), "the layer's plan is gone");
+        assert!(reg.get(&format!("x/node{}", conv.0)).is_some());
+        // And back: a layer replaces the network.
+        reg.register_layer("x", desc, small_weights()).unwrap();
+        assert_eq!(reg.len(), 1);
+        assert!(!Arc::ptr_eq(&reg.network("x").unwrap(), &net));
+        assert!(reg.get("x").is_some());
     }
 }

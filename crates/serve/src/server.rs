@@ -6,10 +6,9 @@
 //! takes its next batch straight off the queue ([`next_batch`]),
 //! coalescing same-plan requests under `max_batch`/`max_wait`, and
 //! runs it through the `wino-exec` [`NetworkExecutor`]. There is one
-//! path: a layer request is served as the one-conv network the
-//! registry compiled around the layer's plan, a network request as the
-//! registered network, and both carry an `Arc<NetworkPlan>` from
-//! admission to response. Admission control sheds work at capacity
+//! path: both request types name a serving plan in the registry (a
+//! layer's one-conv network or a registered network) and carry its
+//! `Arc<NetworkPlan>` from admission to response. Admission control sheds work at capacity
 //! ([`ServeError::Overloaded`]), per-request deadlines demote near-late
 //! members to every conv's terminal fallback engine, and
 //! [`Server::shutdown`] drains: in-flight requests complete, late
@@ -427,7 +426,7 @@ impl Server {
     /// Admits a request, returning a handle to wait on.
     ///
     /// # Errors
-    /// [`ServeError::UnknownLayer`] for unregistered names,
+    /// [`ServeError::UnknownLayer`] for names with no serving plan,
     /// [`ServeError::Shape`] on input mismatch,
     /// [`ServeError::ShuttingDown`] after drain began, and
     /// [`ServeError::Overloaded`] when the queue is full (the request
@@ -435,7 +434,7 @@ impl Server {
     pub fn submit(&self, req: ConvRequest) -> Result<ResponseHandle, ServeError> {
         let plan = self
             .registry
-            .layer_network(&req.layer)
+            .network(&req.layer)
             .ok_or_else(|| ServeError::UnknownLayer(req.layer.clone()))?;
         self.admit(plan, req.input, req.deadline)
     }
@@ -448,12 +447,13 @@ impl Server {
         self.submit(req)?.wait()
     }
 
-    /// Admits a whole-network request. Concurrent requests for the
-    /// same network coalesce into one cross-request batch exactly like
+    /// Admits a whole-network request: [`Server::submit`] but for the
+    /// error an unknown name gets. Concurrent requests for the same
+    /// network coalesce into one cross-request batch exactly like
     /// same-layer requests do.
     ///
     /// # Errors
-    /// [`ServeError::UnknownModel`] for unregistered networks,
+    /// [`ServeError::UnknownModel`] for names with no serving plan,
     /// otherwise as [`Server::submit`].
     pub fn submit_network(&self, req: NetworkRequest) -> Result<ResponseHandle, ServeError> {
         let plan = self
@@ -528,7 +528,7 @@ impl Server {
 
     /// Health snapshot: overall status, the contained-panic total, the
     /// queue depth, and the breaker position of every plan in the
-    /// registry. `Degraded` once a batch panic was contained or while
+    /// registry, in name order. `Degraded` once a batch panic was contained or while
     /// any breaker is not closed. Works regardless of the metrics mode
     /// — health bookkeeping is not gated behind the probe.
     pub fn health(&self) -> ServerHealth {

@@ -54,20 +54,25 @@ fn quiet_injected_panics() {
     });
 }
 
-/// A layer and a network registered under the *same* name, on the same
-/// conv: the network is that conv followed by a (fused) ReLU.
-fn registry() -> Arc<PlanRegistry> {
-    let reg = PlanRegistry::new();
+/// The one conv every plan here is built on.
+fn conv() -> (ConvDesc, Tensor4<f32>) {
     let desc = ConvDesc::new(3, 1, 1, 4, 1, 8, 8, 2);
     let mut rng = StdRng::seed_from_u64(17);
-    let weights = Tensor4::random(4, 2, 3, 3, -0.5, 0.5, &mut rng);
+    (desc, Tensor4::random(4, 2, 3, 3, -0.5, 0.5, &mut rng))
+}
+
+/// A layer `cnt/l` and a network `cnt/n` on the same conv: the network
+/// is that conv followed by a (fused) ReLU.
+fn registry() -> Arc<PlanRegistry> {
+    let reg = PlanRegistry::new();
+    let (desc, weights) = conv();
     reg.register_layer("cnt/l", desc, weights.clone()).unwrap();
     let mut graph = ComputeGraph::new();
     let input = graph.add_input();
     let conv = graph.add_conv(input, desc).unwrap();
     graph.set_weights(conv, weights).unwrap();
     graph.add_relu(conv).unwrap();
-    reg.register_network_graph("cnt/l", graph, (2, 8, 8))
+    reg.register_network_graph("cnt/n", graph, (2, 8, 8))
         .unwrap();
     Arc::new(reg)
 }
@@ -96,7 +101,7 @@ impl Target {
                 server.submit(req)
             }
             Target::Network => {
-                let mut req = NetworkRequest::new("cnt/l", input);
+                let mut req = NetworkRequest::new("cnt/n", input);
                 req.deadline = deadline;
                 server.submit_network(req)
             }
@@ -337,14 +342,13 @@ fn zero_deadline_runs_degraded_and_counts_one_demotion() {
     }
 }
 
-/// Breaker positions of the plans registered under `"cnt/l"` (the
-/// layer and the network), open ones first.
-fn shared_name_breakers(server: &Server) -> Vec<BreakerState> {
+/// Breaker positions of the two plans [`registry`] holds (the layer
+/// and the network), open ones first.
+fn pair_breakers(server: &Server) -> Vec<BreakerState> {
     let mut states: Vec<BreakerState> = server
         .health()
         .breakers
         .into_iter()
-        .filter(|b| b.plan == "cnt/l")
         .map(|b| b.state)
         .collect();
     states.sort_by_key(|s| *s != BreakerState::Open);
@@ -374,9 +378,9 @@ fn poisoned_batches_trip_only_the_breaker_of_the_plan_they_ran() {
         let resp = target.infer(&server, 63).unwrap();
         assert_eq!(resp.served_by, Engine::Direct, "{target:?}");
         assert_eq!(resp.trace.demotions, 0, "{target:?}");
-        // The layer and the network share a name, not a breaker.
+        // The layer and the network share a conv, not a breaker.
         assert_eq!(
-            shared_name_breakers(&server),
+            pair_breakers(&server),
             [BreakerState::Open, BreakerState::Closed],
             "{target:?}"
         );
@@ -387,13 +391,13 @@ fn poisoned_batches_trip_only_the_breaker_of_the_plan_they_ran() {
     }
 }
 
-/// Polls [`shared_name_breakers`] until it reads `want`: a response is
+/// Polls [`pair_breakers`] until it reads `want`: a response is
 /// delivered before its batch's outcome reaches the breaker, so a read
 /// right after `infer` can still see the previous position.
 fn await_breakers(server: &Server, want: [BreakerState; 2]) -> Vec<BreakerState> {
     let deadline = Instant::now() + WATCHDOG;
     loop {
-        let states = shared_name_breakers(server);
+        let states = pair_breakers(server);
         if states == want || Instant::now() >= deadline {
             return states;
         }
@@ -454,7 +458,7 @@ fn servers_over_one_registry_share_a_plans_breaker() {
     // A second server over the same registry reads the breaker A
     // tripped, and serves the layer on its terminal fallback.
     let b = Server::start(Arc::clone(&reg), one_at_a_time());
-    assert_eq!(shared_name_breakers(&b), open);
+    assert_eq!(pair_breakers(&b), open);
     let resp = Target::Layer.infer(&b, 103).unwrap();
     assert_eq!(resp.served_by, tail);
     assert_eq!(resp.trace.demotions, 0, "the head engine never ran");
@@ -463,12 +467,37 @@ fn servers_over_one_registry_share_a_plans_breaker() {
 }
 
 #[test]
-fn a_layer_and_a_network_of_one_name_never_share_a_batch() {
+fn a_re_registered_layer_reads_closed_on_its_breaker_gauge() {
+    let _serial = serial();
+    wino_probe::set_mode(wino_probe::Mode::Summary);
+    let reg = registry();
+    let gauge = wino_probe::gauge("serve.breaker_state.cnt/l");
+    let fault = fault::scoped("transform:nan");
+    let server = Server::start(Arc::clone(&reg), one_at_a_time());
+    for i in 0..u64::from(BREAKER_THRESHOLD) {
+        Target::Layer.infer(&server, 120 + i).unwrap();
+    }
+    // The outcome reaches the breaker after the response: poll.
+    let deadline = Instant::now() + WATCHDOG;
+    while gauge.get() != 2 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(gauge.get(), 2, "the tripped breaker reads open");
+    server.shutdown();
+    drop(fault);
+    // The same name again: a new plan, and a closed breaker.
+    let (desc, weights) = conv();
+    reg.register_layer("cnt/l", desc, weights).unwrap();
+    assert_eq!(gauge.get(), 0, "the new plan's breaker reads closed");
+}
+
+#[test]
+fn a_layer_and_a_network_of_one_conv_never_share_a_batch() {
     let _serial = serial();
     wino_probe::set_mode(wino_probe::Mode::Summary);
     let (b0, n0) = (c("serve.batches"), c("serve.batched"));
     // Room for both in one batch and time to wait for it: only the
-    // plan-identity key keeps them apart.
+    // plan each names keeps them apart.
     let server = Server::start(
         registry(),
         ServerConfig {
@@ -524,13 +553,21 @@ fn zoo_serving_accounts_exactly_with_zero_steady_allocations() {
         winograd_convs,
         "registration transforms each Winograd conv exactly once per network"
     );
-    // Network registration pinned every conv node as a layer too; one
-    // of them is the layer-request target.
-    let layer = registry
-        .layer_names()
-        .into_iter()
-        .find(|n| n.starts_with("inception-3a-3b/node"))
-        .unwrap();
+    // The layer-request target: inception-3a-3b's first conv,
+    // registered as a layer of its own (one more filter transform if
+    // it runs Winograd).
+    let inception = registry.network(NETWORKS[1]).unwrap();
+    let (first, desc) = inception.graph.conv_nodes()[0];
+    let weights = inception.graph.weights(first).unwrap().clone();
+    let layer = "3a-3b/first-conv";
+    registry.register_layer(layer, desc, weights).unwrap();
+    if matches!(
+        registry.get(layer).unwrap().engine,
+        EngineChoice::Winograd(_)
+    ) {
+        winograd_convs += 1;
+    }
+    assert_eq!(transforms.get(), winograd_convs);
 
     // Server start reserves arenas (per executor, at max_batch images).
     let server = Server::start(
@@ -559,7 +596,7 @@ fn zoo_serving_accounts_exactly_with_zero_steady_allocations() {
             server.submit_network(NetworkRequest::new(target, random(dims, seed)))
         }
     };
-    let targets = [layer.as_str(), NETWORKS[0], NETWORKS[1]];
+    let targets = [layer, NETWORKS[0], NETWORKS[1]];
 
     // Warmup: one request per target; the steady window opens after.
     for target in targets {
@@ -609,6 +646,7 @@ fn zoo_serving_accounts_exactly_with_zero_steady_allocations() {
     assert_eq!(c("serve.executed"), total);
     assert_eq!(c("serve.shed"), 0);
     assert_eq!(c("serve.networks_registered"), NETWORKS.len() as u64);
+    assert_eq!(c("serve.layers_registered"), 1);
     // Cross-request coalescing actually happened (everything was
     // queued before collection began, max_batch 4, 2 executors).
     assert!(

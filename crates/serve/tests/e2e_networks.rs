@@ -10,7 +10,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wino_graph::{NodeId, Op};
 use wino_guard::GuardedConv;
-use wino_serve::{NetworkPlan, NetworkRequest, PlanRegistry, Server, ServerConfig};
+use wino_serve::{
+    ConvRequest, NetworkPlan, NetworkRequest, PlanRegistry, ServeError, Server, ServerConfig,
+};
 use wino_tensor::Tensor4;
 
 fn network_input(plan: &NetworkPlan, seed: u64) -> Tensor4<f32> {
@@ -63,7 +65,7 @@ fn layer_by_layer_reference(
                     .expect("topological order");
                 let lp = reg
                     .get(&format!("{}/node{i}", plan.name))
-                    .expect("network registration pins every conv as a layer");
+                    .expect("every conv node's plan is found in its network");
                 let mut d = *desc;
                 d.batch = src.n();
                 let m = lp.warm.as_ref().map_or(4, |pre| pre.spec().m);
@@ -92,14 +94,18 @@ fn zoo_networks_serve_bit_identically_to_layer_by_layer_guarded_runs() {
 
     let registry = Arc::new(PlanRegistry::new());
     let mut references: HashMap<String, Tensor4<f32>> = HashMap::new();
+    let mut convs = 0;
     for name in NETWORKS {
         let plan = registry.register_zoo_network(name).unwrap();
+        convs += plan.net.conv_count();
         let input = network_input(&plan, 0);
         references.insert(
             name.to_string(),
             layer_by_layer_reference(&registry, &plan, &input),
         );
     }
+    // The reference walk looked every conv node's plan up by name.
+    assert_eq!(convs, 70);
 
     let server = Server::start(
         Arc::clone(&registry),
@@ -110,6 +116,7 @@ fn zoo_networks_serve_bit_identically_to_layer_by_layer_guarded_runs() {
             executors: 2,
         },
     );
+    assert_eq!(server.health().breakers.len(), NETWORKS.len());
     // Concurrent same-network requests: coalescing into cross-request
     // batches must not perturb a single bit.
     std::thread::scope(|scope| {
@@ -172,5 +179,40 @@ fn unknown_network_and_bad_shape_are_refused() {
             Tensor4::zeros(1, 3, 28, 28),
         ))
         .is_err());
+    server.shutdown();
+}
+
+#[test]
+fn one_registration_is_one_serving_plan() {
+    const NET: &str = "inception-3a-3b";
+    let registry = Arc::new(PlanRegistry::new());
+    let plan = registry.register_zoo_network(NET).unwrap();
+    let server = Server::start(Arc::clone(&registry), ServerConfig::default());
+    let health = server.health();
+    assert_eq!(health.breakers.len(), 1);
+    assert_eq!(health.breakers[0].plan, NET);
+    // Node 1 is a conv: its plan is found inside the network...
+    let node = NodeId(1);
+    let desc = plan
+        .graph
+        .conv_nodes()
+        .into_iter()
+        .find(|(id, _)| *id == node);
+    let (_, desc) = desc.expect("node 1 is a conv");
+    let conv = registry.get("inception-3a-3b/node1").expect("node plan");
+    assert_eq!(conv.name, "inception-3a-3b/node1");
+    assert_eq!(conv.desc, desc);
+    // ...but it is no serving plan of its own.
+    let input = Tensor4::zeros(1, desc.in_ch, desc.in_h, desc.in_w);
+    assert!(matches!(
+        server.submit(ConvRequest::new("inception-3a-3b/node1", input)),
+        Err(ServeError::UnknownLayer(_))
+    ));
+    let node_gauges: Vec<String> = wino_probe::gauge_values()
+        .into_iter()
+        .map(|(name, _, _)| name)
+        .filter(|name| name.starts_with("serve.breaker_state.inception-3a-3b/node"))
+        .collect();
+    assert!(node_gauges.is_empty(), "{node_gauges:?}");
     server.shutdown();
 }

@@ -77,11 +77,6 @@ impl ConvDesc {
         self.stride == 1 && self.ksz >= 2
     }
 
-    /// Bytes of one f32 input tensor.
-    pub fn input_bytes(&self) -> u64 {
-        4 * (self.batch * self.in_ch * self.in_h * self.in_w) as u64
-    }
-
     /// Bytes of the f32 filter tensor.
     pub fn filter_bytes(&self) -> u64 {
         4 * (self.out_ch * self.in_ch * self.ksz * self.ksz) as u64
@@ -143,7 +138,6 @@ mod tests {
     #[test]
     fn byte_accounting() {
         let d = ConvDesc::new(3, 1, 1, 2, 1, 4, 4, 3);
-        assert_eq!(d.input_bytes(), 4 * 48);
         assert_eq!(d.filter_bytes(), 4 * 54);
         assert_eq!(d.output_bytes(), 4 * 32);
     }
